@@ -27,6 +27,14 @@ pub enum Error {
         /// Window capacity that must be reached before publishing.
         need: usize,
     },
+    /// A defense claiming the Butterfly contract produced a release that
+    /// fails the audit; the release is withheld.
+    ContractViolation {
+        /// Stream position of the withheld window.
+        stream_len: u64,
+        /// Entries of that release outside their legal region.
+        violations: usize,
+    },
     /// Underlying I/O failure.
     Io(std::io::Error),
 }
@@ -44,6 +52,13 @@ impl fmt::Display for Error {
             Error::PartialWindow { have, need } => {
                 write!(f, "partial window: {have} of {need} transactions")
             }
+            Error::ContractViolation {
+                stream_len,
+                violations,
+            } => write!(
+                f,
+                "contract violation: release at {stream_len} withheld, {violations} entries fail the audit"
+            ),
             Error::Io(e) => write!(f, "io error: {e}"),
         }
     }
@@ -77,6 +92,10 @@ mod tests {
             Error::NotSubset,
             Error::Infeasible("pinned bias out of budget".into()),
             Error::PartialWindow { have: 3, need: 10 },
+            Error::ContractViolation {
+                stream_len: 2000,
+                violations: 1,
+            },
             Error::Io(std::io::Error::other("boom")),
         ];
         for e in cases {

@@ -39,14 +39,9 @@ use crate::ratio::ratio_preserving_biases;
 use crate::release::{SanitizedItemset, SanitizedRelease};
 use crate::scheme::BiasScheme;
 use bfly_common::rng::SmallRng;
-use bfly_common::{pool, ItemsetId, SanitizedSupport, Support};
+use bfly_common::{ItemsetId, SanitizedSupport, Support};
 use bfly_mining::FrequentItemsets;
 use std::collections::HashMap;
-
-/// FECs per scheduling unit when the seeded noise stage runs in parallel:
-/// one noise draw is far cheaper than a dispatch, so workers take whole
-/// batches of classes.
-const NOISE_BATCH: usize = 256;
 
 /// How stage 4 derives each FEC's noise draw.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -278,23 +273,12 @@ impl ReleaseEngine {
     /// internal equalities survive sanitization exactly).
     fn stage_noise(&mut self, fecs: &[Fec], biases: &[f64]) -> Vec<i64> {
         match self.noise_mode {
-            // Seeded draws are pure functions of (seed, support, bias, α),
-            // so the stage parallelizes with no semantic footprint. A draw
-            // is ~one rng split + rejection sample, far too fine to be a
-            // work unit on its own — the floor keeps dispatch at
-            // FEC-batch granularity.
-            NoiseMode::Seeded => {
-                let items: Vec<(Support, f64)> = fecs
-                    .iter()
-                    .zip(biases)
-                    .map(|(f, &bias)| (f.support(), bias))
-                    .collect();
-                pool::par_map_min_chunk(&items, NOISE_BATCH, |&(support, bias)| {
-                    seeded_noise(self.seed, support, bias, self.spec.alpha())
-                })
-            }
-            // The legacy shared-rng stream consumes draws in FEC order;
-            // stays serial by construction.
+            NoiseMode::Seeded => fecs
+                .iter()
+                .zip(biases)
+                .map(|(f, &bias)| seeded_noise(self.seed, f.support(), bias, self.spec.alpha()))
+                .collect(),
+            // The legacy shared-rng stream consumes draws in FEC order.
             NoiseMode::Sequential => fecs
                 .iter()
                 .zip(biases)

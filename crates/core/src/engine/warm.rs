@@ -34,8 +34,8 @@
 use crate::config::PrivacySpec;
 use crate::fec::Fec;
 use crate::order::{
-    bias_candidates_for, dp_backtrack, dp_first_layer, dp_next_layer, layers_value_equal,
-    LayerEntry,
+    bias_candidates_for, dp_backtrack, dp_first_layer, dp_next_layer, layers_value_equal, Chain,
+    Grid, Layer, Spare,
 };
 use bfly_common::Support;
 
@@ -49,7 +49,17 @@ use bfly_common::Support;
 pub struct WarmOrderDp {
     gamma: usize,
     skeleton: Vec<(Support, usize)>,
-    layers: Vec<Vec<LayerEntry>>,
+    layers: Vec<Layer>,
+    /// Candidate grids of the current skeleton, one per FEC.
+    grids: Vec<Grid>,
+    /// The previous window's skeleton, and its layers past the kept prefix
+    /// (`None` once spliced into the new chain). Only meaningful inside
+    /// [`WarmOrderDp::solve`]; fields so their buffers carry over.
+    old_skeleton: Vec<(Support, usize)>,
+    old_layers: Vec<Option<Layer>>,
+    /// Layers the last solve neither kept nor spliced: the next solve
+    /// builds its new layers in their buffers.
+    spare: Spare,
     /// False until a non-trivial solve has populated the cache.
     primed: bool,
     full_reuse: u64,
@@ -81,25 +91,31 @@ impl WarmOrderDp {
             self.invalidate();
             return vec![0.0; n];
         }
-        let skeleton: Vec<(Support, usize)> =
-            fecs.iter().map(|f| (f.support(), f.size())).collect();
-        let candidates: Vec<Vec<i64>> = fecs
-            .iter()
-            .map(|f| bias_candidates_for(spec.max_bias(f.support())))
-            .collect();
-        let alpha = spec.alpha() as i64;
-
         let was_primed = self.primed;
-        let old_skeleton = std::mem::take(&mut self.skeleton);
-        let mut old_layers = std::mem::take(&mut self.layers);
+        std::mem::swap(&mut self.skeleton, &mut self.old_skeleton);
+        self.skeleton.clear();
+        self.skeleton
+            .extend(fecs.iter().map(|f| (f.support(), f.size())));
+        self.grids.clear();
+        self.grids.extend(
+            fecs.iter()
+                .map(|f| bias_candidates_for(spec.max_bias(f.support()))),
+        );
+        let (skeleton, old_skeleton) = (&self.skeleton, &self.old_skeleton);
         let old_n = old_skeleton.len();
+        let chain = Chain {
+            fecs,
+            grids: &self.grids,
+            alpha: spec.alpha() as i64,
+            gamma,
+        };
 
         // Prefix: layer i is valid iff skeleton[0..=i] is unchanged, i.e.
         // for all i < lcp.
         let lcp = if was_primed {
             old_skeleton
                 .iter()
-                .zip(&skeleton)
+                .zip(skeleton)
                 .take_while(|(a, b)| a == b)
                 .count()
         } else {
@@ -114,13 +130,15 @@ impl WarmOrderDp {
             self.warm_starts += 1;
         }
 
-        // Move (not clone) the surviving prefix; `old_layers[j]` now holds
+        // The surviving prefix stays where it is; `old_layers[j]` now holds
         // the cached layer for *original* position `j + kept`.
-        let mut layers: Vec<Vec<LayerEntry>> = old_layers.drain(..kept).collect();
+        self.old_layers.clear();
+        self.old_layers.extend(self.layers.drain(kept..).map(Some));
         let mut reused = kept as u64;
         let mut computed = 0u64;
-        if layers.is_empty() {
-            layers.push(dp_first_layer(&candidates[0]));
+        if self.layers.is_empty() {
+            self.layers
+                .push(dp_first_layer(&self.grids[0], &mut self.spare));
             computed += 1;
         }
 
@@ -146,8 +164,8 @@ impl WarmOrderDp {
         } else {
             None
         };
-        while layers.len() < n {
-            let i = layers.len();
+        while self.layers.len() < n {
+            let i = self.layers.len();
             let mut copied = false;
             if was_primed {
                 for &shift in &shifts {
@@ -158,8 +176,8 @@ impl WarmOrderDp {
                     let oi = oi as usize;
                     // dp_next_layer reads fecs[max(0, i−γ)..=i]: supports
                     // for the chain and distance terms, sizes for the
-                    // weights, and candidates[i] (a pure function of
-                    // skeleton[i].support given the fixed spec).
+                    // weights, and grids (pure functions of
+                    // skeleton[j].support given the fixed spec).
                     let window_ok = (i.saturating_sub(gamma)..=i).all(|j| {
                         let jo = j as isize + shift;
                         jo >= 0 && (jo as usize) < old_n && skeleton[j] == old_skeleton[jo as usize]
@@ -169,9 +187,16 @@ impl WarmOrderDp {
                     }
                     let prev_ok = known_prev == Some(oi - 1)
                         || (oi > kept
-                            && layers_value_equal(&layers[i - 1], &old_layers[oi - 1 - kept]));
-                    if prev_ok {
-                        layers.push(std::mem::take(&mut old_layers[oi - kept]));
+                            && self.old_layers[oi - 1 - kept]
+                                .as_ref()
+                                .is_some_and(|old| layers_value_equal(&self.layers[i - 1], old)));
+                    if !prev_ok {
+                        continue;
+                    }
+                    // A run at another shift may already have moved this
+                    // layer out; then there is nothing to copy here.
+                    if let Some(cached) = self.old_layers[oi - kept].take() {
+                        self.layers.push(cached);
                         known_prev = Some(oi);
                         reused += 1;
                         copied = true;
@@ -180,26 +205,20 @@ impl WarmOrderDp {
                 }
             }
             if !copied {
-                let next = dp_next_layer(
-                    layers.last().expect("layer 0 exists"),
-                    i,
-                    fecs,
-                    &candidates[i],
-                    alpha,
-                    gamma,
-                )
-                .expect("unpinned order DP is always feasible: zero biases satisfy the chain");
-                layers.push(next);
+                let next = dp_next_layer(&chain, &self.layers[i - 1], i, &mut self.spare)
+                    .expect("unpinned order DP is always feasible: zero biases satisfy the chain");
+                self.layers.push(next);
                 known_prev = None;
                 computed += 1;
             }
         }
+        for unused in self.old_layers.drain(..).flatten() {
+            self.spare.retire(unused);
+        }
         self.layers_reused += reused;
         self.layers_computed += computed;
-        self.skeleton = skeleton;
-        self.layers = layers;
         self.primed = true;
-        dp_backtrack(&self.layers)
+        dp_backtrack(&self.layers, &self.grids)
     }
 
     /// `(full_reuse, warm_starts, full_solves)` — how often a window's DP
@@ -221,7 +240,9 @@ impl WarmOrderDp {
 
     fn invalidate(&mut self) {
         self.skeleton.clear();
-        self.layers.clear();
+        for layer in self.layers.drain(..) {
+            self.spare.retire(layer);
+        }
         self.primed = false;
     }
 }

@@ -11,7 +11,7 @@
 
 use crate::config::PrivacySpec;
 use crate::fec::Fec;
-use crate::order::bias_candidates_for;
+use crate::order::{bias_candidates_for, Grid};
 
 /// The full (un-windowed) weighted inversion-overlap objective.
 pub fn full_cost(fecs: &[Fec], biases: &[f64], spec: &PrivacySpec) -> f64 {
@@ -45,7 +45,7 @@ pub fn exact_order_biases(fecs: &[Fec], spec: &PrivacySpec) -> Vec<f64> {
     if n == 0 {
         return Vec::new();
     }
-    let candidates: Vec<Vec<i64>> = fecs
+    let candidates: Vec<Grid> = fecs
         .iter()
         .map(|f| bias_candidates_for(spec.max_bias(f.support())))
         .collect();
@@ -59,7 +59,7 @@ pub fn exact_order_biases(fecs: &[Fec], spec: &PrivacySpec) -> Vec<f64> {
 fn search(
     fecs: &[Fec],
     spec: &PrivacySpec,
-    candidates: &[Vec<i64>],
+    candidates: &[Grid],
     depth: usize,
     current: &mut Vec<i64>,
     best: &mut Option<(f64, u64, Vec<i64>)>,
@@ -77,7 +77,7 @@ fn search(
         }
         return;
     }
-    for &b in &candidates[depth] {
+    for &b in candidates[depth].as_slice() {
         if depth > 0 {
             let e_prev = fecs[depth - 1].support() as i64 + current[depth - 1];
             let e_here = fecs[depth].support() as i64 + b;

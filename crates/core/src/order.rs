@@ -14,19 +14,27 @@
 //! approximation, accurate whenever FECs are not extremely dense (verified
 //! empirically by Fig 6's knee at `γ ≈ 2–3`).
 //!
-//! **Representation & parallelism.** Each DP layer is a `Vec<LayerEntry>`
-//! sorted by state, so an entry's predecessor is a plain `u32` index into
-//! the previous layer instead of a cloned state vector — backtracking walks
-//! indices, and the per-transition allocation is just the successor state
-//! itself. Layer expansion fans out over fixed-size chunks of the previous
-//! layer via [`bfly_common::pool::par_map`]; the merge that follows (sort
-//! by `(state, cost, Σ|β|, parent)`, keep the first entry per state) is a
-//! pure function of the transition set, so the chosen biases are identical
-//! at any thread count.
+//! **Representation.** A DP state — the bias choices of the trailing
+//! `min(γ, i+1)` FECs — is stored as the mixed-radix code of each bias's
+//! *rank* in its FEC's ascending candidate grid, oldest FEC most
+//! significant, so integer order on codes is the lexicographic order on
+//! bias vectors. A [`Layer`] is four parallel arrays (`code / cost / abs /
+//! parent`) over the *reachable* states only, ascending by code; an entry's
+//! predecessor is a `u32` index into the previous layer, so backtracking
+//! walks indices. Expanding a layer allocates nothing per transition: the
+//! pair costs `(s_i + s_j)(α + 1 − d)²` are tabulated once per layer
+//! (`≤ γ·13·13` entries), and once states are `γ` long the successors that
+//! differ only in the dropped oldest bias are min-merged by a k-way merge
+//! over the `≤ 13` runs of the previous layer that share an oldest rank
+//! (each run is already sorted by the remaining digits). Visiting the runs
+//! in ascending order and replacing only on a strictly smaller
+//! `(cost, Σ|β|)` keeps the smallest parent index on exact ties — the total
+//! tie-break `(cost, Σ|β|, parent)` the byte-identity suites pin. The kernel
+//! is serial: per-stream parallelism lives one level up, across shards.
 
 use crate::config::PrivacySpec;
 use crate::fec::Fec;
-use bfly_common::{pool, Error, Result};
+use bfly_common::{Error, Result};
 
 /// Bias-grid resolution: candidate biases per FEC are at most this many,
 /// evenly spaced over `[−β^m, β^m]` and always including 0. Controls DP
@@ -34,30 +42,113 @@ use bfly_common::{pool, Error, Result};
 /// integer grid entirely at the paper's support scales.
 const MAX_GRID: usize = 13;
 
-/// Transitions are expanded in chunks of this many previous-layer entries.
-/// The size is fixed (never derived from the thread count) so the chunk
-/// decomposition — and with it every ounce of the computation — is the same
-/// whether 1 or 64 workers run; layers smaller than one chunk stay on the
-/// calling thread with no spawn at all.
-const EXPAND_CHUNK: usize = 48;
+/// One FEC's candidate biases in ascending order, held inline so a chain's
+/// grids are one flat buffer. A bias's index here is its *rank* — the digit
+/// the state codes are built from.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Grid {
+    len: usize,
+    vals: [i64; MAX_GRID],
+}
 
-/// Trailing window of bias choices identifying a DP state.
-type State = Vec<i64>;
+impl Grid {
+    fn singleton(b: i64) -> Grid {
+        let mut vals = [0; MAX_GRID];
+        vals[0] = b;
+        Grid { len: 1, vals }
+    }
 
-/// One DP state in a layer: the trailing `min(γ, i+1)` bias choices, the
-/// best cost/precision reaching it, and the index of the predecessor entry
-/// in the previous layer (meaningless in layer 0).
+    pub(crate) fn as_slice(&self) -> &[i64] {
+        &self.vals[..self.len]
+    }
+}
+
+/// One DP layer: the reachable states of the trailing `digits` FECs as
+/// parallel arrays ascending by `code`, with the best cost / precision
+/// reaching each state and the index of its predecessor in the previous
+/// layer (meaningless in layer 0).
 ///
 /// Crate-visible so the warm-started solver in [`crate::engine`] can cache
 /// whole layers across windows.
-#[derive(Clone, Debug)]
-pub(crate) struct LayerEntry {
-    state: State,
-    cost: f64,
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Layer {
+    /// State length `min(γ, i+1)`.
+    digits: usize,
+    code: Vec<u64>,
+    cost: Vec<f64>,
     /// Σ|β| along the best path — the lexicographic tie-break that makes
     /// isolated FECs keep β = 0.
-    abs: u64,
-    parent: u32,
+    abs: Vec<u64>,
+    parent: Vec<u32>,
+}
+
+impl Layer {
+    fn len(&self) -> usize {
+        self.code.len()
+    }
+
+    fn push(&mut self, code: u64, cost: f64, abs: u64, parent: u32) {
+        self.code.push(code);
+        self.cost.push(cost);
+        self.abs.push(abs);
+        self.parent.push(parent);
+    }
+
+    /// Subtract the layer-wide minimum cost and Σ|β| from every entry.
+    ///
+    /// Every quantity here is integer-valued (costs are sums of
+    /// `size · gap²` with integer sizes and gaps, well below 2⁵³), so the
+    /// subtraction is exact and within-layer comparisons — the only
+    /// comparisons the DP and its backtrack ever make — are unchanged: the
+    /// chosen biases are identical with or without this step. What
+    /// normalization buys is *forgetting*: once a support perturbation's
+    /// influence on relative costs has washed out (e.g. after a stretch of
+    /// non-interacting FECs), the normalized layer is bitwise equal to the
+    /// previous window's, and the warm-started solver
+    /// ([`crate::engine::WarmOrderDp`]) detects that and splices the rest of
+    /// its cached layers instead of re-expanding them.
+    fn normalize(&mut self) {
+        let min_cost = self.cost.iter().copied().fold(f64::INFINITY, f64::min);
+        let min_abs = self.abs.iter().copied().min().expect("non-empty layer");
+        self.cost.iter_mut().for_each(|c| *c -= min_cost);
+        self.abs.iter_mut().for_each(|a| *a -= min_abs);
+    }
+}
+
+/// Buffers the layer kernel reuses instead of allocating: retired layers
+/// (their four arrays keep their capacity) and the pair-cost table.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Spare {
+    layers: Vec<Layer>,
+    pair: Vec<f64>,
+}
+
+impl Spare {
+    /// Hand a layer that is no longer needed back for reuse.
+    pub(crate) fn retire(&mut self, layer: Layer) {
+        self.layers.push(layer);
+    }
+
+    fn empty_layer(&mut self, digits: usize) -> Layer {
+        let mut layer = self.layers.pop().unwrap_or_default();
+        layer.digits = digits;
+        layer.code.clear();
+        layer.cost.clear();
+        layer.abs.clear();
+        layer.parent.clear();
+        layer
+    }
+}
+
+/// What a layer expansion reads besides the previous layer: the chain's
+/// FECs (supports and sizes), their candidate grids, and the two DP
+/// parameters.
+#[derive(Clone, Copy)]
+pub(crate) struct Chain<'a> {
+    pub(crate) fecs: &'a [Fec],
+    pub(crate) grids: &'a [Grid],
+    pub(crate) alpha: i64,
+    pub(crate) gamma: usize,
 }
 
 /// Compute order-preserving biases for `fecs` (sorted ascending by support).
@@ -92,21 +183,20 @@ pub fn order_preserving_biases_pinned(
     if n == 0 {
         return Ok(Vec::new());
     }
-    let alpha = spec.alpha() as i64;
-    let mut candidates: Vec<Vec<i64>> = Vec::with_capacity(n);
+    let mut grids: Vec<Grid> = Vec::with_capacity(n);
     for (i, f) in fecs.iter().enumerate() {
+        let budget = spec.max_bias(f.support());
         match pinned.get(i).copied().flatten() {
             Some(b) => {
-                let budget = spec.max_bias(f.support());
                 if (b.abs() as f64) > budget + 1e-9 {
                     return Err(Error::Infeasible(format!(
                         "pinned bias {b} at FEC {i} (t={}) exceeds budget {budget:.3}",
                         f.support()
                     )));
                 }
-                candidates.push(vec![b]);
+                grids.push(Grid::singleton(b));
             }
-            None => candidates.push(bias_candidates_for(spec.max_bias(f.support()))),
+            None => grids.push(bias_candidates_for(budget)),
         }
     }
     if gamma == 0 || n == 1 {
@@ -120,65 +210,44 @@ pub fn order_preserving_biases_pinned(
     // The value is (inversion cost, Σ|bias| so far) compared
     // lexicographically: among equal-cost settings the most precise
     // (smallest total |bias|) wins.
-    let mut layers: Vec<Vec<LayerEntry>> = Vec::with_capacity(n);
-    layers.push(dp_first_layer(&candidates[0]));
-    for (i, cands) in candidates.iter().enumerate().skip(1) {
-        let prev = layers.last().expect("at least one layer");
-        layers.push(dp_next_layer(prev, i, fecs, cands, alpha, gamma)?);
+    let chain = Chain {
+        fecs,
+        grids: &grids,
+        alpha: spec.alpha() as i64,
+        gamma,
+    };
+    let mut spare = Spare::default();
+    let mut layers: Vec<Layer> = Vec::with_capacity(n);
+    layers.push(dp_first_layer(&grids[0], &mut spare));
+    for i in 1..n {
+        let next = dp_next_layer(&chain, &layers[i - 1], i, &mut spare)?;
+        layers.push(next);
     }
-    Ok(dp_backtrack(&layers))
+    Ok(dp_backtrack(&layers, &grids))
 }
 
-/// Layer 0 of the DP: one entry per candidate bias of the first FEC,
-/// state-sorted. A pure function of the candidate grid.
-pub(crate) fn dp_first_layer(cands: &[i64]) -> Vec<LayerEntry> {
-    let mut first: Vec<LayerEntry> = cands
-        .iter()
-        .map(|&b| LayerEntry {
-            state: vec![b],
-            cost: 0.0,
-            abs: b.unsigned_abs(),
-            parent: u32::MAX,
-        })
-        .collect();
-    first.sort_unstable_by(|a, b| a.state.cmp(&b.state));
-    normalize_layer(&mut first);
+/// Layer 0 of the DP: one entry per candidate bias of the first FEC. A pure
+/// function of the candidate grid.
+pub(crate) fn dp_first_layer(grid: &Grid, spare: &mut Spare) -> Layer {
+    let mut first = spare.empty_layer(1);
+    for (rank, b) in grid.as_slice().iter().enumerate() {
+        first.push(rank as u64, 0.0, b.unsigned_abs(), u32::MAX);
+    }
+    first.normalize();
     first
 }
 
-/// Subtract the layer-wide minimum cost and Σ|β| from every entry.
-///
-/// Every quantity here is integer-valued (costs are sums of
-/// `size · gap²` with integer sizes and gaps, well below 2⁵³), so the
-/// subtraction is exact and within-layer comparisons — the only
-/// comparisons the DP and its backtrack ever make — are unchanged: the
-/// chosen biases are identical with or without this step. What
-/// normalization buys is *forgetting*: once a support perturbation's
-/// influence on relative costs has washed out (e.g. after a stretch of
-/// non-interacting FECs), the normalized layer is bitwise equal to the
-/// previous window's, and the warm-started solver
-/// ([`crate::engine::WarmOrderDp`]) detects that and splices the rest of
-/// its cached layers instead of re-expanding them.
-fn normalize_layer(layer: &mut [LayerEntry]) {
-    let min_cost = layer.iter().map(|e| e.cost).fold(f64::INFINITY, f64::min);
-    let min_abs = layer.iter().map(|e| e.abs).min().expect("non-empty layer");
-    for e in layer {
-        e.cost -= min_cost;
-        e.abs -= min_abs;
-    }
-}
-
 /// Value-equality of two layers: same states with the same normalized
-/// `(cost, Σ|β|)`. Parent indices are deliberately ignored — expanding the
-/// next layer reads a predecessor's position, state, cost and Σ|β|, never
-/// its own parent, and positions are determined by the state sort — so two
-/// value-equal layers produce bitwise-identical successors (parents
-/// included) given the same skeleton window.
-pub(crate) fn layers_value_equal(a: &[LayerEntry], b: &[LayerEntry]) -> bool {
-    a.len() == b.len()
-        && a.iter()
-            .zip(b)
-            .all(|(x, y)| x.state == y.state && x.cost == y.cost && x.abs == y.abs)
+/// `(cost, Σ|β|)`. Codes are ranks, so the comparison is meaningful only
+/// between layers whose covered FECs have equal candidate grids — the
+/// warm-started solver checks that skeleton window before calling. Parent
+/// indices are deliberately ignored — expanding the next layer reads a
+/// predecessor's position, state, cost and Σ|β|, never its own parent, and
+/// positions are determined by the code order — so two value-equal layers
+/// produce bitwise-identical successors (parents included) given the same
+/// skeleton window.
+pub(crate) fn layers_value_equal(a: &Layer, b: &Layer) -> bool {
+    a.digits == b.digits && a.code == b.code && a.cost == b.cost && a.abs == b.abs
 }
 
 /// Expand layer `i` from layer `i − 1`. A pure function of the previous
@@ -190,149 +259,201 @@ pub(crate) fn layers_value_equal(a: &[LayerEntry], b: &[LayerEntry]) -> bool {
 /// # Errors
 /// [`Error::Infeasible`] when no transition satisfies the chain constraint
 /// (possible only with pinned singleton candidate sets).
+///
+/// # Panics
+/// If the state codes of this layer do not fit a `u64` — seventeen
+/// consecutive full 13-point grids inside one γ-window, far past the point
+/// where a layer could be held in memory.
 pub(crate) fn dp_next_layer(
-    prev: &[LayerEntry],
+    chain: &Chain<'_>,
+    prev: &Layer,
     i: usize,
-    fecs: &[Fec],
-    cands: &[i64],
-    alpha: i64,
-    gamma: usize,
-) -> Result<Vec<LayerEntry>> {
-    // Expand every (prev entry × candidate bias) transition, chunked
-    // over the previous layer. `par_map` returns chunk results in input
-    // order, so the concatenation below is thread-count-independent
-    // (and the merge sort would erase any ordering anyway).
-    let ranges: Vec<(usize, usize)> = (0..prev.len())
-        .step_by(EXPAND_CHUNK)
-        .map(|lo| (lo, (lo + EXPAND_CHUNK).min(prev.len())))
-        .collect();
-    let parts = pool::par_map(&ranges, |&(lo, hi)| {
-        expand_range(&prev[lo..hi], lo, i, fecs, cands, alpha, gamma)
-    });
-    // A layer holds at most grid^min(γ, i+1) distinct states; the raw
-    // transition list tops out at |prev| · |cands| before the merge.
-    let mut raw: Vec<LayerEntry> = Vec::with_capacity(prev.len().saturating_mul(cands.len()));
-    for part in parts {
-        raw.extend(part);
+    spare: &mut Spare,
+) -> Result<Layer> {
+    let Chain {
+        fecs,
+        grids,
+        alpha,
+        gamma,
+    } = *chain;
+    // prev's digits are the ranks of FECs first .. i−1, oldest first. Once
+    // states are γ long the oldest digit is dropped and its run merged.
+    let held = prev.digits;
+    let first = i - held;
+    let merge = held == gamma;
+    let radix = |k: usize| grids[first + k].len as u64;
+    let cands = grids[i].as_slice();
+    let n_i = cands.len() as u64;
+    let span = (usize::from(merge)..held)
+        .try_fold(n_i, |acc, k| acc.checked_mul(radix(k)))
+        .expect("order-DP state codes exceed u64: γ-window of candidate grids too wide")
+        / n_i;
+    let mut out = spare.empty_layer(if merge { held } else { held + 1 });
+
+    // pair[(k·G + d)·G + r]: cost between FEC first+k at rank d and FEC i at
+    // rank r; rows are padded to G with zeros.
+    let pair = &mut spare.pair;
+    pair.clear();
+    pair.resize(held * MAX_GRID * MAX_GRID, 0.0);
+    let t_i = fecs[i].support() as i64;
+    for k in 0..held {
+        let j = first + k;
+        let weight = (fecs[i].size() + fecs[j].size()) as f64;
+        for (d, &bj) in grids[j].as_slice().iter().enumerate() {
+            let e_j = fecs[j].support() as i64 + bj;
+            let row = &mut pair[(k * MAX_GRID + d) * MAX_GRID..][..MAX_GRID];
+            for (cell, &b) in row.iter_mut().zip(cands) {
+                let dist = t_i + b - e_j;
+                if dist <= alpha {
+                    let gap = (alpha + 1 - dist) as f64;
+                    *cell = weight * gap * gap;
+                }
+            }
+        }
     }
-    // Deterministic min-merge: best (cost, Σ|β|, parent) per state. The
-    // parent index breaks exact ties so the surviving entry — and the
-    // backtracked chain — never depends on expansion order.
-    raw.sort_unstable_by(|a, b| {
-        a.state
-            .cmp(&b.state)
-            .then(a.cost.total_cmp(&b.cost))
-            .then(a.abs.cmp(&b.abs))
-            .then(a.parent.cmp(&b.parent))
-    });
-    raw.dedup_by(|a, b| a.state == b.state);
-    if raw.is_empty() {
+    // Chain constraint e_{i−1} < e_i: candidates ascend, so per rank of
+    // FEC i−1 the admissible ranks of FEC i are a suffix starting here.
+    let mut admissible = [0usize; MAX_GRID];
+    for (from, &b_last) in admissible.iter_mut().zip(grids[i - 1].as_slice()) {
+        let e_last = fecs[i - 1].support() as i64 + b_last;
+        *from = cands.partition_point(|&b| t_i + b <= e_last);
+    }
+    // All transitions out of prev entry `p`: the added cost per candidate
+    // rank, and the first rank the chain admits.
+    let transitions = |p: usize, added: &mut [f64; MAX_GRID]| -> usize {
+        *added = [0.0; MAX_GRID];
+        let mut code = prev.code[p];
+        let mut last = 0;
+        for k in (0..held).rev() {
+            let d = (code % radix(k)) as usize;
+            code /= radix(k);
+            if k + 1 == held {
+                last = d;
+            }
+            let row = &pair[(k * MAX_GRID + d) * MAX_GRID..][..MAX_GRID];
+            for (a, c) in added.iter_mut().zip(row) {
+                *a += c;
+            }
+        }
+        admissible[last]
+    };
+
+    let mut added = [0.0; MAX_GRID];
+    if !merge {
+        // States still growing: every transition is its own state, and
+        // (parent, rank) order is code order.
+        for p in 0..prev.len() {
+            for r in transitions(p, &mut added)..cands.len() {
+                out.push(
+                    prev.code[p] * n_i + r as u64,
+                    prev.cost[p] + added[r],
+                    prev.abs[p] + cands[r].unsigned_abs(),
+                    p as u32,
+                );
+            }
+        }
+    } else {
+        // prev splits into one run per oldest rank, each ascending by the
+        // remaining digits (the suffix, `code mod span`). Merge the runs by
+        // suffix; all entries sharing one feed the same ≤ 13 successors.
+        let runs = radix(0) as usize;
+        let mut cursor = [0usize; MAX_GRID + 1];
+        for (r0, c) in cursor.iter_mut().enumerate().take(runs + 1) {
+            *c = prev.code.partition_point(|&code| code < r0 as u64 * span);
+        }
+        let end = cursor;
+        let head = |cursor: &[usize; MAX_GRID + 1], r0: usize| {
+            (cursor[r0] < end[r0 + 1]).then(|| prev.code[cursor[r0]] - r0 as u64 * span)
+        };
+        while let Some(suffix) = (0..runs).filter_map(|r0| head(&cursor, r0)).min() {
+            let mut best_cost = [f64::INFINITY; MAX_GRID];
+            let mut best_abs = [0u64; MAX_GRID];
+            let mut best_parent = [0u32; MAX_GRID];
+            for r0 in 0..runs {
+                if head(&cursor, r0) != Some(suffix) {
+                    continue;
+                }
+                let p = cursor[r0];
+                cursor[r0] += 1;
+                for r in transitions(p, &mut added)..cands.len() {
+                    let reached = (
+                        prev.cost[p] + added[r],
+                        prev.abs[p] + cands[r].unsigned_abs(),
+                    );
+                    if reached < (best_cost[r], best_abs[r]) {
+                        (best_cost[r], best_abs[r]) = reached;
+                        best_parent[r] = p as u32;
+                    }
+                }
+            }
+            for r in 0..cands.len() {
+                if best_cost[r] < f64::INFINITY {
+                    out.push(
+                        suffix * n_i + r as u64,
+                        best_cost[r],
+                        best_abs[r],
+                        best_parent[r],
+                    );
+                }
+            }
+        }
+    }
+    if out.len() == 0 {
+        spare.retire(out);
         return Err(Error::Infeasible(format!(
             "no bias choice at FEC {i} (t={}) satisfies the chain constraint \
              against the pinned context",
             fecs[i].support()
         )));
     }
-    normalize_layer(&mut raw);
-    Ok(raw)
+    out.normalize();
+    Ok(out)
 }
 
 /// Pick the best entry of the final layer and walk parent indices back to
 /// recover one bias per FEC. On exact `(cost, Σ|β|)` ties the smallest
-/// state wins because layers are state-sorted.
-pub(crate) fn dp_backtrack(layers: &[Vec<LayerEntry>]) -> Vec<f64> {
-    let n = layers.len();
+/// state wins because layers ascend by code.
+pub(crate) fn dp_backtrack(layers: &[Layer], grids: &[Grid]) -> Vec<f64> {
     let last = layers.last().expect("n ≥ 1 layers");
     let mut best = 0usize;
-    for (idx, e) in last.iter().enumerate().skip(1) {
-        let b = &last[best];
-        if e.cost.total_cmp(&b.cost).then(e.abs.cmp(&b.abs)) == std::cmp::Ordering::Less {
+    for idx in 1..last.len() {
+        if (last.cost[idx], last.abs[idx]) < (last.cost[best], last.abs[best]) {
             best = idx;
         }
     }
 
-    // Walk the parent indices backwards; entry i's state ends with bias i.
-    let mut biases = vec![0.0; n];
+    // Walk the parent indices backwards; entry i's lowest digit is bias i.
+    let mut biases = vec![0.0; layers.len()];
     let mut idx = best;
-    for i in (0..n).rev() {
-        let e = &layers[i][idx];
-        biases[i] = *e.state.last().expect("states are non-empty") as f64;
-        idx = e.parent as usize;
+    for (i, layer) in layers.iter().enumerate().rev() {
+        let grid = grids[i].as_slice();
+        biases[i] = grid[(layer.code[idx] % grid.len() as u64) as usize] as f64;
+        idx = layer.parent[idx] as usize;
     }
     biases
 }
 
-/// Expand all transitions out of `prev[lo..]` (a chunk starting at absolute
-/// index `base` of the previous layer) into candidate entries for layer `i`.
-fn expand_range(
-    prev: &[LayerEntry],
-    base: usize,
-    i: usize,
-    fecs: &[Fec],
-    cands: &[i64],
-    alpha: i64,
-    gamma: usize,
-) -> Vec<LayerEntry> {
-    let mut out = Vec::with_capacity(prev.len() * cands.len());
-    for (offset, entry) in prev.iter().enumerate() {
-        // entry.state holds biases of FECs i−L .. i−1 (L = state len).
-        let window_start = i - entry.state.len();
-        let e_prev =
-            fecs[i - 1].support() as i64 + entry.state.last().expect("states are non-empty");
-        for &b in cands {
-            let e_i = fecs[i].support() as i64 + b;
-            if e_i <= e_prev {
-                continue; // chain constraint e_{i−1} < e_i
-            }
-            let mut cost = entry.cost;
-            for (k, &bj) in entry.state.iter().enumerate() {
-                let j = window_start + k;
-                let e_j = fecs[j].support() as i64 + bj;
-                let d = e_i - e_j;
-                if d <= alpha {
-                    let gap = (alpha + 1 - d) as f64;
-                    let weight = (fecs[i].size() + fecs[j].size()) as f64;
-                    cost += weight * gap * gap;
-                }
-            }
-            let keep = entry.state.len().min(gamma.saturating_sub(1));
-            let mut state: State = Vec::with_capacity(keep + 1);
-            state.extend_from_slice(&entry.state[entry.state.len() - keep..]);
-            state.push(b);
-            out.push(LayerEntry {
-                state,
-                cost,
-                abs: entry.abs + b.unsigned_abs(),
-                parent: (base + offset) as u32,
-            });
-        }
-    }
-    out
-}
-
 /// Integer bias candidates for a budget `β^m`: an odd, symmetric grid over
-/// `[−⌊β^m⌋, ⌊β^m⌋]` including 0, ordered by |value| so that on DP cost ties
-/// the smaller (more precise) bias wins. Shared with the exhaustive
+/// `[−⌊β^m⌋, ⌊β^m⌋]` including 0, ascending. Shared with the exhaustive
 /// optimizer in [`crate::exact`] so the two search the same space.
-pub(crate) fn bias_candidates_for(max_bias: f64) -> Vec<i64> {
+pub(crate) fn bias_candidates_for(max_bias: f64) -> Grid {
+    let mut grid = Grid::singleton(0);
     let m = max_bias.floor() as i64;
     if m <= 0 {
-        return vec![0];
+        return grid;
     }
     let half = (MAX_GRID - 1) / 2;
-    let step = ((m as usize).div_ceil(half)).max(1) as i64;
-    let mut values = vec![0i64];
-    let mut v = step;
-    while v <= m {
-        values.push(v);
-        values.push(-v);
-        v += step;
+    let step = (m as usize).div_ceil(half).max(1);
+    // step, 2·step, … up to m, closed with m itself when the multiples stop
+    // short of it: ⌈m / step⌉ ≤ half values on each side of zero.
+    let side = (m as usize).div_ceil(step);
+    grid.len = 2 * side + 1;
+    for p in 1..=side {
+        let v = ((p * step) as i64).min(m);
+        grid.vals[side + p] = v;
+        grid.vals[side - p] = -v;
     }
-    if *values.iter().max().expect("non-empty") < m {
-        values.push(m);
-        values.push(-m);
-    }
-    values
+    grid
 }
 
 #[cfg(test)]
@@ -482,24 +603,6 @@ mod tests {
     }
 
     #[test]
-    fn thread_count_does_not_change_biases() {
-        // The DP's merge is order-independent: any worker count yields the
-        // exact same bias vector, down to the tie-breaks.
-        let supports: Vec<u64> = (0..80u64).map(|i| 25 + i * 2 + (i % 3)).collect();
-        let fecs = fecs_with_supports(&supports);
-        let s = spec();
-        pool::set_threads(1);
-        let serial = order_preserving_biases(&fecs, &s, 3);
-        pool::set_threads(2);
-        let two = order_preserving_biases(&fecs, &s, 3);
-        pool::set_threads(8);
-        let eight = order_preserving_biases(&fecs, &s, 3);
-        pool::set_threads(0);
-        assert_eq!(serial, two);
-        assert_eq!(serial, eight);
-    }
-
-    #[test]
     fn pinned_positions_are_respected() {
         let fecs = fecs_with_supports(&[30, 32, 34, 60]);
         let s = spec();
@@ -540,13 +643,273 @@ mod tests {
     }
 
     #[test]
-    fn candidate_grid_contains_zero_and_extremes() {
-        let c = bias_candidates_for(7.9);
-        assert!(c.contains(&0));
-        assert!(c.contains(&7));
-        assert!(c.contains(&-7));
-        assert_eq!(bias_candidates_for(0.4), vec![0]);
-        // Ordered by |value| (zero first) for the tie-break.
-        assert_eq!(c[0], 0);
+    fn candidate_grid_is_the_old_set_in_ascending_order() {
+        assert_eq!(
+            bias_candidates_for(7.9).as_slice(),
+            [-7, -6, -4, -2, 0, 2, 4, 6, 7]
+        );
+        assert_eq!(bias_candidates_for(0.4).as_slice(), [0]);
+        // Same set as the parent's |value|-ordered grid at every budget the
+        // grid logic distinguishes (step 1, exact multiples, a closing ±m).
+        for m in 0..200 {
+            let mut old = reference::bias_candidates_for(m as f64 + 0.5);
+            old.sort_unstable();
+            assert_eq!(bias_candidates_for(m as f64 + 0.5).as_slice(), old, "m={m}");
+            assert!(old.len() <= MAX_GRID);
+        }
+    }
+
+    /// The parent commit's layer kernel, kept verbatim (minus the thread
+    /// pool, whose `par_map` was order-preserving): heap-allocated state
+    /// vectors, full transition list, sort by `(state, cost, Σ|β|, parent)`,
+    /// dedup. The production kernel is pinned to it below.
+    mod reference {
+        use super::super::{Error, Fec, Result, MAX_GRID};
+
+        type State = Vec<i64>;
+
+        #[derive(Clone, Debug)]
+        pub(super) struct LayerEntry {
+            state: State,
+            cost: f64,
+            abs: u64,
+            parent: u32,
+        }
+
+        pub(super) fn solve(
+            fecs: &[Fec],
+            candidates: &[Vec<i64>],
+            alpha: i64,
+            gamma: usize,
+        ) -> Result<Vec<f64>> {
+            let mut layers: Vec<Vec<LayerEntry>> = Vec::with_capacity(fecs.len());
+            layers.push(dp_first_layer(&candidates[0]));
+            for (i, cands) in candidates.iter().enumerate().skip(1) {
+                let prev = layers.last().expect("at least one layer");
+                layers.push(dp_next_layer(prev, i, fecs, cands, alpha, gamma)?);
+            }
+            Ok(dp_backtrack(&layers))
+        }
+
+        fn dp_first_layer(cands: &[i64]) -> Vec<LayerEntry> {
+            let mut first: Vec<LayerEntry> = cands
+                .iter()
+                .map(|&b| LayerEntry {
+                    state: vec![b],
+                    cost: 0.0,
+                    abs: b.unsigned_abs(),
+                    parent: u32::MAX,
+                })
+                .collect();
+            first.sort_unstable_by(|a, b| a.state.cmp(&b.state));
+            normalize_layer(&mut first);
+            first
+        }
+
+        fn normalize_layer(layer: &mut [LayerEntry]) {
+            let min_cost = layer.iter().map(|e| e.cost).fold(f64::INFINITY, f64::min);
+            let min_abs = layer.iter().map(|e| e.abs).min().expect("non-empty layer");
+            for e in layer {
+                e.cost -= min_cost;
+                e.abs -= min_abs;
+            }
+        }
+
+        fn dp_next_layer(
+            prev: &[LayerEntry],
+            i: usize,
+            fecs: &[Fec],
+            cands: &[i64],
+            alpha: i64,
+            gamma: usize,
+        ) -> Result<Vec<LayerEntry>> {
+            let mut raw = expand_range(prev, 0, i, fecs, cands, alpha, gamma);
+            raw.sort_unstable_by(|a, b| {
+                a.state
+                    .cmp(&b.state)
+                    .then(a.cost.total_cmp(&b.cost))
+                    .then(a.abs.cmp(&b.abs))
+                    .then(a.parent.cmp(&b.parent))
+            });
+            raw.dedup_by(|a, b| a.state == b.state);
+            if raw.is_empty() {
+                return Err(Error::Infeasible(format!(
+                    "no bias choice at FEC {i} (t={}) satisfies the chain constraint \
+                     against the pinned context",
+                    fecs[i].support()
+                )));
+            }
+            normalize_layer(&mut raw);
+            Ok(raw)
+        }
+
+        fn dp_backtrack(layers: &[Vec<LayerEntry>]) -> Vec<f64> {
+            let n = layers.len();
+            let last = layers.last().expect("n ≥ 1 layers");
+            let mut best = 0usize;
+            for (idx, e) in last.iter().enumerate().skip(1) {
+                let b = &last[best];
+                if e.cost.total_cmp(&b.cost).then(e.abs.cmp(&b.abs)) == std::cmp::Ordering::Less {
+                    best = idx;
+                }
+            }
+            let mut biases = vec![0.0; n];
+            let mut idx = best;
+            for i in (0..n).rev() {
+                let e = &layers[i][idx];
+                biases[i] = *e.state.last().expect("states are non-empty") as f64;
+                idx = e.parent as usize;
+            }
+            biases
+        }
+
+        fn expand_range(
+            prev: &[LayerEntry],
+            base: usize,
+            i: usize,
+            fecs: &[Fec],
+            cands: &[i64],
+            alpha: i64,
+            gamma: usize,
+        ) -> Vec<LayerEntry> {
+            let mut out = Vec::with_capacity(prev.len() * cands.len());
+            for (offset, entry) in prev.iter().enumerate() {
+                // entry.state holds biases of FECs i−L .. i−1 (L = state len).
+                let window_start = i - entry.state.len();
+                let e_prev = fecs[i - 1].support() as i64
+                    + entry.state.last().expect("states are non-empty");
+                for &b in cands {
+                    let e_i = fecs[i].support() as i64 + b;
+                    if e_i <= e_prev {
+                        continue; // chain constraint e_{i−1} < e_i
+                    }
+                    let mut cost = entry.cost;
+                    for (k, &bj) in entry.state.iter().enumerate() {
+                        let j = window_start + k;
+                        let e_j = fecs[j].support() as i64 + bj;
+                        let d = e_i - e_j;
+                        if d <= alpha {
+                            let gap = (alpha + 1 - d) as f64;
+                            let weight = (fecs[i].size() + fecs[j].size()) as f64;
+                            cost += weight * gap * gap;
+                        }
+                    }
+                    let keep = entry.state.len().min(gamma.saturating_sub(1));
+                    let mut state: State = Vec::with_capacity(keep + 1);
+                    state.extend_from_slice(&entry.state[entry.state.len() - keep..]);
+                    state.push(b);
+                    out.push(LayerEntry {
+                        state,
+                        cost,
+                        abs: entry.abs + b.unsigned_abs(),
+                        parent: (base + offset) as u32,
+                    });
+                }
+            }
+            out
+        }
+
+        /// The parent's grid: same set, ordered by |value|.
+        pub(super) fn bias_candidates_for(max_bias: f64) -> Vec<i64> {
+            let m = max_bias.floor() as i64;
+            if m <= 0 {
+                return vec![0];
+            }
+            let half = (MAX_GRID - 1) / 2;
+            let step = ((m as usize).div_ceil(half)).max(1) as i64;
+            let mut values = vec![0i64];
+            let mut v = step;
+            while v <= m {
+                values.push(v);
+                values.push(-v);
+                v += step;
+            }
+            if *values.iter().max().expect("non-empty") < m {
+                values.push(m);
+                values.push(-m);
+            }
+            values
+        }
+    }
+
+    /// FECs with the given `(support, class size)` skeleton.
+    fn fecs_with_sizes(skeleton: &[(u64, usize)]) -> Vec<Fec> {
+        let mut item = 0u32;
+        let f = FrequentItemsets::new(skeleton.iter().flat_map(|&(support, size)| {
+            let ids: Vec<u32> = (item..item + size as u32).collect();
+            item += size as u32;
+            ids.into_iter()
+                .map(move |id| (ItemSet::from_ids([id]), support))
+        }));
+        partition_into_fecs(&f)
+    }
+
+    #[test]
+    fn kernel_equals_the_reference_on_random_chains() {
+        use bfly_common::rng::{Rng, SmallRng};
+        let specs = [
+            PrivacySpec::new(25, 5, 0.04, 1.0),
+            PrivacySpec::new(25, 5, 0.016, 0.4),
+            PrivacySpec::new(20, 5, 0.016, 0.4),
+            PrivacySpec::new(400, 5, 0.016, 0.4),
+        ];
+        let (mut feasible, mut infeasible) = (0, 0);
+        for (which, spec) in specs.iter().enumerate() {
+            for seed in 0..40u64 {
+                let mut rng = SmallRng::seed_from_u64(seed * 4 + which as u64);
+                // Strictly increasing supports from C up, gaps mixing dense
+                // stretches (inside α) with breaks the DP forgets across.
+                let n = 2 + rng.gen_range_usize(14);
+                let mut support = spec.c() + rng.gen_below(6);
+                let skeleton: Vec<(u64, usize)> = (0..n)
+                    .map(|_| {
+                        let here = support;
+                        support += 1 + if rng.gen_bool(0.2) {
+                            rng.gen_below(3 * spec.alpha())
+                        } else {
+                            rng.gen_below(4)
+                        };
+                        (here, 1 + rng.gen_range_usize(4))
+                    })
+                    .collect();
+                let fecs = fecs_with_sizes(&skeleton);
+                // A third of the chains carry pins: mostly in-grid values,
+                // some tight enough to force the chain infeasible.
+                let pinned: Vec<Option<i64>> = fecs
+                    .iter()
+                    .map(|f| {
+                        let m = spec.max_bias(f.support()).floor() as i64;
+                        (seed % 3 == 0 && rng.gen_bool(0.3)).then(|| rng.gen_range_i64(-m, m))
+                    })
+                    .collect();
+                let candidates: Vec<Vec<i64>> = fecs
+                    .iter()
+                    .zip(&pinned)
+                    .map(|(f, pin)| match pin {
+                        Some(b) => vec![*b],
+                        None => reference::bias_candidates_for(spec.max_bias(f.support())),
+                    })
+                    .collect();
+                for gamma in 1..=4usize {
+                    let old = reference::solve(&fecs, &candidates, spec.alpha() as i64, gamma);
+                    let new = order_preserving_biases_pinned(&fecs, spec, gamma, &pinned);
+                    match (old, new) {
+                        (Ok(old), Ok(new)) => {
+                            assert_eq!(new, old, "{skeleton:?} pins {pinned:?} γ={gamma}");
+                            feasible += 1;
+                        }
+                        (Err(_), Err(_)) => infeasible += 1,
+                        (old, new) => panic!(
+                            "feasibility differs on {skeleton:?} pins {pinned:?} γ={gamma}: \
+                             reference {old:?}, kernel {new:?}"
+                        ),
+                    }
+                }
+            }
+        }
+        assert!(
+            feasible > 400 && infeasible > 10,
+            "{feasible} / {infeasible}"
+        );
     }
 }

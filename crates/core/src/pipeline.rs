@@ -45,6 +45,9 @@ pub struct StreamPipeline<B: MinerBackend = MomentMiner, D: PrivacyDefense = Pub
     /// [`StreamPipeline::flush`] uses to decide whether a drain still owes
     /// the subscribers a release.
     since_publish: usize,
+    /// Release entries that failed the contract audit (their releases were
+    /// withheld).
+    audit_violations: u64,
 }
 
 impl StreamPipeline<MomentMiner, Publisher> {
@@ -83,8 +86,7 @@ impl StreamPipeline<Box<dyn MinerBackend>, Box<dyn PrivacyDefense>> {
 impl<B: MinerBackend, D: PrivacyDefense> StreamPipeline<B, D> {
     /// Build a pipeline around already-constructed stages. The backend's
     /// minimum support should match the defense's `C`; for Butterfly the
-    /// contract audit in [`StreamPipeline::step`] catches mismatches in
-    /// debug builds.
+    /// contract audit on every publication catches mismatches.
     pub fn with_backend(window_size: usize, miner: B, defense: D) -> Self {
         StreamPipeline {
             window: SlidingWindow::new(window_size),
@@ -92,6 +94,7 @@ impl<B: MinerBackend, D: PrivacyDefense> StreamPipeline<B, D> {
             defense,
             truth: GroundTruth::new(window_size),
             since_publish: 0,
+            audit_violations: 0,
         }
     }
 
@@ -107,15 +110,20 @@ impl<B: MinerBackend, D: PrivacyDefense> StreamPipeline<B, D> {
 
     /// Feed one transaction. Returns a release once the window is full
     /// (every subsequent step publishes; callers wanting coarser cadence
-    /// subsample).
+    /// subsample). A release that fails the contract audit is withheld —
+    /// `None`, counted in [`StreamPipeline::audit_violations`].
     pub fn step(&mut self, t: Transaction) -> Option<WindowRelease> {
-        let delta = self.window.slide(t);
-        self.miner.apply(&delta);
-        self.truth.apply(&delta);
-        self.since_publish += 1;
+        self.advance(t);
         if !self.window.is_full() {
             return None;
         }
+        self.publish_full_window().ok()
+    }
+
+    /// Mine, sanitize and audit the (full) window. The audit runs in every
+    /// build on defenses claiming the Butterfly contract: a release with an
+    /// entry outside its legal region never reaches a caller.
+    fn publish_full_window(&mut self) -> Result<WindowRelease> {
         self.since_publish = 0;
         let closed = self.miner.closed_frequent();
         // The miner already counted every closed support: seed the window's
@@ -123,13 +131,19 @@ impl<B: MinerBackend, D: PrivacyDefense> StreamPipeline<B, D> {
         self.truth
             .seed_supports(closed.iter().map(|e| (e.id, e.support)));
         let (release, delta) = self.defense.publish_with_delta(&closed);
-        debug_assert!(
-            !self.defense.honors_butterfly_contract()
-                || crate::audit::audit_release(self.defense.spec(), &release).is_empty(),
-            "defense emitted a release violating the Butterfly contract it claims"
-        );
-        Some(WindowRelease {
-            stream_len: self.window.stream_len(),
+        let stream_len = self.window.stream_len();
+        if self.defense.honors_butterfly_contract() {
+            let violations = crate::audit::audit_release(self.defense.spec(), &release).len();
+            if violations > 0 {
+                self.audit_violations += violations as u64;
+                return Err(Error::ContractViolation {
+                    stream_len,
+                    violations,
+                });
+            }
+        }
+        Ok(WindowRelease {
+            stream_len,
             closed,
             release,
             delta,
@@ -171,6 +185,9 @@ impl<B: MinerBackend, D: PrivacyDefense> StreamPipeline<B, D> {
     /// [`Error::PartialWindow`] when the window has not filled yet — a
     /// partial window's supports are not comparable to full-window ones, so
     /// publishing them would both skew utility and leak the warm-up phase.
+    /// [`Error::ContractViolation`] when the defense claims the Butterfly
+    /// contract and its release fails the audit; the release is withheld
+    /// and counted in [`StreamPipeline::audit_violations`].
     pub fn publish_now(&mut self) -> Result<WindowRelease> {
         if !self.window.is_full() {
             return Err(Error::PartialWindow {
@@ -178,17 +195,13 @@ impl<B: MinerBackend, D: PrivacyDefense> StreamPipeline<B, D> {
                 need: self.window.capacity(),
             });
         }
-        self.since_publish = 0;
-        let closed = self.miner.closed_frequent();
-        self.truth
-            .seed_supports(closed.iter().map(|e| (e.id, e.support)));
-        let (release, delta) = self.defense.publish_with_delta(&closed);
-        Ok(WindowRelease {
-            stream_len: self.window.stream_len(),
-            closed,
-            release,
-            delta,
-        })
+        self.publish_full_window()
+    }
+
+    /// Release entries that failed the contract audit so far; every release
+    /// holding one was withheld.
+    pub fn audit_violations(&self) -> u64 {
+        self.audit_violations
     }
 
     /// Access the live window (e.g. to materialize the ground-truth
@@ -361,6 +374,82 @@ mod tests {
         assert_eq!(pipe.since_publish(), 1);
         pipe.publish_now().unwrap();
         assert_eq!(pipe.since_publish(), 0);
+    }
+
+    /// A defense that claims the Butterfly contract and breaks it on its
+    /// `lie_on`-th publication: one entry lands far outside any legal region.
+    #[derive(Clone, Debug)]
+    struct Liar {
+        inner: Publisher,
+        lie_on: u64,
+        calls: u64,
+    }
+
+    impl PrivacyDefense for Liar {
+        fn kind(&self) -> crate::DefenseKind {
+            crate::DefenseKind::Butterfly
+        }
+        fn spec(&self) -> &PrivacySpec {
+            PrivacyDefense::spec(&self.inner)
+        }
+        fn publish_with_delta(
+            &mut self,
+            frequent: &FrequentItemsets,
+        ) -> (SanitizedRelease, ReleaseDelta) {
+            let (release, delta) = self.inner.publish_with_delta(frequent);
+            self.calls += 1;
+            if self.calls != self.lie_on {
+                return (release, delta);
+            }
+            let mut entries: Vec<_> = release.iter().cloned().collect();
+            entries[0].sanitized += 10_000;
+            (SanitizedRelease::new(entries), delta)
+        }
+        fn reset(&mut self) {
+            PrivacyDefense::reset(&mut self.inner);
+        }
+        fn honors_butterfly_contract(&self) -> bool {
+            true
+        }
+        fn boxed_clone(&self) -> Box<dyn PrivacyDefense> {
+            Box::new(self.clone())
+        }
+    }
+
+    #[test]
+    fn a_release_failing_the_audit_is_withheld_and_counted_on_both_paths() {
+        let spec = PrivacySpec::new(4, 1, 0.2, 0.5);
+        let liar = |lie_on| Liar {
+            inner: Publisher::new(spec, BiasScheme::Basic, 1),
+            lie_on,
+            calls: 0,
+        };
+        // step(): windows N = 8..12 publish; the second one lies.
+        let mut pipe = StreamPipeline::with_backend(8, MomentMiner::new(4), liar(2));
+        let published: Vec<u64> = fig2_stream()
+            .into_iter()
+            .filter_map(|t| pipe.step(t))
+            .map(|r| r.stream_len)
+            .collect();
+        assert_eq!(published, [8, 10, 11, 12]);
+        assert_eq!(pipe.audit_violations(), 1);
+        assert_eq!(pipe.since_publish(), 0);
+
+        // publish_now(): the first publication lies, the next is clean.
+        let mut pipe = StreamPipeline::with_backend(8, MomentMiner::new(4), liar(1));
+        for t in fig2_stream().into_iter().take(8) {
+            pipe.advance(t);
+        }
+        match pipe.publish_now() {
+            Err(Error::ContractViolation {
+                stream_len,
+                violations,
+            }) => assert_eq!((stream_len, violations), (8, 1)),
+            other => panic!("expected ContractViolation, got {other:?}"),
+        }
+        assert_eq!(pipe.audit_violations(), 1);
+        assert!(pipe.publish_now().is_ok());
+        assert_eq!(pipe.audit_violations(), 1);
     }
 
     #[test]

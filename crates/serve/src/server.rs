@@ -263,6 +263,10 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
             break;
         }
         let Ok(stream) = stream else { continue };
+        // Replies are small and the pump writes them one at a time: with
+        // Nagle on, a pipelining client's second reply waits out the
+        // peer's delayed ACK of the first.
+        let _ = stream.set_nodelay(true);
         let conn_id = shared.conn_seq.fetch_add(1, Ordering::Relaxed);
         let shared_conn = shared.clone();
         let handle = std::thread::Builder::new()

@@ -35,7 +35,7 @@ use crate::fanout::{json_line, SubscriberRegistry};
 use crate::protocol::{binary_entry, closed_event, release_delta_frame_bytes, release_frame_bytes};
 use crate::stats::ShardStats;
 use crate::wal::{snapshot_of, RecoveredShard, WalRecord, WalWriter};
-use bfly_common::{ItemSet, Transaction};
+use bfly_common::{Error, ItemSet, Transaction};
 use bfly_core::defense::DefenseKind;
 use bfly_core::{PrivacyDefense, StreamPipeline, WindowRelease};
 use bfly_mining::MinerBackend;
@@ -217,6 +217,40 @@ fn log_publication(
     }
 }
 
+/// Publish `state`'s full window: logged, then fanned out. A release that
+/// fails the contract audit is neither — it is counted and withheld, so no
+/// violating byte reaches a subscriber, live or through log catch-up. The
+/// defense's delta base has moved on regardless, so the withheld position
+/// becomes the next delta's `base_len`: delta subscribers skip that delta
+/// and resync on the next snapshot. The log has no record of the withheld
+/// publication; a restart that re-derives a later release differently
+/// refuses the log rather than serve a stream it cannot reproduce.
+fn publish(
+    cfg: &ServeConfig,
+    log: Option<&mut WalWriter>,
+    registry: &SubscriberRegistry,
+    stats: &Arc<ShardStats>,
+    key: &Arc<str>,
+    state: &mut KeyState,
+) {
+    match state.pipe.publish_now() {
+        Ok(release) => {
+            if let Some(w) = log {
+                log_publication(cfg, w, key, state, &release);
+            }
+            emit_publication(cfg, registry, stats, key, state, &release);
+        }
+        Err(Error::ContractViolation {
+            stream_len,
+            violations,
+        }) => {
+            ShardStats::add(&stats.audit_violations, violations as u64);
+            state.last_len = stream_len;
+        }
+        Err(e) => panic!("full window cannot be partial: {e}"),
+    }
+}
+
 fn worker(
     cfg: ServeConfig,
     rx: Receiver<Job>,
@@ -296,14 +330,7 @@ fn worker(
                     state.pipe.advance(Transaction::new(0, items));
                     ShardStats::add(&stats.processed, 1);
                     if state.pipe.window().is_full() && state.pipe.since_publish() >= cfg.every {
-                        let release = state
-                            .pipe
-                            .publish_now()
-                            .expect("full window cannot be partial");
-                        if let Some(w) = log.as_mut() {
-                            log_publication(&cfg, w, &key, state, &release);
-                        }
-                        emit_publication(&cfg, &registry, &stats, &key, state, &release);
+                        publish(&cfg, log.as_mut(), &registry, &stats, &key, state);
                     }
                 }
             }
@@ -316,11 +343,9 @@ fn worker(
     keys.sort();
     for key in keys {
         let state = pipelines.get_mut(&key).expect("key just listed");
-        if let Some(release) = state.pipe.flush() {
-            if let Some(w) = log.as_mut() {
-                log_publication(&cfg, w, &key, state, &release);
-            }
-            emit_publication(&cfg, &registry, &stats, &key, state, &release);
+        // The drain owes a release iff records arrived since the last one.
+        if state.pipe.window().is_full() && state.pipe.since_publish() > 0 {
+            publish(&cfg, log.as_mut(), &registry, &stats, &key, state);
         }
         registry.close_stream(&key, json_line(&closed_event(&key)));
     }
@@ -416,6 +441,100 @@ mod tests {
         assert_eq!(stats.queue_depth.load(Ordering::Relaxed), 0);
         assert_eq!(stats.batch_submits.load(Ordering::Relaxed), 11);
         assert_eq!(stats.batch_tx.load(Ordering::Relaxed), 11);
+    }
+
+    /// Claims the Butterfly contract and breaks it on its first
+    /// publication: one entry lands far outside any legal region.
+    #[derive(Clone, Debug)]
+    struct LiesOnce {
+        inner: Box<dyn PrivacyDefense>,
+        lied: bool,
+    }
+
+    impl PrivacyDefense for LiesOnce {
+        fn kind(&self) -> DefenseKind {
+            DefenseKind::Butterfly
+        }
+        fn spec(&self) -> &bfly_core::PrivacySpec {
+            self.inner.spec()
+        }
+        fn publish_with_delta(
+            &mut self,
+            frequent: &bfly_mining::FrequentItemsets,
+        ) -> (bfly_core::SanitizedRelease, bfly_core::ReleaseDelta) {
+            let (release, delta) = self.inner.publish_with_delta(frequent);
+            if std::mem::replace(&mut self.lied, true) {
+                return (release, delta);
+            }
+            let mut entries: Vec<_> = release.iter().cloned().collect();
+            entries[0].sanitized += 10_000;
+            (bfly_core::SanitizedRelease::new(entries), delta)
+        }
+        fn reset(&mut self) {
+            self.inner.reset();
+        }
+        fn honors_butterfly_contract(&self) -> bool {
+            true
+        }
+        fn boxed_clone(&self) -> Box<dyn PrivacyDefense> {
+            Box::new(self.clone())
+        }
+    }
+
+    #[test]
+    fn a_release_failing_the_audit_reaches_neither_the_log_nor_a_subscriber() {
+        let cfg = tiny_cfg();
+        let root = std::env::temp_dir().join(format!("bfly-shard-audit-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let wal_stats = Arc::new(crate::stats::WalStats::default());
+        let mut log = WalWriter::open(
+            &root,
+            0,
+            crate::config::WalConfig::new(&root),
+            cfg.snapshot_every,
+            wal_stats.clone(),
+            Default::default(),
+        )
+        .expect("open wal");
+        let registry = SubscriberRegistry::new();
+        let stats = Arc::new(ShardStats::default());
+        let (sub_tx, sub_rx) = sync_channel(64);
+        registry.subscribe("k", 1, FrameMode::Json, SubscriberSink::Channel(sub_tx));
+        let key: Arc<str> = Arc::from("k");
+        let liar = LiesOnce {
+            inner: cfg.defense.build(cfg.spec(), cfg.scheme, 1, true),
+            lied: false,
+        };
+        let mut state = KeyState {
+            kind: DefenseKind::Butterfly,
+            pipe: StreamPipeline::from_parts(cfg.window, cfg.backend, Box::new(liar)),
+            published: 0,
+            last_len: 0,
+        };
+        let mut src = bfly_datagen::DatasetProfile::WebView1.source(3);
+        for _ in 0..8 {
+            state.pipe.advance(src.next_transaction());
+        }
+        publish(&cfg, Some(&mut log), &registry, &stats, &key, &mut state);
+        assert_eq!(stats.audit_violations.load(Ordering::Relaxed), 1);
+        assert_eq!(state.pipe.audit_violations(), 1);
+        assert_eq!(stats.published.load(Ordering::Relaxed), 0);
+        assert_eq!(wal_stats.records_appended.load(Ordering::Relaxed), 0);
+        assert!(sub_rx.try_recv().is_err(), "a violating release fanned out");
+        assert_eq!((state.published, state.last_len), (0, 8));
+
+        // The next publication is honest and flows as usual.
+        for _ in 0..2 {
+            state.pipe.advance(src.next_transaction());
+        }
+        publish(&cfg, Some(&mut log), &registry, &stats, &key, &mut state);
+        assert_eq!(stats.audit_violations.load(Ordering::Relaxed), 1);
+        assert_eq!(stats.published.load(Ordering::Relaxed), 1);
+        assert!(wal_stats.records_appended.load(Ordering::Relaxed) > 0);
+        let line = String::from_utf8(sub_rx.try_recv().expect("release").to_vec()).unwrap();
+        assert!(line.contains("\"stream_len\":10"), "{line}");
+        assert!(stats.to_json(0).get("audit_violations").unwrap().as_u64() == Some(1));
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     /// Run one shard over the cadence test's 11-record stream and collect

@@ -17,6 +17,9 @@ pub struct ShardStats {
     pub published: AtomicU64,
     /// Current ingress queue depth (accepted minus dequeued).
     pub queue_depth: AtomicU64,
+    /// Release entries that failed the contract audit; every release
+    /// holding one was withheld from the log and the fan-out.
+    pub audit_violations: AtomicU64,
     /// Distinct stream keys this shard owns.
     pub keys: AtomicU64,
     /// Subscriber connections dropped for falling behind the fan-out.
@@ -49,6 +52,10 @@ impl ShardStats {
             (
                 "queue_depth",
                 Json::from(self.queue_depth.load(Ordering::Relaxed)),
+            ),
+            (
+                "audit_violations",
+                Json::from(self.audit_violations.load(Ordering::Relaxed)),
             ),
             ("keys", Json::from(self.keys.load(Ordering::Relaxed))),
             (
@@ -179,5 +186,6 @@ mod tests {
         assert_eq!(v.get("shed").unwrap().as_u64(), Some(2));
         assert_eq!(v.get("published").unwrap().as_u64(), Some(1));
         assert_eq!(v.get("queue_depth").unwrap().as_u64(), Some(0));
+        assert_eq!(v.get("audit_violations").unwrap().as_u64(), Some(0));
     }
 }

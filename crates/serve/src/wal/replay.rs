@@ -242,10 +242,16 @@ pub fn recover_shard(
             }
             st.pipe.advance(Transaction::new(0, items));
             if st.pipe.window().is_full() && st.pipe.since_publish() >= cfg.every {
-                let rel = st
-                    .pipe
-                    .publish_now()
-                    .expect("full window cannot be partial");
+                // Same rule as the live worker: a release failing the
+                // contract audit is withheld and only moves the delta base.
+                let rel = match st.pipe.publish_now() {
+                    Ok(rel) => rel,
+                    Err(Error::ContractViolation { stream_len, .. }) => {
+                        st.last_len = stream_len;
+                        continue;
+                    }
+                    Err(e) => panic!("full window cannot be partial: {e}"),
+                };
                 writer.append(&WalRecord::Release {
                     stream: key.clone(),
                     stream_len: rel.stream_len,

@@ -31,6 +31,15 @@ cargo test -q --release --test wal_recovery
 echo "==> federation differential (router over 2 nodes, kill one, survivor + WAL-rejoin byte-identity)"
 cargo test -q --release --test federation
 
+echo "==> order-DP depth sweep vs golden (fig6 --quick, γ 0–6 on both datasets, CSV captured before the rank-coded kernel)"
+cargo run -q --release -p bfly-bench --bin fig6 -- --quick >/dev/null
+cmp target/figures/fig6_ropp_vs_gamma.csv tests/golden/fig6_quick.csv \
+  || { echo "fig6 --quick diverged from tests/golden/fig6_quick.csv"; exit 1; }
+
+echo "==> serve benchmark: metric names vs BENCHMARK.json, then every byte of all four workloads against the oracle (run --quick)"
+cargo test -q --release --manifest-path benchmark/Cargo.toml
+cargo run -q --release --manifest-path benchmark/Cargo.toml -- run --quick >/dev/null
+
 echo "==> parbench --quick smoke (chunk telemetry + kernel column sanity)"
 PARBENCH_LOG=target/parbench.smoke.log
 cargo run -q --release -p bfly-bench --bin parbench -- --quick \

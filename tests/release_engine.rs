@@ -33,14 +33,20 @@ fn scheme() -> BiasScheme {
 /// Mine the shared window sequence once: the closed frequent itemsets at
 /// `WINDOWS` sliding-window positions, `STEP` records apart (~97% overlap).
 fn collect_windows() -> Vec<FrequentItemsets> {
-    let mut pipe = StreamPipeline::new(WINDOW, Publisher::new(spec(), BiasScheme::Basic, 1));
+    collect(spec(), WINDOW, STEP, WINDOWS)
+}
+
+/// The closed frequent itemsets at `count` positions of a `window`-record
+/// sliding window over WebView1, `step` records apart.
+fn collect(spec: PrivacySpec, window: usize, step: usize, count: usize) -> Vec<FrequentItemsets> {
+    let mut pipe = StreamPipeline::new(window, Publisher::new(spec, BiasScheme::Basic, 1));
     let mut src = DatasetProfile::WebView1.source(31);
-    for _ in 0..WINDOW {
+    for _ in 0..window {
         pipe.advance(src.next_transaction());
     }
     let mut out = vec![pipe.publish_now().expect("window just filled").closed];
-    while out.len() < WINDOWS {
-        for _ in 0..STEP {
+    while out.len() < count {
+        for _ in 0..step {
             pipe.advance(src.next_transaction());
         }
         out.push(pipe.publish_now().expect("window stays full").closed);
@@ -83,10 +89,14 @@ struct Run {
 /// release exactly (`between`) and reconstructs the next one exactly
 /// (`apply`).
 fn run_engine(windows: &[FrequentItemsets], incremental: bool) -> Run {
+    run_engine_under(spec(), windows, incremental)
+}
+
+fn run_engine_under(spec: PrivacySpec, windows: &[FrequentItemsets], incremental: bool) -> Run {
     let mut publisher = if incremental {
-        Publisher::new_incremental(spec(), scheme(), 77)
+        Publisher::new_incremental(spec, scheme(), 77)
     } else {
-        Publisher::new(spec(), scheme(), 77)
+        Publisher::new(spec, scheme(), 77)
     };
     let mut releases = Vec::new();
     let mut deltas = Vec::new();
@@ -172,6 +182,28 @@ fn incremental_engine_is_bit_identical_to_batch_at_every_thread_count() {
 
     // Leave the process-wide pool setting as other tests expect it.
     pool::set_threads(0);
+}
+
+/// The serve contract's shape — W 2000, C 25, a slide of 100 — where the
+/// sequence above (all but five records shared between neighbours) never
+/// goes: a twentieth of the window turns over per publication, the churn
+/// sits at the front of the support-ascending chain, and most solves restart
+/// from layer 0 with a splice further up. Batch and incremental must still
+/// agree on every release and delta.
+#[test]
+fn incremental_engine_is_bit_identical_to_batch_at_a_slide_of_100() {
+    let spec = PrivacySpec::new(25, 5, 0.016, 0.4);
+    let windows = collect(spec, 2000, 100, 24);
+    assert!(windows.windows(2).all(|w| w[0] != w[1]));
+    let batch = run_engine_under(spec, &windows, false);
+    let incr = run_engine_under(spec, &windows, true);
+    assert_eq!(batch.releases, incr.releases);
+    assert_eq!(batch.deltas, incr.deltas);
+    let (_, warm, full) = incr.dp_counters.expect("incremental publisher");
+    assert!(
+        full > 0 && warm > 0,
+        "the slide must exercise both restart kinds (warm {warm}, full {full})"
+    );
 }
 
 /// The delta-maintained FEC index tracks the batch partition over the whole

@@ -680,6 +680,59 @@ fn blocking_io_engine_is_byte_identical_to_default() {
     );
 }
 
+/// The blocking engine's accepted sockets run with `TCP_NODELAY`: a client
+/// that pipelines two small requests gets both replies promptly. With Nagle
+/// on, whenever the pump flushes the first reply before the second is
+/// queued, the second sits in the server's send buffer until the client's
+/// delayed ACK of the first — 40 ms on Linux, on more than half of the
+/// rounds below. Counting slow rounds (not the slowest) keeps a scheduling
+/// hiccup on a busy host from failing the test.
+#[test]
+fn blocking_engine_answers_pipelined_requests_without_the_delayed_ack_stall() {
+    const ROUNDS: usize = 40;
+    let cfg = ServeConfig {
+        io: IoMode::Blocking,
+        ..feasible_cfg()
+    };
+    let server = Server::bind("127.0.0.1:0", cfg).expect("bind");
+    let stream = std::net::TcpStream::connect(server.local_addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .expect("timeout");
+    let mut writer = stream.try_clone().expect("clone");
+    let mut reader = BufReader::new(stream);
+    // A ping, then an ingest just big enough to parse for longer than the
+    // pump takes to wake up.
+    let batch: Vec<String> = (0..64)
+        .map(|i| format!("[{i},{},{}]", i + 1, i + 2))
+        .collect();
+    let pair = format!(
+        "{{\"op\":\"ping\"}}\n{{\"op\":\"ingest\",\"stream\":\"a\",\"batch\":[{}]}}\n",
+        batch.join(",")
+    );
+    let mut slow = 0;
+    for _ in 0..ROUNDS {
+        let start = std::time::Instant::now();
+        writer.write_all(pair.as_bytes()).expect("write");
+        // (An `overloaded` reply is as good as an `ok` one here: debug-build
+        // shards fall behind 40 back-to-back batches.)
+        for expect in ["\"pong\":true", "\"accepted\":"] {
+            let mut reply = String::new();
+            reader.read_line(&mut reply).expect("read");
+            assert!(reply.contains(expect), "got {reply}");
+        }
+        if start.elapsed() > std::time::Duration::from_millis(25) {
+            slow += 1;
+        }
+    }
+    assert!(
+        slow * 4 < ROUNDS,
+        "{slow} of {ROUNDS} pipelined pairs waited out a delayed ACK"
+    );
+    writeln!(writer, "{{\"op\":\"shutdown\"}}").expect("shutdown");
+    server.join();
+}
+
 /// Protocol edges over a raw socket: ping, stats shape, unknown ops,
 /// malformed lines (recoverable), oversized lines (fatal), and ingest
 /// rejection during drain.
