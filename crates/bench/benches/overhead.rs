@@ -9,7 +9,7 @@ use bfly_core::{BiasScheme, PrivacySpec, Publisher};
 use bfly_datagen::DatasetProfile;
 use bfly_inference::attack::find_intra_window_breaches;
 use bfly_mining::closed::expand_closed;
-use bfly_mining::{MomentMiner, WindowMiner};
+use bfly_mining::{MinerBackend, MomentMiner};
 
 struct Pipe {
     window: SlidingWindow,

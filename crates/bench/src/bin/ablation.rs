@@ -5,15 +5,14 @@
 //!    from *unprotected* output (the paper's §IV motivation, quantified).
 //! 2. **Republication rule** — the averaging attack's error with Butterfly's
 //!    pinned republication vs naive fresh-noise redrawing (Prior Knowledge 2).
-//! 3. **Incremental optimizer** — per-window cost and hit rates of the
-//!    incremental order-preserving patcher vs the window-based DP (the
-//!    paper's stated future work).
-//! 4. **Rule-confidence preservation** — the downstream measure motivating
+//! 3. **Rule-confidence preservation** — the downstream measure motivating
 //!    ratio preservation (§VI-B), per scheme.
-//! 5. **Residual thresholding attack** — precision/recall of an adversary
+//! 4. **Residual thresholding attack** — precision/recall of an adversary
 //!    who still claims breaches from sanitized output.
-//! 6. **Laplace-DP baseline** — what a generic differential-privacy release
-//!    costs in utility relative to Butterfly's targeted contract.
+//!
+//! The warm-started optimizer's per-window cost and cache counters are
+//! fields of BENCH_release.json (`parbench`); Butterfly against a
+//! differential-privacy release is BENCH_defense.json (`defbench`).
 //!
 //! Run: `cargo run --release -p bfly-bench --bin ablation` (`--quick`).
 
@@ -25,16 +24,13 @@ use bfly_inference::adversary::averaging_attack;
 use bfly_inference::attack::{find_inter_window_breaches, find_intra_window_breaches};
 use bfly_mining::closed::expand_closed;
 use bfly_mining::rules::{confidence_preservation_rate, generate_rules};
-use bfly_mining::{FrequentItemsets, MomentMiner, WindowMiner};
-use std::time::{Duration, Instant};
+use bfly_mining::{FrequentItemsets, MinerBackend, MomentMiner};
 
 fn main() {
     breach_prevalence();
     republication_ablation();
-    incremental_ablation();
     confidence_preservation();
     residual_attack();
-    dp_baseline();
 }
 
 /// Count intra-/inter-window breaches per window on raw output.
@@ -153,144 +149,6 @@ fn republication_ablation() {
     write_csv(&table, "ablation_republication");
 }
 
-/// Incremental vs window-based order-preserving publisher on a live stream.
-fn incremental_ablation() {
-    let profile = DatasetProfile::WebView1;
-    let cfg = figure_config(profile);
-    let spec = PrivacySpec::new(cfg.c, cfg.k, 0.04, 1.0);
-    let scheme = BiasScheme::OrderPreserving { gamma: 2 };
-
-    let mut table = Table::new(
-        "Ablation 3: incremental vs window-based order-preserving optimizer",
-        &[
-            "variant",
-            "ms_per_window",
-            "full_reuse",
-            "patches",
-            "full_solves",
-        ],
-    );
-    for incremental in [false, true] {
-        let mut source = profile.source(cfg.seed);
-        let mut window = SlidingWindow::new(cfg.window);
-        let mut miner = MomentMiner::new(cfg.c);
-        for _ in 0..cfg.window - 1 {
-            miner.apply(&window.slide(source.next_transaction()));
-        }
-        let mut publisher = if incremental {
-            Publisher::new_incremental(spec, scheme, 3)
-        } else {
-            Publisher::new(spec, scheme, 3)
-        };
-        let mut elapsed = Duration::ZERO;
-        for _ in 0..cfg.windows {
-            miner.apply(&window.slide(source.next_transaction()));
-            let closed = miner.closed_frequent();
-            let start = Instant::now();
-            let _ = publisher.publish(&closed);
-            elapsed += start.elapsed();
-        }
-        let (reuse, patches, solves) = publisher.incremental_stats().unwrap_or((0, 0, 0));
-        table.row(vec![
-            if incremental {
-                "incremental".into()
-            } else {
-                "window-based".to_string()
-            },
-            format!("{:.3}", elapsed.as_secs_f64() * 1000.0 / cfg.windows as f64),
-            reuse.to_string(),
-            patches.to_string(),
-            solves.to_string(),
-        ]);
-    }
-    table.print();
-    write_csv(&table, "ablation_incremental");
-}
-
-/// Laplace-mechanism baseline vs Butterfly: utility (pred/ropp/rrpp) and
-/// privacy (prig over the same breach set) at several per-window DP budgets.
-fn dp_baseline() {
-    use bfly_core::metrics::{avg_pred, avg_prig, ropp, rrpp};
-    use bfly_core::DpPublisher;
-    let profile = DatasetProfile::WebView1;
-    let cfg = figure_config(profile);
-    let spec = PrivacySpec::from_ppr(cfg.c, cfg.k, 0.04, 1.0);
-
-    // One representative window and its inferable vulnerable patterns.
-    let mut source = profile.source(cfg.seed);
-    let mut window = SlidingWindow::new(cfg.window);
-    let mut miner = MomentMiner::new(cfg.c);
-    for _ in 0..cfg.window {
-        miner.apply(&window.slide(source.next_transaction()));
-    }
-    let full = expand_closed(&miner.closed_frequent());
-    let breaches = find_intra_window_breaches(full.as_map(), cfg.k);
-
-    let mut table = Table::new(
-        "Ablation 6: Laplace-DP baseline vs Butterfly (one window, mean of 20 draws)",
-        &["variant", "avg_pred", "avg_prig", "ropp", "rrpp"],
-    );
-    let trials = 20u64;
-    let seeds: Vec<u64> = (0..trials).collect();
-    let mut add_row =
-        |name: String, publish: Box<dyn Fn(u64) -> bfly_core::SanitizedRelease + Sync>| {
-            // Each trial is an independent seeded draw: measure them in
-            // parallel and fold the per-seed stats in seed order.
-            let per_seed = pool::par_map(&seeds, |&seed| {
-                let release = publish(seed);
-                (
-                    avg_pred(&release),
-                    ropp(&release),
-                    rrpp(&release, 0.95),
-                    avg_prig(&breaches, &release.view(), None),
-                )
-            });
-            let (mut pred, mut prig, mut o, mut r, mut prig_n) = (0.0, 0.0, 0.0, 0.0, 0u64);
-            for (pd, op, rt, pg) in per_seed {
-                pred += pd;
-                o += op;
-                r += rt;
-                if let Some(p) = pg {
-                    prig += p;
-                    prig_n += 1;
-                }
-            }
-            table.row(vec![
-                name,
-                format!("{:.5}", pred / trials as f64),
-                if prig_n > 0 {
-                    format!("{:.2}", prig / prig_n as f64)
-                } else {
-                    "n/a".into()
-                },
-                format!("{:.3}", o / trials as f64),
-                format!("{:.3}", r / trials as f64),
-            ]);
-        };
-    for eps_w in [0.5f64, 2.0, 10.0] {
-        let full_ref = full.clone();
-        add_row(
-            format!("Laplace ε_w={eps_w}"),
-            Box::new(move |seed| DpPublisher::new(eps_w, seed).publish(&full_ref)),
-        );
-    }
-    for scheme in [
-        BiasScheme::Basic,
-        BiasScheme::Hybrid {
-            lambda: 0.4,
-            gamma: 2,
-        },
-    ] {
-        let full_ref = full.clone();
-        add_row(
-            format!("Butterfly {}", scheme.name()),
-            Box::new(move |seed| Publisher::new(spec, scheme, seed).publish(&full_ref)),
-        );
-    }
-    table.print();
-    write_csv(&table, "ablation_dp_baseline");
-}
-
 /// Residual attack: precision/recall of a thresholding adversary who claims
 /// every pattern whose sanitized estimate lands in [0.5, K+0.5].
 fn residual_attack() {
@@ -311,7 +169,7 @@ fn residual_attack() {
     let spans: Vec<bfly_common::ItemSet> = full.iter().map(|e| e.itemset().clone()).collect();
 
     let mut table = Table::new(
-        "Ablation 5: residual thresholding attack after sanitization (one window)",
+        "Ablation 4: residual thresholding attack after sanitization (one window)",
         &["variant", "claims", "precision", "recall"],
     );
     // Baseline: raw output.
@@ -369,7 +227,7 @@ fn confidence_preservation() {
     let rules = generate_rules(&full, 0.5);
 
     let mut table = Table::new(
-        "Ablation 4: association-rule confidence preservation (±5%), by scheme",
+        "Ablation 3: association-rule confidence preservation (±5%), by scheme",
         &["scheme", "rules", "preserved_rate"],
     );
     for scheme in BiasScheme::paper_variants(2) {

@@ -14,7 +14,7 @@ use bfly_bench::{quick_mode, write_csv, Table};
 use bfly_common::SlidingWindow;
 use bfly_core::{BiasScheme, PrivacySpec, Publisher};
 use bfly_datagen::DatasetProfile;
-use bfly_mining::{MomentMiner, WindowMiner};
+use bfly_mining::{MinerBackend, MomentMiner};
 use std::time::{Duration, Instant};
 
 fn main() {

@@ -13,12 +13,13 @@
 //! differs. Each counting stage runs the identical workload through the
 //! per-transaction scan baseline and through the tid-bitmap vertical path.
 //!
-//! A third family times the release path itself: the batch publisher
-//! (partition + DP from scratch every window) against the incremental
-//! `ReleaseEngine` (delta-maintained FEC index, warm-started order DP) on a
-//! high-overlap stream, recording the per-window publish speedup and the
-//! DP-cache counters into `BENCH_release.json`. The two paths are asserted
-//! release-for-release identical before any clock starts.
+//! A third family times the release path itself: the from-scratch
+//! reference (`bfly_bench::publish_from_scratch`: partition + DP cold every
+//! window) against the `Publisher` (delta-maintained FEC index,
+//! warm-started order DP) on a high-overlap stream, recording the
+//! per-window publish speedup and the DP-cache counters into
+//! `BENCH_release.json`. The two are asserted release-for-release identical
+//! before any clock starts.
 //!
 //! Run: `cargo run --release -p bfly-bench --bin parbench`
 //!       `[--reps <R>] [--out <path.json>] [--support-out <path.json>]`
@@ -26,13 +27,12 @@
 
 use bfly_bench::{
     append_run, arg, audit_breaches_scan_warm, audit_breaches_vertical_warm, collect_truths,
-    epoch_seconds, evaluate_cells, prepare_audit_replay, support_workload, ExperimentConfig,
+    epoch_seconds, evaluate_cells, prepare_audit_replay, publish_from_scratch, support_workload,
+    ExperimentConfig,
 };
 use bfly_common::tidmap::kernel;
 use bfly_common::{pool, Json, SlidingWindow, Support, TidScratch, VerticalIndex};
-use bfly_core::{
-    BiasScheme, EngineStats, PrivacySpec, Publisher, SanitizedRelease, StreamPipeline,
-};
+use bfly_core::{BiasScheme, PrivacySpec, Publisher, SanitizedRelease, StreamPipeline};
 use bfly_datagen::DatasetProfile;
 use bfly_inference::attack::{find_inter_window_breaches, find_intra_window_breaches};
 use bfly_mining::{mine_backend_matrix, BackendKind, FpGrowth, MinerBackend};
@@ -429,11 +429,11 @@ struct ReleaseShape {
     publish_points: usize,
 }
 
-/// Time the batch publisher (re-partition, re-solve the order DP from
-/// scratch each window) against the incremental engine (delta-maintained
-/// FEC index, DP warm-started from the previous window's layers, cached
-/// suffix layers spliced back in wherever the normalized DP provably
-/// re-converges) over one window sequence; print and record a row.
+/// Time the from-scratch reference (re-partition, re-solve the order DP cold
+/// each window) against the publisher (delta-maintained FEC index, DP
+/// warm-started from the previous window's layers, cached suffix layers
+/// spliced back in wherever the normalized DP provably re-converges) over
+/// one window sequence; print and record a row.
 fn release_publish(shape: &ReleaseShape, reps: usize, workers: usize, out: &str) {
     let &ReleaseShape {
         spec,
@@ -457,29 +457,34 @@ fn release_publish(shape: &ReleaseShape, reps: usize, workers: usize, out: &str)
     }
     let itemsets_per_window = windows.iter().map(|w| w.len()).sum::<usize>() / windows.len();
 
-    let replay = |incremental: bool| -> (Vec<SanitizedRelease>, EngineStats) {
-        let mut p = if incremental {
-            Publisher::new_incremental(spec, scheme, 41)
-        } else {
-            Publisher::new(spec, scheme, 41)
-        };
-        let releases = windows.iter().map(|w| p.publish(w)).collect();
+    let replay_batch = || -> Vec<SanitizedRelease> {
+        let mut releases: Vec<SanitizedRelease> = Vec::with_capacity(windows.len());
+        let empty = SanitizedRelease::default();
+        for w in &windows {
+            let previous = releases.last().unwrap_or(&empty);
+            releases.push(publish_from_scratch(&spec, &scheme, 41, previous, w));
+        }
+        releases
+    };
+    let replay = || {
+        let mut p = Publisher::new(spec, scheme, 41);
+        let releases: Vec<SanitizedRelease> = windows.iter().map(|w| p.publish(w)).collect();
         (releases, p.engine_stats())
     };
 
-    // Correctness gate before any clock starts: the two paths must agree on
-    // every release of the sequence.
-    let (batch_releases, _) = replay(false);
-    let (incr_releases, stats) = replay(true);
+    // Correctness gate before any clock starts: the two must agree on every
+    // release of the sequence.
+    let (incr_releases, stats) = replay();
     assert_eq!(
-        batch_releases, incr_releases,
-        "incremental release path diverged from batch"
+        replay_batch(),
+        incr_releases,
+        "publisher diverged from the from-scratch reference"
     );
     let layer_total = (stats.dp_layers_reused + stats.dp_layers_computed).max(1);
     let layers_reused_frac = stats.dp_layers_reused as f64 / layer_total as f64;
 
-    let batch_ms = median_ms(reps, || replay(false));
-    let incr_ms = median_ms(reps, || replay(true));
+    let batch_ms = median_ms(reps, replay_batch);
+    let incr_ms = median_ms(reps, replay);
     let speedup = batch_ms / incr_ms.max(1e-9);
     println!(
         "release_publish    slide {slide:>3}   batch {batch_ms:>8.2} ms   incremental {incr_ms:>8.2} ms   \

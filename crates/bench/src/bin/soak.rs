@@ -11,8 +11,7 @@ use bfly_bench::quick_mode;
 use bfly_common::SlidingWindow;
 use bfly_core::{audit_release, BiasScheme, PrivacySpec, Publisher};
 use bfly_datagen::{DatasetProfile, MarkovConfig, MarkovSessionGenerator};
-use bfly_mining::window_miner::RescanMiner;
-use bfly_mining::{MomentMiner, WindowMiner};
+use bfly_mining::{MinerBackend, MomentMiner, RescanMiner};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {

@@ -93,7 +93,7 @@ pub fn evaluate_defense(
     dspec: DefenseSpec,
     seed: u64,
 ) -> DefenseEval {
-    let mut defense = dspec.build(spec, scheme, seed, false);
+    let mut defense = dspec.build(spec, scheme, seed);
     let mut eval = DefenseEval {
         name: dspec.kind.name(),
         avg_pred: 0.0,

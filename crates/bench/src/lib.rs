@@ -11,6 +11,7 @@
 
 pub mod defense;
 pub mod record;
+pub mod reference;
 pub mod runner;
 pub mod table;
 pub mod timing;
@@ -18,6 +19,7 @@ pub mod tuning;
 
 pub use defense::{defense_matrix, evaluate_defense, DefenseEval};
 pub use record::{append_run, epoch_seconds, host_cores};
+pub use reference::publish_from_scratch;
 pub use runner::{
     audit_breaches_scan, audit_breaches_scan_warm, audit_breaches_vertical,
     audit_breaches_vertical_warm, collect_truths, evaluate_cells, evaluate_scheme,

@@ -16,10 +16,6 @@ pub enum Error {
     OverlappingPattern,
     /// A lattice operation required `I ⊆ J` and it did not hold.
     NotSubset,
-    /// A constrained optimization has no feasible solution (e.g. pinned
-    /// order-preserving biases that violate their budget or make the chain
-    /// constraint unsatisfiable). Carries a human-readable diagnosis.
-    Infeasible(String),
     /// A publish was requested before the sliding window filled.
     PartialWindow {
         /// Transactions currently in the window.
@@ -48,7 +44,6 @@ impl fmt::Display for Error {
                 write!(f, "pattern asserts and negates the same item")
             }
             Error::NotSubset => write!(f, "lattice bounds must satisfy I ⊆ J"),
-            Error::Infeasible(msg) => write!(f, "infeasible: {msg}"),
             Error::PartialWindow { have, need } => {
                 write!(f, "partial window: {have} of {need} transactions")
             }
@@ -90,7 +85,6 @@ mod tests {
             Error::Unsorted,
             Error::OverlappingPattern,
             Error::NotSubset,
-            Error::Infeasible("pinned bias out of budget".into()),
             Error::PartialWindow { have: 3, need: 10 },
             Error::ContractViolation {
                 stream_len: 2000,

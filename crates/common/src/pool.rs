@@ -134,7 +134,7 @@ pub fn last_dispatch() -> Dispatch {
 ///
 /// Scheduling is dynamic over **coarse contiguous chunks**: workers pull
 /// the next chunk index from a shared atomic counter, with the chunk length
-/// sized so each worker sees ~[`CHUNKS_PER_WORKER`] chunks — one atomic RMW
+/// sized so each worker sees ~`CHUNKS_PER_WORKER` chunks — one atomic RMW
 /// per chunk instead of per item, which is what lets fine-grained workloads
 /// (per-candidate counting, per-FEC noise) go through the pool without the
 /// dispatch overhead eating the win. Output order is input order regardless

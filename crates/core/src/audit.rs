@@ -87,7 +87,7 @@ pub fn audit_release(spec: &PrivacySpec, release: &SanitizedRelease) -> Vec<Audi
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::publisher::Publisher;
+    use crate::engine::Publisher;
     use crate::release::SanitizedItemset;
     use crate::scheme::BiasScheme;
     use bfly_mining::FrequentItemsets;

@@ -39,8 +39,7 @@ pub use privbasis::PrivBasisDefense;
 pub use suppress::{SuppressionDefense, SuppressionStats};
 
 use crate::config::PrivacySpec;
-use crate::engine::ReleaseDelta;
-use crate::publisher::Publisher;
+use crate::engine::{EngineStats, Publisher, ReleaseDelta};
 use crate::release::SanitizedRelease;
 use crate::scheme::BiasScheme;
 use bfly_mining::FrequentItemsets;
@@ -108,10 +107,10 @@ pub trait PrivacyDefense: Send + fmt::Debug {
         false
     }
 
-    /// Incremental-engine cache counters `(full_reuse, warm_starts,
-    /// full_solves)`, for backends running one (Butterfly's warm-started
+    /// The staged release engine's work counters, for the backend that
+    /// runs one (Butterfly's delta-maintained FEC index and warm-started
     /// order DP).
-    fn incremental_stats(&self) -> Option<(u64, u64, u64)> {
+    fn engine_stats(&self) -> Option<EngineStats> {
         None
     }
 
@@ -164,8 +163,8 @@ impl PrivacyDefense for Box<dyn PrivacyDefense> {
         (**self).honors_butterfly_contract()
     }
 
-    fn incremental_stats(&self) -> Option<(u64, u64, u64)> {
-        (**self).incremental_stats()
+    fn engine_stats(&self) -> Option<EngineStats> {
+        (**self).engine_stats()
     }
 
     fn suppression_stats(&self) -> Option<SuppressionStats> {
@@ -179,9 +178,8 @@ impl PrivacyDefense for Box<dyn PrivacyDefense> {
 
 /// Butterfly itself, behind the seam it used to *be*: the [`Publisher`] is
 /// the default [`PrivacyDefense`], and routing it through the trait changes
-/// nothing — the staged [`crate::engine::ReleaseEngine`] underneath is
-/// untouched, so output stays bit-identical to the pre-trait path (pinned
-/// by the release differential and serve byte-identity suites).
+/// nothing — output stays bit-identical to driving the publisher directly
+/// (pinned by the release differential and serve byte-identity suites).
 impl PrivacyDefense for Publisher {
     fn kind(&self) -> DefenseKind {
         DefenseKind::Butterfly
@@ -210,8 +208,8 @@ impl PrivacyDefense for Publisher {
         true
     }
 
-    fn incremental_stats(&self) -> Option<(u64, u64, u64)> {
-        Publisher::incremental_stats(self)
+    fn engine_stats(&self) -> Option<EngineStats> {
+        Some(Publisher::engine_stats(self))
     }
 
     fn boxed_clone(&self) -> Box<dyn PrivacyDefense> {
@@ -331,10 +329,7 @@ impl DefenseSpec {
         Ok(())
     }
 
-    /// Construct the selected defense. `incremental` picks Butterfly's
-    /// delta-maintained engine (bit-identical output, cheaper on
-    /// overlapping windows); the other backends are seeded per window and
-    /// have no batch/incremental split.
+    /// Construct the selected defense.
     ///
     /// # Panics
     /// On knob values [`DefenseSpec::validate`] rejects.
@@ -343,16 +338,9 @@ impl DefenseSpec {
         spec: PrivacySpec,
         scheme: BiasScheme,
         seed: u64,
-        incremental: bool,
     ) -> Box<dyn PrivacyDefense> {
         match self.kind {
-            DefenseKind::Butterfly => {
-                if incremental {
-                    Box::new(Publisher::new_incremental(spec, scheme, seed))
-                } else {
-                    Box::new(Publisher::new(spec, scheme, seed))
-                }
-            }
+            DefenseKind::Butterfly => Box::new(Publisher::new(spec, scheme, seed)),
             DefenseKind::PrivBasis => Box::new(PrivBasisDefense::new(
                 spec,
                 self.dp_budget,
@@ -430,33 +418,22 @@ mod tests {
             window(&[("a", 30), ("b", 33), ("c", 60), ("d", 62)]),
             window(&[("a", 31), ("c", 60)]),
         ];
-        for incremental in [false, true] {
-            let mut direct = if incremental {
-                Publisher::new_incremental(spec(), BiasScheme::RatioPreserving, 7)
-            } else {
-                Publisher::new(spec(), BiasScheme::RatioPreserving, 7)
-            };
-            let mut boxed =
-                DefenseSpec::butterfly().build(spec(), BiasScheme::RatioPreserving, 7, incremental);
-            assert_eq!(boxed.kind(), DefenseKind::Butterfly);
-            assert!(boxed.honors_butterfly_contract());
-            for w in &windows {
-                let (rd, dd) = direct.publish_with_delta(w);
-                let (rb, db) = boxed.publish_with_delta(w);
-                assert_eq!(rd, rb, "release diverged (incremental={incremental})");
-                assert_eq!(dd, db, "delta diverged (incremental={incremental})");
-            }
-            assert_eq!(
-                boxed.incremental_stats().is_some(),
-                incremental,
-                "cache counters must exist exactly in incremental mode"
-            );
+        let mut direct = Publisher::new(spec(), BiasScheme::RatioPreserving, 7);
+        let mut boxed = DefenseSpec::butterfly().build(spec(), BiasScheme::RatioPreserving, 7);
+        assert_eq!(boxed.kind(), DefenseKind::Butterfly);
+        assert!(boxed.honors_butterfly_contract());
+        for w in &windows {
+            let (rd, dd) = direct.publish_with_delta(w);
+            let (rb, db) = boxed.publish_with_delta(w);
+            assert_eq!(rd, rb, "release diverged");
+            assert_eq!(dd, db, "delta diverged");
         }
+        assert_eq!(boxed.engine_stats(), Some(direct.engine_stats()));
     }
 
     #[test]
     fn boxed_clone_preserves_republication_state() {
-        let mut boxed = DefenseSpec::butterfly().build(spec(), BiasScheme::Basic, 3, false);
+        let mut boxed = DefenseSpec::butterfly().build(spec(), BiasScheme::Basic, 3);
         let w = window(&[("a", 40), ("b", 31)]);
         let first = boxed.publish(&w);
         let mut cloned = boxed.clone();
@@ -468,7 +445,7 @@ mod tests {
     #[test]
     fn every_kind_builds_and_reports_itself() {
         for kind in DefenseKind::ALL {
-            let d = DefenseSpec::new(kind).build(spec(), BiasScheme::Basic, 1, false);
+            let d = DefenseSpec::new(kind).build(spec(), BiasScheme::Basic, 1);
             assert_eq!(d.kind(), kind);
             assert_eq!(d.spec().c(), 25);
             assert_eq!(
@@ -488,7 +465,7 @@ mod tests {
             window(&[("b", 34), ("d", 61)]),
         ];
         for kind in DefenseKind::ALL {
-            let mut d = DefenseSpec::new(kind).build(spec(), BiasScheme::Basic, 11, false);
+            let mut d = DefenseSpec::new(kind).build(spec(), BiasScheme::Basic, 11);
             let mut prev = SanitizedRelease::default();
             for w in &windows {
                 let (release, delta) = d.publish_with_delta(w);
@@ -509,7 +486,7 @@ mod tests {
             window(&[("a", 31), ("b", 32), ("c", 59)]),
         ];
         for kind in DefenseKind::ALL {
-            let mut d = DefenseSpec::new(kind).build(spec(), BiasScheme::Basic, 5, false);
+            let mut d = DefenseSpec::new(kind).build(spec(), BiasScheme::Basic, 5);
             let first: Vec<_> = windows.iter().map(|w| d.publish(w)).collect();
             d.reset();
             let again: Vec<_> = windows.iter().map(|w| d.publish(w)).collect();

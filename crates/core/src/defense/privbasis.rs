@@ -17,27 +17,53 @@
 //!   noise is `Laplace(2k / ε_sel)` per candidate;
 //! * counts: each published support gets `Laplace(k / ε_cnt)`.
 //!
-//! with `ε_sel = ε_cnt = ε_w / 2`. Like [`crate::dp::DpPublisher`] this is
-//! the honest one-shot treatment, not a continual-observation mechanism —
-//! overlapping windows re-spend ε_w each publication, and the cross-defense
-//! bench exists precisely to show what that worst-case-guarantee framing
-//! costs in utility next to Butterfly's targeted contract.
+//! with `ε_sel = ε_cnt = ε_w / 2`. This is the honest one-shot treatment,
+//! not a continual-observation mechanism — overlapping windows re-spend ε_w
+//! each publication, and the cross-defense bench exists precisely to show
+//! what that worst-case-guarantee framing costs in utility next to
+//! Butterfly's targeted contract.
 //!
 //! Determinism: noise is a pure function of `(seed, window index, itemset
 //! content)`. Every draw seeds [`SmallRng::split_stream`] from the FNV-1a
 //! hash of the itemset's item ids — *never* from [`ItemsetId`], which is a
 //! process-local intern index whose numbering depends on interleaving —
-//! so the same stream replayed batch or incrementally, in-process or over
-//! the wire, publishes identical bytes.
+//! so the same stream replayed in-process or over the wire publishes
+//! identical bytes.
 
 use crate::config::PrivacySpec;
 use crate::defense::{DefenseKind, PrivacyDefense};
-use crate::dp::Laplace;
 use crate::engine::ReleaseDelta;
 use crate::release::{SanitizedItemset, SanitizedRelease};
-use bfly_common::rng::SmallRng;
+use bfly_common::rng::{Rng, SmallRng};
 use bfly_common::ItemSet;
 use bfly_mining::FrequentItemsets;
+
+/// A Laplace(0, b) sampler (inverse-CDF).
+#[derive(Clone, Copy, Debug)]
+struct Laplace {
+    scale: f64,
+}
+
+impl Laplace {
+    /// Create a sampler with scale `b > 0`.
+    ///
+    /// # Panics
+    /// If `scale` is not positive and finite.
+    fn new(scale: f64) -> Self {
+        assert!(
+            scale.is_finite() && scale > 0.0,
+            "Laplace scale must be positive"
+        );
+        Laplace { scale }
+    }
+
+    /// Draw one real-valued sample.
+    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+        // Inverse CDF: u ∈ (−1/2, 1/2]; x = −b·sgn(u)·ln(1 − 2|u|).
+        let u: f64 = rng.gen_f64() - 0.5;
+        -self.scale * u.signum() * (1.0 - 2.0 * u.abs()).ln()
+    }
+}
 
 /// ε-DP top-k release: noisy selection over the mined candidates, then
 /// Laplace-noised counts for the winners. See the module docs for the
@@ -201,6 +227,19 @@ mod tests {
 
     fn window(supports: &[(&str, u64)]) -> FrequentItemsets {
         FrequentItemsets::new(supports.iter().map(|&(s, t)| (iset(s), t)))
+    }
+
+    #[test]
+    fn laplace_moments() {
+        // Variance of Laplace(0, b) is 2b².
+        let lap = Laplace::new(3.0);
+        let mut rng = SmallRng::seed_from_u64(4);
+        let n = 100_000;
+        let samples: Vec<f64> = (0..n).map(|_| lap.sample(&mut rng)).collect();
+        let mean = samples.iter().sum::<f64>() / n as f64;
+        let var = samples.iter().map(|s| (s - mean) * (s - mean)).sum::<f64>() / n as f64;
+        assert!(mean.abs() < 0.1, "mean {mean}");
+        assert!((var - 18.0).abs() / 18.0 < 0.05, "var {var}");
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! [`fec`] *frequency equivalence classes*; a [`scheme`] assigns each FEC a
 //! bias within its maximum adjustable range; a [`noise`] region of fixed
 //! integer width `α` (variance `σ² ≥ δK²/2`) centred on that bias perturbs
-//! each support; the [`publisher`] applies the republication rule that pins
+//! each support; the [`Publisher`] applies the republication rule that pins
 //! sanitized values across windows while the true support is unchanged
 //! (defeating averaging attacks); and [`metrics`] measures exactly what the
 //! paper's §VII measures: `avg_pred`, `avg_prig`, `ropp`, `rrpp`.
@@ -20,17 +20,13 @@
 pub mod audit;
 pub mod config;
 pub mod defense;
-pub mod dp;
 pub mod engine;
 pub mod exact;
 pub mod fec;
-pub mod history;
-pub mod incremental;
 pub mod metrics;
 pub mod noise;
 pub mod order;
 pub mod pipeline;
-pub mod publisher;
 pub mod ratio;
 pub mod release;
 pub mod scheme;
@@ -41,17 +37,12 @@ pub use defense::{
     DefenseKind, DefenseSpec, PrivBasisDefense, PrivacyDefense, SuppressionDefense,
     SuppressionStats,
 };
-pub use dp::{DpPublisher, Laplace};
 pub use engine::{
-    seeded_noise, EngineStats, FecChurn, FecIndex, NoiseMode, ReleaseDelta, ReleaseEngine,
-    WarmOrderDp,
+    seeded_noise, EngineStats, FecChurn, FecIndex, Publisher, ReleaseDelta, WarmOrderDp,
 };
 pub use fec::{partition_into_fecs, Fec};
-pub use history::{HistoryEntry, ReleaseHistory};
-pub use incremental::IncrementalOrderSetter;
 pub use metrics::WindowMetrics;
 pub use noise::NoiseRegion;
 pub use pipeline::{StreamPipeline, WindowRelease};
-pub use publisher::Publisher;
 pub use release::{SanitizedItemset, SanitizedRelease};
 pub use scheme::{BiasScheme, SchemeName};

@@ -1,8 +1,7 @@
 //! End-to-end stream pipeline: window → miner backend → privacy defense.
 
 use crate::defense::PrivacyDefense;
-use crate::engine::ReleaseDelta;
-use crate::publisher::Publisher;
+use crate::engine::{Publisher, ReleaseDelta};
 use crate::release::SanitizedRelease;
 use bfly_common::{Error, ItemSet, Pattern, Result, SlidingWindow, Support, Transaction};
 use bfly_inference::GroundTruth;
@@ -234,8 +233,7 @@ impl<B: MinerBackend, D: PrivacyDefense> StreamPipeline<B, D> {
     }
 
     /// The defense driving the release path (e.g. to read Butterfly's
-    /// incremental cache counters or suppression's side-effect ledger after
-    /// a run).
+    /// engine counters or suppression's side-effect ledger after a run).
     pub fn defense(&self) -> &D {
         &self.defense
     }

@@ -1,6 +1,6 @@
 //! Sanitized output: what Butterfly publishes instead of raw supports.
 
-use bfly_common::{Error, ItemSet, ItemsetId, Json, Result, SanitizedSupport, Support};
+use bfly_common::{ItemSet, ItemsetId, Json, SanitizedSupport, Support};
 use std::collections::HashMap;
 
 /// One published itemset: its sanitized support, plus (for evaluation only —
@@ -85,74 +85,6 @@ impl SanitizedRelease {
     pub fn wire_itemsets(&self) -> Json {
         wire_entries(&self.entries)
     }
-
-    /// Serialize to the workspace's JSON value type.
-    pub fn to_json(&self) -> Json {
-        Json::obj([(
-            "entries",
-            Json::Arr(
-                self.entries
-                    .iter()
-                    .map(|e| {
-                        Json::obj([
-                            (
-                                "itemset",
-                                Json::Arr(
-                                    e.itemset()
-                                        .items()
-                                        .iter()
-                                        .map(|i| Json::from(i.id() as u64))
-                                        .collect(),
-                                ),
-                            ),
-                            ("true_support", Json::from(e.true_support)),
-                            ("sanitized", Json::from(e.sanitized)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        )])
-    }
-
-    /// Parse the JSON produced by [`SanitizedRelease::to_json`]. Itemsets
-    /// are (re-)interned on load, so handles from a reloaded history compare
-    /// equal to live ones.
-    pub fn from_json(json: &Json) -> Result<SanitizedRelease> {
-        let entries = json
-            .get("entries")
-            .and_then(Json::as_array)
-            .ok_or_else(|| Error::Parse("release missing entries".into()))?;
-        let mut out = Vec::with_capacity(entries.len());
-        for entry in entries {
-            let ids = entry
-                .get("itemset")
-                .and_then(Json::as_array)
-                .ok_or_else(|| Error::Parse("entry missing itemset".into()))?;
-            let items: Vec<u32> = ids
-                .iter()
-                .map(|v| {
-                    v.as_u64()
-                        .and_then(|id| u32::try_from(id).ok())
-                        .ok_or_else(|| Error::Parse("bad item id".into()))
-                })
-                .collect::<Result<_>>()?;
-            let itemset = ItemSet::from_ids(items);
-            let true_support = entry
-                .get("true_support")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| Error::Parse("entry missing true_support".into()))?;
-            let sanitized = entry
-                .get("sanitized")
-                .and_then(Json::as_i64)
-                .ok_or_else(|| Error::Parse("entry missing sanitized".into()))?;
-            out.push(SanitizedItemset {
-                id: ItemsetId::intern(&itemset),
-                true_support,
-                sanitized,
-            });
-        }
-        Ok(SanitizedRelease::new(out))
-    }
 }
 
 /// Wire-shape a slice of sanitized entries: the `{"itemset": [ids...],
@@ -224,25 +156,6 @@ mod tests {
             wire,
             "[{\"itemset\":[0],\"support\":27},{\"itemset\":[0,1],\"support\":-1}]"
         );
-    }
-
-    #[test]
-    fn json_round_trip() {
-        let r = release();
-        let json = r.to_json();
-        let back = SanitizedRelease::from_json(&Json::parse(&json.to_string()).unwrap()).unwrap();
-        assert_eq!(back, r);
-    }
-
-    #[test]
-    fn from_json_rejects_malformed() {
-        for bad in [
-            "{}",
-            "{\"entries\":[{}]}",
-            "{\"entries\":[{\"itemset\":[1],\"sanitized\":2}]}",
-        ] {
-            assert!(SanitizedRelease::from_json(&Json::parse(bad).unwrap()).is_err());
-        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use crate::config::PrivacySpec;
 use crate::fec::Fec;
-use crate::order::order_preserving_biases;
+use crate::order::{order_preserving_biases, MAX_GAMMA};
 use crate::ratio::ratio_preserving_biases;
 
 /// Which bias-setting strategy a [`crate::Publisher`] applies per window.
@@ -39,19 +39,61 @@ impl BiasScheme {
         SchemeName(*self)
     }
 
+    /// Reject parameters no publisher can run with, in the style of
+    /// [`PrivacySpec::checked`]: external configuration (CLI flags, the
+    /// serve config) is refused with a message at parse time instead of
+    /// panicking a worker at its first full window.
+    ///
+    /// # Errors
+    /// A hybrid `λ` that is not a finite value in `[0, 1]`, or a `γ` above
+    /// [`MAX_GAMMA`] (a DP layer holds up to `13^γ` states).
+    pub fn checked(self) -> Result<Self, String> {
+        let gamma = match self {
+            BiasScheme::Basic | BiasScheme::RatioPreserving => return Ok(self),
+            BiasScheme::OrderPreserving { gamma } => gamma,
+            BiasScheme::Hybrid { lambda, gamma } => {
+                if !(0.0..=1.0).contains(&lambda) {
+                    return Err(format!("hybrid λ must be in [0,1], got {lambda}"));
+                }
+                gamma
+            }
+        };
+        if gamma > MAX_GAMMA {
+            return Err(format!("γ must be at most {MAX_GAMMA}, got {gamma}"));
+        }
+        Ok(self)
+    }
+
     /// Compute one bias per FEC (`fecs` sorted ascending by support), each
     /// within its `β^m` budget.
+    ///
+    /// # Panics
+    /// On parameters [`BiasScheme::checked`] rejects.
     pub fn biases(&self, fecs: &[Fec], spec: &PrivacySpec) -> Vec<f64> {
+        self.biases_with(fecs, spec, |gamma| {
+            order_preserving_biases(fecs, spec, gamma)
+        })
+    }
+
+    /// [`BiasScheme::biases`] with Algorithm 1 supplied by the caller:
+    /// `order(γ)` must return what [`order_preserving_biases`] would. The
+    /// publisher passes its warm-started solver here, so the scheme dispatch
+    /// and the hybrid blend exist once.
+    pub(crate) fn biases_with(
+        &self,
+        fecs: &[Fec],
+        spec: &PrivacySpec,
+        order: impl FnOnce(usize) -> Vec<f64>,
+    ) -> Vec<f64> {
+        if let Err(e) = self.checked() {
+            panic!("{e}");
+        }
         match *self {
             BiasScheme::Basic => vec![0.0; fecs.len()],
-            BiasScheme::OrderPreserving { gamma } => order_preserving_biases(fecs, spec, gamma),
+            BiasScheme::OrderPreserving { gamma } => order(gamma),
             BiasScheme::RatioPreserving => ratio_preserving_biases(fecs, spec),
             BiasScheme::Hybrid { lambda, gamma } => {
-                assert!(
-                    (0.0..=1.0).contains(&lambda),
-                    "hybrid λ must be in [0,1], got {lambda}"
-                );
-                let op = order_preserving_biases(fecs, spec, gamma);
+                let op = order(gamma);
                 let rp = ratio_preserving_biases(fecs, spec);
                 op.iter()
                     .zip(&rp)
@@ -200,6 +242,31 @@ mod tests {
             gamma: 2,
         }
         .biases(&fecs(&[25]), &spec());
+    }
+
+    #[test]
+    fn checked_rejects_what_no_publisher_can_run() {
+        for scheme in BiasScheme::paper_variants(MAX_GAMMA) {
+            assert_eq!(scheme.checked(), Ok(scheme));
+        }
+        for lambda in [-0.1, 1.5, f64::NAN, f64::INFINITY] {
+            let err = BiasScheme::Hybrid { lambda, gamma: 2 }
+                .checked()
+                .unwrap_err();
+            assert!(err.contains("λ must be in [0,1]"), "{err}");
+        }
+        for scheme in [
+            BiasScheme::OrderPreserving {
+                gamma: MAX_GAMMA + 1,
+            },
+            BiasScheme::Hybrid {
+                lambda: 0.4,
+                gamma: 40,
+            },
+        ] {
+            let err = scheme.checked().unwrap_err();
+            assert!(err.contains(&format!("at most {MAX_GAMMA}")), "{err}");
+        }
     }
 
     #[test]

@@ -19,10 +19,9 @@
 
 use crate::closed::{closed_subset, expand_closed};
 use crate::result::FrequentItemsets;
-use crate::window_miner::{RescanMiner, WindowMiner};
 use crate::{
     Apriori, Charm, DampedConfig, DampedMiner, Eclat, FpGrowth, FpStream, FpStreamConfig,
-    MomentMiner,
+    MomentMiner, RescanMiner,
 };
 use bfly_common::{Database, Support, Transaction, WindowDelta};
 
@@ -203,50 +202,6 @@ impl<M: BatchMiner + Send + Sync> MinerBackend for BatchBackend<M> {
 
     fn name(&self) -> &'static str {
         self.miner.name()
-    }
-}
-
-impl MinerBackend for MomentMiner {
-    fn apply(&mut self, delta: &WindowDelta) {
-        WindowMiner::apply(self, delta)
-    }
-
-    fn frequent(&self) -> FrequentItemsets {
-        self.all_frequent()
-    }
-
-    fn closed_frequent(&self) -> FrequentItemsets {
-        WindowMiner::closed_frequent(self)
-    }
-
-    fn min_support(&self) -> Support {
-        WindowMiner::min_support(self)
-    }
-
-    fn name(&self) -> &'static str {
-        "moment"
-    }
-}
-
-impl MinerBackend for RescanMiner {
-    fn apply(&mut self, delta: &WindowDelta) {
-        WindowMiner::apply(self, delta)
-    }
-
-    fn frequent(&self) -> FrequentItemsets {
-        expand_closed(&WindowMiner::closed_frequent(self))
-    }
-
-    fn closed_frequent(&self) -> FrequentItemsets {
-        WindowMiner::closed_frequent(self)
-    }
-
-    fn min_support(&self) -> Support {
-        WindowMiner::min_support(self)
-    }
-
-    fn name(&self) -> &'static str {
-        "closed"
     }
 }
 

@@ -32,9 +32,9 @@ pub mod fpgrowth;
 pub mod fpstream;
 pub mod fptree;
 pub mod moment;
+pub mod rescan;
 pub mod result;
 pub mod rules;
-pub mod window_miner;
 
 pub use apriori::Apriori;
 pub use backend::{
@@ -47,6 +47,6 @@ pub use eclat::Eclat;
 pub use fpgrowth::FpGrowth;
 pub use fpstream::{FpStream, FpStreamConfig};
 pub use moment::MomentMiner;
+pub use rescan::RescanMiner;
 pub use result::{FrequentItemset, FrequentItemsets};
 pub use rules::{generate_rules, AssociationRule};
-pub use window_miner::{RescanMiner, WindowMiner};

@@ -20,13 +20,13 @@
 //! property that makes the miner incremental. Where our implementation
 //! differs from the original (tidsets instead of the paper's FP-tree-backed
 //! counters), the observable behaviour is identical; differential tests
-//! against [`RescanMiner`](crate::window_miner::RescanMiner) enforce that on
+//! against [`RescanMiner`](crate::RescanMiner) enforce that on
 //! randomized streams.
 
+use crate::backend::MinerBackend;
 use crate::closed::expand_closed;
 use crate::result::FrequentItemsets;
-use crate::window_miner::WindowMiner;
-use bfly_common::{Item, ItemSet, Support, TidBitmap, Transaction, VerticalIndex};
+use bfly_common::{Item, ItemSet, Support, TidBitmap, Transaction, VerticalIndex, WindowDelta};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 type Tid = u64;
@@ -293,13 +293,13 @@ impl CetStats {
 
 /// Incremental closed-frequent-itemset miner over a sliding window.
 ///
-/// Drive it with [`WindowMiner::insert`]/[`WindowMiner::delete`] (or
-/// [`WindowMiner::apply`] with a [`bfly_common::WindowDelta`]); query with
-/// [`WindowMiner::closed_frequent`] at any point. All supports are exact.
+/// Drive it with [`MinerBackend::apply`] and a [`bfly_common::WindowDelta`];
+/// query with [`MinerBackend::closed_frequent`] at any point. All supports
+/// are exact.
 ///
 /// ```
 /// use bfly_common::SlidingWindow;
-/// use bfly_mining::{MomentMiner, WindowMiner};
+/// use bfly_mining::{MinerBackend, MomentMiner};
 ///
 /// let mut window = SlidingWindow::new(8);
 /// let mut miner = MomentMiner::new(4);
@@ -422,9 +422,11 @@ impl MomentMiner {
             index: &self.index,
         }
     }
-}
 
-impl WindowMiner for MomentMiner {
+    /// A transaction entered the window.
+    ///
+    /// # Panics
+    /// If its tid is already in the window.
     fn insert(&mut self, t: &Transaction) {
         let tid = t.tid();
         assert!(!self.txs.contains_key(&tid), "tid {tid} inserted twice");
@@ -438,6 +440,10 @@ impl WindowMiner for MomentMiner {
         self.root = root;
     }
 
+    /// A transaction left the window.
+    ///
+    /// # Panics
+    /// If it is not in the window.
     fn delete(&mut self, t: &Transaction) {
         let tid = t.tid();
         let stored = self
@@ -453,6 +459,19 @@ impl WindowMiner for MomentMiner {
         let mut root = std::mem::replace(&mut self.root, CetNode::root(1));
         delete_rec(&mut root, &ItemSet::empty(), &stored, slot, &self.ctx());
         self.root = root;
+    }
+}
+
+impl MinerBackend for MomentMiner {
+    fn apply(&mut self, delta: &WindowDelta) {
+        if let Some(evicted) = &delta.evicted {
+            self.delete(evicted);
+        }
+        self.insert(&delta.added);
+    }
+
+    fn frequent(&self) -> FrequentItemsets {
+        self.all_frequent()
     }
 
     fn closed_frequent(&self) -> FrequentItemsets {
@@ -475,12 +494,16 @@ impl WindowMiner for MomentMiner {
     fn min_support(&self) -> Support {
         self.min_support
     }
+
+    fn name(&self) -> &'static str {
+        "moment"
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::window_miner::RescanMiner;
+    use crate::RescanMiner;
     use bfly_common::fixtures::fig2_stream;
     use bfly_common::SlidingWindow;
     use bfly_datagen::{QuestConfig, QuestGenerator};

@@ -1,34 +1,9 @@
-//! The incremental-miner abstraction the stream pipeline drives.
+//! The brute-force window miner the incremental one is validated against.
 
+use crate::backend::MinerBackend;
+use crate::closed::expand_closed;
 use crate::result::FrequentItemsets;
 use bfly_common::{Transaction, WindowDelta};
-
-/// A miner that maintains its result set incrementally as the sliding window
-/// moves. [`crate::MomentMiner`] is the production implementation;
-/// [`RescanMiner`] is the brute-force oracle used in differential tests and
-/// as the "mining algorithm" cost baseline in the Fig 8 experiment.
-pub trait WindowMiner {
-    /// A transaction entered the window.
-    fn insert(&mut self, t: &Transaction);
-
-    /// A transaction left the window. Implementations may assume it was
-    /// previously inserted and not yet deleted.
-    fn delete(&mut self, t: &Transaction);
-
-    /// Apply a full window movement (insert + optional eviction).
-    fn apply(&mut self, delta: &WindowDelta) {
-        if let Some(evicted) = &delta.evicted {
-            self.delete(evicted);
-        }
-        self.insert(&delta.added);
-    }
-
-    /// Current *closed* frequent itemsets with exact supports.
-    fn closed_frequent(&self) -> FrequentItemsets;
-
-    /// The minimum support `C` the miner enforces.
-    fn min_support(&self) -> bfly_common::Support;
-}
 
 /// Oracle implementation: keeps the window contents and re-mines from
 /// scratch on every query via the vertical Eclat engine (word-level tid
@@ -56,13 +31,16 @@ impl RescanMiner {
     pub fn window_len(&self) -> usize {
         self.window.len()
     }
-}
 
-impl WindowMiner for RescanMiner {
+    /// A transaction entered the window.
     fn insert(&mut self, t: &Transaction) {
         self.window.push(t.clone());
     }
 
+    /// A transaction left the window.
+    ///
+    /// # Panics
+    /// If it is not in the window.
     fn delete(&mut self, t: &Transaction) {
         let pos = self
             .window
@@ -70,6 +48,19 @@ impl WindowMiner for RescanMiner {
             .position(|w| w.tid() == t.tid())
             .expect("deleting a transaction that is not in the window");
         self.window.remove(pos);
+    }
+}
+
+impl MinerBackend for RescanMiner {
+    fn apply(&mut self, delta: &WindowDelta) {
+        if let Some(evicted) = &delta.evicted {
+            self.delete(evicted);
+        }
+        self.insert(&delta.added);
+    }
+
+    fn frequent(&self) -> FrequentItemsets {
+        expand_closed(&self.closed_frequent())
     }
 
     fn closed_frequent(&self) -> FrequentItemsets {
@@ -80,6 +71,10 @@ impl WindowMiner for RescanMiner {
 
     fn min_support(&self) -> bfly_common::Support {
         self.min_support
+    }
+
+    fn name(&self) -> &'static str {
+        "closed"
     }
 }
 

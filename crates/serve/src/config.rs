@@ -7,7 +7,7 @@ use bfly_core::{
 use bfly_mining::{BackendKind, MinerBackend};
 
 /// Whether this build can run the epoll reactor (Linux with raw-syscall
-/// shims — see [`crate::reactor`]). Elsewhere the blocking thread-per-
+/// shims — see `reactor.rs`). Elsewhere the blocking thread-per-
 /// connection path is the only I/O mode.
 pub const REACTOR_SUPPORTED: bool = cfg!(all(
     target_os = "linux",
@@ -386,9 +386,11 @@ impl ServeConfig {
                 ));
             }
         }
-        // An infeasible privacy contract must be rejected at bind time, not
-        // discovered as a shard-worker panic at the first record.
+        // An infeasible privacy contract or an unrunnable scheme must be
+        // rejected at bind time, not discovered as a shard-worker panic at
+        // the first full window.
         PrivacySpec::checked(self.c, self.k, self.epsilon, self.delta)?;
+        self.scheme.checked()?;
         self.defense.validate()?;
         Ok(())
     }
@@ -410,10 +412,8 @@ impl ServeConfig {
     }
 
     /// [`ServeConfig::pipeline_for`] with the defense kind overridden — the
-    /// path a per-stream `bind` takes. Butterfly publishers run the
-    /// incremental [`bfly_core::ReleaseEngine`]; its output is pinned
-    /// bit-identical to the batch path, so that is purely a per-window cost
-    /// choice. The non-Butterfly defenses keep the config's DP knobs.
+    /// path a per-stream `bind` takes. The non-Butterfly defenses keep the
+    /// config's DP knobs.
     pub fn pipeline_with(
         &self,
         key: &str,
@@ -423,7 +423,7 @@ impl ServeConfig {
             kind,
             ..self.defense
         };
-        let defense = dspec.build(self.spec(), self.scheme, stream_seed(self.seed, key), true);
+        let defense = dspec.build(self.spec(), self.scheme, stream_seed(self.seed, key));
         StreamPipeline::from_parts(self.window, self.backend, defense)
     }
 
@@ -490,6 +490,30 @@ mod tests {
         };
         let err = cfg.validate().unwrap_err();
         assert!(err.contains("infeasible"), "got {err:?}");
+    }
+
+    #[test]
+    fn unrunnable_scheme_rejected_at_validate() {
+        for (scheme, want) in [
+            (
+                BiasScheme::Hybrid {
+                    lambda: 2.0,
+                    gamma: 2,
+                },
+                "λ must be in [0,1]",
+            ),
+            (
+                BiasScheme::OrderPreserving { gamma: 40 },
+                "γ must be at most",
+            ),
+        ] {
+            let cfg = ServeConfig {
+                scheme,
+                ..ServeConfig::default()
+            };
+            let err = cfg.validate().unwrap_err();
+            assert!(err.contains(want), "got {err:?}");
+        }
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! The TCP server: accept/readiness plumbing, request dispatch, shard
 //! wiring, and graceful shutdown.
 //!
-//! Two io modes share one protocol brain ([`dispatch_frame`]):
+//! Two io modes share one protocol brain (`dispatch_frame`):
 //!
 //! * **Reactor** (default where supported): one thread owns accept and
 //!   every connection through a nonblocking readiness loop — see
-//!   [`crate::reactor`]. Replies append to per-connection write buffers;
+//!   `reactor.rs`. Replies append to per-connection write buffers;
 //!   subscriber fan-out arrives through the reactor mailbox.
 //! * **Blocking** (legacy, and the fallback elsewhere): one accept thread,
 //!   and per connection a reader (handler) plus a writer (pump). The pump
@@ -27,7 +27,7 @@
 //! 3. connections close: blocking handlers notice the flag at their poll
 //!    tick (subscribers only once the drain has closed their streams); the
 //!    reactor flushes every write buffer after the final
-//!    [`crate::reactor::Mail::Finalize`];
+//!    `reactor::Mail::Finalize`;
 //! 4. [`Server::join`] reaps every thread. No buffer anywhere is unbounded
 //!    at any point in this sequence.
 

@@ -502,7 +502,7 @@ mod tests {
         registry.subscribe("k", 1, FrameMode::Json, SubscriberSink::Channel(sub_tx));
         let key: Arc<str> = Arc::from("k");
         let liar = LiesOnce {
-            inner: cfg.defense.build(cfg.spec(), cfg.scheme, 1, true),
+            inner: cfg.defense.build(cfg.spec(), cfg.scheme, 1),
             lied: false,
         };
         let mut state = KeyState {

@@ -7,8 +7,8 @@
 #    chunk-dispatch telemetry per stage, plus the counting stages
 #    (per-transaction scan vs. vertical tid-bitmap, the vertical path timed
 #    both with the kernels forced to the scalar reference level and at the
-#    host's detected SIMD level) and the release stage (batch ReleaseEngine
-#    vs. incremental ReleaseEngine replaying the same high-overlap
+#    host's detected SIMD level) and the release stage (the from-scratch
+#    reference publication vs. the Publisher replaying the same
 #    sliding-window publication schedule, with DP warm-start counters).
 #    Each invocation APPENDS one timestamped run entry to
 #    BENCH_parallel.json, BENCH_support.json, and BENCH_release.json at the

@@ -13,6 +13,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo build --workspace --all-targets"
 cargo build -q --workspace --all-targets
 
+echo "==> cargo doc --workspace --no-deps (warnings denied: no dangling or private intra-doc links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
+
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
@@ -22,7 +25,7 @@ cargo test -q --release --test vertical_support
 echo "==> kernel differential tests (scalar vs unrolled vs simd, 1/2/8 threads)"
 cargo test -q --release --test kernel_differential
 
-echo "==> incremental-vs-batch release engine differential tests"
+echo "==> release engine vs from-scratch reference differential, restore mid-sequence for every defense"
 cargo test -q --release --test release_engine
 
 echo "==> crash-recovery differential (SIGKILL mid-stream, restart on the same --wal-dir, byte-identical catch-up at 1/2/8 threads)"

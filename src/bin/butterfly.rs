@@ -85,7 +85,7 @@ USAGE:
   butterfly protect --input <file.dat> --window <H> --min-support <C> --vulnerable <K>
                     --epsilon <E> --delta <D> [--scheme <basic|order|ratio|hybrid>]
                     [--backend <moment|apriori|eclat|fpgrowth|charm|closed|fpstream|damped>]
-                    [--lambda <L>] [--gamma <G>] [--every <N>] [--seed <S>] [--incremental]
+                    [--lambda <L>] [--gamma <G>] [--every <N>] [--seed <S>]
                     [--defense <butterfly|privbasis|suppress>] [--dp-budget <E>] [--dp-top-k <N>]
                     [--out <file.jsonl>]
   butterfly serve   [--addr <ip:port>] [--shards <N>] [--window <H>] [--min-support <C>]
@@ -97,8 +97,8 @@ USAGE:
                     [--defense <...>] [--dp-budget <E>] [--dp-top-k <N>]
                     [--role <node|router>] [--nodes <ip:port,ip:port,...>]
 
-`protect --incremental` runs the delta-maintained release engine (identical
-output, faster on overlapping windows; cache counters go to stderr).
+`protect` reports the release engine's DP cache counters on stderr.
+`--lambda` must lie in [0, 1] and `--gamma` may not exceed 6.
 `serve --snapshot-every N` (N > 1) ships a release_delta event per
 publication plus a full release snapshot every N-th one.
 `--defense` swaps the publication stage: butterfly (default; FEC bias +
@@ -185,7 +185,6 @@ const FLAG_TABLE: &[(&str, &[(&str, bool)])] = &[
             ("gamma", true),
             ("every", true),
             ("seed", true),
-            ("incremental", false),
             ("defense", true),
             ("dp-budget", true),
             ("dp-top-k", true),
@@ -317,17 +316,18 @@ fn parse_defense(flags: &Flags) -> Result<DefenseSpec, String> {
 }
 
 /// Shared by `protect` and `serve`: `--scheme` plus its `--lambda`/`--gamma`
-/// parameters.
+/// parameters, refused here when no publisher could run with them.
 fn parse_scheme(flags: &Flags) -> Result<BiasScheme, String> {
     let gamma: usize = parse(flags.get("gamma").map_or("2", String::as_str), "gamma")?;
     let lambda: f64 = parse(flags.get("lambda").map_or("0.4", String::as_str), "lambda")?;
-    match flags.get("scheme").map_or("hybrid", String::as_str) {
-        "basic" => Ok(BiasScheme::Basic),
-        "order" => Ok(BiasScheme::OrderPreserving { gamma }),
-        "ratio" => Ok(BiasScheme::RatioPreserving),
-        "hybrid" => Ok(BiasScheme::Hybrid { lambda, gamma }),
-        other => Err(format!("unknown scheme {other:?}")),
-    }
+    let scheme = match flags.get("scheme").map_or("hybrid", String::as_str) {
+        "basic" => BiasScheme::Basic,
+        "order" => BiasScheme::OrderPreserving { gamma },
+        "ratio" => BiasScheme::RatioPreserving,
+        "hybrid" => BiasScheme::Hybrid { lambda, gamma },
+        other => return Err(format!("unknown scheme {other:?}")),
+    };
+    scheme.checked()
 }
 
 fn cmd_gen(flags: &Flags) -> Result<(), String> {
@@ -442,9 +442,8 @@ fn cmd_protect(flags: &Flags) -> Result<(), String> {
         .parse()
         .map_err(|e: butterfly_repro::common::Error| e.to_string())?;
     let dspec = parse_defense(flags)?;
-    let spec = PrivacySpec::new(c, k, epsilon, delta);
-    let incremental = flags.contains_key("incremental");
-    let defense = dspec.build(spec, scheme, seed, incremental);
+    let spec = PrivacySpec::checked(c, k, epsilon, delta)?;
+    let defense = dspec.build(spec, scheme, seed);
     let mut pipeline = StreamPipeline::from_parts(window, backend, defense);
 
     let mut out = out_writer(flags)?;
@@ -468,9 +467,10 @@ fn cmd_protect(flags: &Flags) -> Result<(), String> {
         backend.name(),
         dspec.kind
     );
-    if let Some((reuse, warm, full)) = pipeline.defense().incremental_stats() {
+    if let Some(s) = pipeline.defense().engine_stats() {
         eprintln!(
-            "incremental engine: {reuse} windows fully reused the DP cache, {warm} warm-started, {full} solved from scratch"
+            "release engine: {} windows fully reused the DP cache, {} warm-started, {} solved from scratch",
+            s.dp_full_reuse, s.dp_warm_starts, s.dp_full_solves
         );
     }
     if let Some(s) = pipeline.defense().suppression_stats() {

@@ -123,28 +123,33 @@ fn gen_mine_attack_protect_round_trip() {
     std::fs::remove_file(out).ok();
 }
 
-#[test]
-fn protect_incremental_output_is_byte_identical() {
-    let dat = temp_path("incr.dat");
+/// `gen` a small WebView1 stream for the `protect` tests below.
+fn gen_stream(name: &str, count: &str, seed: &str) -> PathBuf {
+    let dat = temp_path(name);
     let status = bin()
         .args([
             "gen",
             "--profile",
             "webview1",
             "--count",
-            "800",
+            count,
             "--seed",
-            "3",
-            "--out",
+            seed,
         ])
+        .arg("--out")
         .arg(&dat)
         .status()
         .expect("run gen");
     assert!(status.success());
+    dat
+}
 
-    let run = |out: &PathBuf, incremental: bool| {
-        let mut cmd = bin();
-        cmd.args([
+#[test]
+fn protect_reports_the_release_engines_cache_counters() {
+    let dat = gen_stream("engine.dat", "800", "3");
+    let out = temp_path("engine.jsonl");
+    let output = bin()
+        .args([
             "protect",
             "--window",
             "500",
@@ -162,46 +167,82 @@ fn protect_incremental_output_is_byte_identical() {
             "50",
             "--seed",
             "11",
-        ]);
-        if incremental {
-            cmd.arg("--incremental");
-        }
-        let output = cmd
-            .arg("--input")
-            .arg(&dat)
-            .arg("--out")
-            .arg(out)
-            .output()
-            .expect("run protect");
-        assert!(
-            output.status.success(),
-            "stderr: {}",
-            String::from_utf8_lossy(&output.stderr)
-        );
-        String::from_utf8(output.stderr).unwrap()
-    };
-
-    let batch_out = temp_path("incr_batch.jsonl");
-    let incr_out = temp_path("incr_engine.jsonl");
-    let batch_err = run(&batch_out, false);
-    let incr_err = run(&incr_out, true);
-    assert_eq!(
-        std::fs::read(&batch_out).unwrap(),
-        std::fs::read(&incr_out).unwrap(),
-        "--incremental must not change a single published byte"
-    );
-    assert!(
-        !batch_err.contains("incremental engine"),
-        "batch run reported cache counters: {batch_err}"
-    );
-    assert!(
-        incr_err.contains("incremental engine"),
-        "missing cache counters: {incr_err}"
-    );
+        ])
+        .arg("--input")
+        .arg(&dat)
+        .arg("--out")
+        .arg(&out)
+        .output()
+        .expect("run protect");
+    let err = String::from_utf8(output.stderr).unwrap();
+    assert!(output.status.success(), "stderr: {err}");
+    assert!(err.contains("published 7 sanitized windows"), "{err}");
+    assert!(err.contains("release engine:"), "missing counters: {err}");
 
     std::fs::remove_file(dat).ok();
-    std::fs::remove_file(batch_out).ok();
-    std::fs::remove_file(incr_out).ok();
+    std::fs::remove_file(out).ok();
+}
+
+#[test]
+fn protect_and_serve_reject_unrunnable_contracts_and_schemes() {
+    // Each must exit 1 with `error: …` naming the bound it broke — never a
+    // panic (exit 101) in `protect`, never a bound listener whose shard
+    // workers die at their first full window in `serve`.
+    let dat = gen_stream("reject.dat", "300", "5");
+    let cases: &[(&[&str], &[&str])] = &[
+        // ε·C² = 0.0064 < realized σ²: no noise region fits the contract.
+        (
+            &["--epsilon", "0.0001", "--delta", "0.9"],
+            &["infeasible", "raise ε/δ"],
+        ),
+        (
+            &["--scheme", "hybrid", "--lambda", "2"],
+            &["λ must be in [0,1]", "2"],
+        ),
+        (
+            &["--scheme", "hybrid", "--lambda", "-0.1"],
+            &["λ must be in [0,1]"],
+        ),
+        (
+            &["--scheme", "hybrid", "--lambda", "NaN"],
+            &["λ must be in [0,1]"],
+        ),
+        (
+            &["--scheme", "order", "--gamma", "40"],
+            &["γ must be at most 6", "40"],
+        ),
+        (
+            &["--scheme", "hybrid", "--gamma", "7"],
+            &["γ must be at most 6", "7"],
+        ),
+    ];
+    // A feasible contract first; a case's own flags come later and win.
+    let feasible = "--min-support 8 --vulnerable 3 --epsilon 0.05 --delta 0.4";
+    for (args, wants) in cases {
+        let mut protect = bin();
+        protect
+            .args(["protect", "--window", "200", "--input"])
+            .arg(&dat);
+        let mut serve = bin();
+        serve.args(["serve", "--addr", "127.0.0.1:0"]);
+        for (name, cmd) in [("protect", &mut protect), ("serve", &mut serve)] {
+            let out = cmd
+                .args(feasible.split(' '))
+                .args(*args)
+                .output()
+                .expect("run with bad contract");
+            let err = String::from_utf8(out.stderr).unwrap();
+            assert_eq!(out.status.code(), Some(1), "{name} {args:?}: {err}");
+            assert!(err.starts_with("error: "), "{name} {args:?}: {err}");
+            for want in *wants {
+                assert!(
+                    err.contains(want),
+                    "{name} {args:?}: {err:?} missing {want:?}"
+                );
+            }
+        }
+    }
+    std::fs::remove_file(dat).ok();
 }
 
 #[test]
@@ -237,6 +278,16 @@ fn unknown_flags_rejected_with_valid_set() {
         err.contains("--threads"),
         "global flags belong in the list: {err}"
     );
+
+    // The release engine has one path; the flag that used to pick it is gone.
+    let out = bin()
+        .args(["protect", "--input", "x.dat", "--incremental"])
+        .output()
+        .expect("run");
+    assert!(!out.status.success());
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(err.contains("unknown flag --incremental"), "got: {err}");
+    assert!(err.contains("--scheme"), "should list valid flags: {err}");
 
     // Flags valid for one command are still rejected on another.
     let out = bin()

@@ -8,7 +8,7 @@ use butterfly_repro::common::{Database, SlidingWindow};
 use butterfly_repro::datagen::DatasetProfile;
 use butterfly_repro::mining::closed::{closed_subset, expand_closed};
 use butterfly_repro::mining::{
-    mine_backend_matrix, Apriori, BackendKind, FpGrowth, MinerBackend, MomentMiner, WindowMiner,
+    mine_backend_matrix, Apriori, BackendKind, FpGrowth, MinerBackend, MomentMiner,
 };
 
 #[test]
@@ -20,7 +20,7 @@ fn moment_fpgrowth_apriori_agree_over_a_sliding_stream() {
 
     for step in 0..900 {
         let delta = window.slide(src.next_transaction());
-        WindowMiner::apply(&mut moment, &delta);
+        moment.apply(&delta);
         // Full checks are expensive; sample the stream at irregular points,
         // always including the window-fill boundary.
         if !(step == 399 || step % 173 == 0 && step > 399) {
@@ -32,7 +32,7 @@ fn moment_fpgrowth_apriori_agree_over_a_sliding_stream() {
         assert_eq!(apriori, fpgrowth, "static miners disagree at step {step}");
         let closed = closed_subset(&apriori);
         assert_eq!(
-            WindowMiner::closed_frequent(&moment),
+            moment.closed_frequent(),
             closed,
             "incremental CET diverged at step {step}"
         );
@@ -48,11 +48,11 @@ fn moment_handles_pos_profile_with_larger_baskets() {
     let c = 15u64;
     let mut moment = MomentMiner::new(c);
     for _ in 0..600 {
-        WindowMiner::apply(&mut moment, &window.slide(src.next_transaction()));
+        moment.apply(&window.slide(src.next_transaction()));
     }
     let db: Database = window.database();
     let expected = closed_subset(&FpGrowth::new(c).mine(&db));
-    assert_eq!(WindowMiner::closed_frequent(&moment), expected);
+    assert_eq!(moment.closed_frequent(), expected);
     assert!(moment.node_count() > 0);
 }
 
@@ -118,7 +118,7 @@ fn approximate_backends_cover_the_exact_result() {
     let mut truth = MomentMiner::new(c);
     for _ in 0..300 {
         let delta = window.slide(src.next_transaction());
-        WindowMiner::apply(&mut truth, &delta);
+        truth.apply(&delta);
         for b in approx.iter_mut() {
             b.apply(&delta);
         }

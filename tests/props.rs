@@ -317,8 +317,7 @@ fn utility_rates_are_probabilities() {
 #[test]
 fn moment_matches_oracle_on_arbitrary_streams() {
     use butterfly_repro::common::{SlidingWindow, Transaction};
-    use butterfly_repro::mining::window_miner::RescanMiner;
-    use butterfly_repro::mining::{MomentMiner, WindowMiner};
+    use butterfly_repro::mining::{MinerBackend, MomentMiner, RescanMiner};
     for case in 0..CASES / 2 {
         let mut rng = case_rng(12, case);
         let n_records = 1 + rng.gen_range_usize(59);

@@ -1,13 +1,16 @@
-//! Differential suite for the incremental `ReleaseEngine`: over 100+
-//! published windows of a random stream, the incremental publisher (FEC
-//! index delta-maintained across windows, order DP warm-started from the
-//! previous window's layers) must be **bit-identical** to the batch
-//! publisher — same releases, same deltas, at every thread count — and the
-//! delta chain must reconstruct every release exactly.
+//! Differential suite for the release engine: over 100+ published windows
+//! of a random stream, the `Publisher` (FEC index delta-maintained across
+//! windows, order DP warm-started from the previous window's layers) must be
+//! **bit-identical** to the from-scratch reference publication
+//! (`bfly_bench::publish_from_scratch`) — same releases, same deltas, under
+//! every scheme and at every thread count — the delta chain must
+//! reconstruct every release exactly, and a defense restored mid-sequence
+//! must continue as if it had never stopped.
 
+use bfly_bench::publish_from_scratch;
 use butterfly_repro::butterfly::{
-    partition_into_fecs, BiasScheme, FecIndex, PrivacySpec, Publisher, ReleaseDelta,
-    SanitizedItemset, SanitizedRelease, StreamPipeline,
+    partition_into_fecs, BiasScheme, DefenseKind, DefenseSpec, EngineStats, FecIndex, PrivacySpec,
+    Publisher, ReleaseDelta, SanitizedItemset, SanitizedRelease, StreamPipeline,
 };
 use butterfly_repro::common::{pool, ItemSet, SanitizedSupport, Support};
 use butterfly_repro::datagen::DatasetProfile;
@@ -16,18 +19,10 @@ use butterfly_repro::mining::FrequentItemsets;
 const WINDOW: usize = 150;
 const STEP: usize = 5;
 const WINDOWS: usize = 104;
+const SEED: u64 = 77;
 
 fn spec() -> PrivacySpec {
     PrivacySpec::new(10, 3, 0.1, 0.5)
-}
-
-fn scheme() -> BiasScheme {
-    // Hybrid exercises every incremental stage: the FEC index, the
-    // warm-started order DP, and the ratio blend.
-    BiasScheme::Hybrid {
-        lambda: 0.4,
-        gamma: 2,
-    }
 }
 
 /// Mine the shared window sequence once: the closed frequent itemsets at
@@ -78,29 +73,25 @@ fn flat_delta(d: &ReleaseDelta) -> FlatDelta {
     )
 }
 
+#[derive(Debug, PartialEq)]
 struct Run {
     releases: Vec<FlatRelease>,
     deltas: Vec<FlatDelta>,
-    dp_counters: Option<(u64, u64, u64)>,
 }
 
 /// Publish every window through one stateful publisher, checking the delta
 /// chain invariants as it goes: each delta diffs against the previous
 /// release exactly (`between`) and reconstructs the next one exactly
 /// (`apply`).
-fn run_engine(windows: &[FrequentItemsets], incremental: bool) -> Run {
-    run_engine_under(spec(), windows, incremental)
-}
-
-fn run_engine_under(spec: PrivacySpec, windows: &[FrequentItemsets], incremental: bool) -> Run {
-    let mut publisher = if incremental {
-        Publisher::new_incremental(spec, scheme(), 77)
-    } else {
-        Publisher::new(spec, scheme(), 77)
-    };
+fn run_engine(
+    spec: PrivacySpec,
+    scheme: BiasScheme,
+    windows: &[FrequentItemsets],
+) -> (Run, EngineStats) {
+    let mut publisher = Publisher::new(spec, scheme, SEED);
     let mut releases = Vec::new();
     let mut deltas = Vec::new();
-    let mut prev = SanitizedRelease::new(Vec::new());
+    let mut prev = SanitizedRelease::default();
     for w in windows {
         let (r, d) = publisher.publish_with_delta(w);
         assert_eq!(
@@ -117,16 +108,34 @@ fn run_engine_under(spec: PrivacySpec, windows: &[FrequentItemsets], incremental
         deltas.push(flat_delta(&d));
         prev = r;
     }
-    Run {
-        releases,
-        deltas,
-        dp_counters: publisher.incremental_stats(),
-    }
+    (Run { releases, deltas }, publisher.engine_stats())
 }
 
-/// The tentpole differential: batch and incremental publishers agree on
-/// every release and every delta of a 100+-window random stream, at 1, 2,
-/// and 8 threads, and the incremental DP cache actually engages.
+/// The same sequence through the from-scratch reference, which carries
+/// nothing between windows but the previous release.
+fn run_reference(spec: PrivacySpec, scheme: BiasScheme, windows: &[FrequentItemsets]) -> Run {
+    let mut releases = Vec::new();
+    let mut deltas = Vec::new();
+    let mut prev = SanitizedRelease::default();
+    for w in windows {
+        let r = publish_from_scratch(&spec, &scheme, SEED, &prev, w);
+        releases.push(flat_release(&r));
+        deltas.push(flat_delta(&ReleaseDelta::between(&prev, &r)));
+        prev = r;
+    }
+    Run { releases, deltas }
+}
+
+fn runs_the_order_dp(scheme: BiasScheme) -> bool {
+    matches!(
+        scheme,
+        BiasScheme::OrderPreserving { .. } | BiasScheme::Hybrid { .. }
+    )
+}
+
+/// The tentpole differential: engine and reference agree on every release
+/// and every delta of a 100+-window random stream under each of the paper's
+/// schemes, at 1, 2, and 8 threads, and the DP cache actually engages.
 #[test]
 fn incremental_engine_is_bit_identical_to_batch_at_every_thread_count() {
     let windows = collect_windows();
@@ -140,44 +149,30 @@ fn incremental_engine_is_bit_identical_to_batch_at_every_thread_count() {
         "a window mined nothing; pick a denser profile"
     );
 
-    pool::set_threads(1);
-    let base_batch = run_engine(&windows, false);
-    let base_incr = run_engine(&windows, true);
-    assert_eq!(
-        base_batch.releases, base_incr.releases,
-        "incremental releases diverged from batch at 1 thread"
-    );
-    assert_eq!(
-        base_batch.deltas, base_incr.deltas,
-        "incremental deltas diverged from batch at 1 thread"
-    );
-    assert!(base_batch.dp_counters.is_none(), "batch has no DP cache");
-    let (reuse, warm, full) = base_incr.dp_counters.expect("incremental publisher");
-    assert!(
-        reuse + warm > 0,
-        "DP cache never engaged on a ~97%-overlap stream (reuse {reuse}, warm {warm}, full {full})"
-    );
-
-    for threads in [2usize, 8] {
-        pool::set_threads(threads);
-        let batch = run_engine(&windows, false);
-        let incr = run_engine(&windows, true);
+    for scheme in BiasScheme::paper_variants(2) {
+        let name = scheme.name();
+        pool::set_threads(1);
+        let reference = run_reference(spec(), scheme, &windows);
+        let (base, base_stats) = run_engine(spec(), scheme, &windows);
         assert_eq!(
-            batch.releases, base_batch.releases,
-            "batch releases changed at {threads} threads"
+            base, reference,
+            "{name}: engine diverged from the reference"
         );
-        assert_eq!(
-            incr.releases, base_incr.releases,
-            "incremental releases changed at {threads} threads"
-        );
-        assert_eq!(
-            incr.deltas, base_incr.deltas,
-            "incremental deltas changed at {threads} threads"
-        );
-        assert_eq!(
-            incr.dp_counters, base_incr.dp_counters,
-            "cache decisions must be thread-count independent"
-        );
+        if runs_the_order_dp(scheme) {
+            assert!(
+                base_stats.dp_full_reuse + base_stats.dp_warm_starts > 0,
+                "{name}: DP cache never engaged on a ~97%-overlap stream ({base_stats:?})"
+            );
+        }
+        for threads in [2usize, 8] {
+            pool::set_threads(threads);
+            let (run, stats) = run_engine(spec(), scheme, &windows);
+            assert_eq!(run, base, "{name}: output changed at {threads} threads");
+            assert_eq!(
+                stats, base_stats,
+                "{name}: cache decisions must be thread-count independent"
+            );
+        }
     }
 
     // Leave the process-wide pool setting as other tests expect it.
@@ -188,22 +183,61 @@ fn incremental_engine_is_bit_identical_to_batch_at_every_thread_count() {
 /// sequence above (all but five records shared between neighbours) never
 /// goes: a twentieth of the window turns over per publication, the churn
 /// sits at the front of the support-ascending chain, and most solves restart
-/// from layer 0 with a splice further up. Batch and incremental must still
+/// from layer 0 with a splice further up. Engine and reference must still
 /// agree on every release and delta.
 #[test]
 fn incremental_engine_is_bit_identical_to_batch_at_a_slide_of_100() {
     let spec = PrivacySpec::new(25, 5, 0.016, 0.4);
     let windows = collect(spec, 2000, 100, 24);
     assert!(windows.windows(2).all(|w| w[0] != w[1]));
-    let batch = run_engine_under(spec, &windows, false);
-    let incr = run_engine_under(spec, &windows, true);
-    assert_eq!(batch.releases, incr.releases);
-    assert_eq!(batch.deltas, incr.deltas);
-    let (_, warm, full) = incr.dp_counters.expect("incremental publisher");
-    assert!(
-        full > 0 && warm > 0,
-        "the slide must exercise both restart kinds (warm {warm}, full {full})"
-    );
+    for scheme in BiasScheme::paper_variants(2) {
+        let (run, stats) = run_engine(spec, scheme, &windows);
+        assert_eq!(
+            run,
+            run_reference(spec, scheme, &windows),
+            "{}",
+            scheme.name()
+        );
+        if runs_the_order_dp(scheme) {
+            assert!(
+                stats.dp_full_solves > 0 && stats.dp_warm_starts > 0,
+                "{}: the slide must exercise both restart kinds ({stats:?})",
+                scheme.name()
+            );
+        }
+    }
+}
+
+/// What WAL recovery relies on, without a process in between: a fresh
+/// defense `restore`d from release *i* publishes the rest of the sequence
+/// byte-identically to the one that produced release *i* and kept going.
+#[test]
+fn a_defense_restored_mid_sequence_continues_byte_identically() {
+    let windows = collect_windows();
+    let scheme = BiasScheme::Hybrid {
+        lambda: 0.4,
+        gamma: 2,
+    };
+    for kind in DefenseKind::ALL {
+        let build = || DefenseSpec::new(kind).build(spec(), scheme, SEED);
+        let mut uninterrupted = build();
+        let published: Vec<(SanitizedRelease, ReleaseDelta)> = windows
+            .iter()
+            .map(|w| uninterrupted.publish_with_delta(w))
+            .collect();
+        for stop in [0, WINDOWS / 2] {
+            let mut restored = build();
+            restored.restore(stop as u64 + 1, &published[stop].0);
+            for (i, w) in windows.iter().enumerate().skip(stop + 1) {
+                let (r, d) = restored.publish_with_delta(w);
+                assert_eq!(
+                    (flat_release(&r), flat_delta(&d)),
+                    (flat_release(&published[i].0), flat_delta(&published[i].1)),
+                    "{kind}: restored after window {stop}, diverged at window {i}"
+                );
+            }
+        }
+    }
 }
 
 /// The delta-maintained FEC index tracks the batch partition over the whole
