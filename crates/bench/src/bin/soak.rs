@@ -15,8 +15,10 @@ use bfly_mining::{MinerBackend, MomentMiner, RescanMiner};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
+    // Moment re-derives its item order once per window turnover, so even
+    // the quick run takes the widest window below through six of them.
     let (steps, check_every) = if quick_mode() {
-        (2_000, 97)
+        (7_200, 97)
     } else {
         (20_000, 211)
     };

@@ -42,8 +42,7 @@ use std::collections::HashMap;
 /// (or, for scratch results, survives the intersection so far).
 ///
 /// The popcount is cached and maintained by [`TidBitmap::set`] /
-/// [`TidBitmap::clear`], so [`TidBitmap::count`] is O(1) — the Moment
-/// miner's closure checks compare supports on every update.
+/// [`TidBitmap::clear`], so [`TidBitmap::count`] is O(1).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TidBitmap {
     words: Vec<u64>,
@@ -211,30 +210,23 @@ impl TidBitmap {
         }
         kernel::is_subset(&self.words, &other.words)
     }
+}
 
-    /// Lowest set slot, if any.
-    pub fn first_slot(&self) -> Option<usize> {
-        self.words
-            .iter()
-            .enumerate()
-            .find_map(|(i, &w)| (w != 0).then(|| i * 64 + w.trailing_zeros() as usize))
-    }
-
-    /// Iterate set slots in ascending order.
-    pub fn iter_slots(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().flat_map(|(i, &word)| {
-            let mut w = word;
-            std::iter::from_fn(move || {
-                if w == 0 {
-                    None
-                } else {
-                    let bit = w.trailing_zeros() as usize;
-                    w &= w - 1;
-                    Some(i * 64 + bit)
-                }
-            })
+/// The set slots of a bitmap's words ([`TidBitmap::words`], or a raw slice
+/// the [`kernel`] functions produced), in ascending order.
+pub fn iter_slots(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(i, &word)| {
+        let mut w = word;
+        std::iter::from_fn(move || {
+            if w == 0 {
+                None
+            } else {
+                let bit = w.trailing_zeros() as usize;
+                w &= w - 1;
+                Some(i * 64 + bit)
+            }
         })
-    }
+    })
 }
 
 /// Caller-owned scratch buffer for intersect/subtract chains: one word
@@ -276,7 +268,8 @@ pub struct VerticalIndex {
     items: HashMap<Item, TidBitmap>,
     occupied: TidBitmap,
     /// Slot → tid of the transaction currently occupying it (stale entries
-    /// are masked by `occupied`).
+    /// are masked by `occupied`): what lets [`VerticalIndex::evict`] refuse
+    /// a tid that shares its slot with the live one.
     slot_tids: Vec<Tid>,
 }
 
@@ -301,7 +294,7 @@ impl VerticalIndex {
     pub fn of_database(db: &Database) -> Self {
         let mut index = VerticalIndex::new(db.len().max(1));
         for record in db.records() {
-            index.insert_items(record.tid(), record.items());
+            index.insert(record);
         }
         index
     }
@@ -327,24 +320,10 @@ impl VerticalIndex {
         (tid % self.capacity as u64) as usize
     }
 
-    /// The tid occupying `slot`.
-    ///
-    /// # Panics
-    /// If the slot is not occupied (debug builds).
-    pub fn slot_tid(&self, slot: usize) -> Tid {
-        debug_assert!(self.occupied.contains(slot), "slot {slot} is vacant");
-        self.slot_tids[slot]
-    }
-
     /// The bitmap of slots whose transaction contains `item` (`None` when
     /// no live transaction does).
     pub fn item_bits(&self, item: Item) -> Option<&TidBitmap> {
         self.items.get(&item)
-    }
-
-    /// The bitmap of live slots.
-    pub fn occupied(&self) -> &TidBitmap {
-        &self.occupied
     }
 
     /// Items with at least one live occurrence, in ascending order (for
@@ -361,20 +340,15 @@ impl VerticalIndex {
     /// If the transaction's slot is already occupied — the window outgrew
     /// the ring (insert without evict), which is a caller bug.
     pub fn insert(&mut self, t: &Transaction) {
-        self.insert_items(t.tid(), t.items());
-    }
-
-    /// [`VerticalIndex::insert`] without requiring a `Transaction` value.
-    pub fn insert_items(&mut self, tid: Tid, items: &ItemSet) {
-        let slot = self.slot_of(tid);
+        let slot = self.slot_of(t.tid());
         assert!(
             !self.occupied.contains(slot),
             "ring slot {slot} already occupied: window exceeds capacity {}",
             self.capacity
         );
         self.occupied.set(slot);
-        self.slot_tids[slot] = tid;
-        for item in items.iter() {
+        self.slot_tids[slot] = t.tid();
+        for item in t.items().iter() {
             self.items
                 .entry(item)
                 .or_insert_with(|| TidBitmap::new(self.capacity))
@@ -388,18 +362,14 @@ impl VerticalIndex {
     /// If the slot does not hold this tid (evicting something never
     /// inserted, or inserted and already evicted).
     pub fn evict(&mut self, t: &Transaction) {
-        self.evict_items(t.tid(), t.items());
-    }
-
-    /// [`VerticalIndex::evict`] without requiring a `Transaction` value.
-    pub fn evict_items(&mut self, tid: Tid, items: &ItemSet) {
+        let tid = t.tid();
         let slot = self.slot_of(tid);
         assert!(
             self.occupied.contains(slot) && self.slot_tids[slot] == tid,
             "evicting tid {tid} that does not occupy its ring slot"
         );
         self.occupied.clear(slot);
-        for item in items.iter() {
+        for item in t.items().iter() {
             if let Some(bits) = self.items.get_mut(&item) {
                 bits.clear(slot);
                 if bits.is_empty() {
@@ -584,12 +554,12 @@ mod tests {
         b.set(64); // idempotent
         assert_eq!(b.count(), 3);
         assert!(b.contains(64));
-        assert_eq!(b.first_slot(), Some(0));
+        assert_eq!(iter_slots(b.words()).next(), Some(0));
         b.clear(0);
         b.clear(0); // idempotent
         assert_eq!(b.count(), 2);
-        assert_eq!(b.first_slot(), Some(64));
-        assert_eq!(b.iter_slots().collect::<Vec<_>>(), vec![64, 129]);
+        assert_eq!(iter_slots(b.words()).next(), Some(64));
+        assert_eq!(iter_slots(b.words()).collect::<Vec<_>>(), vec![64, 129]);
     }
 
     #[test]
@@ -605,11 +575,11 @@ mod tests {
         assert_eq!(a.and_count(&b), 2);
         let mut i = a.clone();
         i.intersect_with(&b);
-        assert_eq!(i.iter_slots().collect::<Vec<_>>(), vec![5, 64]);
+        assert_eq!(iter_slots(i.words()).collect::<Vec<_>>(), vec![5, 64]);
         assert_eq!(i.count(), 2);
         let mut d = a.clone();
         d.subtract_with(&b);
-        assert_eq!(d.iter_slots().collect::<Vec<_>>(), vec![1, 70]);
+        assert_eq!(iter_slots(d.words()).collect::<Vec<_>>(), vec![1, 70]);
         let mut u = a.clone();
         u.union_with(&b);
         assert_eq!(u.count(), 5);

@@ -3,7 +3,7 @@
 //! Re-implements the system the paper hosts Butterfly on (Chi, Wang, Yu &
 //! Muntz, *Moment: Maintaining closed frequent itemsets over a stream
 //! sliding window*, ICDM 2004): a **closed enumeration tree** (CET) whose
-//! nodes carry exact tidsets and one of four types —
+//! nodes carry exact supports and one of four types —
 //!
 //! * **infrequent gateway** — support below `C`; children not explored;
 //! * **unpromising gateway** — frequent, but some *skipped* item (an item
@@ -17,258 +17,63 @@
 //! Insertions and deletions walk only the nodes whose itemset is contained
 //! in the arriving/leaving transaction, flipping node types locally and
 //! re-exploring subtrees only on gateway→promising transitions — the
-//! property that makes the miner incremental. Where our implementation
-//! differs from the original (tidsets instead of the paper's FP-tree-backed
-//! counters), the observable behaviour is identical; differential tests
-//! against [`RescanMiner`](crate::RescanMiner) enforce that on
-//! randomized streams.
+//! property that makes the miner incremental. The layout (DESIGN.md, "The
+//! Moment CET") keeps that walk in cache: items are enumerated **rarest
+//! first** by dense code, re-ranked from the live window once per turnover;
+//! a **gateway is only an entry** in its promising parent's sorted array;
+//! **no node stores a tidset** (the walk re-derives them, one AND a level);
+//! tables are **indexed by code**, never by a client-chosen item id.
+//! Differential tests against [`RescanMiner`](crate::RescanMiner) enforce
+//! that none of it is observable.
 
 use crate::backend::MinerBackend;
 use crate::closed::expand_closed;
 use crate::result::FrequentItemsets;
-use bfly_common::{Item, ItemSet, Support, TidBitmap, Transaction, VerticalIndex, WindowDelta};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use bfly_common::tidmap::{iter_slots, kernel};
+use bfly_common::transaction::Tid;
+use bfly_common::{Item, ItemSet, Support, Transaction, WindowDelta};
+use std::collections::HashMap;
 
-type Tid = u64;
-
-/// Starting ring size for the miner's vertical index; doubled (and the CET
-/// remapped) whenever the live tid range outgrows it.
+/// Starting ring size; doubled whenever the live tid range outgrows it.
 const INITIAL_RING: usize = 64;
 
-/// The four CET node types.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum NodeKind {
-    InfrequentGateway,
-    UnpromisingGateway,
-    Intermediate,
-    Closed,
+/// `Entry::child` of a gateway.
+const NONE: u32 = u32::MAX;
+
+/// One child of a promising node: its itemset extended by item `key as u32`.
+/// A frequent entry owns a `child` record (promising) or failed the prefix-
+/// preservation test when a transaction containing it last arrived.
+#[derive(Clone, Copy, Debug)]
+struct Entry {
+    /// Rank bit ‖ item code ([`MomentMiner::key`]); entries are sorted by it.
+    key: u64,
+    /// Exact support of the extended itemset in the window.
+    support: u32,
+    /// Arena index of the promising node's record, or [`NONE`].
+    child: u32,
 }
 
-/// One CET node. The node's itemset is implicit: the path of extension
-/// items from the root (strictly increasing by item id).
-#[derive(Clone, Debug)]
-struct CetNode {
-    /// Extension item that created this node; `None` only for the root.
-    item: Option<Item>,
-    /// Exact tidset of the node's itemset within the current window, as a
-    /// bitmap over the miner's ring slots (cached popcount: `support()` is
-    /// O(1)).
-    tids: TidBitmap,
-    kind: NodeKind,
-    /// Children keyed by extension item (all `> self.item`).
-    children: BTreeMap<Item, CetNode>,
+/// An entry as it is created: a gateway nothing supports yet.
+const GATEWAY: Entry = Entry {
+    key: 0,
+    support: 0,
+    child: NONE,
+};
+
+/// What the miner keeps per item code; ordered rarest first.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+struct Coded {
+    /// Live transactions containing the item.
+    count: u32,
+    item: Item,
 }
 
-impl CetNode {
-    fn root(capacity: usize) -> Self {
-        CetNode {
-            item: None,
-            tids: TidBitmap::new(capacity),
-            // The root is permanently treated as promising so updates always
-            // descend into the singleton layer; it is never output.
-            kind: NodeKind::Intermediate,
-            children: BTreeMap::new(),
-        }
-    }
-
-    fn support(&self) -> Support {
-        self.tids.count() as Support
-    }
-
-    fn is_root(&self) -> bool {
-        self.item.is_none()
-    }
-
-    /// Does `candidate` extend this node (strictly increasing path order)?
-    fn extends(&self, candidate: Item) -> bool {
-        self.item.is_none_or(|own| candidate > own)
-    }
-}
-
-/// Shared lookup state the recursive CET operations borrow immutably while
-/// the tree itself is borrowed mutably.
-struct Ctx<'a> {
-    min_support: Support,
-    txs: &'a HashMap<Tid, ItemSet>,
-    index: &'a VerticalIndex,
-}
-
-impl Ctx<'_> {
-    /// LCM prefix-preservation test: is some skipped item (ordered before
-    /// `own_item`, not in `itemset`) present in *every* supporting
-    /// transaction? Candidates are read off one supporting transaction
-    /// (such an item must occur in all of them, so in particular the first);
-    /// the "every" check is a word-level bitmap subset test.
-    fn is_unpromising(&self, itemset: &ItemSet, own_item: Item, tids: &TidBitmap) -> bool {
-        let Some(witness_slot) = tids.first_slot() else {
-            return false;
-        };
-        let witness = self.index.slot_tid(witness_slot);
-        for cand in self.txs[&witness].iter() {
-            if cand >= own_item {
-                break; // transaction items are ascending
-            }
-            if itemset.contains(cand) {
-                continue;
-            }
-            if let Some(cand_tids) = self.index.item_bits(cand) {
-                if tids.is_subset_of(cand_tids) {
-                    return true;
-                }
-            }
-        }
-        false
-    }
-}
-
-/// Rebuild `node`'s subtree from its (correct) tidset. Precondition: the
-/// node is frequent and promising. Sets the node's closed/intermediate kind.
-fn explore(node: &mut CetNode, itemset: &ItemSet, ctx: &Ctx) {
-    node.children.clear();
-    // Candidate extension items come from the supporting transactions; each
-    // child's exact tidset is then one AND with the item's bitmap.
-    let mut cand_items: BTreeSet<Item> = BTreeSet::new();
-    for slot in node.tids.iter_slots() {
-        let tid = ctx.index.slot_tid(slot);
-        for item in ctx.txs[&tid].iter() {
-            if node.extends(item) {
-                cand_items.insert(item);
-            }
-        }
-    }
-    for item in cand_items {
-        let item_bits = ctx
-            .index
-            .item_bits(item)
-            .expect("candidate item occurs in a live transaction");
-        let mut tids = TidBitmap::new(node.tids.capacity());
-        tids.assign_and(&node.tids, item_bits);
-        let child_itemset = itemset.with(item);
-        let mut child = CetNode {
-            item: Some(item),
-            tids,
-            kind: NodeKind::InfrequentGateway,
-            children: BTreeMap::new(),
-        };
-        classify_and_build(&mut child, &child_itemset, ctx);
-        node.children.insert(item, child);
-    }
-    refresh_closure(node);
-}
-
-/// Decide a node's kind from scratch (and build its subtree if promising).
-fn classify_and_build(node: &mut CetNode, itemset: &ItemSet, ctx: &Ctx) {
-    if node.support() < ctx.min_support {
-        node.kind = NodeKind::InfrequentGateway;
-        node.children.clear();
-    } else if ctx.is_unpromising(itemset, node.item.expect("non-root"), &node.tids) {
-        node.kind = NodeKind::UnpromisingGateway;
-        node.children.clear();
-    } else {
-        explore(node, itemset, ctx);
-    }
-}
-
-/// Recompute closed-vs-intermediate from the children's supports.
-fn refresh_closure(node: &mut CetNode) {
-    let support = node.tids.count();
-    node.kind = if node.children.values().any(|c| c.tids.count() == support) {
-        NodeKind::Intermediate
-    } else {
-        NodeKind::Closed
-    };
-}
-
-/// Insert the transaction at ring slot `slot` (with itemset `t`) into every
-/// CET node whose itemset it supports. Precondition: the node's itemset ⊆ `t`.
-fn insert_rec(node: &mut CetNode, itemset: &ItemSet, t: &ItemSet, slot: usize, ctx: &Ctx) {
-    node.tids.set(slot);
-    match node.kind {
-        NodeKind::InfrequentGateway | NodeKind::UnpromisingGateway => {
-            if node.support() >= ctx.min_support {
-                // Newly frequent, or the arriving transaction may lack the
-                // subsuming skipped item and revive an unpromising subtree:
-                // classify fully. Cheap when nothing changed (no explore).
-                classify_and_build(node, itemset, ctx);
-            } else {
-                // An unpromising gateway whose support decayed below C while
-                // parked is really just infrequent; normalize so the
-                // frequency transition above re-classifies it later.
-                node.kind = NodeKind::InfrequentGateway;
-            }
-        }
-        NodeKind::Intermediate | NodeKind::Closed => {
-            // Promising stays promising under insertion (a subsumption that
-            // failed before still has its failing witness tid). Descend and
-            // create children for extension items seen for the first time.
-            for item in t.iter() {
-                if !node.extends(item) {
-                    continue;
-                }
-                let child_itemset = itemset.with(item);
-                match node.children.get_mut(&item) {
-                    Some(child) => insert_rec(child, &child_itemset, t, slot, ctx),
-                    None => {
-                        // Every earlier supporting transaction lacked this
-                        // item (children are exhaustive for a promising
-                        // node), so the child's tidset is exactly {slot}.
-                        let mut tids = TidBitmap::new(ctx.index.capacity());
-                        tids.set(slot);
-                        let mut child = CetNode {
-                            item: Some(item),
-                            tids,
-                            kind: NodeKind::InfrequentGateway,
-                            children: BTreeMap::new(),
-                        };
-                        classify_and_build(&mut child, &child_itemset, ctx);
-                        node.children.insert(item, child);
-                    }
-                }
-            }
-            if !node.is_root() {
-                refresh_closure(node);
-            }
-        }
-    }
-}
-
-/// Remove the transaction at ring slot `slot` (itemset `t`) from every CET
-/// node whose itemset it supports.
-fn delete_rec(node: &mut CetNode, itemset: &ItemSet, t: &ItemSet, slot: usize, ctx: &Ctx) {
-    node.tids.clear(slot);
-    match node.kind {
-        // Gateways only shrink further under deletion; their kinds are
-        // stable (infrequent stays infrequent; a subsumption over a smaller
-        // tidset still holds).
-        NodeKind::InfrequentGateway | NodeKind::UnpromisingGateway => {}
-        NodeKind::Intermediate | NodeKind::Closed => {
-            if !node.is_root() {
-                if node.support() < ctx.min_support {
-                    node.kind = NodeKind::InfrequentGateway;
-                    node.children.clear();
-                    return;
-                }
-                // A shrinking tidset can newly satisfy a subsumption.
-                if ctx.is_unpromising(itemset, node.item.expect("non-root"), &node.tids) {
-                    node.kind = NodeKind::UnpromisingGateway;
-                    node.children.clear();
-                    return;
-                }
-            }
-            for item in t.iter() {
-                if !node.extends(item) {
-                    continue;
-                }
-                if let Some(child) = node.children.get_mut(&item) {
-                    let child_itemset = itemset.with(item);
-                    delete_rec(child, &child_itemset, t, slot, ctx);
-                }
-            }
-            if !node.is_root() {
-                refresh_closure(node);
-            }
-        }
-    }
+/// One ring slot: its transaction's tid, and its items as codes sorted by
+/// key — kept when it leaves, for the deletion walk and the next occupant.
+#[derive(Clone, Debug, Default)]
+struct Slot {
+    tid: Option<Tid>,
+    codes: Vec<u32>,
 }
 
 /// CET node-type census (see [`MomentMiner::node_stats`]).
@@ -313,12 +118,29 @@ impl CetStats {
 #[derive(Clone, Debug)]
 pub struct MomentMiner {
     min_support: Support,
-    txs: HashMap<Tid, ItemSet>,
-    /// Vertical view of the window: per-item tid bitmaps over a ring whose
-    /// capacity doubles (remapping the CET) when the live tid range outgrows
-    /// it — O(log max-window) rebuilds over a run, O(1) slides otherwise.
-    index: VerticalIndex,
-    root: CetNode,
+    /// Raw item id → code: the one table keyed by what a client chooses.
+    code_of: HashMap<Item, u32>,
+    /// Per-code table; the last re-rank numbered the codes below `ranked`.
+    coded: Vec<Coded>,
+    ranked: u32,
+    /// `explore`'s scratch counter per code, zero between calls.
+    tally: Vec<u32>,
+    /// Inserts left until the order is re-derived (counted down from the
+    /// window length the last re-rank saw: observed, not configured).
+    until_rerank: usize,
+    /// Code → bitmap (`words` words) of the slots whose transaction has it.
+    bits: Vec<u64>,
+    words: usize,
+    /// The ring: slot `tid mod len` → transaction.
+    slots: Vec<Slot>,
+    /// Arena of the promising nodes' entries. `nodes[0]` is the root (the
+    /// empty itemset, never output); freed records are empty, on `free`.
+    nodes: Vec<Vec<Entry>>,
+    free: Vec<u32>,
+    /// Where the walk stands: its itemset's codes, and the tidset of each
+    /// prefix (`words` words a level; level 0, the live slots, persists).
+    path: Vec<u32>,
+    tids: Vec<u64>,
 }
 
 impl MomentMiner {
@@ -330,83 +152,44 @@ impl MomentMiner {
         assert!(min_support > 0, "min_support must be positive");
         MomentMiner {
             min_support,
-            txs: HashMap::new(),
-            index: VerticalIndex::new(INITIAL_RING),
-            root: CetNode::root(INITIAL_RING),
+            code_of: HashMap::new(),
+            coded: Vec::new(),
+            ranked: 0,
+            tally: Vec::new(),
+            until_rerank: 0,
+            bits: Vec::new(),
+            words: INITIAL_RING / 64,
+            slots: vec![Slot::default(); INITIAL_RING],
+            nodes: vec![Vec::new()],
+            free: Vec::new(),
+            path: Vec::new(),
+            tids: vec![0; INITIAL_RING / 64],
         }
-    }
-
-    /// Grow the ring until `tid`'s slot is free, remapping every CET bitmap
-    /// old-slot → tid → new-slot. Called before `tid` enters `txs`/`index`.
-    fn ensure_slot_free(&mut self, tid: Tid) {
-        if !self.index.occupied().contains(self.index.slot_of(tid)) {
-            return;
-        }
-        // Find a capacity where every live tid plus the newcomer lands on a
-        // distinct slot. Live tids span a contiguous window range, so a few
-        // doublings always suffice.
-        let mut cap = self.index.capacity();
-        'grow: loop {
-            cap *= 2;
-            let mut seen = vec![false; cap];
-            for t in self.txs.keys().copied().chain([tid]) {
-                let slot = (t % cap as u64) as usize;
-                if seen[slot] {
-                    continue 'grow;
-                }
-                seen[slot] = true;
-            }
-            break;
-        }
-        let old = std::mem::replace(&mut self.index, VerticalIndex::new(cap));
-        for (&t, items) in &self.txs {
-            self.index.insert_items(t, items);
-        }
-        fn remap(node: &mut CetNode, old: &VerticalIndex, new: &VerticalIndex) {
-            let mut tids = TidBitmap::new(new.capacity());
-            for slot in node.tids.iter_slots() {
-                tids.set(new.slot_of(old.slot_tid(slot)));
-            }
-            node.tids = tids;
-            for child in node.children.values_mut() {
-                remap(child, old, new);
-            }
-        }
-        remap(&mut self.root, &old, &self.index);
     }
 
     /// Number of transactions currently in the window.
     pub fn window_len(&self) -> usize {
-        self.txs.len()
+        kernel::popcount(&self.tids[..self.words]) as usize
     }
 
-    /// Number of live CET nodes — the miner's working-set size, reported by
-    /// the efficiency experiments.
+    /// Number of live CET nodes (every entry is one; the root is not) —
+    /// the working-set size the efficiency experiments report.
     pub fn node_count(&self) -> usize {
-        fn count(node: &CetNode) -> usize {
-            1 + node.children.values().map(count).sum::<usize>()
-        }
-        count(&self.root) - 1 // exclude the root sentinel
+        self.nodes.iter().map(Vec::len).sum()
     }
 
-    /// Per-type CET node counts `(infrequent gateways, unpromising
-    /// gateways, intermediate, closed)` — the structural statistic the
-    /// Moment paper uses to argue the CET stays compact: the boundary
-    /// (gateway) nodes dominate while the closed core stays small.
+    /// Per-type CET node counts — the Moment paper's structural statistic:
+    /// the boundary (gateway) nodes dominate, the closed core stays small.
     pub fn node_stats(&self) -> CetStats {
-        fn walk(node: &CetNode, stats: &mut CetStats) {
-            for child in node.children.values() {
-                match child.kind {
-                    NodeKind::InfrequentGateway => stats.infrequent_gateways += 1,
-                    NodeKind::UnpromisingGateway => stats.unpromising_gateways += 1,
-                    NodeKind::Intermediate => stats.intermediate += 1,
-                    NodeKind::Closed => stats.closed += 1,
-                }
-                walk(child, stats);
-            }
-        }
         let mut stats = CetStats::default();
-        walk(&self.root, &mut stats);
+        for entry in self.nodes.iter().flatten() {
+            *match (self.is_frequent(entry.support), entry.child != NONE) {
+                (false, _) => &mut stats.infrequent_gateways,
+                (true, false) => &mut stats.unpromising_gateways,
+                (true, true) if self.is_closed(entry) => &mut stats.closed,
+                (true, true) => &mut stats.intermediate,
+            } += 1;
+        }
         stats
     }
 
@@ -415,50 +198,277 @@ impl MomentMiner {
         expand_closed(&self.closed_frequent())
     }
 
-    fn ctx(&self) -> Ctx<'_> {
-        Ctx {
-            min_support: self.min_support,
-            txs: &self.txs,
-            index: &self.index,
+    fn is_frequent(&self, support: u32) -> bool {
+        Support::from(support) >= self.min_support
+    }
+
+    /// A promising entry is closed unless an extension has its support.
+    fn is_closed(&self, entry: &Entry) -> bool {
+        let extensions = &self.nodes[entry.child as usize];
+        extensions.iter().all(|e| e.support != entry.support)
+    }
+
+    /// Position of `code` in the enumeration order: items new since the last
+    /// re-rank (rare by construction) by arrival, then the ranked, rarest first.
+    fn key(&self, code: u32) -> u64 {
+        u64::from(code) | u64::from(code < self.ranked) << 32
+    }
+
+    fn slot_of(&self, tid: Tid) -> usize {
+        (tid % self.slots.len() as u64) as usize
+    }
+
+    /// Step the walk onto the extension of its itemset by `code`: AND the
+    /// tidset on top of the stack with the item's bitmap into a new level.
+    fn descend(&mut self, code: u32, support: u32) {
+        let (w, depth) = (self.words, self.path.len());
+        self.tids.resize(self.tids.len().max((depth + 2) * w), 0);
+        let (above, below) = self.tids.split_at_mut((depth + 1) * w);
+        let bits = &self.bits[code as usize * w..][..w];
+        let count = kernel::assign_and_count(&mut below[..w], &above[depth * w..], bits);
+        debug_assert_eq!(count, u64::from(support), "entry counter drifted");
+        self.path.push(code);
+    }
+
+    /// LCM prefix-preservation test where the walk stands: does some skipped
+    /// item (ordered before the last path item, not on the path) occur in
+    /// *every* supporting transaction? Candidates are read off the first one
+    /// and rejected by their item count before any word is touched.
+    fn is_unpromising(&self, support: u32) -> bool {
+        let w = self.words;
+        let tids = &self.tids[self.path.len() * w..][..w];
+        let witness = iter_slots(tids).next().expect("a frequent itemset");
+        let own = self.key(*self.path.last().expect("below the root"));
+        let skipped = self.slots[witness].codes.iter();
+        skipped
+            .take_while(|&&c| self.key(c) < own)
+            .filter(|c| !self.path.contains(c))
+            .any(|&c| {
+                self.coded[c as usize].count >= support
+                    && kernel::is_subset(tids, &self.bits[c as usize * w..][..w])
+            })
+    }
+
+    /// Entry `idx` of `node` (the node the walk stands on) is frequent and
+    /// has no record: build its subtree unless a skipped item subsumes it.
+    fn classify(&mut self, node: usize, idx: usize) {
+        let Entry { key, support, .. } = self.nodes[node][idx];
+        self.descend(key as u32, support);
+        if !self.is_unpromising(support) {
+            let child = self.free.pop().unwrap_or(self.nodes.len() as u32);
+            let len = self.nodes.len().max(child as usize + 1);
+            self.nodes.resize(len, Vec::new());
+            self.nodes[node][idx].child = child;
+            self.explore(child as usize);
+        }
+        self.path.pop();
+    }
+
+    /// Fill the empty record of the promising node the walk stands on: tally
+    /// its supporting transactions' later items, classify the frequent ones.
+    fn explore(&mut self, node: usize) {
+        let mut entries = std::mem::take(&mut self.nodes[node]);
+        self.tally.resize(self.coded.len(), 0);
+        let floor = self.path.last().map_or(0, |&own| self.key(own) + 1);
+        let w = self.words;
+        for slot in iter_slots(&self.tids[self.path.len() * w..][..w]) {
+            for &code in self.slots[slot].codes.iter().rev() {
+                let key = self.key(code);
+                if key < floor {
+                    break;
+                }
+                let tally = &mut self.tally[code as usize];
+                if *tally == 0 {
+                    entries.push(Entry { key, ..GATEWAY });
+                }
+                *tally += 1;
+            }
+        }
+        entries.sort_unstable_by_key(|e| e.key);
+        for entry in &mut entries {
+            entry.support = std::mem::take(&mut self.tally[entry.key as u32 as usize]);
+        }
+        self.nodes[node] = entries;
+        for idx in 0..self.nodes[node].len() {
+            if self.is_frequent(self.nodes[node][idx].support) {
+                self.classify(node, idx);
+            }
         }
     }
 
-    /// A transaction entered the window.
-    ///
-    /// # Panics
-    /// If its tid is already in the window.
-    fn insert(&mut self, t: &Transaction) {
-        let tid = t.tid();
-        assert!(!self.txs.contains_key(&tid), "tid {tid} inserted twice");
-        self.ensure_slot_free(tid);
-        self.txs.insert(tid, t.items().clone());
-        self.index.insert_items(tid, t.items());
-        let slot = self.index.slot_of(tid);
-        // Split borrows: the tree is mutated while the lookup state is read.
-        let mut root = std::mem::replace(&mut self.root, CetNode::root(1));
-        insert_rec(&mut root, &ItemSet::empty(), t.items(), slot, &self.ctx());
-        self.root = root;
+    /// Return `node`'s record and every record below it to the free list.
+    fn release(&mut self, node: u32) {
+        while let Some(entry) = self.nodes[node as usize].pop() {
+            if entry.child != NONE {
+                self.release(entry.child);
+            }
+        }
+        self.free.push(node);
     }
 
-    /// A transaction left the window.
-    ///
-    /// # Panics
-    /// If it is not in the window.
-    fn delete(&mut self, t: &Transaction) {
+    /// Add the transaction in `slot` to (`delta` = 1), or remove the one that
+    /// just left it from (−1), every entry under `node` (where the walk
+    /// stands) that its items `codes[from..]`, those after the node's, reach.
+    fn update(&mut self, node: usize, slot: usize, from: usize, delta: i32) {
+        let (mut at, mut emptied) = (0, false);
+        for pos in from..self.slots[slot].codes.len() {
+            let code = self.slots[slot].codes[pos];
+            let key = self.key(code);
+            let entries = &mut self.nodes[node];
+            at += entries[at..].partition_point(|e| e.key < key);
+            if entries.get(at).is_none_or(|e| e.key != key) {
+                // Entries are exhaustive for a promising node: every
+                // earlier supporting transaction lacked this item.
+                debug_assert!(delta > 0, "a departing transaction was counted");
+                entries.insert(at, Entry { key, ..GATEWAY });
+            }
+            entries[at].support = entries[at].support.wrapping_add_signed(delta);
+            let Entry { support, child, .. } = entries[at];
+            emptied |= support == 0;
+            if child == NONE {
+                // A shrinking gateway keeps its kind (a subsumption over a
+                // smaller tidset still holds). A growing one may be newly
+                // frequent, or the arrival may lack the item that subsumed it.
+                if delta > 0 && self.is_frequent(support) {
+                    self.classify(node, at);
+                }
+            } else {
+                // Promising stays promising under insertion (a subsumption
+                // that failed keeps its failing witness tid); under deletion
+                // it can fall below C or newly satisfy a subsumption.
+                self.descend(code, support);
+                if delta > 0 || self.is_frequent(support) && !self.is_unpromising(support) {
+                    self.update(child as usize, slot, pos + 1, delta);
+                } else {
+                    self.release(child);
+                    self.nodes[node][at].child = NONE;
+                }
+                self.path.pop();
+            }
+            at += 1;
+        }
+        if emptied {
+            self.nodes[node].retain(|e| e.support > 0);
+        }
+    }
+
+    /// Add (`delta` = 1) or remove (−1) the transaction in `slot` to/from
+    /// the item bitmaps and counts and the live-slot set.
+    fn index_slot(&mut self, slot: usize, delta: i32) {
+        let (word, mask) = (slot / 64, 1u64 << (slot % 64));
+        self.tids[word] ^= mask;
+        for &code in &self.slots[slot].codes {
+            self.bits[code as usize * self.words + word] ^= mask;
+            let count = &mut self.coded[code as usize].count;
+            *count = count.wrapping_add_signed(delta);
+        }
+    }
+
+    /// Rebuild what `index_slot` maintains, after the ring or the codes changed.
+    fn reslot(&mut self) {
+        self.bits = vec![0; self.coded.len() * self.words];
+        self.tids = vec![0; self.words];
+        self.coded.iter_mut().for_each(|c| c.count = 0);
+        for slot in 0..self.slots.len() {
+            if self.slots[slot].tid.is_some() {
+                self.index_slot(slot, 1);
+            }
+        }
+    }
+
+    /// Double the ring. Live tids distinct modulo its length stay distinct
+    /// modulo twice that, each in its old slot or one old length further.
+    fn double_ring(&mut self) {
+        let cap = self.slots.len();
+        self.slots.resize(2 * cap, Slot::default());
+        for slot in 0..cap {
+            let moved = |tid| self.slot_of(tid) != slot;
+            if self.slots[slot].tid.is_some_and(moved) {
+                self.slots.swap(slot, slot + cap);
+            }
+        }
+        self.words = 2 * cap / 64;
+        self.reslot();
+    }
+
+    /// Renumber the live items by `(window count, item)` ascending and rebuild
+    /// the tree from the root: a function of the window's content alone.
+    fn rerank(&mut self) {
+        let live = |c: &u32| self.coded[*c as usize].count > 0;
+        let mut order: Vec<u32> = (0..self.coded.len() as u32).filter(live).collect();
+        order.sort_unstable_by_key(|&c| self.coded[c as usize]);
+        let mut recode = vec![NONE; self.coded.len()];
+        for (new, &old) in (0..).zip(&order) {
+            recode[old as usize] = new;
+        }
+        self.coded = order.iter().map(|&c| self.coded[c as usize]).collect();
+        self.code_of = (0..).zip(&self.coded).map(|(i, c)| (c.item, i)).collect();
+        self.ranked = self.coded.len() as u32;
+        for slot in self.slots.iter_mut().filter(|s| s.tid.is_some()) {
+            slot.codes.iter_mut().for_each(|c| *c = recode[*c as usize]);
+            slot.codes.sort_unstable();
+        }
+        self.reslot();
+        self.nodes = vec![Vec::new()];
+        self.free.clear();
+        self.explore(0);
+        self.until_rerank = self.window_len();
+    }
+
+    /// A transaction entered the window. Panics if its tid is already in it.
+    fn insert(&mut self, t: &Transaction) {
         let tid = t.tid();
-        let stored = self
-            .txs
-            .remove(&tid)
-            .expect("deleting a transaction that is not in the window");
-        let slot = self.index.slot_of(tid);
-        self.index.evict_items(tid, &stored);
-        // The checks must see the post-delete item bitmaps, and the stored
-        // itemset (not the caller's copy) is the ground truth. The deletion
-        // walk itself never resolves the departing slot through Ctx: each
-        // node clears it from its bitmap before any subsumption check runs.
-        let mut root = std::mem::replace(&mut self.root, CetNode::root(1));
-        delete_rec(&mut root, &ItemSet::empty(), &stored, slot, &self.ctx());
-        self.root = root;
+        while let Some(held) = self.slots[self.slot_of(tid)].tid {
+            assert!(held != tid, "tid {tid} inserted twice");
+            self.double_ring();
+        }
+        let slot = self.slot_of(tid);
+        let mut codes = std::mem::take(&mut self.slots[slot].codes);
+        codes.clear();
+        for item in t.items().iter() {
+            let next = self.coded.len() as u32;
+            let code = *self.code_of.entry(item).or_insert(next);
+            if code == next {
+                self.coded.push(Coded { item, count: 0 });
+                self.bits.resize(self.bits.len() + self.words, 0);
+            }
+            codes.push(code);
+        }
+        codes.sort_unstable_by_key(|&c| self.key(c));
+        self.slots[slot].codes = codes;
+        self.slots[slot].tid = Some(tid);
+        self.index_slot(slot, 1);
+        if self.until_rerank <= 1 {
+            self.rerank();
+        } else {
+            self.until_rerank -= 1;
+            self.update(0, slot, 0, 1);
+        }
+    }
+
+    /// A transaction left the window. Panics if it is not in it.
+    fn delete(&mut self, t: &Transaction) {
+        let slot = self.slot_of(t.tid());
+        assert!(
+            self.slots[slot].tid == Some(t.tid()),
+            "deleting a transaction that is not in the window"
+        );
+        // The stored codes, not the caller's copy, are the ground truth.
+        self.slots[slot].tid = None;
+        self.index_slot(slot, -1);
+        self.update(0, slot, 0, -1);
+    }
+
+    /// Append the closed itemsets below `node` (itself `path`) as `ItemSet`s.
+    fn closed_under(&self, node: usize, path: &mut Vec<Item>, out: &mut Vec<(ItemSet, Support)>) {
+        for entry in self.nodes[node].iter().filter(|e| e.child != NONE) {
+            path.push(self.coded[entry.key as u32 as usize].item);
+            if self.is_closed(entry) {
+                out.push((ItemSet::new(path.iter().copied()), entry.support.into()));
+            }
+            self.closed_under(entry.child as usize, path, out);
+            path.pop();
+        }
     }
 }
 
@@ -475,19 +485,8 @@ impl MinerBackend for MomentMiner {
     }
 
     fn closed_frequent(&self) -> FrequentItemsets {
-        let mut out: Vec<(ItemSet, Support)> = Vec::new();
-        fn walk(node: &CetNode, itemset: &ItemSet, out: &mut Vec<(ItemSet, Support)>) {
-            for (item, child) in &node.children {
-                let child_itemset = itemset.with(*item);
-                if child.kind == NodeKind::Closed {
-                    out.push((child_itemset.clone(), child.support()));
-                }
-                if matches!(child.kind, NodeKind::Closed | NodeKind::Intermediate) {
-                    walk(child, &child_itemset, out);
-                }
-            }
-        }
-        walk(&self.root, &ItemSet::empty(), &mut out);
+        let mut out = Vec::new();
+        self.closed_under(0, &mut Vec::new(), &mut out);
         FrequentItemsets::new(out)
     }
 
@@ -647,12 +646,48 @@ mod tests {
     }
 
     #[test]
+    fn dead_items_leave_no_entry_and_no_code_behind() {
+        // One evergreen item and two never-repeated ones per transaction:
+        // 40 001 distinct items over the run, 201 of them live at any time.
+        // Before entries were dropped at support 0 this stream ended at
+        // node_count() == 80 001 — a client choosing item ids could grow a
+        // shard without bound.
+        const W: usize = 100;
+        let mut w = SlidingWindow::new(W);
+        let mut m = MomentMiner::new(5);
+        for i in 0..20_000u32 {
+            let items = ItemSet::from_ids([0, 1000 + 2 * i, 1001 + 2 * i]);
+            m.apply(&w.slide(Transaction::new(0, items)));
+            // The code table is bounded by the distinct items of the last
+            // two windows (2 · 2W one-off items and the evergreen one).
+            assert!(m.coded.len() <= 4 * W + 1, "{} codes", m.coded.len());
+            // The tree is one root entry per live item and nothing else
+            // (the evergreen item ranks last, so it has no extensions):
+            // well inside the 5 · W that bounds a shard's growth.
+            assert_eq!(m.node_count(), 1 + 2 * m.window_len(), "step {i}");
+            if (i + 1) % 1000 == 0 {
+                assert_eq!(m.window_len(), W);
+                assert_eq!(m.closed_frequent().len(), 1);
+            }
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "inserted twice")]
     fn duplicate_tid_rejected() {
         let mut m = MomentMiner::new(2);
         let t = Transaction::new(1, iset("ab"));
         m.insert(&t);
         m.insert(&t);
+    }
+
+    #[test]
+    #[should_panic(expected = "not in the window")]
+    fn deleting_an_absent_tid_rejected() {
+        let mut m = MomentMiner::new(2);
+        m.insert(&Transaction::new(1, iset("ab")));
+        // Same ring slot as tid 1, but not the transaction living there.
+        m.delete(&Transaction::new(1 + INITIAL_RING as u64, iset("ab")));
     }
 
     #[test]
@@ -672,16 +707,12 @@ mod tests {
         for t in &stream[..INITIAL_RING] {
             m.insert(t);
         }
-        assert_eq!(
-            m.index.capacity(),
-            INITIAL_RING,
-            "grew before the ring filled"
-        );
+        assert_eq!(m.slots.len(), INITIAL_RING, "grew before the ring filled");
         let before = m.closed_frequent();
         // tid INITIAL_RING collides with tid 0's slot (both ≡ 0 mod capacity).
         m.insert(&stream[INITIAL_RING]);
         assert!(
-            m.index.capacity() > INITIAL_RING,
+            m.slots.len() > INITIAL_RING,
             "colliding insert did not grow the ring"
         );
         m.delete(&stream[INITIAL_RING]);
@@ -714,11 +745,11 @@ mod tests {
             let mut oracle = RescanMiner::new(4);
             let mut grew_at = None;
             for (step, t) in stream.iter().enumerate() {
-                let cap_before = moment.index.capacity();
+                let cap_before = moment.slots.len();
                 let delta = w.slide(t.clone());
                 moment.apply(&delta);
                 oracle.apply(&delta);
-                if moment.index.capacity() > cap_before {
+                if moment.slots.len() > cap_before {
                     grew_at = Some(step);
                 }
                 assert_eq!(
@@ -731,7 +762,7 @@ mod tests {
             // The stream ran long enough past the grow that tids wrapped the
             // grown ring too (tid range spans > final capacity).
             assert!(
-                stream.len() - grew_at > moment.index.capacity(),
+                stream.len() - grew_at > moment.slots.len(),
                 "stream too short to wrap the grown ring (grew at {grew_at})"
             );
         }

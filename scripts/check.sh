@@ -25,6 +25,9 @@ cargo test -q --release --test vertical_support
 echo "==> kernel differential tests (scalar vs unrolled vs simd, 1/2/8 threads)"
 cargo test -q --release --test kernel_differential
 
+echo "==> Moment vs rescan soak (soak --quick: four stream shapes through six window turnovers each, contract audit on every release)"
+cargo run -q --release -p bfly-bench --bin soak -- --quick
+
 echo "==> release engine vs from-scratch reference differential, restore mid-sequence for every defense"
 cargo test -q --release --test release_engine
 

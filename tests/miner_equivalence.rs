@@ -4,11 +4,13 @@
 //!
 //! [`MinerBackend`]: butterfly_repro::mining::MinerBackend
 
-use butterfly_repro::common::{Database, SlidingWindow};
+use butterfly_repro::common::rng::{Rng, SmallRng};
+use butterfly_repro::common::{Database, ItemSet, SlidingWindow, Transaction};
 use butterfly_repro::datagen::DatasetProfile;
 use butterfly_repro::mining::closed::{closed_subset, expand_closed};
 use butterfly_repro::mining::{
-    mine_backend_matrix, Apriori, BackendKind, FpGrowth, MinerBackend, MomentMiner,
+    mine_backend_matrix, Apriori, BackendKind, FpGrowth, FrequentItemsets, MinerBackend,
+    MomentMiner,
 };
 
 #[test]
@@ -54,6 +56,51 @@ fn moment_handles_pos_profile_with_larger_baskets() {
     let expected = closed_subset(&FpGrowth::new(c).mine(&db));
     assert_eq!(moment.closed_frequent(), expected);
     assert!(moment.node_count() > 0);
+}
+
+#[test]
+fn moment_is_indifferent_to_how_the_alphabet_is_labelled() {
+    // Moment enumerates in window-frequency order, not item-id order, so a
+    // relabelling of the alphabet changes neither the answer (mapped back)
+    // nor, beyond how ties between equally frequent items fall, the size
+    // of the tree. In item-id order the same five relabellings of this
+    // stream (the benchmark's `mine_pos` shape) gave 8 608–14 627 nodes.
+    let (c, n_items) = (20u64, DatasetProfile::Pos.config().n_items);
+    let stream = DatasetProfile::Pos.source(29).take_vec(2_000);
+    let mut runs: Vec<(FrequentItemsets, usize)> = Vec::new();
+    for seed in 1..=5u64 {
+        // Seeded Fisher–Yates.
+        let mut relabel: Vec<u32> = (0..n_items as u32).collect();
+        let mut rng = SmallRng::seed_from_u64(seed);
+        for i in (1..relabel.len()).rev() {
+            relabel.swap(i, rng.gen_range_usize(i + 1));
+        }
+        let mut back = vec![0u32; relabel.len()];
+        for (from, &to) in relabel.iter().enumerate() {
+            back[to as usize] = from as u32;
+        }
+        let mut window = SlidingWindow::new(500);
+        let mut moment = MomentMiner::new(c);
+        for t in &stream {
+            let items = ItemSet::from_ids(t.items().iter().map(|i| relabel[i.index()]));
+            moment.apply(&window.slide(Transaction::new(0, items)));
+        }
+        let closed = moment.closed_frequent();
+        let mapped_back = closed.iter().map(|e| {
+            let items = ItemSet::from_ids(e.itemset().iter().map(|i| back[i.index()]));
+            (items, e.support)
+        });
+        runs.push((mapped_back.collect(), moment.node_count()));
+    }
+    let closed = &runs[0].0;
+    assert!(closed.len() > 100, "only {} closed itemsets", closed.len());
+    assert!(runs.iter().all(|(other, _)| other == closed));
+    let nodes = runs.iter().map(|&(_, nodes)| nodes);
+    let (lo, hi) = (nodes.clone().min().unwrap(), nodes.max().unwrap());
+    assert!(
+        (hi - lo) * 20 <= lo,
+        "tree size moved with the labelling: {lo}–{hi} nodes"
+    );
 }
 
 #[test]

@@ -343,6 +343,48 @@ fn moment_matches_oracle_on_arbitrary_streams() {
 }
 
 #[test]
+fn moment_matches_oracle_while_the_item_order_turns_over() {
+    // Moment orders items by window frequency and re-derives the order
+    // once per window turnover. Eight turnovers of a stream built to move
+    // that order under it: the frequency profile over the 12 base items
+    // inverts every two windows, items 0–3 vanish for the middle half and
+    // return, and one-off items keep arriving (new codes between re-ranks,
+    // recycled at the next). C = 1 makes every entry frequent the moment
+    // it is created; C > W makes nothing frequent, ever.
+    use butterfly_repro::common::{SlidingWindow, Transaction};
+    use butterfly_repro::mining::{MinerBackend, MomentMiner, RescanMiner};
+    const W: usize = 24;
+    for (case, c) in [1u64, 3, 6, W as u64 + 1].into_iter().enumerate() {
+        let mut rng = case_rng(15, case as u64);
+        let mut window = SlidingWindow::new(W);
+        let mut moment = MomentMiner::new(c);
+        let mut oracle = RescanMiner::new(c);
+        for step in 0..8 * W {
+            let (phase, vanished) = (step / (2 * W), (2 * W..6 * W).contains(&step));
+            let mut ids: Vec<u32> = (0..12u32)
+                .filter(|&i| !(vanished && i < 4))
+                .filter(|&i| {
+                    let weight = if phase % 2 == 0 { i + 1 } else { 12 - i };
+                    rng.gen_range_usize(16) < weight as usize
+                })
+                .collect();
+            if rng.gen_range_usize(3) == 0 {
+                ids.push(100 + step as u32);
+            }
+            let delta = window.slide(Transaction::new(0, ItemSet::from_ids(ids)));
+            moment.apply(&delta);
+            oracle.apply(&delta);
+            assert_eq!(
+                moment.closed_frequent(),
+                oracle.closed_frequent(),
+                "C={c} step={step}"
+            );
+        }
+        assert_eq!(c > W as u64, moment.closed_frequent().is_empty(), "C={c}");
+    }
+}
+
+#[test]
 fn publisher_contract_holds_over_random_support_walks() {
     // Drive one itemset's support on a random walk across windows and
     // check every release against the audit invariants, with the
