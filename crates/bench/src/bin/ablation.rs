@@ -53,33 +53,18 @@ fn breach_prevalence() {
         for _ in 0..cfg.window - 1 {
             miner.apply(&window.slide(source.next_transaction()));
         }
-        // Serial mining pass, then per-window breach counting in parallel
-        // (window i only needs views i−1 and i).
-        let fulls: Vec<FrequentItemsets> = (0..cfg.windows)
-            .map(|_| {
-                miner.apply(&window.slide(source.next_transaction()));
-                expand_closed(&miner.closed_frequent())
-            })
-            .collect();
-        let indices: Vec<usize> = (0..fulls.len()).collect();
-        let counts = pool::par_map(&indices, |&i| {
-            let intra = find_intra_window_breaches(fulls[i].as_map(), cfg.k).len();
-            let inter = if i > 0 {
-                find_inter_window_breaches(
-                    fulls[i - 1].as_map(),
-                    fulls[i].as_map(),
-                    cfg.c,
-                    1,
-                    cfg.k,
-                )
-                .len()
-            } else {
-                0
-            };
-            (intra, inter)
-        });
-        let intra_total: usize = counts.iter().map(|&(a, _)| a).sum();
-        let inter_total: usize = counts.iter().map(|&(_, b)| b).sum();
+        let (mut intra_total, mut inter_total) = (0usize, 0usize);
+        let mut prev: Option<FrequentItemsets> = None;
+        for _ in 0..cfg.windows {
+            miner.apply(&window.slide(source.next_transaction()));
+            let full = expand_closed(&miner.closed_frequent());
+            intra_total += find_intra_window_breaches(full.as_map(), cfg.k).len();
+            if let Some(prev) = &prev {
+                inter_total +=
+                    find_inter_window_breaches(prev.as_map(), full.as_map(), cfg.c, 1, cfg.k).len();
+            }
+            prev = Some(full);
+        }
         table.row(vec![
             profile.name().to_string(),
             cfg.windows.to_string(),

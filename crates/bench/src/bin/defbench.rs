@@ -3,7 +3,7 @@
 //! engine, and priced on the same publish path. Prints the matrix and
 //! appends one run entry to `BENCH_defense.json` (override with `--out`).
 //!
-//! Usage: `defbench [--quick] [--threads N] [--out PATH]`
+//! Usage: `defbench [--quick] [--out PATH]`
 
 use bfly_bench::{append_run, arg, defense_matrix, epoch_seconds, figure_config, quick_mode};
 use bfly_common::Json;

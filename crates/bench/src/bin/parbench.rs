@@ -1,12 +1,12 @@
-//! `parbench` — measures the parallel execution layer against its own
-//! serial path, stage by stage, and the vertical support-counting engine
-//! against the naive scan path. Appends one timestamped run entry per
-//! invocation to `BENCH_parallel.json` (parallel stages) and
-//! `BENCH_support.json` (counting stages), so the perf trajectory across
-//! changes is preserved.
+//! `parbench` — measures the one parallel stage the workspace kept
+//! (`evaluate_cells`) against its own serial path, and the vertical
+//! support-counting engine against the naive scan path. Appends one
+//! timestamped run entry per invocation to `BENCH_parallel.json` (the
+//! parallel stage) and `BENCH_support.json` (counting stages), so the perf
+//! trajectory across changes is preserved.
 //!
-//! Each parallel stage runs the identical workload at `--threads 1` and at
-//! the full worker count (in-process, via `pool::set_threads`), takes the
+//! The parallel stage runs the identical workload at 1 worker and at the
+//! full worker count (in-process, via `pool::set_threads`), takes the
 //! median of `--reps` repetitions, and reports the speedup. Because the
 //! workspace's determinism contract makes thread count a pure throughput
 //! knob, the two runs produce bit-identical results — only the wall clock
@@ -30,12 +30,10 @@ use bfly_bench::{
     epoch_seconds, evaluate_cells, prepare_audit_replay, publish_from_scratch, support_workload,
     ExperimentConfig,
 };
-use bfly_common::tidmap::kernel;
-use bfly_common::{pool, Json, SlidingWindow, Support, TidScratch, VerticalIndex};
+use bfly_common::{pool, Json, Support, TidScratch, VerticalIndex};
 use bfly_core::{BiasScheme, PrivacySpec, Publisher, SanitizedRelease, StreamPipeline};
 use bfly_datagen::DatasetProfile;
-use bfly_inference::attack::{find_inter_window_breaches, find_intra_window_breaches};
-use bfly_mining::{mine_backend_matrix, BackendKind, FpGrowth, MinerBackend};
+use bfly_mining::BackendKind;
 use std::time::Instant;
 
 /// Median wall-clock of `reps` runs of `f`, in milliseconds.
@@ -59,7 +57,7 @@ const COUNT_PASSES: usize = 64;
 /// Best per-pass wall-clock of `reps` multi-pass runs of `f`, in
 /// milliseconds. Minimum, not median: on a shared host the interference
 /// is strictly additive, so the fastest rep is the closest observation of
-/// the code's actual cost — and the stable one to compare levels with.
+/// the code's actual cost — and the stable one to compare paths with.
 fn best_ms<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
     (0..reps)
         .map(|_| {
@@ -74,24 +72,17 @@ fn best_ms<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
 
 /// Time one stage at 1 thread and at `n` threads; print and record a row.
 /// The row records the worker count actually installed for the `tn_ms`
-/// measurement (read back from the pool, not assumed) plus the pool's
-/// dispatch telemetry for the stage's last parallel fan-out: how many
-/// items it mapped, the contiguous chunk each worker pulled per
-/// scheduling step, and the worker count the scheduler actually ran.
+/// measurement (read back from the pool, not assumed).
 fn stage<T>(name: &str, reps: usize, n: usize, mut f: impl FnMut() -> T) -> Json {
     pool::set_threads(1);
     let t1 = median_ms(reps, &mut f);
     pool::set_threads(n);
     let workers = pool::current_threads();
-    pool::reset_dispatch();
     let tn = median_ms(reps, &mut f);
-    let d = pool::last_dispatch();
     pool::set_threads(0);
     let speedup = t1 / tn.max(1e-9);
     println!(
-        "{name:<18} 1 thread {t1:>9.2} ms   {workers} threads {tn:>9.2} ms   speedup {speedup:.2}x   \
-         chunks {}x{} over {} items on {} workers",
-        d.chunks, d.chunk_len, d.items, d.workers
+        "{name:<18} 1 thread {t1:>9.2} ms   {workers} threads {tn:>9.2} ms   speedup {speedup:.2}x"
     );
     Json::obj([
         ("name", Json::from(name)),
@@ -99,58 +90,34 @@ fn stage<T>(name: &str, reps: usize, n: usize, mut f: impl FnMut() -> T) -> Json
         ("tn_ms", Json::from(tn)),
         ("workers", Json::from(workers as u64)),
         ("speedup", Json::from(speedup)),
-        ("items", Json::from(d.items as u64)),
-        ("chunk_len", Json::from(d.chunk_len as u64)),
-        ("chunks", Json::from(d.chunks as u64)),
-        ("dispatch_workers", Json::from(d.workers as u64)),
     ])
 }
 
 /// Time one counting workload through the scan baseline and through the
-/// vertical tid-bitmap path — the latter twice, once with the kernels
-/// forced to the scalar reference level (= the pre-kernel vertical
-/// baseline) and once at the host's detected level. The two vertical runs
-/// are asserted to produce identical results before either clock counts.
-fn counting_stage<S, V: PartialEq>(
+/// vertical tid-bitmap path.
+fn counting_stage<S, V>(
     name: &str,
     reps: usize,
     mut scan: impl FnMut() -> S,
     mut vertical: impl FnMut() -> V,
 ) -> Json {
     let scan_ms = best_ms(reps, &mut scan);
-    kernel::force_level(Some(kernel::Level::Scalar));
-    let scalar_result = vertical();
-    let vertical_scalar_ms = best_ms(reps, &mut vertical);
-    kernel::force_level(None);
-    let kernel_result = vertical();
-    assert!(
-        scalar_result == kernel_result,
-        "{name}: kernel level changed the counting results"
-    );
     let vertical_ms = best_ms(reps, &mut vertical);
-    let level = kernel::active_level();
     let speedup = scan_ms / vertical_ms.max(1e-9);
-    let kernel_speedup = vertical_scalar_ms / vertical_ms.max(1e-9);
     println!(
-        "{name:<18} scan {scan_ms:>11.2} ms   vertical(scalar) {vertical_scalar_ms:>9.2} ms   \
-         vertical({}) {vertical_ms:>9.2} ms   vs scan {speedup:.2}x   vs scalar {kernel_speedup:.2}x",
-        level.name()
+        "{name:<18} scan {scan_ms:>11.2} ms   vertical {vertical_ms:>9.2} ms   vs scan {speedup:.2}x"
     );
     Json::obj([
         ("name", Json::from(name)),
         ("scan_ms", Json::from(scan_ms)),
-        ("vertical_scalar_ms", Json::from(vertical_scalar_ms)),
         ("vertical_ms", Json::from(vertical_ms)),
-        ("kernel", Json::from(level.name())),
         ("speedup", Json::from(speedup)),
-        ("kernel_speedup", Json::from(kernel_speedup)),
     ])
 }
 
 fn main() {
     // --quick shrinks every workload to CI-smoke size: same stages, same
-    // schema, a few seconds total. Used by check.sh to sanity-check the
-    // chunk telemetry without paying for a measurement-grade run.
+    // schema, a few seconds total. Used by check.sh as a smoke run.
     let quick = std::env::args().any(|a| a == "--quick");
     let default_reps = if quick { 1 } else { 5 };
     let reps: usize = arg("--reps")
@@ -161,8 +128,7 @@ fn main() {
     pool::set_threads(0);
     let n = pool::current_threads();
     println!(
-        "parbench: {reps} reps per point, full worker count = {n}, kernel level = {}{}",
-        kernel::active_level().name(),
+        "parbench: {reps} reps per point, full worker count = {n}{}",
         if quick { " (quick)" } else { "" }
     );
 
@@ -176,12 +142,6 @@ fn main() {
         backend: BackendKind::Moment,
         threads: 0,
     };
-    let mut rows = Vec::new();
-
-    // Ground-truth collection: serial mining + parallel breach enumeration
-    // across windows (the dominant cost of every figure binary).
-    rows.push(stage("collect_truths", reps, n, || collect_truths(&cfg)));
-
     // Sweep-cell evaluation: the fig4/fig5/fig7 inner loop, one publisher
     // per (spec, scheme, seed) cell.
     let truths = collect_truths(&cfg);
@@ -202,48 +162,9 @@ fn main() {
             ]
         })
         .collect();
-    rows.push(stage("evaluate_cells", reps, n, || {
+    let rows = vec![stage("evaluate_cells", reps, n, || {
         evaluate_cells(&truths, &cells)
-    }));
-
-    // Attack enumeration on a single dense window pair: per-span intra
-    // fan-out plus the two-stage inter-window derivation.
-    let mut source = cfg.profile.source(23);
-    let mut window = SlidingWindow::new(cfg.window);
-    for _ in 0..cfg.window {
-        window.slide(source.next_transaction());
-    }
-    let prev = FpGrowth::new(cfg.c).mine(&window.database());
-    for _ in 0..60 {
-        window.slide(source.next_transaction());
-    }
-    let curr = FpGrowth::new(cfg.c).mine(&window.database());
-    rows.push(stage("attack_breaches", reps, n, || {
-        let mut found = find_intra_window_breaches(curr.as_map(), cfg.k);
-        found.extend(find_inter_window_breaches(
-            prev.as_map(),
-            curr.as_map(),
-            cfg.c,
-            1,
-            cfg.k,
-        ));
-        found
-    }));
-
-    // Backend matrix re-mining: every exact backend queried concurrently.
-    let mut backends: Vec<Box<dyn MinerBackend>> =
-        BackendKind::EXACT.iter().map(|k| k.build(cfg.c)).collect();
-    let mut source = cfg.profile.source(31);
-    let mut window = SlidingWindow::new(400);
-    for _ in 0..600 {
-        let delta = window.slide(source.next_transaction());
-        for b in backends.iter_mut() {
-            b.apply(&delta);
-        }
-    }
-    rows.push(stage("backend_matrix", reps, n, || {
-        mine_backend_matrix(&backends)
-    }));
+    })];
 
     append_run(
         &out,
@@ -312,8 +233,8 @@ fn main() {
     // region is pure per-pattern counting over identical window contents.
     // The audit's per-pattern fixed costs (per-item tidset lookups, operand
     // marshalling) are tens of nanoseconds; at W=2400 so are the word
-    // loops. Auditing at W=6400 (100 words per operand — the width the
-    // lane kernels target) keeps the clock on the counting loops.
+    // loops. Auditing at W=6400 (100 words per operand) keeps the clock on
+    // the counting loops.
     let truth_cfg = ExperimentConfig {
         window: if quick { 600 } else { 6400 },
         windows: if quick { 4 } else { 8 },
@@ -329,8 +250,8 @@ fn main() {
         || audit_breaches_vertical_warm(&mut vertical_replay, &count_truths),
     ));
 
-    // Wide-window counting: the regime the lane + cache-blocked kernels
-    // exist for. At W=600 a bitmap is 10 words and the loop shape barely
+    // Wide-window counting: the regime the cache-blocked kernels exist
+    // for. At W=600 a bitmap is 10 words and the loop shape barely
     // matters; at W=6400 it is 100 words per operand and multi-itemset
     // probes stream 4 KiB blocks of every operand through L1 once. The
     // index is built once outside the clock — this stage prices pure

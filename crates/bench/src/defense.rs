@@ -22,7 +22,7 @@
 //! what each defense adds to the hot path.
 
 use crate::runner::WindowTruth;
-use bfly_common::{pool, Json};
+use bfly_common::Json;
 use bfly_core::metrics::{avg_pred, avg_prig, ChainView};
 use bfly_core::{BiasScheme, DefenseKind, DefenseSpec, PrivacySpec};
 use bfly_inference::derive::derive_pattern_support_f64;
@@ -160,8 +160,10 @@ pub fn evaluate_defense(
 }
 
 /// Evaluate **every** registered defense against the same truths, in
-/// registry order, in parallel. `base` supplies the shared DP knobs
-/// (`dp_budget`, `dp_top_k`); its `kind` is ignored.
+/// registry order, one at a time: `publish_us_per_window` is a wall-clock
+/// figure, and defenses timed concurrently on a two-core host price each
+/// other's contention. `base` supplies the shared DP knobs (`dp_budget`,
+/// `dp_top_k`); its `kind` is ignored.
 pub fn defense_matrix(
     truths: &[WindowTruth],
     spec: PrivacySpec,
@@ -169,10 +171,10 @@ pub fn defense_matrix(
     base: DefenseSpec,
     seed: u64,
 ) -> Vec<DefenseEval> {
-    let kinds: Vec<DefenseKind> = DefenseKind::ALL.to_vec();
-    pool::par_map(&kinds, |&kind| {
-        evaluate_defense(truths, spec, scheme, DefenseSpec { kind, ..base }, seed)
-    })
+    DefenseKind::ALL
+        .iter()
+        .map(|&kind| evaluate_defense(truths, spec, scheme, DefenseSpec { kind, ..base }, seed))
+        .collect()
 }
 
 #[cfg(test)]

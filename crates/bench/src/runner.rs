@@ -1,11 +1,11 @@
 //! Shared experiment runner.
 //!
-//! The expensive phases parallelize over the workspace pool: breach
-//! enumeration fans out per window (mining itself stays serial — each
-//! window's miner state depends on the previous slide), and sweep cells
-//! fan out per `(spec, scheme, seed)` via [`evaluate_cells`]. Each cell
-//! owns its `Publisher` seeded from the cell tuple, so results are
-//! identical at any thread count.
+//! Ground-truth collection is serial (each window's miner state depends on
+//! the previous slide, and the per-window breach enumeration measured
+//! 0.64–0.70× through the pool on two cores); sweep cells fan out per
+//! `(spec, scheme, seed)` over the workspace pool via [`evaluate_cells`].
+//! Each cell owns its `Publisher` seeded from the cell tuple, so results
+//! are identical at any thread count.
 
 use bfly_common::{pool, Database, ItemSet, SlidingWindow, Support};
 use bfly_core::metrics::{avg_pred, avg_prig, ropp, rrpp};
@@ -34,8 +34,8 @@ pub struct ExperimentConfig {
     pub seed: u64,
     /// Mining backend producing each window's ground truth.
     pub backend: BackendKind,
-    /// Worker threads for the parallel phases. `0` leaves the process-wide
-    /// setting (CLI `--threads` / `BFLY_THREADS` / hardware) untouched.
+    /// Worker threads for [`evaluate_cells`]. `0` leaves the process-wide
+    /// setting (`BFLY_THREADS` / hardware) untouched.
     pub threads: usize,
 }
 
@@ -57,7 +57,7 @@ impl ExperimentConfig {
     }
 
     /// Install this config's thread count as the pool's worker count (no-op
-    /// when `threads == 0`). Runner entry points call it themselves.
+    /// when `threads == 0`).
     pub fn apply_threads(&self) {
         if self.threads > 0 {
             pool::set_threads(self.threads);
@@ -80,9 +80,6 @@ pub struct WindowTruth {
 /// `config.backend` — any exact backend yields identical truths; approximate
 /// backends let the sweep measure their deviation.
 pub fn collect_truths(config: &ExperimentConfig) -> Vec<WindowTruth> {
-    config.apply_threads();
-    // Phase 1 (serial): slide the stream and snapshot each window's mining
-    // output. The miner's state is inherently sequential.
     let mut source = config.profile.source(config.seed);
     let mut window = SlidingWindow::new(config.window);
     let mut miner = config.backend.build(config.c);
@@ -90,37 +87,27 @@ pub fn collect_truths(config: &ExperimentConfig) -> Vec<WindowTruth> {
         let delta = window.slide(source.next_transaction());
         miner.apply(&delta);
     }
-    let mut mined: Vec<(FrequentItemsets, FrequentItemsets)> = Vec::with_capacity(config.windows);
+    let mut truths = Vec::with_capacity(config.windows);
+    let mut prev_full: Option<FrequentItemsets> = None;
     for _ in 0..config.windows {
         let delta = window.slide(source.next_transaction());
         miner.apply(&delta);
         let closed = miner.closed_frequent();
         let full = expand_closed(&closed);
-        mined.push((closed, full));
-    }
-    // Phase 2 (parallel): each window's breach enumeration reads only its
-    // own full view and its predecessor's — by far the dominant cost, and
-    // embarrassingly parallel across windows.
-    let indices: Vec<usize> = (0..mined.len()).collect();
-    let breaches = pool::par_map(&indices, |&i| {
-        let full = &mined[i].1;
-        let mut found = find_intra_window_breaches(full.as_map(), config.k);
-        if i > 0 {
-            found.extend(find_inter_window_breaches(
-                mined[i - 1].1.as_map(),
+        let mut breaches = find_intra_window_breaches(full.as_map(), config.k);
+        if let Some(prev) = &prev_full {
+            breaches.extend(find_inter_window_breaches(
+                prev.as_map(),
                 full.as_map(),
                 config.c,
                 1,
                 config.k,
             ));
         }
-        found
-    });
-    mined
-        .into_iter()
-        .zip(breaches)
-        .map(|((closed, _), breaches)| WindowTruth { closed, breaches })
-        .collect()
+        truths.push(WindowTruth { closed, breaches });
+        prev_full = Some(full);
+    }
+    truths
 }
 
 /// Pre-positioned audit state for the counting twins: for each truth

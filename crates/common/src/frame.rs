@@ -160,13 +160,13 @@ pub enum Frame {
 // ---------------------------------------------------------------------------
 
 fn put_str(buf: &mut Vec<u8>, s: &str) {
-    debug_assert!(s.len() <= u16::MAX as usize, "key too long for the wire");
+    assert!(s.len() <= u16::MAX as usize, "key too long for the wire");
     buf.extend_from_slice(&(s.len() as u16).to_le_bytes());
     buf.extend_from_slice(s.as_bytes());
 }
 
 fn put_ids<I: IntoIterator<Item = u32>>(buf: &mut Vec<u8>, ids: I, len: usize) {
-    debug_assert!(len <= u16::MAX as usize, "itemset too wide for the wire");
+    assert!(len <= u16::MAX as usize, "itemset too wide for the wire");
     buf.extend_from_slice(&(len as u16).to_le_bytes());
     for id in ids {
         buf.extend_from_slice(&id.to_le_bytes());

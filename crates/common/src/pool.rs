@@ -1,20 +1,27 @@
-//! Dependency-free scoped thread pool for the workspace's hot paths.
+//! Dependency-free scoped thread pool for the experiment sweeps.
 //!
 //! The workspace has a strict zero-external-deps policy (no rayon), so this
-//! module builds the parallel substrate from `std` alone: scoped threads, an
-//! atomic work counter for dynamic load balancing, and a fixed-chunk
-//! map-reduce whose reduction order never depends on the thread count.
+//! module builds the parallel substrate from `std` alone: scoped threads and
+//! an atomic work counter for dynamic load balancing.
 //!
-//! **Determinism contract.** Every function here returns results in input
-//! order, and every caller in the workspace arranges its work so that each
-//! task is a pure function of its index (per-task rng streams come from
+//! **Who calls it.** Only `crates/bench`, over independent experiment cells
+//! (`evaluate_cells`, the per-seed ablation sweeps) — the one shape that
+//! measured a gain on two cores. Nothing under `common`, `mining`,
+//! `inference`, `core` or `serve` fans out (`scripts/check.sh` enforces it):
+//! those layers are serial, and shards are serve's parallelism. The module
+//! keeps its `bfly_common::pool` path only because the frozen
+//! `benchmark/src/main.rs` calls [`set_threads`]; the `benchmark` PR that
+//! drops that call moves it into `crates/bench` (ROADMAP item 1(d)).
+//!
+//! **Determinism contract.** [`par_map`] returns results in input order, and
+//! every caller arranges its work so that each task is a pure function of
+//! its index (per-task rng streams come from
 //! [`crate::SmallRng::split_stream`], never from a shared sequential
 //! generator). Consequently the thread count — 1, 2, or 64 — never changes
-//! any output bit; `tests/parallel_determinism.rs` holds the whole pipeline
-//! to that.
+//! any output bit; `tests/parallel_determinism.rs` holds the sweep to that.
 //!
 //! **Worker count resolution**, first match wins:
-//! 1. [`set_threads`] (the CLI's `--threads`, or
+//! 1. [`set_threads`] (a figure binary's `--threads`, via
 //!    `ExperimentConfig::apply_threads`);
 //! 2. the `BFLY_THREADS` environment variable;
 //! 3. [`std::thread::available_parallelism`].
@@ -26,19 +33,12 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
-/// Scoped threads for ad-hoc fork/join parallelism. Re-exported from `std`:
-/// spawned threads may borrow from the caller's stack, all are joined when
-/// the scope ends, and a panic in any spawned thread is propagated to the
-/// caller. Prefer [`par_map`] / [`par_map_reduce`] where they fit; reach for
-/// `scope` when the work shape is irregular.
-pub use std::thread::{scope, Scope};
-
 /// Explicit worker-count override; 0 means "unset, use env/hardware".
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
-/// Override the worker count for all subsequent pool operations (the CLI's
-/// `--threads` flag lands here). `0` clears the override, restoring the
-/// `BFLY_THREADS` / `available_parallelism()` default.
+/// Override the worker count for all subsequent pool operations (a figure
+/// binary's `--threads` flag lands here). `0` clears the override,
+/// restoring the `BFLY_THREADS` / `available_parallelism()` default.
 pub fn set_threads(n: usize) {
     THREAD_OVERRIDE.store(n, Ordering::SeqCst);
 }
@@ -76,68 +76,12 @@ fn default_threads() -> usize {
 /// over many items.
 const CHUNKS_PER_WORKER: usize = 4;
 
-/// What the last pool dispatch actually did: the work-unit coarseness the
-/// scheduler chose and the workers it ran. `parbench` reads this after each
-/// stage so the committed records show per-stage chunk granularity instead
-/// of leaving it to be inferred from timings.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Dispatch {
-    /// Items in the mapped slice.
-    pub items: usize,
-    /// Contiguous items handed to a worker per scheduling step.
-    pub chunk_len: usize,
-    /// Number of chunks dispatched (`ceil(items / chunk_len)`).
-    pub chunks: usize,
-    /// Workers that ran (1 = serial on the calling thread).
-    pub workers: usize,
-}
-
-static MAX_ITEMS: AtomicUsize = AtomicUsize::new(0);
-static MAX_CHUNK_LEN: AtomicUsize = AtomicUsize::new(0);
-static MAX_CHUNKS: AtomicUsize = AtomicUsize::new(0);
-static MAX_WORKERS: AtomicUsize = AtomicUsize::new(0);
-
-fn record_dispatch(d: Dispatch) {
-    // Keep the *widest* fan-out since the last reset: a stage often ends
-    // on a small (or empty) trailing dispatch, and the dominant fan-out is
-    // the one whose chunking matters.
-    if d.items >= MAX_ITEMS.load(Ordering::Relaxed) {
-        MAX_ITEMS.store(d.items, Ordering::Relaxed);
-        MAX_CHUNK_LEN.store(d.chunk_len, Ordering::Relaxed);
-        MAX_CHUNKS.store(d.chunks, Ordering::Relaxed);
-        MAX_WORKERS.store(d.workers, Ordering::Relaxed);
-    }
-}
-
-/// Forget dispatch telemetry, so the next [`last_dispatch`] reflects only
-/// fan-outs issued after this call.
-pub fn reset_dispatch() {
-    MAX_ITEMS.store(0, Ordering::Relaxed);
-    MAX_CHUNK_LEN.store(0, Ordering::Relaxed);
-    MAX_CHUNKS.store(0, Ordering::Relaxed);
-    MAX_WORKERS.store(0, Ordering::Relaxed);
-}
-
-/// The widest [`par_map`]/[`par_map_min_chunk`] dispatch since the last
-/// [`reset_dispatch`] (telemetry; racy under concurrent dispatches by
-/// design — the fields may mix two same-width dispatches).
-pub fn last_dispatch() -> Dispatch {
-    Dispatch {
-        items: MAX_ITEMS.load(Ordering::Relaxed),
-        chunk_len: MAX_CHUNK_LEN.load(Ordering::Relaxed),
-        chunks: MAX_CHUNKS.load(Ordering::Relaxed),
-        workers: MAX_WORKERS.load(Ordering::Relaxed),
-    }
-}
-
 /// Map `f` over `items` in parallel, returning results in input order.
 ///
 /// Scheduling is dynamic over **coarse contiguous chunks**: workers pull
 /// the next chunk index from a shared atomic counter, with the chunk length
 /// sized so each worker sees ~`CHUNKS_PER_WORKER` chunks — one atomic RMW
-/// per chunk instead of per item, which is what lets fine-grained workloads
-/// (per-candidate counting, per-FEC noise) go through the pool without the
-/// dispatch overhead eating the win. Output order is input order regardless
+/// per chunk instead of per item. Output order is input order regardless
 /// of which worker computed what, so the chunk size is a throughput knob,
 /// never a semantics knob. With an effective thread count of 1, or fewer
 /// than two items, this is a plain serial `map` on the calling thread.
@@ -149,53 +93,19 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    par_map_min_chunk(items, 1, f)
-}
-
-/// [`par_map`] with a floor on the chunk length: no worker is ever handed
-/// fewer than `min_chunk` contiguous items per scheduling step. Use it for
-/// workloads whose per-item cost is tiny (a few hundred nanoseconds) so
-/// the candidate-batch granularity, not the itemset granularity, is the
-/// unit of scheduling. Inputs shorter than `min_chunk` run serially.
-pub fn par_map_min_chunk<T, R, F>(items: &[T], min_chunk: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let min_chunk = min_chunk.max(1);
     let threads = current_threads().min(items.len());
-    if threads <= 1 || items.len() <= min_chunk {
-        record_dispatch(Dispatch {
-            items: items.len(),
-            chunk_len: items.len(),
-            chunks: usize::from(!items.is_empty()),
-            workers: 1,
-        });
+    if threads <= 1 {
         return items.iter().map(&f).collect();
     }
-    let chunk_len = items
-        .len()
-        .div_ceil(threads * CHUNKS_PER_WORKER)
-        .max(min_chunk);
-    let chunks = items.len().div_ceil(chunk_len);
-    let workers = threads.min(chunks);
-    record_dispatch(Dispatch {
-        items: items.len(),
-        chunk_len,
-        chunks,
-        workers,
-    });
-    if workers <= 1 {
-        return items.iter().map(&f).collect();
-    }
+    // At least `threads` chunks result, so every worker has one to pull.
+    let chunk_len = items.len().div_ceil(threads * CHUNKS_PER_WORKER);
     let next = AtomicUsize::new(0);
     let mut results: Vec<Option<R>> = Vec::with_capacity(items.len());
     results.resize_with(items.len(), || None);
     let f = &f;
     let next = &next;
     std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
+        let handles: Vec<_> = (0..threads)
             .map(|_| {
                 s.spawn(move || {
                     let mut local = Vec::new();
@@ -233,29 +143,6 @@ where
         .collect()
 }
 
-/// Chunked parallel map-reduce: split `items` into contiguous chunks of
-/// `chunk_len`, map each chunk with `map` (in parallel), then fold the chunk
-/// results **left to right in chunk order** with `reduce`.
-///
-/// Because the chunk boundaries depend only on `chunk_len` — never on the
-/// thread count — and the fold order is fixed, the result is bit-identical
-/// at any thread count even for non-associative reductions such as `f64`
-/// sums. Returns `None` for empty input.
-///
-/// # Panics
-/// If `chunk_len == 0`; panics in `map` propagate as in [`par_map`].
-pub fn par_map_reduce<T, R, M, Red>(items: &[T], chunk_len: usize, map: M, reduce: Red) -> Option<R>
-where
-    T: Sync,
-    R: Send,
-    M: Fn(&[T]) -> R + Sync,
-    Red: Fn(R, R) -> R,
-{
-    assert!(chunk_len > 0, "chunk_len must be positive");
-    let chunks: Vec<&[T]> = items.chunks(chunk_len).collect();
-    par_map(&chunks, |c| map(c)).into_iter().reduce(reduce)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -273,20 +160,6 @@ mod tests {
     fn empty_input_yields_empty_output() {
         let empty: Vec<u32> = Vec::new();
         assert!(par_map(&empty, |&x| x).is_empty());
-        assert_eq!(par_map_reduce(&empty, 8, |c| c.len(), |a, b| a + b), None);
-    }
-
-    #[test]
-    fn serial_and_parallel_results_are_identical() {
-        // Including a float reduction, the canonical non-associative case:
-        // fixed chunking makes the fold order thread-count-independent.
-        let items: Vec<f64> = (0..997).map(|i| (i as f64).sin()).collect();
-        set_threads(1);
-        let serial = par_map_reduce(&items, 64, |c| c.iter().sum::<f64>(), |a, b| a + b);
-        set_threads(7);
-        let parallel = par_map_reduce(&items, 64, |c| c.iter().sum::<f64>(), |a, b| a + b);
-        set_threads(0);
-        assert_eq!(serial, parallel, "bitwise float equality required");
     }
 
     #[test]
@@ -303,16 +176,6 @@ mod tests {
         });
         set_threads(0);
         assert!(result.is_err(), "worker panic must reach the caller");
-    }
-
-    #[test]
-    fn panics_propagate_out_of_scope() {
-        let result = std::panic::catch_unwind(|| {
-            scope(|s| {
-                s.spawn(|| panic!("scoped thread exploded"));
-            })
-        });
-        assert!(result.is_err(), "scope must re-raise spawned panics");
     }
 
     #[test]

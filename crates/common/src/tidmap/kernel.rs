@@ -1,26 +1,20 @@
-//! SIMD-width word kernels for the vertical support-counting engine.
+//! Lane-width word kernels for the vertical support-counting engine.
 //!
-//! Every support query in the workspace bottoms out in five loops over
+//! Every support query in the workspace bottoms out in a few loops over
 //! `u64` words: AND, AND-NOT, OR, fused AND+popcount, and the subset test.
-//! This module is the single home of those loops, written three ways:
+//! This module is the single home of those loops. Each is written once,
+//! `#[inline]`, over explicit `u64x8` lanes ([`LANES`] = 8 words = one
+//! 64-byte cache line per operand per step) with independent accumulators,
+//! so the compiler autovectorizes it to whatever vector width the build
+//! target offers (SSE2 on baseline x86-64) and inlines it into callers in
+//! other crates.
 //!
-//! * **scalar** — the reference word-at-a-time loops the engine shipped
-//!   with. Kept public (`scalar::*`) as the differential baseline and the
-//!   `parbench` comparison point.
-//! * **unrolled** — the same loops over explicit `u64x8` lanes
-//!   ([`LANES`] = 8 words = one 64-byte cache line per operand per step),
-//!   with independent accumulators so the compiler autovectorizes them to
-//!   whatever vector width the baseline target offers (SSE2 on x86-64).
-//! * **simd** — on `x86_64`, the identical unrolled bodies compiled again
-//!   under `#[target_feature(enable = "avx2,popcnt")]` and selected at
-//!   runtime via `is_x86_feature_detected!`. Same source, wider codegen
-//!   (256-bit vector ops + hardware `popcnt`), bit-identical results by
-//!   construction — no hand-written intrinsics to diverge.
-//!
-//! Dispatch picks the best detected level once; [`force_level`] pins a
-//! specific level process-wide for differential tests and for benchmarking
-//! the unrolled/SIMD paths against the scalar baseline on the *same*
-//! engine (`parbench`'s `kernel` columns).
+//! There is one level and no runtime dispatch: a runtime-detected AVX2
+//! recompilation of the same bodies wins in isolation from 32 words up, but
+//! costs a call that cannot be inlined, and the win never reached an
+//! end-to-end metric at the 8- and 32-word windows serve runs (DESIGN.md,
+//! "Tidmap kernels"). The word-at-a-time loops the engine first shipped
+//! with are the test reference (`scalar`, compiled for tests only).
 //!
 //! **Cache blocking.** Multi-operand probes (an itemset of `m` items over a
 //! wide window) used to re-walk the full scratch buffer once per item:
@@ -32,8 +26,6 @@
 //! remaining operands entirely (the early exit the full-width loop only
 //! had globally).
 
-use std::sync::atomic::{AtomicU8, Ordering};
-
 /// Words per unrolled lane step: 8 × u64 = 512 bits = one cache line.
 pub const LANES: usize = 8;
 
@@ -42,75 +34,9 @@ pub const LANES: usize = 8;
 /// a 32 KiB L1 at once.
 pub const BLOCK_WORDS: usize = 512;
 
-/// Which loop bodies the dispatching kernels run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Level {
-    /// Word-at-a-time reference loops.
-    Scalar,
-    /// Explicit `u64x8` lanes, baseline-target codegen.
-    Unrolled,
-    /// The unrolled bodies under `avx2,popcnt` codegen (x86-64 only).
-    Simd,
-}
-
-impl Level {
-    /// Stable lowercase name for bench records.
-    pub fn name(self) -> &'static str {
-        match self {
-            Level::Scalar => "scalar",
-            Level::Unrolled => "unrolled",
-            Level::Simd => "simd",
-        }
-    }
-}
-
-/// 0 = no override; otherwise `Level as u8 + 1`.
-static FORCED: AtomicU8 = AtomicU8::new(0);
-
-/// Pin every dispatching kernel to `level` (`None` restores detection).
-/// Benchmark/differential plumbing — the levels are bit-identical, so this
-/// is a throughput knob, never a semantics knob. Forcing [`Level::Simd`] on
-/// a host without AVX2 falls back to [`Level::Unrolled`].
-pub fn force_level(level: Option<Level>) {
-    FORCED.store(level.map_or(0, |l| l as u8 + 1), Ordering::SeqCst);
-}
-
-/// The best level the host supports.
-pub fn detected_level() -> Level {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx2")
-            && std::arch::is_x86_feature_detected!("popcnt")
-        {
-            return Level::Simd;
-        }
-    }
-    Level::Unrolled
-}
-
-/// The level the next kernel call will run at (override, else detection).
-pub fn active_level() -> Level {
-    let level = match FORCED.load(Ordering::Relaxed) {
-        0 => detected_level(),
-        1 => Level::Scalar,
-        2 => Level::Unrolled,
-        _ => Level::Simd,
-    };
-    if level == Level::Simd && detected_level() != Level::Simd {
-        return Level::Unrolled;
-    }
-    level
-}
-
-// ---------------------------------------------------------------------------
-// Loop bodies. Each is written once, `#[inline(always)]`, over explicit
-// 8-word lanes with independent accumulators; the `unrolled` and `simd`
-// entry points below compile the *same* body under different target
-// features, which is what guarantees bit-identical results across levels.
-// ---------------------------------------------------------------------------
-
-#[inline(always)]
-fn popcount_body(words: &[u64]) -> u64 {
+/// Popcount of a word slice.
+#[inline]
+pub fn popcount(words: &[u64]) -> u64 {
     let mut lanes = [0u64; LANES];
     let mut chunks = words.chunks_exact(LANES);
     for c in &mut chunks {
@@ -125,8 +51,9 @@ fn popcount_body(words: &[u64]) -> u64 {
     total
 }
 
-#[inline(always)]
-fn and_inplace_count_body(dst: &mut [u64], src: &[u64]) -> u64 {
+/// `dst &= src`, returning the resulting popcount (one fused pass).
+#[inline]
+pub fn and_inplace_count(dst: &mut [u64], src: &[u64]) -> u64 {
     debug_assert_eq!(dst.len(), src.len());
     let mut lanes = [0u64; LANES];
     let mut d = dst.chunks_exact_mut(LANES);
@@ -145,8 +72,9 @@ fn and_inplace_count_body(dst: &mut [u64], src: &[u64]) -> u64 {
     total
 }
 
-#[inline(always)]
-fn andnot_inplace_count_body(dst: &mut [u64], src: &[u64]) -> u64 {
+/// `dst &= !src`, returning the resulting popcount.
+#[inline]
+pub fn andnot_inplace_count(dst: &mut [u64], src: &[u64]) -> u64 {
     debug_assert_eq!(dst.len(), src.len());
     let mut lanes = [0u64; LANES];
     let mut d = dst.chunks_exact_mut(LANES);
@@ -165,8 +93,9 @@ fn andnot_inplace_count_body(dst: &mut [u64], src: &[u64]) -> u64 {
     total
 }
 
-#[inline(always)]
-fn or_inplace_count_body(dst: &mut [u64], src: &[u64]) -> u64 {
+/// `dst |= src`, returning the resulting popcount.
+#[inline]
+pub fn or_inplace_count(dst: &mut [u64], src: &[u64]) -> u64 {
     debug_assert_eq!(dst.len(), src.len());
     let mut lanes = [0u64; LANES];
     let mut d = dst.chunks_exact_mut(LANES);
@@ -185,8 +114,9 @@ fn or_inplace_count_body(dst: &mut [u64], src: &[u64]) -> u64 {
     total
 }
 
-#[inline(always)]
-fn and_count_body(a: &[u64], b: &[u64]) -> u64 {
+/// Fused `|a & b|` without mutating either side.
+#[inline]
+pub fn and_count(a: &[u64], b: &[u64]) -> u64 {
     debug_assert_eq!(a.len(), b.len());
     let mut lanes = [0u64; LANES];
     let mut ac = a.chunks_exact(LANES);
@@ -203,8 +133,10 @@ fn and_count_body(a: &[u64], b: &[u64]) -> u64 {
     total
 }
 
-#[inline(always)]
-fn assign_and_count_body(dst: &mut [u64], a: &[u64], b: &[u64]) -> u64 {
+/// `dst = a & b`, returning the popcount — one pass where copy-then-AND
+/// took two (the Eclat DFS inner step).
+#[inline]
+pub fn assign_and_count(dst: &mut [u64], a: &[u64], b: &[u64]) -> u64 {
     debug_assert!(dst.len() == a.len() && dst.len() == b.len());
     let mut lanes = [0u64; LANES];
     let mut d = dst.chunks_exact_mut(LANES);
@@ -229,10 +161,10 @@ fn assign_and_count_body(dst: &mut [u64], a: &[u64], b: &[u64]) -> u64 {
     total
 }
 
-/// Subset test with early exit per lane step: one uncovered bit anywhere in
-/// an 8-word block aborts without touching the rest of the bitmap.
-#[inline(always)]
-fn is_subset_body(sub: &[u64], sup: &[u64]) -> bool {
+/// Subset test `sub ⊆ sup` with early exit per lane step: one uncovered bit
+/// anywhere in an 8-word block aborts without touching the rest of the bitmap.
+#[inline]
+pub fn is_subset(sub: &[u64], sup: &[u64]) -> bool {
     debug_assert_eq!(sub.len(), sup.len());
     let mut a = sub.chunks_exact(LANES);
     let mut b = sup.chunks_exact(LANES);
@@ -255,8 +187,8 @@ fn is_subset_body(sub: &[u64], sup: &[u64]) -> bool {
 /// returning the popcount. Each [`BLOCK_WORDS`] block of `dst` streams
 /// through every operand while it is hot, and a block that empties skips
 /// its remaining operands.
-#[inline(always)]
-fn and_many_count_body(dst: &mut [u64], first: &[u64], rest: &[&[u64]]) -> u64 {
+#[inline]
+pub fn and_many_count(dst: &mut [u64], first: &[u64], rest: &[&[u64]]) -> u64 {
     debug_assert_eq!(dst.len(), first.len());
     for r in rest {
         debug_assert_eq!(dst.len(), r.len());
@@ -271,7 +203,7 @@ fn and_many_count_body(dst: &mut [u64], first: &[u64], rest: &[&[u64]]) -> u64 {
             if live == 0 {
                 break;
             }
-            live = and_inplace_count_body(block, &r[start..end]);
+            live = and_inplace_count(block, &r[start..end]);
         }
         total += live;
         start = end;
@@ -281,7 +213,7 @@ fn and_many_count_body(dst: &mut [u64], first: &[u64], rest: &[&[u64]]) -> u64 {
 
 /// `dst = src` fused with the popcount (the first operand of a blocked
 /// intersection needs a copy, not an AND).
-#[inline(always)]
+#[inline]
 fn and_inplace_count_into(dst: &mut [u64], src: &[u64]) -> u64 {
     let mut lanes = [0u64; LANES];
     let mut d = dst.chunks_exact_mut(LANES);
@@ -303,8 +235,8 @@ fn and_inplace_count_into(dst: &mut [u64], src: &[u64]) -> u64 {
 /// Cache-blocked AND-NOT count: `|base & !negs[0] & !negs[1] & …|` without
 /// materializing the result. Read-only — the pattern path's final fused
 /// popcount.
-#[inline(always)]
-fn masked_count_body(base: &[u64], negs: &[&[u64]]) -> u64 {
+#[inline]
+pub fn masked_count(base: &[u64], negs: &[&[u64]]) -> u64 {
     for n in negs {
         debug_assert_eq!(base.len(), n.len());
     }
@@ -319,7 +251,7 @@ fn masked_count_body(base: &[u64], negs: &[&[u64]]) -> u64 {
             if live == 0 {
                 break;
             }
-            live = andnot_inplace_count_body(b, &n[start..end]);
+            live = andnot_inplace_count(b, &n[start..end]);
         }
         total += live;
         start = end;
@@ -327,15 +259,10 @@ fn masked_count_body(base: &[u64], negs: &[&[u64]]) -> u64 {
     total
 }
 
-// ---------------------------------------------------------------------------
-// Scalar reference implementations — the pre-kernel word-at-a-time loops,
-// public as the differential and benchmark baseline.
-// ---------------------------------------------------------------------------
-
-/// The word-at-a-time reference loops. Bit-identical to the dispatching
-/// kernels by the differential suite (`tests/kernel_differential.rs`);
-/// slower by whatever the unrolling/vectorization buys.
-pub mod scalar {
+/// The word-at-a-time loops the engine first shipped with: the reference
+/// the tests below hold every lane kernel to, bit for bit.
+#[cfg(test)]
+mod scalar {
     /// Reference popcount.
     pub fn popcount(words: &[u64]) -> u64 {
         words.iter().map(|w| w.count_ones() as u64).sum()
@@ -429,222 +356,72 @@ pub mod scalar {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Per-level entry points. `unrolled_*` is the body under baseline codegen;
-// `simd_*` is the same body compiled for avx2+popcnt, reachable only after
-// runtime detection.
-// ---------------------------------------------------------------------------
-
-macro_rules! per_level {
-    ($(#[$doc:meta])* $name:ident, $body:ident, ($($arg:ident: $ty:ty),*) -> $ret:ty) => {
-        pub(super) fn $name($($arg: $ty),*) -> $ret {
-            match active_level() {
-                Level::Scalar => scalar::$name($($arg),*),
-                Level::Unrolled => $body($($arg),*),
-                #[cfg(target_arch = "x86_64")]
-                // SAFETY: active_level() returns Simd only when runtime
-                // detection confirmed avx2+popcnt on this CPU.
-                Level::Simd => unsafe { simd::$name($($arg),*) },
-                #[cfg(not(target_arch = "x86_64"))]
-                Level::Simd => $body($($arg),*),
-            }
-        }
-    };
-}
-
-#[cfg(target_arch = "x86_64")]
-mod simd {
-    //! The unrolled bodies compiled under `avx2,popcnt`. Callers must have
-    //! verified feature support at runtime.
-    use super::*;
-
-    #[target_feature(enable = "avx2,popcnt")]
-    pub unsafe fn popcount(words: &[u64]) -> u64 {
-        popcount_body(words)
-    }
-    #[target_feature(enable = "avx2,popcnt")]
-    pub unsafe fn and_inplace_count(dst: &mut [u64], src: &[u64]) -> u64 {
-        and_inplace_count_body(dst, src)
-    }
-    #[target_feature(enable = "avx2,popcnt")]
-    pub unsafe fn andnot_inplace_count(dst: &mut [u64], src: &[u64]) -> u64 {
-        andnot_inplace_count_body(dst, src)
-    }
-    #[target_feature(enable = "avx2,popcnt")]
-    pub unsafe fn or_inplace_count(dst: &mut [u64], src: &[u64]) -> u64 {
-        or_inplace_count_body(dst, src)
-    }
-    #[target_feature(enable = "avx2,popcnt")]
-    pub unsafe fn and_count(a: &[u64], b: &[u64]) -> u64 {
-        and_count_body(a, b)
-    }
-    #[target_feature(enable = "avx2,popcnt")]
-    pub unsafe fn assign_and_count(dst: &mut [u64], a: &[u64], b: &[u64]) -> u64 {
-        assign_and_count_body(dst, a, b)
-    }
-    #[target_feature(enable = "avx2,popcnt")]
-    pub unsafe fn is_subset(sub: &[u64], sup: &[u64]) -> bool {
-        is_subset_body(sub, sup)
-    }
-    #[target_feature(enable = "avx2,popcnt")]
-    pub unsafe fn and_many_count(dst: &mut [u64], first: &[u64], rest: &[&[u64]]) -> u64 {
-        and_many_count_body(dst, first, rest)
-    }
-    #[target_feature(enable = "avx2,popcnt")]
-    pub unsafe fn masked_count(base: &[u64], negs: &[&[u64]]) -> u64 {
-        masked_count_body(base, negs)
-    }
-}
-
-mod dispatch {
-    use super::*;
-    per_level!(popcount, popcount_body, (words: &[u64]) -> u64);
-    per_level!(and_inplace_count, and_inplace_count_body, (dst: &mut [u64], src: &[u64]) -> u64);
-    per_level!(andnot_inplace_count, andnot_inplace_count_body, (dst: &mut [u64], src: &[u64]) -> u64);
-    per_level!(or_inplace_count, or_inplace_count_body, (dst: &mut [u64], src: &[u64]) -> u64);
-    per_level!(and_count, and_count_body, (a: &[u64], b: &[u64]) -> u64);
-    per_level!(assign_and_count, assign_and_count_body, (dst: &mut [u64], a: &[u64], b: &[u64]) -> u64);
-    per_level!(is_subset, is_subset_body, (sub: &[u64], sup: &[u64]) -> bool);
-    per_level!(and_many_count, and_many_count_body, (dst: &mut [u64], first: &[u64], rest: &[&[u64]]) -> u64);
-    per_level!(masked_count, masked_count_body, (base: &[u64], negs: &[&[u64]]) -> u64);
-}
-
-/// Popcount of a word slice.
-pub fn popcount(words: &[u64]) -> u64 {
-    dispatch::popcount(words)
-}
-
-/// `dst &= src`, returning the resulting popcount (one fused pass).
-pub fn and_inplace_count(dst: &mut [u64], src: &[u64]) -> u64 {
-    dispatch::and_inplace_count(dst, src)
-}
-
-/// `dst &= !src`, returning the resulting popcount.
-pub fn andnot_inplace_count(dst: &mut [u64], src: &[u64]) -> u64 {
-    dispatch::andnot_inplace_count(dst, src)
-}
-
-/// `dst |= src`, returning the resulting popcount.
-pub fn or_inplace_count(dst: &mut [u64], src: &[u64]) -> u64 {
-    dispatch::or_inplace_count(dst, src)
-}
-
-/// Fused `|a & b|` without mutating either side.
-pub fn and_count(a: &[u64], b: &[u64]) -> u64 {
-    dispatch::and_count(a, b)
-}
-
-/// `dst = a & b`, returning the popcount — one pass where copy-then-AND
-/// took two (the Eclat DFS inner step).
-pub fn assign_and_count(dst: &mut [u64], a: &[u64], b: &[u64]) -> u64 {
-    dispatch::assign_and_count(dst, a, b)
-}
-
-/// Subset test `sub ⊆ sup`, early-exiting per 8-word lane step.
-pub fn is_subset(sub: &[u64], sup: &[u64]) -> bool {
-    dispatch::is_subset(sub, sup)
-}
-
-/// Cache-blocked `dst = first & rest[0] & …` with popcount; blocks that
-/// empty mid-chain skip their remaining operands.
-pub fn and_many_count(dst: &mut [u64], first: &[u64], rest: &[&[u64]]) -> u64 {
-    dispatch::and_many_count(dst, first, rest)
-}
-
-/// Cache-blocked `|base & !negs[0] & !negs[1] & …|` without materializing
-/// the result.
-pub fn masked_count(base: &[u64], negs: &[&[u64]]) -> u64 {
-    dispatch::masked_count(base, negs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::rng::{Rng, SmallRng};
-    use std::sync::Mutex;
-
-    /// The force switch is process-global; tests that flip it serialize.
-    static LEVEL_LOCK: Mutex<()> = Mutex::new(());
 
     fn words(rng: &mut SmallRng, n: usize) -> Vec<u64> {
         (0..n).map(|_| rng.next_u64()).collect()
     }
 
     #[test]
-    fn levels_agree_on_random_words() {
-        let _guard = LEVEL_LOCK.lock().unwrap();
+    fn every_op_agrees_with_scalar_on_random_words() {
         let mut rng = SmallRng::seed_from_u64(0xfeed);
-        for n in [0usize, 1, 7, 8, 9, 31, 64, 513] {
+        // 8 and 32 are the widths serve runs (W 500, W 2000); the rest
+        // straddle the lane step and the cache block.
+        for n in [0usize, 1, 7, 8, 9, 31, 32, 64, 513] {
             let a = words(&mut rng, n);
             let b = words(&mut rng, n);
             let c = words(&mut rng, n);
             let rest = [b.as_slice(), c.as_slice()];
-            for level in [Level::Scalar, Level::Unrolled, Level::Simd] {
-                force_level(Some(level));
-                assert_eq!(popcount(&a), scalar::popcount(&a), "{level:?} n={n}");
-                assert_eq!(and_count(&a, &b), scalar::and_count(&a, &b));
-                let mut d1 = a.clone();
-                let mut d2 = a.clone();
-                assert_eq!(
-                    and_inplace_count(&mut d1, &b),
-                    scalar::and_inplace_count(&mut d2, &b)
-                );
-                assert_eq!(d1, d2);
-                let mut d1 = a.clone();
-                let mut d2 = a.clone();
-                assert_eq!(
-                    andnot_inplace_count(&mut d1, &b),
-                    scalar::andnot_inplace_count(&mut d2, &b)
-                );
-                assert_eq!(d1, d2);
-                let mut d1 = a.clone();
-                let mut d2 = a.clone();
-                assert_eq!(
-                    or_inplace_count(&mut d1, &b),
-                    scalar::or_inplace_count(&mut d2, &b)
-                );
-                assert_eq!(d1, d2);
-                let mut d1 = vec![0; n];
-                let mut d2 = vec![0; n];
-                assert_eq!(
-                    assign_and_count(&mut d1, &a, &b),
-                    scalar::assign_and_count(&mut d2, &a, &b)
-                );
-                assert_eq!(d1, d2);
-                let mut d1 = vec![0; n];
-                let mut d2 = vec![0; n];
-                assert_eq!(
-                    and_many_count(&mut d1, &a, &rest),
-                    scalar::and_many_count(&mut d2, &a, &rest)
-                );
-                assert_eq!(d1, d2);
-                assert_eq!(masked_count(&a, &rest), scalar::masked_count(&a, &rest));
-                assert_eq!(is_subset(&a, &b), scalar::is_subset(&a, &b));
-                let mut sub = a.clone();
-                let _ = and_inplace_count(&mut sub, &b);
-                assert!(is_subset(&sub, &b), "a&b ⊆ b at {level:?}");
-            }
-            force_level(None);
+            assert_eq!(popcount(&a), scalar::popcount(&a), "n={n}");
+            assert_eq!(and_count(&a, &b), scalar::and_count(&a, &b));
+            let mut d1 = a.clone();
+            let mut d2 = a.clone();
+            assert_eq!(
+                and_inplace_count(&mut d1, &b),
+                scalar::and_inplace_count(&mut d2, &b)
+            );
+            assert_eq!(d1, d2);
+            let mut d1 = a.clone();
+            let mut d2 = a.clone();
+            assert_eq!(
+                andnot_inplace_count(&mut d1, &b),
+                scalar::andnot_inplace_count(&mut d2, &b)
+            );
+            assert_eq!(d1, d2);
+            let mut d1 = a.clone();
+            let mut d2 = a.clone();
+            assert_eq!(
+                or_inplace_count(&mut d1, &b),
+                scalar::or_inplace_count(&mut d2, &b)
+            );
+            assert_eq!(d1, d2);
+            let mut d1 = vec![0; n];
+            let mut d2 = vec![0; n];
+            assert_eq!(
+                assign_and_count(&mut d1, &a, &b),
+                scalar::assign_and_count(&mut d2, &a, &b)
+            );
+            assert_eq!(d1, d2);
+            let mut d1 = vec![0; n];
+            let mut d2 = vec![0; n];
+            assert_eq!(
+                and_many_count(&mut d1, &a, &rest),
+                scalar::and_many_count(&mut d2, &a, &rest)
+            );
+            assert_eq!(d1, d2);
+            assert_eq!(masked_count(&a, &rest), scalar::masked_count(&a, &rest));
+            assert_eq!(is_subset(&a, &b), scalar::is_subset(&a, &b));
+            let mut sub = a.clone();
+            let _ = and_inplace_count(&mut sub, &b);
+            assert!(is_subset(&sub, &b), "a&b ⊆ b at n={n}");
         }
     }
 
     #[test]
-    fn forcing_simd_without_support_degrades_to_unrolled() {
-        let _guard = LEVEL_LOCK.lock().unwrap();
-        force_level(Some(Level::Simd));
-        // Either the host has AVX2 (Simd stays) or dispatch degrades; both
-        // are valid levels and both must agree with scalar.
-        let active = active_level();
-        assert!(matches!(active, Level::Simd | Level::Unrolled));
-        let a = [u64::MAX, 0, 0xdead_beef];
-        assert_eq!(popcount(&a), scalar::popcount(&a));
-        force_level(None);
-        assert_eq!(active_level(), detected_level());
-    }
-
-    #[test]
     fn blocked_kernels_cross_block_boundaries() {
-        let _guard = LEVEL_LOCK.lock().unwrap();
         let mut rng = SmallRng::seed_from_u64(3);
         // Spans > BLOCK_WORDS exercise the block loop and the empty-block
         // operand skip (zero stretches are common in sparse tid maps).

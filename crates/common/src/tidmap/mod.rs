@@ -26,7 +26,7 @@
 //! comparisons with branchy merges; `BENCH_support.json` tracks the ratio.
 //!
 //! The word loops themselves live in [`kernel`]: explicitly unrolled
-//! `u64x8` lanes with runtime-detected SIMD codegen and cache-blocked
+//! `u64x8` lanes, inlined into their callers, and cache-blocked
 //! multi-operand intersection. Every in-place op maintains the invariant
 //! that bits past `capacity` are zero (debug-asserted after each one), so
 //! the cached popcount can never be inflated by a stale tail word.

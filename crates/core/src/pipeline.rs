@@ -3,8 +3,7 @@
 use crate::defense::PrivacyDefense;
 use crate::engine::{Publisher, ReleaseDelta};
 use crate::release::SanitizedRelease;
-use bfly_common::{Error, ItemSet, Pattern, Result, SlidingWindow, Support, Transaction};
-use bfly_inference::GroundTruth;
+use bfly_common::{Error, Result, SlidingWindow, Transaction};
 use bfly_mining::{BackendKind, FrequentItemsets, MinerBackend, MomentMiner};
 
 /// One published window: the miner's (true) closed frequent itemsets and the
@@ -35,10 +34,6 @@ pub struct StreamPipeline<B: MinerBackend = MomentMiner, D: PrivacyDefense = Pub
     window: SlidingWindow,
     miner: B,
     defense: D,
-    /// Vertical ground-truth oracle maintained from the same deltas the
-    /// miner sees; breach analysis queries it instead of re-scanning the
-    /// materialized window database.
-    truth: GroundTruth,
     /// Records fed since the last publication — the cadence counter callers
     /// (CLI `--every`, the serve shards) consult, and what
     /// [`StreamPipeline::flush`] uses to decide whether a drain still owes
@@ -91,7 +86,6 @@ impl<B: MinerBackend, D: PrivacyDefense> StreamPipeline<B, D> {
             window: SlidingWindow::new(window_size),
             miner,
             defense,
-            truth: GroundTruth::new(window_size),
             since_publish: 0,
             audit_violations: 0,
         }
@@ -125,10 +119,6 @@ impl<B: MinerBackend, D: PrivacyDefense> StreamPipeline<B, D> {
     fn publish_full_window(&mut self) -> Result<WindowRelease> {
         self.since_publish = 0;
         let closed = self.miner.closed_frequent();
-        // The miner already counted every closed support: seed the window's
-        // memo so truth queries for published itemsets cost a map lookup.
-        self.truth
-            .seed_supports(closed.iter().map(|e| (e.id, e.support)));
         let (release, delta) = self.defense.publish_with_delta(&closed);
         let stream_len = self.window.stream_len();
         if self.defense.honors_butterfly_contract() {
@@ -154,7 +144,6 @@ impl<B: MinerBackend, D: PrivacyDefense> StreamPipeline<B, D> {
     pub fn advance(&mut self, t: Transaction) {
         let delta = self.window.slide(t);
         self.miner.apply(&delta);
-        self.truth.apply(&delta);
         self.since_publish += 1;
     }
 
@@ -236,23 +225,6 @@ impl<B: MinerBackend, D: PrivacyDefense> StreamPipeline<B, D> {
     /// engine counters or suppression's side-effect ledger after a run).
     pub fn defense(&self) -> &D {
         &self.defense
-    }
-
-    /// Exact support `T(I)` in the current window, via the maintained
-    /// vertical index (memoized per window; published itemsets are free).
-    pub fn truth_support(&mut self, itemset: &ItemSet) -> Support {
-        self.truth.support(itemset)
-    }
-
-    /// Exact support `T(p)` of a generalized pattern in the current window
-    /// — the query breach verification runs per candidate.
-    pub fn truth_pattern_support(&mut self, pattern: &Pattern) -> Support {
-        self.truth.pattern_support(pattern)
-    }
-
-    /// The maintained ground-truth oracle itself.
-    pub fn ground_truth(&mut self) -> &mut GroundTruth {
-        &mut self.truth
     }
 }
 
@@ -448,27 +420,6 @@ mod tests {
         assert_eq!(pipe.audit_violations(), 1);
         assert!(pipe.publish_now().is_ok());
         assert_eq!(pipe.audit_violations(), 1);
-    }
-
-    #[test]
-    fn truth_oracle_tracks_the_window() {
-        let spec = PrivacySpec::new(4, 1, 0.2, 0.5);
-        let publisher = Publisher::new(spec, BiasScheme::Basic, 1);
-        let mut pipe = StreamPipeline::new(8, publisher);
-        let ac: ItemSet = "ac".parse().unwrap();
-        let p: Pattern = "c¬a¬b".parse().unwrap();
-        for t in fig2_stream() {
-            pipe.step(t);
-            let db = pipe.window().database();
-            assert_eq!(pipe.truth_support(&ac), db.support(&ac));
-            assert_eq!(pipe.truth_pattern_support(&p), db.pattern_support(&p));
-        }
-        // Fig. 3 / Example 3 values in Ds(12, 8).
-        assert_eq!(pipe.truth_support(&ac), 5);
-        assert_eq!(pipe.truth_pattern_support(&p), 1);
-        // Published itemsets were seeded: at least one lookup hit the memo.
-        let (hits, _) = pipe.ground_truth().memo_stats();
-        assert!(hits > 0);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! inter-window inferences"), built from §IV's two attack techniques.
 
 use crate::bounds::{support_bounds, SupportBounds};
-use bfly_common::{pool, ItemSet, ItemsetId, Pattern, Support};
+use bfly_common::{ItemSet, ItemsetId, Pattern, Support};
 use std::collections::HashMap;
 
 /// How a breach was uncovered.
@@ -35,16 +35,6 @@ pub struct Breach {
 /// adversary could analyse them too, at exponential cost).
 const MAX_SPAN: usize = 16;
 
-/// Spans per scheduling unit for the breach fan-outs: most spans are 2–3
-/// items (a handful of Möbius terms), so a single span is far below
-/// dispatch cost. Large spans are rare enough that batching them with
-/// small ones does not starve the pool.
-const SPAN_BATCH: usize = 8;
-
-/// Dropped-itemset pins per scheduling unit in the inter-window
-/// enumerator — each pin is one interval intersection, near-free.
-const PIN_BATCH: usize = 32;
-
 /// Enumerate all intra-window breaches: patterns `p = I(J\I)̄` with derived
 /// support in `1..=k`, over every published itemset `J` whose full subset
 /// lattice is published (always the case for a complete frequent-itemset
@@ -53,18 +43,14 @@ const PIN_BATCH: usize = 32;
 /// Implementation: per spanning itemset `J`, one superset Möbius transform
 /// over `J`'s subset lattice computes the derived support of *every* base at
 /// once in `O(2^{|J|}·|J|)` — the inclusion–exclusion sums share almost all
-/// their terms. Spans are independent, so their transforms run in parallel;
-/// sorting the spans first makes the breach order (and everything downstream)
-/// identical at any thread count, where the old `HashMap` iteration order
-/// was not even deterministic run to run.
+/// their terms. Spans are visited in sorted order, so the breach order (and
+/// everything downstream) is a pure function of the view, never of `HashMap`
+/// iteration order.
 pub fn find_intra_window_breaches(view: &HashMap<ItemsetId, Support>, k: Support) -> Vec<Breach> {
-    let spans = eligible_spans(view);
-    pool::par_map_min_chunk(&spans, SPAN_BATCH, |span| {
-        collect_span_breaches(view, span, k, BreachKind::IntraWindow, None)
-    })
-    .into_iter()
-    .flatten()
-    .collect()
+    eligible_spans(view)
+        .into_iter()
+        .flat_map(|span| collect_span_breaches(view, span, k, BreachKind::IntraWindow, None))
+        .collect()
 }
 
 /// The spanning itemsets of `view` worth analysing, in canonical (sorted)
@@ -216,56 +202,49 @@ pub fn find_inter_window_breaches(
     k: Support,
 ) -> Vec<Breach> {
     // Stage 1: pin down supports that dropped out of the current release.
-    // Each dropped itemset's bound derivation is independent; candidates are
-    // sorted so the fan-out (and the augmented map it produces) is a pure
-    // function of the two views.
-    let mut dropped: Vec<(ItemsetId, Support)> = prev
+    // Each pin is a pure function of its itemset and the two views, so the
+    // augmented map does not depend on `prev`'s iteration order.
+    let augmented: HashMap<ItemsetId, Support> = prev
         .iter()
         .filter(|(id, _)| !curr.contains_key(id) && id.resolve().len() <= MAX_SPAN)
-        .map(|(&id, &s)| (id, s))
+        .filter_map(|(&id, &prev_support)| {
+            let transition = SupportBounds {
+                lower: prev_support as i64 - slide as i64,
+                upper: prev_support as i64 + slide as i64,
+            };
+            let unpublished = SupportBounds {
+                lower: 0,
+                upper: min_support as i64 - 1,
+            };
+            let mut combined = transition.intersect(&unpublished)?;
+            if let Some(lattice_bounds) = support_bounds(curr, id.resolve()) {
+                // An empty intersection is inconsistent (shouldn't happen on
+                // real data); treat it as "not pinned".
+                combined = combined.intersect(&lattice_bounds)?;
+            }
+            (combined.is_tight() && combined.lower >= 0).then_some((id, combined.lower as Support))
+        })
         .collect();
-    dropped.sort_unstable_by_key(|(id, _)| id.resolve());
-    let pinned = pool::par_map_min_chunk(&dropped, PIN_BATCH, |&(id, prev_support)| {
-        let itemset = id.resolve();
-        let transition = SupportBounds {
-            lower: prev_support as i64 - slide as i64,
-            upper: prev_support as i64 + slide as i64,
-        };
-        let unpublished = SupportBounds {
-            lower: 0,
-            upper: min_support as i64 - 1,
-        };
-        let mut combined = transition.intersect(&unpublished)?;
-        if let Some(lattice_bounds) = support_bounds(curr, itemset) {
-            // An empty intersection is inconsistent (shouldn't happen on
-            // real data); treat it as "not pinned".
-            combined = combined.intersect(&lattice_bounds)?;
-        }
-        (combined.is_tight() && combined.lower >= 0).then_some((id, combined.lower as Support))
-    });
-    let augmented: HashMap<ItemsetId, Support> = pinned.into_iter().flatten().collect();
     if augmented.is_empty() {
         return Vec::new();
     }
 
     // Stage 2: derive vulnerable patterns over the augmented view, keeping
-    // only derivations that consume an augmented support. Spans fan out as
-    // in the intra-window case.
+    // only derivations that consume an augmented support.
     let mut full_view = curr.clone();
     full_view.extend(augmented.iter().map(|(&i, &s)| (i, s)));
-    let spans = eligible_spans(&full_view);
-    pool::par_map_min_chunk(&spans, SPAN_BATCH, |span| {
-        collect_span_breaches(
-            &full_view,
-            span,
-            k,
-            BreachKind::InterWindow,
-            Some(&augmented),
-        )
-    })
-    .into_iter()
-    .flatten()
-    .collect()
+    eligible_spans(&full_view)
+        .into_iter()
+        .flat_map(|span| {
+            collect_span_breaches(
+                &full_view,
+                span,
+                k,
+                BreachKind::InterWindow,
+                Some(&augmented),
+            )
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -144,12 +144,17 @@ mod tests {
         let mut window = SlidingWindow::new(8);
         let mut truth = GroundTruth::new(8);
         let ac: ItemSet = "ac".parse().unwrap();
+        let p: Pattern = "c¬a¬b".parse().unwrap();
         for t in fig2_stream() {
             truth.apply(&window.slide(t));
-            assert_eq!(truth.support(&ac), window.database().support(&ac));
+            let db = window.database();
+            assert_eq!(truth.support(&ac), db.support(&ac));
+            assert_eq!(truth.pattern_support(&p), db.pattern_support(&p));
         }
-        // Fig. 3: T(ac) = 5 in Ds(12,8); the second read is a memo hit.
+        // Fig. 3 / Example 3 values in Ds(12, 8); the second read of T(ac)
+        // is a memo hit.
         assert_eq!(truth.support(&ac), 5);
+        assert_eq!(truth.pattern_support(&p), 1);
         let (hits, _) = truth.memo_stats();
         assert!(hits >= 1, "repeated same-window query must hit the memo");
     }

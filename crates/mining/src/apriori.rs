@@ -1,13 +1,8 @@
 //! Level-wise Apriori miner — the correctness oracle for the other miners.
 
 use crate::result::FrequentItemsets;
-use bfly_common::{pool, Database, ItemSet, Support, TidScratch, VerticalIndex};
+use bfly_common::{Database, ItemSet, Support, TidScratch, VerticalIndex};
 use std::collections::HashSet;
-
-/// Candidates counted per scheduling unit when a level is counted in
-/// parallel. Each batch owns one `TidScratch`, so the unit of work is a
-/// candidate batch (coarse), not a single itemset probe (fine).
-const COUNT_BATCH: usize = 64;
 
 /// Classic Apriori (Agrawal & Srikant 1994): generate candidates level by
 /// level, prune by the downward-closure property, count by a database scan.
@@ -58,27 +53,18 @@ impl Apriori {
             .collect();
         level.sort_unstable();
 
+        let mut scratch = TidScratch::new();
         while !level.is_empty() {
             let candidates = self.generate_candidates(&level);
             if candidates.is_empty() {
                 break;
             }
-            // Count a whole batch of candidates per worker dispatch, each
-            // batch reusing one scratch bitmap; batches come back in input
-            // order, so the output is identical at any thread count.
-            let batches: Vec<&[ItemSet]> = candidates.chunks(COUNT_BATCH).collect();
-            let counted = pool::par_map(&batches, |batch| {
-                let mut scratch = TidScratch::new();
-                batch
-                    .iter()
-                    .map(|cand| index.support(cand, &mut scratch))
-                    .collect::<Vec<Support>>()
-            });
             let mut next: Vec<ItemSet> = Vec::new();
-            for (cand, support) in candidates.iter().zip(counted.into_iter().flatten()) {
+            for cand in candidates {
+                let support = index.support(&cand, &mut scratch);
                 if support >= self.min_support {
                     out.push((cand.clone(), support));
-                    next.push(cand.clone());
+                    next.push(cand);
                 }
             }
             next.sort_unstable();

@@ -28,10 +28,9 @@ use bfly_common::{Database, Support, Transaction, WindowDelta};
 /// A miner that the stream pipeline can drive: consume window deltas,
 /// answer frequent-itemset queries.
 ///
-/// `Send + Sync` is part of the contract: queries take `&self`, and the
-/// backend-matrix harness ([`mine_backend_matrix`]) re-mines many backends
-/// concurrently. Every miner in this crate is plain owned data, so the
-/// bound costs implementors nothing.
+/// `Send + Sync` is part of the contract: a serve shard owns its streams'
+/// backends on a worker thread, and queries take `&self`. Every miner in
+/// this crate is plain owned data, so the bound costs implementors nothing.
 pub trait MinerBackend: Send + Sync {
     /// Apply one window movement (arrival + optional eviction).
     fn apply(&mut self, delta: &WindowDelta);
@@ -398,18 +397,6 @@ impl BackendKind {
             }
         }
     }
-}
-
-/// Query every backend's `(frequent, closed_frequent)` pair, fanning the
-/// re-mines out across the pool. Results come back in `backends` order, so
-/// the exactness checks in `tests/miner_equivalence.rs` (and any caller)
-/// see the same matrix at any thread count. This is the hot loop of the
-/// backend-matrix tests: each `frequent()` on a batch backend re-mines the
-/// whole mirrored window, and those re-mines are fully independent.
-pub fn mine_backend_matrix(
-    backends: &[Box<dyn MinerBackend>],
-) -> Vec<(FrequentItemsets, FrequentItemsets)> {
-    bfly_common::pool::par_map(backends, |b| (b.frequent(), b.closed_frequent()))
 }
 
 impl std::fmt::Display for BackendKind {

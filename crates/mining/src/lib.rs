@@ -38,8 +38,7 @@ pub mod rules;
 
 pub use apriori::Apriori;
 pub use backend::{
-    mine_backend_matrix, BackendKind, BatchBackend, BatchMiner, DampedBackend, FpStreamBackend,
-    MinerBackend,
+    BackendKind, BatchBackend, BatchMiner, DampedBackend, FpStreamBackend, MinerBackend,
 };
 pub use charm::Charm;
 pub use damped::{DampedConfig, DampedMiner};

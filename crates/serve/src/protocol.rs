@@ -226,18 +226,37 @@ impl Request {
     }
 }
 
+/// Longest stream key (bytes) and widest transaction (items) a request may
+/// carry: binary frames and WAL records write both lengths as `u16`. NDJSON
+/// is the only way in that can exceed it — a binary frame's lengths are
+/// already `u16` on the wire.
+const WIRE_LEN_MAX: usize = u16::MAX as usize;
+
 fn required_stream(v: &Json) -> Result<String> {
-    v.get("stream")
+    let stream = v
+        .get("stream")
         .and_then(Json::as_str)
         .filter(|s| !s.is_empty())
-        .map(str::to_string)
-        .ok_or_else(|| Error::Parse("request missing \"stream\"".into()))
+        .ok_or_else(|| Error::Parse("request missing \"stream\"".into()))?;
+    if stream.len() > WIRE_LEN_MAX {
+        return Err(Error::Parse(format!(
+            "stream key of {} bytes exceeds the {WIRE_LEN_MAX}-byte limit",
+            stream.len()
+        )));
+    }
+    Ok(stream.to_string())
 }
 
 fn parse_itemset(v: &Json) -> Result<ItemSet> {
     let ids = v
         .as_array()
         .ok_or_else(|| Error::Parse("transaction must be an array of item ids".into()))?;
+    if ids.len() > WIRE_LEN_MAX {
+        return Err(Error::Parse(format!(
+            "transaction of {} items exceeds the {WIRE_LEN_MAX}-item limit",
+            ids.len()
+        )));
+    }
     let items: Vec<u32> = ids
         .iter()
         .map(|id| {
@@ -737,6 +756,41 @@ mod tests {
             let v = Json::parse(bad).unwrap();
             assert!(Request::from_json(&v).is_err(), "accepted {bad}");
         }
+    }
+
+    #[test]
+    fn stream_key_and_transaction_are_bounded_at_the_u16_wire_lengths() {
+        let ingest = |key_len: usize, items: u64| {
+            let tx = Json::Arr((0..items).map(Json::from).collect());
+            Request::from_json(&Json::obj([
+                ("op", Json::from("ingest")),
+                ("stream", Json::from("k".repeat(key_len).as_str())),
+                ("batch", Json::Arr(vec![tx])),
+            ]))
+        };
+        // At the bound both encode: the request survives the binary frame
+        // the router forwards and the WAL logs.
+        let at = ingest(65_535, 65_535).expect("65 535 is representable");
+        let Request::Ingest { stream, batch } = &at else {
+            panic!("parsed {at:?}");
+        };
+        let frame = BinaryFrame::Ingest {
+            stream: stream.clone(),
+            batch: batch.clone(),
+        };
+        let (op, payload) = frame.encode_payload();
+        assert_eq!(BinaryFrame::decode_payload(op, &payload).unwrap(), frame);
+        let err = ingest(65_536, 1).unwrap_err().to_string();
+        assert!(err.contains("stream key of 65536 bytes"), "got {err}");
+        let err = ingest(1, 65_536).unwrap_err().to_string();
+        assert!(err.contains("transaction of 65536 items"), "got {err}");
+        // Every op that names a stream goes through the same check.
+        let bind = Json::obj([
+            ("op", Json::from("bind")),
+            ("stream", Json::from("k".repeat(65_536).as_str())),
+            ("defense", Json::from("suppress")),
+        ]);
+        assert!(Request::from_json(&bind).is_err());
     }
 
     #[test]

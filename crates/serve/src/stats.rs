@@ -135,6 +135,8 @@ pub struct WalStats {
     /// Torn tails truncated by startup replay (at most one per shard per
     /// recovery — a torn record can only be the last thing written).
     pub truncated_tails: AtomicU64,
+    /// Bytes those truncations dropped.
+    pub truncated_bytes: AtomicU64,
 }
 
 impl WalStats {
@@ -165,6 +167,10 @@ impl WalStats {
             (
                 "truncated_tails",
                 Json::from(self.truncated_tails.load(Ordering::Relaxed)),
+            ),
+            (
+                "truncated_bytes",
+                Json::from(self.truncated_bytes.load(Ordering::Relaxed)),
             ),
         ])
     }

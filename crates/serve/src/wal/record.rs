@@ -129,13 +129,13 @@ pub enum WalRecord {
 }
 
 fn put_str(buf: &mut Vec<u8>, s: &str) {
-    debug_assert!(s.len() <= u16::MAX as usize, "string too long for the log");
+    assert!(s.len() <= u16::MAX as usize, "string too long for the log");
     buf.extend_from_slice(&(s.len() as u16).to_le_bytes());
     buf.extend_from_slice(s.as_bytes());
 }
 
 fn put_ids(buf: &mut Vec<u8>, ids: &[u32]) {
-    debug_assert!(ids.len() <= u16::MAX as usize, "itemset too wide");
+    assert!(ids.len() <= u16::MAX as usize, "itemset too wide");
     buf.extend_from_slice(&(ids.len() as u16).to_le_bytes());
     for id in ids {
         buf.extend_from_slice(&id.to_le_bytes());

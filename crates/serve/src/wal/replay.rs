@@ -289,9 +289,15 @@ pub fn recover_shard(
 
 fn truncate_tail(path: &Path, keep: u64, stats: &Arc<WalStats>) -> Result<()> {
     let f = std::fs::OpenOptions::new().write(true).open(path)?;
+    let dropped = f.metadata()?.len().saturating_sub(keep);
     f.set_len(keep)?;
     f.sync_data()?;
+    eprintln!(
+        "wal: truncated torn tail of {}: dropped {dropped} bytes at offset {keep}",
+        path.display()
+    );
     stats.truncated_tails.fetch_add(1, Ordering::Relaxed);
+    stats.truncated_bytes.fetch_add(dropped, Ordering::Relaxed);
     Ok(())
 }
 
@@ -765,12 +771,17 @@ mod tests {
 
         let rec = recover_shard(&cfg, &wal, 0, &stats).unwrap();
         assert_eq!(stats.truncated_tails.load(Ordering::Relaxed), 1);
+        assert_eq!(
+            stats.truncated_bytes.load(Ordering::Relaxed),
+            (torn.len() / 2) as u64
+        );
         assert_eq!(rec.streams["k"].pipe.stream_len(), 20);
         // The truncated file must now replay clean.
         let stats2 = Arc::new(WalStats::default());
         drop(rec);
         recover_shard(&cfg, &wal, 0, &stats2).unwrap();
         assert_eq!(stats2.truncated_tails.load(Ordering::Relaxed), 0);
+        assert_eq!(stats2.truncated_bytes.load(Ordering::Relaxed), 0);
         std::fs::remove_dir_all(&root).unwrap();
     }
 

@@ -1,15 +1,13 @@
 #!/usr/bin/env bash
-# Benchmark gate for the parallel execution layer and the vertical
-# support-counting engine.
+# Benchmark gate for the experiment-sweep pool, the vertical
+# support-counting engine and the release engine.
 #
-# 1. parbench: each parallel stage timed at 1 worker and at the full worker
-#    count in-process (median of $PARBENCH_REPS reps) with the pool's
-#    chunk-dispatch telemetry per stage, plus the counting stages
-#    (per-transaction scan vs. vertical tid-bitmap, the vertical path timed
-#    both with the kernels forced to the scalar reference level and at the
-#    host's detected SIMD level) and the release stage (the from-scratch
-#    reference publication vs. the Publisher replaying the same
-#    sliding-window publication schedule, with DP warm-start counters).
+# 1. parbench: the one parallel stage (evaluate_cells) timed at 1 worker
+#    and at the full worker count in-process (median of $PARBENCH_REPS
+#    reps), plus the counting stages (per-transaction scan vs. vertical
+#    tid-bitmap) and the release stage (the from-scratch reference
+#    publication vs. the Publisher replaying the same sliding-window
+#    publication schedule, with DP warm-start counters).
 #    Each invocation APPENDS one timestamped run entry to
 #    BENCH_parallel.json, BENCH_support.json, and BENCH_release.json at the
 #    repo root, so the perf trajectory across changes is preserved — never
@@ -28,11 +26,12 @@
 #    shard and node scaling are only meaningful with >1 core).
 # 3. defbench: the cross-defense evaluation matrix — every registered
 #    PrivacyDefense published over the same mined stream and attacked by
-#    the same inference engine; prig/pred/utility/attack-MSE plus publish
-#    cost APPEND to BENCH_defense.json.
-# 4. The dependency-free overhead + mining micro-benchmark harnesses, run
-#    once at BFLY_THREADS=1 and once at the full worker count, for the
-#    per-stage context numbers.
+#    the same inference engine, one defense at a time;
+#    prig/pred/utility/attack-MSE plus publish cost APPEND to
+#    BENCH_defense.json.
+# 4. The dependency-free overhead + mining micro-benchmark harnesses, for
+#    the per-stage context numbers (serial: nothing they time uses the
+#    pool).
 #
 # Pass --quick to skip step 4.
 set -euo pipefail
@@ -56,9 +55,7 @@ cargo run -q --release -p bfly-bench --bin defbench -- --out BENCH_defense.json
 
 if [[ "${1:-}" != "--quick" ]]; then
   for bench in overhead mining; do
-    echo "==> bench ${bench} (1 thread)"
-    BFLY_THREADS=1 cargo bench -q -p bfly-bench --bench "$bench"
-    echo "==> bench ${bench} (all threads)"
+    echo "==> bench ${bench}"
     cargo bench -q -p bfly-bench --bench "$bench"
   done
 fi

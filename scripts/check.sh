@@ -22,16 +22,13 @@ cargo test -q --workspace
 echo "==> vertical-vs-scan differential tests"
 cargo test -q --release --test vertical_support
 
-echo "==> kernel differential tests (scalar vs unrolled vs simd, 1/2/8 threads)"
-cargo test -q --release --test kernel_differential
-
 echo "==> Moment vs rescan soak (soak --quick: four stream shapes through six window turnovers each, contract audit on every release)"
 cargo run -q --release -p bfly-bench --bin soak -- --quick
 
 echo "==> release engine vs from-scratch reference differential, restore mid-sequence for every defense"
 cargo test -q --release --test release_engine
 
-echo "==> crash-recovery differential (SIGKILL mid-stream, restart on the same --wal-dir, byte-identical catch-up at 1/2/8 threads)"
+echo "==> crash-recovery differential (SIGKILL mid-stream, restart on the same --wal-dir, byte-identical catch-up; oversized key refused)"
 cargo test -q --release --test wal_recovery
 
 echo "==> federation differential (router over 2 nodes, kill one, survivor + WAL-rejoin byte-identity)"
@@ -46,21 +43,17 @@ echo "==> serve benchmark: metric names vs BENCHMARK.json, then every byte of al
 cargo test -q --release --manifest-path benchmark/Cargo.toml
 cargo run -q --release --manifest-path benchmark/Cargo.toml -- run --quick >/dev/null
 
-echo "==> parbench --quick smoke (chunk telemetry + kernel column sanity)"
-PARBENCH_LOG=target/parbench.smoke.log
+echo "==> pool guard (nothing below crates/bench fans out over the thread pool)"
+if grep -rn "pool::" crates/common/src crates/mining/src crates/inference/src \
+  crates/core/src crates/serve/src | grep -v '^crates/common/src/pool.rs:'; then
+  echo "a library crate calls the thread pool; it belongs to crates/bench only"; exit 1
+fi
+
+echo "==> parbench --quick smoke"
 cargo run -q --release -p bfly-bench --bin parbench -- --quick \
   --out target/BENCH_parallel.smoke.json \
   --support-out target/BENCH_support.smoke.json \
-  --release-out target/BENCH_release.smoke.json | tee "$PARBENCH_LOG"
-# Every parallel stage must report a non-empty dispatch (chunks NxM over K
-# items), and the counting stages must report both vertical columns.
-if grep -q 'chunks 0x0 over 0 items' "$PARBENCH_LOG"; then
-  echo "a parbench stage recorded an empty dispatch"; exit 1
-fi
-grep -q 'vertical(scalar)' "$PARBENCH_LOG" \
-  || { echo "parbench counting stages lost the scalar-kernel baseline column"; exit 1; }
-grep -Eq 'chunks [0-9]+x[0-9]+ over [0-9]+ items on [0-9]+ workers' "$PARBENCH_LOG" \
-  || { echo "parbench stages lost the chunk telemetry"; exit 1; }
+  --release-out target/BENCH_release.smoke.json
 
 echo "==> serve smoke (reactor server, both frame modes, delta wire, mid-stream subscriber, WAL on)"
 cargo build -q --release

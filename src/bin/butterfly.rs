@@ -44,18 +44,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    // `--threads` applies to every subcommand: it pins the worker count of
-    // the workspace pool (attack enumeration, order DP). Absent, the
-    // `BFLY_THREADS` env var or the hardware decides.
-    if let Some(threads) = opts.get("threads") {
-        match threads.parse::<usize>() {
-            Ok(n) if n > 0 => butterfly_repro::common::pool::set_threads(n),
-            _ => {
-                eprintln!("error: --threads needs a positive integer, got {threads:?}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
     let result = match command.as_str() {
         "gen" => cmd_gen(&opts),
         "mine" => cmd_mine(&opts),
@@ -123,15 +111,11 @@ router, which maps each stream key onto the node that owns it (fnv1a(key)
 mod N*shards slots) and forwards ingest/bind, merges stats, and proxies
 subscriptions (including WAL catch-up served by the owning node). Every
 node should run with the same --shards and pipeline knobs; durability
-stays on the nodes (--wal-dir conflicts with --role router).
-
-Every command also accepts --threads <N> to pin the worker-thread count of
-the parallel phases (default: BFLY_THREADS, else all hardware threads;
-results are identical at any thread count).";
+stays on the nodes (--wal-dir conflicts with --role router).";
 
 type Flags = HashMap<String, String>;
 
-/// `(name, takes_value)` — flags each subcommand accepts, beyond `--threads`.
+/// `(name, takes_value)` — flags each subcommand accepts.
 const FLAG_TABLE: &[(&str, &[(&str, bool)])] = &[
     (
         "gen",
@@ -246,21 +230,12 @@ fn parse_flags(command: &str, args: &[String]) -> Result<Flags, String> {
         let Some(name) = arg.strip_prefix("--") else {
             return Err(format!("unexpected positional argument {arg:?}"));
         };
-        let takes_value = if name == "threads" {
-            true
-        } else {
-            match allowed.iter().find(|(n, _)| *n == name) {
-                Some((_, takes_value)) => *takes_value,
-                None => {
-                    let mut valid: Vec<String> =
-                        allowed.iter().map(|(n, _)| format!("--{n}")).collect();
-                    valid.push("--threads".to_string());
-                    return Err(format!(
-                        "unknown flag --{name} for {command} (valid: {})",
-                        valid.join(", ")
-                    ));
-                }
-            }
+        let Some(&(_, takes_value)) = allowed.iter().find(|(n, _)| *n == name) else {
+            let valid: Vec<String> = allowed.iter().map(|(n, _)| format!("--{n}")).collect();
+            return Err(format!(
+                "unknown flag --{name} for {command} (valid: {})",
+                valid.join(", ")
+            ));
         };
         if !takes_value {
             flags.insert(name.to_string(), "true".to_string());

@@ -78,7 +78,6 @@ fn spawn_serve(extra: &[&str], port_file: &Path) -> (Reaper, SocketAddr) {
         .args(extra)
         .arg("--port-file")
         .arg(port_file)
-        .env("BFLY_THREADS", "2")
         .stdout(Stdio::null())
         .stderr(Stdio::null())
         .spawn()

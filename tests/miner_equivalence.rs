@@ -9,8 +9,7 @@ use butterfly_repro::common::{Database, ItemSet, SlidingWindow, Transaction};
 use butterfly_repro::datagen::DatasetProfile;
 use butterfly_repro::mining::closed::{closed_subset, expand_closed};
 use butterfly_repro::mining::{
-    mine_backend_matrix, Apriori, BackendKind, FpGrowth, FrequentItemsets, MinerBackend,
-    MomentMiner,
+    Apriori, BackendKind, FpGrowth, FrequentItemsets, MinerBackend, MomentMiner,
 };
 
 #[test]
@@ -126,22 +125,18 @@ fn exact_backend_matrix_agrees_over_a_sliding_stream() {
         }
         let oracle = Apriori::new(c).mine(&window.database());
         let oracle_closed = closed_subset(&oracle);
-        // Re-mine all backends concurrently; results come back in backend
-        // order, so the per-backend attribution below is unchanged.
-        let matrix = mine_backend_matrix(&backends);
-        for ((b, kind), (frequent, closed)) in backends.iter().zip(BackendKind::EXACT).zip(&matrix)
-        {
+        for (b, kind) in backends.iter().zip(BackendKind::EXACT) {
             assert_eq!(b.name(), kind.name());
             assert!(b.is_exact());
             assert_eq!(b.min_support(), c);
             assert_eq!(
-                *frequent,
+                b.frequent(),
                 oracle,
                 "{} frequent() diverged at step {step}",
                 b.name()
             );
             assert_eq!(
-                *closed,
+                b.closed_frequent(),
                 oracle_closed,
                 "{} closed_frequent() diverged at step {step}",
                 b.name()

@@ -1,10 +1,11 @@
 //! Integration: the parallel execution layer never changes results.
 //!
-//! The full fig4-style pipeline — ground-truth collection (parallel breach
-//! enumeration), sweep-cell evaluation, and a stateful `Publisher` release
-//! sequence — must produce identical truths, breach lists, releases, and
-//! metrics at every thread count. This is the workspace's determinism
-//! contract: thread count is a throughput knob, never a semantics knob.
+//! The full fig4-style pipeline — ground-truth collection, sweep-cell
+//! evaluation (the one stage that still fans out over the pool), and a
+//! stateful `Publisher` release sequence — must produce identical truths,
+//! breach lists, releases, and metrics at every thread count. This is the
+//! workspace's determinism contract: thread count is a throughput knob,
+//! never a semantics knob.
 
 use bfly_bench::{collect_truths, evaluate_cells, EvalResult, ExperimentConfig, WindowTruth};
 use butterfly_repro::butterfly::{BiasScheme, PrivacySpec, Publisher};
@@ -22,8 +23,7 @@ struct PipelineOutput {
     releases: Vec<FlatRelease>,
 }
 
-/// Run the whole pipeline at a pinned thread count. The config keeps
-/// `threads` so `collect_truths` itself exercises `apply_threads`.
+/// Run the whole pipeline at a pinned thread count.
 fn run_pipeline(threads: usize) -> PipelineOutput {
     let cfg = ExperimentConfig {
         profile: DatasetProfile::WebView1,
@@ -35,6 +35,7 @@ fn run_pipeline(threads: usize) -> PipelineOutput {
         backend: BackendKind::Moment,
         threads,
     };
+    cfg.apply_threads();
     let truths = collect_truths(&cfg);
 
     let spec = PrivacySpec::new(cfg.c, cfg.k, 0.1, 0.5);

@@ -28,10 +28,10 @@ impl Drop for Reaper {
     }
 }
 
-/// Start `butterfly serve` on an ephemeral port with the WAL at `wal_dir`,
-/// pinned to `threads` compute threads, and block until the `--port-file`
-/// handshake delivers the bound address.
-fn spawn_serve(wal_dir: &Path, port_file: &Path, threads: usize) -> (Reaper, SocketAddr) {
+/// Start `butterfly serve` on an ephemeral port with the WAL at `wal_dir`
+/// and `shards` shards, and block until the `--port-file` handshake
+/// delivers the bound address.
+fn spawn_serve(wal_dir: &Path, port_file: &Path, shards: usize) -> (Reaper, SocketAddr) {
     let _ = std::fs::remove_file(port_file);
     let child = Command::new(env!("CARGO_BIN_EXE_butterfly"))
         .args([
@@ -39,7 +39,7 @@ fn spawn_serve(wal_dir: &Path, port_file: &Path, threads: usize) -> (Reaper, Soc
             "--addr",
             "127.0.0.1:0",
             "--shards",
-            "2",
+            &shards.to_string(),
             "--window",
             "120",
             "--min-support",
@@ -61,7 +61,6 @@ fn spawn_serve(wal_dir: &Path, port_file: &Path, threads: usize) -> (Reaper, Soc
         .arg(wal_dir)
         .arg("--port-file")
         .arg(port_file)
-        .env("BFLY_THREADS", threads.to_string())
         .stdout(Stdio::null())
         .stderr(Stdio::null())
         .spawn()
@@ -109,7 +108,8 @@ fn wait_processed(control: &mut Client, want: u64) {
     }
 }
 
-/// The scenario at one compute-thread count:
+/// The scenario (the test keeps the name it had when it also ran at 2 and 8
+/// pool threads; nothing under serve reads a thread count any more):
 ///
 /// 1. serve with `--wal-sync always`, ingest 155 of 205 records, and
 ///    SIGKILL the process — no drain, no final fsync beyond the policy's.
@@ -119,8 +119,9 @@ fn wait_processed(control: &mut Client, want: u64) {
 ///    through shutdown, and require the concatenated event stream — nine
 ///    catch-up releases plus the flush at 205 — byte-identical to the
 ///    in-process pipeline over the same 205 records.
-fn crash_recover_roundtrip(threads: usize) {
-    let tag = format!("bfly-wal-recovery-{}-t{threads}", std::process::id());
+#[test]
+fn kill_dash_nine_recovery_single_thread() {
+    let tag = format!("bfly-wal-recovery-{}", std::process::id());
     let wal_dir = std::env::temp_dir().join(&tag);
     let port_file = std::env::temp_dir().join(format!("{tag}.port"));
     let _ = std::fs::remove_dir_all(&wal_dir);
@@ -161,7 +162,7 @@ fn crash_recover_roundtrip(threads: usize) {
     // guarantees the publications at 120…150 completed (each publication
     // finishes before the *next* record's counter tick), while the kill
     // still lands with no drain and the log mid-segment.
-    let (server, addr) = spawn_serve(&wal_dir, &port_file, threads);
+    let (server, addr) = spawn_serve(&wal_dir, &port_file, 2);
     let mut client = Client::connect(addr).expect("connect");
     client
         .request(&Request::Ingest {
@@ -174,7 +175,7 @@ fn crash_recover_roundtrip(threads: usize) {
     drop(client);
 
     // Phase 2: restart on the same log.
-    let (server, addr) = spawn_serve(&wal_dir, &port_file, threads);
+    let (server, addr) = spawn_serve(&wal_dir, &port_file, 2);
     let mut client = Client::connect(addr).expect("reconnect");
     let stats = client.request(&Request::Stats).expect("stats reply");
     assert_eq!(
@@ -229,19 +230,58 @@ fn crash_recover_roundtrip(threads: usize) {
     let _ = std::fs::remove_file(&port_file);
 }
 
+/// One oversized stream key used to wrap its `u16` length in the log and
+/// cost the shard everything logged after it at the next start. The edge
+/// now refuses it; the co-tenant's records survive a kill and a restart
+/// with nothing truncated.
 #[test]
-fn kill_dash_nine_recovery_single_thread() {
-    crash_recover_roundtrip(1);
-}
+fn oversized_key_is_refused_and_costs_co_tenants_nothing() {
+    let tag = format!("bfly-wal-hostile-key-{}", std::process::id());
+    let wal_dir = std::env::temp_dir().join(&tag);
+    let port_file = std::env::temp_dir().join(format!("{tag}.port"));
+    let _ = std::fs::remove_dir_all(&wal_dir);
+    let records: Vec<ItemSet> = DatasetProfile::WebView1
+        .source(13)
+        .take_vec(130)
+        .into_iter()
+        .map(|t| t.into_items())
+        .collect();
 
-#[test]
-fn kill_dash_nine_recovery_two_threads() {
-    crash_recover_roundtrip(2);
-}
+    let (server, addr) = spawn_serve(&wal_dir, &port_file, 1);
+    let mut client = Client::connect(addr).expect("connect");
+    let reply = client
+        .request(&Request::Ingest {
+            stream: "k".repeat(70_000),
+            batch: records[..2].to_vec(),
+        })
+        .expect("the connection survives the refusal");
+    assert_eq!(reply.get("ok"), Some(&Json::Bool(false)), "got {reply}");
+    let reply = client
+        .request(&Request::Ingest {
+            stream: "alpha".into(),
+            batch: records.clone(),
+        })
+        .expect("co-tenant ingest");
+    assert_eq!(reply.get("accepted").and_then(Json::as_u64), Some(130));
+    wait_processed(&mut client, 130);
+    drop(server);
+    drop(client);
 
-#[test]
-fn kill_dash_nine_recovery_eight_threads() {
-    crash_recover_roundtrip(8);
+    let (server, addr) = spawn_serve(&wal_dir, &port_file, 1);
+    let mut client = Client::connect(addr).expect("reconnect");
+    let stats = client.request(&Request::Stats).expect("stats reply");
+    assert_eq!(
+        stats.get("recovered_windows").and_then(Json::as_u64),
+        Some(2),
+        "replay must re-execute alpha's publications at 120 and 130: {stats}"
+    );
+    let wal = stats.get("wal").expect("wal stats");
+    assert_eq!(wal.get("truncated_tails").and_then(Json::as_u64), Some(0));
+    assert_eq!(wal.get("truncated_bytes").and_then(Json::as_u64), Some(0));
+
+    drop(server);
+    let _ = std::fs::remove_dir_all(&wal_dir);
+    let _ = std::fs::remove_file(&port_file);
 }
 
 /// A clean restart (graceful shutdown, then a new process on the same
