@@ -10,9 +10,8 @@
 //! 4. **Residual thresholding attack** — precision/recall of an adversary
 //!    who still claims breaches from sanitized output.
 //!
-//! The warm-started optimizer's per-window cost and cache counters are
-//! fields of BENCH_release.json (`parbench`); Butterfly against a
-//! differential-privacy release is BENCH_defense.json (`defbench`).
+//! Butterfly against a differential-privacy release is BENCH_defense.json
+//! (`defbench`).
 //!
 //! Run: `cargo run --release -p bfly-bench --bin ablation` (`--quick`).
 

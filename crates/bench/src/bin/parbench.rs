@@ -13,25 +13,15 @@
 //! differs. Each counting stage runs the identical workload through the
 //! per-transaction scan baseline and through the tid-bitmap vertical path.
 //!
-//! A third family times the release path itself: the from-scratch
-//! reference (`bfly_bench::publish_from_scratch`: partition + DP cold every
-//! window) against the `Publisher` (delta-maintained FEC index,
-//! warm-started order DP) on a high-overlap stream, recording the
-//! per-window publish speedup and the DP-cache counters into
-//! `BENCH_release.json`. The two are asserted release-for-release identical
-//! before any clock starts.
-//!
 //! Run: `cargo run --release -p bfly-bench --bin parbench`
 //!       `[--reps <R>] [--out <path.json>] [--support-out <path.json>]`
-//!       `[--release-out <path.json>]`
 
 use bfly_bench::{
     append_run, arg, audit_breaches_scan_warm, audit_breaches_vertical_warm, collect_truths,
-    epoch_seconds, evaluate_cells, prepare_audit_replay, publish_from_scratch, support_workload,
-    ExperimentConfig,
+    epoch_seconds, evaluate_cells, prepare_audit_replay, support_workload, ExperimentConfig,
 };
 use bfly_common::{pool, Json, Support, TidScratch, VerticalIndex};
-use bfly_core::{BiasScheme, PrivacySpec, Publisher, SanitizedRelease, StreamPipeline};
+use bfly_core::{BiasScheme, PrivacySpec};
 use bfly_datagen::DatasetProfile;
 use bfly_mining::BackendKind;
 use std::time::Instant;
@@ -291,168 +281,6 @@ fn main() {
             ("truth_window", Json::from(truth_cfg.window as u64)),
             ("wide_window", Json::from(wide_cfg.window as u64)),
             ("stages", Json::Arr(counting_rows)),
-        ]),
-    );
-
-    // ------ Incremental release engine vs batch publish (release path) ------
-
-    let release_out = arg("--release-out").unwrap_or_else(|| "BENCH_release.json".to_string());
-    let publish_points = if quick { 40usize } else { 200usize };
-    // A deployment's worst case for redundant work: publish after every
-    // record of an 8000-record window, so consecutive publications overlap
-    // by 7999/8000 ≈ 99.99%. The contract is a tight-precision one
-    // (ε = 0.0015): small bias budgets keep distant FECs non-interacting,
-    // which is what lets a local support change wash out instead of
-    // invalidating every downstream layer.
-    release_publish(
-        &ReleaseShape {
-            spec: PrivacySpec::new(50, 3, 0.0015, 0.5),
-            scheme: BiasScheme::OrderPreserving { gamma: 2 },
-            scheme_name: "order(gamma=2)",
-            window: if quick { 2000 } else { 8000 },
-            slide: 1,
-            publish_points,
-        },
-        reps,
-        n,
-        &release_out,
-    );
-    // The serve contract (the benchmark's `publish_live`): a twentieth of
-    // the window turns over between publications, and the churn sits at
-    // the front of the support-ascending chain.
-    release_publish(
-        &ReleaseShape {
-            spec: PrivacySpec::new(25, 5, 0.016, 0.4),
-            scheme: BiasScheme::Hybrid {
-                lambda: 0.4,
-                gamma: 2,
-            },
-            scheme_name: "hybrid(lambda=0.4,gamma=2)",
-            window: 2000,
-            slide: 100,
-            publish_points,
-        },
-        reps,
-        n,
-        &release_out,
-    );
-}
-
-/// One `release_publish` configuration: the contract, and how the window
-/// sequence is cut from the WebView1 stream.
-struct ReleaseShape {
-    spec: PrivacySpec,
-    scheme: BiasScheme,
-    scheme_name: &'static str,
-    window: usize,
-    /// Records between consecutive publications.
-    slide: usize,
-    publish_points: usize,
-}
-
-/// Time the from-scratch reference (re-partition, re-solve the order DP cold
-/// each window) against the publisher (delta-maintained FEC index, DP
-/// warm-started from the previous window's layers, cached suffix layers
-/// spliced back in wherever the normalized DP provably re-converges) over
-/// one window sequence; print and record a row.
-fn release_publish(shape: &ReleaseShape, reps: usize, workers: usize, out: &str) {
-    let &ReleaseShape {
-        spec,
-        scheme,
-        scheme_name,
-        window,
-        slide,
-        publish_points,
-    } = shape;
-    let mut pipe = StreamPipeline::new(window, Publisher::new(spec, BiasScheme::Basic, 1));
-    let mut src = DatasetProfile::WebView1.source(57);
-    for _ in 0..window {
-        pipe.advance(src.next_transaction());
-    }
-    let mut windows = vec![pipe.publish_now().expect("window just filled").closed];
-    while windows.len() < publish_points {
-        for _ in 0..slide {
-            pipe.advance(src.next_transaction());
-        }
-        windows.push(pipe.publish_now().expect("window stays full").closed);
-    }
-    let itemsets_per_window = windows.iter().map(|w| w.len()).sum::<usize>() / windows.len();
-
-    let replay_batch = || -> Vec<SanitizedRelease> {
-        let mut releases: Vec<SanitizedRelease> = Vec::with_capacity(windows.len());
-        let empty = SanitizedRelease::default();
-        for w in &windows {
-            let previous = releases.last().unwrap_or(&empty);
-            releases.push(publish_from_scratch(&spec, &scheme, 41, previous, w));
-        }
-        releases
-    };
-    let replay = || {
-        let mut p = Publisher::new(spec, scheme, 41);
-        let releases: Vec<SanitizedRelease> = windows.iter().map(|w| p.publish(w)).collect();
-        (releases, p.engine_stats())
-    };
-
-    // Correctness gate before any clock starts: the two must agree on every
-    // release of the sequence.
-    let (incr_releases, stats) = replay();
-    assert_eq!(
-        replay_batch(),
-        incr_releases,
-        "publisher diverged from the from-scratch reference"
-    );
-    let layer_total = (stats.dp_layers_reused + stats.dp_layers_computed).max(1);
-    let layers_reused_frac = stats.dp_layers_reused as f64 / layer_total as f64;
-
-    let batch_ms = median_ms(reps, replay_batch);
-    let incr_ms = median_ms(reps, replay);
-    let speedup = batch_ms / incr_ms.max(1e-9);
-    println!(
-        "release_publish    slide {slide:>3}   batch {batch_ms:>8.2} ms   incremental {incr_ms:>8.2} ms   \
-         speedup {speedup:.2}x ({publish_points} windows of {window}, ~{itemsets_per_window} itemsets \
-         each; DP cache: {} reused, {} warm-started, {} full solves, {:.1}% of layers from cache)",
-        stats.dp_full_reuse,
-        stats.dp_warm_starts,
-        stats.dp_full_solves,
-        100.0 * layers_reused_frac,
-    );
-    append_run(
-        out,
-        Json::obj([
-            ("ts", Json::from(epoch_seconds())),
-            ("workers", Json::from(workers as u64)),
-            ("reps", Json::from(reps as u64)),
-            ("windows", Json::from(publish_points as u64)),
-            ("window_size", Json::from(window as u64)),
-            ("slide", Json::from(slide as u64)),
-            (
-                "overlap",
-                Json::from((window - slide) as f64 / window as f64),
-            ),
-            ("scheme", Json::from(scheme_name)),
-            ("epsilon", Json::from(spec.epsilon())),
-            ("min_support", Json::from(spec.c())),
-            (
-                "itemsets_per_window",
-                Json::from(itemsets_per_window as u64),
-            ),
-            ("batch_ms", Json::from(batch_ms)),
-            ("incremental_ms", Json::from(incr_ms)),
-            (
-                "per_window_batch_ms",
-                Json::from(batch_ms / publish_points as f64),
-            ),
-            (
-                "per_window_incremental_ms",
-                Json::from(incr_ms / publish_points as f64),
-            ),
-            ("speedup", Json::from(speedup)),
-            ("dp_full_reuse", Json::from(stats.dp_full_reuse)),
-            ("dp_warm_starts", Json::from(stats.dp_warm_starts)),
-            ("dp_full_solves", Json::from(stats.dp_full_solves)),
-            ("dp_layers_reused", Json::from(stats.dp_layers_reused)),
-            ("dp_layers_computed", Json::from(stats.dp_layers_computed)),
-            ("dp_layers_reused_frac", Json::from(layers_reused_frac)),
         ]),
     );
 }

@@ -1,8 +1,7 @@
-//! The from-scratch publication every cross-window shortcut of
-//! [`bfly_core::Publisher`] is held to: one window's release composed from
-//! the public stage functions with nothing carried between windows but the
-//! previous release. `tests/release_engine.rs` uses it as the oracle and
-//! `parbench`'s `release_publish` stage as its "batch" column.
+//! The from-scratch publication [`bfly_core::Publisher`] is held to: one
+//! window's release composed from the public stage functions with nothing
+//! carried between windows but the previous release.
+//! `tests/release_engine.rs` uses it as the oracle.
 
 use bfly_core::{
     partition_into_fecs, seeded_noise, BiasScheme, PrivacySpec, SanitizedItemset, SanitizedRelease,

@@ -201,11 +201,7 @@ impl BinaryFrame {
         let mut payload = Vec::with_capacity(64);
         let op = match self {
             BinaryFrame::Ingest { stream, batch } => {
-                put_str(&mut payload, stream);
-                payload.extend_from_slice(&(batch.len() as u32).to_le_bytes());
-                for items in batch {
-                    put_ids(&mut payload, items.iter().map(|i| i.id()), items.len());
-                }
+                BinaryFrame::put_ingest_payload(&mut payload, stream, batch);
                 OP_INGEST
             }
             BinaryFrame::Release {
@@ -213,9 +209,7 @@ impl BinaryFrame {
                 stream_len,
                 entries,
             } => {
-                put_str(&mut payload, stream);
-                payload.extend_from_slice(&stream_len.to_le_bytes());
-                put_entries(&mut payload, entries);
+                BinaryFrame::put_release_payload(&mut payload, stream, *stream_len, entries);
                 OP_RELEASE
             }
             BinaryFrame::ReleaseDelta {
@@ -239,6 +233,28 @@ impl BinaryFrame {
             }
         };
         (op, payload)
+    }
+
+    /// Append a [`BinaryFrame::Ingest`] payload built from borrowed parts —
+    /// for callers (the WAL) that hold the chunk but no frame.
+    pub fn put_ingest_payload(buf: &mut Vec<u8>, stream: &str, batch: &[ItemSet]) {
+        put_str(buf, stream);
+        buf.extend_from_slice(&(batch.len() as u32).to_le_bytes());
+        for items in batch {
+            put_ids(buf, items.iter().map(|i| i.id()), items.len());
+        }
+    }
+
+    /// Append a [`BinaryFrame::Release`] payload built from borrowed parts.
+    pub fn put_release_payload(
+        buf: &mut Vec<u8>,
+        stream: &str,
+        stream_len: u64,
+        entries: &[BinaryEntry],
+    ) {
+        put_str(buf, stream);
+        buf.extend_from_slice(&stream_len.to_le_bytes());
+        put_entries(buf, entries);
     }
 
     /// Decode an `(op, payload)` pair produced by [`BinaryFrame::encode_payload`].

@@ -39,7 +39,7 @@ pub use privbasis::PrivBasisDefense;
 pub use suppress::{SuppressionDefense, SuppressionStats};
 
 use crate::config::PrivacySpec;
-use crate::engine::{EngineStats, Publisher, ReleaseDelta};
+use crate::engine::{Publisher, ReleaseDelta};
 use crate::release::SanitizedRelease;
 use crate::scheme::BiasScheme;
 use bfly_mining::FrequentItemsets;
@@ -107,13 +107,6 @@ pub trait PrivacyDefense: Send + fmt::Debug {
         false
     }
 
-    /// The staged release engine's work counters, for the backend that
-    /// runs one (Butterfly's delta-maintained FEC index and warm-started
-    /// order DP).
-    fn engine_stats(&self) -> Option<EngineStats> {
-        None
-    }
-
     /// Side-effect ledger for removal-based backends (how much utility the
     /// hiding cost), if this defense keeps one.
     fn suppression_stats(&self) -> Option<SuppressionStats> {
@@ -163,10 +156,6 @@ impl PrivacyDefense for Box<dyn PrivacyDefense> {
         (**self).honors_butterfly_contract()
     }
 
-    fn engine_stats(&self) -> Option<EngineStats> {
-        (**self).engine_stats()
-    }
-
     fn suppression_stats(&self) -> Option<SuppressionStats> {
         (**self).suppression_stats()
     }
@@ -206,10 +195,6 @@ impl PrivacyDefense for Publisher {
 
     fn honors_butterfly_contract(&self) -> bool {
         true
-    }
-
-    fn engine_stats(&self) -> Option<EngineStats> {
-        Some(Publisher::engine_stats(self))
     }
 
     fn boxed_clone(&self) -> Box<dyn PrivacyDefense> {
@@ -428,7 +413,6 @@ mod tests {
             assert_eq!(rd, rb, "release diverged");
             assert_eq!(dd, db, "delta diverged");
         }
-        assert_eq!(boxed.engine_stats(), Some(direct.engine_stats()));
     }
 
     #[test]

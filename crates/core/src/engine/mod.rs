@@ -1,39 +1,33 @@
 //! The staged release engine: partition → budget → bias → noise → publish.
 //!
 //! One window's publication is five explicit stages, each a small function
-//! testable on its own, with the expensive ones maintained across windows:
+//! testable on its own, and each run afresh on every window:
 //!
-//! 1. **partition** — FECs come from the delta-maintained [`FecIndex`]
-//!    (O(churn) per window) instead of a from-scratch rebuild;
+//! 1. **partition** — the mined itemsets into FECs
+//!    ([`partition_into_fecs`]);
 //! 2. **budget** — per-FEC `β^m` ranges ([`stage_budget`]);
-//! 3. **bias** — the order-preserving DP is warm-started from the previous
-//!    window's layers ([`WarmOrderDp`]): common-prefix layers are reused
-//!    verbatim, and later layers are spliced from the cache wherever
-//!    normalization proves them equal (see `warm.rs`);
+//! 3. **bias** — the [`BiasScheme`]'s one bias per FEC (Algorithm 1 for the
+//!    order-preserving component, cold every window);
 //! 4. **noise** — each FEC's draw is a pure function of `(seed, support,
 //!    bias)` ([`seeded_noise`]), so noise does not depend on iteration
-//!    order — the property that lets the engine skip untouched FECs and
-//!    still match a from-scratch publication bit for bit;
+//!    order;
 //! 5. **publish** — applies the republication rule and emits both the full
 //!    [`SanitizedRelease`] and the [`ReleaseDelta`] against the previous
 //!    publication.
 //!
-//! Every cross-window shortcut is pinned to the from-scratch composition of
-//! the public stage functions (`bfly_bench::publish_from_scratch`) by
-//! `tests/release_engine.rs`: same itemsets, same perturbed supports, same
-//! deltas, at 1/2/8 threads.
+//! The only state carried between windows is the republication pin map.
+//! `tests/release_engine.rs` pins the engine to the from-scratch composition
+//! of the public stage functions (`bfly_bench::publish_from_scratch`): same
+//! itemsets, same perturbed supports, same deltas.
 
 mod delta;
-mod fec_index;
-mod warm;
 
 pub use delta::ReleaseDelta;
-pub use fec_index::{FecChurn, FecIndex};
-pub use warm::WarmOrderDp;
 
 use crate::config::PrivacySpec;
 use crate::fec::{partition_into_fecs, Fec};
 use crate::noise::NoiseRegion;
+use crate::order::OrderScratch;
 use crate::release::{SanitizedItemset, SanitizedRelease};
 use crate::scheme::BiasScheme;
 use bfly_common::rng::SmallRng;
@@ -41,27 +35,25 @@ use bfly_common::{ItemsetId, SanitizedSupport, Support};
 use bfly_mining::FrequentItemsets;
 use std::collections::HashMap;
 
-/// Cross-window work counters: how much churn the index absorbed and how
-/// often the warm-started DP engaged versus fell back to a full recompute.
+// Frozen shape: `benchmark/src/trace.rs:216,524` stores one of these and
+// `benchmark/src/tracerun.rs:213-224` reads the five `dp_*` fields, and a PR
+// may not edit `benchmark/`. Nothing is cached between windows, so three of
+// them are constant 0. Goes with the `core.engine.dp_*` metrics (ROADMAP 1(a)).
+/// Publication work counters.
+#[doc(hidden)]
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Windows published.
     pub windows: u64,
-    /// Itemsets that entered the frequent set, across all windows.
-    pub itemsets_added: u64,
-    /// Itemsets that left the frequent set.
-    pub itemsets_removed: u64,
-    /// Itemsets whose support moved between classes.
-    pub supports_shifted: u64,
-    /// Windows whose DP layers were reused wholesale (identical skeleton).
+    /// Always 0.
     pub dp_full_reuse: u64,
-    /// Windows where the DP recomputed only a changed suffix.
+    /// Always 0.
     pub dp_warm_starts: u64,
-    /// Windows where a changed prefix forced a full DP recompute.
+    /// Windows on which Algorithm 1 ran (`γ > 0`, at least two FECs).
     pub dp_full_solves: u64,
-    /// DP layers served from cache.
+    /// Always 0.
     pub dp_layers_reused: u64,
-    /// DP layers actually expanded.
+    /// DP layers expanded.
     pub dp_layers_computed: u64,
 }
 
@@ -72,10 +64,9 @@ pub struct EngineStats {
 /// the previous window republishes its previous sanitized value verbatim,
 /// so repeated observation gives the adversary nothing to average over.
 ///
-/// FECs are delta-maintained across windows and the order-preserving DP is
-/// warm-started from the previous window's layers; a FEC's perturbation is
-/// a pure function of `(seed, support, bias)`, never of iteration order, so
-/// the carried state changes the work done and never a published byte.
+/// A FEC's perturbation is a pure function of `(seed, support, bias)`, never
+/// of iteration order, and the pins are the only state carried from one
+/// window to the next.
 ///
 /// ```
 /// use bfly_core::{BiasScheme, PrivacySpec, Publisher};
@@ -99,10 +90,9 @@ pub struct Publisher {
     /// interned itemset → (true support at last publication, sanitized value
     /// then): the republication-rule state and the delta base.
     values: HashMap<ItemsetId, (Support, SanitizedSupport)>,
-    index: FecIndex,
-    warm: WarmOrderDp,
-    windows: u64,
-    churn: FecChurn,
+    stats: EngineStats,
+    /// Algorithm 1's buffers, kept for their capacity only.
+    scratch: OrderScratch,
 }
 
 impl Publisher {
@@ -113,10 +103,8 @@ impl Publisher {
             scheme,
             seed,
             values: HashMap::new(),
-            index: FecIndex::new(),
-            warm: WarmOrderDp::new(),
-            windows: 0,
-            churn: FecChurn::default(),
+            stats: EngineStats::default(),
+            scratch: OrderScratch::default(),
         }
     }
 
@@ -137,21 +125,10 @@ impl Publisher {
         &self.scheme
     }
 
-    /// Work counters accumulated since construction (or [`reset`](Self::reset)).
+    // Frozen name: `benchmark/src/trace.rs:524`. See [`EngineStats`].
+    #[doc(hidden)]
     pub fn engine_stats(&self) -> EngineStats {
-        let (dp_full_reuse, dp_warm_starts, dp_full_solves) = self.warm.solve_counters();
-        let (dp_layers_reused, dp_layers_computed) = self.warm.layer_counters();
-        EngineStats {
-            windows: self.windows,
-            itemsets_added: self.churn.added as u64,
-            itemsets_removed: self.churn.removed as u64,
-            supports_shifted: self.churn.shifted as u64,
-            dp_full_reuse,
-            dp_warm_starts,
-            dp_full_solves,
-            dp_layers_reused,
-            dp_layers_computed,
-        }
+        self.stats
     }
 
     /// Sanitize one window's mining output.
@@ -166,8 +143,8 @@ impl Publisher {
         &mut self,
         frequent: &FrequentItemsets,
     ) -> (SanitizedRelease, ReleaseDelta) {
-        self.windows += 1;
-        let fecs = self.stage_partition(frequent);
+        self.stats.windows += 1;
+        let fecs = partition_into_fecs(frequent);
         let budgets = stage_budget(&fecs, &self.spec);
         let biases = self.stage_bias(&fecs);
         debug_assert_eq!(biases.len(), fecs.len());
@@ -193,12 +170,10 @@ impl Publisher {
     /// This is the WAL-recovery hook. A fresh publish cannot substitute for
     /// it: the republication rule may have pinned a sanitized value drawn
     /// under an *earlier* window's bias, and only the `(true, sanitized)`
-    /// pairs of the previous release carry those pins forward. The FEC index
-    /// and warm DP stay empty — both are perf-only caches whose from-empty
-    /// update is pinned equal to a from-scratch publication.
+    /// pairs of the previous release carry those pins forward.
     pub fn restore(&mut self, windows: u64, previous: &SanitizedRelease) {
         self.reset();
-        self.windows = windows;
+        self.stats.windows = windows;
         self.values = previous
             .iter()
             .map(|e| (e.id, (e.true_support, e.sanitized)))
@@ -208,34 +183,16 @@ impl Publisher {
     /// Drop all cross-window state (e.g. when retargeting to a new stream).
     pub fn reset(&mut self) {
         self.values.clear();
-        self.windows = 0;
-        self.churn = FecChurn::default();
-        self.index.clear();
-        self.warm.reset();
+        self.stats = EngineStats::default();
     }
 
-    /// Stage 1: the delta-maintained FEC partition, pinned equal to a
-    /// rebuild in debug builds.
-    fn stage_partition(&mut self, frequent: &FrequentItemsets) -> Vec<Fec> {
-        let churn = self.index.update(frequent);
-        self.churn.added += churn.added;
-        self.churn.removed += churn.removed;
-        self.churn.shifted += churn.shifted;
-        let fecs = self.index.fecs();
-        debug_assert_eq!(
-            fecs,
-            partition_into_fecs(frequent),
-            "delta-maintained FEC index diverged from the batch partition"
-        );
-        fecs
-    }
-
-    /// Stage 3: one bias per FEC, Algorithm 1 warm-started; the ratio
-    /// component (stateless, linear) always recomputes.
+    /// Stage 3: one bias per FEC.
     fn stage_bias(&mut self, fecs: &[Fec]) -> Vec<f64> {
-        let (spec, warm) = (&self.spec, &mut self.warm);
-        self.scheme
-            .biases_with(fecs, spec, |gamma| warm.solve(fecs, spec, gamma))
+        let biases = self.scheme.biases_with(fecs, &self.spec, &mut self.scratch);
+        let layers = self.scratch.layers_expanded() as u64;
+        self.stats.dp_full_solves += u64::from(layers > 0);
+        self.stats.dp_layers_computed += layers;
+        biases
     }
 
     /// Stage 4: one noise draw per FEC (members share it, so the class's
@@ -469,16 +426,6 @@ mod tests {
                 assert!(err <= budget);
             }
         }
-        let stats = p.engine_stats();
-        assert_eq!(
-            stats.dp_full_reuse, 1,
-            "identical window should be a pure reuse"
-        );
-        assert_eq!(
-            stats.dp_warm_starts, 1,
-            "w3's local change should warm-start, not re-solve"
-        );
-        assert!(stats.dp_full_solves >= 1);
     }
 
     #[test]
@@ -550,14 +497,16 @@ mod tests {
         p.publish(&w);
         p.publish(&w);
         let stats = p.engine_stats();
-        assert!(stats.windows == 2 && stats.dp_full_reuse == 1);
-        p.reset();
-        let stats = p.engine_stats();
-        assert_eq!(stats.windows, 0);
         assert_eq!(
-            stats.dp_full_reuse + stats.dp_warm_starts + stats.dp_full_solves,
-            0
+            (
+                stats.windows,
+                stats.dp_full_solves,
+                stats.dp_layers_computed
+            ),
+            (2, 2, 4)
         );
+        p.reset();
+        assert_eq!(p.engine_stats(), EngineStats::default());
         // Post-reset the first publish re-perturbs everything: full delta.
         let (release, delta) = p.publish_with_delta(&w);
         assert_eq!(delta.len(), release.len());

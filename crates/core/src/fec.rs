@@ -29,17 +29,6 @@ impl Fec {
     pub fn size(&self) -> usize {
         self.members.len()
     }
-
-    /// Assemble a class from parts already in canonical order. Used by the
-    /// delta-maintained [`crate::engine::FecIndex`], which keeps members
-    /// sorted incrementally instead of re-sorting per window.
-    pub(crate) fn from_parts(support: Support, members: Vec<ItemsetId>) -> Self {
-        debug_assert!(
-            members.windows(2).all(|w| w[0].resolve() < w[1].resolve()),
-            "FEC members must be strictly sorted by itemset"
-        );
-        Fec { support, members }
-    }
 }
 
 /// Partition a mining result into FECs, **sorted ascending by support**

@@ -37,9 +37,7 @@ pub use defense::{
     DefenseKind, DefenseSpec, PrivBasisDefense, PrivacyDefense, SuppressionDefense,
     SuppressionStats,
 };
-pub use engine::{
-    seeded_noise, EngineStats, FecChurn, FecIndex, Publisher, ReleaseDelta, WarmOrderDp,
-};
+pub use engine::{seeded_noise, EngineStats, Publisher, ReleaseDelta};
 pub use fec::{partition_into_fecs, Fec};
 pub use metrics::WindowMetrics;
 pub use noise::NoiseRegion;

@@ -66,11 +66,8 @@ impl Grid {
 /// parallel arrays ascending by `code`, with the best cost / precision
 /// reaching each state and the index of its predecessor in the previous
 /// layer (meaningless in layer 0).
-///
-/// Crate-visible so the warm-started solver in [`crate::engine`] can cache
-/// whole layers across windows.
 #[derive(Clone, Debug, Default)]
-pub(crate) struct Layer {
+struct Layer {
     /// State length `min(γ, i+1)`.
     digits: usize,
     code: Vec<u64>,
@@ -92,42 +89,18 @@ impl Layer {
         self.abs.push(abs);
         self.parent.push(parent);
     }
-
-    /// Subtract the layer-wide minimum cost and Σ|β| from every entry.
-    ///
-    /// Every quantity here is integer-valued (costs are sums of
-    /// `size · gap²` with integer sizes and gaps, well below 2⁵³), so the
-    /// subtraction is exact and within-layer comparisons — the only
-    /// comparisons the DP and its backtrack ever make — are unchanged: the
-    /// chosen biases are identical with or without this step. What
-    /// normalization buys is *forgetting*: once a support perturbation's
-    /// influence on relative costs has washed out (e.g. after a stretch of
-    /// non-interacting FECs), the normalized layer is bitwise equal to the
-    /// previous window's, and the warm-started solver
-    /// ([`crate::engine::WarmOrderDp`]) detects that and splices the rest of
-    /// its cached layers instead of re-expanding them.
-    fn normalize(&mut self) {
-        let min_cost = self.cost.iter().copied().fold(f64::INFINITY, f64::min);
-        let min_abs = self.abs.iter().copied().min().expect("non-empty layer");
-        self.cost.iter_mut().for_each(|c| *c -= min_cost);
-        self.abs.iter_mut().for_each(|a| *a -= min_abs);
-    }
 }
 
-/// Buffers the layer kernel reuses instead of allocating: retired layers
-/// (their four arrays keep their capacity) and the pair-cost table.
+/// Buffers the layer kernel reuses instead of allocating: the previous
+/// solve's layers (their four arrays keep their capacity) and the pair-cost
+/// table.
 #[derive(Clone, Debug, Default)]
-pub(crate) struct Spare {
+struct Spare {
     layers: Vec<Layer>,
     pair: Vec<f64>,
 }
 
 impl Spare {
-    /// Hand a layer that is no longer needed back for reuse.
-    pub(crate) fn retire(&mut self, layer: Layer) {
-        self.layers.push(layer);
-    }
-
     fn empty_layer(&mut self, digits: usize) -> Layer {
         let mut layer = self.layers.pop().unwrap_or_default();
         layer.digits = digits;
@@ -143,11 +116,66 @@ impl Spare {
 /// FECs (supports and sizes), their candidate grids, and the two DP
 /// parameters.
 #[derive(Clone, Copy)]
-pub(crate) struct Chain<'a> {
-    pub(crate) fecs: &'a [Fec],
-    pub(crate) grids: &'a [Grid],
-    pub(crate) alpha: i64,
-    pub(crate) gamma: usize,
+struct Chain<'a> {
+    fecs: &'a [Fec],
+    grids: &'a [Grid],
+    alpha: i64,
+    gamma: usize,
+}
+
+/// The buffers one Algorithm 1 solve works in. Capacity only: every solve
+/// clears them before it reads anything, so a retained scratch (the
+/// [`crate::Publisher`]'s, which saves the per-window allocations) and a
+/// fresh one (behind [`order_preserving_biases`]) run the same code on the
+/// same inputs.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct OrderScratch {
+    grids: Vec<Grid>,
+    layers: Vec<Layer>,
+    spare: Spare,
+}
+
+impl OrderScratch {
+    /// Algorithm 1 for one window: one bias per FEC (`fecs` sorted ascending
+    /// by support).
+    pub(crate) fn solve(&mut self, fecs: &[Fec], spec: &PrivacySpec, gamma: usize) -> Vec<f64> {
+        // `empty_layer` clears each buffer as it hands it out again.
+        self.spare.layers.append(&mut self.layers);
+        let n = fecs.len();
+        if gamma == 0 || n <= 1 {
+            // No pairwise terms: smallest |bias| (= 0) is optimal.
+            return vec![0.0; n];
+        }
+        self.grids.clear();
+        self.grids.extend(
+            fecs.iter()
+                .map(|f| bias_candidates_for(spec.max_bias(f.support()))),
+        );
+
+        // DP over states = bias choices of the trailing min(γ, i+1) FECs.
+        // The value is (inversion cost, Σ|bias| so far) compared
+        // lexicographically: among equal-cost settings the most precise
+        // (smallest total |bias|) wins.
+        let chain = Chain {
+            fecs,
+            grids: &self.grids,
+            alpha: spec.alpha() as i64,
+            gamma,
+        };
+        self.layers
+            .push(dp_first_layer(&self.grids[0], &mut self.spare));
+        for i in 1..n {
+            let next = dp_next_layer(&chain, &self.layers[i - 1], i, &mut self.spare);
+            self.layers.push(next);
+        }
+        dp_backtrack(&self.layers, &self.grids)
+    }
+
+    /// Layers the last solve expanded: 0 when it was trivial (`γ = 0` or
+    /// fewer than two FECs).
+    pub(crate) fn layers_expanded(&self) -> usize {
+        self.layers.len()
+    }
 }
 
 /// Compute order-preserving biases for `fecs` (sorted ascending by support).
@@ -155,73 +183,29 @@ pub(crate) struct Chain<'a> {
 /// Returns one bias per FEC. `gamma = 0` degenerates to all-zero biases
 /// (no interactions are costed, and zero bias is the tie-break winner).
 pub fn order_preserving_biases(fecs: &[Fec], spec: &PrivacySpec, gamma: usize) -> Vec<f64> {
-    let n = fecs.len();
-    if gamma == 0 || n <= 1 {
-        // No pairwise terms: smallest |bias| (= 0) is optimal.
-        return vec![0.0; n];
-    }
-    let grids: Vec<Grid> = fecs
-        .iter()
-        .map(|f| bias_candidates_for(spec.max_bias(f.support())))
-        .collect();
-
-    // DP over states = bias choices of the trailing min(γ, i+1) FECs.
-    // The value is (inversion cost, Σ|bias| so far) compared
-    // lexicographically: among equal-cost settings the most precise
-    // (smallest total |bias|) wins.
-    let chain = Chain {
-        fecs,
-        grids: &grids,
-        alpha: spec.alpha() as i64,
-        gamma,
-    };
-    let mut spare = Spare::default();
-    let mut layers: Vec<Layer> = Vec::with_capacity(n);
-    layers.push(dp_first_layer(&grids[0], &mut spare));
-    for i in 1..n {
-        let next = dp_next_layer(&chain, &layers[i - 1], i, &mut spare);
-        layers.push(next);
-    }
-    dp_backtrack(&layers, &grids)
+    OrderScratch::default().solve(fecs, spec, gamma)
 }
 
 /// Layer 0 of the DP: one entry per candidate bias of the first FEC. A pure
 /// function of the candidate grid.
-pub(crate) fn dp_first_layer(grid: &Grid, spare: &mut Spare) -> Layer {
+fn dp_first_layer(grid: &Grid, spare: &mut Spare) -> Layer {
     let mut first = spare.empty_layer(1);
     for (rank, b) in grid.as_slice().iter().enumerate() {
         first.push(rank as u64, 0.0, b.unsigned_abs(), u32::MAX);
     }
-    first.normalize();
     first
 }
 
-/// Value-equality of two layers: same states with the same normalized
-/// `(cost, Σ|β|)`. Codes are ranks, so the comparison is meaningful only
-/// between layers whose covered FECs have equal candidate grids — the
-/// warm-started solver checks that skeleton window before calling. Parent
-/// indices are deliberately ignored — expanding the next layer reads a
-/// predecessor's position, state, cost and Σ|β|, never its own parent, and
-/// positions are determined by the code order — so two value-equal layers
-/// produce bitwise-identical successors (parents included) given the same
-/// skeleton window.
-pub(crate) fn layers_value_equal(a: &Layer, b: &Layer) -> bool {
-    a.digits == b.digits && a.code == b.code && a.cost == b.cost && a.abs == b.abs
-}
-
 /// Expand layer `i` from layer `i − 1`. A pure function of the previous
-/// layer and the `(support, size)` skeleton of `fecs[..=i]` — which is what
-/// lets the warm-started solver cache layers across windows: as long as
-/// that prefix of the skeleton is unchanged, the cached layer is exactly
-/// what this function would recompute. The layer is never empty: supports
-/// ascend strictly and every grid holds 0, so the all-zero path always
-/// satisfies the chain constraint.
+/// layer and the `(support, size)` skeleton of `fecs[..=i]`. The layer is
+/// never empty: supports ascend strictly and every grid holds 0, so the
+/// all-zero path always satisfies the chain constraint.
 ///
 /// # Panics
 /// If the state codes of this layer do not fit a `u64` — seventeen
 /// consecutive full 13-point grids inside one γ-window, far past the point
 /// where a layer could be held in memory.
-pub(crate) fn dp_next_layer(chain: &Chain<'_>, prev: &Layer, i: usize, spare: &mut Spare) -> Layer {
+fn dp_next_layer(chain: &Chain<'_>, prev: &Layer, i: usize, spare: &mut Spare) -> Layer {
     let Chain {
         fecs,
         grids,
@@ -350,14 +334,13 @@ pub(crate) fn dp_next_layer(chain: &Chain<'_>, prev: &Layer, i: usize, spare: &m
             }
         }
     }
-    out.normalize();
     out
 }
 
 /// Pick the best entry of the final layer and walk parent indices back to
 /// recover one bias per FEC. On exact `(cost, Σ|β|)` ties the smallest
 /// state wins because layers ascend by code.
-pub(crate) fn dp_backtrack(layers: &[Layer], grids: &[Grid]) -> Vec<f64> {
+fn dp_backtrack(layers: &[Layer], grids: &[Grid]) -> Vec<f64> {
     let last = layers.last().expect("n ≥ 1 layers");
     let mut best = 0usize;
     for idx in 1..last.len() {
@@ -790,5 +773,50 @@ mod tests {
             }
         }
         assert!(singleton_grids > 0);
+    }
+
+    /// One scratch kept across a random window sequence — chains that grow,
+    /// shrink and pass through the trivial sizes, γ switching between
+    /// solves — answers as a fresh one does every time: nothing a previous
+    /// solve left in the buffers is ever read.
+    #[test]
+    fn retained_scratch_equals_a_fresh_solve_on_random_sequences() {
+        use bfly_common::rng::{Rng, SmallRng};
+        let s = spec();
+        for seed in 0..4u64 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut scratch = OrderScratch::default();
+            let mut supports: Vec<u64> = (0..12).map(|i| 25 + i * 4).collect();
+            for round in 0..60 {
+                // Random churn: shift a few supports (a collision drops a
+                // class), sometimes add one.
+                for _ in 0..rng.gen_range_usize(4) {
+                    let i = rng.gen_range_usize(supports.len());
+                    supports[i] = 25 + rng.gen_below(80);
+                }
+                if rng.gen_bool(0.4) {
+                    supports.push(25 + rng.gen_below(80));
+                }
+                supports.sort_unstable();
+                supports.dedup();
+                // Every tenth window is empty or a single class.
+                let n = match round % 10 {
+                    4 => 0,
+                    9 => 1,
+                    _ => supports.len(),
+                };
+                let fecs = fecs_with_supports(&supports[..n]);
+                for gamma in [2usize, 0, 3] {
+                    assert_eq!(
+                        scratch.solve(&fecs, &s, gamma),
+                        order_preserving_biases(&fecs, &s, gamma),
+                        "diverged at supports {:?} γ={gamma}",
+                        &supports[..n]
+                    );
+                    let expanded = if gamma == 0 || n <= 1 { 0 } else { n };
+                    assert_eq!(scratch.layers_expanded(), expanded);
+                }
+            }
+        }
     }
 }

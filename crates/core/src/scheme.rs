@@ -2,7 +2,7 @@
 
 use crate::config::PrivacySpec;
 use crate::fec::Fec;
-use crate::order::{order_preserving_biases, MAX_GAMMA};
+use crate::order::{OrderScratch, MAX_GAMMA};
 use crate::ratio::ratio_preserving_biases;
 
 /// Which bias-setting strategy a [`crate::Publisher`] applies per window.
@@ -70,30 +70,26 @@ impl BiasScheme {
     /// # Panics
     /// On parameters [`BiasScheme::checked`] rejects.
     pub fn biases(&self, fecs: &[Fec], spec: &PrivacySpec) -> Vec<f64> {
-        self.biases_with(fecs, spec, |gamma| {
-            order_preserving_biases(fecs, spec, gamma)
-        })
+        self.biases_with(fecs, spec, &mut OrderScratch::default())
     }
 
-    /// [`BiasScheme::biases`] with Algorithm 1 supplied by the caller:
-    /// `order(γ)` must return what [`order_preserving_biases`] would. The
-    /// publisher passes its warm-started solver here, so the scheme dispatch
-    /// and the hybrid blend exist once.
+    /// [`BiasScheme::biases`] with Algorithm 1 working in the caller's
+    /// buffers (the publisher keeps one scratch per stream).
     pub(crate) fn biases_with(
         &self,
         fecs: &[Fec],
         spec: &PrivacySpec,
-        order: impl FnOnce(usize) -> Vec<f64>,
+        scratch: &mut OrderScratch,
     ) -> Vec<f64> {
         if let Err(e) = self.checked() {
             panic!("{e}");
         }
         match *self {
             BiasScheme::Basic => vec![0.0; fecs.len()],
-            BiasScheme::OrderPreserving { gamma } => order(gamma),
+            BiasScheme::OrderPreserving { gamma } => scratch.solve(fecs, spec, gamma),
             BiasScheme::RatioPreserving => ratio_preserving_biases(fecs, spec),
             BiasScheme::Hybrid { lambda, gamma } => {
-                let op = order(gamma);
+                let op = scratch.solve(fecs, spec, gamma);
                 let rp = ratio_preserving_biases(fecs, spec);
                 op.iter()
                     .zip(&rp)

@@ -100,11 +100,6 @@ impl FrequentItemsets {
         ItemsetId::get(itemset).and_then(|id| self.index.get(&id).copied())
     }
 
-    /// Support lookup by interned handle.
-    pub fn support_of(&self, id: ItemsetId) -> Option<Support> {
-        self.index.get(&id).copied()
-    }
-
     /// Does the output contain this exact itemset?
     pub fn contains(&self, itemset: &ItemSet) -> bool {
         self.support(itemset).is_some()
@@ -180,7 +175,7 @@ mod tests {
     fn id_lookup_matches_value_lookup() {
         let f = FrequentItemsets::new(vec![(iset("ab"), 4)]);
         let id = ItemsetId::get(&iset("ab")).expect("interned by the constructor");
-        assert_eq!(f.support_of(id), Some(4));
+        assert_eq!(f.as_map().get(&id), Some(&4));
         assert_eq!(f.entries()[0].id, id);
     }
 

@@ -282,7 +282,7 @@ fn worker(
         .collect();
     while let Ok(job) = rx.recv() {
         match job {
-            Job::Ingest { key, chunk } => {
+            Job::Ingest { key, mut chunk } => {
                 stats
                     .queue_depth
                     .fetch_sub(chunk.len() as u64, Ordering::Relaxed);
@@ -314,12 +314,18 @@ fn worker(
                 // sync policy) before any of its records can shape a
                 // release.
                 if let Some(w) = log.as_mut() {
-                    w.append(&WalRecord::Ingest {
+                    // The record borrows nothing, so the chunk moves in and
+                    // comes back out instead of being copied.
+                    let rec = WalRecord::Ingest {
                         stream: key.to_string(),
                         base: state.pipe.stream_len(),
-                        batch: chunk.clone(),
-                    })
-                    .expect("wal ingest append failed");
+                        batch: chunk,
+                    };
+                    w.append(&rec).expect("wal ingest append failed");
+                    let WalRecord::Ingest { batch, .. } = rec else {
+                        unreachable!("built as an ingest record above")
+                    };
+                    chunk = batch;
                 }
                 // The publish cadence is checked per record, not per chunk:
                 // chunking amortizes the queue, it must not move or merge

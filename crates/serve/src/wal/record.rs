@@ -238,26 +238,20 @@ impl WalRecord {
                 base,
                 batch,
             } => {
-                let (_, frame) = BinaryFrame::Ingest {
-                    stream: stream.clone(),
-                    batch: batch.clone(),
-                }
-                .encode_payload();
-                let mut p = Vec::with_capacity(8 + frame.len());
+                let mut p = Vec::with_capacity(64);
                 p.extend_from_slice(&base.to_le_bytes());
-                p.extend_from_slice(&frame);
+                BinaryFrame::put_ingest_payload(&mut p, stream, batch);
                 (OP_INGEST, p)
             }
             WalRecord::Release {
                 stream,
                 stream_len,
                 entries,
-            } => BinaryFrame::Release {
-                stream: stream.clone(),
-                stream_len: *stream_len,
-                entries: entries.clone(),
+            } => {
+                let mut p = Vec::with_capacity(64);
+                BinaryFrame::put_release_payload(&mut p, stream, *stream_len, entries);
+                (OP_RELEASE, p)
             }
-            .encode_payload(),
             WalRecord::Open { stream, kind } => {
                 let mut p = Vec::with_capacity(32);
                 put_str(&mut p, stream);
@@ -397,10 +391,19 @@ pub enum Scan {
     },
     /// Clean end of the segment (offset exactly at the buffer end).
     End,
-    /// Bytes at the offset are not a valid record. At the tail of the last
-    /// segment this is a torn write (truncate and continue); anywhere else
-    /// it is corruption (refuse to start).
+    /// Bytes at the offset are not a whole record: short header, payload
+    /// past the end, bad magic or checksum. At the tail of the last segment
+    /// this is a torn write (truncate and continue); anywhere else it is
+    /// corruption (refuse to start).
     Corrupt {
+        /// What failed, for the error message.
+        reason: String,
+    },
+    /// A whole, checksum-clean record whose payload does not decode. No
+    /// crash writes one, so it is never a torn tail: refuse to start
+    /// wherever it sits, rather than truncate it and every valid record
+    /// after it.
+    Undecodable {
         /// What failed, for the error message.
         reason: String,
     },
@@ -449,15 +452,33 @@ pub fn scan_one(buf: &[u8], pos: usize) -> Scan {
     }
     match WalRecord::decode_payload(op, payload) {
         Ok(rec) => Scan::Record { rec, seq, end },
-        Err(e) => Scan::Corrupt {
+        Err(e) => Scan::Undecodable {
             reason: format!("checksum-clean record failed to decode: {e}"),
         },
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// An `open` record at `seq` that names a defense this build does not know,
+    /// under a valid checksum.
+    pub(crate) fn undecodable_open(seq: u64) -> Vec<u8> {
+        let mut bytes = WalRecord::Open {
+            stream: "s".into(),
+            kind: DefenseKind::Suppression,
+        }
+        .encode(seq);
+        let start = bytes.len() - "suppress".len();
+        bytes[start..].copy_from_slice(b"suppr3ss");
+        let mut crc = Crc32::new();
+        crc.update(&bytes[..CRC_OFFSET]);
+        crc.update(&bytes[HEADER_LEN..]);
+        let fixed = crc.finish().to_le_bytes();
+        bytes[CRC_OFFSET..HEADER_LEN].copy_from_slice(&fixed);
+        bytes
+    }
 
     fn iset(s: &str) -> ItemSet {
         s.parse().unwrap()
@@ -535,9 +556,9 @@ mod tests {
                 Scan::Corrupt { .. } => {}
                 // A flip in the length field can also make the header
                 // promise more payload than the buffer holds — still caught,
-                // still corrupt. Anything that *decodes* is a failure.
-                Scan::Record { .. } => panic!("flip at byte {byte} went undetected"),
-                Scan::End => panic!("flip at byte {byte} scanned as clean end"),
+                // still corrupt. Anything that passes the checksum is a
+                // failure.
+                other => panic!("flip at byte {byte} went undetected: {other:?}"),
             }
         }
     }
@@ -596,23 +617,12 @@ mod tests {
     }
 
     #[test]
-    fn unknown_defense_name_is_corrupt_not_panic() {
-        let rec = WalRecord::Open {
-            stream: "s".into(),
-            kind: DefenseKind::Suppression,
-        };
-        let mut bytes = rec.encode(0);
-        // Rewrite "suppress" to an unknown name of equal length, fixing the
-        // checksum so only semantic validation can object.
-        let start = bytes.len() - "suppress".len();
-        bytes[start..].copy_from_slice(b"suppr3ss");
-        let mut crc = Crc32::new();
-        crc.update(&bytes[..CRC_OFFSET]);
-        crc.update(&bytes[HEADER_LEN..]);
-        let fixed = crc.finish().to_le_bytes();
-        bytes[CRC_OFFSET..HEADER_LEN].copy_from_slice(&fixed);
-        match scan_one(&bytes, 0) {
-            Scan::Corrupt { reason } => assert!(reason.contains("unknown defense"), "{reason}"),
+    fn unknown_defense_name_is_undecodable_not_torn() {
+        // The checksum holds, so only semantic validation can object.
+        match scan_one(&undecodable_open(0), 0) {
+            Scan::Undecodable { reason } => {
+                assert!(reason.contains("unknown defense"), "{reason}")
+            }
             other => panic!("{other:?}"),
         }
     }

@@ -41,11 +41,13 @@
 //! snapshot's `stream_len`) and keeps the tail, because a chunk logged
 //! before the snapshot can carry records the snapshot does not cover.
 //!
-//! Corruption policy: an invalid record in the **last** segment is a torn
-//! tail — the crash interrupted the final write — so replay truncates the
-//! segment at the last clean record and continues. An invalid record
-//! anywhere else means storage corrupted data that was once durable;
-//! replay refuses to start rather than serve a forked history.
+//! Corruption policy: an incomplete or checksum-failing record in the
+//! **last** segment is a torn tail — the crash interrupted the final write —
+//! so replay truncates the segment at the last clean record and continues.
+//! An invalid record anywhere else means storage corrupted data that was
+//! once durable; replay refuses to start rather than serve a forked history.
+//! So does a checksum-clean record that fails to decode, in any segment: it
+//! was written whole, and truncating it would take every later record along.
 
 use crate::config::{ServeConfig, WalConfig};
 use crate::protocol::binary_entry;
@@ -196,6 +198,7 @@ pub fn recover_shard(
                     }
                     return Err(corrupt(path, &reason));
                 }
+                Scan::Undecodable { reason } => return Err(corrupt(path, &reason)),
             }
         }
         if last_segment {
@@ -533,7 +536,7 @@ pub fn scan_catchup(
         loop {
             match scan_one(&buf, off) {
                 Scan::End => break,
-                Scan::Corrupt { .. } => break 'segments, // live tail
+                Scan::Corrupt { .. } | Scan::Undecodable { .. } => break 'segments, // live tail
                 Scan::Record { rec, end, .. } => {
                     if let WalRecord::Release {
                         stream: s,
@@ -735,6 +738,55 @@ mod tests {
             full, reference.releases,
             "restarted stream must publish byte-identical releases"
         );
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn undecodable_record_in_the_last_segment_refuses_the_start() {
+        let root = tmp_root("undecodable");
+        let cfg = tiny_cfg();
+        let wal = wal_cfg(&root);
+        let stats = Arc::new(WalStats::default());
+        let mut w = WalWriter::open(
+            &root,
+            0,
+            wal.clone(),
+            cfg.snapshot_every,
+            stats.clone(),
+            WriterPosition::default(),
+        )
+        .unwrap();
+        let mut h = Harness::open(&cfg, "k", &mut w);
+        h.feed(&cfg, "k", Some(&mut w), 0..20, 7);
+        drop(w);
+
+        // A checksum-clean record that does not decode, then one more valid
+        // record: truncating at the first would silently drop the second.
+        let seg = shard_dir(&root, 0).join(crate::wal::segment::segment_file_name(0));
+        let mut bytes = std::fs::read(&seg).unwrap();
+        let (mut next, mut off) = (0, 0);
+        while let Scan::Record { seq, end, .. } = scan_one(&bytes, off) {
+            (next, off) = (seq + 1, end);
+        }
+        bytes.extend_from_slice(&crate::wal::record::tests::undecodable_open(next));
+        bytes.extend_from_slice(
+            &WalRecord::Ingest {
+                stream: "k".into(),
+                base: 20,
+                batch: vec![record(20)],
+            }
+            .encode(next + 1),
+        );
+        std::fs::write(&seg, &bytes).unwrap();
+
+        let err = match recover_shard(&cfg, &wal, 0, &stats) {
+            Err(e) => e.to_string(),
+            Ok(_) => panic!("an undecodable record must refuse the start"),
+        };
+        assert!(err.contains(&seg.display().to_string()), "{err}");
+        assert!(err.contains("unknown defense"), "{err}");
+        assert_eq!(std::fs::metadata(&seg).unwrap().len(), bytes.len() as u64);
+        assert_eq!(stats.truncated_tails.load(Ordering::Relaxed), 0);
         std::fs::remove_dir_all(&root).unwrap();
     }
 

@@ -1,17 +1,14 @@
 #!/usr/bin/env bash
-# Benchmark gate for the experiment-sweep pool, the vertical
-# support-counting engine and the release engine.
+# Benchmark gate for the experiment-sweep pool and the vertical
+# support-counting engine.
 #
 # 1. parbench: the one parallel stage (evaluate_cells) timed at 1 worker
 #    and at the full worker count in-process (median of $PARBENCH_REPS
 #    reps), plus the counting stages (per-transaction scan vs. vertical
-#    tid-bitmap) and the release stage (the from-scratch reference
-#    publication vs. the Publisher replaying the same sliding-window
-#    publication schedule, with DP warm-start counters).
+#    tid-bitmap).
 #    Each invocation APPENDS one timestamped run entry to
-#    BENCH_parallel.json, BENCH_support.json, and BENCH_release.json at the
-#    repo root, so the perf trajectory across changes is preserved — never
-#    overwritten.
+#    BENCH_parallel.json and BENCH_support.json at the repo root, so the
+#    perf trajectory across changes is preserved — never overwritten.
 # 2. loadgen: the bfly_serve stream service driven by concurrent TCP
 #    clients across the I/O-engine × frame-encoding matrix at 1 shard
 #    (blocking/json, reactor/json, reactor/binary), then reactor/binary at
@@ -42,10 +39,9 @@ REPS="${PARBENCH_REPS:-5}"
 echo "==> cargo build --release -p bfly-bench"
 cargo build -q --release -p bfly-bench
 
-echo "==> parbench (${REPS} reps, appends to BENCH_parallel.json + BENCH_support.json + BENCH_release.json)"
+echo "==> parbench (${REPS} reps, appends to BENCH_parallel.json + BENCH_support.json)"
 cargo run -q --release -p bfly-bench --bin parbench -- --reps "${REPS}" \
-  --out BENCH_parallel.json --support-out BENCH_support.json \
-  --release-out BENCH_release.json
+  --out BENCH_parallel.json --support-out BENCH_support.json
 
 echo "==> loadgen (io-engine × frame matrix + 4-shard scaling + WAL durability tax + router-vs-direct federation matrix, appends to BENCH_serve.json)"
 cargo run -q --release -p bfly-bench --bin loadgen -- --out BENCH_serve.json
@@ -60,4 +56,4 @@ if [[ "${1:-}" != "--quick" ]]; then
   done
 fi
 
-echo "==> appended run entries to BENCH_parallel.json, BENCH_support.json, BENCH_release.json, and BENCH_defense.json"
+echo "==> appended run entries to BENCH_parallel.json, BENCH_support.json, and BENCH_defense.json"

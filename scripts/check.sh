@@ -52,8 +52,7 @@ fi
 echo "==> parbench --quick smoke"
 cargo run -q --release -p bfly-bench --bin parbench -- --quick \
   --out target/BENCH_parallel.smoke.json \
-  --support-out target/BENCH_support.smoke.json \
-  --release-out target/BENCH_release.smoke.json
+  --support-out target/BENCH_support.smoke.json
 
 echo "==> serve smoke (reactor server, both frame modes, delta wire, mid-stream subscriber, WAL on)"
 cargo build -q --release

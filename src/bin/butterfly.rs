@@ -85,7 +85,6 @@ USAGE:
                     [--defense <...>] [--dp-budget <E>] [--dp-top-k <N>]
                     [--role <node|router>] [--nodes <ip:port,ip:port,...>]
 
-`protect` reports the release engine's DP cache counters on stderr.
 `--lambda` must lie in [0, 1] and `--gamma` may not exceed 6.
 `serve --snapshot-every N` (N > 1) ships a release_delta event per
 publication plus a full release snapshot every N-th one.
@@ -442,12 +441,6 @@ fn cmd_protect(flags: &Flags) -> Result<(), String> {
         backend.name(),
         dspec.kind
     );
-    if let Some(s) = pipeline.defense().engine_stats() {
-        eprintln!(
-            "release engine: {} windows fully reused the DP cache, {} warm-started, {} solved from scratch",
-            s.dp_full_reuse, s.dp_warm_starts, s.dp_full_solves
-        );
-    }
     if let Some(s) = pipeline.defense().suppression_stats() {
         eprintln!(
             "suppression: {} breaches closed by removing {} itemsets ({} survived)",

@@ -93,14 +93,16 @@ fn gen_mine_attack_protect_round_trip() {
         .arg(&out)
         .output()
         .expect("run protect");
-    assert!(
-        protect.status.success(),
-        "stderr: {}",
-        String::from_utf8_lossy(&protect.stderr)
-    );
+    let summary = String::from_utf8_lossy(&protect.stderr);
+    assert!(protect.status.success(), "stderr: {summary}");
     let jsonl = std::fs::read_to_string(&out).unwrap();
     let lines: Vec<&str> = jsonl.lines().collect();
-    assert!(!lines.is_empty(), "no windows published");
+    // 1500 records, W 1000, every 250: windows end at 1000, 1250, 1500.
+    assert_eq!(lines.len(), 3);
+    assert!(
+        summary.contains("published 3 sanitized windows"),
+        "{summary}"
+    );
     for line in &lines {
         let v = butterfly_repro::common::Json::parse(line).expect("valid JSON");
         assert!(v.get("stream_len").and_then(|s| s.as_u64()).unwrap() >= 1000);
@@ -142,45 +144,6 @@ fn gen_stream(name: &str, count: &str, seed: &str) -> PathBuf {
         .expect("run gen");
     assert!(status.success());
     dat
-}
-
-#[test]
-fn protect_reports_the_release_engines_cache_counters() {
-    let dat = gen_stream("engine.dat", "800", "3");
-    let out = temp_path("engine.jsonl");
-    let output = bin()
-        .args([
-            "protect",
-            "--window",
-            "500",
-            "--min-support",
-            "15",
-            "--vulnerable",
-            "3",
-            "--epsilon",
-            "0.05",
-            "--delta",
-            "0.4",
-            "--scheme",
-            "hybrid",
-            "--every",
-            "50",
-            "--seed",
-            "11",
-        ])
-        .arg("--input")
-        .arg(&dat)
-        .arg("--out")
-        .arg(&out)
-        .output()
-        .expect("run protect");
-    let err = String::from_utf8(output.stderr).unwrap();
-    assert!(output.status.success(), "stderr: {err}");
-    assert!(err.contains("published 7 sanitized windows"), "{err}");
-    assert!(err.contains("release engine:"), "missing counters: {err}");
-
-    std::fs::remove_file(dat).ok();
-    std::fs::remove_file(out).ok();
 }
 
 #[test]
