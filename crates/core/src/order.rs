@@ -15,22 +15,44 @@
 //! empirically by Fig 6's knee at `γ ≈ 2–3`).
 //!
 //! **Representation.** A DP state — the bias choices of the trailing
-//! `min(γ, i+1)` FECs — is stored as the mixed-radix code of each bias's
-//! *rank* in its FEC's ascending candidate grid, oldest FEC most
-//! significant, so integer order on codes is the lexicographic order on
-//! bias vectors. A `Layer` is four parallel arrays (`code / cost / abs /
-//! parent`) over the *reachable* states only, ascending by code; an entry's
-//! predecessor is a `u32` index into the previous layer, so backtracking
-//! walks indices. Expanding a layer allocates nothing per transition: the
-//! pair costs `(s_i + s_j)(α + 1 − d)²` are tabulated once per layer
-//! (`≤ γ·13·13` entries), and once states are `γ` long the successors that
-//! differ only in the dropped oldest bias are min-merged by a k-way merge
-//! over the `≤ 13` runs of the previous layer that share an oldest rank
-//! (each run is already sorted by the remaining digits). Visiting the runs
-//! in ascending order and replacing only on a strictly smaller
-//! `(cost, Σ|β|)` keeps the smallest parent index on exact ties — the total
-//! tie-break `(cost, Σ|β|, parent)` the byte-identity suites pin. The kernel
-//! is serial: per-stream parallelism lives one level up, across shards.
+//! `min(γ, i+1)` FECs — is the *rank* of each bias in its FEC's ascending
+//! candidate grid. A layer is laid out as **rows × slots**: a row is every
+//! state sharing all digits but the newest, keyed by the mixed-radix code of
+//! those digits (oldest FEC most significant, so integer order on keys is
+//! the lexicographic order on bias vectors), and holds one dense slot per
+//! rank of the newest FEC, `cost = ∞` where the chain constraint excludes
+//! it. Only rows with a reachable state exist, in ascending key order; at
+//! `γ = 2` a layer is a `≤ 13 × 13` table whose keys are the ranks
+//! themselves, at `γ = 1` it is one row.
+//!
+//! **Expansion.** The pair costs `(s_i + s_j)(α + 1 − d)²` are tabulated
+//! once per layer (`≤ γ·13·13` entries; `∞` where the two estimators would
+//! tie or swap, which is the chain constraint). Once states are `γ` long
+//! the oldest digit is dropped, and the rows of the previous layer that
+//! differ only in it — found by one k-way merge over its `≤ 13` oldest-rank
+//! runs per *group of rows* sharing the middle digits — feed the same new
+//! rows, one per newest rank `l` they hold. The cost of the digits a new row
+//! shares is summed once for the row; what differs between its predecessors
+//! is their own cost and the pair cost of the dropped FEC against the new
+//! one. Candidates ascend, so for a new rank `r` the dropped ranks that
+//! cannot overlap it (pair cost 0) are a *prefix*, and the prefix only grows
+//! with `r`: they are folded, in ascending order and on strictly smaller
+//! `(cost, Σ|β|)` only, into one running minimum, and only the overlapping
+//! corner is evaluated rank by rank after it. That visits the predecessors
+//! in ascending order with a strict `<`, so on exact ties the smallest
+//! dropped rank — the smallest predecessor — wins: the total tie-break
+//! `(cost, Σ|β|, parent)` the byte-identity suites pin. It is exact, not
+//! approximately so, because every cost is an integer-valued `f64` far
+//! below 2⁵³: adding the shared sum after the minimum instead of before
+//! changes no comparison and no stored value.
+//!
+//! **Retention.** `(cost, Σ|β|)` exists for two layers at a time (two
+//! rolling `Front`s). What a solve keeps per layer is its row keys and one
+//! `u8` per state — the oldest rank its best predecessor dropped — from
+//! which backtracking rebuilds the predecessor's key and binary-searches its
+//! row: at most `13·8 + 169` bytes a layer at `γ = 2`, under 17 KB for a
+//! 60-FEC chain. The kernel is serial: per-stream parallelism lives one
+//! level up, across shards.
 
 use crate::config::PrivacySpec;
 use crate::fec::Fec;
@@ -62,54 +84,27 @@ impl Grid {
     }
 }
 
-/// One DP layer: the reachable states of the trailing `digits` FECs as
-/// parallel arrays ascending by `code`, with the best cost / precision
-/// reaching each state and the index of its predecessor in the previous
-/// layer (meaningless in layer 0).
+/// One slot per rank of a FEC's grid, padded to the widest grid.
+type Slots<T> = [T; MAX_GRID];
+
+/// The part of a layer the next one is expanded from: its row keys,
+/// ascending, and row-major over `rows × grid len of the newest FEC` the
+/// best `(cost, Σ|β|)` reaching each state (`cost = ∞`: unreachable). Σ|β|
+/// along the best path is the lexicographic tie-break that makes isolated
+/// FECs keep β = 0.
 #[derive(Clone, Debug, Default)]
-struct Layer {
-    /// State length `min(γ, i+1)`.
-    digits: usize,
-    code: Vec<u64>,
-    cost: Vec<f64>,
-    /// Σ|β| along the best path — the lexicographic tie-break that makes
-    /// isolated FECs keep β = 0.
-    abs: Vec<u64>,
-    parent: Vec<u32>,
+struct Front {
+    keys: Vec<u64>,
+    reach: Vec<(f64, u64)>,
 }
 
-impl Layer {
-    fn len(&self) -> usize {
-        self.code.len()
-    }
-
-    fn push(&mut self, code: u64, cost: f64, abs: u64, parent: u32) {
-        self.code.push(code);
-        self.cost.push(cost);
-        self.abs.push(abs);
-        self.parent.push(parent);
-    }
-}
-
-/// Buffers the layer kernel reuses instead of allocating: the previous
-/// solve's layers (their four arrays keep their capacity) and the pair-cost
-/// table.
-#[derive(Clone, Debug, Default)]
-struct Spare {
-    layers: Vec<Layer>,
-    pair: Vec<f64>,
-}
-
-impl Spare {
-    fn empty_layer(&mut self, digits: usize) -> Layer {
-        let mut layer = self.layers.pop().unwrap_or_default();
-        layer.digits = digits;
-        layer.code.clear();
-        layer.cost.clear();
-        layer.abs.clear();
-        layer.parent.clear();
-        layer
-    }
+/// One predecessor of a new row: the value of the state it extends and the
+/// rank that state holds for the FEC the new row drops.
+#[derive(Clone, Copy, Default)]
+struct Member {
+    cost: f64,
+    abs: u64,
+    rank: u8,
 }
 
 /// What a layer expansion reads besides the previous layer: the chain's
@@ -131,16 +126,26 @@ struct Chain<'a> {
 #[derive(Clone, Debug, Default)]
 pub(crate) struct OrderScratch {
     grids: Vec<Grid>,
-    layers: Vec<Layer>,
-    spare: Spare,
+    /// The layer being expanded from and the one being built.
+    prev: Front,
+    next: Front,
+    pair: Vec<Slots<f64>>,
+    /// What backtracking reads, every layer end to end: the row keys, and
+    /// per state of layers `1..` the oldest rank its best predecessor
+    /// dropped (0 while states still grow and nothing is dropped).
+    keys: Vec<u64>,
+    dropped: Vec<u8>,
+    /// Per layer, where its rows end in `keys` and its states in `dropped`.
+    ends: Vec<(usize, usize)>,
 }
 
 impl OrderScratch {
     /// Algorithm 1 for one window: one bias per FEC (`fecs` sorted ascending
     /// by support).
     pub(crate) fn solve(&mut self, fecs: &[Fec], spec: &PrivacySpec, gamma: usize) -> Vec<f64> {
-        // `empty_layer` clears each buffer as it hands it out again.
-        self.spare.layers.append(&mut self.layers);
+        self.keys.clear();
+        self.dropped.clear();
+        self.ends.clear();
         let n = fecs.len();
         if gamma == 0 || n <= 1 {
             // No pairwise terms: smallest |bias| (= 0) is optimal.
@@ -162,19 +167,74 @@ impl OrderScratch {
             alpha: spec.alpha() as i64,
             gamma,
         };
-        self.layers
-            .push(dp_first_layer(&self.grids[0], &mut self.spare));
-        for i in 1..n {
-            let next = dp_next_layer(&chain, &self.layers[i - 1], i, &mut self.spare);
-            self.layers.push(next);
+        for i in 0..n {
+            match i {
+                0 => dp_first_layer(&self.grids[0], &mut self.next),
+                _ => dp_next_layer(
+                    &chain,
+                    i,
+                    &self.prev,
+                    &mut self.next,
+                    &mut self.dropped,
+                    &mut self.pair,
+                ),
+            }
+            self.keys.extend_from_slice(&self.next.keys);
+            self.ends.push((self.keys.len(), self.dropped.len()));
+            std::mem::swap(&mut self.prev, &mut self.next);
         }
-        dp_backtrack(&self.layers, &self.grids)
+        self.backtrack(gamma)
     }
 
     /// Layers the last solve expanded: 0 when it was trivial (`γ = 0` or
     /// fewer than two FECs).
     pub(crate) fn layers_expanded(&self) -> usize {
-        self.layers.len()
+        self.ends.len()
+    }
+
+    /// Pick the best state of the final layer (`prev` after the last swap)
+    /// and walk the dropped ranks back to recover one bias per FEC. On exact
+    /// `(cost, Σ|β|)` ties the smallest state wins because rows ascend by key
+    /// and slots by rank.
+    fn backtrack(&self, gamma: usize) -> Vec<f64> {
+        let last = &self.prev.reach;
+        let mut best = 0usize;
+        for idx in 1..last.len() {
+            if last[idx] < last[best] {
+                best = idx;
+            }
+        }
+        let n = self.ends.len();
+        let width = self.grids[n - 1].len;
+        let (mut row, mut slot) = (best / width, best % width);
+        let mut biases = vec![0.0; n];
+        for i in (1..n).rev() {
+            let grid = self.grids[i].as_slice();
+            biases[i] = grid[slot] as f64;
+            let (rows_from, states_from) = self.ends[i - 1];
+            let key = self.keys[rows_from + row];
+            let dropped = self.dropped[states_from + row * grid.len() + slot] as u64;
+            // The predecessor holds the dropped rank as its oldest digit,
+            // above the digits this row kept; its slot is this row's newest
+            // digit. At γ = 1 a state is one rank: what was dropped *is* the
+            // predecessor's slot.
+            let stride = self.grids[i - 1].len as u64;
+            let kept: u64 = (i.saturating_sub(gamma) + 1..i - 1)
+                .map(|j| self.grids[j].len as u64)
+                .product();
+            let (prev_key, prev_slot) = if gamma == 1 {
+                (0, dropped)
+            } else {
+                (dropped * kept + key / stride, key % stride)
+            };
+            let prev_rows = &self.keys[if i > 1 { self.ends[i - 2].0 } else { 0 }..rows_from];
+            row = prev_rows
+                .binary_search(&prev_key)
+                .expect("a state's best predecessor is a state of the layer before");
+            slot = prev_slot as usize;
+        }
+        biases[0] = self.grids[0].as_slice()[slot] as f64;
+        biases
     }
 }
 
@@ -186,178 +246,220 @@ pub fn order_preserving_biases(fecs: &[Fec], spec: &PrivacySpec, gamma: usize) -
     OrderScratch::default().solve(fecs, spec, gamma)
 }
 
-/// Layer 0 of the DP: one entry per candidate bias of the first FEC. A pure
-/// function of the candidate grid.
-fn dp_first_layer(grid: &Grid, spare: &mut Spare) -> Layer {
-    let mut first = spare.empty_layer(1);
-    for (rank, b) in grid.as_slice().iter().enumerate() {
-        first.push(rank as u64, 0.0, b.unsigned_abs(), u32::MAX);
-    }
-    first
+/// Layer 0 of the DP: one row, one state per candidate bias of the first
+/// FEC. A pure function of the candidate grid.
+fn dp_first_layer(grid: &Grid, out: &mut Front) {
+    out.keys.clear();
+    out.keys.push(0);
+    out.reach.clear();
+    out.reach
+        .extend(grid.as_slice().iter().map(|b| (0.0, b.unsigned_abs())));
 }
 
-/// Expand layer `i` from layer `i − 1`. A pure function of the previous
-/// layer and the `(support, size)` skeleton of `fecs[..=i]`. The layer is
-/// never empty: supports ascend strictly and every grid holds 0, so the
-/// all-zero path always satisfies the chain constraint.
+/// `(cost, Σ|β|)` strictly below the incumbent's: the only replacement the
+/// tie-break allows. Spelled out because the tuple `<` goes through
+/// `partial_cmp` and measured ≈ 8 % of a γ = 2 solve.
+#[inline]
+fn improves(cost: f64, abs: u64, on: &Member) -> bool {
+    cost < on.cost || (cost == on.cost && abs < on.abs)
+}
+
+/// Expand layer `i` into `out` from layer `i − 1` and append its dropped
+/// ranks to `dropped`. A pure function of the previous layer and the
+/// `(support, size)` skeleton of `fecs[..=i]`. The layer is never empty:
+/// supports ascend strictly and every grid holds 0, so the all-zero path
+/// always satisfies the chain constraint.
 ///
 /// # Panics
-/// If the state codes of this layer do not fit a `u64` — seventeen
-/// consecutive full 13-point grids inside one γ-window, far past the point
-/// where a layer could be held in memory.
-fn dp_next_layer(chain: &Chain<'_>, prev: &Layer, i: usize, spare: &mut Spare) -> Layer {
+/// If the row keys of this layer do not fit a `u64` — eighteen consecutive
+/// full 13-point grids inside one γ-window, far past the point where a
+/// layer could be held in memory.
+fn dp_next_layer(
+    chain: &Chain<'_>,
+    i: usize,
+    prev: &Front,
+    out: &mut Front,
+    dropped: &mut Vec<u8>,
+    pair: &mut Vec<Slots<f64>>,
+) {
     let Chain {
         fecs,
         grids,
         alpha,
         gamma,
     } = *chain;
-    // prev's digits are the ranks of FECs first .. i−1, oldest first. Once
-    // states are γ long the oldest digit is dropped and its run merged.
-    let held = prev.digits;
+    // prev's digits are the ranks of FECs first .. i−1, oldest first: all
+    // but the newest in the row key, the newest as the slot. Once states
+    // are γ long the oldest digit is dropped and its run merged.
+    let held = gamma.min(i);
     let first = i - held;
     let merge = held == gamma;
-    let radix = |k: usize| grids[first + k].len as u64;
+    let radix = |k: usize| grids[first + k].len;
     let cands = grids[i].as_slice();
-    let n_i = cands.len() as u64;
-    let span = (usize::from(merge)..held)
-        .try_fold(n_i, |acc, k| acc.checked_mul(radix(k)))
-        .expect("order-DP state codes exceed u64: γ-window of candidate grids too wide")
-        / n_i;
-    let mut out = spare.empty_layer(if merge { held } else { held + 1 });
+    let width = cands.len();
+    let stride = radix(held - 1);
 
-    // pair[(k·G + d)·G + r]: cost between FEC first+k at rank d and FEC i at
-    // rank r; rows are padded to G with zeros.
-    let pair = &mut spare.pair;
+    // pair[k·G + d][r]: cost between FEC first+k at rank d and FEC i at rank
+    // r, ∞ where e_i ≤ e_j (between i−1 and i that is the chain constraint;
+    // further back the chain has excluded it already); rows are padded to G
+    // with zeros.
     pair.clear();
-    pair.resize(held * MAX_GRID * MAX_GRID, 0.0);
+    pair.resize(held * MAX_GRID, [0.0; MAX_GRID]);
     let t_i = fecs[i].support() as i64;
     for k in 0..held {
         let j = first + k;
         let weight = (fecs[i].size() + fecs[j].size()) as f64;
         for (d, &bj) in grids[j].as_slice().iter().enumerate() {
             let e_j = fecs[j].support() as i64 + bj;
-            let row = &mut pair[(k * MAX_GRID + d) * MAX_GRID..][..MAX_GRID];
-            for (cell, &b) in row.iter_mut().zip(cands) {
+            for (cell, &b) in pair[k * MAX_GRID + d].iter_mut().zip(cands) {
                 let dist = t_i + b - e_j;
-                if dist <= alpha {
-                    let gap = (alpha + 1 - dist) as f64;
-                    *cell = weight * gap * gap;
+                if dist > alpha {
+                    break; // candidates ascend: no later rank overlaps either
                 }
+                *cell = if dist <= 0 {
+                    f64::INFINITY
+                } else {
+                    let gap = (alpha + 1 - dist) as f64;
+                    weight * gap * gap
+                };
             }
         }
     }
-    // Chain constraint e_{i−1} < e_i: candidates ascend, so per rank of
-    // FEC i−1 the admissible ranks of FEC i are a suffix starting here.
-    let mut admissible = [0usize; MAX_GRID];
-    for (from, &b_last) in admissible.iter_mut().zip(grids[i - 1].as_slice()) {
-        let e_last = fecs[i - 1].support() as i64 + b_last;
-        *from = cands.partition_point(|&b| t_i + b <= e_last);
+    let pair = &pair[..];
+    // Per new rank, how many of the dropped FEC's ranks cannot overlap it.
+    // Growing states drop nothing: one stand-in rank that never overlaps.
+    let runs = if merge { radix(0) } else { 1 };
+    let mut clear: Slots<u8> = [1; MAX_GRID];
+    if merge {
+        for (r, n) in clear.iter_mut().enumerate().take(width) {
+            *n = (0..runs).take_while(|&d| pair[d][r] == 0.0).count() as u8;
+        }
     }
-    // All transitions out of prev entry `p`: the added cost per candidate
-    // rank, and the first rank the chain admits.
-    let transitions = |p: usize, added: &mut [f64; MAX_GRID]| -> usize {
-        *added = [0.0; MAX_GRID];
-        let mut code = prev.code[p];
-        let mut last = 0;
-        for k in (0..held).rev() {
-            let d = (code % radix(k)) as usize;
-            code /= radix(k);
-            if k + 1 == held {
-                last = d;
+
+    out.keys.clear();
+    out.reach.clear();
+    // One new row: slots `lo..` from the predecessors `members` (ascending
+    // by dropped rank), `shared[r]` being what every one of them adds.
+    let mut push_row = |key: u64, members: &[Member], shared: &Slots<f64>, lo: usize| {
+        let mut row: Slots<(f64, u64)> = [(f64::INFINITY, 0); MAX_GRID];
+        let mut from: Slots<u8> = [0; MAX_GRID];
+        let mut best = Member {
+            cost: f64::INFINITY,
+            ..Member::default()
+        };
+        let mut folded = 0;
+        for r in lo..width {
+            while folded < members.len() && members[folded].rank < clear[r] {
+                let m = &members[folded];
+                if improves(m.cost, m.abs, &best) {
+                    best = *m;
+                }
+                folded += 1;
             }
-            let row = &pair[(k * MAX_GRID + d) * MAX_GRID..][..MAX_GRID];
-            for (a, c) in added.iter_mut().zip(row) {
+            let mut win = best;
+            for m in &members[folded..] {
+                let reached = m.cost + pair[m.rank as usize][r];
+                if improves(reached, m.abs, &win) {
+                    win = Member {
+                        cost: reached,
+                        ..*m
+                    };
+                }
+            }
+            row[r] = (win.cost + shared[r], win.abs + cands[r].unsigned_abs());
+            from[r] = win.rank;
+        }
+        out.keys.push(key);
+        out.reach.extend_from_slice(&row[..width]);
+        dropped.extend_from_slice(&from[..width]);
+    };
+
+    let mut members = [Member::default(); MAX_GRID];
+    if gamma == 1 {
+        // A state is one rank, so the rank dropped is the slot itself: one
+        // row in, one row out, nothing shared.
+        let mut n = 0;
+        for (rank, &(cost, abs)) in prev.reach.iter().enumerate() {
+            if cost < f64::INFINITY {
+                members[n] = Member {
+                    cost,
+                    abs,
+                    rank: rank as u8,
+                };
+                n += 1;
+            }
+        }
+        push_row(0, &members[..n], &[0.0; MAX_GRID], 0);
+        return;
+    }
+
+    // prev's rows split into one run per oldest rank, each ascending by the
+    // digits the new rows keep (`key mod kept`). Merge the runs by those
+    // digits; the rows sharing them are one group.
+    let oldest = usize::from(merge);
+    let kept = (oldest..held)
+        .try_fold(1u64, |acc, k| acc.checked_mul(radix(k) as u64))
+        .expect("order-DP row keys exceed u64: γ-window of candidate grids too wide")
+        / stride as u64;
+    let mut cursor = [0usize; MAX_GRID + 1];
+    for (r0, c) in cursor.iter_mut().enumerate().take(runs + 1).skip(1) {
+        *c = prev.keys.partition_point(|&key| key < r0 as u64 * kept);
+    }
+    let end = cursor;
+    let head = |cursor: &[usize; MAX_GRID + 1], r0: usize| {
+        (cursor[r0] < end[r0 + 1]).then(|| prev.keys[cursor[r0]] - r0 as u64 * kept)
+    };
+    while let Some(suffix) = (0..runs).filter_map(|r0| head(&cursor, r0)).min() {
+        let mut group = [(0u8, 0usize); MAX_GRID];
+        let mut rows = 0;
+        for r0 in 0..runs {
+            if head(&cursor, r0) == Some(suffix) {
+                group[rows] = (r0 as u8, cursor[r0] * stride);
+                rows += 1;
+                cursor[r0] += 1;
+            }
+        }
+        // What the kept key digits add, whichever slot follows them.
+        let mut middle = [0.0; MAX_GRID];
+        let mut code = suffix;
+        for k in (oldest..held - 1).rev() {
+            let d = (code % radix(k) as u64) as usize;
+            code /= radix(k) as u64;
+            for (a, c) in middle.iter_mut().zip(&pair[k * MAX_GRID + d]) {
                 *a += c;
             }
         }
-        admissible[last]
-    };
-
-    let mut added = [0.0; MAX_GRID];
-    if !merge {
-        // States still growing: every transition is its own state, and
-        // (parent, rank) order is code order.
-        for p in 0..prev.len() {
-            for r in transitions(p, &mut added)..cands.len() {
-                out.push(
-                    prev.code[p] * n_i + r as u64,
-                    prev.cost[p] + added[r],
-                    prev.abs[p] + cands[r].unsigned_abs(),
-                    p as u32,
-                );
+        for l in 0..stride {
+            // Chain constraint e_{i−1} < e_i: candidates ascend, so the
+            // ranks of FEC i that rank l of FEC i−1 admits are a suffix.
+            let newest = &pair[(held - 1) * MAX_GRID + l];
+            let lo = newest.iter().take_while(|c| **c == f64::INFINITY).count();
+            if lo == width {
+                continue;
             }
-        }
-    } else {
-        // prev splits into one run per oldest rank, each ascending by the
-        // remaining digits (the suffix, `code mod span`). Merge the runs by
-        // suffix; all entries sharing one feed the same ≤ 13 successors.
-        let runs = radix(0) as usize;
-        let mut cursor = [0usize; MAX_GRID + 1];
-        for (r0, c) in cursor.iter_mut().enumerate().take(runs + 1) {
-            *c = prev.code.partition_point(|&code| code < r0 as u64 * span);
-        }
-        let end = cursor;
-        let head = |cursor: &[usize; MAX_GRID + 1], r0: usize| {
-            (cursor[r0] < end[r0 + 1]).then(|| prev.code[cursor[r0]] - r0 as u64 * span)
-        };
-        while let Some(suffix) = (0..runs).filter_map(|r0| head(&cursor, r0)).min() {
-            let mut best_cost = [f64::INFINITY; MAX_GRID];
-            let mut best_abs = [0u64; MAX_GRID];
-            let mut best_parent = [0u32; MAX_GRID];
-            for r0 in 0..runs {
-                if head(&cursor, r0) != Some(suffix) {
-                    continue;
-                }
-                let p = cursor[r0];
-                cursor[r0] += 1;
-                for r in transitions(p, &mut added)..cands.len() {
-                    let reached = (
-                        prev.cost[p] + added[r],
-                        prev.abs[p] + cands[r].unsigned_abs(),
-                    );
-                    if reached < (best_cost[r], best_abs[r]) {
-                        (best_cost[r], best_abs[r]) = reached;
-                        best_parent[r] = p as u32;
-                    }
+            let mut n = 0;
+            for &(rank, at) in &group[..rows] {
+                let (cost, abs) = prev.reach[at + l];
+                if cost < f64::INFINITY {
+                    members[n] = Member { cost, abs, rank };
+                    n += 1;
                 }
             }
-            for r in 0..cands.len() {
-                if best_cost[r] < f64::INFINITY {
-                    out.push(
-                        suffix * n_i + r as u64,
-                        best_cost[r],
-                        best_abs[r],
-                        best_parent[r],
-                    );
-                }
+            if n == 0 {
+                continue;
             }
+            let mut shared = middle;
+            for (a, c) in shared.iter_mut().zip(newest) {
+                *a += c;
+            }
+            push_row(
+                suffix * stride as u64 + l as u64,
+                &members[..n],
+                &shared,
+                lo,
+            );
         }
     }
-    out
-}
-
-/// Pick the best entry of the final layer and walk parent indices back to
-/// recover one bias per FEC. On exact `(cost, Σ|β|)` ties the smallest
-/// state wins because layers ascend by code.
-fn dp_backtrack(layers: &[Layer], grids: &[Grid]) -> Vec<f64> {
-    let last = layers.last().expect("n ≥ 1 layers");
-    let mut best = 0usize;
-    for idx in 1..last.len() {
-        if (last.cost[idx], last.abs[idx]) < (last.cost[best], last.abs[best]) {
-            best = idx;
-        }
-    }
-
-    // Walk the parent indices backwards; entry i's lowest digit is bias i.
-    let mut biases = vec![0.0; layers.len()];
-    let mut idx = best;
-    for (i, layer) in layers.iter().enumerate().rev() {
-        let grid = grids[i].as_slice();
-        biases[i] = grid[(layer.code[idx] % grid.len() as u64) as usize] as f64;
-        idx = layer.parent[idx] as usize;
-    }
-    biases
 }
 
 /// Integer bias candidates for a budget `β^m`: an odd, symmetric grid over
@@ -729,6 +831,58 @@ mod tests {
         partition_into_fecs(&f)
     }
 
+    /// A plain map-based run of the recurrence, for what neither kernel
+    /// exposes: per layer the number of reachable states, and over the chain
+    /// how many states are reached at their best `(cost, Σ|β|)` from two
+    /// different predecessors.
+    fn census(fecs: &[Fec], spec: &PrivacySpec, gamma: usize) -> (Vec<usize>, usize) {
+        use std::collections::BTreeMap;
+        let grids: Vec<Grid> = fecs
+            .iter()
+            .map(|f| bias_candidates_for(spec.max_bias(f.support())))
+            .collect();
+        let e = |j: usize, b: i64| fecs[j].support() as i64 + b;
+        let mut layer: BTreeMap<Vec<i64>, (i64, u64)> = grids[0]
+            .as_slice()
+            .iter()
+            .map(|&b| (vec![b], (0, b.unsigned_abs())))
+            .collect();
+        let mut sizes = vec![layer.len()];
+        let mut ties = 0;
+        for i in 1..fecs.len() {
+            let mut reached: BTreeMap<Vec<i64>, Vec<(i64, u64)>> = BTreeMap::new();
+            for (state, &(cost, abs)) in &layer {
+                let first = i - state.len();
+                for &b in grids[i].as_slice() {
+                    if e(i, b) <= e(i - 1, state[state.len() - 1]) {
+                        continue;
+                    }
+                    let added: i64 = (first..i)
+                        .zip(state)
+                        .map(|(j, &bj)| {
+                            let gap = (spec.alpha() as i64 + 1 - (e(i, b) - e(j, bj))).max(0);
+                            (fecs[i].size() + fecs[j].size()) as i64 * gap * gap
+                        })
+                        .sum();
+                    let mut next = state[state.len().saturating_sub(gamma - 1)..].to_vec();
+                    next.push(b);
+                    let value = (cost + added, abs + b.unsigned_abs());
+                    reached.entry(next).or_default().push(value);
+                }
+            }
+            layer = reached
+                .into_iter()
+                .map(|(state, mut values)| {
+                    values.sort_unstable();
+                    ties += usize::from(values.len() > 1 && values[0] == values[1]);
+                    (state, values[0])
+                })
+                .collect();
+            sizes.push(layer.len());
+        }
+        (sizes, ties)
+    }
+
     #[test]
     fn kernel_equals_the_reference_on_random_chains() {
         use bfly_common::rng::{Rng, SmallRng};
@@ -741,22 +895,34 @@ mod tests {
             PrivacySpec::new(19, 5, 0.016, 0.4),
         ];
         let mut singleton_grids = 0;
+        let mut ties = 0;
         for (which, spec) in specs.iter().enumerate() {
-            for seed in 0..40u64 {
+            for seed in 0..50u64 {
                 let mut rng = SmallRng::seed_from_u64(seed * 4 + which as u64);
                 // Strictly increasing supports from C up, gaps mixing dense
                 // stretches (inside α) with breaks the DP forgets across.
+                // The last ten chains are tie-heavy instead: one class size
+                // throughout and gaps of 1–3, so mirrored candidates reach a
+                // state at exactly equal (cost, Σ|β|).
+                let tie_heavy = seed >= 40;
                 let n = 2 + rng.gen_range_usize(14);
                 let mut support = spec.c() + rng.gen_below(6);
                 let skeleton: Vec<(u64, usize)> = (0..n)
                     .map(|_| {
                         let here = support;
-                        support += 1 + if rng.gen_bool(0.2) {
+                        support += 1 + if tie_heavy {
+                            rng.gen_below(3)
+                        } else if rng.gen_bool(0.2) {
                             rng.gen_below(3 * spec.alpha())
                         } else {
                             rng.gen_below(4)
                         };
-                        (here, 1 + rng.gen_range_usize(4))
+                        let size = if tie_heavy {
+                            2
+                        } else {
+                            1 + rng.gen_range_usize(4)
+                        };
+                        (here, size)
                     })
                     .collect();
                 let fecs = fecs_with_sizes(&skeleton);
@@ -765,14 +931,47 @@ mod tests {
                     .map(|f| reference::bias_candidates_for(spec.max_bias(f.support())))
                     .collect();
                 singleton_grids += candidates.iter().filter(|c| c.len() == 1).count();
-                for gamma in 1..=4usize {
-                    let old = reference::solve(&fecs, &candidates, spec.alpha() as i64, gamma);
-                    let new = order_preserving_biases(&fecs, spec, gamma);
+                // The reference holds every transition of a layer at once:
+                // deep windows get the head of every tenth chain.
+                let deepest = if seed % 10 == 0 { 6 } else { 4 };
+                for gamma in 1..=deepest {
+                    let n = if gamma >= 5 { n.min(8) } else { n };
+                    let old =
+                        reference::solve(&fecs[..n], &candidates[..n], spec.alpha() as i64, gamma);
+                    let new = order_preserving_biases(&fecs[..n], spec, gamma);
                     assert_eq!(new, old, "{skeleton:?} γ={gamma}");
+                }
+                if tie_heavy {
+                    ties += census(&fecs, spec, 2).1 + census(&fecs, spec, 3).1;
                 }
             }
         }
         assert!(singleton_grids > 0);
+        // The smallest-parent rule was exercised, not merely permitted.
+        assert!(ties > 0, "no state was reached at an exact tie");
+    }
+
+    /// What separates rows of reachable states from a dense `13^γ` box: on a
+    /// dense chain at γ = 5 a layer never holds more than a grid's worth of
+    /// slots per reachable state, where the box over the same five grids is
+    /// far larger.
+    #[test]
+    fn deep_gamma_layers_hold_reachable_rows_only() {
+        let supports: Vec<u64> = (0..40).map(|i| 25 + i).collect();
+        let fecs = fecs_with_supports(&supports);
+        let s = spec();
+        let (reachable, _) = census(&fecs, &s, 5);
+        let mut scratch = OrderScratch::default();
+        scratch.solve(&fecs, &s, 5);
+        let mut rows_from = 0;
+        for (i, &(rows_to, _)) in scratch.ends.iter().enumerate() {
+            let held = (rows_to - rows_from) * scratch.grids[i].len;
+            assert!(held >= reachable[i]);
+            assert!(held <= MAX_GRID * reachable[i], "layer {i}");
+            rows_from = rows_to;
+        }
+        let dense: usize = scratch.grids[35..40].iter().map(|g| g.len).product();
+        assert!(dense > 4 * MAX_GRID * reachable[39]);
     }
 
     /// One scratch kept across a random window sequence — chains that grow,

@@ -44,6 +44,7 @@ use std::sync::atomic::Ordering;
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::Instant;
 
 /// One unit of shard work.
 pub(crate) enum Job {
@@ -233,7 +234,12 @@ fn publish(
     key: &Arc<str>,
     state: &mut KeyState,
 ) {
-    match state.pipe.publish_now() {
+    let started = Instant::now();
+    let outcome = state.pipe.publish_now();
+    let us = started.elapsed().as_micros() as u64;
+    ShardStats::add(&stats.publish_us, us);
+    stats.publish_us_max.fetch_max(us, Ordering::Relaxed);
+    match outcome {
         Ok(release) => {
             if let Some(w) = log {
                 log_publication(cfg, w, key, state, &release);

@@ -15,6 +15,12 @@ pub struct ShardStats {
     pub processed: AtomicU64,
     /// Sanitized windows published (cadence + final flushes).
     pub published: AtomicU64,
+    /// Microseconds the worker spent inside `publish_now` — closed-set
+    /// read-out plus the defense, withheld releases included — so
+    /// `publish_us / published` is the live per-window publication cost.
+    pub publish_us: AtomicU64,
+    /// The slowest single `publish_now`, in microseconds.
+    pub publish_us_max: AtomicU64,
     /// Current ingress queue depth (accepted minus dequeued).
     pub queue_depth: AtomicU64,
     /// Release entries that failed the contract audit; every release
@@ -48,6 +54,14 @@ impl ShardStats {
             (
                 "published",
                 Json::from(self.published.load(Ordering::Relaxed)),
+            ),
+            (
+                "publish_us",
+                Json::from(self.publish_us.load(Ordering::Relaxed)),
+            ),
+            (
+                "publish_us_max",
+                Json::from(self.publish_us_max.load(Ordering::Relaxed)),
             ),
             (
                 "queue_depth",
@@ -186,11 +200,15 @@ mod tests {
         ShardStats::add(&s.ingested, 5);
         ShardStats::add(&s.shed, 2);
         ShardStats::add(&s.published, 1);
+        ShardStats::add(&s.publish_us, 160);
+        s.publish_us_max.fetch_max(90, Ordering::Relaxed);
         let v = s.to_json(3);
         assert_eq!(v.get("shard").unwrap().as_u64(), Some(3));
         assert_eq!(v.get("ingested").unwrap().as_u64(), Some(5));
         assert_eq!(v.get("shed").unwrap().as_u64(), Some(2));
         assert_eq!(v.get("published").unwrap().as_u64(), Some(1));
+        assert_eq!(v.get("publish_us").unwrap().as_u64(), Some(160));
+        assert_eq!(v.get("publish_us_max").unwrap().as_u64(), Some(90));
         assert_eq!(v.get("queue_depth").unwrap().as_u64(), Some(0));
         assert_eq!(v.get("audit_violations").unwrap().as_u64(), Some(0));
     }

@@ -46,8 +46,11 @@
 //! so replay truncates the segment at the last clean record and continues.
 //! An invalid record anywhere else means storage corrupted data that was
 //! once durable; replay refuses to start rather than serve a forked history.
-//! So does a checksum-clean record that fails to decode, in any segment: it
-//! was written whole, and truncating it would take every later record along.
+//! So does, in any segment and with the file left untouched, a
+//! checksum-clean record that fails to decode or whose sequence number does
+//! not follow its predecessor's: it was written whole, a torn write cannot
+//! have produced it, and truncating there would take every later durable
+//! record along.
 
 use crate::config::{ServeConfig, WalConfig};
 use crate::protocol::binary_entry;
@@ -174,13 +177,11 @@ pub fn recover_shard(
                 Scan::Record { rec, seq, end } => {
                     if let Some(want) = expected_seq {
                         if seq != want {
-                            // A sequence discontinuity between checksum-clean
-                            // records: same policy as structural corruption.
+                            // A torn write cannot leave a checksum-clean
+                            // record carrying the wrong sequence number:
+                            // records went missing from durable storage, in
+                            // whichever segment.
                             let reason = format!("sequence gap: expected {want}, found {seq}");
-                            if last_segment {
-                                truncate_tail(path, off as u64, stats)?;
-                                break;
-                            }
                             return Err(corrupt(path, &reason));
                         }
                     }
@@ -786,6 +787,55 @@ mod tests {
         assert!(err.contains(&seg.display().to_string()), "{err}");
         assert!(err.contains("unknown defense"), "{err}");
         assert_eq!(std::fs::metadata(&seg).unwrap().len(), bytes.len() as u64);
+        assert_eq!(stats.truncated_tails.load(Ordering::Relaxed), 0);
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn sequence_gap_in_the_last_segment_refuses_the_start() {
+        let root = tmp_root("gap");
+        let cfg = tiny_cfg();
+        let wal = wal_cfg(&root);
+        let stats = Arc::new(WalStats::default());
+        let mut w = WalWriter::open(
+            &root,
+            0,
+            wal.clone(),
+            cfg.snapshot_every,
+            stats.clone(),
+            WriterPosition::default(),
+        )
+        .unwrap();
+        let mut h = Harness::open(&cfg, "k", &mut w);
+        h.feed(&cfg, "k", Some(&mut w), 0..20, 7);
+        drop(w);
+
+        // Cut one whole record out of the middle: every record left is
+        // checksum-clean, and truncating at the gap would silently drop the
+        // durable ones after it.
+        let seg = shard_dir(&root, 0).join(crate::wal::segment::segment_file_name(0));
+        let bytes = std::fs::read(&seg).unwrap();
+        let mut bounds = vec![(0, 0)];
+        while let Scan::Record { seq, end, .. } = scan_one(&bytes, bounds[bounds.len() - 1].1) {
+            bounds.push((seq, end));
+        }
+        assert!(bounds.len() > 4, "need records either side of the cut");
+        let cut = bounds.len() / 2;
+        let (missing, next) = (bounds[cut].0, bounds[cut + 1].0);
+        let mut gapped = bytes[..bounds[cut - 1].1].to_vec();
+        gapped.extend_from_slice(&bytes[bounds[cut].1..]);
+        std::fs::write(&seg, &gapped).unwrap();
+
+        let err = match recover_shard(&cfg, &wal, 0, &stats) {
+            Err(e) => e.to_string(),
+            Ok(_) => panic!("a sequence gap between clean records must refuse the start"),
+        };
+        assert!(err.contains(&seg.display().to_string()), "{err}");
+        assert!(
+            err.contains(&format!("expected {missing}, found {next}")),
+            "{err}"
+        );
+        assert_eq!(std::fs::metadata(&seg).unwrap().len(), gapped.len() as u64);
         assert_eq!(stats.truncated_tails.load(Ordering::Relaxed), 0);
         std::fs::remove_dir_all(&root).unwrap();
     }

@@ -34,7 +34,7 @@ cargo test -q --release --test wal_recovery
 echo "==> federation differential (router over 2 nodes, kill one, survivor + WAL-rejoin byte-identity)"
 cargo test -q --release --test federation
 
-echo "==> order-DP depth sweep vs golden (fig6 --quick, γ 0–6 on both datasets, CSV captured before the rank-coded kernel)"
+echo "==> order-DP depth sweep vs golden (fig6 --quick, γ 0–6 on both datasets; the CSV is the sort-based kernel's, now order::tests::reference, and has never been regenerated)"
 cargo run -q --release -p bfly-bench --bin fig6 -- --quick >/dev/null
 cmp target/figures/fig6_ropp_vs_gamma.csv tests/golden/fig6_quick.csv \
   || { echo "fig6 --quick diverged from tests/golden/fig6_quick.csv"; exit 1; }

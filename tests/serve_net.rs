@@ -1035,3 +1035,51 @@ fn catchup_subscribe_without_a_wal_is_refused() {
     assert_eq!(ack.get("ok"), Some(&Json::Bool(true)));
     server.join();
 }
+
+/// The `stats` schema is a contract with whoever scrapes it: every key path
+/// of a node's reply — envelope, shard row, `reactor`, `wal` — against
+/// `tests/golden/stats_keys.txt`, so a renamed or dropped counter fails
+/// here and a new one is a line of diff in the golden.
+#[test]
+fn stats_reply_carries_exactly_the_golden_keys() {
+    use butterfly_repro::serve::WalConfig;
+
+    fn key_paths(value: &Json, at: &str, out: &mut Vec<String>) {
+        match value {
+            Json::Obj(fields) => {
+                for (key, value) in fields {
+                    let dot = if at.is_empty() { "" } else { "." };
+                    key_paths(value, &format!("{at}{dot}{key}"), out);
+                }
+            }
+            Json::Arr(items) => {
+                for value in items {
+                    key_paths(value, &format!("{at}[]"), out);
+                }
+            }
+            _ => out.push(at.to_string()),
+        }
+    }
+
+    let wal_dir = std::env::temp_dir().join(format!("bfly-serve-stats-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&wal_dir);
+    let cfg = ServeConfig {
+        shards: 1,
+        io: IoMode::Reactor,
+        wal: Some(WalConfig::new(&wal_dir)),
+        ..feasible_cfg()
+    };
+    let server = Server::bind("127.0.0.1:0", cfg).expect("bind");
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let stats = client.request(&Request::Stats).expect("stats");
+    let mut paths = Vec::new();
+    key_paths(&stats, "", &mut paths);
+    paths.sort();
+    assert_eq!(
+        paths.join("\n") + "\n",
+        include_str!("golden/stats_keys.txt"),
+        "stats schema moved: {stats}"
+    );
+    server.join();
+    std::fs::remove_dir_all(&wal_dir).expect("wal dir cleanup");
+}
