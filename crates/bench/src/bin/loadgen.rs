@@ -5,21 +5,19 @@
 //! Two modes:
 //!
 //! * **In-process (default):** spins up its own servers on ephemeral ports
-//!   and runs the identical workload against an I/O-engine × frame-encoding
-//!   matrix — blocking/NDJSON (the legacy wire), reactor/NDJSON, and
-//!   reactor/binary — at 1 shard (the contended case), then reactor/binary
-//!   at `--shards` (default 4) for the scaling ratio. The unpaced phases
-//!   measure each wire's burst capacity, but their offered *rates* differ
-//!   (a faster wire delivers the same volume in less wall time), which
-//!   makes raw shed rates incomparable — so the matrix is repeated
-//!   **paced**: the blocking/json phase calibrates the sustainable offered
-//!   rate, and every paced phase then drips the identical volume at 75% of
-//!   it (override with `--pace <tx/s>`). At an equal offered rate, accepted
-//!   throughput and shed rate isolate how much CPU each engine leaves the
-//!   shard worker. The run entry carries a `cores` field: shards scale with
-//!   physical parallelism, so on a single-core host the ratio measures
-//!   isolation overhead, not speedup (see DESIGN.md). On platforms without
-//!   epoll the reactor phases are skipped.
+//!   and runs the identical workload over both frame encodings — NDJSON and
+//!   binary — at 1 shard (the contended case), then binary at `--shards`
+//!   (default 4) for the scaling ratio. The unpaced phases measure each
+//!   wire's burst capacity, but their offered *rates* differ (a faster wire
+//!   delivers the same volume in less wall time), which makes raw shed
+//!   rates incomparable — so the pair is repeated **paced**: the json phase
+//!   calibrates the sustainable offered rate, and every paced phase then
+//!   drips the identical volume at 75% of it (override with `--pace
+//!   <tx/s>`). At an equal offered rate, accepted throughput and shed rate
+//!   isolate how much CPU each encoding leaves the shard worker. The run
+//!   entry carries a `cores` field: shards scale with physical parallelism,
+//!   so on a single-core host the ratio measures isolation overhead, not
+//!   speedup (see DESIGN.md).
 //! * **External (`--addr host:port`):** one phase against an already
 //!   running server (e.g. `butterfly serve` started by `scripts/check.sh`);
 //!   `--frame json|binary` picks the ingest encoding and `--shutdown` sends
@@ -33,13 +31,13 @@
 //!   until the stream's `closed` event, so pair `--watch` with `--shutdown`
 //!   (or an external drain).
 //!
-//! Every phase row records its I/O engine (`io`), frame encoding (`frame`),
-//! and `shed_rate` alongside throughput and latency percentiles.
+//! Every phase row records its frame encoding (`frame`) and `shed_rate`
+//! alongside throughput and latency percentiles.
 //!
 //! In-process mode also runs a **durability-tax matrix**: the unpaced
 //! 1-shard drive repeated with the write-ahead log on at each sync policy
-//! (`never`, `interval:64`, `always`) per I/O engine — compare against the
-//! engine's no-WAL twin to read the cost of each durability level.
+//! (`never`, `interval:64`, `always`) per frame encoding — compare against
+//! the encoding's no-WAL twin to read the cost of each durability level.
 //!
 //! Finally, in-process mode runs a **federation matrix**: the workload with
 //! a churning key population (`--churn`, default requests/8) driven direct
@@ -59,8 +57,7 @@ use bfly_common::Json;
 use bfly_datagen::DatasetProfile;
 use bfly_serve::protocol::SubscriberState;
 use bfly_serve::{
-    Client, FrameMode, IoMode, Request, ServeConfig, ServeRole, Server, WalConfig, WalSyncPolicy,
-    REACTOR_SUPPORTED,
+    Client, FrameMode, Request, ServeConfig, ServeRole, Server, WalConfig, WalSyncPolicy,
 };
 use std::time::{Duration, Instant};
 
@@ -125,8 +122,6 @@ fn connect_with_retry(
 /// Aggregated measurements for one server configuration.
 struct Phase {
     label: String,
-    /// The server's connection I/O engine ("blocking" / "reactor").
-    io: String,
     /// The ingest frame encoding this phase drove ("json" / "binary").
     frame: String,
     accepted: u64,
@@ -150,7 +145,6 @@ impl Phase {
     fn to_json(&self) -> Json {
         Json::obj([
             ("label", Json::from(self.label.as_str())),
-            ("io", Json::from(self.io.as_str())),
             ("frame", Json::from(self.frame.as_str())),
             ("accepted", Json::from(self.accepted)),
             ("shed", Json::from(self.shed)),
@@ -198,11 +192,10 @@ struct Workload {
 /// `pace_tx_s > 0` spreads each client's requests on a fixed schedule so
 /// the aggregate offered rate is `pace_tx_s` regardless of how fast the
 /// wire could burst — the equal-offered-rate condition that makes shed
-/// rates comparable across I/O engines.
+/// rates comparable across frame encodings.
 fn drive(
     addr: std::net::SocketAddr,
     label: &str,
-    io: &str,
     mode: FrameMode,
     pace_tx_s: f64,
     w: &Workload,
@@ -280,7 +273,6 @@ fn drive(
     latencies.sort_unstable();
     let phase = Phase {
         label: label.to_string(),
-        io: io.to_string(),
         frame: mode.name().to_string(),
         accepted,
         shed,
@@ -306,13 +298,11 @@ fn drive(
     phase
 }
 
-/// One in-process phase: bind a fresh server with `shards` on the given I/O
-/// engine, drive it in `mode`, and drain. The throughput clock runs to the
-/// end of the drain, so records still queued when the clients finish are
-/// not counted as free.
+/// One in-process phase: bind a fresh server with `shards`, drive it in
+/// `mode`, and drain. The throughput clock runs to the end of the drain, so
+/// records still queued when the clients finish are not counted as free.
 fn in_process_phase(
     shards: usize,
-    io: IoMode,
     mode: FrameMode,
     pace_tx_s: f64,
     cfg_base: &ServeConfig,
@@ -320,7 +310,6 @@ fn in_process_phase(
 ) -> Phase {
     let cfg = ServeConfig {
         shards,
-        io,
         ..cfg_base.clone()
     };
     let server = Server::bind("127.0.0.1:0", cfg).expect("bind loadgen server");
@@ -331,13 +320,12 @@ fn in_process_phase(
         .map(|w| format!("/wal-{}", w.sync))
         .unwrap_or_default();
     let label = format!(
-        "{shards}-shard/{}/{}{}{}",
-        io.name(),
+        "{shards}-shard/{}{}{}",
         mode.name(),
         wal_tag,
         if pace_tx_s > 0.0 { "/paced" } else { "" }
     );
-    let mut phase = drive(server.local_addr(), &label, io.name(), mode, pace_tx_s, w);
+    let mut phase = drive(server.local_addr(), &label, mode, pace_tx_s, w);
     server.shutdown();
     server.join();
     phase.wall_ms = start.elapsed().as_secs_f64() * 1e3;
@@ -351,7 +339,7 @@ fn in_process_phase(
 
 /// One federation phase: boot `node_count` node servers on ephemeral ports
 /// plus a stateless router in front, and drive the churning workload
-/// through the router on the blocking/binary wire. `node_count == 0` is
+/// through the router on the binary wire. `node_count == 0` is
 /// the direct baseline — the identical workload straight at one node, no
 /// router — so `router/1-node ÷ direct` reads the routing tax (one extra
 /// hop, decode + re-encode, pooled upstream round trip) and
@@ -360,7 +348,6 @@ fn in_process_phase(
 fn cluster_phase(node_count: usize, cfg_base: &ServeConfig, w: &Workload) -> Phase {
     let node_cfg = ServeConfig {
         shards: 2,
-        io: IoMode::Blocking,
         role: ServeRole::Node,
         nodes: Vec::new(),
         ..cfg_base.clone()
@@ -381,7 +368,7 @@ fn cluster_phase(node_count: usize, cfg_base: &ServeConfig, w: &Workload) -> Pha
         Some(r) => (r.local_addr(), format!("cluster/router/{node_count}-node")),
         None => (nodes[0].local_addr(), "cluster/direct/1-node".to_string()),
     };
-    let mut phase = drive(addr, &label, "blocking", FrameMode::Binary, 0.0, w);
+    let mut phase = drive(addr, &label, FrameMode::Binary, 0.0, w);
     if let Some(r) = router {
         r.shutdown();
         r.join();
@@ -485,17 +472,11 @@ fn main() {
     let mut federation: Option<Json> = None;
     let mut watch_stats: Option<Json> = None;
     if let Some(addr) = arg("--addr") {
-        // External mode: measure the already-running server as-is; ask it
-        // which I/O engine it runs so the phase row records the truth.
+        // External mode: measure the already-running server as-is.
         let addr = addr.parse().expect("bad --addr");
-        let io = Client::connect(addr)
-            .and_then(|mut c| c.request(&Request::Stats))
-            .ok()
-            .and_then(|s| s.get("io").and_then(Json::as_str).map(str::to_string))
-            .unwrap_or_else(|| "unknown".to_string());
         let pace: f64 = arg("--pace").and_then(|v| v.parse().ok()).unwrap_or(0.0);
         let watcher = arg("--watch").map(|key| watch(addr, key, frame));
-        phases.push(drive(addr, "external", &io, frame, pace, &w));
+        phases.push(drive(addr, "external", frame, pace, &w));
         if std::env::args().any(|a| a == "--shutdown") {
             let mut control = Client::connect(addr).expect("control connect");
             let reply = control.request(&Request::Shutdown).expect("shutdown reply");
@@ -514,75 +495,26 @@ fn main() {
             seed,
             ..ServeConfig::default()
         };
-        // Unpaced matrix at 1 shard — each wire's burst capacity. The
-        // blocking/json phase doubles as the pace calibration: its offered
-        // rate is what the legacy wire sustains end to end.
-        let cal = in_process_phase(1, IoMode::Blocking, FrameMode::Json, 0.0, &cfg, &w);
+        // Unpaced pair at 1 shard — each wire's burst capacity. The json
+        // phase doubles as the pace calibration: its offered rate is what
+        // the NDJSON wire sustains end to end.
+        let cal = in_process_phase(1, FrameMode::Json, 0.0, &cfg, &w);
         let pace: f64 = arg("--pace")
             .and_then(|v| v.parse().ok())
             .unwrap_or(0.75 * cal.offered_tx_s);
         phases.push(cal);
-        if REACTOR_SUPPORTED {
-            phases.push(in_process_phase(
-                1,
-                IoMode::Reactor,
-                FrameMode::Json,
-                0.0,
-                &cfg,
-                &w,
-            ));
-            phases.push(in_process_phase(
-                1,
-                IoMode::Reactor,
-                FrameMode::Binary,
-                0.0,
-                &cfg,
-                &w,
-            ));
-        }
-        // Paced matrix: identical volume at an identical offered rate (75%
-        // of what the blocking wire just sustained), so accepted throughput
-        // and shed rate compare engines, not client burst speed.
+        phases.push(in_process_phase(1, FrameMode::Binary, 0.0, &cfg, &w));
+        // Paced pair: identical volume at an identical offered rate (75% of
+        // what the json wire just sustained), so accepted throughput and
+        // shed rate compare encodings, not client burst speed.
         println!("paced phases at {pace:.0} tx/s offered");
-        phases.push(in_process_phase(
-            1,
-            IoMode::Blocking,
-            FrameMode::Json,
-            pace,
-            &cfg,
-            &w,
-        ));
-        if REACTOR_SUPPORTED {
-            phases.push(in_process_phase(
-                1,
-                IoMode::Reactor,
-                FrameMode::Json,
-                pace,
-                &cfg,
-                &w,
-            ));
-            phases.push(in_process_phase(
-                1,
-                IoMode::Reactor,
-                FrameMode::Binary,
-                pace,
-                &cfg,
-                &w,
-            ));
+        for mode in [FrameMode::Json, FrameMode::Binary] {
+            phases.push(in_process_phase(1, mode, pace, &cfg, &w));
         }
         // Scaling phase on the fastest wire, unpaced, against its unpaced
         // 1-shard twin.
-        let (io, mode) = if REACTOR_SUPPORTED {
-            (IoMode::Reactor, FrameMode::Binary)
-        } else {
-            (IoMode::Blocking, FrameMode::Json)
-        };
-        let single_tx = phases
-            .iter()
-            .find(|p| p.io == io.name() && p.frame == mode.name() && p.pace_tx_s == 0.0)
-            .expect("unpaced 1-shard twin ran")
-            .tx_per_sec;
-        let multi = in_process_phase(shards, io, mode, 0.0, &cfg, &w);
+        let single_tx = phases[1].tx_per_sec;
+        let multi = in_process_phase(shards, FrameMode::Binary, 0.0, &cfg, &w);
         let ratio = multi.tx_per_sec / single_tx.max(1e-9);
         println!(
             "scaling: {shards} shards vs 1 = {ratio:.2}x on {cores} core(s){}",
@@ -596,16 +528,12 @@ fn main() {
         scaling = Some(ratio);
 
         // Durability-tax matrix: the unpaced 1-shard drive again, WAL on at
-        // each sync policy, per engine. The no-WAL baselines are the
-        // unpaced 1-shard rows above (blocking/json and reactor/binary).
+        // each sync policy, per frame encoding. The no-WAL baselines are the
+        // unpaced 1-shard rows above.
         let wal_root =
             std::env::temp_dir().join(format!("bfly-loadgen-wal-{}", std::process::id()));
-        let mut engines = vec![(IoMode::Blocking, FrameMode::Json)];
-        if REACTOR_SUPPORTED {
-            engines.push((IoMode::Reactor, FrameMode::Binary));
-        }
         let mut wal_idx = 0u32;
-        for (io, mode) in engines {
+        for mode in [FrameMode::Json, FrameMode::Binary] {
             for sync in [
                 WalSyncPolicy::Never,
                 WalSyncPolicy::Interval(64),
@@ -618,7 +546,7 @@ fn main() {
                     wal: Some(wal),
                     ..cfg.clone()
                 };
-                phases.push(in_process_phase(1, io, mode, 0.0, &wal_cfg, &w));
+                phases.push(in_process_phase(1, mode, 0.0, &wal_cfg, &w));
             }
         }
         let _ = std::fs::remove_dir_all(&wal_root);

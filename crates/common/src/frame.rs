@@ -398,13 +398,20 @@ fn decode_payload(op: u8, payload: &[u8]) -> Result<BinaryFrame> {
 /// Incremental mixed-frame decoder over a growable byte buffer.
 ///
 /// Feed raw socket bytes with [`FrameCodec::extend`], pull frames with
-/// [`FrameCodec::next_frame`]. `Ok(None)` always means "need more bytes" —
-/// end-of-stream semantics belong to the I/O layer, which should treat EOF
-/// with [`FrameCodec::is_blank`] false as a truncated stream.
+/// [`FrameCodec::next_frame`] — or, to pass frames on without decoding
+/// them, their exact bytes with [`FrameCodec::next_raw`]; both split the
+/// stream at the same boundaries under the same cap. `Ok(None)` always
+/// means "need more bytes" — end-of-stream semantics belong to the I/O
+/// layer, which should treat EOF with [`FrameCodec::is_blank`] false as a
+/// truncated stream.
 #[derive(Debug)]
 pub struct FrameCodec {
     buf: Vec<u8>,
-    /// Bytes of an NDJSON prefix already scanned for `\n` (resume point).
+    /// `buf[..start]` was already handed out; it is reclaimed by the next
+    /// [`FrameCodec::extend`].
+    start: usize,
+    /// Bytes of an NDJSON prefix (from `start`) already scanned for `\n`
+    /// (resume point).
     scanned: usize,
     max: usize,
 }
@@ -415,6 +422,7 @@ impl FrameCodec {
     pub fn with_max(max: usize) -> FrameCodec {
         FrameCodec {
             buf: Vec::new(),
+            start: 0,
             scanned: 0,
             max,
         }
@@ -427,100 +435,118 @@ impl FrameCodec {
 
     /// Feed bytes from the transport.
     pub fn extend(&mut self, bytes: &[u8]) {
+        self.buf.drain(..self.start);
+        self.start = 0;
         self.buf.extend_from_slice(bytes);
     }
 
     /// True when the buffer holds nothing but whitespace — i.e. EOF here is
     /// a clean end of stream, not a truncated frame.
     pub fn is_blank(&self) -> bool {
-        self.buf.iter().all(u8::is_ascii_whitespace)
+        self.buf[self.start..].iter().all(u8::is_ascii_whitespace)
     }
 
     /// Bytes currently buffered (bounded by the cap plus one read).
     pub fn buffered(&self) -> usize {
-        self.buf.len()
+        self.buf.len() - self.start
     }
 
-    /// Decode the next complete frame.
+    /// The next complete frame's exact wire bytes, undecoded: a binary
+    /// frame's header and payload, or an NDJSON line through its `\n`.
+    /// Inter-frame whitespace is skipped. This is what lets a relay pass
+    /// frames on verbatim under the same cap a decoder enforces.
     ///
     /// # Errors
-    /// * [`Error::Parse`] containing `"oversized"` — fatal; the stream
-    ///   cannot be re-synced (an unbounded line, or a binary header
-    ///   announcing a payload over the cap).
+    /// [`Error::Parse`] containing `"oversized"` — fatal; the stream cannot
+    /// be re-synced (an unbounded line, or a binary header announcing a
+    /// payload over the cap).
+    pub fn next_raw(&mut self) -> Result<Option<&[u8]>> {
+        let skip = self.buf[self.start..]
+            .iter()
+            .take_while(|b| b.is_ascii_whitespace())
+            .count();
+        if skip > 0 {
+            self.start += skip;
+            self.scanned = 0;
+        }
+        let pending = &self.buf[self.start..];
+        let Some(&first) = pending.first() else {
+            return Ok(None);
+        };
+        let len = if first == BINARY_MAGIC {
+            if pending.len() < HEADER_LEN {
+                return Ok(None);
+            }
+            let payload =
+                u32::from_le_bytes(pending[2..HEADER_LEN].try_into().expect("4 bytes")) as usize;
+            // The cap is checked from the header alone, before any payload
+            // is buffered — an adversarial length cannot make us allocate it.
+            if payload > self.max {
+                return Err(Error::Parse(format!(
+                    "oversized frame: binary payload of {payload} bytes (cap {})",
+                    self.max
+                )));
+            }
+            if pending.len() < HEADER_LEN + payload {
+                return Ok(None);
+            }
+            HEADER_LEN + payload
+        } else {
+            // NDJSON: scan the unscanned suffix for the terminator.
+            let Some(off) = pending[self.scanned..].iter().position(|&b| b == b'\n') else {
+                self.scanned = pending.len();
+                if pending.len() > self.max {
+                    return Err(Error::Parse(format!(
+                        "oversized frame: {} bytes without a newline (cap {})",
+                        pending.len(),
+                        self.max
+                    )));
+                }
+                return Ok(None);
+            };
+            let end = self.scanned + off;
+            // The cap must not depend on how the transport fragmented the
+            // line: a terminated line over the cap is just as oversized as
+            // an unterminated one.
+            if end > self.max {
+                return Err(Error::Parse(format!(
+                    "oversized frame: {end} byte line (cap {})",
+                    self.max
+                )));
+            }
+            end + 1
+        };
+        let at = self.start;
+        self.start += len;
+        self.scanned = 0;
+        Ok(Some(&self.buf[at..at + len]))
+    }
+
+    /// Decode the next complete frame (the frame [`FrameCodec::next_raw`]
+    /// would return).
+    ///
+    /// # Errors
+    /// * [`Error::Parse`] containing `"oversized"` — fatal, as for
+    ///   [`FrameCodec::next_raw`].
     /// * Any other [`Error::Parse`] — recoverable; the malformed frame has
     ///   been consumed and the stream stays aligned.
     pub fn next_frame(&mut self) -> Result<Option<Frame>> {
         loop {
-            // Skip inter-frame whitespace (blank NDJSON lines).
-            let skip = self
-                .buf
-                .iter()
-                .take_while(|b| b.is_ascii_whitespace())
-                .count();
-            if skip > 0 {
-                self.buf.drain(..skip);
-                self.scanned = 0;
-            }
-            let Some(&first) = self.buf.first() else {
+            let Some(raw) = self.next_raw()? else {
                 return Ok(None);
             };
-            if first == BINARY_MAGIC {
-                return self.next_binary();
+            if raw[0] == BINARY_MAGIC {
+                return decode_payload(raw[1], &raw[HEADER_LEN..]).map(|f| Some(Frame::Binary(f)));
             }
-            // NDJSON branch: scan the unscanned suffix for the terminator.
-            if let Some(off) = self.buf[self.scanned..].iter().position(|&b| b == b'\n') {
-                let end = self.scanned + off;
-                // The cap must not depend on how the transport fragmented the
-                // line: a terminated line over the cap is just as oversized as
-                // an unterminated one.
-                if end > self.max {
-                    return Err(Error::Parse(format!(
-                        "oversized frame: {} byte line (cap {})",
-                        end, self.max
-                    )));
-                }
-                let line: Vec<u8> = self.buf.drain(..=end).collect();
-                self.scanned = 0;
-                let text = std::str::from_utf8(&line[..line.len() - 1])
-                    .map_err(|_| Error::Parse("frame is not utf-8".into()))?
-                    .trim();
-                if text.is_empty() {
-                    continue;
-                }
-                return Json::parse(text).map(|v| Some(Frame::Json(v)));
+            let text = std::str::from_utf8(&raw[..raw.len() - 1])
+                .map_err(|_| Error::Parse("frame is not utf-8".into()))?
+                .trim();
+            // A line of Unicode whitespace is blank too.
+            if text.is_empty() {
+                continue;
             }
-            self.scanned = self.buf.len();
-            if self.buf.len() > self.max {
-                return Err(Error::Parse(format!(
-                    "oversized frame: {} bytes without a newline (cap {})",
-                    self.buf.len(),
-                    self.max
-                )));
-            }
-            return Ok(None);
+            return Json::parse(text).map(|v| Some(Frame::Json(v)));
         }
-    }
-
-    fn next_binary(&mut self) -> Result<Option<Frame>> {
-        if self.buf.len() < HEADER_LEN {
-            return Ok(None);
-        }
-        let op = self.buf[1];
-        let len = u32::from_le_bytes(self.buf[2..6].try_into().unwrap()) as usize;
-        // The cap is checked from the header alone, before any payload is
-        // buffered — an adversarial length cannot make us allocate it.
-        if len > self.max {
-            return Err(Error::Parse(format!(
-                "oversized frame: binary payload of {len} bytes (cap {})",
-                self.max
-            )));
-        }
-        if self.buf.len() < HEADER_LEN + len {
-            return Ok(None);
-        }
-        let payload: Vec<u8> = self.buf.drain(..HEADER_LEN + len).collect();
-        self.scanned = 0;
-        decode_payload(op, &payload[HEADER_LEN..]).map(|f| Some(Frame::Binary(f)))
     }
 }
 

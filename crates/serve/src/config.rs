@@ -6,65 +6,6 @@ use bfly_core::{
 };
 use bfly_mining::{BackendKind, MinerBackend};
 
-/// Whether this build can run the epoll reactor (Linux with raw-syscall
-/// shims — see `reactor.rs`). Elsewhere the blocking thread-per-
-/// connection path is the only I/O mode.
-pub const REACTOR_SUPPORTED: bool = cfg!(all(
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-));
-
-/// How the server performs socket I/O.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum IoMode {
-    /// Thread-per-connection blocking sockets plus a writer pump per
-    /// connection (the legacy shape).
-    Blocking,
-    /// One reactor thread owns accept and every connection through a
-    /// readiness loop over nonblocking sockets (std-only epoll).
-    Reactor,
-}
-
-impl IoMode {
-    /// Wire/CLI name.
-    pub fn name(self) -> &'static str {
-        match self {
-            IoMode::Blocking => "blocking",
-            IoMode::Reactor => "reactor",
-        }
-    }
-}
-
-impl Default for IoMode {
-    /// The reactor wherever it is supported; the blocking path elsewhere.
-    fn default() -> Self {
-        if REACTOR_SUPPORTED {
-            IoMode::Reactor
-        } else {
-            IoMode::Blocking
-        }
-    }
-}
-
-impl std::str::FromStr for IoMode {
-    type Err = String;
-    fn from_str(s: &str) -> Result<IoMode, String> {
-        match s {
-            "blocking" => Ok(IoMode::Blocking),
-            "reactor" => Ok(IoMode::Reactor),
-            other => Err(format!(
-                "unknown io mode {other:?} (valid: blocking, reactor)"
-            )),
-        }
-    }
-}
-
-impl std::fmt::Display for IoMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
 /// When the write-ahead log forces appended records to stable storage.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WalSyncPolicy {
@@ -267,9 +208,6 @@ pub struct ServeConfig {
     /// events); a subscriber that falls this far behind is disconnected
     /// rather than buffered without bound.
     pub out_queue_cap: usize,
-    /// Socket I/O shape: the epoll reactor (default where supported) or the
-    /// legacy thread-per-connection blocking path.
-    pub io: IoMode,
     /// Frame cap in bytes, enforced on both wire encodings: an NDJSON line
     /// this long without a newline, or a binary header announcing a payload
     /// over it, is fatal for the connection.
@@ -313,7 +251,6 @@ impl Default for ServeConfig {
             snapshot_every: 1,
             queue_cap: 1024,
             out_queue_cap: 256,
-            io: IoMode::default(),
             max_frame_bytes: bfly_common::ndjson::MAX_FRAME_BYTES,
             ingest_chunk: 256,
             seed: 0,
@@ -341,9 +278,6 @@ impl ServeConfig {
                 return Err(format!("{name} must be positive"));
             }
         }
-        if self.io == IoMode::Reactor && !REACTOR_SUPPORTED {
-            return Err("io mode \"reactor\" is not supported on this platform".into());
-        }
         match self.role {
             ServeRole::Node => {
                 if !self.nodes.is_empty() {
@@ -363,13 +297,6 @@ impl ServeConfig {
                     return Err(
                         "--wal-dir conflicts with --role router: the router is stateless; \
                          durability lives on the nodes (start each node with its own --wal-dir)"
-                            .into(),
-                    );
-                }
-                if self.io == IoMode::Reactor {
-                    return Err(
-                        "io mode \"reactor\" is not supported for --role router (forwarding \
-                         is synchronous per connection; use --io blocking)"
                             .into(),
                     );
                 }
@@ -561,14 +488,6 @@ mod tests {
     }
 
     #[test]
-    fn io_mode_parses_and_rejects_unknown() {
-        assert_eq!("blocking".parse::<IoMode>().unwrap(), IoMode::Blocking);
-        assert_eq!("reactor".parse::<IoMode>().unwrap(), IoMode::Reactor);
-        let err = "uring".parse::<IoMode>().unwrap_err();
-        assert!(err.contains("blocking") && err.contains("reactor"), "{err}");
-    }
-
-    #[test]
     fn ingest_chunk_clamps_to_queue_cap() {
         let cfg = ServeConfig {
             queue_cap: 4,
@@ -657,7 +576,6 @@ mod tests {
         // A router needs a node list...
         let cfg = ServeConfig {
             role: ServeRole::Router,
-            io: IoMode::Blocking,
             ..ServeConfig::default()
         };
         let err = cfg.validate().unwrap_err();
@@ -665,7 +583,6 @@ mod tests {
         // ...rejects duplicates in one...
         let cfg = ServeConfig {
             role: ServeRole::Router,
-            io: IoMode::Blocking,
             nodes: vec![
                 "127.0.0.1:7001".parse().unwrap(),
                 "127.0.0.1:7001".parse().unwrap(),
@@ -673,10 +590,9 @@ mod tests {
             ..ServeConfig::default()
         };
         assert!(cfg.validate().unwrap_err().contains("duplicate"));
-        // ...is stateless (no WAL)...
+        // ...and is stateless (no WAL).
         let cfg = ServeConfig {
             role: ServeRole::Router,
-            io: IoMode::Blocking,
             nodes: node_addrs(),
             wal: Some(WalConfig::new("/tmp/router-wal")),
             ..ServeConfig::default()
@@ -686,21 +602,9 @@ mod tests {
             err.contains("--wal-dir") && err.contains("stateless"),
             "{err}"
         );
-        // ...and is blocking-io only.
-        if REACTOR_SUPPORTED {
-            let cfg = ServeConfig {
-                role: ServeRole::Router,
-                io: IoMode::Reactor,
-                nodes: node_addrs(),
-                ..ServeConfig::default()
-            };
-            let err = cfg.validate().unwrap_err();
-            assert!(err.contains("reactor"), "{err}");
-        }
         // The valid router shape passes.
         let cfg = ServeConfig {
             role: ServeRole::Router,
-            io: IoMode::Blocking,
             nodes: node_addrs(),
             ..ServeConfig::default()
         };

@@ -1,13 +1,11 @@
 //! Subscriber registry: stream key → the connections that want its releases.
 //!
 //! Fan-out must never block a shard worker: every subscriber connection is
-//! reached through a bounded sink — in blocking io mode a `sync_channel`
-//! drained by the connection's writer pump, in reactor mode an
-//! [`crate::reactor::EventSink`] that enqueues onto the reactor's mailbox —
-//! and the registry only ever try-sends into it. A subscriber whose sink is
-//! full (a slow or stalled consumer) is disconnected and counted — bounded
-//! memory beats unbounded patience, and the client can reconnect and
-//! re-subscribe.
+//! reached through its bounded [`crate::reactor::EventSink`], which enqueues
+//! onto the reactor's mailbox, and the registry only ever try-sends into it.
+//! A subscriber whose sink is full (a slow or stalled consumer) is
+//! disconnected and counted — bounded memory beats unbounded patience, and
+//! the client can reconnect and re-subscribe.
 //!
 //! Subscribers may speak different frame encodings ([`FrameMode`]); a
 //! publication is serialized at most once per mode actually present via
@@ -17,7 +15,6 @@ use crate::reactor::EventSink;
 use crate::stats::ShardStats;
 use bfly_common::FrameMode;
 use std::collections::HashMap;
-use std::sync::mpsc::{SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 
 /// One serialized outbound frame — an NDJSON line (`\n` included) or a
@@ -30,33 +27,10 @@ pub fn json_line(v: &bfly_common::Json) -> OutBytes {
     Arc::from(format!("{v}\n").into_bytes().into_boxed_slice())
 }
 
-/// Where a subscriber's events go. Both variants are bounded and never
-/// block the publisher.
-pub enum SubscriberSink {
-    /// Blocking io mode: a clone of the connection's outbound queue.
-    Channel(SyncSender<OutBytes>),
-    /// Reactor io mode: the connection's reactor-side event sink.
-    Event(Arc<EventSink>),
-}
-
-impl SubscriberSink {
-    /// Try to enqueue one frame; `Err` means the sink is full or its
-    /// connection is gone (the caller drops the subscriber).
-    fn try_send(&self, bytes: OutBytes) -> Result<(), ()> {
-        match self {
-            SubscriberSink::Channel(tx) => match tx.try_send(bytes) {
-                Ok(()) => Ok(()),
-                Err(TrySendError::Full(_)) | Err(TrySendError::Disconnected(_)) => Err(()),
-            },
-            SubscriberSink::Event(sink) => sink.try_send(bytes),
-        }
-    }
-}
-
 struct Entry {
     conn: u64,
     mode: FrameMode,
-    sink: SubscriberSink,
+    sink: Arc<EventSink>,
 }
 
 /// Shared subscriber table. Lock granularity is the whole table, taken
@@ -75,7 +49,7 @@ impl SubscriberRegistry {
 
     /// Register connection `conn`'s sink for `stream`'s releases, encoded
     /// in `mode`.
-    pub fn subscribe(&self, stream: &str, conn: u64, mode: FrameMode, sink: SubscriberSink) {
+    pub fn subscribe(&self, stream: &str, conn: u64, mode: FrameMode, sink: Arc<EventSink>) {
         let mut map = self.inner.lock().expect("registry poisoned");
         let subs = map.entry(stream.to_string()).or_default();
         // Re-subscribing the same connection replaces, not duplicates.
@@ -138,20 +112,6 @@ impl SubscriberRegistry {
         }
     }
 
-    /// Does connection `conn` still hold any subscription? Connection
-    /// handlers poll this during shutdown: a subscriber connection must
-    /// outlive the drain of the streams it watches (the flush releases and
-    /// `closed` events are still in flight), and its entries disappearing —
-    /// via `close_stream` or the final `clear` — is the signal that it may
-    /// exit.
-    pub fn has_conn(&self, conn: u64) -> bool {
-        self.inner
-            .lock()
-            .expect("registry poisoned")
-            .values()
-            .any(|subs| subs.iter().any(|e| e.conn == conn))
-    }
-
     /// Number of live subscriptions across all streams.
     pub fn len(&self) -> usize {
         self.inner
@@ -168,22 +128,22 @@ impl SubscriberRegistry {
         self.len() == 0
     }
 
-    /// Drop every remaining subscription (end of shutdown; closes writer
-    /// threads whose streams never published).
+    /// Drop every remaining subscription (end of shutdown: streams that
+    /// never published).
     pub fn clear(&self) {
         self.inner.lock().expect("registry poisoned").clear();
     }
 }
 
-#[cfg(test)]
+// The sinks below need the reactor's mailbox, which exists where it does.
+#[cfg(all(
+    test,
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+))]
 mod tests {
     use super::*;
-    use std::sync::mpsc::sync_channel;
-
-    fn chan(cap: usize) -> (SubscriberSink, std::sync::mpsc::Receiver<OutBytes>) {
-        let (tx, rx) = sync_channel(cap);
-        (SubscriberSink::Channel(tx), rx)
-    }
+    use crate::reactor::test_sink;
 
     fn bytes(s: &str) -> OutBytes {
         Arc::from(s.as_bytes().to_vec().into_boxed_slice())
@@ -197,8 +157,8 @@ mod tests {
     fn publish_reaches_only_that_streams_subscribers() {
         let reg = SubscriberRegistry::new();
         let stats = ShardStats::default();
-        let (sink_a, rx_a) = chan(4);
-        let (sink_b, rx_b) = chan(4);
+        let (sink_a, rx_a) = test_sink(4);
+        let (sink_b, rx_b) = test_sink(4);
         reg.subscribe("a", 1, FrameMode::Json, sink_a);
         reg.subscribe("b", 2, FrameMode::Json, sink_b);
         reg.publish_with("a", &stats, |_| bytes("ra"));
@@ -211,9 +171,9 @@ mod tests {
     fn encode_runs_once_per_mode_present() {
         let reg = SubscriberRegistry::new();
         let stats = ShardStats::default();
-        let (sink_1, rx_1) = chan(4);
-        let (sink_2, rx_2) = chan(4);
-        let (sink_3, rx_3) = chan(4);
+        let (sink_1, rx_1) = test_sink(4);
+        let (sink_2, rx_2) = test_sink(4);
+        let (sink_3, rx_3) = test_sink(4);
         reg.subscribe("s", 1, FrameMode::Json, sink_1);
         reg.subscribe("s", 2, FrameMode::Binary, sink_2);
         reg.subscribe("s", 3, FrameMode::Json, sink_3);
@@ -232,9 +192,9 @@ mod tests {
     fn slow_subscriber_is_dropped_not_buffered() {
         let reg = SubscriberRegistry::new();
         let stats = ShardStats::default();
-        let (sink, _rx) = chan(1);
+        let (sink, _rx) = test_sink(1);
         reg.subscribe("s", 1, FrameMode::Json, sink);
-        reg.publish_with("s", &stats, |_| bytes("r1")); // fills the queue
+        reg.publish_with("s", &stats, |_| bytes("r1")); // fills the budget
         reg.publish_with("s", &stats, |_| bytes("r2")); // overflows → drop
         assert!(reg.is_empty(), "slow subscriber kept");
         assert_eq!(
@@ -248,9 +208,9 @@ mod tests {
     #[test]
     fn unsubscribe_conn_removes_all_its_streams() {
         let reg = SubscriberRegistry::new();
-        let (sink_a, _rx_a) = chan(4);
-        let (sink_b, _rx_b) = chan(4);
-        let (sink_c, _rx_c) = chan(4);
+        let (sink_a, _rx_a) = test_sink(4);
+        let (sink_b, _rx_b) = test_sink(4);
+        let (sink_c, _rx_c) = test_sink(4);
         reg.subscribe("a", 7, FrameMode::Json, sink_a);
         reg.subscribe("b", 7, FrameMode::Json, sink_b);
         reg.subscribe("a", 8, FrameMode::Json, sink_c);
@@ -261,8 +221,8 @@ mod tests {
     #[test]
     fn resubscribe_replaces() {
         let reg = SubscriberRegistry::new();
-        let (sink_1, _rx_1) = chan(4);
-        let (sink_2, _rx_2) = chan(4);
+        let (sink_1, _rx_1) = test_sink(4);
+        let (sink_2, _rx_2) = test_sink(4);
         reg.subscribe("a", 7, FrameMode::Json, sink_1);
         reg.subscribe("a", 7, FrameMode::Binary, sink_2);
         assert_eq!(reg.len(), 1);
@@ -271,7 +231,7 @@ mod tests {
     #[test]
     fn close_stream_notifies_and_removes() {
         let reg = SubscriberRegistry::new();
-        let (sink, rx) = chan(4);
+        let (sink, rx) = test_sink(4);
         reg.subscribe("a", 1, FrameMode::Json, sink);
         reg.close_stream("a", bytes("closed"));
         assert_eq!(text(&rx.try_recv().unwrap()), "closed");

@@ -52,9 +52,7 @@ pub mod wal;
 
 pub use bfly_common::FrameMode;
 pub use client::Client;
-pub use config::{
-    parse_node_list, IoMode, ServeConfig, ServeRole, WalConfig, WalSyncPolicy, REACTOR_SUPPORTED,
-};
+pub use config::{parse_node_list, ServeConfig, ServeRole, WalConfig, WalSyncPolicy};
 pub use placement::{ClusterMap, Owner};
 pub use protocol::Request;
 pub use server::Server;

@@ -5,9 +5,9 @@
 //! all wired inline in `Server::bind` and consulted inline in the dispatch
 //! arms. [`NodeCore`] is that same machinery extracted whole, so the
 //! connection/framing layer is generic over *what owns a stream*: a
-//! [`crate::server::Shared`] holds either a `NodeCore` (this process mines)
-//! or a [`crate::router::RouterCore`] (this process forwards), and the
-//! accept loops, pumps, and reactor never know the difference.
+//! [`crate::server::Shared`] holds a `NodeCore` when this process mines,
+//! and the reactor hands a router's requests to [`crate::router::Router`]
+//! instead.
 //!
 //! A node routes keys to its local shards through the degenerate one-node
 //! [`ClusterMap`] — the same placement function the router uses over N
@@ -169,29 +169,25 @@ impl NodeCore {
     }
 
     /// Replay a stream's logged releases (positions `>= min_len`) through
-    /// `reply`, encoded in the subscriber's negotiated mode. Returns `false`
-    /// when the connection died mid-replay.
+    /// `reply`, encoded in the subscriber's negotiated mode.
     pub(crate) fn catchup(
         &self,
         wal_dir: &std::path::Path,
         stream: &str,
         frame: FrameMode,
         min_len: u64,
-        reply: &mut dyn FnMut(OutBytes) -> bool,
-    ) -> bool {
+        reply: &mut dyn FnMut(OutBytes),
+    ) {
         let shard = self.shard_of(stream);
         for (stream_len, entries) in wal::scan_catchup(wal_dir, shard, stream, min_len) {
-            if !reply(catchup_release_frame_bytes(
+            reply(catchup_release_frame_bytes(
                 frame, stream, stream_len, &entries,
-            )) {
-                return false;
-            }
+            ));
         }
-        true
     }
 
     /// The node-owned fields of the `stats` reply (the shared envelope —
-    /// `draining`, `io`, `uptime_ms` — is the server's).
+    /// `draining`, `uptime_ms` — is the server's).
     pub(crate) fn stats_fields(&self, cfg: &ServeConfig) -> Vec<(&'static str, Json)> {
         let mut fields = vec![
             ("shards", Json::from(cfg.shards as u64)),

@@ -1,37 +1,49 @@
-//! Std-only epoll reactor: one thread owns accept and every connection.
+//! Std-only epoll reactor: one thread owns accept, every connection, and —
+//! on a router — every upstream link to the nodes.
 //!
-//! The blocking io mode spends three threads per connection-ish unit of work
-//! (handler, writer pump, and a slice of the accept thread); under many
-//! connections the memory and context-switch cost dominates the actual
-//! protocol work. The reactor replaces all of that with a single thread
-//! running a readiness loop over nonblocking sockets:
+//! A single thread runs a readiness loop over nonblocking sockets:
 //!
 //! * **accept** — the listener is registered for read readiness; each burst
 //!   accepts until `WouldBlock`.
 //! * **reads** — each connection feeds a [`FrameCodec`]; every decoded frame
-//!   is dispatched through the same [`crate::server::dispatch_frame`] the
-//!   blocking mode uses, and replies are appended to the connection's write
-//!   buffer directly.
+//!   is dispatched — on a node through [`crate::server::dispatch`], whose
+//!   replies are appended to the connection's write buffer directly; on a
+//!   router through [`crate::router::Router`], which *parks* the connection
+//!   until the forwarded request's reply lands, so replies keep request
+//!   order. A parked connection decodes nothing more, and once more bytes
+//!   arrive it stops being read until the reply lands.
 //! * **writes** — buffered chunks drain when the socket is writable;
 //!   `EPOLLOUT` interest exists only while the buffer is non-empty, and read
 //!   interest is shed while a connection's write buffer is saturated
 //!   (read-backpressure instead of unbounded buffering).
 //! * **fan-out** — shard workers publish through [`EventSink`]s: a bounded
 //!   per-subscriber budget plus a mailbox the reactor drains between
-//!   readiness batches. A full budget drops the subscription (same slow-
-//!   client semantics as the blocking pump), never blocks the worker.
+//!   readiness batches. A full budget drops the subscription, never blocks
+//!   the worker. A router's relayed subscription frames draw on the same
+//!   budget.
+//! * **upstreams** (router) — nonblocking sockets registered edge-triggered
+//!   for read and write under tokens of their own; the router drives them
+//!   (see `router.rs`), and its forward deadlines are swept on every pass of
+//!   the loop, at least once per 100 ms wait tick.
 //!
 //! There is no libc in this workspace, so `epoll_create1`/`epoll_ctl`/
-//! `epoll_wait` are raw syscall shims (`std::arch::asm!`) for x86_64 and
+//! `epoll_wait`, and the `socket`/`connect` pair behind a nonblocking
+//! connect, are raw syscall shims (`std::arch::asm!`) for x86_64 and
 //! aarch64 Linux — the bench targets. Everywhere else the module is a stub
-//! and [`crate::config::REACTOR_SUPPORTED`] is false (config validation
-//! rejects selecting the reactor there).
+//! and [`crate::Server::bind`] fails cleanly.
 
 #[cfg(all(
     target_os = "linux",
     any(target_arch = "x86_64", target_arch = "aarch64")
 ))]
 pub use imp::{spawn, EventSink, Mail, Runtime};
+
+#[cfg(all(
+    test,
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+))]
+pub(crate) use imp::test_sink;
 
 #[cfg(not(all(
     target_os = "linux",
@@ -44,38 +56,44 @@ pub use stub::{spawn, EventSink, Mail, Runtime};
     any(target_arch = "x86_64", target_arch = "aarch64")
 ))]
 mod imp {
-    use crate::fanout::{OutBytes, SubscriberSink};
-    use crate::server::{dispatch_frame, Shared};
-    use bfly_common::{Error, FrameCodec};
+    use crate::fanout::{json_line, OutBytes};
+    use crate::protocol::error_reply;
+    use crate::router::{Loop, Router};
+    use crate::server::{dispatch, request_of, RoleCore, Shared};
+    use bfly_common::{Error, Frame, FrameCodec};
     use std::collections::{HashMap, VecDeque};
     use std::io::{Read, Write};
-    use std::net::{TcpListener, TcpStream};
+    use std::net::{SocketAddr, TcpListener, TcpStream};
     use std::os::unix::io::AsRawFd;
     use std::os::unix::net::UnixStream;
-    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
     use std::sync::{Arc, Mutex};
     use std::thread::JoinHandle;
     use std::time::{Duration, Instant};
 
     /// How long one `epoll_wait` sleeps with nothing ready: the reactor's
-    /// shutdown-flag poll cadence, mirroring the blocking mode's read
-    /// timeout.
+    /// shutdown-flag and forward-deadline poll cadence.
     const WAIT_TICK_MS: i32 = 100;
-    /// Finalize grace: how long the reactor keeps flushing write buffers
-    /// after the drain is complete before giving up on dead peers.
+    /// Finalize grace: how long the reactor keeps relaying a router's
+    /// draining subscriptions and flushing write buffers after the drain is
+    /// complete before giving up on dead peers.
     const FINALIZE_GRACE: Duration = Duration::from_secs(5);
     /// Readiness batch size per `epoll_wait`.
     const MAX_EVENTS: usize = 64;
 
-    /// Raw epoll syscall shims. Numbers differ per architecture; the shim
-    /// exposes one portable surface.
+    /// Raw syscall shims. Numbers differ per architecture; the shim exposes
+    /// one portable surface.
     mod sys {
         use std::arch::asm;
         use std::io;
+        use std::net::{SocketAddr, TcpStream};
+        use std::os::unix::io::FromRawFd;
 
         #[cfg(target_arch = "x86_64")]
         mod nr {
             pub const CLOSE: i64 = 3;
+            pub const SOCKET: i64 = 41;
+            pub const CONNECT: i64 = 42;
             pub const EPOLL_WAIT: i64 = 232;
             pub const EPOLL_CTL: i64 = 233;
             pub const EPOLL_CREATE1: i64 = 291;
@@ -86,17 +104,24 @@ mod imp {
             pub const EPOLL_CTL: i64 = 21;
             pub const EPOLL_PWAIT: i64 = 22;
             pub const CLOSE: i64 = 57;
+            pub const SOCKET: i64 = 198;
+            pub const CONNECT: i64 = 203;
         }
 
         pub const EPOLLIN: u32 = 0x001;
         pub const EPOLLOUT: u32 = 0x004;
         pub const EPOLLERR: u32 = 0x008;
         pub const EPOLLHUP: u32 = 0x010;
+        pub const EPOLLET: u32 = 1 << 31;
         pub const CTL_ADD: i64 = 1;
         pub const CTL_DEL: i64 = 2;
         pub const CTL_MOD: i64 = 3;
         const EPOLL_CLOEXEC: i64 = 0x80000;
         const EINTR: i32 = 4;
+        const EINPROGRESS: i32 = 115;
+        const AF_INET: u16 = 2;
+        const AF_INET6: u16 = 10;
+        const SOCK_STREAM_NONBLOCK_CLOEXEC: i64 = 1 | 0o4000 | 0o2000000;
 
         /// The kernel's `struct epoll_event`. Packed on x86_64 only — the
         /// kernel ABI quirk that keeps the 12-byte layout there.
@@ -217,6 +242,54 @@ mod imp {
         pub fn close(fd: i32) {
             let _ = unsafe { syscall6(nr::CLOSE, fd as i64, 0, 0, 0, 0, 0) };
         }
+
+        /// A nonblocking `socket` + `connect` to `addr`: the returned stream
+        /// is usually still connecting (`EINPROGRESS`); its first write
+        /// readiness settles it, and `take_error` then says how.
+        pub fn connect_nonblocking(addr: SocketAddr) -> io::Result<TcpStream> {
+            // `struct sockaddr_in` / `sockaddr_in6`: family in host order,
+            // port and address in network order.
+            let mut raw = [0u8; 28];
+            let (family, len) = match addr {
+                SocketAddr::V4(a) => {
+                    raw[4..8].copy_from_slice(&a.ip().octets());
+                    (AF_INET, 16)
+                }
+                SocketAddr::V6(a) => {
+                    // Flow info as given, the way std's own connect passes it.
+                    raw[4..8].copy_from_slice(&a.flowinfo().to_ne_bytes());
+                    raw[8..24].copy_from_slice(&a.ip().octets());
+                    raw[24..28].copy_from_slice(&a.scope_id().to_ne_bytes());
+                    (AF_INET6, 28)
+                }
+            };
+            raw[0..2].copy_from_slice(&family.to_ne_bytes());
+            raw[2..4].copy_from_slice(&addr.port().to_be_bytes());
+            // SAFETY: `socket` takes no pointers; the result is checked
+            // before use.
+            let fd = check(unsafe {
+                syscall6(
+                    nr::SOCKET,
+                    family as i64,
+                    SOCK_STREAM_NONBLOCK_CLOEXEC,
+                    0,
+                    0,
+                    0,
+                    0,
+                )
+            })? as i32;
+            // SAFETY: `fd` is a fresh socket nothing else owns; the stream
+            // closes it on every path from here.
+            let stream = unsafe { TcpStream::from_raw_fd(fd) };
+            // SAFETY: `raw` outlives the call and holds `len` initialized
+            // bytes of a `sockaddr` of `family`; the kernel only reads it.
+            let ret =
+                unsafe { syscall6(nr::CONNECT, fd as i64, raw.as_ptr() as i64, len, 0, 0, 0) };
+            match check(ret) {
+                Err(e) if e.raw_os_error() != Some(EINPROGRESS) => Err(e),
+                _ => Ok(stream),
+            }
+        }
     }
 
     /// Owned epoll instance: closes its fd on drop.
@@ -304,14 +377,23 @@ mod imp {
             let mut box_ = self.mailbox.lock().expect("reactor mailbox poisoned");
             box_.drain(..).collect()
         }
+
+        /// The oldest publication mailed and not yet taken — tests stand in
+        /// for the loop.
+        #[cfg(test)]
+        pub(crate) fn try_recv(&self) -> Result<OutBytes, ()> {
+            match self.mailbox.lock().expect("mailbox").pop_front() {
+                Some(Mail::Publish { bytes, .. }) => Ok(bytes),
+                _ => Err(()),
+            }
+        }
     }
 
-    /// A subscriber's sink in reactor mode: a bounded count of in-flight
-    /// publication frames for one connection. `try_send` reserves budget and
-    /// mails the frame; the budget is released only when the frame has fully
-    /// reached the socket — so a stalled peer exhausts its budget and is
-    /// dropped by the registry, exactly like a full pump queue in blocking
-    /// mode.
+    /// A subscriber's sink: a bounded count of in-flight publication frames
+    /// for one connection. `try_send` reserves budget and mails the frame;
+    /// the budget is released only when the frame has fully reached the
+    /// socket — so a stalled peer exhausts its budget and is dropped by the
+    /// registry.
     pub struct EventSink {
         conn: u64,
         shared: Arc<ReactorShared>,
@@ -324,23 +406,8 @@ mod imp {
         /// Try to enqueue one publication frame; `Err` when the connection
         /// is gone or its event budget is exhausted.
         pub(crate) fn try_send(&self, bytes: OutBytes) -> Result<(), ()> {
-            if self.closed.load(Ordering::Acquire) {
+            if !self.reserve() {
                 return Err(());
-            }
-            let mut p = self.pending.load(Ordering::Relaxed);
-            loop {
-                if p >= self.cap {
-                    return Err(());
-                }
-                match self.pending.compare_exchange_weak(
-                    p,
-                    p + 1,
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => break,
-                    Err(seen) => p = seen,
-                }
             }
             self.shared.push(Mail::Publish {
                 conn: self.conn,
@@ -349,7 +416,30 @@ mod imp {
             Ok(())
         }
 
-        /// One mailed frame fully reached the socket: release its budget.
+        /// Take one frame of budget; `false` when the connection is gone or
+        /// the budget is exhausted.
+        fn reserve(&self) -> bool {
+            if self.closed.load(Ordering::Acquire) {
+                return false;
+            }
+            let mut p = self.pending.load(Ordering::Relaxed);
+            loop {
+                if p >= self.cap {
+                    return false;
+                }
+                match self.pending.compare_exchange_weak(
+                    p,
+                    p + 1,
+                    Ordering::Relaxed,
+                    Ordering::Relaxed,
+                ) {
+                    Ok(_) => return true,
+                    Err(seen) => p = seen,
+                }
+            }
+        }
+
+        /// One budgeted frame fully reached the socket: release its budget.
         fn complete(&self) {
             self.pending.fetch_sub(1, Ordering::Relaxed);
         }
@@ -357,6 +447,26 @@ mod imp {
         fn close(&self) {
             self.closed.store(true, Ordering::Release);
         }
+    }
+
+    /// A sink over a mailbox no loop drains: what fan-out tests publish
+    /// into and read back with [`ReactorShared::try_recv`].
+    #[cfg(test)]
+    pub(crate) fn test_sink(cap: usize) -> (Arc<EventSink>, Arc<ReactorShared>) {
+        let (_rx, wake_tx) = UnixStream::pair().unwrap();
+        wake_tx.set_nonblocking(true).unwrap();
+        let shared = Arc::new(ReactorShared {
+            mailbox: Mutex::new(VecDeque::new()),
+            wake_tx,
+        });
+        let sink = EventSink {
+            conn: 9,
+            shared: shared.clone(),
+            pending: AtomicUsize::new(0),
+            cap,
+            closed: AtomicBool::new(false),
+        };
+        (Arc::new(sink), shared)
     }
 
     /// A live reactor: join the thread after pushing [`Mail::Finalize`].
@@ -381,6 +491,7 @@ mod imp {
         ep.add(listener.as_raw_fd(), sys::EPOLLIN, TOKEN_LISTENER)?;
         ep.add(wake_rx.as_raw_fd(), sys::EPOLLIN, TOKEN_WAKE)?;
         srv.reactor.fds.store(2, Ordering::Relaxed);
+        let router = matches!(srv.role, RoleCore::Router).then(|| Router::new(srv.clone()));
         let thread_shared = shared.clone();
         let thread = std::thread::Builder::new()
             .name("bfly-reactor".into())
@@ -390,6 +501,9 @@ mod imp {
                     listener: Some(listener),
                     wake_rx,
                     conns: HashMap::new(),
+                    next_conn: 0,
+                    router,
+                    touched: Vec::new(),
                     srv,
                     shared: thread_shared,
                     finalize_at: None,
@@ -402,6 +516,9 @@ mod imp {
 
     const TOKEN_LISTENER: u64 = u64::MAX;
     const TOKEN_WAKE: u64 = u64::MAX - 1;
+    /// Set in the token of a router's upstream link (the rest is its id);
+    /// connection tokens are plain connection ids.
+    const UPSTREAM: u64 = 1 << 62;
 
     /// One buffered outbound chunk; `event` marks frames that hold
     /// [`EventSink`] budget.
@@ -409,6 +526,16 @@ mod imp {
         bytes: OutBytes,
         off: usize,
         event: bool,
+    }
+
+    impl WChunk {
+        fn reply(bytes: OutBytes) -> WChunk {
+            WChunk {
+                bytes,
+                off: 0,
+                event: false,
+            }
+        }
     }
 
     /// Per-connection state machine.
@@ -419,8 +546,48 @@ mod imp {
         sink: Arc<EventSink>,
         /// Epoll interest currently registered for this fd.
         interest: u32,
+        /// A forwarded request awaits its reply: decode nothing more until
+        /// it lands.
+        parked: bool,
+        /// More bytes arrived while parked: read interest is dropped until
+        /// the reply lands, so a parked peer's pipeline stays in its socket.
+        stalled: bool,
+        /// The peer finished sending: close once every buffered request is
+        /// answered.
+        eof: bool,
         /// No more reads; flush `wbuf`, then close.
         closing: bool,
+    }
+
+    impl Conn {
+        /// Write buffered chunks until the socket pushes back, releasing
+        /// the budget of every event chunk fully written; `false` when the
+        /// peer is gone.
+        fn write_out(&mut self, partial_writes: &AtomicU64) -> bool {
+            while let Some(chunk) = self.wbuf.front_mut() {
+                match self.stream.write(&chunk.bytes[chunk.off..]) {
+                    Ok(0) => return false,
+                    Ok(n) => {
+                        chunk.off += n;
+                        if chunk.off == chunk.bytes.len() {
+                            let done = self.wbuf.pop_front().expect("front just written");
+                            if done.event {
+                                self.sink.complete();
+                            }
+                        } else {
+                            partial_writes.fetch_add(1, Ordering::Relaxed);
+                        }
+                    }
+                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                        partial_writes.fetch_add(1, Ordering::Relaxed);
+                        break;
+                    }
+                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                    Err(_) => return false,
+                }
+            }
+            true
+        }
     }
 
     struct Reactor {
@@ -428,10 +595,78 @@ mod imp {
         listener: Option<TcpListener>,
         wake_rx: UnixStream,
         conns: HashMap<u64, Conn>,
+        next_conn: u64,
+        /// Forwarding state, on a router.
+        router: Option<Router>,
+        /// Connections the router answered or relayed to since the last
+        /// pass: decode their next requests and write.
+        touched: Vec<u64>,
         srv: Arc<Shared>,
         shared: Arc<ReactorShared>,
         /// Set when [`Mail::Finalize`] arrives: flush deadline.
         finalize_at: Option<Instant>,
+    }
+
+    /// The reactor as the router sees it: its epoll instance and client
+    /// connections, borrowed for one call.
+    struct Io<'a> {
+        ep: &'a Epoll,
+        conns: &'a mut HashMap<u64, Conn>,
+        touched: &'a mut Vec<u64>,
+        partial_writes: &'a AtomicU64,
+    }
+
+    impl Io<'_> {
+        fn touch(&mut self, conn: u64) {
+            if self.touched.last() != Some(&conn) {
+                self.touched.push(conn);
+            }
+        }
+    }
+
+    impl Loop for Io<'_> {
+        fn connect(&mut self, addr: SocketAddr, id: u64) -> std::io::Result<TcpStream> {
+            let stream = sys::connect_nonblocking(addr)?;
+            // Small pipelined requests must not wait out Nagle.
+            stream.set_nodelay(true)?;
+            self.ep.add(
+                stream.as_raw_fd(),
+                sys::EPOLLIN | sys::EPOLLOUT | sys::EPOLLET,
+                UPSTREAM | id,
+            )?;
+            Ok(stream)
+        }
+
+        fn answer(&mut self, conn: u64, bytes: OutBytes) {
+            if let Some(c) = self.conns.get_mut(&conn) {
+                c.wbuf.push_back(WChunk::reply(bytes));
+                c.parked = false;
+                c.stalled = false;
+                self.touch(conn);
+            }
+        }
+
+        fn relay(&mut self, conn: u64, bytes: &[u8]) -> bool {
+            let Some(c) = self.conns.get_mut(&conn) else {
+                return false;
+            };
+            if c.closing {
+                return false;
+            }
+            // A burst (a catch-up replay) can outrun the budget before the
+            // loop gets to write: write what the socket takes, then retry.
+            let room = c.sink.reserve() || (c.write_out(self.partial_writes) && c.sink.reserve());
+            if !room {
+                return false;
+            }
+            c.wbuf.push_back(WChunk {
+                bytes: Arc::from(bytes),
+                off: 0,
+                event: true,
+            });
+            self.touch(conn);
+            true
+        }
     }
 
     impl Reactor {
@@ -441,6 +676,15 @@ mod imp {
                 self.process_mailbox();
                 if self.srv.shutdown.load(Ordering::SeqCst) {
                     self.drop_listener();
+                }
+                // After Finalize every connection closes — once a router's
+                // draining subscriptions have ridden every node's final
+                // releases and `closed` events through.
+                if self.finalize_at.is_some() && self.router.as_ref().is_none_or(Router::drained) {
+                    let ids: Vec<u64> = self.conns.keys().copied().collect();
+                    for id in ids {
+                        self.start_closing(id);
+                    }
                 }
                 self.reap_closed();
                 if let Some(deadline) = self.finalize_at {
@@ -462,18 +706,48 @@ mod imp {
                     match token {
                         TOKEN_LISTENER => self.accept_burst(),
                         TOKEN_WAKE => self.drain_wake(),
+                        up if up & UPSTREAM != 0 => {
+                            self.with_router(|r, io| r.on_ready(up ^ UPSTREAM, io))
+                        }
                         conn_id => {
                             if ready & (sys::EPOLLOUT | sys::EPOLLERR | sys::EPOLLHUP) != 0 {
                                 self.conn_write(conn_id);
                             }
-                            if ready & (sys::EPOLLIN | sys::EPOLLERR | sys::EPOLLHUP) != 0 {
-                                self.conn_read(conn_id);
+                            let gone = ready & (sys::EPOLLERR | sys::EPOLLHUP) != 0;
+                            if gone || ready & sys::EPOLLIN != 0 {
+                                self.conn_read(conn_id, gone);
                             }
                         }
                     }
                 }
+                self.with_router(Router::expire);
+                self.pump_touched();
             }
             self.srv.reactor.fds.store(0, Ordering::Relaxed);
+        }
+
+        /// Run one router step against the connections.
+        fn with_router(&mut self, step: impl FnOnce(&mut Router, &mut dyn Loop)) {
+            if let Some(router) = self.router.as_mut() {
+                step(
+                    router,
+                    &mut Io {
+                        ep: &self.ep,
+                        conns: &mut self.conns,
+                        touched: &mut self.touched,
+                        partial_writes: &self.srv.reactor.partial_writes,
+                    },
+                );
+            }
+        }
+
+        /// Decode and write for every connection the router answered or
+        /// relayed to.
+        fn pump_touched(&mut self) {
+            while let Some(id) = self.touched.pop() {
+                self.pump(id);
+                self.conn_write(id);
+            }
         }
 
         fn drop_listener(&mut self) {
@@ -493,8 +767,12 @@ mod imp {
                         if stream.set_nonblocking(true).is_err() {
                             continue;
                         }
+                        // Replies are small and written as they come: with
+                        // Nagle on, a pipelining client's second reply
+                        // waits out the peer's delayed ACK of the first.
                         let _ = stream.set_nodelay(true);
-                        let conn_id = self.srv.conn_seq.fetch_add(1, Ordering::Relaxed);
+                        let conn_id = self.next_conn;
+                        self.next_conn += 1;
                         let sink = Arc::new(EventSink {
                             conn: conn_id,
                             shared: self.shared.clone(),
@@ -508,6 +786,9 @@ mod imp {
                             wbuf: VecDeque::new(),
                             sink,
                             interest: sys::EPOLLIN,
+                            parked: false,
+                            stalled: false,
+                            eof: false,
                             closing: false,
                         };
                         if self
@@ -559,10 +840,6 @@ mod imp {
                     }
                     Mail::Finalize => {
                         self.finalize_at = Some(Instant::now() + FINALIZE_GRACE);
-                        let ids: Vec<u64> = self.conns.keys().copied().collect();
-                        for id in ids {
-                            self.start_closing(id);
-                        }
                     }
                 }
             }
@@ -579,20 +856,25 @@ mod imp {
                     conn.closing = true;
                     conn.sink.close();
                     self.srv.registry.unsubscribe_conn(id);
+                    if let Some(router) = self.router.as_mut() {
+                        router.forget(id);
+                    }
                 }
                 self.update_interest(id);
             }
         }
 
         /// Re-register the fd's epoll interest from its state: read interest
-        /// unless closing or write-saturated (read-backpressure), write
-        /// interest while anything is buffered.
+        /// unless closing, finished, stalled, or write-saturated
+        /// (read-backpressure), write interest while anything is buffered.
         fn update_interest(&mut self, id: u64) {
             let Some(conn) = self.conns.get_mut(&id) else {
                 return;
             };
             let mut want = 0;
-            if !conn.closing && conn.wbuf.len() <= self.srv.cfg.out_queue_cap {
+            if !(conn.closing || conn.eof || conn.stalled)
+                && conn.wbuf.len() <= self.srv.cfg.out_queue_cap
+            {
                 want |= sys::EPOLLIN;
             }
             if !conn.wbuf.is_empty() {
@@ -604,95 +886,105 @@ mod imp {
             }
         }
 
-        /// Read burst: consume socket bytes, decode frames, dispatch.
-        fn conn_read(&mut self, id: u64) {
-            let srv = self.srv.clone();
-            let Some(conn) = self.conns.get_mut(&id) else {
-                return;
-            };
-            if conn.closing {
-                return;
+        /// Read burst: consume socket bytes and dispatch the frames they
+        /// complete, until the socket is dry or the connection parks.
+        /// `gone`: the socket reported an error or hang-up.
+        fn conn_read(&mut self, id: u64, gone: bool) {
+            if let Some(conn) = self.conns.get_mut(&id) {
+                if conn.parked && gone {
+                    // Error or hang-up, which no interest mask silences: no
+                    // one is left to answer.
+                    return self.teardown(id);
+                }
+                // Readable while parked: stop asking until the reply lands
+                // (dropping the interest only now saves two `epoll_ctl`s per
+                // forward for a client that waits for its replies).
+                conn.stalled = conn.parked;
             }
-            let sink = conn.sink.clone();
-            let mut eof = false;
-            let mut dead = false;
             let mut buf = [0u8; 4096];
             loop {
+                let Some(conn) = self.conns.get_mut(&id) else {
+                    return;
+                };
+                if conn.closing || conn.eof || conn.parked {
+                    break;
+                }
                 match conn.stream.read(&mut buf) {
-                    Ok(0) => {
-                        eof = true;
-                        break;
-                    }
-                    Ok(n) => {
-                        conn.codec.extend(&buf[..n]);
-                        loop {
-                            match conn.codec.next_frame() {
-                                Ok(Some(frame)) => {
-                                    let mut replies: Vec<OutBytes> = Vec::new();
-                                    dispatch_frame(
-                                        id,
-                                        frame,
-                                        &srv,
-                                        &mut |bytes| {
-                                            replies.push(bytes);
-                                            true
-                                        },
-                                        &mut || SubscriberSink::Event(sink.clone()),
-                                    );
-                                    for bytes in replies {
-                                        conn.wbuf.push_back(WChunk {
-                                            bytes,
-                                            off: 0,
-                                            event: false,
-                                        });
-                                    }
-                                }
-                                Ok(None) => break,
-                                Err(Error::Parse(msg)) => {
-                                    // Same contract as the blocking handler:
-                                    // malformed frames are recoverable (the
-                                    // codec stays aligned), oversized ones
-                                    // end the connection after the reply.
-                                    conn.wbuf.push_back(WChunk {
-                                        bytes: crate::fanout::json_line(
-                                            &crate::protocol::error_reply(&msg),
-                                        ),
-                                        off: 0,
-                                        event: false,
-                                    });
-                                    if msg.contains("oversized") {
-                                        eof = true;
-                                        break;
-                                    }
-                                }
-                                Err(_) => {
-                                    dead = true;
-                                    break;
-                                }
-                            }
-                        }
-                        if eof || dead {
-                            break;
-                        }
-                    }
+                    Ok(0) => conn.eof = true,
+                    Ok(n) => conn.codec.extend(&buf[..n]),
                     Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                     Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                     Err(_) => {
-                        dead = true;
-                        break;
+                        self.teardown(id);
+                        return;
+                    }
+                }
+                self.pump(id);
+            }
+            self.conn_write(id);
+        }
+
+        /// Dispatch every complete buffered frame until the codec runs dry
+        /// or a forwarded request parks the connection; a finished peer
+        /// with nothing left to answer starts closing.
+        fn pump(&mut self, id: u64) {
+            loop {
+                let Some(conn) = self.conns.get_mut(&id) else {
+                    return;
+                };
+                if conn.parked || conn.closing {
+                    return;
+                }
+                match conn.codec.next_frame() {
+                    Ok(Some(frame)) => self.handle_frame(id, frame),
+                    Ok(None) => {
+                        if conn.eof {
+                            self.start_closing(id);
+                        }
+                        return;
+                    }
+                    Err(Error::Parse(msg)) => {
+                        // Malformed frames are recoverable (the codec stays
+                        // aligned); oversized ones end the connection after
+                        // the reply.
+                        conn.wbuf
+                            .push_back(WChunk::reply(json_line(&error_reply(&msg))));
+                        if msg.contains("oversized") {
+                            self.start_closing(id);
+                            return;
+                        }
+                    }
+                    Err(_) => {
+                        self.teardown(id);
+                        return;
                     }
                 }
             }
-            if dead {
-                self.teardown(id);
-                return;
+        }
+
+        /// Handle one request: a node answers in place; a router parks the
+        /// connection until it answers (at once, or when a node replies).
+        fn handle_frame(&mut self, id: u64, frame: Frame) {
+            let conn = self.conns.get_mut(&id).expect("dispatching a live conn");
+            let request = match request_of(frame) {
+                Ok(request) => request,
+                Err(reply) => {
+                    conn.wbuf.push_back(WChunk::reply(json_line(&reply)));
+                    return;
+                }
+            };
+            match &self.srv.role {
+                RoleCore::Node(node) => {
+                    let Conn { wbuf, sink, .. } = conn;
+                    dispatch(id, request, &self.srv, node, sink, &mut |bytes| {
+                        wbuf.push_back(WChunk::reply(bytes))
+                    });
+                }
+                RoleCore::Router => {
+                    conn.parked = true;
+                    self.with_router(|r, io| r.handle(id, request, io));
+                }
             }
-            if eof {
-                // Mirror the blocking shape: stop reading, drain what is
-                // buffered, then close.
-                self.start_closing(id);
-            }
-            self.conn_write(id);
         }
 
         /// Write burst: drain the connection's buffered chunks until the
@@ -701,43 +993,8 @@ mod imp {
             let Some(conn) = self.conns.get_mut(&id) else {
                 return;
             };
-            let mut dead = false;
-            while let Some(chunk) = conn.wbuf.front_mut() {
-                let remaining = &chunk.bytes[chunk.off..];
-                match conn.stream.write(remaining) {
-                    Ok(0) => {
-                        dead = true;
-                        break;
-                    }
-                    Ok(n) => {
-                        chunk.off += n;
-                        if chunk.off == chunk.bytes.len() {
-                            let done = conn.wbuf.pop_front().expect("front just written");
-                            if done.event {
-                                conn.sink.complete();
-                            }
-                        } else {
-                            self.srv
-                                .reactor
-                                .partial_writes
-                                .fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        self.srv
-                            .reactor
-                            .partial_writes
-                            .fetch_add(1, Ordering::Relaxed);
-                        break;
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        dead = true;
-                        break;
-                    }
-                }
-            }
-            if dead || (conn.closing && conn.wbuf.is_empty()) {
+            let alive = conn.write_out(&self.srv.reactor.partial_writes);
+            if !alive || (conn.closing && conn.wbuf.is_empty()) {
                 self.teardown(id);
             } else {
                 self.update_interest(id);
@@ -750,6 +1007,9 @@ mod imp {
                 self.ep.del(conn.stream.as_raw_fd());
                 conn.sink.close();
                 self.srv.registry.unsubscribe_conn(id);
+                if let Some(router) = self.router.as_mut() {
+                    router.forget(id);
+                }
                 self.srv.reactor.fds.fetch_sub(1, Ordering::Relaxed);
             }
         }
@@ -821,26 +1081,37 @@ mod imp {
             assert_eq!(ep.wait(&mut events, 0).unwrap(), 0);
         }
 
-        fn test_sink(cap: usize) -> (Arc<ReactorShared>, EventSink) {
-            let (_rx, wake_tx) = UnixStream::pair().unwrap();
-            wake_tx.set_nonblocking(true).unwrap();
-            let shared = Arc::new(ReactorShared {
-                mailbox: Mutex::new(VecDeque::new()),
-                wake_tx,
-            });
-            let sink = EventSink {
-                conn: 9,
-                shared: shared.clone(),
-                pending: AtomicUsize::new(0),
-                cap,
-                closed: AtomicBool::new(false),
-            };
-            (shared, sink)
+        #[test]
+        fn nonblocking_connect_settles_on_write_readiness() {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let ep = Epoll::new().unwrap();
+            let up = sys::connect_nonblocking(listener.local_addr().unwrap()).unwrap();
+            ep.add(up.as_raw_fd(), sys::EPOLLOUT | sys::EPOLLET, 3)
+                .unwrap();
+            let mut events = [sys::EpollEvent::default(); 4];
+            assert_eq!(ep.wait(&mut events, 1000).unwrap(), 1);
+            assert!(up.take_error().unwrap().is_none());
+            let (mut peer, _) = listener.accept().unwrap();
+            (&up).write_all(b"hi").unwrap();
+            let mut buf = [0u8; 2];
+            peer.read_exact(&mut buf).unwrap();
+            assert_eq!(&buf, b"hi");
+
+            // Nothing listens here any more: the refusal arrives as an
+            // error readiness (or at once), never as a hang.
+            let gone = listener.local_addr().unwrap();
+            drop((listener, peer, up));
+            if let Ok(up) = sys::connect_nonblocking(gone) {
+                ep.add(up.as_raw_fd(), sys::EPOLLOUT | sys::EPOLLET, 4)
+                    .unwrap();
+                assert_eq!(ep.wait(&mut events, 1000).unwrap(), 1);
+                assert!(up.take_error().unwrap().is_some());
+            }
         }
 
         #[test]
         fn event_sink_budget_bounds_inflight_frames() {
-            let (shared, sink) = test_sink(2);
+            let (sink, shared) = test_sink(2);
             let bytes: OutBytes = Arc::from(b"x".to_vec().into_boxed_slice());
             assert!(sink.try_send(bytes.clone()).is_ok());
             assert!(sink.try_send(bytes.clone()).is_ok());
@@ -850,7 +1121,7 @@ mod imp {
 
         #[test]
         fn event_sink_budget_releases_on_complete_and_close_is_final() {
-            let (shared, sink) = test_sink(1);
+            let (sink, shared) = test_sink(1);
             let bytes: OutBytes = Arc::from(b"x".to_vec().into_boxed_slice());
             assert!(sink.try_send(bytes.clone()).is_ok());
             assert!(sink.try_send(bytes.clone()).is_err());
@@ -896,7 +1167,7 @@ mod stub {
     }
 
     /// Unsupported-platform stand-in: never constructed at runtime
-    /// (config validation rejects reactor mode here).
+    /// ([`spawn`] fails first).
     pub struct ReactorShared;
 
     impl ReactorShared {
@@ -925,7 +1196,7 @@ mod stub {
     pub fn spawn(_listener: TcpListener, _srv: Arc<Shared>) -> std::io::Result<Runtime> {
         Err(std::io::Error::new(
             std::io::ErrorKind::Unsupported,
-            "reactor io mode is not supported on this platform",
+            "the serve reactor is not supported on this platform",
         ))
     }
 }

@@ -4,13 +4,18 @@
 //!
 //! A router speaks the exact client protocol on its listener — the same
 //! frames, the same reply order — and consults the federated
-//! [`ClusterMap`] built from `--nodes` to pick an owner per key. Three
-//! forwarding shapes cover the protocol:
+//! [`ClusterMap`] built from `--nodes` to pick an owner per key. It runs on
+//! the reactor thread like everything else: its links to the nodes are
+//! nonblocking sockets in the same epoll instance, and a client connection
+//! with a forwarded request outstanding is *parked* (the reactor decodes
+//! nothing more from it until [`Loop::answer`]), which is what keeps each
+//! connection's replies in request order. Three forwarding shapes cover
+//! the protocol:
 //!
-//! * **Request/reply ops** (`ingest`, `bind`): forwarded synchronously on a
-//!   pooled per-node connection, one in flight per node at a time. Ingest is
-//!   re-encoded as a *binary* frame regardless of how the client sent it
-//!   (the cheap encoding for the hot path); the node's reply line is
+//! * **Request/reply ops** (`ingest`, `bind`): pipelined on one pooled
+//!   connection per node, replies matched in order to a FIFO of waiters.
+//!   Ingest is re-encoded as a *binary* frame regardless of how the client
+//!   sent it (the cheap encoding for the hot path); the node's reply line is
 //!   relayed to the client **verbatim** — raw bytes, never re-serialized —
 //!   so a client cannot distinguish a router from a node by reply bytes.
 //! * **`stats`**: forwarded to every node; the replies are merged under a
@@ -18,377 +23,611 @@
 //!   counters.
 //! * **`subscribe`**: proxied over a *dedicated* upstream connection per
 //!   subscription. After the ack, everything the node sends on it is event
-//!   traffic for that one stream, so a relay thread copies whole raw frames
-//!   (binary or NDJSON, sniffed by first byte) into the client's outbound
-//!   queue untouched — byte-identity for proxied releases is structural,
-//!   not re-encoded. WAL catch-up (`from:`) rides the same path: the node
-//!   serves it, the router just relays.
+//!   traffic for that one stream, so each whole raw frame
+//!   ([`FrameCodec::next_raw`]: the boundary rule and cap every decoder
+//!   uses) is copied into the client's write buffer untouched, under the
+//!   same event budget a node's fan-out spends — byte-identity for proxied
+//!   releases is structural, not re-encoded. WAL catch-up (`from:`) rides
+//!   the same path: the node serves it, the router just relays.
 //!
-//! **Failure semantics.** A dead node surfaces as explicit per-key
-//! unavailability: request forwards reply `{"ok":false,"error":"node
-//! <addr> unavailable..."}` and bump the key's counter in the router's
-//! `stats`; a proxied subscription emits a final
-//! `{"event":"unavailable","stream":...}` line and ends. The router itself
-//! holds no stream state, so a restarted node rejoins by replaying its own
-//! WAL and the router reconnects on the next forward — no rebalancing, no
-//! handoff.
+//! **Failure semantics.** The router never waits on a node: connects,
+//! writes and reads are readiness-driven, and every forward carries a
+//! deadline ([`FORWARD_TIMEOUT`]) the loop sweeps. A node that is dead,
+//! refuses, answers garbage, or stays silent past the deadline surfaces as
+//! explicit per-key unavailability — request forwards reply
+//! `{"ok":false,"error":"node <addr> unavailable..."}` and bump the key's
+//! counter in the router's `stats`; a proxied subscription emits a final
+//! `{"event":"unavailable","stream":...}` line and ends (while the cluster
+//! drains, upstream EOF is a relay's normal end instead). A hung node
+//! stalls only its own keys. The router itself holds no stream state, so
+//! a restarted node rejoins by replaying its own WAL and the router
+//! reconnects on the next forward — no rebalancing, no handoff.
 
-use crate::config::ServeConfig;
-use crate::fanout::{json_line, OutBytes, SubscriberRegistry, SubscriberSink};
+use crate::config::ServeRole;
+use crate::fanout::{json_line, OutBytes};
 use crate::placement::ClusterMap;
 use crate::protocol::{error_reply, CatchUp, Request};
-use bfly_common::frame::BINARY_MAGIC;
-use bfly_common::{BinaryFrame, FrameMode, ItemSet, Json};
-use std::collections::BTreeMap;
-use std::io::{Read, Write};
+use crate::server::{draining, pong, Shared};
+use bfly_common::{BinaryFrame, FrameCodec, FrameMode, Json};
+use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
-use std::time::Duration;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
-/// A node slower than this on a forwarded request is treated as dead for
-/// that request (the pooled connection is dropped and rebuilt next time).
+/// A node slower than this on a forwarded request (or a subscribe ack) is
+/// treated as dead for it: the link is dropped, everything in flight on it
+/// answers `unavailable`, and the next forward reconnects.
 const FORWARD_TIMEOUT: Duration = Duration::from_secs(5);
-/// How often a subscription relay wakes from a blocked upstream read to
-/// poll its stop conditions.
-const RELAY_POLL: Duration = Duration::from_millis(100);
 
-/// `magic + op + payload_len` — the fixed prefix of a binary frame (the
-/// layout documented in [`bfly_common::frame`]).
-const BINARY_HEADER_LEN: usize = 6;
-
-/// Scans a byte stream into *whole raw frames* without decoding them: a
-/// frame starting with [`BINARY_MAGIC`] spans `6 + payload_len` bytes, any
-/// other first byte starts an NDJSON line ending at `\n`. This is what lets
-/// the router relay node traffic verbatim — the bytes that arrive are the
-/// bytes that leave.
-struct RawFrameScanner {
-    stream: TcpStream,
-    buf: Vec<u8>,
+/// What the router needs from the event loop that owns it. None of these
+/// calls back into the router.
+pub(crate) trait Loop {
+    /// Start a nonblocking connect to `addr` and register the socket, read
+    /// and write edge-triggered, as upstream `id`.
+    fn connect(&mut self, addr: SocketAddr, id: u64) -> io::Result<TcpStream>;
+    /// Append the reply to client `conn`'s parked request and unpark it.
+    fn answer(&mut self, conn: u64, bytes: OutBytes);
+    /// Append one relayed event frame to `conn` under its event budget;
+    /// `false` when the subscriber is gone or its budget is exhausted.
+    fn relay(&mut self, conn: u64, frame: &[u8]) -> bool;
 }
 
-impl RawFrameScanner {
-    fn new(stream: TcpStream) -> RawFrameScanner {
-        RawFrameScanner {
-            stream,
-            buf: Vec::new(),
-        }
-    }
-
-    /// The next whole frame's raw bytes; `Ok(None)` on clean EOF. A
-    /// `WouldBlock`/`TimedOut` read error is a poll tick — buffered partial
-    /// frame state is preserved across it.
-    fn next_raw(&mut self) -> std::io::Result<Option<Vec<u8>>> {
-        loop {
-            if let Some(frame) = self.take_frame() {
-                return Ok(Some(frame));
-            }
-            let mut chunk = [0u8; 4096];
-            let n = self.stream.read(&mut chunk)?;
-            if n == 0 {
-                return if self.buf.is_empty() {
-                    Ok(None)
-                } else {
-                    Err(std::io::ErrorKind::UnexpectedEof.into())
-                };
-            }
-            self.buf.extend_from_slice(&chunk[..n]);
-        }
-    }
-
-    fn take_frame(&mut self) -> Option<Vec<u8>> {
-        let first = *self.buf.first()?;
-        let end = if first == BINARY_MAGIC {
-            if self.buf.len() < BINARY_HEADER_LEN {
-                return None;
-            }
-            let len =
-                u32::from_le_bytes(self.buf[2..BINARY_HEADER_LEN].try_into().expect("4 bytes"))
-                    as usize;
-            let total = BINARY_HEADER_LEN + len;
-            if self.buf.len() < total {
-                return None;
-            }
-            total
-        } else {
-            self.buf.iter().position(|&b| b == b'\n')? + 1
-        };
-        Some(self.buf.drain(..end).collect())
-    }
+/// One node as the router sees it: its address, the pooled request link,
+/// and per-node forwarding counters.
+struct NodeLink {
+    addr: SocketAddr,
+    /// The pooled request upstream; `None` until first use and after it
+    /// fails.
+    pool: Option<u64>,
+    /// Requests forwarded (including failed attempts).
+    forwarded: u64,
+    /// Transactions the node acknowledged, summed from its ingest replies —
+    /// the router's backpressure ledger per node.
+    accepted: u64,
+    /// Transactions the node shed (its ingress queue was full).
+    shed: u64,
+    /// Forwards that failed outright (connect/write/read error, timeout).
+    errors: u64,
 }
 
-/// One pooled request/reply connection to a node.
+/// What a pooled request's reply is for.
+enum Waiting {
+    /// Relay the reply to `conn` verbatim; an ingest reply also feeds the
+    /// ledger.
+    Reply {
+        conn: u64,
+        stream: String,
+        ingest: bool,
+    },
+    /// One node's part of merged `stats` number `gather`.
+    Stats { gather: u64 },
+    /// A forwarded `shutdown`: the ack is dropped.
+    Shutdown,
+}
+
+struct Waiter {
+    due: Instant,
+    waiting: Waiting,
+}
+
+/// The client side of a proxied subscription.
+struct Sub {
+    conn: u64,
+    stream: String,
+    /// Set until the node acknowledges the subscribe.
+    ack_due: Option<Instant>,
+}
+
+/// One nonblocking connection to a node: the pooled request link or one
+/// subscription's.
 struct Upstream {
-    scanner: RawFrameScanner,
+    node: usize,
+    stream: TcpStream,
+    /// The connect is in flight; the first readiness event settles it.
+    connecting: bool,
+    codec: FrameCodec,
+    /// Request bytes not yet written.
+    out: Vec<u8>,
+    /// Forwarded requests awaiting replies, in order (request link).
+    waiters: VecDeque<Waiter>,
+    /// Set on a subscription link.
+    sub: Option<Sub>,
 }
 
 impl Upstream {
-    fn connect(addr: SocketAddr) -> std::io::Result<Upstream> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(FORWARD_TIMEOUT))?;
-        stream.set_write_timeout(Some(FORWARD_TIMEOUT))?;
-        Ok(Upstream {
-            scanner: RawFrameScanner::new(stream),
-        })
-    }
-
-    /// Write one request frame and read one raw reply frame. Every request
-    /// op replies with exactly one frame, so this is the whole per-node
-    /// protocol; a timeout is an error (the caller drops the connection).
-    fn round_trip(&mut self, request: &[u8]) -> std::io::Result<Vec<u8>> {
-        self.scanner.stream.write_all(request)?;
-        match self.scanner.next_raw() {
-            Ok(Some(frame)) => Ok(frame),
-            Ok(None) => Err(std::io::ErrorKind::UnexpectedEof.into()),
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                Err(std::io::ErrorKind::TimedOut.into())
-            }
-            Err(e) => Err(e),
+    /// When the oldest thing this link owes falls due.
+    fn due(&self) -> Option<Instant> {
+        match &self.sub {
+            Some(sub) => sub.ack_due,
+            None => self.waiters.front().map(|w| w.due),
         }
     }
+
+    /// Write queued request bytes until done or the socket pushes back
+    /// (its next write readiness resumes).
+    fn flush(&mut self) -> io::Result<()> {
+        if self.connecting {
+            return Ok(());
+        }
+        let mut done = 0;
+        while done < self.out.len() {
+            match self.stream.write(&self.out[done..]) {
+                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                Ok(n) => done += n,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        self.out.drain(..done);
+        Ok(())
+    }
 }
 
-/// One node as the router sees it: its address, the pooled request
-/// connection, and per-node forwarding counters.
-struct NodeLink {
-    addr: SocketAddr,
-    /// `None` until first use and after any error; rebuilt on demand. The
-    /// mutex serializes requests per node — forwarding is synchronous per
-    /// client connection, and per-node ordering rides on it.
-    conn: Mutex<Option<Upstream>>,
-    /// Requests forwarded (including failed attempts).
-    forwarded: AtomicU64,
-    /// Transactions the node acknowledged, summed from its ingest replies —
-    /// the router's backpressure ledger per node.
-    accepted: AtomicU64,
-    /// Transactions the node shed (its ingress queue was full).
-    shed: AtomicU64,
-    /// Forwards that failed outright (connect/write/read error).
-    errors: AtomicU64,
+/// A `stats` request waiting for every node's part.
+struct Gather {
+    conn: u64,
+    /// Each node's own stats document; `None` where it failed.
+    parts: Vec<Option<Json>>,
+    missing: usize,
 }
 
-/// The routing half of a serve process (see the module docs).
-pub(crate) struct RouterCore {
-    pub(crate) map: ClusterMap,
+/// The forwarding state of a router, owned by its reactor thread (see the
+/// module docs).
+pub(crate) struct Router {
+    srv: Arc<Shared>,
+    map: ClusterMap,
     links: Vec<NodeLink>,
-    /// Set at shutdown; subscription relays poll it.
-    stop: Arc<AtomicBool>,
-    /// Set once nodes have been told to shut down: relays then drain to
-    /// upstream EOF (so final releases and `closed` events reach
-    /// subscribers) instead of exiting at the next poll tick.
-    drain_mode: Arc<AtomicBool>,
-    /// One guard so a pile-up of `shutdown` requests forwards once.
-    shutdown_forwarded: AtomicBool,
-    /// Live subscription relays, joined by [`crate::Server::join`].
-    relays: Mutex<Vec<Relay>>,
-    /// Per-key unavailability: how many times each stream key hit a dead
-    /// owner — the explicit failure surface the `stats` reply exposes.
-    unavailable: Arc<Mutex<BTreeMap<String, u64>>>,
+    ups: HashMap<u64, Upstream>,
+    next_up: u64,
+    gathers: HashMap<u64, Gather>,
+    next_gather: u64,
+    /// Per-key unavailability: how many times each stream key hit an
+    /// unreachable owner — the explicit failure surface `stats` exposes.
+    unavailable: BTreeMap<String, u64>,
+    /// `shutdown` went to the nodes: upstream EOF on a subscription is its
+    /// drain completing, not a failure.
+    draining: bool,
 }
 
-struct Relay {
-    conn_id: u64,
-    stream: String,
-    /// Stops this one relay (a re-subscribe for the same `(conn, stream)`
-    /// replaces it).
-    stop: Arc<AtomicBool>,
-    handle: JoinHandle<()>,
-}
-
-impl RouterCore {
-    /// Build the routing core from a validated router config: the federated
-    /// map over `cfg.nodes`, `cfg.shards` shards per node.
-    pub(crate) fn new(cfg: &ServeConfig) -> RouterCore {
-        RouterCore {
+impl Router {
+    /// Build the routing state from a validated router config: the
+    /// federated map over `cfg.nodes`, `cfg.shards` shards per node.
+    pub(crate) fn new(srv: Arc<Shared>) -> Router {
+        let cfg = &srv.cfg;
+        Router {
             map: ClusterMap::federated(1, cfg.nodes.clone(), cfg.shards),
             links: cfg
                 .nodes
                 .iter()
                 .map(|&addr| NodeLink {
                     addr,
-                    conn: Mutex::new(None),
-                    forwarded: AtomicU64::new(0),
-                    accepted: AtomicU64::new(0),
-                    shed: AtomicU64::new(0),
-                    errors: AtomicU64::new(0),
+                    pool: None,
+                    forwarded: 0,
+                    accepted: 0,
+                    shed: 0,
+                    errors: 0,
                 })
                 .collect(),
-            stop: Arc::new(AtomicBool::new(false)),
-            drain_mode: Arc::new(AtomicBool::new(false)),
-            shutdown_forwarded: AtomicBool::new(false),
-            relays: Mutex::new(Vec::new()),
-            unavailable: Arc::new(Mutex::new(BTreeMap::new())),
+            ups: HashMap::new(),
+            next_up: 0,
+            gathers: HashMap::new(),
+            next_gather: 0,
+            unavailable: BTreeMap::new(),
+            draining: false,
+            srv,
         }
     }
 
-    /// Shutdown hook ([`crate::server::Shared::trigger_shutdown`]): wake the
-    /// relays' poll loops.
-    pub(crate) fn on_shutdown(&self) {
-        self.stop.store(true, Ordering::SeqCst);
+    /// Handle one client request. Every request is answered through
+    /// [`Loop::answer`] exactly once — at once, or when its nodes reply or
+    /// time out.
+    pub(crate) fn handle(&mut self, conn: u64, request: Request, io: &mut dyn Loop) {
+        match request {
+            Request::Ping => io.answer(conn, json_line(&pong())),
+            Request::Stats => {
+                let gather = self.next_gather;
+                self.next_gather += 1;
+                let nodes = self.links.len();
+                self.gathers.insert(
+                    gather,
+                    Gather {
+                        conn,
+                        parts: vec![None; nodes],
+                        missing: nodes,
+                    },
+                );
+                let req = json_line(&Request::Stats.to_json());
+                for node in 0..nodes {
+                    self.forward(node, &req, Waiting::Stats { gather }, io);
+                }
+            }
+            Request::Subscribe {
+                stream,
+                frame,
+                from,
+            } => self.subscribe(conn, stream, frame, from, io),
+            Request::Bind { stream, defense } => {
+                let node = self.map.owner_of(&stream).node;
+                let req = json_line(
+                    &Request::Bind {
+                        stream: stream.clone(),
+                        defense,
+                    }
+                    .to_json(),
+                );
+                let waiting = Waiting::Reply {
+                    conn,
+                    stream,
+                    ingest: false,
+                };
+                self.forward(node, &req, waiting, io);
+            }
+            Request::Ingest { stream, batch } => {
+                let node = self.map.owner_of(&stream).node;
+                let req = BinaryFrame::Ingest {
+                    stream: stream.clone(),
+                    batch,
+                }
+                .encode();
+                let waiting = Waiting::Reply {
+                    conn,
+                    stream,
+                    ingest: true,
+                };
+                self.forward(node, &req, waiting, io);
+            }
+            Request::Shutdown => {
+                io.answer(conn, json_line(&draining()));
+                // Drain the nodes too, once: every subscription then rides
+                // its node's final releases and `closed` events through to
+                // upstream EOF before the router's own connections close.
+                if !self.draining {
+                    self.draining = true;
+                    let req = json_line(&Request::Shutdown.to_json());
+                    for node in 0..self.links.len() {
+                        self.forward(node, &req, Waiting::Shutdown, io);
+                    }
+                }
+                self.srv.trigger_shutdown();
+            }
+        }
     }
 
-    /// Forward one raw request frame to node `idx` and return the raw reply,
-    /// retrying once on a fresh connection (the pooled one may have died
-    /// idle).
-    fn forward_raw(&self, idx: usize, request: &[u8]) -> std::io::Result<Vec<u8>> {
-        let link = &self.links[idx];
-        link.forwarded.fetch_add(1, Ordering::Relaxed);
-        let mut conn = link.conn.lock().expect("node link poisoned");
-        for last_try in [false, true] {
-            if conn.is_none() {
-                *conn = Some(Upstream::connect(link.addr)?);
+    /// Open a link to `node`, registered with the loop under a fresh id.
+    fn open(&mut self, node: usize, io: &mut dyn Loop) -> io::Result<(u64, Upstream)> {
+        let id = self.next_up;
+        self.next_up += 1;
+        let stream = io.connect(self.links[node].addr, id)?;
+        let up = Upstream {
+            node,
+            stream,
+            connecting: true,
+            codec: FrameCodec::with_max(self.srv.cfg.max_frame_bytes),
+            out: Vec::new(),
+            waiters: VecDeque::new(),
+            sub: None,
+        };
+        Ok((id, up))
+    }
+
+    /// Queue one request on `node`'s pooled link (connecting it first if
+    /// need be); its reply, or its failure, resolves `waiting`.
+    fn forward(&mut self, node: usize, request: &[u8], waiting: Waiting, io: &mut dyn Loop) {
+        self.links[node].forwarded += 1;
+        let id = match self.links[node].pool {
+            Some(id) => id,
+            None => match self.open(node, io) {
+                Ok((id, up)) => {
+                    self.ups.insert(id, up);
+                    self.links[node].pool = Some(id);
+                    id
+                }
+                Err(e) => return self.unanswered(node, waiting, &e, io),
+            },
+        };
+        let up = self.ups.get_mut(&id).expect("a pooled link is live");
+        up.out.extend_from_slice(request);
+        up.waiters.push_back(Waiter {
+            due: Instant::now() + FORWARD_TIMEOUT,
+            waiting,
+        });
+        if let Err(e) = up.flush() {
+            let up = self.ups.remove(&id).expect("a pooled link is live");
+            self.fail(up, e, io);
+        }
+    }
+
+    /// Proxy a subscription over a dedicated link: forward the subscribe
+    /// (including any `from:` catch-up), relay the node's ack as this
+    /// request's reply, and — once acked — every later frame as an event.
+    fn subscribe(
+        &mut self,
+        conn: u64,
+        stream: String,
+        frame: FrameMode,
+        from: Option<CatchUp>,
+        io: &mut dyn Loop,
+    ) {
+        let node = self.map.owner_of(&stream).node;
+        match self.open(node, io) {
+            Ok((id, mut up)) => {
+                let req = Request::Subscribe {
+                    stream: stream.clone(),
+                    frame,
+                    from,
+                };
+                up.out.extend_from_slice(&json_line(&req.to_json()));
+                up.sub = Some(Sub {
+                    conn,
+                    stream,
+                    ack_due: Some(Instant::now() + FORWARD_TIMEOUT),
+                });
+                self.ups.insert(id, up);
             }
-            match conn.as_mut().expect("just connected").round_trip(request) {
-                Ok(reply) => return Ok(reply),
-                Err(e) => {
-                    *conn = None;
-                    if last_try {
-                        return Err(e);
+            Err(e) => self.refuse(node, conn, &stream, &e, io),
+        }
+    }
+
+    /// Upstream `id` is ready: settle its connect, write what is queued,
+    /// and hand on every frame it delivered — reading until the socket is
+    /// dry, as its edge-triggered registration requires.
+    pub(crate) fn on_ready(&mut self, id: u64, io: &mut dyn Loop) {
+        // Gone already: ended earlier in the same readiness batch.
+        let Some(mut up) = self.ups.remove(&id) else {
+            return;
+        };
+        if up.connecting {
+            match up.stream.take_error() {
+                Ok(None) => up.connecting = false,
+                Ok(Some(e)) | Err(e) => return self.fail(up, e, io),
+            }
+        }
+        let mut buf = [0u8; 16 * 1024];
+        let err = loop {
+            if let Err(e) = up.flush() {
+                break e;
+            }
+            match up.stream.read(&mut buf) {
+                Ok(0) => break io::Error::new(io::ErrorKind::UnexpectedEof, "closed by the node"),
+                Ok(n) => {
+                    up.codec.extend(&buf[..n]);
+                    match self.take_frames(&mut up, io) {
+                        Ok(true) => {}
+                        // Refused, evicted or replaced: the link just closes.
+                        Ok(false) => return,
+                        Err(e) => break e,
+                    }
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    self.ups.insert(id, up);
+                    return;
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => break e,
+            }
+        };
+        self.fail(up, err, io);
+    }
+
+    /// Hand on every complete frame `up` holds. `Ok(false)`: the link ends
+    /// here, quietly; `Err`: it failed.
+    fn take_frames(&mut self, up: &mut Upstream, io: &mut dyn Loop) -> io::Result<bool> {
+        let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
+        while let Some(raw) = up.codec.next_raw().map_err(|e| invalid(e.to_string()))? {
+            match &mut up.sub {
+                None => {
+                    let waiter = up
+                        .waiters
+                        .pop_front()
+                        .ok_or_else(|| invalid("a reply nothing asked for".into()))?;
+                    self.answered(up.node, waiter.waiting, raw, io);
+                }
+                Some(sub) if sub.ack_due.is_some() => {
+                    let acked = parse_line(raw)
+                        .and_then(|doc| doc.get("ok").and_then(Json::as_bool))
+                        .unwrap_or(false);
+                    io.answer(sub.conn, Arc::from(raw));
+                    if !acked {
+                        // The node refused (e.g. catch-up without a WAL
+                        // there): its error went back verbatim; nothing
+                        // stays open.
+                        return Ok(false);
+                    }
+                    sub.ack_due = None;
+                    // A re-subscribe of the same stream on the same
+                    // connection replaces the older relay.
+                    self.ups.retain(|_, other| {
+                        other
+                            .sub
+                            .as_ref()
+                            .is_none_or(|o| o.conn != sub.conn || o.stream != sub.stream)
+                    });
+                }
+                Some(sub) => {
+                    if !io.relay(sub.conn, raw) {
+                        return Ok(false);
                     }
                 }
             }
         }
-        unreachable!("the retry loop always returns")
+        Ok(true)
     }
 
-    /// Record a failed forward for `stream` against node `idx` and build
-    /// the client-facing error reply.
-    fn note_unavailable(&self, idx: usize, stream: &str, err: &std::io::Error) -> Json {
-        self.links[idx].errors.fetch_add(1, Ordering::Relaxed);
-        *self
-            .unavailable
-            .lock()
-            .expect("unavailable poisoned")
-            .entry(stream.to_string())
-            .or_insert(0) += 1;
-        error_reply(&format!(
-            "node {} unavailable for stream {stream:?}: {err}",
-            self.links[idx].addr
-        ))
-    }
-
-    /// Forward an ingest to the owning node as a binary frame and relay the
-    /// node's reply line verbatim. The reply is also parsed (a copy — the
-    /// relayed bytes are untouched) to keep the per-node accepted/shed
-    /// ledger.
-    pub(crate) fn ingest(&self, stream: String, batch: Vec<ItemSet>) -> OutBytes {
-        let owner = self.map.owner_of(&stream).node;
-        let frame = BinaryFrame::Ingest {
-            stream: stream.clone(),
-            batch,
-        }
-        .encode();
-        match self.forward_raw(owner, &frame) {
-            Ok(reply) => {
-                let link = &self.links[owner];
-                if let Some(doc) = parse_line(&reply) {
-                    for (field, counter) in [("accepted", &link.accepted), ("shed", &link.shed)] {
-                        if let Some(n) = doc.get(field).and_then(Json::as_u64) {
-                            counter.fetch_add(n, Ordering::Relaxed);
+    /// A node's reply to a pooled request.
+    fn answered(&mut self, node: usize, waiting: Waiting, reply: &[u8], io: &mut dyn Loop) {
+        match waiting {
+            Waiting::Reply { conn, ingest, .. } => {
+                if ingest {
+                    // The ledger parses a copy; the relayed bytes are
+                    // untouched.
+                    if let Some(doc) = parse_line(reply) {
+                        let link = &mut self.links[node];
+                        for (field, counter) in
+                            [("accepted", &mut link.accepted), ("shed", &mut link.shed)]
+                        {
+                            *counter += doc.get(field).and_then(Json::as_u64).unwrap_or(0);
                         }
                     }
                 }
-                Arc::from(reply.into_boxed_slice())
+                io.answer(conn, Arc::from(reply));
             }
-            Err(e) => json_line(&self.note_unavailable(owner, &stream, &e)),
+            Waiting::Stats { gather } => {
+                let doc = parse_line(reply);
+                if doc.is_none() {
+                    self.links[node].errors += 1;
+                }
+                self.gathered(gather, node, doc, io);
+            }
+            Waiting::Shutdown => {}
         }
     }
 
-    /// Forward a bind to the owning node and relay its reply verbatim.
-    pub(crate) fn bind(&self, stream: String, defense: bfly_core::DefenseKind) -> OutBytes {
-        let owner = self.map.owner_of(&stream).node;
-        let req = json_line(
-            &Request::Bind {
-                stream: stream.clone(),
-                defense,
+    /// A pooled request its node will never answer: answer it here.
+    fn unanswered(&mut self, node: usize, waiting: Waiting, err: &io::Error, io: &mut dyn Loop) {
+        match waiting {
+            Waiting::Reply { conn, stream, .. } => self.refuse(node, conn, &stream, err, io),
+            Waiting::Stats { gather } => {
+                self.links[node].errors += 1;
+                self.gathered(gather, node, None, io);
             }
-            .to_json(),
-        );
-        match self.forward_raw(owner, &req) {
-            Ok(reply) => Arc::from(reply.into_boxed_slice()),
-            Err(e) => json_line(&self.note_unavailable(owner, &stream, &e)),
+            // A node that is already gone cannot drain; its subscribers saw
+            // `unavailable` when it died.
+            Waiting::Shutdown => self.links[node].errors += 1,
         }
     }
 
-    /// Forward `shutdown` to every node, once. Called *before* the router's
-    /// own drain begins so relays enter drain mode and ride each node's
-    /// final releases and `closed` events through to subscribers.
-    pub(crate) fn shutdown_nodes(&self) {
-        if self.shutdown_forwarded.swap(true, Ordering::SeqCst) {
+    /// Client `conn`'s request for `stream` failed at `node`: count it
+    /// against the node and the key, and answer with the explicit error.
+    fn refuse(&mut self, node: usize, conn: u64, stream: &str, err: &io::Error, io: &mut dyn Loop) {
+        self.links[node].errors += 1;
+        *self.unavailable.entry(stream.to_string()).or_insert(0) += 1;
+        let reply = error_reply(&format!(
+            "node {} unavailable for stream {stream:?}: {err}",
+            self.links[node].addr
+        ));
+        io.answer(conn, json_line(&reply));
+    }
+
+    /// A link died or timed out: every request on it goes unanswered by
+    /// its node, and a subscription ends — explicitly, unless the cluster
+    /// is draining.
+    fn fail(&mut self, up: Upstream, err: io::Error, io: &mut dyn Loop) {
+        let node = up.node;
+        match up.sub {
+            None => {
+                self.links[node].pool = None;
+                for waiter in up.waiters {
+                    self.unanswered(node, waiter.waiting, &err, io);
+                }
+            }
+            Some(sub) if sub.ack_due.is_some() => {
+                self.refuse(node, sub.conn, &sub.stream, &err, io)
+            }
+            Some(sub) if !self.draining => {
+                // The owner died under the subscription: an explicit event,
+                // not a silent stall.
+                *self.unavailable.entry(sub.stream.clone()).or_insert(0) += 1;
+                let event = Json::obj([
+                    ("event", Json::from("unavailable")),
+                    ("stream", Json::Str(sub.stream)),
+                ]);
+                io.relay(sub.conn, &json_line(&event));
+            }
+            Some(_) => {}
+        }
+    }
+
+    /// Fail every link whose oldest forward, or whose subscribe ack, is
+    /// past [`FORWARD_TIMEOUT`]. The loop calls this on every pass.
+    pub(crate) fn expire(&mut self, io: &mut dyn Loop) {
+        let now = Instant::now();
+        let late: Vec<u64> = self
+            .ups
+            .iter()
+            .filter(|(_, up)| up.due().is_some_and(|due| due <= now))
+            .map(|(&id, _)| id)
+            .collect();
+        for id in late {
+            let up = self.ups.remove(&id).expect("just seen");
+            self.fail(up, io::ErrorKind::TimedOut.into(), io);
+        }
+    }
+
+    /// Client `conn` is closing: its subscriptions end with it.
+    pub(crate) fn forget(&mut self, conn: u64) {
+        self.ups
+            .retain(|_, up| up.sub.as_ref().is_none_or(|sub| sub.conn != conn));
+    }
+
+    /// Whether the loop may close its connections at Finalize: nothing is
+    /// draining, or every subscription has reached upstream EOF.
+    pub(crate) fn drained(&self) -> bool {
+        !self.draining || self.ups.values().all(|up| up.sub.is_none())
+    }
+
+    /// One node's `stats` part landed (`None`: it failed); the last one
+    /// answers with the merged document.
+    fn gathered(&mut self, gather: u64, node: usize, doc: Option<Json>, io: &mut dyn Loop) {
+        let Some(g) = self.gathers.get_mut(&gather) else {
             return;
-        }
-        self.drain_mode.store(true, Ordering::SeqCst);
-        let req = json_line(&Request::Shutdown.to_json());
-        for idx in 0..self.links.len() {
-            if let Err(e) = self.forward_raw(idx, &req) {
-                // A node that is already gone cannot drain; its subscribers
-                // saw `unavailable` when it died.
-                let _ = e;
-                self.links[idx].errors.fetch_add(1, Ordering::Relaxed);
-            }
+        };
+        g.parts[node] = doc;
+        g.missing -= 1;
+        if g.missing == 0 {
+            let g = self.gathers.remove(&gather).expect("just seen");
+            io.answer(g.conn, json_line(&self.stats_json(g.parts)));
         }
     }
 
     /// The merged `stats` reply: every node's own stats document under
     /// `nodes`, plus the router's placement shape, per-node forwarding
     /// ledger, and per-key unavailability counters.
-    pub(crate) fn stats_json(
-        &self,
-        draining: bool,
-        io_name: &str,
-        uptime_ms: u64,
-        subscribers: u64,
-    ) -> Json {
-        let req = json_line(&Request::Stats.to_json());
-        let nodes: Vec<Json> = (0..self.links.len())
-            .map(|idx| {
-                let addr = Json::Str(self.links[idx].addr.to_string());
-                match self
-                    .forward_raw(idx, &req)
-                    .ok()
-                    .as_deref()
-                    .and_then(parse_line)
-                {
-                    Some(doc) => {
-                        Json::obj([("addr", addr), ("ok", Json::Bool(true)), ("stats", doc)])
-                    }
-                    None => {
-                        self.links[idx].errors.fetch_add(1, Ordering::Relaxed);
-                        Json::obj([
-                            ("addr", addr),
-                            ("ok", Json::Bool(false)),
-                            ("error", Json::from("unavailable")),
-                        ])
-                    }
+    fn stats_json(&self, parts: Vec<Option<Json>>) -> Json {
+        let nodes = self
+            .links
+            .iter()
+            .zip(parts)
+            .map(|(link, doc)| {
+                let addr = ("addr", Json::Str(link.addr.to_string()));
+                match doc {
+                    Some(doc) => Json::obj([addr, ("ok", Json::Bool(true)), ("stats", doc)]),
+                    None => Json::obj([
+                        addr,
+                        ("ok", Json::Bool(false)),
+                        ("error", Json::from("unavailable")),
+                    ]),
                 }
             })
             .collect();
-        let forward: Vec<Json> = self
+        let forward = self
             .links
             .iter()
             .map(|l| {
                 Json::obj([
                     ("addr", Json::Str(l.addr.to_string())),
-                    ("requests", Json::from(l.forwarded.load(Ordering::Relaxed))),
-                    ("accepted", Json::from(l.accepted.load(Ordering::Relaxed))),
-                    ("shed", Json::from(l.shed.load(Ordering::Relaxed))),
-                    ("errors", Json::from(l.errors.load(Ordering::Relaxed))),
+                    ("requests", Json::from(l.forwarded)),
+                    ("accepted", Json::from(l.accepted)),
+                    ("shed", Json::from(l.shed)),
+                    ("errors", Json::from(l.errors)),
                 ])
             })
             .collect();
         let unavailable = Json::Obj(
             self.unavailable
-                .lock()
-                .expect("unavailable poisoned")
                 .iter()
                 .map(|(k, &n)| (k.clone(), Json::from(n)))
                 .collect(),
         );
-        Json::obj([
+        let subscribers = self
+            .ups
+            .values()
+            .filter(|up| up.sub.as_ref().is_some_and(|s| s.ack_due.is_none()))
+            .count();
+        let mut fields = vec![
             ("ok", Json::Bool(true)),
-            ("role", Json::from("router")),
+            ("role", Json::from(ServeRole::Router.name())),
             (
                 "cluster",
                 Json::obj([
@@ -404,188 +643,11 @@ impl RouterCore {
             ("nodes", Json::Arr(nodes)),
             ("forward", Json::Arr(forward)),
             ("unavailable", unavailable),
-            ("subscribers", Json::from(subscribers)),
-            ("draining", Json::Bool(draining)),
-            ("io", Json::from(io_name)),
-            ("uptime_ms", Json::from(uptime_ms)),
-        ])
-    }
-
-    /// Proxy a subscription: open a dedicated upstream connection to the
-    /// owner, forward the subscribe (including any `from:` catch-up), relay
-    /// the raw ack as this request's reply, and — on success — spawn a relay
-    /// thread that copies every subsequent raw frame into the client's
-    /// outbound queue. Returns `false` only when the *client* connection
-    /// died.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn subscribe(
-        &self,
-        conn_id: u64,
-        registry: &Arc<SubscriberRegistry>,
-        stream: String,
-        frame: FrameMode,
-        from: Option<CatchUp>,
-        reply: &mut dyn FnMut(OutBytes) -> bool,
-        make_sink: &mut dyn FnMut() -> SubscriberSink,
-    ) -> bool {
-        let owner = self.map.owner_of(&stream).node;
-        let addr = self
-            .map
-            .node_addr(owner)
-            .expect("router maps are federated");
-        let mut up = match Upstream::connect(addr) {
-            Ok(up) => up,
-            Err(e) => return reply(json_line(&self.note_unavailable(owner, &stream, &e))),
-        };
-        let req = Request::Subscribe {
-            stream: stream.clone(),
-            frame,
-            from,
-        };
-        let ack = match up.round_trip(&json_line(&req.to_json())) {
-            Ok(ack) => ack,
-            Err(e) => return reply(json_line(&self.note_unavailable(owner, &stream, &e))),
-        };
-        let acked = parse_line(&ack)
-            .and_then(|doc| doc.get("ok").and_then(Json::as_bool))
-            .unwrap_or(false);
-        if !acked {
-            // The node refused (e.g. catch-up without a WAL there): relay
-            // its error verbatim and keep nothing open.
-            return reply(Arc::from(ack.into_boxed_slice()));
-        }
-        let SubscriberSink::Channel(tx) = make_sink() else {
-            // Unreachable behind config validation (routers are blocking-io
-            // only), but a graceful reply beats a poisoned connection.
-            return reply(json_line(&error_reply(
-                "router subscriptions require blocking io",
-            )));
-        };
-        // Register for the connection-lifecycle bookkeeping the node path
-        // gets from fan-out: the shutdown linger in the connection handler
-        // and `unsubscribe_conn` cleanup both key on the registry. Nothing
-        // publishes through this entry — the relay owns event delivery.
-        registry.subscribe(&stream, conn_id, frame, SubscriberSink::Channel(tx.clone()));
-        // Relay the raw ack first so the reply precedes every event.
-        if !reply(Arc::from(ack.into_boxed_slice())) {
-            return false;
-        }
-        self.spawn_relay(conn_id, registry.clone(), stream, up, tx);
-        true
-    }
-
-    fn spawn_relay(
-        &self,
-        conn_id: u64,
-        registry: Arc<SubscriberRegistry>,
-        stream: String,
-        up: Upstream,
-        tx: std::sync::mpsc::SyncSender<OutBytes>,
-    ) {
-        let mut relays = self.relays.lock().expect("relays poisoned");
-        // A re-subscribe for the same (conn, stream) replaces the relay the
-        // way it replaces the registry sink; finished relays are pruned
-        // opportunistically.
-        for r in relays.iter() {
-            if r.conn_id == conn_id && r.stream == stream {
-                r.stop.store(true, Ordering::SeqCst);
-            }
-        }
-        relays.retain(|r| !r.handle.is_finished());
-        let relay_stop = Arc::new(AtomicBool::new(false));
-        let ctx = RelayCtx {
-            stop: relay_stop.clone(),
-            global_stop: self.stop.clone(),
-            drain_mode: self.drain_mode.clone(),
-            registry,
-            unavailable: self.unavailable.clone(),
-        };
-        let key = stream.clone();
-        let handle = std::thread::Builder::new()
-            .name(format!("bfly-relay-{conn_id}"))
-            .spawn(move || relay_loop(conn_id, &key, up, tx, ctx))
-            .expect("spawn subscription relay");
-        relays.push(Relay {
-            conn_id,
-            stream,
-            stop: relay_stop,
-            handle,
-        });
-    }
-
-    /// Join every relay thread (after [`RouterCore::on_shutdown`]).
-    pub(crate) fn join_relays(&self) {
-        let relays: Vec<Relay> = std::mem::take(&mut *self.relays.lock().expect("relays poisoned"));
-        for r in relays {
-            let _ = r.handle.join();
-        }
-    }
-}
-
-/// Everything a relay thread polls besides its upstream socket.
-struct RelayCtx {
-    stop: Arc<AtomicBool>,
-    global_stop: Arc<AtomicBool>,
-    drain_mode: Arc<AtomicBool>,
-    registry: Arc<SubscriberRegistry>,
-    unavailable: Arc<Mutex<BTreeMap<String, u64>>>,
-}
-
-/// Copy raw frames from the owning node into the client's outbound queue
-/// until the upstream closes (node drain), the client goes away, or the
-/// router stops. A node that dies mid-subscription gets the subscriber an
-/// explicit `unavailable` event — never a silent stall.
-fn relay_loop(
-    conn_id: u64,
-    stream_key: &str,
-    mut up: Upstream,
-    tx: std::sync::mpsc::SyncSender<OutBytes>,
-    ctx: RelayCtx,
-) {
-    let _ = up.scanner.stream.set_read_timeout(Some(RELAY_POLL));
-    loop {
-        if ctx.stop.load(Ordering::SeqCst) {
-            return; // replaced by a re-subscribe
-        }
-        if !ctx.registry.has_conn(conn_id) && !ctx.global_stop.load(Ordering::SeqCst) {
-            return; // the client connection is gone
-        }
-        if ctx.global_stop.load(Ordering::SeqCst) && !ctx.drain_mode.load(Ordering::SeqCst) {
-            // The router is stopping without a node drain (programmatic
-            // join): there are no final events to wait for.
-            return;
-        }
-        match up.scanner.next_raw() {
-            Ok(Some(frame)) => {
-                // SyncSender::send blocks when the client's pump is behind —
-                // per-subscription backpressure, same as a node's fan-out
-                // budget. A send error means the pump is gone.
-                if tx.send(Arc::from(frame.into_boxed_slice())).is_err() {
-                    return;
-                }
-            }
-            Ok(None) => return, // node drained and closed: relay complete
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                continue; // poll tick
-            }
-            Err(_) => {
-                // The owner died under the subscription: surface it as an
-                // explicit event, not a hang.
-                *ctx.unavailable
-                    .lock()
-                    .expect("unavailable poisoned")
-                    .entry(stream_key.to_string())
-                    .or_insert(0) += 1;
-                let _ = tx.send(json_line(&Json::obj([
-                    ("event", Json::from("unavailable")),
-                    ("stream", Json::from(stream_key)),
-                ])));
-                return;
-            }
-        }
+            ("subscribers", Json::from(subscribers as u64)),
+            ("reactor", self.srv.reactor.to_json()),
+        ];
+        fields.extend(self.srv.envelope());
+        Json::obj(fields)
     }
 }
 
@@ -593,40 +655,4 @@ fn relay_loop(
 /// are never rebuilt from this).
 fn parse_line(raw: &[u8]) -> Option<Json> {
     Json::parse(std::str::from_utf8(raw).ok()?.trim_end()).ok()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn raw_scanner_splits_mixed_traffic() {
-        // Exercise the frame-splitting logic on a buffer directly: a JSON
-        // line, a binary frame, then a partial tail.
-        let mut buf = Vec::new();
-        buf.extend_from_slice(b"{\"ok\":true}\n");
-        let bin = BinaryFrame::Ingest {
-            stream: "t0".into(),
-            batch: vec![ItemSet::from_ids([1, 2])],
-        }
-        .encode();
-        buf.extend_from_slice(&bin);
-        buf.extend_from_slice(&bin[..3]); // partial header
-        let mut sc = RawFrameScanner {
-            stream: match std::net::TcpListener::bind("127.0.0.1:0") {
-                Ok(l) => {
-                    let addr = l.local_addr().unwrap();
-                    let s = TcpStream::connect(addr).unwrap();
-                    let _ = l.accept().unwrap();
-                    s
-                }
-                Err(e) => panic!("bind: {e}"),
-            },
-            buf,
-        };
-        assert_eq!(sc.take_frame().unwrap(), b"{\"ok\":true}\n");
-        assert_eq!(sc.take_frame().unwrap(), bin);
-        assert_eq!(sc.take_frame(), None, "partial frame must wait for bytes");
-        assert_eq!(sc.buf, &bin[..3]);
-    }
 }

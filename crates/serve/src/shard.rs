@@ -368,11 +368,18 @@ fn worker(
     }
 }
 
-#[cfg(test)]
+// The subscriber sinks below need the reactor's mailbox, which exists
+// where it does.
+#[cfg(all(
+    test,
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+))]
 mod tests {
     use super::*;
-    use crate::fanout::{OutBytes, SubscriberSink};
+    use crate::fanout::OutBytes;
     use crate::protocol::SubscriberState;
+    use crate::reactor::test_sink;
     use bfly_common::{FrameMode, Json};
     use bfly_mining::BackendKind;
     use std::sync::mpsc::sync_channel;
@@ -397,8 +404,9 @@ mod tests {
         }
     }
 
-    fn lines_of(rx: std::sync::mpsc::Receiver<OutBytes>) -> Vec<String> {
-        rx.iter()
+    /// Every frame the sink's mailbox holds, as text lines.
+    fn lines_of(rx: impl Fn() -> Result<OutBytes, ()>) -> Vec<String> {
+        std::iter::from_fn(|| rx().ok())
             .map(|b| {
                 String::from_utf8(b.to_vec())
                     .unwrap()
@@ -421,8 +429,8 @@ mod tests {
             Arc::new(DefenseBindings::default()),
             None,
         );
-        let (sub_tx, sub_rx) = sync_channel(64);
-        registry.subscribe("k", 1, FrameMode::Json, SubscriberSink::Channel(sub_tx));
+        let (sub_tx, sub_rx) = test_sink(64);
+        registry.subscribe("k", 1, FrameMode::Json, sub_tx);
 
         let key: Arc<str> = Arc::from("k");
         let mut src = bfly_datagen::DatasetProfile::WebView1.source(3);
@@ -434,7 +442,7 @@ mod tests {
         drop(ingress);
         handle.join().expect("worker paniced");
 
-        let lines = lines_of(sub_rx);
+        let lines = lines_of(|| sub_rx.try_recv());
         let releases: Vec<&String> = lines
             .iter()
             .filter(|l| l.contains("\"event\":\"release\""))
@@ -510,8 +518,8 @@ mod tests {
         .expect("open wal");
         let registry = SubscriberRegistry::new();
         let stats = Arc::new(ShardStats::default());
-        let (sub_tx, sub_rx) = sync_channel(64);
-        registry.subscribe("k", 1, FrameMode::Json, SubscriberSink::Channel(sub_tx));
+        let (sub_tx, sub_rx) = test_sink(64);
+        registry.subscribe("k", 1, FrameMode::Json, sub_tx);
         let key: Arc<str> = Arc::from("k");
         let liar = LiesOnce {
             inner: cfg.defense.build(cfg.spec(), cfg.scheme, 1),
@@ -563,8 +571,8 @@ mod tests {
             Arc::new(DefenseBindings::default()),
             None,
         );
-        let (sub_tx, sub_rx) = sync_channel(64);
-        registry.subscribe("k", 1, FrameMode::Json, SubscriberSink::Channel(sub_tx));
+        let (sub_tx, sub_rx) = test_sink(64);
+        registry.subscribe("k", 1, FrameMode::Json, sub_tx);
         let key: Arc<str> = Arc::from("k");
         let mut src = bfly_datagen::DatasetProfile::WebView1.source(3);
         let mut pending = Vec::new();
@@ -579,7 +587,7 @@ mod tests {
         }
         drop(ingress);
         handle.join().expect("worker paniced");
-        lines_of(sub_rx)
+        lines_of(|| sub_rx.try_recv())
     }
 
     fn drive(cfg: ServeConfig) -> Vec<String> {

@@ -10,11 +10,11 @@
 #    BENCH_parallel.json and BENCH_support.json at the repo root, so the
 #    perf trajectory across changes is preserved — never overwritten.
 # 2. loadgen: the bfly_serve stream service driven by concurrent TCP
-#    clients across the I/O-engine × frame-encoding matrix at 1 shard
-#    (blocking/json, reactor/json, reactor/binary), then reactor/binary at
-#    4 shards for the scaling ratio, then the durability-tax matrix — the
-#    unpaced 1-shard drive with the write-ahead log on at each sync policy
-#    (never, interval:64, always) per engine, against the no-WAL rows as
+#    clients over both frame encodings at 1 shard (json, binary; unpaced,
+#    then paced at 75% of what json sustained), then binary at 4 shards
+#    for the scaling ratio, then the durability-tax matrix — the unpaced
+#    1-shard drive with the write-ahead log on at each sync policy (never,
+#    interval:64, always) per encoding, against the no-WAL rows as
 #    baselines — then the federation matrix: a churning key population
 #    driven direct at one node vs through a --role router over 1/2/4
 #    nodes (router/1-node ÷ direct = routing tax, router/N ÷ router/1 =
@@ -43,7 +43,7 @@ echo "==> parbench (${REPS} reps, appends to BENCH_parallel.json + BENCH_support
 cargo run -q --release -p bfly-bench --bin parbench -- --reps "${REPS}" \
   --out BENCH_parallel.json --support-out BENCH_support.json
 
-echo "==> loadgen (io-engine × frame matrix + 4-shard scaling + WAL durability tax + router-vs-direct federation matrix, appends to BENCH_serve.json)"
+echo "==> loadgen (frame-encoding pair + 4-shard scaling + WAL durability tax + router-vs-direct federation matrix, appends to BENCH_serve.json)"
 cargo run -q --release -p bfly-bench --bin loadgen -- --out BENCH_serve.json
 
 echo "==> defbench (cross-defense matrix, appends to BENCH_defense.json)"

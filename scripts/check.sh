@@ -49,12 +49,21 @@ if grep -rn "pool::" crates/common/src crates/mining/src crates/inference/src \
   echo "a library crate calls the thread pool; it belongs to crates/bench only"; exit 1
 fi
 
+echo "==> thread guard (a serve process runs one reactor thread plus one worker per shard: no thread per connection or subscription)"
+SPAWNS=$(for f in $(find crates/serve/src -name '*.rs' | sort); do
+  sed '/^ *mod tests {/,$d' "$f" | grep -c 'thread::\(Builder\|spawn\)' | sed "s|^|$f |"
+done | grep -v ' 0$' || true)
+if [[ "$SPAWNS" != $'crates/serve/src/reactor.rs 1\ncrates/serve/src/shard.rs 1' ]]; then
+  echo "thread spawns in crates/serve/src outside the reactor and the shard-worker start:"
+  echo "$SPAWNS"; exit 1
+fi
+
 echo "==> parbench --quick smoke"
 cargo run -q --release -p bfly-bench --bin parbench -- --quick \
   --out target/BENCH_parallel.smoke.json \
   --support-out target/BENCH_support.smoke.json
 
-echo "==> serve smoke (reactor server, both frame modes, delta wire, mid-stream subscriber, WAL on)"
+echo "==> serve smoke (both frame modes, delta wire, mid-stream subscriber, WAL on)"
 cargo build -q --release
 PORT_FILE=target/serve.smoke.port
 WAL_DIR=target/serve.smoke.wal
@@ -62,7 +71,7 @@ rm -f "$PORT_FILE"
 rm -rf "$WAL_DIR"
 target/release/butterfly serve --addr 127.0.0.1:0 --port-file "$PORT_FILE" \
   --window 200 --min-support 8 --vulnerable 3 --epsilon 0.05 --every 40 \
-  --snapshot-every 4 --io reactor --wal-dir "$WAL_DIR" --wal-sync interval:64 &
+  --snapshot-every 4 --wal-dir "$WAL_DIR" --wal-sync interval:64 &
 SERVE_PID=$!
 trap 'kill "$SERVE_PID" 2>/dev/null || true' EXIT
 for _ in $(seq 1 100); do
@@ -74,8 +83,8 @@ done
 # key, so the second burst's watcher joins stream t0 mid-flight and must
 # reconstruct its sanitized state from the next full snapshot plus the
 # release_delta events after it (loadgen's watcher dies on any divergence).
-# The second burst ingests and watches over binary frames, so one reactor
-# process has served both encodings before the drain.
+# The second burst ingests and watches over binary frames, so one process
+# has served both encodings before the drain.
 cargo run -q --release -p bfly-bench --bin loadgen -- --quick \
   --addr "$(cat "$PORT_FILE")" --frame json --out target/BENCH_serve.smoke.json
 WATCH_LOG=target/serve.smoke.watch.log
@@ -92,7 +101,7 @@ trap - EXIT
 rm -f "$PORT_FILE"
 target/release/butterfly serve --addr 127.0.0.1:0 --port-file "$PORT_FILE" \
   --window 200 --min-support 8 --vulnerable 3 --epsilon 0.05 --every 40 \
-  --snapshot-every 4 --io reactor --wal-dir "$WAL_DIR" --wal-sync interval:64 &
+  --snapshot-every 4 --wal-dir "$WAL_DIR" --wal-sync interval:64 &
 SERVE_PID=$!
 trap 'kill "$SERVE_PID" 2>/dev/null || true' EXIT
 for _ in $(seq 1 100); do

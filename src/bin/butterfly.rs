@@ -22,7 +22,7 @@ use butterfly_repro::datagen::DatasetProfile;
 use butterfly_repro::inference::find_intra_window_breaches;
 use butterfly_repro::mining::closed::closed_subset;
 use butterfly_repro::mining::{Apriori, BackendKind, Eclat, FpGrowth};
-use butterfly_repro::serve::{parse_node_list, IoMode, ServeConfig, ServeRole, Server, WalConfig};
+use butterfly_repro::serve::{parse_node_list, ServeConfig, ServeRole, Server, WalConfig};
 use std::collections::HashMap;
 use std::io::{BufWriter, Write};
 use std::process::ExitCode;
@@ -80,7 +80,7 @@ USAGE:
                     [--vulnerable <K>] [--epsilon <E>] [--delta <D>] [--scheme <...>]
                     [--backend <...>] [--lambda <L>] [--gamma <G>] [--every <N>]
                     [--snapshot-every <N>] [--seed <S>] [--queue-cap <N>] [--out-queue-cap <N>]
-                    [--io <blocking|reactor>] [--max-frame-bytes <N>] [--ingest-chunk <N>]
+                    [--max-frame-bytes <N>] [--ingest-chunk <N>]
                     [--port-file <path>] [--wal-dir <dir>] [--wal-sync <always|interval:N|never>]
                     [--defense <...>] [--dp-budget <E>] [--dp-top-k <N>]
                     [--role <node|router>] [--nodes <ip:port,ip:port,...>]
@@ -92,8 +92,7 @@ publication plus a full release snapshot every N-th one.
 noise), privbasis (ε-DP top-k with --dp-budget/--dp-top-k), or suppress
 (sensitive-itemset hiding at exact supports). Serve clients can override
 per stream with a `bind` request before the stream's first ingest.
-`serve --io` picks the connection I/O engine: reactor (default on Linux;
-one epoll event-loop thread) or blocking (two threads per connection).
+`serve` runs every connection on one epoll event-loop thread (Linux).
 Clients negotiate NDJSON or binary framing per frame by leading byte;
 `--max-frame-bytes` caps both encodings and `--ingest-chunk` sets the
 batch size for shard submissions.
@@ -193,7 +192,7 @@ const FLAG_TABLE: &[(&str, &[(&str, bool)])] = &[
             ("seed", true),
             ("queue-cap", true),
             ("out-queue-cap", true),
-            ("io", true),
+            ("io", true), // a no-op kept for the frozen benchmark; see cmd_serve
             ("max-frame-bytes", true),
             ("ingest-chunk", true),
             ("port-file", true),
@@ -485,8 +484,13 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     if let Some(v) = flags.get("out-queue-cap") {
         cfg.out_queue_cap = parse(v, "out-queue-cap")?;
     }
+    // Accepted and ignored: there is one I/O engine, but the frozen
+    // benchmark still starts its router with `--io blocking`
+    // (benchmark/src/drive.rs:58). Delete with that line.
     if let Some(v) = flags.get("io") {
-        cfg.io = v.parse()?;
+        if !matches!(v.as_str(), "blocking" | "reactor") {
+            return Err(format!("unknown io mode {v:?} (valid: blocking, reactor)"));
+        }
     }
     if let Some(v) = flags.get("max-frame-bytes") {
         cfg.max_frame_bytes = parse(v, "max-frame-bytes")?;
@@ -509,12 +513,6 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     if let Some(v) = flags.get("nodes") {
         cfg.nodes = parse_node_list(v)?;
     }
-    if cfg.role == ServeRole::Router && flags.get("io").is_none() {
-        // Router forwarding is synchronous per connection; the reactor
-        // default only applies to nodes (validate() rejects the combination
-        // when asked for explicitly).
-        cfg.io = IoMode::Blocking;
-    }
     cfg.scheme = parse_scheme(flags)?;
     cfg.defense = parse_defense(flags)?;
     if let Some(v) = flags.get("backend") {
@@ -532,7 +530,7 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
         write_port_file(path, local).map_err(|e| e.to_string())?;
     }
     eprintln!(
-        "serving on {local}: {} shards, window {}, C={}, K={}, ε={}, δ={}, {}, backend {}, every {}, snapshot-every {}, io {}",
+        "serving on {local}: {} shards, window {}, C={}, K={}, ε={}, δ={}, {}, backend {}, every {}, snapshot-every {}",
         cfg.shards,
         cfg.window,
         cfg.c,
@@ -542,8 +540,7 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
         cfg.scheme.name(),
         cfg.backend.name(),
         cfg.every,
-        cfg.snapshot_every,
-        cfg.io.name()
+        cfg.snapshot_every
     );
     if let Some(w) = &cfg.wal {
         eprintln!("wal: dir {}, sync {}", w.dir.display(), w.sync);

@@ -327,7 +327,7 @@ fn serve_federation_flags_rejected_with_valid_sets() {
             ],
             &["--wal-dir", "stateless"],
         ),
-        // Router + reactor io conflict.
+        // --io is a no-op, but still only for the names it once took.
         (
             &[
                 "--role",
@@ -335,9 +335,9 @@ fn serve_federation_flags_rejected_with_valid_sets() {
                 "--nodes",
                 "127.0.0.1:7001",
                 "--io",
-                "reactor",
+                "uring",
             ],
-            &["reactor", "blocking"],
+            &["unknown io mode", "blocking", "reactor"],
         ),
     ];
     for (args, wants) in cases {

@@ -6,13 +6,16 @@
 //! killed mid-run must surface as *explicit per-key unavailability* while
 //! the surviving node's streams stay byte-identical, with the killed
 //! node's streams recovered from its own WAL by the next cluster
-//! incarnation.
+//! incarnation. A hung (stopped, not dead) node and a node sending
+//! oversized frames must cost only their own keys.
 
 use butterfly_repro::common::{ItemSet, Json};
 use butterfly_repro::datagen::DatasetProfile;
 use butterfly_repro::serve::protocol::{release_event, CatchUp};
-use butterfly_repro::serve::{Client, ClusterMap, FrameMode, Request, ServeConfig};
-use std::io::Read;
+use butterfly_repro::serve::{
+    Client, ClusterMap, FrameMode, Request, ServeConfig, ServeRole, Server,
+};
+use std::io::{Read, Write};
 use std::net::SocketAddr;
 use std::path::Path;
 use std::process::{Child, Command, Stdio};
@@ -193,6 +196,61 @@ fn collect_until_closed(sub: &mut Client) -> Vec<String> {
     received
 }
 
+/// Threads the process currently runs (`/proc/<pid>/task`).
+fn thread_count(proc: &Reaper) -> usize {
+    std::fs::read_dir(format!("/proc/{}/task", proc.0.id()))
+        .expect("read /proc/<pid>/task")
+        .count()
+}
+
+/// CPU the process has used so far, in clock ticks (`utime + stime`).
+fn cpu_ticks(proc: &Reaper) -> u64 {
+    let stat = std::fs::read_to_string(format!("/proc/{}/stat", proc.0.id())).expect("stat");
+    // Fields after `(comm)`: state is field 3, utime 14, stime 15.
+    let fields: Vec<&str> = stat
+        .rsplit(')')
+        .next()
+        .expect("stat")
+        .split_whitespace()
+        .collect();
+    fields[11].parse::<u64>().expect("utime") + fields[12].parse::<u64>().expect("stime")
+}
+
+/// Deliver `signal` (e.g. `"-STOP"`) to the process.
+fn signal(proc: &Reaper, signal: &str) {
+    let status = Command::new("kill")
+        .args([signal, &proc.0.id().to_string()])
+        .status()
+        .expect("run kill");
+    assert!(status.success(), "kill {signal} failed");
+}
+
+/// SIGSTOP the process and wait until every one of its threads is stopped:
+/// `kill` returns once the signal is queued, and until the thread that
+/// takes it stops the rest, they keep serving.
+fn stop(proc: &Reaper) {
+    signal(proc, "-STOP");
+    let all_stopped = || {
+        std::fs::read_dir(format!("/proc/{}/task", proc.0.id()))
+            .expect("read /proc/<pid>/task")
+            .all(|task| {
+                let stat = std::fs::read_to_string(task.expect("task").path().join("stat"))
+                    .expect("read task stat");
+                // `tid (comm) S ...`: the state follows the last `)`.
+                stat.rsplit(')')
+                    .next()
+                    .map(str::trim_start)
+                    .and_then(|s| s.chars().next())
+                    == Some('T')
+            })
+    };
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !all_stopped() {
+        assert!(Instant::now() < deadline, "the process never stopped");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
 fn records_for(seed: u64, n: usize) -> Vec<ItemSet> {
     DatasetProfile::WebView1
         .source(seed)
@@ -214,6 +272,7 @@ fn router_streams_byte_identical_to_in_process() {
     let (_node_a, addr_a) = spawn_node(None, &pf("a"));
     let (_node_b, addr_b) = spawn_node(None, &pf("b"));
     let (router, router_addr) = spawn_router(&[addr_a, addr_b], &pf("r"));
+    let idle_threads = thread_count(&router);
 
     // Keys chosen blind — placement decides ownership. Assert up front the
     // population actually spans both nodes, or the test proves nothing
@@ -276,6 +335,14 @@ fn router_streams_byte_identical_to_in_process() {
             .and_then(Json::as_array)
             .map(<[Json]>::len),
         Some(2)
+    );
+    // Five client connections and four relayed subscriptions cost the
+    // router no thread: forwarding is readiness-driven state on its one
+    // event loop.
+    assert_eq!(
+        thread_count(&router),
+        idle_threads,
+        "the router grew threads with its traffic"
     );
 
     // Drain the whole cluster through the router; every subscriber rides
@@ -460,4 +527,160 @@ fn kill_one_node_survivor_identical_and_wal_rejoin() {
 
     let _ = std::fs::remove_dir_all(&wal_a);
     let _ = std::fs::remove_dir_all(&wal_b);
+}
+
+/// Whatever answers at a node's address is input, not trust: a fake node
+/// (a plain listener) that announces a 4 GiB binary payload, or streams
+/// bytes with no newline past the frame cap, makes the forwarded key answer
+/// `unavailable` at once — the router's upstream framer enforces the same
+/// cap as every decoder instead of buffering toward it.
+#[test]
+fn a_node_sending_oversized_frames_is_unavailable_not_buffered() {
+    let fake = std::net::TcpListener::bind("127.0.0.1:0").expect("bind fake node");
+    let addr = fake.local_addr().expect("fake addr");
+    let (done, hold) = std::sync::mpsc::channel::<()>();
+    let node = std::thread::spawn(move || {
+        let mut open = Vec::new();
+        for reply in [
+            [&[0xBF, 0x01][..], &u32::MAX.to_le_bytes()].concat(),
+            vec![b'x'; 4096],
+        ] {
+            let (mut conn, _) = fake.accept().expect("router connects");
+            let mut request = [0u8; 256];
+            let _ = conn.read(&mut request).expect("forwarded request");
+            conn.write_all(&reply).expect("fake reply");
+            open.push(conn); // never closed: only the cap can end it
+        }
+        let _ = hold.recv();
+    });
+    let router = Server::bind(
+        "127.0.0.1:0",
+        ServeConfig {
+            role: ServeRole::Router,
+            nodes: vec![addr],
+            max_frame_bytes: 1024,
+            ..cluster_cfg()
+        },
+    )
+    .expect("bind router");
+    let mut client = Client::connect(router.local_addr()).expect("connect router");
+    for _ in 0..2 {
+        let start = Instant::now();
+        let reply = client
+            .request(&Request::Ingest {
+                stream: "k".into(),
+                batch: records_for(3, 4),
+            })
+            .expect("ingest reply");
+        let err = reply
+            .get("error")
+            .and_then(Json::as_str)
+            .unwrap_or_else(|| panic!("expected an error reply, got {reply}"));
+        assert!(
+            err.contains("unavailable") && err.contains("oversized"),
+            "got {err}"
+        );
+        assert!(
+            start.elapsed() < Duration::from_secs(2),
+            "answered by the timeout, not the cap"
+        );
+    }
+    drop(done);
+    node.join().expect("fake node");
+    router.join();
+}
+
+/// A hung node — SIGSTOPped, so its sockets still accept and swallow
+/// bytes but nothing ever answers — must cost only its own keys: a key on
+/// the live node answers at once over another connection while a forward
+/// to the hung one is outstanding, the hung key answers `unavailable` once
+/// the router's forward timeout (5 s) runs out, `stats` reports the node
+/// down, and the first forward after `SIGCONT` is accepted again.
+#[test]
+fn a_hung_node_times_out_its_own_keys_and_stalls_no_one_else() {
+    const FORWARD_TIMEOUT: Duration = Duration::from_secs(5);
+    let tag = format!("bfly-fed-hung-{}", std::process::id());
+    let pf = |name: &str| std::env::temp_dir().join(format!("{tag}-{name}.port"));
+
+    let (_node_a, addr_a) = spawn_node(None, &pf("a"));
+    let (node_b, addr_b) = spawn_node(None, &pf("b"));
+    let (router, router_addr) = spawn_router(&[addr_a, addr_b], &pf("r"));
+    let map = ClusterMap::federated(1, vec![addr_a, addr_b], SHARDS);
+    let key_on = |node: usize| {
+        (0..32)
+            .map(|i| format!("h{i}"))
+            .find(|k| map.owner_of(k).node == node)
+            .expect("some key lands on each node")
+    };
+    let (key_a, key_b) = (key_on(0), key_on(1));
+    let records = records_for(21, 20);
+    let ingest = move |client: &mut Client, key: &str| -> (Json, Duration) {
+        let start = Instant::now();
+        let reply = client
+            .request(&Request::Ingest {
+                stream: key.into(),
+                batch: records.clone(),
+            })
+            .expect("ingest reply");
+        (reply, start.elapsed())
+    };
+    let accepted = |reply: &Json| reply.get("accepted").and_then(Json::as_u64) == Some(20);
+
+    let mut client = Client::connect(router_addr).expect("connect router");
+    for key in [&key_a, &key_b] {
+        let (reply, _) = ingest(&mut client, key);
+        assert!(accepted(&reply), "before the stop: {reply}");
+    }
+
+    stop(&node_b);
+    let hung = {
+        let ingest = ingest.clone();
+        let key_b = key_b.clone();
+        std::thread::spawn(move || {
+            let mut other = Client::connect(router_addr).expect("connect router");
+            ingest(&mut other, &key_b)
+        })
+    };
+    std::thread::sleep(Duration::from_millis(200));
+    let (reply, took) = ingest(&mut client, &key_a);
+    assert!(accepted(&reply), "live node behind a hung one: {reply}");
+    assert!(
+        took < Duration::from_secs(1),
+        "a key on the live node waited {took:?} behind the hung node"
+    );
+
+    // A client that resets its connection while its forward is out must
+    // be dropped, not spun on: an error or hang-up is reported whatever
+    // the interest mask. (The unread pong makes the close a reset.)
+    let mut rude = std::net::TcpStream::connect(router_addr).expect("connect router");
+    let batch = format!("{{\"op\":\"ingest\",\"stream\":\"{key_b}\",\"batch\":[[1]]}}");
+    writeln!(rude, "{{\"op\":\"ping\"}}\n{batch}").expect("rude requests");
+    std::thread::sleep(Duration::from_millis(100));
+    drop(rude);
+    let cpu = cpu_ticks(&router);
+    std::thread::sleep(Duration::from_secs(1));
+    assert!(
+        cpu_ticks(&router) - cpu < 20,
+        "the router spun on a reset connection"
+    );
+
+    let (reply, took) = hung.join().expect("hung-key client");
+    let err = reply
+        .get("error")
+        .and_then(Json::as_str)
+        .unwrap_or_else(|| panic!("expected an error reply, got {reply}"));
+    assert!(err.contains("unavailable"), "got {err}");
+    assert!(
+        took >= FORWARD_TIMEOUT - Duration::from_millis(300),
+        "the hung key answered after only {took:?}"
+    );
+
+    let stats = client.request(&Request::Stats).expect("router stats");
+    let nodes = stats.get("nodes").and_then(Json::as_array).expect("nodes");
+    assert_eq!(nodes[0].get("ok"), Some(&Json::Bool(true)), "got {stats}");
+    assert_eq!(nodes[1].get("ok"), Some(&Json::Bool(false)), "got {stats}");
+
+    signal(&node_b, "-CONT");
+    let (reply, _) = ingest(&mut client, &key_b);
+    assert!(accepted(&reply), "after SIGCONT: {reply}");
 }

@@ -99,32 +99,79 @@ fn drain_ok(codec: &mut FrameCodec) -> Vec<Frame> {
     out
 }
 
+/// Every raw frame currently complete, copied out.
+fn drain_raw(codec: &mut FrameCodec) -> Vec<Vec<u8>> {
+    let mut out = Vec::new();
+    while let Some(raw) = codec.next_raw().expect("well-formed stream") {
+        out.push(raw.to_vec());
+    }
+    out
+}
+
 /// 100 seeds × ~20 mixed frames each, delivered in random chunk sizes
 /// (including 1-byte drip-feeds): the decoded sequence must equal the
-/// generated one exactly, independent of how the transport fragments it.
+/// generated one exactly, independent of how the transport fragments it —
+/// and `next_raw`, fed the same chunks, must cut the stream at the same
+/// boundaries, handing back each generated frame's bytes exactly.
 #[test]
 fn random_frames_round_trip_through_arbitrary_chunking() {
     for seed in 0..100u64 {
         let mut rng = SmallRng::seed_from_u64(seed);
         let n = 5 + rng.gen_range_usize(16);
         let mut expected = Vec::with_capacity(n);
+        let mut expected_raw = Vec::with_capacity(n);
         let mut wire = Vec::new();
         for _ in 0..n {
             let (frame, bytes) = random_frame(&mut rng);
             expected.push(frame);
             wire.extend_from_slice(&bytes);
+            expected_raw.push(bytes);
         }
         let mut codec = FrameCodec::new();
+        let mut raw_codec = FrameCodec::new();
         let mut decoded = Vec::new();
+        let mut raw = Vec::new();
         let mut pos = 0;
         while pos < wire.len() {
             let chunk = 1 + rng.gen_range_usize(97.min(wire.len() - pos));
             codec.extend(&wire[pos..pos + chunk]);
+            raw_codec.extend(&wire[pos..pos + chunk]);
             pos += chunk;
             decoded.extend(drain_ok(&mut codec));
+            raw.extend(drain_raw(&mut raw_codec));
+            assert_eq!(raw.len(), decoded.len(), "seed {seed}: boundaries differ");
         }
         assert_eq!(decoded, expected, "seed {seed} diverged");
+        assert_eq!(raw, expected_raw, "seed {seed}: raw frames diverged");
         assert!(codec.is_blank(), "seed {seed} left residue");
+        assert!(raw_codec.is_blank(), "seed {seed} left raw residue");
+    }
+}
+
+/// `next_raw` on mixed traffic: an NDJSON line (through its newline), a
+/// binary frame, then a partial header that waits — and the cap binds from
+/// the header alone, exactly as for the decoder.
+#[test]
+fn next_raw_splits_mixed_traffic_without_decoding() {
+    let bin = BinaryFrame::Ingest {
+        stream: "t0".into(),
+        batch: vec![ItemSet::from_ids([1u32, 2])],
+    }
+    .encode();
+    let mut codec = FrameCodec::new();
+    codec.extend(b"\n {\"ok\":true}\n");
+    codec.extend(&bin);
+    codec.extend(&bin[..3]);
+    assert_eq!(codec.next_raw().unwrap(), Some(&b"{\"ok\":true}\n"[..]));
+    assert_eq!(codec.next_raw().unwrap(), Some(&bin[..]));
+    assert_eq!(codec.next_raw().unwrap(), None, "partial frame must wait");
+    assert_eq!(codec.buffered(), 3);
+
+    let mut capped = FrameCodec::with_max(bin.len() - 7);
+    capped.extend(&bin[..6]);
+    match capped.next_raw() {
+        Err(Error::Parse(msg)) => assert!(msg.contains("oversized"), "{msg}"),
+        other => panic!("expected oversized error, got {other:?}"),
     }
 }
 
@@ -135,11 +182,13 @@ fn random_frames_round_trip_through_arbitrary_chunking() {
 fn truncation_at_every_prefix_waits_for_more() {
     let mut rng = SmallRng::seed_from_u64(7);
     let mut expected = Vec::new();
+    let mut expected_raw = Vec::new();
     let mut wire = Vec::new();
     for _ in 0..4 {
         let (frame, bytes) = random_frame(&mut rng);
         expected.push(frame);
         wire.extend_from_slice(&bytes);
+        expected_raw.push(bytes);
     }
     for cut in 0..wire.len() {
         let mut codec = FrameCodec::new();
@@ -154,6 +203,18 @@ fn truncation_at_every_prefix_waits_for_more() {
         let tail = drain_ok(&mut codec);
         assert_eq!(head.len() + tail.len(), expected.len(), "cut {cut}");
         assert_eq!(tail, expected[head.len()..], "cut {cut}");
+
+        // The raw splitter stops at the same frame boundary.
+        let mut raw_codec = FrameCodec::new();
+        raw_codec.extend(&wire[..cut]);
+        let raw_head = drain_raw(&mut raw_codec);
+        assert_eq!(raw_head, expected_raw[..head.len()], "cut {cut}");
+        raw_codec.extend(&wire[cut..]);
+        assert_eq!(
+            drain_raw(&mut raw_codec),
+            expected_raw[head.len()..],
+            "cut {cut}"
+        );
     }
 }
 

@@ -5,7 +5,9 @@
 use butterfly_repro::common::{ItemSet, Json};
 use butterfly_repro::datagen::DatasetProfile;
 use butterfly_repro::serve::protocol::{closed_event, release_event, SubscriberState};
-use butterfly_repro::serve::{Client, FrameMode, IoMode, Request, ServeConfig, Server};
+use butterfly_repro::serve::{
+    Client, ClusterMap, FrameMode, Request, ServeConfig, ServeRole, Server,
+};
 use std::io::{BufRead, BufReader, Write};
 
 fn feasible_cfg() -> ServeConfig {
@@ -626,111 +628,130 @@ fn binary_and_json_subscribers_see_identical_releases() {
     server.join();
 }
 
-/// The blocking engine stays available behind `--io blocking` and is
-/// byte-identical to the default engine (the reactor, where supported):
-/// releases depend only on (config, seed, key, record order), never on the
-/// connection I/O machinery.
-#[test]
-fn blocking_io_engine_is_byte_identical_to_default() {
-    let records: Vec<ItemSet> = DatasetProfile::Pos
-        .source(17)
-        .take_vec(130)
-        .into_iter()
-        .map(|t| t.into_items())
-        .collect();
-    let run = |io: IoMode| -> Vec<String> {
-        let cfg = ServeConfig {
-            io,
-            ..feasible_cfg()
-        };
-        let server = Server::bind("127.0.0.1:0", cfg).expect("bind");
-        let mut sub = Client::connect(server.local_addr()).expect("connect");
-        sub.request(&Request::Subscribe {
-            stream: "s".into(),
-            frame: FrameMode::Json,
-            from: None,
-        })
-        .expect("subscribe");
-        let mut ingest = Client::connect(server.local_addr()).expect("connect");
-        ingest
-            .request(&Request::Ingest {
-                stream: "s".into(),
-                batch: records.clone(),
-            })
-            .expect("ingest");
-        ingest.request(&Request::Shutdown).expect("shutdown");
-        let mut lines = Vec::new();
-        loop {
-            let line = sub.next_line().expect("read").expect("closed before EOF");
-            let closed = line.get("event").and_then(Json::as_str) == Some("closed");
-            lines.push(line.to_string());
-            if closed {
-                break;
-            }
-        }
-        server.join();
-        lines
-    };
-    let blocking = run(IoMode::Blocking);
-    let default = run(IoMode::default());
-    assert_eq!(blocking, default, "I/O engine must not affect the bytes");
-    assert!(
-        blocking.len() > 1,
-        "expected releases plus the closed event"
-    );
-}
-
-/// The blocking engine's accepted sockets run with `TCP_NODELAY`: a client
-/// that pipelines two small requests gets both replies promptly. With Nagle
-/// on, whenever the pump flushes the first reply before the second is
-/// queued, the second sits in the server's send buffer until the client's
-/// delayed ACK of the first — 40 ms on Linux, on more than half of the
-/// rounds below. Counting slow rounds (not the slowest) keeps a scheduling
-/// hiccup on a busy host from failing the test.
-#[test]
-fn blocking_engine_answers_pipelined_requests_without_the_delayed_ack_stall() {
-    const ROUNDS: usize = 40;
-    let cfg = ServeConfig {
-        io: IoMode::Blocking,
-        ..feasible_cfg()
-    };
-    let server = Server::bind("127.0.0.1:0", cfg).expect("bind");
-    let stream = std::net::TcpStream::connect(server.local_addr()).expect("connect");
+/// Write `burst` `rounds` times over one raw connection, reading after each
+/// write one reply line per entry of `expect`, in order, each containing
+/// its entry. Returns how many rounds took longer than `slow`.
+fn pipelined_rounds(
+    addr: std::net::SocketAddr,
+    burst: &str,
+    expect: &[&str],
+    rounds: usize,
+    slow: std::time::Duration,
+) -> usize {
+    let stream = std::net::TcpStream::connect(addr).expect("connect");
     stream
         .set_read_timeout(Some(std::time::Duration::from_secs(10)))
         .expect("timeout");
     let mut writer = stream.try_clone().expect("clone");
     let mut reader = BufReader::new(stream);
-    // A ping, then an ingest just big enough to parse for longer than the
-    // pump takes to wake up.
-    let batch: Vec<String> = (0..64)
-        .map(|i| format!("[{i},{},{}]", i + 1, i + 2))
-        .collect();
-    let pair = format!(
-        "{{\"op\":\"ping\"}}\n{{\"op\":\"ingest\",\"stream\":\"a\",\"batch\":[{}]}}\n",
-        batch.join(",")
-    );
-    let mut slow = 0;
-    for _ in 0..ROUNDS {
+    let mut slow_rounds = 0;
+    for _ in 0..rounds {
         let start = std::time::Instant::now();
-        writer.write_all(pair.as_bytes()).expect("write");
-        // (An `overloaded` reply is as good as an `ok` one here: debug-build
-        // shards fall behind 40 back-to-back batches.)
-        for expect in ["\"pong\":true", "\"accepted\":"] {
+        writer.write_all(burst.as_bytes()).expect("write");
+        for want in expect {
             let mut reply = String::new();
             reader.read_line(&mut reply).expect("read");
-            assert!(reply.contains(expect), "got {reply}");
+            assert!(reply.contains(want), "wanted {want}, got {reply}");
         }
-        if start.elapsed() > std::time::Duration::from_millis(25) {
-            slow += 1;
+        if start.elapsed() > slow {
+            slow_rounds += 1;
         }
     }
+    slow_rounds
+}
+
+fn ingest_line(stream: &str, n: usize) -> String {
+    let batch: Vec<String> = (0..n)
+        .map(|i| format!("[{i},{},{}]", i + 1, i + 2))
+        .collect();
+    format!(
+        "{{\"op\":\"ingest\",\"stream\":\"{stream}\",\"batch\":[{}]}}\n",
+        batch.join(",")
+    )
+}
+
+/// A client that pipelines small requests gets every reply promptly and in
+/// request order. Accepted sockets run with `TCP_NODELAY`: with Nagle on,
+/// whenever the first reply is written before the second is ready, the
+/// second sits in the send buffer until the client's delayed ACK of the
+/// first — 40 ms on Linux. Through a router the same holds hop by hop: a
+/// connection with a forward outstanding decodes nothing more, so replies
+/// from two nodes and the router's own `ping` come back in request order,
+/// and the pooled links to the nodes must not wait out Nagle either.
+/// Counting slow rounds (not the slowest) keeps a scheduling hiccup on a
+/// busy host from failing the test.
+#[test]
+fn pipelined_requests_answer_in_order_without_the_delayed_ack_stall() {
+    const ROUNDS: usize = 40;
+    const PING: &str = "{\"op\":\"ping\"}\n";
+    let server = Server::bind("127.0.0.1:0", feasible_cfg()).expect("bind");
+    // A ping, then an ingest just big enough to parse for longer than the
+    // reply write takes. (An `overloaded` reply is as good as an `ok` one
+    // here: debug-build shards fall behind 40 back-to-back batches.)
+    let slow = pipelined_rounds(
+        server.local_addr(),
+        &format!("{PING}{}", ingest_line("a", 64)),
+        &["\"pong\":true", "\"accepted\":"],
+        ROUNDS,
+        std::time::Duration::from_millis(25),
+    );
     assert!(
         slow * 4 < ROUNDS,
         "{slow} of {ROUNDS} pipelined pairs waited out a delayed ACK"
     );
-    writeln!(writer, "{{\"op\":\"shutdown\"}}").expect("shutdown");
     server.join();
+
+    // The router leg: an in-process router over two in-process nodes.
+    let cfg = feasible_cfg();
+    let nodes: Vec<Server> = (0..2)
+        .map(|_| Server::bind("127.0.0.1:0", cfg.clone()).expect("bind node"))
+        .collect();
+    let addrs: Vec<std::net::SocketAddr> = nodes.iter().map(Server::local_addr).collect();
+    let router = Server::bind(
+        "127.0.0.1:0",
+        ServeConfig {
+            role: ServeRole::Router,
+            nodes: addrs.clone(),
+            ..cfg.clone()
+        },
+    )
+    .expect("bind router");
+    let map = ClusterMap::federated(1, addrs, cfg.shards);
+    let key_on = |node: usize| {
+        (0..32)
+            .map(|i| format!("p{i}"))
+            .find(|k| map.owner_of(k).node == node)
+            .expect("some key lands on each node")
+    };
+    let (on_a, on_b) = (key_on(0), key_on(1));
+    // Distinct batch sizes make each reply name its request.
+    let burst = format!(
+        "{}{}{PING}{}",
+        ingest_line(&on_a, 3),
+        ingest_line(&on_b, 5),
+        ingest_line(&on_a, 7)
+    );
+    let slow = pipelined_rounds(
+        router.local_addr(),
+        &burst,
+        &[
+            "\"accepted\":3",
+            "\"accepted\":5",
+            "\"pong\":true",
+            "\"accepted\":7",
+        ],
+        ROUNDS / 4,
+        std::time::Duration::from_millis(200),
+    );
+    assert!(
+        slow * 4 < ROUNDS / 4,
+        "{slow} of {} pipelined router bursts took over 200 ms",
+        ROUNDS / 4
+    );
+    router.join();
+    for node in nodes {
+        node.join();
+    }
 }
 
 /// Protocol edges over a raw socket: ping, stats shape, unknown ops,
@@ -767,25 +788,18 @@ fn protocol_edges() {
         Some(shards)
     );
     assert_eq!(stats.get("draining"), Some(&Json::Bool(false)));
-    assert_eq!(
-        stats.get("io").and_then(Json::as_str),
-        Some(IoMode::default().name()),
-        "stats must name the I/O engine"
+    let reactor = stats.get("reactor").expect("reactor telemetry in stats");
+    assert!(
+        reactor
+            .get("fds")
+            .and_then(Json::as_u64)
+            .is_some_and(|n| n >= 3),
+        "listener + wake pipe + this connection: {reactor}"
     );
-    if butterfly_repro::serve::REACTOR_SUPPORTED {
-        let reactor = stats.get("reactor").expect("reactor telemetry in stats");
-        assert!(
-            reactor
-                .get("fds")
-                .and_then(Json::as_u64)
-                .is_some_and(|n| n >= 3),
-            "listener + wake pipe + this connection: {reactor}"
-        );
-        assert!(
-            reactor.get("wakeups").and_then(Json::as_u64).is_some(),
-            "got {reactor}"
-        );
-    }
+    assert!(
+        reactor.get("wakeups").and_then(Json::as_u64).is_some(),
+        "got {reactor}"
+    );
 
     let unknown = roundtrip("{\"op\":\"frobnicate\"}");
     assert!(unknown.contains("unknown op"), "got {unknown}");
@@ -830,16 +844,11 @@ fn protocol_edges() {
     );
 
     // During drain, ingests on a surviving connection are refused
-    // explicitly. The connection subscribes to an idle stream first so its
-    // handler lingers through the drain (subscriber connections outlive the
-    // flag until their streams close).
+    // explicitly (every connection stays open until the drain completes).
+    // A round trip first: the listener closes at shutdown, so the
+    // connection must have been accepted by then.
     let mut late = Client::connect(server.local_addr()).expect("late connect");
-    late.request(&Request::Subscribe {
-        stream: "idle".into(),
-        frame: FrameMode::Json,
-        from: None,
-    })
-    .expect("subscribe ack");
+    late.request(&Request::Ping).expect("ping reply");
     server.shutdown();
     let reply = late
         .request(&Request::Ingest {
@@ -1065,7 +1074,6 @@ fn stats_reply_carries_exactly_the_golden_keys() {
     let _ = std::fs::remove_dir_all(&wal_dir);
     let cfg = ServeConfig {
         shards: 1,
-        io: IoMode::Reactor,
         wal: Some(WalConfig::new(&wal_dir)),
         ..feasible_cfg()
     };
