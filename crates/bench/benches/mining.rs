@@ -5,7 +5,7 @@
 use bfly_bench::bench;
 use bfly_common::{Database, SlidingWindow};
 use bfly_datagen::DatasetProfile;
-use bfly_mining::{Apriori, BackendKind, FpGrowth, FpStream, FpStreamConfig, MinerBackend};
+use bfly_mining::{Apriori, BackendKind, FpGrowth, FpStream, FpStreamConfig};
 
 fn window_db(n: usize) -> Database {
     let txs = DatasetProfile::WebView1.source(11).take_vec(n);
@@ -25,8 +25,8 @@ fn bench_static_miners() {
 }
 
 /// Steady-state per-slide cost of every registered backend: one delete + one
-/// insert + extraction, through the `MinerBackend` interface the pipeline
-/// actually calls.
+/// insert + extraction, through the `MinerBackend` interface (Moment's row
+/// is the pipeline's miner; the rest are its oracles).
 fn bench_backend_slide() {
     for kind in BackendKind::ALL {
         let ws = 1000usize;

@@ -23,7 +23,6 @@ use bfly_bench::{
 use bfly_common::{pool, Json, Support, TidScratch, VerticalIndex};
 use bfly_core::{BiasScheme, PrivacySpec};
 use bfly_datagen::DatasetProfile;
-use bfly_mining::BackendKind;
 use std::time::Instant;
 
 /// Median wall-clock of `reps` runs of `f`, in milliseconds.
@@ -129,7 +128,6 @@ fn main() {
         k: 3,
         windows: if quick { 6 } else { 12 },
         seed: 17,
-        backend: BackendKind::Moment,
         threads: 0,
     };
     // Sweep-cell evaluation: the fig4/fig5/fig7 inner loop, one publisher

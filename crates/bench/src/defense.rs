@@ -182,7 +182,6 @@ mod tests {
     use super::*;
     use crate::runner::{collect_truths, ExperimentConfig};
     use bfly_datagen::DatasetProfile;
-    use bfly_mining::BackendKind;
 
     fn tiny() -> (Vec<WindowTruth>, PrivacySpec) {
         let cfg = ExperimentConfig {
@@ -192,7 +191,6 @@ mod tests {
             k: 3,
             windows: 6,
             seed: 5,
-            backend: BackendKind::Moment,
             threads: 0,
         };
         let spec = PrivacySpec::new(cfg.c, cfg.k, 0.1, 0.5);

@@ -14,7 +14,7 @@ use bfly_datagen::DatasetProfile;
 use bfly_inference::attack::{find_inter_window_breaches, find_intra_window_breaches, Breach};
 use bfly_inference::GroundTruth;
 use bfly_mining::closed::expand_closed;
-use bfly_mining::{BackendKind, FrequentItemsets, MinerBackend};
+use bfly_mining::{FrequentItemsets, MinerBackend, MomentMiner};
 
 /// Parameters shared by the figure experiments (the paper's defaults:
 /// `C = 25`, `K = 5`, window `2K`, 100 consecutive windows).
@@ -32,8 +32,6 @@ pub struct ExperimentConfig {
     pub windows: usize,
     /// Stream seed.
     pub seed: u64,
-    /// Mining backend producing each window's ground truth.
-    pub backend: BackendKind,
     /// Worker threads for [`evaluate_cells`]. `0` leaves the process-wide
     /// setting (`BFLY_THREADS` / hardware) untouched.
     pub threads: usize,
@@ -51,7 +49,6 @@ impl ExperimentConfig {
             k: 5,
             windows: 100,
             seed: 4242,
-            backend: BackendKind::Moment,
             threads: 0,
         }
     }
@@ -76,13 +73,12 @@ pub struct WindowTruth {
 }
 
 /// Mine `config.windows` consecutive windows and enumerate their breaches.
-/// Scheme- and noise-independent, so call once per sweep. Dispatches over
-/// `config.backend` — any exact backend yields identical truths; approximate
-/// backends let the sweep measure their deviation.
+/// Scheme- and noise-independent, so call once per sweep. Mined by Moment,
+/// the miner every pipeline runs.
 pub fn collect_truths(config: &ExperimentConfig) -> Vec<WindowTruth> {
     let mut source = config.profile.source(config.seed);
     let mut window = SlidingWindow::new(config.window);
-    let mut miner = config.backend.build(config.c);
+    let mut miner = MomentMiner::new(config.c);
     for _ in 0..config.window - 1 {
         let delta = window.slide(source.next_transaction());
         miner.apply(&delta);
@@ -291,28 +287,7 @@ mod tests {
             k: 3,
             windows: 8,
             seed: 5,
-            backend: BackendKind::Moment,
             threads: 0,
-        }
-    }
-
-    #[test]
-    fn exact_backends_yield_identical_truths() {
-        let base = tiny_config();
-        let moment = collect_truths(&base);
-        for backend in [BackendKind::Eclat, BackendKind::Closed] {
-            let cfg = ExperimentConfig { backend, ..base };
-            let truths = collect_truths(&cfg);
-            assert_eq!(truths.len(), moment.len());
-            for (a, b) in truths.iter().zip(&moment) {
-                assert_eq!(
-                    a.closed,
-                    b.closed,
-                    "{} disagrees with moment",
-                    backend.name()
-                );
-                assert_eq!(a.breaches.len(), b.breaches.len());
-            }
         }
     }
 

@@ -101,7 +101,6 @@ mod tests {
             k: 3,
             windows: 6,
             seed: 11,
-            backend: bfly_mining::BackendKind::Moment,
             threads: 0,
         })
     }

@@ -2,11 +2,11 @@
 //!
 //! Butterfly's bias/noise perturbation is one point in the output-privacy
 //! design space. [`PrivacyDefense`] is the seam that makes the publication
-//! stage replaceable the same way [`bfly_mining::MinerBackend`] makes the
-//! miner replaceable: the stream pipeline hands each full window's (closed)
-//! frequent itemsets to the defense, and the defense decides what the
-//! outside world sees. [`DefenseKind`] is the runtime registry behind CLI
-//! `--defense`, the serve config, and the wire protocol's per-stream `bind`.
+//! stage replaceable (the miner is not: every pipeline runs Moment): the
+//! stream pipeline hands each full window's (closed) frequent itemsets to
+//! the defense, and the defense decides what the outside world sees.
+//! [`DefenseKind`] is the runtime registry behind CLI `--defense`, the
+//! serve config, and the wire protocol's per-stream `bind`.
 //!
 //! Three backends ship today, chosen for being architecturally different —
 //! which is what keeps the trait honest instead of a rename of

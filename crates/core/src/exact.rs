@@ -7,7 +7,7 @@
 //! `∀ i<j: e_i ≤ e_j`, which for distinct-support FECs with strict chain
 //! order we enforce as strict). Exponential: usable only for small FEC
 //! counts, which is exactly its job — quantifying the DP's approximation
-//! gap in tests and the ablation bench.
+//! gap in this crate's tests (it is compiled only for them).
 
 use crate::config::PrivacySpec;
 use crate::fec::Fec;

@@ -21,7 +21,8 @@ pub mod audit;
 pub mod config;
 pub mod defense;
 pub mod engine;
-pub mod exact;
+#[cfg(test)]
+mod exact;
 pub mod fec;
 pub mod metrics;
 pub mod noise;

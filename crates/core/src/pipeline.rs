@@ -1,10 +1,10 @@
-//! End-to-end stream pipeline: window → miner backend → privacy defense.
+//! End-to-end stream pipeline: window → Moment → privacy defense.
 
 use crate::defense::PrivacyDefense;
 use crate::engine::{Publisher, ReleaseDelta};
 use crate::release::SanitizedRelease;
 use bfly_common::{Error, Result, SlidingWindow, Transaction};
-use bfly_mining::{BackendKind, FrequentItemsets, MinerBackend, MomentMiner};
+use bfly_mining::{FrequentItemsets, MinerBackend, MomentMiner};
 
 /// One published window: the miner's (true) closed frequent itemsets and the
 /// sanitized release the outside world sees.
@@ -22,17 +22,17 @@ pub struct WindowRelease {
 }
 
 /// Glue object running the full deployment of Fig. 1's last step: a sliding
-/// window feeds a pluggable [`MinerBackend`]; each full window's closed
-/// frequent itemsets pass through a pluggable [`PrivacyDefense`].
+/// window feeds the paper's host miner, Moment, which keeps the window's
+/// closed frequent itemsets as exact window counts; each full window's
+/// itemsets pass through a [`PrivacyDefense`].
 ///
-/// Both stages are type parameters so the paper's defaults (the incremental
-/// Moment miner, the Butterfly [`Publisher`]) pay no dynamic dispatch, while
-/// deployments picking either at runtime use [`StreamPipeline::from_kind`] /
-/// [`StreamPipeline::from_parts`] and get boxed ones.
+/// The defense is a type parameter so the Butterfly [`Publisher`] pays no
+/// dynamic dispatch, while deployments picking one at runtime (`--defense`,
+/// the serve layer's per-key `bind`) pass a `Box<dyn PrivacyDefense>`.
 #[derive(Clone, Debug)]
-pub struct StreamPipeline<B: MinerBackend = MomentMiner, D: PrivacyDefense = Publisher> {
+pub struct StreamPipeline<D: PrivacyDefense = Publisher> {
     window: SlidingWindow,
-    miner: B,
+    miner: MomentMiner,
     defense: D,
     /// Records fed since the last publication — the cadence counter callers
     /// (CLI `--every`, the serve shards) consult, and what
@@ -44,47 +44,13 @@ pub struct StreamPipeline<B: MinerBackend = MomentMiner, D: PrivacyDefense = Pub
     audit_violations: u64,
 }
 
-impl StreamPipeline<MomentMiner, Publisher> {
-    /// Build a pipeline on the paper's defaults (Moment miner, Butterfly
-    /// publisher). The publisher's spec supplies the miner's minimum
-    /// support `C`.
-    pub fn new(window_size: usize, publisher: Publisher) -> Self {
-        let c = PrivacyDefense::spec(&publisher).c();
-        StreamPipeline::with_backend(window_size, MomentMiner::new(c), publisher)
-    }
-}
-
-impl StreamPipeline<Box<dyn MinerBackend>, Publisher> {
-    /// Build a Butterfly pipeline with a miner chosen at runtime by
-    /// [`BackendKind`]. The publisher's spec supplies the minimum support.
-    pub fn from_kind(window_size: usize, kind: BackendKind, publisher: Publisher) -> Self {
-        let c = PrivacyDefense::spec(&publisher).c();
-        StreamPipeline::with_backend(window_size, kind.build(c), publisher)
-    }
-}
-
-impl StreamPipeline<Box<dyn MinerBackend>, Box<dyn PrivacyDefense>> {
-    /// Build a pipeline with *both* stages chosen at runtime — the
-    /// construction path behind `--defense` and the serve layer's per-key
-    /// binding. The defense's spec supplies the miner's minimum support.
-    pub fn from_parts(
-        window_size: usize,
-        kind: BackendKind,
-        defense: Box<dyn PrivacyDefense>,
-    ) -> Self {
-        let c = defense.spec().c();
-        StreamPipeline::with_backend(window_size, kind.build(c), defense)
-    }
-}
-
-impl<B: MinerBackend, D: PrivacyDefense> StreamPipeline<B, D> {
-    /// Build a pipeline around already-constructed stages. The backend's
-    /// minimum support should match the defense's `C`; for Butterfly the
-    /// contract audit on every publication catches mismatches.
-    pub fn with_backend(window_size: usize, miner: B, defense: D) -> Self {
+impl<D: PrivacyDefense> StreamPipeline<D> {
+    /// Build a pipeline over a window of `window_size` records. The
+    /// defense's spec supplies the miner's minimum support `C`.
+    pub fn new(window_size: usize, defense: D) -> Self {
         StreamPipeline {
             window: SlidingWindow::new(window_size),
-            miner,
+            miner: MomentMiner::new(defense.spec().c()),
             defense,
             since_publish: 0,
             audit_violations: 0,
@@ -94,11 +60,6 @@ impl<B: MinerBackend, D: PrivacyDefense> StreamPipeline<B, D> {
     /// Records seen so far.
     pub fn stream_len(&self) -> u64 {
         self.window.stream_len()
-    }
-
-    /// The backend's self-reported name (for logs and bench tables).
-    pub fn backend_name(&self) -> &'static str {
-        self.miner.name()
     }
 
     /// Feed one transaction. Returns a release once the window is full
@@ -395,7 +356,7 @@ mod tests {
             calls: 0,
         };
         // step(): windows N = 8..12 publish; the second one lies.
-        let mut pipe = StreamPipeline::with_backend(8, MomentMiner::new(4), liar(2));
+        let mut pipe = StreamPipeline::new(8, liar(2));
         let published: Vec<u64> = fig2_stream()
             .into_iter()
             .filter_map(|t| pipe.step(t))
@@ -406,7 +367,7 @@ mod tests {
         assert_eq!(pipe.since_publish(), 0);
 
         // publish_now(): the first publication lies, the next is clean.
-        let mut pipe = StreamPipeline::with_backend(8, MomentMiner::new(4), liar(1));
+        let mut pipe = StreamPipeline::new(8, liar(1));
         for t in fig2_stream().into_iter().take(8) {
             pipe.advance(t);
         }
@@ -420,36 +381,5 @@ mod tests {
         assert_eq!(pipe.audit_violations(), 1);
         assert!(pipe.publish_now().is_ok());
         assert_eq!(pipe.audit_violations(), 1);
-    }
-
-    #[test]
-    fn runtime_selected_backends_publish_identical_truths() {
-        // The same stream through four runtime-selected exact backends must
-        // agree on the ground-truth closed itemsets of every window.
-        let stream = fig2_stream();
-        let mut per_backend: Vec<Vec<FrequentItemsets>> = Vec::new();
-        for kind in [
-            BackendKind::Apriori,
-            BackendKind::Eclat,
-            BackendKind::Closed,
-            BackendKind::Moment,
-        ] {
-            let spec = PrivacySpec::new(4, 1, 0.2, 0.5);
-            let publisher = Publisher::new(spec, BiasScheme::Basic, 1);
-            let mut pipe = StreamPipeline::from_kind(8, kind, publisher);
-            assert_eq!(pipe.backend_name(), kind.name());
-            per_backend.push(
-                stream
-                    .iter()
-                    .cloned()
-                    .filter_map(|t| pipe.step(t))
-                    .map(|r| r.closed)
-                    .collect(),
-            );
-        }
-        for others in &per_backend[1..] {
-            assert_eq!(others, &per_backend[0]);
-        }
-        assert_eq!(per_backend[0].len(), 5);
     }
 }

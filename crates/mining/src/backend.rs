@@ -1,36 +1,33 @@
-//! Pluggable miner backends for the stream pipeline.
+//! One window-miner interface: the production miner and its oracles.
 //!
-//! The paper's deployment (Fig. 1) is stream → miner → publisher, with the
-//! miner as a replaceable component. [`MinerBackend`] is that seam: every
-//! miner in this crate — incremental (Moment), batch (Apriori, Eclat,
-//! FP-Growth, Charm, rescan-closed), and approximate stream miners
-//! (FP-stream, damped) — drives the same window → mine → sanitize →
-//! publish loop through it. [`BackendKind`] is the runtime registry:
-//! `BackendKind::Moment.build(c)` hands back a boxed backend for pipeline
-//! construction from CLI flags or config.
+//! The paper's deployment (Fig. 1) is stream → miner → publisher, and its
+//! host miner is Moment: the stream pipeline owns a [`MomentMiner`] and
+//! nothing else. [`MinerBackend`] is the window → mine interface Moment
+//! shares with the other miners of this crate — batch (Apriori, Eclat,
+//! FP-Growth, Charm, rescan-closed) and the approximate FP-stream — so the
+//! tests, soak run and benches can drive every one of them over the same
+//! window and hold Moment to their answers. [`BackendKind`] enumerates
+//! them for those matrices.
 //!
 //! Semantics: [`MinerBackend::frequent`] returns **all** frequent itemsets;
 //! [`MinerBackend::closed_frequent`] (what Butterfly publishes, §III-A)
 //! defaults to deriving the closed subset and is overridden by miners that
-//! maintain closed sets natively. Exact backends produce identical results
+//! maintain closed sets natively. Exact miners produce identical results
 //! on the same window — the backend-matrix test in `tests/` holds them to
-//! that; approximate ones ([`MinerBackend::is_exact`] `== false`) trade
-//! exactness for bounded state and are exempt.
+//! that; FP-stream ([`MinerBackend::is_exact`] `== false`) trades exactness
+//! for bounded state and is exempt.
 
 use crate::closed::{closed_subset, expand_closed};
 use crate::result::FrequentItemsets;
-use crate::{
-    Apriori, Charm, DampedConfig, DampedMiner, Eclat, FpGrowth, FpStream, FpStreamConfig,
-    MomentMiner, RescanMiner,
-};
+use crate::{Apriori, Charm, Eclat, FpGrowth, FpStream, FpStreamConfig, MomentMiner, RescanMiner};
 use bfly_common::{Database, Support, Transaction, WindowDelta};
 
-/// A miner that the stream pipeline can drive: consume window deltas,
-/// answer frequent-itemset queries.
+/// A miner driven by window deltas and queried for frequent itemsets.
 ///
-/// `Send + Sync` is part of the contract: a serve shard owns its streams'
-/// backends on a worker thread, and queries take `&self`. Every miner in
-/// this crate is plain owned data, so the bound costs implementors nothing.
+/// `Send + Sync` is part of the contract, so a boxed miner from
+/// [`BackendKind::build`] can cross threads as the concrete ones can, and
+/// queries take `&self`. Every miner in this crate is plain owned data, so
+/// the bound costs implementors nothing.
 pub trait MinerBackend: Send + Sync {
     /// Apply one window movement (arrival + optional eviction).
     fn apply(&mut self, delta: &WindowDelta);
@@ -51,37 +48,10 @@ pub trait MinerBackend: Send + Sync {
     /// Stable backend name (matches [`BackendKind::name`]).
     fn name(&self) -> &'static str;
 
-    /// Whether results are exact window counts. Approximate stream miners
-    /// (FP-stream, damped) return `false` and are excluded from exactness
-    /// checks.
+    /// Whether results are exact window counts. The approximate FP-stream
+    /// returns `false` and is excluded from exactness checks.
     fn is_exact(&self) -> bool {
         true
-    }
-}
-
-impl MinerBackend for Box<dyn MinerBackend> {
-    fn apply(&mut self, delta: &WindowDelta) {
-        (**self).apply(delta)
-    }
-
-    fn frequent(&self) -> FrequentItemsets {
-        (**self).frequent()
-    }
-
-    fn closed_frequent(&self) -> FrequentItemsets {
-        (**self).closed_frequent()
-    }
-
-    fn min_support(&self) -> Support {
-        (**self).min_support()
-    }
-
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-
-    fn is_exact(&self) -> bool {
-        (**self).is_exact()
     }
 }
 
@@ -253,52 +223,9 @@ impl MinerBackend for FpStreamBackend {
     }
 }
 
-/// The damped-window miner as a backend: exponentially decayed counts, no
-/// sharp evictions (the decay *is* the forgetting).
-#[derive(Clone, Debug)]
-pub struct DampedBackend {
-    miner: DampedMiner,
-    min_support: Support,
-}
-
-impl DampedBackend {
-    /// Wrap a damped miner; itemsets whose decayed count rounds to at least
-    /// `min_support` are reported frequent.
-    pub fn new(miner: DampedMiner, min_support: Support) -> Self {
-        assert!(min_support > 0, "min_support must be positive");
-        DampedBackend { miner, min_support }
-    }
-}
-
-impl MinerBackend for DampedBackend {
-    fn apply(&mut self, delta: &WindowDelta) {
-        self.miner.insert(delta.added.items());
-    }
-
-    fn frequent(&self) -> FrequentItemsets {
-        FrequentItemsets::new(
-            self.miner
-                .frequent(self.min_support as f64)
-                .into_iter()
-                .map(|(itemset, count)| (itemset, count.round() as Support)),
-        )
-    }
-
-    fn min_support(&self) -> Support {
-        self.min_support
-    }
-
-    fn name(&self) -> &'static str {
-        "damped"
-    }
-
-    fn is_exact(&self) -> bool {
-        false
-    }
-}
-
-/// Registry of every backend the workspace ships, for runtime selection
-/// (CLI `--backend`, bench matrices, config files).
+/// Every miner behind [`MinerBackend`], for the oracle matrices (the
+/// equivalence tests and the per-slide bench). The pipeline does not
+/// consult it: it always runs Moment.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum BackendKind {
     /// Level-wise batch miner (test oracle).
@@ -315,13 +242,11 @@ pub enum BackendKind {
     Moment,
     /// FP-stream with tilted-time windows (approximate).
     FpStream,
-    /// Exponential-decay damped-window miner (approximate).
-    Damped,
 }
 
 impl BackendKind {
     /// Every backend, in registry order.
-    pub const ALL: [BackendKind; 8] = [
+    pub const ALL: [BackendKind; 7] = [
         BackendKind::Apriori,
         BackendKind::Eclat,
         BackendKind::FpGrowth,
@@ -329,7 +254,6 @@ impl BackendKind {
         BackendKind::Closed,
         BackendKind::Moment,
         BackendKind::FpStream,
-        BackendKind::Damped,
     ];
 
     /// The backends whose results are exact window counts (and therefore
@@ -343,7 +267,8 @@ impl BackendKind {
         BackendKind::Moment,
     ];
 
-    /// Stable name (what `--backend` accepts).
+    /// Stable name (matches [`MinerBackend::name`]; labels test failures
+    /// and bench rows).
     pub fn name(self) -> &'static str {
         match self {
             BackendKind::Apriori => "apriori",
@@ -353,23 +278,12 @@ impl BackendKind {
             BackendKind::Closed => "closed",
             BackendKind::Moment => "moment",
             BackendKind::FpStream => "fpstream",
-            BackendKind::Damped => "damped",
         }
     }
 
-    /// Reverse of [`BackendKind::name`].
-    pub fn from_name(name: &str) -> Option<BackendKind> {
-        BackendKind::ALL.into_iter().find(|k| k.name() == name)
-    }
-
-    /// Whether the backend reports exact window counts.
-    pub fn is_exact(self) -> bool {
-        BackendKind::EXACT.contains(&self)
-    }
-
-    /// Construct the backend with minimum support `C`. Approximate
-    /// backends derive reasonable stream parameters from `C`; use their
-    /// concrete constructors for full control.
+    /// Construct the backend with minimum support `C`. FP-stream gets
+    /// fixed stream parameters; use its concrete constructor for full
+    /// control.
     pub fn build(self, min_support: Support) -> Box<dyn MinerBackend> {
         assert!(min_support > 0, "min_support must be positive");
         match self {
@@ -387,30 +301,7 @@ impl BackendKind {
                 };
                 Box::new(FpStreamBackend::new(FpStream::new(config), min_support))
             }
-            BackendKind::Damped => {
-                let config = DampedConfig {
-                    insert_threshold: (min_support as f64 / 2.0).max(1.0),
-                    prune_threshold: (min_support as f64 / 4.0).max(0.5),
-                    ..DampedConfig::default()
-                };
-                Box::new(DampedBackend::new(DampedMiner::new(config), min_support))
-            }
         }
-    }
-}
-
-impl std::fmt::Display for BackendKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl std::str::FromStr for BackendKind {
-    type Err = bfly_common::Error;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        BackendKind::from_name(s)
-            .ok_or_else(|| bfly_common::Error::Parse(format!("unknown backend {s:?}")))
     }
 }
 
@@ -419,16 +310,6 @@ mod tests {
     use super::*;
     use bfly_common::fixtures::fig2_stream;
     use bfly_common::SlidingWindow;
-
-    #[test]
-    fn names_round_trip() {
-        for kind in BackendKind::ALL {
-            assert_eq!(BackendKind::from_name(kind.name()), Some(kind));
-            assert_eq!(kind.name().parse::<BackendKind>().unwrap(), kind);
-        }
-        assert!(BackendKind::from_name("nope").is_none());
-        assert!("nope".parse::<BackendKind>().is_err());
-    }
 
     #[test]
     fn exact_backends_agree_on_the_paper_window() {
@@ -458,20 +339,18 @@ mod tests {
 
     #[test]
     fn approximate_backends_run_and_flag_themselves() {
-        for kind in [BackendKind::FpStream, BackendKind::Damped] {
-            let mut backend = kind.build(2);
-            assert!(!backend.is_exact());
-            let mut window = SlidingWindow::new(8);
-            for t in fig2_stream() {
-                let delta = window.slide(t);
-                backend.apply(&delta);
-            }
-            // Approximate miners may differ from the exact window counts,
-            // but they must produce a well-formed result honouring C.
-            let f = backend.frequent();
-            assert!(f.iter().all(|e| e.support >= 2));
-            assert_eq!(backend.min_support(), 2);
+        let mut backend = BackendKind::FpStream.build(2);
+        assert!(!backend.is_exact());
+        let mut window = SlidingWindow::new(8);
+        for t in fig2_stream() {
+            let delta = window.slide(t);
+            backend.apply(&delta);
         }
+        // An approximate miner may differ from the exact window counts, but
+        // it must produce a well-formed result honouring C.
+        let f = backend.frequent();
+        assert!(f.iter().all(|e| e.support >= 2));
+        assert_eq!(backend.min_support(), 2);
     }
 
     #[test]

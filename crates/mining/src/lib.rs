@@ -26,7 +26,6 @@ pub mod apriori;
 pub mod backend;
 pub mod charm;
 pub mod closed;
-pub mod damped;
 pub mod eclat;
 pub mod fpgrowth;
 pub mod fpstream;
@@ -37,11 +36,8 @@ pub mod result;
 pub mod rules;
 
 pub use apriori::Apriori;
-pub use backend::{
-    BackendKind, BatchBackend, BatchMiner, DampedBackend, FpStreamBackend, MinerBackend,
-};
+pub use backend::{BackendKind, BatchBackend, BatchMiner, FpStreamBackend, MinerBackend};
 pub use charm::Charm;
-pub use damped::{DampedConfig, DampedMiner};
 pub use eclat::Eclat;
 pub use fpgrowth::FpGrowth;
 pub use fpstream::{FpStream, FpStreamConfig};

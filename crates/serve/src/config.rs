@@ -4,7 +4,6 @@ use bfly_common::Support;
 use bfly_core::{
     BiasScheme, DefenseKind, DefenseSpec, PrivacyDefense, PrivacySpec, StreamPipeline,
 };
-use bfly_mining::{BackendKind, MinerBackend};
 
 /// When the write-ahead log forces appended records to stable storage.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -190,8 +189,6 @@ pub struct ServeConfig {
     /// Default privacy defense for every stream (clients may override one
     /// stream's defense with a `bind` request before its first ingest).
     pub defense: DefenseSpec,
-    /// Mining backend for every per-key pipeline.
-    pub backend: BackendKind,
     /// Publish each stream every this many of its records (once its window
     /// is full).
     pub every: usize,
@@ -246,7 +243,6 @@ impl Default for ServeConfig {
                 gamma: 2,
             },
             defense: DefenseSpec::butterfly(),
-            backend: BackendKind::Moment,
             every: 100,
             snapshot_every: 1,
             queue_cap: 1024,
@@ -331,10 +327,7 @@ impl ServeConfig {
     /// defense — the single construction path shared by the shard workers
     /// and the network determinism test, so "same config, same key, same
     /// seed" provably means the same releases in-process and over the wire.
-    pub fn pipeline_for(
-        &self,
-        key: &str,
-    ) -> StreamPipeline<Box<dyn MinerBackend>, Box<dyn PrivacyDefense>> {
+    pub fn pipeline_for(&self, key: &str) -> StreamPipeline<Box<dyn PrivacyDefense>> {
         self.pipeline_with(key, self.defense.kind)
     }
 
@@ -345,13 +338,13 @@ impl ServeConfig {
         &self,
         key: &str,
         kind: DefenseKind,
-    ) -> StreamPipeline<Box<dyn MinerBackend>, Box<dyn PrivacyDefense>> {
+    ) -> StreamPipeline<Box<dyn PrivacyDefense>> {
         let dspec = DefenseSpec {
             kind,
             ..self.defense
         };
         let defense = dspec.build(self.spec(), self.scheme, stream_seed(self.seed, key));
-        StreamPipeline::from_parts(self.window, self.backend, defense)
+        StreamPipeline::new(self.window, defense)
     }
 
     /// The ingest submission chunk actually used: the configured size,
@@ -392,7 +385,7 @@ mod tests {
 
     #[test]
     fn zero_knobs_rejected() {
-        for field in 0..6 {
+        for field in 0..8 {
             let mut cfg = ServeConfig::default();
             match field {
                 0 => cfg.shards = 0,
@@ -400,7 +393,9 @@ mod tests {
                 2 => cfg.every = 0,
                 3 => cfg.snapshot_every = 0,
                 4 => cfg.queue_cap = 0,
-                _ => cfg.out_queue_cap = 0,
+                5 => cfg.out_queue_cap = 0,
+                6 => cfg.max_frame_bytes = 0,
+                _ => cfg.ingest_chunk = 0,
             }
             assert!(cfg.validate().is_err(), "field {field} accepted zero");
         }
@@ -467,11 +462,9 @@ mod tests {
     fn pipeline_for_matches_config() {
         let cfg = ServeConfig {
             window: 16,
-            backend: BackendKind::Eclat,
             ..ServeConfig::default()
         };
         let pipe = cfg.pipeline_for("k");
-        assert_eq!(pipe.backend_name(), BackendKind::Eclat.name());
         assert_eq!(pipe.window().capacity(), 16);
         assert_eq!(pipe.defense().kind(), DefenseKind::Butterfly);
     }

@@ -38,7 +38,6 @@ use crate::wal::{snapshot_of, RecoveredShard, WalRecord, WalWriter};
 use bfly_common::{Error, ItemSet, Transaction};
 use bfly_core::defense::DefenseKind;
 use bfly_core::{PrivacyDefense, StreamPipeline, WindowRelease};
-use bfly_mining::MinerBackend;
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
@@ -148,7 +147,7 @@ pub(crate) fn spawn_shard(
 /// defense kind so snapshot records are self-describing.
 struct KeyState {
     kind: DefenseKind,
-    pipe: StreamPipeline<Box<dyn MinerBackend>, Box<dyn PrivacyDefense>>,
+    pipe: StreamPipeline<Box<dyn PrivacyDefense>>,
     published: u64,
     last_len: u64,
 }
@@ -381,7 +380,6 @@ mod tests {
     use crate::protocol::SubscriberState;
     use crate::reactor::test_sink;
     use bfly_common::{FrameMode, Json};
-    use bfly_mining::BackendKind;
     use std::sync::mpsc::sync_channel;
 
     fn tiny_cfg() -> ServeConfig {
@@ -394,7 +392,6 @@ mod tests {
             delta: 0.5,
             scheme: bfly_core::BiasScheme::Basic,
             defense: bfly_core::DefenseSpec::butterfly(),
-            backend: BackendKind::Moment,
             every: 2,
             snapshot_every: 1,
             queue_cap: 64,
@@ -527,7 +524,7 @@ mod tests {
         };
         let mut state = KeyState {
             kind: DefenseKind::Butterfly,
-            pipe: StreamPipeline::from_parts(cfg.window, cfg.backend, Box::new(liar)),
+            pipe: StreamPipeline::new(cfg.window, Box::new(liar)),
             published: 0,
             last_len: 0,
         };
@@ -666,7 +663,7 @@ mod tests {
     #[test]
     fn delta_cadence_reconstructs_under_every_defense() {
         // Satellite invariant: the snapshot/delta wire cadence is defense-
-        // agnostic. For each backend, a mixed delta+snapshot subscriber must
+        // agnostic. For each defense, a mixed delta+snapshot subscriber must
         // reconstruct exactly the state a snapshot-only subscriber sees.
         for kind in bfly_core::DefenseKind::ALL {
             let base = ServeConfig {

@@ -61,14 +61,14 @@ use crate::wal::writer::{WalWriter, WriterPosition};
 use bfly_common::{BinaryEntry, Error, ItemSet, ItemsetId, Result, Transaction};
 use bfly_core::defense::{DefenseKind, PrivacyDefense};
 use bfly_core::{SanitizedItemset, SanitizedRelease, StreamPipeline};
-use bfly_mining::MinerBackend;
 use std::collections::{HashMap, VecDeque};
 use std::path::Path;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-/// The runtime-plumbed pipeline type the serve layer runs everywhere.
-pub type DynPipeline = StreamPipeline<Box<dyn MinerBackend>, Box<dyn PrivacyDefense>>;
+/// The pipeline type the serve layer runs everywhere: Moment under a
+/// defense bound per key at runtime.
+pub type DynPipeline = StreamPipeline<Box<dyn PrivacyDefense>>;
 
 /// One stream's logged-but-not-yet-applied records, each at its absolute
 /// stream position (record at position `p` brings `stream_len` to `p`).

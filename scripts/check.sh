@@ -49,6 +49,11 @@ if grep -rn "pool::" crates/common/src crates/mining/src crates/inference/src \
   echo "a library crate calls the thread pool; it belongs to crates/bench only"; exit 1
 fi
 
+echo "==> one-miner guard (the pipeline, serve and the CLI run Moment; the miner registry is for oracles)"
+if grep -rnE 'BackendKind|dyn MinerBackend' crates/core/src crates/serve/src src; then
+  echo "a runtime miner choice crept back into the production path; the pipeline holds MomentMiner"; exit 1
+fi
+
 echo "==> thread guard (a serve process runs one reactor thread plus one worker per shard: no thread per connection or subscription)"
 SPAWNS=$(for f in $(find crates/serve/src -name '*.rs' | sort); do
   sed '/^ *mod tests {/,$d' "$f" | grep -c 'thread::\(Builder\|spawn\)' | sed "s|^|$f |"

@@ -21,7 +21,7 @@ use butterfly_repro::common::{io as dat, Database, Json};
 use butterfly_repro::datagen::DatasetProfile;
 use butterfly_repro::inference::find_intra_window_breaches;
 use butterfly_repro::mining::closed::closed_subset;
-use butterfly_repro::mining::{Apriori, BackendKind, Eclat, FpGrowth};
+use butterfly_repro::mining::{Apriori, Eclat, FpGrowth};
 use butterfly_repro::serve::{parse_node_list, ServeConfig, ServeRole, Server, WalConfig};
 use std::collections::HashMap;
 use std::io::{BufWriter, Write};
@@ -72,19 +72,20 @@ USAGE:
   butterfly attack  --input <file.dat> --window <H> --min-support <C> --vulnerable <K>
   butterfly protect --input <file.dat> --window <H> --min-support <C> --vulnerable <K>
                     --epsilon <E> --delta <D> [--scheme <basic|order|ratio|hybrid>]
-                    [--backend <moment|apriori|eclat|fpgrowth|charm|closed|fpstream|damped>]
                     [--lambda <L>] [--gamma <G>] [--every <N>] [--seed <S>]
                     [--defense <butterfly|privbasis|suppress>] [--dp-budget <E>] [--dp-top-k <N>]
                     [--out <file.jsonl>]
   butterfly serve   [--addr <ip:port>] [--shards <N>] [--window <H>] [--min-support <C>]
                     [--vulnerable <K>] [--epsilon <E>] [--delta <D>] [--scheme <...>]
-                    [--backend <...>] [--lambda <L>] [--gamma <G>] [--every <N>]
+                    [--lambda <L>] [--gamma <G>] [--every <N>]
                     [--snapshot-every <N>] [--seed <S>] [--queue-cap <N>] [--out-queue-cap <N>]
                     [--max-frame-bytes <N>] [--ingest-chunk <N>]
                     [--port-file <path>] [--wal-dir <dir>] [--wal-sync <always|interval:N|never>]
                     [--defense <...>] [--dp-budget <E>] [--dp-top-k <N>]
                     [--role <node|router>] [--nodes <ip:port,ip:port,...>]
 
+`protect` and `serve` mine every window with Moment, the paper's host
+miner (exact window counts of the closed frequent itemsets).
 `--lambda` must lie in [0, 1] and `--gamma` may not exceed 6.
 `serve --snapshot-every N` (N > 1) ships a release_delta event per
 publication plus a full release snapshot every N-th one.
@@ -162,7 +163,6 @@ const FLAG_TABLE: &[(&str, &[(&str, bool)])] = &[
             ("epsilon", true),
             ("delta", true),
             ("scheme", true),
-            ("backend", true),
             ("lambda", true),
             ("gamma", true),
             ("every", true),
@@ -184,7 +184,6 @@ const FLAG_TABLE: &[(&str, &[(&str, bool)])] = &[
             ("epsilon", true),
             ("delta", true),
             ("scheme", true),
-            ("backend", true),
             ("lambda", true),
             ("gamma", true),
             ("every", true),
@@ -409,15 +408,10 @@ fn cmd_protect(flags: &Flags) -> Result<(), String> {
     if every == 0 {
         return Err("--every must be positive".into());
     }
-    let backend: BackendKind = flags
-        .get("backend")
-        .map_or("moment", String::as_str)
-        .parse()
-        .map_err(|e: butterfly_repro::common::Error| e.to_string())?;
     let dspec = parse_defense(flags)?;
     let spec = PrivacySpec::checked(c, k, epsilon, delta)?;
     let defense = dspec.build(spec, scheme, seed);
-    let mut pipeline = StreamPipeline::from_parts(window, backend, defense);
+    let mut pipeline = StreamPipeline::new(window, defense);
 
     let mut out = out_writer(flags)?;
     let mut published = 0usize;
@@ -435,9 +429,8 @@ fn cmd_protect(flags: &Flags) -> Result<(), String> {
     }
     out.flush().map_err(|e| e.to_string())?;
     eprintln!(
-        "published {published} sanitized windows (C={c}, K={k}, ε={epsilon}, δ={delta}, {}, backend {}, defense {})",
+        "published {published} sanitized windows (C={c}, K={k}, ε={epsilon}, δ={delta}, {}, defense {})",
         scheme.name(),
-        backend.name(),
         dspec.kind
     );
     if let Some(s) = pipeline.defense().suppression_stats() {
@@ -515,11 +508,6 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     }
     cfg.scheme = parse_scheme(flags)?;
     cfg.defense = parse_defense(flags)?;
-    if let Some(v) = flags.get("backend") {
-        cfg.backend = v
-            .parse()
-            .map_err(|e: butterfly_repro::common::Error| e.to_string())?;
-    }
     let addr = flags.get("addr").map_or("127.0.0.1:7878", String::as_str);
     let server = Server::bind(addr, cfg.clone()).map_err(|e| e.to_string())?;
     let local = server.local_addr();
@@ -530,7 +518,7 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
         write_port_file(path, local).map_err(|e| e.to_string())?;
     }
     eprintln!(
-        "serving on {local}: {} shards, window {}, C={}, K={}, ε={}, δ={}, {}, backend {}, every {}, snapshot-every {}",
+        "serving on {local}: {} shards, window {}, C={}, K={}, ε={}, δ={}, {}, every {}, snapshot-every {}",
         cfg.shards,
         cfg.window,
         cfg.c,
@@ -538,7 +526,6 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
         cfg.epsilon,
         cfg.delta,
         cfg.scheme.name(),
-        cfg.backend.name(),
         cfg.every,
         cfg.snapshot_every
     );

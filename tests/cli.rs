@@ -253,6 +253,28 @@ fn unknown_flags_rejected_with_valid_set() {
         assert!(err.contains("--scheme"), "should list valid flags: {err}");
     }
 
+    // The pipeline mines with Moment only; `--backend` is gone from both
+    // commands that built one, and serve refuses it before binding a port.
+    let port_file = std::env::temp_dir().join(format!("bfly-cli-backend-{}", std::process::id()));
+    let _ = std::fs::remove_file(&port_file);
+    for cmd in ["protect", "serve"] {
+        let mut run = bin();
+        run.args([cmd, "--backend", "moment"]);
+        if cmd == "serve" {
+            run.args(["--addr", "127.0.0.1:0", "--port-file"])
+                .arg(&port_file);
+        }
+        let out = run.output().expect("run");
+        assert_eq!(out.status.code(), Some(1), "{cmd}");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert!(err.contains("unknown flag --backend"), "{cmd}: {err}");
+        assert!(
+            err.contains("--scheme"),
+            "{cmd} should list valid flags: {err}"
+        );
+    }
+    assert!(!port_file.exists(), "serve bound before refusing --backend");
+
     // Flags valid for one command are still rejected on another.
     let out = bin()
         .args(["gen", "--profile", "pos", "--count", "5", "--window", "10"])

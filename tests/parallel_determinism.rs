@@ -12,7 +12,6 @@ use butterfly_repro::butterfly::{BiasScheme, PrivacySpec, Publisher};
 use butterfly_repro::common::pool;
 use butterfly_repro::common::{ItemSet, SanitizedSupport, Support};
 use butterfly_repro::datagen::DatasetProfile;
-use butterfly_repro::mining::BackendKind;
 
 /// One published window, flattened into plain comparable values.
 type FlatRelease = Vec<(ItemSet, Support, SanitizedSupport)>;
@@ -32,7 +31,6 @@ fn run_pipeline(threads: usize) -> PipelineOutput {
         k: 3,
         windows: 8,
         seed: 7,
-        backend: BackendKind::Moment,
         threads,
     };
     cfg.apply_threads();

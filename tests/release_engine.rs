@@ -135,11 +135,9 @@ fn run_reference(spec: PrivacySpec, scheme: BiasScheme, windows: &[FrequentItems
 
 /// The tentpole differential: engine and reference agree on every release
 /// and every delta of a 100+-window random stream, and of sixty slide-1
-/// windows of the paper's contract, under each of the paper's schemes. (The
-/// release path is serial; the name dates from when the order DP ran on the
-/// pool.)
+/// windows of the paper's contract, under each of the paper's schemes.
 #[test]
-fn incremental_engine_is_bit_identical_to_batch_at_every_thread_count() {
+fn engine_matches_reference_on_random_and_slide_one_streams() {
     let windows = collect_windows();
     assert!(windows.len() >= 100, "suite must cover 100+ windows");
     let slide_one = collect_slide_one();

@@ -108,8 +108,7 @@ fn wait_processed(control: &mut Client, want: u64) {
     }
 }
 
-/// The scenario (the test keeps the name it had when it also ran at 2 and 8
-/// pool threads; nothing under serve reads a thread count any more):
+/// The scenario:
 ///
 /// 1. serve with `--wal-sync always`, ingest 155 of 205 records, and
 ///    SIGKILL the process — no drain, no final fsync beyond the policy's.
@@ -120,7 +119,7 @@ fn wait_processed(control: &mut Client, want: u64) {
 ///    catch-up releases plus the flush at 205 — byte-identical to the
 ///    in-process pipeline over the same 205 records.
 #[test]
-fn kill_dash_nine_recovery_single_thread() {
+fn kill_dash_nine_then_restart_replays_byte_identically() {
     let tag = format!("bfly-wal-recovery-{}", std::process::id());
     let wal_dir = std::env::temp_dir().join(&tag);
     let port_file = std::env::temp_dir().join(format!("{tag}.port"));
