@@ -30,6 +30,13 @@
 //! entry   = itemset, support:i64
 //! ```
 //!
+//! **Ingest decodes once.** A client may send an ingest transaction's ids
+//! in any order, repeated or not; [`IngestChunk::decode`] is the one parser
+//! of an ingest payload, and it canonicalizes each transaction into one
+//! item arena. A server takes that chunk straight from
+//! [`FrameCodec::next_inbound`] to its shards, its log and its miner;
+//! [`BinaryFrame::Ingest`] is the same parse turned into owned itemsets.
+//!
 //! **Bounded memory, recoverable errors.** One cap governs both shapes: an
 //! NDJSON line longer than the cap without a newline, or a binary header
 //! announcing a payload over the cap, is an *oversized* frame — fatal,
@@ -38,7 +45,7 @@
 //! payload that does not decode to its declared length) is *recoverable*:
 //! the decoder consumes exactly that frame and the stream stays aligned.
 
-use crate::{Error, ItemSet, Json, Result};
+use crate::{Error, Item, ItemSet, Json, Result};
 
 /// First byte of every binary frame. Not a legal leading UTF-8 byte, so no
 /// JSON line can start with it.
@@ -155,6 +162,170 @@ pub enum Frame {
     Binary(BinaryFrame),
 }
 
+/// One frame off the wire as a server takes it: a binary ingest decoded
+/// straight into its [`IngestChunk`], any other frame as a [`Frame`].
+#[derive(Clone, Debug, PartialEq)]
+pub enum Inbound {
+    /// A binary `ingest` frame.
+    Ingest {
+        /// Stream key (tenant id).
+        stream: String,
+        /// The transactions, canonical, in arrival order.
+        chunk: IngestChunk,
+    },
+    /// Any other frame.
+    Frame(Frame),
+}
+
+/// One ingest chunk, decoded once: every transaction's items in one arena
+/// plus each transaction's end offset — two allocations per chunk, none per
+/// transaction.
+///
+/// Every transaction is canonical — ids ascending, no duplicates, exactly
+/// as [`ItemSet::from_ids`] makes them — whatever order the client sent:
+/// the miner XOR-maintains a bitmap per item, so a repeated item would
+/// corrupt it, and the log's bytes must not depend on a client's order.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct IngestChunk {
+    items: Vec<Item>,
+    /// `ends[i]` is one past transaction `i`'s last item in `items`.
+    ends: Vec<usize>,
+}
+
+impl IngestChunk {
+    /// An empty chunk.
+    pub fn new() -> IngestChunk {
+        IngestChunk::default()
+    }
+
+    /// The chunk holding `batch` (itemsets are canonical already): the one
+    /// conversion an NDJSON ingest makes.
+    pub fn from_itemsets(batch: &[ItemSet]) -> IngestChunk {
+        let mut chunk = IngestChunk {
+            items: Vec::with_capacity(batch.iter().map(ItemSet::len).sum()),
+            ends: Vec::with_capacity(batch.len()),
+        };
+        for set in batch {
+            chunk.items.extend_from_slice(set.items());
+            chunk.ends.push(chunk.items.len());
+        }
+        chunk
+    }
+
+    /// Number of transactions.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// True when the chunk holds no transaction.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// The transactions in arrival order, each ascending without duplicates.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &[Item]> + '_ {
+        let mut start = 0;
+        self.ends.iter().map(move |&end| {
+            let tx = &self.items[start..end];
+            start = end;
+            tx
+        })
+    }
+
+    /// The transactions as owned itemsets (the shape [`BinaryFrame::Ingest`]
+    /// carries).
+    pub fn to_itemsets(&self) -> Vec<ItemSet> {
+        self.iter()
+            .map(|tx| ItemSet::from_sorted(tx.to_vec()).expect("chunk transactions are canonical"))
+            .collect()
+    }
+
+    /// Move the transactions from index `at` on into a chunk of their own.
+    ///
+    /// # Panics
+    /// If `at > self.len()`.
+    pub fn split_off(&mut self, at: usize) -> IngestChunk {
+        let cut = at.checked_sub(1).map_or(0, |last| self.ends[last]);
+        let items = self.items.split_off(cut);
+        let ends = self
+            .ends
+            .split_off(at)
+            .into_iter()
+            .map(|e| e - cut)
+            .collect();
+        IngestChunk { items, ends }
+    }
+
+    /// Decode an ingest payload (`key, count:u32, count × itemset`) into
+    /// this chunk, replacing its contents, and return the stream key. Each
+    /// transaction is canonicalized as it lands in the arena.
+    ///
+    /// What is reserved is bounded by the payload's length — every
+    /// transaction costs at least its 2-byte length, every item 4 bytes —
+    /// never by the count the client announces.
+    ///
+    /// # Errors
+    /// [`Error::Parse`] for a truncated payload, a non-UTF-8 key or
+    /// trailing bytes.
+    pub fn decode(&mut self, payload: &[u8]) -> Result<String> {
+        self.items.clear();
+        self.ends.clear();
+        let mut c = Cursor {
+            buf: payload,
+            pos: 0,
+        };
+        let stream = c.str()?;
+        let count = c.u32()? as usize;
+        let rest = payload.len() - c.pos;
+        let txs = count.min(rest / 2);
+        self.ends.reserve_exact(txs);
+        self.items.reserve_exact((rest - 2 * txs) / 4);
+        for _ in 0..count {
+            let n = c.u16()? as usize;
+            let start = self.items.len();
+            let ids = c.take(4 * n)?.chunks_exact(4);
+            self.items
+                .extend(ids.map(|b| Item(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))));
+            canonicalize(&mut self.items, start);
+            self.ends.push(self.items.len());
+        }
+        c.finish()?;
+        Ok(stream)
+    }
+
+    /// Append this chunk's ingest payload for `stream` — byte-identical to
+    /// [`BinaryFrame::Ingest`]'s for the same transactions.
+    pub fn put_payload(&self, buf: &mut Vec<u8>, stream: &str) {
+        put_ingest(buf, stream, self.iter());
+    }
+
+    /// The chunk as one binary ingest frame, header included.
+    pub fn encode(&self, stream: &str) -> Vec<u8> {
+        framed(|out| {
+            self.put_payload(out, stream);
+            OP_INGEST
+        })
+    }
+}
+
+/// Sort and deduplicate the transaction `items[start..]` in place, as
+/// [`ItemSet::from_ids`] does; an already-canonical one is only scanned.
+fn canonicalize(items: &mut Vec<Item>, start: usize) {
+    let tx = &mut items[start..];
+    if tx.windows(2).all(|w| w[0] < w[1]) {
+        return;
+    }
+    tx.sort_unstable();
+    let mut kept = 1;
+    for i in 1..tx.len() {
+        if tx[i] != tx[kept - 1] {
+            tx[kept] = tx[i];
+            kept += 1;
+        }
+    }
+    items.truncate(start + kept);
+}
+
 // ---------------------------------------------------------------------------
 // Encoding
 // ---------------------------------------------------------------------------
@@ -163,6 +334,26 @@ fn put_str(buf: &mut Vec<u8>, s: &str) {
     assert!(s.len() <= u16::MAX as usize, "key too long for the wire");
     buf.extend_from_slice(&(s.len() as u16).to_le_bytes());
     buf.extend_from_slice(s.as_bytes());
+}
+
+/// A whole binary frame: `put` appends the payload and names the op; the
+/// header's length is patched in afterwards, so nothing is copied.
+fn framed(put: impl FnOnce(&mut Vec<u8>) -> u8) -> Vec<u8> {
+    let mut out = Vec::with_capacity(64);
+    out.extend_from_slice(&[BINARY_MAGIC, 0, 0, 0, 0, 0]);
+    out[1] = put(&mut out);
+    let len = (out.len() - HEADER_LEN) as u32;
+    out[2..HEADER_LEN].copy_from_slice(&len.to_le_bytes());
+    out
+}
+
+/// The one ingest payload encoder: key, count, then each transaction.
+fn put_ingest<'a>(buf: &mut Vec<u8>, stream: &str, txs: impl ExactSizeIterator<Item = &'a [Item]>) {
+    put_str(buf, stream);
+    buf.extend_from_slice(&(txs.len() as u32).to_le_bytes());
+    for tx in txs {
+        put_ids(buf, tx.iter().map(|i| i.id()), tx.len());
+    }
 }
 
 fn put_ids<I: IntoIterator<Item = u32>>(buf: &mut Vec<u8>, ids: I, len: usize) {
@@ -184,13 +375,7 @@ fn put_entries(buf: &mut Vec<u8>, entries: &[BinaryEntry]) {
 impl BinaryFrame {
     /// Encode to the full wire form (header + payload).
     pub fn encode(&self) -> Vec<u8> {
-        let (op, payload) = self.encode_payload();
-        let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-        out.push(BINARY_MAGIC);
-        out.push(op);
-        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&payload);
-        out
+        framed(|out| self.put_payload(out))
     }
 
     /// Encode just the `(op, payload)` pair, without the wire header.
@@ -199,9 +384,15 @@ impl BinaryFrame {
     /// header, so it needs the body separate from the `0xBF` framing.
     pub fn encode_payload(&self) -> (u8, Vec<u8>) {
         let mut payload = Vec::with_capacity(64);
-        let op = match self {
+        let op = self.put_payload(&mut payload);
+        (op, payload)
+    }
+
+    /// Append the payload; returns the op.
+    fn put_payload(&self, payload: &mut Vec<u8>) -> u8 {
+        match self {
             BinaryFrame::Ingest { stream, batch } => {
-                BinaryFrame::put_ingest_payload(&mut payload, stream, batch);
+                BinaryFrame::put_ingest_payload(payload, stream, batch);
                 OP_INGEST
             }
             BinaryFrame::Release {
@@ -209,7 +400,7 @@ impl BinaryFrame {
                 stream_len,
                 entries,
             } => {
-                BinaryFrame::put_release_payload(&mut payload, stream, *stream_len, entries);
+                BinaryFrame::put_release_payload(payload, stream, *stream_len, entries);
                 OP_RELEASE
             }
             BinaryFrame::ReleaseDelta {
@@ -220,29 +411,24 @@ impl BinaryFrame {
                 changed,
                 removed,
             } => {
-                put_str(&mut payload, stream);
+                put_str(payload, stream);
                 payload.extend_from_slice(&stream_len.to_le_bytes());
                 payload.extend_from_slice(&base_len.to_le_bytes());
-                put_entries(&mut payload, added);
-                put_entries(&mut payload, changed);
+                put_entries(payload, added);
+                put_entries(payload, changed);
                 payload.extend_from_slice(&(removed.len() as u32).to_le_bytes());
                 for ids in removed {
-                    put_ids(&mut payload, ids.iter().copied(), ids.len());
+                    put_ids(payload, ids.iter().copied(), ids.len());
                 }
                 OP_RELEASE_DELTA
             }
-        };
-        (op, payload)
+        }
     }
 
     /// Append a [`BinaryFrame::Ingest`] payload built from borrowed parts —
-    /// for callers (the WAL) that hold the chunk but no frame.
+    /// for callers (the WAL) that hold the itemsets but no frame.
     pub fn put_ingest_payload(buf: &mut Vec<u8>, stream: &str, batch: &[ItemSet]) {
-        put_str(buf, stream);
-        buf.extend_from_slice(&(batch.len() as u32).to_le_bytes());
-        for items in batch {
-            put_ids(buf, items.iter().map(|i| i.id()), items.len());
-        }
+        put_ingest(buf, stream, batch.iter().map(ItemSet::items));
     }
 
     /// Append a [`BinaryFrame::Release`] payload built from borrowed parts.
@@ -352,13 +538,12 @@ fn decode_payload(op: u8, payload: &[u8]) -> Result<BinaryFrame> {
     };
     let frame = match op {
         OP_INGEST => {
-            let stream = c.str()?;
-            let count = c.u32()? as usize;
-            let mut batch = Vec::with_capacity(count.min(65_536));
-            for _ in 0..count {
-                batch.push(ItemSet::from_ids(c.ids()?));
-            }
-            BinaryFrame::Ingest { stream, batch }
+            let mut chunk = IngestChunk::new();
+            let stream = chunk.decode(payload)?;
+            return Ok(BinaryFrame::Ingest {
+                stream,
+                batch: chunk.to_itemsets(),
+            });
         }
         OP_RELEASE => BinaryFrame::Release {
             stream: c.str()?,
@@ -531,12 +716,31 @@ impl FrameCodec {
     /// * Any other [`Error::Parse`] — recoverable; the malformed frame has
     ///   been consumed and the stream stays aligned.
     pub fn next_frame(&mut self) -> Result<Option<Frame>> {
+        Ok(self.next_inbound()?.map(|inbound| match inbound {
+            Inbound::Ingest { stream, chunk } => Frame::Binary(BinaryFrame::Ingest {
+                stream,
+                batch: chunk.to_itemsets(),
+            }),
+            Inbound::Frame(frame) => frame,
+        }))
+    }
+
+    /// [`FrameCodec::next_frame`] for a server: a binary ingest arrives as
+    /// its [`IngestChunk`], decoded once, with no per-transaction
+    /// allocation. Same errors as [`FrameCodec::next_frame`].
+    pub fn next_inbound(&mut self) -> Result<Option<Inbound>> {
         loop {
             let Some(raw) = self.next_raw()? else {
                 return Ok(None);
             };
             if raw[0] == BINARY_MAGIC {
-                return decode_payload(raw[1], &raw[HEADER_LEN..]).map(|f| Some(Frame::Binary(f)));
+                let (op, payload) = (raw[1], &raw[HEADER_LEN..]);
+                if op == OP_INGEST {
+                    let mut chunk = IngestChunk::new();
+                    let stream = chunk.decode(payload)?;
+                    return Ok(Some(Inbound::Ingest { stream, chunk }));
+                }
+                return decode_payload(op, payload).map(|f| Some(Inbound::Frame(Frame::Binary(f))));
             }
             let text = std::str::from_utf8(&raw[..raw.len() - 1])
                 .map_err(|_| Error::Parse("frame is not utf-8".into()))?
@@ -545,7 +749,7 @@ impl FrameCodec {
             if text.is_empty() {
                 continue;
             }
-            return Json::parse(text).map(|v| Some(Frame::Json(v)));
+            return Json::parse(text).map(|v| Some(Inbound::Frame(Frame::Json(v))));
         }
     }
 }
@@ -671,6 +875,79 @@ mod tests {
             matches!(codec.next_frame().unwrap(), Some(Frame::Binary(_))),
             "stream must stay aligned after a malformed binary frame"
         );
+    }
+
+    /// An ingest payload written by hand, ids exactly as given.
+    fn raw_ingest_payload(stream: &str, txs: &[&[u32]]) -> Vec<u8> {
+        let mut p = Vec::new();
+        put_str(&mut p, stream);
+        p.extend_from_slice(&(txs.len() as u32).to_le_bytes());
+        for ids in txs {
+            put_ids(&mut p, ids.iter().copied(), ids.len());
+        }
+        p
+    }
+
+    #[test]
+    fn chunks_canonicalize_and_encode_like_itemsets() {
+        let messy = raw_ingest_payload("k", &[&[9, 2, 9, 4], &[], &[7, 7], &[1, 3]]);
+        let mut chunk = IngestChunk::new();
+        assert_eq!(chunk.decode(&messy).unwrap(), "k");
+        let txs: Vec<&[Item]> = chunk.iter().collect();
+        assert_eq!(
+            txs,
+            [
+                &[Item(2), Item(4), Item(9)][..],
+                &[],
+                &[Item(7)],
+                &[Item(1), Item(3)]
+            ]
+        );
+        let canonical = ingest("k", &[&[2, 4, 9], &[], &[7], &[1, 3]]);
+        assert_eq!(chunk.encode("k"), canonical.encode());
+        let BinaryFrame::Ingest { batch, .. } = &canonical else {
+            unreachable!()
+        };
+        assert_eq!(&chunk.to_itemsets(), batch);
+        assert_eq!(IngestChunk::from_itemsets(batch), chunk);
+        assert_eq!(
+            BinaryFrame::decode_payload(OP_INGEST, &messy).unwrap(),
+            canonical
+        );
+
+        let tail = chunk.split_off(1);
+        assert_eq!(chunk.to_itemsets(), batch[..1]);
+        assert_eq!(tail.to_itemsets(), batch[1..]);
+    }
+
+    #[test]
+    fn decode_reserves_by_payload_length_not_by_announced_count() {
+        // 12 bytes on the wire: an empty key and a count of 2^32 - 1.
+        let mut hostile = vec![BINARY_MAGIC, OP_INGEST, 6, 0, 0, 0, 0, 0];
+        hostile.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(hostile.len(), 12);
+        let payload = &hostile[HEADER_LEN..];
+        let bounded = |chunk: &IngestChunk, len: usize| {
+            chunk.items.capacity() <= len / 4 && chunk.ends.capacity() <= len / 2
+        };
+        let mut chunk = IngestChunk::new();
+        match chunk.decode(payload) {
+            Err(Error::Parse(msg)) => assert_eq!(msg, "binary frame truncated inside payload"),
+            other => panic!("expected a truncation error, got {other:?}"),
+        }
+        assert!(bounded(&chunk, payload.len()), "{chunk:?}");
+
+        // Reused after a well-formed chunk: still within the larger payload.
+        let good = raw_ingest_payload("k", &[&[1, 2, 3], &[4]]);
+        chunk.decode(&good).unwrap();
+        assert!(chunk.decode(payload).is_err());
+        assert!(bounded(&chunk, good.len()), "{chunk:?}");
+        let mut codec = FrameCodec::new();
+        codec.extend(&hostile);
+        match codec.next_frame() {
+            Err(Error::Parse(msg)) => assert_eq!(msg, "binary frame truncated inside payload"),
+            other => panic!("expected a truncation error, got {other:?}"),
+        }
     }
 
     #[test]

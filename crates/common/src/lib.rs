@@ -34,7 +34,7 @@ pub mod window;
 pub use bitset::DenseItemSet;
 pub use database::Database;
 pub use error::{Error, Result};
-pub use frame::{BinaryEntry, BinaryFrame, Frame, FrameCodec, FrameMode};
+pub use frame::{BinaryEntry, BinaryFrame, Frame, FrameCodec, FrameMode, Inbound, IngestChunk};
 pub use hash::fnv1a;
 pub use intern::ItemsetId;
 pub use item::Item;

@@ -3,7 +3,7 @@
 use crate::defense::PrivacyDefense;
 use crate::engine::{Publisher, ReleaseDelta};
 use crate::release::SanitizedRelease;
-use bfly_common::{Error, Result, SlidingWindow, Transaction};
+use bfly_common::{Error, Item, ItemSet, Result, Transaction};
 use bfly_mining::{FrequentItemsets, MinerBackend, MomentMiner};
 
 /// One published window: the miner's (true) closed frequent itemsets and the
@@ -21,17 +21,28 @@ pub struct WindowRelease {
     pub delta: ReleaseDelta,
 }
 
-/// Glue object running the full deployment of Fig. 1's last step: a sliding
-/// window feeds the paper's host miner, Moment, which keeps the window's
-/// closed frequent itemsets as exact window counts; each full window's
-/// itemsets pass through a [`PrivacyDefense`].
+/// Glue object running the full deployment of Fig. 1's last step: the
+/// sliding window `Ds(N, H)` feeds the paper's host miner, Moment, which
+/// keeps the window's closed frequent itemsets as exact window counts; each
+/// full window's itemsets pass through a [`PrivacyDefense`].
+///
+/// Moment's ring is the window's one copy. The pipeline keeps only the
+/// counters `N` and `min(N, H)`: each arrival removes tid `N − H` from the
+/// miner and inserts the new transaction under tid `N`, and
+/// [`StreamPipeline::window`] reads the contents back from the ring.
 ///
 /// The defense is a type parameter so the Butterfly [`Publisher`] pays no
 /// dynamic dispatch, while deployments picking one at runtime (`--defense`,
 /// the serve layer's per-key `bind`) pass a `Box<dyn PrivacyDefense>`.
 #[derive(Clone, Debug)]
 pub struct StreamPipeline<D: PrivacyDefense = Publisher> {
-    window: SlidingWindow,
+    /// The window size `H`.
+    capacity: usize,
+    /// Records in the window: `min(N, H)`, counting `N` from the last
+    /// [`StreamPipeline::set_stream_base`].
+    len: usize,
+    /// Records seen, `N`: the tid of the newest.
+    stream_len: u64,
     miner: MomentMiner,
     defense: D,
     /// Records fed since the last publication — the cadence counter callers
@@ -47,9 +58,15 @@ pub struct StreamPipeline<D: PrivacyDefense = Publisher> {
 impl<D: PrivacyDefense> StreamPipeline<D> {
     /// Build a pipeline over a window of `window_size` records. The
     /// defense's spec supplies the miner's minimum support `C`.
+    ///
+    /// # Panics
+    /// If `window_size == 0`.
     pub fn new(window_size: usize, defense: D) -> Self {
+        assert!(window_size > 0, "window capacity must be positive");
         StreamPipeline {
-            window: SlidingWindow::new(window_size),
+            capacity: window_size,
+            len: 0,
+            stream_len: 0,
             miner: MomentMiner::new(defense.spec().c()),
             defense,
             since_publish: 0,
@@ -59,7 +76,7 @@ impl<D: PrivacyDefense> StreamPipeline<D> {
 
     /// Records seen so far.
     pub fn stream_len(&self) -> u64 {
-        self.window.stream_len()
+        self.stream_len
     }
 
     /// Feed one transaction. Returns a release once the window is full
@@ -68,7 +85,7 @@ impl<D: PrivacyDefense> StreamPipeline<D> {
     /// `None`, counted in [`StreamPipeline::audit_violations`].
     pub fn step(&mut self, t: Transaction) -> Option<WindowRelease> {
         self.advance(t);
-        if !self.window.is_full() {
+        if !self.window().is_full() {
             return None;
         }
         self.publish_full_window().ok()
@@ -81,7 +98,7 @@ impl<D: PrivacyDefense> StreamPipeline<D> {
         self.since_publish = 0;
         let closed = self.miner.closed_frequent();
         let (release, delta) = self.defense.publish_with_delta(&closed);
-        let stream_len = self.window.stream_len();
+        let stream_len = self.stream_len;
         if self.defense.honors_butterfly_contract() {
             let violations = crate::audit::audit_release(self.defense.spec(), &release).len();
             if violations > 0 {
@@ -101,10 +118,25 @@ impl<D: PrivacyDefense> StreamPipeline<D> {
     }
 
     /// Feed one transaction without publishing (cheap advance between
-    /// publication points).
+    /// publication points). Its tid is assigned from the stream position.
     pub fn advance(&mut self, t: Transaction) {
-        let delta = self.window.slide(t);
-        self.miner.apply(&delta);
+        self.advance_items(t.items().items());
+    }
+
+    /// [`StreamPipeline::advance`] from a borrowed transaction, e.g. one of
+    /// an [`bfly_common::IngestChunk`]'s: `items` ascending, no duplicates.
+    pub fn advance_items(&mut self, items: &[Item]) {
+        debug_assert!(
+            items.windows(2).all(|w| w[0] < w[1]),
+            "transaction not canonical: {items:?}"
+        );
+        self.stream_len += 1;
+        if self.len == self.capacity {
+            self.miner.remove(self.stream_len - self.capacity as u64);
+        } else {
+            self.len += 1;
+        }
+        self.miner.insert(self.stream_len, items);
         self.since_publish += 1;
     }
 
@@ -122,7 +154,7 @@ impl<D: PrivacyDefense> StreamPipeline<D> {
     /// are not comparable to full-window ones and would leak the warm-up
     /// phase) and for a stream already published up to date.
     pub fn flush(&mut self) -> Option<WindowRelease> {
-        if !self.window.is_full() || self.since_publish == 0 {
+        if !self.window().is_full() || self.since_publish == 0 {
             return None;
         }
         self.publish_now().ok()
@@ -138,10 +170,10 @@ impl<D: PrivacyDefense> StreamPipeline<D> {
     /// contract and its release fails the audit; the release is withheld
     /// and counted in [`StreamPipeline::audit_violations`].
     pub fn publish_now(&mut self) -> Result<WindowRelease> {
-        if !self.window.is_full() {
+        if !self.window().is_full() {
             return Err(Error::PartialWindow {
-                have: self.window.len(),
-                need: self.window.capacity(),
+                have: self.len,
+                need: self.capacity,
             });
         }
         self.publish_full_window()
@@ -153,17 +185,29 @@ impl<D: PrivacyDefense> StreamPipeline<D> {
         self.audit_violations
     }
 
-    /// Access the live window (e.g. to materialize the ground-truth
-    /// database for breach analysis).
-    pub fn window(&self) -> &SlidingWindow {
-        &self.window
+    /// A read-only view of the live window (e.g. to snapshot its contents).
+    pub fn window(&self) -> WindowView<'_> {
+        WindowView {
+            miner: &self.miner,
+            capacity: self.capacity,
+            len: self.len,
+            stream_len: self.stream_len,
+        }
     }
 
     /// WAL-recovery hook: restart the stream counter at `base` so the next
-    /// record fed is stream position `base + 1`. Must be called before any
-    /// record is fed (the window asserts it is still empty).
+    /// record fed is stream position `base + 1`.
+    ///
+    /// # Panics
+    /// If a record was already fed: tids assigned from the old base would
+    /// be inconsistent with the new one.
     pub fn set_stream_base(&mut self, base: u64) {
-        self.window.set_base(base);
+        assert!(
+            self.len == 0,
+            "set_base requires an empty window (len {})",
+            self.len
+        );
+        self.stream_len = base;
     }
 
     /// WAL-recovery hook: reinstate the defense's cross-window publication
@@ -186,6 +230,55 @@ impl<D: PrivacyDefense> StreamPipeline<D> {
     /// engine counters or suppression's side-effect ledger after a run).
     pub fn defense(&self) -> &D {
         &self.defense
+    }
+}
+
+/// A read-only view of a [`StreamPipeline`]'s window `Ds(N, H)`: the
+/// counters are the pipeline's, the records are read back from Moment's
+/// ring.
+#[derive(Clone, Copy, Debug)]
+pub struct WindowView<'a> {
+    miner: &'a MomentMiner,
+    capacity: usize,
+    len: usize,
+    stream_len: u64,
+}
+
+impl<'a> WindowView<'a> {
+    /// The window size `H`.
+    pub fn capacity(&self) -> usize {
+        self.capacity
+    }
+
+    /// Number of records currently held (`min(N, H)`).
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when no record is held.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// True once the window holds `H` records.
+    pub fn is_full(&self) -> bool {
+        self.len == self.capacity
+    }
+
+    /// Total records seen so far (`N`).
+    pub fn stream_len(&self) -> u64 {
+        self.stream_len
+    }
+
+    /// The records' itemsets, oldest first, rebuilt from the ring (one
+    /// allocation each: for snapshots, not the hot path).
+    pub fn records(&self) -> impl Iterator<Item = ItemSet> + 'a {
+        let miner = self.miner;
+        (self.stream_len + 1 - self.len as u64..=self.stream_len).map(move |tid| {
+            miner
+                .itemset_of(tid)
+                .expect("every window tid is in the ring")
+        })
     }
 }
 
@@ -246,6 +339,27 @@ mod tests {
             }
         }
         assert!(releases > 0, "no window ever filled");
+    }
+
+    #[test]
+    fn window_view_matches_the_sliding_window_model() {
+        let spec = PrivacySpec::new(25, 5, 0.04, 0.4);
+        let mut pipe = StreamPipeline::new(50, Publisher::new(spec, BiasScheme::Basic, 3));
+        let mut model = bfly_common::SlidingWindow::new(50);
+        let mut src = DatasetProfile::WebView1.source(9);
+        for _ in 0..180 {
+            let t = src.next_transaction();
+            model.slide(t.clone());
+            pipe.advance(t);
+            let view = pipe.window();
+            assert_eq!(
+                (view.len(), view.is_full(), view.stream_len()),
+                (model.len(), model.is_full(), model.stream_len())
+            );
+            let records: Vec<ItemSet> = view.records().collect();
+            let want: Vec<ItemSet> = model.records().map(|t| t.items().clone()).collect();
+            assert_eq!(records, want);
+        }
     }
 
     #[test]

@@ -31,7 +31,7 @@ use crate::closed::expand_closed;
 use crate::result::FrequentItemsets;
 use bfly_common::tidmap::{iter_slots, kernel};
 use bfly_common::transaction::Tid;
-use bfly_common::{Item, ItemSet, Support, Transaction, WindowDelta};
+use bfly_common::{Item, ItemSet, Support, WindowDelta};
 use std::collections::HashMap;
 
 /// Starting ring size; doubled whenever the live tid range outgrows it.
@@ -98,9 +98,11 @@ impl CetStats {
 
 /// Incremental closed-frequent-itemset miner over a sliding window.
 ///
-/// Drive it with [`MinerBackend::apply`] and a [`bfly_common::WindowDelta`];
-/// query with [`MinerBackend::closed_frequent`] at any point. All supports
-/// are exact.
+/// Drive it with [`MomentMiner::insert`] and [`MomentMiner::remove`] by tid
+/// (what the stream pipeline does: its ring is the window's one copy), or
+/// with [`MinerBackend::apply`] and a [`bfly_common::WindowDelta`], as the
+/// oracles are driven; query with [`MinerBackend::closed_frequent`] at any
+/// point. All supports are exact.
 ///
 /// ```
 /// use bfly_common::SlidingWindow;
@@ -415,9 +417,13 @@ impl MomentMiner {
         self.until_rerank = self.window_len();
     }
 
-    /// A transaction entered the window. Panics if its tid is already in it.
-    fn insert(&mut self, t: &Transaction) {
-        let tid = t.tid();
+    /// Transaction `tid`, with `items`, entered the window. `items` must
+    /// hold no item twice (an itemset's, or an ingest chunk's transaction):
+    /// the bitmaps are maintained by XOR.
+    ///
+    /// # Panics
+    /// If `tid` is already in the window.
+    pub fn insert(&mut self, tid: Tid, items: &[Item]) {
         while let Some(held) = self.slots[self.slot_of(tid)].tid {
             assert!(held != tid, "tid {tid} inserted twice");
             self.double_ring();
@@ -425,7 +431,7 @@ impl MomentMiner {
         let slot = self.slot_of(tid);
         let mut codes = std::mem::take(&mut self.slots[slot].codes);
         codes.clear();
-        for item in t.items().iter() {
+        for &item in items {
             let next = self.coded.len() as u32;
             let code = *self.code_of.entry(item).or_insert(next);
             if code == next {
@@ -446,17 +452,28 @@ impl MomentMiner {
         }
     }
 
-    /// A transaction left the window. Panics if it is not in it.
-    fn delete(&mut self, t: &Transaction) {
-        let slot = self.slot_of(t.tid());
+    /// Transaction `tid` left the window; its items are read back from the
+    /// ring, which is the window's one copy.
+    ///
+    /// # Panics
+    /// If `tid` is not in the window.
+    pub fn remove(&mut self, tid: Tid) {
+        let slot = self.slot_of(tid);
         assert!(
-            self.slots[slot].tid == Some(t.tid()),
+            self.slots[slot].tid == Some(tid),
             "deleting a transaction that is not in the window"
         );
-        // The stored codes, not the caller's copy, are the ground truth.
         self.slots[slot].tid = None;
         self.index_slot(slot, -1);
         self.update(0, slot, 0, -1);
+    }
+
+    /// Transaction `tid`'s items as a canonical itemset, read back from the
+    /// ring; `None` when `tid` is not in the window.
+    pub fn itemset_of(&self, tid: Tid) -> Option<ItemSet> {
+        let slot = &self.slots[self.slot_of(tid)];
+        (slot.tid == Some(tid))
+            .then(|| ItemSet::new(slot.codes.iter().map(|&c| self.coded[c as usize].item)))
     }
 
     /// Append the closed itemsets below `node` (itself `path`) as `ItemSet`s.
@@ -475,9 +492,9 @@ impl MomentMiner {
 impl MinerBackend for MomentMiner {
     fn apply(&mut self, delta: &WindowDelta) {
         if let Some(evicted) = &delta.evicted {
-            self.delete(evicted);
+            self.remove(evicted.tid());
         }
-        self.insert(&delta.added);
+        self.insert(delta.added.tid(), delta.added.items().items());
     }
 
     fn frequent(&self) -> FrequentItemsets {
@@ -504,7 +521,7 @@ mod tests {
     use super::*;
     use crate::RescanMiner;
     use bfly_common::fixtures::fig2_stream;
-    use bfly_common::SlidingWindow;
+    use bfly_common::{SlidingWindow, Transaction};
     use bfly_datagen::{QuestConfig, QuestGenerator};
 
     fn iset(s: &str) -> ItemSet {
@@ -601,17 +618,17 @@ mod tests {
         let mut m = MomentMiner::new(2);
         let stream = fig2_stream();
         for t in &stream[..4] {
-            m.insert(t);
+            m.insert(t.tid(), t.items().items());
         }
         assert!(!m.closed_frequent().is_empty());
         for t in &stream[..4] {
-            m.delete(t);
+            m.remove(t.tid());
         }
         assert!(m.closed_frequent().is_empty());
         assert_eq!(m.window_len(), 0);
         // And the structure is still usable afterwards.
         for t in &stream[4..8] {
-            m.insert(t);
+            m.insert(t.tid(), t.items().items());
         }
         let db = bfly_common::Database::from_records(stream[4..8].to_vec());
         let expected = crate::closed::closed_subset(&crate::apriori::Apriori::new(2).mine(&db));
@@ -622,7 +639,7 @@ mod tests {
     fn node_count_is_bounded_and_positive() {
         let mut m = MomentMiner::new(2);
         for t in fig2_stream() {
-            m.insert(&t);
+            m.insert(t.tid(), t.items().items());
         }
         let n = m.node_count();
         assert!(n > 0);
@@ -676,18 +693,17 @@ mod tests {
     #[should_panic(expected = "inserted twice")]
     fn duplicate_tid_rejected() {
         let mut m = MomentMiner::new(2);
-        let t = Transaction::new(1, iset("ab"));
-        m.insert(&t);
-        m.insert(&t);
+        m.insert(1, iset("ab").items());
+        m.insert(1, iset("ab").items());
     }
 
     #[test]
     #[should_panic(expected = "not in the window")]
     fn deleting_an_absent_tid_rejected() {
         let mut m = MomentMiner::new(2);
-        m.insert(&Transaction::new(1, iset("ab")));
+        m.insert(1, iset("ab").items());
         // Same ring slot as tid 1, but not the transaction living there.
-        m.delete(&Transaction::new(1 + INITIAL_RING as u64, iset("ab")));
+        m.remove(1 + INITIAL_RING as u64);
     }
 
     #[test]
@@ -705,17 +721,18 @@ mod tests {
         let stream = QuestGenerator::new(cfg, 99).generate(INITIAL_RING + 1);
         let mut m = MomentMiner::new(3);
         for t in &stream[..INITIAL_RING] {
-            m.insert(t);
+            m.insert(t.tid(), t.items().items());
         }
         assert_eq!(m.slots.len(), INITIAL_RING, "grew before the ring filled");
         let before = m.closed_frequent();
         // tid INITIAL_RING collides with tid 0's slot (both ≡ 0 mod capacity).
-        m.insert(&stream[INITIAL_RING]);
+        let last = &stream[INITIAL_RING];
+        m.insert(last.tid(), last.items().items());
         assert!(
             m.slots.len() > INITIAL_RING,
             "colliding insert did not grow the ring"
         );
-        m.delete(&stream[INITIAL_RING]);
+        m.remove(last.tid());
         assert_eq!(
             m.closed_frequent(),
             before,
@@ -752,6 +769,11 @@ mod tests {
                 if moment.slots.len() > cap_before {
                     grew_at = Some(step);
                 }
+                // The ring is the window's one copy: every record reads back.
+                for r in w.records() {
+                    assert_eq!(moment.itemset_of(r.tid()).as_ref(), Some(r.items()));
+                }
+                assert_eq!(moment.itemset_of(w.stream_len() + 1), None);
                 assert_eq!(
                     moment.closed_frequent(),
                     oracle.closed_frequent(),

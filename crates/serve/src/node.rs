@@ -27,7 +27,7 @@ use crate::protocol::{catchup_release_frame_bytes, error_reply, ingest_ok, inges
 use crate::shard::{spawn_shard, ShardIngress};
 use crate::stats::{ShardStats, WalStats};
 use crate::wal;
-use bfly_common::{FrameMode, ItemSet, Json, Result};
+use bfly_common::{FrameMode, IngestChunk, Json, Result};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, RwLock};
 use std::thread::JoinHandle;
@@ -117,10 +117,11 @@ impl NodeCore {
         *self.ingress.write().expect("ingress poisoned") = None;
     }
 
-    /// Submit one decoded ingest batch to the owning shard and build the
+    /// Submit one decoded ingest chunk to the owning shard and build the
     /// reply: coarse chunked submission, all-or-nothing shedding per chunk,
-    /// still counted in transactions.
-    pub(crate) fn ingest(&self, cfg: &ServeConfig, stream: &str, batch: Vec<ItemSet>) -> Json {
+    /// still counted in transactions. A chunk within the configured size —
+    /// what a well-sized client sends — moves to the shard whole.
+    pub(crate) fn ingest(&self, cfg: &ServeConfig, stream: &str, chunk: IngestChunk) -> Json {
         let guard = self.ingress.read().expect("ingress poisoned");
         match guard.as_ref() {
             None => error_reply("shutting-down"),
@@ -128,18 +129,20 @@ impl NodeCore {
                 let shard = &shards[self.shard_of(stream)];
                 let key: Arc<str> = Arc::from(stream);
                 // Coarse submission: one queue operation per chunk, not per
-                // transaction.
+                // transaction. An oversized chunk is cut from the back, so
+                // each piece's transactions are copied once, then offered
+                // front first.
                 let chunk_size = cfg.effective_ingest_chunk();
-                let mut it = batch.into_iter();
+                let mut head = chunk;
+                let mut tails = Vec::new();
+                while head.len() > chunk_size {
+                    tails.push(head.split_off((head.len() - 1) / chunk_size * chunk_size));
+                }
                 let mut accepted = 0;
                 let mut shed = 0;
-                loop {
-                    let chunk: Vec<ItemSet> = it.by_ref().take(chunk_size).collect();
-                    if chunk.is_empty() {
-                        break;
-                    }
-                    let n = chunk.len();
-                    if shard.offer(&key, chunk) {
+                for piece in std::iter::once(head).chain(tails.into_iter().rev()) {
+                    let n = piece.len();
+                    if shard.offer(&key, piece) {
                         accepted += n;
                     } else {
                         shed += n;
@@ -210,5 +213,76 @@ impl NodeCore {
             fields.push(("wal", self.wal_stats.to_json()));
         }
         fields
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::WalConfig;
+    use bfly_common::ItemSet;
+    use std::time::{Duration, Instant};
+
+    fn drain(core: NodeCore, workers: Vec<JoinHandle<()>>) {
+        core.on_shutdown();
+        for w in workers {
+            w.join().expect("shard worker paniced");
+        }
+    }
+
+    #[test]
+    fn oversized_ingest_reaches_the_shard_in_order() {
+        let root = std::env::temp_dir().join(format!("bfly-node-split-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let cfg = ServeConfig {
+            shards: 1,
+            ingest_chunk: 4,
+            wal: Some(WalConfig::new(&root)),
+            ..ServeConfig::default()
+        };
+        let sent: Vec<ItemSet> = (0..50).map(|i| ItemSet::from_ids([i, 100 + i])).collect();
+        let (core, workers) = NodeCore::start(&cfg, &Arc::new(SubscriberRegistry::new())).unwrap();
+        let reply = core.ingest(&cfg, "k", IngestChunk::from_itemsets(&sent));
+        assert_eq!(reply.get("accepted").and_then(Json::as_u64), Some(50));
+        drain(core, workers);
+
+        let wal_cfg = cfg.wal.as_ref().unwrap();
+        let rec = wal::recover_shard(&cfg, wal_cfg, 0, &Arc::new(WalStats::default())).unwrap();
+        let logged: Vec<ItemSet> = rec.streams["k"].pipe.window().records().collect();
+        assert_eq!(logged, sent);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn splitting_a_frame_of_empty_transactions_is_linear() {
+        // The most transactions a default-capped frame can carry: a 3-byte
+        // key, a count, then two bytes per empty transaction. Cut into
+        // pieces of 16, a split that re-copied the remainder would move
+        // ~8.6e9 end offsets; a linear one moves each once.
+        let n = (bfly_common::ndjson::MAX_FRAME_BYTES - 7) / 2;
+        let mut payload = vec![1, 0, b'k'];
+        payload.extend_from_slice(&(n as u32).to_le_bytes());
+        payload.resize(payload.len() + 2 * n, 0);
+        let mut chunk = IngestChunk::new();
+        chunk.decode(&payload).unwrap();
+        assert_eq!(chunk.len(), n);
+
+        let cfg = ServeConfig {
+            shards: 1,
+            ingest_chunk: 16,
+            queue_cap: 16,
+            ..ServeConfig::default()
+        };
+        let (core, workers) = NodeCore::start(&cfg, &Arc::new(SubscriberRegistry::new())).unwrap();
+        let t0 = Instant::now();
+        let reply = core.ingest(&cfg, "k", chunk);
+        let took = t0.elapsed();
+        drain(core, workers);
+        let count = |k| reply.get(k).and_then(Json::as_u64).unwrap_or(0);
+        assert_eq!(count("accepted") + count("shed"), n as u64, "{reply:?}");
+        assert!(
+            took < Duration::from_secs(2),
+            "splitting {n} transactions took {took:?}"
+        );
     }
 }

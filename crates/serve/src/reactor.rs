@@ -60,7 +60,7 @@ mod imp {
     use crate::protocol::error_reply;
     use crate::router::{Loop, Router};
     use crate::server::{dispatch, request_of, RoleCore, Shared};
-    use bfly_common::{Error, Frame, FrameCodec};
+    use bfly_common::{Error, FrameCodec, Inbound, IngestChunk};
     use std::collections::{HashMap, VecDeque};
     use std::io::{Read, Write};
     use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -935,8 +935,8 @@ mod imp {
                 if conn.parked || conn.closing {
                     return;
                 }
-                match conn.codec.next_frame() {
-                    Ok(Some(frame)) => self.handle_frame(id, frame),
+                match conn.codec.next_inbound() {
+                    Ok(Some(inbound)) => self.handle_frame(id, inbound),
                     Ok(None) => {
                         if conn.eof {
                             self.start_closing(id);
@@ -964,7 +964,11 @@ mod imp {
 
         /// Handle one request: a node answers in place; a router parks the
         /// connection until it answers (at once, or when a node replies).
-        fn handle_frame(&mut self, id: u64, frame: Frame) {
+        fn handle_frame(&mut self, id: u64, inbound: Inbound) {
+            let frame = match inbound {
+                Inbound::Ingest { stream, chunk } => return self.handle_ingest(id, stream, chunk),
+                Inbound::Frame(frame) => frame,
+            };
             let conn = self.conns.get_mut(&id).expect("dispatching a live conn");
             let request = match request_of(frame) {
                 Ok(request) => request,
@@ -983,6 +987,23 @@ mod imp {
                 RoleCore::Router => {
                     conn.parked = true;
                     self.with_router(|r, io| r.handle(id, request, io));
+                }
+            }
+        }
+
+        /// A binary ingest skips [`crate::protocol::Request`]: its chunk
+        /// goes to the stream's owner as decoded.
+        fn handle_ingest(&mut self, id: u64, stream: String, chunk: IngestChunk) {
+            let conn = self.conns.get_mut(&id).expect("dispatching a live conn");
+            match &self.srv.role {
+                RoleCore::Node(node) => {
+                    let reply = node.ingest(&self.srv.cfg, &stream, chunk);
+                    conn.wbuf.push_back(WChunk::reply(json_line(&reply)));
+                }
+                RoleCore::Router => {
+                    conn.parked = true;
+                    let req = chunk.encode(&stream);
+                    self.with_router(|r, io| r.ingest(id, stream, &req, io));
                 }
             }
         }

@@ -15,7 +15,9 @@
 //! * **Request/reply ops** (`ingest`, `bind`): pipelined on one pooled
 //!   connection per node, replies matched in order to a FIFO of waiters.
 //!   Ingest is re-encoded as a *binary* frame regardless of how the client
-//!   sent it (the cheap encoding for the hot path); the node's reply line is
+//!   sent it (the cheap encoding for the hot path) — a binary ingest from
+//!   its decoded chunk, an NDJSON one from its batch, through the one
+//!   ingest encoder; the node's reply line is
 //!   relayed to the client **verbatim** — raw bytes, never re-serialized —
 //!   so a client cannot distinguish a router from a node by reply bytes.
 //! * **`stats`**: forwarded to every node; the replies are merged under a
@@ -265,18 +267,12 @@ impl Router {
                 self.forward(node, &req, waiting, io);
             }
             Request::Ingest { stream, batch } => {
-                let node = self.map.owner_of(&stream).node;
                 let req = BinaryFrame::Ingest {
                     stream: stream.clone(),
                     batch,
                 }
                 .encode();
-                let waiting = Waiting::Reply {
-                    conn,
-                    stream,
-                    ingest: true,
-                };
-                self.forward(node, &req, waiting, io);
+                self.ingest(conn, stream, &req, io)
             }
             Request::Shutdown => {
                 io.answer(conn, json_line(&draining()));
@@ -293,6 +289,18 @@ impl Router {
                 self.srv.trigger_shutdown();
             }
         }
+    }
+
+    /// Forward one ingest, already encoded as a binary frame, to the key's
+    /// owner; answered like any request.
+    pub(crate) fn ingest(&mut self, conn: u64, stream: String, request: &[u8], io: &mut dyn Loop) {
+        let node = self.map.owner_of(&stream).node;
+        let waiting = Waiting::Reply {
+            conn,
+            stream,
+            ingest: true,
+        };
+        self.forward(node, request, waiting, io);
     }
 
     /// Open a link to `node`, registered with the loop under a fresh id.

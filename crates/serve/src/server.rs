@@ -28,7 +28,7 @@ use crate::node::NodeCore;
 use crate::protocol::{error_reply, Request};
 use crate::reactor::{self, EventSink};
 use crate::stats::ReactorStats;
-use bfly_common::{BinaryFrame, Error, Frame, Json, Result};
+use bfly_common::{Error, Frame, IngestChunk, Json, Result};
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -183,15 +183,12 @@ impl Server {
     }
 }
 
-/// Decode one frame of either encoding into a request; `Err` is the error
-/// reply. Binary ingest is the one client→server binary frame; it joins
-/// the JSON path here, so everything downstream is encoding-agnostic.
+/// Parse one NDJSON request; `Err` is the error reply. Binary ingest, the
+/// one client→server binary frame, never comes here: the codec hands it
+/// over as an [`IngestChunk`] (`bfly_common::Inbound::Ingest`).
 pub(crate) fn request_of(frame: Frame) -> std::result::Result<Request, Json> {
     match frame {
         Frame::Json(v) => Request::from_json(&v).map_err(|e| error_reply(&e.to_string())),
-        Frame::Binary(BinaryFrame::Ingest { stream, batch }) => {
-            Ok(Request::Ingest { stream, batch })
-        }
         // Release frames flow server→subscriber only; a client sending one
         // is confused, not fatal (the codec stays aligned).
         Frame::Binary(_) => Err(error_reply("unexpected event frame from a client")),
@@ -251,7 +248,10 @@ pub(crate) fn dispatch(
         }
         Request::Bind { stream, defense } => reply(json_line(&node.bind(&stream, defense))),
         Request::Ingest { stream, batch } => {
-            reply(json_line(&node.ingest(&shared.cfg, &stream, batch)))
+            // The NDJSON edge: its one conversion into the chunk binary
+            // ingest decodes to.
+            let chunk = IngestChunk::from_itemsets(&batch);
+            reply(json_line(&node.ingest(&shared.cfg, &stream, chunk)))
         }
         Request::Shutdown => {
             // The connection stays open: the reactor keeps every connection

@@ -10,6 +10,9 @@
 //! **Batching.** A job carries a chunk of transactions for one stream key
 //! (up to [`ServeConfig::effective_ingest_chunk`]), so the channel cost —
 //! one send, one wakeup — is paid per chunk rather than per record. The
+//! chunk is the [`IngestChunk`] the connection decoded: the worker logs it,
+//! encoding the record straight from it, and advances the pipeline over
+//! its borrowed transactions, so nothing is allocated per record. The
 //! shed budget stays denominated in *transactions*: `queue_depth` tracks
 //! enqueued records, and a chunk is accepted only if the whole chunk fits
 //! under `queue_cap`, reserved with a compare-exchange so concurrent
@@ -35,7 +38,7 @@ use crate::fanout::{json_line, SubscriberRegistry};
 use crate::protocol::{binary_entry, closed_event, release_delta_frame_bytes, release_frame_bytes};
 use crate::stats::ShardStats;
 use crate::wal::{snapshot_of, RecoveredShard, WalRecord, WalWriter};
-use bfly_common::{Error, ItemSet, Transaction};
+use bfly_common::{Error, IngestChunk};
 use bfly_core::defense::DefenseKind;
 use bfly_core::{PrivacyDefense, StreamPipeline, WindowRelease};
 use std::collections::HashMap;
@@ -43,7 +46,7 @@ use std::sync::atomic::Ordering;
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// One unit of shard work.
 pub(crate) enum Job {
@@ -52,7 +55,7 @@ pub(crate) enum Job {
         /// Stream key (shared, not cloned per record).
         key: Arc<str>,
         /// The chunk's transactions, in arrival order.
-        chunk: Vec<ItemSet>,
+        chunk: IngestChunk,
     },
 }
 
@@ -71,7 +74,7 @@ impl ShardIngress {
     /// remaining queue budget. All-or-nothing per chunk: the caller sizes
     /// chunks via [`ServeConfig::effective_ingest_chunk`], which never
     /// exceeds the budget, so an empty queue always accepts a full chunk.
-    pub(crate) fn offer(&self, key: &Arc<str>, chunk: Vec<ItemSet>) -> bool {
+    pub(crate) fn offer(&self, key: &Arc<str>, chunk: IngestChunk) -> bool {
         let n = chunk.len() as u64;
         if chunk.is_empty() {
             return true;
@@ -217,7 +220,9 @@ fn log_publication(
     }
 }
 
-/// Publish `state`'s full window: logged, then fanned out. A release that
+/// Publish `state`'s full window: logged, then fanned out. Returns the wall
+/// time it took, logging and fan-out included — the share of a chunk's time
+/// its `ingest_us` leaves out. A release that
 /// fails the contract audit is neither — it is counted and withheld, so no
 /// violating byte reaches a subscriber, live or through log catch-up. The
 /// defense's delta base has moved on regardless, so the withheld position
@@ -232,7 +237,7 @@ fn publish(
     stats: &Arc<ShardStats>,
     key: &Arc<str>,
     state: &mut KeyState,
-) {
+) -> Duration {
     let started = Instant::now();
     let outcome = state.pipe.publish_now();
     let us = started.elapsed().as_micros() as u64;
@@ -254,6 +259,7 @@ fn publish(
         }
         Err(e) => panic!("full window cannot be partial: {e}"),
     }
+    started.elapsed()
 }
 
 fn worker(
@@ -287,7 +293,7 @@ fn worker(
         .collect();
     while let Ok(job) = rx.recv() {
         match job {
-            Job::Ingest { key, mut chunk } => {
+            Job::Ingest { key, chunk } => {
                 stats
                     .queue_depth
                     .fetch_sub(chunk.len() as u64, Ordering::Relaxed);
@@ -315,35 +321,29 @@ fn worker(
                     );
                 }
                 let state = pipelines.get_mut(&key).expect("key just ensured");
+                let started = Instant::now();
+                let mut publishing = Duration::ZERO;
                 // Accepted-before-advanced: the chunk is durable (per the
                 // sync policy) before any of its records can shape a
                 // release.
                 if let Some(w) = log.as_mut() {
-                    // The record borrows nothing, so the chunk moves in and
-                    // comes back out instead of being copied.
-                    let rec = WalRecord::Ingest {
-                        stream: key.to_string(),
-                        base: state.pipe.stream_len(),
-                        batch: chunk,
-                    };
-                    w.append(&rec).expect("wal ingest append failed");
-                    let WalRecord::Ingest { batch, .. } = rec else {
-                        unreachable!("built as an ingest record above")
-                    };
-                    chunk = batch;
+                    w.append_ingest(&key, state.pipe.stream_len(), &chunk)
+                        .expect("wal ingest append failed");
                 }
                 // The publish cadence is checked per record, not per chunk:
                 // chunking amortizes the queue, it must not move or merge
                 // publication positions.
-                for items in chunk {
-                    // The window assigns the real tid from the stream
-                    // position.
-                    state.pipe.advance(Transaction::new(0, items));
-                    ShardStats::add(&stats.processed, 1);
+                for items in chunk.iter() {
+                    // The pipeline assigns the tid from the stream position.
+                    state.pipe.advance_items(items);
                     if state.pipe.window().is_full() && state.pipe.since_publish() >= cfg.every {
-                        publish(&cfg, log.as_mut(), &registry, &stats, &key, state);
+                        publishing += publish(&cfg, log.as_mut(), &registry, &stats, &key, state);
                     }
                 }
+                ShardStats::add(&stats.processed, chunk.len() as u64);
+                let us = started.elapsed().saturating_sub(publishing).as_micros() as u64;
+                ShardStats::add(&stats.ingest_us, us);
+                stats.ingest_us_max.fetch_max(us, Ordering::Relaxed);
             }
         }
     }
@@ -401,6 +401,14 @@ mod tests {
         }
     }
 
+    fn chunk_of(txs: &[&[u32]]) -> IngestChunk {
+        let sets: Vec<bfly_common::ItemSet> = txs
+            .iter()
+            .map(|ids| bfly_common::ItemSet::from_ids(ids.iter().copied()))
+            .collect();
+        IngestChunk::from_itemsets(&sets)
+    }
+
     /// Every frame the sink's mailbox holds, as text lines.
     fn lines_of(rx: impl Fn() -> Result<OutBytes, ()>) -> Vec<String> {
         std::iter::from_fn(|| rx().ok())
@@ -434,7 +442,8 @@ mod tests {
         // 11 records, window 8, every 2: cadence publishes at 8 and 10;
         // the drain flush owes one more at 11.
         for _ in 0..11 {
-            assert!(ingress.offer(&key, vec![src.next_transaction().into_items()]));
+            let items = src.next_transaction().into_items();
+            assert!(ingress.offer(&key, IngestChunk::from_itemsets(&[items])));
         }
         drop(ingress);
         handle.join().expect("worker paniced");
@@ -458,6 +467,47 @@ mod tests {
         assert_eq!(stats.queue_depth.load(Ordering::Relaxed), 0);
         assert_eq!(stats.batch_submits.load(Ordering::Relaxed), 11);
         assert_eq!(stats.batch_tx.load(Ordering::Relaxed), 11);
+    }
+
+    #[test]
+    fn ingest_time_is_counted_per_chunk_apart_from_publication() {
+        let cfg = tiny_cfg();
+        let root = std::env::temp_dir().join(format!("bfly-shard-ingest-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let wal_cfg = crate::config::WalConfig::new(&root);
+        let wal_stats = Arc::new(crate::stats::WalStats::default());
+        let recovered =
+            crate::wal::recover_shard(&cfg, &wal_cfg, 0, &wal_stats).expect("empty wal");
+        let stats = Arc::new(ShardStats::default());
+        let (ingress, handle) = spawn_shard(
+            0,
+            cfg,
+            Arc::new(SubscriberRegistry::new()),
+            stats.clone(),
+            Arc::new(DefenseBindings::default()),
+            Some(recovered),
+        );
+        let key: Arc<str> = Arc::from("k");
+        let mut src = bfly_datagen::DatasetProfile::WebView1.source(3);
+        let batch: Vec<_> = (0..60)
+            .map(|_| src.next_transaction().into_items())
+            .collect();
+        assert!(ingress.offer(&key, IngestChunk::from_itemsets(&batch)));
+        drop(ingress);
+        handle.join().expect("worker paniced");
+        assert_eq!(stats.processed.load(Ordering::Relaxed), 60);
+        assert!(stats.published.load(Ordering::Relaxed) > 0);
+        let (total, max) = (
+            stats.ingest_us.load(Ordering::Relaxed),
+            stats.ingest_us_max.load(Ordering::Relaxed),
+        );
+        assert!(
+            total > 0 && max > 0,
+            "ingest_us {total}, ingest_us_max {max}"
+        );
+        // One chunk: the whole figure is its own.
+        assert_eq!(total, max);
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     /// Claims the Butterfly contract and breaks it on its first
@@ -576,11 +626,12 @@ mod tests {
         for _ in 0..11 {
             pending.push(src.next_transaction().into_items());
             if pending.len() == chunk {
-                assert!(ingress.offer(&key, std::mem::take(&mut pending)));
+                let offered = IngestChunk::from_itemsets(&std::mem::take(&mut pending));
+                assert!(ingress.offer(&key, offered));
             }
         }
         if !pending.is_empty() {
-            assert!(ingress.offer(&key, pending));
+            assert!(ingress.offer(&key, IngestChunk::from_itemsets(&pending)));
         }
         drop(ingress);
         handle.join().expect("worker paniced");
@@ -711,7 +762,7 @@ mod tests {
         };
         let key: Arc<str> = Arc::from("k");
         let accepted = (0..5)
-            .filter(|_| ingress.offer(&key, vec![ItemSet::from_ids([1, 2])]))
+            .filter(|_| ingress.offer(&key, chunk_of(&[&[1, 2]])))
             .count();
         assert_eq!(accepted, 2, "queue cap must bound acceptance");
         assert_eq!(stats.shed.load(Ordering::Relaxed), 3);
@@ -729,12 +780,11 @@ mod tests {
             cap: 4,
         };
         let key: Arc<str> = Arc::from("k");
-        let set = || ItemSet::from_ids([1]);
         // 3 fit, then a chunk of 2 would oversubscribe (3+2 > 4) and is shed
         // whole, then a chunk of 1 still fits in the remaining budget.
-        assert!(ingress.offer(&key, vec![set(), set(), set()]));
-        assert!(!ingress.offer(&key, vec![set(), set()]));
-        assert!(ingress.offer(&key, vec![set()]));
+        assert!(ingress.offer(&key, chunk_of(&[&[1], &[1], &[1]])));
+        assert!(!ingress.offer(&key, chunk_of(&[&[1], &[1]])));
+        assert!(ingress.offer(&key, chunk_of(&[&[1]])));
         assert_eq!(stats.ingested.load(Ordering::Relaxed), 4);
         assert_eq!(stats.shed.load(Ordering::Relaxed), 2);
         assert_eq!(stats.queue_depth.load(Ordering::Relaxed), 4);

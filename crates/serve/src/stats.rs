@@ -21,6 +21,13 @@ pub struct ShardStats {
     pub publish_us: AtomicU64,
     /// The slowest single `publish_now`, in microseconds.
     pub publish_us_max: AtomicU64,
+    /// Microseconds the worker spent logging and advancing ingest chunks,
+    /// publications excluded (`publish_us` has those), so
+    /// `ingest_us / processed` is the live per-transaction ingest cost.
+    /// Timed per chunk, never per transaction.
+    pub ingest_us: AtomicU64,
+    /// The slowest single chunk, in microseconds.
+    pub ingest_us_max: AtomicU64,
     /// Current ingress queue depth (accepted minus dequeued).
     pub queue_depth: AtomicU64,
     /// Release entries that failed the contract audit; every release
@@ -62,6 +69,14 @@ impl ShardStats {
             (
                 "publish_us_max",
                 Json::from(self.publish_us_max.load(Ordering::Relaxed)),
+            ),
+            (
+                "ingest_us",
+                Json::from(self.ingest_us.load(Ordering::Relaxed)),
+            ),
+            (
+                "ingest_us_max",
+                Json::from(self.ingest_us_max.load(Ordering::Relaxed)),
             ),
             (
                 "queue_depth",

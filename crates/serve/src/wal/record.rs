@@ -17,7 +17,10 @@
 //! subscriber catch-up re-emit logged releases byte-identically without
 //! re-running any pipeline; an `ingest` (0x01) payload is a `base:u64` —
 //! the stream position *before* the chunk's first record — followed by the
-//! exact wire ingest payload. The base is what lets replay place a chunk
+//! exact wire ingest payload — which the shard encodes straight from the
+//! decoded [`IngestChunk`] it was handed, so a client's raw bytes are never
+//! copied (and an unsorted or repeated id never reaches the log: the chunk
+//! is canonical). The base is what lets replay place a chunk
 //! absolutely: the worker logs a whole chunk before advancing it while
 //! publications land mid-chunk, so replay buffers logged records and drains
 //! them to each release's position, and a retained chunk from a compacted
@@ -41,7 +44,7 @@
 //! regenerate them (see [`bfly_core::defense::PrivacyDefense::restore`]).
 
 use bfly_common::crc32::Crc32;
-use bfly_common::{BinaryEntry, BinaryFrame, Error, ItemSet, Result};
+use bfly_common::{BinaryEntry, BinaryFrame, Error, IngestChunk, ItemSet, Result};
 use bfly_core::defense::DefenseKind;
 
 /// First byte of every record (shared with the wire's binary frames).
@@ -214,21 +217,19 @@ impl<'a> Cursor<'a> {
 impl WalRecord {
     /// Encode as one log record carrying sequence number `seq`.
     pub fn encode(&self, seq: u64) -> Vec<u8> {
-        let (op, payload) = self.encode_payload();
-        let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-        out.push(WAL_MAGIC);
-        out.push(op);
-        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&seq.to_le_bytes());
-        let mut crc = Crc32::new();
-        crc.update(&out);
-        crc.update(&payload);
-        out.extend_from_slice(&crc.finish().to_le_bytes());
-        out.extend_from_slice(&payload);
+        let mut out = Vec::new();
+        self.encode_into(&mut out, seq);
         out
     }
 
-    fn encode_payload(&self) -> (u8, Vec<u8>) {
+    /// [`WalRecord::encode`] into `out`, replacing its contents: the writer
+    /// reuses one buffer for every record.
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>, seq: u64) {
+        framed(out, seq, |p| self.put_payload(p));
+    }
+
+    /// Append the payload; returns the op.
+    fn put_payload(&self, p: &mut Vec<u8>) -> u8 {
         match self {
             // The wire-frame ops delegate to the frame codec so the logged
             // bytes are exactly what catch-up re-emits; ingest prefixes the
@@ -238,44 +239,40 @@ impl WalRecord {
                 base,
                 batch,
             } => {
-                let mut p = Vec::with_capacity(64);
                 p.extend_from_slice(&base.to_le_bytes());
-                BinaryFrame::put_ingest_payload(&mut p, stream, batch);
-                (OP_INGEST, p)
+                BinaryFrame::put_ingest_payload(p, stream, batch);
+                OP_INGEST
             }
             WalRecord::Release {
                 stream,
                 stream_len,
                 entries,
             } => {
-                let mut p = Vec::with_capacity(64);
-                BinaryFrame::put_release_payload(&mut p, stream, *stream_len, entries);
-                (OP_RELEASE, p)
+                BinaryFrame::put_release_payload(p, stream, *stream_len, entries);
+                OP_RELEASE
             }
             WalRecord::Open { stream, kind } => {
-                let mut p = Vec::with_capacity(32);
-                put_str(&mut p, stream);
-                put_str(&mut p, kind.name());
-                (OP_OPEN, p)
+                put_str(p, stream);
+                put_str(p, kind.name());
+                OP_OPEN
             }
             WalRecord::Snapshot(s) => {
-                let mut p = Vec::with_capacity(256);
-                put_str(&mut p, &s.stream);
-                put_str(&mut p, s.kind.name());
+                put_str(p, &s.stream);
+                put_str(p, s.kind.name());
                 p.extend_from_slice(&s.stream_len.to_le_bytes());
                 p.extend_from_slice(&s.published.to_le_bytes());
                 p.extend_from_slice(&s.last_len.to_le_bytes());
                 p.extend_from_slice(&(s.prev_release.len() as u32).to_le_bytes());
                 for e in &s.prev_release {
-                    put_ids(&mut p, &e.ids);
+                    put_ids(p, &e.ids);
                     p.extend_from_slice(&e.true_support.to_le_bytes());
                     p.extend_from_slice(&e.sanitized.to_le_bytes());
                 }
                 p.extend_from_slice(&(s.window.len() as u32).to_le_bytes());
                 for ids in &s.window {
-                    put_ids(&mut p, ids);
+                    put_ids(p, ids);
                 }
-                (OP_SNAPSHOT, p)
+                OP_SNAPSHOT
             }
         }
     }
@@ -375,6 +372,41 @@ impl WalRecord {
             WalRecord::Snapshot(s) => &s.stream,
         }
     }
+}
+
+/// Encode the ingest record of `chunk` into `out`, replacing its contents:
+/// the bytes [`WalRecord::Ingest`] encodes to for the same transactions at
+/// the same `base`, without building its itemsets.
+pub(crate) fn encode_ingest(
+    out: &mut Vec<u8>,
+    seq: u64,
+    stream: &str,
+    base: u64,
+    chunk: &IngestChunk,
+) {
+    framed(out, seq, |p| {
+        p.extend_from_slice(&base.to_le_bytes());
+        chunk.put_payload(p, stream);
+        OP_INGEST
+    });
+}
+
+/// Lay one record out in `out`: the header with its length and checksum
+/// left blank, the payload `put` appends (naming the op), then both fields
+/// written in place — no payload is built apart and copied.
+fn framed(out: &mut Vec<u8>, seq: u64, put: impl FnOnce(&mut Vec<u8>) -> u8) {
+    out.clear();
+    out.extend_from_slice(&[WAL_MAGIC, 0, 0, 0, 0, 0]);
+    out.extend_from_slice(&seq.to_le_bytes());
+    out.extend_from_slice(&[0; HEADER_LEN - CRC_OFFSET]);
+    out[1] = put(out);
+    let len = (out.len() - HEADER_LEN) as u32;
+    out[2..6].copy_from_slice(&len.to_le_bytes());
+    let mut crc = Crc32::new();
+    crc.update(&out[..CRC_OFFSET]);
+    crc.update(&out[HEADER_LEN..]);
+    let crc = crc.finish().to_le_bytes();
+    out[CRC_OFFSET..HEADER_LEN].copy_from_slice(&crc);
 }
 
 /// Outcome of scanning one record at an offset of a segment buffer.
@@ -587,7 +619,7 @@ pub(crate) mod tests {
                 support: 9,
             }],
         };
-        let (op, payload) = rec.encode_payload();
+        let bytes = rec.encode(0);
         let frame = BinaryFrame::Release {
             stream: "s".into(),
             stream_len: 42,
@@ -596,24 +628,34 @@ pub(crate) mod tests {
                 support: 9,
             }],
         };
-        assert_eq!((op, payload), frame.encode_payload());
+        assert_eq!(
+            (bytes[1], bytes[HEADER_LEN..].to_vec()),
+            frame.encode_payload()
+        );
 
         // An ingest payload is its wire frame payload behind an 8-byte
         // absolute stream position.
+        let batch = vec![iset("ab"), ItemSet::empty(), iset("c")];
         let rec = WalRecord::Ingest {
             stream: "s".into(),
             base: 7,
-            batch: vec![iset("ab")],
+            batch: batch.clone(),
         };
-        let (op, payload) = rec.encode_payload();
+        let bytes = rec.encode(3);
         let (frame_op, frame_payload) = BinaryFrame::Ingest {
             stream: "s".into(),
-            batch: vec![iset("ab")],
+            batch: batch.clone(),
         }
         .encode_payload();
-        assert_eq!(op, frame_op);
-        assert_eq!(&payload[..8], &7u64.to_le_bytes());
-        assert_eq!(&payload[8..], &frame_payload[..]);
+        assert_eq!(bytes[1], frame_op);
+        assert_eq!(&bytes[HEADER_LEN..HEADER_LEN + 8], &7u64.to_le_bytes());
+        assert_eq!(&bytes[HEADER_LEN + 8..], &frame_payload[..]);
+
+        // Encoded from the decoded chunk instead, into a reused buffer: the
+        // same bytes.
+        let mut out = b"stale bytes from an earlier record".to_vec();
+        encode_ingest(&mut out, 3, "s", 7, &IngestChunk::from_itemsets(&batch));
+        assert_eq!(out, bytes);
     }
 
     #[test]

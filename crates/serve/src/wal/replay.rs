@@ -129,7 +129,7 @@ pub fn snapshot_of(
         window: pipe
             .window()
             .records()
-            .map(|t| t.items().items().iter().map(|i| i.id()).collect())
+            .map(|set| set.iter().map(|i| i.id()).collect())
             .collect(),
     }
 }

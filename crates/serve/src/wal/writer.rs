@@ -23,9 +23,9 @@
 
 use crate::config::{WalConfig, WalSyncPolicy};
 use crate::stats::WalStats;
-use crate::wal::record::WalRecord;
+use crate::wal::record::{self, WalRecord, OP_INGEST, OP_OPEN, OP_SNAPSHOT};
 use crate::wal::segment::{segment_file_name, shard_dir};
-use bfly_common::Result;
+use bfly_common::{IngestChunk, Result};
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::Write;
@@ -71,6 +71,8 @@ pub struct WalWriter {
     appends_since_sync: u32,
     coverage: HashMap<String, u64>,
     ingest_segs: HashMap<String, u64>,
+    /// The record being appended, laid out in place; reused by every append.
+    buf: Vec<u8>,
 }
 
 impl WalWriter {
@@ -113,6 +115,7 @@ impl WalWriter {
             appends_since_sync: 0,
             coverage: pos.coverage,
             ingest_segs: pos.ingest_segs,
+            buf: Vec::new(),
         })
     }
 
@@ -121,24 +124,37 @@ impl WalWriter {
     /// appends the `release` record *before* fanning the release out to
     /// subscribers, and the `ingest` record before advancing the pipeline.
     pub fn append(&mut self, rec: &WalRecord) -> Result<()> {
-        let bytes = rec.encode(self.next_seq);
-        self.file.write_all(&bytes)?;
+        rec.encode_into(&mut self.buf, self.next_seq);
+        self.commit(rec.stream())
+    }
+
+    /// [`WalWriter::append`] of the ingest record for `chunk` (`base` is
+    /// the stream position before its first transaction), encoded straight
+    /// from the chunk: the bytes of the equivalent [`WalRecord::Ingest`].
+    pub fn append_ingest(&mut self, stream: &str, base: u64, chunk: &IngestChunk) -> Result<()> {
+        record::encode_ingest(&mut self.buf, self.next_seq, stream, base, chunk);
+        self.commit(stream)
+    }
+
+    /// Write the record laid out in `buf` (for `stream`), then the
+    /// bookkeeping, the sync policy and (maybe) rotation.
+    fn commit(&mut self, stream: &str) -> Result<()> {
+        self.file.write_all(&self.buf)?;
+        let len = self.buf.len() as u64;
         self.next_seq += 1;
-        self.seg_bytes += bytes.len() as u64;
-        self.stats
-            .bytes_appended
-            .fetch_add(bytes.len() as u64, Ordering::Relaxed);
+        self.seg_bytes += len;
+        self.stats.bytes_appended.fetch_add(len, Ordering::Relaxed);
         self.stats.records_appended.fetch_add(1, Ordering::Relaxed);
-        match rec {
-            WalRecord::Open { stream, .. } => {
+        match self.buf[1] {
+            OP_OPEN => {
                 // Birth segment is the coverage anchor until a snapshot
                 // supersedes it.
-                self.coverage.entry(stream.clone()).or_insert(self.seg_idx);
+                self.coverage
+                    .entry(stream.to_string())
+                    .or_insert(self.seg_idx);
             }
-            WalRecord::Ingest { stream, .. } => {
-                self.ingest_segs.insert(stream.clone(), self.seg_idx);
-            }
-            WalRecord::Snapshot(s) => {
+            OP_INGEST => set(&mut self.ingest_segs, stream, self.seg_idx),
+            OP_SNAPSHOT => {
                 // A snapshot's basis is not just itself: the worker logs a
                 // whole chunk before advancing it, so when the snapshot
                 // lands mid-chunk, the chunk's post-snapshot tail records
@@ -148,10 +164,10 @@ impl WalWriter {
                 // records replay still needs.
                 let anchor = self
                     .ingest_segs
-                    .get(&s.stream)
+                    .get(stream)
                     .copied()
                     .unwrap_or(self.seg_idx);
-                self.coverage.insert(s.stream.clone(), anchor);
+                set(&mut self.coverage, stream, anchor);
                 self.seg_snapshots += 1;
             }
             _ => {}
@@ -238,6 +254,16 @@ impl WalWriter {
     #[cfg(test)]
     pub fn next_seq(&self) -> u64 {
         self.next_seq
+    }
+}
+
+/// `map[stream] = value`, allocating the key only the first time.
+fn set(map: &mut HashMap<String, u64>, stream: &str, value: u64) {
+    match map.get_mut(stream) {
+        Some(v) => *v = value,
+        None => {
+            map.insert(stream.to_string(), value);
+        }
     }
 }
 

@@ -54,6 +54,15 @@ if grep -rnE 'BackendKind|dyn MinerBackend' crates/core/src crates/serve/src src
   echo "a runtime miner choice crept back into the production path; the pipeline holds MomentMiner"; exit 1
 fi
 
+echo "==> one-copy guard (Moment's ring is a stream's one window copy: SlidingWindow is the oracles' model, not the pipeline's, serve's or the CLI's)"
+COPIES=$(for f in $(find crates/core/src crates/serve/src src -name '*.rs' | sort); do
+  sed '/^ *mod tests {/,$d' "$f" | grep -n 'SlidingWindow' | sed "s|^|$f:|"
+done || true)
+if [[ -n "$COPIES" ]]; then
+  echo "$COPIES"
+  echo "a second copy of the window crept back into the production path; StreamPipeline feeds MomentMiner by tid"; exit 1
+fi
+
 echo "==> thread guard (a serve process runs one reactor thread plus one worker per shard: no thread per connection or subscription)"
 SPAWNS=$(for f in $(find crates/serve/src -name '*.rs' | sort); do
   sed '/^ *mod tests {/,$d' "$f" | grep -c 'thread::\(Builder\|spawn\)' | sed "s|^|$f |"

@@ -27,9 +27,10 @@
 //! See `examples/quickstart.rs`; in short:
 //!
 //! ```text
-//! stream → SlidingWindow → MomentMiner → Butterfly publisher → sanitized output
-//!                                              ↑
-//!                       (ε, δ, C, K) privacy/precision contract
+//! stream → StreamPipeline: MomentMiner (its ring is the window Ds(N, H))
+//!        → Butterfly publisher → sanitized output
+//!                ↑
+//!   (ε, δ, C, K) privacy/precision contract
 //! ```
 
 pub use bfly_common as common;

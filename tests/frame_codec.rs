@@ -1,11 +1,13 @@
 //! Property tests for the mixed NDJSON/binary `FrameCodec`: seeded-random
 //! frames must round-trip byte-exactly through arbitrary chunking, every
 //! truncation must wait (never panic, never mis-frame), garbage must not
-//! break stream alignment, and the frame cap must bind exactly at its
-//! boundary for both encodings.
+//! break stream alignment, the frame cap must bind exactly at its boundary
+//! for both encodings, and the ingest parser must survive hostile payloads.
 
 use butterfly_repro::common::rng::{Rng, SmallRng};
-use butterfly_repro::common::{BinaryEntry, BinaryFrame, Error, Frame, FrameCodec, ItemSet, Json};
+use butterfly_repro::common::{
+    BinaryEntry, BinaryFrame, Error, Frame, FrameCodec, IngestChunk, ItemSet, Json,
+};
 
 fn random_key(rng: &mut SmallRng) -> String {
     let len = 1 + rng.gen_range_usize(12);
@@ -317,5 +319,100 @@ fn ndjson_cap_binds_exactly_at_the_boundary() {
     match whole.next_frame() {
         Err(Error::Parse(msg)) => assert!(msg.contains("oversized"), "{msg}"),
         other => panic!("expected oversized error, got {other:?}"),
+    }
+}
+
+/// The ingest payload layout decoded from its definition alone (key,
+/// count, then `len:u16, len × id:u32` per transaction, nothing after),
+/// each transaction made an itemset by [`ItemSet::from_ids`]; `None` for
+/// anything malformed.
+fn reference_ingest(payload: &[u8]) -> Option<(String, Vec<ItemSet>)> {
+    let mut rest = payload;
+    let mut take = |n: usize| -> Option<&[u8]> {
+        let (head, tail) = rest.split_at_checked(n)?;
+        rest = tail;
+        Some(head)
+    };
+    let key_len = u16::from_le_bytes(take(2)?.try_into().ok()?) as usize;
+    let key = String::from_utf8(take(key_len)?.to_vec()).ok()?;
+    let count = u32::from_le_bytes(take(4)?.try_into().ok()?);
+    let mut batch = Vec::new();
+    for _ in 0..count {
+        let n = u16::from_le_bytes(take(2)?.try_into().ok()?) as usize;
+        let ids = take(4 * n)?
+            .chunks(4)
+            .map(|b| u32::from_le_bytes(b.try_into().expect("4 bytes")));
+        batch.push(ItemSet::from_ids(ids));
+    }
+    rest.is_empty().then_some((key, batch))
+}
+
+/// A random ingest payload as a careless client writes it: ids in any
+/// order, repeated, over a small alphabet; some transactions empty.
+fn messy_ingest_payload(rng: &mut SmallRng) -> Vec<u8> {
+    let key = random_key(rng);
+    let mut p = Vec::new();
+    p.extend_from_slice(&(key.len() as u16).to_le_bytes());
+    p.extend_from_slice(key.as_bytes());
+    let count = rng.gen_range_usize(7);
+    p.extend_from_slice(&(count as u32).to_le_bytes());
+    for _ in 0..count {
+        let n = rng.gen_range_usize(9);
+        p.extend_from_slice(&(n as u16).to_le_bytes());
+        for _ in 0..n {
+            p.extend_from_slice(&(rng.gen_range_usize(6) as u32).to_le_bytes());
+        }
+    }
+    p
+}
+
+/// Decode `payload` with the one ingest parser and hold it to the
+/// reference: the same verdict, and on success the same transactions,
+/// which `BinaryFrame::decode_payload` must also report.
+fn check_ingest_parse(payload: &[u8], op: u8, what: &str) {
+    let mut chunk = IngestChunk::new();
+    let decoded = chunk.decode(payload);
+    let frame = BinaryFrame::decode_payload(op, payload);
+    match (decoded, reference_ingest(payload)) {
+        (Ok(stream), Some((key, batch))) => {
+            assert_eq!(stream, key, "{what}");
+            assert_eq!(chunk.to_itemsets(), batch, "{what}");
+            assert_eq!(
+                frame.expect("decode_payload agrees"),
+                BinaryFrame::Ingest { stream, batch },
+                "{what}"
+            );
+        }
+        (Err(Error::Parse(_)), None) => assert!(frame.is_err(), "{what}"),
+        (got, want) => panic!("{what}: parser {got:?}, reference {want:?}"),
+    }
+}
+
+/// ROADMAP item 6's ingest fuzzer: 256 seeded payloads with unsorted,
+/// repeated and empty transactions, each cut at every prefix and hit by
+/// random byte flips. The parser never panics, refuses exactly what the
+/// reference refuses, and otherwise yields the reference's canonical
+/// transactions.
+#[test]
+fn ingest_parser_matches_a_reference_decode_on_hostile_payloads() {
+    let (op, _) = BinaryFrame::Ingest {
+        stream: "k".into(),
+        batch: Vec::new(),
+    }
+    .encode_payload();
+    for seed in 0..256u64 {
+        let mut rng = SmallRng::seed_from_u64(0x1a6e_57f0 ^ seed);
+        let payload = messy_ingest_payload(&mut rng);
+        for cut in 0..=payload.len() {
+            check_ingest_parse(&payload[..cut], op, &format!("seed {seed} cut {cut}"));
+        }
+        for flip in 0..32 {
+            let mut bytes = payload.clone();
+            for _ in 0..1 + rng.gen_range_usize(3) {
+                let at = rng.gen_range_usize(bytes.len());
+                bytes[at] ^= 1 << rng.gen_range_usize(8);
+            }
+            check_ingest_parse(&bytes, op, &format!("seed {seed} flip {flip}"));
+        }
     }
 }

@@ -1,0 +1,136 @@
+//! Heap allocations on the ingest path, counted: a warmed stream's binary
+//! ingest frames are decoded, logged and advanced through the pipeline as
+//! the connection, the shard worker and the miner do it, and the whole path
+//! must stay under one allocation per twenty transactions — the chunk's own
+//! buffers, not one allocation per transaction. Publication is priced
+//! apart (`publish_us` in `stats`) and is not driven here.
+//!
+//! Its own test binary: the counting allocator is global to the binary.
+
+use butterfly_repro::common::{BinaryFrame, FrameCodec, Inbound, ItemSet};
+use butterfly_repro::datagen::DatasetProfile;
+use butterfly_repro::serve::wal::WalWriter;
+use butterfly_repro::serve::{ServeConfig, WalConfig, WalStats};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::Arc;
+
+thread_local! {
+    /// Allocations (and reallocations) made by this thread.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The system allocator, counting per thread so concurrently running tests
+/// cannot disturb the count.
+struct Counting;
+
+fn count() {
+    // `try_with`: a thread being torn down has no counter left to bump.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every call forwards to `System` with the caller's arguments
+// unchanged, so `System`'s guarantees are this allocator's; the counter is
+// a const-initialized thread-local `Cell`, which neither allocates nor
+// needs a destructor.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
+
+#[test]
+fn warmed_ingest_path_allocates_per_chunk_not_per_transaction() {
+    // The durable ingest shape: WebView1, W 2000, C 400, chunks of 250.
+    let dir = std::env::temp_dir().join(format!("bfly-ingest-alloc-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = ServeConfig {
+        shards: 1,
+        window: 2000,
+        c: 400,
+        k: 5,
+        epsilon: 0.016,
+        delta: 0.4,
+        every: 250,
+        ..ServeConfig::default()
+    };
+    let frames: Vec<Vec<u8>> = DatasetProfile::WebView1
+        .source(3)
+        .take_vec(80_000)
+        .chunks(cfg.every)
+        .map(|part| {
+            let batch: Vec<ItemSet> = part.iter().map(|t| t.items().clone()).collect();
+            BinaryFrame::Ingest {
+                stream: "k".into(),
+                batch,
+            }
+            .encode()
+        })
+        .collect();
+    let mut codec = FrameCodec::new();
+    let mut log = WalWriter::open(
+        &dir,
+        0,
+        WalConfig::new(&dir),
+        cfg.snapshot_every,
+        Arc::new(WalStats::default()),
+        Default::default(),
+    )
+    .expect("open wal");
+    let mut pipe = cfg.pipeline_for("k");
+
+    // Twenty windows warm every reused buffer: the codec's, the log's, and
+    // the code list of each of Moment's ring slots, which grows only when
+    // the slot meets a transaction longer than any it held (the slow part:
+    // 0.17 allocations per transaction after one window, 0.04 after
+    // fifteen). The next twenty windows are counted; what Moment still
+    // allocates there is amortized per window (re-deriving its item order
+    // once per turnover rebuilds the tree).
+    let (warm, counted) = frames.split_at(160);
+    let mut ingest = |frame: &[u8]| {
+        codec.extend(frame);
+        let Some(Inbound::Ingest { stream, chunk }) = codec.next_inbound().expect("decodes") else {
+            panic!("not an ingest frame");
+        };
+        log.append_ingest(&stream, pipe.stream_len(), &chunk)
+            .expect("wal append");
+        for items in chunk.iter() {
+            pipe.advance_items(items);
+        }
+        chunk.len() as u64
+    };
+    for frame in warm {
+        ingest(frame);
+    }
+    let before = allocs();
+    let tx: u64 = counted.iter().map(|f| ingest(f)).sum();
+    let per_tx = (allocs() - before) as f64 / tx as f64;
+    assert_eq!(tx, 40_000);
+    assert!(
+        per_tx < 0.05,
+        "{per_tx:.3} heap allocations per transaction over {tx} transactions"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -628,6 +628,145 @@ fn binary_and_json_subscribers_see_identical_releases() {
     server.join();
 }
 
+/// A client's id order is not the stream's. Binary ingest whose
+/// transactions are unsorted, repeat ids or are empty publishes exactly the
+/// releases, and logs exactly the WAL bytes, that the canonical frames for
+/// the same records do: the chunk is canonical from the decoder on.
+/// Malformed frames on the same connection keep their error text.
+#[test]
+fn non_canonical_binary_ingest_publishes_and_logs_the_canonical_bytes() {
+    use butterfly_repro::common::BinaryFrame;
+    use butterfly_repro::serve::protocol::ingest_ok;
+    use butterfly_repro::serve::WalConfig;
+    use std::path::Path;
+
+    /// `stream`'s binary ingest frame with each transaction's ids reversed
+    /// and its largest id repeated.
+    fn messy_frame(stream: &str, batch: &[ItemSet]) -> Vec<u8> {
+        let mut p = Vec::new();
+        p.extend_from_slice(&(stream.len() as u16).to_le_bytes());
+        p.extend_from_slice(stream.as_bytes());
+        p.extend_from_slice(&(batch.len() as u32).to_le_bytes());
+        for set in batch {
+            let mut ids: Vec<u32> = set.items().iter().rev().map(|i| i.id()).collect();
+            ids.extend(ids.first().copied());
+            p.extend_from_slice(&(ids.len() as u16).to_le_bytes());
+            for id in ids {
+                p.extend_from_slice(&id.to_le_bytes());
+            }
+        }
+        let mut frame = vec![0xBF, 0x01];
+        frame.extend_from_slice(&(p.len() as u32).to_le_bytes());
+        frame.extend_from_slice(&p);
+        frame
+    }
+
+    /// Every file under `dir`, in path order.
+    fn files(dir: &Path) -> Vec<Vec<u8>> {
+        let mut paths: Vec<_> = std::fs::read_dir(dir)
+            .expect("read dir")
+            .map(|e| e.expect("dir entry").path())
+            .collect();
+        paths.sort();
+        paths
+            .iter()
+            .flat_map(|p| match p.is_dir() {
+                true => files(p),
+                false => vec![std::fs::read(p).expect("read segment")],
+            })
+            .collect()
+    }
+
+    // Every ninth record empty; the others as the profile draws them.
+    let records: Vec<ItemSet> = DatasetProfile::WebView1
+        .source(13)
+        .take_vec(130)
+        .into_iter()
+        .enumerate()
+        .map(|(i, t)| {
+            if i % 9 == 4 {
+                ItemSet::empty()
+            } else {
+                t.into_items()
+            }
+        })
+        .collect();
+    let run = |messy: bool| -> (Vec<String>, Vec<Vec<u8>>) {
+        let wal_dir =
+            std::env::temp_dir().join(format!("bfly-serve-messy-{}-{messy}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&wal_dir);
+        let cfg = ServeConfig {
+            shards: 1,
+            wal: Some(WalConfig::new(&wal_dir)),
+            ..feasible_cfg()
+        };
+        let server = Server::bind("127.0.0.1:0", cfg).expect("bind");
+        let mut sub = Client::connect(server.local_addr()).expect("subscriber connect");
+        sub.request(&Request::Subscribe {
+            stream: "alpha".into(),
+            frame: FrameMode::Json,
+            from: None,
+        })
+        .expect("subscribe ack");
+        let mut conn = std::net::TcpStream::connect(server.local_addr()).expect("connect");
+        let mut replies = BufReader::new(conn.try_clone().expect("clone"));
+        let mut reply = |bytes: &[u8]| -> Json {
+            conn.write_all(bytes).expect("write");
+            let mut line = String::new();
+            replies.read_line(&mut line).expect("reply");
+            Json::parse(line.trim_end()).expect("reply json")
+        };
+        for part in records.chunks(40) {
+            let frame = match messy {
+                true => messy_frame("alpha", part),
+                false => BinaryFrame::Ingest {
+                    stream: "alpha".into(),
+                    batch: part.to_vec(),
+                }
+                .encode(),
+            };
+            assert_eq!(reply(&frame), ingest_ok(part.len()));
+        }
+        // A count promising more transactions than the payload holds, and
+        // a well-formed payload with bytes after it.
+        let mut short = messy_frame("alpha", &records[..2]);
+        short[6 + 2 + 5] += 1;
+        let mut trailing = messy_frame("alpha", &records[..2]);
+        trailing[2] += 4;
+        trailing.extend_from_slice(&[9, 9, 9, 9]);
+        for (frame, error) in [
+            (short, "binary frame truncated inside payload"),
+            (trailing, "binary frame has 4 trailing bytes"),
+        ] {
+            assert_eq!(
+                reply(&frame).get("error").and_then(Json::as_str),
+                Some(error)
+            );
+        }
+        reply(b"{\"op\":\"shutdown\"}\n");
+        let mut lines = Vec::new();
+        loop {
+            let line = sub.next_line().expect("read").expect("closed before EOF");
+            if line.get("event").and_then(Json::as_str) == Some("closed") {
+                break;
+            }
+            lines.push(line.to_string());
+        }
+        server.join();
+        let wal = files(&wal_dir);
+        std::fs::remove_dir_all(&wal_dir).expect("wal dir cleanup");
+        (lines, wal)
+    };
+    let canonical = run(false);
+    assert_eq!(
+        canonical.0.len(),
+        2,
+        "cadence at 120 plus drain flush at 130"
+    );
+    assert!(!canonical.1.is_empty(), "no wal segment written");
+    assert!(run(true) == canonical, "non-canonical ingest diverged");
+}
+
 /// Write `burst` `rounds` times over one raw connection, reading after each
 /// write one reply line per entry of `expect`, in order, each containing
 /// its entry. Returns how many rounds took longer than `slow`.
