@@ -1,6 +1,6 @@
 //! Micro-benchmarks for the mining substrate: static miners on a fixed
-//! window, per-slide throughput of every registered backend, FP-stream
-//! batch ingestion, and the dense-vs-sparse subset check.
+//! window, per-slide throughput of every registered backend, and FP-stream
+//! batch ingestion.
 
 use bfly_bench::bench;
 use bfly_common::{Database, SlidingWindow};
@@ -60,43 +60,8 @@ fn bench_fpstream_batch() {
     });
 }
 
-fn bench_dense_subset() {
-    use bfly_common::DenseItemSet;
-    // The hot operation of support counting: candidate ⊆ transaction, for a
-    // realistic candidate (3 items) against realistic baskets.
-    let db = window_db(2000);
-    let universe = 600u32;
-    let candidate: bfly_common::ItemSet = {
-        // Pick a 3-itemset that actually occurs so the test isn't all-misses.
-        let freqs = db.item_frequencies();
-        let mut items: Vec<_> = freqs.into_iter().collect();
-        items.sort_unstable_by_key(|&(_, count)| std::cmp::Reverse(count));
-        bfly_common::ItemSet::new(items.into_iter().take(3).map(|(i, _)| i))
-    };
-    let dense_candidate = DenseItemSet::from_itemset(&candidate, universe);
-    let dense_records: Vec<DenseItemSet> = db
-        .records()
-        .iter()
-        .map(|r| DenseItemSet::from_itemset(r.items(), universe))
-        .collect();
-
-    bench("subset_check_2000_records/sparse_sorted_vec", || {
-        db.records()
-            .iter()
-            .filter(|r| candidate.is_subset_of(r.items()))
-            .count()
-    });
-    bench("subset_check_2000_records/dense_bitset", || {
-        dense_records
-            .iter()
-            .filter(|r| dense_candidate.is_subset_of(r))
-            .count()
-    });
-}
-
 fn main() {
     bench_static_miners();
     bench_backend_slide();
     bench_fpstream_batch();
-    bench_dense_subset();
 }

@@ -1,9 +1,10 @@
-//! The append-runs benchmark record format shared by `parbench`, `loadgen`,
-//! and any future perf harness: a JSON document `{"runs": [...]}` where
-//! each invocation appends one timestamped entry, so the perf trajectory
-//! across changes is preserved in-repo.
+//! The append-runs benchmark record format shared by `parbench` and
+//! `defbench`: a JSON document `{"runs": [...]}` where each invocation
+//! appends one timestamped entry, so the perf trajectory across changes is
+//! preserved in-repo.
 
 use bfly_common::Json;
+use std::io::ErrorKind;
 
 /// Append `run` to the `runs` array of the JSON document at `path`,
 /// creating the document if absent. A legacy flat-object file (pre-append
@@ -14,18 +15,33 @@ use bfly_common::Json;
 /// can land unstamped the way the first BENCH_parallel.json entry did.
 /// Pre-existing runs are left exactly as written — readers must tolerate
 /// entries without `ts`/`cores`.
+///
+/// The new document is written to `<path>.tmp` and renamed over `path`, so
+/// an interrupted write never leaves a truncated record.
+///
+/// # Panics
+/// If `path` exists but cannot be read or does not parse (a truncated or
+/// merge-conflicted record): the file is left untouched rather than
+/// replaced by a one-run document that would drop its history.
 pub fn append_run(path: &str, run: Json) {
-    let mut runs: Vec<Json> = std::fs::read_to_string(path)
-        .ok()
-        .and_then(|text| Json::parse(&text).ok())
-        .map(|doc| match doc.get("runs").and_then(Json::as_array) {
-            Some(existing) => existing.to_vec(),
-            None => vec![doc],
-        })
-        .unwrap_or_default();
+    let mut runs: Vec<Json> = match std::fs::read_to_string(path) {
+        Ok(text) => {
+            let doc = Json::parse(&text).unwrap_or_else(|e| {
+                panic!("{path} is not a benchmark record ({e}); left untouched")
+            });
+            match doc.get("runs").and_then(Json::as_array) {
+                Some(existing) => existing.to_vec(),
+                None => vec![doc],
+            }
+        }
+        Err(e) if e.kind() == ErrorKind::NotFound => Vec::new(),
+        Err(e) => panic!("cannot read {path} ({e}); left untouched"),
+    };
     runs.push(stamp_run(run));
     let doc = Json::obj([("runs", Json::Arr(runs))]);
-    std::fs::write(path, format!("{doc}\n")).expect("write benchmark json");
+    let tmp = format!("{path}.tmp");
+    std::fs::write(&tmp, format!("{doc}\n")).unwrap_or_else(|e| panic!("write {tmp}: {e}"));
+    std::fs::rename(&tmp, path).unwrap_or_else(|e| panic!("rename {tmp} to {path}: {e}"));
     println!("appended run to {path}");
 }
 
@@ -98,6 +114,23 @@ mod tests {
         // ...while caller-provided values survive.
         assert_eq!(runs[1].get("ts").unwrap().as_u64(), Some(42));
         assert_eq!(runs[1].get("cores").unwrap().as_u64(), Some(99));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn append_run_refuses_an_unparseable_record_and_leaves_it_untouched() {
+        let dir = std::env::temp_dir().join(format!("bfly-record-torn-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("bench.json");
+        let path = path.to_str().unwrap();
+        let torn = "{\"runs\":[{";
+        std::fs::write(path, torn).unwrap();
+        let outcome = std::panic::catch_unwind(|| {
+            append_run(path, Json::obj([("new", Json::from(1u64))]));
+        });
+        assert!(outcome.is_err(), "a torn record must be refused");
+        assert_eq!(std::fs::read_to_string(path).unwrap(), torn);
+        assert!(!dir.join("bench.json.tmp").exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -98,11 +98,6 @@ impl ItemSet {
         self.0.len() < other.0.len() && self.is_subset_of(other)
     }
 
-    /// Superset test `self ⊇ other`.
-    pub fn is_superset_of(&self, other: &ItemSet) -> bool {
-        other.is_subset_of(self)
-    }
-
     /// Union `self ∪ other` (written `IJ` in the paper).
     pub fn union(&self, other: &ItemSet) -> ItemSet {
         let mut out = Vec::with_capacity(self.0.len() + other.0.len());
@@ -320,7 +315,6 @@ mod tests {
         assert!(iset("abc").is_subset_of(&iset("abc")));
         assert!(!iset("ad").is_subset_of(&iset("abc")));
         assert!(ItemSet::empty().is_subset_of(&iset("a")));
-        assert!(iset("abc").is_superset_of(&iset("b")));
     }
 
     #[test]

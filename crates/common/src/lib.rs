@@ -11,7 +11,6 @@
 //! kept as sorted vectors of item ids so subset tests, unions, and hashing
 //! are `O(n)` merges rather than hash-set operations.
 
-pub mod bitset;
 pub mod crc32;
 pub mod database;
 pub mod error;
@@ -31,7 +30,6 @@ pub mod tidmap;
 pub mod transaction;
 pub mod window;
 
-pub use bitset::DenseItemSet;
 pub use database::Database;
 pub use error::{Error, Result};
 pub use frame::{BinaryEntry, BinaryFrame, Frame, FrameCodec, FrameMode, Inbound, IngestChunk};

@@ -92,11 +92,6 @@ impl<R: Read> FrameReader<R> {
             }
         }
     }
-
-    /// The wrapped reader.
-    pub fn get_ref(&self) -> &R {
-        &self.inner
-    }
 }
 
 /// Write one NDJSON frame (`{json}\n`). Does not flush — batch frames and

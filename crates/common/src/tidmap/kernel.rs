@@ -1,7 +1,7 @@
 //! Lane-width word kernels for the vertical support-counting engine.
 //!
 //! Every support query in the workspace bottoms out in a few loops over
-//! `u64` words: AND, AND-NOT, OR, fused AND+popcount, and the subset test.
+//! `u64` words: AND, AND-NOT, fused AND+popcount, and the subset test.
 //! This module is the single home of those loops. Each is written once,
 //! `#[inline]`, over explicit `u64x8` lanes ([`LANES`] = 8 words = one
 //! 64-byte cache line per operand per step) with independent accumulators,
@@ -88,27 +88,6 @@ pub fn andnot_inplace_count(dst: &mut [u64], src: &[u64]) -> u64 {
     let mut total: u64 = lanes.iter().sum();
     for (a, b) in d.into_remainder().iter_mut().zip(s.remainder()) {
         *a &= !b;
-        total += a.count_ones() as u64;
-    }
-    total
-}
-
-/// `dst |= src`, returning the resulting popcount.
-#[inline]
-pub fn or_inplace_count(dst: &mut [u64], src: &[u64]) -> u64 {
-    debug_assert_eq!(dst.len(), src.len());
-    let mut lanes = [0u64; LANES];
-    let mut d = dst.chunks_exact_mut(LANES);
-    let mut s = src.chunks_exact(LANES);
-    for (dc, sc) in (&mut d).zip(&mut s) {
-        for ((a, b), acc) in dc.iter_mut().zip(sc).zip(lanes.iter_mut()) {
-            *a |= b;
-            *acc += a.count_ones() as u64;
-        }
-    }
-    let mut total: u64 = lanes.iter().sum();
-    for (a, b) in d.into_remainder().iter_mut().zip(s.remainder()) {
-        *a |= b;
         total += a.count_ones() as u64;
     }
     total
@@ -288,16 +267,6 @@ mod scalar {
         ones
     }
 
-    /// Reference `dst |= src`, returning the popcount.
-    pub fn or_inplace_count(dst: &mut [u64], src: &[u64]) -> u64 {
-        let mut ones = 0;
-        for (a, b) in dst.iter_mut().zip(src) {
-            *a |= b;
-            ones += a.count_ones() as u64;
-        }
-        ones
-    }
-
     /// Reference fused `|a & b|`.
     pub fn and_count(a: &[u64], b: &[u64]) -> u64 {
         a.iter()
@@ -389,13 +358,6 @@ mod tests {
             assert_eq!(
                 andnot_inplace_count(&mut d1, &b),
                 scalar::andnot_inplace_count(&mut d2, &b)
-            );
-            assert_eq!(d1, d2);
-            let mut d1 = a.clone();
-            let mut d2 = a.clone();
-            assert_eq!(
-                or_inplace_count(&mut d1, &b),
-                scalar::or_inplace_count(&mut d2, &b)
             );
             assert_eq!(d1, d2);
             let mut d1 = vec![0; n];

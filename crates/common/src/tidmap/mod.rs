@@ -124,19 +124,6 @@ impl TidBitmap {
         }
     }
 
-    /// Clear any bits past `capacity` in the last word. The in-place ops
-    /// preserve a clear tail on their own (AND/AND-NOT shrink, OR of two
-    /// clear tails stays clear); this is the belt-and-braces mask applied
-    /// where foreign words enter wholesale, so a stale tail can never
-    /// inflate [`TidBitmap::count`].
-    #[inline]
-    fn mask_tail(&mut self) {
-        let mask = self.tail_mask();
-        if let Some(last) = self.words.last_mut() {
-            *last &= mask;
-        }
-    }
-
     /// Debug invariant: no bit past `capacity` is set and the cached
     /// popcount matches the words. Checked after every in-place op.
     #[inline]
@@ -153,45 +140,12 @@ impl TidBitmap {
         );
     }
 
-    /// In-place intersection `self &= other`.
-    pub fn intersect_with(&mut self, other: &TidBitmap) {
-        debug_assert_eq!(self.capacity, other.capacity, "ring capacity mismatch");
-        self.ones = kernel::and_inplace_count(&mut self.words, &other.words) as u32;
-        self.debug_assert_tail_clear();
-    }
-
-    /// In-place difference `self &= !other`.
-    pub fn subtract_with(&mut self, other: &TidBitmap) {
-        debug_assert_eq!(self.capacity, other.capacity, "ring capacity mismatch");
-        self.ones = kernel::andnot_inplace_count(&mut self.words, &other.words) as u32;
-        self.debug_assert_tail_clear();
-    }
-
-    /// In-place union `self |= other`.
-    pub fn union_with(&mut self, other: &TidBitmap) {
-        debug_assert_eq!(self.capacity, other.capacity, "ring capacity mismatch");
-        kernel::or_inplace_count(&mut self.words, &other.words);
-        self.mask_tail();
-        self.ones = kernel::popcount(&self.words) as u32;
-        self.debug_assert_tail_clear();
-    }
-
     /// Overwrite with `self = a & b` in one fused pass (the Eclat DFS step:
     /// copy-then-intersect was two passes over the scratch buffer).
     pub fn assign_and(&mut self, a: &TidBitmap, b: &TidBitmap) {
         debug_assert_eq!(self.capacity, a.capacity, "ring capacity mismatch");
         debug_assert_eq!(self.capacity, b.capacity, "ring capacity mismatch");
         self.ones = kernel::assign_and_count(&mut self.words, &a.words, &b.words) as u32;
-        self.debug_assert_tail_clear();
-    }
-
-    /// Overwrite with `other`'s contents (no allocation when capacities
-    /// match, which the debug assertion enforces).
-    pub fn copy_from(&mut self, other: &TidBitmap) {
-        debug_assert_eq!(self.capacity, other.capacity, "ring capacity mismatch");
-        self.words.copy_from_slice(&other.words);
-        self.ones = other.ones;
-        self.mask_tail();
         self.debug_assert_tail_clear();
     }
 
@@ -573,21 +527,14 @@ mod tests {
             b.set(s);
         }
         assert_eq!(a.and_count(&b), 2);
-        let mut i = a.clone();
-        i.intersect_with(&b);
+        let mut i = TidBitmap::new(100);
+        i.set(3); // overwritten, not kept
+        i.assign_and(&a, &b);
         assert_eq!(iter_slots(i.words()).collect::<Vec<_>>(), vec![5, 64]);
         assert_eq!(i.count(), 2);
-        let mut d = a.clone();
-        d.subtract_with(&b);
-        assert_eq!(iter_slots(d.words()).collect::<Vec<_>>(), vec![1, 70]);
-        let mut u = a.clone();
-        u.union_with(&b);
-        assert_eq!(u.count(), 5);
         assert!(i.is_subset_of(&a));
         assert!(i.is_subset_of(&b));
         assert!(!a.is_subset_of(&b));
-        b.copy_from(&a);
-        assert_eq!(b, a);
     }
 
     #[test]

@@ -13,9 +13,6 @@
 //! * [`adversary`] — the best-effort estimator an adversary runs against
 //!   *Butterfly-perturbed* output, used to measure the achieved privacy
 //!   guarantee (`prig`).
-
-//! * [`consistency`] — interval propagation over support constraints: the
-//!   tractable fragment of FREQSAT (Prior Knowledge 1).
 //! * [`knowledge`] — knowledge points (Prior Knowledge 3) and the variance
 //!   compensation that restores the privacy floor under side information.
 //! * [`truth`] — the exact support oracle the evaluations compare against:
@@ -25,7 +22,6 @@
 pub mod adversary;
 pub mod attack;
 pub mod bounds;
-pub mod consistency;
 pub mod derive;
 pub mod knowledge;
 pub mod lattice;
@@ -34,7 +30,6 @@ pub mod truth;
 
 pub use attack::{find_inter_window_breaches, find_intra_window_breaches, Breach};
 pub use bounds::support_bounds;
-pub use consistency::{propagate, Propagation};
 pub use derive::{derive_pattern_support, derive_pattern_support_f64, SupportView};
 pub use knowledge::KnowledgeModel;
 pub use lattice::Lattice;

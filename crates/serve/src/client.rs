@@ -1,6 +1,6 @@
 //! A minimal blocking client for the wire protocol — shared by the
-//! integration tests, the loadgen harness, and anything else that talks to
-//! a [`crate::Server`] without hand-rolling sockets.
+//! integration tests and anything else that talks to a [`crate::Server`]
+//! without hand-rolling sockets.
 
 use crate::protocol::{binary_event_json, Request};
 use bfly_common::{BinaryFrame, Error, Frame, FrameMode, FrameReader, Json, Result};
@@ -36,11 +36,6 @@ impl Client {
     /// any time; control requests stay NDJSON either way.
     pub fn set_frame(&mut self, mode: FrameMode) {
         self.frame = mode;
-    }
-
-    /// The current outbound frame encoding.
-    pub fn frame(&self) -> FrameMode {
-        self.frame
     }
 
     /// Send a request without waiting for its reply (pipelining). Callers
@@ -103,17 +98,5 @@ impl Client {
                 .map(Some)
                 .ok_or_else(|| Error::Parse("unexpected binary request frame from server".into())),
         }
-    }
-
-    /// Half-close: no more requests will be sent, but lines can still be
-    /// read. Lets a subscriber signal it is done ingesting while it drains
-    /// events.
-    ///
-    /// # Errors
-    /// Propagates the socket shutdown failure.
-    pub fn close_write(&mut self) -> Result<()> {
-        self.writer.flush()?;
-        self.writer.shutdown(std::net::Shutdown::Write)?;
-        Ok(())
     }
 }

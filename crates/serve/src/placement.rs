@@ -102,11 +102,6 @@ impl ClusterMap {
         self.node_count() * self.shards_per_node
     }
 
-    /// The address of node `idx` (None on the degenerate in-process map).
-    pub fn node_addr(&self, idx: usize) -> Option<SocketAddr> {
-        self.nodes.get(idx).copied()
-    }
-
     /// The node addresses in slot order.
     pub fn node_addrs(&self) -> &[SocketAddr] {
         &self.nodes
@@ -165,7 +160,7 @@ mod tests {
             let owner = map.owner_of(&key);
             assert_eq!(owner.node, slot / 4);
             assert_eq!(owner.shard, slot % 4);
-            assert!(map.node_addr(owner.node).is_some());
+            assert!(owner.node < map.node_addrs().len());
         }
     }
 

@@ -77,162 +77,6 @@ cargo run -q --release -p bfly-bench --bin parbench -- --quick \
   --out target/BENCH_parallel.smoke.json \
   --support-out target/BENCH_support.smoke.json
 
-echo "==> serve smoke (both frame modes, delta wire, mid-stream subscriber, WAL on)"
-cargo build -q --release
-PORT_FILE=target/serve.smoke.port
-WAL_DIR=target/serve.smoke.wal
-rm -f "$PORT_FILE"
-rm -rf "$WAL_DIR"
-target/release/butterfly serve --addr 127.0.0.1:0 --port-file "$PORT_FILE" \
-  --window 200 --min-support 8 --vulnerable 3 --epsilon 0.05 --every 40 \
-  --snapshot-every 4 --wal-dir "$WAL_DIR" --wal-sync interval:64 &
-SERVE_PID=$!
-trap 'kill "$SERVE_PID" 2>/dev/null || true' EXIT
-for _ in $(seq 1 100); do
-  [[ -s "$PORT_FILE" ]] && break
-  sleep 0.1
-done
-[[ -s "$PORT_FILE" ]] || { echo "server never wrote its port file"; exit 1; }
-# First burst drives the legacy NDJSON wire; its releases publish for every
-# key, so the second burst's watcher joins stream t0 mid-flight and must
-# reconstruct its sanitized state from the next full snapshot plus the
-# release_delta events after it (loadgen's watcher dies on any divergence).
-# The second burst ingests and watches over binary frames, so one process
-# has served both encodings before the drain.
-cargo run -q --release -p bfly-bench --bin loadgen -- --quick \
-  --addr "$(cat "$PORT_FILE")" --frame json --out target/BENCH_serve.smoke.json
-WATCH_LOG=target/serve.smoke.watch.log
-cargo run -q --release -p bfly-bench --bin loadgen -- --quick \
-  --addr "$(cat "$PORT_FILE")" --frame binary --watch t0 --shutdown \
-  --out target/BENCH_serve.smoke.json | tee "$WATCH_LOG"
-grep -q 'watch t0 (binary): synced=true' "$WATCH_LOG" \
-  || { echo "mid-stream watcher never reconstructed stream t0"; exit 1; }
-wait "$SERVE_PID"   # exits 0 only after a clean drain
-trap - EXIT
-# The drained log must replay: a restart on the same --wal-dir only comes
-# up if replay re-executes every logged publication byte-for-byte, and the
-# recovered server must take fresh load before draining clean again.
-rm -f "$PORT_FILE"
-target/release/butterfly serve --addr 127.0.0.1:0 --port-file "$PORT_FILE" \
-  --window 200 --min-support 8 --vulnerable 3 --epsilon 0.05 --every 40 \
-  --snapshot-every 4 --wal-dir "$WAL_DIR" --wal-sync interval:64 &
-SERVE_PID=$!
-trap 'kill "$SERVE_PID" 2>/dev/null || true' EXIT
-for _ in $(seq 1 100); do
-  [[ -s "$PORT_FILE" ]] && break
-  sleep 0.1
-done
-[[ -s "$PORT_FILE" ]] || { echo "server never recovered from its own wal"; exit 1; }
-cargo run -q --release -p bfly-bench --bin loadgen -- --quick --shutdown \
-  --addr "$(cat "$PORT_FILE")" --frame binary --out target/BENCH_serve.smoke.json
-wait "$SERVE_PID"
-trap - EXIT
-
-echo "==> federation smoke (router over 2 WAL nodes, kill one mid-run, survivor WAL differential, clean drain)"
-FED_DIR=target/federation.smoke
-rm -rf "$FED_DIR"
-mkdir -p "$FED_DIR"
-# Two identical cluster runs — one undisturbed, one with node B SIGKILLed
-# mid-run — driven by the same paced single-client load through a router.
-# Placement hashes keys, not connections, so node A owns the same streams
-# in both runs; with nothing shed (asserted below) its write-ahead log must
-# come out byte-identical: the survivor never notices the kill. Every child
-# is waited on (or reaped by the trap on failure) — no leaked processes.
-for RUN in undisturbed kill; do
-  for N in a b; do
-    rm -f "$FED_DIR/$N.port"
-    target/release/butterfly serve --addr 127.0.0.1:0 --port-file "$FED_DIR/$N.port" \
-      --window 200 --min-support 8 --vulnerable 3 --epsilon 0.05 --every 40 \
-      --shards 2 --wal-dir "$FED_DIR/$RUN-wal-$N" --wal-sync interval:64 &
-    if [[ "$N" == a ]]; then NODE_A=$!; else NODE_B=$!; fi
-  done
-  trap 'kill -9 "$NODE_A" "$NODE_B" 2>/dev/null || true' EXIT
-  for _ in $(seq 1 100); do
-    [[ -s "$FED_DIR/a.port" && -s "$FED_DIR/b.port" ]] && break
-    sleep 0.1
-  done
-  [[ -s "$FED_DIR/a.port" && -s "$FED_DIR/b.port" ]] \
-    || { echo "federation nodes never came up"; exit 1; }
-  rm -f "$FED_DIR/r.port"
-  target/release/butterfly serve --addr 127.0.0.1:0 --port-file "$FED_DIR/r.port" \
-    --window 200 --min-support 8 --vulnerable 3 --epsilon 0.05 --every 40 \
-    --shards 2 --role router \
-    --nodes "$(cat "$FED_DIR/a.port"),$(cat "$FED_DIR/b.port")" &
-  ROUTER_PID=$!
-  trap 'kill -9 "$NODE_A" "$NODE_B" "$ROUTER_PID" 2>/dev/null || true' EXIT
-  for _ in $(seq 1 100); do
-    [[ -s "$FED_DIR/r.port" ]] && break
-    sleep 0.1
-  done
-  [[ -s "$FED_DIR/r.port" ]] || { echo "federation router never came up"; exit 1; }
-  # Paced so the drive outlives the kill below; the pacing only adds client
-  # sleeps, so both runs offer the identical record sequence.
-  cargo run -q --release -p bfly-bench --bin loadgen -- \
-    --clients 1 --requests 120 --batch 16 --pace 500 \
-    --addr "$(cat "$FED_DIR/r.port")" --frame binary --shutdown \
-    --out "$FED_DIR/bench.$RUN.json" &
-  LOADGEN_PID=$!
-  if [[ "$RUN" == kill ]]; then
-    sleep 1.2
-    kill -9 "$NODE_B" 2>/dev/null || true
-  fi
-  wait "$LOADGEN_PID" || { echo "loadgen through the router failed ($RUN)"; exit 1; }
-  wait "$ROUTER_PID"    # exits 0 only after a clean drain
-  wait "$NODE_A"        # drained by the shutdown the router forwarded
-  if [[ "$RUN" == kill ]]; then
-    wait "$NODE_B" 2>/dev/null || true   # SIGKILLed; reap the zombie
-  else
-    wait "$NODE_B"
-  fi
-  trap - EXIT
-  grep -q '"shed":0' "$FED_DIR/bench.$RUN.json" \
-    || { echo "federation smoke shed records ($RUN); differential would be vacuous"; exit 1; }
-done
-diff -rq "$FED_DIR/undisturbed-wal-a" "$FED_DIR/kill-wal-a" \
-  || { echo "survivor node's release log diverged after the kill"; exit 1; }
-
-echo "==> cross-defense smoke (CLI + serve + matrix, each registered defense)"
-SMOKE_DIR=target/defense.smoke
-mkdir -p "$SMOKE_DIR"
-target/release/butterfly gen --profile webview1 --count 600 --seed 7 \
-  --out "$SMOKE_DIR/stream.dat"
-for DEFENSE in butterfly privbasis suppress; do
-  # Same stream, same seed, twice: every defense must be bit-reproducible.
-  for RUN in a b; do
-    target/release/butterfly protect --input "$SMOKE_DIR/stream.dat" \
-      --window 200 --min-support 8 --vulnerable 3 --epsilon 0.05 --delta 0.5 \
-      --every 40 --seed 11 --defense "$DEFENSE" \
-      --out "$SMOKE_DIR/$DEFENSE.$RUN.jsonl" 2>/dev/null
-  done
-  cmp "$SMOKE_DIR/$DEFENSE.a.jsonl" "$SMOKE_DIR/$DEFENSE.b.jsonl" \
-    || { echo "defense $DEFENSE is not reproducible"; exit 1; }
-  # Boot a server with the defense as the default and drive it once.
-  PORT_FILE="$SMOKE_DIR/$DEFENSE.port"
-  rm -f "$PORT_FILE"
-  target/release/butterfly serve --addr 127.0.0.1:0 --port-file "$PORT_FILE" \
-    --window 200 --min-support 8 --vulnerable 3 --epsilon 0.05 --every 40 \
-    --defense "$DEFENSE" &
-  SERVE_PID=$!
-  trap 'kill "$SERVE_PID" 2>/dev/null || true' EXIT
-  for _ in $(seq 1 100); do
-    [[ -s "$PORT_FILE" ]] && break
-    sleep 0.1
-  done
-  [[ -s "$PORT_FILE" ]] || { echo "serve --defense $DEFENSE never came up"; exit 1; }
-  cargo run -q --release -p bfly-bench --bin loadgen -- --quick --shutdown \
-    --addr "$(cat "$PORT_FILE")" --out "$SMOKE_DIR/$DEFENSE.serve.json"
-  wait "$SERVE_PID"
-  trap - EXIT
-done
-# Unknown defenses must be rejected with the valid-name list, not applied.
-if target/release/butterfly protect --input "$SMOKE_DIR/stream.dat" \
-  --window 200 --min-support 8 --vulnerable 3 --epsilon 0.05 --delta 0.5 \
-  --defense rot13 2>"$SMOKE_DIR/unknown.err"; then
-  echo "unknown --defense was accepted"; exit 1
-fi
-grep -q 'unknown defense' "$SMOKE_DIR/unknown.err" \
-  || { echo "unknown --defense error lacks the defense name list"; exit 1; }
-
 echo "==> defense matrix smoke (scratch output under target/)"
 cargo run -q --release -p bfly-bench --bin defbench -- --quick \
   --out target/BENCH_defense.smoke.json

@@ -181,31 +181,6 @@ fn all_four_miners_agree() {
 }
 
 #[test]
-fn dense_bitset_mirrors_sparse_ops() {
-    use butterfly_repro::common::DenseItemSet;
-    for case in 0..CASES {
-        let mut rng = case_rng(6, case);
-        let a = arb_itemset(&mut rng, 100);
-        let b = arb_itemset(&mut rng, 100);
-        let da = DenseItemSet::from_itemset(&a, 100);
-        let db_ = DenseItemSet::from_itemset(&b, 100);
-        assert_eq!(da.union(&db_).to_itemset(), a.union(&b), "case {case}");
-        assert_eq!(
-            da.intersection(&db_).to_itemset(),
-            a.intersection(&b),
-            "case {case}"
-        );
-        assert_eq!(
-            da.difference(&db_).to_itemset(),
-            a.difference(&b),
-            "case {case}"
-        );
-        assert_eq!(da.is_subset_of(&db_), a.is_subset_of(&b), "case {case}");
-        assert_eq!(da.to_itemset(), a, "case {case}");
-    }
-}
-
-#[test]
 fn rule_confidences_are_exact_ratios() {
     use butterfly_repro::mining::generate_rules;
     for case in 0..CASES {
