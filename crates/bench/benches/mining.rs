@@ -1,11 +1,13 @@
 //! Micro-benchmarks for the mining substrate: static miners on a fixed
-//! window, per-slide throughput of every registered backend, and FP-stream
-//! batch ingestion.
+//! window, per-slide throughput of every registered backend, Moment at the
+//! served cadences, and FP-stream batch ingestion.
 
 use bfly_bench::bench;
 use bfly_common::{Database, SlidingWindow};
 use bfly_datagen::DatasetProfile;
-use bfly_mining::{Apriori, BackendKind, FpGrowth, FpStream, FpStreamConfig};
+use bfly_mining::{
+    Apriori, BackendKind, FpGrowth, FpStream, FpStreamConfig, MinerBackend, MomentMiner,
+};
 
 fn window_db(n: usize) -> Database {
     let txs = DatasetProfile::WebView1.source(11).take_vec(n);
@@ -44,6 +46,41 @@ fn bench_backend_slide() {
     }
 }
 
+/// Moment at a served cadence: `every` departures and arrivals by tid, then
+/// one settle and the closed-set read-out, as a shard publishes (compare
+/// `backend_slide_1000/moment`, which settles every slide). The stream is
+/// generated up front and replayed in a loop, so only the miner is timed.
+fn bench_moment_interval() {
+    for (name, profile, window, c, every) in [
+        ("pos_w500_c20_every250", DatasetProfile::Pos, 500, 20, 250),
+        (
+            "webview1_w2000_c25_every100",
+            DatasetProfile::WebView1,
+            2000,
+            25,
+            100,
+        ),
+    ] {
+        let stream = profile.source(23).take_vec(20 * window);
+        let items = |tid: u64| stream[tid as usize % stream.len()].items().items();
+        let window = window as u64;
+        let mut miner = MomentMiner::new(c);
+        for tid in 1..=window {
+            miner.insert(tid, items(tid));
+        }
+        let mut tid = window;
+        bench(&format!("moment_interval/{name}"), || {
+            for _ in 0..every {
+                tid += 1;
+                miner.remove(tid - window);
+                miner.insert(tid, items(tid));
+            }
+            miner.settle();
+            miner.closed_frequent()
+        });
+    }
+}
+
 fn bench_fpstream_batch() {
     let mut source = DatasetProfile::WebView1.source(31);
     bench("fpstream_batch_500", || {
@@ -63,5 +100,6 @@ fn bench_fpstream_batch() {
 fn main() {
     bench_static_miners();
     bench_backend_slide();
+    bench_moment_interval();
     bench_fpstream_batch();
 }

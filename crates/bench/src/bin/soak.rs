@@ -2,7 +2,9 @@
 //! miner against the re-mine oracle, with contract audits on every
 //! published window — the CI tool that guards the reproduction's two
 //! load-bearing correctness claims (exact incremental mining; contract-
-//! compliant perturbation) far beyond unit-test scale.
+//! compliant perturbation) far beyond unit-test scale. Moment is fed by tid
+//! and settled at each checkpoint, as a shard settles it at a publication:
+//! intervals of 97 slides (`--quick`) or 211.
 //!
 //! Exits non-zero on the first divergence. Run:
 //! `cargo run --release -p bfly-bench --bin soak [-- --quick]`
@@ -46,12 +48,18 @@ fn main() -> ExitCode {
             for step in 0..steps {
                 let t = stream.next().expect("infinite stream");
                 let delta = window.slide(t);
-                moment.apply(&delta);
+                // Moment as the pipeline drives it: by tid, its tree settled
+                // only at a checkpoint, so each one settles a whole interval.
+                if let Some(evicted) = &delta.evicted {
+                    moment.remove(evicted.tid());
+                }
+                moment.insert(delta.added.tid(), delta.added.items().items());
                 oracle.apply(&delta);
                 if step % check_every != 0 {
                     continue;
                 }
                 checks += 1;
+                moment.settle();
                 let mined = moment.closed_frequent();
                 if mined != oracle.closed_frequent() {
                     eprintln!("[soak] FAIL {label}: miner divergence at step {step}");

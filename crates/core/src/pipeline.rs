@@ -29,7 +29,9 @@ pub struct WindowRelease {
 /// Moment's ring is the window's one copy. The pipeline keeps only the
 /// counters `N` and `min(N, H)`: each arrival removes tid `N − H` from the
 /// miner and inserts the new transaction under tid `N`, and
-/// [`StreamPipeline::window`] reads the contents back from the ring.
+/// [`StreamPipeline::window`] reads the contents back from the ring. The
+/// miner's tree is settled only at a publication, in one walk for every
+/// arrival and departure since the last one.
 ///
 /// The defense is a type parameter so the Butterfly [`Publisher`] pays no
 /// dynamic dispatch, while deployments picking one at runtime (`--defense`,
@@ -96,6 +98,7 @@ impl<D: PrivacyDefense> StreamPipeline<D> {
     /// entry outside its legal region never reaches a caller.
     fn publish_full_window(&mut self) -> Result<WindowRelease> {
         self.since_publish = 0;
+        self.miner.settle();
         let closed = self.miner.closed_frequent();
         let (release, delta) = self.defense.publish_with_delta(&closed);
         let stream_len = self.stream_len;

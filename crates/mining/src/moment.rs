@@ -14,13 +14,17 @@
 //!   support (its closure extends rightward);
 //! * **closed** — frequent, promising, and no equal-support child.
 //!
-//! Insertions and deletions walk only the nodes whose itemset is contained
-//! in the arriving/leaving transaction, flipping node types locally and
-//! re-exploring subtrees only on gateway→promising transitions — the
-//! property that makes the miner incremental. The layout (DESIGN.md, "The
-//! Moment CET") keeps that walk in cache: items are enumerated **rarest
-//! first** by dense code, re-ranked from the live window once per turnover;
-//! a **gateway is only an entry** in its promising parent's sorted array;
+//! Insertions and deletions update the window's ring, item bitmaps and
+//! counts at once but only *queue* the tree's change; [`MomentMiner::settle`]
+//! applies the whole queue in one walk from the root, visiting only the
+//! nodes whose itemset some queued transaction contains, each once, with
+//! every transaction that reaches it (LCM's occurrence deliver). It flips
+//! node types locally and re-explores subtrees only on net gateway→promising
+//! transitions — the property that makes the miner incremental. The layout
+//! (DESIGN.md, "The Moment CET") keeps that walk in cache: items are
+//! enumerated **rarest first** by dense code, re-ranked from the live window
+//! once per turnover; a **gateway is only an entry** in its promising
+//! parent's sorted array;
 //! **no node stores a tidset** (the walk re-derives them, one AND a level);
 //! tables are **indexed by code**, never by a client-chosen item id.
 //! Differential tests against [`RescanMiner`](crate::RescanMiner) enforce
@@ -37,12 +41,13 @@ use std::collections::HashMap;
 /// Starting ring size; doubled whenever the live tid range outgrows it.
 const INITIAL_RING: usize = 64;
 
-/// `Entry::child` of a gateway.
+/// `Entry::child` of a gateway; `Touch::bucket` of an extension the walk
+/// does not descend into.
 const NONE: u32 = u32::MAX;
 
 /// One child of a promising node: its itemset extended by item `key as u32`.
 /// A frequent entry owns a `child` record (promising) or failed the prefix-
-/// preservation test when a transaction containing it last arrived.
+/// preservation test the last time a settle brought it an arrival.
 #[derive(Clone, Copy, Debug)]
 struct Entry {
     /// Rank bit ‖ item code ([`MomentMiner::key`]); entries are sorted by it.
@@ -68,8 +73,41 @@ struct Coded {
     item: Item,
 }
 
+/// A queued transaction reaching the node the walk stands on: its codes
+/// after that node's, `queued_codes[from..to]`, and which way it moved.
+#[derive(Clone, Copy, Debug, Default)]
+struct Occ {
+    from: u32,
+    to: u32,
+    arrival: bool,
+}
+
+/// One extension of the node the walk stands on that queued transactions
+/// reach: how many arrived and departed through it, how many of those hold
+/// items past it, its entry's index once merged, and (if the walk will
+/// recurse into it) its bucket of `occs`, those onward occurrences.
+#[derive(Clone, Copy, Debug)]
+struct Touch {
+    key: u64,
+    arrivals: u32,
+    departures: u32,
+    onward: u32,
+    at: u32,
+    bucket: u32,
+}
+
+/// A touch as it is created: nothing counted, no bucket.
+const UNTOUCHED: Touch = Touch {
+    key: 0,
+    arrivals: 0,
+    departures: 0,
+    onward: 0,
+    at: 0,
+    bucket: NONE,
+};
+
 /// One ring slot: its transaction's tid, and its items as codes sorted by
-/// key — kept when it leaves, for the deletion walk and the next occupant.
+/// key — kept when it leaves, for the next occupant's buffer.
 #[derive(Clone, Debug, Default)]
 struct Slot {
     tid: Option<Tid>,
@@ -99,10 +137,11 @@ impl CetStats {
 /// Incremental closed-frequent-itemset miner over a sliding window.
 ///
 /// Drive it with [`MomentMiner::insert`] and [`MomentMiner::remove`] by tid
-/// (what the stream pipeline does: its ring is the window's one copy), or
-/// with [`MinerBackend::apply`] and a [`bfly_common::WindowDelta`], as the
-/// oracles are driven; query with [`MinerBackend::closed_frequent`] at any
-/// point. All supports are exact.
+/// and bring the tree up to date with [`MomentMiner::settle`] before reading
+/// it (what the stream pipeline does at each publication: its ring is the
+/// window's one copy), or with [`MinerBackend::apply`] and a
+/// [`bfly_common::WindowDelta`], which settles every slide, as the oracles
+/// are driven. All supports are exact.
 ///
 /// ```
 /// use bfly_common::SlidingWindow;
@@ -125,7 +164,7 @@ pub struct MomentMiner {
     /// Per-code table; the last re-rank numbered the codes below `ranked`.
     coded: Vec<Coded>,
     ranked: u32,
-    /// `explore`'s scratch counter per code, zero between calls.
+    /// `explore`'s and `settle_under`'s scratch per code, zero between calls.
     tally: Vec<u32>,
     /// Inserts left until the order is re-derived (counted down from the
     /// window length the last re-rank saw: observed, not configured).
@@ -143,6 +182,14 @@ pub struct MomentMiner {
     /// prefix (`words` words a level; level 0, the live slots, persists).
     path: Vec<u32>,
     tids: Vec<u64>,
+    /// The changes not yet in the tree: each queued transaction's codes,
+    /// sorted by key, copied here (its slot may be reused before the settle).
+    queued_codes: Vec<u32>,
+    /// The settle walk's occurrence stack; between settles it is the queue,
+    /// one occurrence per queued transaction, the root's.
+    occs: Vec<Occ>,
+    /// The settle walk's touched extensions, one run per level.
+    touches: Vec<Touch>,
 }
 
 impl MomentMiner {
@@ -166,6 +213,9 @@ impl MomentMiner {
             free: Vec::new(),
             path: Vec::new(),
             tids: vec![0; INITIAL_RING / 64],
+            queued_codes: Vec::new(),
+            occs: Vec::new(),
+            touches: Vec::new(),
         }
     }
 
@@ -176,13 +226,22 @@ impl MomentMiner {
 
     /// Number of live CET nodes (every entry is one; the root is not) —
     /// the working-set size the efficiency experiments report.
+    ///
+    /// # Panics
+    /// With changes queued since the last [`MomentMiner::settle`], as every
+    /// read of the tree does.
     pub fn node_count(&self) -> usize {
+        self.assert_settled();
         self.nodes.iter().map(Vec::len).sum()
     }
 
     /// Per-type CET node counts — the Moment paper's structural statistic:
     /// the boundary (gateway) nodes dominate, the closed core stays small.
+    ///
+    /// # Panics
+    /// With changes queued since the last [`MomentMiner::settle`].
     pub fn node_stats(&self) -> CetStats {
+        self.assert_settled();
         let mut stats = CetStats::default();
         for entry in self.nodes.iter().flatten() {
             *match (self.is_frequent(entry.support), entry.child != NONE) {
@@ -198,6 +257,15 @@ impl MomentMiner {
     /// All frequent itemsets (closed ones expanded), with exact supports.
     pub fn all_frequent(&self) -> FrequentItemsets {
         expand_closed(&self.closed_frequent())
+    }
+
+    /// A tree read with changes queued would be a stale release, so it is
+    /// refused in every build.
+    fn assert_settled(&self) {
+        assert!(
+            self.occs.is_empty(),
+            "Moment's tree read with changes queued: settle first"
+        );
     }
 
     fn is_frequent(&self, support: u32) -> bool {
@@ -308,50 +376,152 @@ impl MomentMiner {
         self.free.push(node);
     }
 
-    /// Add the transaction in `slot` to (`delta` = 1), or remove the one that
-    /// just left it from (−1), every entry under `node` (where the walk
-    /// stands) that its items `codes[from..]`, those after the node's, reach.
-    fn update(&mut self, node: usize, slot: usize, from: usize, delta: i32) {
-        let (mut at, mut emptied) = (0, false);
-        for pos in from..self.slots[slot].codes.len() {
-            let code = self.slots[slot].codes[pos];
-            let key = self.key(code);
-            let entries = &mut self.nodes[node];
-            at += entries[at..].partition_point(|e| e.key < key);
-            if entries.get(at).is_none_or(|e| e.key != key) {
-                // Entries are exhaustive for a promising node: every
-                // earlier supporting transaction lacked this item.
-                debug_assert!(delta > 0, "a departing transaction was counted");
-                entries.insert(at, Entry { key, ..GATEWAY });
+    /// Apply the queued transactions `occs[lo..hi]`, those reaching `node`
+    /// (where the walk stands), to every entry under it that they reach.
+    ///
+    /// Occurrence deliver: one pass counts each extension's arrivals and
+    /// departures, the new extensions merge into the sorted entries as
+    /// gateways, a second pass buckets each promising extension's onward
+    /// occurrences (those holding items past it), and each touched entry is
+    /// then settled once, against the window as it stands now.
+    fn settle_under(&mut self, node: usize, lo: usize, hi: usize) {
+        // While counting, `tally[code]` is its touch's index + 1 (0: not
+        // touched yet); once the touches are sorted, while bucketing, it is
+        // the index itself.
+        let first = self.touches.len();
+        for i in lo..hi {
+            let Occ { from, to, arrival } = self.occs[i];
+            for at in from as usize..to as usize {
+                let code = self.queued_codes[at] as usize;
+                if self.tally[code] == 0 {
+                    let key = self.key(code as u32);
+                    self.touches.push(Touch { key, ..UNTOUCHED });
+                    self.tally[code] = self.touches.len() as u32;
+                }
+                let touch = &mut self.touches[self.tally[code] as usize - 1];
+                if arrival {
+                    touch.arrivals += 1;
+                } else {
+                    touch.departures += 1;
+                }
+                touch.onward += u32::from(at + 1 < to as usize);
             }
-            entries[at].support = entries[at].support.wrapping_add_signed(delta);
-            let Entry { support, child, .. } = entries[at];
+        }
+        let last = self.touches.len();
+        self.touches[first..].sort_unstable_by_key(|t| t.key);
+
+        // Find each touched extension's entry; a new one (every earlier
+        // supporting transaction lacked it: entries are exhaustive for a
+        // promising node) is merged in from the back as a gateway.
+        let entries = &mut self.nodes[node];
+        let (mut at, mut missing) = (0, 0);
+        for touch in &mut self.touches[first..] {
+            at += entries[at..].partition_point(|e| e.key < touch.key);
+            touch.at = at as u32;
+            if entries.get(at).is_some_and(|e| e.key == touch.key) {
+                at += 1;
+            } else {
+                debug_assert!(touch.arrivals > 0, "a departing transaction was counted");
+                missing += 1;
+            }
+        }
+        let (mut read, mut write) = (entries.len(), entries.len() + missing);
+        entries.resize(write, GATEWAY);
+        for touch in self.touches[first..].iter_mut().rev() {
+            if read == write {
+                break;
+            }
+            while read > 0 && entries[read - 1].key > touch.key {
+                (read, write) = (read - 1, write - 1);
+                entries[write] = entries[read];
+            }
+            write -= 1;
+            entries[write] = if read > 0 && entries[read - 1].key == touch.key {
+                read -= 1;
+                entries[read]
+            } else {
+                Entry {
+                    key: touch.key,
+                    ..GATEWAY
+                }
+            };
+            touch.at = write as u32;
+        }
+
+        // Bucket the onward occurrences of each promising extension, filled
+        // back to front so each bucket ends at its start.
+        let base = self.occs.len();
+        let mut end = base;
+        for (k, touch) in (first..last).zip(&mut self.touches[first..]) {
+            let code = touch.key as u32 as usize;
+            self.tally[code] = k as u32;
+            if touch.onward > 0 && self.nodes[node][touch.at as usize].child != NONE {
+                end += touch.onward as usize;
+                touch.bucket = end as u32;
+            }
+        }
+        if end > base {
+            self.occs.resize(end, Occ::default());
+            for i in lo..hi {
+                let Occ { from, to, arrival } = self.occs[i];
+                for at in from..to {
+                    let code = self.queued_codes[at as usize] as usize;
+                    let touch = &mut self.touches[self.tally[code] as usize];
+                    if touch.bucket != NONE && at + 1 < to {
+                        touch.bucket -= 1;
+                        let from = at + 1;
+                        self.occs[touch.bucket as usize] = Occ { from, to, arrival };
+                    }
+                }
+            }
+        }
+        for touch in &self.touches[first..] {
+            self.tally[touch.key as u32 as usize] = 0;
+        }
+
+        let mut emptied = false;
+        for k in first..last {
+            let touch = self.touches[k];
+            let at = touch.at as usize;
+            let entry = &mut self.nodes[node][at];
+            entry.support = entry.support + touch.arrivals - touch.departures;
+            let Entry { support, child, .. } = *entry;
             emptied |= support == 0;
             if child == NONE {
-                // A shrinking gateway keeps its kind (a subsumption over a
-                // smaller tidset still holds). A growing one may be newly
-                // frequent, or the arrival may lack the item that subsumed it.
-                if delta > 0 && self.is_frequent(support) {
+                // A gateway only departures reached keeps its kind: below C
+                // it shrank further, and a subsumption over a smaller tidset
+                // still holds. One an arrival reached may be newly frequent,
+                // or the arrival may lack the item that subsumed it.
+                if touch.arrivals > 0 && self.is_frequent(support) {
                     self.classify(node, at);
                 }
+            } else if !self.is_frequent(support) {
+                self.release(child);
+                self.nodes[node][at].child = NONE;
             } else {
-                // Promising stays promising under insertion (a subsumption
-                // that failed keeps its failing witness tid); under deletion
-                // it can fall below C or newly satisfy a subsumption.
-                self.descend(code, support);
-                if delta > 0 || self.is_frequent(support) && !self.is_unpromising(support) {
-                    self.update(child as usize, slot, pos + 1, delta);
-                } else {
+                // Promising stays promising if only arrivals reached it (a
+                // subsumption that failed keeps its failing witness tid);
+                // a departure can make a subsumption newly hold. Below it
+                // only the onward occurrences change anything.
+                if touch.departures == 0 && touch.onward == 0 {
+                    continue;
+                }
+                self.descend(touch.key as u32, support);
+                if touch.departures > 0 && self.is_unpromising(support) {
                     self.release(child);
                     self.nodes[node][at].child = NONE;
+                } else if touch.onward > 0 {
+                    let start = touch.bucket as usize;
+                    self.settle_under(child as usize, start, start + touch.onward as usize);
                 }
                 self.path.pop();
             }
-            at += 1;
         }
         if emptied {
             self.nodes[node].retain(|e| e.support > 0);
         }
+        self.touches.truncate(first);
+        self.occs.truncate(base);
     }
 
     /// Add (`delta` = 1) or remove (−1) the transaction in `slot` to/from
@@ -411,15 +581,47 @@ impl MomentMiner {
             slot.codes.sort_unstable();
         }
         self.reslot();
-        self.nodes = vec![Vec::new()];
+        // Every record goes back on the free list, its buffer kept for the
+        // rebuild, which covers every queued change.
+        self.nodes.iter_mut().for_each(Vec::clear);
         self.free.clear();
+        self.free.extend((1..self.nodes.len() as u32).rev());
+        self.queued_codes.clear();
+        self.occs.clear();
         self.explore(0);
         self.until_rerank = self.window_len();
     }
 
+    /// Queue the transaction in `slot`, which arrived or departed, for the
+    /// next settle.
+    fn enqueue(&mut self, slot: usize, arrival: bool) {
+        let from = self.queued_codes.len() as u32;
+        self.queued_codes.extend_from_slice(&self.slots[slot].codes);
+        let to = self.queued_codes.len() as u32;
+        self.occs.push(Occ { from, to, arrival });
+    }
+
+    /// Bring the tree up to date with every arrival and departure since the
+    /// last settle, in one walk from the root. The tree is a function of the
+    /// window's content and arrival order, so it is the one per-slide
+    /// settles would have built; reading it ([`MinerBackend::closed_frequent`],
+    /// [`MomentMiner::node_count`], [`MomentMiner::node_stats`]) with
+    /// changes queued panics.
+    pub fn settle(&mut self) {
+        if self.occs.is_empty() {
+            return;
+        }
+        self.tally.resize(self.coded.len(), 0);
+        self.settle_under(0, 0, self.occs.len());
+        self.queued_codes.clear();
+        self.occs.clear();
+    }
+
     /// Transaction `tid`, with `items`, entered the window. `items` must
     /// hold no item twice (an itemset's, or an ingest chunk's transaction):
-    /// the bitmaps are maintained by XOR.
+    /// the bitmaps are maintained by XOR. The tree's change is queued for
+    /// [`MomentMiner::settle`], unless the arrival re-derives the item order,
+    /// whose rebuild settles everything.
     ///
     /// # Panics
     /// If `tid` is already in the window.
@@ -448,12 +650,13 @@ impl MomentMiner {
             self.rerank();
         } else {
             self.until_rerank -= 1;
-            self.update(0, slot, 0, 1);
+            self.enqueue(slot, true);
         }
     }
 
     /// Transaction `tid` left the window; its items are read back from the
-    /// ring, which is the window's one copy.
+    /// ring, which is the window's one copy. The tree's change is queued for
+    /// [`MomentMiner::settle`].
     ///
     /// # Panics
     /// If `tid` is not in the window.
@@ -465,7 +668,7 @@ impl MomentMiner {
         );
         self.slots[slot].tid = None;
         self.index_slot(slot, -1);
-        self.update(0, slot, 0, -1);
+        self.enqueue(slot, false);
     }
 
     /// Transaction `tid`'s items as a canonical itemset, read back from the
@@ -495,6 +698,7 @@ impl MinerBackend for MomentMiner {
             self.remove(evicted.tid());
         }
         self.insert(delta.added.tid(), delta.added.items().items());
+        self.settle();
     }
 
     fn frequent(&self) -> FrequentItemsets {
@@ -502,6 +706,7 @@ impl MinerBackend for MomentMiner {
     }
 
     fn closed_frequent(&self) -> FrequentItemsets {
+        self.assert_settled();
         let mut out = Vec::new();
         self.closed_under(0, &mut Vec::new(), &mut out);
         FrequentItemsets::new(out)
@@ -620,16 +825,19 @@ mod tests {
         for t in &stream[..4] {
             m.insert(t.tid(), t.items().items());
         }
+        m.settle();
         assert!(!m.closed_frequent().is_empty());
         for t in &stream[..4] {
             m.remove(t.tid());
         }
+        m.settle();
         assert!(m.closed_frequent().is_empty());
         assert_eq!(m.window_len(), 0);
         // And the structure is still usable afterwards.
         for t in &stream[4..8] {
             m.insert(t.tid(), t.items().items());
         }
+        m.settle();
         let db = bfly_common::Database::from_records(stream[4..8].to_vec());
         let expected = crate::closed::closed_subset(&crate::apriori::Apriori::new(2).mine(&db));
         assert_eq!(m.closed_frequent(), expected);
@@ -641,6 +849,7 @@ mod tests {
         for t in fig2_stream() {
             m.insert(t.tid(), t.items().items());
         }
+        m.settle();
         let n = m.node_count();
         assert!(n > 0);
         // CET is far smaller than the powerset of the alphabet per window.
@@ -707,6 +916,69 @@ mod tests {
     }
 
     #[test]
+    fn reading_the_tree_with_changes_queued_panics() {
+        // A stale read would publish the last settle's supports as this
+        // window's: `assert!`, so release builds refuse it too.
+        let mut m = MomentMiner::new(2);
+        let stream = fig2_stream();
+        for t in &stream[..4] {
+            m.insert(t.tid(), t.items().items());
+        }
+        m.remove(stream[0].tid());
+        let reads: [fn(&MomentMiner); 3] = [
+            |m| {
+                let _ = m.closed_frequent();
+            },
+            |m| {
+                let _ = m.node_count();
+            },
+            |m| {
+                let _ = m.node_stats();
+            },
+        ];
+        for read in reads {
+            let err = std::panic::catch_unwind(|| read(&m)).expect_err("a stale read");
+            let msg = err.downcast_ref::<&str>().expect("a static message");
+            assert!(msg.contains("settle first"), "{msg}");
+        }
+        m.settle();
+        reads.iter().for_each(|read| read(&m));
+        // What the window holds is exact throughout, queued or not.
+        assert_eq!(m.window_len(), 3);
+    }
+
+    #[test]
+    fn the_queue_never_outgrows_two_windows() {
+        // Nothing settles: the re-rank, once per turnover, is what clears
+        // the queue, so it holds at most a turnover's arrivals and the
+        // departures beside them.
+        const W: u64 = 100;
+        let stream = QuestGenerator::new(QuestConfig::default(), 5).generate(4 * W as usize);
+        let mut m = MomentMiner::new(4);
+        let mut peak = 0;
+        for (tid, t) in (1..).zip(&stream) {
+            if tid > W {
+                m.remove(tid - W);
+            }
+            m.insert(tid, t.items().items());
+            assert!(
+                m.occs.len() <= 2 * W as usize,
+                "tid {tid}: {}",
+                m.occs.len()
+            );
+            peak = peak.max(m.occs.len());
+        }
+        assert!(peak > W as usize, "the queue never held a turnover: {peak}");
+        m.settle();
+        let mut oracle = RescanMiner::new(4);
+        let mut w = SlidingWindow::new(W as usize);
+        for t in &stream {
+            oracle.apply(&w.slide(t.clone()));
+        }
+        assert_eq!(m.closed_frequent(), oracle.closed_frequent());
+    }
+
+    #[test]
     fn ring_grow_then_shrink_back_preserves_supports_exactly() {
         // Remap-correctness in isolation: fill the initial ring completely,
         // snapshot the mined answer, force a capacity doubling by inserting
@@ -724,6 +996,7 @@ mod tests {
             m.insert(t.tid(), t.items().items());
         }
         assert_eq!(m.slots.len(), INITIAL_RING, "grew before the ring filled");
+        m.settle();
         let before = m.closed_frequent();
         // tid INITIAL_RING collides with tid 0's slot (both ≡ 0 mod capacity).
         let last = &stream[INITIAL_RING];
@@ -733,6 +1006,7 @@ mod tests {
             "colliding insert did not grow the ring"
         );
         m.remove(last.tid());
+        m.settle();
         assert_eq!(
             m.closed_frequent(),
             before,

@@ -220,9 +220,10 @@ fn log_publication(
     }
 }
 
-/// Publish `state`'s full window: logged, then fanned out. Returns the wall
-/// time it took, logging and fan-out included — the share of a chunk's time
-/// its `ingest_us` leaves out. A release that
+/// Publish `state`'s full window: Moment settled, logged, then fanned out.
+/// Returns the wall time it took, the settle walk, logging and fan-out
+/// included — the share of a chunk's time its `ingest_us` leaves out. A
+/// release that
 /// fails the contract audit is neither — it is counted and withheld, so no
 /// violating byte reaches a subscriber, live or through log catch-up. The
 /// defense's delta base has moved on regardless, so the withheld position

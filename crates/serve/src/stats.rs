@@ -15,16 +15,19 @@ pub struct ShardStats {
     pub processed: AtomicU64,
     /// Sanitized windows published (cadence + final flushes).
     pub published: AtomicU64,
-    /// Microseconds the worker spent inside `publish_now` — closed-set
-    /// read-out plus the defense, withheld releases included — so
-    /// `publish_us / published` is the live per-window publication cost.
+    /// Microseconds the worker spent inside `publish_now` — Moment's settle
+    /// walk over every arrival and departure since the last publication,
+    /// the closed-set read-out and the defense, withheld releases included
+    /// — so `publish_us / published` is the live per-window cost of mining
+    /// and publishing a window.
     pub publish_us: AtomicU64,
     /// The slowest single `publish_now`, in microseconds.
     pub publish_us_max: AtomicU64,
-    /// Microseconds the worker spent logging and advancing ingest chunks,
-    /// publications excluded (`publish_us` has those), so
-    /// `ingest_us / processed` is the live per-transaction ingest cost.
-    /// Timed per chunk, never per transaction.
+    /// Microseconds the worker spent logging and advancing ingest chunks —
+    /// the log append and Moment's ring, item bitmaps and queue, not its
+    /// tree walk — publications excluded (`publish_us` has those and the
+    /// walk), so `ingest_us / processed` is the live per-transaction ingest
+    /// cost. Timed per chunk, never per transaction.
     pub ingest_us: AtomicU64,
     /// The slowest single chunk, in microseconds.
     pub ingest_us_max: AtomicU64,

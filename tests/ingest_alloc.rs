@@ -7,8 +7,9 @@
 //!
 //! Its own test binary: the counting allocator is global to the binary.
 
-use butterfly_repro::common::{BinaryFrame, FrameCodec, Inbound, ItemSet};
+use butterfly_repro::common::{BinaryFrame, FrameCodec, Inbound, ItemSet, Transaction};
 use butterfly_repro::datagen::DatasetProfile;
+use butterfly_repro::mining::MomentMiner;
 use butterfly_repro::serve::wal::WalWriter;
 use butterfly_repro::serve::{ServeConfig, WalConfig, WalStats};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -133,4 +134,42 @@ fn warmed_ingest_path_allocates_per_chunk_not_per_transaction() {
         "{per_tx:.3} heap allocations per transaction over {tx} transactions"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn warmed_moment_settling_every_chunk_allocates_per_turnover_not_per_node() {
+    // Moment as a shard drives it on the same stream: by tid, settled once
+    // per 250 arrivals. The settle walk's queue, occurrence buckets and
+    // touch lists are reused from one settle to the next, and the re-rank
+    // rebuilds into the arena's old records, so after the same warm-up what
+    // is left is a few tables per turnover. At C 25 (the publication
+    // contract's; at the ingest test's C 400 the tree has ~160 nodes and
+    // the walk visits almost none) one allocation per node the walk visits
+    // would read ≈ 0.4 here.
+    const W: u64 = 2000;
+    let stream = DatasetProfile::WebView1.source(3).take_vec(80_000);
+    let mut miner = MomentMiner::new(25);
+    let mut tid = 0u64;
+    let mut feed = |part: &[Transaction]| {
+        for t in part {
+            tid += 1;
+            if tid > W {
+                miner.remove(tid - W);
+            }
+            miner.insert(tid, t.items().items());
+        }
+        miner.settle();
+        part.len() as u64
+    };
+    let (warm, counted) = stream.split_at(40_000);
+    warm.chunks(250).for_each(|part| {
+        feed(part);
+    });
+    let before = allocs();
+    let tx: u64 = counted.chunks(250).map(&mut feed).sum();
+    let per_tx = (allocs() - before) as f64 / tx as f64;
+    assert!(
+        per_tx < 0.05,
+        "{per_tx:.3} heap allocations per transaction over {tx} transactions"
+    );
 }

@@ -360,6 +360,81 @@ fn moment_matches_oracle_while_the_item_order_turns_over() {
 }
 
 #[test]
+fn moment_settled_after_any_interval_matches_per_slide_settles() {
+    // The pipeline settles Moment only when it publishes. Settled after any
+    // number of arrivals and departures, its closed sets must be the rescan
+    // oracle's and its tree the one a twin settling every slide holds, at
+    // intervals of 1, 2, 7, 97, the serve cadence, W − 1, W and 2W. The
+    // first interval is W, across the fill: it spans the ring's doubling
+    // (W > 64 slots) and the re-ranks at 1, 2, 4, …; each interval of W or
+    // more spans a turnover's re-rank.
+    use butterfly_repro::common::{SlidingWindow, Transaction};
+    use butterfly_repro::datagen::{
+        MarkovConfig, MarkovSessionGenerator, QuestConfig, QuestGenerator,
+    };
+    use butterfly_repro::mining::{MinerBackend, MomentMiner, RescanMiner};
+    const W: usize = 100;
+    const EVERY: usize = 25;
+    let mut intervals = [1, 2, 7, 97, EVERY, W - 1, W, 2 * W];
+    for case in 0..8u64 {
+        let mut rng = case_rng(16, case);
+        let c = 2 + rng.gen_range_usize(6) as u64;
+        let stream: Vec<Transaction> = if case % 2 == 0 {
+            let cfg = QuestConfig {
+                n_items: 40,
+                n_patterns: 12,
+                avg_pattern_len: 3.0,
+                avg_transaction_len: 5.0,
+                max_transaction_len: 10,
+                ..QuestConfig::default()
+            };
+            QuestGenerator::new(cfg, rng.next_u64()).generate(10 * W)
+        } else {
+            let cfg = MarkovConfig {
+                n_pages: 60,
+                ..MarkovConfig::default()
+            };
+            MarkovSessionGenerator::new(cfg, rng.next_u64()).generate(10 * W)
+        };
+        let mut window = SlidingWindow::new(W);
+        let (mut moment, mut twin) = (MomentMiner::new(c), MomentMiner::new(c));
+        let mut oracle = RescanMiner::new(c);
+        let (mut due, mut settles) = (W, 0);
+        for t in stream {
+            let delta = window.slide(t);
+            if let Some(evicted) = &delta.evicted {
+                moment.remove(evicted.tid());
+            }
+            moment.insert(delta.added.tid(), delta.added.items().items());
+            twin.apply(&delta);
+            oracle.apply(&delta);
+            due -= 1;
+            if due > 0 {
+                continue;
+            }
+            moment.settle();
+            settles += 1;
+            let at = (case, c, window.stream_len());
+            assert_eq!(
+                moment.closed_frequent(),
+                oracle.closed_frequent(),
+                "case/C/N {at:?}"
+            );
+            assert_eq!(moment.node_count(), twin.node_count(), "case/C/N {at:?}");
+            // Every interval once per round, in a fresh order each round.
+            let round = (settles - 1) % intervals.len();
+            if round == 0 {
+                for i in (1..intervals.len()).rev() {
+                    intervals.swap(i, rng.gen_range_usize(i + 1));
+                }
+            }
+            due = intervals[round];
+        }
+        assert!(settles > intervals.len(), "case {case}: {settles} settles");
+    }
+}
+
+#[test]
 fn publisher_contract_holds_over_random_support_walks() {
     // Drive one itemset's support on a random walk across windows and
     // check every release against the audit invariants, with the
