@@ -11,8 +11,8 @@
 //! `prev → next`, `delta.apply(prev) == next` exactly — same entries, same
 //! publication order.
 
-use crate::release::{wire_entries, SanitizedItemset, SanitizedRelease};
-use bfly_common::{ItemsetId, Json};
+use crate::release::{SanitizedItemset, SanitizedRelease};
+use bfly_common::ItemsetId;
 use std::collections::HashMap;
 
 /// The difference between one sanitized release and its predecessor.
@@ -93,34 +93,6 @@ impl ReleaseDelta {
         });
         SanitizedRelease::new(entries)
     }
-
-    /// `added` in the shared `{"itemset", "support"}` wire shape.
-    pub fn wire_added(&self) -> Json {
-        wire_entries(&self.added)
-    }
-
-    /// `changed` in the shared `{"itemset", "support"}` wire shape.
-    pub fn wire_changed(&self) -> Json {
-        wire_entries(&self.changed)
-    }
-
-    /// `removed` as an array of itemset id-arrays (`[[ids...], ...]`).
-    pub fn wire_removed(&self) -> Json {
-        Json::Arr(
-            self.removed
-                .iter()
-                .map(|id| {
-                    Json::Arr(
-                        id.resolve()
-                            .items()
-                            .iter()
-                            .map(|i| Json::from(i.id() as u64))
-                            .collect(),
-                    )
-                })
-                .collect(),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -178,23 +150,5 @@ mod tests {
         ]);
         let d = ReleaseDelta::between(&prev, &next);
         assert_eq!(d.apply(&prev), next);
-    }
-
-    #[test]
-    fn wire_shapes_share_the_release_format() {
-        let d = ReleaseDelta {
-            added: vec![entry("a", 30, 27)],
-            changed: vec![entry("ab", 40, 38)],
-            removed: vec![ItemsetId::intern(&"b".parse::<ItemSet>().unwrap())],
-        };
-        assert_eq!(
-            d.wire_added().to_string(),
-            "[{\"itemset\":[0],\"support\":27}]"
-        );
-        assert_eq!(
-            d.wire_changed().to_string(),
-            "[{\"itemset\":[0,1],\"support\":38}]"
-        );
-        assert_eq!(d.wire_removed().to_string(), "[[1]]");
     }
 }

@@ -1,6 +1,6 @@
 //! Sanitized output: what Butterfly publishes instead of raw supports.
 
-use bfly_common::{ItemSet, ItemsetId, Json, SanitizedSupport, Support};
+use bfly_common::{ItemSet, ItemsetId, SanitizedSupport, Support};
 use std::collections::HashMap;
 
 /// One published itemset: its sanitized support, plus (for evaluation only —
@@ -76,42 +76,6 @@ impl SanitizedRelease {
         let id = ItemsetId::get(itemset)?;
         self.entries.iter().find(|e| e.id == id)
     }
-
-    /// The release as published across the trust boundary: a JSON array of
-    /// `{"itemset": [ids...], "support": sanitized}` objects, with **no**
-    /// true supports. This is the shared wire shape of the CLI `protect`
-    /// output and the serve layer's `release` events, so the network
-    /// determinism test can compare the two byte for byte.
-    pub fn wire_itemsets(&self) -> Json {
-        wire_entries(&self.entries)
-    }
-}
-
-/// Wire-shape a slice of sanitized entries: the `{"itemset": [ids...],
-/// "support": sanitized}` array shared by full `release` events
-/// ([`SanitizedRelease::wire_itemsets`]) and the added/changed lists of
-/// `release_delta` events — one format, so subscribers parse one shape.
-pub fn wire_entries(entries: &[SanitizedItemset]) -> Json {
-    Json::Arr(
-        entries
-            .iter()
-            .map(|e| {
-                Json::obj([
-                    (
-                        "itemset",
-                        Json::Arr(
-                            e.itemset()
-                                .items()
-                                .iter()
-                                .map(|i| Json::from(i.id() as u64))
-                                .collect(),
-                        ),
-                    ),
-                    ("support", Json::from(e.sanitized)),
-                ])
-            })
-            .collect(),
-    )
 }
 
 #[cfg(test)]
@@ -146,16 +110,6 @@ mod tests {
         assert_eq!(r.view()[&a], 27);
         assert_eq!(r.truth()[&a], 30);
         assert_eq!(r.view()[&ab], -1);
-    }
-
-    #[test]
-    fn wire_itemsets_hides_true_supports() {
-        let wire = release().wire_itemsets().to_string();
-        assert!(!wire.contains("true_support"), "leaked truth: {wire}");
-        assert_eq!(
-            wire,
-            "[{\"itemset\":[0],\"support\":27},{\"itemset\":[0,1],\"support\":-1}]"
-        );
     }
 
     #[test]

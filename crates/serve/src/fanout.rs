@@ -122,12 +122,6 @@ impl SubscriberRegistry {
             .sum()
     }
 
-    /// True when no subscriber is registered.
-    #[allow(dead_code)] // paired with len(); exercised by tests
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Drop every remaining subscription (end of shutdown: streams that
     /// never published).
     pub fn clear(&self) {
@@ -196,7 +190,7 @@ mod tests {
         reg.subscribe("s", 1, FrameMode::Json, sink);
         reg.publish_with("s", &stats, |_| bytes("r1")); // fills the budget
         reg.publish_with("s", &stats, |_| bytes("r2")); // overflows → drop
-        assert!(reg.is_empty(), "slow subscriber kept");
+        assert_eq!(reg.len(), 0, "slow subscriber kept");
         assert_eq!(
             stats
                 .subscriber_drops
@@ -235,6 +229,6 @@ mod tests {
         reg.subscribe("a", 1, FrameMode::Json, sink);
         reg.close_stream("a", bytes("closed"));
         assert_eq!(text(&rx.try_recv().unwrap()), "closed");
-        assert!(reg.is_empty());
+        assert_eq!(reg.len(), 0);
     }
 }

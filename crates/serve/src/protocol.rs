@@ -1,6 +1,8 @@
-//! The NDJSON wire protocol: one JSON object per line in both directions.
+//! The client wire protocol: NDJSON requests and replies, and release
+//! events in the encoding each subscriber negotiated.
 //!
-//! **Requests** (client → server) carry an `"op"` field:
+//! **Requests** (client → server) are one JSON object per line carrying an
+//! `"op"` field (an ingest may instead arrive as a binary frame):
 //!
 //! | op          | fields                                   | reply |
 //! |-------------|------------------------------------------|-------|
@@ -29,6 +31,13 @@
 //! snapshot, so a subscriber joining mid-stream syncs on the next snapshot
 //! and rides O(churn) deltas from there ([`SubscriberState`] implements
 //! that reconstruction, verifying each snapshot it was already synced for).
+//!
+//! **One encoding path.** A publication is converted into binary frame
+//! entries once ([`binary_entries`]). The log's `release` record, binary
+//! subscribers and `from:` catch-up carry those entries; an NDJSON event
+//! line is the frame's transcode ([`binary_event_json`]), live and in
+//! catch-up alike, and `protect` writes its `itemsets` with the same
+//! [`entries_json`].
 
 use bfly_common::{BinaryEntry, BinaryFrame, Error, FrameMode, ItemSet, Json, Result};
 use bfly_core::{DefenseKind, ReleaseDelta, SanitizedItemset, SanitizedRelease};
@@ -183,8 +192,9 @@ impl Request {
         }
     }
 
-    /// Encode back to the wire form (clients use this; the server only
-    /// parses).
+    /// Encode back to the wire form: clients send it, and a router
+    /// re-serialises the bind, stats, shutdown and subscribe requests it
+    /// forwards to its nodes.
     pub fn to_json(&self) -> Json {
         match self {
             Request::Ingest { stream, batch } => Json::obj([
@@ -297,40 +307,6 @@ pub fn error_reply(msg: &str) -> Json {
     Json::obj([("ok", Json::Bool(false)), ("error", Json::from(msg))])
 }
 
-/// A sanitized window publication event. `itemsets` is byte-identical to
-/// the CLI `protect` line for the same release
-/// ([`SanitizedRelease::wire_itemsets`]); the envelope adds the event tag
-/// and the stream key.
-pub fn release_event(stream: &str, stream_len: u64, release: &SanitizedRelease) -> Json {
-    Json::obj([
-        ("event", Json::from("release")),
-        ("stream", Json::from(stream)),
-        ("stream_len", Json::from(stream_len)),
-        ("itemsets", release.wire_itemsets()),
-    ])
-}
-
-/// A delta publication event: what changed against the release at
-/// `base_len`. `added`/`changed` share the `{"itemset", "support"}` entry
-/// shape with `release` snapshots; `removed` is an array of itemset
-/// id-arrays.
-pub fn release_delta_event(
-    stream: &str,
-    stream_len: u64,
-    base_len: u64,
-    delta: &ReleaseDelta,
-) -> Json {
-    Json::obj([
-        ("event", Json::from("release_delta")),
-        ("stream", Json::from(stream)),
-        ("stream_len", Json::from(stream_len)),
-        ("base_len", Json::from(base_len)),
-        ("added", delta.wire_added()),
-        ("changed", delta.wire_changed()),
-        ("removed", delta.wire_removed()),
-    ])
-}
-
 /// Stream-drained event: sent to a stream's subscribers after its final
 /// flush during shutdown.
 pub fn closed_event(stream: &str) -> Json {
@@ -340,38 +316,76 @@ pub fn closed_event(stream: &str) -> Json {
     ])
 }
 
-pub(crate) fn binary_entry(e: &SanitizedItemset) -> BinaryEntry {
-    BinaryEntry {
-        ids: e.itemset().items().iter().map(|i| i.id()).collect(),
-        support: e.sanitized,
+/// The one conversion of sanitized entries into wire entries: item ids and
+/// the sanitized support, never the true one. Every `release` record,
+/// frame, event line and `protect` line is built from its output.
+pub fn binary_entries<'a>(
+    entries: impl IntoIterator<Item = &'a SanitizedItemset>,
+) -> Vec<BinaryEntry> {
+    entries
+        .into_iter()
+        .map(|e| BinaryEntry {
+            ids: e.itemset().items().iter().map(|i| i.id()).collect(),
+            support: e.sanitized,
+        })
+        .collect()
+}
+
+/// The `release` frame of one publication.
+pub(crate) fn release_frame(
+    stream: &str,
+    stream_len: u64,
+    release: &SanitizedRelease,
+) -> BinaryFrame {
+    BinaryFrame::Release {
+        stream: stream.to_string(),
+        stream_len,
+        entries: binary_entries(release.iter()),
     }
 }
 
-fn itemset_ids(id: bfly_common::ItemsetId) -> Vec<u32> {
-    id.resolve().items().iter().map(|i| i.id()).collect()
+/// The `release_delta` frame of one publication against the one at
+/// `base_len`.
+pub(crate) fn release_delta_frame(
+    stream: &str,
+    stream_len: u64,
+    base_len: u64,
+    delta: &ReleaseDelta,
+) -> BinaryFrame {
+    BinaryFrame::ReleaseDelta {
+        stream: stream.to_string(),
+        stream_len,
+        base_len,
+        added: binary_entries(&delta.added),
+        changed: binary_entries(&delta.changed),
+        removed: delta
+            .removed
+            .iter()
+            .map(|id| id.resolve().items().iter().map(|i| i.id()).collect())
+            .collect(),
+    }
 }
 
-/// Serialize one `release` publication as outbound wire bytes in `mode`:
-/// the NDJSON event line ([`release_event`]) or the equivalent binary
-/// frame. Both carry exactly the sanitized entries — never true supports.
+/// Serialize one event frame as outbound wire bytes in `mode`: the frame
+/// itself, or its NDJSON transcode ([`binary_event_json`]).
+pub(crate) fn frame_bytes(mode: FrameMode, frame: &BinaryFrame) -> Arc<[u8]> {
+    match mode {
+        FrameMode::Json => crate::fanout::json_line(
+            &binary_event_json(frame).expect("only event frames are published"),
+        ),
+        FrameMode::Binary => Arc::from(frame.encode().into_boxed_slice()),
+    }
+}
+
+/// Serialize one `release` publication as outbound wire bytes in `mode`.
+/// Either encoding carries exactly the sanitized entries.
 pub fn release_frame_bytes(
     mode: FrameMode,
     stream: &str,
     stream_len: u64,
     release: &SanitizedRelease,
 ) -> Arc<[u8]> {
-    match mode {
-        FrameMode::Json => crate::fanout::json_line(&release_event(stream, stream_len, release)),
-        FrameMode::Binary => Arc::from(
-            BinaryFrame::Release {
-                stream: stream.to_string(),
-                stream_len,
-                entries: release.iter().map(binary_entry).collect(),
-            }
-            .encode()
-            .into_boxed_slice(),
-        ),
-    }
+    frame_bytes(mode, &release_frame(stream, stream_len, release))
 }
 
 /// Serialize one `release_delta` publication as outbound wire bytes in
@@ -383,65 +397,40 @@ pub fn release_delta_frame_bytes(
     base_len: u64,
     delta: &ReleaseDelta,
 ) -> Arc<[u8]> {
-    match mode {
-        FrameMode::Json => {
-            crate::fanout::json_line(&release_delta_event(stream, stream_len, base_len, delta))
-        }
-        FrameMode::Binary => Arc::from(
-            BinaryFrame::ReleaseDelta {
-                stream: stream.to_string(),
-                stream_len,
-                base_len,
-                added: delta.added.iter().map(binary_entry).collect(),
-                changed: delta.changed.iter().map(binary_entry).collect(),
-                removed: delta.removed.iter().copied().map(itemset_ids).collect(),
-            }
-            .encode()
-            .into_boxed_slice(),
-        ),
-    }
+    frame_bytes(
+        mode,
+        &release_delta_frame(stream, stream_len, base_len, delta),
+    )
 }
 
 /// Serialize one catch-up `release` event from its logged wire entries.
-/// The WAL stores exactly the binary release payload, so both encodings
-/// here are byte-identical to what a live subscriber received when the
-/// window was published (`binary_entries_json` output is string-identical
-/// to [`release_event`]'s `itemsets` — the frame tests pin this).
+/// The log records the entries the live frame carried, so either encoding
+/// is byte-identical to what a live subscriber received when the window
+/// was published.
 pub fn catchup_release_frame_bytes(
     mode: FrameMode,
     stream: &str,
     stream_len: u64,
     entries: &[BinaryEntry],
 ) -> Arc<[u8]> {
-    match mode {
-        FrameMode::Json => crate::fanout::json_line(&Json::obj([
-            ("event", Json::from("release")),
-            ("stream", Json::from(stream)),
-            ("stream_len", Json::from(stream_len)),
-            ("itemsets", binary_entries_json(entries)),
-        ])),
-        FrameMode::Binary => Arc::from(
-            BinaryFrame::Release {
-                stream: stream.to_string(),
-                stream_len,
-                entries: entries.to_vec(),
-            }
-            .encode()
-            .into_boxed_slice(),
-        ),
-    }
+    let frame = BinaryFrame::Release {
+        stream: stream.to_string(),
+        stream_len,
+        entries: entries.to_vec(),
+    };
+    frame_bytes(mode, &frame)
 }
 
-fn binary_entries_json(entries: &[BinaryEntry]) -> Json {
+/// The one JSON writer of wire entries: the `[{"itemset": [ids...],
+/// "support": n}, ...]` array of `release` and `release_delta` events and
+/// of `protect` lines.
+pub fn entries_json(entries: &[BinaryEntry]) -> Json {
     Json::Arr(
         entries
             .iter()
             .map(|e| {
                 Json::obj([
-                    (
-                        "itemset",
-                        Json::Arr(e.ids.iter().map(|&id| Json::from(id as u64)).collect()),
-                    ),
+                    ("itemset", ids_json(&e.ids)),
                     ("support", Json::from(e.support)),
                 ])
             })
@@ -449,10 +438,16 @@ fn binary_entries_json(entries: &[BinaryEntry]) -> Json {
     )
 }
 
-/// Convert a decoded binary event frame into the identical JSON event
-/// document, so subscriber-side consumers ([`SubscriberState`], watchers)
-/// handle one shape regardless of the negotiated encoding. `Ingest` is a
-/// request, not an event — `None`.
+fn ids_json(ids: &[u32]) -> Json {
+    Json::Arr(ids.iter().map(|&id| Json::from(id as u64)).collect())
+}
+
+/// The JSON event document of a binary event frame: the one place a
+/// `release` or `release_delta` event is written. NDJSON subscribers get
+/// this transcode of the frame a binary subscriber gets, and
+/// subscriber-side consumers ([`SubscriberState`], watchers) handle one
+/// shape whatever the negotiated encoding. `Ingest` is a request, not an
+/// event — `None`.
 pub fn binary_event_json(frame: &BinaryFrame) -> Option<Json> {
     match frame {
         BinaryFrame::Ingest { .. } => None,
@@ -464,7 +459,7 @@ pub fn binary_event_json(frame: &BinaryFrame) -> Option<Json> {
             ("event", Json::from("release")),
             ("stream", Json::from(stream.as_str())),
             ("stream_len", Json::from(*stream_len)),
-            ("itemsets", binary_entries_json(entries)),
+            ("itemsets", entries_json(entries)),
         ])),
         BinaryFrame::ReleaseDelta {
             stream,
@@ -478,16 +473,11 @@ pub fn binary_event_json(frame: &BinaryFrame) -> Option<Json> {
             ("stream", Json::from(stream.as_str())),
             ("stream_len", Json::from(*stream_len)),
             ("base_len", Json::from(*base_len)),
-            ("added", binary_entries_json(added)),
-            ("changed", binary_entries_json(changed)),
+            ("added", entries_json(added)),
+            ("changed", entries_json(changed)),
             (
                 "removed",
-                Json::Arr(
-                    removed
-                        .iter()
-                        .map(|ids| Json::Arr(ids.iter().map(|&id| Json::from(id as u64)).collect()))
-                        .collect(),
-                ),
+                Json::Arr(removed.iter().map(|ids| ids_json(ids)).collect()),
             ),
         ])),
     }
@@ -862,19 +852,98 @@ mod tests {
         }
     }
 
+    /// A publication's event document, as an NDJSON subscriber reads it.
+    fn release_event(stream: &str, stream_len: u64, release: &SanitizedRelease) -> Json {
+        binary_event_json(&release_frame(stream, stream_len, release)).unwrap()
+    }
+
+    fn delta_event(stream: &str, stream_len: u64, base_len: u64, delta: &ReleaseDelta) -> Json {
+        binary_event_json(&release_delta_frame(stream, stream_len, base_len, delta)).unwrap()
+    }
+
+    fn text(bytes: Arc<[u8]>) -> String {
+        String::from_utf8(bytes.to_vec()).unwrap()
+    }
+
+    fn hex(bytes: Arc<[u8]>) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// Every wire byte of one `release`, one `release_delta` (a negative
+    /// support, nothing removed) and one catch-up `release`, in both
+    /// encodings, as literal bytes: an encoder compared only with itself
+    /// could drift without a test noticing.
     #[test]
-    fn catchup_frame_bytes_match_live_release_bytes() {
-        // A catch-up frame built from logged wire entries must be
-        // byte-identical (per encoding) to the live release frame for the
-        // same publication — the guarantee behind log-served catch-up.
+    fn release_wire_bytes_are_pinned() {
         let release = SanitizedRelease::new(vec![entry("b", 26, 25), entry("a", 30, 27)]);
-        let logged: Vec<BinaryEntry> = release.iter().map(binary_entry).collect();
-        for mode in [FrameMode::Json, FrameMode::Binary] {
-            assert_eq!(
-                catchup_release_frame_bytes(mode, "t0", 4, &logged),
-                release_frame_bytes(mode, "t0", 4, &release),
-            );
-        }
+        let delta = ReleaseDelta {
+            added: vec![entry("ab", 27, -3)],
+            changed: vec![entry("b", 27, 26)],
+            removed: vec![],
+        };
+        let logged = [
+            BinaryEntry {
+                ids: vec![2],
+                support: 0,
+            },
+            BinaryEntry {
+                ids: vec![0, 2],
+                support: -1,
+            },
+        ];
+        assert_eq!(
+            text(release_frame_bytes(FrameMode::Json, "t0", 4, &release)),
+            "{\"event\":\"release\",\"itemsets\":[{\"itemset\":[1],\"support\":25},\
+             {\"itemset\":[0],\"support\":27}],\"stream\":\"t0\",\"stream_len\":4}\n"
+        );
+        assert_eq!(
+            text(release_delta_frame_bytes(
+                FrameMode::Json,
+                "t0",
+                6,
+                4,
+                &delta
+            )),
+            "{\"added\":[{\"itemset\":[0,1],\"support\":-3}],\"base_len\":4,\
+             \"changed\":[{\"itemset\":[1],\"support\":26}],\"event\":\"release_delta\",\
+             \"removed\":[],\"stream\":\"t0\",\"stream_len\":6}\n"
+        );
+        assert_eq!(
+            text(catchup_release_frame_bytes(
+                FrameMode::Json,
+                "t1",
+                8,
+                &logged
+            )),
+            "{\"event\":\"release\",\"itemsets\":[{\"itemset\":[2],\"support\":0},\
+             {\"itemset\":[0,2],\"support\":-1}],\"stream\":\"t1\",\"stream_len\":8}\n"
+        );
+        assert_eq!(
+            hex(release_frame_bytes(FrameMode::Binary, "t0", 4, &release)),
+            "bf022c0000000200743004000000000000000200000001000100000019000000000000000100\
+             000000001b00000000000000"
+        );
+        assert_eq!(
+            hex(release_delta_frame_bytes(
+                FrameMode::Binary,
+                "t0",
+                6,
+                4,
+                &delta
+            )),
+            "bf034000000002007430060000000000000004000000000000000100000002000000000001000000\
+             fdffffffffffffff010000000100010000001a0000000000000000000000"
+        );
+        assert_eq!(
+            hex(catchup_release_frame_bytes(
+                FrameMode::Binary,
+                "t1",
+                8,
+                &logged
+            )),
+            "bf023000000002007431080000000000000002000000010002000000000000000000000002000000\
+             000002000000ffffffffffffffff"
+        );
     }
 
     #[test]
@@ -900,61 +969,6 @@ mod tests {
     }
 
     #[test]
-    fn frame_bytes_json_mode_matches_event_lines() {
-        let release = SanitizedRelease::new(vec![entry("b", 26, 25), entry("a", 30, 27)]);
-        let bytes = release_frame_bytes(FrameMode::Json, "t0", 4, &release);
-        assert_eq!(
-            String::from_utf8(bytes.to_vec()).unwrap(),
-            format!("{}\n", release_event("t0", 4, &release))
-        );
-        let delta = ReleaseDelta {
-            added: vec![entry("ab", 27, 24)],
-            changed: vec![entry("b", 27, 26)],
-            removed: vec![ItemsetId::intern(&"c".parse::<ItemSet>().unwrap())],
-        };
-        let bytes = release_delta_frame_bytes(FrameMode::Json, "t0", 6, 4, &delta);
-        assert_eq!(
-            String::from_utf8(bytes.to_vec()).unwrap(),
-            format!("{}\n", release_delta_event("t0", 6, 4, &delta))
-        );
-    }
-
-    #[test]
-    fn binary_frame_bytes_decode_to_the_same_event_json() {
-        use bfly_common::{Frame, FrameCodec};
-        let release = SanitizedRelease::new(vec![entry("b", 26, 25), entry("a", 30, 27)]);
-        let delta = ReleaseDelta {
-            added: vec![entry("ab", 27, 24)],
-            changed: vec![entry("b", 27, 26)],
-            removed: vec![ItemsetId::intern(&"c".parse::<ItemSet>().unwrap())],
-        };
-        let mut codec = FrameCodec::new();
-        codec.extend(&release_frame_bytes(FrameMode::Binary, "t0", 4, &release));
-        codec.extend(&release_delta_frame_bytes(
-            FrameMode::Binary,
-            "t0",
-            6,
-            4,
-            &delta,
-        ));
-        for want in [
-            release_event("t0", 4, &release),
-            release_delta_event("t0", 6, 4, &delta),
-        ] {
-            let frame = codec.next_frame().unwrap().unwrap();
-            let Frame::Binary(bin) = frame else {
-                panic!("expected a binary frame, got {frame:?}");
-            };
-            // The converted event is string-identical to the NDJSON form —
-            // one shape for SubscriberState regardless of encoding.
-            assert_eq!(
-                binary_event_json(&bin).unwrap().to_string(),
-                want.to_string()
-            );
-        }
-    }
-
-    #[test]
     fn reply_shapes() {
         assert_eq!(ingest_ok(3).to_string(), "{\"accepted\":3,\"ok\":true}");
         let shed = ingest_overloaded(1, 2);
@@ -972,7 +986,7 @@ mod tests {
             changed: vec![entry("ab", 40, 38)],
             removed: vec![ItemsetId::intern(&"b".parse::<ItemSet>().unwrap())],
         };
-        let ev = release_delta_event("t0", 9, 5, &d);
+        let ev = delta_event("t0", 9, 5, &d);
         assert_eq!(ev.get("event").unwrap().as_str(), Some("release_delta"));
         assert_eq!(ev.get("stream").unwrap().as_str(), Some("t0"));
         assert_eq!(ev.get("stream_len").unwrap().as_u64(), Some(9));
@@ -988,7 +1002,7 @@ mod tests {
 
         // A delta arriving before any snapshot must be skipped, not
         // misapplied — a mid-stream joiner sees these first.
-        let early = release_delta_event(
+        let early = delta_event(
             "t0",
             3,
             2,
@@ -1019,7 +1033,7 @@ mod tests {
             changed: vec![entry("b", 27, 26)],
             removed: vec![ItemsetId::intern(&"c".parse::<ItemSet>().unwrap())],
         };
-        sub.observe(&release_delta_event("t0", 6, 4, &d)).unwrap();
+        sub.observe(&delta_event("t0", 6, 4, &d)).unwrap();
         assert_eq!(sub.deltas_applied, 1);
         assert_eq!(sub.stream_len(), Some(6));
         assert_eq!(sub.entries().get(&ids("a")), Some(&27));
@@ -1055,7 +1069,7 @@ mod tests {
             &SanitizedRelease::new(vec![entry("a", 30, 27)]),
         ))
         .unwrap();
-        let stale = release_delta_event(
+        let stale = delta_event(
             "t0",
             6,
             4,

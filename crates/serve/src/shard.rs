@@ -35,12 +35,11 @@
 use crate::binding::DefenseBindings;
 use crate::config::ServeConfig;
 use crate::fanout::{json_line, SubscriberRegistry};
-use crate::protocol::{binary_entry, closed_event, release_delta_frame_bytes, release_frame_bytes};
+use crate::protocol::{closed_event, frame_bytes, release_delta_frame};
 use crate::stats::ShardStats;
-use crate::wal::{snapshot_of, RecoveredShard, WalRecord, WalWriter};
-use bfly_common::{Error, IngestChunk};
-use bfly_core::defense::DefenseKind;
-use bfly_core::{PrivacyDefense, StreamPipeline, WindowRelease};
+use crate::wal::replay::{Publication, Step};
+use crate::wal::{RecoveredShard, RecoveredStream, WalRecord, WalWriter};
+use bfly_common::IngestChunk;
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
@@ -144,121 +143,70 @@ pub(crate) fn spawn_shard(
     (ingress, handle)
 }
 
-/// Per-key worker state: the pipeline plus the wire-cadence bookkeeping the
-/// delta protocol needs (how many publications so far, and the stream
-/// position of the previous one — every delta's `base_len`), plus the
-/// defense kind so snapshot records are self-describing.
-struct KeyState {
-    kind: DefenseKind,
-    pipe: StreamPipeline<Box<dyn PrivacyDefense>>,
-    published: u64,
-    last_len: u64,
-}
-
-/// Fan one publication out to the key's subscribers under the configured
-/// cadence: with `snapshot_every = 1` a full `release` snapshot every time
-/// (the legacy wire, byte-identical to before deltas existed); with `N > 1`
-/// a `release_delta` on every publication — emitted first, so a synced
-/// subscriber advances before any snapshot line — plus the full snapshot on
-/// every `N`-th publication (including the first, so early subscribers sync
-/// immediately). Each event is serialized per frame mode actually
-/// subscribed, at most once per mode.
+/// Fan one logged publication out to the key's subscribers under the
+/// configured cadence: with `snapshot_every = 1` a full `release` snapshot
+/// every time (the legacy wire, byte-identical to before deltas existed);
+/// with `N > 1` a `release_delta` on every publication — emitted first, so a
+/// synced subscriber advances before any snapshot line — plus the full
+/// snapshot on every `N`-th publication (including the first, so early
+/// subscribers sync immediately). Each frame is built at most once and
+/// serialized at most once per frame mode actually subscribed.
 fn emit_publication(
     cfg: &ServeConfig,
     registry: &SubscriberRegistry,
     stats: &Arc<ShardStats>,
     key: &Arc<str>,
-    state: &mut KeyState,
-    release: &WindowRelease,
+    p: &Publication,
 ) {
     if cfg.snapshot_every > 1 {
-        let base_len = state.last_len;
+        let mut delta = None;
         registry.publish_with(key, stats, |mode| {
-            release_delta_frame_bytes(mode, key, release.stream_len, base_len, &release.delta)
+            let frame = delta.get_or_insert_with(|| {
+                release_delta_frame(key, p.window.stream_len, p.base_len, &p.window.delta)
+            });
+            frame_bytes(mode, frame)
         });
     }
-    if cfg.snapshot_every <= 1 || state.published.is_multiple_of(cfg.snapshot_every as u64) {
-        registry.publish_with(key, stats, |mode| {
-            release_frame_bytes(mode, key, release.stream_len, &release.release)
-        });
+    if p.snapshot {
+        registry.publish_with(key, stats, |mode| frame_bytes(mode, &p.frame));
     }
-    state.published += 1;
-    state.last_len = release.stream_len;
     ShardStats::add(&stats.published, 1);
 }
 
-/// Log one publication (and, on the snapshot cadence, a full state
-/// snapshot) *before* it fans out to subscribers: durable-before-visible is
-/// what makes a post-crash restart byte-identical to the uncrashed run —
-/// no subscriber ever saw a release the log does not remember.
+/// Publish `state`'s full window through the step replay shares
+/// ([`RecoveredStream::publish_and_log`]: Moment settled, the defense run,
+/// the release logged before anyone sees it), then fan it out. Returns the
+/// wall time it took, the settle walk, logging and fan-out included — the
+/// share of a chunk's time its `ingest_us` leaves out. A release that fails
+/// the contract audit is counted and withheld, so no violating byte reaches
+/// a subscriber, live or through log catch-up. The log has no record of
+/// the withheld publication; a restart that re-derives a later release
+/// differently refuses the log rather than serve a stream it cannot
+/// reproduce.
 ///
 /// A WAL append failure is a broken durability contract, not a degraded
 /// mode: the worker dies loudly rather than silently serving an
 /// unrecoverable stream.
-fn log_publication(
-    cfg: &ServeConfig,
-    log: &mut WalWriter,
-    key: &str,
-    state: &KeyState,
-    release: &WindowRelease,
-) {
-    log.append(&WalRecord::Release {
-        stream: key.to_string(),
-        stream_len: release.stream_len,
-        entries: release.release.iter().map(binary_entry).collect(),
-    })
-    .expect("wal release append failed");
-    if cfg.snapshot_every <= 1 || state.published.is_multiple_of(cfg.snapshot_every as u64) {
-        log.append(&WalRecord::Snapshot(snapshot_of(
-            key,
-            state.kind,
-            &state.pipe,
-            state.published + 1,
-            &release.release,
-        )))
-        .expect("wal snapshot append failed");
-    }
-}
-
-/// Publish `state`'s full window: Moment settled, logged, then fanned out.
-/// Returns the wall time it took, the settle walk, logging and fan-out
-/// included — the share of a chunk's time its `ingest_us` leaves out. A
-/// release that
-/// fails the contract audit is neither — it is counted and withheld, so no
-/// violating byte reaches a subscriber, live or through log catch-up. The
-/// defense's delta base has moved on regardless, so the withheld position
-/// becomes the next delta's `base_len`: delta subscribers skip that delta
-/// and resync on the next snapshot. The log has no record of the withheld
-/// publication; a restart that re-derives a later release differently
-/// refuses the log rather than serve a stream it cannot reproduce.
 fn publish(
     cfg: &ServeConfig,
     log: Option<&mut WalWriter>,
     registry: &SubscriberRegistry,
     stats: &Arc<ShardStats>,
     key: &Arc<str>,
-    state: &mut KeyState,
+    state: &mut RecoveredStream,
 ) -> Duration {
     let started = Instant::now();
-    let outcome = state.pipe.publish_now();
-    let us = started.elapsed().as_micros() as u64;
+    let (took, step) = state
+        .publish_and_log(cfg, key, log)
+        .expect("wal release append failed");
+    let us = took.as_micros() as u64;
     ShardStats::add(&stats.publish_us, us);
     stats.publish_us_max.fetch_max(us, Ordering::Relaxed);
-    match outcome {
-        Ok(release) => {
-            if let Some(w) = log {
-                log_publication(cfg, w, key, state, &release);
-            }
-            emit_publication(cfg, registry, stats, key, state, &release);
-        }
-        Err(Error::ContractViolation {
-            stream_len,
-            violations,
-        }) => {
+    match step {
+        Step::Published(p) => emit_publication(cfg, registry, stats, key, &p),
+        Step::Withheld(violations) => {
             ShardStats::add(&stats.audit_violations, violations as u64);
-            state.last_len = stream_len;
         }
-        Err(e) => panic!("full window cannot be partial: {e}"),
     }
     started.elapsed()
 }
@@ -277,19 +225,11 @@ fn worker(
         Some(r) => (Some(r.writer), r.streams),
         None => (None, HashMap::new()),
     };
-    let mut pipelines: HashMap<Arc<str>, KeyState> = recovered
+    let mut pipelines: HashMap<Arc<str>, RecoveredStream> = recovered
         .into_iter()
         .map(|(key, s)| {
             ShardStats::add(&stats.keys, 1);
-            (
-                Arc::from(key.as_str()),
-                KeyState {
-                    kind: s.kind,
-                    pipe: s.pipe,
-                    published: s.published,
-                    last_len: s.last_len,
-                },
-            )
+            (Arc::from(key.as_str()), s)
         })
         .collect();
     while let Ok(job) = rx.recv() {
@@ -313,7 +253,7 @@ fn worker(
                     }
                     pipelines.insert(
                         key.clone(),
-                        KeyState {
+                        RecoveredStream {
                             kind,
                             pipe: cfg.pipeline_with(&key, kind),
                             published: 0,
@@ -381,6 +321,7 @@ mod tests {
     use crate::protocol::SubscriberState;
     use crate::reactor::test_sink;
     use bfly_common::{FrameMode, Json};
+    use bfly_core::{DefenseKind, PrivacyDefense, StreamPipeline};
     use std::sync::mpsc::sync_channel;
 
     fn tiny_cfg() -> ServeConfig {
@@ -573,7 +514,7 @@ mod tests {
             inner: cfg.defense.build(cfg.spec(), cfg.scheme, 1),
             lied: false,
         };
-        let mut state = KeyState {
+        let mut state = RecoveredStream {
             kind: DefenseKind::Butterfly,
             pipe: StreamPipeline::new(cfg.window, Box::new(liar)),
             published: 0,

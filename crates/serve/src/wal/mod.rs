@@ -26,5 +26,5 @@ pub mod writer;
 pub mod replay;
 
 pub use record::{StreamSnapshot, WalRecord};
-pub use replay::{recover_shard, scan_catchup, snapshot_of, RecoveredShard, RecoveredStream};
+pub use replay::{recover_shard, scan_catchup, RecoveredShard, RecoveredStream};
 pub use writer::{WalWriter, WriterPosition};

@@ -53,18 +53,19 @@
 //! record along.
 
 use crate::config::{ServeConfig, WalConfig};
-use crate::protocol::binary_entry;
+use crate::protocol::binary_entries;
 use crate::stats::WalStats;
 use crate::wal::record::{scan_one, Scan, SnapshotEntry, StreamSnapshot, WalRecord};
 use crate::wal::segment::{list_segments, shard_dir};
 use crate::wal::writer::{WalWriter, WriterPosition};
-use bfly_common::{BinaryEntry, Error, ItemSet, ItemsetId, Result, Transaction};
+use bfly_common::{BinaryEntry, BinaryFrame, Error, ItemSet, ItemsetId, Result, Transaction};
 use bfly_core::defense::{DefenseKind, PrivacyDefense};
-use bfly_core::{SanitizedItemset, SanitizedRelease, StreamPipeline};
+use bfly_core::{SanitizedItemset, SanitizedRelease, StreamPipeline, WindowRelease};
 use std::collections::{HashMap, VecDeque};
 use std::path::Path;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// The pipeline type the serve layer runs everywhere: Moment under a
 /// defense bound per key at runtime.
@@ -77,16 +78,132 @@ pub type DynPipeline = StreamPipeline<Box<dyn PrivacyDefense>>;
 /// them as `release` records (or the end of the log) demand.
 type Pending = VecDeque<(u64, ItemSet)>;
 
-/// One stream rebuilt by replay, ready to drop into a shard worker.
+/// One stream's live state: rebuilt by replay, then owned by its shard
+/// worker. Both publish through one step, `publish_and_log`.
 pub struct RecoveredStream {
     /// The defense the stream was bound to.
     pub kind: DefenseKind,
-    /// The pipeline, advanced to exactly the pre-crash stream position.
+    /// The pipeline; replay advances it to exactly the pre-crash stream
+    /// position.
     pub pipe: DynPipeline,
-    /// Publications made before the crash.
+    /// Publications made so far.
     pub published: u64,
     /// Stream position of the latest publication.
     pub last_len: u64,
+}
+
+/// What one [`RecoveredStream::publish_and_log`] step did.
+pub(crate) enum Step {
+    /// Published, logged (given a log) and counted.
+    Published(Box<Publication>),
+    /// Failed the contract audit with this many violating entries: withheld
+    /// from the log and from every subscriber; only `last_len` moved.
+    Withheld(usize),
+}
+
+/// One logged publication, ready to fan out.
+pub(crate) struct Publication {
+    /// The defense's release and delta.
+    pub(crate) window: WindowRelease,
+    /// The `release` frame, carrying the entries the log recorded.
+    pub(crate) frame: BinaryFrame,
+    /// Stream position of the previous publication: the delta's `base_len`.
+    pub(crate) base_len: u64,
+    /// On the snapshot cadence: the log took a `snapshot` record and
+    /// subscribers get the full `release`.
+    pub(crate) snapshot: bool,
+}
+
+impl RecoveredStream {
+    /// Publish the full window and log it: the one publication step of the
+    /// shard worker and of replay, which also re-runs each logged release
+    /// through it (without a log) to verify it. A release failing the
+    /// contract audit is withheld and only moves `last_len`, so the
+    /// withheld position becomes the next delta's `base_len`. Otherwise the
+    /// `release` record is appended, plus a `snapshot` when due, before
+    /// `published` and `last_len` move: durable before visible. Also
+    /// returns the time spent inside `publish_now`.
+    ///
+    /// # Errors
+    /// A window that is not full, or a failed log append.
+    pub(crate) fn publish_and_log(
+        &mut self,
+        cfg: &ServeConfig,
+        key: &str,
+        log: Option<&mut WalWriter>,
+    ) -> Result<(Duration, Step)> {
+        let started = Instant::now();
+        let outcome = self.pipe.publish_now();
+        let took = started.elapsed();
+        let window = match outcome {
+            Err(Error::ContractViolation {
+                stream_len,
+                violations,
+            }) => {
+                self.last_len = stream_len;
+                return Ok((took, Step::Withheld(violations)));
+            }
+            outcome => outcome?,
+        };
+        let snapshot =
+            cfg.snapshot_every <= 1 || self.published.is_multiple_of(cfg.snapshot_every as u64);
+        let record = WalRecord::Release {
+            stream: key.to_string(),
+            stream_len: window.stream_len,
+            entries: binary_entries(window.release.iter()),
+        };
+        if let Some(log) = log {
+            log.append(&record)?;
+            if snapshot {
+                // Taken at a publication point, so everything a restart
+                // needs is the window and this release's (true, sanitized)
+                // pairs.
+                log.append(&WalRecord::Snapshot(StreamSnapshot {
+                    stream: key.to_string(),
+                    kind: self.kind,
+                    stream_len: window.stream_len,
+                    published: self.published + 1,
+                    last_len: window.stream_len,
+                    prev_release: window
+                        .release
+                        .iter()
+                        .map(|e| SnapshotEntry {
+                            ids: e.itemset().items().iter().map(|i| i.id()).collect(),
+                            true_support: e.true_support,
+                            sanitized: e.sanitized,
+                        })
+                        .collect(),
+                    window: self
+                        .pipe
+                        .window()
+                        .records()
+                        .map(|set| set.iter().map(|i| i.id()).collect())
+                        .collect(),
+                }))?;
+            }
+        }
+        let WalRecord::Release {
+            stream,
+            stream_len,
+            entries,
+        } = record
+        else {
+            unreachable!("built as a release record")
+        };
+        let base_len = std::mem::replace(&mut self.last_len, stream_len);
+        self.published += 1;
+        let publication = Publication {
+            window,
+            frame: BinaryFrame::Release {
+                stream,
+                stream_len,
+                entries,
+            },
+            base_len,
+            snapshot,
+        };
+        Ok((took, Step::Published(Box::new(publication))))
+    }
 }
 
 /// Everything recovery hands the shard: its streams and a writer positioned
@@ -101,41 +218,22 @@ pub struct RecoveredShard {
     pub recovered_windows: u64,
 }
 
-/// Capture one stream's state as a snapshot record — the worker calls this
-/// right after a publication, so `release` is the stream's latest release
-/// and the cadence counter is zero.
-pub fn snapshot_of(
+/// Advance `st` by the staged record at position `p`, which must be the
+/// next one: anything else is a forked history, refused in every build.
+fn advance_staged(
+    st: &mut RecoveredStream,
     stream: &str,
-    kind: DefenseKind,
-    pipe: &DynPipeline,
-    published: u64,
-    release: &SanitizedRelease,
-) -> StreamSnapshot {
-    let stream_len = pipe.stream_len();
-    StreamSnapshot {
-        stream: stream.to_string(),
-        kind,
-        stream_len,
-        published,
-        last_len: stream_len,
-        prev_release: release
-            .iter()
-            .map(|e| SnapshotEntry {
-                ids: e.itemset().items().iter().map(|i| i.id()).collect(),
-                true_support: e.true_support,
-                sanitized: e.sanitized,
-            })
-            .collect(),
-        window: pipe
-            .window()
-            .records()
-            .map(|set| set.iter().map(|i| i.id()).collect())
-            .collect(),
+    p: u64,
+    items: ItemSet,
+) -> std::result::Result<(), String> {
+    let at = st.pipe.stream_len();
+    if p != at + 1 {
+        return Err(format!(
+            "stream {stream:?} has a logged record at position {p} but replay stopped at {at}"
+        ));
     }
-}
-
-fn wire_entries(release: &SanitizedRelease) -> Vec<BinaryEntry> {
-    release.iter().map(binary_entry).collect()
+    st.pipe.advance(Transaction::new(0, items));
+    Ok(())
 }
 
 fn corrupt(path: &Path, reason: &str) -> Error {
@@ -236,44 +334,15 @@ pub fn recover_shard(
             continue;
         };
         for (p, items) in q {
-            let at = st.pipe.stream_len();
-            if p != at + 1 {
-                return Err(Error::Parse(format!(
-                    "wal for shard {shard} is corrupt: stream {key:?} has a logged record at \
-                     position {p} but replay stopped at {at} (move the wal dir aside to start \
-                     fresh)"
-                )));
-            }
-            st.pipe.advance(Transaction::new(0, items));
+            advance_staged(st, &key, p, items).map_err(|e| {
+                Error::Parse(format!(
+                    "wal for shard {shard} is corrupt: {e} (move the wal dir aside to start fresh)"
+                ))
+            })?;
             if st.pipe.window().is_full() && st.pipe.since_publish() >= cfg.every {
-                // Same rule as the live worker: a release failing the
-                // contract audit is withheld and only moves the delta base.
-                let rel = match st.pipe.publish_now() {
-                    Ok(rel) => rel,
-                    Err(Error::ContractViolation { stream_len, .. }) => {
-                        st.last_len = stream_len;
-                        continue;
-                    }
-                    Err(e) => panic!("full window cannot be partial: {e}"),
-                };
-                writer.append(&WalRecord::Release {
-                    stream: key.clone(),
-                    stream_len: rel.stream_len,
-                    entries: wire_entries(&rel.release),
-                })?;
-                if cfg.snapshot_every <= 1 || st.published.is_multiple_of(cfg.snapshot_every as u64)
-                {
-                    writer.append(&WalRecord::Snapshot(snapshot_of(
-                        &key,
-                        st.kind,
-                        &st.pipe,
-                        st.published + 1,
-                        &rel.release,
-                    )))?;
+                if let (_, Step::Published(_)) = st.publish_and_log(cfg, &key, Some(&mut writer))? {
+                    state.recovered_windows += 1;
                 }
-                st.published += 1;
-                st.last_len = rel.stream_len;
-                state.recovered_windows += 1;
             }
         }
     }
@@ -408,28 +477,31 @@ fn apply(
                         ),
                     ));
                 };
-                debug_assert_eq!(p, st.pipe.stream_len() + 1);
-                st.pipe.advance(Transaction::new(0, items));
+                advance_staged(st, &stream, p, items).map_err(|e| corrupt(path, &e))?;
             }
-            let rel = st.pipe.publish_now().map_err(|e| {
-                corrupt(
-                    path,
-                    &format!("logged release at {stream_len} is unpublishable on replay: {e}"),
-                )
-            })?;
-            if rel.stream_len != stream_len || wire_entries(&rel.release) != entries {
-                return Err(corrupt(
-                    path,
-                    &format!(
-                        "recomputed release for {stream:?} at stream_len {} diverges from the \
-                         logged publication at {stream_len}",
-                        rel.stream_len
-                    ),
-                ));
+            let logged = BinaryFrame::Release {
+                stream: stream.clone(),
+                stream_len,
+                entries,
+            };
+            match st.publish_and_log(cfg, &stream, None) {
+                Ok((_, Step::Published(p))) if p.frame == logged => *recovered_windows += 1,
+                Ok(_) => {
+                    return Err(corrupt(
+                        path,
+                        &format!(
+                            "recomputed release for {stream:?} diverges from the logged \
+                             publication at {stream_len}"
+                        ),
+                    ))
+                }
+                Err(e) => {
+                    return Err(corrupt(
+                        path,
+                        &format!("logged release at {stream_len} is unpublishable on replay: {e}"),
+                    ))
+                }
             }
-            st.published += 1;
-            st.last_len = stream_len;
-            *recovered_windows += 1;
         }
         WalRecord::Snapshot(s) => {
             // Same anchor rule as the writer: the snapshot's basis includes
@@ -513,8 +585,9 @@ fn adopt(cfg: &ServeConfig, path: &Path, s: StreamSnapshot) -> Result<RecoveredS
 /// `stream_len >= min_len` — the log-based catch-up feed for late
 /// subscribers.
 ///
-/// This runs on connection threads while the shard's writer is appending,
-/// so it is deliberately tolerant: an invalid record stops the scan (it is
+/// This runs on the reactor thread (`server::dispatch` →
+/// `NodeCore::catchup`) while the shard's writer is appending, so it is
+/// deliberately tolerant: an invalid record stops the scan (it is
 /// the live tail or a racing compaction), a vanished segment file is
 /// skipped. The horizon is whatever compaction retained; callers get every
 /// release still on disk, oldest first.
@@ -603,18 +676,22 @@ mod tests {
     }
 
     /// Drive one stream exactly the way the shard worker does, logging to
-    /// `writer` — the test twin of the production write points.
+    /// `writer` through the worker's own publication step.
     struct Harness {
-        pipe: DynPipeline,
-        published: u64,
+        st: RecoveredStream,
         releases: Vec<(u64, Vec<BinaryEntry>)>,
     }
 
-    fn entries(rel: &SanitizedRelease) -> Vec<BinaryEntry> {
-        wire_entries(rel)
-    }
-
     impl Harness {
+        fn new(cfg: &ServeConfig, key: &str) -> Harness {
+            Harness::resume(RecoveredStream {
+                kind: DefenseKind::Butterfly,
+                pipe: cfg.pipeline_with(key, DefenseKind::Butterfly),
+                published: 0,
+                last_len: 0,
+            })
+        }
+
         fn open(cfg: &ServeConfig, key: &str, writer: &mut WalWriter) -> Harness {
             writer
                 .append(&WalRecord::Open {
@@ -622,17 +699,12 @@ mod tests {
                     kind: DefenseKind::Butterfly,
                 })
                 .unwrap();
-            Harness {
-                pipe: cfg.pipeline_with(key, DefenseKind::Butterfly),
-                published: 0,
-                releases: Vec::new(),
-            }
+            Harness::new(cfg, key)
         }
 
-        fn resume(rec: RecoveredStream) -> Harness {
+        fn resume(st: RecoveredStream) -> Harness {
             Harness {
-                pipe: rec.pipe,
-                published: rec.published,
+                st,
                 releases: Vec::new(),
             }
         }
@@ -654,36 +726,23 @@ mod tests {
                 if let Some(w) = writer.as_deref_mut() {
                     w.append(&WalRecord::Ingest {
                         stream: key.into(),
-                        base: self.pipe.stream_len(),
+                        base: self.st.pipe.stream_len(),
                         batch: part.iter().map(|&i| record(i)).collect(),
                     })
                     .unwrap();
                 }
                 for &i in part {
-                    self.pipe.advance(Transaction::new(0, record(i)));
-                    if self.pipe.window().is_full() && self.pipe.since_publish() >= cfg.every {
-                        let rel = self.pipe.publish_now().unwrap();
-                        let wire = entries(&rel.release);
-                        if let Some(w) = writer.as_deref_mut() {
-                            w.append(&WalRecord::Release {
-                                stream: key.into(),
-                                stream_len: rel.stream_len,
-                                entries: wire.clone(),
-                            })
-                            .unwrap();
-                            if self.published.is_multiple_of(cfg.snapshot_every as u64) {
-                                w.append(&WalRecord::Snapshot(snapshot_of(
-                                    key,
-                                    DefenseKind::Butterfly,
-                                    &self.pipe,
-                                    self.published + 1,
-                                    &rel.release,
-                                )))
-                                .unwrap();
-                            }
-                        }
-                        self.published += 1;
-                        self.releases.push((rel.stream_len, wire));
+                    self.st.pipe.advance(Transaction::new(0, record(i)));
+                    if self.st.pipe.window().is_full() && self.st.pipe.since_publish() >= cfg.every
+                    {
+                        let step = self.st.publish_and_log(cfg, key, writer.as_deref_mut());
+                        let (_, Step::Published(p)) = step.unwrap() else {
+                            panic!("an honest defense withheld a release");
+                        };
+                        let BinaryFrame::Release { entries, .. } = p.frame else {
+                            panic!("a release step built {:?}", p.frame);
+                        };
+                        self.releases.push((p.window.stream_len, entries));
                     }
                 }
             }
@@ -702,11 +761,7 @@ mod tests {
         let stats = Arc::new(WalStats::default());
 
         // Reference: uncrashed, 60 records straight through, no WAL.
-        let mut reference = Harness {
-            pipe: cfg.pipeline_with("k", DefenseKind::Butterfly),
-            published: 0,
-            releases: Vec::new(),
-        };
+        let mut reference = Harness::new(&cfg, "k");
         reference.feed(&cfg, "k", None, 0..60, 7);
 
         // Crashed twin: logs 35 records, then the process "dies" (writer
@@ -840,6 +895,115 @@ mod tests {
         std::fs::remove_dir_all(&root).unwrap();
     }
 
+    /// An adopted stream whose staged chunk starts past the snapshot's
+    /// edge: the release after the snapshot would advance the record at 21
+    /// as if it sat at 11. Refused in every build, naming both positions.
+    #[test]
+    fn a_staged_record_past_the_adopted_edge_refuses_the_start() {
+        let root = tmp_root("misplaced");
+        let cfg = tiny_cfg();
+        let wal = wal_cfg(&root);
+        let stats = Arc::new(WalStats::default());
+        let mut w = WalWriter::open(
+            &root,
+            0,
+            wal.clone(),
+            cfg.snapshot_every,
+            stats.clone(),
+            WriterPosition::default(),
+        )
+        .unwrap();
+        // The stream's birth was compacted: an ingest chunk at 21..=25,
+        // then a snapshot at 10 holding records 3..=10, then a release.
+        w.append(&WalRecord::Ingest {
+            stream: "k".into(),
+            base: 20,
+            batch: (20..25).map(record).collect(),
+        })
+        .unwrap();
+        w.append(&WalRecord::Snapshot(StreamSnapshot {
+            stream: "k".into(),
+            kind: DefenseKind::Butterfly,
+            stream_len: 10,
+            published: 1,
+            last_len: 10,
+            prev_release: Vec::new(),
+            window: (2..10)
+                .map(|i| record(i).iter().map(|item| item.id()).collect())
+                .collect(),
+        }))
+        .unwrap();
+        w.append(&WalRecord::Release {
+            stream: "k".into(),
+            stream_len: 12,
+            entries: Vec::new(),
+        })
+        .unwrap();
+        drop(w);
+
+        let seg = shard_dir(&root, 0).join(crate::wal::segment::segment_file_name(0));
+        let err = match recover_shard(&cfg, &wal, 0, &stats) {
+            Err(e) => e.to_string(),
+            Ok(_) => panic!("a misplaced staged record must refuse the start"),
+        };
+        assert!(err.contains(&seg.display().to_string()), "{err}");
+        assert!(
+            err.contains("record at position 21 but replay stopped at 10"),
+            "{err}"
+        );
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// A checksum-clean `release` record whose entries the replayed
+    /// publication does not reproduce: the log and the code disagree about
+    /// history.
+    #[test]
+    fn a_logged_release_replay_cannot_reproduce_refuses_the_start() {
+        let root = tmp_root("diverged");
+        let cfg = tiny_cfg();
+        let wal = wal_cfg(&root);
+        let stats = Arc::new(WalStats::default());
+        let mut w = WalWriter::open(
+            &root,
+            0,
+            wal.clone(),
+            cfg.snapshot_every,
+            stats.clone(),
+            WriterPosition::default(),
+        )
+        .unwrap();
+        Harness::open(&cfg, "k", &mut w).feed(&cfg, "k", Some(&mut w), 0..8, 8);
+        // The publication at 10, one sanitized support off.
+        let mut reference = Harness::new(&cfg, "k");
+        reference.feed(&cfg, "k", None, 0..10, 10);
+        let (stream_len, mut entries) = reference.releases.pop().unwrap();
+        assert_eq!(stream_len, 10);
+        entries[0].support += 1;
+        w.append(&WalRecord::Ingest {
+            stream: "k".into(),
+            base: 8,
+            batch: (8..10).map(record).collect(),
+        })
+        .unwrap();
+        w.append(&WalRecord::Release {
+            stream: "k".into(),
+            stream_len,
+            entries,
+        })
+        .unwrap();
+        drop(w);
+
+        let err = match recover_shard(&cfg, &wal, 0, &stats) {
+            Err(e) => e.to_string(),
+            Ok(_) => panic!("a release replay cannot reproduce must refuse the start"),
+        };
+        assert!(
+            err.contains("diverges from the logged publication at 10"),
+            "{err}"
+        );
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
     #[test]
     fn torn_tail_is_truncated_and_replay_continues() {
         let root = tmp_root("torn");
@@ -936,11 +1100,7 @@ mod tests {
         wal.keep_segments = 0; // compact hard: the open record must die
         let stats = Arc::new(WalStats::default());
 
-        let mut reference = Harness {
-            pipe: cfg.pipeline_with("k", DefenseKind::Butterfly),
-            published: 0,
-            releases: Vec::new(),
-        };
+        let mut reference = Harness::new(&cfg, "k");
         reference.feed(&cfg, "k", None, 0..80, 7);
 
         let mut w = WalWriter::open(
@@ -985,11 +1145,7 @@ mod tests {
         let wal = wal_cfg(&root);
         let stats = Arc::new(WalStats::default());
 
-        let mut reference = Harness {
-            pipe: cfg.pipeline_with("k", DefenseKind::Butterfly),
-            published: 0,
-            releases: Vec::new(),
-        };
+        let mut reference = Harness::new(&cfg, "k");
         reference.feed(&cfg, "k", None, 0..20, 7);
 
         let mut w = WalWriter::open(

@@ -63,6 +63,17 @@ if [[ -n "$COPIES" ]]; then
   echo "a second copy of the window crept back into the production path; StreamPipeline feeds MomentMiner by tid"; exit 1
 fi
 
+echo "==> one-writer guard (a publication is encoded once, as its binary frame: the release and release_delta event envelopes and the itemset entry key are each built at one site)"
+for PAT in 'Json::from("release")' 'Json::from("release_delta")' '"itemset",'; do
+  SITES=$(for f in $(find crates src -name '*.rs' | sort); do
+    sed '/^ *mod tests {/,$d' "$f" | grep -nF "$PAT" | grep -v '^[0-9]*: *//' | sed "s|^|$f:|"
+  done || true)
+  if [[ $(grep -c . <<<"$SITES") != 1 ]]; then
+    echo "$SITES"
+    echo "$PAT is built at more or fewer than one site; NDJSON events and protect lines are transcoded from the binary frame's entries"; exit 1
+  fi
+done
+
 echo "==> thread guard (a serve process runs one reactor thread plus one worker per shard: no thread per connection or subscription)"
 SPAWNS=$(for f in $(find crates/serve/src -name '*.rs' | sort); do
   sed '/^ *mod tests {/,$d' "$f" | grep -c 'thread::\(Builder\|spawn\)' | sed "s|^|$f |"

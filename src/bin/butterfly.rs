@@ -22,6 +22,7 @@ use butterfly_repro::datagen::DatasetProfile;
 use butterfly_repro::inference::find_intra_window_breaches;
 use butterfly_repro::mining::closed::closed_subset;
 use butterfly_repro::mining::{Apriori, Eclat, FpGrowth};
+use butterfly_repro::serve::protocol::{binary_entries, entries_json};
 use butterfly_repro::serve::{parse_node_list, ServeConfig, ServeRole, Server, WalConfig};
 use std::collections::HashMap;
 use std::io::{BufWriter, Write};
@@ -421,7 +422,10 @@ fn cmd_protect(flags: &Flags) -> Result<(), String> {
             let release = pipeline.publish_now().map_err(|e| e.to_string())?;
             let line = Json::obj([
                 ("stream_len", Json::from(release.stream_len)),
-                ("itemsets", release.release.wire_itemsets()),
+                (
+                    "itemsets",
+                    entries_json(&binary_entries(release.release.iter())),
+                ),
             ]);
             writeln!(out, "{line}").map_err(|e| e.to_string())?;
             published += 1;

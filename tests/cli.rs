@@ -146,6 +146,51 @@ fn gen_stream(name: &str, count: &str, seed: &str) -> PathBuf {
     dat
 }
 
+/// One `protect` line as literal bytes: its `itemsets` go through the
+/// serve layer's entries writer, which no other test pins from the CLI.
+#[test]
+fn protect_line_is_byte_pinned() {
+    let dat = gen_stream("pinned.dat", "300", "5");
+    let protect = bin()
+        .args([
+            "protect",
+            "--window",
+            "200",
+            "--min-support",
+            "40",
+            "--vulnerable",
+            "3",
+            "--epsilon",
+            "0.05",
+            "--delta",
+            "0.4",
+            "--every",
+            "100",
+            "--seed",
+            "1",
+            "--input",
+        ])
+        .arg(&dat)
+        .output()
+        .expect("run protect");
+    assert!(
+        protect.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&protect.stderr)
+    );
+    let stdout = String::from_utf8(protect.stdout).unwrap();
+    assert_eq!(
+        stdout.lines().next(),
+        Some(
+            "{\"itemsets\":[{\"itemset\":[0,53],\"support\":42},\
+             {\"itemset\":[0,24],\"support\":45},{\"itemset\":[24],\"support\":53},\
+             {\"itemset\":[53],\"support\":53},{\"itemset\":[0],\"support\":152}],\
+             \"stream_len\":200}"
+        )
+    );
+    std::fs::remove_file(dat).ok();
+}
+
 #[test]
 fn protect_and_serve_reject_unrunnable_contracts_and_schemes() {
     // Each must exit 1 with `error: …` naming the bound it broke — never a

@@ -5,16 +5,25 @@
 //! rejected up front with the registry's valid-name list (protect and serve
 //! alike).
 
-use butterfly_repro::butterfly::{DefenseKind, DefenseSpec};
+use butterfly_repro::butterfly::{DefenseKind, DefenseSpec, SanitizedRelease};
 use butterfly_repro::common::{ItemSet, Json, Transaction};
 use butterfly_repro::datagen::DatasetProfile;
-use butterfly_repro::serve::protocol::{closed_event, release_event};
+use butterfly_repro::serve::protocol::{closed_event, release_frame_bytes};
 use butterfly_repro::serve::{Client, FrameMode, Request, ServeConfig};
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
+
+/// The NDJSON `release` line a subscriber reads for one publication.
+fn release_line(stream: &str, stream_len: u64, release: &SanitizedRelease) -> String {
+    let line = release_frame_bytes(FrameMode::Json, stream, stream_len, release);
+    String::from_utf8(line.to_vec())
+        .unwrap()
+        .trim_end()
+        .to_string()
+}
 
 fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_butterfly"))
@@ -211,11 +220,11 @@ fn serve_publishes_each_defense_byte_identically_and_drains() {
             pipe.advance(Transaction::new(0, items.clone()));
             if pipe.window().is_full() && pipe.since_publish() >= cfg.every {
                 let r = pipe.publish_now().expect("full window");
-                expected.push(release_event("smoke", r.stream_len, &r.release).to_string());
+                expected.push(release_line("smoke", r.stream_len, &r.release));
             }
         }
         if let Some(r) = pipe.flush() {
-            expected.push(release_event("smoke", r.stream_len, &r.release).to_string());
+            expected.push(release_line("smoke", r.stream_len, &r.release));
         }
         assert_eq!(expected.len(), 12, "{name}: 11 on cadence plus the drain");
 

@@ -9,9 +9,10 @@
 //! incarnation. A hung (stopped, not dead) node and a node sending
 //! oversized frames must cost only their own keys.
 
+use butterfly_repro::butterfly::SanitizedRelease;
 use butterfly_repro::common::{ItemSet, Json};
 use butterfly_repro::datagen::DatasetProfile;
-use butterfly_repro::serve::protocol::{release_event, CatchUp};
+use butterfly_repro::serve::protocol::{release_frame_bytes, CatchUp};
 use butterfly_repro::serve::{
     Client, ClusterMap, FrameMode, Request, ServeConfig, ServeRole, Server,
 };
@@ -20,6 +21,15 @@ use std::net::SocketAddr;
 use std::path::Path;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
+
+/// The NDJSON `release` line a subscriber reads for one publication.
+fn release_line(stream: &str, stream_len: u64, release: &SanitizedRelease) -> String {
+    let line = release_frame_bytes(FrameMode::Json, stream, stream_len, release);
+    String::from_utf8(line.to_vec())
+        .unwrap()
+        .trim_end()
+        .to_string()
+}
 
 /// Kills the child on drop so a failing assertion never leaks a process.
 struct Reaper(Child);
@@ -137,11 +147,11 @@ fn expected_events(key: &str, records: &[ItemSet]) -> Vec<String> {
         pipe.advance(butterfly_repro::common::Transaction::new(0, items.clone()));
         if pipe.window().is_full() && pipe.since_publish() >= cfg.every {
             let r = pipe.publish_now().expect("full window");
-            events.push(release_event(key, r.stream_len, &r.release).to_string());
+            events.push(release_line(key, r.stream_len, &r.release));
         }
     }
     if let Some(r) = pipe.flush() {
-        events.push(release_event(key, r.stream_len, &r.release).to_string());
+        events.push(release_line(key, r.stream_len, &r.release));
     }
     events
 }

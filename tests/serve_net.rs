@@ -2,13 +2,23 @@
 //! determinism (a TCP round trip is bit-identical to an in-process run),
 //! overload shedding, graceful drain, and wire-protocol edge cases.
 
+use butterfly_repro::butterfly::SanitizedRelease;
 use butterfly_repro::common::{ItemSet, Json};
 use butterfly_repro::datagen::DatasetProfile;
-use butterfly_repro::serve::protocol::{closed_event, release_event, SubscriberState};
+use butterfly_repro::serve::protocol::{closed_event, release_frame_bytes, SubscriberState};
 use butterfly_repro::serve::{
     Client, ClusterMap, FrameMode, Request, ServeConfig, ServeRole, Server,
 };
 use std::io::{BufRead, BufReader, Write};
+
+/// The NDJSON `release` line a subscriber reads for one publication.
+fn release_line(stream: &str, stream_len: u64, release: &SanitizedRelease) -> String {
+    let line = release_frame_bytes(FrameMode::Json, stream, stream_len, release);
+    String::from_utf8(line.to_vec())
+        .unwrap()
+        .trim_end()
+        .to_string()
+}
 
 fn feasible_cfg() -> ServeConfig {
     ServeConfig {
@@ -48,11 +58,11 @@ fn network_releases_bit_identical_to_in_process() {
         pipe.advance(butterfly_repro::common::Transaction::new(0, items.clone()));
         if pipe.window().is_full() && pipe.since_publish() >= cfg.every {
             let r = pipe.publish_now().expect("full window");
-            expected.push(release_event("alpha", r.stream_len, &r.release).to_string());
+            expected.push(release_line("alpha", r.stream_len, &r.release));
         }
     }
     if let Some(r) = pipe.flush() {
-        expected.push(release_event("alpha", r.stream_len, &r.release).to_string());
+        expected.push(release_line("alpha", r.stream_len, &r.release));
     }
     assert_eq!(expected.len(), 2, "cadence at 120 plus drain flush at 130");
 
@@ -142,7 +152,7 @@ fn mid_stream_subscriber_reconstructs_from_snapshot_and_deltas() {
         pipe.advance(butterfly_repro::common::Transaction::new(0, items.clone()));
         if pipe.window().is_full() && pipe.since_publish() >= cfg.every {
             let r = pipe.publish_now().expect("full window");
-            final_release_line = Some(release_event("alpha", r.stream_len, &r.release).to_string());
+            final_release_line = Some(release_line("alpha", r.stream_len, &r.release));
         }
     }
     assert!(pipe.flush().is_none(), "200 lands on the cadence exactly");
@@ -429,11 +439,11 @@ fn bind_overrides_one_streams_defense_before_first_ingest() {
             pipe.advance(butterfly_repro::common::Transaction::new(0, items.clone()));
             if pipe.window().is_full() && pipe.since_publish() >= cfg.every {
                 let r = pipe.publish_now().expect("full window");
-                lines.push(release_event(key, r.stream_len, &r.release).to_string());
+                lines.push(release_line(key, r.stream_len, &r.release));
             }
         }
         if let Some(r) = pipe.flush() {
-            lines.push(release_event(key, r.stream_len, &r.release).to_string());
+            lines.push(release_line(key, r.stream_len, &r.release));
         }
         lines
     };
@@ -555,11 +565,11 @@ fn binary_and_json_subscribers_see_identical_releases() {
         pipe.advance(butterfly_repro::common::Transaction::new(0, items.clone()));
         if pipe.window().is_full() && pipe.since_publish() >= cfg.every {
             let r = pipe.publish_now().expect("full window");
-            expected.push(release_event("alpha", r.stream_len, &r.release).to_string());
+            expected.push(release_line("alpha", r.stream_len, &r.release));
         }
     }
     if let Some(r) = pipe.flush() {
-        expected.push(release_event("alpha", r.stream_len, &r.release).to_string());
+        expected.push(release_line("alpha", r.stream_len, &r.release));
     }
     assert_eq!(expected.len(), 2, "cadence at 120 plus drain flush at 130");
 
@@ -1041,7 +1051,7 @@ fn late_subscriber_catches_up_from_the_wal() {
         pipe.advance(butterfly_repro::common::Transaction::new(0, items.clone()));
         if pipe.window().is_full() && pipe.since_publish() >= cfg.every {
             let r = pipe.publish_now().expect("full window");
-            expected.push(release_event("alpha", r.stream_len, &r.release).to_string());
+            expected.push(release_line("alpha", r.stream_len, &r.release));
         }
     }
     assert!(pipe.flush().is_some(), "5 pending records flush at drain");

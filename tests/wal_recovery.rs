@@ -8,15 +8,25 @@
 //! comparison spans the crash, the replay, the log-served catch-up, and
 //! the drain flush in one concatenated byte-equality.
 
+use butterfly_repro::butterfly::SanitizedRelease;
 use butterfly_repro::common::{ItemSet, Json};
 use butterfly_repro::datagen::DatasetProfile;
-use butterfly_repro::serve::protocol::{release_event, CatchUp};
+use butterfly_repro::serve::protocol::{release_frame_bytes, CatchUp};
 use butterfly_repro::serve::{Client, FrameMode, Request, ServeConfig};
 use std::io::Read;
 use std::net::SocketAddr;
 use std::path::Path;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
+
+/// The NDJSON `release` line a subscriber reads for one publication.
+fn release_line(stream: &str, stream_len: u64, release: &SanitizedRelease) -> String {
+    let line = release_frame_bytes(FrameMode::Json, stream, stream_len, release);
+    String::from_utf8(line.to_vec())
+        .unwrap()
+        .trim_end()
+        .to_string()
+}
 
 /// Kills the child on drop so a failing assertion never leaks a server.
 struct Reaper(Child);
@@ -150,11 +160,11 @@ fn kill_dash_nine_then_restart_replays_byte_identically() {
         pipe.advance(butterfly_repro::common::Transaction::new(0, items.clone()));
         if pipe.window().is_full() && pipe.since_publish() >= cfg.every {
             let r = pipe.publish_now().expect("full window");
-            expected.push(release_event("alpha", r.stream_len, &r.release).to_string());
+            expected.push(release_line("alpha", r.stream_len, &r.release));
         }
     }
     let flush = pipe.flush().expect("5 pending records flush");
-    expected.push(release_event("alpha", flush.stream_len, &flush.release).to_string());
+    expected.push(release_line("alpha", flush.stream_len, &flush.release));
     assert_eq!(expected.len(), 10, "cadence at 120…200 plus flush at 205");
 
     // Phase 1: ingest 155 records, then SIGKILL. Waiting for 155 processed
@@ -317,7 +327,7 @@ fn clean_restart_straddles_byte_identically() {
         pipe.advance(butterfly_repro::common::Transaction::new(0, items.clone()));
         if pipe.window().is_full() && pipe.since_publish() >= cfg.every {
             let r = pipe.publish_now().expect("full window");
-            expected.push(release_event("alpha", r.stream_len, &r.release).to_string());
+            expected.push(release_line("alpha", r.stream_len, &r.release));
         }
         // The restart splits the stream at 135: the first process drains
         // with 15 records pending, which the uncrashed pipeline never
@@ -325,12 +335,12 @@ fn clean_restart_straddles_byte_identically() {
         // publication the reference must include to stay comparable.
         if i + 1 == 135 {
             if let Some(r) = pipe.flush() {
-                expected.push(release_event("alpha", r.stream_len, &r.release).to_string());
+                expected.push(release_line("alpha", r.stream_len, &r.release));
             }
         }
     }
     if let Some(r) = pipe.flush() {
-        expected.push(release_event("alpha", r.stream_len, &r.release).to_string());
+        expected.push(release_line("alpha", r.stream_len, &r.release));
     }
 
     let (server, addr) = spawn_serve(&wal_dir, &port_file, 2);
