@@ -1,13 +1,11 @@
-//! Micro-benchmarks for the mining substrate: static miners on a fixed
-//! window, per-slide throughput of every registered backend, Moment at the
+//! Micro-benchmarks for the mining substrate: the batch miner against its
+//! reference on a fixed window, Moment settled every slide and at the
 //! served cadences, and FP-stream batch ingestion.
 
 use bfly_bench::bench;
 use bfly_common::{Database, SlidingWindow};
 use bfly_datagen::DatasetProfile;
-use bfly_mining::{
-    Apriori, BackendKind, FpGrowth, FpStream, FpStreamConfig, MinerBackend, MomentMiner,
-};
+use bfly_mining::{Apriori, Eclat, FpStream, FpStreamConfig, MinerBackend, MomentMiner};
 
 fn window_db(n: usize) -> Database {
     let txs = DatasetProfile::WebView1.source(11).take_vec(n);
@@ -20,30 +18,27 @@ fn bench_static_miners() {
         bench(&format!("static_mine_2000/apriori/{min_support}"), || {
             Apriori::new(min_support).mine(&db)
         });
-        bench(&format!("static_mine_2000/fpgrowth/{min_support}"), || {
-            FpGrowth::new(min_support).mine(&db)
+        bench(&format!("static_mine_2000/eclat/{min_support}"), || {
+            Eclat::new(min_support).mine(&db)
         });
     }
 }
 
-/// Steady-state per-slide cost of every registered backend: one delete + one
-/// insert + extraction, through the `MinerBackend` interface (Moment's row
-/// is the pipeline's miner; the rest are its oracles).
+/// Moment's steady-state per-slide cost: one delete + one insert + settle +
+/// extraction, through the `MinerBackend` interface.
 fn bench_backend_slide() {
-    for kind in BackendKind::ALL {
-        let ws = 1000usize;
-        let mut source = DatasetProfile::WebView1.source(23);
-        let mut window = SlidingWindow::new(ws);
-        let mut miner = kind.build(25);
-        for _ in 0..ws {
-            miner.apply(&window.slide(source.next_transaction()));
-        }
-        bench(&format!("backend_slide_1000/{}", kind.name()), || {
-            let delta = window.slide(source.next_transaction());
-            miner.apply(&delta);
-            miner.closed_frequent()
-        });
+    let ws = 1000usize;
+    let mut source = DatasetProfile::WebView1.source(23);
+    let mut window = SlidingWindow::new(ws);
+    let mut miner = MomentMiner::new(25);
+    for _ in 0..ws {
+        miner.apply(&window.slide(source.next_transaction()));
     }
+    bench("backend_slide_1000/moment", || {
+        let delta = window.slide(source.next_transaction());
+        miner.apply(&delta);
+        miner.closed_frequent()
+    });
 }
 
 /// Moment at a served cadence: `every` departures and arrivals by tid, then

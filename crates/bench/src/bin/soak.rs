@@ -1,5 +1,5 @@
 //! Soak test: long randomized differential runs of the incremental Moment
-//! miner against the re-mine oracle, with contract audits on every
+//! miner against an Eclat re-mine of the window, with contract audits on every
 //! published window — the CI tool that guards the reproduction's two
 //! load-bearing correctness claims (exact incremental mining; contract-
 //! compliant perturbation) far beyond unit-test scale. Moment is fed by tid
@@ -13,7 +13,8 @@ use bfly_bench::quick_mode;
 use bfly_common::SlidingWindow;
 use bfly_core::{audit_release, BiasScheme, PrivacySpec, Publisher};
 use bfly_datagen::{DatasetProfile, MarkovConfig, MarkovSessionGenerator};
-use bfly_mining::{MinerBackend, MomentMiner, RescanMiner};
+use bfly_mining::closed::closed_subset;
+use bfly_mining::{Eclat, MinerBackend, MomentMiner};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -42,7 +43,6 @@ fn main() -> ExitCode {
             );
             let mut window = SlidingWindow::new(window_size);
             let mut moment = MomentMiner::new(c);
-            let mut oracle = RescanMiner::new(c);
             let mut stream = stream_by_name(name, window_size);
             let mut checks = 0usize;
             for step in 0..steps {
@@ -54,14 +54,13 @@ fn main() -> ExitCode {
                     moment.remove(evicted.tid());
                 }
                 moment.insert(delta.added.tid(), delta.added.items().items());
-                oracle.apply(&delta);
                 if step % check_every != 0 {
                     continue;
                 }
                 checks += 1;
                 moment.settle();
                 let mined = moment.closed_frequent();
-                if mined != oracle.closed_frequent() {
+                if mined != closed_subset(&Eclat::new(c).mine(&window.database())) {
                     eprintln!("[soak] FAIL {label}: miner divergence at step {step}");
                     failures += 1;
                     break;

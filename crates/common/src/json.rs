@@ -10,6 +10,13 @@ use crate::{Error, Result};
 use std::collections::BTreeMap;
 use std::fmt;
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser recurses
+/// once per level and every NDJSON line a peer sends is parsed, so without a
+/// bound one line of `[`s overflows the parsing thread's stack and aborts
+/// the process. The deepest document the workspace writes nests to single
+/// digits.
+const MAX_DEPTH: usize = 128;
+
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Json {
@@ -86,11 +93,13 @@ impl Json {
         }
     }
 
-    /// Parse a complete JSON document (rejects trailing garbage).
+    /// Parse a complete JSON document (rejects trailing garbage, and
+    /// arrays/objects nested more than 128 deep).
     pub fn parse(text: &str) -> Result<Json> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -192,6 +201,8 @@ fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -239,14 +250,28 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-') | Some(b'0'..=b'9') => self.number(),
             _ => Err(Error::Parse(format!(
                 "unexpected input at byte {}",
                 self.pos
             ))),
         }
+    }
+
+    /// Parse one array or object, refusing it past [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json>) -> Result<Json> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error::Parse(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Json> {
@@ -440,6 +465,21 @@ mod tests {
         for bad in ["", "{", "[1,]", "{\"a\":}", "nul", "1 2", "\"open"] {
             assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn deep_nesting_is_refused_not_a_stack_overflow() {
+        // One frame-cap line (1 MiB) of openers: without the depth bound
+        // either aborts the test binary with a stack overflow.
+        const MIB: usize = 1 << 20;
+        for deep in ["[".repeat(MIB), "{\"a\":".repeat(MIB / 5)] {
+            let err = Json::parse(&deep).expect_err("a 1 MiB nest");
+            assert!(err.to_string().contains("nesting deeper than 128"), "{err}");
+        }
+        // The bound is exact: 128 levels parse, 129 do not.
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&nest(MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&nest(MAX_DEPTH + 1)).is_err());
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Vertical tid-bitmap support counting (the Eclat/CHARM representation,
+//! Vertical tid-bitmap support counting (Eclat's representation,
 //! Zaki 2000, adapted to the paper's sliding-window stream model).
 //!
 //! Every layer of the pipeline ultimately pays for support counting: the

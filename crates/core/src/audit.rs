@@ -3,11 +3,17 @@
 //!
 //! Perturbation bugs are privacy bugs, so a deployment wants a cheap,
 //! independent invariant check between the publisher and the wire. The
-//! audit verifies, per entry, that the sanitized value lies inside the
-//! widest region any scheme could legally have used
-//! (`|T̃ − T| ≤ β^m(T) + α/2 + 1`), and per release that FEC-mates with a
-//! shared fresh draw agree — the structural facts that hold regardless of
-//! bias scheme or republication history.
+//! audit makes two checks, both per entry and both independent of bias
+//! scheme and republication history:
+//!
+//! * the true support is at least `C` (the miner emitted nothing below the
+//!   threshold);
+//! * the sanitized value lies inside the widest region any scheme could
+//!   legally have used (`|T̃ − T| ≤ β^m(T) + α/2 + 1`).
+//!
+//! It checks one release at a time. Whether FEC-mates share one value and
+//! whether an unchanged support keeps its republished value are
+//! cross-window facts no release-build check covers yet (ROADMAP item 3(a)).
 
 use crate::config::PrivacySpec;
 use crate::release::SanitizedRelease;

@@ -100,9 +100,12 @@ pub trait PrivacyDefense: Send + fmt::Debug {
         self.reset();
     }
 
-    /// Whether releases honour Butterfly's audit contract (noise within the
-    /// α-region of an in-budget bias, republication pinning). The pipeline
-    /// only runs [`crate::audit::audit_release`] on defenses that claim it.
+    /// Whether releases honour Butterfly's audit contract. The pipeline only
+    /// runs [`crate::audit::audit_release`] on defenses that claim it, and
+    /// that audit checks two facts per entry: the true support is at least
+    /// `C`, and the sanitized value lies within the α-region of an in-budget
+    /// bias. Republication pinning and FEC-mates sharing one value are not
+    /// audited yet (ROADMAP item 3(a)).
     fn honors_butterfly_contract(&self) -> bool {
         false
     }

@@ -194,10 +194,10 @@ mod tests {
 
     #[test]
     fn miners_handle_markov_data() {
-        use bfly_mining::{Apriori, FpGrowth};
+        use bfly_mining::{Apriori, Eclat};
         let txs = MarkovSessionGenerator::new(small(), 3).generate(800);
         let db = Database::from_records(txs);
-        assert_eq!(Apriori::new(10).mine(&db), FpGrowth::new(10).mine(&db));
+        assert_eq!(Apriori::new(10).mine(&db), Eclat::new(10).mine(&db));
     }
 
     #[test]

@@ -61,7 +61,7 @@ pub fn is_closed(frequent: &FrequentItemsets, itemset: &ItemSet) -> bool {
 mod tests {
     use super::*;
     use crate::apriori::Apriori;
-    use crate::fpgrowth::FpGrowth;
+    use crate::eclat::Eclat;
     use bfly_common::fixtures::fig2_window;
     use bfly_common::Database;
     use bfly_datagen::{QuestConfig, QuestGenerator};
@@ -99,7 +99,7 @@ mod tests {
         for seed in 0..4u64 {
             let txs = QuestGenerator::new(cfg.clone(), seed).generate(250);
             let db = Database::from_records(txs);
-            let all = FpGrowth::new(8).mine(&db);
+            let all = Eclat::new(8).mine(&db);
             let closed = closed_subset(&all);
             let expanded = expand_closed(&closed);
             assert_eq!(expanded, all, "expansion lost information (seed {seed})");

@@ -1,6 +1,7 @@
 //! Eclat (Zaki, 2000): depth-first frequent-itemset mining over vertical
-//! tidsets — a third independent mining path used to cross-validate the
-//! others, and the natural baseline for tidset-based CHARM.
+//! tidsets — the crate's one batch miner. Every static database the shipped
+//! code mines goes through it, and re-mining the window with it is the
+//! oracle Moment is tested against; Apriori is the reference it is held to.
 
 use crate::result::FrequentItemsets;
 use bfly_common::{Database, Item, ItemSet, Support, TidBitmap, VerticalIndex};
@@ -87,24 +88,6 @@ impl Eclat {
     }
 }
 
-/// Intersection of two sorted tid lists.
-pub(crate) fn intersect_sorted(a: &[u32], b: &[u32]) -> Vec<u32> {
-    let mut out = Vec::with_capacity(a.len().min(b.len()));
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,13 +127,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn intersect_sorted_basics() {
-        assert_eq!(intersect_sorted(&[1, 3, 5], &[2, 3, 5, 7]), vec![3, 5]);
-        assert_eq!(intersect_sorted(&[], &[1]), Vec::<u32>::new());
-        assert_eq!(intersect_sorted(&[4], &[4]), vec![4]);
     }
 
     #[test]

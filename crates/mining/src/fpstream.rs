@@ -8,7 +8,7 @@
 //! merged coarser and coarser as they age, so a stream of `B` batches costs
 //! only `O(log B)` slots per pattern.
 //!
-//! Per batch, an FP-Growth pass at the relaxed threshold `ε·|batch|` finds
+//! Per batch, an Eclat pass at the relaxed threshold `ε·|batch|` finds
 //! the sub-frequent patterns; their batch supports are pushed into the
 //! pattern table, and tail slots that can no longer influence any query
 //! above the `σ` threshold are pruned (the paper's type-I tail pruning).
@@ -16,7 +16,7 @@
 //! `≥ σ·N` over the last `N` records returns every truly frequent pattern,
 //! and nothing with frequency below `(σ − ε)·N`.
 
-use crate::fpgrowth::FpGrowth;
+use crate::eclat::Eclat;
 use crate::result::FrequentItemsets;
 use bfly_common::{Database, ItemSet, Support, Transaction};
 use std::collections::HashMap;
@@ -213,7 +213,7 @@ impl FpStream {
         let batch = std::mem::take(&mut self.buffer);
         let db = Database::from_records(batch);
         let relaxed = ((self.config.epsilon * db.len() as f64).ceil() as Support).max(1);
-        let mined = FpGrowth::new(relaxed).mine(&db);
+        let mined = Eclat::new(relaxed).mine(&db);
         self.batches += 1;
 
         // Push supports: mined patterns get their batch support; previously
@@ -347,7 +347,7 @@ mod tests {
         // Ground truth over the full stream.
         let db = Database::from_records(stream);
         let n = db.len() as f64;
-        let truth = FpGrowth::new((0.10 * n) as Support).mine(&db);
+        let truth = Eclat::new((0.10 * n) as Support).mine(&db);
         let answer = fps.frequent_over(10);
         for e in truth.iter() {
             assert!(

@@ -27,8 +27,8 @@
 //! parent's sorted array;
 //! **no node stores a tidset** (the walk re-derives them, one AND a level);
 //! tables are **indexed by code**, never by a client-chosen item id.
-//! Differential tests against [`RescanMiner`](crate::RescanMiner) enforce
-//! that none of it is observable.
+//! Differential tests against an [`Eclat`](crate::Eclat) re-mine of the
+//! window enforce that none of it is observable.
 
 use crate::backend::MinerBackend;
 use crate::closed::expand_closed;
@@ -140,8 +140,8 @@ impl CetStats {
 /// and bring the tree up to date with [`MomentMiner::settle`] before reading
 /// it (what the stream pipeline does at each publication: its ring is the
 /// window's one copy), or with [`MinerBackend::apply`] and a
-/// [`bfly_common::WindowDelta`], which settles every slide, as the oracles
-/// are driven. All supports are exact.
+/// [`bfly_common::WindowDelta`], which settles every slide, as the tests
+/// drive it. All supports are exact.
 ///
 /// ```
 /// use bfly_common::SlidingWindow;
@@ -701,30 +701,19 @@ impl MinerBackend for MomentMiner {
         self.settle();
     }
 
-    fn frequent(&self) -> FrequentItemsets {
-        self.all_frequent()
-    }
-
     fn closed_frequent(&self) -> FrequentItemsets {
         self.assert_settled();
         let mut out = Vec::new();
         self.closed_under(0, &mut Vec::new(), &mut out);
         FrequentItemsets::new(out)
     }
-
-    fn min_support(&self) -> Support {
-        self.min_support
-    }
-
-    fn name(&self) -> &'static str {
-        "moment"
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::RescanMiner;
+    use crate::closed::closed_subset;
+    use crate::Eclat;
     use bfly_common::fixtures::fig2_stream;
     use bfly_common::{SlidingWindow, Transaction};
     use bfly_datagen::{QuestConfig, QuestGenerator};
@@ -733,19 +722,21 @@ mod tests {
         s.parse().unwrap()
     }
 
+    /// The oracle: the window's closed frequent itemsets, re-mined.
+    fn remine(window: &SlidingWindow, c: Support) -> FrequentItemsets {
+        closed_subset(&Eclat::new(c).mine(&window.database()))
+    }
+
     #[test]
     fn matches_oracle_on_fig2_stream() {
         for c in [1u64, 2, 3, 4, 5] {
             let mut w = SlidingWindow::new(8);
             let mut moment = MomentMiner::new(c);
-            let mut oracle = RescanMiner::new(c);
             for t in fig2_stream() {
-                let delta = w.slide(t);
-                moment.apply(&delta);
-                oracle.apply(&delta);
+                moment.apply(&w.slide(t));
                 assert_eq!(
                     moment.closed_frequent(),
-                    oracle.closed_frequent(),
+                    remine(&w, c),
                     "divergence at C={c}, N={}",
                     w.stream_len()
                 );
@@ -790,16 +781,13 @@ mod tests {
             for c in [3u64, 8] {
                 let mut w = SlidingWindow::new(40);
                 let mut moment = MomentMiner::new(c);
-                let mut oracle = RescanMiner::new(c);
                 for (step, t) in stream.iter().enumerate() {
-                    let delta = w.slide(t.clone());
-                    moment.apply(&delta);
-                    oracle.apply(&delta);
+                    moment.apply(&w.slide(t.clone()));
                     // Checking every step is the point: transitions are where
                     // the CET maintenance can go wrong.
                     assert_eq!(
                         moment.closed_frequent(),
-                        oracle.closed_frequent(),
+                        remine(&w, c),
                         "divergence seed={seed} C={c} step={step}"
                     );
                 }
@@ -970,12 +958,11 @@ mod tests {
         }
         assert!(peak > W as usize, "the queue never held a turnover: {peak}");
         m.settle();
-        let mut oracle = RescanMiner::new(4);
         let mut w = SlidingWindow::new(W as usize);
         for t in &stream {
-            oracle.apply(&w.slide(t.clone()));
+            w.slide(t.clone());
         }
-        assert_eq!(m.closed_frequent(), oracle.closed_frequent());
+        assert_eq!(m.closed_frequent(), remine(&w, 4));
     }
 
     #[test]
@@ -1019,7 +1006,7 @@ mod tests {
         // Property test over random streams whose window exceeds the
         // initial ring: capacity must grow mid-stream, live tids must wrap
         // both the old and the grown ring, and the mined answer must equal
-        // the rescan oracle at every slide through it all.
+        // the re-mine oracle at every slide through it all.
         let cfg = QuestConfig {
             n_items: 30,
             n_patterns: 10,
@@ -1033,13 +1020,10 @@ mod tests {
             let stream = QuestGenerator::new(cfg.clone(), seed).generate(3 * window);
             let mut w = SlidingWindow::new(window);
             let mut moment = MomentMiner::new(4);
-            let mut oracle = RescanMiner::new(4);
             let mut grew_at = None;
             for (step, t) in stream.iter().enumerate() {
                 let cap_before = moment.slots.len();
-                let delta = w.slide(t.clone());
-                moment.apply(&delta);
-                oracle.apply(&delta);
+                moment.apply(&w.slide(t.clone()));
                 if moment.slots.len() > cap_before {
                     grew_at = Some(step);
                 }
@@ -1050,7 +1034,7 @@ mod tests {
                 assert_eq!(moment.itemset_of(w.stream_len() + 1), None);
                 assert_eq!(
                     moment.closed_frequent(),
-                    oracle.closed_frequent(),
+                    remine(&w, 4),
                     "divergence seed={seed} step={step} (ring grew at {grew_at:?})"
                 );
             }

@@ -22,7 +22,7 @@ cargo test -q --workspace
 echo "==> vertical-vs-scan differential tests"
 cargo test -q --release --test vertical_support
 
-echo "==> Moment vs rescan soak (soak --quick: four stream shapes through six window turnovers each, Moment fed by tid and settled every 97 slides, contract audit on every release)"
+echo "==> Moment vs Eclat re-mine soak (soak --quick: four stream shapes through six window turnovers each, Moment fed by tid and settled every 97 slides, contract audit on every release)"
 cargo run -q --release -p bfly-bench --bin soak -- --quick
 
 echo "==> release engine vs from-scratch reference differential, restore mid-sequence for every defense"
@@ -49,9 +49,22 @@ if grep -rn "pool::" crates/common/src crates/mining/src crates/inference/src \
   echo "a library crate calls the thread pool; it belongs to crates/bench only"; exit 1
 fi
 
-echo "==> one-miner guard (the pipeline, serve and the CLI run Moment; the miner registry is for oracles)"
-if grep -rnE 'BackendKind|dyn MinerBackend' crates/core/src crates/serve/src src; then
+echo "==> one-miner guard (the pipeline, serve and protect run Moment; Eclat is the one batch miner and Apriori the one reference)"
+if grep -rnE 'dyn MinerBackend' crates/core/src crates/serve/src src; then
   echo "a runtime miner choice crept back into the production path; the pipeline holds MomentMiner"; exit 1
+fi
+if grep -rnwE 'FpGrowth|FpTree|Charm|RescanMiner|BatchBackend|BackendKind' crates src tests examples; then
+  echo "a second batch miner, a re-mine oracle type or the miner registry came back; mine with Eclat, re-mine the window for an oracle"; exit 1
+fi
+if sed -n '/^const FLAG_TABLE/,/^];/p' src/bin/butterfly.rs | grep -nF '"miner"'; then
+  echo "--miner is back in FLAG_TABLE; mine, rules and attack mine with Eclat"; exit 1
+fi
+REFS=$(for f in $(find src crates/core/src crates/serve/src crates/inference/src -name '*.rs' | sort); do
+  sed '/^ *mod tests {/,$d' "$f" | grep -nF 'Apriori::new' | grep -v '^[0-9]*: *//' | sed "s|^|$f:|"
+done || true)
+if [[ -n "$REFS" ]]; then
+  echo "$REFS"
+  echo "Apriori is the reference miner for tests and examples; shipped code mines with Eclat"; exit 1
 fi
 
 echo "==> one-copy guard (Moment's ring is a stream's one window copy: SlidingWindow is the oracles' model, not the pipeline's, serve's or the CLI's)"

@@ -2,12 +2,15 @@
 //!
 //! ```text
 //! butterfly gen     --profile webview1 --count 10000 --seed 1 --out stream.dat
-//! butterfly mine    --input stream.dat --min-support 25 [--closed] [--miner fpgrowth]
+//! butterfly mine    --input stream.dat --min-support 25 [--closed]
 //! butterfly attack  --input stream.dat --window 2000 --min-support 25 --vulnerable 5
 //! butterfly protect --input stream.dat --window 2000 --min-support 25 --vulnerable 5 \
 //!                   --epsilon 0.016 --delta 0.4 --scheme hybrid --lambda 0.4 --every 100
 //! butterfly serve   --addr 127.0.0.1:7878 --shards 4 --window 2000 --min-support 25
 //! ```
+//!
+//! `mine`, `rules` and `attack` mine a static file with Eclat; `protect`
+//! and `serve` mine every window with Moment.
 //!
 //! `protect` writes one JSON object per published window to stdout (or
 //! `--out`), containing only sanitized supports — the same trust boundary a
@@ -21,7 +24,7 @@ use butterfly_repro::common::{io as dat, Database, Json};
 use butterfly_repro::datagen::DatasetProfile;
 use butterfly_repro::inference::find_intra_window_breaches;
 use butterfly_repro::mining::closed::closed_subset;
-use butterfly_repro::mining::{Apriori, Eclat, FpGrowth};
+use butterfly_repro::mining::Eclat;
 use butterfly_repro::serve::protocol::{binary_entries, entries_json};
 use butterfly_repro::serve::{parse_node_list, ServeConfig, ServeRole, Server, WalConfig};
 use std::collections::HashMap;
@@ -67,8 +70,7 @@ const USAGE: &str = "butterfly — output-privacy protection for stream frequent
 
 USAGE:
   butterfly gen     --profile <webview1|pos> --count <N> [--seed <S>] [--out <file.dat>]
-  butterfly mine    --input <file.dat> --min-support <C> [--closed] [--miner <apriori|fpgrowth|eclat>]
-                    [--out <file>]
+  butterfly mine    --input <file.dat> --min-support <C> [--closed] [--out <file>]
   butterfly rules   --input <file.dat> --min-support <C> --min-confidence <F> [--top <N>]
   butterfly attack  --input <file.dat> --window <H> --min-support <C> --vulnerable <K>
   butterfly protect --input <file.dat> --window <H> --min-support <C> --vulnerable <K>
@@ -85,8 +87,9 @@ USAGE:
                     [--defense <...>] [--dp-budget <E>] [--dp-top-k <N>]
                     [--role <node|router>] [--nodes <ip:port,ip:port,...>]
 
-`protect` and `serve` mine every window with Moment, the paper's host
-miner (exact window counts of the closed frequent itemsets).
+`mine`, `rules` and `attack` mine the file with Eclat. `protect` and
+`serve` mine every window with Moment, the paper's host miner (exact
+window counts of the closed frequent itemsets).
 `--lambda` must lie in [0, 1] and `--gamma` may not exceed 6.
 `serve --snapshot-every N` (N > 1) ships a release_delta event per
 publication plus a full release snapshot every N-th one.
@@ -132,7 +135,6 @@ const FLAG_TABLE: &[(&str, &[(&str, bool)])] = &[
             ("input", true),
             ("min-support", true),
             ("closed", false),
-            ("miner", true),
             ("out", true),
         ],
     ),
@@ -329,13 +331,7 @@ fn cmd_gen(flags: &Flags) -> Result<(), String> {
 fn cmd_mine(flags: &Flags) -> Result<(), String> {
     let db = dat::load_dat(req(flags, "input")?).map_err(|e| e.to_string())?;
     let c: u64 = parse(req(flags, "min-support")?, "min-support")?;
-    let miner = flags.get("miner").map_or("fpgrowth", String::as_str);
-    let mut frequent = match miner {
-        "apriori" => Apriori::new(c).mine(&db),
-        "fpgrowth" => FpGrowth::new(c).mine(&db),
-        "eclat" => Eclat::new(c).mine(&db),
-        other => return Err(format!("unknown miner {other:?}")),
-    };
+    let mut frequent = Eclat::new(c).mine(&db);
     if flags.contains_key("closed") {
         frequent = closed_subset(&frequent);
     }
@@ -356,7 +352,7 @@ fn cmd_rules(flags: &Flags) -> Result<(), String> {
     let c: u64 = parse(req(flags, "min-support")?, "min-support")?;
     let min_conf: f64 = parse(req(flags, "min-confidence")?, "min-confidence")?;
     let top: usize = parse(flags.get("top").map_or("25", String::as_str), "top")?;
-    let frequent = FpGrowth::new(c).mine(&db);
+    let frequent = Eclat::new(c).mine(&db);
     let rules = generate_rules(&frequent, min_conf);
     for rule in rules.iter().take(top) {
         println!("{rule}");
@@ -380,7 +376,7 @@ fn cmd_attack(flags: &Flags) -> Result<(), String> {
         ));
     }
     let tail = Database::from_records(db.records()[db.len() - window..].to_vec());
-    let full = FpGrowth::new(c).mine(&tail);
+    let full = Eclat::new(c).mine(&tail);
     let breaches = find_intra_window_breaches(full.as_map(), k);
     println!(
         "window of last {window} records: {} published itemsets, {} inferable vulnerable patterns (K={k})",

@@ -10,8 +10,8 @@
 //!   windows ([`bfly_common`]).
 //! * [`datagen`] — synthetic BMS-WebView-1 / BMS-POS stand-in stream
 //!   generators ([`bfly_datagen`]).
-//! * [`mining`] — Apriori, FP-Growth, Moment (sliding-window closed
-//!   itemsets), FP-stream ([`bfly_mining`]).
+//! * [`mining`] — Moment (sliding-window closed itemsets), Eclat (the
+//!   batch miner), Apriori (the reference), FP-stream ([`bfly_mining`]).
 //! * [`inference`] — the attack engine: inclusion–exclusion derivation,
 //!   support bounds, intra-/inter-window breach detection
 //!   ([`bfly_inference`]).

@@ -320,6 +320,16 @@ fn unknown_flags_rejected_with_valid_set() {
     }
     assert!(!port_file.exists(), "serve bound before refusing --backend");
 
+    // `mine` mines with Eclat, the one batch miner: there is no `--miner`.
+    let out = bin()
+        .args(["mine", "--input", "x.dat", "--miner", "eclat"])
+        .output()
+        .expect("run");
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(err.contains("unknown flag --miner"), "got: {err}");
+    assert!(err.contains("--closed"), "should list valid flags: {err}");
+
     // Flags valid for one command are still rejected on another.
     let out = bin()
         .args(["gen", "--profile", "pos", "--count", "5", "--window", "10"])

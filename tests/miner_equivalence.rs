@@ -1,6 +1,7 @@
-//! Integration: the independent mining paths agree on streaming windows of
-//! realistic synthetic data — both directly and through the uniform
-//! [`MinerBackend`] interface Moment shares with its oracles.
+//! Integration: the mining paths agree on streaming windows of realistic
+//! synthetic data — Moment (the pipeline's miner, driven through
+//! [`MinerBackend`]) and Eclat (the batch miner) against Apriori, the
+//! reference, and FP-stream's approximate answer covering the exact one.
 //!
 //! [`MinerBackend`]: butterfly_repro::mining::MinerBackend
 
@@ -9,11 +10,11 @@ use butterfly_repro::common::{Database, ItemSet, SlidingWindow, Transaction};
 use butterfly_repro::datagen::DatasetProfile;
 use butterfly_repro::mining::closed::{closed_subset, expand_closed};
 use butterfly_repro::mining::{
-    Apriori, BackendKind, FpGrowth, FrequentItemsets, MinerBackend, MomentMiner,
+    Apriori, Eclat, FpStream, FpStreamConfig, FrequentItemsets, MinerBackend, MomentMiner,
 };
 
 #[test]
-fn moment_fpgrowth_apriori_agree_over_a_sliding_stream() {
+fn moment_eclat_apriori_agree_over_a_sliding_stream() {
     let mut src = DatasetProfile::WebView1.source(13);
     let mut window = SlidingWindow::new(400);
     let c = 12u64;
@@ -29,8 +30,8 @@ fn moment_fpgrowth_apriori_agree_over_a_sliding_stream() {
         }
         let db = window.database();
         let apriori = Apriori::new(c).mine(&db);
-        let fpgrowth = FpGrowth::new(c).mine(&db);
-        assert_eq!(apriori, fpgrowth, "static miners disagree at step {step}");
+        let eclat = Eclat::new(c).mine(&db);
+        assert_eq!(apriori, eclat, "static miners disagree at step {step}");
         let closed = closed_subset(&apriori);
         assert_eq!(
             moment.closed_frequent(),
@@ -52,7 +53,7 @@ fn moment_handles_pos_profile_with_larger_baskets() {
         moment.apply(&window.slide(src.next_transaction()));
     }
     let db: Database = window.database();
-    let expected = closed_subset(&FpGrowth::new(c).mine(&db));
+    let expected = closed_subset(&Eclat::new(c).mine(&db));
     assert_eq!(moment.closed_frequent(), expected);
     assert!(moment.node_count() > 0);
 }
@@ -104,67 +105,69 @@ fn moment_is_indifferent_to_how_the_alphabet_is_labelled() {
 
 #[test]
 fn exact_backend_matrix_agrees_over_a_sliding_stream() {
-    // Every exact backend, driven through the uniform MinerBackend trait,
-    // must produce identical frequent and closed-frequent results at every
-    // sampled point of a realistic sliding stream (including the warm-up
-    // boundary and post-eviction steady state).
+    // Moment, driven through the MinerBackend trait, and an Eclat re-mine of
+    // the window must produce Apriori's frequent and closed-frequent results
+    // at every sampled point of a realistic sliding stream (including the
+    // warm-up boundary and post-eviction steady state).
     let c = 12u64;
-    let mut backends: Vec<Box<dyn MinerBackend>> =
-        BackendKind::EXACT.iter().map(|k| k.build(c)).collect();
-    assert!(backends.len() >= 4, "matrix needs at least four backends");
+    let mut moment = MomentMiner::new(c);
     let mut src = DatasetProfile::WebView1.source(13);
     let mut window = SlidingWindow::new(400);
 
     for step in 0..700 {
-        let delta = window.slide(src.next_transaction());
-        for b in backends.iter_mut() {
-            b.apply(&delta);
-        }
+        moment.apply(&window.slide(src.next_transaction()));
         if !(step == 399 || step % 149 == 0 && step > 399) {
             continue;
         }
-        let oracle = Apriori::new(c).mine(&window.database());
+        let db = window.database();
+        let oracle = Apriori::new(c).mine(&db);
         let oracle_closed = closed_subset(&oracle);
-        for (b, kind) in backends.iter().zip(BackendKind::EXACT) {
-            assert_eq!(b.name(), kind.name());
-            assert!(b.is_exact());
-            assert_eq!(b.min_support(), c);
-            assert_eq!(
-                b.frequent(),
-                oracle,
-                "{} frequent() diverged at step {step}",
-                b.name()
-            );
-            assert_eq!(
-                b.closed_frequent(),
-                oracle_closed,
-                "{} closed_frequent() diverged at step {step}",
-                b.name()
-            );
-        }
+        let eclat = Eclat::new(c).mine(&db);
+        assert_eq!(eclat, oracle, "eclat diverged at step {step}");
+        assert_eq!(
+            closed_subset(&eclat),
+            oracle_closed,
+            "eclat's closed subset diverged at step {step}"
+        );
+        assert_eq!(
+            moment.all_frequent(),
+            oracle,
+            "moment all_frequent() diverged at step {step}"
+        );
+        assert_eq!(
+            moment.closed_frequent(),
+            oracle_closed,
+            "moment closed_frequent() diverged at step {step}"
+        );
     }
 }
 
 #[test]
 fn approximate_backends_cover_the_exact_result() {
-    // FP-stream is approximate (declared via is_exact), but its σ/ε error
-    // bound errs on the side of over-reporting: every truly frequent
-    // itemset appears in its output.
+    // FP-stream is approximate, but its σ/ε error bound errs on the side of
+    // over-reporting: every truly frequent itemset appears in its output.
     let c = 15u64;
     let mut src = DatasetProfile::WebView1.source(29);
     let mut window = SlidingWindow::new(300);
-    let mut fpstream = BackendKind::FpStream.build(c);
+    let mut fpstream = FpStream::new(FpStreamConfig {
+        batch_size: 32,
+        sigma: 0.05,
+        epsilon: 0.01,
+    });
     let mut truth = MomentMiner::new(c);
     for _ in 0..300 {
         let delta = window.slide(src.next_transaction());
         truth.apply(&delta);
-        fpstream.apply(&delta);
+        fpstream.push(delta.added.clone());
     }
     let exact = truth.all_frequent();
     assert!(!exact.is_empty());
 
-    assert!(!fpstream.is_exact(), "fpstream claims exactness");
-    let reported = fpstream.frequent();
+    // Query the whole history, its partial last batch included.
+    fpstream.flush();
+    let reported = fpstream
+        .frequent_over(fpstream.batches())
+        .filter_min_support(c);
     for e in exact.iter() {
         assert!(
             reported.support(e.itemset()).is_some(),

@@ -8,11 +8,12 @@ use butterfly_repro::butterfly::{
     BiasScheme, NoiseRegion, PrivacySpec, SanitizedItemset, SanitizedRelease,
 };
 use butterfly_repro::common::rng::{Rng, SmallRng};
-use butterfly_repro::common::{Database, ItemSet, ItemsetId, Pattern};
+use butterfly_repro::common::{Database, ItemSet, ItemsetId, Pattern, SlidingWindow};
 use butterfly_repro::inference::derive::derive_pattern_support;
 use butterfly_repro::inference::support_bounds;
+use butterfly_repro::mining::closed::closed_subset;
 use butterfly_repro::mining::fpstream::TiltedTimeWindow;
-use butterfly_repro::mining::{Apriori, FpGrowth, FrequentItemsets};
+use butterfly_repro::mining::{Apriori, Eclat, FrequentItemsets};
 use std::collections::HashMap;
 
 /// Number of random cases per property.
@@ -161,19 +162,24 @@ fn ndi_bounds_contain_truth() {
     }
 }
 
+/// The oracle Moment is held to: the window's closed frequent itemsets,
+/// re-mined with Eclat.
+fn remine(window: &SlidingWindow, c: u64) -> FrequentItemsets {
+    closed_subset(&Eclat::new(c).mine(&window.database()))
+}
+
 #[test]
 fn all_four_miners_agree() {
-    use butterfly_repro::mining::closed::closed_subset;
-    use butterfly_repro::mining::{Charm, Eclat};
+    // The batch miner against the reference, all and closed.
     for case in 0..CASES {
         let mut rng = case_rng(5, case);
         let db = arb_database(&mut rng);
         let c = 1 + rng.gen_range_usize(5) as u64;
         let apriori = Apriori::new(c).mine(&db);
-        assert_eq!(FpGrowth::new(c).mine(&db), apriori, "case {case}");
-        assert_eq!(Eclat::new(c).mine(&db), apriori, "case {case}");
+        let eclat = Eclat::new(c).mine(&db);
+        assert_eq!(eclat, apriori, "case {case}");
         assert_eq!(
-            Charm::new(c).mine_closed(&db),
+            closed_subset(&eclat),
             closed_subset(&apriori),
             "case {case}"
         );
@@ -291,8 +297,8 @@ fn utility_rates_are_probabilities() {
 
 #[test]
 fn moment_matches_oracle_on_arbitrary_streams() {
-    use butterfly_repro::common::{SlidingWindow, Transaction};
-    use butterfly_repro::mining::{MinerBackend, MomentMiner, RescanMiner};
+    use butterfly_repro::common::Transaction;
+    use butterfly_repro::mining::{MinerBackend, MomentMiner};
     for case in 0..CASES / 2 {
         let mut rng = case_rng(12, case);
         let n_records = 1 + rng.gen_range_usize(59);
@@ -300,19 +306,12 @@ fn moment_matches_oracle_on_arbitrary_streams() {
         let c = 1 + rng.gen_range_usize(4) as u64;
         let mut window = SlidingWindow::new(window_size);
         let mut moment = MomentMiner::new(c);
-        let mut oracle = RescanMiner::new(c);
         for _ in 0..n_records {
             // Empty transactions are legal window contents.
             let len = rng.gen_range_usize(5);
             let items = ItemSet::from_ids((0..len).map(|_| rng.gen_range_usize(10) as u32));
-            let delta = window.slide(Transaction::new(0, items));
-            moment.apply(&delta);
-            oracle.apply(&delta);
-            assert_eq!(
-                moment.closed_frequent(),
-                oracle.closed_frequent(),
-                "case {case}"
-            );
+            moment.apply(&window.slide(Transaction::new(0, items)));
+            assert_eq!(moment.closed_frequent(), remine(&window, c), "case {case}");
         }
     }
 }
@@ -326,14 +325,13 @@ fn moment_matches_oracle_while_the_item_order_turns_over() {
     // return, and one-off items keep arriving (new codes between re-ranks,
     // recycled at the next). C = 1 makes every entry frequent the moment
     // it is created; C > W makes nothing frequent, ever.
-    use butterfly_repro::common::{SlidingWindow, Transaction};
-    use butterfly_repro::mining::{MinerBackend, MomentMiner, RescanMiner};
+    use butterfly_repro::common::Transaction;
+    use butterfly_repro::mining::{MinerBackend, MomentMiner};
     const W: usize = 24;
     for (case, c) in [1u64, 3, 6, W as u64 + 1].into_iter().enumerate() {
         let mut rng = case_rng(15, case as u64);
         let mut window = SlidingWindow::new(W);
         let mut moment = MomentMiner::new(c);
-        let mut oracle = RescanMiner::new(c);
         for step in 0..8 * W {
             let (phase, vanished) = (step / (2 * W), (2 * W..6 * W).contains(&step));
             let mut ids: Vec<u32> = (0..12u32)
@@ -346,12 +344,10 @@ fn moment_matches_oracle_while_the_item_order_turns_over() {
             if rng.gen_range_usize(3) == 0 {
                 ids.push(100 + step as u32);
             }
-            let delta = window.slide(Transaction::new(0, ItemSet::from_ids(ids)));
-            moment.apply(&delta);
-            oracle.apply(&delta);
+            moment.apply(&window.slide(Transaction::new(0, ItemSet::from_ids(ids))));
             assert_eq!(
                 moment.closed_frequent(),
-                oracle.closed_frequent(),
+                remine(&window, c),
                 "C={c} step={step}"
             );
         }
@@ -362,17 +358,17 @@ fn moment_matches_oracle_while_the_item_order_turns_over() {
 #[test]
 fn moment_settled_after_any_interval_matches_per_slide_settles() {
     // The pipeline settles Moment only when it publishes. Settled after any
-    // number of arrivals and departures, its closed sets must be the rescan
+    // number of arrivals and departures, its closed sets must be the re-mine
     // oracle's and its tree the one a twin settling every slide holds, at
     // intervals of 1, 2, 7, 97, the serve cadence, W − 1, W and 2W. The
     // first interval is W, across the fill: it spans the ring's doubling
     // (W > 64 slots) and the re-ranks at 1, 2, 4, …; each interval of W or
     // more spans a turnover's re-rank.
-    use butterfly_repro::common::{SlidingWindow, Transaction};
+    use butterfly_repro::common::Transaction;
     use butterfly_repro::datagen::{
         MarkovConfig, MarkovSessionGenerator, QuestConfig, QuestGenerator,
     };
-    use butterfly_repro::mining::{MinerBackend, MomentMiner, RescanMiner};
+    use butterfly_repro::mining::{MinerBackend, MomentMiner};
     const W: usize = 100;
     const EVERY: usize = 25;
     let mut intervals = [1, 2, 7, 97, EVERY, W - 1, W, 2 * W];
@@ -398,7 +394,6 @@ fn moment_settled_after_any_interval_matches_per_slide_settles() {
         };
         let mut window = SlidingWindow::new(W);
         let (mut moment, mut twin) = (MomentMiner::new(c), MomentMiner::new(c));
-        let mut oracle = RescanMiner::new(c);
         let (mut due, mut settles) = (W, 0);
         for t in stream {
             let delta = window.slide(t);
@@ -407,7 +402,6 @@ fn moment_settled_after_any_interval_matches_per_slide_settles() {
             }
             moment.insert(delta.added.tid(), delta.added.items().items());
             twin.apply(&delta);
-            oracle.apply(&delta);
             due -= 1;
             if due > 0 {
                 continue;
@@ -417,7 +411,7 @@ fn moment_settled_after_any_interval_matches_per_slide_settles() {
             let at = (case, c, window.stream_len());
             assert_eq!(
                 moment.closed_frequent(),
-                oracle.closed_frequent(),
+                remine(&window, c),
                 "case/C/N {at:?}"
             );
             assert_eq!(moment.node_count(), twin.node_count(), "case/C/N {at:?}");

@@ -953,14 +953,20 @@ fn protocol_edges() {
     let unknown = roundtrip("{\"op\":\"frobnicate\"}");
     assert!(unknown.contains("unknown op"), "got {unknown}");
 
-    // Malformed JSON gets an error reply but keeps the connection framed.
-    let err = roundtrip("this is not json");
-    assert!(err.contains("\"ok\":false"), "got {err}");
-    let pong = roundtrip("{\"op\":\"ping\"}");
-    assert!(
-        pong.contains("\"pong\":true"),
-        "connection must survive: {pong}"
-    );
+    // Malformed JSON gets an error reply but keeps the connection framed;
+    // so does a line nested deeper than the parser's bound (without it, a
+    // 1 MiB line of `[` overflows the reactor thread's stack and kills the
+    // node).
+    let deep = "[".repeat(1 << 20);
+    for bad in ["this is not json", deep.as_str()] {
+        let err = roundtrip(bad);
+        assert!(err.contains("\"ok\":false"), "got {err}");
+        let pong = roundtrip("{\"op\":\"ping\"}");
+        assert!(
+            pong.contains("\"pong\":true"),
+            "connection must survive: {pong}"
+        );
+    }
 
     // An oversized line cannot be resynced: the server replies with an
     // error (best effort — the teardown may RST past it) and closes this
