@@ -3,8 +3,14 @@
 //! published window — the CI tool that guards the reproduction's two
 //! load-bearing correctness claims (exact incremental mining; contract-
 //! compliant perturbation) far beyond unit-test scale. Moment is fed by tid
-//! and settled at each checkpoint, as a shard settles it at a publication:
-//! intervals of 97 slides (`--quick`) or 211.
+//! and settled at each checkpoint, as a shard settles it at a publication,
+//! the checkpoints alternately 97 and 151 slides apart (`--quick`) or 83 and
+//! 211. A settle walks its queue unless the queue holds a whole window
+//! (2 · interval ≥ W), when it rebuilds the tree. Every shape walks at the
+//! short interval; the w=300 shapes rebuild at the long one (the two sum to
+//! less than 300, so the turnover re-rank cannot empty the queue first) and
+//! the w=1200 shapes never rebuild at a settle. A shape whose settles take
+//! other paths than those fails the run, and the run prints each count.
 //!
 //! Exits non-zero on the first divergence. Run:
 //! `cargo run --release -p bfly-bench --bin soak [-- --quick]`
@@ -18,12 +24,12 @@ use bfly_mining::{Eclat, MinerBackend, MomentMiner};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    // Moment re-derives its item order once per window turnover, so even
-    // the quick run takes the widest window below through six of them.
-    let (steps, check_every) = if quick_mode() {
-        (7_200, 97)
+    // Moment re-derives its item order at least once per window turnover,
+    // so even the quick run takes the widest window below through six.
+    let (steps, intervals) = if quick_mode() {
+        (7_200, [97, 151])
     } else {
-        (20_000, 211)
+        (20_000, [83, 211])
     };
     let mut failures = 0usize;
 
@@ -31,7 +37,7 @@ fn main() -> ExitCode {
     for name in ["quest-webview1", "markov-sessions"] {
         for (window_size, c, k) in [(300usize, 8u64, 2u64), (1200, 20, 5)] {
             let label = format!("{name} w={window_size} C={c}");
-            eprintln!("[soak] {label}: {steps} slides, checking every {check_every} ...");
+            eprintln!("[soak] {label}: {steps} slides, checking every {intervals:?} ...");
             let spec = PrivacySpec::new(c, k, 0.1, 0.5);
             let mut publisher = Publisher::new(
                 spec,
@@ -44,8 +50,9 @@ fn main() -> ExitCode {
             let mut window = SlidingWindow::new(window_size);
             let mut moment = MomentMiner::new(c);
             let mut stream = stream_by_name(name, window_size);
-            let mut checks = 0usize;
-            for step in 0..steps {
+            let (mut due, mut walks, mut rebuilds) = (intervals[0], 0usize, 0usize);
+            let failed = failures;
+            for step in 1..=steps {
                 let t = stream.next().expect("infinite stream");
                 let delta = window.slide(t);
                 // Moment as the pipeline drives it: by tid, its tree settled
@@ -54,11 +61,18 @@ fn main() -> ExitCode {
                     moment.remove(evicted.tid());
                 }
                 moment.insert(delta.added.tid(), delta.added.items().items());
-                if step % check_every != 0 {
+                due -= 1;
+                if due > 0 {
                     continue;
                 }
-                checks += 1;
+                let before = moment.rebuilds();
                 moment.settle();
+                if moment.rebuilds() == before {
+                    walks += 1;
+                } else {
+                    rebuilds += 1;
+                }
+                due = intervals[(walks + rebuilds) % 2];
                 let mined = moment.closed_frequent();
                 if mined != closed_subset(&Eclat::new(c).mine(&window.database())) {
                     eprintln!("[soak] FAIL {label}: miner divergence at step {step}");
@@ -76,7 +90,21 @@ fn main() -> ExitCode {
                     break;
                 }
             }
-            eprintln!("[soak] {label}: ok ({checks} checkpoints)");
+            if failures > failed {
+                continue;
+            }
+            eprintln!(
+                "[soak] {label}: ok ({} checkpoints: {walks} walked, {rebuilds} rebuilt)",
+                walks + rebuilds
+            );
+            let rebuilds_due = window_size <= 2 * intervals[1];
+            if walks == 0 || (rebuilds > 0) != rebuilds_due {
+                eprintln!(
+                    "[soak] FAIL {label}: settles should walk{} rebuild",
+                    if rebuilds_due { " and" } else { " and never" }
+                );
+                failures += 1;
+            }
         }
     }
     if failures == 0 {

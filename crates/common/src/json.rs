@@ -370,13 +370,21 @@ impl Parser<'_> {
                         b'b' => out.push('\u{8}'),
                         b'f' => out.push('\u{c}'),
                         b'u' => {
+                            // Four ASCII hex digits: `from_str_radix` alone
+                            // would also take a sign, reading `\u+041` as `A`.
                             let hex = self
                                 .bytes
                                 .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or_else(|| Error::Parse("short \\u escape".into()))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| Error::Parse("bad \\u escape".into()))?;
+                                .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
+                                .ok_or_else(|| {
+                                    Error::Parse(format!(
+                                        "\\u escape at byte {} needs four hex digits",
+                                        self.pos
+                                    ))
+                                })?;
+                            let code = hex.iter().fold(0, |code, &h| {
+                                code << 4 | (h as char).to_digit(16).expect("a hex digit")
+                            });
                             self.pos += 4;
                             // Surrogate pairs are outside this subset's needs;
                             // map unpaired surrogates to the replacement char.
@@ -417,15 +425,20 @@ impl Parser<'_> {
         }
         let text =
             std::str::from_utf8(&self.bytes[start..self.pos]).expect("number bytes are ascii");
+        // `f64` parsing saturates, so `1e999` would read as infinity, which
+        // JSON cannot write back.
         text.parse::<f64>()
+            .ok()
+            .filter(|n| n.is_finite())
             .map(Json::Num)
-            .map_err(|_| Error::Parse(format!("invalid number {text:?}")))
+            .ok_or_else(|| Error::Parse(format!("invalid number {text:?}")))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::{Rng, SmallRng};
 
     #[test]
     fn round_trips_the_wire_subset() {
@@ -480,6 +493,110 @@ mod tests {
         let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
         assert!(Json::parse(&nest(MAX_DEPTH)).is_ok());
         assert!(Json::parse(&nest(MAX_DEPTH + 1)).is_err());
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        assert_eq!(
+            Json::parse(r#""\u0041\u00E9""#).unwrap().as_str(),
+            Some("Aé")
+        );
+        // A sign, a short or non-hex run: all once read as a code point
+        // (`\u+041` as `A`).
+        for bad in [r#""\u+041""#, r#""\u-041""#, r#""\u041""#, r#""\u004g""#] {
+            assert!(Json::parse(bad).is_err(), "accepted {bad}");
+        }
+    }
+
+    #[test]
+    fn numbers_past_f64_are_refused_not_infinite() {
+        let long = "9".repeat(400);
+        for bad in ["1e999", "-1e400", long.as_str()] {
+            assert!(Json::parse(bad).is_err(), "accepted {bad}");
+        }
+        assert_eq!(Json::parse("1e308").unwrap().as_f64(), Some(1e308));
+    }
+
+    /// A random document the writer produces: every variant, strings with
+    /// escapes, control and multi-byte characters, nested up to `depth`.
+    fn random_doc(rng: &mut SmallRng, depth: usize) -> Json {
+        const CHARS: &[char] = &[
+            'a', 'Z', '0', ' ', '"', '\\', '/', '\n', '\u{1}', 'é', '中', '🦋',
+        ];
+        let text = |rng: &mut SmallRng| -> String {
+            let len = rng.gen_range_usize(6);
+            (0..len)
+                .map(|_| CHARS[rng.gen_range_usize(CHARS.len())])
+                .collect()
+        };
+        match rng.gen_range_usize(if depth == 0 { 5 } else { 7 }) {
+            0 => Json::Null,
+            1 => Json::Bool(rng.gen_bool(0.5)),
+            2 => Json::from(rng.gen_range_i64(-1 << 40, 1 << 40)),
+            3 => Json::Num(
+                rng.gen_range_i64(-999, 999) as f64 / 8.0
+                    * 10f64.powi(rng.gen_range_i64(-30, 30) as i32),
+            ),
+            4 => Json::Str(text(rng)),
+            5 => Json::Arr(
+                (0..rng.gen_range_usize(4))
+                    .map(|_| random_doc(rng, depth - 1))
+                    .collect(),
+            ),
+            _ => Json::Obj(
+                (0..rng.gen_range_usize(4))
+                    .map(|_| (text(rng), random_doc(rng, depth - 1)))
+                    .collect(),
+            ),
+        }
+    }
+
+    /// No input panics, and whatever parses writes back to text that parses
+    /// to the same value.
+    fn check_round_trip(bytes: &[u8], what: &str) {
+        let text = String::from_utf8_lossy(bytes);
+        if let Ok(value) = Json::parse(&text) {
+            let again = value.to_string();
+            assert_eq!(
+                Json::parse(&again).ok(),
+                Some(value),
+                "{what}: {text:?} → {again:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn seeded_fuzz_of_written_documents_never_panics_and_round_trips() {
+        // Tokens a hostile line might splice in, beside single random bytes.
+        const TOKENS: &[&str] = &[
+            "\\u", "\\u+", "\\uD800", "e999", "-", "+", ".", "0", "\"", "\\", "[", "]", "{", "}",
+            ":", ",", "null", "tru", " ",
+        ];
+        for seed in 0..200u64 {
+            let mut rng = SmallRng::seed_from_u64(0x150_f022 ^ seed);
+            let doc = random_doc(&mut rng, 4);
+            let bytes = doc.to_string().into_bytes();
+            assert_eq!(Json::parse(&doc.to_string()).unwrap(), doc, "seed {seed}");
+            for cut in 0..bytes.len() {
+                check_round_trip(&bytes[..cut], &format!("seed {seed} cut {cut}"));
+            }
+            for round in 0..64 {
+                let mut mutated = bytes.clone();
+                let at = rng.gen_range_usize(mutated.len() + 1);
+                match round % 3 {
+                    0 if !mutated.is_empty() => {
+                        let at = at.min(mutated.len() - 1);
+                        mutated[at] ^= 1 << rng.gen_range_usize(8);
+                    }
+                    1 => mutated.insert(at, rng.next_u64() as u8),
+                    _ => {
+                        let token = TOKENS[rng.gen_range_usize(TOKENS.len())];
+                        mutated.splice(at..at, token.bytes());
+                    }
+                }
+                check_round_trip(&mutated, &format!("seed {seed} round {round}"));
+            }
+        }
     }
 
     #[test]

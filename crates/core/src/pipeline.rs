@@ -234,6 +234,12 @@ impl<D: PrivacyDefense> StreamPipeline<D> {
     pub fn defense(&self) -> &D {
         &self.defense
     }
+
+    /// The host miner (e.g. to read its rebuild count or tree size; its
+    /// tree is settled only as of the last publication).
+    pub fn miner(&self) -> &MomentMiner {
+        &self.miner
+    }
 }
 
 /// A read-only view of a [`StreamPipeline`]'s window `Ds(N, H)`: the

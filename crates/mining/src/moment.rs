@@ -20,11 +20,14 @@
 //! nodes whose itemset some queued transaction contains, each once, with
 //! every transaction that reaches it (LCM's occurrence deliver). It flips
 //! node types locally and re-explores subtrees only on net gateway→promising
-//! transitions — the property that makes the miner incremental. The layout
+//! transitions — the property that makes the miner incremental. Once the
+//! queue holds as many transactions as the window, the walk would deliver
+//! at least the occurrences a rebuild from the root tallies, so such a
+//! settle rebuilds instead, as the turnover re-rank does. The layout
 //! (DESIGN.md, "The Moment CET") keeps that walk in cache: items are
 //! enumerated **rarest first** by dense code, re-ranked from the live window
-//! once per turnover; a **gateway is only an entry** in its promising
-//! parent's sorted array;
+//! at each rebuild, at least once per turnover; a **gateway is only an
+//! entry** in its promising parent's sorted array;
 //! **no node stores a tidset** (the walk re-derives them, one AND a level);
 //! tables are **indexed by code**, never by a client-chosen item id.
 //! Differential tests against an [`Eclat`](crate::Eclat) re-mine of the
@@ -44,6 +47,14 @@ const INITIAL_RING: usize = 64;
 /// `Entry::child` of a gateway; `Touch::bucket` of an extension the walk
 /// does not descend into.
 const NONE: u32 = u32::MAX;
+
+/// Free records are filed by [`class_of`] their buffer's capacity.
+const CLASSES: usize = usize::BITS as usize + 1;
+
+/// Class `k > 0` holds capacities in `[2^(k-1), 2^k)`; class 0, capacity 0.
+fn class_of(capacity: usize) -> usize {
+    (usize::BITS - capacity.leading_zeros()) as usize
+}
 
 /// One child of a promising node: its itemset extended by item `key as u32`.
 /// A frequent entry owns a `child` record (promising) or failed the prefix-
@@ -161,23 +172,32 @@ pub struct MomentMiner {
     min_support: Support,
     /// Raw item id → code: the one table keyed by what a client chooses.
     code_of: HashMap<Item, u32>,
-    /// Per-code table; the last re-rank numbered the codes below `ranked`.
+    /// Per-code table; the last rebuild numbered the codes below `ranked`.
     coded: Vec<Coded>,
     ranked: u32,
     /// `explore`'s and `settle_under`'s scratch per code, zero between calls.
     tally: Vec<u32>,
+    /// The rebuild's scratch: the live codes' entries with their old code,
+    /// sorted into the new order, and old code → new code.
+    order: Vec<(Coded, u32)>,
+    recode: Vec<u32>,
     /// Inserts left until the order is re-derived (counted down from the
-    /// window length the last re-rank saw: observed, not configured).
+    /// window length the last rebuild saw: observed, not configured).
     until_rerank: usize,
+    /// Tree rebuilds so far (see [`MomentMiner::rebuilds`]).
+    rebuilds: u64,
     /// Code → bitmap (`words` words) of the slots whose transaction has it.
     bits: Vec<u64>,
     words: usize,
     /// The ring: slot `tid mod len` → transaction.
     slots: Vec<Slot>,
     /// Arena of the promising nodes' entries. `nodes[0]` is the root (the
-    /// empty itemset, never output); freed records are empty, on `free`.
+    /// empty itemset, never output); freed records are empty, on `free`,
+    /// filed by their buffer's capacity so a node gets one it fits in.
     nodes: Vec<Vec<Entry>>,
-    free: Vec<u32>,
+    free: [Vec<u32>; CLASSES],
+    /// `explore`'s extensions, before they move into the record they fit.
+    found: Vec<Entry>,
     /// Where the walk stands: its itemset's codes, and the tidset of each
     /// prefix (`words` words a level; level 0, the live slots, persists).
     path: Vec<u32>,
@@ -205,12 +225,16 @@ impl MomentMiner {
             coded: Vec::new(),
             ranked: 0,
             tally: Vec::new(),
+            order: Vec::new(),
+            recode: Vec::new(),
             until_rerank: 0,
+            rebuilds: 0,
             bits: Vec::new(),
             words: INITIAL_RING / 64,
             slots: vec![Slot::default(); INITIAL_RING],
             nodes: vec![Vec::new()],
-            free: Vec::new(),
+            free: std::array::from_fn(|_| Vec::new()),
+            found: Vec::new(),
             path: Vec::new(),
             tids: vec![0; INITIAL_RING / 64],
             queued_codes: Vec::new(),
@@ -222,6 +246,12 @@ impl MomentMiner {
     /// Number of transactions currently in the window.
     pub fn window_len(&self) -> usize {
         kernel::popcount(&self.tids[..self.words]) as usize
+    }
+
+    /// Tree rebuilds so far: turnover re-ranks in [`MomentMiner::insert`]
+    /// and settles that rebuilt instead of walking alike.
+    pub fn rebuilds(&self) -> u64 {
+        self.rebuilds
     }
 
     /// Number of live CET nodes (every entry is one; the root is not) —
@@ -279,7 +309,7 @@ impl MomentMiner {
     }
 
     /// Position of `code` in the enumeration order: items new since the last
-    /// re-rank (rare by construction) by arrival, then the ranked, rarest first.
+    /// rebuild (rare by construction) by arrival, then the ranked, rarest first.
     fn key(&self, code: u32) -> u64 {
         u64::from(code) | u64::from(code < self.ranked) << 32
     }
@@ -325,19 +355,18 @@ impl MomentMiner {
         let Entry { key, support, .. } = self.nodes[node][idx];
         self.descend(key as u32, support);
         if !self.is_unpromising(support) {
-            let child = self.free.pop().unwrap_or(self.nodes.len() as u32);
-            let len = self.nodes.len().max(child as usize + 1);
-            self.nodes.resize(len, Vec::new());
+            let child = self.explore();
             self.nodes[node][idx].child = child;
-            self.explore(child as usize);
         }
         self.path.pop();
     }
 
-    /// Fill the empty record of the promising node the walk stands on: tally
-    /// its supporting transactions' later items, classify the frequent ones.
-    fn explore(&mut self, node: usize) {
-        let mut entries = std::mem::take(&mut self.nodes[node]);
+    /// Build the record of the promising node the walk stands on: tally its
+    /// supporting transactions' later items into a record they fit in (the
+    /// root's is record 0), classify the frequent ones, return the record.
+    fn explore(&mut self) -> u32 {
+        let mut entries = std::mem::take(&mut self.found);
+        entries.clear();
         self.tally.resize(self.coded.len(), 0);
         let floor = self.path.last().map_or(0, |&own| self.key(own) + 1);
         let w = self.words;
@@ -358,12 +387,43 @@ impl MomentMiner {
         for entry in &mut entries {
             entry.support = std::mem::take(&mut self.tally[entry.key as u32 as usize]);
         }
-        self.nodes[node] = entries;
-        for idx in 0..self.nodes[node].len() {
-            if self.is_frequent(self.nodes[node][idx].support) {
-                self.classify(node, idx);
+        let node = if self.path.is_empty() {
+            0
+        } else {
+            self.take_record(entries.len())
+        };
+        self.nodes[node as usize].extend_from_slice(&entries);
+        self.found = entries;
+        for idx in 0..self.nodes[node as usize].len() {
+            if self.is_frequent(self.nodes[node as usize][idx].support) {
+                self.classify(node as usize, idx);
             }
         }
+        node
+    }
+
+    /// A free record whose buffer takes `n` entries without growing, the
+    /// smallest one filed that does; else the largest free one, else a new
+    /// one (either grows).
+    fn take_record(&mut self, n: usize) -> u32 {
+        let fits = |k: &usize| {
+            let last = self.free[*k].last();
+            last.is_some_and(|&r| self.nodes[r as usize].capacity() >= n)
+        };
+        let largest = || (0..CLASSES).rev().find(|&k| !self.free[k].is_empty());
+        match (class_of(n)..CLASSES).find(fits).or_else(largest) {
+            Some(k) => self.free[k].pop().expect("a filed record"),
+            None => {
+                self.nodes.push(Vec::new());
+                self.nodes.len() as u32 - 1
+            }
+        }
+    }
+
+    /// File `record`, emptied, on the free list.
+    fn file_free(&mut self, record: u32) {
+        let class = class_of(self.nodes[record as usize].capacity());
+        self.free[class].push(record);
     }
 
     /// Return `node`'s record and every record below it to the free list.
@@ -373,7 +433,7 @@ impl MomentMiner {
                 self.release(entry.child);
             }
         }
-        self.free.push(node);
+        self.file_free(node);
     }
 
     /// Apply the queued transactions `occs[lo..hi]`, those reaching `node`
@@ -536,10 +596,13 @@ impl MomentMiner {
         }
     }
 
-    /// Rebuild what `index_slot` maintains, after the ring or the codes changed.
+    /// Rebuild what `index_slot` maintains, after the ring or the codes
+    /// changed, into the buffers it had.
     fn reslot(&mut self) {
-        self.bits = vec![0; self.coded.len() * self.words];
-        self.tids = vec![0; self.words];
+        self.bits.clear();
+        self.bits.resize(self.coded.len() * self.words, 0);
+        self.tids.clear();
+        self.tids.resize(self.words, 0);
         self.coded.iter_mut().for_each(|c| c.count = 0);
         for slot in 0..self.slots.len() {
             if self.slots[slot].tid.is_some() {
@@ -563,33 +626,45 @@ impl MomentMiner {
         self.reslot();
     }
 
-    /// Renumber the live items by `(window count, item)` ascending and rebuild
-    /// the tree from the root: a function of the window's content alone.
-    fn rerank(&mut self) {
-        let live = |c: &u32| self.coded[*c as usize].count > 0;
-        let mut order: Vec<u32> = (0..self.coded.len() as u32).filter(live).collect();
-        order.sort_unstable_by_key(|&c| self.coded[c as usize]);
-        let mut recode = vec![NONE; self.coded.len()];
-        for (new, &old) in (0..).zip(&order) {
-            recode[old as usize] = new;
+    /// Renumber the live items by `(window count, item)` ascending, dropping
+    /// the dead codes, and rebuild the tree from the root: a function of the
+    /// window's content alone, which covers every queued change. Every table
+    /// and record is refilled in the buffer it had, so a warmed miner
+    /// allocates nothing here.
+    fn rebuild(&mut self) {
+        let live = (0..).zip(&self.coded).filter(|(_, c)| c.count > 0);
+        self.order.clear();
+        self.order.extend(live.map(|(old, &c)| (c, old)));
+        self.order.sort_unstable();
+        self.recode.clear();
+        self.recode.resize(self.coded.len(), NONE);
+        self.coded.clear();
+        for (new, &(c, old)) in (0..).zip(&self.order) {
+            self.recode[old as usize] = new;
+            self.coded.push(c);
         }
-        self.coded = order.iter().map(|&c| self.coded[c as usize]).collect();
-        self.code_of = (0..).zip(&self.coded).map(|(i, c)| (c.item, i)).collect();
+        let recode = &self.recode;
+        self.code_of.retain(|_, code| {
+            *code = recode[*code as usize];
+            *code != NONE
+        });
         self.ranked = self.coded.len() as u32;
         for slot in self.slots.iter_mut().filter(|s| s.tid.is_some()) {
             slot.codes.iter_mut().for_each(|c| *c = recode[*c as usize]);
             slot.codes.sort_unstable();
         }
         self.reslot();
-        // Every record goes back on the free list, its buffer kept for the
-        // rebuild, which covers every queued change.
+        // Every record goes back on the free list, its buffer kept.
         self.nodes.iter_mut().for_each(Vec::clear);
-        self.free.clear();
-        self.free.extend((1..self.nodes.len() as u32).rev());
+        self.free.iter_mut().for_each(Vec::clear);
+        for record in 1..self.nodes.len() as u32 {
+            self.file_free(record);
+        }
         self.queued_codes.clear();
         self.occs.clear();
-        self.explore(0);
+        self.explore();
         self.until_rerank = self.window_len();
+        self.rebuilds += 1;
     }
 
     /// Queue the transaction in `slot`, which arrived or departed, for the
@@ -602,13 +677,22 @@ impl MomentMiner {
     }
 
     /// Bring the tree up to date with every arrival and departure since the
-    /// last settle, in one walk from the root. The tree is a function of the
-    /// window's content and arrival order, so it is the one per-slide
-    /// settles would have built; reading it ([`MinerBackend::closed_frequent`],
+    /// last settle: in one walk from the root, or, once the queue holds at
+    /// least as many transactions as the window, by the re-rank's rebuild.
+    /// The walk would deliver each queued transaction's occurrences, and
+    /// those of a window's worth are at least the occurrences the rebuild
+    /// tallies, so the rebuild is never the slower path there. Either way
+    /// the closed sets are the window's; the tree's shape is a function of
+    /// the window's content, arrival order and which settles rebuilt.
+    /// Reading it ([`MinerBackend::closed_frequent`],
     /// [`MomentMiner::node_count`], [`MomentMiner::node_stats`]) with
     /// changes queued panics.
     pub fn settle(&mut self) {
         if self.occs.is_empty() {
+            return;
+        }
+        if self.occs.len() >= self.window_len() {
+            self.rebuild();
             return;
         }
         self.tally.resize(self.coded.len(), 0);
@@ -620,8 +704,10 @@ impl MomentMiner {
     /// Transaction `tid`, with `items`, entered the window. `items` must
     /// hold no item twice (an itemset's, or an ingest chunk's transaction):
     /// the bitmaps are maintained by XOR. The tree's change is queued for
-    /// [`MomentMiner::settle`], unless the arrival re-derives the item order,
-    /// whose rebuild settles everything.
+    /// [`MomentMiner::settle`], unless a window's length of arrivals has
+    /// passed since the last rebuild: then the arrival re-derives the item
+    /// order, whose rebuild settles everything. That turnover re-rank bounds
+    /// the code table and the queue whatever the settle cadence.
     ///
     /// # Panics
     /// If `tid` is already in the window.
@@ -647,7 +733,7 @@ impl MomentMiner {
         self.slots[slot].tid = Some(tid);
         self.index_slot(slot, 1);
         if self.until_rerank <= 1 {
-            self.rerank();
+            self.rebuild();
         } else {
             self.until_rerank -= 1;
             self.enqueue(slot, true);
@@ -715,7 +801,7 @@ mod tests {
     use crate::closed::closed_subset;
     use crate::Eclat;
     use bfly_common::fixtures::fig2_stream;
-    use bfly_common::{SlidingWindow, Transaction};
+    use bfly_common::{Database, SlidingWindow, Transaction};
     use bfly_datagen::{QuestConfig, QuestGenerator};
 
     fn iset(s: &str) -> ItemSet {
@@ -963,6 +1049,73 @@ mod tests {
             w.slide(t.clone());
         }
         assert_eq!(m.closed_frequent(), remine(&w, 4));
+    }
+
+    #[test]
+    fn a_settle_rebuilds_once_the_queue_holds_a_window() {
+        // (window, slides, departures alone, rebuilds?): 20 slides queue 40
+        // changes, a whole window of 40 but one fewer than a window of 41;
+        // removing 20 of 40 leaves 20 behind it, removing 19 leaves 21.
+        let stream = QuestGenerator::new(QuestConfig::default(), 7).generate(200);
+        let c = 3;
+        for (w, slides, departures, rebuilds) in [
+            (40, 20, 0, true),
+            (41, 20, 0, false),
+            (40, 0, 20, true),
+            (40, 0, 19, false),
+        ] {
+            let case = (w, slides, departures);
+            let mut m = MomentMiner::new(c);
+            let mut live = std::collections::VecDeque::new();
+            let mut feed = (1..).zip(&stream);
+            for (tid, t) in feed.by_ref().take(w) {
+                m.insert(tid, t.items().items());
+                live.push_back((tid, t.clone()));
+            }
+            m.settle();
+            let before = m.rebuilds();
+            for (tid, t) in feed.by_ref().take(slides) {
+                m.remove(live.pop_front().unwrap().0);
+                m.insert(tid, t.items().items());
+                live.push_back((tid, t.clone()));
+            }
+            for _ in 0..departures {
+                m.remove(live.pop_front().unwrap().0);
+            }
+            assert_eq!(m.rebuilds(), before, "{case:?}: a turnover re-rank");
+            m.settle();
+            assert_eq!(m.rebuilds() - before, u64::from(rebuilds), "{case:?}");
+            let window = Database::from_records(live.iter().map(|(_, t)| t.clone()).collect());
+            let oracle = closed_subset(&Eclat::new(c).mine(&window));
+            assert_eq!(m.closed_frequent(), oracle, "{case:?}");
+            assert_eq!(m.node_stats().total(), m.node_count(), "{case:?}");
+        }
+    }
+
+    #[test]
+    fn at_half_window_cadence_every_settle_rebuilds_and_nothing_else_does() {
+        // A rebuild restarts the turnover countdown, so when each settle
+        // rebuilds the re-rank in `insert` never fires: one rebuild per
+        // publication, as a shard at every = W/2 runs it.
+        const W: u64 = 60;
+        let stream = QuestGenerator::new(QuestConfig::default(), 8).generate(12 * W as usize);
+        let mut m = MomentMiner::new(4);
+        let mut w = SlidingWindow::new(W as usize);
+        for (tid, t) in (1..).zip(&stream) {
+            w.slide(t.clone());
+            if tid > W {
+                m.remove(tid - W);
+            }
+            m.insert(tid, t.items().items());
+            if tid >= 2 * W && tid % (W / 2) == 0 {
+                let before = m.rebuilds();
+                m.settle();
+                assert_eq!(m.rebuilds(), before + 1, "tid {tid}");
+                assert_eq!(m.closed_frequent(), remine(&w, 4), "tid {tid}");
+            } else if tid > 2 * W {
+                assert_eq!(m.occs.len() as u64, 2 * (tid % (W / 2)), "tid {tid}");
+            }
+        }
     }
 
     #[test]

@@ -176,7 +176,7 @@ fn emit_publication(
 /// Publish `state`'s full window through the step replay shares
 /// ([`RecoveredStream::publish_and_log`]: Moment settled, the defense run,
 /// the release logged before anyone sees it), then fan it out. Returns the
-/// wall time it took, the settle walk, logging and fan-out included — the
+/// wall time it took, Moment's settle, logging and fan-out included — the
 /// share of a chunk's time its `ingest_us` leaves out. A release that fails
 /// the contract audit is counted and withheld, so no violating byte reaches
 /// a subscriber, live or through log catch-up. The log has no record of
@@ -263,6 +263,7 @@ fn worker(
                 }
                 let state = pipelines.get_mut(&key).expect("key just ensured");
                 let started = Instant::now();
+                let rebuilds = state.pipe.miner().rebuilds();
                 let mut publishing = Duration::ZERO;
                 // Accepted-before-advanced: the chunk is durable (per the
                 // sync policy) before any of its records can shape a
@@ -282,6 +283,8 @@ fn worker(
                     }
                 }
                 ShardStats::add(&stats.processed, chunk.len() as u64);
+                let rebuilt = state.pipe.miner().rebuilds() - rebuilds;
+                ShardStats::add(&stats.moment_rebuilds, rebuilt);
                 let us = started.elapsed().saturating_sub(publishing).as_micros() as u64;
                 ShardStats::add(&stats.ingest_us, us);
                 stats.ingest_us_max.fetch_max(us, Ordering::Relaxed);
@@ -297,7 +300,10 @@ fn worker(
         let state = pipelines.get_mut(&key).expect("key just listed");
         // The drain owes a release iff records arrived since the last one.
         if state.pipe.window().is_full() && state.pipe.since_publish() > 0 {
+            let rebuilds = state.pipe.miner().rebuilds();
             publish(&cfg, log.as_mut(), &registry, &stats, &key, state);
+            let rebuilt = state.pipe.miner().rebuilds() - rebuilds;
+            ShardStats::add(&stats.moment_rebuilds, rebuilt);
         }
         registry.close_stream(&key, json_line(&closed_event(&key)));
     }
@@ -450,6 +456,53 @@ mod tests {
         // One chunk: the whole figure is its own.
         assert_eq!(total, max);
         let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn moment_rebuilds_count_the_shards_miners_rebuilds() {
+        // every = W/2: past the fill, each publication's settle holds a
+        // window of changes and rebuilds. Two keys, chunks of 3, and the
+        // drain's flush: the counter is the sum of the two pipelines'.
+        let cfg = ServeConfig {
+            every: 4,
+            queue_cap: 128,
+            ..tiny_cfg()
+        };
+        let stats = Arc::new(ShardStats::default());
+        let (ingress, handle) = spawn_shard(
+            0,
+            cfg.clone(),
+            Arc::new(SubscriberRegistry::new()),
+            stats.clone(),
+            Arc::new(DefenseBindings::default()),
+            None,
+        );
+        let mut src = bfly_datagen::DatasetProfile::WebView1.source(3);
+        let batch: Vec<_> = (0..41)
+            .map(|_| src.next_transaction().into_items())
+            .collect();
+        let mut rebuilds = 0;
+        for key in ["a", "b"] {
+            for part in batch.chunks(3) {
+                assert!(ingress.offer(&Arc::from(key), IngestChunk::from_itemsets(part)));
+            }
+            let mut pipe = cfg.pipeline_for(key);
+            for items in &batch {
+                pipe.advance_items(items.items());
+                if pipe.window().is_full() && pipe.since_publish() >= cfg.every {
+                    pipe.publish_now().expect("a full window");
+                }
+            }
+            pipe.flush().expect("the drain owes one");
+            rebuilds += pipe.miner().rebuilds();
+        }
+        drop(ingress);
+        handle.join().expect("worker paniced");
+        // Per key: re-ranks at 1, 2, 4 and 8 while filling, then the
+        // publications at 12, 16, …, 40; the one at 8 finds nothing queued
+        // and the drain's at 41 holds one slide, so it walks.
+        assert_eq!(rebuilds, 2 * (4 + 8));
+        assert_eq!(stats.moment_rebuilds.load(Ordering::Relaxed), rebuilds);
     }
 
     /// Claims the Butterfly contract and breaks it on its first

@@ -16,21 +16,28 @@ pub struct ShardStats {
     /// Sanitized windows published (cadence + final flushes).
     pub published: AtomicU64,
     /// Microseconds the worker spent inside `publish_now` — Moment's settle
-    /// walk over every arrival and departure since the last publication,
-    /// the closed-set read-out and the defense, withheld releases included
-    /// — so `publish_us / published` is the live per-window cost of mining
-    /// and publishing a window.
+    /// over every arrival and departure since the last publication (the
+    /// walk, or the rebuild when they number a window), the closed-set
+    /// read-out and the defense, withheld releases included — so
+    /// `publish_us / published` is the live per-window cost of mining and
+    /// publishing a window.
     pub publish_us: AtomicU64,
     /// The slowest single `publish_now`, in microseconds.
     pub publish_us_max: AtomicU64,
     /// Microseconds the worker spent logging and advancing ingest chunks —
-    /// the log append and Moment's ring, item bitmaps and queue, not its
-    /// tree walk — publications excluded (`publish_us` has those and the
-    /// walk), so `ingest_us / processed` is the live per-transaction ingest
-    /// cost. Timed per chunk, never per transaction.
+    /// the log append and Moment's ring, item bitmaps and queue, plus the
+    /// turnover re-rank's rebuild when an arrival fires it, but not the
+    /// settle — publications excluded (`publish_us` has those and the
+    /// settle), so `ingest_us / processed` is the live per-transaction
+    /// ingest cost. Timed per chunk, never per transaction.
     pub ingest_us: AtomicU64,
     /// The slowest single chunk, in microseconds.
     pub ingest_us_max: AtomicU64,
+    /// Moment tree rebuilds on this shard's streams since it started:
+    /// turnover re-ranks (in `ingest_us`) and settles whose queue held a
+    /// whole window (in `publish_us`). At `every ≥ W/2` each publication
+    /// rebuilds and the re-rank never fires.
+    pub moment_rebuilds: AtomicU64,
     /// Current ingress queue depth (accepted minus dequeued).
     pub queue_depth: AtomicU64,
     /// Release entries that failed the contract audit; every release
@@ -80,6 +87,10 @@ impl ShardStats {
             (
                 "ingest_us_max",
                 Json::from(self.ingest_us_max.load(Ordering::Relaxed)),
+            ),
+            (
+                "moment_rebuilds",
+                Json::from(self.moment_rebuilds.load(Ordering::Relaxed)),
             ),
             (
                 "queue_depth",
@@ -220,7 +231,9 @@ mod tests {
         ShardStats::add(&s.published, 1);
         ShardStats::add(&s.publish_us, 160);
         s.publish_us_max.fetch_max(90, Ordering::Relaxed);
+        ShardStats::add(&s.moment_rebuilds, 4);
         let v = s.to_json(3);
+        assert_eq!(v.get("moment_rebuilds").unwrap().as_u64(), Some(4));
         assert_eq!(v.get("shard").unwrap().as_u64(), Some(3));
         assert_eq!(v.get("ingested").unwrap().as_u64(), Some(5));
         assert_eq!(v.get("shed").unwrap().as_u64(), Some(2));

@@ -359,11 +359,14 @@ fn moment_matches_oracle_while_the_item_order_turns_over() {
 fn moment_settled_after_any_interval_matches_per_slide_settles() {
     // The pipeline settles Moment only when it publishes. Settled after any
     // number of arrivals and departures, its closed sets must be the re-mine
-    // oracle's and its tree the one a twin settling every slide holds, at
-    // intervals of 1, 2, 7, 97, the serve cadence, W − 1, W and 2W. The
-    // first interval is W, across the fill: it spans the ring's doubling
-    // (W > 64 slots) and the re-ranks at 1, 2, 4, …; each interval of W or
-    // more spans a turnover's re-rank.
+    // oracle's, at intervals of 1, 2, 7, 97, the serve cadence, W/2 − 1,
+    // W/2, W − 1, W and 2W. The first interval is W, across the fill: it
+    // spans the ring's doubling (W > 64 slots) and the re-ranks at 1, 2, 4,
+    // …; each interval of W or more spans a turnover's re-rank. A settle
+    // whose queue holds a window (2 · interval ≥ W on a full one) rebuilds
+    // the tree in a fresh item order; one that walks must leave the tree a
+    // twin settling every slide holds, and the twin restarts from a copy at
+    // each rebuild, so it shares the order being walked.
     use butterfly_repro::common::Transaction;
     use butterfly_repro::datagen::{
         MarkovConfig, MarkovSessionGenerator, QuestConfig, QuestGenerator,
@@ -371,7 +374,8 @@ fn moment_settled_after_any_interval_matches_per_slide_settles() {
     use butterfly_repro::mining::{MinerBackend, MomentMiner};
     const W: usize = 100;
     const EVERY: usize = 25;
-    let mut intervals = [1, 2, 7, 97, EVERY, W - 1, W, 2 * W];
+    let mut intervals = [1, 2, 7, 97, EVERY, W / 2 - 1, W / 2, W - 1, W, 2 * W];
+    let (mut walks, mut rebuilds) = (0, 0);
     for case in 0..8u64 {
         let mut rng = case_rng(16, case);
         let c = 2 + rng.gen_range_usize(6) as u64;
@@ -394,7 +398,7 @@ fn moment_settled_after_any_interval_matches_per_slide_settles() {
         };
         let mut window = SlidingWindow::new(W);
         let (mut moment, mut twin) = (MomentMiner::new(c), MomentMiner::new(c));
-        let (mut due, mut settles) = (W, 0);
+        let (mut interval, mut due, mut settles) = (W, W, 0);
         for t in stream {
             let delta = window.slide(t);
             if let Some(evicted) = &delta.evicted {
@@ -406,6 +410,7 @@ fn moment_settled_after_any_interval_matches_per_slide_settles() {
             if due > 0 {
                 continue;
             }
+            let before = moment.rebuilds();
             moment.settle();
             settles += 1;
             let at = (case, c, window.stream_len());
@@ -414,7 +419,21 @@ fn moment_settled_after_any_interval_matches_per_slide_settles() {
                 remine(&window, c),
                 "case/C/N {at:?}"
             );
-            assert_eq!(moment.node_count(), twin.node_count(), "case/C/N {at:?}");
+            if moment.rebuilds() == before {
+                walks += 1;
+                assert_eq!(moment.node_count(), twin.node_count(), "case/C/N {at:?}");
+            } else {
+                rebuilds += 1;
+                assert!(settles == 1 || 2 * interval >= W, "case/C/N {at:?}");
+                let stats = moment.node_stats();
+                assert_eq!(stats.total(), moment.node_count(), "case/C/N {at:?}");
+                assert_eq!(
+                    stats.closed,
+                    moment.closed_frequent().len(),
+                    "case/C/N {at:?}"
+                );
+                twin = moment.clone();
+            }
             // Every interval once per round, in a fresh order each round.
             let round = (settles - 1) % intervals.len();
             if round == 0 {
@@ -422,10 +441,17 @@ fn moment_settled_after_any_interval_matches_per_slide_settles() {
                     intervals.swap(i, rng.gen_range_usize(i + 1));
                 }
             }
-            due = intervals[round];
+            interval = intervals[round];
+            due = interval;
         }
         assert!(settles > intervals.len(), "case {case}: {settles} settles");
     }
+    // Whether a long interval's queue holds a window depends on where the
+    // turnover re-rank fell in it, so some cases only walk.
+    assert!(
+        walks > 0 && rebuilds > 0,
+        "{walks} walks, {rebuilds} rebuilds"
+    );
 }
 
 #[test]
