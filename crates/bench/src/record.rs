@@ -1,14 +1,12 @@
-//! The append-runs benchmark record format shared by `parbench` and
-//! `defbench`: a JSON document `{"runs": [...]}` where each invocation
-//! appends one timestamped entry, so the perf trajectory across changes is
-//! preserved in-repo.
+//! The append-runs benchmark record format `defbench` writes: a JSON
+//! document `{"runs": [...]}` where each invocation appends one timestamped
+//! entry, so the trajectory across changes is preserved in-repo.
 
 use bfly_common::Json;
 use std::io::ErrorKind;
 
 /// Append `run` to the `runs` array of the JSON document at `path`,
-/// creating the document if absent. A legacy flat-object file (pre-append
-/// format) is preserved as the first run entry.
+/// creating the document if absent.
 ///
 /// Every appended run is stamped with `ts` (epoch seconds) and `cores`
 /// (host parallelism) when the caller didn't set them, so no future run
@@ -20,9 +18,10 @@ use std::io::ErrorKind;
 /// an interrupted write never leaves a truncated record.
 ///
 /// # Panics
-/// If `path` exists but cannot be read or does not parse (a truncated or
-/// merge-conflicted record): the file is left untouched rather than
-/// replaced by a one-run document that would drop its history.
+/// If `path` exists but cannot be read, does not parse (a truncated or
+/// merge-conflicted record) or holds no `runs` array: the file is left
+/// untouched rather than replaced by a one-run document that would drop
+/// its history.
 pub fn append_run(path: &str, run: Json) {
     let mut runs: Vec<Json> = match std::fs::read_to_string(path) {
         Ok(text) => {
@@ -31,7 +30,7 @@ pub fn append_run(path: &str, run: Json) {
             });
             match doc.get("runs").and_then(Json::as_array) {
                 Some(existing) => existing.to_vec(),
-                None => vec![doc],
+                None => panic!("{path} has no \"runs\" array; left untouched"),
             }
         }
         Err(e) if e.kind() == ErrorKind::NotFound => Vec::new(),
@@ -76,22 +75,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn append_run_accumulates_and_upgrades_legacy() {
+    fn append_run_accumulates() {
         let dir = std::env::temp_dir().join(format!("bfly-record-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("bench.json");
         let path = path.to_str().unwrap();
-        // Legacy flat object becomes the first run entry.
-        std::fs::write(path, "{\"old\":1}").unwrap();
         append_run(path, Json::obj([("new", Json::from(2u64))]));
+        append_run(path, Json::obj([("new", Json::from(3u64))]));
         let doc = Json::parse(&std::fs::read_to_string(path).unwrap()).unwrap();
         let runs = doc.get("runs").unwrap().as_array().unwrap();
         assert_eq!(runs.len(), 2);
-        assert_eq!(runs[0].get("old").unwrap().as_u64(), Some(1));
-        assert_eq!(runs[1].get("new").unwrap().as_u64(), Some(2));
-        append_run(path, Json::obj([("new", Json::from(3u64))]));
-        let doc = Json::parse(&std::fs::read_to_string(path).unwrap()).unwrap();
-        assert_eq!(doc.get("runs").unwrap().as_array().unwrap().len(), 3);
+        assert_eq!(runs[0].get("new").unwrap().as_u64(), Some(2));
+        assert_eq!(runs[1].get("new").unwrap().as_u64(), Some(3));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -123,14 +118,16 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("bench.json");
         let path = path.to_str().unwrap();
-        let torn = "{\"runs\":[{";
-        std::fs::write(path, torn).unwrap();
-        let outcome = std::panic::catch_unwind(|| {
-            append_run(path, Json::obj([("new", Json::from(1u64))]));
-        });
-        assert!(outcome.is_err(), "a torn record must be refused");
-        assert_eq!(std::fs::read_to_string(path).unwrap(), torn);
-        assert!(!dir.join("bench.json.tmp").exists());
+        // A torn record, and a flat object that holds no run history.
+        for torn in ["{\"runs\":[{", "{\"old\":1}"] {
+            std::fs::write(path, torn).unwrap();
+            let outcome = std::panic::catch_unwind(|| {
+                append_run(path, Json::obj([("new", Json::from(1u64))]));
+            });
+            assert!(outcome.is_err(), "{torn} must be refused");
+            assert_eq!(std::fs::read_to_string(path).unwrap(), torn);
+            assert!(!dir.join("bench.json.tmp").exists());
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

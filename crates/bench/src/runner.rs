@@ -7,12 +7,11 @@
 //! Each cell owns its `Publisher` seeded from the cell tuple, so results
 //! are identical at any thread count.
 
-use bfly_common::{pool, Database, ItemSet, SlidingWindow, Support};
+use bfly_common::{pool, SlidingWindow, Support};
 use bfly_core::metrics::{avg_pred, avg_prig, ropp, rrpp};
 use bfly_core::{BiasScheme, PrivacySpec, Publisher};
 use bfly_datagen::DatasetProfile;
 use bfly_inference::attack::{find_inter_window_breaches, find_intra_window_breaches, Breach};
-use bfly_inference::GroundTruth;
 use bfly_mining::closed::expand_closed;
 use bfly_mining::{FrequentItemsets, MinerBackend, MomentMiner};
 
@@ -106,110 +105,6 @@ pub fn collect_truths(config: &ExperimentConfig) -> Vec<WindowTruth> {
     truths
 }
 
-/// Pre-positioned audit state for the counting twins: for each truth
-/// window, the incrementally-maintained vertical oracle snapshot (closed
-/// supports already seeded into its memo, as the pipeline does) and the
-/// materialized database of the very same window. Building it replays the
-/// stream once, outside any clock — a deployment maintains these
-/// structures incrementally across slides; it never replays from `t = 0`
-/// per audit — so the timed audits price pure per-pattern counting over
-/// identical window contents.
-#[derive(Clone)]
-pub struct AuditReplay {
-    oracles: Vec<GroundTruth>,
-    databases: Vec<Database>,
-}
-
-/// Replay `config`'s stream and snapshot the audit state at each of the
-/// `truths` windows.
-pub fn prepare_audit_replay(config: &ExperimentConfig, truths: &[WindowTruth]) -> AuditReplay {
-    let mut source = config.profile.source(config.seed);
-    let mut window = SlidingWindow::new(config.window);
-    let mut truth = GroundTruth::new(config.window);
-    for _ in 0..config.window - 1 {
-        truth.apply(&window.slide(source.next_transaction()));
-    }
-    let mut oracles = Vec::with_capacity(truths.len());
-    let mut databases = Vec::with_capacity(truths.len());
-    for t in truths {
-        truth.apply(&window.slide(source.next_transaction()));
-        truth.seed_supports(t.closed.iter().map(|e| (e.id, e.support)));
-        oracles.push(truth.clone());
-        databases.push(window.database());
-    }
-    AuditReplay { oracles, databases }
-}
-
-/// Verify every breach of every truth window using the **vertical**
-/// ground-truth oracle: one AND/AND-NOT + popcount per pattern. Returns
-/// the number of patterns verified.
-///
-/// # Panics
-/// If any breach's claimed support disagrees with the raw window — the
-/// breach enumerator derives supports through the lattice identity, so a
-/// mismatch means either the enumerator or the counting engine is wrong.
-pub fn audit_breaches_vertical(config: &ExperimentConfig, truths: &[WindowTruth]) -> usize {
-    audit_breaches_vertical_warm(&mut prepare_audit_replay(config, truths), truths)
-}
-
-/// [`audit_breaches_vertical`] from pre-positioned state (`&mut` for the
-/// oracles' scratch and memo; repeat audits are deterministic).
-pub fn audit_breaches_vertical_warm(replay: &mut AuditReplay, truths: &[WindowTruth]) -> usize {
-    let mut verified = 0;
-    for (oracle, t) in replay.oracles.iter_mut().zip(truths) {
-        for b in &t.breaches {
-            assert_eq!(
-                oracle.pattern_support(&b.pattern),
-                b.support,
-                "breach {} disagrees with the raw window",
-                b.pattern
-            );
-            verified += 1;
-        }
-    }
-    verified
-}
-
-/// The scan twin of [`audit_breaches_vertical`]: identical checks, but
-/// every pattern is counted by the naive per-transaction subset scan over
-/// the materialized window database. Exists as the baseline the
-/// `truth_counting` parbench stage prices the vertical path against.
-pub fn audit_breaches_scan(config: &ExperimentConfig, truths: &[WindowTruth]) -> usize {
-    audit_breaches_scan_warm(&prepare_audit_replay(config, truths), truths)
-}
-
-/// [`audit_breaches_scan`] from pre-positioned state.
-pub fn audit_breaches_scan_warm(replay: &AuditReplay, truths: &[WindowTruth]) -> usize {
-    let mut verified = 0;
-    for (db, t) in replay.databases.iter().zip(truths) {
-        for b in &t.breaches {
-            assert_eq!(
-                db.pattern_support(&b.pattern),
-                b.support,
-                "breach {} disagrees with the raw window",
-                b.pattern
-            );
-            verified += 1;
-        }
-    }
-    verified
-}
-
-/// Workload for the `support_counting` parbench stage: one full window of
-/// the config's stream plus every frequent itemset at `C` — the candidate
-/// set both counting paths must price.
-pub fn support_workload(config: &ExperimentConfig) -> (Database, Vec<ItemSet>) {
-    let mut source = config.profile.source(config.seed);
-    let mut window = SlidingWindow::new(config.window);
-    for _ in 0..config.window {
-        window.slide(source.next_transaction());
-    }
-    let db = window.database();
-    let frequent = bfly_mining::Eclat::new(config.c).mine(&db);
-    let itemsets = frequent.iter().map(|e| e.itemset().clone()).collect();
-    (db, itemsets)
-}
-
 /// Averaged metrics over a run.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct EvalResult {
@@ -264,7 +159,7 @@ pub fn evaluate_scheme(
 /// Evaluate a batch of independent sweep cells `(spec, scheme, seed)`
 /// against shared truths, in parallel, returning results in cell order.
 /// Each cell gets its own seeded `Publisher`, so a cell's result is a pure
-/// function of its tuple — the figure binaries produce identical CSVs at
+/// function of its tuple — the figure subcommands write identical CSVs at
 /// any thread count.
 pub fn evaluate_cells(
     truths: &[WindowTruth],
@@ -301,30 +196,6 @@ mod tests {
                 assert!(b.support >= 1 && b.support <= cfg.k);
             }
             assert!(!t.closed.is_empty(), "window mined nothing");
-        }
-    }
-
-    #[test]
-    fn vertical_and_scan_audits_agree() {
-        let cfg = tiny_config();
-        let truths = collect_truths(&cfg);
-        let vertical = audit_breaches_vertical(&cfg, &truths);
-        let scan = audit_breaches_scan(&cfg, &truths);
-        assert_eq!(vertical, scan);
-        let total: usize = truths.iter().map(|t| t.breaches.len()).sum();
-        assert_eq!(vertical, total, "every breach must be audited");
-        assert!(total > 0, "audit would be vacuous with no breaches");
-    }
-
-    #[test]
-    fn support_workload_is_countable_both_ways() {
-        let cfg = tiny_config();
-        let (db, itemsets) = support_workload(&cfg);
-        assert!(!itemsets.is_empty());
-        let index = bfly_common::VerticalIndex::of_database(&db);
-        let mut scratch = bfly_common::TidScratch::new();
-        for i in &itemsets {
-            assert_eq!(index.support(i, &mut scratch), db.support(i), "T({i})");
         }
     }
 

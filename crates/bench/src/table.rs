@@ -1,4 +1,4 @@
-//! Text-table printing and CSV output for the figure binaries.
+//! Text-table printing and CSV output for the experiment subcommands.
 
 use std::fs;
 use std::path::PathBuf;

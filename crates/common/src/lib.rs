@@ -15,6 +15,7 @@ pub mod crc32;
 pub mod database;
 pub mod error;
 pub mod fixtures;
+pub mod flags;
 pub mod frame;
 pub mod hash;
 pub mod intern;

@@ -5,13 +5,13 @@
 //! an atomic work counter for dynamic load balancing.
 //!
 //! **Who calls it.** Only `crates/bench`, over independent experiment cells
-//! (`evaluate_cells`, the per-seed ablation sweeps) — the one shape that
-//! measured a gain on two cores. Nothing under `common`, `mining`,
-//! `inference`, `core` or `serve` fans out (`scripts/check.sh` enforces it):
-//! those layers are serial, and shards are serve's parallelism. The module
-//! keeps its `bfly_common::pool` path only because the frozen
-//! `benchmark/src/main.rs` calls [`set_threads`]; the `benchmark` PR that
-//! drops that call moves it into `crates/bench` (ROADMAP item 1(d)).
+//! (`evaluate_cells`, the per-seed ablation sweeps of `bfly-bench
+//! ablation`) — the one shape that measured a gain on two cores. Nothing
+//! under `common`, `mining`, `inference`, `core` or `serve` fans out
+//! (`scripts/check.sh` enforces it): those layers are serial, and shards
+//! are serve's parallelism. The module keeps its `bfly_common::pool` path
+//! only because the frozen `benchmark/src/main.rs` calls [`set_threads`];
+//! once that call is dropped, the module moves into `crates/bench`.
 //!
 //! **Determinism contract.** [`par_map`] returns results in input order, and
 //! every caller arranges its work so that each task is a pure function of
@@ -21,7 +21,7 @@
 //! any output bit; `tests/parallel_determinism.rs` holds the sweep to that.
 //!
 //! **Worker count resolution**, first match wins:
-//! 1. [`set_threads`] (a figure binary's `--threads`, via
+//! 1. [`set_threads`] (`bfly-bench`'s `--threads`, or
 //!    `ExperimentConfig::apply_threads`);
 //! 2. the `BFLY_THREADS` environment variable;
 //! 3. [`std::thread::available_parallelism`].
@@ -36,8 +36,8 @@ use std::sync::OnceLock;
 /// Explicit worker-count override; 0 means "unset, use env/hardware".
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
-/// Override the worker count for all subsequent pool operations (a figure
-/// binary's `--threads` flag lands here). `0` clears the override,
+/// Override the worker count for all subsequent pool operations
+/// (`bfly-bench`'s `--threads` flag lands here). `0` clears the override,
 /// restoring the `BFLY_THREADS` / `available_parallelism()` default.
 pub fn set_threads(n: usize) {
     THREAD_OVERRIDE.store(n, Ordering::SeqCst);

@@ -24,10 +24,19 @@
 //! mention the shard — so nodes need no knowledge of the cluster to produce
 //! byte-identical releases, and a key's releases survive resharding.
 //!
-//! The map is versioned. This PR ships static maps (the version changes
-//! only when the node list changes between process restarts); the version
-//! field is the seam a future rebalance protocol needs — a forwarded frame
-//! tagged with a stale version is the signal to refresh, not misroute.
+//! The map is versioned. Maps are static (the version changes only when
+//! the node list changes between process restarts); the version field is
+//! the seam a future rebalance protocol needs — a forwarded frame tagged
+//! with a stale version is the signal to refresh, not misroute.
+//!
+//! **Trust boundary: stream keys are trusted input.** The hash is unkeyed
+//! and public, so a client that names its own keys chooses their slot for
+//! about `N·M` hash evaluations per key: brute force lands 16 keys on
+//! slot 0 of a 2-node × 4-shard map within 119 candidates (pinned below).
+//! A tenant can therefore co-locate streams on one shard and make that
+//! shard's `queue_cap` shed for every stream on it. Nothing here defends
+//! against that; keying the hash per `ClusterMap` version would. Until
+//! then, do not accept stream keys from tenants you do not trust.
 
 use bfly_common::hash::fnv1a;
 use std::net::SocketAddr;
@@ -175,6 +184,23 @@ mod tests {
             per_node.iter().all(|&n| n > 0),
             "a node got no keys: {per_node:?}"
         );
+    }
+
+    /// The trust boundary, quantified: with an unkeyed public hash, pinning
+    /// a shard costs a client a few hashes per key and no secret.
+    #[test]
+    fn a_client_naming_keys_pins_one_shard_by_brute_force() {
+        let map = ClusterMap::federated(1, addrs(2), 4);
+        let (mut pinned, mut candidates) = (0, 0);
+        while pinned < 16 {
+            let key = format!("k{candidates}");
+            candidates += 1;
+            if map.slot_of(&key) == 0 {
+                assert_eq!(map.owner_of(&key), Owner { node: 0, shard: 0 });
+                pinned += 1;
+            }
+        }
+        assert_eq!(candidates, 119);
     }
 
     #[test]

@@ -23,7 +23,7 @@ echo "==> vertical-vs-scan differential tests"
 cargo test -q --release --test vertical_support
 
 echo "==> Moment vs Eclat re-mine soak (soak --quick: four stream shapes through six window turnovers each, Moment fed by tid and settled alternately 97 and 151 slides apart, so the w=300 shapes both walk and rebuild; fails if a shape misses a path it should take; contract audit on every release)"
-cargo run -q --release -p bfly-bench --bin soak -- --quick
+cargo run -q --release -p bfly-bench -- soak --quick
 
 echo "==> release engine vs from-scratch reference differential, restore mid-sequence for every defense"
 cargo test -q --release --test release_engine
@@ -35,7 +35,7 @@ echo "==> federation differential (router over 2 nodes, kill one, survivor + WAL
 cargo test -q --release --test federation
 
 echo "==> order-DP depth sweep vs golden (fig6 --quick, γ 0–6 on both datasets; the CSV is the sort-based kernel's, now order::tests::reference, and has never been regenerated)"
-cargo run -q --release -p bfly-bench --bin fig6 -- --quick >/dev/null
+cargo run -q --release -p bfly-bench -- fig6 --quick >/dev/null
 cmp target/figures/fig6_ropp_vs_gamma.csv tests/golden/fig6_quick.csv \
   || { echo "fig6 --quick diverged from tests/golden/fig6_quick.csv"; exit 1; }
 
@@ -96,13 +96,13 @@ if [[ "$SPAWNS" != $'crates/serve/src/reactor.rs 1\ncrates/serve/src/shard.rs 1'
   echo "$SPAWNS"; exit 1
 fi
 
-echo "==> parbench --quick smoke"
-cargo run -q --release -p bfly-bench --bin parbench -- --quick \
-  --out target/BENCH_parallel.smoke.json \
-  --support-out target/BENCH_support.smoke.json
+echo "==> one-binary guard (every experiment is a subcommand of bfly-bench over its one FLAG_TABLE)"
+if [[ -e crates/bench/src/bin ]] || (( $(grep -c '^\[\[bin\]\]' crates/bench/Cargo.toml) > 1 )); then
+  echo "crates/bench declares a second binary; add a bfly-bench subcommand instead"; exit 1
+fi
 
 echo "==> defense matrix smoke (scratch output under target/)"
-cargo run -q --release -p bfly-bench --bin defbench -- --quick \
+cargo run -q --release -p bfly-bench -- defbench --quick \
   --out target/BENCH_defense.smoke.json
 
 echo "==> all checks passed"

@@ -20,6 +20,7 @@
 use butterfly_repro::butterfly::{
     BiasScheme, DefenseKind, DefenseSpec, PrivacyDefense, PrivacySpec, StreamPipeline,
 };
+use butterfly_repro::common::flags::{parse_flags, Flags};
 use butterfly_repro::common::{io as dat, Database, Json};
 use butterfly_repro::datagen::DatasetProfile;
 use butterfly_repro::inference::find_intra_window_breaches;
@@ -27,7 +28,6 @@ use butterfly_repro::mining::closed::closed_subset;
 use butterfly_repro::mining::Eclat;
 use butterfly_repro::serve::protocol::{binary_entries, entries_json};
 use butterfly_repro::serve::{parse_node_list, ServeConfig, ServeRole, Server, WalConfig};
-use std::collections::HashMap;
 use std::io::{BufWriter, Write};
 use std::process::ExitCode;
 
@@ -41,7 +41,7 @@ fn main() -> ExitCode {
         println!("{USAGE}");
         return ExitCode::SUCCESS;
     }
-    let opts = match parse_flags(command, rest) {
+    let opts = match parse_flags(FLAG_TABLE, command, rest) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("error: {e}\n\n{USAGE}");
@@ -116,9 +116,8 @@ subscriptions (including WAL catch-up served by the owning node). Every
 node should run with the same --shards and pipeline knobs; durability
 stays on the nodes (--wal-dir conflicts with --role router).";
 
-type Flags = HashMap<String, String>;
-
-/// `(name, takes_value)` — flags each subcommand accepts.
+/// `(name, takes_value)` — flags each subcommand accepts, parsed by
+/// `parse_flags`: a typo like `--schme` is an error naming the valid set.
 const FLAG_TABLE: &[(&str, &[(&str, bool)])] = &[
     (
         "gen",
@@ -208,46 +207,6 @@ const FLAG_TABLE: &[(&str, &[(&str, bool)])] = &[
         ],
     ),
 ];
-
-/// Parse `--flag value` pairs, rejecting any flag the subcommand does not
-/// declare — a typo like `--schme` is an error naming the valid set, never
-/// a silently ignored option.
-fn parse_flags(command: &str, args: &[String]) -> Result<Flags, String> {
-    let allowed = FLAG_TABLE
-        .iter()
-        .find(|(cmd, _)| *cmd == command)
-        .map(|(_, flags)| *flags)
-        .ok_or_else(|| {
-            let commands: Vec<&str> = FLAG_TABLE.iter().map(|(c, _)| *c).collect();
-            format!(
-                "unknown command {command:?} (valid: {})",
-                commands.join(", ")
-            )
-        })?;
-    let mut flags = Flags::new();
-    let mut iter = args.iter().peekable();
-    while let Some(arg) = iter.next() {
-        let Some(name) = arg.strip_prefix("--") else {
-            return Err(format!("unexpected positional argument {arg:?}"));
-        };
-        let Some(&(_, takes_value)) = allowed.iter().find(|(n, _)| *n == name) else {
-            let valid: Vec<String> = allowed.iter().map(|(n, _)| format!("--{n}")).collect();
-            return Err(format!(
-                "unknown flag --{name} for {command} (valid: {})",
-                valid.join(", ")
-            ));
-        };
-        if !takes_value {
-            flags.insert(name.to_string(), "true".to_string());
-            continue;
-        }
-        let value = iter
-            .next()
-            .ok_or_else(|| format!("flag --{name} needs a value"))?;
-        flags.insert(name.to_string(), value.clone());
-    }
-    Ok(flags)
-}
 
 fn req<'a>(flags: &'a Flags, name: &str) -> Result<&'a str, String> {
     flags

@@ -3,8 +3,11 @@
 //! generalized patterns with negations — must equal the naive
 //! per-transaction scan of the materialized window database, at every slide,
 //! including the evict/insert steady state where tids wrap around the ring
-//! boundary (tid % capacity cycles back to slot 0).
+//! boundary (tid % capacity cycles back to slot 0). The memoized
+//! [`GroundTruth`] oracle must also count every breach the enumerator
+//! derives to its derived support.
 
+use bfly_bench::{collect_truths, ExperimentConfig};
 use butterfly_repro::common::rng::{Rng, SmallRng};
 use butterfly_repro::common::{
     ItemSet, Pattern, SlidingWindow, SupportMemo, TidScratch, VerticalIndex,
@@ -122,6 +125,48 @@ fn ground_truth_oracle_matches_scan_with_memo() {
     let (hits, misses) = truth.memo_stats();
     assert!(hits > 0, "repeated queries never hit the memo");
     assert!(misses > 0, "fresh windows never missed the memo");
+}
+
+#[test]
+fn vertical_and_scan_agree_on_every_breach_of_collected_truths() {
+    // The breach enumerator derives supports through the lattice identity.
+    // Replaying the same stream, the memoized vertical oracle (seeded with
+    // each window's closed supports, as the pipeline seeds it) and the scan
+    // of the materialized window must both count every breach pattern to
+    // exactly that support.
+    let cfg = ExperimentConfig {
+        profile: DatasetProfile::WebView1,
+        window: 300,
+        c: 10,
+        k: 3,
+        windows: 8,
+        seed: 5,
+        threads: 0,
+    };
+    let truths = collect_truths(&cfg);
+    let mut source = cfg.profile.source(cfg.seed);
+    let mut window = SlidingWindow::new(cfg.window);
+    let mut oracle = GroundTruth::new(cfg.window);
+    for _ in 0..cfg.window - 1 {
+        oracle.apply(&window.slide(source.next_transaction()));
+    }
+    let mut verified = 0;
+    for t in &truths {
+        oracle.apply(&window.slide(source.next_transaction()));
+        oracle.seed_supports(t.closed.iter().map(|e| (e.id, e.support)));
+        let db = window.database();
+        for b in &t.breaches {
+            let vertical = oracle.pattern_support(&b.pattern);
+            assert_eq!(vertical, db.pattern_support(&b.pattern), "{}", b.pattern);
+            assert_eq!(
+                vertical, b.support,
+                "breach {} vs the raw window",
+                b.pattern
+            );
+            verified += 1;
+        }
+    }
+    assert!(verified > 0, "no breaches: the check would be vacuous");
 }
 
 #[test]
