@@ -2,7 +2,6 @@
 
 use bfly_common::{ItemsetId, Support};
 use bfly_mining::FrequentItemsets;
-use std::collections::BTreeMap;
 
 /// A frequency equivalence class: the frequent itemsets sharing one support
 /// value. The optimized Butterfly schemes perturb per-FEC, preserving the
@@ -33,16 +32,18 @@ impl Fec {
 
 /// Partition a mining result into FECs, **sorted ascending by support**
 /// (`fec_1 ≺ fec_2 ≺ …` as §VI assumes).
+///
+/// The result's canonical order (support descending, then itemset
+/// ascending) already holds every class as one run with its members in
+/// order, so the FECs are those runs, last first.
 pub fn partition_into_fecs(frequent: &FrequentItemsets) -> Vec<Fec> {
-    let mut by_support: BTreeMap<Support, Vec<ItemsetId>> = BTreeMap::new();
-    for e in frequent.iter() {
-        by_support.entry(e.support).or_default().push(e.id);
-    }
-    by_support
-        .into_iter()
-        .map(|(support, mut members)| {
-            members.sort_unstable_by(|a, b| a.resolve().cmp(b.resolve()));
-            Fec { support, members }
+    frequent
+        .entries()
+        .chunk_by(|a, b| a.support == b.support)
+        .rev()
+        .map(|run| Fec {
+            support: run[0].support,
+            members: run.iter().map(|e| e.id).collect(),
         })
         .collect()
 }
@@ -91,6 +92,49 @@ mod tests {
         }
         // Total members preserved.
         assert_eq!(fecs.iter().map(Fec::size).sum::<usize>(), 3);
+    }
+
+    /// The partition as it was built before the runs were read off the
+    /// canonical order: grouped through a map, each class sorted again.
+    fn partition_through_a_map(frequent: &FrequentItemsets) -> Vec<Fec> {
+        use std::collections::BTreeMap;
+        let mut by_support: BTreeMap<Support, Vec<ItemsetId>> = BTreeMap::new();
+        for e in frequent.iter() {
+            by_support.entry(e.support).or_default().push(e.id);
+        }
+        by_support
+            .into_iter()
+            .map(|(support, mut members)| {
+                members.sort_unstable_by(|a, b| a.resolve().cmp(b.resolve()));
+                Fec { support, members }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn runs_of_the_canonical_order_equal_the_map_partition() {
+        use bfly_common::rng::{Rng, SmallRng};
+        for seed in 0..200u64 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            // Few distinct supports over many itemsets, so classes are
+            // large and their members arrive interleaved.
+            let spread = 1 + rng.gen_below(12);
+            let mut entries: Vec<(ItemSet, u64)> = Vec::new();
+            for _ in 0..rng.gen_range_usize(60) {
+                let len = 1 + rng.gen_range_usize(4);
+                let ids: Vec<u32> = (0..len).map(|_| rng.gen_below(30) as u32).collect();
+                let itemset = ItemSet::from_ids(ids);
+                if entries.iter().all(|(x, _)| *x != itemset) {
+                    entries.push((itemset, 20 + rng.gen_below(spread)));
+                }
+            }
+            let f = FrequentItemsets::new(entries);
+            assert_eq!(
+                partition_into_fecs(&f),
+                partition_through_a_map(&f),
+                "seed {seed}"
+            );
+        }
     }
 
     #[test]

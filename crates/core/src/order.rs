@@ -20,39 +20,52 @@
 //! state sharing all digits but the newest, keyed by the mixed-radix code of
 //! those digits (oldest FEC most significant, so integer order on keys is
 //! the lexicographic order on bias vectors), and holds one dense slot per
-//! rank of the newest FEC, `cost = ∞` where the chain constraint excludes
+//! rank of the newest FEC, unreached where the chain constraint excludes
 //! it. Only rows with a reachable state exist, in ascending key order; at
 //! `γ = 2` a layer is a `≤ 13 × 13` table whose keys are the ranks
-//! themselves, at `γ = 1` it is one row.
+//! themselves, at `γ = 1` it is one row. A state's value `(cost, Σ|β|)` is
+//! one `u64`, `cost << shift | Σ|β| << 4`, `shift` leaving room for the
+//! chain's largest possible `Σ|β|`, so integer order is the lexicographic
+//! order the DP minimizes. The low four bits carry a rank: a candidate
+//! predecessor is compared with the rank it drops or-ed in, so the smallest
+//! candidate is the best value and, on an exact tie, the smallest
+//! predecessor — the total tie-break `(cost, Σ|β|, parent)` the
+//! byte-identity suites pin, in one unsigned `min`. Every cost is an
+//! integer (class sizes times squared integer gaps), so the packing is
+//! exact; a solve whose worst-case path would not fit the word panics
+//! before its first layer, in release builds too.
 //!
-//! **Expansion.** The pair costs `(s_i + s_j)(α + 1 − d)²` are tabulated
-//! once per layer (`≤ γ·13·13` entries; `∞` where the two estimators would
-//! tie or swap, which is the chain constraint). Once states are `γ` long
-//! the oldest digit is dropped, and the rows of the previous layer that
-//! differ only in it — found by one k-way merge over its `≤ 13` oldest-rank
-//! runs per *group of rows* sharing the middle digits — feed the same new
-//! rows, one per newest rank `l` they hold. The cost of the digits a new row
-//! shares is summed once for the row; what differs between its predecessors
-//! is their own cost and the pair cost of the dropped FEC against the new
-//! one. Candidates ascend, so for a new rank `r` the dropped ranks that
-//! cannot overlap it (pair cost 0) are a *prefix*, and the prefix only grows
-//! with `r`: they are folded, in ascending order and on strictly smaller
-//! `(cost, Σ|β|)` only, into one running minimum, and only the overlapping
-//! corner is evaluated rank by rank after it. That visits the predecessors
-//! in ascending order with a strict `<`, so on exact ties the smallest
-//! dropped rank — the smallest predecessor — wins: the total tie-break
-//! `(cost, Σ|β|, parent)` the byte-identity suites pin. It is exact, not
-//! approximately so, because every cost is an integer-valued `f64` far
-//! below 2⁵³: adding the shared sum after the minimum instead of before
-//! changes no comparison and no stored value.
+//! **Expansion.** Each pair cost `(s_i + s_j)(α + 1 − d)²` against the
+//! new FEC is computed where a state reads it; only the middle digits'
+//! (`γ ≥ 3`) are tabulated, once per layer. Once states are `γ` long the
+//! oldest digit is dropped, and the rows of the previous layer that differ
+//! only in it — found by one k-way merge over its `≤ 13` oldest-rank runs
+//! per *group of rows* sharing the middle digits, or at once when no middle
+//! digit is kept (`γ = 2`) — feed the same new rows, one per newest rank `l`
+//! they hold. Candidates ascend, so two-pointer passes over the grids give,
+//! per layer, the ranks of the new FEC that rank `l` of FEC `i − 1` admits
+//! under the chain constraint (a suffix), per new rank `r` the dropped ranks
+//! it overlaps (a window sliding up with `r`: below it the ranks too far
+//! away to cost anything, above it those the chain constraint excludes),
+//! and per `l` the dropped ranks a predecessor can hold at all (`cap`:
+//! its own chain puts them below `e_{i−1}`, and below the oldest kept
+//! digit's estimator once one is kept). The cost of the digits a new row
+//! shares is computed once per row and slot; what differs between its
+//! predecessors is their own value and the pair cost of the dropped FEC
+//! against the new one. A row folds its predecessors below `cap` into
+//! prefix minima once — and is not made when none is reached — and each
+//! slot costs only its window, cut at `cap`. Adding the shared cost after
+//! the minimum instead of before changes no comparison, because the sum is
+//! exact.
 //!
-//! **Retention.** `(cost, Σ|β|)` exists for two layers at a time (two
-//! rolling `Front`s). What a solve keeps per layer is its row keys and one
-//! `u8` per state — the oldest rank its best predecessor dropped — from
-//! which backtracking rebuilds the predecessor's key and binary-searches its
-//! row: at most `13·8 + 169` bytes a layer at `γ = 2`, under 17 KB for a
-//! 60-FEC chain. The kernel is serial: per-stream parallelism lives one
-//! level up, across shards.
+//! **Retention.** Values exist for two layers at a time (two rolling
+//! `Front`s), each group's rows written into room for one per newest rank.
+//! What a solve keeps per layer is one `u8` per state — the oldest rank its
+//! best predecessor dropped — and per row the slot its predecessors share
+//! and where its group's row indices start, so backtracking indexes the
+//! predecessor's row directly: at most `169 + 13·8 + 13·4` bytes a layer
+//! at `γ = 2`. The kernel is serial: per-stream
+//! parallelism lives one level up, across shards.
 
 use crate::config::PrivacySpec;
 use crate::fec::Fec;
@@ -87,35 +100,68 @@ impl Grid {
 /// One slot per rank of a FEC's grid, padded to the widest grid.
 type Slots<T> = [T; MAX_GRID];
 
+/// The best `(cost, Σ|β|)` reaching a state, packed as `cost << shift |
+/// Σ|β| << 4` (see [`value_shift`]). Σ|β| along the best path is the
+/// lexicographic tie-break that makes isolated FECs keep β = 0. The low four
+/// bits are free for a rank (`MAX_GRID ≤ 16`): a candidate predecessor is
+/// its value with the rank it dropped or-ed in, so the smallest candidate is
+/// the best value, and of equal values the smallest rank.
+type Value = u64;
+
+/// The value of a state no chain-consistent path reaches. It absorbs any
+/// rank or-ed into it and, added with saturation, any cost, so the kernel
+/// carries unreached predecessors along instead of branching on them.
+const UNREACHED: Value = Value::MAX;
+
+/// The bits below a [`Value`]'s `Σ|β|` that hold a rank.
+const RANK_BITS: u32 = 4;
+const RANK_MASK: Value = (1 << RANK_BITS) - 1;
+
 /// The part of a layer the next one is expanded from: its row keys,
 /// ascending, and row-major over `rows × grid len of the newest FEC` the
-/// best `(cost, Σ|β|)` reaching each state (`cost = ∞`: unreachable). Σ|β|
-/// along the best path is the lexicographic tie-break that makes isolated
-/// FECs keep β = 0.
+/// value of each state.
 #[derive(Clone, Debug, Default)]
 struct Front {
     keys: Vec<u64>,
-    reach: Vec<(f64, u64)>,
+    reach: Vec<Value>,
 }
 
-/// One predecessor of a new row: the value of the state it extends and the
-/// rank that state holds for the FEC the new row drops.
-#[derive(Clone, Copy, Default)]
-struct Member {
-    cost: f64,
-    abs: u64,
-    rank: u8,
+/// Where the states of one row came from: their predecessors all hold
+/// `slot` as their newest rank, and the predecessor that dropped rank `d`
+/// is row `links[link + d]` of the layer before.
+#[derive(Clone, Copy, Debug, Default)]
+struct RowParent {
+    link: u32,
+    slot: u8,
 }
 
 /// What a layer expansion reads besides the previous layer: the chain's
-/// FECs (supports and sizes), their candidate grids, and the two DP
-/// parameters.
+/// FECs (supports and sizes), their candidate grids, the two DP parameters
+/// and the value packing.
 #[derive(Clone, Copy)]
 struct Chain<'a> {
     fecs: &'a [Fec],
     grids: &'a [Grid],
     alpha: i64,
     gamma: usize,
+    shift: u32,
+}
+
+impl Chain<'_> {
+    /// FEC `j`'s estimator `t_j + β` at each rank of its grid.
+    fn estimators(&self, j: usize) -> Slots<i64> {
+        let t = self.fecs[j].support() as i64;
+        let mut e = [0; MAX_GRID];
+        for (e, b) in e.iter_mut().zip(self.grids[j].as_slice()) {
+            *e = t + b;
+        }
+        e
+    }
+
+    /// The pair weight `s_i + s_j`.
+    fn weight(&self, i: usize, j: usize) -> u64 {
+        (self.fecs[i].size() + self.fecs[j].size()) as u64
+    }
 }
 
 /// The buffers one Algorithm 1 solve works in. Capacity only: every solve
@@ -129,21 +175,39 @@ pub(crate) struct OrderScratch {
     /// The layer being expanded from and the one being built.
     prev: Front,
     next: Front,
-    pair: Vec<Slots<f64>>,
-    /// What backtracking reads, every layer end to end: the row keys, and
-    /// per state of layers `1..` the oldest rank its best predecessor
-    /// dropped (0 while states still grow and nothing is dropped).
-    keys: Vec<u64>,
+    /// What backtracking reads, every layer end to end: per row its
+    /// [`RowParent`] (layer 0's one row has none to name), per group the
+    /// predecessors' row indices by dropped rank, and per state of layers
+    /// `1..` the oldest rank its best predecessor dropped (0 while states
+    /// still grow and nothing is dropped).
+    rows: Vec<RowParent>,
+    links: Vec<u32>,
     dropped: Vec<u8>,
-    /// Per layer, where its rows end in `keys` and its states in `dropped`.
+    /// Per layer, where its rows end in `rows` and its states in `dropped`.
     ends: Vec<(usize, usize)>,
+    /// The layer being built's pair costs against the kept key digits
+    /// other than the newest: per digit and rank, one cost per new rank.
+    middle: Vec<Slots<u64>>,
+}
+
+/// Where a layer expansion appends what backtracking reads.
+struct Parents<'a> {
+    rows: &'a mut Vec<RowParent>,
+    links: &'a mut Vec<u32>,
+    dropped: &'a mut Vec<u8>,
 }
 
 impl OrderScratch {
     /// Algorithm 1 for one window: one bias per FEC (`fecs` sorted ascending
     /// by support).
+    ///
+    /// # Panics
+    /// If the chain's worst-case `(cost, Σ|β|)` does not fit one `u64` (see
+    /// [`value_shift`]), or its row keys do not fit one (see
+    /// [`dp_next_layer`]).
     pub(crate) fn solve(&mut self, fecs: &[Fec], spec: &PrivacySpec, gamma: usize) -> Vec<f64> {
-        self.keys.clear();
+        self.rows.clear();
+        self.links.clear();
         self.dropped.clear();
         self.ends.clear();
         let n = fecs.len();
@@ -156,6 +220,9 @@ impl OrderScratch {
             fecs.iter()
                 .map(|f| bias_candidates_for(spec.max_bias(f.support()))),
         );
+        let (abs_bound, cost_bound) = value_bounds(fecs, &self.grids, spec.alpha(), gamma);
+        let shift = value_shift(abs_bound, cost_bound)
+            .expect("order-DP (cost, Σ|β|) exceeds 64 bits: supports, class sizes or α too large");
 
         // DP over states = bias choices of the trailing min(γ, i+1) FECs.
         // The value is (inversion cost, Σ|bias| so far) compared
@@ -166,21 +233,28 @@ impl OrderScratch {
             grids: &self.grids,
             alpha: spec.alpha() as i64,
             gamma,
+            shift,
         };
         for i in 0..n {
             match i {
-                0 => dp_first_layer(&self.grids[0], &mut self.next),
+                0 => {
+                    dp_first_layer(&self.grids[0], &mut self.next);
+                    self.rows.push(RowParent::default());
+                }
                 _ => dp_next_layer(
                     &chain,
                     i,
                     &self.prev,
                     &mut self.next,
-                    &mut self.dropped,
-                    &mut self.pair,
+                    &mut self.middle,
+                    Parents {
+                        rows: &mut self.rows,
+                        links: &mut self.links,
+                        dropped: &mut self.dropped,
+                    },
                 ),
             }
-            self.keys.extend_from_slice(&self.next.keys);
-            self.ends.push((self.keys.len(), self.dropped.len()));
+            self.ends.push((self.rows.len(), self.dropped.len()));
             std::mem::swap(&mut self.prev, &mut self.next);
         }
         self.backtrack(gamma)
@@ -193,47 +267,34 @@ impl OrderScratch {
     }
 
     /// Pick the best state of the final layer (`prev` after the last swap)
-    /// and walk the dropped ranks back to recover one bias per FEC. On exact
+    /// and walk the parents back to recover one bias per FEC. On exact
     /// `(cost, Σ|β|)` ties the smallest state wins because rows ascend by key
     /// and slots by rank.
     fn backtrack(&self, gamma: usize) -> Vec<f64> {
         let last = &self.prev.reach;
-        let mut best = 0usize;
-        for idx in 1..last.len() {
-            if last[idx] < last[best] {
-                best = idx;
-            }
-        }
+        let best = (1..last.len()).fold(0, |b, s| if last[s] < last[b] { s } else { b });
         let n = self.ends.len();
         let width = self.grids[n - 1].len;
         let (mut row, mut slot) = (best / width, best % width);
         let mut biases = vec![0.0; n];
         for i in (1..n).rev() {
-            let grid = self.grids[i].as_slice();
-            biases[i] = grid[slot] as f64;
+            let width = self.grids[i].len;
+            biases[i] = self.grids[i].vals[slot] as f64;
             let (rows_from, states_from) = self.ends[i - 1];
-            let key = self.keys[rows_from + row];
-            let dropped = self.dropped[states_from + row * grid.len() + slot] as u64;
-            // The predecessor holds the dropped rank as its oldest digit,
-            // above the digits this row kept; its slot is this row's newest
-            // digit. At γ = 1 a state is one rank: what was dropped *is* the
-            // predecessor's slot.
-            let stride = self.grids[i - 1].len as u64;
-            let kept: u64 = (i.saturating_sub(gamma) + 1..i - 1)
-                .map(|j| self.grids[j].len as u64)
-                .product();
-            let (prev_key, prev_slot) = if gamma == 1 {
+            let dropped = self.dropped[states_from + row * width + slot] as usize;
+            // At γ = 1 a state is one rank: what was dropped *is* the
+            // predecessor's slot in the layer's one row.
+            (row, slot) = if gamma == 1 {
                 (0, dropped)
             } else {
-                (dropped * kept + key / stride, key % stride)
+                let parent = self.rows[rows_from + row];
+                (
+                    self.links[parent.link as usize + dropped] as usize,
+                    parent.slot as usize,
+                )
             };
-            let prev_rows = &self.keys[if i > 1 { self.ends[i - 2].0 } else { 0 }..rows_from];
-            row = prev_rows
-                .binary_search(&prev_key)
-                .expect("a state's best predecessor is a state of the layer before");
-            slot = prev_slot as usize;
         }
-        biases[0] = self.grids[0].as_slice()[slot] as f64;
+        biases[0] = self.grids[0].vals[slot] as f64;
         biases
     }
 }
@@ -246,29 +307,55 @@ pub fn order_preserving_biases(fecs: &[Fec], spec: &PrivacySpec, gamma: usize) -
     OrderScratch::default().solve(fecs, spec, gamma)
 }
 
+/// Upper bounds on what a path through the chain can sum: `Σ|β|` (every
+/// FEC at its widest bias) and the cost (every costed pair at the largest
+/// overlap a chain-consistent pair can have, `d = 1`). Saturating, so a
+/// chain past any bound reads as too large rather than wrapping.
+fn value_bounds(fecs: &[Fec], grids: &[Grid], alpha: u64, gamma: usize) -> (u128, u128) {
+    let abs_bound = grids.iter().map(|g| g.vals[g.len - 1] as u128).sum();
+    let mut weights = 0u128;
+    for i in 1..fecs.len() {
+        for j in i.saturating_sub(gamma)..i {
+            weights = weights.saturating_add((fecs[i].size() + fecs[j].size()) as u128);
+        }
+    }
+    let per_pair = (alpha as u128).saturating_mul(alpha as u128);
+    (abs_bound, weights.saturating_mul(per_pair))
+}
+
+/// The shift that packs `(cost, Σ|β|)` into one [`Value`] for sums up to
+/// these bounds: the rank bits plus the bits `abs_bound` needs, so Σ|β|
+/// never carries into the cost nor a rank into Σ|β|. `None` when the
+/// largest packed value, any rank or-ed in, would reach [`UNREACHED`].
+fn value_shift(abs_bound: u128, cost_bound: u128) -> Option<u32> {
+    let shift = RANK_BITS + u128::BITS - abs_bound.leading_zeros();
+    if shift >= u64::BITS {
+        return None;
+    }
+    let top = cost_bound
+        .checked_mul(1 << shift)?
+        .checked_add(abs_bound << RANK_BITS | u128::from(RANK_MASK))?;
+    (top < u128::from(UNREACHED)).then_some(shift)
+}
+
 /// Layer 0 of the DP: one row, one state per candidate bias of the first
 /// FEC. A pure function of the candidate grid.
 fn dp_first_layer(grid: &Grid, out: &mut Front) {
     out.keys.clear();
     out.keys.push(0);
     out.reach.clear();
-    out.reach
-        .extend(grid.as_slice().iter().map(|b| (0.0, b.unsigned_abs())));
+    out.reach.extend(
+        grid.as_slice()
+            .iter()
+            .map(|b| b.unsigned_abs() << RANK_BITS),
+    );
 }
 
-/// `(cost, Σ|β|)` strictly below the incumbent's: the only replacement the
-/// tie-break allows. Spelled out because the tuple `<` goes through
-/// `partial_cmp` and measured ≈ 8 % of a γ = 2 solve.
-#[inline]
-fn improves(cost: f64, abs: u64, on: &Member) -> bool {
-    cost < on.cost || (cost == on.cost && abs < on.abs)
-}
-
-/// Expand layer `i` into `out` from layer `i − 1` and append its dropped
-/// ranks to `dropped`. A pure function of the previous layer and the
-/// `(support, size)` skeleton of `fecs[..=i]`. The layer is never empty:
-/// supports ascend strictly and every grid holds 0, so the all-zero path
-/// always satisfies the chain constraint.
+/// Expand layer `i` into `out` from layer `i − 1` and append its parents. A
+/// pure function of the previous layer and the `(support, size)` skeleton
+/// of `fecs[..=i]`. The layer is never empty: supports ascend strictly and
+/// every grid holds 0, so the all-zero path always satisfies the chain
+/// constraint.
 ///
 /// # Panics
 /// If the row keys of this layer do not fit a `u64` — eighteen consecutive
@@ -279,128 +366,56 @@ fn dp_next_layer(
     i: usize,
     prev: &Front,
     out: &mut Front,
-    dropped: &mut Vec<u8>,
-    pair: &mut Vec<Slots<f64>>,
+    middle: &mut Vec<Slots<u64>>,
+    mut parents: Parents<'_>,
 ) {
-    let Chain {
-        fecs,
-        grids,
-        alpha,
-        gamma,
-    } = *chain;
-    // prev's digits are the ranks of FECs first .. i−1, oldest first: all
-    // but the newest in the row key, the newest as the slot. Once states
-    // are γ long the oldest digit is dropped and its run merged.
-    let held = gamma.min(i);
-    let first = i - held;
-    let merge = held == gamma;
-    let radix = |k: usize| grids[first + k].len;
-    let cands = grids[i].as_slice();
-    let width = cands.len();
-    let stride = radix(held - 1);
-
-    // pair[k·G + d][r]: cost between FEC first+k at rank d and FEC i at rank
-    // r, ∞ where e_i ≤ e_j (between i−1 and i that is the chain constraint;
-    // further back the chain has excluded it already); rows are padded to G
-    // with zeros.
-    pair.clear();
-    pair.resize(held * MAX_GRID, [0.0; MAX_GRID]);
-    let t_i = fecs[i].support() as i64;
-    for k in 0..held {
-        let j = first + k;
-        let weight = (fecs[i].size() + fecs[j].size()) as f64;
-        for (d, &bj) in grids[j].as_slice().iter().enumerate() {
-            let e_j = fecs[j].support() as i64 + bj;
-            for (cell, &b) in pair[k * MAX_GRID + d].iter_mut().zip(cands) {
-                let dist = t_i + b - e_j;
-                if dist > alpha {
-                    break; // candidates ascend: no later rank overlaps either
-                }
-                *cell = if dist <= 0 {
-                    f64::INFINITY
-                } else {
-                    let gap = (alpha + 1 - dist) as f64;
-                    weight * gap * gap
-                };
-            }
-        }
-    }
-    let pair = &pair[..];
-    // Per new rank, how many of the dropped FEC's ranks cannot overlap it.
-    // Growing states drop nothing: one stand-in rank that never overlaps.
-    let runs = if merge { radix(0) } else { 1 };
-    let mut clear: Slots<u8> = [1; MAX_GRID];
-    if merge {
-        for (r, n) in clear.iter_mut().enumerate().take(width) {
-            *n = (0..runs).take_while(|&d| pair[d][r] == 0.0).count() as u8;
-        }
-    }
-
+    let layer = Expansion::new(chain, i, middle);
     out.keys.clear();
     out.reach.clear();
-    // One new row: slots `lo..` from the predecessors `members` (ascending
-    // by dropped rank), `shared[r]` being what every one of them adds.
-    let mut push_row = |key: u64, members: &[Member], shared: &Slots<f64>, lo: usize| {
-        let mut row: Slots<(f64, u64)> = [(f64::INFINITY, 0); MAX_GRID];
-        let mut from: Slots<u8> = [0; MAX_GRID];
-        let mut best = Member {
-            cost: f64::INFINITY,
-            ..Member::default()
-        };
-        let mut folded = 0;
-        for r in lo..width {
-            while folded < members.len() && members[folded].rank < clear[r] {
-                let m = &members[folded];
-                if improves(m.cost, m.abs, &best) {
-                    best = *m;
-                }
-                folded += 1;
-            }
-            let mut win = best;
-            for m in &members[folded..] {
-                let reached = m.cost + pair[m.rank as usize][r];
-                if improves(reached, m.abs, &win) {
-                    win = Member {
-                        cost: reached,
-                        ..*m
-                    };
-                }
-            }
-            row[r] = (win.cost + shared[r], win.abs + cands[r].unsigned_abs());
-            from[r] = win.rank;
-        }
-        out.keys.push(key);
-        out.reach.extend_from_slice(&row[..width]);
-        dropped.extend_from_slice(&from[..width]);
-    };
-
-    let mut members = [Member::default(); MAX_GRID];
-    if gamma == 1 {
+    if chain.gamma == 1 {
         // A state is one rank, so the rank dropped is the slot itself: one
         // row in, one row out, nothing shared.
-        let mut n = 0;
-        for (rank, &(cost, abs)) in prev.reach.iter().enumerate() {
-            if cost < f64::INFINITY {
-                members[n] = Member {
-                    cost,
-                    abs,
-                    rank: rank as u8,
-                };
-                n += 1;
-            }
+        let mut from = [UNREACHED; MAX_GRID];
+        for (d, (f, &value)) in from.iter_mut().zip(&prev.reach).enumerate() {
+            *f = value | d as Value;
         }
-        push_row(0, &members[..n], &[0.0; MAX_GRID], 0);
+        out.keys.push(0);
+        parents.rows.push(RowParent::default());
+        out.reach.resize(layer.width, UNREACHED);
+        let at = parents.dropped.len();
+        parents.dropped.resize(at + layer.width, 0);
+        let reached = layer.fill_row(
+            &from,
+            &[0; MAX_GRID],
+            0,
+            layer.runs as u8,
+            &mut out.reach,
+            &mut parents.dropped[at..],
+        );
+        debug_assert!(reached, "a layer is never empty");
         return;
     }
 
     // prev's rows split into one run per oldest rank, each ascending by the
     // digits the new rows keep (`key mod kept`). Merge the runs by those
     // digits; the rows sharing them are one group.
-    let oldest = usize::from(merge);
-    let kept = (oldest..held)
-        .try_fold(1u64, |acc, k| acc.checked_mul(radix(k) as u64))
-        .expect("order-DP row keys exceed u64: γ-window of candidate grids too wide")
-        / stride as u64;
+    let (runs, stride) = (layer.runs, layer.stride);
+    // The new rows' keys are `suffix · stride + l`, below `kept · stride`.
+    let kept = (layer.oldest..layer.held - 1)
+        .try_fold(1u64, |acc, k| acc.checked_mul(layer.radix(k) as u64))
+        .filter(|kept| kept.checked_mul(stride as u64).is_some())
+        .expect("order-DP row keys exceed u64: γ-window of candidate grids too wide");
+    let mut group = [(0u8, 0u32); MAX_GRID];
+    if kept == 1 {
+        // No digit is kept but the newest (γ = 2 once states are full, or
+        // every middle grid has one candidate): a row's key is its oldest
+        // rank and the whole layer is one group.
+        for (g, (row, &key)) in group.iter_mut().zip(prev.keys.iter().enumerate()) {
+            *g = (key as u8, row as u32);
+        }
+        layer.expand_group(prev, 0, &group[..prev.keys.len()], out, &mut parents);
+        return;
+    }
     let mut cursor = [0usize; MAX_GRID + 1];
     for (r0, c) in cursor.iter_mut().enumerate().take(runs + 1).skip(1) {
         *c = prev.keys.partition_point(|&key| key < r0 as u64 * kept);
@@ -410,55 +425,314 @@ fn dp_next_layer(
         (cursor[r0] < end[r0 + 1]).then(|| prev.keys[cursor[r0]] - r0 as u64 * kept)
     };
     while let Some(suffix) = (0..runs).filter_map(|r0| head(&cursor, r0)).min() {
-        let mut group = [(0u8, 0usize); MAX_GRID];
         let mut rows = 0;
         for r0 in 0..runs {
             if head(&cursor, r0) == Some(suffix) {
-                group[rows] = (r0 as u8, cursor[r0] * stride);
+                group[rows] = (r0 as u8, cursor[r0] as u32);
                 rows += 1;
                 cursor[r0] += 1;
             }
         }
-        // What the kept key digits add, whichever slot follows them.
-        let mut middle = [0.0; MAX_GRID];
-        let mut code = suffix;
-        for k in (oldest..held - 1).rev() {
-            let d = (code % radix(k) as u64) as usize;
-            code /= radix(k) as u64;
-            for (a, c) in middle.iter_mut().zip(&pair[k * MAX_GRID + d]) {
-                *a += c;
-            }
-        }
-        for l in 0..stride {
-            // Chain constraint e_{i−1} < e_i: candidates ascend, so the
-            // ranks of FEC i that rank l of FEC i−1 admits are a suffix.
-            let newest = &pair[(held - 1) * MAX_GRID + l];
-            let lo = newest.iter().take_while(|c| **c == f64::INFINITY).count();
-            if lo == width {
-                continue;
-            }
-            let mut n = 0;
-            for &(rank, at) in &group[..rows] {
-                let (cost, abs) = prev.reach[at + l];
-                if cost < f64::INFINITY {
-                    members[n] = Member { cost, abs, rank };
-                    n += 1;
+        layer.expand_group(prev, suffix, &group[..rows], out, &mut parents);
+    }
+}
+
+/// One rank `r` of the new FEC `i` as its layer reads it.
+#[derive(Clone, Copy, Default)]
+struct NewRank {
+    /// `α + 1 − e_i`: the overlap gap against an estimator `e < e_i` is
+    /// `gap + e`, positive exactly where the two overlap.
+    gap: i64,
+    /// `|β|`, shifted to where a value holds it.
+    abs: Value,
+    /// The dropped ranks `r` overlaps, `clear..hi`: below are the ranks too
+    /// far away to cost anything, from `hi` on those the chain constraint
+    /// excludes.
+    clear: u8,
+    hi: u8,
+}
+
+/// What one layer's rows read besides their predecessors. prev's digits are
+/// the ranks of FECs `first .. i−1`, oldest first: all but the newest in
+/// the row key, the newest as the slot. Once states are `γ` long the oldest
+/// digit is dropped and its runs merged; before, nothing is dropped and
+/// every row has one predecessor, held as a stand-in rank that never
+/// overlaps.
+struct Expansion<'a> {
+    chain: &'a Chain<'a>,
+    first: usize,
+    /// Digits held by prev's states, and the first of them a new row keeps.
+    held: usize,
+    oldest: usize,
+    /// Ranks of the dropped FEC (1 while nothing is dropped), and of FEC
+    /// `i − 1`, the newest digit.
+    runs: usize,
+    stride: usize,
+    width: usize,
+    new: Slots<NewRank>,
+    /// Against the dropped FEC: its estimators and the pair weight.
+    e_old: Slots<i64>,
+    w_old: u64,
+    /// Against the kept digits other than the newest: per digit `k`, from
+    /// `middle[mid_at[k]]` on, one row of costs per rank.
+    middle: &'a [Slots<u64>],
+    mid_at: [usize; MAX_GAMMA],
+    /// Against FEC `i − 1`: its estimators, the pair weight and, per rank
+    /// `l`, the first new rank the chain constraint `e_{i−1} < e_i` admits
+    /// and how many dropped ranks a state holding `l` can hold (its own
+    /// chain puts them below `e_{i−1}`).
+    e_last: Slots<i64>,
+    w_last: u64,
+    lo: Slots<u8>,
+    cap: Slots<u8>,
+}
+
+impl<'a> Expansion<'a> {
+    fn new(chain: &'a Chain<'a>, i: usize, middle: &'a mut Vec<Slots<u64>>) -> Self {
+        let held = chain.gamma.min(i);
+        let first = i - held;
+        let merge = held == chain.gamma;
+        let width = chain.grids[i].len;
+        let e_new = chain.estimators(i);
+        let e_old = chain.estimators(first);
+        // At γ = 1 FEC i − 1 is the dropped FEC and costed as such: as the
+        // newest digit it admits every rank and adds nothing.
+        let (e_last, w_last) = if chain.gamma == 1 {
+            ([i64::MIN / 2; MAX_GRID], 0)
+        } else {
+            (chain.estimators(i - 1), chain.weight(i, i - 1))
+        };
+        let runs = if merge { chain.grids[first].len } else { 1 };
+        let stride = chain.grids[i - 1].len;
+        // Candidates ascend, so each bound is a two-pointer pass: the
+        // overlapped window of dropped ranks slides up with the new rank,
+        // and the admitted suffix of new ranks starts later as l grows.
+        let mut new = [NewRank::default(); MAX_GRID];
+        let (mut d, mut h) = (0, 0);
+        for (r, nr) in new.iter_mut().enumerate().take(width) {
+            if merge {
+                while d < runs && e_new[r] - e_old[d] > chain.alpha {
+                    d += 1;
                 }
+                while h < runs && e_old[h] < e_new[r] {
+                    h += 1;
+                }
+            } else {
+                (d, h) = (1, 1);
             }
-            if n == 0 {
-                continue;
+            *nr = NewRank {
+                gap: chain.alpha + 1 - e_new[r],
+                abs: chain.grids[i].vals[r].unsigned_abs() << RANK_BITS,
+                clear: d as u8,
+                hi: h as u8,
+            };
+        }
+        let mut lo: Slots<u8> = [0; MAX_GRID];
+        let mut cap: Slots<u8> = [runs as u8; MAX_GRID];
+        let (mut r, mut d) = (0, 0);
+        for l in 0..stride {
+            while r < width && e_new[r] <= e_last[l] {
+                r += 1;
             }
-            let mut shared = middle;
-            for (a, c) in shared.iter_mut().zip(newest) {
+            lo[l] = r as u8;
+            if merge && chain.gamma > 1 {
+                while d < runs && e_old[d] < e_last[l] {
+                    d += 1;
+                }
+                cap[l] = d as u8;
+            }
+        }
+        // The kept digits other than the newest: what each of their ranks
+        // adds at each new rank. A rank whose estimator reaches e_i adds
+        // nothing: no chain-consistent row reads that slot.
+        let oldest = usize::from(merge);
+        middle.clear();
+        let mut mid_at = [0; MAX_GAMMA];
+        for (k, at) in mid_at.iter_mut().enumerate().take(held - 1).skip(oldest) {
+            *at = middle.len();
+            let j = first + k;
+            let w = chain.weight(i, j);
+            for e_j in chain.estimators(j).into_iter().take(chain.grids[j].len) {
+                let mut costs = [0; MAX_GRID];
+                for (c, nr) in costs.iter_mut().zip(&new[..width]) {
+                    let gap = nr.gap + e_j;
+                    if gap <= 0 {
+                        break; // candidates ascend: no later rank overlaps either
+                    }
+                    if gap <= chain.alpha {
+                        *c = w * (gap * gap) as u64;
+                    }
+                }
+                middle.push(costs);
+            }
+        }
+        Expansion {
+            chain,
+            first,
+            held,
+            oldest,
+            runs,
+            stride,
+            width,
+            new,
+            e_old,
+            w_old: chain.weight(i, first),
+            middle,
+            mid_at,
+            e_last,
+            w_last,
+            lo,
+            cap,
+        }
+    }
+
+    /// Grid length of the FEC at digit `k` of prev's states.
+    fn radix(&self, k: usize) -> usize {
+        self.chain.grids[self.first + k].len
+    }
+
+    /// The new rows of one group: prev's rows `group` (`(oldest rank, row)`,
+    /// ascending by rank) share the kept digits `suffix`, and feed one new
+    /// row per newest rank `l` they reach.
+    fn expand_group(
+        &self,
+        prev: &Front,
+        suffix: u64,
+        group: &[(u8, u32)],
+        out: &mut Front,
+        parents: &mut Parents<'_>,
+    ) {
+        let width = self.width;
+        let link = parents.links.len();
+        parents.links.resize(link + self.runs, u32::MAX);
+        for &(rank, row) in group {
+            parents.links[link + usize::from(rank)] = row;
+        }
+        // What the kept key digits other than the newest add, whichever
+        // slot follows them.
+        let mut middle = [0u64; MAX_GRID];
+        let mut code = suffix;
+        // Once a digit is dropped, the dropped ranks a predecessor can hold
+        // lie below the oldest kept digit's estimator, as they lie below
+        // FEC i − 1's (`cap`).
+        let mut cap = self.runs as u8;
+        for k in (self.oldest..self.held - 1).rev() {
+            // The oldest kept digit is what the others leave: no division.
+            let d = if k == self.oldest {
+                if self.oldest == 1 {
+                    let e = self.chain.fecs[self.first + k].support() as i64
+                        + self.chain.grids[self.first + k].vals[code as usize];
+                    cap = self.e_old[..self.runs]
+                        .iter()
+                        .take_while(|&&x| x < e)
+                        .count() as u8;
+                }
+                code as usize
+            } else {
+                let radix = self.radix(k) as u64;
+                let d = code % radix;
+                code /= radix;
+                d as usize
+            };
+            for (a, c) in middle.iter_mut().zip(&self.middle[self.mid_at[k] + d]) {
                 *a += c;
             }
-            push_row(
-                suffix * stride as u64 + l as u64,
-                &members[..n],
-                &shared,
-                lo,
-            );
         }
+        // The group's rows are written into room for one per newest rank,
+        // cut back to the rows it made.
+        let (at, at_dropped) = (out.reach.len(), parents.dropped.len());
+        let room = self.stride * width;
+        out.reach.resize(at + room, UNREACHED);
+        parents.dropped.resize(at_dropped + room, 0);
+        // The group's states by newest rank, each row dense by dropped rank
+        // with the rank or-ed in.
+        let mut by_slot = [[UNREACHED; MAX_GRID]; MAX_GRID];
+        for &(rank, row) in group {
+            let at = row as usize * self.stride;
+            let states = &prev.reach[at..at + self.stride];
+            for (from, &value) in by_slot.iter_mut().zip(states) {
+                from[usize::from(rank)] = value | Value::from(rank);
+            }
+        }
+        let mut made = 0;
+        for (l, from) in by_slot.iter().enumerate().take(self.stride) {
+            if usize::from(self.lo[l]) == width {
+                continue;
+            }
+            let row = made * width..(made + 1) * width;
+            if self.fill_row(
+                from,
+                &middle,
+                l,
+                cap,
+                &mut out.reach[at..][row.clone()],
+                &mut parents.dropped[at_dropped..][row],
+            ) {
+                out.keys.push(suffix * self.stride as u64 + l as u64);
+                parents.rows.push(RowParent {
+                    link: link as u32,
+                    slot: l as u8,
+                });
+                made += 1;
+            }
+        }
+        out.reach.truncate(at + made * width);
+        parents.dropped.truncate(at_dropped + made * width);
+    }
+
+    /// Fill one new row, the one whose predecessors hold rank `l` for FEC
+    /// `i − 1`: slots `lo[l]..` from the predecessors `from`, dense by
+    /// dropped rank and each or-ed with its rank ([`UNREACHED`] where a rank
+    /// has none). What every one of them adds at rank `r` is `middle[r]`
+    /// plus the pair cost of `l` against `r`. The ranks below a new rank's
+    /// overlap window are folded into prefix minima once for the row; only
+    /// the window is costed rank by rank. Candidates are compared with their
+    /// rank or-ed in, so on exact ties the smallest dropped rank — the
+    /// smallest predecessor — wins. Only the ranks below `cap[l]` can hold a
+    /// predecessor; `false`, and nothing written, when none does.
+    #[inline(always)]
+    fn fill_row(
+        &self,
+        from: &Slots<Value>,
+        middle: &Slots<u64>,
+        l: usize,
+        cap: u8,
+        row: &mut [Value],
+        dropped: &mut [u8],
+    ) -> bool {
+        let width = self.width;
+        let shift = self.chain.shift;
+        let (e_last, cap) = (self.e_last[l], self.cap[l].min(cap));
+        // best[d]: the smallest of from[..d].
+        let mut best = [UNREACHED; MAX_GRID + 1];
+        for d in 0..usize::from(cap) {
+            best[d + 1] = best[d].min(from[d]);
+        }
+        if best[usize::from(cap)] == UNREACHED {
+            return false;
+        }
+        for (r, nr) in self.new[..width]
+            .iter()
+            .enumerate()
+            .skip(usize::from(self.lo[l]))
+        {
+            let start = nr.clear.min(cap);
+            let mut win = best[usize::from(start)];
+            let window = usize::from(start)..usize::from(nr.hi.min(cap));
+            for (&candidate, &e_old) in from[window.clone()].iter().zip(&self.e_old[window]) {
+                // 0 < e_i − e_d ≤ α here: the overlap cost, unconditionally.
+                let gap = (nr.gap + e_old) as u64;
+                win = win.min(candidate.saturating_add((self.w_old * gap * gap) << shift));
+            }
+            // e_i > e_{i−1} here; the cost is zero from α on.
+            let gap = (nr.gap + e_last).max(0) as u64;
+            let shared = middle[r] + self.w_last * gap * gap;
+            if win != UNREACHED {
+                row[r] = (win & !RANK_MASK) + (shared << shift) + nr.abs;
+            }
+            dropped[r] = (win & RANK_MASK) as u8;
+        }
+        true
     }
 }
 
@@ -837,10 +1111,7 @@ mod tests {
     /// different predecessors.
     fn census(fecs: &[Fec], spec: &PrivacySpec, gamma: usize) -> (Vec<usize>, usize) {
         use std::collections::BTreeMap;
-        let grids: Vec<Grid> = fecs
-            .iter()
-            .map(|f| bias_candidates_for(spec.max_bias(f.support())))
-            .collect();
+        let grids = grids_of(spec, fecs);
         let e = |j: usize, b: i64| fecs[j].support() as i64 + b;
         let mut layer: BTreeMap<Vec<i64>, (i64, u64)> = grids[0]
             .as_slice()
@@ -949,6 +1220,179 @@ mod tests {
         assert!(singleton_grids > 0);
         // The smallest-parent rule was exercised, not merely permitted.
         assert!(ties > 0, "no state was reached at an exact tie");
+    }
+
+    /// The FEC chains a shard publishing `profile` at a served contract
+    /// hands the kernel: Moment over a window of `window` transactions,
+    /// settled and read out every `every` arrivals once the window is full.
+    fn served_chains(
+        profile: bfly_datagen::DatasetProfile,
+        window: u64,
+        c: u64,
+        every: u64,
+        chains: usize,
+    ) -> Vec<Vec<Fec>> {
+        use bfly_mining::{MinerBackend, MomentMiner};
+        let stream = profile
+            .source(7)
+            .take_vec((window + every * chains as u64) as usize);
+        let items = |tid: u64| stream[tid as usize - 1].items().items();
+        let mut miner = MomentMiner::new(c);
+        for tid in 1..=window {
+            miner.insert(tid, items(tid));
+        }
+        let mut tid = window;
+        (0..chains)
+            .map(|_| {
+                for _ in 0..every {
+                    tid += 1;
+                    miner.remove(tid - window);
+                    miner.insert(tid, items(tid));
+                }
+                miner.settle();
+                partition_into_fecs(&miner.closed_frequent())
+            })
+            .collect()
+    }
+
+    /// The pattern the kernel is tuned for, which synthetic skeletons lack:
+    /// dense low-support runs of 3–5-point grids next to sparse 13-point
+    /// ones, on the chains `publish_live` (WebView1 W 2000 C 25 every 100)
+    /// and `mine_pos` (POS W 500 C 20 every 250) solve, ε 0.016, δ 0.4.
+    #[test]
+    fn kernel_equals_the_reference_on_mined_chains() {
+        use bfly_datagen::DatasetProfile;
+        for (profile, window, c, every) in [
+            (DatasetProfile::WebView1, 2000, 25, 100),
+            (DatasetProfile::Pos, 500, 20, 250),
+        ] {
+            let spec = PrivacySpec::new(c, 5, 0.016, 0.4);
+            let (mut narrow, mut full) = (0, 0);
+            for fecs in served_chains(profile, window, c, every, 4) {
+                let candidates: Vec<Vec<i64>> = fecs
+                    .iter()
+                    .map(|f| reference::bias_candidates_for(spec.max_bias(f.support())))
+                    .collect();
+                narrow += candidates
+                    .iter()
+                    .filter(|c| (3..=5).contains(&c.len()))
+                    .count();
+                full += candidates.iter().filter(|c| c.len() == MAX_GRID).count();
+                for gamma in 1..=3 {
+                    assert_eq!(
+                        order_preserving_biases(&fecs, &spec, gamma),
+                        reference::solve(&fecs, &candidates, spec.alpha() as i64, gamma),
+                        "{} γ={gamma}",
+                        profile.name()
+                    );
+                }
+            }
+            assert!(
+                narrow > 0 && full > 0,
+                "{}: {narrow} narrow, {full} full",
+                profile.name()
+            );
+        }
+    }
+
+    #[test]
+    fn value_packing_refuses_exactly_past_its_width() {
+        // Σ|β| below 2²⁰ takes 20 bits above the 4 rank bits; a cost of
+        // 2⁴⁰ − 2 then tops out at 2⁶⁴ − 2²⁴ − 1, one more reaches 2⁶⁴ − 1.
+        assert_eq!(value_shift((1 << 20) - 1, (1 << 40) - 2), Some(24));
+        assert_eq!(value_shift((1 << 20) - 1, (1 << 40) - 1), None);
+        assert_eq!(value_shift(1 << 20, 0), Some(25));
+        assert_eq!(value_shift(0, 0), Some(RANK_BITS));
+        assert_eq!(value_shift(1 << 60, 0), None);
+        assert_eq!(value_shift(0, u128::MAX), None);
+    }
+
+    /// Three classes from `C = K + 1`: a window of width `α ≈ 1.55 K` and
+    /// budgets `β^m ≈ 0.55 K`, so a value needs about `3 log₂ K` bits.
+    fn wide_chain(k: u64) -> (PrivacySpec, Vec<Fec>) {
+        let spec = PrivacySpec::new(k + 1, k, 0.5, 0.4);
+        (spec, fecs_with_sizes(&[(k + 1, 3), (k + 2, 2), (k + 4, 3)]))
+    }
+
+    fn grids_of(spec: &PrivacySpec, fecs: &[Fec]) -> Vec<Grid> {
+        fecs.iter()
+            .map(|f| bias_candidates_for(spec.max_bias(f.support())))
+            .collect()
+    }
+
+    /// `(cost, Σ|β|)` of a bias vector, exact in `u128`.
+    fn exact_value(spec: &PrivacySpec, fecs: &[Fec], biases: &[i64]) -> (u128, u128) {
+        let e: Vec<i128> = fecs
+            .iter()
+            .zip(biases)
+            .map(|(f, &b)| f.support() as i128 + b as i128)
+            .collect();
+        let alpha = spec.alpha() as i128;
+        let mut cost = 0;
+        for j in 0..e.len() {
+            for i in j + 1..e.len() {
+                let gap = (alpha + 1 - (e[i] - e[j])).max(0) as u128;
+                cost += (fecs[i].size() + fecs[j].size()) as u128 * gap * gap;
+            }
+        }
+        (cost, biases.iter().map(|b| b.unsigned_abs() as u128).sum())
+    }
+
+    /// The largest power-of-two `K` whose [`wide_chain`] still packs, and
+    /// the next, which does not.
+    fn widest_packing_k() -> (u64, u64) {
+        let fits = |k: u64| {
+            let (spec, fecs) = wide_chain(k);
+            let (abs_bound, cost_bound) =
+                value_bounds(&fecs, &grids_of(&spec, &fecs), spec.alpha(), 2);
+            value_shift(abs_bound, cost_bound).is_some()
+        };
+        let k = (4..40)
+            .map(|b| 1u64 << b)
+            .take_while(|&k| fits(k))
+            .last()
+            .expect("a small K packs");
+        (k, 2 * k)
+    }
+
+    /// At the width limit the values are far past `f64`'s 53 exact bits,
+    /// and the kernel still returns the exact optimum: on three classes at
+    /// γ = 2 every pair is costed, so the exhaustive search over all grid
+    /// combinations, in `u128`, is the same problem.
+    #[test]
+    fn values_at_the_width_limit_stay_exact() {
+        let (k, _) = widest_packing_k();
+        let (spec, fecs) = wide_chain(k);
+        let grids = grids_of(&spec, &fecs);
+        let (abs_bound, cost_bound) = value_bounds(&fecs, &grids, spec.alpha(), 2);
+        let shift = value_shift(abs_bound, cost_bound).expect("packs");
+        let top_bits = u128::BITS - (cost_bound << shift).leading_zeros();
+        assert!(top_bits > 60, "K = {k}: top needs only {top_bits} bits");
+        let mut best: Option<(u128, u128)> = None;
+        for &b0 in grids[0].as_slice() {
+            for &b1 in grids[1].as_slice() {
+                for &b2 in grids[2].as_slice() {
+                    let e = |i: usize, b: i64| fecs[i].support() as i64 + b;
+                    if e(0, b0) < e(1, b1) && e(1, b1) < e(2, b2) {
+                        let v = exact_value(&spec, &fecs, &[b0, b1, b2]);
+                        best = Some(best.map_or(v, |best| best.min(v)));
+                    }
+                }
+            }
+        }
+        let biases: Vec<i64> = order_preserving_biases(&fecs, &spec, 2)
+            .iter()
+            .map(|&b| b as i64)
+            .collect();
+        assert_eq!(Some(exact_value(&spec, &fecs, &biases)), best, "K = {k}");
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds 64 bits")]
+    fn a_chain_past_the_width_limit_is_refused() {
+        let (_, k) = widest_packing_k();
+        let (spec, fecs) = wide_chain(k);
+        order_preserving_biases(&fecs, &spec, 2);
     }
 
     /// What separates rows of reachable states from a dense `13^γ` box: on a

@@ -7,9 +7,10 @@
 #    prig/pred/utility/attack-MSE plus publish cost APPEND one timestamped
 #    run entry to BENCH_defense.json, so the trajectory across changes is
 #    preserved — never overwritten.
-# 2. The dependency-free overhead + mining micro-benchmark harnesses, for
-#    the per-stage context numbers (serial: nothing they time uses the
-#    pool).
+# 2. The dependency-free overhead, mining and perturbation micro-benchmark
+#    harnesses, for the per-stage context numbers (serial: nothing they
+#    time uses the pool). perturbation's order_dp/serve_* rows are
+#    Algorithm 1 on chains mined at the served contracts.
 #
 # BENCH_parallel.json, BENCH_support.json and BENCH_release.json are closed
 # records: nothing writes them any more. The serve service is measured by
@@ -27,7 +28,7 @@ echo "==> defbench (cross-defense matrix, appends to BENCH_defense.json)"
 cargo run -q --release -p bfly-bench -- defbench --out BENCH_defense.json
 
 if [[ "${1:-}" != "--quick" ]]; then
-  for bench in overhead mining; do
+  for bench in overhead mining perturbation; do
     echo "==> bench ${bench}"
     cargo bench -q -p bfly-bench --bench "$bench"
   done

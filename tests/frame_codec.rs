@@ -393,7 +393,7 @@ fn check_ingest_parse(payload: &[u8], op: u8, what: &str) {
     }
 }
 
-/// ROADMAP item 6's ingest fuzzer: 256 seeded payloads with unsorted,
+/// ROADMAP item 2(c)'s ingest fuzzer: 256 seeded payloads with unsorted,
 /// repeated and empty transactions, each cut at every prefix and hit by
 /// random byte flips. The parser never panics, refuses exactly what the
 /// reference refuses, and otherwise yields the reference's canonical
@@ -617,7 +617,7 @@ fn random_ingest_line(rng: &mut SmallRng) -> String {
     format!("{{{}}}", members.join(","))
 }
 
-/// ROADMAP item 6's NDJSON ingest fuzzer: 300 seeded lines — writer output
+/// ROADMAP item 2(c)'s NDJSON ingest fuzzer: 300 seeded lines — writer output
 /// and hand-spelled fields, keys permuted and repeated, `items` beside
 /// `batch`, odd id spellings, deep unknown fields, non-ingest ops carrying a
 /// `batch` — each cut at every prefix and hit by bit flips, byte inserts and
