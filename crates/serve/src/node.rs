@@ -24,9 +24,10 @@ use crate::config::ServeConfig;
 use crate::fanout::{OutBytes, SubscriberRegistry};
 use crate::placement::ClusterMap;
 use crate::protocol::{catchup_release_frame_bytes, error_reply, ingest_ok, ingest_overloaded};
-use crate::shard::{spawn_shard, ShardIngress};
+use crate::shard::{spawn_shard, Refused, ShardIngress};
 use crate::stats::{ShardStats, WalStats};
 use crate::wal;
+use crate::wal::segment::{FsStore, SegmentStore};
 use bfly_common::{FrameMode, IngestChunk, Json, Result};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, RwLock};
@@ -48,6 +49,9 @@ pub(crate) struct NodeCore {
     /// WAL telemetry, shared by every shard writer (zeros when the WAL is
     /// off; the `stats` reply includes the block only when it is on).
     pub(crate) wal_stats: Arc<WalStats>,
+    /// The log's storage, shared by every shard's writer and by catch-up;
+    /// `None` without a WAL.
+    store: Option<Arc<dyn SegmentStore>>,
 }
 
 impl NodeCore {
@@ -67,14 +71,18 @@ impl NodeCore {
         let stats: Vec<Arc<ShardStats>> = (0..cfg.shards)
             .map(|_| Arc::new(ShardStats::default()))
             .collect();
+        let store = cfg
+            .wal
+            .as_ref()
+            .map(|w| Arc::new(FsStore::new(&w.dir)) as Arc<dyn SegmentStore>);
         let mut ingress = Vec::with_capacity(cfg.shards);
         let mut workers = Vec::with_capacity(cfg.shards);
         for (i, shard_stats) in stats.iter().enumerate() {
             // Recovery happens before the worker spawns, so a bind error or
             // corrupt mid-log refuses startup instead of killing a thread.
-            let recovered = match &cfg.wal {
-                Some(w) => {
-                    let rec = wal::recover_shard(cfg, w, i, &wal_stats)?;
+            let recovered = match (&cfg.wal, &store) {
+                (Some(w), Some(store)) => {
+                    let rec = wal::replay::recover_shard_in(store.clone(), cfg, w, i, &wal_stats)?;
                     for key in rec.streams.keys() {
                         // Recovered streams are live: seal their bind
                         // windows so a post-restart `bind` is rejected the
@@ -83,7 +91,7 @@ impl NodeCore {
                     }
                     Some(rec)
                 }
-                None => None,
+                _ => None,
             };
             let (handle, worker) = spawn_shard(
                 i,
@@ -102,6 +110,7 @@ impl NodeCore {
             stats,
             bindings,
             wal_stats,
+            store,
         };
         Ok((core, workers))
     }
@@ -120,7 +129,9 @@ impl NodeCore {
     /// Submit one decoded ingest chunk to the owning shard and build the
     /// reply: coarse chunked submission, all-or-nothing shedding per chunk,
     /// still counted in transactions. A chunk within the configured size —
-    /// what a well-sized client sends — moves to the shard whole.
+    /// what a well-sized client sends — moves to the shard whole. A
+    /// read-only shard refuses the ingest with the log failure that made it
+    /// so.
     pub(crate) fn ingest(&self, cfg: &ServeConfig, stream: &str, chunk: IngestChunk) -> Json {
         let guard = self.ingress.read().expect("ingress poisoned");
         match guard.as_ref() {
@@ -142,10 +153,10 @@ impl NodeCore {
                 let mut shed = 0;
                 for piece in std::iter::once(head).chain(tails.into_iter().rev()) {
                     let n = piece.len();
-                    if shard.offer(&key, piece) {
-                        accepted += n;
-                    } else {
-                        shed += n;
+                    match shard.offer(&key, piece) {
+                        Ok(()) => accepted += n,
+                        Err(Refused::Shed) => shed += n,
+                        Err(Refused::ReadOnly(why)) => return error_reply(why),
                     }
                 }
                 if shed == 0 {
@@ -172,21 +183,22 @@ impl NodeCore {
     }
 
     /// Replay a stream's logged releases (positions `>= min_len`) through
-    /// `reply`, encoded in the subscriber's negotiated mode.
+    /// `reply`, encoded in the subscriber's negotiated mode, each as the
+    /// log reader reaches it. Nothing without a WAL.
     pub(crate) fn catchup(
         &self,
-        wal_dir: &std::path::Path,
         stream: &str,
         frame: FrameMode,
         min_len: u64,
         reply: &mut dyn FnMut(OutBytes),
     ) {
+        let Some(store) = &self.store else {
+            return;
+        };
         let shard = self.shard_of(stream);
-        for (stream_len, entries) in wal::scan_catchup(wal_dir, shard, stream, min_len) {
-            reply(catchup_release_frame_bytes(
-                frame, stream, stream_len, &entries,
-            ));
-        }
+        wal::replay::catchup_in(store.as_ref(), shard, stream, min_len, |len, entries| {
+            reply(catchup_release_frame_bytes(frame, stream, len, &entries))
+        });
     }
 
     /// The node-owned fields of the `stats` reply (the shared envelope —

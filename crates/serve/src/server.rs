@@ -226,8 +226,7 @@ pub(crate) fn dispatch(
             frame,
             from,
         } => {
-            let wal_dir = shared.cfg.wal.as_ref().map(|w| &w.dir);
-            if from.is_some() && wal_dir.is_none() {
+            if from.is_some() && shared.cfg.wal.is_none() {
                 return reply(json_line(&error_reply(
                     "catch-up subscribe requires a write-ahead log (start with --wal-dir)",
                 )));
@@ -244,8 +243,8 @@ pub(crate) fn dispatch(
                 ("ok", Json::Bool(true)),
                 ("stream", Json::from(stream.as_str())),
             ])));
-            if let (Some(from), Some(wal_dir)) = (from, wal_dir) {
-                node.catchup(wal_dir, &stream, frame, from.min_len(), reply);
+            if let Some(from) = from {
+                node.catchup(&stream, frame, from.min_len(), reply);
             }
         }
         Request::Bind { stream, defense } => reply(json_line(&node.bind(&stream, defense))),

@@ -31,6 +31,17 @@
 //! buffered messages before reporting disconnect), then flushes each
 //! pipeline — publishing any full window with records pending since its
 //! last release — and closes the key's subscribers with a `closed` event.
+//!
+//! **Read-only.** A failed log append or sync does not kill the worker. It
+//! records why in [`ShardStats::read_only`] and from then on neither
+//! appends nor advances: the chunk whose `ingest` record failed is not
+//! applied, a release whose record failed is not fanned out, later jobs
+//! are drained unapplied, and the drain publishes nothing and does not
+//! sync. It never retries — after a failed `fsync` the kernel may already
+//! have dropped the dirty pages, so a retry could report success over lost
+//! data. [`ShardIngress::offer`] refuses every later chunk with that
+//! reason, and log catch-up keeps serving the durable prefix; a restart
+//! recovers it.
 
 use crate::binding::DefenseBindings;
 use crate::config::ServeConfig;
@@ -58,6 +69,15 @@ pub(crate) enum Job {
     },
 }
 
+/// Why [`ShardIngress::offer`] turned a chunk away.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) enum Refused<'a> {
+    /// The queue budget is spent: load shedding, counted in `shed`.
+    Shed,
+    /// The shard's log failed; the reason, for the client.
+    ReadOnly(&'a str),
+}
+
 /// The sending side of a shard: its ingress queue plus its counters.
 #[derive(Clone)]
 pub(crate) struct ShardIngress {
@@ -68,15 +88,18 @@ pub(crate) struct ShardIngress {
 }
 
 impl ShardIngress {
-    /// Try to enqueue one chunk of transactions; `true` if the whole chunk
-    /// was accepted, `false` if it was shed because it does not fit in the
-    /// remaining queue budget. All-or-nothing per chunk: the caller sizes
-    /// chunks via [`ServeConfig::effective_ingest_chunk`], which never
+    /// Try to enqueue one chunk of transactions: accepted whole, shed
+    /// because it does not fit in the remaining queue budget, or refused
+    /// because the shard is read-only. All-or-nothing per chunk: the caller
+    /// sizes chunks via [`ServeConfig::effective_ingest_chunk`], which never
     /// exceeds the budget, so an empty queue always accepts a full chunk.
-    pub(crate) fn offer(&self, key: &Arc<str>, chunk: IngestChunk) -> bool {
+    pub(crate) fn offer(&self, key: &Arc<str>, chunk: IngestChunk) -> Result<(), Refused<'_>> {
+        if let Some(why) = self.stats.read_only.get() {
+            return Err(Refused::ReadOnly(why));
+        }
         let n = chunk.len() as u64;
         if chunk.is_empty() {
-            return true;
+            return Ok(());
         }
         // Reserve the chunk's budget before touching the channel: depth is
         // shared by every connection handler, and the compare-exchange makes
@@ -85,7 +108,7 @@ impl ShardIngress {
         loop {
             if depth + n > self.cap as u64 {
                 ShardStats::add(&self.stats.shed, n);
-                return false;
+                return Err(Refused::Shed);
             }
             match self.stats.queue_depth.compare_exchange_weak(
                 depth,
@@ -108,12 +131,12 @@ impl ShardIngress {
                 ShardStats::add(&self.stats.ingested, n);
                 ShardStats::add(&self.stats.batch_submits, 1);
                 ShardStats::add(&self.stats.batch_tx, n);
-                true
+                Ok(())
             }
             Err(TrySendError::Full(_)) | Err(TrySendError::Disconnected(_)) => {
                 self.stats.queue_depth.fetch_sub(n, Ordering::Relaxed);
                 ShardStats::add(&self.stats.shed, n);
-                false
+                Err(Refused::Shed)
             }
         }
     }
@@ -138,7 +161,7 @@ pub(crate) fn spawn_shard(
     };
     let handle = std::thread::Builder::new()
         .name(format!("bfly-shard-{idx}"))
-        .spawn(move || worker(cfg, rx, registry, stats, bindings, wal))
+        .spawn(move || worker(idx, cfg, rx, registry, stats, bindings, wal))
         .expect("spawn shard worker");
     (ingress, handle)
 }
@@ -184,9 +207,9 @@ fn emit_publication(
 /// differently refuses the log rather than serve a stream it cannot
 /// reproduce.
 ///
-/// A WAL append failure is a broken durability contract, not a degraded
-/// mode: the worker dies loudly rather than silently serving an
-/// unrecoverable stream.
+/// A failed `release` (or `snapshot`) append is returned before anything
+/// fans out — durable before visible — for the worker to turn the shard
+/// read-only.
 fn publish(
     cfg: &ServeConfig,
     log: Option<&mut WalWriter>,
@@ -194,11 +217,11 @@ fn publish(
     stats: &Arc<ShardStats>,
     key: &Arc<str>,
     state: &mut RecoveredStream,
-) -> Duration {
+) -> Result<Duration, LogFailure> {
     let started = Instant::now();
     let (took, step) = state
         .publish_and_log(cfg, key, log)
-        .expect("wal release append failed");
+        .map_err(|e| LogFailure("release append", e))?;
     let us = took.as_micros() as u64;
     ShardStats::add(&stats.publish_us, us);
     stats.publish_us_max.fetch_max(us, Ordering::Relaxed);
@@ -208,10 +231,145 @@ fn publish(
             ShardStats::add(&stats.audit_violations, violations as u64);
         }
     }
-    started.elapsed()
+    Ok(started.elapsed())
+}
+
+/// A failed log operation — which one, and its error.
+#[derive(Debug)]
+struct LogFailure(&'static str, bfly_common::Error);
+
+impl LogFailure {
+    /// Turn shard `idx` read-only for good, with this failure as the
+    /// reason every later ingest is refused with.
+    fn make_read_only(self, idx: usize, stats: &ShardStats) {
+        let LogFailure(what, e) = self;
+        let why = format!("shard {idx} is read-only: wal {what} failed: {e}");
+        eprintln!("{why}");
+        let _ = stats.read_only.set(why);
+    }
+}
+
+/// What a shard worker threads through every job.
+struct Shard {
+    idx: usize,
+    cfg: ServeConfig,
+    registry: Arc<SubscriberRegistry>,
+    stats: Arc<ShardStats>,
+    bindings: Arc<DefenseBindings>,
+    log: Option<WalWriter>,
+    pipelines: HashMap<Arc<str>, RecoveredStream>,
+}
+
+impl Shard {
+    /// Log and apply one chunk for `key`: its `open` record if the key is
+    /// new, the `ingest` record, then each transaction, publishing on the
+    /// cadence. Stops at the first failed log operation: nothing after it
+    /// is applied.
+    fn ingest(&mut self, key: &Arc<str>, chunk: &IngestChunk) -> Result<(), LogFailure> {
+        let cfg = &self.cfg;
+        if !self.pipelines.contains_key(key) {
+            // First ingest materializes the pipeline and seals the key's
+            // bind window: a recorded override wins, else the config's
+            // default defense applies.
+            let kind = self.bindings.materialize(key).unwrap_or(cfg.defense.kind);
+            if let Some(w) = self.log.as_mut() {
+                let open = WalRecord::Open {
+                    stream: key.to_string(),
+                    kind,
+                };
+                w.append(&open).map_err(|e| LogFailure("open append", e))?;
+            }
+            ShardStats::add(&self.stats.keys, 1);
+            self.pipelines.insert(
+                key.clone(),
+                RecoveredStream {
+                    kind,
+                    pipe: cfg.pipeline_with(key, kind),
+                    published: 0,
+                    last_len: 0,
+                },
+            );
+        }
+        let state = self.pipelines.get_mut(key).expect("key just ensured");
+        let started = Instant::now();
+        let rebuilds = state.pipe.miner().rebuilds();
+        let mut publishing = Duration::ZERO;
+        // Accepted-before-advanced: the chunk is durable (per the sync
+        // policy) before any of its records can shape a release.
+        if let Some(w) = self.log.as_mut() {
+            w.append_ingest(key, state.pipe.stream_len(), chunk)
+                .map_err(|e| LogFailure("ingest append", e))?;
+        }
+        // The publish cadence is checked per record, not per chunk:
+        // chunking amortizes the queue, it must not move or merge
+        // publication positions.
+        let mut outcome = Ok(());
+        let mut advanced = 0;
+        for items in chunk.iter() {
+            // The pipeline assigns the tid from the stream position.
+            state.pipe.advance_items(items);
+            advanced += 1;
+            if state.pipe.window().is_full() && state.pipe.since_publish() >= cfg.every {
+                let log = self.log.as_mut();
+                match publish(cfg, log, &self.registry, &self.stats, key, state) {
+                    Ok(took) => publishing += took,
+                    Err(failure) => {
+                        outcome = Err(failure);
+                        break;
+                    }
+                }
+            }
+        }
+        let stats = &self.stats;
+        ShardStats::add(&stats.processed, advanced);
+        let rebuilt = state.pipe.miner().rebuilds() - rebuilds;
+        ShardStats::add(&stats.moment_rebuilds, rebuilt);
+        let us = started.elapsed().saturating_sub(publishing).as_micros() as u64;
+        ShardStats::add(&stats.ingest_us, us);
+        stats.ingest_us_max.fetch_max(us, Ordering::Relaxed);
+        outcome
+    }
+
+    /// The shutdown drain: publish every full window with records pending
+    /// since its last release, close each key's subscribers, and sync the
+    /// log. A read-only shard only closes.
+    fn drain(&mut self) {
+        // In sorted key order, so drain output is deterministic.
+        let mut keys: Vec<Arc<str>> = self.pipelines.keys().cloned().collect();
+        keys.sort();
+        for key in keys {
+            let state = self.pipelines.get_mut(&key).expect("key just listed");
+            if self.stats.read_only.get().is_none()
+                && state.pipe.window().is_full()
+                && state.pipe.since_publish() > 0
+            {
+                let rebuilds = state.pipe.miner().rebuilds();
+                let log = self.log.as_mut();
+                let published = publish(&self.cfg, log, &self.registry, &self.stats, &key, state);
+                let rebuilt = state.pipe.miner().rebuilds() - rebuilds;
+                ShardStats::add(&self.stats.moment_rebuilds, rebuilt);
+                if let Err(failure) = published {
+                    failure.make_read_only(self.idx, &self.stats);
+                }
+            }
+            let closed = json_line(&closed_event(&key));
+            self.registry.close_stream(&key, closed);
+        }
+        // Whatever the sync policy deferred goes down with the drain: a
+        // clean shutdown never owes recovery a torn tail. A read-only
+        // shard's log is never touched again.
+        if let Some(w) = self.log.as_mut() {
+            if self.stats.read_only.get().is_none() {
+                if let Err(e) = w.sync() {
+                    LogFailure("sync", e).make_read_only(self.idx, &self.stats);
+                }
+            }
+        }
+    }
 }
 
 fn worker(
+    idx: usize,
     cfg: ServeConfig,
     rx: Receiver<Job>,
     registry: Arc<SubscriberRegistry>,
@@ -221,97 +379,45 @@ fn worker(
 ) {
     // Replayed streams slot in exactly where the crashed (or cleanly
     // restarted) process left them; the writer continues the same log.
-    let (mut log, recovered) = match wal {
+    let (log, recovered) = match wal {
         Some(r) => (Some(r.writer), r.streams),
         None => (None, HashMap::new()),
     };
-    let mut pipelines: HashMap<Arc<str>, RecoveredStream> = recovered
+    let pipelines: HashMap<Arc<str>, RecoveredStream> = recovered
         .into_iter()
         .map(|(key, s)| {
             ShardStats::add(&stats.keys, 1);
             (Arc::from(key.as_str()), s)
         })
         .collect();
+    let mut shard = Shard {
+        idx,
+        cfg,
+        registry,
+        stats,
+        bindings,
+        log,
+        pipelines,
+    };
     while let Ok(job) = rx.recv() {
         match job {
             Job::Ingest { key, chunk } => {
+                let stats = &shard.stats;
                 stats
                     .queue_depth
                     .fetch_sub(chunk.len() as u64, Ordering::Relaxed);
-                if !pipelines.contains_key(&key) {
-                    ShardStats::add(&stats.keys, 1);
-                    // First ingest materializes the pipeline and seals the
-                    // key's bind window: a recorded override wins, else the
-                    // config's default defense applies.
-                    let kind = bindings.materialize(&key).unwrap_or(cfg.defense.kind);
-                    if let Some(w) = log.as_mut() {
-                        w.append(&WalRecord::Open {
-                            stream: key.to_string(),
-                            kind,
-                        })
-                        .expect("wal open append failed");
-                    }
-                    pipelines.insert(
-                        key.clone(),
-                        RecoveredStream {
-                            kind,
-                            pipe: cfg.pipeline_with(&key, kind),
-                            published: 0,
-                            last_len: 0,
-                        },
-                    );
+                if stats.read_only.get().is_some() {
+                    continue; // drained, never applied
                 }
-                let state = pipelines.get_mut(&key).expect("key just ensured");
-                let started = Instant::now();
-                let rebuilds = state.pipe.miner().rebuilds();
-                let mut publishing = Duration::ZERO;
-                // Accepted-before-advanced: the chunk is durable (per the
-                // sync policy) before any of its records can shape a
-                // release.
-                if let Some(w) = log.as_mut() {
-                    w.append_ingest(&key, state.pipe.stream_len(), &chunk)
-                        .expect("wal ingest append failed");
+                if let Err(failure) = shard.ingest(&key, &chunk) {
+                    failure.make_read_only(shard.idx, &shard.stats);
                 }
-                // The publish cadence is checked per record, not per chunk:
-                // chunking amortizes the queue, it must not move or merge
-                // publication positions.
-                for items in chunk.iter() {
-                    // The pipeline assigns the tid from the stream position.
-                    state.pipe.advance_items(items);
-                    if state.pipe.window().is_full() && state.pipe.since_publish() >= cfg.every {
-                        publishing += publish(&cfg, log.as_mut(), &registry, &stats, &key, state);
-                    }
-                }
-                ShardStats::add(&stats.processed, chunk.len() as u64);
-                let rebuilt = state.pipe.miner().rebuilds() - rebuilds;
-                ShardStats::add(&stats.moment_rebuilds, rebuilt);
-                let us = started.elapsed().saturating_sub(publishing).as_micros() as u64;
-                ShardStats::add(&stats.ingest_us, us);
-                stats.ingest_us_max.fetch_max(us, Ordering::Relaxed);
             }
         }
     }
     // Every ingress sender is gone and the buffered jobs above are all
-    // processed: final flush, in sorted key order so drain output is
-    // deterministic.
-    let mut keys: Vec<Arc<str>> = pipelines.keys().cloned().collect();
-    keys.sort();
-    for key in keys {
-        let state = pipelines.get_mut(&key).expect("key just listed");
-        // The drain owes a release iff records arrived since the last one.
-        if state.pipe.window().is_full() && state.pipe.since_publish() > 0 {
-            let rebuilds = state.pipe.miner().rebuilds();
-            publish(&cfg, log.as_mut(), &registry, &stats, &key, state);
-            let rebuilt = state.pipe.miner().rebuilds() - rebuilds;
-            ShardStats::add(&stats.moment_rebuilds, rebuilt);
-        }
-        registry.close_stream(&key, json_line(&closed_event(&key)));
-    }
-    // Whatever the sync policy deferred goes down with the drain: a clean
-    // shutdown never owes recovery a torn tail.
-    if let Some(w) = log.as_mut() {
-        let _ = w.sync();
-    }
+    // processed.
+    shard.drain();
 }
 
 // The subscriber sinks below need the reactor's mailbox, which exists
@@ -323,9 +429,15 @@ fn worker(
 ))]
 mod tests {
     use super::*;
+    use crate::config::{WalConfig, WalSyncPolicy};
     use crate::fanout::OutBytes;
+    use crate::protocol::catchup_release_frame_bytes;
     use crate::protocol::SubscriberState;
     use crate::reactor::test_sink;
+    use crate::stats::WalStats;
+    use crate::wal::fault::{Fault, FaultStore, Op};
+    use crate::wal::replay::{catchup_in, recover_shard_in};
+    use crate::wal::segment::SegmentStore;
     use bfly_common::{FrameMode, Json};
     use bfly_core::{DefenseKind, PrivacyDefense, StreamPipeline};
     use std::sync::mpsc::sync_channel;
@@ -391,7 +503,10 @@ mod tests {
         // the drain flush owes one more at 11.
         for _ in 0..11 {
             let items = src.next_transaction().into_items();
-            assert!(ingress.offer(&key, IngestChunk::from_itemsets(&[items])));
+            assert_eq!(
+                ingress.offer(&key, IngestChunk::from_itemsets(&[items])),
+                Ok(())
+            );
         }
         drop(ingress);
         handle.join().expect("worker paniced");
@@ -440,7 +555,10 @@ mod tests {
         let batch: Vec<_> = (0..60)
             .map(|_| src.next_transaction().into_items())
             .collect();
-        assert!(ingress.offer(&key, IngestChunk::from_itemsets(&batch)));
+        assert_eq!(
+            ingress.offer(&key, IngestChunk::from_itemsets(&batch)),
+            Ok(())
+        );
         drop(ingress);
         handle.join().expect("worker paniced");
         assert_eq!(stats.processed.load(Ordering::Relaxed), 60);
@@ -484,7 +602,10 @@ mod tests {
         let mut rebuilds = 0;
         for key in ["a", "b"] {
             for part in batch.chunks(3) {
-                assert!(ingress.offer(&Arc::from(key), IngestChunk::from_itemsets(part)));
+                assert_eq!(
+                    ingress.offer(&Arc::from(key), IngestChunk::from_itemsets(part)),
+                    Ok(())
+                );
             }
             let mut pipe = cfg.pipeline_for(key);
             for items in &batch {
@@ -577,7 +698,7 @@ mod tests {
         for _ in 0..8 {
             state.pipe.advance(src.next_transaction());
         }
-        publish(&cfg, Some(&mut log), &registry, &stats, &key, &mut state);
+        publish(&cfg, Some(&mut log), &registry, &stats, &key, &mut state).unwrap();
         assert_eq!(stats.audit_violations.load(Ordering::Relaxed), 1);
         assert_eq!(state.pipe.audit_violations(), 1);
         assert_eq!(stats.published.load(Ordering::Relaxed), 0);
@@ -589,7 +710,7 @@ mod tests {
         for _ in 0..2 {
             state.pipe.advance(src.next_transaction());
         }
-        publish(&cfg, Some(&mut log), &registry, &stats, &key, &mut state);
+        publish(&cfg, Some(&mut log), &registry, &stats, &key, &mut state).unwrap();
         assert_eq!(stats.audit_violations.load(Ordering::Relaxed), 1);
         assert_eq!(stats.published.load(Ordering::Relaxed), 1);
         assert!(wal_stats.records_appended.load(Ordering::Relaxed) > 0);
@@ -622,11 +743,14 @@ mod tests {
             pending.push(src.next_transaction().into_items());
             if pending.len() == chunk {
                 let offered = IngestChunk::from_itemsets(&std::mem::take(&mut pending));
-                assert!(ingress.offer(&key, offered));
+                assert_eq!(ingress.offer(&key, offered), Ok(()));
             }
         }
         if !pending.is_empty() {
-            assert!(ingress.offer(&key, IngestChunk::from_itemsets(&pending)));
+            assert_eq!(
+                ingress.offer(&key, IngestChunk::from_itemsets(&pending)),
+                Ok(())
+            );
         }
         drop(ingress);
         handle.join().expect("worker paniced");
@@ -740,6 +864,169 @@ mod tests {
         }
     }
 
+    /// `n` transactions of the cadence tests' stream.
+    fn transactions(n: usize) -> Vec<bfly_common::ItemSet> {
+        let mut src = bfly_datagen::DatasetProfile::WebView1.source(3);
+        (0..n)
+            .map(|_| src.next_transaction().into_items())
+            .collect()
+    }
+
+    /// What one shard run over a log on a [`FaultStore`] did.
+    struct FaultRun {
+        stats: Arc<ShardStats>,
+        /// The release lines a JSON subscriber of `"k"` saw.
+        releases: Vec<String>,
+        /// The refusal that stopped the feed, if one did.
+        refused: Option<String>,
+        /// `(appends, syncs)` the store had served when the refusal came,
+        /// and when the worker had joined.
+        calls_at_refusal: (u64, u64),
+        calls_at_join: (u64, u64),
+    }
+
+    /// Recover the log on `store`, arm faults, then run one shard over it,
+    /// offering `txs` to key `"k"` three at a time and waiting for each
+    /// chunk, until the first refusal.
+    fn run_on(
+        store: &Arc<FaultStore>,
+        wal: &WalConfig,
+        txs: &[bfly_common::ItemSet],
+        arm: impl FnOnce(),
+    ) -> FaultRun {
+        let cfg = tiny_cfg();
+        let wal_stats = Arc::new(WalStats::default());
+        let recovered = recover_shard_in(store.clone(), &cfg, wal, 0, &wal_stats).unwrap();
+        arm();
+        let registry = Arc::new(SubscriberRegistry::new());
+        let stats = Arc::new(ShardStats::default());
+        let (sub_tx, sub_rx) = test_sink(256);
+        registry.subscribe("k", 1, FrameMode::Json, sub_tx);
+        let (ingress, handle) = spawn_shard(
+            0,
+            cfg,
+            registry,
+            stats.clone(),
+            Arc::new(DefenseBindings::default()),
+            Some(recovered),
+        );
+        let calls = || (store.calls(Op::Append), store.calls(Op::Sync));
+        let key: Arc<str> = Arc::from("k");
+        let (mut offered, mut refused, mut calls_at_refusal) = (0, None, (0, 0));
+        for part in txs.chunks(3) {
+            match ingress.offer(&key, IngestChunk::from_itemsets(part)) {
+                Ok(()) => offered += part.len() as u64,
+                Err(Refused::ReadOnly(why)) => {
+                    (refused, calls_at_refusal) = (Some(why.to_string()), calls());
+                    break;
+                }
+                Err(Refused::Shed) => panic!("shed below the queue cap"),
+            }
+            let started = Instant::now();
+            while stats.processed.load(Ordering::Relaxed) < offered
+                && stats.read_only.get().is_none()
+            {
+                assert!(
+                    started.elapsed() < Duration::from_secs(10),
+                    "worker stalled"
+                );
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+        drop(ingress);
+        handle.join().expect("worker paniced");
+        let releases = lines_of(|| sub_rx.try_recv())
+            .into_iter()
+            .filter(|l| l.contains("\"event\":\"release\""))
+            .collect();
+        FaultRun {
+            stats,
+            releases,
+            refused,
+            calls_at_refusal,
+            calls_at_join: calls(),
+        }
+    }
+
+    /// Every release in `store`'s log for `"k"`, as catch-up reads it.
+    fn logged(store: &FaultStore) -> Vec<(u64, Vec<bfly_common::BinaryEntry>)> {
+        let mut out = Vec::new();
+        catchup_in(store, 0, "k", 0, |len, entries| out.push((len, entries)));
+        out
+    }
+
+    #[test]
+    fn a_failed_log_operation_turns_the_shard_read_only() {
+        use std::io::ErrorKind::{Other, StorageFull};
+        let txs = transactions(30);
+        let clean = FaultStore::new(0);
+        let wal = WalConfig {
+            sync: WalSyncPolicy::Always,
+            ..WalConfig::new(clean.root())
+        };
+        run_on(&clean, &wal, &txs, || {});
+        let reference = logged(&clean);
+        assert_eq!(reference.len(), 12, "publications at 8, 10, …, 30");
+
+        // Appends: 0 `open`, 1–3 the first three chunks' `ingest`, 4 the
+        // `release` at 8 (its `snapshot` is 5). Under `always` each append
+        // syncs once, so sync 2 is the second chunk's.
+        for (op, k, fault, power_loss, what) in [
+            (Op::Append, 0, Fault::Fail(StorageFull), true, "open append"),
+            (
+                Op::Append,
+                2,
+                Fault::Fail(StorageFull),
+                true,
+                "ingest append",
+            ),
+            (
+                Op::Append,
+                4,
+                Fault::Fail(StorageFull),
+                true,
+                "release append",
+            ),
+            (Op::Append, 3, Fault::Tear, false, "ingest append"),
+            (Op::Sync, 2, Fault::Fail(Other), true, "ingest append"),
+        ] {
+            let store = FaultStore::new(k);
+            let run = run_on(&store, &wal, &txs, || store.inject(op, k, fault));
+            let why = run.refused.expect("a refusal after the failure");
+            let prefix = format!("shard 0 is read-only: wal {what} failed: io error: ");
+            assert!(why.starts_with(&prefix), "{why}");
+            let row = run.stats.to_json(0);
+            assert_eq!(row.get("read_only"), Some(&Json::Bool(true)));
+            // No retry, no drain sync: the log was not touched again.
+            assert_eq!(run.calls_at_join, run.calls_at_refusal, "{what}");
+            // Durable before visible: the subscriber saw exactly the
+            // releases the log holds.
+            let logged_lines: Vec<String> = logged(&store)
+                .iter()
+                .map(|(len, entries)| {
+                    let b = catchup_release_frame_bytes(FrameMode::Json, "k", *len, entries);
+                    String::from_utf8(b.to_vec())
+                        .unwrap()
+                        .trim_end()
+                        .to_string()
+                })
+                .collect();
+            assert_eq!(run.releases, logged_lines, "{what}");
+
+            // Restart: on the durable prefix, then the rest of the stream.
+            if power_loss {
+                store.crash();
+            }
+            let cfg = tiny_cfg();
+            let wal_stats = Arc::new(WalStats::default());
+            let rec = recover_shard_in(store.clone(), &cfg, &wal, 0, &wal_stats).unwrap();
+            let durable = rec.streams.get("k").map_or(0, |s| s.pipe.stream_len());
+            drop(rec);
+            run_on(&store, &wal, &txs[durable as usize..], || {});
+            assert_eq!(logged(&store), reference, "{what}: restarted at {durable}");
+        }
+    }
+
     #[test]
     fn full_queue_sheds() {
         let cfg = ServeConfig {
@@ -757,7 +1044,7 @@ mod tests {
         };
         let key: Arc<str> = Arc::from("k");
         let accepted = (0..5)
-            .filter(|_| ingress.offer(&key, chunk_of(&[&[1, 2]])))
+            .filter(|_| ingress.offer(&key, chunk_of(&[&[1, 2]])).is_ok())
             .count();
         assert_eq!(accepted, 2, "queue cap must bound acceptance");
         assert_eq!(stats.shed.load(Ordering::Relaxed), 3);
@@ -777,9 +1064,12 @@ mod tests {
         let key: Arc<str> = Arc::from("k");
         // 3 fit, then a chunk of 2 would oversubscribe (3+2 > 4) and is shed
         // whole, then a chunk of 1 still fits in the remaining budget.
-        assert!(ingress.offer(&key, chunk_of(&[&[1], &[1], &[1]])));
-        assert!(!ingress.offer(&key, chunk_of(&[&[1], &[1]])));
-        assert!(ingress.offer(&key, chunk_of(&[&[1]])));
+        assert_eq!(ingress.offer(&key, chunk_of(&[&[1], &[1], &[1]])), Ok(()));
+        assert_eq!(
+            ingress.offer(&key, chunk_of(&[&[1], &[1]])),
+            Err(Refused::Shed)
+        );
+        assert_eq!(ingress.offer(&key, chunk_of(&[&[1]])), Ok(()));
         assert_eq!(stats.ingested.load(Ordering::Relaxed), 4);
         assert_eq!(stats.shed.load(Ordering::Relaxed), 2);
         assert_eq!(stats.queue_depth.load(Ordering::Relaxed), 4);

@@ -2,6 +2,7 @@
 
 use bfly_common::Json;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 /// Live counters for one shard. All relaxed atomics — they are monitoring
 /// data, not synchronization; the queue itself orders the work.
@@ -52,6 +53,9 @@ pub struct ShardStats {
     /// Transactions carried by those submissions (`batch_tx /
     /// batch_submits` is the realized mean chunk size).
     pub batch_tx: AtomicU64,
+    /// Set once, by the first failed log append or sync: why the shard
+    /// turned read-only. Every later ingest is refused with it.
+    pub read_only: OnceLock<String>,
 }
 
 impl ShardStats {
@@ -113,6 +117,7 @@ impl ShardStats {
                 "batch_tx",
                 Json::from(self.batch_tx.load(Ordering::Relaxed)),
             ),
+            ("read_only", Json::Bool(self.read_only.get().is_some())),
         ])
     }
 

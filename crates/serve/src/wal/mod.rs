@@ -10,20 +10,30 @@
 //! * [`record`] — the checksummed, sequence-numbered record format;
 //!   `ingest`/`release` payloads are exactly the wire protocol's binary
 //!   frame payloads, so the log doubles as a byte-exact replay feed.
-//! * [`segment`] — segment file naming and listing; append-only while
-//!   live, immutable once rotated.
+//! * `segment` — the storage seam: every file-system call of the log sits
+//!   behind its `SegmentStore` (segment naming and listing, create-or-open
+//!   with the directory syncs a creation owes, append, sync, `read_at`,
+//!   truncate, remove), and its `SegmentReader` is the one way to walk a
+//!   segment's records, one block at a time.
 //! * [`writer`] — the shard-thread append path: sync policy
 //!   (`--wal-sync always|interval:<n>|never`), snapshot-keyed rotation,
 //!   coverage-based compaction.
-//! * [`replay`] — startup recovery (re-execute and *verify* the log,
-//!   truncating a torn tail) and the log-based catch-up scan serving
-//!   `subscribe {"from": ...}`.
+//! * [`replay`] — two policies over the reader: startup recovery
+//!   (re-execute and *verify* the log, truncating a torn tail) and the
+//!   log-based catch-up scan serving `subscribe {"from": ...}`.
+//!
+//! A failed append or sync does not kill the shard worker: the shard turns
+//! read-only (see the `shard` module), and tests drive every path above
+//! through an in-memory store that fails, tears and crashes on cue.
 
 pub mod record;
-pub mod segment;
+pub(crate) mod segment;
 pub mod writer;
 
 pub mod replay;
+
+#[cfg(test)]
+pub(crate) mod fault;
 
 pub use record::{StreamSnapshot, WalRecord};
 pub use replay::{recover_shard, scan_catchup, RecoveredShard, RecoveredStream};

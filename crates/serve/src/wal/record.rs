@@ -48,19 +48,19 @@ use bfly_common::{BinaryEntry, BinaryFrame, Error, IngestChunk, ItemSet, Result}
 use bfly_core::defense::DefenseKind;
 
 /// First byte of every record (shared with the wire's binary frames).
-pub const WAL_MAGIC: u8 = 0xBF;
+pub(crate) const WAL_MAGIC: u8 = 0xBF;
 
 /// `magic + op + payload_len + seq + crc` — the fixed record prefix.
-pub const HEADER_LEN: usize = 18;
+pub(crate) const HEADER_LEN: usize = 18;
 
 /// Offset of the checksum field inside the header (everything before it is
 /// covered by the checksum; everything after it is payload, also covered).
 const CRC_OFFSET: usize = 14;
 
-pub const OP_INGEST: u8 = 0x01;
-pub const OP_RELEASE: u8 = 0x02;
-pub const OP_OPEN: u8 = 0x10;
-pub const OP_SNAPSHOT: u8 = 0x11;
+pub(crate) const OP_INGEST: u8 = 0x01;
+pub(crate) const OP_RELEASE: u8 = 0x02;
+pub(crate) const OP_OPEN: u8 = 0x10;
+pub(crate) const OP_SNAPSHOT: u8 = 0x11;
 
 /// One entry of a snapshot's previous release: the full
 /// `(itemset, true_support, sanitized)` triple, not just the wire pair,
@@ -411,7 +411,7 @@ fn framed(out: &mut Vec<u8>, seq: u64, put: impl FnOnce(&mut Vec<u8>) -> u8) {
 
 /// Outcome of scanning one record at an offset of a segment buffer.
 #[derive(Debug)]
-pub enum Scan {
+pub(crate) enum Scan {
     /// A structurally valid, checksum-clean record ending at `end`.
     Record {
         /// The decoded record.
@@ -441,8 +441,18 @@ pub enum Scan {
     },
 }
 
+/// The length of the record whose header starts `buf` — header plus the
+/// payload its length field declares — or `None` if `buf` is shorter than a
+/// header or does not start with the magic byte. It vouches for nothing
+/// else: [`scan_one`] judges the record.
+pub(crate) fn declared_len(buf: &[u8]) -> Option<usize> {
+    let h = buf.get(..HEADER_LEN)?;
+    let payload_len = u32::from_le_bytes(h[2..6].try_into().unwrap()) as usize;
+    (h[0] == WAL_MAGIC).then(|| HEADER_LEN.saturating_add(payload_len))
+}
+
 /// Scan the record starting at `pos` in a segment buffer.
-pub fn scan_one(buf: &[u8], pos: usize) -> Scan {
+pub(crate) fn scan_one(buf: &[u8], pos: usize) -> Scan {
     if pos == buf.len() {
         return Scan::End;
     }
@@ -493,6 +503,8 @@ pub fn scan_one(buf: &[u8], pos: usize) -> Scan {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::wal::fault::FaultStore;
+    use crate::wal::segment::{SegmentId, SegmentReader, SegmentStore, BLOCK};
 
     /// An `open` record at `seq` that names a defense this build does not know,
     /// under a valid checksum.
@@ -595,15 +607,65 @@ pub(crate) mod tests {
         }
     }
 
+    /// A snapshot of a W 2000 window of ten-item transactions: a record
+    /// longer than one of the segment reader's blocks.
+    pub(crate) fn w2000_snapshot() -> WalRecord {
+        WalRecord::Snapshot(StreamSnapshot {
+            stream: "tenant-w".into(),
+            kind: DefenseKind::Butterfly,
+            stream_len: 5000,
+            published: 30,
+            last_len: 5000,
+            prev_release: Vec::new(),
+            window: (0..2000u32)
+                .map(|t| (0..10).map(|i| t % 97 + i * 100).collect())
+                .collect(),
+        })
+    }
+
     #[test]
     fn truncated_tail_is_corrupt_at_every_cut() {
-        let rec = &samples()[3];
-        let clean = rec.encode(3);
-        for cut in 1..clean.len() {
-            match scan_one(&clean[..cut], 0) {
-                Scan::Corrupt { .. } => {}
-                other => panic!("cut at {cut}: {other:?}"),
+        // Through `scan_one` over the cut bytes, and through the segment
+        // reader over a segment holding them: every cut of a small
+        // snapshot, and cuts of one longer than a block on both sides of
+        // the block boundary.
+        let through_reader = |bytes: &[u8]| {
+            let store = FaultStore::new(5);
+            let seg = SegmentId { shard: 0, idx: 0 };
+            store.open_append(seg).unwrap().0.append(bytes).unwrap();
+            let mut reader = SegmentReader::new();
+            reader.open(&*store, seg).unwrap();
+            let scan = reader.next().unwrap();
+            // One block, plus at most the record it returned.
+            let room = match scan {
+                Scan::Record { .. } => BLOCK + bytes.len(),
+                _ => BLOCK,
+            };
+            assert!(
+                reader.capacity() <= room,
+                "grew for a record it cannot hold"
+            );
+            scan
+        };
+        let small = samples()[3].encode(3);
+        let big = w2000_snapshot().encode(3);
+        assert!(big.len() > BLOCK);
+        let big_cuts = (1..HEADER_LEN + 2)
+            .chain((BLOCK - 2..BLOCK + 3).chain((1..big.len()).step_by(997)))
+            .chain(big.len() - 2..big.len());
+        let cases = (1..small.len())
+            .map(|cut| (&small, cut))
+            .chain(big_cuts.map(|cut| (&big, cut)));
+        for (clean, cut) in cases {
+            match (scan_one(&clean[..cut], 0), through_reader(&clean[..cut])) {
+                (Scan::Corrupt { .. }, Scan::Corrupt { .. }) => {}
+                other => panic!("cut at {cut} of {}: {other:?}", clean.len()),
             }
+        }
+        // Whole, both read it back.
+        for clean in [&small, &big] {
+            assert!(matches!(scan_one(clean, 0), Scan::Record { .. }));
+            assert!(matches!(through_reader(clean), Scan::Record { .. }));
         }
     }
 

@@ -41,6 +41,11 @@
 //! snapshot's `stream_len`) and keeps the tail, because a chunk logged
 //! before the snapshot can carry records the snapshot does not cover.
 //!
+//! Recovery walks every segment through one `SegmentReader`
+//! (`wal/segment.rs`) — one block plus the largest record in memory,
+//! never a whole segment — and so does the catch-up scan; the two differ
+//! only in what an invalid record means.
+//!
 //! Corruption policy: an incomplete or checksum-failing record in the
 //! **last** segment is a torn tail — the crash interrupted the final write —
 //! so replay truncates the segment at the last clean record and continues.
@@ -55,8 +60,8 @@
 use crate::config::{ServeConfig, WalConfig};
 use crate::protocol::binary_entries;
 use crate::stats::WalStats;
-use crate::wal::record::{scan_one, Scan, SnapshotEntry, StreamSnapshot, WalRecord};
-use crate::wal::segment::{list_segments, shard_dir};
+use crate::wal::record::{Scan, SnapshotEntry, StreamSnapshot, WalRecord};
+use crate::wal::segment::{FsStore, SegmentId, SegmentReader, SegmentStore};
 use crate::wal::writer::{WalWriter, WriterPosition};
 use bfly_common::{BinaryEntry, BinaryFrame, Error, ItemSet, ItemsetId, Result, Transaction};
 use bfly_core::defense::{DefenseKind, PrivacyDefense};
@@ -255,24 +260,42 @@ pub fn recover_shard(
     shard: usize,
     stats: &Arc<WalStats>,
 ) -> Result<RecoveredShard> {
-    let dir = shard_dir(&wal.dir, shard);
-    let segs = list_segments(&dir)?;
+    recover_shard_in(Arc::new(FsStore::new(&wal.dir)), cfg, wal, shard, stats)
+}
+
+/// [`recover_shard`] over `store`, whose writer the returned shard appends
+/// through. Walks every segment with one [`SegmentReader`] under the strict
+/// policy: sequence continuity everywhere, a torn tail of the last segment
+/// truncated, any other invalid record refusing the start.
+pub(crate) fn recover_shard_in(
+    store: Arc<dyn SegmentStore>,
+    cfg: &ServeConfig,
+    wal: &WalConfig,
+    shard: usize,
+    stats: &Arc<WalStats>,
+) -> Result<RecoveredShard> {
+    let segs = store.list(shard)?;
     let mut state = ReplayState::default();
     let mut expected_seq: Option<u64> = None;
     let mut pos = WriterPosition {
         segments_on_disk: segs.len() as u64,
         ..WriterPosition::default()
     };
+    let mut reader = SegmentReader::new();
 
-    for (nth, &(seg_idx, ref path)) in segs.iter().enumerate() {
-        let buf = std::fs::read(path)?;
+    for (nth, &seg_idx) in segs.iter().enumerate() {
+        let seg = SegmentId {
+            shard,
+            idx: seg_idx,
+        };
+        let path = store.path(seg);
+        reader.open(store.as_ref(), seg)?;
         let last_segment = nth == segs.len() - 1;
-        let mut off = 0usize;
         let mut seg_snapshots = 0u32;
         loop {
-            match scan_one(&buf, off) {
+            match reader.next()? {
                 Scan::End => break,
-                Scan::Record { rec, seq, end } => {
+                Scan::Record { rec, seq, .. } => {
                     if let Some(want) = expected_seq {
                         if seq != want {
                             // A torn write cannot leave a checksum-clean
@@ -280,29 +303,28 @@ pub fn recover_shard(
                             // records went missing from durable storage, in
                             // whichever segment.
                             let reason = format!("sequence gap: expected {want}, found {seq}");
-                            return Err(corrupt(path, &reason));
+                            return Err(corrupt(&path, &reason));
                         }
                     }
                     expected_seq = Some(seq + 1);
                     if matches!(rec, WalRecord::Snapshot(_)) {
                         seg_snapshots += 1;
                     }
-                    apply(cfg, rec, seg_idx, path, &mut state)?;
-                    off = end;
+                    apply(cfg, rec, seg_idx, &path, &mut state)?;
                 }
                 Scan::Corrupt { reason } => {
                     if last_segment {
-                        truncate_tail(path, off as u64, stats)?;
+                        truncate_tail(store.as_ref(), seg, &reader, stats)?;
                         break;
                     }
-                    return Err(corrupt(path, &reason));
+                    return Err(corrupt(&path, &reason));
                 }
-                Scan::Undecodable { reason } => return Err(corrupt(path, &reason)),
+                Scan::Undecodable { reason } => return Err(corrupt(&path, &reason)),
             }
         }
         if last_segment {
             pos.seg_idx = seg_idx;
-            pos.seg_bytes = std::fs::metadata(path)?.len();
+            pos.seg_bytes = reader.offset();
             pos.seg_snapshots = seg_snapshots;
         }
     }
@@ -310,8 +332,8 @@ pub fn recover_shard(
     pos.next_seq = expected_seq.unwrap_or(0);
     pos.coverage = state.coverage;
     pos.ingest_segs = state.ingest_segs;
-    let mut writer = WalWriter::open(
-        &wal.dir,
+    let mut writer = WalWriter::open_in(
+        store,
         shard,
         wal.clone(),
         cfg.snapshot_every,
@@ -360,14 +382,19 @@ pub fn recover_shard(
     })
 }
 
-fn truncate_tail(path: &Path, keep: u64, stats: &Arc<WalStats>) -> Result<()> {
-    let f = std::fs::OpenOptions::new().write(true).open(path)?;
-    let dropped = f.metadata()?.len().saturating_sub(keep);
-    f.set_len(keep)?;
-    f.sync_data()?;
+/// Cut `seg` at the end of the last whole record `reader` returned.
+fn truncate_tail(
+    store: &dyn SegmentStore,
+    seg: SegmentId,
+    reader: &SegmentReader,
+    stats: &Arc<WalStats>,
+) -> Result<()> {
+    let keep = reader.offset();
+    let dropped = reader.len() - keep;
+    store.truncate(seg, keep)?;
     eprintln!(
         "wal: truncated torn tail of {}: dropped {dropped} bytes at offset {keep}",
-        path.display()
+        store.path(seg).display()
     );
     stats.truncated_tails.fetch_add(1, Ordering::Relaxed);
     stats.truncated_bytes.fetch_add(dropped, Ordering::Relaxed);
@@ -597,21 +624,35 @@ pub fn scan_catchup(
     stream: &str,
     min_len: u64,
 ) -> Vec<(u64, Vec<BinaryEntry>)> {
-    let dir = shard_dir(root, shard);
-    let Ok(segs) = list_segments(&dir) else {
-        return Vec::new();
-    };
     let mut out = Vec::new();
-    'segments: for (_, path) in segs {
-        let Ok(buf) = std::fs::read(&path) else {
+    catchup_in(&FsStore::new(root), shard, stream, min_len, |len, e| {
+        out.push((len, e))
+    });
+    out
+}
+
+/// [`scan_catchup`] over `store`, handing each release to `each` as the
+/// reader yields it instead of collecting them.
+pub(crate) fn catchup_in(
+    store: &dyn SegmentStore,
+    shard: usize,
+    stream: &str,
+    min_len: u64,
+    mut each: impl FnMut(u64, Vec<BinaryEntry>),
+) {
+    let Ok(segs) = store.list(shard) else {
+        return;
+    };
+    let mut reader = SegmentReader::new();
+    for idx in segs {
+        if reader.open(store, SegmentId { shard, idx }).is_err() {
             continue; // compacted underneath us
-        };
-        let mut off = 0usize;
+        }
         loop {
-            match scan_one(&buf, off) {
-                Scan::End => break,
-                Scan::Corrupt { .. } | Scan::Undecodable { .. } => break 'segments, // live tail
-                Scan::Record { rec, end, .. } => {
+            match reader.next() {
+                Ok(Scan::End) | Err(_) => break,
+                Ok(Scan::Corrupt { .. } | Scan::Undecodable { .. }) => return, // live tail
+                Ok(Scan::Record { rec, .. }) => {
                     if let WalRecord::Release {
                         stream: s,
                         stream_len,
@@ -619,21 +660,22 @@ pub fn scan_catchup(
                     } = rec
                     {
                         if s == stream && stream_len >= min_len {
-                            out.push((stream_len, entries));
+                            each(stream_len, entries);
                         }
                     }
-                    off = end;
                 }
             }
         }
     }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::WalConfig;
+    use crate::config::{WalConfig, WalSyncPolicy};
+    use crate::wal::fault::FaultStore;
+    use crate::wal::record::{scan_one, tests::w2000_snapshot, HEADER_LEN};
+    use crate::wal::segment::{shard_dir, BLOCK};
     use bfly_common::SanitizedSupport;
     use std::path::PathBuf;
 
@@ -1023,31 +1065,67 @@ mod tests {
         h.feed(&cfg, "k", Some(&mut w), 0..20, 7);
         drop(w);
 
-        // Tear the tail: a half-written record (valid prefix, cut payload).
+        // Tear the tail: a half-written record (valid prefix, cut payload);
+        // a snapshot longer than a block cut on both sides of the reader's
+        // block boundary; a bare header claiming a `u32::MAX` payload.
         let seg = shard_dir(&root, 0).join(crate::wal::segment::segment_file_name(0));
-        let mut bytes = std::fs::read(&seg).unwrap();
+        let clean = std::fs::read(&seg).unwrap();
         let torn = WalRecord::Ingest {
             stream: "k".into(),
             base: 20,
             batch: vec![record(99)],
         }
         .encode(9999);
-        bytes.extend_from_slice(&torn[..torn.len() / 2]);
-        std::fs::write(&seg, &bytes).unwrap();
+        let big = w2000_snapshot().encode(9999);
+        assert!(big.len() > BLOCK && clean.len() < BLOCK);
+        let mut tails = vec![torn[..torn.len() / 2].to_vec()];
+        let to_boundary = BLOCK - clean.len();
+        for cut in [
+            1,
+            HEADER_LEN + 1,
+            to_boundary - 1,
+            to_boundary,
+            to_boundary + 1,
+        ] {
+            tails.push(big[..cut].to_vec());
+        }
+        tails.push(big[..big.len() - 1].to_vec());
+        let mut huge = big[..HEADER_LEN].to_vec();
+        huge[2..6].copy_from_slice(&u32::MAX.to_le_bytes());
+        tails.push(huge);
 
-        let rec = recover_shard(&cfg, &wal, 0, &stats).unwrap();
-        assert_eq!(stats.truncated_tails.load(Ordering::Relaxed), 1);
-        assert_eq!(
-            stats.truncated_bytes.load(Ordering::Relaxed),
-            (torn.len() / 2) as u64
-        );
-        assert_eq!(rec.streams["k"].pipe.stream_len(), 20);
-        // The truncated file must now replay clean.
-        let stats2 = Arc::new(WalStats::default());
-        drop(rec);
-        recover_shard(&cfg, &wal, 0, &stats2).unwrap();
-        assert_eq!(stats2.truncated_tails.load(Ordering::Relaxed), 0);
-        assert_eq!(stats2.truncated_bytes.load(Ordering::Relaxed), 0);
+        for tail in tails {
+            let bytes = [&clean[..], &tail].concat();
+            std::fs::write(&seg, &bytes).unwrap();
+            // The reader holds one block, plus room for the longest record
+            // it returned, whatever the tail claims.
+            let mut reader = SegmentReader::new();
+            reader
+                .open(&FsStore::new(&root), SegmentId { shard: 0, idx: 0 })
+                .unwrap();
+            let (mut at, mut longest) = (0, 0);
+            while let Scan::Record { end, .. } = reader.next().unwrap() {
+                longest = longest.max(end as u64 - at);
+                at = end as u64;
+            }
+            assert!(reader.capacity() as u64 <= BLOCK as u64 + longest);
+
+            let stats = Arc::new(WalStats::default());
+            let rec = recover_shard(&cfg, &wal, 0, &stats).unwrap();
+            assert_eq!(stats.truncated_tails.load(Ordering::Relaxed), 1);
+            assert_eq!(
+                stats.truncated_bytes.load(Ordering::Relaxed),
+                tail.len() as u64
+            );
+            assert_eq!(rec.streams["k"].pipe.stream_len(), 20);
+            // The truncated file must now replay clean.
+            let stats2 = Arc::new(WalStats::default());
+            drop(rec);
+            recover_shard(&cfg, &wal, 0, &stats2).unwrap();
+            assert_eq!(stats2.truncated_tails.load(Ordering::Relaxed), 0);
+            assert_eq!(stats2.truncated_bytes.load(Ordering::Relaxed), 0);
+            assert_eq!(std::fs::read(&seg).unwrap(), clean);
+        }
         std::fs::remove_dir_all(&root).unwrap();
     }
 
@@ -1072,22 +1150,39 @@ mod tests {
         h.feed(&cfg, "k", Some(&mut w), 0..40, 7);
         drop(w);
 
-        let segs = list_segments(&shard_dir(&root, 0)).unwrap();
+        let segs = FsStore::new(&root).list(0).unwrap();
         assert!(segs.len() >= 2, "need a sealed segment, got {segs:?}");
-        let sealed = &segs[0].1;
-        let mut bytes = std::fs::read(sealed).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x40;
-        std::fs::write(sealed, &bytes).unwrap();
+        let sealed = FsStore::new(&root).path(SegmentId {
+            shard: 0,
+            idx: segs[0],
+        });
+        let clean = std::fs::read(&sealed).unwrap();
+        // A flipped bit mid-segment; a record header mid-segment claiming a
+        // `u32::MAX` payload, more than the segment holds.
+        let mut flipped = clean.clone();
+        flipped[clean.len() / 2] ^= 0x40;
+        let mut claims_max = clean.clone();
+        let mut at = 0;
+        while at < clean.len() / 2 {
+            let Scan::Record { end, .. } = scan_one(&clean, at) else {
+                panic!("the sealed segment is clean");
+            };
+            at = end;
+        }
+        claims_max[at + 2..at + 6].copy_from_slice(&u32::MAX.to_le_bytes());
 
-        let err = match recover_shard(&cfg, &wal, 0, &stats) {
-            Err(e) => e,
-            Ok(_) => panic!("recovery accepted a bit-flipped sealed segment"),
-        };
-        assert!(
-            err.to_string().contains("corrupt mid-log"),
-            "unexpected error: {err}"
-        );
+        for (bytes, why) in [(flipped, "checksum"), (claims_max, "runs past the segment")] {
+            std::fs::write(&sealed, &bytes).unwrap();
+            let err = match recover_shard(&cfg, &wal, 0, &stats) {
+                Err(e) => e.to_string(),
+                Ok(_) => panic!("recovery accepted a corrupt sealed segment ({why})"),
+            };
+            assert!(err.contains("corrupt mid-log"), "unexpected error: {err}");
+            assert!(err.contains(&sealed.display().to_string()), "{err}");
+            assert!(err.contains(why), "{err}");
+            assert_eq!(std::fs::read(&sealed).unwrap(), bytes, "left untouched");
+        }
+        assert_eq!(stats.truncated_tails.load(Ordering::Relaxed), 0);
         std::fs::remove_dir_all(&root).unwrap();
     }
 
@@ -1117,8 +1212,8 @@ mod tests {
         let before = crashed.releases.clone();
         drop(w);
 
-        let segs = list_segments(&shard_dir(&root, 0)).unwrap();
-        assert!(segs[0].0 > 0, "compaction never dropped the birth segment");
+        let segs = FsStore::new(&root).list(0).unwrap();
+        assert!(segs[0] > 0, "compaction never dropped the birth segment");
 
         let mut rec = recover_shard(&cfg, &wal, 0, &stats).unwrap();
         let st = rec.streams.remove("k").expect("adopted from snapshot");
@@ -1190,6 +1285,45 @@ mod tests {
         let full: Vec<_> = logged.into_iter().chain(resumed.releases).collect();
         assert_eq!(full, reference.releases);
         std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// Under `always`, power loss right after a rotation keeps every record
+    /// the writer acknowledged, the one in the fresh segment included:
+    /// creating a segment syncs the directory that names it.
+    #[test]
+    fn a_crash_right_after_a_rotation_recovers_every_acknowledged_record() {
+        let cfg = tiny_cfg();
+        let store = FaultStore::new(11);
+        let mut wal = wal_cfg(store.root());
+        wal.sync = WalSyncPolicy::Always;
+        wal.segment_min_bytes = 1; // rotate on the snapshot cadence
+        let stats = Arc::new(WalStats::default());
+        let mut w = WalWriter::open_in(
+            store.clone(),
+            0,
+            wal.clone(),
+            cfg.snapshot_every,
+            stats.clone(),
+            WriterPosition::default(),
+        )
+        .unwrap();
+        let mut h = Harness::open(&cfg, "k", &mut w);
+        let mut fed = 0;
+        while store.list(0).unwrap().len() < 2 {
+            h.feed(&cfg, "k", Some(&mut w), fed..fed + 1, 1);
+            fed += 1;
+        }
+        // The fresh segment holds nothing yet; acknowledge one record in it.
+        h.feed(&cfg, "k", Some(&mut w), fed..fed + 1, 1);
+        fed += 1;
+        drop(w);
+        store.crash();
+
+        let rec = recover_shard_in(store.clone(), &cfg, &wal, 0, &stats).unwrap();
+        assert_eq!(rec.streams["k"].pipe.stream_len(), fed);
+        let mut logged = Vec::new();
+        catchup_in(&*store, 0, "k", 0, |len, e| logged.push((len, e)));
+        assert_eq!(logged, h.releases);
     }
 
     #[test]

@@ -5,7 +5,11 @@
 //! **Durability** is governed by [`WalSyncPolicy`]: every record is handed
 //! to the OS with one `write` call (so concurrent catch-up readers only
 //! ever observe whole records or a clean tail), and `fsync` runs per the
-//! policy — after every record, every `n` records, or never.
+//! policy — after every record, every `n` records, or never. A segment's
+//! directory entry is synced when the segment is created, so under
+//! `always` a record acknowledged in a fresh segment cannot vanish with
+//! the segment's name. Every byte goes through the shard's segment store;
+//! the writer never touches a file itself.
 //!
 //! **Rotation** is keyed to snapshots: a segment is cut once it has
 //! absorbed `snapshot_every` snapshot records *and* reached the configured
@@ -24,12 +28,10 @@
 use crate::config::{WalConfig, WalSyncPolicy};
 use crate::stats::WalStats;
 use crate::wal::record::{self, WalRecord, OP_INGEST, OP_OPEN, OP_SNAPSHOT};
-use crate::wal::segment::{segment_file_name, shard_dir};
+use crate::wal::segment::{FsStore, SegmentHandle, SegmentId, SegmentStore};
 use bfly_common::{IngestChunk, Result};
 use std::collections::HashMap;
-use std::fs::{File, OpenOptions};
-use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -56,14 +58,15 @@ pub struct WriterPosition {
 }
 
 /// Append half of one shard's write-ahead log.
-#[derive(Debug)]
 pub struct WalWriter {
-    dir: PathBuf,
+    store: Arc<dyn SegmentStore>,
+    shard: usize,
     cfg: WalConfig,
     /// Snapshot records per segment before rotation fires.
     rotate_snapshots: u32,
     stats: Arc<WalStats>,
-    file: File,
+    /// The append segment.
+    seg: Box<dyn SegmentHandle>,
     seg_idx: u64,
     seg_bytes: u64,
     seg_snapshots: u32,
@@ -87,12 +90,24 @@ impl WalWriter {
         stats: Arc<WalStats>,
         pos: WriterPosition,
     ) -> Result<WalWriter> {
-        let dir = shard_dir(root, shard);
-        std::fs::create_dir_all(&dir)?;
-        let path = dir.join(segment_file_name(pos.seg_idx));
-        let existed = path.exists();
-        let file = OpenOptions::new().create(true).append(true).open(&path)?;
-        if !existed {
+        let store = Arc::new(FsStore::new(root));
+        WalWriter::open_in(store, shard, cfg, snapshot_every, stats, pos)
+    }
+
+    /// [`WalWriter::open`] over `store`.
+    pub(crate) fn open_in(
+        store: Arc<dyn SegmentStore>,
+        shard: usize,
+        cfg: WalConfig,
+        snapshot_every: usize,
+        stats: Arc<WalStats>,
+        pos: WriterPosition,
+    ) -> Result<WalWriter> {
+        let (seg, created) = store.open_append(SegmentId {
+            shard,
+            idx: pos.seg_idx,
+        })?;
+        if created {
             stats.segments.fetch_add(1, Ordering::Relaxed);
         } else {
             // Replay counted segments_on_disk; make the gauge match it once.
@@ -103,11 +118,12 @@ impl WalWriter {
             }
         }
         Ok(WalWriter {
-            dir,
+            store,
+            shard,
             cfg,
             rotate_snapshots: snapshot_every.max(1) as u32,
             stats,
-            file,
+            seg,
             seg_idx: pos.seg_idx,
             seg_bytes: pos.seg_bytes,
             seg_snapshots: pos.seg_snapshots,
@@ -139,7 +155,7 @@ impl WalWriter {
     /// Write the record laid out in `buf` (for `stream`), then the
     /// bookkeeping, the sync policy and (maybe) rotation.
     fn commit(&mut self, stream: &str) -> Result<()> {
-        self.file.write_all(&self.buf)?;
+        self.seg.append(&self.buf)?;
         let len = self.buf.len() as u64;
         self.next_seq += 1;
         self.seg_bytes += len;
@@ -199,7 +215,7 @@ impl WalWriter {
     }
 
     fn fsync(&mut self) -> Result<()> {
-        self.file.sync_data()?;
+        self.seg.sync()?;
         self.appends_since_sync = 0;
         self.stats.fsyncs.fetch_add(1, Ordering::Relaxed);
         Ok(())
@@ -211,8 +227,10 @@ impl WalWriter {
         // unsynced earlier one.
         self.fsync()?;
         self.seg_idx += 1;
-        let path = self.dir.join(segment_file_name(self.seg_idx));
-        self.file = OpenOptions::new().create(true).append(true).open(&path)?;
+        (self.seg, _) = self.store.open_append(SegmentId {
+            shard: self.shard,
+            idx: self.seg_idx,
+        })?;
         self.seg_bytes = 0;
         self.seg_snapshots = 0;
         self.stats.segments.fetch_add(1, Ordering::Relaxed);
@@ -231,11 +249,14 @@ impl WalWriter {
         if delete_below == 0 {
             return Ok(());
         }
-        for (idx, path) in crate::wal::segment::list_segments(&self.dir)? {
+        for idx in self.store.list(self.shard)? {
             if idx >= delete_below {
                 break; // sorted ascending: nothing further qualifies
             }
-            std::fs::remove_file(&path)?;
+            self.store.remove(SegmentId {
+                shard: self.shard,
+                idx,
+            })?;
             self.stats.segments.fetch_sub(1, Ordering::Relaxed);
             self.stats
                 .segments_compacted
@@ -265,8 +286,9 @@ fn set(map: &mut HashMap<String, u64>, stream: &str, value: u64) {
 mod tests {
     use super::*;
     use crate::wal::record::{scan_one, Scan, SnapshotEntry, StreamSnapshot};
-    use crate::wal::segment::list_segments;
+    use crate::wal::segment::{segment_file_name, shard_dir};
     use bfly_core::defense::DefenseKind;
+    use std::path::PathBuf;
 
     fn tmp_root(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -399,8 +421,7 @@ mod tests {
             w.append(&ingest("s")).unwrap();
             w.append(&snap("s", 4 + round)).unwrap();
         }
-        let segs = list_segments(&shard_dir(&root, 0)).unwrap();
-        let idxs: Vec<u64> = segs.iter().map(|s| s.0).collect();
+        let idxs = FsStore::new(&root).list(0).unwrap();
         // Snapshot in seg 2 covers stream s; segs 0 and 1 are compacted.
         assert_eq!(idxs, vec![2, 3], "live segments: {idxs:?}");
         assert_eq!(stats.segments_compacted.load(Ordering::Relaxed), 2);
@@ -436,8 +457,8 @@ mod tests {
         for round in 0u64..4 {
             w.append(&snap("hot", 4 + round)).unwrap();
         }
-        let segs = list_segments(&shard_dir(&root, 0)).unwrap();
-        assert_eq!(segs[0].0, 0, "segment 0 must survive while old is live");
+        let segs = FsStore::new(&root).list(0).unwrap();
+        assert_eq!(segs[0], 0, "segment 0 must survive while old is live");
         assert_eq!(stats.segments_compacted.load(Ordering::Relaxed), 0);
         std::fs::remove_dir_all(&root).unwrap();
     }
@@ -453,7 +474,7 @@ mod tests {
         for _ in 0..64 {
             w.append(&ingest("s")).unwrap();
         }
-        let segs = list_segments(&shard_dir(&root, 0)).unwrap();
+        let segs = FsStore::new(&root).list(0).unwrap();
         assert!(segs.len() > 1, "ceiling never rotated: {segs:?}");
         std::fs::remove_dir_all(&root).unwrap();
     }

@@ -97,6 +97,31 @@ if [[ -n "$INGESTS" ]]; then
   echo "an ingest is handled as a Request again; FrameCodec::next_inbound hands both encodings over as Inbound::Ingest"; exit 1
 fi
 
+echo "==> one-storage guard (every file-system call of the WAL sits in its segment store: the writer, recovery and catch-up reach segments only through SegmentStore)"
+STORAGE=$(for f in $(find crates/serve/src/wal -name '*.rs' | sort); do
+  [[ "$f" == crates/serve/src/wal/segment.rs ]] && continue
+  sed -E '/^ *(pub\(crate\) )?mod tests \{/,$d' "$f" | grep -nE '\bstd::fs\b|\bFile\b|\bOpenOptions\b' | grep -v '^[0-9]*: *//' | sed "s|^|$f:|"
+done || true)
+if [[ -n "$STORAGE" ]]; then
+  echo "$STORAGE"
+  echo "the WAL touches the file system outside wal/segment.rs; add the operation to SegmentStore instead"; exit 1
+fi
+
+echo "==> no-panic-on-log guard (a failed log append or sync turns the shard read-only: nothing in crates/serve/src unwraps or expects a WalWriter, recovery or store result)"
+# One awk record per statement (split at ';'), so a call and the .expect
+# that closes it a few lines later are judged together. wal/fault.rs is
+# test support, compiled only under cfg(test).
+PANICS=$(for f in $(find crates/serve/src -name '*.rs' | sort); do
+  [[ "$f" == crates/serve/src/wal/fault.rs ]] && continue
+  sed -E '/^ *(pub\(crate\) )?mod tests \{/,$d' "$f" | grep -v '^ *//' | awk -v f="$f" 'BEGIN { RS = ";" }
+    /\.(expect|unwrap)\(/ && /(WalWriter::open|recover_shard|publish_and_log\(|\.append(_ingest)?\(|\.sync(_dir)?\(|\.open_append\(|\.create_or_open\(|\.read_at\(|\.truncate\(|reader\.(open|next)\()/ {
+      gsub(/\n[ ]*/, " "); print f ":" $0 }'
+done || true)
+if [[ -n "$PANICS" ]]; then
+  echo "$PANICS"
+  echo "a log operation's failure panics; return it so the shard worker turns read-only"; exit 1
+fi
+
 echo "==> thread guard (a serve process runs one reactor thread plus one worker per shard: no thread per connection or subscription)"
 SPAWNS=$(for f in $(find crates/serve/src -name '*.rs' | sort); do
   sed '/^ *mod tests {/,$d' "$f" | grep -c 'thread::\(Builder\|spawn\)' | sed "s|^|$f |"
