@@ -7,7 +7,7 @@
 
 use bfly_bench::bench;
 use bfly_common::{BinaryFrame, FrameCodec, Inbound, ItemSet, SlidingWindow};
-use bfly_core::{BiasScheme, PrivacySpec, Publisher};
+use bfly_core::{BiasScheme, PrivacySpec, PublicationHistory, Publisher};
 use bfly_datagen::DatasetProfile;
 use bfly_inference::attack::find_intra_window_breaches;
 use bfly_mining::closed::expand_closed;
@@ -83,11 +83,14 @@ fn main() {
     {
         let mut p = warm_pipe(2000, 25);
         let mut publisher = Publisher::new(spec, BiasScheme::Basic, 3);
+        let mut history = PublicationHistory::default();
         bench("pipeline_slide_2000/mining_plus_basic", || {
             let delta = p.window.slide(p.source.next_transaction());
             p.miner.apply(&delta);
             let closed = p.miner.closed_frequent();
-            publisher.publish(&closed)
+            let release = publisher.publish(&closed, &history);
+            history.record(&release, p.window.stream_len());
+            release
         });
     }
 
@@ -101,11 +104,14 @@ fn main() {
             },
             3,
         );
+        let mut history = PublicationHistory::default();
         bench("pipeline_slide_2000/mining_plus_opt", || {
             let delta = p.window.slide(p.source.next_transaction());
             p.miner.apply(&delta);
             let closed = p.miner.closed_frequent();
-            publisher.publish(&closed)
+            let release = publisher.publish(&closed, &history);
+            history.record(&release, p.window.stream_len());
+            release
         });
     }
 

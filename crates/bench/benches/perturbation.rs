@@ -7,7 +7,7 @@ use bfly_bench::bench;
 use bfly_common::ItemSet;
 use bfly_core::fec::{partition_into_fecs, Fec};
 use bfly_core::order::order_preserving_biases;
-use bfly_core::{BiasScheme, PrivacySpec, Publisher};
+use bfly_core::{BiasScheme, PrivacySpec, PublicationHistory, Publisher};
 use bfly_datagen::DatasetProfile;
 use bfly_mining::{FrequentItemsets, MinerBackend, MomentMiner};
 use std::time::{Duration, Instant};
@@ -32,12 +32,10 @@ fn bench_schemes() {
                 "publish/{}/{n}",
                 scheme.name().to_string().replace(' ', "_")
             );
-            bench(&label, || {
-                // Reset the pin cache so every iteration pays the full
-                // perturbation cost.
-                publisher.reset();
-                publisher.publish(&output)
-            });
+            // An empty history, so every iteration pays the full
+            // perturbation cost.
+            let history = PublicationHistory::default();
+            bench(&label, || publisher.publish(&output, &history));
         }
     }
 }

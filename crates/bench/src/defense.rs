@@ -24,7 +24,7 @@
 use crate::runner::WindowTruth;
 use bfly_common::Json;
 use bfly_core::metrics::{avg_pred, avg_prig, ChainView};
-use bfly_core::{BiasScheme, DefenseKind, DefenseSpec, PrivacySpec};
+use bfly_core::{BiasScheme, DefenseKind, DefenseSpec, PrivacySpec, PublicationHistory};
 use bfly_inference::derive::derive_pattern_support_f64;
 use std::collections::HashSet;
 use std::time::Instant;
@@ -107,10 +107,12 @@ pub fn evaluate_defense(
         suppressed: 0,
         windows: truths.len(),
     };
+    let mut history = PublicationHistory::default();
     let mut prev_view = None;
-    for truth in truths {
+    for (i, truth) in truths.iter().enumerate() {
         let start = Instant::now();
-        let release = defense.publish(&truth.closed);
+        let release = defense.publish(&truth.closed, &history);
+        history.record(&release, i as u64 + 1);
         eval.publish_us_per_window += start.elapsed().as_secs_f64() * 1e6;
         let view = release.view();
         eval.avg_pred += avg_pred(&release);

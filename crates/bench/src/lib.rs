@@ -20,7 +20,7 @@ pub mod tuning;
 
 pub use defense::{defense_matrix, evaluate_defense, DefenseEval};
 pub use record::{append_run, epoch_seconds, host_cores};
-pub use reference::publish_from_scratch;
+pub use reference::{apply_delta, delta_between, publish_from_scratch};
 pub use runner::{
     collect_truths, evaluate_cells, evaluate_scheme, EvalResult, ExperimentConfig, WindowTruth,
 };

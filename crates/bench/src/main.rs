@@ -13,7 +13,9 @@ use bfly_bench::{
 };
 use bfly_common::flags::{parse_flags, Flags};
 use bfly_common::{pool, Database, ItemSet, Json, SlidingWindow, Transaction};
-use bfly_core::{audit_release, BiasScheme, DefenseKind, DefenseSpec, PrivacySpec, Publisher};
+use bfly_core::{
+    audit_release, BiasScheme, DefenseKind, DefenseSpec, PrivacySpec, PublicationHistory, Publisher,
+};
 use bfly_datagen::{DatasetProfile, MarkovConfig, MarkovSessionGenerator};
 use bfly_inference::attack::BreachKind;
 use bfly_mining::closed::{closed_subset, expand_closed};
@@ -431,12 +433,13 @@ fn fig8(opts: &Opts) {
                 },
                 2,
             );
+            let (mut basic_history, mut opt_history) = Default::default();
             let mut t_mining = Duration::ZERO;
             let mut t_basic = Duration::ZERO;
             let mut t_opt = Duration::ZERO;
             let mut published = 0usize;
             let mut fecs = 0usize;
-            for _ in 0..slides {
+            for slide in 1..=slides as u64 {
                 let tx = source.next_transaction();
                 let start = Instant::now();
                 let delta = window.slide(tx);
@@ -445,11 +448,13 @@ fn fig8(opts: &Opts) {
                 t_mining += start.elapsed();
 
                 let start = Instant::now();
-                let r = basic.publish(&closed);
+                let r = basic.publish(&closed, &basic_history);
+                basic_history.record(&r, slide);
                 t_basic += start.elapsed();
 
                 let start = Instant::now();
-                let _ = opt.publish(&closed);
+                let o = opt.publish(&closed, &opt_history);
+                opt_history.record(&o, slide);
                 t_opt += start.elapsed();
 
                 published += r.len();
@@ -537,26 +542,23 @@ fn republication_ablation() {
         "Ablation 2: averaging attack vs republication (|mean − truth| after N windows)",
         &["variant", "N", "abs_error"],
     );
-    // Butterfly: pinned.
+    let ab = |release: &bfly_core::SanitizedRelease| {
+        release.get(&"ab".parse().unwrap()).unwrap().sanitized
+    };
+    // Butterfly: pinned against the stream's history.
     let mut p = Publisher::new(spec, BiasScheme::Basic, 7);
-    let pinned: Vec<i64> = (0..observations)
-        .map(|_| {
-            p.publish(&frequent)
-                .get(&"ab".parse().unwrap())
-                .unwrap()
-                .sanitized
+    let mut history = PublicationHistory::default();
+    let pinned: Vec<i64> = (1..=observations as u64)
+        .map(|n| {
+            let release = p.publish(&frequent, &history);
+            history.record(&release, n);
+            ab(&release)
         })
         .collect();
-    // Naive: fresh noise each window (publisher reset defeats the pin).
+    // Naive: fresh noise each window (an empty history defeats the pin).
     let mut q = Publisher::new(spec, BiasScheme::Basic, 7);
     let fresh: Vec<i64> = (0..observations)
-        .map(|_| {
-            q.reset();
-            q.publish(&frequent)
-                .get(&"ab".parse().unwrap())
-                .unwrap()
-                .sanitized
-        })
+        .map(|_| ab(&q.publish(&frequent, &PublicationHistory::default())))
         .collect();
     for n in [10usize, 50, 200] {
         table.row(vec![
@@ -622,7 +624,7 @@ fn residual_attack(opts: &Opts) {
         let seeds: Vec<u64> = (0..trials).collect();
         let per_seed = pool::par_map(&seeds, |&seed| {
             let mut publisher = Publisher::new(spec, scheme, seed);
-            let release = publisher.publish(&full);
+            let release = publisher.publish(&full, &PublicationHistory::default());
             let claims = claim_breaches(&release.view(), &spans, cfg.k, 10);
             let score = score_claims(&claims, &db, &spans, cfg.k, 10);
             (score.precision(), score.recall(), claims.len())
@@ -663,7 +665,7 @@ fn confidence_preservation(opts: &Opts) {
         let seeds: Vec<u64> = (0..trials as u64).collect();
         let total: f64 = pool::par_map(&seeds, |&seed| {
             let mut p = Publisher::new(spec, scheme, seed);
-            let release = p.publish(&full);
+            let release = p.publish(&full, &PublicationHistory::default());
             confidence_preservation_rate(&rules, &release.view(), 0.05)
         })
         .into_iter()
@@ -759,6 +761,7 @@ fn soak(opts: &Opts) -> ExitCode {
                 },
                 7,
             );
+            let mut history = PublicationHistory::default();
             let mut window = SlidingWindow::new(window_size);
             let mut moment = MomentMiner::new(c);
             let mut stream = stream_by_name(name, window_size);
@@ -791,7 +794,8 @@ fn soak(opts: &Opts) -> ExitCode {
                     failures += 1;
                     break;
                 }
-                let release = publisher.publish(&mined);
+                let release = publisher.publish(&mined, &history);
+                history.record(&release, step as u64);
                 let audit = audit_release(&spec, &release);
                 if !audit.is_empty() {
                     eprintln!(

@@ -9,7 +9,7 @@
 
 use bfly_common::{pool, SlidingWindow, Support};
 use bfly_core::metrics::{avg_pred, avg_prig, ropp, rrpp};
-use bfly_core::{BiasScheme, PrivacySpec, Publisher};
+use bfly_core::{BiasScheme, PrivacySpec, PublicationHistory, Publisher};
 use bfly_datagen::DatasetProfile;
 use bfly_inference::attack::{find_inter_window_breaches, find_intra_window_breaches, Breach};
 use bfly_mining::closed::expand_closed;
@@ -131,10 +131,12 @@ pub fn evaluate_scheme(
     seed: u64,
 ) -> EvalResult {
     let mut publisher = Publisher::new(spec, scheme, seed);
+    let mut history = PublicationHistory::default();
     let mut result = EvalResult::default();
     let mut prev_view = None;
-    for truth in truths {
-        let release = publisher.publish(&truth.closed);
+    for (i, truth) in truths.iter().enumerate() {
+        let release = publisher.publish(&truth.closed, &history);
+        history.record(&release, i as u64 + 1);
         let view = release.view();
         result.avg_pred += avg_pred(&release);
         result.avg_ropp += ropp(&release);

@@ -1,7 +1,7 @@
 //! Hash-consed itemset interner.
 //!
 //! The publish path used to deep-clone `ItemSet` values at every layer
-//! (miner result → FEC partition → republication cache → release entries →
+//! (miner result → FEC partition → republication pins → release entries →
 //! attack views). Interning collapses all of that to a copyable
 //! [`ItemsetId`]: each distinct itemset is stored once in a global arena
 //! and every later mention is a 4-byte handle. Resolution returns

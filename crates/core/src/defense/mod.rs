@@ -28,9 +28,9 @@
 //!   accounting.
 //!
 //! Every defense publishes [`SanitizedRelease`]s in the shared publication
-//! order (true support ascending, members lexicographic) and reports a
-//! [`ReleaseDelta`] against its previous release, so the serve layer's
-//! snapshot/delta wire cadence works unchanged for all of them.
+//! order (true support ascending, members lexicographic) and reads the
+//! stream's past from the [`PublicationHistory`] the pipeline owns, so the
+//! pipeline's one delta and WAL recovery work unchanged for all of them.
 
 mod privbasis;
 mod suppress;
@@ -39,30 +39,29 @@ pub use privbasis::PrivBasisDefense;
 pub use suppress::{SuppressionDefense, SuppressionStats};
 
 use crate::config::PrivacySpec;
-use crate::engine::{Publisher, ReleaseDelta};
+use crate::engine::Publisher;
+use crate::history::PublicationHistory;
 use crate::release::SanitizedRelease;
 use crate::scheme::BiasScheme;
 use bfly_mining::FrequentItemsets;
 use std::fmt;
 
 /// A publication-stage defense the stream pipeline can drive: consume one
-/// window's mining output, emit the sanitized release the outside world
-/// sees plus what changed against the previous one.
+/// window's mining output and the stream's history, emit the sanitized
+/// release the outside world sees.
 ///
 /// Contract:
 /// * **Determinism** — output is a pure function of `(construction
-///   parameters, seed, publish-call sequence)`; never of wall clock,
-///   iteration order, or thread count. This is what makes CLI runs
-///   byte-reproducible and serve releases bit-identical to in-process
-///   replays.
+///   parameters, seed, window, history)`; never of wall clock, iteration
+///   order, or thread count. This is what makes CLI runs byte-reproducible,
+///   serve releases bit-identical to in-process replays, and WAL recovery
+///   exact: restoring the history restores the stream.
 /// * **Publication order** — release entries are sorted by true support
-///   ascending, then lexicographic itemset, the order
-///   [`ReleaseDelta::apply`] reconstructs; deltas therefore round-trip for
-///   every backend, which is what the serve layer's snapshot/delta cadence
-///   relies on.
-/// * **Stateful across windows** — a defense may carry republication
-///   caches or previous releases; [`PrivacyDefense::reset`] drops that
-///   state when retargeting to a new stream.
+///   ascending, then lexicographic itemset, the order a subscriber's
+///   reconstruction sorts into, so deltas round-trip for every backend.
+/// * **History is read, never kept** — the previous release and the count
+///   of releases emitted come from the [`PublicationHistory`] passed in;
+///   what a defense keeps (buffers, a ledger) must not change its output.
 pub trait PrivacyDefense: Send + fmt::Debug {
     /// Which registry entry this defense is.
     fn kind(&self) -> DefenseKind;
@@ -72,40 +71,20 @@ pub trait PrivacyDefense: Send + fmt::Debug {
     /// ignores Butterfly's ε/δ semantics).
     fn spec(&self) -> &PrivacySpec;
 
-    /// Sanitize one window's mining output and report what changed against
-    /// the previous publication.
-    fn publish_with_delta(
+    /// Sanitize one window's mining output, published after the releases
+    /// `history` describes.
+    fn publish(
         &mut self,
         frequent: &FrequentItemsets,
-    ) -> (SanitizedRelease, ReleaseDelta);
+        history: &PublicationHistory,
+    ) -> SanitizedRelease;
 
-    /// Sanitize one window's mining output.
-    fn publish(&mut self, frequent: &FrequentItemsets) -> SanitizedRelease {
-        self.publish_with_delta(frequent).0
-    }
-
-    /// Drop all cross-window state (e.g. when retargeting to a new stream).
-    fn reset(&mut self);
-
-    /// Reinstate cross-window state from a recovered previous release, as
-    /// if `published` windows had already been released and the last one
-    /// was `previous` — followed by live publishes, the stream must be
-    /// bit-identical to one that never restarted.
-    ///
-    /// Every shipped defense implements this (it is what makes WAL crash
-    /// recovery exact); the default drops state so a hypothetical stateless
-    /// defense — whose output depends only on the window — stays correct.
-    fn restore(&mut self, published: u64, previous: &SanitizedRelease) {
-        let _ = (published, previous);
-        self.reset();
-    }
-
-    /// Whether releases honour Butterfly's audit contract. The pipeline only
-    /// runs [`crate::audit::audit_release`] on defenses that claim it, and
-    /// that audit checks two facts per entry: the true support is at least
-    /// `C`, and the sanitized value lies within the α-region of an in-budget
-    /// bias. Republication pinning and FEC-mates sharing one value are not
-    /// audited yet (ROADMAP item 3(a)).
+    /// Whether releases honour Butterfly's audit contract. The pipeline
+    /// audits every release of a defense that claims it, in every build,
+    /// and withholds one that fails ([`crate::audit`]): each entry's true
+    /// support is at least `C` and its value inside the α-region of an
+    /// in-budget bias; an unchanged true support keeps its pinned value,
+    /// and unpinned FEC-mates share one value.
     fn honors_butterfly_contract(&self) -> bool {
         false
     }
@@ -136,23 +115,12 @@ impl PrivacyDefense for Box<dyn PrivacyDefense> {
         (**self).spec()
     }
 
-    fn publish_with_delta(
+    fn publish(
         &mut self,
         frequent: &FrequentItemsets,
-    ) -> (SanitizedRelease, ReleaseDelta) {
-        (**self).publish_with_delta(frequent)
-    }
-
-    fn publish(&mut self, frequent: &FrequentItemsets) -> SanitizedRelease {
-        (**self).publish(frequent)
-    }
-
-    fn reset(&mut self) {
-        (**self).reset()
-    }
-
-    fn restore(&mut self, published: u64, previous: &SanitizedRelease) {
-        (**self).restore(published, previous)
+        history: &PublicationHistory,
+    ) -> SanitizedRelease {
+        (**self).publish(frequent, history)
     }
 
     fn honors_butterfly_contract(&self) -> bool {
@@ -181,19 +149,12 @@ impl PrivacyDefense for Publisher {
         Publisher::spec(self)
     }
 
-    fn publish_with_delta(
+    fn publish(
         &mut self,
         frequent: &FrequentItemsets,
-    ) -> (SanitizedRelease, ReleaseDelta) {
-        Publisher::publish_with_delta(self, frequent)
-    }
-
-    fn reset(&mut self) {
-        Publisher::reset(self)
-    }
-
-    fn restore(&mut self, published: u64, previous: &SanitizedRelease) {
-        Publisher::restore(self, published, previous)
+        history: &PublicationHistory,
+    ) -> SanitizedRelease {
+        Publisher::publish(self, frequent, history)
     }
 
     fn honors_butterfly_contract(&self) -> bool {
@@ -397,10 +358,28 @@ mod tests {
         assert!(b.validate().is_ok());
     }
 
+    /// Publish `windows` in order through `defense`, recording each release
+    /// in one history as the pipeline would; returns the releases.
+    fn run(
+        defense: &mut dyn PrivacyDefense,
+        windows: &[FrequentItemsets],
+    ) -> Vec<SanitizedRelease> {
+        let mut history = PublicationHistory::default();
+        windows
+            .iter()
+            .enumerate()
+            .map(|(i, w)| {
+                let release = defense.publish(w, &history);
+                history.record(&release, i as u64 + 1);
+                release
+            })
+            .collect()
+    }
+
     #[test]
     fn publisher_behind_the_trait_is_bit_identical() {
-        // The tentpole invariant at unit scale: the boxed trait path and
-        // the direct Publisher produce the same releases and deltas.
+        // The boxed trait path and the direct Publisher produce the same
+        // releases over the same history.
         let windows = [
             window(&[("a", 30), ("b", 32), ("c", 60)]),
             window(&[("a", 30), ("b", 33), ("c", 60), ("d", 62)]),
@@ -410,23 +389,20 @@ mod tests {
         let mut boxed = DefenseSpec::butterfly().build(spec(), BiasScheme::RatioPreserving, 7);
         assert_eq!(boxed.kind(), DefenseKind::Butterfly);
         assert!(boxed.honors_butterfly_contract());
-        for w in &windows {
-            let (rd, dd) = direct.publish_with_delta(w);
-            let (rb, db) = boxed.publish_with_delta(w);
-            assert_eq!(rd, rb, "release diverged");
-            assert_eq!(dd, db, "delta diverged");
-        }
+        assert_eq!(run(&mut direct, &windows), run(&mut boxed, &windows));
     }
 
     #[test]
-    fn boxed_clone_preserves_republication_state() {
+    fn a_clone_publishes_what_the_original_would() {
         let mut boxed = DefenseSpec::butterfly().build(spec(), BiasScheme::Basic, 3);
         let w = window(&[("a", 40), ("b", 31)]);
-        let first = boxed.publish(&w);
+        let mut history = PublicationHistory::default();
+        let first = boxed.publish(&w, &history);
+        history.record(&first, 1);
+        // The pins live in the history, so a clone republishes them too.
         let mut cloned = boxed.clone();
-        // The clone carries the pin cache: republication holds across it.
-        assert_eq!(cloned.publish(&w), first);
-        assert_eq!(boxed.publish(&w), first);
+        assert_eq!(cloned.publish(&w, &history), first);
+        assert_eq!(boxed.publish(&w, &history), first);
     }
 
     #[test]
@@ -443,41 +419,19 @@ mod tests {
     }
 
     #[test]
-    fn every_defense_round_trips_deltas() {
-        // The serve layer's wire invariant, for every backend:
-        // delta.apply(prev) == next, entry order included.
-        let windows = [
-            window(&[("a", 30), ("b", 32), ("c", 60), ("ab", 28)]),
-            window(&[("a", 30), ("b", 34), ("c", 60), ("d", 62)]),
-            window(&[("b", 34), ("d", 61)]),
-        ];
-        for kind in DefenseKind::ALL {
-            let mut d = DefenseSpec::new(kind).build(spec(), BiasScheme::Basic, 11);
-            let mut prev = SanitizedRelease::default();
-            for w in &windows {
-                let (release, delta) = d.publish_with_delta(w);
-                assert_eq!(
-                    delta.apply(&prev),
-                    release,
-                    "{kind}: delta does not reconstruct the release"
-                );
-                prev = release;
-            }
-        }
-    }
-
-    #[test]
-    fn reset_restarts_every_defense_from_scratch() {
+    fn an_empty_history_restarts_every_defense_from_scratch() {
         let windows = [
             window(&[("a", 30), ("b", 32), ("c", 60)]),
             window(&[("a", 31), ("b", 32), ("c", 59)]),
         ];
         for kind in DefenseKind::ALL {
             let mut d = DefenseSpec::new(kind).build(spec(), BiasScheme::Basic, 5);
-            let first: Vec<_> = windows.iter().map(|w| d.publish(w)).collect();
-            d.reset();
-            let again: Vec<_> = windows.iter().map(|w| d.publish(w)).collect();
-            assert_eq!(first, again, "{kind}: reset did not restart the stream");
+            let first = run(&mut d, &windows);
+            let again = run(&mut d, &windows);
+            assert_eq!(
+                first, again,
+                "{kind}: an empty history did not restart the stream"
+            );
         }
     }
 }

@@ -24,15 +24,16 @@
 //! Butterfly's targeted contract.
 //!
 //! Determinism: noise is a pure function of `(seed, window index, itemset
-//! content)`. Every draw seeds [`SmallRng::split_stream`] from the FNV-1a
-//! hash of the itemset's item ids — *never* from [`ItemsetId`], which is a
-//! process-local intern index whose numbering depends on interleaving —
-//! so the same stream replayed in-process or over the wire publishes
-//! identical bytes.
+//! content)`, the window index being the history's count of releases
+//! emitted ([`PublicationHistory::published`]). Every draw seeds
+//! [`SmallRng::split_stream`] from the FNV-1a hash of the itemset's item
+//! ids — *never* from [`ItemsetId`], which is a process-local intern index
+//! whose numbering depends on interleaving — so the same stream replayed
+//! in-process or over the wire publishes identical bytes.
 
 use crate::config::PrivacySpec;
 use crate::defense::{DefenseKind, PrivacyDefense};
-use crate::engine::ReleaseDelta;
+use crate::history::PublicationHistory;
 use crate::release::{SanitizedItemset, SanitizedRelease};
 use bfly_common::rng::{Rng, SmallRng};
 use bfly_common::ItemSet;
@@ -74,8 +75,6 @@ pub struct PrivBasisDefense {
     epsilon_window: f64,
     top_k: usize,
     seed: u64,
-    windows_published: u64,
-    prev: SanitizedRelease,
 }
 
 impl PrivBasisDefense {
@@ -94,8 +93,6 @@ impl PrivBasisDefense {
             epsilon_window,
             top_k,
             seed,
-            windows_published: 0,
-            prev: SanitizedRelease::default(),
         }
     }
 
@@ -109,15 +106,15 @@ impl PrivBasisDefense {
         self.top_k
     }
 
-    /// One itemset's noise source for the current window: seeded from the
+    /// One itemset's noise source for window `window`: seeded from the
     /// content hash so it is stable across processes, split by window index
     /// so republished windows redraw (there is deliberately no
     /// republication pinning here — under DP, pinning would be free, but
     /// the honest sequential-composition story re-spends the budget, and
     /// the averaging leak that creates is part of what the cross-defense
     /// bench measures).
-    fn rng_for(&self, itemset: &ItemSet) -> SmallRng {
-        SmallRng::split_stream(self.seed ^ content_hash(itemset), self.windows_published)
+    fn rng_for(&self, itemset: &ItemSet, window: u64) -> SmallRng {
+        SmallRng::split_stream(self.seed ^ content_hash(itemset), window)
     }
 }
 
@@ -143,10 +140,12 @@ impl PrivacyDefense for PrivBasisDefense {
         &self.spec
     }
 
-    fn publish_with_delta(
+    fn publish(
         &mut self,
         frequent: &FrequentItemsets,
-    ) -> (SanitizedRelease, ReleaseDelta) {
+        history: &PublicationHistory,
+    ) -> SanitizedRelease {
+        let window = history.published();
         let k_eff = self.top_k.min(frequent.len()).max(1);
         let sel_noise = Laplace::new(2.0 * k_eff as f64 / (self.epsilon_window / 2.0));
         let cnt_noise = Laplace::new(k_eff as f64 / (self.epsilon_window / 2.0));
@@ -159,7 +158,7 @@ impl PrivacyDefense for PrivBasisDefense {
             .iter()
             .map(|e| {
                 let itemset = e.itemset();
-                let mut rng = self.rng_for(itemset);
+                let mut rng = self.rng_for(itemset, window);
                 let score = e.support as f64 + sel_noise.sample(&mut rng);
                 let sanitized = (e.support as f64 + cnt_noise.sample(&mut rng)).round() as i64;
                 (
@@ -179,33 +178,15 @@ impl PrivacyDefense for PrivBasisDefense {
         scored.truncate(k_eff);
 
         // Phase 2 — publish the winners in the shared publication order
-        // (true support ascending, members lexicographic): the order
-        // ReleaseDelta::apply reconstructs, so deltas round-trip.
+        // (true support ascending, members lexicographic), so deltas
+        // round-trip.
         let mut entries: Vec<SanitizedItemset> = scored.into_iter().map(|(_, _, e)| e).collect();
         entries.sort_unstable_by(|a, b| {
             a.true_support
                 .cmp(&b.true_support)
                 .then_with(|| a.itemset().cmp(b.itemset()))
         });
-        let release = SanitizedRelease::new(entries);
-        let delta = ReleaseDelta::between(&self.prev, &release);
-        self.prev = release.clone();
-        self.windows_published += 1;
-        (release, delta)
-    }
-
-    fn reset(&mut self) {
-        self.windows_published = 0;
-        self.prev = SanitizedRelease::default();
-    }
-
-    fn restore(&mut self, published: u64, previous: &SanitizedRelease) {
-        // The window index is the only thing the noise stream keys on, and
-        // `prev` is only the delta base — both come straight from the
-        // recovered release, so post-restore publishes redraw exactly the
-        // noise the uncrashed process would have.
-        self.windows_published = published;
-        self.prev = previous.clone();
+        SanitizedRelease::new(entries)
     }
 
     fn boxed_clone(&self) -> Box<dyn PrivacyDefense> {
@@ -229,6 +210,11 @@ mod tests {
         FrequentItemsets::new(supports.iter().map(|&(s, t)| (iset(s), t)))
     }
 
+    /// Publish `w` as window `n` of a stream (`n` releases emitted before).
+    fn publish_at(d: &mut PrivBasisDefense, w: &FrequentItemsets, n: u64) -> SanitizedRelease {
+        d.publish(w, &PublicationHistory::restored(n, 0, []))
+    }
+
     #[test]
     fn laplace_moments() {
         // Variance of Laplace(0, b) is 2b².
@@ -247,7 +233,11 @@ mod tests {
         let w = window(&[("a", 40), ("b", 38), ("ab", 30), ("c", 55), ("d", 29)]);
         let publish_all = |seed: u64| {
             let mut d = PrivBasisDefense::new(spec(), 1.0, 3, seed);
-            (d.publish(&w), d.publish(&w), d.publish(&w))
+            (
+                publish_at(&mut d, &w, 0),
+                publish_at(&mut d, &w, 1),
+                publish_at(&mut d, &w, 2),
+            )
         };
         assert_eq!(publish_all(9), publish_all(9), "same seed must replay");
         assert_ne!(
@@ -263,8 +253,8 @@ mod tests {
         // indices draws fresh noise (the DP budget is re-spent).
         let w = window(&[("a", 40), ("b", 38)]);
         let mut d = PrivBasisDefense::new(spec(), 1.0, 5, 4);
-        let first = d.publish(&w);
-        let second = d.publish(&w);
+        let first = publish_at(&mut d, &w, 0);
+        let second = publish_at(&mut d, &w, 1);
         assert_ne!(first, second, "window index must split the noise stream");
     }
 
@@ -279,7 +269,7 @@ mod tests {
             ("e", 61),
         ]);
         let mut d = PrivBasisDefense::new(spec(), 8.0, 3, 2);
-        let r = d.publish(&w);
+        let r = publish_at(&mut d, &w, 0);
         assert_eq!(r.len(), 3, "release must be capped at k");
         let entries: Vec<_> = r.iter().collect();
         for pair in entries.windows(2) {
@@ -306,7 +296,10 @@ mod tests {
         let backward = window(&[("ab", 30), ("b", 38), ("a", 40)]);
         let mut d1 = PrivBasisDefense::new(spec(), 1.0, 5, 6);
         let mut d2 = PrivBasisDefense::new(spec(), 1.0, 5, 6);
-        assert_eq!(d1.publish(&forward), d2.publish(&backward));
+        assert_eq!(
+            publish_at(&mut d1, &forward, 0),
+            publish_at(&mut d2, &backward, 0)
+        );
     }
 
     #[test]
@@ -316,7 +309,7 @@ mod tests {
         let mean = (0..n)
             .map(|seed| {
                 let mut d = PrivBasisDefense::new(spec(), 2.0, 1, seed);
-                d.publish(&w).iter().next().unwrap().sanitized as f64
+                publish_at(&mut d, &w, 0).iter().next().unwrap().sanitized as f64
             })
             .sum::<f64>()
             / n as f64;
@@ -324,13 +317,15 @@ mod tests {
     }
 
     #[test]
-    fn reset_rewinds_the_window_index() {
+    fn the_window_index_is_the_historys_count() {
         let w = window(&[("a", 40), ("b", 38)]);
         let mut d = PrivBasisDefense::new(spec(), 1.0, 5, 3);
-        let first = d.publish(&w);
-        d.publish(&w);
-        d.reset();
-        assert_eq!(d.publish(&w), first);
+        let mut history = PublicationHistory::default();
+        let first = d.publish(&w, &history);
+        history.record(&first, 1);
+        let second = d.publish(&w, &history);
+        assert_eq!(second, publish_at(&mut d, &w, 1));
+        assert_eq!(d.publish(&w, &PublicationHistory::default()), first);
     }
 
     #[test]

@@ -28,13 +28,15 @@
 
 use crate::config::PrivacySpec;
 use crate::defense::{DefenseKind, PrivacyDefense};
-use crate::engine::ReleaseDelta;
+use crate::history::PublicationHistory;
 use crate::release::{SanitizedItemset, SanitizedRelease};
 use bfly_common::ItemsetId;
 use bfly_inference::find_intra_window_breaches;
 use bfly_mining::FrequentItemsets;
 
-/// Cumulative side-effect ledger for a suppression defense.
+/// Cumulative side-effect ledger for a suppression defense: monitoring
+/// only, counted from the defense's construction (a restarted stream's
+/// ledger starts again at zero).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SuppressionStats {
     /// Windows published.
@@ -52,7 +54,6 @@ pub struct SuppressionStats {
 #[derive(Clone, Debug)]
 pub struct SuppressionDefense {
     spec: PrivacySpec,
-    prev: SanitizedRelease,
     stats: SuppressionStats,
 }
 
@@ -61,7 +62,6 @@ impl SuppressionDefense {
     pub fn new(spec: PrivacySpec) -> Self {
         SuppressionDefense {
             spec,
-            prev: SanitizedRelease::default(),
             stats: SuppressionStats::default(),
         }
     }
@@ -76,10 +76,11 @@ impl PrivacyDefense for SuppressionDefense {
         &self.spec
     }
 
-    fn publish_with_delta(
+    fn publish(
         &mut self,
         frequent: &FrequentItemsets,
-    ) -> (SanitizedRelease, ReleaseDelta) {
+        _history: &PublicationHistory,
+    ) -> SanitizedRelease {
         // Run the same attack the adversary would, suppress every breach's
         // span, and repeat on the reduced view until the attack comes back
         // empty. Each round only removes entries, so this terminates.
@@ -121,27 +122,7 @@ impl PrivacyDefense for SuppressionDefense {
         });
         self.stats.windows += 1;
         self.stats.published += entries.len() as u64;
-        let release = SanitizedRelease::new(entries);
-        let delta = ReleaseDelta::between(&self.prev, &release);
-        self.prev = release.clone();
-        (release, delta)
-    }
-
-    fn reset(&mut self) {
-        self.prev = SanitizedRelease::default();
-        self.stats = SuppressionStats::default();
-    }
-
-    fn restore(&mut self, published: u64, previous: &SanitizedRelease) {
-        // Suppression is stateless per window apart from the delta base;
-        // the ledger is monitoring-only and restarts from the recovered
-        // window count (breach/suppression totals before the crash are not
-        // reconstructed).
-        self.prev = previous.clone();
-        self.stats = SuppressionStats {
-            windows: published,
-            ..SuppressionStats::default()
-        };
+        SanitizedRelease::new(entries)
     }
 
     fn suppression_stats(&self) -> Option<SuppressionStats> {
@@ -170,6 +151,10 @@ mod tests {
         FrequentItemsets::new(supports.iter().map(|&(s, t)| (iset(s), t)))
     }
 
+    fn publish(d: &mut SuppressionDefense, w: &FrequentItemsets) -> SanitizedRelease {
+        d.publish(w, &PublicationHistory::default())
+    }
+
     /// A window publishing the full lattice over `abc`, where
     /// `T(ab¬c) = 30−28 = 2` and `T(ac¬b) = 29−28 = 1` are derivable
     /// vulnerable patterns (< K = 5) with span `abc`; every other pattern
@@ -194,7 +179,7 @@ mod tests {
             "fixture must be breachable before suppression"
         );
         let mut d = SuppressionDefense::new(spec());
-        let release = d.publish(&w);
+        let release = publish(&mut d, &w);
         let truth: std::collections::HashMap<_, _> =
             release.iter().map(|e| (e.id, e.true_support)).collect();
         assert!(
@@ -211,7 +196,7 @@ mod tests {
     fn survivors_keep_exact_supports() {
         let w = window(&[("a", 40), ("b", 33), ("c", 61)]);
         let mut d = SuppressionDefense::new(spec());
-        let release = d.publish(&w);
+        let release = publish(&mut d, &w);
         assert_eq!(release.len(), 3, "nothing to hide, nothing suppressed");
         for e in release.iter() {
             assert_eq!(e.sanitized, e.true_support as i64);
@@ -222,15 +207,13 @@ mod tests {
     fn ledger_accounts_for_side_effects() {
         let clean = window(&[("a", 40), ("b", 33)]);
         let mut d = SuppressionDefense::new(spec());
-        d.publish(&breachy());
-        d.publish(&clean);
+        publish(&mut d, &breachy());
+        publish(&mut d, &clean);
         let stats = d.suppression_stats().unwrap();
         assert_eq!(stats.windows, 2);
         assert_eq!(stats.breaches_found, 2); // ab¬c and ac¬b, both span abc
         assert_eq!(stats.suppressed, 1); // one span closes both
         assert_eq!(stats.published, 6 + 2); // breachy loses abc, clean intact
-        d.reset();
-        assert_eq!(d.suppression_stats().unwrap(), SuppressionStats::default());
     }
 
     #[test]
@@ -238,9 +221,6 @@ mod tests {
         // Suppression is noise-free: any two instances agree byte for byte.
         let mut d1 = SuppressionDefense::new(spec());
         let mut d2 = SuppressionDefense::new(spec());
-        assert_eq!(
-            d1.publish_with_delta(&breachy()),
-            d2.publish_with_delta(&breachy())
-        );
+        assert_eq!(publish(&mut d1, &breachy()), publish(&mut d2, &breachy()));
     }
 }

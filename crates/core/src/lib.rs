@@ -24,6 +24,7 @@ pub mod engine;
 #[cfg(test)]
 mod exact;
 pub mod fec;
+mod history;
 pub mod metrics;
 pub mod noise;
 pub mod order;
@@ -40,6 +41,7 @@ pub use defense::{
 };
 pub use engine::{seeded_noise, EngineStats, Publisher, ReleaseDelta};
 pub use fec::{partition_into_fecs, Fec};
+pub use history::PublicationHistory;
 pub use metrics::WindowMetrics;
 pub use noise::NoiseRegion;
 pub use pipeline::{StreamPipeline, WindowRelease};

@@ -1,10 +1,15 @@
-//! End-to-end stream pipeline: window → Moment → privacy defense.
+//! End-to-end stream pipeline: window → Moment → privacy defense → one pass
+//! over the release against the stream's [`PublicationHistory`], of which
+//! the pipeline is the only owner.
 
+use crate::audit::{audit_release, AuditError};
 use crate::defense::PrivacyDefense;
 use crate::engine::{Publisher, ReleaseDelta};
+use crate::history::PublicationHistory;
 use crate::release::SanitizedRelease;
 use bfly_common::{Error, Item, ItemSet, Result, Transaction};
 use bfly_mining::{FrequentItemsets, MinerBackend, MomentMiner};
+use std::collections::HashSet;
 
 /// One published window: the miner's (true) closed frequent itemsets and the
 /// sanitized release the outside world sees.
@@ -16,8 +21,8 @@ pub struct WindowRelease {
     pub closed: FrequentItemsets,
     /// The sanitized publication.
     pub release: SanitizedRelease,
-    /// What changed against the previous publication of this stream — the
-    /// serve layer's `release_delta` payload.
+    /// What changed against the previous emitted release of this stream —
+    /// the serve layer's `release_delta` payload.
     pub delta: ReleaseDelta,
 }
 
@@ -33,6 +38,13 @@ pub struct WindowRelease {
 /// miner's tree is settled only at a publication, in one walk for every
 /// arrival and departure since the last one.
 ///
+/// Each publication hands the window's itemsets and the history to the
+/// defense, then makes one pass over the release against the history: the
+/// pin audit, the delta, and the next history, which replaces the old one
+/// only if the release passes. So a withheld release leaves no trace: the
+/// next delta's base is the last release emitted, and a WAL replay that
+/// steps over the withheld position rebuilds the same history.
+///
 /// The defense is a type parameter so the Butterfly [`Publisher`] pays no
 /// dynamic dispatch, while deployments picking one at runtime (`--defense`,
 /// the serve layer's per-key `bind`) pass a `Box<dyn PrivacyDefense>`.
@@ -47,6 +59,8 @@ pub struct StreamPipeline<D: PrivacyDefense = Publisher> {
     stream_len: u64,
     miner: MomentMiner,
     defense: D,
+    /// The previous emitted release, read by the defense and the delta.
+    history: PublicationHistory,
     /// Records fed since the last publication — the cadence counter callers
     /// (CLI `--every`, the serve shards) consult, and what
     /// [`StreamPipeline::flush`] uses to decide whether a drain still owes
@@ -71,6 +85,7 @@ impl<D: PrivacyDefense> StreamPipeline<D> {
             stream_len: 0,
             miner: MomentMiner::new(defense.spec().c()),
             defense,
+            history: PublicationHistory::default(),
             since_publish: 0,
             audit_violations: 0,
         }
@@ -95,23 +110,29 @@ impl<D: PrivacyDefense> StreamPipeline<D> {
 
     /// Mine, sanitize and audit the (full) window. The audit runs in every
     /// build on defenses claiming the Butterfly contract: a release with an
-    /// entry outside its legal region never reaches a caller.
+    /// entry outside its legal region, or one breaking the republication
+    /// pins or a FEC's shared value, never reaches a caller and leaves the
+    /// history as it was.
     fn publish_full_window(&mut self) -> Result<WindowRelease> {
         self.since_publish = 0;
         self.miner.settle();
         let closed = self.miner.closed_frequent();
-        let (release, delta) = self.defense.publish_with_delta(&closed);
+        let release = self.defense.publish(&closed, &self.history);
         let stream_len = self.stream_len;
-        if self.defense.honors_butterfly_contract() {
-            let violations = crate::audit::audit_release(self.defense.spec(), &release).len();
-            if violations > 0 {
-                self.audit_violations += violations as u64;
-                return Err(Error::ContractViolation {
-                    stream_len,
-                    violations,
-                });
-            }
+        let mut errors = self
+            .defense
+            .honors_butterfly_contract()
+            .then(|| audit_release(self.defense.spec(), &release));
+        let (next, delta) = self.history.follow(&release, stream_len, errors.as_mut());
+        let failing: HashSet<&str> = errors.iter().flatten().map(AuditError::itemset).collect();
+        if !failing.is_empty() {
+            self.audit_violations += failing.len() as u64;
+            return Err(Error::ContractViolation {
+                stream_len,
+                violations: failing.len(),
+            });
         }
+        self.history = next;
         Ok(WindowRelease {
             stream_len,
             closed,
@@ -213,19 +234,18 @@ impl<D: PrivacyDefense> StreamPipeline<D> {
         self.stream_len = base;
     }
 
-    /// WAL-recovery hook: reinstate the defense's cross-window publication
-    /// state — `published` windows already released, the last of them being
-    /// `previous` (see [`PrivacyDefense::restore`]).
-    pub fn restore_defense(&mut self, published: u64, previous: &SanitizedRelease) {
-        self.defense.restore(published, previous);
+    /// The stream's publication history: releases emitted, the position of
+    /// the last, and its `(true, sanitized)` pairs.
+    pub fn history(&self) -> &PublicationHistory {
+        &self.history
     }
 
-    /// WAL-recovery hook: zero the cadence counter. A snapshot is taken at a
-    /// publication point (`since_publish == 0`), but replay refills the
-    /// window by feeding its contents through [`StreamPipeline::advance`],
-    /// which counts them as pending records; this puts the counter back
-    /// where the uncrashed process had it.
-    pub fn reset_cadence(&mut self) {
+    /// WAL-recovery hook: reinstate the stream's history once the window has
+    /// been refilled, and zero the cadence counter. A snapshot is taken at a
+    /// publication point (`since_publish == 0`), but the refill goes through
+    /// [`StreamPipeline::advance`], which counts its records as pending.
+    pub fn restore(&mut self, history: PublicationHistory) {
+        self.history = history;
         self.since_publish = 0;
     }
 
@@ -295,6 +315,7 @@ impl<'a> WindowView<'a> {
 mod tests {
     use super::*;
     use crate::config::PrivacySpec;
+    use crate::release::SanitizedItemset;
     use crate::scheme::BiasScheme;
     use bfly_common::fixtures::fig2_stream;
     use bfly_datagen::DatasetProfile;
@@ -446,21 +467,19 @@ mod tests {
         fn spec(&self) -> &PrivacySpec {
             PrivacyDefense::spec(&self.inner)
         }
-        fn publish_with_delta(
+        fn publish(
             &mut self,
             frequent: &FrequentItemsets,
-        ) -> (SanitizedRelease, ReleaseDelta) {
-            let (release, delta) = self.inner.publish_with_delta(frequent);
+            history: &PublicationHistory,
+        ) -> SanitizedRelease {
+            let release = self.inner.publish(frequent, history);
             self.calls += 1;
             if self.calls != self.lie_on {
-                return (release, delta);
+                return release;
             }
             let mut entries: Vec<_> = release.iter().cloned().collect();
             entries[0].sanitized += 10_000;
-            (SanitizedRelease::new(entries), delta)
-        }
-        fn reset(&mut self) {
-            PrivacyDefense::reset(&mut self.inner);
+            SanitizedRelease::new(entries)
         }
         fn honors_butterfly_contract(&self) -> bool {
             true
@@ -504,5 +523,157 @@ mod tests {
         assert_eq!(pipe.audit_violations(), 1);
         assert!(pipe.publish_now().is_ok());
         assert_eq!(pipe.audit_violations(), 1);
+    }
+
+    /// Claims the Butterfly contract but keeps no pins: each window is
+    /// published by a fresh [`Publisher`] seeded by its index, over an empty
+    /// history, so an unchanged support is redrawn.
+    #[derive(Clone, Debug)]
+    struct Redraws {
+        spec: PrivacySpec,
+    }
+
+    impl PrivacyDefense for Redraws {
+        fn kind(&self) -> crate::DefenseKind {
+            crate::DefenseKind::Butterfly
+        }
+        fn spec(&self) -> &PrivacySpec {
+            &self.spec
+        }
+        fn publish(
+            &mut self,
+            frequent: &FrequentItemsets,
+            history: &PublicationHistory,
+        ) -> SanitizedRelease {
+            let mut fresh = Publisher::new(self.spec, BiasScheme::Basic, history.published());
+            fresh.publish(frequent, &PublicationHistory::default())
+        }
+        fn honors_butterfly_contract(&self) -> bool {
+            true
+        }
+        fn boxed_clone(&self) -> Box<dyn PrivacyDefense> {
+            Box::new(self.clone())
+        }
+    }
+
+    /// Claims the Butterfly contract but draws noise per itemset: every
+    /// unpinned entry gets its own draw from the region the [`Publisher`]
+    /// would have used, so each value stays in range but FEC-mates split.
+    #[derive(Clone, Debug)]
+    struct PerItemset {
+        inner: Publisher,
+    }
+
+    impl PrivacyDefense for PerItemset {
+        fn kind(&self) -> crate::DefenseKind {
+            crate::DefenseKind::Butterfly
+        }
+        fn spec(&self) -> &PrivacySpec {
+            PrivacyDefense::spec(&self.inner)
+        }
+        fn publish(
+            &mut self,
+            frequent: &FrequentItemsets,
+            history: &PublicationHistory,
+        ) -> SanitizedRelease {
+            let alpha = self.spec().alpha();
+            let entries = self
+                .inner
+                .publish(frequent, history)
+                .iter()
+                .map(|&e| match history.pinned(e.id, e.true_support) {
+                    Some(_) => e,
+                    None => SanitizedItemset {
+                        sanitized: e.true_support as i64
+                            + crate::seeded_noise(e.id.index() as u64, e.true_support, 0.0, alpha),
+                        ..e
+                    },
+                })
+                .collect();
+            SanitizedRelease::new(entries)
+        }
+        fn honors_butterfly_contract(&self) -> bool {
+            true
+        }
+        fn boxed_clone(&self) -> Box<dyn PrivacyDefense> {
+            Box::new(self.clone())
+        }
+    }
+
+    /// Feed `stream` into a window of 500 under `defense`, publishing every
+    /// 5 records once full: (stream positions emitted, audit findings).
+    fn run_audited<D: PrivacyDefense>(defense: D, stream: &[Transaction]) -> (Vec<u64>, u64) {
+        let mut pipe = StreamPipeline::new(500, defense);
+        let mut emitted = Vec::new();
+        for t in stream {
+            pipe.advance(t.clone());
+            if pipe.window().is_full() && pipe.since_publish() >= 5 {
+                if let Ok(r) = pipe.publish_now() {
+                    assert_eq!(r.release.len(), r.closed.len());
+                    emitted.push(r.stream_len);
+                }
+            }
+        }
+        (emitted, pipe.audit_violations())
+    }
+
+    #[test]
+    fn the_pin_audit_withholds_redrawn_pins_and_split_classes() {
+        // Runs in release builds too (`cargo test --release`): the audit is
+        // not a debug assertion.
+        let spec = PrivacySpec::new(25, 5, 0.04, 0.4);
+        let mut src = DatasetProfile::WebView1.source(5);
+        let stream: Vec<Transaction> = (0..520).map(|_| src.next_transaction()).collect();
+        let honest = run_audited(Publisher::new(spec, BiasScheme::Basic, 3), &stream);
+        assert_eq!(honest.0, [500, 505, 510, 515, 520]);
+        assert_eq!(honest.1, 0);
+
+        // Its first window has no pins to break and passes; every later one
+        // redraws supports unchanged since that release.
+        let (emitted, findings) = run_audited(Redraws { spec }, &stream);
+        assert_eq!(emitted, [500]);
+        assert!(findings >= 4, "{findings}");
+
+        // Every window holds a FEC of two or more unpinned members, and
+        // with nothing emitted, nothing is ever pinned.
+        let inner = Publisher::new(spec, BiasScheme::Basic, 3);
+        let (emitted, findings) = run_audited(PerItemset { inner }, &stream);
+        assert_eq!(emitted, [] as [u64; 0]);
+        assert!(findings >= 5, "{findings}");
+    }
+
+    #[test]
+    fn a_withheld_release_leaves_the_history_untouched() {
+        let spec = PrivacySpec::new(4, 1, 0.2, 0.5);
+        let mut pipe = StreamPipeline::new(
+            8,
+            Liar {
+                inner: Publisher::new(spec, BiasScheme::Basic, 1),
+                lie_on: 2,
+                calls: 0,
+            },
+        );
+        let stream = fig2_stream();
+        for t in stream.iter().take(8).cloned() {
+            pipe.advance(t);
+        }
+        let first = pipe.publish_now().unwrap();
+        pipe.advance(stream[8].clone());
+        assert!(pipe.publish_now().is_err(), "the lie is withheld");
+        assert_eq!(
+            (pipe.history().published(), pipe.history().stream_len()),
+            (1, 8)
+        );
+        pipe.advance(stream[9].clone());
+        let third = pipe.publish_now().unwrap();
+        assert_eq!(
+            (pipe.history().published(), pipe.history().stream_len()),
+            (2, 10)
+        );
+        // The delta is taken against the last release emitted, not the
+        // withheld one.
+        let mut expect = PublicationHistory::default();
+        expect.record(&first.release, 8);
+        assert_eq!(third.delta, expect.record(&third.release, 10));
     }
 }

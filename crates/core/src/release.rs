@@ -63,14 +63,6 @@ impl SanitizedRelease {
         self.entries.iter().map(|e| (e.id, e.sanitized)).collect()
     }
 
-    /// The evaluation oracle's view: interned itemset → true support.
-    pub fn truth(&self) -> HashMap<ItemsetId, Support> {
-        self.entries
-            .iter()
-            .map(|e| (e.id, e.true_support))
-            .collect()
-    }
-
     /// Lookup one entry by itemset value.
     pub fn get(&self, itemset: &ItemSet) -> Option<&SanitizedItemset> {
         let id = ItemsetId::get(itemset)?;
@@ -108,7 +100,7 @@ mod tests {
         let a = ItemsetId::intern(&iset("a"));
         let ab = ItemsetId::intern(&iset("ab"));
         assert_eq!(r.view()[&a], 27);
-        assert_eq!(r.truth()[&a], 30);
+        assert_eq!(r.get(&iset("a")).unwrap().true_support, 30);
         assert_eq!(r.view()[&ab], -1);
     }
 

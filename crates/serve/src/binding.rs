@@ -2,11 +2,11 @@
 //!
 //! A client may bind one stream key to a non-default [`DefenseKind`] —
 //! *before* that stream's first accepted ingest. Binding is a creation-time
-//! property: a pipeline's defense cannot change mid-stream (Butterfly's
-//! republication cache, PrivBasis's window index, and suppression's ledger
-//! all assume one defense owns the whole history), so a bind that arrives
-//! after the stream's pipeline exists is rejected with an error naming the
-//! conflict instead of silently applying to a suffix.
+//! property: a pipeline's defense cannot change mid-stream (the stream's
+//! history, which Butterfly pins against and PrivBasis keys its window
+//! index on, and suppression's ledger all assume one defense made it), so a
+//! bind that arrives after the stream's pipeline exists is rejected with an
+//! error naming the conflict instead of silently applying to a suffix.
 //!
 //! Concurrency: the map is a single mutex shared by the connection handlers
 //! (which record binds) and the shard workers (which consume them at

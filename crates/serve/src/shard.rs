@@ -202,10 +202,10 @@ fn emit_publication(
 /// wall time it took, Moment's settle, logging and fan-out included — the
 /// share of a chunk's time its `ingest_us` leaves out. A release that fails
 /// the contract audit is counted and withheld, so no violating byte reaches
-/// a subscriber, live or through log catch-up. The log has no record of
-/// the withheld publication; a restart that re-derives a later release
-/// differently refuses the log rather than serve a stream it cannot
-/// reproduce.
+/// a subscriber, live or through log catch-up. It leaves no trace: no log
+/// record, and the stream's history is as it was, so the next delta is
+/// based on the last release a subscriber saw and a restart's replay steps
+/// over the withheld position and re-derives every later release exactly.
 ///
 /// A failed `release` (or `snapshot`) append is returned before anything
 /// fans out — durable before visible — for the worker to turn the shard
@@ -285,8 +285,6 @@ impl Shard {
                 RecoveredStream {
                     kind,
                     pipe: cfg.pipeline_with(key, kind),
-                    published: 0,
-                    last_len: 0,
                 },
             );
         }
@@ -429,6 +427,7 @@ fn worker(
 ))]
 mod tests {
     use super::*;
+    use crate::config::stream_seed;
     use crate::config::{WalConfig, WalSyncPolicy};
     use crate::fanout::OutBytes;
     use crate::protocol::catchup_release_frame_bytes;
@@ -626,35 +625,49 @@ mod tests {
         assert_eq!(stats.moment_rebuilds.load(Ordering::Relaxed), rebuilds);
     }
 
-    /// Claims the Butterfly contract and breaks it on its first
+    /// Claims the Butterfly contract and breaks it on its `lie_on`-th
     /// publication: one entry lands far outside any legal region.
     #[derive(Clone, Debug)]
-    struct LiesOnce {
+    struct LiesOn {
         inner: Box<dyn PrivacyDefense>,
-        lied: bool,
+        lie_on: u64,
+        calls: u64,
     }
 
-    impl PrivacyDefense for LiesOnce {
+    impl LiesOn {
+        fn pipeline(cfg: &ServeConfig, key: &str, lie_on: u64) -> crate::wal::replay::DynPipeline {
+            let inner = cfg
+                .defense
+                .build(cfg.spec(), cfg.scheme, stream_seed(cfg.seed, key));
+            let liar = LiesOn {
+                inner,
+                lie_on,
+                calls: 0,
+            };
+            StreamPipeline::new(cfg.window, Box::new(liar))
+        }
+    }
+
+    impl PrivacyDefense for LiesOn {
         fn kind(&self) -> DefenseKind {
             DefenseKind::Butterfly
         }
         fn spec(&self) -> &bfly_core::PrivacySpec {
             self.inner.spec()
         }
-        fn publish_with_delta(
+        fn publish(
             &mut self,
             frequent: &bfly_mining::FrequentItemsets,
-        ) -> (bfly_core::SanitizedRelease, bfly_core::ReleaseDelta) {
-            let (release, delta) = self.inner.publish_with_delta(frequent);
-            if std::mem::replace(&mut self.lied, true) {
-                return (release, delta);
+            history: &bfly_core::PublicationHistory,
+        ) -> bfly_core::SanitizedRelease {
+            let release = self.inner.publish(frequent, history);
+            self.calls += 1;
+            if self.calls != self.lie_on {
+                return release;
             }
             let mut entries: Vec<_> = release.iter().cloned().collect();
             entries[0].sanitized += 10_000;
-            (bfly_core::SanitizedRelease::new(entries), delta)
-        }
-        fn reset(&mut self) {
-            self.inner.reset();
+            bfly_core::SanitizedRelease::new(entries)
         }
         fn honors_butterfly_contract(&self) -> bool {
             true
@@ -684,15 +697,9 @@ mod tests {
         let (sub_tx, sub_rx) = test_sink(64);
         registry.subscribe("k", 1, FrameMode::Json, sub_tx);
         let key: Arc<str> = Arc::from("k");
-        let liar = LiesOnce {
-            inner: cfg.defense.build(cfg.spec(), cfg.scheme, 1),
-            lied: false,
-        };
         let mut state = RecoveredStream {
             kind: DefenseKind::Butterfly,
-            pipe: StreamPipeline::new(cfg.window, Box::new(liar)),
-            published: 0,
-            last_len: 0,
+            pipe: LiesOn::pipeline(&cfg, "k", 1),
         };
         let mut src = bfly_datagen::DatasetProfile::WebView1.source(3);
         for _ in 0..8 {
@@ -704,7 +711,9 @@ mod tests {
         assert_eq!(stats.published.load(Ordering::Relaxed), 0);
         assert_eq!(wal_stats.records_appended.load(Ordering::Relaxed), 0);
         assert!(sub_rx.try_recv().is_err(), "a violating release fanned out");
-        assert_eq!((state.published, state.last_len), (0, 8));
+        // Nothing emitted, so the history still stands at the start.
+        let history = state.pipe.history();
+        assert_eq!((history.published(), history.stream_len()), (0, 0));
 
         // The next publication is honest and flows as usual.
         for _ in 0..2 {
@@ -718,6 +727,164 @@ mod tests {
         assert!(line.contains("\"stream_len\":10"), "{line}");
         assert!(stats.to_json(0).get("audit_violations").unwrap().as_u64() == Some(1));
         let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_delta_after_a_withheld_publication_applies_to_the_last_emitted_release() {
+        // Emitted at 8 (snapshot), withheld at 10, emitted at 12 (delta
+        // only) and at 14 (delta and snapshot).
+        let cfg = ServeConfig {
+            snapshot_every: 2,
+            ..tiny_cfg()
+        };
+        let registry = SubscriberRegistry::new();
+        let stats = Arc::new(ShardStats::default());
+        let (sub_tx, sub_rx) = test_sink(64);
+        registry.subscribe("k", 1, FrameMode::Json, sub_tx);
+        let key: Arc<str> = Arc::from("k");
+        let mut state = RecoveredStream {
+            kind: DefenseKind::Butterfly,
+            pipe: LiesOn::pipeline(&cfg, "k", 2),
+        };
+        let mut src = bfly_datagen::DatasetProfile::WebView1.source(3);
+        for n in [8, 2, 2, 2] {
+            for _ in 0..n {
+                state.pipe.advance(src.next_transaction());
+            }
+            publish(&cfg, None, &registry, &stats, &key, &mut state).unwrap();
+        }
+        assert_eq!(stats.audit_violations.load(Ordering::Relaxed), 1);
+        assert_eq!(stats.published.load(Ordering::Relaxed), 3);
+        let lines: Vec<Json> = lines_of(|| sub_rx.try_recv())
+            .iter()
+            .map(|l| Json::parse(l).unwrap())
+            .collect();
+        let field = |j: &Json, f: &str| j.get(f).and_then(Json::as_u64);
+        let deltas: Vec<(Option<u64>, Option<u64>)> = lines
+            .iter()
+            .filter(|j| j.get("event").and_then(Json::as_str) == Some("release_delta"))
+            .map(|j| (field(j, "base_len"), field(j, "stream_len")))
+            .collect();
+        assert_eq!(
+            deltas,
+            [
+                (Some(0), Some(8)),
+                (Some(8), Some(12)),
+                (Some(12), Some(14))
+            ]
+        );
+        // A subscriber synced on the first snapshot rides both later deltas
+        // and finds the last snapshot equal to what it rebuilt.
+        let first_snapshot = lines
+            .iter()
+            .position(|j| j.get("event").and_then(Json::as_str) == Some("release"))
+            .unwrap();
+        let mut sub = SubscriberState::new();
+        for j in &lines[first_snapshot..] {
+            sub.observe(j).unwrap();
+        }
+        assert_eq!(
+            (
+                sub.snapshots,
+                sub.deltas_applied,
+                sub.deltas_skipped,
+                sub.verified
+            ),
+            (1, 2, 0, 1)
+        );
+        assert_eq!(sub.stream_len(), Some(14));
+    }
+
+    #[test]
+    fn a_restart_replays_past_a_withheld_publication() {
+        // Hybrid, so a FEC's fresh draw depends on the whole chain: a
+        // release pinned against the withheld one could not be re-derived.
+        let cfg = ServeConfig {
+            window: 20,
+            scheme: bfly_core::BiasScheme::Hybrid {
+                lambda: 0.4,
+                gamma: 2,
+            },
+            ..tiny_cfg()
+        };
+        let txs = transactions(42);
+        // Publications at 20, 22, …; the one at 22 is withheld.
+        let run = |store: &Arc<FaultStore>, restart_at: Option<usize>| {
+            let wal = WalConfig::new(store.root());
+            let shard = |recovered: Option<RecoveredShard>| {
+                let (log, streams) = match recovered {
+                    Some(r) => (r.writer, r.streams),
+                    None => {
+                        let stats = Arc::new(WalStats::default());
+                        let log = WalWriter::open_in(
+                            store.clone(),
+                            0,
+                            wal.clone(),
+                            cfg.snapshot_every,
+                            stats,
+                            Default::default(),
+                        )
+                        .unwrap();
+                        (log, HashMap::new())
+                    }
+                };
+                Shard {
+                    idx: 0,
+                    cfg: cfg.clone(),
+                    registry: Arc::new(SubscriberRegistry::new()),
+                    stats: Arc::new(ShardStats::default()),
+                    bindings: Arc::new(DefenseBindings::default()),
+                    log: Some(log),
+                    pipelines: streams
+                        .into_iter()
+                        .map(|(k, s)| (Arc::from(k.as_str()), s))
+                        .collect(),
+                }
+            };
+            let key: Arc<str> = Arc::from("k");
+            let mut live = shard(None);
+            live.log
+                .as_mut()
+                .unwrap()
+                .append(&WalRecord::Open {
+                    stream: "k".into(),
+                    kind: DefenseKind::Butterfly,
+                })
+                .unwrap();
+            let stream = RecoveredStream {
+                kind: DefenseKind::Butterfly,
+                pipe: LiesOn::pipeline(&cfg, "k", 2),
+            };
+            live.pipelines.insert(key.clone(), stream);
+            let split = restart_at.unwrap_or(txs.len());
+            for part in txs[..split].chunks(3) {
+                live.ingest(&key, &IngestChunk::from_itemsets(part))
+                    .unwrap();
+            }
+            assert_eq!(live.stats.audit_violations.load(Ordering::Relaxed), 1);
+            if restart_at.is_some() {
+                live.drain();
+                drop(live);
+                let stats = Arc::new(WalStats::default());
+                let recovered = recover_shard_in(store.clone(), &cfg, &wal, 0, &stats)
+                    .expect("replay steps over the withheld publication");
+                live = shard(Some(recovered));
+                for part in txs[split..].chunks(3) {
+                    live.ingest(&key, &IngestChunk::from_itemsets(part))
+                        .unwrap();
+                }
+            }
+            live.drain();
+        };
+        let uninterrupted = FaultStore::new(0);
+        run(&uninterrupted, None);
+        let reference = logged(&uninterrupted);
+        assert_eq!(reference.len(), 11, "publications at 20, 24, 26, …, 42");
+        for restart_at in [24, 30, 36] {
+            let restarted = FaultStore::new(0);
+            run(&restarted, Some(restart_at));
+            assert_eq!(logged(&restarted), reference, "restarted at {restart_at}");
+        }
     }
 
     /// Run one shard over the cadence test's 11-record stream and collect

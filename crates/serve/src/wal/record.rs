@@ -41,7 +41,7 @@
 //! and the previous release's `(true_support, sanitized)` pairs, because
 //! Butterfly's republication rule pins unchanged supports to sanitized
 //! values that may chain back arbitrarily far — a fresh publish could not
-//! regenerate them (see [`bfly_core::defense::PrivacyDefense::restore`]).
+//! regenerate them (see [`bfly_core::PublicationHistory::restored`]).
 
 use bfly_common::crc32::Crc32;
 use bfly_common::{BinaryEntry, BinaryFrame, Error, IngestChunk, ItemSet, Result};

@@ -25,13 +25,16 @@
 //!   builds a fresh pipeline and re-feeds everything;
 //! * a `snapshot` record for an unknown stream — the birth was compacted;
 //!   replay rebuilds from the snapshot alone: restart the stream counter
-//!   at `stream_len - window_count`, re-feed the window contents, zero the
-//!   cadence counter (the snapshot sits at a publication point), and
-//!   reinstate the defense's cross-window state via
-//!   [`bfly_core::defense::PrivacyDefense::restore`] — including the
-//!   previous release's `(true_support, sanitized)` pairs, because
-//!   Butterfly's republication rule pins unchanged supports to values a
-//!   fresh publish could not regenerate.
+//!   at `stream_len - window_count`, re-feed the window contents, and
+//!   restore the stream's one piece of history
+//!   ([`bfly_core::StreamPipeline::restore`]): the previous release's
+//!   `(true_support, sanitized)` pairs, its position and the release
+//!   count, because Butterfly's republication rule pins unchanged supports
+//!   to values a fresh publish could not regenerate.
+//!
+//! A publication the contract audit withheld left no record and no trace in
+//! the pipeline's history, so replay steps over its position like any
+//! other unpublished one and recomputes the later releases exactly.
 //!
 //! `release` records for *unknown* streams are skipped, not errors: they
 //! are the compacted prefix — records older than the stream's adopted
@@ -65,7 +68,7 @@ use crate::wal::segment::{FsStore, SegmentId, SegmentReader, SegmentStore};
 use crate::wal::writer::{WalWriter, WriterPosition};
 use bfly_common::{BinaryEntry, BinaryFrame, Error, ItemSet, ItemsetId, Result, Transaction};
 use bfly_core::defense::{DefenseKind, PrivacyDefense};
-use bfly_core::{SanitizedItemset, SanitizedRelease, StreamPipeline, WindowRelease};
+use bfly_core::{PublicationHistory, SanitizedItemset, StreamPipeline, WindowRelease};
 use std::collections::{HashMap, VecDeque};
 use std::path::Path;
 use std::sync::atomic::Ordering;
@@ -84,17 +87,15 @@ pub type DynPipeline = StreamPipeline<Box<dyn PrivacyDefense>>;
 type Pending = VecDeque<(u64, ItemSet)>;
 
 /// One stream's live state: rebuilt by replay, then owned by its shard
-/// worker. Both publish through one step, `publish_and_log`.
+/// worker. Both publish through one step, `publish_and_log`. Releases
+/// emitted and the latest one's position are the pipeline's
+/// ([`StreamPipeline::history`]).
 pub struct RecoveredStream {
     /// The defense the stream was bound to.
     pub kind: DefenseKind,
     /// The pipeline; replay advances it to exactly the pre-crash stream
     /// position.
     pub pipe: DynPipeline,
-    /// Publications made so far.
-    pub published: u64,
-    /// Stream position of the latest publication.
-    pub last_len: u64,
 }
 
 /// What one [`RecoveredStream::publish_and_log`] step did.
@@ -102,7 +103,8 @@ pub(crate) enum Step {
     /// Published, logged (given a log) and counted.
     Published(Box<Publication>),
     /// Failed the contract audit with this many violating entries: withheld
-    /// from the log and from every subscriber; only `last_len` moved.
+    /// from the log and from every subscriber, and the stream's history is
+    /// as it was, so the next delta's base is the last release emitted.
     Withheld(usize),
 }
 
@@ -123,10 +125,9 @@ impl RecoveredStream {
     /// Publish the full window and log it: the one publication step of the
     /// shard worker and of replay, which also re-runs each logged release
     /// through it (without a log) to verify it. A release failing the
-    /// contract audit is withheld and only moves `last_len`, so the
-    /// withheld position becomes the next delta's `base_len`. Otherwise the
-    /// `release` record is appended, plus a `snapshot` when due, before
-    /// `published` and `last_len` move: durable before visible. Also
+    /// contract audit is withheld and changes nothing. Otherwise the
+    /// `release` record is appended, plus a `snapshot` when due, before the
+    /// publication is handed back to fan out: durable before visible. Also
     /// returns the time spent inside `publish_now`.
     ///
     /// # Errors
@@ -137,21 +138,19 @@ impl RecoveredStream {
         key: &str,
         log: Option<&mut WalWriter>,
     ) -> Result<(Duration, Step)> {
+        let history = self.pipe.history();
+        let (published, base_len) = (history.published(), history.stream_len());
         let started = Instant::now();
         let outcome = self.pipe.publish_now();
         let took = started.elapsed();
         let window = match outcome {
-            Err(Error::ContractViolation {
-                stream_len,
-                violations,
-            }) => {
-                self.last_len = stream_len;
+            Err(Error::ContractViolation { violations, .. }) => {
                 return Ok((took, Step::Withheld(violations)));
             }
             outcome => outcome?,
         };
         let snapshot =
-            cfg.snapshot_every <= 1 || self.published.is_multiple_of(cfg.snapshot_every as u64);
+            cfg.snapshot_every <= 1 || published.is_multiple_of(cfg.snapshot_every as u64);
         let record = WalRecord::Release {
             stream: key.to_string(),
             stream_len: window.stream_len,
@@ -167,7 +166,7 @@ impl RecoveredStream {
                     stream: key.to_string(),
                     kind: self.kind,
                     stream_len: window.stream_len,
-                    published: self.published + 1,
+                    published: published + 1,
                     last_len: window.stream_len,
                     prev_release: window
                         .release
@@ -195,8 +194,6 @@ impl RecoveredStream {
         else {
             unreachable!("built as a release record")
         };
-        let base_len = std::mem::replace(&mut self.last_len, stream_len);
-        self.published += 1;
         let publication = Publication {
             window,
             frame: BinaryFrame::Release {
@@ -441,8 +438,6 @@ fn apply(
                 RecoveredStream {
                     kind,
                     pipe: cfg.pipeline_with(&stream, kind),
-                    published: 0,
-                    last_len: 0,
                 },
             );
         }
@@ -540,7 +535,8 @@ fn apply(
                 // Already live (its open survived): the snapshot is purely a
                 // compaction barrier, but it is also a free consistency
                 // tripwire.
-                if st.pipe.stream_len() != s.stream_len || st.published != s.published {
+                let published = st.pipe.history().published();
+                if st.pipe.stream_len() != s.stream_len || published != s.published {
                     return Err(corrupt(
                         path,
                         &format!(
@@ -550,7 +546,7 @@ fn apply(
                             s.stream_len,
                             st.pipe.stream_len(),
                             s.published,
-                            st.published
+                            published
                         ),
                     ));
                 }
@@ -588,24 +584,17 @@ fn adopt(cfg: &ServeConfig, path: &Path, s: StreamSnapshot) -> Result<RecoveredS
     for ids in &s.window {
         pipe.advance(Transaction::new(0, ItemSet::from_ids(ids.iter().copied())));
     }
-    pipe.reset_cadence();
-    let prev = SanitizedRelease::new(
-        s.prev_release
-            .iter()
-            .map(|e| SanitizedItemset {
-                id: ItemsetId::intern(&ItemSet::from_ids(e.ids.iter().copied())),
-                true_support: e.true_support,
-                sanitized: e.sanitized,
-            })
-            .collect(),
-    );
-    pipe.restore_defense(s.published, &prev);
-    Ok(RecoveredStream {
-        kind: s.kind,
-        pipe,
-        published: s.published,
-        last_len: s.last_len,
-    })
+    let previous = s.prev_release.iter().map(|e| SanitizedItemset {
+        id: ItemsetId::intern(&ItemSet::from_ids(e.ids.iter().copied())),
+        true_support: e.true_support,
+        sanitized: e.sanitized,
+    });
+    pipe.restore(PublicationHistory::restored(
+        s.published,
+        s.last_len,
+        previous,
+    ));
+    Ok(RecoveredStream { kind: s.kind, pipe })
 }
 
 /// Scan a shard's retained log for `release` records of one stream with
@@ -729,8 +718,6 @@ mod tests {
             Harness::resume(RecoveredStream {
                 kind: DefenseKind::Butterfly,
                 pipe: cfg.pipeline_with(key, DefenseKind::Butterfly),
-                published: 0,
-                last_len: 0,
             })
         }
 
@@ -827,7 +814,10 @@ mod tests {
         assert_eq!(rec.recovered_windows, before_crash.len() as u64);
         let st = rec.streams.remove("k").expect("stream recovered");
         assert_eq!(st.pipe.stream_len(), 35);
-        assert_eq!(st.last_len, before_crash.last().unwrap().0);
+        assert_eq!(
+            st.pipe.history().stream_len(),
+            before_crash.last().unwrap().0
+        );
         let mut resumed = Harness::resume(st);
         resumed.feed(&cfg, "k", Some(&mut rec.writer), 35..60, 7);
 
@@ -1273,8 +1263,8 @@ mod tests {
         );
         let st = rec.streams.remove("k").expect("stream recovered");
         assert_eq!(st.pipe.stream_len(), 12);
-        assert_eq!(st.published, 3);
-        assert_eq!(st.last_len, 12);
+        assert_eq!(st.pipe.history().published(), 3);
+        assert_eq!(st.pipe.history().stream_len(), 12);
         // The regenerated publications are back in the log: catch-up sees
         // all three, byte-equal to the uncrashed run's first three.
         let logged = scan_catchup(&root, 0, "k", 0);

@@ -8,7 +8,7 @@
 //! The stream and supports are exactly those of the paper's Fig. 2/3 and
 //! Examples 2–5.
 
-use butterfly_repro::butterfly::{BiasScheme, PrivacySpec, Publisher};
+use butterfly_repro::butterfly::{BiasScheme, PrivacySpec, PublicationHistory, Publisher};
 use butterfly_repro::common::fixtures::{fig2_stream, fig2_window};
 use butterfly_repro::common::{ItemSet, ItemsetId, Pattern};
 use butterfly_repro::inference::adversary::estimate_pattern;
@@ -63,8 +63,10 @@ fn main() {
         spec.sigma2()
     );
     let mut publisher = Publisher::new(spec, BiasScheme::Basic, 2024);
-    let prev_release = publisher.publish(&prev);
-    let curr_release = publisher.publish(&curr);
+    let mut history = PublicationHistory::default();
+    let prev_release = publisher.publish(&prev, &history);
+    history.record(&prev_release, 1);
+    let curr_release = publisher.publish(&curr, &history);
 
     let target: Pattern = "c¬a¬b".parse().unwrap();
     let truth = curr_db.pattern_support(&target);

@@ -122,6 +122,21 @@ if [[ -n "$PANICS" ]]; then
   echo "a log operation's failure panics; return it so the shard worker turns read-only"; exit 1
 fi
 
+echo "==> one-history guard (the pipeline owns a stream's past: no engine or defense keeps a previous release or pin map, or restores one)"
+# A field whose type holds a release, a pin map or a PublicationHistory, or
+# any `fn restore`, in non-test code under crates/core/src/{engine,defense}.
+# The one exception is the history the frozen Publisher::publish_with_delta
+# keeps for benchmark/src/trace.rs (ROADMAP 1(b)).
+HELD=$(for f in $(find crates/core/src/engine crates/core/src/defense -name '*.rs' | sort); do
+  sed -E '/^ *(pub\(crate\) )?mod tests \{/,$d' "$f" \
+    | grep -nE '^ *(pub(\([a-z]+\))? +)?[a-z_][a-z0-9_]*: *[^&=;]*(SanitizedRelease|PublicationHistory|HashMap<ItemsetId, \(Support, SanitizedSupport\)>)[^=;(:]*, *$|\bfn restore\b' \
+    | grep -v '^[0-9]*: *//' | sed "s|^|$f:|"
+done | grep -vE '^crates/core/src/engine/mod\.rs:[0-9]+: *history: PublicationHistory,$' || true)
+if [[ -n "$HELD" ]]; then
+  echo "$HELD"
+  echo "a defense or the engine keeps stream history again; read the PublicationHistory the pipeline passes to publish"; exit 1
+fi
+
 echo "==> thread guard (a serve process runs one reactor thread plus one worker per shard: no thread per connection or subscription)"
 SPAWNS=$(for f in $(find crates/serve/src -name '*.rs' | sort); do
   sed '/^ *mod tests {/,$d' "$f" | grep -c 'thread::\(Builder\|spawn\)' | sed "s|^|$f |"

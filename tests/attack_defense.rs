@@ -1,7 +1,7 @@
 //! Integration: the attacks of §IV succeed against raw output and are
 //! blunted by Butterfly, including the averaging attack of Prior Knowledge 2.
 
-use butterfly_repro::butterfly::{BiasScheme, PrivacySpec, Publisher};
+use butterfly_repro::butterfly::{BiasScheme, PrivacySpec, PublicationHistory, Publisher};
 use butterfly_repro::common::fixtures::fig2_window;
 use butterfly_repro::common::Database;
 use butterfly_repro::common::{ItemSet, Pattern};
@@ -46,7 +46,7 @@ fn perturbation_inflates_adversary_error_on_average() {
     let trials = 400;
     for seed in 0..trials {
         let mut publisher = Publisher::new(spec, BiasScheme::Basic, seed);
-        let release = publisher.publish(&frequent);
+        let release = publisher.publish(&frequent, &PublicationHistory::default());
         let est = estimate_pattern(&release.view(), &base, &span)
             .unwrap()
             .expect("all lattice members published");
@@ -75,13 +75,12 @@ fn republication_defeats_averaging_attack() {
 
     // Butterfly: one publisher observed over 200 windows of unchanged data.
     let mut publisher = Publisher::new(spec, BiasScheme::Basic, 5);
-    let pinned: Vec<i64> = (0..200)
-        .map(|_| {
-            publisher
-                .publish(&frequent)
-                .get(&"ab".parse().unwrap())
-                .unwrap()
-                .sanitized
+    let mut history = PublicationHistory::default();
+    let pinned: Vec<i64> = (1..=200)
+        .map(|n| {
+            let release = publisher.publish(&frequent, &history);
+            history.record(&release, n);
+            release.get(&"ab".parse().unwrap()).unwrap().sanitized
         })
         .collect();
     assert!(
@@ -93,7 +92,7 @@ fn republication_defeats_averaging_attack() {
     let fresh: Vec<i64> = (0..200)
         .map(|seed| {
             Publisher::new(spec, BiasScheme::Basic, 1000 + seed)
-                .publish(&frequent)
+                .publish(&frequent, &PublicationHistory::default())
                 .get(&"ab".parse().unwrap())
                 .unwrap()
                 .sanitized

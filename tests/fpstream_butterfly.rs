@@ -4,7 +4,9 @@
 //! natural extension to the tilted-time model.)
 
 use butterfly_repro::butterfly::metrics::avg_pred;
-use butterfly_repro::butterfly::{audit_release, BiasScheme, PrivacySpec, Publisher};
+use butterfly_repro::butterfly::{
+    audit_release, BiasScheme, PrivacySpec, PublicationHistory, Publisher,
+};
 use butterfly_repro::datagen::DatasetProfile;
 use butterfly_repro::mining::{FpStream, FpStreamConfig};
 
@@ -35,13 +37,15 @@ fn butterfly_over_fpstream_output() {
         },
         8,
     );
-    let release = publisher.publish(&approx);
+    let mut history = PublicationHistory::default();
+    let release = publisher.publish(&approx, &history);
     assert_eq!(release.len(), approx.len());
     assert!(audit_release(&spec, &release).is_empty());
     assert!(avg_pred(&release) <= spec.epsilon() * 1.5);
 
     // Republication applies across horizon re-queries too: an unchanged
     // estimate republishes its pinned value.
-    let again = publisher.publish(&approx);
+    history.record(&release, 1);
+    let again = publisher.publish(&approx, &history);
     assert_eq!(again, release);
 }

@@ -8,7 +8,7 @@
 //! never a semantics knob.
 
 use bfly_bench::{collect_truths, evaluate_cells, EvalResult, ExperimentConfig, WindowTruth};
-use butterfly_repro::butterfly::{BiasScheme, PrivacySpec, Publisher};
+use butterfly_repro::butterfly::{BiasScheme, PrivacySpec, PublicationHistory, Publisher};
 use butterfly_repro::common::pool;
 use butterfly_repro::common::{ItemSet, SanitizedSupport, Support};
 use butterfly_repro::datagen::DatasetProfile;
@@ -52,8 +52,8 @@ fn run_pipeline(threads: usize) -> PipelineOutput {
     ];
     let cells = evaluate_cells(&truths, &sweep);
 
-    // A deployed release sequence: one stateful publisher carrying its
-    // republication cache across all windows (the order DP runs inside).
+    // A deployed release sequence: one publisher and one history carrying
+    // the republication pins across all windows (the order DP runs inside).
     let mut publisher = Publisher::new(
         spec,
         BiasScheme::Hybrid {
@@ -62,11 +62,14 @@ fn run_pipeline(threads: usize) -> PipelineOutput {
         },
         99,
     );
+    let mut history = PublicationHistory::default();
     let releases = truths
         .iter()
-        .map(|t| {
-            publisher
-                .publish(&t.closed)
+        .enumerate()
+        .map(|(i, t)| {
+            let release = publisher.publish(&t.closed, &history);
+            history.record(&release, i as u64 + 1);
+            release
                 .iter()
                 .map(|e| (e.itemset().clone(), e.true_support, e.sanitized))
                 .collect()

@@ -459,18 +459,20 @@ fn publisher_contract_holds_over_random_support_walks() {
     // Drive one itemset's support on a random walk across windows and
     // check every release against the audit invariants, with the
     // republication pin engaged whenever the walk pauses.
-    use butterfly_repro::butterfly::{audit_release, Publisher};
+    use butterfly_repro::butterfly::{audit_release, PublicationHistory, Publisher};
     let spec = PrivacySpec::new(25, 5, 0.1, 1.0);
     for case in 0..CASES {
         let mut rng = case_rng(13, case);
         let mut publisher = Publisher::new(spec, BiasScheme::RatioPreserving, rng.next_u64());
         let steps = 1 + rng.gen_range_usize(24);
+        let mut history = PublicationHistory::default();
         let mut support = 60i64;
         let mut prev: Option<(i64, i64)> = None; // (true, sanitized)
-        for _ in 0..steps {
+        for step in 1..=steps as u64 {
             support = (support + rng.gen_range_i64(-1, 1)).max(26);
             let mined = FrequentItemsets::new(vec![(ItemSet::from_ids([0]), support as u64)]);
-            let release = publisher.publish(&mined);
+            let release = publisher.publish(&mined, &history);
+            history.record(&release, step);
             assert!(audit_release(&spec, &release).is_empty(), "case {case}");
             let entry = release.get(&ItemSet::from_ids([0])).unwrap();
             if let Some((t_prev, s_prev)) = prev {

@@ -1,16 +1,18 @@
 //! Differential suite for the release engine: over 100+ published windows
-//! of a random stream, the `Publisher` (one long-lived object carrying the
-//! republication pins and Algorithm 1's buffers from window to window) must
-//! be **bit-identical** to the from-scratch reference publication
-//! (`bfly_bench::publish_from_scratch`) — same releases, same deltas, under
-//! every scheme — the delta chain must reconstruct every release exactly,
-//! and a defense restored mid-sequence must continue as if it had never
-//! stopped.
+//! of a random stream, the `Publisher` (one long-lived object keeping
+//! Algorithm 1's buffers from window to window, publishing against the
+//! stream's `PublicationHistory`) must be **bit-identical** to the
+//! from-scratch reference publication (`bfly_bench::publish_from_scratch`)
+//! — same releases, same deltas, under every scheme. The delta the
+//! history's one pass makes (the pipeline's) must equal the two-release
+//! diff (`bfly_bench::delta_between`) and reconstruct every release exactly
+//! (`bfly_bench::apply_delta`), for every defense, and a restored history
+//! must let a fresh defense continue as if the stream had never stopped.
 
-use bfly_bench::publish_from_scratch;
+use bfly_bench::{apply_delta, delta_between, publish_from_scratch};
 use butterfly_repro::butterfly::{
-    BiasScheme, DefenseKind, DefenseSpec, PrivacySpec, Publisher, ReleaseDelta, SanitizedItemset,
-    SanitizedRelease, StreamPipeline,
+    BiasScheme, DefenseKind, DefenseSpec, PrivacySpec, PublicationHistory, Publisher, ReleaseDelta,
+    SanitizedItemset, SanitizedRelease, StreamPipeline,
 };
 use butterfly_repro::common::{ItemSet, SanitizedSupport, Support};
 use butterfly_repro::datagen::DatasetProfile;
@@ -90,32 +92,39 @@ struct Run {
     deltas: Vec<FlatDelta>,
 }
 
-/// Publish every window through one stateful publisher, checking the delta
-/// chain invariants as it goes: each delta diffs against the previous
-/// release exactly (`between`) and reconstructs the next one exactly
-/// (`apply`).
+/// Publish every window through one publisher and one history, checking
+/// the delta chain invariants as it goes: each delta diffs against the
+/// previous release exactly (`delta_between`) and reconstructs the next one
+/// exactly (`apply_delta`).
 fn run_engine(spec: PrivacySpec, scheme: BiasScheme, windows: &[FrequentItemsets]) -> Run {
     let mut publisher = Publisher::new(spec, scheme, SEED);
+    let mut history = PublicationHistory::default();
     let mut releases = Vec::new();
     let mut deltas = Vec::new();
     let mut prev = SanitizedRelease::default();
-    for w in windows {
-        let (r, d) = publisher.publish_with_delta(w);
-        assert_eq!(
-            d,
-            ReleaseDelta::between(&prev, &r),
-            "emitted delta is not the diff against the previous release"
-        );
-        assert_eq!(
-            d.apply(&prev),
-            r,
-            "delta chain failed to reconstruct the release"
-        );
+    for (i, w) in windows.iter().enumerate() {
+        let r = publisher.publish(w, &history);
+        let d = history.record(&r, i as u64 + 1);
+        assert_chains(&prev, &r, &d);
         releases.push(flat_release(&r));
         deltas.push(flat_delta(&d));
         prev = r;
     }
     Run { releases, deltas }
+}
+
+/// `delta` is `next`'s diff against `prev` and rebuilds `next` from it.
+fn assert_chains(prev: &SanitizedRelease, next: &SanitizedRelease, delta: &ReleaseDelta) {
+    assert_eq!(
+        *delta,
+        delta_between(prev, next),
+        "emitted delta is not the diff against the previous release"
+    );
+    assert_eq!(
+        apply_delta(prev, delta),
+        *next,
+        "delta chain failed to reconstruct the release"
+    );
 }
 
 /// The same sequence through the from-scratch reference, which carries
@@ -127,7 +136,7 @@ fn run_reference(spec: PrivacySpec, scheme: BiasScheme, windows: &[FrequentItems
     for w in windows {
         let r = publish_from_scratch(&spec, &scheme, SEED, &prev, w);
         releases.push(flat_release(&r));
-        deltas.push(flat_delta(&ReleaseDelta::between(&prev, &r)));
+        deltas.push(flat_delta(&delta_between(&prev, &r)));
         prev = r;
     }
     Run { releases, deltas }
@@ -182,8 +191,9 @@ fn incremental_engine_is_bit_identical_to_batch_at_a_slide_of_100() {
 }
 
 /// What WAL recovery relies on, without a process in between: a fresh
-/// defense `restore`d from release *i* publishes the rest of the sequence
-/// byte-identically to the one that produced release *i* and kept going.
+/// defense given the history `restored` from release *i* publishes the rest
+/// of the sequence byte-identically to the one that produced release *i*
+/// and kept going. Every defense's deltas chain on the way.
 #[test]
 fn a_defense_restored_mid_sequence_continues_byte_identically() {
     let scheme = BiasScheme::Hybrid {
@@ -197,15 +207,24 @@ fn a_defense_restored_mid_sequence_continues_byte_identically() {
         for kind in DefenseKind::ALL {
             let build = || DefenseSpec::new(kind).build(spec, scheme, SEED);
             let mut uninterrupted = build();
-            let published: Vec<(SanitizedRelease, ReleaseDelta)> = windows
-                .iter()
-                .map(|w| uninterrupted.publish_with_delta(w))
-                .collect();
+            let mut history = PublicationHistory::default();
+            let mut prev = SanitizedRelease::default();
+            let mut published: Vec<(SanitizedRelease, ReleaseDelta)> = Vec::new();
+            for (i, w) in windows.iter().enumerate() {
+                let r = uninterrupted.publish(w, &history);
+                let d = history.record(&r, i as u64 + 1);
+                assert_chains(&prev, &r, &d);
+                prev = r.clone();
+                published.push((r, d));
+            }
             for stop in [0, windows.len() / 2] {
                 let mut restored = build();
-                restored.restore(stop as u64 + 1, &published[stop].0);
+                let n = stop as u64 + 1;
+                let mut history =
+                    PublicationHistory::restored(n, n, published[stop].0.iter().copied());
                 for (i, w) in windows.iter().enumerate().skip(stop + 1) {
-                    let (r, d) = restored.publish_with_delta(w);
+                    let r = restored.publish(w, &history);
+                    let d = history.record(&r, i as u64 + 1);
                     assert_eq!(
                         (flat_release(&r), flat_delta(&d)),
                         (flat_release(&published[i].0), flat_delta(&published[i].1)),
