@@ -117,7 +117,7 @@ pub fn evaluate_defense(
         let view = release.view();
         eval.avg_pred += avg_pred(&release);
         // Membership utility: published ids vs. the closed mining output.
-        let truth_ids: HashSet<_> = truth.closed.iter().map(|e| e.id).collect();
+        let truth_ids: HashSet<_> = truth.closed.entries().iter().map(|e| &e.id).collect();
         let hits = release.iter().filter(|e| truth_ids.contains(&e.id)).count();
         let denom = release.len() + truth_ids.len();
         eval.utility_f1 += if denom == 0 {

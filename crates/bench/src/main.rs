@@ -602,7 +602,7 @@ fn residual_attack(opts: &Opts) {
     let cfg = opts.figure_config(DatasetProfile::WebView1);
     let spec = PrivacySpec::from_ppr(cfg.c, cfg.k, 0.04, 1.0);
     let (db, full) = mine_one_window(&cfg);
-    let spans: Vec<ItemSet> = full.iter().map(|e| e.itemset().clone()).collect();
+    let spans: Vec<ItemSet> = full.entries().iter().map(|e| e.itemset().clone()).collect();
 
     let mut table = Table::new(
         "Ablation 4: residual thresholding attack after sanitization (one window)",

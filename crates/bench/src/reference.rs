@@ -31,18 +31,18 @@ pub fn publish_from_scratch(
     let biases = scheme.biases(&fecs, spec);
     let pins: HashMap<_, _> = previous
         .iter()
-        .map(|e| (e.id, (e.true_support, e.sanitized)))
+        .map(|e| (e.id.clone(), (e.true_support, e.sanitized)))
         .collect();
     let mut entries = Vec::with_capacity(frequent.len());
     for (fec, &bias) in fecs.iter().zip(&biases) {
         let fresh = fec.support() as i64 + seeded_noise(seed, fec.support(), bias, spec.alpha());
-        for &id in fec.members() {
-            let sanitized = match pins.get(&id) {
+        for id in fec.members() {
+            let sanitized = match pins.get(id) {
                 Some(&(t, pinned)) if t == fec.support() => pinned,
                 _ => fresh,
             };
             entries.push(SanitizedItemset {
-                id,
+                id: id.clone(),
                 true_support: fec.support(),
                 sanitized,
             });
@@ -58,25 +58,24 @@ pub fn publish_from_scratch(
 pub fn delta_between(prev: &SanitizedRelease, next: &SanitizedRelease) -> ReleaseDelta {
     let prev_map: HashMap<ItemsetId, (u64, i64)> = prev
         .iter()
-        .map(|e| (e.id, (e.true_support, e.sanitized)))
+        .map(|e| (e.id.clone(), (e.true_support, e.sanitized)))
         .collect();
     let mut delta = ReleaseDelta::default();
     for e in next.iter() {
         match prev_map.get(&e.id) {
-            None => delta.added.push(*e),
-            Some(&pair) if pair != (e.true_support, e.sanitized) => delta.changed.push(*e),
+            None => delta.added.push(e.clone()),
+            Some(&pair) if pair != (e.true_support, e.sanitized) => delta.changed.push(e.clone()),
             Some(_) => {}
         }
     }
-    let seen: HashSet<ItemsetId> = next.iter().map(|e| e.id).collect();
+    let seen: HashSet<&ItemsetId> = next.iter().map(|e| &e.id).collect();
     delta.removed = prev
         .iter()
-        .map(|e| e.id)
+        .map(|e| &e.id)
         .filter(|id| !seen.contains(id))
+        .cloned()
         .collect();
-    delta
-        .removed
-        .sort_unstable_by(|a, b| a.resolve().cmp(b.resolve()));
+    delta.removed.sort_unstable();
     delta
 }
 
@@ -84,12 +83,13 @@ pub fn delta_between(prev: &SanitizedRelease, next: &SanitizedRelease) -> Releas
 /// publication order (true support ascending, members lexicographic).
 /// Exact inverse of the diff: `apply_delta(p, &delta_between(p, n)) == n`.
 pub fn apply_delta(prev: &SanitizedRelease, delta: &ReleaseDelta) -> SanitizedRelease {
-    let mut map: HashMap<ItemsetId, SanitizedItemset> = prev.iter().map(|e| (e.id, *e)).collect();
+    let mut map: HashMap<ItemsetId, SanitizedItemset> =
+        prev.iter().map(|e| (e.id.clone(), e.clone())).collect();
     for id in &delta.removed {
         map.remove(id);
     }
     for e in delta.added.iter().chain(&delta.changed) {
-        map.insert(e.id, *e);
+        map.insert(e.id.clone(), e.clone());
     }
     let mut entries: Vec<SanitizedItemset> = map.into_values().collect();
     entries.sort_unstable_by(|a, b| {
@@ -103,11 +103,10 @@ pub fn apply_delta(prev: &SanitizedRelease, delta: &ReleaseDelta) -> SanitizedRe
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bfly_common::ItemSet;
 
     fn entry(s: &str, t: u64, sanitized: i64) -> SanitizedItemset {
         SanitizedItemset {
-            id: ItemsetId::intern(&s.parse::<ItemSet>().unwrap()),
+            id: ItemsetId::new(s.parse().unwrap()),
             true_support: t,
             sanitized,
         }

@@ -23,6 +23,13 @@ use std::fmt;
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ItemSet(Vec<Item>);
 
+/// A shared itemset: a mining result wraps each of its itemsets once, and
+/// the releases, histories, deltas and views built from it share that one
+/// allocation, freed with the last of them. `Arc` hashes, compares and
+/// orders by value and borrows as `&ItemSet`, so a map keyed by `ItemsetId`
+/// is looked up with an `&ItemSet`.
+pub type ItemsetId = std::sync::Arc<ItemSet>;
+
 impl ItemSet {
     /// The empty itemset.
     pub const fn empty() -> Self {

@@ -18,7 +18,6 @@ pub mod fixtures;
 pub mod flags;
 pub mod frame;
 pub mod hash;
-pub mod intern;
 pub mod io;
 pub mod item;
 pub mod itemset;
@@ -37,9 +36,8 @@ pub use frame::{
     BinaryEntry, BinaryFrame, Frame, FrameCodec, FrameMode, Inbound, IngestChunk, IngestRefusal,
 };
 pub use hash::fnv1a;
-pub use intern::ItemsetId;
 pub use item::Item;
-pub use itemset::ItemSet;
+pub use itemset::{ItemSet, ItemsetId};
 pub use json::Json;
 pub use ndjson::FrameReader;
 pub use pattern::Pattern;

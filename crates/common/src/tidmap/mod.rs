@@ -19,7 +19,7 @@
 //! * [`TidScratch`] — a caller-owned scratch word buffer so the hot loops
 //!   do zero allocation.
 //! * [`SupportMemo`] — a per-window memo of already-counted supports keyed
-//!   by [`ItemsetId`], shared between the miner and the attack evaluator so
+//!   by itemset value, shared between the miner and the attack evaluator so
 //!   the same support is never counted twice in one window.
 //!
 //! Counting costs `O(|I| · H/64)` per itemset instead of `O(H · |I|)`
@@ -420,11 +420,12 @@ impl VerticalIndex {
     }
 }
 
-/// Per-window memo of already-counted itemset supports, keyed by interned
-/// handle. The miner seeds it with the supports it computed anyway; the
-/// attack evaluator (and any later consumer in the same window) reads those
-/// back instead of re-counting, and adds what it derives itself. A window
-/// is identified by its stream position `N`; advancing invalidates.
+/// Per-window memo of already-counted itemset supports, keyed by itemset
+/// value. The miner seeds it with the supports it computed anyway (sharing
+/// its [`ItemsetId`]s); the attack evaluator (and any later consumer in the
+/// same window) reads those back instead of re-counting, and adds what it
+/// derives itself. A window is identified by its stream position `N`;
+/// advancing clears the memo, and with it every itemset it held.
 #[derive(Clone, Debug, Default)]
 pub struct SupportMemo {
     version: u64,
@@ -475,16 +476,16 @@ impl SupportMemo {
         self.counts.insert(id, support);
     }
 
-    /// The memoized support of `id`, or `count()`'s result (memoized for
-    /// the rest of the window).
-    pub fn get_or_count(&mut self, id: ItemsetId, count: impl FnOnce() -> Support) -> Support {
-        if let Some(&s) = self.counts.get(&id) {
+    /// The memoized support of `itemset`, or `count()`'s result (memoized
+    /// for the rest of the window).
+    pub fn get_or_count(&mut self, itemset: &ItemSet, count: impl FnOnce() -> Support) -> Support {
+        if let Some(&s) = self.counts.get(itemset) {
             self.hits += 1;
             return s;
         }
         self.misses += 1;
         let s = count();
-        self.counts.insert(id, s);
+        self.counts.insert(ItemsetId::new(itemset.clone()), s);
         s
     }
 }
@@ -619,9 +620,9 @@ mod tests {
     fn memo_shares_counts_within_a_window_only() {
         let mut memo = SupportMemo::new();
         memo.advance(8);
-        let id = ItemsetId::intern(&iset("xyz"));
-        memo.seed(id, 7);
-        assert_eq!(memo.get_or_count(id, || panic!("must not recount")), 7);
+        let xyz = iset("xyz");
+        memo.seed(ItemsetId::new(xyz.clone()), 7);
+        assert_eq!(memo.get_or_count(&xyz, || panic!("must not recount")), 7);
         assert_eq!(memo.stats(), (1, 0));
         // Same window again: still shared.
         memo.advance(8);
@@ -629,8 +630,8 @@ mod tests {
         // New window: invalidated, recounted once, then memoized.
         memo.advance(9);
         assert!(memo.is_empty());
-        assert_eq!(memo.get_or_count(id, || 3), 3);
-        assert_eq!(memo.get_or_count(id, || panic!("recounted")), 3);
+        assert_eq!(memo.get_or_count(&xyz, || 3), 3);
+        assert_eq!(memo.get_or_count(&xyz, || panic!("recounted")), 3);
         assert_eq!(memo.stats(), (2, 1));
     }
 }

@@ -146,7 +146,7 @@ pub(crate) fn audit_pin(
         *class = Some((truth, None));
     }
     let (_, first) = class.as_mut().expect("set above");
-    match (previous, *first) {
+    match (previous, first.as_ref()) {
         (Some((t, pinned)), _) if t == truth && pinned != e.sanitized => {
             errors.push(AuditError::Unpinned {
                 itemset: e.itemset().to_string(),
@@ -156,11 +156,11 @@ pub(crate) fn audit_pin(
             })
         }
         (Some((t, _)), _) if t == truth => {}
-        (_, None) => *first = Some((e.id, e.sanitized)),
-        (_, Some((id, shared))) if shared != e.sanitized => errors.push(AuditError::SplitClass {
-            itemset: id.resolve().to_string(),
+        (_, None) => *first = Some((e.id.clone(), e.sanitized)),
+        (_, Some((id, shared))) if *shared != e.sanitized => errors.push(AuditError::SplitClass {
+            itemset: id.to_string(),
             truth,
-            shared,
+            shared: *shared,
             other: e.sanitized,
         }),
         _ => {}
@@ -202,7 +202,7 @@ mod tests {
     fn detects_out_of_region_values() {
         let s = spec();
         let release = SanitizedRelease::new(vec![SanitizedItemset {
-            id: bfly_common::ItemsetId::intern(&"a".parse().unwrap()),
+            id: bfly_common::ItemsetId::new("a".parse().unwrap()),
             true_support: 30,
             sanitized: 300,
         }]);
@@ -216,7 +216,7 @@ mod tests {
     fn detects_sub_threshold_leakage() {
         let s = spec();
         let release = SanitizedRelease::new(vec![SanitizedItemset {
-            id: bfly_common::ItemsetId::intern(&"a".parse().unwrap()),
+            id: bfly_common::ItemsetId::new("a".parse().unwrap()),
             true_support: 3, // a vulnerable support leaked into the release!
             sanitized: 3,
         }]);
@@ -233,7 +233,7 @@ mod tests {
     #[test]
     fn pin_rules_flag_moved_pins_and_split_classes() {
         let entry = |s: &str, t: u64, sanitized: i64| SanitizedItemset {
-            id: bfly_common::ItemsetId::intern(&s.parse().unwrap()),
+            id: bfly_common::ItemsetId::new(s.parse().unwrap()),
             true_support: t,
             sanitized,
         };
@@ -255,14 +255,14 @@ mod tests {
         ];
         assert!(audit(&honest).is_empty());
 
-        let mut moved = honest;
+        let mut moved = honest.clone();
         moved[0].0.sanitized = 28;
         assert!(matches!(
             audit(&moved)[..],
             [AuditError::Unpinned { pinned: 27, .. }]
         ));
 
-        let mut split = honest;
+        let mut split = honest.clone();
         split[2].0.sanitized = 34;
         let errors = audit(&split);
         assert!(matches!(

@@ -27,8 +27,7 @@
 //! content)`, the window index being the history's count of releases
 //! emitted ([`PublicationHistory::published`]). Every draw seeds
 //! [`SmallRng::split_stream`] from the FNV-1a hash of the itemset's item
-//! ids — *never* from [`ItemsetId`], which is a process-local intern index
-//! whose numbering depends on interleaving — so the same stream replayed
+//! ids — never from iteration order — so the same stream replayed
 //! in-process or over the wire publishes identical bytes.
 
 use crate::config::PrivacySpec;
@@ -118,8 +117,7 @@ impl PrivBasisDefense {
     }
 }
 
-/// FNV-1a over the itemset's item ids. [`ItemsetId`] is a process-local
-/// intern index and must never reach a seed; the content hash is what makes
+/// FNV-1a over the itemset's item ids: the content hash is what makes
 /// PrivBasis output reproducible across runs. Shares the
 /// [`bfly_common::hash`] implementation with serve's key routing, so the
 /// pinned vectors there also pin these noise seeds.
@@ -154,7 +152,8 @@ impl PrivacyDefense for PrivBasisDefense {
         // noise, keep the k best. Per-candidate rngs draw selection noise
         // first, count noise second, so the two phases stay coupled to one
         // deterministic stream per (window, itemset).
-        let mut scored: Vec<(f64, &'static ItemSet, SanitizedItemset)> = frequent
+        let mut scored: Vec<(f64, &ItemSet, SanitizedItemset)> = frequent
+            .entries()
             .iter()
             .map(|e| {
                 let itemset = e.itemset();
@@ -165,7 +164,7 @@ impl PrivacyDefense for PrivBasisDefense {
                     score,
                     itemset,
                     SanitizedItemset {
-                        id: e.id,
+                        id: e.id.clone(),
                         true_support: e.support,
                         sanitized,
                     },
@@ -288,10 +287,10 @@ mod tests {
     }
 
     #[test]
-    fn noise_is_keyed_by_content_not_intern_order() {
+    fn noise_is_keyed_by_content_not_arrival_order() {
         // Two defenses over permuted-but-equal windows publish identical
         // releases: per-itemset noise depends only on (seed, window index,
-        // item ids), never on iteration or intern order.
+        // item ids), never on iteration order.
         let forward = window(&[("a", 40), ("b", 38), ("ab", 30)]);
         let backward = window(&[("ab", 30), ("b", 38), ("a", 40)]);
         let mut d1 = PrivBasisDefense::new(spec(), 1.0, 5, 6);

@@ -30,7 +30,6 @@ use crate::config::PrivacySpec;
 use crate::defense::{DefenseKind, PrivacyDefense};
 use crate::history::PublicationHistory;
 use crate::release::{SanitizedItemset, SanitizedRelease};
-use bfly_common::ItemsetId;
 use bfly_inference::find_intra_window_breaches;
 use bfly_mining::FrequentItemsets;
 
@@ -93,10 +92,8 @@ impl PrivacyDefense for SuppressionDefense {
             self.stats.breaches_found += breaches.len() as u64;
             let before = view.len();
             for breach in &breaches {
-                if let Some(id) = ItemsetId::get(&breach.span) {
-                    if view.remove(&id).is_some() {
-                        self.stats.suppressed += 1;
-                    }
+                if view.remove(&breach.span).is_some() {
+                    self.stats.suppressed += 1;
                 }
             }
             if view.len() == before {
@@ -107,10 +104,11 @@ impl PrivacyDefense for SuppressionDefense {
         }
 
         let mut entries: Vec<SanitizedItemset> = frequent
+            .entries()
             .iter()
             .filter(|e| view.contains_key(&e.id))
             .map(|e| SanitizedItemset {
-                id: e.id,
+                id: e.id.clone(),
                 true_support: e.support,
                 sanitized: e.support as i64,
             })
@@ -180,8 +178,10 @@ mod tests {
         );
         let mut d = SuppressionDefense::new(spec());
         let release = publish(&mut d, &w);
-        let truth: std::collections::HashMap<_, _> =
-            release.iter().map(|e| (e.id, e.true_support)).collect();
+        let truth: std::collections::HashMap<_, _> = release
+            .iter()
+            .map(|e| (e.id.clone(), e.true_support))
+            .collect();
         assert!(
             find_intra_window_breaches(&truth, spec().k()).is_empty(),
             "published release still breachable"

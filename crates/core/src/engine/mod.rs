@@ -185,8 +185,8 @@ impl Publisher {
 }
 
 /// A FEC's noise draw as a pure function of `(seed, support, bias, α)`: the
-/// support identifies the class by content (not by position or handle, both
-/// of which vary with iteration and intern order), and the draw comes from a
+/// support identifies the class by content (not by position, which varies
+/// with iteration order), and the draw comes from a
 /// [`SmallRng::split_stream`] keyed on it. Two engines with the same seed
 /// that agree on a FEC's support and bias agree on its noise — regardless of
 /// which other FECs exist or in what order they were processed.
@@ -206,9 +206,9 @@ fn stage_publish(
     let mut entries = Vec::with_capacity(total);
     for (fec, &noise) in fecs.iter().zip(noises) {
         let fresh = fec.support() as SanitizedSupport + noise;
-        for &member in fec.members() {
+        for member in fec.members() {
             entries.push(SanitizedItemset {
-                id: member,
+                id: member.clone(),
                 true_support: fec.support(),
                 sanitized: history.pinned(member, fec.support()).unwrap_or(fresh),
             });

@@ -5,8 +5,8 @@ use bfly_mining::FrequentItemsets;
 
 /// A frequency equivalence class: the frequent itemsets sharing one support
 /// value. The optimized Butterfly schemes perturb per-FEC, preserving the
-/// equality of members' supports exactly. Members are interned handles —
-/// partitioning a mining result moves no itemset data.
+/// equality of members' supports exactly. Members share the mining
+/// result's itemsets — partitioning it copies no itemset data.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Fec {
     support: Support,
@@ -43,7 +43,7 @@ pub fn partition_into_fecs(frequent: &FrequentItemsets) -> Vec<Fec> {
         .rev()
         .map(|run| Fec {
             support: run[0].support,
-            members: run.iter().map(|e| e.id).collect(),
+            members: run.iter().map(|e| e.id.clone()).collect(),
         })
         .collect()
 }
@@ -58,10 +58,7 @@ mod tests {
     }
 
     fn resolved(fec: &Fec) -> Vec<ItemSet> {
-        fec.members()
-            .iter()
-            .map(|id| id.resolve().clone())
-            .collect()
+        fec.members().iter().map(|id| (**id).clone()).collect()
     }
 
     #[test]
@@ -99,13 +96,13 @@ mod tests {
     fn partition_through_a_map(frequent: &FrequentItemsets) -> Vec<Fec> {
         use std::collections::BTreeMap;
         let mut by_support: BTreeMap<Support, Vec<ItemsetId>> = BTreeMap::new();
-        for e in frequent.iter() {
-            by_support.entry(e.support).or_default().push(e.id);
+        for e in frequent.entries() {
+            by_support.entry(e.support).or_default().push(e.id.clone());
         }
         by_support
             .into_iter()
             .map(|(support, mut members)| {
-                members.sort_unstable_by(|a, b| a.resolve().cmp(b.resolve()));
+                members.sort_unstable();
                 Fec { support, members }
             })
             .collect()

@@ -8,7 +8,7 @@
 use crate::audit::{audit_pin, AuditError};
 use crate::engine::ReleaseDelta;
 use crate::release::{SanitizedItemset, SanitizedRelease};
-use bfly_common::{ItemsetId, SanitizedSupport, Support};
+use bfly_common::{ItemSet, ItemsetId, SanitizedSupport, Support};
 use std::collections::HashMap;
 
 /// The previous **emitted** release of one stream: its `(true, sanitized)`
@@ -53,10 +53,10 @@ impl PublicationHistory {
         self.stream_len
     }
 
-    /// The republication rule: the value `id` keeps while its true support
-    /// is still `support`.
-    pub(crate) fn pinned(&self, id: ItemsetId, support: Support) -> Option<SanitizedSupport> {
-        match self.pins.get(&id) {
+    /// The republication rule: the value `itemset` keeps while its true
+    /// support is still `support`.
+    pub(crate) fn pinned(&self, itemset: &ItemSet, support: Support) -> Option<SanitizedSupport> {
+        match self.pins.get(itemset) {
             Some(&(t, sanitized)) if t == support => Some(sanitized),
             _ => None,
         }
@@ -87,22 +87,24 @@ impl PublicationHistory {
         for e in release.iter() {
             let previous = self.pins.get(&e.id).copied();
             match previous {
-                None => delta.added.push(*e),
-                Some(pair) if pair != (e.true_support, e.sanitized) => delta.changed.push(*e),
+                None => delta.added.push(e.clone()),
+                Some(pair) if pair != (e.true_support, e.sanitized) => {
+                    delta.changed.push(e.clone())
+                }
                 Some(_) => {}
             }
             if let Some(errors) = audit.as_deref_mut() {
                 audit_pin(errors, e, previous, &mut class);
             }
-            let first = pins.insert(e.id, (e.true_support, e.sanitized)).is_none();
+            let first = pins
+                .insert(e.id.clone(), (e.true_support, e.sanitized))
+                .is_none();
             kept += usize::from(first && previous.is_some());
         }
         if kept < self.pins.len() {
             let gone = self.pins.keys().filter(|id| !pins.contains_key(*id));
-            delta.removed = gone.copied().collect();
-            delta
-                .removed
-                .sort_unstable_by(|a, b| a.resolve().cmp(b.resolve()));
+            delta.removed = gone.cloned().collect();
+            delta.removed.sort_unstable();
         }
         let next = PublicationHistory {
             pins,
@@ -116,11 +118,10 @@ impl PublicationHistory {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bfly_common::ItemSet;
 
     fn entry(s: &str, t: Support, sanitized: SanitizedSupport) -> SanitizedItemset {
         SanitizedItemset {
-            id: ItemsetId::intern(&s.parse::<ItemSet>().unwrap()),
+            id: ItemsetId::new(s.parse().unwrap()),
             true_support: t,
             sanitized,
         }
@@ -149,8 +150,8 @@ mod tests {
         assert_eq!(d.changed, vec![entry("b", 31, 33)]);
         assert_eq!(d.removed, vec![entry("c", 0, 0).id]);
         assert_eq!((h.published(), h.stream_len()), (2, 10));
-        assert_eq!(h.pinned(entry("a", 0, 0).id, 30), Some(27));
-        assert_eq!(h.pinned(entry("b", 0, 0).id, 30), None, "support moved");
+        assert_eq!(h.pinned(&"a".parse().unwrap(), 30), Some(27));
+        assert_eq!(h.pinned(&"b".parse().unwrap(), 30), None, "support moved");
         let republished = h.record(&next, 12);
         assert_eq!(republished, ReleaseDelta::default());
     }
@@ -160,7 +161,7 @@ mod tests {
         let release = SanitizedRelease::new(vec![entry("a", 30, 27), entry("ab", 41, 40)]);
         let mut recorded = PublicationHistory::default();
         recorded.record(&release, 20);
-        let restored = PublicationHistory::restored(1, 20, release.iter().copied());
+        let restored = PublicationHistory::restored(1, 20, release.iter().cloned());
         assert_eq!(restored.pins, recorded.pins);
         assert_eq!(
             (restored.published(), restored.stream_len()),

@@ -48,7 +48,7 @@ pub struct ChainView<'a> {
 }
 
 impl<'a> ChainView<'a> {
-    /// Build a chained view over interned sanitized views (the shape
+    /// Build a chained view over sanitized views (the shape
     /// [`SanitizedRelease::view`] produces).
     ///
     /// [`SanitizedRelease::view`]: crate::release::SanitizedRelease::view
@@ -62,10 +62,9 @@ impl<'a> ChainView<'a> {
 
 impl SupportView for ChainView<'_> {
     fn get(&self, itemset: &ItemSet) -> Option<f64> {
-        let id = ItemsetId::get(itemset)?;
         self.primary
-            .get(&id)
-            .or_else(|| self.fallback.and_then(|f| f.get(&id)))
+            .get(itemset)
+            .or_else(|| self.fallback.and_then(|f| f.get(itemset)))
             .map(|&v| v as f64)
     }
 }
@@ -199,7 +198,7 @@ mod tests {
 
     fn entry(s: &str, t: Support, sanitized: SanitizedSupport) -> SanitizedItemset {
         SanitizedItemset {
-            id: ItemsetId::intern(&iset(s)),
+            id: ItemsetId::new(iset(s)),
             true_support: t,
             sanitized,
         }
@@ -260,10 +259,10 @@ mod tests {
         use bfly_inference::attack::{Breach, BreachKind};
         // Lattice X_c^{abc} sanitized to 9, 4, 6, 2 → estimate 1; truth 1.
         let mut view: HashMap<ItemsetId, SanitizedSupport> = HashMap::new();
-        view.insert(ItemsetId::intern(&iset("c")), 9);
-        view.insert(ItemsetId::intern(&iset("ac")), 4);
-        view.insert(ItemsetId::intern(&iset("bc")), 6);
-        view.insert(ItemsetId::intern(&iset("abc")), 2);
+        view.insert(ItemsetId::new(iset("c")), 9);
+        view.insert(ItemsetId::new(iset("ac")), 4);
+        view.insert(ItemsetId::new(iset("bc")), 6);
+        view.insert(ItemsetId::new(iset("abc")), 2);
         let breach = Breach {
             pattern: "c¬a¬b".parse::<Pattern>().unwrap(),
             base: iset("c"),
@@ -274,11 +273,11 @@ mod tests {
         let prig = avg_prig(std::slice::from_ref(&breach), &view, None).unwrap();
         assert_eq!(prig, 0.0); // estimate happens to hit the truth
                                // Remove a lattice member: the adversary has no estimator at all.
-        view.remove(&ItemsetId::intern(&iset("abc")));
+        view.remove(&iset("abc"));
         assert_eq!(avg_prig(std::slice::from_ref(&breach), &view, None), None);
         // But a previous window's sanitized value completes the lattice.
         let mut prev = HashMap::new();
-        prev.insert(ItemsetId::intern(&iset("abc")), 4i64);
+        prev.insert(ItemsetId::new(iset("abc")), 4i64);
         let prig = avg_prig(&[breach], &view, Some(&prev)).unwrap();
         // estimate = 9−4−6+4 = 3; deviation (1−3)²/1 = 4.
         assert_eq!(prig, 4.0);

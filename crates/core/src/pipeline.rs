@@ -558,7 +558,9 @@ mod tests {
 
     /// Claims the Butterfly contract but draws noise per itemset: every
     /// unpinned entry gets its own draw from the region the [`Publisher`]
-    /// would have used, so each value stays in range but FEC-mates split.
+    /// would have used, seeded by the FNV-1a hash of its items' display
+    /// form (content, not allocation order), so each value stays in range
+    /// but FEC-mates split.
     #[derive(Clone, Debug)]
     struct PerItemset {
         inner: Publisher,
@@ -581,13 +583,16 @@ mod tests {
                 .inner
                 .publish(frequent, history)
                 .iter()
-                .map(|&e| match history.pinned(e.id, e.true_support) {
-                    Some(_) => e,
-                    None => SanitizedItemset {
-                        sanitized: e.true_support as i64
-                            + crate::seeded_noise(e.id.index() as u64, e.true_support, 0.0, alpha),
-                        ..e
-                    },
+                .map(|e| match history.pinned(e.itemset(), e.true_support) {
+                    Some(_) => e.clone(),
+                    None => {
+                        let content = bfly_common::fnv1a(&e.itemset().to_string());
+                        let noise = crate::seeded_noise(content, e.true_support, 0.0, alpha);
+                        SanitizedItemset {
+                            sanitized: e.true_support as i64 + noise,
+                            ..e.clone()
+                        }
+                    }
                 })
                 .collect();
             SanitizedRelease::new(entries)

@@ -1,14 +1,19 @@
 //! Sanitized output: what Butterfly publishes instead of raw supports.
+//!
+//! Entries share their itemsets with the mining result they came from (an
+//! [`ItemsetId`] is an `Arc<ItemSet>`), so a release copies no itemset and
+//! its itemsets are freed with the last release, history or delta holding
+//! them.
 
 use bfly_common::{ItemSet, ItemsetId, SanitizedSupport, Support};
 use std::collections::HashMap;
 
 /// One published itemset: its sanitized support, plus (for evaluation only —
-/// a deployment would not ship it) the true support. Carries an interned
-/// handle, so a release entry is three machine words.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// a deployment would not ship it) the true support. Carries the shared
+/// itemset, so a release entry is three machine words.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SanitizedItemset {
-    /// Interned handle to the frequent itemset.
+    /// The shared frequent itemset.
     pub id: ItemsetId,
     /// Ground-truth support, retained for measuring `pred`/`prig`.
     pub true_support: Support,
@@ -19,9 +24,9 @@ pub struct SanitizedItemset {
 }
 
 impl SanitizedItemset {
-    /// The itemset behind the handle.
-    pub fn itemset(&self) -> &'static ItemSet {
-        self.id.resolve()
+    /// The itemset.
+    pub fn itemset(&self) -> &ItemSet {
+        &self.id
     }
 
     /// The value a UI would display: the sanitized support clamped at zero.
@@ -58,15 +63,17 @@ impl SanitizedRelease {
         self.entries.iter()
     }
 
-    /// The adversary's view: interned itemset → sanitized support.
+    /// The adversary's view: itemset → sanitized support.
     pub fn view(&self) -> HashMap<ItemsetId, SanitizedSupport> {
-        self.entries.iter().map(|e| (e.id, e.sanitized)).collect()
+        self.entries
+            .iter()
+            .map(|e| (e.id.clone(), e.sanitized))
+            .collect()
     }
 
     /// Lookup one entry by itemset value.
     pub fn get(&self, itemset: &ItemSet) -> Option<&SanitizedItemset> {
-        let id = ItemsetId::get(itemset)?;
-        self.entries.iter().find(|e| e.id == id)
+        self.entries.iter().find(|e| e.itemset() == itemset)
     }
 }
 
@@ -81,12 +88,12 @@ mod tests {
     fn release() -> SanitizedRelease {
         SanitizedRelease::new(vec![
             SanitizedItemset {
-                id: ItemsetId::intern(&iset("a")),
+                id: ItemsetId::new(iset("a")),
                 true_support: 30,
                 sanitized: 27,
             },
             SanitizedItemset {
-                id: ItemsetId::intern(&iset("ab")),
+                id: ItemsetId::new(iset("ab")),
                 true_support: 26,
                 sanitized: -1,
             },
@@ -97,11 +104,9 @@ mod tests {
     fn views_split_truth_from_publication() {
         let r = release();
         assert_eq!(r.len(), 2);
-        let a = ItemsetId::intern(&iset("a"));
-        let ab = ItemsetId::intern(&iset("ab"));
-        assert_eq!(r.view()[&a], 27);
+        assert_eq!(r.view()[&iset("a")], 27);
         assert_eq!(r.get(&iset("a")).unwrap().true_support, 30);
-        assert_eq!(r.view()[&ab], -1);
+        assert_eq!(r.view()[&iset("ab")], -1);
     }
 
     #[test]

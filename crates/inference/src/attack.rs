@@ -55,10 +55,10 @@ pub fn find_intra_window_breaches(view: &HashMap<ItemsetId, Support>, k: Support
 
 /// The spanning itemsets of `view` worth analysing, in canonical (sorted)
 /// order so enumeration results never depend on hash iteration order.
-fn eligible_spans(view: &HashMap<ItemsetId, Support>) -> Vec<&'static ItemSet> {
-    let mut spans: Vec<&'static ItemSet> = view
+fn eligible_spans(view: &HashMap<ItemsetId, Support>) -> Vec<&ItemSet> {
+    let mut spans: Vec<&ItemSet> = view
         .keys()
-        .map(|id| id.resolve())
+        .map(|id| &**id)
         .filter(|s| s.len() >= 2 && s.len() <= MAX_SPAN)
         .collect();
     spans.sort_unstable();
@@ -85,7 +85,7 @@ fn collect_span_breaches(
     let mut f = vec![0i64; 1 << n];
     for mask in 1..=full_mask {
         let subset = span.subset_by_mask(mask);
-        match ItemsetId::get(&subset).and_then(|id| view.get(&id)) {
+        match view.get(&subset) {
             Some(&s) => f[mask as usize] = s as i64,
             None => return out,
         }
@@ -112,8 +112,8 @@ fn collect_span_breaches(
             // augmented (not directly published) itemset.
             let uses_augmented = crate::lattice::Lattice::new(&base, span)
                 .expect("base ⊂ span")
-                .members_interned()
-                .any(|(x, _)| x.is_some_and(|id| required.contains_key(&id)));
+                .members()
+                .any(|(x, _)| required.contains_key(&x));
             if !uses_augmented {
                 continue;
             }
@@ -145,14 +145,13 @@ pub fn complete_negative_border(
     view: &HashMap<ItemsetId, Support>,
     min_support: Support,
 ) -> HashMap<ItemsetId, Support> {
-    let singles: Vec<&'static ItemSet> = view
+    let singles: Vec<&ItemSet> = view
         .keys()
-        .map(|id| id.resolve())
+        .map(|id| &**id)
         .filter(|i| i.len() == 1)
         .collect();
     let mut augmented = HashMap::new();
-    for id in view.keys() {
-        let itemset = id.resolve();
+    for itemset in view.keys() {
         for single in &singles {
             let item = single.items()[0];
             if itemset.contains(item) {
@@ -162,12 +161,9 @@ pub fn complete_negative_border(
             if candidate.len() > MAX_SPAN {
                 continue;
             }
-            // A candidate already in either map is settled; probe by handle
-            // first so unseen candidates cost no interning.
-            if let Some(cid) = ItemsetId::get(&candidate) {
-                if view.contains_key(&cid) || augmented.contains_key(&cid) {
-                    continue;
-                }
+            // A candidate already in either map is settled.
+            if view.contains_key(&candidate) || augmented.contains_key(&candidate) {
+                continue;
             }
             let Some(b) = support_bounds(view, &candidate) else {
                 continue;
@@ -178,7 +174,7 @@ pub fn complete_negative_border(
             };
             if let Some(tight) = b.intersect(&capped) {
                 if tight.is_tight() && tight.lower >= 0 {
-                    augmented.insert(ItemsetId::intern(&candidate), tight.lower as Support);
+                    augmented.insert(ItemsetId::new(candidate), tight.lower as Support);
                 }
             }
         }
@@ -206,8 +202,8 @@ pub fn find_inter_window_breaches(
     // augmented map does not depend on `prev`'s iteration order.
     let augmented: HashMap<ItemsetId, Support> = prev
         .iter()
-        .filter(|(id, _)| !curr.contains_key(id) && id.resolve().len() <= MAX_SPAN)
-        .filter_map(|(&id, &prev_support)| {
+        .filter(|(id, _)| !curr.contains_key(*id) && id.len() <= MAX_SPAN)
+        .filter_map(|(id, &prev_support)| {
             let transition = SupportBounds {
                 lower: prev_support as i64 - slide as i64,
                 upper: prev_support as i64 + slide as i64,
@@ -217,12 +213,13 @@ pub fn find_inter_window_breaches(
                 upper: min_support as i64 - 1,
             };
             let mut combined = transition.intersect(&unpublished)?;
-            if let Some(lattice_bounds) = support_bounds(curr, id.resolve()) {
+            if let Some(lattice_bounds) = support_bounds(curr, id) {
                 // An empty intersection is inconsistent (shouldn't happen on
                 // real data); treat it as "not pinned".
                 combined = combined.intersect(&lattice_bounds)?;
             }
-            (combined.is_tight() && combined.lower >= 0).then_some((id, combined.lower as Support))
+            (combined.is_tight() && combined.lower >= 0)
+                .then(|| (id.clone(), combined.lower as Support))
         })
         .collect();
     if augmented.is_empty() {
@@ -232,7 +229,7 @@ pub fn find_inter_window_breaches(
     // Stage 2: derive vulnerable patterns over the augmented view, keeping
     // only derivations that consume an augmented support.
     let mut full_view = curr.clone();
-    full_view.extend(augmented.iter().map(|(&i, &s)| (i, s)));
+    full_view.extend(augmented.iter().map(|(i, &s)| (i.clone(), s)));
     eligible_spans(&full_view)
         .into_iter()
         .flat_map(|span| {
@@ -264,7 +261,7 @@ mod tests {
     }
 
     fn view_has(view: &HashMap<ItemsetId, Support>, itemset: &ItemSet) -> bool {
-        ItemsetId::get(itemset).is_some_and(|id| view.contains_key(&id))
+        view.contains_key(itemset)
     }
 
     #[test]
@@ -303,15 +300,14 @@ mod tests {
             }
             // And complete: every vulnerable pattern spanned by a published
             // itemset is found.
-            for id in view.keys() {
-                let span = id.resolve();
+            for span in view.keys() {
                 if span.len() < 2 {
                     continue;
                 }
                 for base in span.proper_subsets() {
                     let p = Pattern::from_lattice(&base, span).unwrap();
                     let truth = db.pattern_support(&p);
-                    let reported = breaches.iter().any(|b| b.base == base && b.span == *span);
+                    let reported = breaches.iter().any(|b| b.base == base && b.span == **span);
                     assert_eq!(
                         reported,
                         truth >= 1 && truth <= k,
@@ -339,8 +335,7 @@ mod tests {
         let prev = release(&fig2_window(11), 4);
         let curr_db = fig2_window(12);
         let curr = release(&curr_db, 4);
-        let abc_id = ItemsetId::get(&iset("abc")).expect("interned by mining");
-        assert_eq!(prev.get(&abc_id), Some(&4));
+        assert_eq!(prev.get(&iset("abc")), Some(&4));
         assert!(!view_has(&curr, &iset("abc")));
 
         // No intra breach at K=1 in the current window alone.
@@ -373,8 +368,7 @@ mod tests {
         let db = fig2_window(12);
         let view = release(&db, 4);
         let aug = complete_negative_border(&view, 4);
-        for (id, support) in &aug {
-            let itemset = id.resolve();
+        for (itemset, support) in &aug {
             assert_eq!(
                 db.support(itemset),
                 *support,

@@ -5,9 +5,8 @@ use bfly_common::{ItemSet, ItemsetId, Pattern, Result};
 use std::collections::HashMap;
 
 /// A view of published supports the adversary works from. Implemented for
-/// plain maps keyed by value or by interned [`ItemsetId`] (exact or
-/// sanitized); `bfly-mining`'s result type plugs in via its id-keyed map
-/// accessor.
+/// maps keyed by [`ItemSet`] or by shared [`ItemsetId`] (exact or
+/// sanitized); `bfly-mining`'s result type plugs in via its map accessor.
 pub trait SupportView {
     /// The published support of `itemset`, if it was published.
     fn get(&self, itemset: &ItemSet) -> Option<f64>;
@@ -31,23 +30,21 @@ impl SupportView for HashMap<ItemSet, f64> {
     }
 }
 
-// Id-keyed views: an itemset that was never interned was never published,
-// so the lookup correctly reads as missing.
 impl SupportView for HashMap<ItemsetId, u64> {
     fn get(&self, itemset: &ItemSet) -> Option<f64> {
-        ItemsetId::get(itemset).and_then(|id| HashMap::get(self, &id).map(|&v| v as f64))
+        HashMap::get(self, itemset).map(|&v| v as f64)
     }
 }
 
 impl SupportView for HashMap<ItemsetId, i64> {
     fn get(&self, itemset: &ItemSet) -> Option<f64> {
-        ItemsetId::get(itemset).and_then(|id| HashMap::get(self, &id).map(|&v| v as f64))
+        HashMap::get(self, itemset).map(|&v| v as f64)
     }
 }
 
 impl SupportView for HashMap<ItemsetId, f64> {
     fn get(&self, itemset: &ItemSet) -> Option<f64> {
-        ItemsetId::get(itemset).and_then(|id| HashMap::get(self, &id).copied())
+        HashMap::get(self, itemset).copied()
     }
 }
 
@@ -108,9 +105,8 @@ pub fn derive_pattern_support_f64<V: SupportView>(
 
 /// Exact-arithmetic variant for unperturbed integer supports: derives the
 /// pattern support as an `i64` (always ≥ 0 when the view is consistent with
-/// a real database). Takes the interned view a mining result exposes via
-/// `as_map()`; lattice members route through the interner, so no itemset is
-/// cloned or re-hashed per lookup beyond the handle resolution.
+/// a real database). Takes the view a mining result exposes via
+/// `as_map()`.
 pub fn derive_pattern_support(
     view: &HashMap<ItemsetId, u64>,
     base: &ItemSet,
@@ -118,8 +114,8 @@ pub fn derive_pattern_support(
 ) -> Result<Option<i64>> {
     let lattice = Lattice::new(base, full)?;
     let mut total = 0i64;
-    for (member, dist) in lattice.members_interned() {
-        match member.and_then(|id| view.get(&id)) {
+    for (member, dist) in lattice.members() {
+        match view.get(&member) {
             Some(&support) => {
                 let signed = support as i64;
                 if dist % 2 == 0 {
@@ -154,7 +150,7 @@ mod tests {
             .map(|s| {
                 let i: ItemSet = s.parse().unwrap();
                 let sup = db.support(&i);
-                (ItemsetId::intern(&i), sup)
+                (ItemsetId::new(i), sup)
             })
             .collect()
     }
@@ -183,7 +179,7 @@ mod tests {
         for mask in 1u32..(1 << n) {
             let x = alphabet.subset_by_mask(mask);
             let sup = db.support(&x);
-            view.insert(ItemsetId::intern(&x), sup);
+            view.insert(ItemsetId::new(x), sup);
         }
         for full_mask in 1u32..(1 << n) {
             let full = alphabet.subset_by_mask(full_mask);

@@ -1,6 +1,6 @@
 //! The aggregation lattice `X_I^J = { X : I ⊆ X ⊆ J }` (§IV-A, Fig. 3).
 
-use bfly_common::{Error, ItemSet, ItemsetId, Result};
+use bfly_common::{Error, ItemSet, Result};
 
 /// The lattice between a base itemset `I` and a full itemset `J ⊇ I`.
 /// Enumeration order is deterministic: by the bitmask of `J\I` members, so
@@ -65,15 +65,6 @@ impl Lattice {
             let extra = self.diff.subset_by_mask(mask);
             (self.base.union(&extra), extra.len())
         })
-    }
-
-    /// Iterate `(intern-handle, |X \ I|)` over all members, resolving each
-    /// against the global interner *without* interning. `None` marks a
-    /// member that was never interned — for views built from published
-    /// releases that means "never published", letting derivations bail
-    /// before any map lookup.
-    pub fn members_interned(&self) -> impl Iterator<Item = (Option<ItemsetId>, usize)> + '_ {
-        self.members().map(|(x, dist)| (ItemsetId::get(&x), dist))
     }
 }
 

@@ -145,7 +145,11 @@ mod tests {
     use bfly_mining::Apriori;
 
     fn spans_of(released: &bfly_mining::FrequentItemsets) -> Vec<ItemSet> {
-        released.iter().map(|e| e.itemset().clone()).collect()
+        released
+            .entries()
+            .iter()
+            .map(|e| e.itemset().clone())
+            .collect()
     }
 
     #[test]
@@ -175,7 +179,7 @@ mod tests {
         let released = Apriori::new(3).mine(&db);
         let spans = spans_of(&released);
         let mut noisy: HashMap<ItemSet, i64> = HashMap::new();
-        for e in released.iter() {
+        for e in released.entries() {
             let shift = if e.itemset().len() % 2 == 1 { 3 } else { -3 };
             noisy.insert(e.itemset().clone(), e.support as i64 + shift);
         }

@@ -8,8 +8,10 @@
 //! query; [`GroundTruth`] answers by AND/AND-NOT + popcount over a
 //! [`VerticalIndex`] maintained incrementally from [`WindowDelta`]s, and
 //! memoizes positive-itemset supports per window in a [`SupportMemo`] keyed
-//! by [`ItemsetId`] — a support the miner already published is seeded into
-//! the memo and never counted again within that window.
+//! by itemset value — a support the miner already published is seeded into
+//! the memo (sharing the miner's [`ItemsetId`]) and never counted again
+//! within that window. The memo clears on every delta, so it holds no
+//! itemset past its window.
 
 use bfly_common::{
     Database, ItemSet, ItemsetId, Pattern, Support, SupportMemo, TidScratch, VerticalIndex,
@@ -100,11 +102,10 @@ impl GroundTruth {
     /// Exact support `T(I)` of a positive itemset, memoized for the rest of
     /// the current window.
     pub fn support(&mut self, itemset: &ItemSet) -> Support {
-        let id = ItemsetId::intern(itemset);
         let index = &self.index;
         let scratch = &mut self.scratch;
         self.memo
-            .get_or_count(id, || index.support(itemset, scratch))
+            .get_or_count(itemset, || index.support(itemset, scratch))
     }
 
     /// Exact support `T(p)` of a generalized pattern. Pure positive
@@ -164,8 +165,7 @@ mod tests {
         let db = fig2_window(12);
         let mut truth = GroundTruth::of_database(&db);
         let c: ItemSet = "c".parse().unwrap();
-        let id = ItemsetId::intern(&c);
-        truth.seed_supports([(id, 8)]);
+        truth.seed_supports([(ItemsetId::new(c.clone()), 8)]);
         let (_, misses_before) = truth.memo_stats();
         assert_eq!(truth.support(&c), 8);
         let (_, misses_after) = truth.memo_stats();

@@ -13,13 +13,14 @@ use std::collections::HashMap;
 pub fn closed_subset(frequent: &FrequentItemsets) -> FrequentItemsets {
     FrequentItemsets::from_ids(
         frequent
+            .entries()
             .iter()
             .filter(|e| {
-                !frequent.iter().any(|other| {
+                !frequent.entries().iter().any(|other| {
                     other.support == e.support && e.itemset().is_proper_subset_of(other.itemset())
                 })
             })
-            .map(|e| (e.id, e.support)),
+            .map(|e| (e.id.clone(), e.support)),
     )
 }
 
@@ -33,7 +34,7 @@ pub fn expand_closed(closed: &FrequentItemsets) -> FrequentItemsets {
     let mut supports: HashMap<ItemSet, Support> = HashMap::new();
     // Descending support (the canonical order) means first write wins:
     // the first closed superset seen for a subset is the max-support one.
-    for entry in closed.iter() {
+    for entry in closed.entries() {
         let n = entry.itemset().len();
         assert!(
             n <= 24,
@@ -53,6 +54,7 @@ pub fn is_closed(frequent: &FrequentItemsets, itemset: &ItemSet) -> bool {
         return false;
     };
     !frequent
+        .entries()
         .iter()
         .any(|other| other.support == support && itemset.is_proper_subset_of(other.itemset()))
 }
@@ -81,7 +83,7 @@ mod tests {
         assert!(all.contains(&iset("ab")));
         // c (8) is closed: no superset reaches 8.
         assert!(closed.contains(&iset("c")));
-        for e in closed.iter() {
+        for e in closed.entries() {
             assert!(is_closed(&all, e.itemset()));
         }
     }

@@ -222,7 +222,7 @@ impl FpStream {
         for (itemset, window) in self.patterns.iter_mut() {
             window.push(mined.support(itemset).unwrap_or(0));
         }
-        for entry in mined.iter() {
+        for entry in mined.entries() {
             self.patterns
                 .entry(entry.itemset().clone())
                 .or_insert_with(|| {
@@ -349,7 +349,7 @@ mod tests {
         let n = db.len() as f64;
         let truth = Eclat::new((0.10 * n) as Support).mine(&db);
         let answer = fps.frequent_over(10);
-        for e in truth.iter() {
+        for e in truth.entries() {
             assert!(
                 answer.contains(e.itemset()),
                 "missed truly frequent {} (support {})",
@@ -368,7 +368,7 @@ mod tests {
             );
         }
         // Nothing wildly infrequent gets reported.
-        for e in answer.iter() {
+        for e in answer.entries() {
             let true_support = db.support(e.itemset());
             assert!(
                 true_support as f64 >= (0.10 - 2.0 * 0.02) * n,

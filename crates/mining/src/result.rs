@@ -1,28 +1,28 @@
 //! Miner output vocabulary.
 //!
-//! Entries carry interned [`ItemsetId`] handles rather than owned
-//! `ItemSet`s: a mining pass interns each result once, and every
-//! downstream layer (FEC partitioning, the publisher's republication
-//! cache, attack views) passes the copyable id instead of cloning the
-//! itemset.
+//! Entries carry shared [`ItemsetId`]s (`Arc<ItemSet>`): a mining pass
+//! wraps each result once, and every downstream layer (FEC partitioning,
+//! the stream's publication history, release deltas, attack views) clones
+//! the `Arc` instead of the itemset. An itemset lives exactly as long as
+//! the last result, release, history or view holding it.
 
 use bfly_common::{ItemSet, ItemsetId, Support};
 use std::collections::HashMap;
 use std::fmt;
 
 /// One mined itemset with its exact support in the mined window.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FrequentItemset {
-    /// Interned handle to the itemset.
+    /// The shared itemset.
     pub id: ItemsetId,
     /// Its support `T(X)` in the mined database/window.
     pub support: Support,
 }
 
 impl FrequentItemset {
-    /// The itemset behind the handle.
-    pub fn itemset(&self) -> &'static ItemSet {
-        self.id.resolve()
+    /// The itemset.
+    pub fn itemset(&self) -> &ItemSet {
+        &self.id
     }
 }
 
@@ -36,8 +36,8 @@ pub struct FrequentItemsets {
 }
 
 impl FrequentItemsets {
-    /// Build from (itemset, support) pairs; interns each itemset and
-    /// canonicalizes order.
+    /// Build from (itemset, support) pairs; shares each itemset (no copy)
+    /// and canonicalizes order.
     ///
     /// # Panics
     /// If the same itemset appears twice — a miner bug worth failing fast on.
@@ -45,11 +45,11 @@ impl FrequentItemsets {
         Self::from_ids(
             pairs
                 .into_iter()
-                .map(|(itemset, support)| (ItemsetId::intern(&itemset), support)),
+                .map(|(itemset, support)| (ItemsetId::new(itemset), support)),
         )
     }
 
-    /// Build from already-interned (id, support) pairs; canonicalizes order.
+    /// Build from already-shared (id, support) pairs; canonicalizes order.
     ///
     /// # Panics
     /// If the same id appears twice.
@@ -65,7 +65,7 @@ impl FrequentItemsets {
         });
         let mut index = HashMap::with_capacity(entries.len());
         for e in &entries {
-            let prev = index.insert(e.id, e.support);
+            let prev = index.insert(e.id.clone(), e.support);
             assert!(
                 prev.is_none(),
                 "duplicate itemset {} in miner output",
@@ -85,9 +85,10 @@ impl FrequentItemsets {
         self.entries.is_empty()
     }
 
-    /// Entries in canonical order.
-    pub fn iter(&self) -> impl Iterator<Item = &FrequentItemset> {
-        self.entries.iter()
+    /// Entries in canonical order, by value (one `Arc` clone each); read
+    /// [`FrequentItemsets::entries`] to borrow them.
+    pub fn iter(&self) -> impl Iterator<Item = FrequentItemset> + '_ {
+        self.entries.iter().cloned()
     }
 
     /// Entries as a slice.
@@ -97,7 +98,7 @@ impl FrequentItemsets {
 
     /// Support lookup for a specific itemset (by value).
     pub fn support(&self, itemset: &ItemSet) -> Option<Support> {
-        ItemsetId::get(itemset).and_then(|id| self.index.get(&id).copied())
+        self.index.get(itemset).copied()
     }
 
     /// Does the output contain this exact itemset?
@@ -105,7 +106,7 @@ impl FrequentItemsets {
         self.support(itemset).is_some()
     }
 
-    /// The support map (interned id → support).
+    /// The support map (itemset → support).
     pub fn as_map(&self) -> &HashMap<ItemsetId, Support> {
         &self.index
     }
@@ -116,7 +117,7 @@ impl FrequentItemsets {
             self.entries
                 .iter()
                 .filter(|e| e.support >= min_support)
-                .map(|e| (e.id, e.support)),
+                .map(|e| (e.id.clone(), e.support)),
         )
     }
 
@@ -156,7 +157,7 @@ mod tests {
     #[test]
     fn canonical_order_is_support_desc_then_lex() {
         let f = FrequentItemsets::new(vec![(iset("b"), 3), (iset("a"), 5), (iset("ab"), 3)]);
-        let order: Vec<&ItemSet> = f.iter().map(|e| e.itemset()).collect();
+        let order: Vec<&ItemSet> = f.entries().iter().map(|e| e.itemset()).collect();
         assert_eq!(order, vec![&iset("a"), &iset("ab"), &iset("b")]);
     }
 
@@ -172,11 +173,10 @@ mod tests {
     }
 
     #[test]
-    fn id_lookup_matches_value_lookup() {
+    fn map_lookup_matches_value_lookup() {
         let f = FrequentItemsets::new(vec![(iset("ab"), 4)]);
-        let id = ItemsetId::get(&iset("ab")).expect("interned by the constructor");
-        assert_eq!(f.as_map().get(&id), Some(&4));
-        assert_eq!(f.entries()[0].id, id);
+        assert_eq!(f.as_map().get(&iset("ab")), Some(&4));
+        assert_eq!(*f.entries()[0].id, iset("ab"));
     }
 
     #[test]

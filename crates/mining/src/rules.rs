@@ -48,7 +48,7 @@ pub fn generate_rules(frequent: &FrequentItemsets, min_confidence: f64) -> Vec<A
         "min_confidence must be in (0,1]"
     );
     let mut rules = Vec::new();
-    for entry in frequent.iter() {
+    for entry in frequent.entries() {
         let n = entry.itemset().len();
         if n < 2 {
             continue;
@@ -88,8 +88,8 @@ pub fn confidence_under_view(
     view: &HashMap<ItemsetId, i64>,
 ) -> Option<f64> {
     let union = rule.antecedent.union(&rule.consequent);
-    let t_ab = *view.get(&ItemsetId::get(&union)?)?;
-    let t_a = *view.get(&ItemsetId::get(&rule.antecedent)?)?;
+    let t_ab = *view.get(&union)?;
+    let t_a = *view.get(&rule.antecedent)?;
     (t_a > 0).then(|| t_ab as f64 / t_a as f64)
 }
 
@@ -172,15 +172,15 @@ mod tests {
             confidence: 0.5,
         };
         let mut view: HashMap<ItemsetId, i64> = HashMap::new();
-        view.insert(ItemsetId::intern(&iset("a")), 98);
-        view.insert(ItemsetId::intern(&iset("ab")), 51);
+        view.insert(ItemsetId::new(iset("a")), 98);
+        view.insert(ItemsetId::new(iset("ab")), 51);
         let c = confidence_under_view(&rule, &view).unwrap();
         assert!((c - 51.0 / 98.0).abs() < 1e-12);
         // Missing member → None; non-positive antecedent → None.
-        view.remove(&ItemsetId::intern(&iset("ab")));
+        view.remove(&iset("ab"));
         assert_eq!(confidence_under_view(&rule, &view), None);
-        view.insert(ItemsetId::intern(&iset("ab")), 51);
-        view.insert(ItemsetId::intern(&iset("a")), 0);
+        view.insert(ItemsetId::new(iset("ab")), 51);
+        view.insert(ItemsetId::new(iset("a")), 0);
         assert_eq!(confidence_under_view(&rule, &view), None);
     }
 
@@ -193,13 +193,13 @@ mod tests {
             confidence: 0.5,
         };
         let mut view: HashMap<ItemsetId, i64> = HashMap::new();
-        view.insert(ItemsetId::intern(&iset("a")), 100);
-        view.insert(ItemsetId::intern(&iset("ab")), 50);
+        view.insert(ItemsetId::new(iset("a")), 100);
+        view.insert(ItemsetId::new(iset("ab")), 50);
         assert_eq!(
             confidence_preservation_rate(std::slice::from_ref(&rule), &view, 0.05),
             1.0
         );
-        view.insert(ItemsetId::intern(&iset("ab")), 80);
+        view.insert(ItemsetId::new(iset("ab")), 80);
         assert_eq!(confidence_preservation_rate(&[rule], &view, 0.05), 0.0);
         assert_eq!(confidence_preservation_rate(&[], &view, 0.05), 1.0);
     }

@@ -351,7 +351,7 @@ pub(crate) fn release_delta_frame(
         removed: delta
             .removed
             .iter()
-            .map(|id| id.resolve().items().iter().map(|i| i.id()).collect())
+            .map(|id| id.items().iter().map(|i| i.id()).collect())
             .collect(),
     }
 }
@@ -646,7 +646,7 @@ mod tests {
 
     fn entry(s: &str, t: u64, sanitized: i64) -> SanitizedItemset {
         SanitizedItemset {
-            id: ItemsetId::intern(&s.parse::<ItemSet>().unwrap()),
+            id: ItemsetId::new(s.parse().unwrap()),
             true_support: t,
             sanitized,
         }
@@ -974,7 +974,7 @@ mod tests {
         let d = ReleaseDelta {
             added: vec![entry("a", 30, 27)],
             changed: vec![entry("ab", 40, 38)],
-            removed: vec![ItemsetId::intern(&"b".parse::<ItemSet>().unwrap())],
+            removed: vec![ItemsetId::new("b".parse().unwrap())],
         };
         let ev = delta_event("t0", 9, 5, &d);
         assert_eq!(ev.get("event").unwrap().as_str(), Some("release_delta"));
@@ -1021,7 +1021,7 @@ mod tests {
         let d = ReleaseDelta {
             added: vec![entry("ab", 27, 24)],
             changed: vec![entry("b", 27, 26)],
-            removed: vec![ItemsetId::intern(&"c".parse::<ItemSet>().unwrap())],
+            removed: vec![ItemsetId::new("c".parse().unwrap())],
         };
         sub.observe(&delta_event("t0", 6, 4, &d)).unwrap();
         assert_eq!(sub.deltas_applied, 1);
@@ -1064,7 +1064,7 @@ mod tests {
             6,
             4,
             &ReleaseDelta {
-                removed: vec![ItemsetId::intern(&"a".parse::<ItemSet>().unwrap())],
+                removed: vec![ItemsetId::new("a".parse().unwrap())],
                 ..ReleaseDelta::default()
             },
         );

@@ -585,7 +585,7 @@ fn adopt(cfg: &ServeConfig, path: &Path, s: StreamSnapshot) -> Result<RecoveredS
         pipe.advance(Transaction::new(0, ItemSet::from_ids(ids.iter().copied())));
     }
     let previous = s.prev_release.iter().map(|e| SanitizedItemset {
-        id: ItemsetId::intern(&ItemSet::from_ids(e.ids.iter().copied())),
+        id: ItemsetId::new(ItemSet::from_ids(e.ids.iter().copied())),
         true_support: e.true_support,
         sanitized: e.sanitized,
     });

@@ -39,7 +39,7 @@ fn main() {
             "last {horizon:>2} batches ({records:>5} records): {} patterns ≥ (σ−ε)·N",
             answer.len()
         );
-        for e in answer.iter().take(5) {
+        for e in answer.entries().iter().take(5) {
             let truth = db.support(e.itemset());
             println!(
                 "   {:<20} est {:>5}  true {:>5}  (under-count ≤ ε·N = {})",

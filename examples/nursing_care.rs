@@ -10,7 +10,7 @@
 
 use butterfly_repro::butterfly::{BiasScheme, PrivacySpec, PublicationHistory, Publisher};
 use butterfly_repro::common::fixtures::{fig2_stream, fig2_window};
-use butterfly_repro::common::{ItemSet, ItemsetId, Pattern};
+use butterfly_repro::common::{ItemSet, Pattern};
 use butterfly_repro::inference::adversary::estimate_pattern;
 use butterfly_repro::inference::{find_inter_window_breaches, find_intra_window_breaches};
 use butterfly_repro::mining::Apriori;
@@ -77,10 +77,8 @@ fn main() {
     let mut view = curr_release.view();
     let prev_view = prev_release.view();
     let abc: ItemSet = "abc".parse().unwrap();
-    if let Some(id) = ItemsetId::get(&abc) {
-        if let Some(v) = prev_view.get(&id) {
-            view.insert(id, *v);
-        }
+    if let Some((id, &v)) = prev_view.get_key_value(&abc) {
+        view.insert(id.clone(), v);
     }
     let estimate = estimate_pattern(&view, &"c".parse().unwrap(), &"abc".parse().unwrap())
         .unwrap()

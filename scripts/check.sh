@@ -137,6 +137,24 @@ if [[ -n "$HELD" ]]; then
   echo "a defense or the engine keeps stream history again; read the PublicationHistory the pipeline passes to publish"; exit 1
 fi
 
+echo "==> no-global-itemset-state guard (an itemset lives as long as the result, release, history, delta or view holding it: no leaked allocation, no process-wide locked static, no unsafe in bfly_common)"
+# Non-test code under crates/*/src: any Box::leak; a static whose type holds
+# a OnceLock, RwLock or Mutex (one named exception: the pool's DEFAULT thread
+# count); any unsafe under crates/common/src.
+GLOBALS=$(for f in $(find crates/*/src -name '*.rs' | sort); do
+  sed -E '/^ *(pub\(crate\) )?mod tests \{/,$d' "$f" \
+    | grep -nE '\bBox::leak\b|^ *(pub(\([a-z]+\))? +)?static +[A-Z_0-9]+ *:.*\b(OnceLock|RwLock|Mutex)\b' \
+    | grep -v '^[0-9]*: *//' | sed "s|^|$f:|"
+  if [[ "$f" == crates/common/src/* ]]; then
+    sed -E '/^ *(pub\(crate\) )?mod tests \{/,$d' "$f" | grep -nw 'unsafe' \
+      | grep -v '^[0-9]*: *//' | sed "s|^|$f:|"
+  fi
+done | grep -vE '^crates/common/src/pool\.rs:[0-9]+: *static DEFAULT: OnceLock<usize> = OnceLock::new\(\);$' || true)
+if [[ -n "$GLOBALS" ]]; then
+  echo "$GLOBALS"
+  echo "process-wide itemset state crept back; an ItemsetId is an Arc<ItemSet> owned by what holds it"; exit 1
+fi
+
 echo "==> thread guard (a serve process runs one reactor thread plus one worker per shard: no thread per connection or subscription)"
 SPAWNS=$(for f in $(find crates/serve/src -name '*.rs' | sort); do
   sed '/^ *mod tests {/,$d' "$f" | grep -c 'thread::\(Builder\|spawn\)' | sed "s|^|$f |"

@@ -27,7 +27,7 @@ fn butterfly_over_fpstream_output() {
 
     // FP-stream estimates at this horizon are ≥ (σ−ε)·N ≈ 180; a contract
     // with C at that floor is feasible and meaningful.
-    let c = approx.iter().map(|e| e.support).min().unwrap();
+    let c = approx.entries().iter().map(|e| e.support).min().unwrap();
     let spec = PrivacySpec::new(c, 5, 0.02, 0.5);
     let mut publisher = Publisher::new(
         spec,

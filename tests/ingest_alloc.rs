@@ -3,7 +3,9 @@
 //! pipeline as the connection, the shard worker and the miner do it, and
 //! the whole path must stay under one allocation per twenty transactions —
 //! the chunk's own buffers, not one allocation per transaction. Publication
-//! is priced apart (`publish_us` in `stats`) and is not driven here.
+//! is priced apart (`publish_us` in `stats`); what it is held to here is
+//! the live heap: a publishing pipeline keeps only what its window and its
+//! last release need, however many distinct itemsets the stream has shown.
 //!
 //! Its own test binary: the counting allocator is global to the binary.
 
@@ -19,38 +21,51 @@ use std::sync::Arc;
 thread_local! {
     /// Allocations (and reallocations) made by this thread.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread allocated minus the bytes it freed, and the most
+    /// that difference reached since [`take_peak`] last read it.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+    static PEAK: Cell<i64> = const { Cell::new(0) };
 }
 
 /// The system allocator, counting per thread so concurrently running tests
 /// cannot disturb the count.
 struct Counting;
 
-fn count() {
+fn count(grown: i64) {
     // `try_with`: a thread being torn down has no counter left to bump.
     let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    live(grown);
+}
+
+fn live(grown: i64) {
+    let _ = LIVE.try_with(|live| {
+        live.set(live.get() + grown);
+        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
+    });
 }
 
 // SAFETY: every call forwards to `System` with the caller's arguments
-// unchanged, so `System`'s guarantees are this allocator's; the counter is
-// a const-initialized thread-local `Cell`, which neither allocates nor
-// needs a destructor.
+// unchanged, so `System`'s guarantees are this allocator's; the counters
+// are const-initialized thread-local `Cell`s, which neither allocate nor
+// need a destructor.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size() as i64);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size() as i64);
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(new_size as i64 - layout.size() as i64);
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        live(-(layout.size() as i64));
         System.dealloc(ptr, layout)
     }
 }
@@ -60,6 +75,13 @@ static GLOBAL: Counting = Counting;
 
 fn allocs() -> u64 {
     ALLOCS.with(Cell::get)
+}
+
+/// The peak of this thread's live bytes since the last call, restarting
+/// the peak at the bytes live now.
+fn take_peak() -> i64 {
+    let now = LIVE.with(Cell::get);
+    PEAK.with(|peak| peak.replace(now))
 }
 
 #[test]
@@ -232,5 +254,46 @@ fn warmed_moment_rebuilding_at_every_settle_allocates_less_than_once_a_settle() 
     assert!(
         per_settle < 1.0,
         "{per_settle:.2} heap allocations per settle over {settles} settles"
+    );
+}
+
+#[test]
+fn live_heap_is_bounded_by_live_state_on_a_drifting_stream() {
+    // The serve contract (W 2000, C 25, published every 100) over a
+    // WebView1 stream whose item ids move to a fresh range every window, so
+    // the closed sets keep being new ones: 2·10⁵ transactions, about 2 000
+    // publications of itemsets no release will show again. What the
+    // pipeline holds is its window, its miner and the previous release, so
+    // once the drift is under way the heap stops growing; a store that kept
+    // every itemset ever published would grow with each window.
+    const TX: usize = 200_000;
+    let cfg = ServeConfig {
+        shards: 1,
+        ..ServeConfig::default()
+    };
+    let mut pipe = cfg.pipeline_for("k");
+    let mut source = DatasetProfile::WebView1.source(7);
+    // WebView1 draws from 497 item ids.
+    let shift = |i: usize| (i / cfg.window) as u32 * 512;
+    let mut peaks = Vec::with_capacity(TX / cfg.every);
+    take_peak();
+    for i in 0..TX {
+        let t = source.next_transaction();
+        let items = ItemSet::from_ids(t.items().iter().map(|item| item.id() + shift(i)));
+        pipe.advance_items(items.items());
+        if pipe.window().is_full() && pipe.since_publish() >= cfg.every {
+            pipe.publish_now().expect("the contract holds");
+            peaks.push(take_peak());
+        }
+    }
+    assert_eq!(pipe.audit_violations(), 0);
+    let quarter = peaks.len() / 4;
+    let peak_of = |q: usize| *peaks[q * quarter..(q + 1) * quarter].iter().max().unwrap();
+    let (second, last) = (peak_of(1), peak_of(3));
+    assert!(
+        last as f64 <= 1.25 * second as f64,
+        "live heap grew with history: peak {last} B over the last quarter of {} \
+         publications, {second} B over the second",
+        peaks.len()
     );
 }

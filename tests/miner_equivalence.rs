@@ -86,7 +86,7 @@ fn moment_is_indifferent_to_how_the_alphabet_is_labelled() {
             moment.apply(&window.slide(Transaction::new(0, items)));
         }
         let closed = moment.closed_frequent();
-        let mapped_back = closed.iter().map(|e| {
+        let mapped_back = closed.entries().iter().map(|e| {
             let items = ItemSet::from_ids(e.itemset().iter().map(|i| back[i.index()]));
             (items, e.support)
         });
@@ -168,7 +168,7 @@ fn approximate_backends_cover_the_exact_result() {
     let reported = fpstream
         .frequent_over(fpstream.batches())
         .filter_min_support(c);
-    for e in exact.iter() {
+    for e in exact.entries() {
         assert!(
             reported.support(e.itemset()).is_some(),
             "fpstream missed frequent itemset {}",

@@ -40,7 +40,7 @@ fn arb_database(rng: &mut SmallRng) -> Database {
     }))
 }
 
-/// Exhaustive exact view of a small database, keyed by interned handle.
+/// Exhaustive exact view of a small database, keyed by shared itemset.
 fn full_view(db: &Database) -> HashMap<ItemsetId, u64> {
     let alphabet = db.alphabet();
     let n = alphabet.len() as u32;
@@ -48,7 +48,7 @@ fn full_view(db: &Database) -> HashMap<ItemsetId, u64> {
     for mask in 1u32..(1 << n) {
         let x = alphabet.subset_by_mask(mask);
         let support = db.support(&x);
-        view.insert(ItemsetId::intern(&x), support);
+        view.insert(ItemsetId::new(x), support);
     }
     view
 }
@@ -69,29 +69,6 @@ fn itemset_algebra_laws() {
         // Display/parse round trip.
         let reparsed: ItemSet = a.to_string().parse().unwrap();
         assert_eq!(reparsed, a, "case {case}");
-    }
-}
-
-#[test]
-fn interned_handles_are_stable_and_canonical() {
-    // The hash-consing contract the whole pipeline leans on:
-    // intern → resolve round-trips, equal itemsets get equal ids, distinct
-    // itemsets get distinct ids, and get() observes without minting.
-    for case in 0..CASES {
-        let mut rng = case_rng(2, case);
-        let a = arb_itemset(&mut rng, 40);
-        let b = arb_itemset(&mut rng, 40);
-        let id_a = ItemsetId::intern(&a);
-        assert_eq!(id_a.resolve(), &a, "case {case}: resolve lost the value");
-        // Re-interning (also via a cloned value) is idempotent.
-        assert_eq!(ItemsetId::intern(&a.clone()), id_a, "case {case}");
-        assert_eq!(ItemsetId::get(&a), Some(id_a), "case {case}");
-        let id_b = ItemsetId::intern(&b);
-        assert_eq!(a == b, id_a == id_b, "case {case}: id equality diverged");
-        // Handles round-trip through their raw index.
-        assert_eq!(id_a.resolve(), ItemsetId::intern(id_a.resolve()).resolve());
-        // Display matches the underlying itemset's.
-        assert_eq!(id_a.to_string(), a.to_string(), "case {case}");
     }
 }
 
@@ -281,7 +258,7 @@ fn utility_rates_are_probabilities() {
                     let t = 25 + rng.gen_range_usize(175) as u64;
                     let noise = rng.gen_range_i64(-10, 9);
                     SanitizedItemset {
-                        id: ItemsetId::intern(&ItemSet::from_ids([i as u32])),
+                        id: ItemsetId::new(ItemSet::from_ids([i as u32])),
                         true_support: t,
                         sanitized: t as i64 + noise,
                     }
@@ -495,7 +472,7 @@ fn zero_noise_preserves_everything() {
                 .map(|i| {
                     let t = 25 + rng.gen_range_usize(175) as u64;
                     SanitizedItemset {
-                        id: ItemsetId::intern(&ItemSet::from_ids([i as u32])),
+                        id: ItemsetId::new(ItemSet::from_ids([i as u32])),
                         true_support: t,
                         sanitized: t as i64,
                     }

@@ -82,7 +82,7 @@ fn flat_delta(d: &ReleaseDelta) -> FlatDelta {
     (
         flat_entries(&d.added),
         flat_entries(&d.changed),
-        d.removed.iter().map(|id| id.resolve().clone()).collect(),
+        d.removed.iter().map(|id| (**id).clone()).collect(),
     )
 }
 
@@ -221,7 +221,7 @@ fn a_defense_restored_mid_sequence_continues_byte_identically() {
                 let mut restored = build();
                 let n = stop as u64 + 1;
                 let mut history =
-                    PublicationHistory::restored(n, n, published[stop].0.iter().copied());
+                    PublicationHistory::restored(n, n, published[stop].0.iter().cloned());
                 for (i, w) in windows.iter().enumerate().skip(stop + 1) {
                     let r = restored.publish(w, &history);
                     let d = history.record(&r, i as u64 + 1);

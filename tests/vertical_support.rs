@@ -153,7 +153,7 @@ fn vertical_and_scan_agree_on_every_breach_of_collected_truths() {
     let mut verified = 0;
     for t in &truths {
         oracle.apply(&window.slide(source.next_transaction()));
-        oracle.seed_supports(t.closed.iter().map(|e| (e.id, e.support)));
+        oracle.seed_supports(t.closed.entries().iter().map(|e| (e.id.clone(), e.support)));
         let db = window.database();
         for b in &t.breaches {
             let vertical = oracle.pattern_support(&b.pattern);
@@ -173,12 +173,12 @@ fn vertical_and_scan_agree_on_every_breach_of_collected_truths() {
 fn support_memo_invalidates_per_window_version() {
     let mut memo = SupportMemo::new();
     memo.advance(1);
-    let id = butterfly_repro::common::ItemsetId::intern(&"ab".parse::<ItemSet>().unwrap());
-    assert_eq!(memo.get_or_count(id, || 5), 5);
-    assert_eq!(memo.get_or_count(id, || 99), 5, "hit must not recount");
+    let ab: ItemSet = "ab".parse().unwrap();
+    assert_eq!(memo.get_or_count(&ab, || 5), 5);
+    assert_eq!(memo.get_or_count(&ab, || 99), 5, "hit must not recount");
     memo.advance(2);
     assert_eq!(
-        memo.get_or_count(id, || 7),
+        memo.get_or_count(&ab, || 7),
         7,
         "stale window value survived"
     );
