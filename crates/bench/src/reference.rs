@@ -17,13 +17,16 @@ use bfly_core::{
 use bfly_mining::FrequentItemsets;
 use std::collections::{HashMap, HashSet};
 
-/// Publish `frequent` after `previous`: rebuild the FEC partition, solve the
-/// biases cold, draw each FEC's content-seeded noise, and republish an
-/// itemset's previous sanitized value while its true support is unchanged.
+/// Publish `frequent` as publication `position` (releases emitted before
+/// it), after `previous`: rebuild the FEC partition, solve the biases cold,
+/// draw each FEC's noise keyed on `(seed, position, support)`, and republish
+/// an itemset's previous sanitized value while its true support is
+/// unchanged.
 pub fn publish_from_scratch(
     spec: &PrivacySpec,
     scheme: &BiasScheme,
     seed: u64,
+    position: u64,
     previous: &SanitizedRelease,
     frequent: &FrequentItemsets,
 ) -> SanitizedRelease {
@@ -35,7 +38,8 @@ pub fn publish_from_scratch(
         .collect();
     let mut entries = Vec::with_capacity(frequent.len());
     for (fec, &bias) in fecs.iter().zip(&biases) {
-        let fresh = fec.support() as i64 + seeded_noise(seed, fec.support(), bias, spec.alpha());
+        let fresh =
+            fec.support() as i64 + seeded_noise(seed, position, fec.support(), bias, spec.alpha());
         for id in fec.members() {
             let sanitized = match pins.get(id) {
                 Some(&(t, pinned)) if t == fec.support() => pinned,

@@ -125,6 +125,15 @@ impl Rng for &mut SmallRng {
     }
 }
 
+/// A seed no one else holds, from `/dev/urandom`: what a deployment keys
+/// its noise on when given none. An unreadable source is an error, never a
+/// fixed or clock-derived fallback.
+pub fn os_seed() -> std::io::Result<u64> {
+    let mut bytes = [0u8; 8];
+    std::io::Read::read_exact(&mut std::fs::File::open("/dev/urandom")?, &mut bytes)?;
+    Ok(u64::from_le_bytes(bytes))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -186,6 +195,11 @@ mod tests {
     #[should_panic(expected = "empty range")]
     fn inverted_range_rejected() {
         SmallRng::seed_from_u64(0).gen_range_i64(2, 1);
+    }
+
+    #[test]
+    fn os_seeds_differ() {
+        assert_ne!(os_seed().unwrap(), os_seed().unwrap());
     }
 
     #[test]

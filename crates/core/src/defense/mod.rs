@@ -53,9 +53,12 @@ use std::fmt;
 /// Contract:
 /// * **Determinism** — output is a pure function of `(construction
 ///   parameters, seed, window, history)`; never of wall clock, iteration
-///   order, or thread count. This is what makes CLI runs byte-reproducible,
-///   serve releases bit-identical to in-process replays, and WAL recovery
-///   exact: restoring the history restores the stream.
+///   order, or thread count. Every random draw comes from
+///   [`crate::noise::noise_rng`], keyed on the seed (the stream's secret),
+///   the history's publication index and a class. This is what makes runs
+///   under one seed byte-reproducible, serve releases bit-identical to
+///   in-process replays, and WAL recovery exact: restoring the history
+///   restores the stream. Without the seed, the draws cannot be replayed.
 /// * **Publication order** — release entries are sorted by true support
 ///   ascending, then lexicographic itemset, the order a subscriber's
 ///   reconstruction sorts into, so deltas round-trip for every backend.

@@ -23,18 +23,17 @@
 //! what that worst-case-guarantee framing costs in utility next to
 //! Butterfly's targeted contract.
 //!
-//! Determinism: noise is a pure function of `(seed, window index, itemset
-//! content)`, the window index being the history's count of releases
-//! emitted ([`PublicationHistory::published`]). Every draw seeds
-//! [`SmallRng::split_stream`] from the FNV-1a hash of the itemset's item
-//! ids — never from iteration order — so the same stream replayed
-//! in-process or over the wire publishes identical bytes.
+//! Determinism: every draw comes from [`noise_rng`], keyed on the stream's
+//! secret seed, the publication index ([`PublicationHistory::published`])
+//! and the FNV-1a hash of the itemset's item ids — never iteration order —
+//! so a stream replayed under the same secret publishes identical bytes.
 
 use crate::config::PrivacySpec;
 use crate::defense::{DefenseKind, PrivacyDefense};
 use crate::history::PublicationHistory;
+use crate::noise::{content_hash, noise_rng};
 use crate::release::{SanitizedItemset, SanitizedRelease};
-use bfly_common::rng::{Rng, SmallRng};
+use bfly_common::rng::Rng;
 use bfly_common::ItemSet;
 use bfly_mining::FrequentItemsets;
 
@@ -104,29 +103,6 @@ impl PrivBasisDefense {
     pub fn top_k(&self) -> usize {
         self.top_k
     }
-
-    /// One itemset's noise source for window `window`: seeded from the
-    /// content hash so it is stable across processes, split by window index
-    /// so republished windows redraw (there is deliberately no
-    /// republication pinning here — under DP, pinning would be free, but
-    /// the honest sequential-composition story re-spends the budget, and
-    /// the averaging leak that creates is part of what the cross-defense
-    /// bench measures).
-    fn rng_for(&self, itemset: &ItemSet, window: u64) -> SmallRng {
-        SmallRng::split_stream(self.seed ^ content_hash(itemset), window)
-    }
-}
-
-/// FNV-1a over the itemset's item ids: the content hash is what makes
-/// PrivBasis output reproducible across runs. Shares the
-/// [`bfly_common::hash`] implementation with serve's key routing, so the
-/// pinned vectors there also pin these noise seeds.
-fn content_hash(itemset: &ItemSet) -> u64 {
-    let mut h = bfly_common::hash::Fnv1a::new();
-    for item in itemset.items() {
-        h.write(&item.id().to_le_bytes());
-    }
-    h.finish()
 }
 
 impl PrivacyDefense for PrivBasisDefense {
@@ -151,13 +127,14 @@ impl PrivacyDefense for PrivBasisDefense {
         // Phase 1 — noisy selection: score every candidate with selection
         // noise, keep the k best. Per-candidate rngs draw selection noise
         // first, count noise second, so the two phases stay coupled to one
-        // deterministic stream per (window, itemset).
+        // deterministic stream per (window, itemset). No pinning: the
+        // sequential-composition story re-spends the budget every window.
         let mut scored: Vec<(f64, &ItemSet, SanitizedItemset)> = frequent
             .entries()
             .iter()
             .map(|e| {
                 let itemset = e.itemset();
-                let mut rng = self.rng_for(itemset, window);
+                let mut rng = noise_rng(self.seed, window, content_hash(itemset));
                 let score = e.support as f64 + sel_noise.sample(&mut rng);
                 let sanitized = (e.support as f64 + cnt_noise.sample(&mut rng)).round() as i64;
                 (
@@ -196,6 +173,7 @@ impl PrivacyDefense for PrivBasisDefense {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bfly_common::rng::SmallRng;
 
     fn iset(s: &str) -> ItemSet {
         s.parse().unwrap()

@@ -9,9 +9,8 @@
 //!    debug builds hold stage 3 to;
 //! 3. **bias** — the [`BiasScheme`]'s one bias per FEC (Algorithm 1 for the
 //!    order-preserving component, cold every window);
-//! 4. **noise** — each FEC's draw is a pure function of `(seed, support,
-//!    bias)` ([`seeded_noise`]), so noise does not depend on iteration
-//!    order;
+//! 4. **noise** — each FEC's draw is a pure function of `(seed,
+//!    publication index, support, bias)` ([`seeded_noise`]);
 //! 5. **publish** — applies the republication rule against the stream's
 //!    [`PublicationHistory`] and emits the [`SanitizedRelease`].
 //!
@@ -30,12 +29,11 @@ pub use delta::ReleaseDelta;
 use crate::config::PrivacySpec;
 use crate::fec::{partition_into_fecs, Fec};
 use crate::history::PublicationHistory;
-use crate::noise::NoiseRegion;
+use crate::noise::seeded_noise;
 use crate::order::OrderScratch;
 use crate::release::{SanitizedItemset, SanitizedRelease};
 use crate::scheme::BiasScheme;
-use bfly_common::rng::SmallRng;
-use bfly_common::{SanitizedSupport, Support};
+use bfly_common::SanitizedSupport;
 use bfly_mining::FrequentItemsets;
 
 // Frozen shape: `benchmark/src/trace.rs:216,524` stores one of these and
@@ -67,9 +65,9 @@ pub struct EngineStats {
 /// the previous release republishes its previous sanitized value verbatim,
 /// so repeated observation gives the adversary nothing to average over.
 ///
-/// A FEC's perturbation is a pure function of `(seed, support, bias)`, never
-/// of iteration order. The previous release is read from the stream's
-/// [`PublicationHistory`], which the caller keeps.
+/// A FEC's perturbation is a pure function of `(seed, publication index,
+/// support, bias)`, never of iteration order; the index and the previous
+/// release come from the stream's [`PublicationHistory`], the caller's.
 ///
 /// ```
 /// use bfly_core::{BiasScheme, PrivacySpec, PublicationHistory, Publisher};
@@ -146,7 +144,7 @@ impl Publisher {
                 .all(|(f, b)| b.abs() <= self.spec.max_bias(f.support()) + 1e-9),
             "stage 3 exceeded a stage-2 budget"
         );
-        let noises = self.stage_noise(&fecs, &biases);
+        let noises = self.stage_noise(&fecs, &biases, history.published());
         SanitizedRelease::new(stage_publish(&fecs, &noises, history))
     }
 
@@ -176,22 +174,13 @@ impl Publisher {
 
     /// Stage 4: one noise draw per FEC (members share it, so the class's
     /// internal equalities survive sanitization exactly).
-    fn stage_noise(&self, fecs: &[Fec], biases: &[f64]) -> Vec<i64> {
+    fn stage_noise(&self, fecs: &[Fec], biases: &[f64], position: u64) -> Vec<i64> {
+        let alpha = self.spec.alpha();
         fecs.iter()
             .zip(biases)
-            .map(|(f, &bias)| seeded_noise(self.seed, f.support(), bias, self.spec.alpha()))
+            .map(|(f, &bias)| seeded_noise(self.seed, position, f.support(), bias, alpha))
             .collect()
     }
-}
-
-/// A FEC's noise draw as a pure function of `(seed, support, bias, α)`: the
-/// support identifies the class by content (not by position, which varies
-/// with iteration order), and the draw comes from a
-/// [`SmallRng::split_stream`] keyed on it. Two engines with the same seed
-/// that agree on a FEC's support and bias agree on its noise — regardless of
-/// which other FECs exist or in what order they were processed.
-pub fn seeded_noise(seed: u64, support: Support, bias: f64, alpha: u64) -> i64 {
-    NoiseRegion::centered(bias, alpha).sample(&mut SmallRng::split_stream(seed, support))
 }
 
 /// Stage 5 (pure): apply the republication rule against `history` and emit
@@ -220,6 +209,7 @@ fn stage_publish(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::noise::NoiseRegion;
     use bfly_common::ItemSet;
 
     fn iset(s: &str) -> ItemSet {
@@ -257,22 +247,25 @@ mod tests {
     }
 
     #[test]
-    fn seeded_noise_is_a_pure_content_function() {
+    fn seeded_noise_is_a_pure_function_of_seed_position_support_and_bias() {
         let s = spec();
-        for support in [25u64, 40, 173] {
-            for bias in [-3.0, 0.0, 2.5] {
-                let a = seeded_noise(42, support, bias, s.alpha());
-                let b = seeded_noise(42, support, bias, s.alpha());
-                assert_eq!(a, b);
-                let region = NoiseRegion::centered(bias, s.alpha());
-                assert!(a >= region.lo() && a <= region.hi());
+        for position in [0u64, 1, 97] {
+            for support in [25u64, 40, 173] {
+                for bias in [-3.0, 0.0, 2.5] {
+                    let a = seeded_noise(42, position, support, bias, s.alpha());
+                    let b = seeded_noise(42, position, support, bias, s.alpha());
+                    assert_eq!(a, b);
+                    let region = NoiseRegion::centered(bias, s.alpha());
+                    assert!(a >= region.lo() && a <= region.hi());
+                }
             }
         }
-        // Distinct seeds and distinct supports give decorrelated draws
-        // somewhere in a modest sweep (not a proof — a smoke check).
-        assert!((0..32).any(|t| {
-            seeded_noise(1, 40 + t, 0.0, s.alpha()) != seeded_noise(2, 40 + t, 0.0, s.alpha())
-        }));
+        // Distinct seeds, and distinct positions under one seed, give
+        // decorrelated draws somewhere in a modest sweep (not a proof — a
+        // smoke check).
+        let draw = |seed, position, t: u64| seeded_noise(seed, position, 40 + t, 0.0, s.alpha());
+        assert!((0..32).any(|t| draw(1, 0, t) != draw(2, 0, t)));
+        assert!((0..32).any(|t| draw(1, 0, t) != draw(1, 1, t)));
     }
 
     #[test]
@@ -328,16 +321,29 @@ mod tests {
     fn dropping_out_breaks_the_pin_eligibility() {
         let mut p = Stream::new(BiasScheme::Basic, 5);
         let f = window(&[("a", 40)]);
-        let first = p.publish(&f);
+        p.publish(&f);
         // a vanishes for one window...
         p.publish(&window(&[("b", 33)]));
-        // ...and returns with the same support: a fresh draw is allowed
-        // (consecutiveness broken). We can't assert inequality (the new draw
-        // may collide with the old one), but the cache must have been
-        // rebuilt.
+        // ...and returns with the same support: nothing pins it.
         let third = p.publish(&f);
         assert_eq!(third.get(&iset("a")).unwrap().true_support, 40);
-        let _ = first;
+
+        // A support that returns after a change is drawn afresh: no
+        // codebook maps a support to one value for the stream's life. A
+        // fresh draw repeats the first by chance, about 1 time in α + 1.
+        let value = |r: &SanitizedRelease| r.get(&iset("a")).unwrap().sanitized;
+        let repeats = (0..64)
+            .filter(|&seed| {
+                let mut p = Stream::new(BiasScheme::Basic, seed);
+                let first = value(&p.publish(&window(&[("a", 40)])));
+                p.publish(&window(&[("a", 41)]));
+                value(&p.publish(&window(&[("a", 40)]))) == first
+            })
+            .count();
+        assert!(
+            repeats <= 16,
+            "{repeats}/64 returns repeated the first value"
+        );
     }
 
     #[test]

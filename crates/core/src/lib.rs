@@ -39,11 +39,11 @@ pub use defense::{
     DefenseKind, DefenseSpec, PrivBasisDefense, PrivacyDefense, SuppressionDefense,
     SuppressionStats,
 };
-pub use engine::{seeded_noise, EngineStats, Publisher, ReleaseDelta};
+pub use engine::{EngineStats, Publisher, ReleaseDelta};
 pub use fec::{partition_into_fecs, Fec};
 pub use history::PublicationHistory;
 pub use metrics::WindowMetrics;
-pub use noise::NoiseRegion;
+pub use noise::{seeded_noise, NoiseRegion};
 pub use pipeline::{StreamPipeline, WindowRelease};
 pub use release::{SanitizedItemset, SanitizedRelease};
 pub use scheme::{BiasScheme, SchemeName};

@@ -1,6 +1,32 @@
-//! Discrete-uniform perturbation regions (§V-C, Definition 6).
+//! Discrete-uniform perturbation regions (§V-C, Definition 6), and
+//! [`noise_rng`], the one rule every publication-noise draw is keyed by:
+//! the stream's secret seed, the publication index and a class, never
+//! iteration order, so a class published afresh never reuses a value.
 
-use bfly_common::rng::Rng;
+use bfly_common::rng::{Rng, SmallRng};
+use bfly_common::{ItemSet, Support};
+
+/// The noise source for one class (a FEC's support, an itemset's content
+/// hash) at one publication (`position` releases emitted before it).
+pub fn noise_rng(seed: u64, position: u64, class: u64) -> SmallRng {
+    SmallRng::split_stream(seed ^ class, position)
+}
+
+/// A Butterfly FEC's noise: one draw from the region of width `alpha`
+/// centred on `bias`, its class the FEC's true support. FEC-mates share it.
+pub fn seeded_noise(seed: u64, position: u64, support: Support, bias: f64, alpha: u64) -> i64 {
+    NoiseRegion::centered(bias, alpha).sample(&mut noise_rng(seed, position, support))
+}
+
+/// FNV-1a over the itemset's item ids ([`bfly_common::hash`], pinned
+/// there): the class of a draw keyed by content.
+pub(crate) fn content_hash(itemset: &ItemSet) -> u64 {
+    let mut h = bfly_common::hash::Fnv1a::new();
+    for item in itemset.items() {
+        h.write(&item.id().to_le_bytes());
+    }
+    h.finish()
+}
 
 /// A discrete uniform noise region: integers `l ..= l+α`, i.e. width `α`,
 /// centred as closely as integrality allows on the requested bias `β`.
@@ -93,7 +119,6 @@ pub fn inversion_probability(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bfly_common::rng::SmallRng;
 
     #[test]
     fn centering_and_edges() {

@@ -558,9 +558,8 @@ mod tests {
 
     /// Claims the Butterfly contract but draws noise per itemset: every
     /// unpinned entry gets its own draw from the region the [`Publisher`]
-    /// would have used, seeded by the FNV-1a hash of its items' display
-    /// form (content, not allocation order), so each value stays in range
-    /// but FEC-mates split.
+    /// would have used, from the noise rule with the itemset's content hash
+    /// as its class, so each value stays in range but FEC-mates split.
     #[derive(Clone, Debug)]
     struct PerItemset {
         inner: Publisher,
@@ -586,8 +585,9 @@ mod tests {
                 .map(|e| match history.pinned(e.itemset(), e.true_support) {
                     Some(_) => e.clone(),
                     None => {
-                        let content = bfly_common::fnv1a(&e.itemset().to_string());
-                        let noise = crate::seeded_noise(content, e.true_support, 0.0, alpha);
+                        let class = crate::noise::content_hash(e.itemset());
+                        let mut rng = crate::noise::noise_rng(0, history.published(), class);
+                        let noise = crate::NoiseRegion::centered(0.0, alpha).sample(&mut rng);
                         SanitizedItemset {
                             sanitized: e.true_support as i64 + noise,
                             ..e.clone()

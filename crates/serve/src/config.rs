@@ -213,7 +213,11 @@ pub struct ServeConfig {
     /// of up to this many (clamped to `queue_cap`), amortizing one channel
     /// operation per chunk instead of per transaction.
     pub ingest_chunk: usize,
-    /// Base seed; combined with each stream key by [`stream_seed`].
+    /// Base seed, the deployment's secret: combined with each stream key by
+    /// [`stream_seed`], it keys every noise draw of every stream. The CLI
+    /// draws it from the OS unless `--seed` is given, and a node with a WAL
+    /// stores it beside the log ([`crate::wal::secret`]); whoever holds it
+    /// can replay the noise.
     pub seed: u64,
     /// Per-shard write-ahead release log; `None` keeps all state in memory
     /// (the pre-WAL behaviour — a restart re-randomizes, which is exactly
@@ -365,7 +369,8 @@ pub use bfly_common::hash::fnv1a;
 /// Derive the publisher seed for one stream key from the server's base
 /// seed: splitmix64-finalized mix of the base with the key hash. Distinct
 /// keys get decorrelated noise streams; the same `(base, key)` always gets
-/// the same one, which is what the determinism test pins.
+/// the same one, which is what the determinism test pins. The function is
+/// public; the noise stays secret only while the base seed does.
 pub fn stream_seed(base: u64, key: &str) -> u64 {
     let mut z = base ^ fnv1a(key);
     z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);

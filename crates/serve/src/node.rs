@@ -66,15 +66,28 @@ impl NodeCore {
         cfg: &ServeConfig,
         registry: &Arc<SubscriberRegistry>,
     ) -> Result<(NodeCore, Vec<JoinHandle<()>>)> {
+        let store = cfg
+            .wal
+            .as_ref()
+            .map(|w| Arc::new(FsStore::new(&w.dir)) as Arc<dyn SegmentStore>);
+        NodeCore::start_in(cfg, registry, store)
+    }
+
+    /// [`NodeCore::start`] over `store`; the log's secret is checked against
+    /// `cfg.seed`, or stored, before any shard opens.
+    pub(crate) fn start_in(
+        cfg: &ServeConfig,
+        registry: &Arc<SubscriberRegistry>,
+        store: Option<Arc<dyn SegmentStore>>,
+    ) -> Result<(NodeCore, Vec<JoinHandle<()>>)> {
+        if let Some(store) = &store {
+            wal::secret::bind_secret(store.as_ref(), cfg.shards, Some(cfg.seed))?;
+        }
         let bindings = Arc::new(DefenseBindings::default());
         let wal_stats = Arc::new(WalStats::default());
         let stats: Vec<Arc<ShardStats>> = (0..cfg.shards)
             .map(|_| Arc::new(ShardStats::default()))
             .collect();
-        let store = cfg
-            .wal
-            .as_ref()
-            .map(|w| Arc::new(FsStore::new(&w.dir)) as Arc<dyn SegmentStore>);
         let mut ingress = Vec::with_capacity(cfg.shards);
         let mut workers = Vec::with_capacity(cfg.shards);
         for (i, shard_stats) in stats.iter().enumerate() {

@@ -8,12 +8,14 @@
 //!
 //! * [`Fault::Fail`] makes the call return an error of a chosen kind and do
 //!   nothing else;
-//! * [`Fault::Tear`] makes an `append` keep a seeded prefix of its bytes,
-//!   then fail, as a write cut short by a full disk does.
+//! * [`Fault::Tear`] makes an `append` or a secret write keep a seeded
+//!   prefix of its bytes, then fail, as a write cut short by a full disk
+//!   does.
 //!
 //! [`FaultStore::crash`] is power loss: every byte past a segment's last
-//! sync is dropped, and so is every segment (or shard directory) whose
-//! directory entry was never synced. A removal is durable at once.
+//! sync is dropped, and so is every segment (or shard directory, or the
+//! secret) whose directory entry was never synced. A removal is durable at
+//! once.
 
 use crate::wal::segment::{Created, SegmentHandle, SegmentId, SegmentStore};
 use bfly_common::rng::{Rng, SmallRng};
@@ -35,6 +37,8 @@ pub(crate) enum Op {
     Sync,
     Len,
     ReadAt,
+    ReadSecret,
+    WriteSecret,
 }
 
 /// What an armed call does instead of succeeding.
@@ -42,7 +46,8 @@ pub(crate) enum Op {
 pub(crate) enum Fault {
     /// Return an error of this kind.
     Fail(io::ErrorKind),
-    /// (`append` only) keep a seeded prefix of the record, then fail.
+    /// (`append` and `write_secret` only) keep a seeded prefix of the
+    /// bytes, then fail.
     Tear,
 }
 
@@ -61,6 +66,8 @@ struct State {
     /// Shard directories, and whether each one's entry in the root was synced.
     dirs: BTreeMap<usize, bool>,
     segs: BTreeMap<SegmentId, MemSegment>,
+    /// The stored secret, and whether its entry in the root was synced.
+    secret: Option<(Vec<u8>, bool)>,
     calls: HashMap<Op, u64>,
     faults: HashMap<(Op, u64), Fault>,
 }
@@ -106,6 +113,7 @@ impl FaultStore {
                 rng: SmallRng::seed_from_u64(seed),
                 dirs: BTreeMap::new(),
                 segs: BTreeMap::new(),
+                secret: None,
                 calls: HashMap::new(),
                 faults: HashMap::new(),
             })),
@@ -128,6 +136,7 @@ impl FaultStore {
     pub(crate) fn crash(&self) {
         let mut st = lock(&self.state);
         st.dirs.retain(|_, durable| *durable);
+        st.secret = st.secret.take().filter(|(_, durable)| *durable);
         let State { dirs, segs, .. } = &mut *st;
         segs.retain(|seg, s| s.entry_synced && dirs.contains_key(&seg.shard));
         for s in segs.values_mut() {
@@ -175,7 +184,12 @@ impl SegmentStore for FaultStore {
         let mut st = lock(&self.state);
         st.call(Op::SyncDir)?;
         match shard {
-            None => st.dirs.values_mut().for_each(|durable| *durable = true),
+            None => {
+                st.dirs.values_mut().for_each(|durable| *durable = true);
+                if let Some((_, durable)) = &mut st.secret {
+                    *durable = true;
+                }
+            }
             Some(shard) => st
                 .segs
                 .iter_mut()
@@ -207,6 +221,38 @@ impl SegmentStore for FaultStore {
         st.seg(seg)?;
         st.segs.remove(&seg);
         Ok(())
+    }
+
+    fn read_secret(&self) -> io::Result<Option<Vec<u8>>> {
+        let mut st = lock(&self.state);
+        st.call(Op::ReadSecret)?;
+        Ok(st.secret.as_ref().map(|(bytes, _)| bytes.clone()))
+    }
+
+    fn write_secret(&self, bytes: &[u8]) -> io::Result<()> {
+        let mut st = lock(&self.state);
+        let fault = st.call(Op::WriteSecret)?;
+        if st.secret.is_some() {
+            return Err(io::Error::new(
+                io::ErrorKind::AlreadyExists,
+                "secret exists",
+            ));
+        }
+        let keep = match fault {
+            Some(Fault::Tear) => st.rng.gen_below(bytes.len() as u64) as usize,
+            _ => bytes.len(),
+        };
+        st.secret = Some((bytes[..keep].to_vec(), false));
+        match fault {
+            Some(Fault::Tear) => Err(io::Error::new(
+                io::ErrorKind::StorageFull,
+                format!(
+                    "injected torn secret write: {keep} of {} bytes",
+                    bytes.len()
+                ),
+            )),
+            _ => Ok(()),
+        }
     }
 }
 

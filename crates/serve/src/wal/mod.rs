@@ -15,6 +15,8 @@
 //!   with the directory syncs a creation owes, append, sync, `read_at`,
 //!   truncate, remove), and its `SegmentReader` is the one way to walk a
 //!   segment's records, one block at a time.
+//! * [`secret`] — the deployment's base seed, stored once beside the shard
+//!   directories before any shard opens.
 //! * [`writer`] — the shard-thread append path: sync policy
 //!   (`--wal-sync always|interval:<n>|never`), snapshot-keyed rotation,
 //!   coverage-based compaction.
@@ -27,6 +29,7 @@
 //! through an in-memory store that fails, tears and crashes on cue.
 
 pub mod record;
+pub mod secret;
 pub(crate) mod segment;
 pub mod writer;
 

@@ -11,7 +11,8 @@
 //!
 //! Every file-system call of the log sits in this module, behind
 //! [`SegmentStore`]: the writer, recovery and catch-up name segments by
-//! [`SegmentId`] and never touch a path or a file. [`FsStore`] is the std
+//! [`SegmentId`] and never touch a path or a file; the deployment's secret
+//! is stored and read through the same seam. [`FsStore`] is the std
 //! implementation; tests run the same code over `super::fault::FaultStore`,
 //! an in-memory store that fails, tears and crashes on cue.
 //!
@@ -27,6 +28,9 @@ use std::path::{Path, PathBuf};
 
 const SEG_PREFIX: &str = "seg-";
 const SEG_SUFFIX: &str = ".wal";
+
+/// The deployment's secret ([`super::secret`]), in the root.
+pub(crate) const SECRET_FILE: &str = "secret";
 
 /// Bytes [`SegmentReader`] asks the store for at a time, and the size its
 /// buffer starts at. The buffer grows past it only to hold one record
@@ -97,6 +101,13 @@ pub(crate) trait SegmentStore: Send + Sync {
 
     /// Delete `seg`.
     fn remove(&self, seg: SegmentId) -> io::Result<()>;
+
+    /// The stored secret's bytes, `None` if none was ever stored.
+    fn read_secret(&self) -> io::Result<Option<Vec<u8>>>;
+
+    /// Create the secret (owner-only, the root too if missing) holding
+    /// `bytes`, and sync it; the caller syncs the root's entry.
+    fn write_secret(&self, bytes: &[u8]) -> io::Result<()>;
 
     /// [`SegmentStore::create_or_open`], then sync every directory the
     /// creation added an entry to — the root after a new shard directory,
@@ -213,6 +224,23 @@ impl SegmentStore for FsStore {
 
     fn remove(&self, seg: SegmentId) -> io::Result<()> {
         std::fs::remove_file(self.path(seg))
+    }
+
+    fn read_secret(&self) -> io::Result<Option<Vec<u8>>> {
+        match std::fs::read(self.root.join(SECRET_FILE)) {
+            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
+            read => read.map(Some),
+        }
+    }
+
+    fn write_secret(&self, bytes: &[u8]) -> io::Result<()> {
+        std::fs::create_dir_all(&self.root)?;
+        let mut opts = OpenOptions::new();
+        #[cfg(unix)]
+        std::os::unix::fs::OpenOptionsExt::mode(&mut opts, 0o600);
+        let mut file = (opts.write(true).create_new(true)).open(self.root.join(SECRET_FILE))?;
+        file.write_all(bytes)?;
+        file.sync_all()
     }
 }
 

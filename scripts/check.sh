@@ -34,7 +34,7 @@ cargo test -q --release --test wal_recovery
 echo "==> federation differential (router over 2 nodes, kill one, survivor + WAL-rejoin byte-identity)"
 cargo test -q --release --test federation
 
-echo "==> order-DP depth sweep vs golden (fig6 --quick, γ 0–6 on both datasets; the CSV is the sort-based kernel's, now order::tests::reference, and has never been regenerated)"
+echo "==> order-DP depth sweep vs golden (fig6 --quick, γ 0–6 on both datasets; the CSV was re-derived when the noise draws gained the publication index, and the kernel is pinned to the sort-based one, order::tests::reference)"
 cargo run -q --release -p bfly-bench -- fig6 --quick >/dev/null
 cmp target/figures/fig6_ropp_vs_gamma.csv tests/golden/fig6_quick.csv \
   || { echo "fig6 --quick diverged from tests/golden/fig6_quick.csv"; exit 1; }
@@ -153,6 +153,22 @@ done | grep -vE '^crates/common/src/pool\.rs:[0-9]+: *static DEFAULT: OnceLock<u
 if [[ -n "$GLOBALS" ]]; then
   echo "$GLOBALS"
   echo "process-wide itemset state crept back; an ItemsetId is an Arc<ItemSet> owned by what holds it"; exit 1
+fi
+
+echo "==> one-noise-rule guard (every publication-noise draw is keyed by noise::noise_rng, and protect and serve have no public default seed)"
+# Non-test code under crates/core/src calls split_stream only in noise.rs;
+# src/bin/butterfly.rs gives --seed no literal default outside cmd_gen,
+# whose seed picks a synthetic corpus, not a secret.
+RULES=$( { for f in $(find crates/core/src -name '*.rs' | sort); do
+  [[ "$f" == crates/core/src/noise.rs ]] && continue
+  sed -E '/^ *(pub\(crate\) )?mod tests \{/,$d' "$f" | grep -n 'split_stream' \
+    | grep -v '^[0-9]*: *//' | sed "s|^|$f:|"
+done
+awk '/^fn cmd_gen\(/, /^}/ { next } /"seed"\)[^;]*\.(map_or|unwrap_or(_default)?)\(/ { print FILENAME ":" FNR ":" $0 }' \
+  src/bin/butterfly.rs; } || true)
+if [[ -n "$RULES" ]]; then
+  echo "$RULES"
+  echo "a noise draw is keyed outside noise::noise_rng, or --seed has a public default again; draw through the rule, and default to a fresh secret"; exit 1
 fi
 
 echo "==> thread guard (a serve process runs one reactor thread plus one worker per shard: no thread per connection or subscription)"

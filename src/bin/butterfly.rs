@@ -21,13 +21,14 @@ use butterfly_repro::butterfly::{
     BiasScheme, DefenseKind, DefenseSpec, PrivacyDefense, PrivacySpec, StreamPipeline,
 };
 use butterfly_repro::common::flags::{parse_flags, Flags};
+use butterfly_repro::common::rng::os_seed;
 use butterfly_repro::common::{io as dat, Database, Json};
 use butterfly_repro::datagen::DatasetProfile;
 use butterfly_repro::inference::find_intra_window_breaches;
 use butterfly_repro::mining::closed::closed_subset;
 use butterfly_repro::mining::Eclat;
 use butterfly_repro::serve::protocol::{binary_entries, entries_json};
-use butterfly_repro::serve::{parse_node_list, ServeConfig, ServeRole, Server, WalConfig};
+use butterfly_repro::serve::{parse_node_list, wal, ServeConfig, ServeRole, Server, WalConfig};
 use std::io::{BufWriter, Write};
 use std::process::ExitCode;
 
@@ -97,6 +98,9 @@ publication plus a full release snapshot every N-th one.
 noise), privbasis (ε-DP top-k with --dp-budget/--dp-top-k), or suppress
 (sensitive-itemset hiding at exact supports). Serve clients can override
 per stream with a `bind` request before the stream's first ingest.
+`--seed` keys the noise. Without it, `protect` and a `serve` node draw a
+fresh one from /dev/urandom (`protect` names it on stderr); `serve --wal-dir`
+stores it once in the log directory and later starts use the stored one.
 `serve` runs every connection on one epoll event-loop thread (Linux).
 Clients negotiate NDJSON or binary framing per frame by leading byte;
 `--max-frame-bytes` caps both encodings and `--ingest-chunk` sets the
@@ -359,7 +363,9 @@ fn cmd_protect(flags: &Flags) -> Result<(), String> {
     let epsilon: f64 = parse(req(flags, "epsilon")?, "epsilon")?;
     let delta: f64 = parse(req(flags, "delta")?, "delta")?;
     let every: usize = parse(flags.get("every").map_or("1", String::as_str), "every")?;
-    let seed: u64 = parse(flags.get("seed").map_or("0", String::as_str), "seed")?;
+    let seed = flags
+        .get("seed")
+        .map_or_else(fresh_seed, |v| parse(v, "seed"))?;
     let scheme = parse_scheme(flags)?;
     if every == 0 {
         return Err("--every must be positive".into());
@@ -388,7 +394,7 @@ fn cmd_protect(flags: &Flags) -> Result<(), String> {
     }
     out.flush().map_err(|e| e.to_string())?;
     eprintln!(
-        "published {published} sanitized windows (C={c}, K={k}, ε={epsilon}, δ={delta}, {}, defense {})",
+        "published {published} sanitized windows (C={c}, K={k}, ε={epsilon}, δ={delta}, {}, defense {}, seed {seed})",
         scheme.name(),
         dspec.kind
     );
@@ -427,9 +433,6 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     if let Some(v) = flags.get("snapshot-every") {
         cfg.snapshot_every = parse(v, "snapshot-every")?;
     }
-    if let Some(v) = flags.get("seed") {
-        cfg.seed = parse(v, "seed")?;
-    }
     if let Some(v) = flags.get("queue-cap") {
         cfg.queue_cap = parse(v, "queue-cap")?;
     }
@@ -467,6 +470,17 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     }
     cfg.scheme = parse_scheme(flags)?;
     cfg.defense = parse_defense(flags)?;
+    // A router draws no secret; a config that cannot start stores none.
+    let given = flags.get("seed").map(|v| parse(v, "seed")).transpose()?;
+    cfg.validate().map_err(|e| format!("config: {e}"))?;
+    if cfg.role == ServeRole::Node {
+        cfg.seed = match &cfg.wal {
+            Some(wal) => {
+                wal::secret::base_seed(wal, cfg.shards, given).map_err(|e| e.to_string())?
+            }
+            None => given.map_or_else(fresh_seed, Ok)?,
+        };
+    }
     let addr = flags.get("addr").map_or("127.0.0.1:7878", String::as_str);
     let server = Server::bind(addr, cfg.clone()).map_err(|e| e.to_string())?;
     let local = server.local_addr();
@@ -503,6 +517,11 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     server.run_until_shutdown();
     eprintln!("drained and stopped");
     Ok(())
+}
+
+/// A secret seed for a run given no `--seed`.
+fn fresh_seed() -> Result<u64, String> {
+    os_seed().map_err(|e| format!("cannot draw a secret seed from /dev/urandom: {e}"))
 }
 
 /// Atomic `--port-file` write: the address lands via rename, so a reader

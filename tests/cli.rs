@@ -1,7 +1,11 @@
 //! Integration tests for the `butterfly` CLI binary.
 
-use std::path::PathBuf;
-use std::process::Command;
+use butterfly_repro::butterfly::{seeded_noise, BiasScheme, PrivacySpec, Publisher};
+use butterfly_repro::butterfly::{NoiseRegion, StreamPipeline};
+use butterfly_repro::common::{io as dat, Json};
+use std::collections::HashMap;
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
 
 fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_butterfly"))
@@ -148,6 +152,8 @@ fn gen_stream(name: &str, count: &str, seed: &str) -> PathBuf {
 
 /// One `protect` line as literal bytes: its `itemsets` go through the
 /// serve layer's entries writer, which no other test pins from the CLI.
+/// The supports are the draws under `--seed 1` with the noise keyed on the
+/// publication index.
 #[test]
 fn protect_line_is_byte_pinned() {
     let dat = gen_stream("pinned.dat", "300", "5");
@@ -182,9 +188,9 @@ fn protect_line_is_byte_pinned() {
     assert_eq!(
         stdout.lines().next(),
         Some(
-            "{\"itemsets\":[{\"itemset\":[0,53],\"support\":42},\
-             {\"itemset\":[0,24],\"support\":45},{\"itemset\":[24],\"support\":53},\
-             {\"itemset\":[53],\"support\":53},{\"itemset\":[0],\"support\":152}],\
+            "{\"itemsets\":[{\"itemset\":[0,53],\"support\":46},\
+             {\"itemset\":[0,24],\"support\":46},{\"itemset\":[24],\"support\":51},\
+             {\"itemset\":[53],\"support\":51},{\"itemset\":[0],\"support\":149}],\
              \"stream_len\":200}"
         )
     );
@@ -462,4 +468,167 @@ fn deterministic_generation() {
     );
     std::fs::remove_file(a).ok();
     std::fs::remove_file(b).ok();
+}
+
+/// The decode contract: WebView1 at W 2000, C 25, K 5, ε 0.016, δ 0.4,
+/// `basic`, every 100 (α 7).
+const DECODE_ARGS: [&str; 16] = [
+    "protect",
+    "--window",
+    "2000",
+    "--min-support",
+    "25",
+    "--vulnerable",
+    "5",
+    "--epsilon",
+    "0.016",
+    "--delta",
+    "0.4",
+    "--scheme",
+    "basic",
+    "--every",
+    "100",
+    "--input",
+];
+
+/// Run `protect` under [`DECODE_ARGS`] on `dat`, plus `extra`.
+fn protect(dat: &Path, extra: &[&str]) -> Output {
+    let out = bin()
+        .args(DECODE_ARGS)
+        .arg(dat)
+        .args(extra)
+        .output()
+        .expect("run protect");
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    out
+}
+
+/// One published line: each itemset's item ids and its published value.
+fn published_line(line: &str) -> HashMap<Vec<u64>, i64> {
+    let json = Json::parse(line).expect("a JSON line");
+    let entries = json.get("itemsets").and_then(Json::as_array).unwrap();
+    entries
+        .iter()
+        .map(|e| {
+            let ids = e.get("itemset").and_then(Json::as_array).unwrap();
+            let ids = ids.iter().map(|i| i.as_u64().unwrap()).collect();
+            (ids, e.get("support").and_then(Json::as_i64).unwrap())
+        })
+        .collect()
+}
+
+/// The seed `protect`'s stderr summary names.
+fn summary_seed(out: &Output) -> String {
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let tail = stderr
+        .split(", seed ")
+        .nth(1)
+        .expect("the summary names a seed");
+    tail.split(')').next().unwrap().to_string()
+}
+
+/// The adversary who knows the noise rule and holds seed 0: for each entry
+/// fresh in its line (absent from the previous line, or with a new value
+/// there) published at `s`, it keeps the supports `t` of the α-region with
+/// `t + noise(0, line index, t) = s`. Against `protect --seed 0` it decodes
+/// a large share of entries exactly; against the default run, whose secret
+/// it does not hold, about what guessing gives.
+#[test]
+fn a_known_seed_decodes_the_seeded_run_and_not_the_default_one() {
+    let dat = gen_stream("decode.dat", "4000", "11");
+    // The true supports: the library's pipeline over the same stream.
+    let spec = PrivacySpec::new(25, 5, 0.016, 0.4);
+    let alpha = spec.alpha();
+    let mut pipe = StreamPipeline::new(2000, Publisher::new(spec, BiasScheme::Basic, 0));
+    let mut truth: Vec<HashMap<Vec<u64>, i64>> = Vec::new();
+    for record in dat::load_dat(&dat).unwrap().records() {
+        pipe.advance(record.clone());
+        if pipe.window().is_full() && pipe.since_publish() >= 100 {
+            let r = pipe.publish_now().unwrap();
+            let ids = |e: &butterfly_repro::butterfly::SanitizedItemset| {
+                e.itemset().items().iter().map(|i| i.id() as u64).collect()
+            };
+            truth.push(
+                r.release
+                    .iter()
+                    .map(|e| (ids(e), e.true_support as i64))
+                    .collect(),
+            );
+        }
+    }
+    let region = NoiseRegion::centered(0.0, alpha);
+    let decoded = |out: &Output| {
+        let lines: Vec<_> = String::from_utf8_lossy(&out.stdout)
+            .lines()
+            .map(published_line)
+            .collect();
+        assert_eq!(lines.len(), truth.len());
+        let (mut fresh, mut exact) = (0u32, 0u32);
+        for (i, line) in lines.iter().enumerate() {
+            for (ids, &s) in line {
+                if i > 0 && lines[i - 1].get(ids) == Some(&s) {
+                    continue;
+                }
+                fresh += 1;
+                let candidates: Vec<i64> = (s - region.hi()..=s - region.lo())
+                    .filter(|&t| t + seeded_noise(0, i as u64, t as u64, 0.0, alpha) == s)
+                    .collect();
+                exact += u32::from(candidates == [truth[i][ids]]);
+            }
+        }
+        assert!(fresh > 500, "{fresh} fresh entries");
+        f64::from(exact) / f64::from(fresh)
+    };
+    let known = decoded(&protect(&dat, &["--seed", "0"]));
+    assert!(known >= 0.30, "seed 0 decoded {known:.3} of fresh entries");
+    let secret = decoded(&protect(&dat, &[]));
+    assert!(secret <= 0.10, "the default run decoded {secret:.3}");
+    std::fs::remove_file(dat).ok();
+}
+
+/// Without `--seed`, each `protect` run draws its own secret: two runs
+/// differ, each names its seed on stderr only, `--seed <S>` reproduces a
+/// run byte for byte, and the usage says so.
+#[test]
+fn protect_without_a_seed_draws_a_secret_only_its_summary_names() {
+    let dat = gen_stream("secret.dat", "2300", "11");
+    let (a, b, again) = (
+        temp_path("a.jsonl"),
+        temp_path("b.jsonl"),
+        temp_path("c.jsonl"),
+    );
+    let run_a = protect(&dat, &["--out", a.to_str().unwrap()]);
+    let run_b = protect(&dat, &["--out", b.to_str().unwrap()]);
+    let seed = summary_seed(&run_a);
+    assert_ne!(seed, summary_seed(&run_b));
+    let (out_a, out_b) = (std::fs::read(&a).unwrap(), std::fs::read(&b).unwrap());
+    assert_ne!(
+        out_a, out_b,
+        "two runs without --seed published the same noise"
+    );
+    assert!(run_a.stdout.is_empty());
+    assert!(!String::from_utf8(out_a.clone()).unwrap().contains(&seed));
+    let to_stdout = protect(&dat, &[]);
+    let stdout = String::from_utf8(to_stdout.stdout.clone()).unwrap();
+    assert!(!stdout.contains(&summary_seed(&to_stdout)));
+
+    protect(&dat, &["--seed", &seed, "--out", again.to_str().unwrap()]);
+    assert_eq!(
+        std::fs::read(&again).unwrap(),
+        out_a,
+        "--seed {seed} did not reproduce"
+    );
+    for f in [dat, a, b, again] {
+        std::fs::remove_file(f).ok();
+    }
+
+    let help = bin().arg("help").output().expect("run help");
+    let usage = String::from_utf8(help.stdout).unwrap();
+    let usage = usage.split_whitespace().collect::<Vec<_>>().join(" ");
+    assert!(usage.contains("`serve` node draw a fresh one from /dev/urandom"));
+    assert!(usage.contains("`serve --wal-dir` stores it once in the log directory"));
 }

@@ -134,7 +134,7 @@ impl Drop for Reaper {
 }
 
 /// Start `butterfly serve --defense <defense>` on an ephemeral port under
-/// the contract of [`serve_contract`], and block until the `--port-file`
+/// the contract and seed of [`serve_contract`], and block until the `--port-file`
 /// handshake delivers the bound address.
 fn spawn_serve(defense: &str, port_file: &Path) -> (Reaper, SocketAddr) {
     let _ = std::fs::remove_file(port_file);
@@ -153,6 +153,8 @@ fn spawn_serve(defense: &str, port_file: &Path) -> (Reaper, SocketAddr) {
             "0.05",
             "--every",
             "40",
+            "--seed",
+            "0",
             "--defense",
             defense,
             "--port-file",

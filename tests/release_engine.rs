@@ -133,8 +133,8 @@ fn run_reference(spec: PrivacySpec, scheme: BiasScheme, windows: &[FrequentItems
     let mut releases = Vec::new();
     let mut deltas = Vec::new();
     let mut prev = SanitizedRelease::default();
-    for w in windows {
-        let r = publish_from_scratch(&spec, &scheme, SEED, &prev, w);
+    for (position, w) in (0u64..).zip(windows) {
+        let r = publish_from_scratch(&spec, &scheme, SEED, position, &prev, w);
         releases.push(flat_release(&r));
         deltas.push(flat_delta(&delta_between(&prev, &r)));
         prev = r;

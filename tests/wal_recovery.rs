@@ -38,41 +38,63 @@ impl Drop for Reaper {
     }
 }
 
-/// Start `butterfly serve` on an ephemeral port with the WAL at `wal_dir`
-/// and `shards` shards, and block until the `--port-file` handshake
-/// delivers the bound address.
+/// `butterfly serve` on an ephemeral port with the WAL at `wal_dir`,
+/// `shards` shards and `seed` as its `--seed` (`None`: the node's own
+/// secret), its stderr appended to `<port_file>.log`.
+fn serve_command(wal_dir: &Path, port_file: &Path, shards: usize, seed: Option<u64>) -> Command {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_butterfly"));
+    cmd.args([
+        "serve",
+        "--addr",
+        "127.0.0.1:0",
+        "--shards",
+        &shards.to_string(),
+        "--window",
+        "120",
+        "--min-support",
+        "15",
+        "--vulnerable",
+        "3",
+        "--epsilon",
+        "0.016",
+        "--delta",
+        "0.4",
+        "--every",
+        "10",
+        "--wal-sync",
+        "always",
+    ])
+    .arg("--wal-dir")
+    .arg(wal_dir)
+    .arg("--port-file")
+    .arg(port_file);
+    if let Some(seed) = seed {
+        cmd.args(["--seed", &seed.to_string()]);
+    }
+    let log = std::fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(port_file.with_extension("log"))
+        .expect("stderr log");
+    cmd.stdout(Stdio::null()).stderr(log);
+    cmd
+}
+
+/// Start [`serve_command`] with `--seed 42`, and block until the
+/// `--port-file` handshake delivers the bound address.
 fn spawn_serve(wal_dir: &Path, port_file: &Path, shards: usize) -> (Reaper, SocketAddr) {
+    spawn_serve_seeded(wal_dir, port_file, shards, Some(42))
+}
+
+/// [`spawn_serve`] under `seed`.
+fn spawn_serve_seeded(
+    wal_dir: &Path,
+    port_file: &Path,
+    shards: usize,
+    seed: Option<u64>,
+) -> (Reaper, SocketAddr) {
     let _ = std::fs::remove_file(port_file);
-    let child = Command::new(env!("CARGO_BIN_EXE_butterfly"))
-        .args([
-            "serve",
-            "--addr",
-            "127.0.0.1:0",
-            "--shards",
-            &shards.to_string(),
-            "--window",
-            "120",
-            "--min-support",
-            "15",
-            "--vulnerable",
-            "3",
-            "--epsilon",
-            "0.016",
-            "--delta",
-            "0.4",
-            "--every",
-            "10",
-            "--seed",
-            "42",
-            "--wal-sync",
-            "always",
-        ])
-        .arg("--wal-dir")
-        .arg(wal_dir)
-        .arg("--port-file")
-        .arg(port_file)
-        .stdout(Stdio::null())
-        .stderr(Stdio::null())
+    let child = serve_command(wal_dir, port_file, shards, seed)
         .spawn()
         .expect("spawn butterfly serve");
     let mut child = Reaper(child);
@@ -237,6 +259,7 @@ fn kill_dash_nine_then_restart_replays_byte_identically() {
     drop(server);
     let _ = std::fs::remove_dir_all(&wal_dir);
     let _ = std::fs::remove_file(&port_file);
+    let _ = std::fs::remove_file(port_file.with_extension("log"));
 }
 
 /// One oversized stream key used to wrap its `u16` length in the log and
@@ -291,6 +314,7 @@ fn oversized_key_is_refused_and_costs_co_tenants_nothing() {
     drop(server);
     let _ = std::fs::remove_dir_all(&wal_dir);
     let _ = std::fs::remove_file(&port_file);
+    let _ = std::fs::remove_file(port_file.with_extension("log"));
 }
 
 /// A clean restart (graceful shutdown, then a new process on the same
@@ -392,4 +416,167 @@ fn clean_restart_straddles_byte_identically() {
     drop(server);
     let _ = std::fs::remove_dir_all(&wal_dir);
     let _ = std::fs::remove_file(&port_file);
+    let _ = std::fs::remove_file(port_file.with_extension("log"));
+}
+
+/// Read events from `sub` until the stream's `closed` event.
+fn until_closed(sub: &mut Client) -> Vec<String> {
+    let mut received = Vec::new();
+    loop {
+        let event = sub
+            .next_event()
+            .expect("subscriber read")
+            .expect("closed event before EOF");
+        if event.get("event").and_then(Json::as_str) == Some("closed") {
+            return received;
+        }
+        received.push(event.to_string());
+    }
+}
+
+/// A node started without `--seed` draws its secret, stores it beside the
+/// log (owner-only) and never prints it. Killed and restarted without
+/// `--seed`, it reads the secret back: the catch-up repeats the first
+/// incarnation's live releases byte for byte and the stream continues as
+/// the in-process pipeline under that secret publishes it. A restart under
+/// another `--seed` is refused by name.
+#[test]
+fn a_drawn_secret_survives_a_kill_and_refuses_another_seed() {
+    let tag = format!("bfly-wal-secret-{}", std::process::id());
+    let wal_dir = std::env::temp_dir().join(&tag);
+    let port_file = std::env::temp_dir().join(format!("{tag}.port"));
+    let log = port_file.with_extension("log");
+    let _ = std::fs::remove_dir_all(&wal_dir);
+    let _ = std::fs::remove_file(&log);
+    let records: Vec<ItemSet> = DatasetProfile::WebView1
+        .source(19)
+        .take_vec(205)
+        .into_iter()
+        .map(|t| t.into_items())
+        .collect();
+    let subscribe = |addr: SocketAddr, from: Option<CatchUp>| {
+        let mut sub = Client::connect(addr).expect("subscriber connect");
+        let ack = sub
+            .request(&Request::Subscribe {
+                stream: "alpha".into(),
+                frame: FrameMode::Json,
+                from,
+            })
+            .expect("subscribe ack");
+        assert_eq!(ack.get("ok"), Some(&Json::Bool(true)), "got {ack}");
+        sub
+    };
+    let next = |sub: &mut Client| sub.next_event().unwrap().unwrap().to_string();
+
+    // First incarnation: the releases at 120…150 reach a live subscriber,
+    // then SIGKILL.
+    let (server, addr) = spawn_serve_seeded(&wal_dir, &port_file, 2, None);
+    let mut live = subscribe(addr, None);
+    let mut client = Client::connect(addr).expect("connect");
+    client
+        .request(&Request::Ingest {
+            stream: "alpha".into(),
+            batch: records[..155].to_vec(),
+        })
+        .expect("phase-1 ingest");
+    wait_processed(&mut client, 155);
+    let first: Vec<String> = (0..4).map(|_| next(&mut live)).collect();
+    drop(server);
+
+    let bytes = std::fs::read(wal_dir.join("secret")).expect("the secret is stored");
+    assert_eq!(bytes.len(), 12);
+    let secret = u64::from_le_bytes(bytes[..8].try_into().unwrap());
+    #[cfg(unix)]
+    {
+        use std::os::unix::fs::PermissionsExt;
+        let meta = std::fs::metadata(wal_dir.join("secret")).unwrap();
+        assert_eq!(meta.permissions().mode() & 0o777, 0o600);
+    }
+
+    // Second incarnation, again without --seed.
+    let (server, addr) = spawn_serve_seeded(&wal_dir, &port_file, 2, None);
+    let mut sub = subscribe(addr, Some(CatchUp::Earliest));
+    let caught_up: Vec<String> = (0..4).map(|_| next(&mut sub)).collect();
+    assert_eq!(
+        caught_up, first,
+        "catch-up diverged from the first incarnation"
+    );
+    let mut client = Client::connect(addr).expect("reconnect");
+    client
+        .request(&Request::Ingest {
+            stream: "alpha".into(),
+            batch: records[155..].to_vec(),
+        })
+        .expect("phase-2 ingest");
+    wait_processed(&mut client, 50);
+    client.request(&Request::Shutdown).expect("shutdown reply");
+    let rest = until_closed(&mut sub);
+    drop(server);
+
+    let cfg = ServeConfig {
+        shards: 2,
+        window: 120,
+        c: 15,
+        k: 3,
+        epsilon: 0.016,
+        delta: 0.4,
+        every: 10,
+        seed: secret,
+        ..ServeConfig::default()
+    };
+    let mut pipe = cfg.pipeline_for("alpha");
+    let mut expected: Vec<String> = Vec::new();
+    for items in &records {
+        pipe.advance(butterfly_repro::common::Transaction::new(0, items.clone()));
+        if pipe.window().is_full() && pipe.since_publish() >= cfg.every {
+            let r = pipe.publish_now().expect("full window");
+            expected.push(release_line("alpha", r.stream_len, &r.release));
+        }
+    }
+    let flush = pipe.flush().expect("5 pending records flush");
+    expected.push(release_line("alpha", flush.stream_len, &flush.release));
+    assert_eq!([first, rest].concat(), expected, "the stream diverged");
+
+    // Another --seed, or a short secret file: a named refusal, not a panic
+    // and not a listener.
+    let refusal = |seed: Option<u64>| {
+        let mut child = serve_command(&wal_dir, &port_file, 2, seed)
+            .spawn()
+            .expect("spawn butterfly serve");
+        let deadline = Instant::now() + Duration::from_secs(20);
+        let status = loop {
+            if let Some(status) = child.try_wait().unwrap() {
+                break status;
+            }
+            if Instant::now() > deadline {
+                let _ = child.kill();
+                panic!("serve started on a log it must refuse");
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        };
+        assert_eq!(status.code(), Some(1));
+        let stderr = std::fs::read_to_string(&log).unwrap();
+        assert!(!stderr.contains("panicked"), "{stderr}");
+        stderr.lines().last().unwrap_or_default().to_string()
+    };
+    let refused = refusal(Some(secret ^ 1));
+    assert!(
+        refused.starts_with("error: parse error: wal secret") && refused.contains("another seed"),
+        "{refused}"
+    );
+    std::fs::write(wal_dir.join("secret"), &bytes[..5]).unwrap();
+    let refused = refusal(None);
+    assert!(
+        refused.contains("torn or short (5 bytes, not 12)"),
+        "{refused}"
+    );
+    let stderr = std::fs::read_to_string(&log).unwrap();
+    assert!(
+        !stderr.contains(&secret.to_string()),
+        "serve printed its secret: {stderr}"
+    );
+
+    let _ = std::fs::remove_dir_all(&wal_dir);
+    let _ = std::fs::remove_file(&port_file);
+    let _ = std::fs::remove_file(&log);
 }
