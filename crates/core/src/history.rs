@@ -14,7 +14,7 @@ use std::collections::HashMap;
 /// The previous **emitted** release of one stream: its `(true, sanitized)`
 /// pairs keyed by itemset, its stream position, and the number of releases
 /// emitted. [`Default`] is a stream that has published nothing.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PublicationHistory {
     pins: HashMap<ItemsetId, (Support, SanitizedSupport)>,
     stream_len: u64,

@@ -7,7 +7,7 @@ use crate::defense::PrivacyDefense;
 use crate::engine::{Publisher, ReleaseDelta};
 use crate::history::PublicationHistory;
 use crate::release::SanitizedRelease;
-use bfly_common::{Error, Item, ItemSet, Result, Transaction};
+use bfly_common::{Error, Item, Result, Transaction};
 use bfly_mining::{FrequentItemsets, MinerBackend, MomentMiner};
 use std::collections::HashSet;
 
@@ -299,15 +299,16 @@ impl<'a> WindowView<'a> {
         self.stream_len
     }
 
-    /// The records' itemsets, oldest first, rebuilt from the ring (one
-    /// allocation each: for snapshots, not the hot path).
-    pub fn records(&self) -> impl Iterator<Item = ItemSet> + 'a {
-        let miner = self.miner;
-        (self.stream_len + 1 - self.len as u64..=self.stream_len).map(move |tid| {
-            miner
-                .itemset_of(tid)
-                .expect("every window tid is in the ring")
-        })
+    /// Hand each record's item ids, ascending, to `f`, oldest first: read
+    /// back from Moment's ring into one buffer reused for every record, so
+    /// nothing is built per record (what a WAL snapshot is encoded from).
+    pub fn for_each_record(&self, mut f: impl FnMut(&[u32])) {
+        let mut ids = Vec::new();
+        for tid in self.stream_len + 1 - self.len as u64..=self.stream_len {
+            let held = self.miner.ids_of(tid, &mut ids);
+            assert!(held, "window tid {tid} is not in the ring");
+            f(&ids);
+        }
     }
 }
 
@@ -386,8 +387,12 @@ mod tests {
                 (view.len(), view.is_full(), view.stream_len()),
                 (model.len(), model.is_full(), model.stream_len())
             );
-            let records: Vec<ItemSet> = view.records().collect();
-            let want: Vec<ItemSet> = model.records().map(|t| t.items().clone()).collect();
+            let mut records: Vec<Vec<u32>> = Vec::new();
+            view.for_each_record(|ids| records.push(ids.to_vec()));
+            let want: Vec<Vec<u32>> = model
+                .records()
+                .map(|t| t.items().iter().map(|i| i.id()).collect())
+                .collect();
             assert_eq!(records, want);
         }
     }

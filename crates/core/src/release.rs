@@ -59,7 +59,7 @@ impl SanitizedRelease {
     }
 
     /// Entries in publication order.
-    pub fn iter(&self) -> impl Iterator<Item = &SanitizedItemset> {
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &SanitizedItemset> {
         self.entries.iter()
     }
 

@@ -757,12 +757,20 @@ impl MomentMiner {
         self.enqueue(slot, false);
     }
 
-    /// Transaction `tid`'s items as a canonical itemset, read back from the
-    /// ring; `None` when `tid` is not in the window.
-    pub fn itemset_of(&self, tid: Tid) -> Option<ItemSet> {
+    /// Transaction `tid`'s item ids, ascending, read back from the ring into
+    /// `ids` (replacing its contents), so a caller walking the window reuses
+    /// one buffer. The ring holds codes in rank order; the ids are sorted
+    /// here. Returns false, leaving `ids` empty, when `tid` is not in the
+    /// window.
+    pub fn ids_of(&self, tid: Tid, ids: &mut Vec<u32>) -> bool {
+        ids.clear();
         let slot = &self.slots[self.slot_of(tid)];
-        (slot.tid == Some(tid))
-            .then(|| ItemSet::new(slot.codes.iter().map(|&c| self.coded[c as usize].item)))
+        if slot.tid != Some(tid) {
+            return false;
+        }
+        ids.extend(slot.codes.iter().map(|&c| self.coded[c as usize].item.id()));
+        ids.sort_unstable();
+        true
     }
 
     /// Append the closed itemsets below `node` (itself `path`) as `ItemSet`s.
@@ -1181,10 +1189,13 @@ mod tests {
                     grew_at = Some(step);
                 }
                 // The ring is the window's one copy: every record reads back.
+                let mut ids = vec![7];
                 for r in w.records() {
-                    assert_eq!(moment.itemset_of(r.tid()).as_ref(), Some(r.items()));
+                    assert!(moment.ids_of(r.tid(), &mut ids));
+                    assert!(r.items().iter().map(|i| i.id()).eq(ids.iter().copied()));
                 }
-                assert_eq!(moment.itemset_of(w.stream_len() + 1), None);
+                assert!(!moment.ids_of(w.stream_len() + 1, &mut ids));
+                assert!(ids.is_empty());
                 assert_eq!(
                     moment.closed_frequent(),
                     remine(&w, 4),

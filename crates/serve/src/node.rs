@@ -273,7 +273,11 @@ mod tests {
 
         let wal_cfg = cfg.wal.as_ref().unwrap();
         let rec = wal::recover_shard(&cfg, wal_cfg, 0, &Arc::new(WalStats::default())).unwrap();
-        let logged: Vec<ItemSet> = rec.streams["k"].pipe.window().records().collect();
+        let mut logged = Vec::new();
+        rec.streams["k"]
+            .pipe
+            .window()
+            .for_each_record(|ids| logged.push(ItemSet::from_ids(ids.iter().copied())));
         assert_eq!(logged, sent);
         let _ = std::fs::remove_dir_all(&root);
     }

@@ -170,6 +170,9 @@ pub struct WalStats {
     pub bytes_appended: AtomicU64,
     /// Records appended.
     pub records_appended: AtomicU64,
+    /// Bytes of `snapshot` records among `bytes_appended`: the snapshots'
+    /// share of the log.
+    pub snapshot_bytes: AtomicU64,
     /// `fsync` calls issued by the sync policy.
     pub fsyncs: AtomicU64,
     /// Live segment files across all shards (a gauge: created minus
@@ -198,6 +201,10 @@ impl WalStats {
             (
                 "records_appended",
                 Json::from(self.records_appended.load(Ordering::Relaxed)),
+            ),
+            (
+                "snapshot_bytes",
+                Json::from(self.snapshot_bytes.load(Ordering::Relaxed)),
             ),
             ("fsyncs", Json::from(self.fsyncs.load(Ordering::Relaxed))),
             (

@@ -37,15 +37,27 @@
 //!
 //! A `snapshot` carries everything replay needs to rebuild a stream without
 //! older records: the window contents (tids are implied — the window's
-//! records are stream positions `stream_len - count + 1 ..= stream_len`)
-//! and the previous release's `(true_support, sanitized)` pairs, because
-//! Butterfly's republication rule pins unchanged supports to sanitized
-//! values that may chain back arbitrarily far — a fresh publish could not
-//! regenerate them (see [`bfly_core::PublicationHistory::restored`]).
+//! records are stream positions `stream_len - count + 1 ..= stream_len`,
+//! each an ascending id list) and the previous release's
+//! `(true_support, sanitized)` pairs, because Butterfly's republication
+//! rule pins unchanged supports to sanitized values that may chain back
+//! arbitrarily far — a fresh publish could not regenerate them (see
+//! [`bfly_core::PublicationHistory::restored`]). Like an ingest record, the
+//! shard encodes it from the state it holds, `encode_snapshot` reading
+//! the release's entries and the window from Moment's ring, with nothing
+//! built per record; [`StreamSnapshot`] is the decoded form recovery
+//! adopts. Both encoders lay the payload out through one function, so the
+//! bytes cannot drift.
+//!
+//! A scan checks every record's checksum; what it decodes is the caller's
+//! `Decode`: recovery decodes everything, catch-up only the `release`
+//! records of its stream.
 
 use bfly_common::crc32::Crc32;
 use bfly_common::{BinaryEntry, BinaryFrame, Error, IngestChunk, ItemSet, Result};
 use bfly_core::defense::DefenseKind;
+use bfly_core::pipeline::WindowView;
+use bfly_core::SanitizedRelease;
 
 /// First byte of every record (shared with the wire's binary frames).
 pub(crate) const WAL_MAGIC: u8 = 0xBF;
@@ -137,12 +149,62 @@ fn put_str(buf: &mut Vec<u8>, s: &str) {
     buf.extend_from_slice(s.as_bytes());
 }
 
-fn put_ids(buf: &mut Vec<u8>, ids: &[u32]) {
+fn put_ids(buf: &mut Vec<u8>, ids: impl ExactSizeIterator<Item = u32>) {
     assert!(ids.len() <= u16::MAX as usize, "itemset too wide");
     buf.extend_from_slice(&(ids.len() as u16).to_le_bytes());
     for id in ids {
         buf.extend_from_slice(&id.to_le_bytes());
     }
+}
+
+/// The fields a `snapshot` payload opens with, before its two lists.
+pub(crate) struct SnapshotHead<'a> {
+    /// Stream key.
+    pub(crate) stream: &'a str,
+    /// The defense the key is bound to.
+    pub(crate) kind: DefenseKind,
+    /// Stream position at the snapshot.
+    pub(crate) stream_len: u64,
+    /// Publications made so far, the one at `stream_len` included.
+    pub(crate) published: u64,
+    /// Stream position of the latest publication.
+    pub(crate) last_len: u64,
+}
+
+/// Append a `snapshot` payload and return its op: the one layout behind
+/// both [`WalRecord::Snapshot`] and [`encode_snapshot`], so the two cannot
+/// drift. `prev` yields each previous-release entry's
+/// `(ids, true_support, sanitized)`; `window` hands the ids of each of its
+/// `window_len` records, oldest first, to the callback it is given.
+fn put_snapshot<I>(
+    p: &mut Vec<u8>,
+    head: &SnapshotHead,
+    prev: impl ExactSizeIterator<Item = (I, u64, i64)>,
+    window_len: usize,
+    window: impl FnOnce(&mut dyn FnMut(&[u32])),
+) -> u8
+where
+    I: ExactSizeIterator<Item = u32>,
+{
+    put_str(p, head.stream);
+    put_str(p, head.kind.name());
+    p.extend_from_slice(&head.stream_len.to_le_bytes());
+    p.extend_from_slice(&head.published.to_le_bytes());
+    p.extend_from_slice(&head.last_len.to_le_bytes());
+    p.extend_from_slice(&(prev.len() as u32).to_le_bytes());
+    for (ids, true_support, sanitized) in prev {
+        put_ids(p, ids);
+        p.extend_from_slice(&true_support.to_le_bytes());
+        p.extend_from_slice(&sanitized.to_le_bytes());
+    }
+    p.extend_from_slice(&(window_len as u32).to_le_bytes());
+    let mut records = 0;
+    window(&mut |ids| {
+        put_ids(p, ids.iter().copied());
+        records += 1;
+    });
+    assert_eq!(records, window_len, "snapshot window miscounted");
+    OP_SNAPSHOT
 }
 
 /// Bounds-checked reader over one payload; malformed bytes surface as
@@ -256,24 +318,21 @@ impl WalRecord {
                 put_str(p, kind.name());
                 OP_OPEN
             }
-            WalRecord::Snapshot(s) => {
-                put_str(p, &s.stream);
-                put_str(p, s.kind.name());
-                p.extend_from_slice(&s.stream_len.to_le_bytes());
-                p.extend_from_slice(&s.published.to_le_bytes());
-                p.extend_from_slice(&s.last_len.to_le_bytes());
-                p.extend_from_slice(&(s.prev_release.len() as u32).to_le_bytes());
-                for e in &s.prev_release {
-                    put_ids(p, &e.ids);
-                    p.extend_from_slice(&e.true_support.to_le_bytes());
-                    p.extend_from_slice(&e.sanitized.to_le_bytes());
-                }
-                p.extend_from_slice(&(s.window.len() as u32).to_le_bytes());
-                for ids in &s.window {
-                    put_ids(p, ids);
-                }
-                OP_SNAPSHOT
-            }
+            WalRecord::Snapshot(s) => put_snapshot(
+                p,
+                &SnapshotHead {
+                    stream: &s.stream,
+                    kind: s.kind,
+                    stream_len: s.stream_len,
+                    published: s.published,
+                    last_len: s.last_len,
+                },
+                s.prev_release
+                    .iter()
+                    .map(|e| (e.ids.iter().copied(), e.true_support, e.sanitized)),
+                s.window.len(),
+                |f| s.window.iter().for_each(|ids| f(ids)),
+            ),
         }
     }
 
@@ -391,6 +450,27 @@ pub(crate) fn encode_ingest(
     });
 }
 
+/// Encode the snapshot record of a stream into `out`, replacing its
+/// contents: `release` is the publication at `head.stream_len`, and
+/// `window` the pipeline's window, read back from Moment's ring. The bytes
+/// [`WalRecord::Snapshot`] encodes to for the same state, without building
+/// its entries or records.
+pub(crate) fn encode_snapshot(
+    out: &mut Vec<u8>,
+    seq: u64,
+    head: &SnapshotHead,
+    release: &SanitizedRelease,
+    window: &WindowView,
+) {
+    framed(out, seq, |p| {
+        let prev = release.iter().map(|e| {
+            let ids = e.itemset().items().iter().map(|i| i.id());
+            (ids, e.true_support, e.sanitized)
+        });
+        put_snapshot(p, head, prev, window.len(), |f| window.for_each_record(f))
+    });
+}
+
 /// Lay one record out in `out`: the header with its length and checksum
 /// left blank, the payload `put` appends (naming the op), then both fields
 /// written in place — no payload is built apart and copied.
@@ -409,6 +489,34 @@ fn framed(out: &mut Vec<u8>, seq: u64, put: impl FnOnce(&mut Vec<u8>) -> u8) {
     out[CRC_OFFSET..HEADER_LEN].copy_from_slice(&crc);
 }
 
+/// Which checksum-clean records a scan decodes. Every record's checksum is
+/// checked either way; one left undecoded comes back [`Scan::Skipped`].
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Decode<'a> {
+    /// Every record: recovery re-executes the whole log.
+    All,
+    /// Only the `release` records of this stream: what catch-up serves.
+    ReleasesOf(&'a str),
+}
+
+impl Decode<'_> {
+    fn wants(self, op: u8, payload: &[u8]) -> bool {
+        match self {
+            Decode::All => true,
+            // A release payload opens with its key, a `u16` length and the
+            // bytes. One too short to hold its key is decoded, and fails.
+            Decode::ReleasesOf(stream) => {
+                op == OP_RELEASE
+                    && payload
+                        .get(..2)
+                        .map(|n| 2 + u16::from_le_bytes([n[0], n[1]]) as usize)
+                        .and_then(|end| payload.get(2..end))
+                        .is_none_or(|key| key == stream.as_bytes())
+            }
+        }
+    }
+}
+
 /// Outcome of scanning one record at an offset of a segment buffer.
 #[derive(Debug)]
 pub(crate) enum Scan {
@@ -418,6 +526,12 @@ pub(crate) enum Scan {
         rec: WalRecord,
         /// Its sequence number.
         seq: u64,
+        /// Offset one past the record (the next scan position).
+        end: usize,
+    },
+    /// A structurally valid, checksum-clean record the scan's [`Decode`]
+    /// left undecoded.
+    Skipped {
         /// Offset one past the record (the next scan position).
         end: usize,
     },
@@ -451,8 +565,9 @@ pub(crate) fn declared_len(buf: &[u8]) -> Option<usize> {
     (h[0] == WAL_MAGIC).then(|| HEADER_LEN.saturating_add(payload_len))
 }
 
-/// Scan the record starting at `pos` in a segment buffer.
-pub(crate) fn scan_one(buf: &[u8], pos: usize) -> Scan {
+/// Scan the record starting at `pos` in a segment buffer, decoding it if
+/// `decode` wants it.
+pub(crate) fn scan_one(buf: &[u8], pos: usize, decode: Decode) -> Scan {
     if pos == buf.len() {
         return Scan::End;
     }
@@ -492,6 +607,9 @@ pub(crate) fn scan_one(buf: &[u8], pos: usize) -> Scan {
             ),
         };
     }
+    if !decode.wants(op, payload) {
+        return Scan::Skipped { end };
+    }
     match WalRecord::decode_payload(op, payload) {
         Ok(rec) => Scan::Record { rec, seq, end },
         Err(e) => Scan::Undecodable {
@@ -505,6 +623,7 @@ pub(crate) mod tests {
     use super::*;
     use crate::wal::fault::FaultStore;
     use crate::wal::segment::{SegmentId, SegmentReader, SegmentStore, BLOCK};
+    use std::sync::atomic::Ordering;
 
     /// An `open` record at `seq` that names a defense this build does not know,
     /// under a valid checksum.
@@ -516,12 +635,35 @@ pub(crate) mod tests {
         .encode(seq);
         let start = bytes.len() - "suppress".len();
         bytes[start..].copy_from_slice(b"suppr3ss");
+        reseal(&mut bytes);
+        bytes
+    }
+
+    /// A `release` record of `stream` at `seq` whose entry count promises an
+    /// entry the payload does not hold, under a valid checksum.
+    pub(crate) fn undecodable_release(stream: &str, seq: u64) -> Vec<u8> {
+        let mut bytes = WalRecord::Release {
+            stream: stream.into(),
+            stream_len: 99,
+            entries: Vec::new(),
+        }
+        .encode(seq);
+        let count = bytes.len() - 4;
+        bytes[count..].copy_from_slice(&1u32.to_le_bytes());
+        reseal(&mut bytes);
+        bytes
+    }
+
+    /// Rewrite the length and checksum fields of the one record in `bytes`
+    /// to match what it holds now.
+    fn reseal(bytes: &mut [u8]) {
+        let len = (bytes.len() - HEADER_LEN) as u32;
+        bytes[2..6].copy_from_slice(&len.to_le_bytes());
         let mut crc = Crc32::new();
         crc.update(&bytes[..CRC_OFFSET]);
         crc.update(&bytes[HEADER_LEN..]);
         let fixed = crc.finish().to_le_bytes();
         bytes[CRC_OFFSET..HEADER_LEN].copy_from_slice(&fixed);
-        bytes
     }
 
     fn iset(s: &str) -> ItemSet {
@@ -577,7 +719,7 @@ pub(crate) mod tests {
         }
         let mut pos = 0;
         for (i, want) in samples().iter().enumerate() {
-            match scan_one(&buf, pos) {
+            match scan_one(&buf, pos, Decode::All) {
                 Scan::Record { rec, seq, end } => {
                     assert_eq!(&rec, want);
                     assert_eq!(seq, 100 + i as u64);
@@ -586,7 +728,7 @@ pub(crate) mod tests {
                 other => panic!("record {i}: {other:?}"),
             }
         }
-        assert!(matches!(scan_one(&buf, pos), Scan::End));
+        assert!(matches!(scan_one(&buf, pos, Decode::All), Scan::End));
     }
 
     #[test]
@@ -596,7 +738,7 @@ pub(crate) mod tests {
         for byte in 0..clean.len() {
             let mut bytes = clean.clone();
             bytes[byte] ^= 1;
-            match scan_one(&bytes, 0) {
+            match scan_one(&bytes, 0, Decode::All) {
                 Scan::Corrupt { .. } => {}
                 // A flip in the length field can also make the header
                 // promise more payload than the buffer holds — still caught,
@@ -635,7 +777,7 @@ pub(crate) mod tests {
             store.open_append(seg).unwrap().0.append(bytes).unwrap();
             let mut reader = SegmentReader::new();
             reader.open(&*store, seg).unwrap();
-            let scan = reader.next().unwrap();
+            let scan = reader.next(Decode::All).unwrap();
             // One block, plus at most the record it returned.
             let room = match scan {
                 Scan::Record { .. } => BLOCK + bytes.len(),
@@ -657,14 +799,20 @@ pub(crate) mod tests {
             .map(|cut| (&small, cut))
             .chain(big_cuts.map(|cut| (&big, cut)));
         for (clean, cut) in cases {
-            match (scan_one(&clean[..cut], 0), through_reader(&clean[..cut])) {
+            match (
+                scan_one(&clean[..cut], 0, Decode::All),
+                through_reader(&clean[..cut]),
+            ) {
                 (Scan::Corrupt { .. }, Scan::Corrupt { .. }) => {}
                 other => panic!("cut at {cut} of {}: {other:?}", clean.len()),
             }
         }
         // Whole, both read it back.
         for clean in [&small, &big] {
-            assert!(matches!(scan_one(clean, 0), Scan::Record { .. }));
+            assert!(matches!(
+                scan_one(clean, 0, Decode::All),
+                Scan::Record { .. }
+            ));
             assert!(matches!(through_reader(clean), Scan::Record { .. }));
         }
     }
@@ -720,10 +868,155 @@ pub(crate) mod tests {
         assert_eq!(out, bytes);
     }
 
+    /// The bytes [`crate::wal::WalWriter::append_snapshot`] logs for the
+    /// state `s` describes: its window fed to a pipeline that holds exactly
+    /// those records and ends at `s.stream_len`, its previous release built
+    /// as the publication step holds one.
+    fn appended_snapshot(s: &StreamSnapshot, seq: u64) -> Vec<u8> {
+        use crate::config::{ServeConfig, WalConfig};
+        use crate::stats::WalStats;
+        use crate::wal::writer::{WalWriter, WriterPosition};
+        use bfly_common::{Item, ItemsetId};
+        use bfly_core::SanitizedItemset;
+        use std::sync::Arc;
+
+        let cfg = ServeConfig {
+            window: s.window.len(),
+            ..ServeConfig::default()
+        };
+        let mut pipe = cfg.pipeline_with(&s.stream, s.kind);
+        pipe.set_stream_base(s.stream_len - s.window.len() as u64);
+        for ids in &s.window {
+            let items: Vec<Item> = ids.iter().map(|&id| Item(id)).collect();
+            pipe.advance_items(&items);
+        }
+        let release = SanitizedRelease::new(
+            s.prev_release
+                .iter()
+                .map(|e| SanitizedItemset {
+                    id: ItemsetId::new(ItemSet::from_ids(e.ids.iter().copied())),
+                    true_support: e.true_support,
+                    sanitized: e.sanitized,
+                })
+                .collect(),
+        );
+        let store = FaultStore::new(3);
+        let pos = WriterPosition {
+            next_seq: seq,
+            ..WriterPosition::default()
+        };
+        let stats = Arc::new(WalStats::default());
+        let wal = WalConfig::new(store.root());
+        let mut w = WalWriter::open_in(store.clone(), 0, wal, 8, stats.clone(), pos).unwrap();
+        w.append_snapshot(
+            &s.stream,
+            s.kind,
+            s.stream_len,
+            s.published,
+            &release,
+            &pipe.window(),
+        )
+        .unwrap();
+        let seg = store.open(SegmentId { shard: 0, idx: 0 }).unwrap();
+        let mut bytes = vec![0; seg.len().unwrap() as usize];
+        assert_eq!(seg.read_at(0, &mut bytes).unwrap(), bytes.len());
+        assert_eq!(
+            stats.snapshot_bytes.load(Ordering::Relaxed),
+            bytes.len() as u64
+        );
+        bytes
+    }
+
+    #[test]
+    fn the_direct_snapshot_encoder_is_the_records_layout() {
+        let WalRecord::Snapshot(w2000) = w2000_snapshot() else {
+            unreachable!("a snapshot fixture")
+        };
+        let with_prev = StreamSnapshot {
+            prev_release: vec![
+                SnapshotEntry {
+                    ids: vec![3, 105, 7000],
+                    true_support: 40,
+                    sanitized: 38,
+                },
+                SnapshotEntry {
+                    ids: vec![],
+                    true_support: 2000,
+                    sanitized: -1,
+                },
+            ],
+            ..w2000.clone()
+        };
+        let empty_tx = StreamSnapshot {
+            stream: "tenant-e".into(),
+            kind: DefenseKind::PrivBasis,
+            stream_len: 4,
+            published: 1,
+            last_len: 4,
+            prev_release: vec![SnapshotEntry {
+                ids: vec![1],
+                true_support: 3,
+                sanitized: 2,
+            }],
+            window: vec![vec![1, 9], vec![], vec![1], vec![]],
+        };
+        for (s, seq) in [(w2000, 7), (with_prev, 1 << 40), (empty_tx, 0)] {
+            let want = WalRecord::Snapshot(s.clone()).encode(seq);
+            assert_eq!(appended_snapshot(&s, seq), want, "{}", s.stream);
+            match scan_one(&want, 0, Decode::All) {
+                Scan::Record {
+                    rec: WalRecord::Snapshot(back),
+                    ..
+                } => assert_eq!(back, s),
+                other => panic!("{other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn catch_up_decodes_only_its_streams_releases() {
+        let release = |stream: &str| WalRecord::Release {
+            stream: stream.into(),
+            stream_len: 9,
+            entries: vec![BinaryEntry {
+                ids: vec![1],
+                support: 4,
+            }],
+        };
+        let only = Decode::ReleasesOf("k");
+        for rec in samples().into_iter().chain([release("kk"), release("")]) {
+            let bytes = rec.encode(1);
+            assert!(
+                matches!(scan_one(&bytes, 0, only), Scan::Skipped { end } if end == bytes.len()),
+                "{rec:?}"
+            );
+        }
+        let bytes = release("k").encode(1);
+        assert!(
+            matches!(scan_one(&bytes, 0, only), Scan::Record { rec, .. } if rec == release("k"))
+        );
+        // Checksums are checked whatever is decoded.
+        let mut flipped = samples()[1].encode(1);
+        *flipped.last_mut().unwrap() ^= 1;
+        assert!(matches!(scan_one(&flipped, 0, only), Scan::Corrupt { .. }));
+        // A release of the stream that fails to decode is reported, as is
+        // one too short for the key filter to read its key.
+        let bad = undecodable_release("k", 1);
+        assert!(matches!(scan_one(&bad, 0, only), Scan::Undecodable { .. }));
+        let mut short = bad[..HEADER_LEN + 1].to_vec();
+        reseal(&mut short);
+        assert!(matches!(
+            scan_one(&short, 0, only),
+            Scan::Undecodable { .. }
+        ));
+        let other = undecodable_release("kk", 1);
+        assert!(matches!(scan_one(&other, 0, only), Scan::Skipped { .. }));
+    }
+
     #[test]
     fn unknown_defense_name_is_undecodable_not_torn() {
         // The checksum holds, so only semantic validation can object.
-        match scan_one(&undecodable_open(0), 0) {
+        match scan_one(&undecodable_open(0), 0, Decode::All) {
             Scan::Undecodable { reason } => {
                 assert!(reason.contains("unknown defense"), "{reason}")
             }

@@ -47,7 +47,8 @@
 //! Recovery walks every segment through one `SegmentReader`
 //! (`wal/segment.rs`) — one block plus the largest record in memory,
 //! never a whole segment — and so does the catch-up scan; the two differ
-//! only in what an invalid record means.
+//! in what an invalid record means, and in what they decode: recovery
+//! every record, catch-up only the `release` records it serves.
 //!
 //! Corruption policy: an incomplete or checksum-failing record in the
 //! **last** segment is a torn tail — the crash interrupted the final write —
@@ -63,10 +64,10 @@
 use crate::config::{ServeConfig, WalConfig};
 use crate::protocol::binary_entries;
 use crate::stats::WalStats;
-use crate::wal::record::{Scan, SnapshotEntry, StreamSnapshot, WalRecord};
+use crate::wal::record::{Decode, Scan, StreamSnapshot, WalRecord};
 use crate::wal::segment::{FsStore, SegmentId, SegmentReader, SegmentStore};
 use crate::wal::writer::{WalWriter, WriterPosition};
-use bfly_common::{BinaryEntry, BinaryFrame, Error, ItemSet, ItemsetId, Result, Transaction};
+use bfly_common::{BinaryEntry, BinaryFrame, Error, Item, ItemSet, ItemsetId, Result, Transaction};
 use bfly_core::defense::{DefenseKind, PrivacyDefense};
 use bfly_core::{PublicationHistory, SanitizedItemset, StreamPipeline, WindowRelease};
 use std::collections::{HashMap, VecDeque};
@@ -161,29 +162,15 @@ impl RecoveredStream {
             if snapshot {
                 // Taken at a publication point, so everything a restart
                 // needs is the window and this release's (true, sanitized)
-                // pairs.
-                log.append(&WalRecord::Snapshot(StreamSnapshot {
-                    stream: key.to_string(),
-                    kind: self.kind,
-                    stream_len: window.stream_len,
-                    published: published + 1,
-                    last_len: window.stream_len,
-                    prev_release: window
-                        .release
-                        .iter()
-                        .map(|e| SnapshotEntry {
-                            ids: e.itemset().items().iter().map(|i| i.id()).collect(),
-                            true_support: e.true_support,
-                            sanitized: e.sanitized,
-                        })
-                        .collect(),
-                    window: self
-                        .pipe
-                        .window()
-                        .records()
-                        .map(|set| set.iter().map(|i| i.id()).collect())
-                        .collect(),
-                }))?;
+                // pairs, encoded from the ring and the release themselves.
+                log.append_snapshot(
+                    key,
+                    self.kind,
+                    window.stream_len,
+                    published + 1,
+                    &window.release,
+                    &self.pipe.window(),
+                )?;
             }
         }
         let WalRecord::Release {
@@ -290,8 +277,9 @@ pub(crate) fn recover_shard_in(
         let last_segment = nth == segs.len() - 1;
         let mut seg_snapshots = 0u32;
         loop {
-            match reader.next()? {
+            match reader.next(Decode::All)? {
                 Scan::End => break,
+                Scan::Skipped { .. } => unreachable!("recovery decodes every record"),
                 Scan::Record { rec, seq, .. } => {
                     if let Some(want) = expected_seq {
                         if seq != want {
@@ -567,7 +555,10 @@ fn apply(
 }
 
 /// Rebuild a stream from a snapshot alone (its earlier records were
-/// compacted away).
+/// compacted away). Every itemset the snapshot holds must be strictly
+/// ascending, as every writer logs them: one that is not was never written
+/// by this log, so the start is refused rather than the itemset
+/// canonicalized.
 fn adopt(cfg: &ServeConfig, path: &Path, s: StreamSnapshot) -> Result<RecoveredStream> {
     let count = s.window.len() as u64;
     let base = s.stream_len.checked_sub(count).ok_or_else(|| {
@@ -579,10 +570,28 @@ fn adopt(cfg: &ServeConfig, path: &Path, s: StreamSnapshot) -> Result<RecoveredS
             ),
         )
     })?;
+    let ascending = |ids: &[u32]| ids.windows(2).all(|w| w[0] < w[1]);
+    let bad_record = s.window.iter().position(|ids| !ascending(ids));
+    let bad_entry = s.prev_release.iter().position(|e| !ascending(&e.ids));
+    if let Some((what, at)) = bad_record
+        .map(|i| ("window record", i))
+        .or(bad_entry.map(|i| ("release entry", i)))
+    {
+        return Err(corrupt(
+            path,
+            &format!(
+                "snapshot for {:?} holds {what} {at} whose ids are not strictly ascending",
+                s.stream
+            ),
+        ));
+    }
     let mut pipe = cfg.pipeline_with(&s.stream, s.kind);
     pipe.set_stream_base(base);
+    let mut items = Vec::new();
     for ids in &s.window {
-        pipe.advance(Transaction::new(0, ItemSet::from_ids(ids.iter().copied())));
+        items.clear();
+        items.extend(ids.iter().map(|&id| Item(id)));
+        pipe.advance_items(&items);
     }
     let previous = s.prev_release.iter().map(|e| SanitizedItemset {
         id: ItemsetId::new(ItemSet::from_ids(e.ids.iter().copied())),
@@ -603,10 +612,12 @@ fn adopt(cfg: &ServeConfig, path: &Path, s: StreamSnapshot) -> Result<RecoveredS
 ///
 /// This runs on the reactor thread (`server::dispatch` →
 /// `NodeCore::catchup`) while the shard's writer is appending, so it is
-/// deliberately tolerant: an invalid record stops the scan (it is
-/// the live tail or a racing compaction), a vanished segment file is
-/// skipped. The horizon is whatever compaction retained; callers get every
-/// release still on disk, oldest first.
+/// deliberately tolerant: a record failing its checksum, or a release of
+/// `stream` failing to decode, stops the scan (it is the live tail or a
+/// racing compaction), a vanished segment file is skipped. Every other
+/// record is checksummed and stepped over undecoded. The horizon is
+/// whatever compaction retained; callers get every release still on disk,
+/// oldest first.
 pub fn scan_catchup(
     root: &Path,
     shard: usize,
@@ -638,9 +649,10 @@ pub(crate) fn catchup_in(
             continue; // compacted underneath us
         }
         loop {
-            match reader.next() {
+            match reader.next(Decode::ReleasesOf(stream)) {
                 Ok(Scan::End) | Err(_) => break,
                 Ok(Scan::Corrupt { .. } | Scan::Undecodable { .. }) => return, // live tail
+                Ok(Scan::Skipped { .. }) => {}
                 Ok(Scan::Record { rec, .. }) => {
                     if let WalRecord::Release {
                         stream: s,
@@ -663,7 +675,8 @@ mod tests {
     use super::*;
     use crate::config::{WalConfig, WalSyncPolicy};
     use crate::wal::fault::FaultStore;
-    use crate::wal::record::{scan_one, tests::w2000_snapshot, HEADER_LEN};
+    use crate::wal::record::tests::{undecodable_open, undecodable_release, w2000_snapshot};
+    use crate::wal::record::{scan_one, SnapshotEntry, HEADER_LEN};
     use crate::wal::segment::{shard_dir, BLOCK};
     use bfly_common::SanitizedSupport;
     use std::path::PathBuf;
@@ -853,10 +866,10 @@ mod tests {
         let seg = shard_dir(&root, 0).join(crate::wal::segment::segment_file_name(0));
         let mut bytes = std::fs::read(&seg).unwrap();
         let (mut next, mut off) = (0, 0);
-        while let Scan::Record { seq, end, .. } = scan_one(&bytes, off) {
+        while let Scan::Record { seq, end, .. } = scan_one(&bytes, off, Decode::All) {
             (next, off) = (seq + 1, end);
         }
-        bytes.extend_from_slice(&crate::wal::record::tests::undecodable_open(next));
+        bytes.extend_from_slice(&undecodable_open(next));
         bytes.extend_from_slice(
             &WalRecord::Ingest {
                 stream: "k".into(),
@@ -903,7 +916,9 @@ mod tests {
         let seg = shard_dir(&root, 0).join(crate::wal::segment::segment_file_name(0));
         let bytes = std::fs::read(&seg).unwrap();
         let mut bounds = vec![(0, 0)];
-        while let Scan::Record { seq, end, .. } = scan_one(&bytes, bounds[bounds.len() - 1].1) {
+        while let Scan::Record { seq, end, .. } =
+            scan_one(&bytes, bounds[bounds.len() - 1].1, Decode::All)
+        {
             bounds.push((seq, end));
         }
         assert!(bounds.len() > 4, "need records either side of the cut");
@@ -1094,7 +1109,7 @@ mod tests {
                 .open(&FsStore::new(&root), SegmentId { shard: 0, idx: 0 })
                 .unwrap();
             let (mut at, mut longest) = (0, 0);
-            while let Scan::Record { end, .. } = reader.next().unwrap() {
+            while let Scan::Record { end, .. } = reader.next(Decode::All).unwrap() {
                 longest = longest.max(end as u64 - at);
                 at = end as u64;
             }
@@ -1154,7 +1169,7 @@ mod tests {
         let mut claims_max = clean.clone();
         let mut at = 0;
         while at < clean.len() / 2 {
-            let Scan::Record { end, .. } = scan_one(&clean, at) else {
+            let Scan::Record { end, .. } = scan_one(&clean, at, Decode::All) else {
                 panic!("the sealed segment is clean");
             };
             at = end;
@@ -1208,6 +1223,17 @@ mod tests {
         let mut rec = recover_shard(&cfg, &wal, 0, &stats).unwrap();
         let st = rec.streams.remove("k").expect("adopted from snapshot");
         assert_eq!(st.pipe.stream_len(), 60);
+        // The snapshot, encoded from the ring and the release, restores the
+        // history and the window the logging stream held.
+        assert_eq!(st.pipe.history(), crashed.st.pipe.history());
+        let window = |st: &RecoveredStream| {
+            let mut records = Vec::new();
+            st.pipe
+                .window()
+                .for_each_record(|ids| records.push(ids.to_vec()));
+            records
+        };
+        assert_eq!(window(&st), window(&crashed.st));
         // The pin map must have survived: continuing the stream publishes
         // exactly what the uncrashed run publishes, including republication
         // pins chosen windows before the snapshot.
@@ -1216,6 +1242,66 @@ mod tests {
         let full: Vec<_> = before.into_iter().chain(resumed.releases).collect();
         assert_eq!(full, reference.releases);
         std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// A checksum-clean snapshot holding an itemset whose ids are not
+    /// strictly ascending was never written by this log: adoption refuses
+    /// the start, naming the segment, rather than canonicalize it.
+    #[test]
+    fn a_snapshot_with_unsorted_ids_refuses_the_start() {
+        let cfg = tiny_cfg();
+        let recover = |s: StreamSnapshot| {
+            let store = FaultStore::new(2);
+            let wal = wal_cfg(store.root());
+            let stats = Arc::new(WalStats::default());
+            let pos = WriterPosition::default();
+            let mut w =
+                WalWriter::open_in(store.clone(), 0, wal.clone(), 3, stats.clone(), pos).unwrap();
+            w.append(&WalRecord::Snapshot(s)).unwrap();
+            drop(w);
+            let seg = store.path(SegmentId { shard: 0, idx: 0 });
+            (recover_shard_in(store, &cfg, &wal, 0, &stats), seg)
+        };
+        let snapshot = StreamSnapshot {
+            stream: "k".into(),
+            kind: DefenseKind::Butterfly,
+            stream_len: 10,
+            published: 1,
+            last_len: 10,
+            prev_release: Vec::new(),
+            window: (2..10)
+                .map(|i| record(i).iter().map(|item| item.id()).collect())
+                .collect(),
+        };
+        let mut unsorted = snapshot.clone();
+        unsorted.window[3] = vec![4, 0];
+        let mut repeated = snapshot.clone();
+        repeated.window[5] = vec![3, 3];
+        let mut bad_entry = snapshot.clone();
+        bad_entry.prev_release = vec![SnapshotEntry {
+            ids: vec![2, 1],
+            true_support: 4,
+            sanitized: 4,
+        }];
+        for (s, what) in [
+            (unsorted, "window record 3"),
+            (repeated, "window record 5"),
+            (bad_entry, "release entry 0"),
+        ] {
+            let err = match recover(s) {
+                (Err(e), seg) => {
+                    let e = e.to_string();
+                    assert!(e.contains(&seg.display().to_string()), "{e}");
+                    e
+                }
+                (Ok(_), _) => panic!("an unsorted snapshot must refuse the start"),
+            };
+            let want = format!("{what} whose ids are not strictly ascending");
+            assert!(err.contains(&want), "{err}");
+        }
+        // The canonical snapshot adopts.
+        let (rec, _) = recover(snapshot);
+        assert_eq!(rec.unwrap().streams["k"].pipe.stream_len(), 10);
     }
 
     /// The crash window the lazy drain exists for: a chunk's `ingest`
@@ -1346,6 +1432,37 @@ mod tests {
         assert!(scan_catchup(&root, 0, "nobody", 0).is_empty());
         // Sanity: supports is the sanitized value, not the true one.
         let _: SanitizedSupport = all[0].1[0].support;
+
+        // Catch-up checks every record's checksum but decodes only the
+        // releases it serves: a checksum-clean record it does not serve is
+        // stepped over however it decodes, and one of its stream's releases
+        // that fails to decode stops the scan like a live tail.
+        let seg = shard_dir(&root, 0).join(crate::wal::segment::segment_file_name(0));
+        let mut bytes = std::fs::read(&seg).unwrap();
+        let (mut next, mut off) = (0, 0);
+        while let Scan::Record { seq, end, .. } = scan_one(&bytes, off, Decode::All) {
+            (next, off) = (seq + 1, end);
+        }
+        let release = |stream_len: u64, seq: u64| {
+            WalRecord::Release {
+                stream: "k".into(),
+                stream_len,
+                entries: Vec::new(),
+            }
+            .encode(seq)
+        };
+        let tail = [
+            undecodable_open(next),
+            undecodable_release("other", next + 1),
+            release(1000, next + 2),
+            undecodable_release("k", next + 3),
+            release(2000, next + 4),
+        ];
+        bytes.extend(tail.concat());
+        std::fs::write(&seg, &bytes).unwrap();
+        let mut want = h.releases.clone();
+        want.push((1000, Vec::new()));
+        assert_eq!(scan_catchup(&root, 0, "k", 0), want);
         std::fs::remove_dir_all(&root).unwrap();
     }
 }

@@ -21,7 +21,7 @@
 //! [`scan_one`], the only record parser. What a caller does with an invalid
 //! record is its policy; recovery and catch-up are two such policies.
 
-use crate::wal::record::{declared_len, scan_one, Scan, HEADER_LEN};
+use crate::wal::record::{declared_len, scan_one, Decode, Scan, HEADER_LEN};
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -347,8 +347,9 @@ impl SegmentReader {
     }
 
     /// The record at [`SegmentReader::offset`], as [`scan_one`] judges it
-    /// over the segment; a [`Scan::Record`]'s `end` is a segment offset.
-    pub(crate) fn next(&mut self) -> io::Result<Scan> {
+    /// over the segment under `decode`; the `end` of a [`Scan::Record`] or
+    /// [`Scan::Skipped`] is a segment offset.
+    pub(crate) fn next(&mut self, decode: Decode) -> io::Result<Scan> {
         self.fill(0)?;
         let left = self.seg_len - self.off;
         if let Some(need) = declared_len(&self.buf[self.start..self.filled]) {
@@ -356,8 +357,8 @@ impl SegmentReader {
                 self.fill(need)?;
             }
         }
-        let mut scan = scan_one(&self.buf[self.start..self.filled], 0);
-        if let Scan::Record { end, .. } = &mut scan {
+        let mut scan = scan_one(&self.buf[self.start..self.filled], 0, decode);
+        if let Scan::Record { end, .. } | Scan::Skipped { end } = &mut scan {
             self.start += *end;
             self.off += *end as u64;
             *end = self.off as usize;

@@ -27,9 +27,12 @@
 
 use crate::config::{WalConfig, WalSyncPolicy};
 use crate::stats::WalStats;
-use crate::wal::record::{self, WalRecord, OP_INGEST, OP_OPEN, OP_SNAPSHOT};
+use crate::wal::record::{self, SnapshotHead, WalRecord, OP_INGEST, OP_OPEN, OP_SNAPSHOT};
 use crate::wal::segment::{FsStore, SegmentHandle, SegmentId, SegmentStore};
 use bfly_common::{IngestChunk, Result};
+use bfly_core::defense::DefenseKind;
+use bfly_core::pipeline::WindowView;
+use bfly_core::SanitizedRelease;
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::Ordering;
@@ -152,6 +155,31 @@ impl WalWriter {
         self.commit(stream)
     }
 
+    /// [`WalWriter::append`] of the snapshot record of `stream`, bound to
+    /// `kind`, at the publication `release` made at `stream_len` (the
+    /// `published`-th), with `window` read back from Moment's ring: the
+    /// bytes of the equivalent [`WalRecord::Snapshot`], encoded straight
+    /// from the state the shard holds.
+    pub fn append_snapshot(
+        &mut self,
+        stream: &str,
+        kind: DefenseKind,
+        stream_len: u64,
+        published: u64,
+        release: &SanitizedRelease,
+        window: &WindowView,
+    ) -> Result<()> {
+        let head = SnapshotHead {
+            stream,
+            kind,
+            stream_len,
+            published,
+            last_len: stream_len,
+        };
+        record::encode_snapshot(&mut self.buf, self.next_seq, &head, release, window);
+        self.commit(stream)
+    }
+
     /// Write the record laid out in `buf` (for `stream`), then the
     /// bookkeeping, the sync policy and (maybe) rotation.
     fn commit(&mut self, stream: &str) -> Result<()> {
@@ -185,6 +213,7 @@ impl WalWriter {
                     .unwrap_or(self.seg_idx);
                 set(&mut self.coverage, stream, anchor);
                 self.seg_snapshots += 1;
+                self.stats.snapshot_bytes.fetch_add(len, Ordering::Relaxed);
             }
             _ => {}
         }
@@ -285,9 +314,8 @@ fn set(map: &mut HashMap<String, u64>, stream: &str, value: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wal::record::{scan_one, Scan, SnapshotEntry, StreamSnapshot};
+    use crate::wal::record::{scan_one, Decode, Scan, SnapshotEntry, StreamSnapshot};
     use crate::wal::segment::{segment_file_name, shard_dir};
-    use bfly_core::defense::DefenseKind;
     use std::path::PathBuf;
 
     fn tmp_root(tag: &str) -> PathBuf {
@@ -355,7 +383,7 @@ mod tests {
         let buf = std::fs::read(shard_dir(&root, 0).join(segment_file_name(0))).unwrap();
         let mut pos = 0;
         for want_seq in 0..3 {
-            match scan_one(&buf, pos) {
+            match scan_one(&buf, pos, Decode::All) {
                 Scan::Record { seq, end, .. } => {
                     assert_eq!(seq, want_seq);
                     pos = end;
@@ -363,7 +391,7 @@ mod tests {
                 other => panic!("{other:?}"),
             }
         }
-        assert!(matches!(scan_one(&buf, pos), Scan::End));
+        assert!(matches!(scan_one(&buf, pos, Decode::All), Scan::End));
         assert_eq!(stats.records_appended.load(Ordering::Relaxed), 3);
         assert_eq!(
             stats.bytes_appended.load(Ordering::Relaxed),

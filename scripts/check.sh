@@ -107,6 +107,17 @@ if [[ -n "$STORAGE" ]]; then
   echo "the WAL touches the file system outside wal/segment.rs; add the operation to SegmentStore instead"; exit 1
 fi
 
+echo "==> snapshot-from-the-ring guard (a snapshot is logged from the state the shard holds: outside wal/record.rs, which defines and decodes the record, nothing in crates/serve/src builds a StreamSnapshot or SnapshotEntry or rebuilds the window's itemsets)"
+REBUILDS=$(for f in $(find crates/serve/src -name '*.rs' | sort); do
+  [[ "$f" == crates/serve/src/wal/record.rs ]] && continue
+  sed -E '/^ *(pub\(crate\) )?mod tests \{/,$d' "$f" | grep -nE 'StreamSnapshot \{|SnapshotEntry \{|\.records\(\)|itemset_of' \
+    | grep -v '^[0-9]*: *//' | sed "s|^|$f:|"
+done || true)
+if [[ -n "$REBUILDS" ]]; then
+  echo "$REBUILDS"
+  echo "the log's write path rebuilds the window or the release; log snapshots with WalWriter::append_snapshot"; exit 1
+fi
+
 echo "==> no-panic-on-log guard (a failed log append or sync turns the shard read-only: nothing in crates/serve/src unwraps or expects a WalWriter, recovery or store result)"
 # One awk record per statement (split at ';'), so a call and the .expect
 # that closes it a few lines later are judged together. wal/fault.rs is

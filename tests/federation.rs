@@ -422,6 +422,19 @@ fn kill_one_node_survivor_identical_and_wal_rejoin() {
             .expect("phase-1 ingest");
     }
     wait_cluster_processed(&mut client, 310);
+    // Each node's log counters reach the merged stats whole, the bytes its
+    // snapshots took among them, so a cluster total is the nodes' sum.
+    let stats = client.request(&Request::Stats).expect("router stats");
+    let nodes = stats.get("nodes").and_then(Json::as_array).expect("nodes");
+    let wal = |node: &Json, field: &str| {
+        let block = node.get("stats").and_then(|s| s.get("wal"));
+        block.and_then(|w| w.get(field)).and_then(Json::as_u64)
+    };
+    for node in nodes {
+        let snapshots = wal(node, "snapshot_bytes").expect("snapshot_bytes");
+        let appended = wal(node, "bytes_appended").expect("bytes_appended");
+        assert!(0 < snapshots && snapshots < appended, "got {stats}");
+    }
     drop(node_b); // Reaper: SIGKILL, no drain.
 
     // The survivor's remaining records sail through...

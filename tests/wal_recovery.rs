@@ -8,15 +8,22 @@
 //! comparison spans the crash, the replay, the log-served catch-up, and
 //! the drain flush in one concatenated byte-equality.
 
-use butterfly_repro::butterfly::SanitizedRelease;
+use butterfly_repro::butterfly::{DefenseKind, SanitizedRelease};
 use butterfly_repro::common::{ItemSet, Json};
 use butterfly_repro::datagen::DatasetProfile;
-use butterfly_repro::serve::protocol::{release_frame_bytes, CatchUp};
-use butterfly_repro::serve::{Client, FrameMode, Request, ServeConfig};
+use butterfly_repro::serve::protocol::{binary_entries, release_frame_bytes, CatchUp};
+use butterfly_repro::serve::wal::record::SnapshotEntry;
+use butterfly_repro::serve::wal::replay::DynPipeline;
+use butterfly_repro::serve::wal::{StreamSnapshot, WalRecord, WalWriter, WriterPosition};
+use butterfly_repro::serve::{
+    Client, FrameMode, Request, ServeConfig, WalConfig, WalStats, WalSyncPolicy,
+};
+use std::collections::VecDeque;
 use std::io::Read;
 use std::net::SocketAddr;
 use std::path::Path;
 use std::process::{Child, Command, Stdio};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// The NDJSON `release` line a subscriber reads for one publication.
@@ -93,10 +100,14 @@ fn spawn_serve_seeded(
     shards: usize,
     seed: Option<u64>,
 ) -> (Reaper, SocketAddr) {
+    spawn(serve_command(wal_dir, port_file, shards, seed), port_file)
+}
+
+/// Spawn `cmd`, a [`serve_command`] writing `port_file`, and block until
+/// the handshake delivers the bound address.
+fn spawn(mut cmd: Command, port_file: &Path) -> (Reaper, SocketAddr) {
     let _ = std::fs::remove_file(port_file);
-    let child = serve_command(wal_dir, port_file, shards, seed)
-        .spawn()
-        .expect("spawn butterfly serve");
+    let child = cmd.spawn().expect("spawn butterfly serve");
     let mut child = Reaper(child);
     let deadline = Instant::now() + Duration::from_secs(20);
     let addr = loop {
@@ -579,4 +590,174 @@ fn a_drawn_secret_survives_a_kill_and_refuses_another_seed() {
     let _ = std::fs::remove_dir_all(&wal_dir);
     let _ = std::fs::remove_file(&port_file);
     let _ = std::fs::remove_file(&log);
+}
+
+/// Every segment file of `shard-0` under `dir`, by name.
+fn shard_files(dir: &Path) -> Vec<(String, Vec<u8>)> {
+    let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir.join("shard-0"))
+        .expect("shard directory")
+        .map(|e| {
+            let e = e.unwrap();
+            let name = e.file_name().into_string().unwrap();
+            (name, std::fs::read(e.path()).unwrap())
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+/// Publish `pipe`'s full window and log it the way the shard worker does,
+/// through the `WalRecord` encoders: the `release` record, then on the
+/// snapshot cadence a `snapshot` built as a `StreamSnapshot` from the
+/// release and `window`, the records the pipeline holds.
+fn log_publication(
+    w: &mut WalWriter,
+    pipe: &mut DynPipeline,
+    window: &VecDeque<&ItemSet>,
+    stream: &str,
+    kind: DefenseKind,
+    snapshot_every: usize,
+) {
+    let published = pipe.history().published();
+    let r = pipe.publish_now().expect("an honest release");
+    w.append(&WalRecord::Release {
+        stream: stream.into(),
+        stream_len: r.stream_len,
+        entries: binary_entries(r.release.iter()),
+    })
+    .unwrap();
+    if snapshot_every == 1 || published.is_multiple_of(snapshot_every as u64) {
+        let ids = |set: &ItemSet| set.iter().map(|i| i.id()).collect::<Vec<u32>>();
+        w.append(&WalRecord::Snapshot(StreamSnapshot {
+            stream: stream.into(),
+            kind,
+            stream_len: r.stream_len,
+            published: published + 1,
+            last_len: r.stream_len,
+            prev_release: r
+                .release
+                .iter()
+                .map(|e| SnapshotEntry {
+                    ids: ids(e.itemset()),
+                    true_support: e.true_support,
+                    sanitized: e.sanitized,
+                })
+                .collect(),
+            window: window.iter().map(|set| ids(set)).collect(),
+        }))
+        .unwrap();
+    }
+}
+
+/// The log a node writes is the log the `WalRecord` encoders write for the
+/// same stream: at `--snapshot-every 1` and 8, the segment files of a
+/// `serve --wal-dir --seed 42` run equal, byte for byte, those of an
+/// in-process writer fed the node's records through `WalRecord::{Open,
+/// Ingest, Release, Snapshot}` in the shard worker's order, snapshots
+/// built as `StreamSnapshot`s, the form the benchmark's trace still logs.
+#[test]
+fn served_log_equals_the_record_encoders_log() {
+    let records: Vec<ItemSet> = DatasetProfile::WebView1
+        .source(29)
+        .take_vec(400)
+        .into_iter()
+        .map(|t| t.into_items())
+        .collect();
+    for snapshot_every in [1, 8] {
+        let tag = format!("bfly-wal-encoders-{snapshot_every}-{}", std::process::id());
+        let wal_dir = std::env::temp_dir().join(&tag);
+        let ref_dir = std::env::temp_dir().join(format!("{tag}-ref"));
+        let port_file = std::env::temp_dir().join(format!("{tag}.port"));
+        for dir in [&wal_dir, &ref_dir] {
+            let _ = std::fs::remove_dir_all(dir);
+        }
+
+        let mut cmd = serve_command(&wal_dir, &port_file, 1, Some(42));
+        cmd.args(["--snapshot-every", &snapshot_every.to_string()]);
+        let (mut server, addr) = spawn(cmd, &port_file);
+        let mut client = Client::connect(addr).expect("connect");
+        for batch in records.chunks(25) {
+            client
+                .request(&Request::Ingest {
+                    stream: "alpha".into(),
+                    batch: batch.to_vec(),
+                })
+                .expect("ingest");
+        }
+        wait_processed(&mut client, records.len() as u64);
+        client.request(&Request::Shutdown).expect("shutdown reply");
+        let status = server.0.wait().expect("serve exit status");
+        assert!(status.success(), "serve exited {status}");
+
+        // The same stream through the record encoders: config and log
+        // settings mirror the serve flags.
+        let cfg = ServeConfig {
+            shards: 1,
+            window: 120,
+            c: 15,
+            k: 3,
+            epsilon: 0.016,
+            delta: 0.4,
+            every: 10,
+            snapshot_every,
+            seed: 42,
+            ..ServeConfig::default()
+        };
+        let mut wal = WalConfig::new(&ref_dir);
+        wal.sync = WalSyncPolicy::Always;
+        let stats = Arc::new(WalStats::default());
+        let pos = WriterPosition::default();
+        let mut w = WalWriter::open(&ref_dir, 0, wal, snapshot_every, stats, pos).unwrap();
+        let stream = "alpha".to_string();
+        let mut pipe = cfg.pipeline_for(&stream);
+        let mut window: VecDeque<&ItemSet> = VecDeque::new();
+        let kind = cfg.defense.kind;
+        w.append(&WalRecord::Open {
+            stream: stream.clone(),
+            kind,
+        })
+        .unwrap();
+        for batch in records.chunks(25) {
+            w.append(&WalRecord::Ingest {
+                stream: stream.clone(),
+                base: pipe.stream_len(),
+                batch: batch.to_vec(),
+            })
+            .unwrap();
+            for items in batch {
+                pipe.advance(butterfly_repro::common::Transaction::new(0, items.clone()));
+                window.push_back(items);
+                if window.len() > cfg.window {
+                    window.pop_front();
+                }
+                if pipe.window().is_full() && pipe.since_publish() >= cfg.every {
+                    log_publication(&mut w, &mut pipe, &window, &stream, kind, snapshot_every);
+                }
+            }
+        }
+        // The shutdown drain's flush.
+        if pipe.since_publish() > 0 {
+            log_publication(&mut w, &mut pipe, &window, &stream, kind, snapshot_every);
+        }
+
+        let (served, encoded) = (shard_files(&wal_dir), shard_files(&ref_dir));
+        let names =
+            |files: &[(String, Vec<u8>)]| files.iter().map(|f| f.0.clone()).collect::<Vec<_>>();
+        assert_eq!(
+            names(&served),
+            names(&encoded),
+            "snapshot-every {snapshot_every}"
+        );
+        assert!(
+            served == encoded,
+            "snapshot-every {snapshot_every}: served segments differ from the encoders' log"
+        );
+
+        drop(server);
+        for dir in [&wal_dir, &ref_dir] {
+            let _ = std::fs::remove_dir_all(dir);
+        }
+        let _ = std::fs::remove_file(&port_file);
+        let _ = std::fs::remove_file(port_file.with_extension("log"));
+    }
 }
