@@ -51,6 +51,13 @@
 //! stays inside its own boundary (bad JSON before the newline, a binary
 //! payload that does not decode to its declared length) is *recoverable*:
 //! the decoder consumes exactly that frame and the stream stays aligned.
+//!
+//! **One layout, two users.** The payload reader [`Cursor`] and the writers
+//! [`put_str`], [`put_ids`] and [`put_entries`] are public: the serve
+//! crate's write-ahead log lays its own records out through them, under its
+//! own checksummed header, so the little-endian layout above is written
+//! down here and nowhere else. The log's `ingest` and `release` records
+//! carry these payloads byte for byte.
 
 use crate::json::Parser;
 use crate::{Error, Item, ItemSet, Json, Result};
@@ -64,8 +71,10 @@ pub const BINARY_MAGIC: u8 = 0xBF;
 /// `magic + op + payload_len` — the fixed prefix of a binary frame.
 const HEADER_LEN: usize = 6;
 
-const OP_INGEST: u8 = 0x01;
-const OP_RELEASE: u8 = 0x02;
+/// Op of a binary `ingest` frame.
+pub const OP_INGEST: u8 = 0x01;
+/// Op of a binary `release` frame.
+pub const OP_RELEASE: u8 = 0x02;
 const OP_RELEASE_DELTA: u8 = 0x03;
 
 /// Which encoding a peer speaks for the hot-path verbs. Control traffic is
@@ -378,10 +387,7 @@ impl IngestChunk {
     pub fn decode(&mut self, payload: &[u8]) -> Result<String> {
         self.items.clear();
         self.ends.clear();
-        let mut c = Cursor {
-            buf: payload,
-            pos: 0,
-        };
+        let mut c = Cursor::new(payload);
         let stream = c.str()?;
         let count = c.u32()? as usize;
         let rest = payload.len() - c.pos;
@@ -597,7 +603,11 @@ fn canonicalize(items: &mut Vec<Item>, start: usize) {
 // Encoding
 // ---------------------------------------------------------------------------
 
-fn put_str(buf: &mut Vec<u8>, s: &str) {
+/// Append a `key`: its `u16` length, then its bytes.
+///
+/// # Panics
+/// If `s` is longer than 65 535 bytes.
+pub fn put_str(buf: &mut Vec<u8>, s: &str) {
     assert!(s.len() <= u16::MAX as usize, "key too long for the wire");
     buf.extend_from_slice(&(s.len() as u16).to_le_bytes());
     buf.extend_from_slice(s.as_bytes());
@@ -619,22 +629,30 @@ fn put_ingest<'a>(buf: &mut Vec<u8>, stream: &str, txs: impl ExactSizeIterator<I
     put_str(buf, stream);
     buf.extend_from_slice(&(txs.len() as u32).to_le_bytes());
     for tx in txs {
-        put_ids(buf, tx.iter().map(|i| i.id()), tx.len());
+        put_ids(buf, tx.iter().map(|i| i.id()));
     }
 }
 
-fn put_ids<I: IntoIterator<Item = u32>>(buf: &mut Vec<u8>, ids: I, len: usize) {
-    assert!(len <= u16::MAX as usize, "itemset too wide for the wire");
-    buf.extend_from_slice(&(len as u16).to_le_bytes());
+/// Append an `itemset`: its `u16` length, then each id.
+///
+/// # Panics
+/// If `ids` holds more than 65 535 ids.
+pub fn put_ids(buf: &mut Vec<u8>, ids: impl ExactSizeIterator<Item = u32>) {
+    assert!(
+        ids.len() <= u16::MAX as usize,
+        "itemset too wide for the wire"
+    );
+    buf.extend_from_slice(&(ids.len() as u16).to_le_bytes());
     for id in ids {
         buf.extend_from_slice(&id.to_le_bytes());
     }
 }
 
-fn put_entries(buf: &mut Vec<u8>, entries: &[BinaryEntry]) {
+/// Append a `count:u32` list of `entry`s.
+pub fn put_entries(buf: &mut Vec<u8>, entries: &[BinaryEntry]) {
     buf.extend_from_slice(&(entries.len() as u32).to_le_bytes());
     for e in entries {
-        put_ids(buf, e.ids.iter().copied(), e.ids.len());
+        put_ids(buf, e.ids.iter().copied());
         buf.extend_from_slice(&e.support.to_le_bytes());
     }
 }
@@ -685,7 +703,7 @@ impl BinaryFrame {
                 put_entries(payload, changed);
                 payload.extend_from_slice(&(removed.len() as u32).to_le_bytes());
                 for ids in removed {
-                    put_ids(payload, ids.iter().copied(), ids.len());
+                    put_ids(payload, ids.iter().copied());
                 }
                 OP_RELEASE_DELTA
             }
@@ -723,15 +741,28 @@ impl BinaryFrame {
 // Decoding
 // ---------------------------------------------------------------------------
 
-/// Cursor over one binary payload; every read is bounds-checked so a
-/// malformed frame dies with a parse error, never a panic.
-struct Cursor<'a> {
+/// Reader over one binary payload, front to back, in the layout above.
+/// Every read is bounds-checked, so a malformed payload — a torn or forged
+/// frame, or a damaged log record — dies with [`Error::Parse`], never a
+/// panic.
+#[derive(Debug)]
+pub struct Cursor<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
+    /// A reader at the start of `buf`.
+    pub fn new(buf: &'a [u8]) -> Cursor<'a> {
+        Cursor { buf, pos: 0 }
+    }
+
+    /// The next `n` bytes.
+    ///
+    /// # Errors
+    /// [`Error::Parse`] if fewer than `n` bytes are left.
+    #[inline]
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8]> {
         let end = self
             .pos
             .checked_add(n)
@@ -742,31 +773,45 @@ impl<'a> Cursor<'a> {
         Ok(s)
     }
 
-    fn u16(&mut self) -> Result<u16> {
+    /// A little-endian `u16`.
+    #[inline]
+    pub fn u16(&mut self) -> Result<u16> {
         Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
     }
 
-    fn u32(&mut self) -> Result<u32> {
+    /// A little-endian `u32`.
+    #[inline]
+    pub fn u32(&mut self) -> Result<u32> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
 
-    fn u64(&mut self) -> Result<u64> {
+    /// A little-endian `u64`.
+    #[inline]
+    pub fn u64(&mut self) -> Result<u64> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    fn i64(&mut self) -> Result<i64> {
+    /// A little-endian `i64`.
+    #[inline]
+    pub fn i64(&mut self) -> Result<i64> {
         Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    fn str(&mut self) -> Result<String> {
+    /// A `u16`-prefixed byte string, borrowed from the payload.
+    pub fn bytes(&mut self) -> Result<&'a [u8]> {
         let len = self.u16()? as usize;
-        let bytes = self.take(len)?;
-        std::str::from_utf8(bytes)
+        self.take(len)
+    }
+
+    /// A `key`: a `u16`-prefixed UTF-8 string.
+    pub fn str(&mut self) -> Result<String> {
+        std::str::from_utf8(self.bytes()?)
             .map(str::to_string)
             .map_err(|_| Error::Parse("binary frame key is not utf-8".into()))
     }
 
-    fn ids(&mut self) -> Result<Vec<u32>> {
+    /// An `itemset`'s ids.
+    pub fn ids(&mut self) -> Result<Vec<u32>> {
         let n = self.u16()? as usize;
         let mut ids = Vec::with_capacity(n.min(1024));
         for _ in 0..n {
@@ -775,7 +820,8 @@ impl<'a> Cursor<'a> {
         Ok(ids)
     }
 
-    fn entries(&mut self) -> Result<Vec<BinaryEntry>> {
+    /// A `count:u32` list of `entry`s.
+    pub fn entries(&mut self) -> Result<Vec<BinaryEntry>> {
         let n = self.u32()? as usize;
         let mut out = Vec::with_capacity(n.min(4096));
         for _ in 0..n {
@@ -786,7 +832,11 @@ impl<'a> Cursor<'a> {
         Ok(out)
     }
 
-    fn finish(self) -> Result<()> {
+    /// The end of the payload.
+    ///
+    /// # Errors
+    /// [`Error::Parse`] naming the bytes left unread.
+    pub fn finish(self) -> Result<()> {
         if self.pos == self.buf.len() {
             Ok(())
         } else {
@@ -799,10 +849,7 @@ impl<'a> Cursor<'a> {
 }
 
 fn decode_payload(op: u8, payload: &[u8]) -> Result<BinaryFrame> {
-    let mut c = Cursor {
-        buf: payload,
-        pos: 0,
-    };
+    let mut c = Cursor::new(payload);
     let frame = match op {
         OP_INGEST => {
             let mut chunk = IngestChunk::new();
@@ -1177,7 +1224,7 @@ mod tests {
         put_str(&mut p, stream);
         p.extend_from_slice(&(txs.len() as u32).to_le_bytes());
         for ids in txs {
-            put_ids(&mut p, ids.iter().copied(), ids.len());
+            put_ids(&mut p, ids.iter().copied());
         }
         p
     }

@@ -165,20 +165,31 @@ impl<D: PrivacyDefense> StreamPipeline<D> {
     }
 
     /// Records fed since the last publication (or since the stream began,
-    /// before the first one). Cadence-driven callers publish when this
-    /// reaches their `every` and the window is full.
+    /// before the first one).
     pub fn since_publish(&self) -> usize {
         self.since_publish
     }
 
-    /// Drain hook: publish the window iff it is full **and** records arrived
-    /// since the last publication — i.e. the stream still owes its
-    /// subscribers a release. Returns `None` both for a window that never
-    /// filled (partial windows are unpublishable by design — their supports
-    /// are not comparable to full-window ones and would leak the warm-up
-    /// phase) and for a stream already published up to date.
+    /// The publication cadence: the window is full and at least `every`
+    /// records arrived since the last publication. Every cadence-driven
+    /// caller publishes exactly when this holds, checked after each record.
+    pub fn due(&self, every: usize) -> bool {
+        self.window().is_full() && self.since_publish >= every
+    }
+
+    /// The drain rule: the window is full and records arrived since the last
+    /// publication — the stream still owes its subscribers a release.
+    pub fn owes(&self) -> bool {
+        self.due(1)
+    }
+
+    /// Drain hook: publish the window iff it [`owes`](Self::owes) a
+    /// release. Returns `None` both for a window that never filled (partial
+    /// windows are unpublishable by design — their supports are not
+    /// comparable to full-window ones and would leak the warm-up phase) and
+    /// for a stream already published up to date.
     pub fn flush(&mut self) -> Option<WindowRelease> {
-        if !self.window().is_full() || self.since_publish == 0 {
+        if !self.owes() {
             return None;
         }
         self.publish_now().ok()
@@ -423,15 +434,21 @@ mod tests {
             pipe.advance(t);
         }
         assert_eq!(pipe.since_publish(), 3);
+        assert!(
+            !pipe.owes() && !pipe.due(1),
+            "a partial window is never due"
+        );
         assert!(pipe.flush().is_none(), "flushed a partial window");
         // Fill past the window without publishing: flush owes a release.
         for t in stream.iter().skip(3).cloned() {
             pipe.advance(t);
         }
         assert_eq!(pipe.since_publish(), stream.len());
+        assert!(pipe.owes() && pipe.due(stream.len()) && !pipe.due(stream.len() + 1));
         let r = pipe.flush().expect("full window with pending records");
         assert_eq!(r.stream_len, stream.len() as u64);
         assert_eq!(pipe.since_publish(), 0);
+        assert!(!pipe.owes() && pipe.due(0));
         // Published up to date: a second flush owes nothing.
         assert!(pipe.flush().is_none(), "flushed twice with no new records");
     }

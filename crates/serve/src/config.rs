@@ -162,6 +162,16 @@ pub fn parse_node_list(s: &str) -> Result<Vec<std::net::SocketAddr>, String> {
     Ok(nodes)
 }
 
+/// Per-connection outbound queue capacity (replies + subscription events):
+/// a subscriber that falls this far behind is disconnected rather than
+/// buffered without bound.
+pub(crate) const OUT_QUEUE_CAP: usize = 256;
+
+/// Decoded ingest transactions are submitted to shard workers in chunks of
+/// up to this many (clamped to `queue_cap`), amortizing one channel
+/// operation per chunk instead of per transaction.
+const INGEST_CHUNK: usize = 256;
+
 /// Everything a [`crate::Server`] needs to know: the Butterfly deployment
 /// parameters applied to every tenant stream, and the service's own knobs
 /// (shard count, queue bounds).
@@ -201,18 +211,10 @@ pub struct ServeConfig {
     /// Per-shard ingress queue capacity; a full queue sheds with an explicit
     /// `overloaded` reply instead of buffering without bound.
     pub queue_cap: usize,
-    /// Per-connection outbound queue capacity (replies + subscription
-    /// events); a subscriber that falls this far behind is disconnected
-    /// rather than buffered without bound.
-    pub out_queue_cap: usize,
     /// Frame cap in bytes, enforced on both wire encodings: an NDJSON line
     /// this long without a newline, or a binary header announcing a payload
     /// over it, is fatal for the connection.
     pub max_frame_bytes: usize,
-    /// Decoded ingest transactions are submitted to shard workers in chunks
-    /// of up to this many (clamped to `queue_cap`), amortizing one channel
-    /// operation per chunk instead of per transaction.
-    pub ingest_chunk: usize,
     /// Base seed, the deployment's secret: combined with each stream key by
     /// [`stream_seed`], it keys every noise draw of every stream. The CLI
     /// draws it from the OS unless `--seed` is given, and a node with a WAL
@@ -250,9 +252,7 @@ impl Default for ServeConfig {
             every: 100,
             snapshot_every: 1,
             queue_cap: 1024,
-            out_queue_cap: 256,
             max_frame_bytes: bfly_common::ndjson::MAX_FRAME_BYTES,
-            ingest_chunk: 256,
             seed: 0,
             wal: None,
             role: ServeRole::Node,
@@ -270,9 +270,7 @@ impl ServeConfig {
             ("every", self.every),
             ("snapshot-every", self.snapshot_every),
             ("queue-cap", self.queue_cap),
-            ("out-queue-cap", self.out_queue_cap),
             ("max-frame-bytes", self.max_frame_bytes),
-            ("ingest-chunk", self.ingest_chunk),
         ] {
             if v == 0 {
                 return Err(format!("{name} must be positive"));
@@ -351,11 +349,11 @@ impl ServeConfig {
         StreamPipeline::new(self.window, defense)
     }
 
-    /// The ingest submission chunk actually used: the configured size,
-    /// clamped to the queue capacity so a single chunk can always be
-    /// accepted by an empty queue.
+    /// The ingest submission chunk actually used: 256 transactions, clamped
+    /// to the queue capacity so a single chunk can always be accepted by an
+    /// empty queue.
     pub fn effective_ingest_chunk(&self) -> usize {
-        self.ingest_chunk.min(self.queue_cap).max(1)
+        INGEST_CHUNK.min(self.queue_cap).max(1)
     }
 }
 
@@ -390,7 +388,7 @@ mod tests {
 
     #[test]
     fn zero_knobs_rejected() {
-        for field in 0..8 {
+        for field in 0..6 {
             let mut cfg = ServeConfig::default();
             match field {
                 0 => cfg.shards = 0,
@@ -398,9 +396,7 @@ mod tests {
                 2 => cfg.every = 0,
                 3 => cfg.snapshot_every = 0,
                 4 => cfg.queue_cap = 0,
-                5 => cfg.out_queue_cap = 0,
-                6 => cfg.max_frame_bytes = 0,
-                _ => cfg.ingest_chunk = 0,
+                _ => cfg.max_frame_bytes = 0,
             }
             assert!(cfg.validate().is_err(), "field {field} accepted zero");
         }
@@ -489,16 +485,13 @@ mod tests {
     fn ingest_chunk_clamps_to_queue_cap() {
         let cfg = ServeConfig {
             queue_cap: 4,
-            ingest_chunk: 256,
             ..ServeConfig::default()
         };
         assert_eq!(cfg.effective_ingest_chunk(), 4);
-        let cfg = ServeConfig {
-            queue_cap: 1024,
-            ingest_chunk: 32,
-            ..ServeConfig::default()
-        };
-        assert_eq!(cfg.effective_ingest_chunk(), 32);
+        assert_eq!(
+            ServeConfig::default().effective_ingest_chunk(),
+            INGEST_CHUNK
+        );
     }
 
     #[test]

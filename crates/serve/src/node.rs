@@ -261,14 +261,19 @@ mod tests {
         let _ = std::fs::remove_dir_all(&root);
         let cfg = ServeConfig {
             shards: 1,
-            ingest_chunk: 4,
             wal: Some(WalConfig::new(&root)),
             ..ServeConfig::default()
         };
-        let sent: Vec<ItemSet> = (0..50).map(|i| ItemSet::from_ids([i, 100 + i])).collect();
+        // Three pieces at the default chunk, all within the queue and the
+        // window.
+        let n = 2 * cfg.effective_ingest_chunk() + 88;
+        assert!(n <= cfg.queue_cap && n <= cfg.window);
+        let sent: Vec<ItemSet> = (0..n as u32)
+            .map(|i| ItemSet::from_ids([i, 100 + i]))
+            .collect();
         let (core, workers) = NodeCore::start(&cfg, &Arc::new(SubscriberRegistry::new())).unwrap();
         let reply = core.ingest(&cfg, "k", IngestChunk::from_itemsets(&sent));
-        assert_eq!(reply.get("accepted").and_then(Json::as_u64), Some(50));
+        assert_eq!(reply.get("accepted").and_then(Json::as_u64), Some(n as u64));
         drain(core, workers);
 
         let wal_cfg = cfg.wal.as_ref().unwrap();
@@ -298,7 +303,6 @@ mod tests {
 
         let cfg = ServeConfig {
             shards: 1,
-            ingest_chunk: 16,
             queue_cap: 16,
             ..ServeConfig::default()
         };

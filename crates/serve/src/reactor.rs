@@ -56,6 +56,7 @@ pub use stub::{spawn, EventSink, Mail, Runtime};
     any(target_arch = "x86_64", target_arch = "aarch64")
 ))]
 mod imp {
+    use crate::config::OUT_QUEUE_CAP;
     use crate::fanout::{json_line, OutBytes};
     use crate::protocol::error_reply;
     use crate::router::{Loop, Router};
@@ -784,7 +785,7 @@ mod imp {
                             conn: conn_id,
                             shared: self.shared.clone(),
                             pending: AtomicUsize::new(0),
-                            cap: self.srv.cfg.out_queue_cap,
+                            cap: OUT_QUEUE_CAP,
                             closed: AtomicBool::new(false),
                         });
                         let conn = Conn {
@@ -879,9 +880,7 @@ mod imp {
                 return;
             };
             let mut want = 0;
-            if !(conn.closing || conn.eof || conn.stalled)
-                && conn.wbuf.len() <= self.srv.cfg.out_queue_cap
-            {
+            if !(conn.closing || conn.eof || conn.stalled) && conn.wbuf.len() <= OUT_QUEUE_CAP {
                 want |= sys::EPOLLIN;
             }
             if !conn.wbuf.is_empty() {

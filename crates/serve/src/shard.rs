@@ -307,7 +307,7 @@ impl Shard {
             // The pipeline assigns the tid from the stream position.
             state.pipe.advance_items(items);
             advanced += 1;
-            if state.pipe.window().is_full() && state.pipe.since_publish() >= cfg.every {
+            if state.pipe.due(cfg.every) {
                 let log = self.log.as_mut();
                 match publish(cfg, log, &self.registry, &self.stats, key, state) {
                     Ok(took) => publishing += took,
@@ -337,10 +337,7 @@ impl Shard {
         keys.sort();
         for key in keys {
             let state = self.pipelines.get_mut(&key).expect("key just listed");
-            if self.stats.read_only.get().is_none()
-                && state.pipe.window().is_full()
-                && state.pipe.since_publish() > 0
-            {
+            if self.stats.read_only.get().is_none() && state.pipe.owes() {
                 let rebuilds = state.pipe.miner().rebuilds();
                 let log = self.log.as_mut();
                 let published = publish(&self.cfg, log, &self.registry, &self.stats, &key, state);
@@ -454,7 +451,6 @@ mod tests {
             every: 2,
             snapshot_every: 1,
             queue_cap: 64,
-            out_queue_cap: 64,
             seed: 1,
             ..ServeConfig::default()
         }
@@ -609,7 +605,7 @@ mod tests {
             let mut pipe = cfg.pipeline_for(key);
             for items in &batch {
                 pipe.advance_items(items.items());
-                if pipe.window().is_full() && pipe.since_publish() >= cfg.every {
+                if pipe.due(cfg.every) {
                     pipe.publish_now().expect("a full window");
                 }
             }

@@ -5,6 +5,13 @@
 //! 0xBF | op:u8 | payload_len:u32 | seq:u64 | crc32:u32 | payload
 //! ```
 //!
+//! The log's layout is the frame codec's plus the log's header: every
+//! payload is written through [`bfly_common::frame`]'s writers (`put_str`,
+//! `put_ids`, [`BinaryFrame`]'s payload encoders) and read back through its
+//! [`Cursor`], and the magic byte and the two wire ops are the codec's
+//! constants. This module owns only the header — `seq` and the checksum —
+//! and the two WAL-only ops.
+//!
 //! All integers little-endian. `seq` increments by exactly one per record
 //! across the whole shard log (spanning segment files), so replay can tell a
 //! compacted prefix (the first retained record carries whatever sequence it
@@ -54,13 +61,11 @@
 //! records of its stream.
 
 use bfly_common::crc32::Crc32;
+use bfly_common::frame::{put_ids, put_str, Cursor, BINARY_MAGIC, OP_INGEST, OP_RELEASE};
 use bfly_common::{BinaryEntry, BinaryFrame, Error, IngestChunk, ItemSet, Result};
 use bfly_core::defense::DefenseKind;
 use bfly_core::pipeline::WindowView;
 use bfly_core::SanitizedRelease;
-
-/// First byte of every record (shared with the wire's binary frames).
-pub(crate) const WAL_MAGIC: u8 = 0xBF;
 
 /// `magic + op + payload_len + seq + crc` — the fixed record prefix.
 pub(crate) const HEADER_LEN: usize = 18;
@@ -69,8 +74,6 @@ pub(crate) const HEADER_LEN: usize = 18;
 /// covered by the checksum; everything after it is payload, also covered).
 const CRC_OFFSET: usize = 14;
 
-pub(crate) const OP_INGEST: u8 = 0x01;
-pub(crate) const OP_RELEASE: u8 = 0x02;
 pub(crate) const OP_OPEN: u8 = 0x10;
 pub(crate) const OP_SNAPSHOT: u8 = 0x11;
 
@@ -143,20 +146,6 @@ pub enum WalRecord {
     Snapshot(StreamSnapshot),
 }
 
-fn put_str(buf: &mut Vec<u8>, s: &str) {
-    assert!(s.len() <= u16::MAX as usize, "string too long for the log");
-    buf.extend_from_slice(&(s.len() as u16).to_le_bytes());
-    buf.extend_from_slice(s.as_bytes());
-}
-
-fn put_ids(buf: &mut Vec<u8>, ids: impl ExactSizeIterator<Item = u32>) {
-    assert!(ids.len() <= u16::MAX as usize, "itemset too wide");
-    buf.extend_from_slice(&(ids.len() as u16).to_le_bytes());
-    for id in ids {
-        buf.extend_from_slice(&id.to_le_bytes());
-    }
-}
-
 /// The fields a `snapshot` payload opens with, before its two lists.
 pub(crate) struct SnapshotHead<'a> {
     /// Stream key.
@@ -207,73 +196,11 @@ where
     OP_SNAPSHOT
 }
 
-/// Bounds-checked reader over one payload; malformed bytes surface as
-/// parse errors, never panics (the log may be torn or bit-flipped).
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| Error::Parse("wal record truncated inside payload".into()))?;
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u16(&mut self) -> Result<u16> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
-    fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn i64(&mut self) -> Result<i64> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn str(&mut self) -> Result<String> {
-        let len = self.u16()? as usize;
-        std::str::from_utf8(self.take(len)?)
-            .map(str::to_string)
-            .map_err(|_| Error::Parse("wal record string is not utf-8".into()))
-    }
-
-    fn ids(&mut self) -> Result<Vec<u32>> {
-        let n = self.u16()? as usize;
-        let mut ids = Vec::with_capacity(n.min(1024));
-        for _ in 0..n {
-            ids.push(self.u32()?);
-        }
-        Ok(ids)
-    }
-
-    fn kind(&mut self) -> Result<DefenseKind> {
-        let name = self.str()?;
-        DefenseKind::from_name(&name)
-            .ok_or_else(|| Error::Parse(format!("wal record names unknown defense {name:?}")))
-    }
-
-    fn finish(self) -> Result<()> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(Error::Parse(format!(
-                "wal record has {} trailing payload bytes",
-                self.buf.len() - self.pos
-            )))
-        }
-    }
+/// A `kind`: the name of the defense a stream is bound to.
+fn kind(c: &mut Cursor) -> Result<DefenseKind> {
+    let name = c.str()?;
+    DefenseKind::from_name(&name)
+        .ok_or_else(|| Error::Parse(format!("wal record names unknown defense {name:?}")))
 }
 
 impl WalRecord {
@@ -337,69 +264,52 @@ impl WalRecord {
     }
 
     fn decode_payload(op: u8, payload: &[u8]) -> Result<WalRecord> {
-        match op {
+        let mut c = Cursor::new(payload);
+        let rec = match op {
             OP_INGEST => {
-                if payload.len() < 8 {
-                    return Err(Error::Parse(
-                        "wal ingest record shorter than its base position".into(),
-                    ));
-                }
-                let base = u64::from_le_bytes(payload[..8].try_into().unwrap());
-                match BinaryFrame::decode_payload(op, &payload[8..])? {
-                    BinaryFrame::Ingest { stream, batch } => Ok(WalRecord::Ingest {
+                // The base, then the wire ingest payload.
+                let base = c.u64()?;
+                let mut chunk = IngestChunk::new();
+                let stream = chunk.decode(&payload[8..])?;
+                return Ok(WalRecord::Ingest {
+                    stream,
+                    base,
+                    batch: chunk.to_itemsets(),
+                });
+            }
+            OP_RELEASE => {
+                return match BinaryFrame::decode_payload(op, payload)? {
+                    BinaryFrame::Release {
                         stream,
-                        base,
-                        batch,
+                        stream_len,
+                        entries,
+                    } => Ok(WalRecord::Release {
+                        stream,
+                        stream_len,
+                        entries,
                     }),
                     other => Err(Error::Parse(format!(
-                        "wal ingest op decoded to unexpected {other:?}"
+                        "wal frame op decoded to unexpected {other:?}"
                     ))),
                 }
             }
-            OP_RELEASE => match BinaryFrame::decode_payload(op, payload)? {
-                BinaryFrame::Release {
-                    stream,
-                    stream_len,
-                    entries,
-                } => Ok(WalRecord::Release {
-                    stream,
-                    stream_len,
-                    entries,
-                }),
-                other => Err(Error::Parse(format!(
-                    "wal frame op decoded to unexpected {other:?}"
-                ))),
+            OP_OPEN => WalRecord::Open {
+                stream: c.str()?,
+                kind: kind(&mut c)?,
             },
-            OP_OPEN => {
-                let mut c = Cursor {
-                    buf: payload,
-                    pos: 0,
-                };
-                let stream = c.str()?;
-                let kind = c.kind()?;
-                c.finish()?;
-                Ok(WalRecord::Open { stream, kind })
-            }
             OP_SNAPSHOT => {
-                let mut c = Cursor {
-                    buf: payload,
-                    pos: 0,
-                };
                 let stream = c.str()?;
-                let kind = c.kind()?;
+                let kind = kind(&mut c)?;
                 let stream_len = c.u64()?;
                 let published = c.u64()?;
                 let last_len = c.u64()?;
                 let np = c.u32()? as usize;
                 let mut prev_release = Vec::with_capacity(np.min(4096));
                 for _ in 0..np {
-                    let ids = c.ids()?;
-                    let true_support = c.u64()?;
-                    let sanitized = c.i64()?;
                     prev_release.push(SnapshotEntry {
-                        ids,
-                        true_support,
-                        sanitized,
+                        ids: c.ids()?,
+                        true_support: c.u64()?,
+                        sanitized: c.i64()?,
                     });
                 }
                 let nw = c.u32()? as usize;
@@ -407,8 +317,7 @@ impl WalRecord {
                 for _ in 0..nw {
                     window.push(c.ids()?);
                 }
-                c.finish()?;
-                Ok(WalRecord::Snapshot(StreamSnapshot {
+                WalRecord::Snapshot(StreamSnapshot {
                     stream,
                     kind,
                     stream_len,
@@ -416,10 +325,12 @@ impl WalRecord {
                     last_len,
                     prev_release,
                     window,
-                }))
+                })
             }
-            other => Err(Error::Parse(format!("unknown wal op 0x{other:02x}"))),
-        }
+            other => return Err(Error::Parse(format!("unknown wal op 0x{other:02x}"))),
+        };
+        c.finish()?;
+        Ok(rec)
     }
 
     /// The stream key the record belongs to.
@@ -476,7 +387,7 @@ pub(crate) fn encode_snapshot(
 /// written in place — no payload is built apart and copied.
 fn framed(out: &mut Vec<u8>, seq: u64, put: impl FnOnce(&mut Vec<u8>) -> u8) {
     out.clear();
-    out.extend_from_slice(&[WAL_MAGIC, 0, 0, 0, 0, 0]);
+    out.extend_from_slice(&[BINARY_MAGIC, 0, 0, 0, 0, 0]);
     out.extend_from_slice(&seq.to_le_bytes());
     out.extend_from_slice(&[0; HEADER_LEN - CRC_OFFSET]);
     out[1] = put(out);
@@ -503,15 +414,13 @@ impl Decode<'_> {
     fn wants(self, op: u8, payload: &[u8]) -> bool {
         match self {
             Decode::All => true,
-            // A release payload opens with its key, a `u16` length and the
-            // bytes. One too short to hold its key is decoded, and fails.
+            // A release payload opens with its key. One too short to hold
+            // its key is decoded, and fails.
             Decode::ReleasesOf(stream) => {
                 op == OP_RELEASE
-                    && payload
-                        .get(..2)
-                        .map(|n| 2 + u16::from_le_bytes([n[0], n[1]]) as usize)
-                        .and_then(|end| payload.get(2..end))
-                        .is_none_or(|key| key == stream.as_bytes())
+                    && Cursor::new(payload)
+                        .bytes()
+                        .map_or(true, |key| key == stream.as_bytes())
             }
         }
     }
@@ -562,7 +471,7 @@ pub(crate) enum Scan {
 pub(crate) fn declared_len(buf: &[u8]) -> Option<usize> {
     let h = buf.get(..HEADER_LEN)?;
     let payload_len = u32::from_le_bytes(h[2..6].try_into().unwrap()) as usize;
-    (h[0] == WAL_MAGIC).then(|| HEADER_LEN.saturating_add(payload_len))
+    (h[0] == BINARY_MAGIC).then(|| HEADER_LEN.saturating_add(payload_len))
 }
 
 /// Scan the record starting at `pos` in a segment buffer, decoding it if
@@ -577,7 +486,7 @@ pub(crate) fn scan_one(buf: &[u8], pos: usize, decode: Decode) -> Scan {
         };
     }
     let h = &buf[pos..pos + HEADER_LEN];
-    if h[0] != WAL_MAGIC {
+    if h[0] != BINARY_MAGIC {
         return Scan::Corrupt {
             reason: format!("bad magic 0x{:02x}", h[0]),
         };
@@ -1011,6 +920,43 @@ pub(crate) mod tests {
         ));
         let other = undecodable_release("kk", 1);
         assert!(matches!(scan_one(&other, 0, only), Scan::Skipped { .. }));
+    }
+
+    #[test]
+    fn a_resealed_cut_or_padded_payload_is_undecodable() {
+        // The checksum is made to hold, so only the payload reader can
+        // object: every cut of each op's payload, and one byte appended.
+        // The W 2000 snapshot is cut everywhere within a KiB of either end
+        // and every 997 bytes between.
+        let resealed = |clean: &[u8], payload_len: usize, extra: &[u8]| {
+            let mut bytes = clean[..HEADER_LEN + payload_len].to_vec();
+            bytes.extend_from_slice(extra);
+            reseal(&mut bytes);
+            bytes
+        };
+        let small = samples().into_iter().map(|rec| (rec, false));
+        for (rec, big) in small.chain([(w2000_snapshot(), true)]) {
+            let clean = rec.encode(5);
+            let len = clean.len() - HEADER_LEN;
+            let cuts: Vec<usize> = if big {
+                (0..1024)
+                    .chain((1024..len - 1024).step_by(997))
+                    .chain(len - 1024..len)
+                    .collect()
+            } else {
+                (0..len).collect()
+            };
+            let cases = cuts
+                .into_iter()
+                .map(|cut| (cut, resealed(&clean, cut, &[])))
+                .chain([(len + 1, resealed(&clean, len, &[0]))]);
+            for (at, bytes) in cases {
+                match scan_one(&bytes, 0, Decode::All) {
+                    Scan::Undecodable { .. } => {}
+                    other => panic!("op {:#04x} at {at} of {len}: {other:?}", clean[1]),
+                }
+            }
+        }
     }
 
     #[test]

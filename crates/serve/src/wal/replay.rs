@@ -346,7 +346,7 @@ pub(crate) fn recover_shard_in(
                     "wal for shard {shard} is corrupt: {e} (move the wal dir aside to start fresh)"
                 ))
             })?;
-            if st.pipe.window().is_full() && st.pipe.since_publish() >= cfg.every {
+            if st.pipe.due(cfg.every) {
                 if let (_, Step::Published(_)) = st.publish_and_log(cfg, &key, Some(&mut writer))? {
                     state.recovered_windows += 1;
                 }
@@ -775,8 +775,7 @@ mod tests {
                 }
                 for &i in part {
                     self.st.pipe.advance(Transaction::new(0, record(i)));
-                    if self.st.pipe.window().is_full() && self.st.pipe.since_publish() >= cfg.every
-                    {
+                    if self.st.pipe.due(cfg.every) {
                         let step = self.st.publish_and_log(cfg, key, writer.as_deref_mut());
                         let (_, Step::Published(p)) = step.unwrap() else {
                             panic!("an honest defense withheld a release");

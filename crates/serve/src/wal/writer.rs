@@ -27,8 +27,9 @@
 
 use crate::config::{WalConfig, WalSyncPolicy};
 use crate::stats::WalStats;
-use crate::wal::record::{self, SnapshotHead, WalRecord, OP_INGEST, OP_OPEN, OP_SNAPSHOT};
+use crate::wal::record::{self, SnapshotHead, WalRecord, OP_OPEN, OP_SNAPSHOT};
 use crate::wal::segment::{FsStore, SegmentHandle, SegmentId, SegmentStore};
+use bfly_common::frame::OP_INGEST;
 use bfly_common::{IngestChunk, Result};
 use bfly_core::defense::DefenseKind;
 use bfly_core::pipeline::WindowView;

@@ -97,6 +97,18 @@ if [[ -n "$INGESTS" ]]; then
   echo "an ingest is handled as a Request again; FrameCodec::next_inbound hands both encodings over as Inbound::Ingest"; exit 1
 fi
 
+echo "==> one-layout guard (the wire and the log share one binary layout: outside the frame codec, no non-test code defines a payload reader, a payload writer or the 0xBF magic)"
+LAYOUTS=$(for f in $(find crates/*/src src -name '*.rs' | sort); do
+  [[ "$f" == crates/common/src/frame.rs ]] && continue
+  sed -E '/^ *(pub\(crate\) )?mod tests \{/,$d' "$f" \
+    | grep -nE '\bstruct Cursor\b|\bfn put_(str|ids|entries)\b|: *u8 *= *0x[bB][fF]\b' \
+    | grep -v '^[0-9]*: *//' | sed "s|^|$f:|"
+done || true)
+if [[ -n "$LAYOUTS" ]]; then
+  echo "$LAYOUTS"
+  echo "a second copy of the binary layout; read and write payloads through bfly_common::frame's Cursor and put_* writers"; exit 1
+fi
+
 echo "==> one-storage guard (every file-system call of the WAL sits in its segment store: the writer, recovery and catch-up reach segments only through SegmentStore)"
 STORAGE=$(for f in $(find crates/serve/src/wal -name '*.rs' | sort); do
   [[ "$f" == crates/serve/src/wal/segment.rs ]] && continue

@@ -82,8 +82,7 @@ USAGE:
   butterfly serve   [--addr <ip:port>] [--shards <N>] [--window <H>] [--min-support <C>]
                     [--vulnerable <K>] [--epsilon <E>] [--delta <D>] [--scheme <...>]
                     [--lambda <L>] [--gamma <G>] [--every <N>]
-                    [--snapshot-every <N>] [--seed <S>] [--queue-cap <N>] [--out-queue-cap <N>]
-                    [--max-frame-bytes <N>] [--ingest-chunk <N>]
+                    [--snapshot-every <N>] [--seed <S>] [--max-frame-bytes <N>]
                     [--port-file <path>] [--wal-dir <dir>] [--wal-sync <always|interval:N|never>]
                     [--defense <...>] [--dp-budget <E>] [--dp-top-k <N>]
                     [--role <node|router>] [--nodes <ip:port,ip:port,...>]
@@ -103,8 +102,7 @@ fresh one from /dev/urandom (`protect` names it on stderr); `serve --wal-dir`
 stores it once in the log directory and later starts use the stored one.
 `serve` runs every connection on one epoll event-loop thread (Linux).
 Clients negotiate NDJSON or binary framing per frame by leading byte;
-`--max-frame-bytes` caps both encodings and `--ingest-chunk` sets the
-batch size for shard submissions.
+`--max-frame-bytes` caps both encodings.
 
 `serve --wal-dir` turns on the per-shard write-ahead release log: every
 accepted ingest and every publication is logged (durability per --wal-sync,
@@ -195,11 +193,8 @@ const FLAG_TABLE: &[(&str, &[(&str, bool)])] = &[
             ("every", true),
             ("snapshot-every", true),
             ("seed", true),
-            ("queue-cap", true),
-            ("out-queue-cap", true),
             ("io", true), // a no-op kept for the frozen benchmark; see cmd_serve
             ("max-frame-bytes", true),
-            ("ingest-chunk", true),
             ("port-file", true),
             ("wal-dir", true),
             ("wal-sync", true),
@@ -379,7 +374,7 @@ fn cmd_protect(flags: &Flags) -> Result<(), String> {
     let mut published = 0usize;
     for record in db.records() {
         pipeline.advance(record.clone());
-        if pipeline.window().is_full() && pipeline.since_publish() >= every {
+        if pipeline.due(every) {
             let release = pipeline.publish_now().map_err(|e| e.to_string())?;
             let line = Json::obj([
                 ("stream_len", Json::from(release.stream_len)),
@@ -433,12 +428,6 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     if let Some(v) = flags.get("snapshot-every") {
         cfg.snapshot_every = parse(v, "snapshot-every")?;
     }
-    if let Some(v) = flags.get("queue-cap") {
-        cfg.queue_cap = parse(v, "queue-cap")?;
-    }
-    if let Some(v) = flags.get("out-queue-cap") {
-        cfg.out_queue_cap = parse(v, "out-queue-cap")?;
-    }
     // Accepted and ignored: there is one I/O engine, but the frozen
     // benchmark still starts its router with `--io blocking`
     // (benchmark/src/drive.rs:58). Delete with that line.
@@ -449,9 +438,6 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     }
     if let Some(v) = flags.get("max-frame-bytes") {
         cfg.max_frame_bytes = parse(v, "max-frame-bytes")?;
-    }
-    if let Some(v) = flags.get("ingest-chunk") {
-        cfg.ingest_chunk = parse(v, "ingest-chunk")?;
     }
     if let Some(dir) = flags.get("wal-dir") {
         let mut wal = WalConfig::new(dir);

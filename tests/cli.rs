@@ -547,7 +547,7 @@ fn a_known_seed_decodes_the_seeded_run_and_not_the_default_one() {
     let mut truth: Vec<HashMap<Vec<u64>, i64>> = Vec::new();
     for record in dat::load_dat(&dat).unwrap().records() {
         pipe.advance(record.clone());
-        if pipe.window().is_full() && pipe.since_publish() >= 100 {
+        if pipe.due(100) {
             let r = pipe.publish_now().unwrap();
             let ids = |e: &butterfly_repro::butterfly::SanitizedItemset| {
                 e.itemset().items().iter().map(|i| i.id() as u64).collect()

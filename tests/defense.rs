@@ -220,7 +220,7 @@ fn serve_publishes_each_defense_byte_identically_and_drains() {
         let mut expected: Vec<String> = Vec::new();
         for items in &records {
             pipe.advance(Transaction::new(0, items.clone()));
-            if pipe.window().is_full() && pipe.since_publish() >= cfg.every {
+            if pipe.due(cfg.every) {
                 let r = pipe.publish_now().expect("full window");
                 expected.push(release_line("smoke", r.stream_len, &r.release));
             }

@@ -56,7 +56,7 @@ fn network_releases_bit_identical_to_in_process() {
     let mut expected: Vec<String> = Vec::new();
     for items in &records {
         pipe.advance(butterfly_repro::common::Transaction::new(0, items.clone()));
-        if pipe.window().is_full() && pipe.since_publish() >= cfg.every {
+        if pipe.due(cfg.every) {
             let r = pipe.publish_now().expect("full window");
             expected.push(release_line("alpha", r.stream_len, &r.release));
         }
@@ -150,7 +150,7 @@ fn mid_stream_subscriber_reconstructs_from_snapshot_and_deltas() {
     let mut final_release_line = None;
     for items in &records {
         pipe.advance(butterfly_repro::common::Transaction::new(0, items.clone()));
-        if pipe.window().is_full() && pipe.since_publish() >= cfg.every {
+        if pipe.due(cfg.every) {
             let r = pipe.publish_now().expect("full window");
             final_release_line = Some(release_line("alpha", r.stream_len, &r.release));
         }
@@ -437,7 +437,7 @@ fn bind_overrides_one_streams_defense_before_first_ingest() {
         let mut lines = Vec::new();
         for items in &records {
             pipe.advance(butterfly_repro::common::Transaction::new(0, items.clone()));
-            if pipe.window().is_full() && pipe.since_publish() >= cfg.every {
+            if pipe.due(cfg.every) {
                 let r = pipe.publish_now().expect("full window");
                 lines.push(release_line(key, r.stream_len, &r.release));
             }
@@ -563,7 +563,7 @@ fn binary_and_json_subscribers_see_identical_releases() {
     let mut expected: Vec<String> = Vec::new();
     for items in &records {
         pipe.advance(butterfly_repro::common::Transaction::new(0, items.clone()));
-        if pipe.window().is_full() && pipe.since_publish() >= cfg.every {
+        if pipe.due(cfg.every) {
             let r = pipe.publish_now().expect("full window");
             expected.push(release_line("alpha", r.stream_len, &r.release));
         }
@@ -1076,7 +1076,7 @@ fn late_subscriber_catches_up_from_the_wal() {
     let mut expected: Vec<String> = Vec::new();
     for items in &records {
         pipe.advance(butterfly_repro::common::Transaction::new(0, items.clone()));
-        if pipe.window().is_full() && pipe.since_publish() >= cfg.every {
+        if pipe.due(cfg.every) {
             let r = pipe.publish_now().expect("full window");
             expected.push(release_line("alpha", r.stream_len, &r.release));
         }
