@@ -731,10 +731,11 @@ fn tune(opts: &Opts) {
 /// the checkpoints alternately 97 and 151 slides apart (`--quick`) or 83 and
 /// 211. A settle walks its queue unless the queue holds a whole window
 /// (2 · interval ≥ W), when it rebuilds the tree. Every shape walks at the
-/// short interval; the w=300 shapes rebuild at the long one (the two sum to
-/// less than 300, so the turnover re-rank cannot empty the queue first) and
-/// the w=1200 shapes never rebuild at a settle. A shape whose settles take
-/// other paths than those fails the run, and the run prints each count.
+/// short interval; the w=300 shapes (C 8, and C 60 at the ingest contract's
+/// C = W/5) rebuild at the long one (the two sum to less than 300, so the
+/// turnover re-rank cannot empty the queue first) and the w=1200 shapes
+/// never rebuild at a settle. A shape whose settles take other paths than
+/// those fails the run, and the run prints each count.
 ///
 /// Exits non-zero on the first divergence.
 fn soak(opts: &Opts) -> ExitCode {
@@ -747,9 +748,11 @@ fn soak(opts: &Opts) -> ExitCode {
     };
     let mut failures = 0usize;
 
-    // Configuration matrix: two stream models × two (window, C) shapes.
+    // Configuration matrix: two stream models × three (window, C) shapes.
+    // C = W/5 is the ingest contract's ratio (W 2000, C 400): most items
+    // sit below C and cross it, so Moment's root gains and drops entries.
     for name in ["quest-webview1", "markov-sessions"] {
-        for (window_size, c, k) in [(300usize, 8u64, 2u64), (1200, 20, 5)] {
+        for (window_size, c, k) in [(300usize, 8u64, 2u64), (1200, 20, 5), (300, 60, 15)] {
             let label = format!("{name} w={window_size} C={c}");
             eprintln!("[soak] {label}: {steps} slides, checking every {intervals:?} ...");
             let spec = PrivacySpec::new(c, k, 0.1, 0.5);

@@ -5,7 +5,8 @@
 //! sliding window*, ICDM 2004): a **closed enumeration tree** (CET) whose
 //! nodes carry exact supports and one of four types —
 //!
-//! * **infrequent gateway** — support below `C`; children not explored;
+//! * **infrequent gateway** — support below `C`; children not explored
+//!   (below the root: an item below `C` is no node);
 //! * **unpromising gateway** — frequent, but some *skipped* item (an item
 //!   ordered before the node's extension item and absent from the itemset)
 //!   occurs in every supporting transaction, so every closed superset is
@@ -27,7 +28,11 @@
 //! (DESIGN.md, "The Moment CET") keeps that walk in cache: items are
 //! enumerated **rarest first** by dense code, re-ranked from the live window
 //! at each rebuild, at least once per turnover; a **gateway is only an
-//! entry** in its promising parent's sorted array;
+//! entry** in its promising parent's sorted array; the **root is the item
+//! table**: its entries are the items whose window count (exact after every
+//! insert and remove) is at least `C`, so a rebuild reads them off the
+//! counts and a walk passes over an item that stays below `C`, however many
+//! of those a client sends;
 //! **no node stores a tidset** (the walk re-derives them, one AND a level);
 //! tables are **indexed by code**, never by a client-chosen item id.
 //! Differential tests against an [`Eclat`](crate::Eclat) re-mine of the
@@ -41,8 +46,12 @@ use bfly_common::transaction::Tid;
 use bfly_common::{Item, ItemSet, Support, WindowDelta};
 use std::collections::HashMap;
 
-/// Starting ring size; doubled whenever the live tid range outgrows it.
+/// Starting ring size; doubled whenever the live tid range outgrows it, so
+/// always a power of two.
 const INITIAL_RING: usize = 64;
+
+/// Lines of the id → code cache in front of `code_of`; a power of two.
+const RECENT: usize = 1024;
 
 /// `Entry::child` of a gateway; `Touch::bucket` of an extension the walk
 /// does not descend into.
@@ -82,6 +91,9 @@ struct Coded {
     /// Live transactions containing the item.
     count: u32,
     item: Item,
+    /// The item has a root entry: its count was at least `C` at the last
+    /// settle or rebuild.
+    rooted: bool,
 }
 
 /// A queued transaction reaching the node the walk stands on: its codes
@@ -128,7 +140,8 @@ struct Slot {
 /// CET node-type census (see [`MomentMiner::node_stats`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CetStats {
-    /// Nodes parked below the support threshold.
+    /// Nodes parked below the support threshold (none at depth one: the
+    /// root holds the frequent items only).
     pub infrequent_gateways: usize,
     /// Nodes pruned by the prefix-preservation test.
     pub unpromising_gateways: usize,
@@ -172,6 +185,10 @@ pub struct MomentMiner {
     min_support: Support,
     /// Raw item id → code: the one table keyed by what a client chooses.
     code_of: HashMap<Item, u32>,
+    /// Line `id mod RECENT` → the last item looked up there and its code
+    /// ([`NONE`]: none), so a repeated id skips `code_of`'s SipHash; ids a
+    /// client picks to collide only miss, and a miss is one lookup.
+    recent: Vec<(Item, u32)>,
     /// Per-code table; the last rebuild numbered the codes below `ranked`.
     coded: Vec<Coded>,
     ranked: u32,
@@ -186,13 +203,16 @@ pub struct MomentMiner {
     until_rerank: usize,
     /// Tree rebuilds so far (see [`MomentMiner::rebuilds`]).
     rebuilds: u64,
+    /// Work so far (see [`MomentMiner::visits`]).
+    visits: u64,
     /// Code → bitmap (`words` words) of the slots whose transaction has it.
     bits: Vec<u64>,
     words: usize,
-    /// The ring: slot `tid mod len` → transaction.
+    /// The ring: slot `tid mod len` → transaction; `len` is a power of two.
     slots: Vec<Slot>,
     /// Arena of the promising nodes' entries. `nodes[0]` is the root (the
-    /// empty itemset, never output); freed records are empty, on `free`,
+    /// empty itemset, never output): one entry per item whose count is at
+    /// least `C`, and nothing else. Freed records are empty, on `free`,
     /// filed by their buffer's capacity so a node gets one it fits in.
     nodes: Vec<Vec<Entry>>,
     free: [Vec<u32>; CLASSES],
@@ -222,6 +242,7 @@ impl MomentMiner {
         MomentMiner {
             min_support,
             code_of: HashMap::new(),
+            recent: vec![(Item(0), NONE); RECENT],
             coded: Vec::new(),
             ranked: 0,
             tally: Vec::new(),
@@ -229,6 +250,7 @@ impl MomentMiner {
             recode: Vec::new(),
             until_rerank: 0,
             rebuilds: 0,
+            visits: 0,
             bits: Vec::new(),
             words: INITIAL_RING / 64,
             slots: vec![Slot::default(); INITIAL_RING],
@@ -254,8 +276,21 @@ impl MomentMiner {
         self.rebuilds
     }
 
+    /// The tree's work so far, in codes: each queued transaction's code a
+    /// settle walk visits at a node it reaches, plus each code `explore`
+    /// tallies when it builds a node's record (the rebuilds' subtrees and
+    /// those a walk re-explores). The root reads its entries off the item
+    /// counts, so an item below `C` costs it nothing. A function of the
+    /// stream and the settle points, like [`MomentMiner::node_count`].
+    pub fn visits(&self) -> u64 {
+        self.visits
+    }
+
     /// Number of live CET nodes (every entry is one; the root is not) —
-    /// the working-set size the efficiency experiments report.
+    /// the working-set size the efficiency experiments report. The root
+    /// holds the frequent items only: an item below `C` is counted by the
+    /// item table, not by a node, so unlike Moment's paper tree this one
+    /// has no infrequent gateway at depth one.
     ///
     /// # Panics
     /// With changes queued since the last [`MomentMiner::settle`], as every
@@ -315,7 +350,7 @@ impl MomentMiner {
     }
 
     fn slot_of(&self, tid: Tid) -> usize {
-        (tid % self.slots.len() as u64) as usize
+        (tid & (self.slots.len() as u64 - 1)) as usize
     }
 
     /// Step the walk onto the extension of its itemset by `code`: AND the
@@ -361,14 +396,14 @@ impl MomentMiner {
         self.path.pop();
     }
 
-    /// Build the record of the promising node the walk stands on: tally its
-    /// supporting transactions' later items into a record they fit in (the
-    /// root's is record 0), classify the frequent ones, return the record.
+    /// Build the record of the promising node the walk stands on, below the
+    /// root: tally its supporting transactions' later items into a record
+    /// they fit in, classify the frequent ones, return the record.
     fn explore(&mut self) -> u32 {
         let mut entries = std::mem::take(&mut self.found);
         entries.clear();
         self.tally.resize(self.coded.len(), 0);
-        let floor = self.path.last().map_or(0, |&own| self.key(own) + 1);
+        let floor = self.key(*self.path.last().expect("below the root")) + 1;
         let w = self.words;
         for slot in iter_slots(&self.tids[self.path.len() * w..][..w]) {
             for &code in self.slots[slot].codes.iter().rev() {
@@ -384,22 +419,26 @@ impl MomentMiner {
             }
         }
         entries.sort_unstable_by_key(|e| e.key);
+        let mut tallied = 0;
         for entry in &mut entries {
             entry.support = std::mem::take(&mut self.tally[entry.key as u32 as usize]);
+            tallied += u64::from(entry.support);
         }
-        let node = if self.path.is_empty() {
-            0
-        } else {
-            self.take_record(entries.len())
-        };
+        self.visits += tallied;
+        let node = self.take_record(entries.len());
         self.nodes[node as usize].extend_from_slice(&entries);
         self.found = entries;
-        for idx in 0..self.nodes[node as usize].len() {
-            if self.is_frequent(self.nodes[node as usize][idx].support) {
-                self.classify(node as usize, idx);
+        self.classify_frequent(node as usize);
+        node
+    }
+
+    /// Classify every frequent entry of `node`, where the walk stands.
+    fn classify_frequent(&mut self, node: usize) {
+        for idx in 0..self.nodes[node].len() {
+            if self.is_frequent(self.nodes[node][idx].support) {
+                self.classify(node, idx);
             }
         }
-        node
     }
 
     /// A free record whose buffer takes `n` entries without growing, the
@@ -444,16 +483,25 @@ impl MomentMiner {
     /// gateways, a second pass buckets each promising extension's onward
     /// occurrences (those holding items past it), and each touched entry is
     /// then settled once, against the window as it stands now.
+    ///
+    /// The root (`node` 0) holds an entry for an item exactly when its count
+    /// is at least `C`, so there the walk visits a code only if its item has
+    /// an entry or is frequent now; an entry takes its support from the
+    /// count, and one that falls below `C` leaves the root.
     fn settle_under(&mut self, node: usize, lo: usize, hi: usize) {
-        // While counting, `tally[code]` is its touch's index + 1 (0: not
-        // touched yet); once the touches are sorted, while bucketing, it is
-        // the index itself.
+        let root = node == 0;
+        // `tally[code]` is its touch's index + 1 (0: not touched), in the
+        // order the touches are pushed while counting, then once sorted.
         let first = self.touches.len();
         for i in lo..hi {
             let Occ { from, to, arrival } = self.occs[i];
             for at in from as usize..to as usize {
                 let code = self.queued_codes[at] as usize;
                 if self.tally[code] == 0 {
+                    let Coded { count, rooted, .. } = self.coded[code];
+                    if root && !(rooted || self.is_frequent(count)) {
+                        continue;
+                    }
                     let key = self.key(code as u32);
                     self.touches.push(Touch { key, ..UNTOUCHED });
                     self.tally[code] = self.touches.len() as u32;
@@ -468,11 +516,17 @@ impl MomentMiner {
             }
         }
         let last = self.touches.len();
-        self.touches[first..].sort_unstable_by_key(|t| t.key);
+        let touched = &mut self.touches[first..];
+        self.visits += touched
+            .iter()
+            .map(|t| u64::from(t.arrivals + t.departures))
+            .sum::<u64>();
+        touched.sort_unstable_by_key(|t| t.key);
 
         // Find each touched extension's entry; a new one (every earlier
         // supporting transaction lacked it: entries are exhaustive for a
-        // promising node) is merged in from the back as a gateway.
+        // promising node; at the root, the item was below `C` at the last
+        // settle) is merged in from the back as a gateway.
         let entries = &mut self.nodes[node];
         let (mut at, mut missing) = (0, 0);
         for touch in &mut self.touches[first..] {
@@ -514,7 +568,7 @@ impl MomentMiner {
         let mut end = base;
         for (k, touch) in (first..last).zip(&mut self.touches[first..]) {
             let code = touch.key as u32 as usize;
-            self.tally[code] = k as u32;
+            self.tally[code] = k as u32 + 1;
             if touch.onward > 0 && self.nodes[node][touch.at as usize].child != NONE {
                 end += touch.onward as usize;
                 touch.bucket = end as u32;
@@ -526,7 +580,10 @@ impl MomentMiner {
                 let Occ { from, to, arrival } = self.occs[i];
                 for at in from..to {
                     let code = self.queued_codes[at as usize] as usize;
-                    let touch = &mut self.touches[self.tally[code] as usize];
+                    let Some(k) = self.tally[code].checked_sub(1) else {
+                        continue;
+                    };
+                    let touch = &mut self.touches[k as usize];
                     if touch.bucket != NONE && at + 1 < to {
                         touch.bucket -= 1;
                         let from = at + 1;
@@ -539,14 +596,28 @@ impl MomentMiner {
             self.tally[touch.key as u32 as usize] = 0;
         }
 
+        // An entry below `keep` leaves: at support 0 it names nothing, and
+        // the root keeps the frequent items only.
+        let keep = if root { self.min_support } else { 1 };
         let mut emptied = false;
         for k in first..last {
             let touch = self.touches[k];
             let at = touch.at as usize;
+            let code = touch.key as u32 as usize;
             let entry = &mut self.nodes[node][at];
-            entry.support = entry.support + touch.arrivals - touch.departures;
+            entry.support = if root {
+                // `index_slot` keeps the count exact; a new entry was merged
+                // in at 0, not at the support it had before the queue.
+                self.coded[code].count
+            } else {
+                entry.support + touch.arrivals - touch.departures
+            };
             let Entry { support, child, .. } = *entry;
-            emptied |= support == 0;
+            let gone = Support::from(support) < keep;
+            emptied |= gone;
+            if root {
+                self.coded[code].rooted = !gone;
+            }
             if child == NONE {
                 // A gateway only departures reached keeps its kind: below C
                 // it shrank further, and a subsumption over a smaller tidset
@@ -578,7 +649,7 @@ impl MomentMiner {
             }
         }
         if emptied {
-            self.nodes[node].retain(|e| e.support > 0);
+            self.nodes[node].retain(|e| Support::from(e.support) >= keep);
         }
         self.touches.truncate(first);
         self.occs.truncate(base);
@@ -628,9 +699,10 @@ impl MomentMiner {
 
     /// Renumber the live items by `(window count, item)` ascending, dropping
     /// the dead codes, and rebuild the tree from the root: a function of the
-    /// window's content alone, which covers every queued change. Every table
-    /// and record is refilled in the buffer it had, so a warmed miner
-    /// allocates nothing here.
+    /// window's content alone, which covers every queued change. The root's
+    /// entries are read off the item counts, and `explore` tallies only
+    /// below them. Every table and record is refilled in the buffer it had,
+    /// so a warmed miner allocates nothing here.
     fn rebuild(&mut self) {
         let live = (0..).zip(&self.coded).filter(|(_, c)| c.count > 0);
         self.order.clear();
@@ -641,13 +713,17 @@ impl MomentMiner {
         self.coded.clear();
         for (new, &(c, old)) in (0..).zip(&self.order) {
             self.recode[old as usize] = new;
-            self.coded.push(c);
+            let rooted = self.is_frequent(c.count);
+            self.coded.push(Coded { rooted, ..c });
         }
         let recode = &self.recode;
         self.code_of.retain(|_, code| {
             *code = recode[*code as usize];
             *code != NONE
         });
+        for (_, code) in self.recent.iter_mut().filter(|(_, c)| *c != NONE) {
+            *code = recode[*code as usize];
+        }
         self.ranked = self.coded.len() as u32;
         for slot in self.slots.iter_mut().filter(|s| s.tid.is_some()) {
             slot.codes.iter_mut().for_each(|c| *c = recode[*c as usize]);
@@ -662,9 +738,21 @@ impl MomentMiner {
         }
         self.queued_codes.clear();
         self.occs.clear();
-        self.explore();
+        for code in 0..self.coded.len() as u32 {
+            let Coded { count, rooted, .. } = self.coded[code as usize];
+            if rooted {
+                let (key, support) = (self.key(code), count);
+                self.nodes[0].push(Entry {
+                    key,
+                    support,
+                    ..GATEWAY
+                });
+            }
+        }
+        self.classify_frequent(0);
         self.until_rerank = self.window_len();
         self.rebuilds += 1;
+        debug_assert!(self.root_is_the_item_table(), "root entries drifted");
     }
 
     /// Queue the transaction in `slot`, which arrived or departed, for the
@@ -699,6 +787,23 @@ impl MomentMiner {
         self.settle_under(0, 0, self.occs.len());
         self.queued_codes.clear();
         self.occs.clear();
+        debug_assert!(self.root_is_the_item_table(), "root entries drifted");
+    }
+
+    /// The root's invariant after a settle or rebuild: an item has a root
+    /// entry, with its count as support, exactly when its count is at least
+    /// `C`.
+    fn root_is_the_item_table(&self) -> bool {
+        let root = &self.nodes[0];
+        let frequent = |c: &Coded| self.is_frequent(c.count);
+        self.coded.iter().all(|c| c.rooted == frequent(c))
+            && root.len() == self.coded.iter().filter(|c| frequent(c)).count()
+            && root.windows(2).all(|pair| pair[0].key < pair[1].key)
+            && root.iter().all(|e| {
+                let code = e.key as u32;
+                let coded = self.coded[code as usize];
+                e.key == self.key(code) && coded.rooted && coded.count == e.support
+            })
     }
 
     /// Transaction `tid`, with `items`, entered the window. `items` must
@@ -720,13 +825,7 @@ impl MomentMiner {
         let mut codes = std::mem::take(&mut self.slots[slot].codes);
         codes.clear();
         for &item in items {
-            let next = self.coded.len() as u32;
-            let code = *self.code_of.entry(item).or_insert(next);
-            if code == next {
-                self.coded.push(Coded { item, count: 0 });
-                self.bits.resize(self.bits.len() + self.words, 0);
-            }
-            codes.push(code);
+            codes.push(self.code(item));
         }
         codes.sort_unstable_by_key(|&c| self.key(c));
         self.slots[slot].codes = codes;
@@ -737,6 +836,29 @@ impl MomentMiner {
         } else {
             self.until_rerank -= 1;
             self.enqueue(slot, true);
+        }
+    }
+
+    /// `item`'s code, numbering it if it is new: from the cache line its id
+    /// falls on, else from `code_of`, the line then taking it.
+    fn code(&mut self, item: Item) -> u32 {
+        let line = item.index() & (RECENT - 1);
+        match self.recent[line] {
+            (held, code) if held == item && code != NONE => code,
+            _ => {
+                let next = self.coded.len() as u32;
+                let code = *self.code_of.entry(item).or_insert(next);
+                if code == next {
+                    self.coded.push(Coded {
+                        count: 0,
+                        item,
+                        rooted: false,
+                    });
+                    self.bits.resize(self.bits.len() + self.words, 0);
+                }
+                self.recent[line] = (item, code);
+                code
+            }
         }
     }
 
@@ -811,6 +933,7 @@ mod tests {
     use bfly_common::fixtures::fig2_stream;
     use bfly_common::{Database, SlidingWindow, Transaction};
     use bfly_datagen::{QuestConfig, QuestGenerator};
+    use std::collections::BTreeMap;
 
     fn iset(s: &str) -> ItemSet {
         s.parse().unwrap()
@@ -969,15 +1092,92 @@ mod tests {
             // The code table is bounded by the distinct items of the last
             // two windows (2 · 2W one-off items and the evergreen one).
             assert!(m.coded.len() <= 4 * W + 1, "{} codes", m.coded.len());
-            // The tree is one root entry per live item and nothing else
-            // (the evergreen item ranks last, so it has no extensions):
-            // well inside the 5 · W that bounds a shard's growth.
-            assert_eq!(m.node_count(), 1 + 2 * m.window_len(), "step {i}");
+            // The root holds the frequent items only, and the one-off items
+            // never reach C: the tree is the evergreen item's root entry once
+            // it is frequent, and nothing else (it ranks last, so it has no
+            // extensions).
+            let evergreen = m.window_len() >= 5;
+            assert_eq!(m.node_count(), usize::from(evergreen), "step {i}");
             if (i + 1) % 1000 == 0 {
                 assert_eq!(m.window_len(), W);
                 assert_eq!(m.closed_frequent().len(), 1);
             }
         }
+    }
+
+    #[test]
+    fn an_item_crossing_c_enters_and_leaves_the_root_on_walks() {
+        // Item 100, ranked, sits at C − 1, reaches C, and falls back; item
+        // 200, first seen after the last re-rank, becomes frequent at the
+        // root and falls back. Every settle walks, each checked against a
+        // re-mine of the window; the probe reads (item 100's count, whether
+        // 100 has a root entry with a subtree, the same for 200 once seen).
+        const C: u64 = 3;
+        type Live = BTreeMap<Tid, ItemSet>;
+        let background = |i: u32| ItemSet::from_ids([i % 7, 7 + i % 5, 12 + i % 3]);
+        let (mut m, mut live, mut tid) = (MomentMiner::new(C), Live::new(), 0);
+        let mut add = |m: &mut MomentMiner, live: &mut Live, items: ItemSet| {
+            tid += 1;
+            m.insert(tid, items.items());
+            live.insert(tid, items);
+            tid
+        };
+        let evict = |m: &mut MomentMiner, live: &mut Live, tid| {
+            m.remove(tid);
+            live.remove(&tid);
+        };
+        let evict_oldest = |m: &mut MomentMiner, live: &mut Live| {
+            m.remove(live.pop_first().unwrap().0);
+        };
+        (0..28).for_each(|i| _ = add(&mut m, &mut live, background(i)));
+        let x1 = add(&mut m, &mut live, ItemSet::from_ids([1, 8, 100]));
+        add(&mut m, &mut live, ItemSet::from_ids([1, 9, 100]));
+        // The re-rank at the 32nd arrival ranks item 100; the next is 32
+        // arrivals later, beyond this test's.
+        (28..38).for_each(|i| _ = add(&mut m, &mut live, background(i)));
+        m.settle();
+        assert!(m.code_of[&Item(100)] < m.ranked, "item 100 is not ranked");
+        let before = m.rebuilds();
+        let probe = |m: &mut MomentMiner, live: &Live| {
+            m.settle();
+            assert_eq!(m.rebuilds(), before, "a settle rebuilt");
+            let window = (1..)
+                .zip(live.values())
+                .map(|(t, items)| Transaction::new(t, items.clone()));
+            let oracle = Eclat::new(C).mine(&Database::from_records(window.collect()));
+            assert_eq!(m.closed_frequent(), closed_subset(&oracle));
+            assert_eq!(m.node_stats().total(), m.node_count());
+            assert!(m.root_is_the_item_table());
+            let entry = |item: u32| {
+                let code = *m.code_of.get(&Item(item))?;
+                let root = m.nodes[0].iter().find(|e| e.key as u32 == code);
+                Some(root.map(|e| e.child != NONE))
+            };
+            let count = live.values().filter(|t| t.contains(Item(100))).count() as u64;
+            (count, entry(100).flatten(), entry(200))
+        };
+        assert_eq!(probe(&mut m, &live), (C - 1, None, None));
+        // Up to C: the entry is merged in at its count and explored.
+        evict_oldest(&mut m, &mut live);
+        add(&mut m, &mut live, ItemSet::from_ids([1, 8, 9, 100]));
+        assert_eq!(probe(&mut m, &live), (C, Some(true), None));
+        // A new item reaches C among one settle's arrivals.
+        for extra in [[2, 200], [1, 200], [8, 200]] {
+            evict_oldest(&mut m, &mut live);
+            add(&mut m, &mut live, ItemSet::from_ids(extra));
+        }
+        assert!(m.code_of[&Item(200)] >= m.ranked, "item 200 was ranked");
+        assert_eq!(probe(&mut m, &live), (C, Some(true), Some(Some(true))));
+        // Back to C − 1: the entry and its subtree go.
+        evict(&mut m, &mut live, x1);
+        add(&mut m, &mut live, ItemSet::from_ids([2, 8]));
+        assert_eq!(probe(&mut m, &live), (C - 1, None, Some(Some(true))));
+        // 200 falls below C as 100 comes back, in one settle.
+        let last_200 = live.iter().rev().find(|(_, t)| t.contains(Item(200)));
+        let last_200 = *last_200.unwrap().0;
+        evict(&mut m, &mut live, last_200);
+        add(&mut m, &mut live, ItemSet::from_ids([9, 100]));
+        assert_eq!(probe(&mut m, &live), (C, Some(true), Some(None)));
     }
 
     #[test]

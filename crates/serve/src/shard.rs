@@ -290,7 +290,7 @@ impl Shard {
         }
         let state = self.pipelines.get_mut(key).expect("key just ensured");
         let started = Instant::now();
-        let rebuilds = state.pipe.miner().rebuilds();
+        let moment = moment_work(state);
         let mut publishing = Duration::ZERO;
         // Accepted-before-advanced: the chunk is durable (per the sync
         // policy) before any of its records can shape a release.
@@ -320,8 +320,7 @@ impl Shard {
         }
         let stats = &self.stats;
         ShardStats::add(&stats.processed, advanced);
-        let rebuilt = state.pipe.miner().rebuilds() - rebuilds;
-        ShardStats::add(&stats.moment_rebuilds, rebuilt);
+        add_moment_work(stats, state, moment);
         let us = started.elapsed().saturating_sub(publishing).as_micros() as u64;
         ShardStats::add(&stats.ingest_us, us);
         stats.ingest_us_max.fetch_max(us, Ordering::Relaxed);
@@ -338,11 +337,10 @@ impl Shard {
         for key in keys {
             let state = self.pipelines.get_mut(&key).expect("key just listed");
             if self.stats.read_only.get().is_none() && state.pipe.owes() {
-                let rebuilds = state.pipe.miner().rebuilds();
+                let moment = moment_work(state);
                 let log = self.log.as_mut();
                 let published = publish(&self.cfg, log, &self.registry, &self.stats, &key, state);
-                let rebuilt = state.pipe.miner().rebuilds() - rebuilds;
-                ShardStats::add(&self.stats.moment_rebuilds, rebuilt);
+                add_moment_work(&self.stats, state, moment);
                 if let Err(failure) = published {
                     failure.make_read_only(self.idx, &self.stats);
                 }
@@ -361,6 +359,19 @@ impl Shard {
             }
         }
     }
+}
+
+/// Moment's rebuilds and visits so far on `state`'s stream.
+fn moment_work(state: &RecoveredStream) -> [u64; 2] {
+    let miner = state.pipe.miner();
+    [miner.rebuilds(), miner.visits()]
+}
+
+/// Add what Moment did on `state`'s stream since it stood at `before`.
+fn add_moment_work(stats: &ShardStats, state: &RecoveredStream, before: [u64; 2]) {
+    let [rebuilds, visits] = moment_work(state);
+    ShardStats::add(&stats.moment_rebuilds, rebuilds - before[0]);
+    ShardStats::add(&stats.moment_visits, visits - before[1]);
 }
 
 fn worker(
@@ -619,6 +630,54 @@ mod tests {
         // and the drain's at 41 holds one slide, so it walks.
         assert_eq!(rebuilds, 2 * (4 + 8));
         assert_eq!(stats.moment_rebuilds.load(Ordering::Relaxed), rebuilds);
+    }
+
+    #[test]
+    fn moment_visits_repeat_exactly_when_a_stream_is_run_again() {
+        // W 40, C 4, every 5: the settles walk, and the drain owes the last
+        // three. One stream through two fresh shards in chunks of 7 reads
+        // the same count both times, the count an in-process pipeline's
+        // miner reads.
+        let cfg = ServeConfig {
+            window: 40,
+            c: 4,
+            every: 5,
+            queue_cap: 128,
+            ..tiny_cfg()
+        };
+        let mut src = bfly_datagen::DatasetProfile::WebView1.source(5);
+        let batch: Vec<_> = (0..123)
+            .map(|_| src.next_transaction().into_items())
+            .collect();
+        let run = || {
+            let stats = Arc::new(ShardStats::default());
+            let (ingress, handle) = spawn_shard(
+                0,
+                cfg.clone(),
+                Arc::new(SubscriberRegistry::new()),
+                stats.clone(),
+                Arc::new(DefenseBindings::default()),
+                None,
+            );
+            for part in batch.chunks(7) {
+                let chunk = IngestChunk::from_itemsets(part);
+                assert_eq!(ingress.offer(&Arc::from("k"), chunk), Ok(()));
+            }
+            drop(ingress);
+            handle.join().expect("worker paniced");
+            stats.moment_visits.load(Ordering::Relaxed)
+        };
+        let mut pipe = cfg.pipeline_for("k");
+        for items in &batch {
+            pipe.advance_items(items.items());
+            if pipe.due(cfg.every) {
+                pipe.publish_now().expect("a full window");
+            }
+        }
+        pipe.flush().expect("the drain owes one");
+        let visits = pipe.miner().visits();
+        assert!(visits > 0);
+        assert_eq!([run(), run()], [visits; 2]);
     }
 
     /// Claims the Butterfly contract and breaks it on its `lie_on`-th

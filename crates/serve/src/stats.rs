@@ -39,6 +39,10 @@ pub struct ShardStats {
     /// whole window (in `publish_us`). At `every ≥ W/2` each publication
     /// rebuilds and the re-rank never fires.
     pub moment_rebuilds: AtomicU64,
+    /// Moment's work on this shard's streams since it started, in codes
+    /// (`MomentMiner::visits`: the codes the settle walks visit plus those
+    /// `explore` tallies), summed per chunk like `moment_rebuilds`.
+    pub moment_visits: AtomicU64,
     /// Current ingress queue depth (accepted minus dequeued).
     pub queue_depth: AtomicU64,
     /// Release entries that failed the contract audit; every release
@@ -95,6 +99,10 @@ impl ShardStats {
             (
                 "moment_rebuilds",
                 Json::from(self.moment_rebuilds.load(Ordering::Relaxed)),
+            ),
+            (
+                "moment_visits",
+                Json::from(self.moment_visits.load(Ordering::Relaxed)),
             ),
             (
                 "queue_depth",
@@ -244,8 +252,10 @@ mod tests {
         ShardStats::add(&s.publish_us, 160);
         s.publish_us_max.fetch_max(90, Ordering::Relaxed);
         ShardStats::add(&s.moment_rebuilds, 4);
+        ShardStats::add(&s.moment_visits, 9);
         let v = s.to_json(3);
         assert_eq!(v.get("moment_rebuilds").unwrap().as_u64(), Some(4));
+        assert_eq!(v.get("moment_visits").unwrap().as_u64(), Some(9));
         assert_eq!(v.get("shard").unwrap().as_u64(), Some(3));
         assert_eq!(v.get("ingested").unwrap().as_u64(), Some(5));
         assert_eq!(v.get("shed").unwrap().as_u64(), Some(2));
