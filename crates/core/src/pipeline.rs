@@ -220,10 +220,9 @@ impl<D: PrivacyDefense> StreamPipeline<D> {
         self.audit_violations
     }
 
-    /// A read-only view of the live window (e.g. to snapshot its contents).
-    pub fn window(&self) -> WindowView<'_> {
+    /// A read-only view of the live window's counters.
+    pub fn window(&self) -> WindowView {
         WindowView {
-            miner: &self.miner,
             capacity: self.capacity,
             len: self.len,
             stream_len: self.stream_len,
@@ -273,18 +272,16 @@ impl<D: PrivacyDefense> StreamPipeline<D> {
     }
 }
 
-/// A read-only view of a [`StreamPipeline`]'s window `Ds(N, H)`: the
-/// counters are the pipeline's, the records are read back from Moment's
-/// ring.
+/// A read-only view of a [`StreamPipeline`]'s window `Ds(N, H)`: its
+/// counters. The records are Moment's ring, the window's one copy.
 #[derive(Clone, Copy, Debug)]
-pub struct WindowView<'a> {
-    miner: &'a MomentMiner,
+pub struct WindowView {
     capacity: usize,
     len: usize,
     stream_len: u64,
 }
 
-impl<'a> WindowView<'a> {
+impl WindowView {
     /// The window size `H`.
     pub fn capacity(&self) -> usize {
         self.capacity
@@ -308,18 +305,6 @@ impl<'a> WindowView<'a> {
     /// Total records seen so far (`N`).
     pub fn stream_len(&self) -> u64 {
         self.stream_len
-    }
-
-    /// Hand each record's item ids, ascending, to `f`, oldest first: read
-    /// back from Moment's ring into one buffer reused for every record, so
-    /// nothing is built per record (what a WAL snapshot is encoded from).
-    pub fn for_each_record(&self, mut f: impl FnMut(&[u32])) {
-        let mut ids = Vec::new();
-        for tid in self.stream_len + 1 - self.len as u64..=self.stream_len {
-            let held = self.miner.ids_of(tid, &mut ids);
-            assert!(held, "window tid {tid} is not in the ring");
-            f(&ids);
-        }
     }
 }
 
@@ -398,13 +383,6 @@ mod tests {
                 (view.len(), view.is_full(), view.stream_len()),
                 (model.len(), model.is_full(), model.stream_len())
             );
-            let mut records: Vec<Vec<u32>> = Vec::new();
-            view.for_each_record(|ids| records.push(ids.to_vec()));
-            let want: Vec<Vec<u32>> = model
-                .records()
-                .map(|t| t.items().iter().map(|i| i.id()).collect())
-                .collect();
-            assert_eq!(records, want);
         }
     }
 

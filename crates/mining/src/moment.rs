@@ -50,6 +50,11 @@ use std::collections::HashMap;
 /// always a power of two.
 const INITIAL_RING: usize = 64;
 
+/// A ring slot's code buffer shrinks to fit its new occupant when its
+/// capacity exceeds both this many codes and four times the occupant's
+/// length.
+const SLOT_FLOOR: usize = 64;
+
 /// Lines of the id → code cache in front of `code_of`; a power of two.
 const RECENT: usize = 1024;
 
@@ -824,6 +829,11 @@ impl MomentMiner {
         let slot = self.slot_of(tid);
         let mut codes = std::mem::take(&mut self.slots[slot].codes);
         codes.clear();
+        // A slot keeps its buffer across occupants, but not the capacity of
+        // the longest transaction that ever held it.
+        if codes.capacity() > SLOT_FLOOR && codes.capacity() > 4 * items.len() {
+            codes.shrink_to(items.len());
+        }
         for &item in items {
             codes.push(self.code(item));
         }
@@ -879,22 +889,6 @@ impl MomentMiner {
         self.enqueue(slot, false);
     }
 
-    /// Transaction `tid`'s item ids, ascending, read back from the ring into
-    /// `ids` (replacing its contents), so a caller walking the window reuses
-    /// one buffer. The ring holds codes in rank order; the ids are sorted
-    /// here. Returns false, leaving `ids` empty, when `tid` is not in the
-    /// window.
-    pub fn ids_of(&self, tid: Tid, ids: &mut Vec<u32>) -> bool {
-        ids.clear();
-        let slot = &self.slots[self.slot_of(tid)];
-        if slot.tid != Some(tid) {
-            return false;
-        }
-        ids.extend(slot.codes.iter().map(|&c| self.coded[c as usize].item.id()));
-        ids.sort_unstable();
-        true
-    }
-
     /// Append the closed itemsets below `node` (itself `path`) as `ItemSet`s.
     fn closed_under(&self, node: usize, path: &mut Vec<Item>, out: &mut Vec<(ItemSet, Support)>) {
         for entry in self.nodes[node].iter().filter(|e| e.child != NONE) {
@@ -942,6 +936,21 @@ mod tests {
     /// The oracle: the window's closed frequent itemsets, re-mined.
     fn remine(window: &SlidingWindow, c: Support) -> FrequentItemsets {
         closed_subset(&Eclat::new(c).mine(&window.database()))
+    }
+
+    /// Transaction `tid`'s item ids, ascending, read back from the ring, or
+    /// `None` when `tid` is not in the window.
+    fn ids_of(m: &MomentMiner, tid: Tid) -> Option<Vec<u32>> {
+        let slot = &m.slots[m.slot_of(tid)];
+        (slot.tid == Some(tid)).then(|| {
+            let mut ids: Vec<u32> = slot
+                .codes
+                .iter()
+                .map(|&c| m.coded[c as usize].item.id())
+                .collect();
+            ids.sort_unstable();
+            ids
+        })
     }
 
     #[test]
@@ -1363,6 +1372,32 @@ mod tests {
     }
 
     #[test]
+    fn ring_slots_shrink_back_to_their_occupants() {
+        // One window of 1 000-id transactions, then one of 3-id ones: each
+        // slot's buffer falls back with its occupant, so the ring holds
+        // about the live codes, not the longest transaction's capacity.
+        const W: u64 = 256; // a power of two: the ring is exactly W slots
+        let mut m = MomentMiner::new(W + 1);
+        for tid in 1..=2 * W {
+            if tid > W {
+                m.remove(tid - W);
+            }
+            let len = if tid <= W { 1000 } else { 3 };
+            let mut items: Vec<Item> = (0..len)
+                .map(|i| Item(((tid * 7 + i) % 1500) as u32))
+                .collect();
+            items.sort_unstable();
+            m.insert(tid, &items);
+        }
+        assert_eq!(m.slots.len(), W as usize);
+        let occupied = || m.slots.iter().filter(|s| s.tid.is_some());
+        let live: usize = occupied().map(|s| s.codes.len()).sum();
+        let held: usize = m.slots.iter().map(|s| s.codes.capacity()).sum();
+        assert_eq!(live, 3 * W as usize);
+        assert!(held <= 2 * live, "ring holds {held} codes for {live} live");
+    }
+
+    #[test]
     fn ring_doubling_mid_stream_property() {
         // Property test over random streams whose window exceeds the
         // initial ring: capacity must grow mid-stream, live tids must wrap
@@ -1389,13 +1424,11 @@ mod tests {
                     grew_at = Some(step);
                 }
                 // The ring is the window's one copy: every record reads back.
-                let mut ids = vec![7];
                 for r in w.records() {
-                    assert!(moment.ids_of(r.tid(), &mut ids));
-                    assert!(r.items().iter().map(|i| i.id()).eq(ids.iter().copied()));
+                    let want: Vec<u32> = r.items().iter().map(|i| i.id()).collect();
+                    assert_eq!(ids_of(&moment, r.tid()), Some(want));
                 }
-                assert!(!moment.ids_of(w.stream_len() + 1, &mut ids));
-                assert!(ids.is_empty());
+                assert_eq!(ids_of(&moment, w.stream_len() + 1), None);
                 assert_eq!(
                     moment.closed_frequent(),
                     remine(&w, 4),

@@ -1249,6 +1249,70 @@ mod tests {
         }
     }
 
+    /// A durable shard logs each transaction once: every snapshot record is
+    /// its header plus the previous release's entries, with no window
+    /// bytes, and the log's counts repeat exactly for one seeded stream run
+    /// twice.
+    #[test]
+    fn snapshots_carry_no_window_and_log_counts_repeat() {
+        use crate::wal::record::tests::by_position_len;
+        use crate::wal::record::{Decode, Scan, HEADER_LEN};
+        use crate::wal::segment::{SegmentId, SegmentReader};
+        use crate::wal::WalRecord;
+
+        let txs = transactions(60);
+        let run = || {
+            let store = FaultStore::new(21);
+            let wal = WalConfig::new(store.root());
+            let cfg = tiny_cfg();
+            let wal_stats = Arc::new(WalStats::default());
+            let recovered = recover_shard_in(store.clone(), &cfg, &wal, 0, &wal_stats).unwrap();
+            let (ingress, handle) = spawn_shard(
+                0,
+                cfg,
+                Arc::new(SubscriberRegistry::new()),
+                Arc::new(ShardStats::default()),
+                Arc::new(DefenseBindings::default()),
+                Some(recovered),
+            );
+            for part in txs.chunks(5) {
+                let chunk = IngestChunk::from_itemsets(part);
+                assert_eq!(ingress.offer(&Arc::from("k"), chunk), Ok(()));
+            }
+            drop(ingress);
+            handle.join().expect("worker paniced");
+
+            let (mut snapshots, mut bytes) = (0, 0);
+            let mut reader = SegmentReader::new();
+            for idx in store.list(0).unwrap() {
+                reader.open(&*store, SegmentId { shard: 0, idx }).unwrap();
+                let mut at = 0;
+                while let Scan::Record { rec, end, .. } = reader.next(Decode::All).unwrap() {
+                    if let WalRecord::Snapshot(s) = rec {
+                        assert!(
+                            s.window.is_empty(),
+                            "a snapshot at {} carries its window",
+                            s.stream_len
+                        );
+                        let widths = s.prev_release.iter().map(|e| e.ids.len());
+                        let want = by_position_len(&s.stream, s.kind, widths);
+                        assert_eq!(end - at, HEADER_LEN + want, "snapshot at {}", s.stream_len);
+                        snapshots += 1;
+                    }
+                    at = end;
+                }
+                bytes += at as u64;
+            }
+            let appended = wal_stats.bytes_appended.load(Ordering::Relaxed);
+            assert_eq!(appended, bytes);
+            // Publications at 8, 10, …, 60, each snapshotted.
+            assert_eq!(snapshots, 27);
+            (appended, wal_stats.records_appended.load(Ordering::Relaxed))
+        };
+        let first = run();
+        assert_eq!(run(), first);
+    }
+
     #[test]
     fn full_queue_sheds() {
         let cfg = ServeConfig {

@@ -179,7 +179,8 @@ pub struct WalStats {
     /// Records appended.
     pub records_appended: AtomicU64,
     /// Bytes of `snapshot` records among `bytes_appended`: the snapshots'
-    /// share of the log.
+    /// share of the log. Each is its header plus the previous release's
+    /// entries; its window is named by position, not copied.
     pub snapshot_bytes: AtomicU64,
     /// `fsync` calls issued by the sync policy.
     pub fsyncs: AtomicU64,

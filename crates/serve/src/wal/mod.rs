@@ -4,8 +4,10 @@
 //! `wal_dir/shard-<idx>/`, recording everything that shaped its streams:
 //! key materializations (`open`), accepted transaction chunks (`ingest`,
 //! logged before the pipeline advances), sanitized publications
-//! (`release`, logged before fan-out), and periodic full-state
-//! `snapshot`s that let compaction drop history. The building blocks:
+//! (`release`, logged before fan-out), and periodic `snapshot`s that let
+//! compaction drop history: a stream's counters and previous release, its
+//! window named by position among the ingest records the log already
+//! holds, so each transaction is logged once. The building blocks:
 //!
 //! * [`record`] — the checksummed, sequence-numbered record format;
 //!   `ingest`/`release` payloads are exactly the wire protocol's binary

@@ -42,19 +42,22 @@
 //!                   window:u32 × itemset
 //! ```
 //!
-//! A `snapshot` carries everything replay needs to rebuild a stream without
-//! older records: the window contents (tids are implied — the window's
-//! records are stream positions `stream_len - count + 1 ..= stream_len`,
-//! each an ascending id list) and the previous release's
-//! `(true_support, sanitized)` pairs, because Butterfly's republication
-//! rule pins unchanged supports to sanitized values that may chain back
-//! arbitrarily far — a fresh publish could not regenerate them (see
-//! [`bfly_core::PublicationHistory::restored`]). Like an ingest record, the
-//! shard encodes it from the state it holds, `encode_snapshot` reading
-//! the release's entries and the window from Moment's ring, with nothing
-//! built per record; [`StreamSnapshot`] is the decoded form recovery
-//! adopts. Both encoders lay the payload out through one function, so the
-//! bytes cannot drift.
+//! A `snapshot` carries what replay needs to rebuild a stream beside the
+//! window: the counters and the previous release's `(true_support,
+//! sanitized)` pairs, because Butterfly's republication rule pins unchanged
+//! supports to sanitized values that may chain back arbitrarily far — a
+//! fresh publish could not regenerate them (see
+//! [`bfly_core::PublicationHistory::restored`]). The window itself is the
+//! stream's last `W` logged ingest records, so the live writer names it by
+//! position: its `window` list is empty, meaning "the `W` records ending at
+//! `stream_len`" (unambiguous, since a publication needs a full window).
+//! `encode_snapshot` lays that form out from the release the shard holds,
+//! with nothing built per record. A snapshot whose list holds the window
+//! (records at positions `stream_len - count + 1 ..= stream_len`, each an
+//! ascending id list) is what older logs hold and what
+//! [`WalRecord::Snapshot`] still encodes; recovery adopts either form from
+//! the decoded [`StreamSnapshot`]. Both encoders lay the payload out
+//! through one function, so the bytes cannot drift.
 //!
 //! A scan checks every record's checksum; what it decodes is the caller's
 //! `Decode`: recovery decodes everything, catch-up only the `release`
@@ -64,7 +67,6 @@ use bfly_common::crc32::Crc32;
 use bfly_common::frame::{put_ids, put_str, Cursor, BINARY_MAGIC, OP_INGEST, OP_RELEASE};
 use bfly_common::{BinaryEntry, BinaryFrame, Error, IngestChunk, ItemSet, Result};
 use bfly_core::defense::DefenseKind;
-use bfly_core::pipeline::WindowView;
 use bfly_core::SanitizedRelease;
 
 /// `magic + op + payload_len + seq + crc` — the fixed record prefix.
@@ -107,7 +109,9 @@ pub struct StreamSnapshot {
     pub last_len: u64,
     /// The latest release's entries (the delta base and pin map).
     pub prev_release: Vec<SnapshotEntry>,
-    /// Window contents, oldest first; tids implied from `stream_len`.
+    /// Window contents, oldest first, tids implied from `stream_len`; empty
+    /// when the snapshot names its window by position (the `W` logged
+    /// records ending at `stream_len`), as the live writer logs it.
     pub window: Vec<Vec<u32>>,
 }
 
@@ -163,14 +167,13 @@ pub(crate) struct SnapshotHead<'a> {
 /// Append a `snapshot` payload and return its op: the one layout behind
 /// both [`WalRecord::Snapshot`] and [`encode_snapshot`], so the two cannot
 /// drift. `prev` yields each previous-release entry's
-/// `(ids, true_support, sanitized)`; `window` hands the ids of each of its
-/// `window_len` records, oldest first, to the callback it is given.
+/// `(ids, true_support, sanitized)`; `window` is the carried window, empty
+/// for a snapshot that names it by position.
 fn put_snapshot<I>(
     p: &mut Vec<u8>,
     head: &SnapshotHead,
     prev: impl ExactSizeIterator<Item = (I, u64, i64)>,
-    window_len: usize,
-    window: impl FnOnce(&mut dyn FnMut(&[u32])),
+    window: &[Vec<u32>],
 ) -> u8
 where
     I: ExactSizeIterator<Item = u32>,
@@ -186,13 +189,10 @@ where
         p.extend_from_slice(&true_support.to_le_bytes());
         p.extend_from_slice(&sanitized.to_le_bytes());
     }
-    p.extend_from_slice(&(window_len as u32).to_le_bytes());
-    let mut records = 0;
-    window(&mut |ids| {
+    p.extend_from_slice(&(window.len() as u32).to_le_bytes());
+    for ids in window {
         put_ids(p, ids.iter().copied());
-        records += 1;
-    });
-    assert_eq!(records, window_len, "snapshot window miscounted");
+    }
     OP_SNAPSHOT
 }
 
@@ -257,8 +257,7 @@ impl WalRecord {
                 s.prev_release
                     .iter()
                     .map(|e| (e.ids.iter().copied(), e.true_support, e.sanitized)),
-                s.window.len(),
-                |f| s.window.iter().for_each(|ids| f(ids)),
+                &s.window,
             ),
         }
     }
@@ -362,23 +361,22 @@ pub(crate) fn encode_ingest(
 }
 
 /// Encode the snapshot record of a stream into `out`, replacing its
-/// contents: `release` is the publication at `head.stream_len`, and
-/// `window` the pipeline's window, read back from Moment's ring. The bytes
-/// [`WalRecord::Snapshot`] encodes to for the same state, without building
-/// its entries or records.
+/// contents: `release` is the publication at `head.stream_len`, and the
+/// window is named by position. The bytes [`WalRecord::Snapshot`] encodes
+/// to for the same state with an empty `window`, without building its
+/// entries.
 pub(crate) fn encode_snapshot(
     out: &mut Vec<u8>,
     seq: u64,
     head: &SnapshotHead,
     release: &SanitizedRelease,
-    window: &WindowView,
 ) {
     framed(out, seq, |p| {
         let prev = release.iter().map(|e| {
             let ids = e.itemset().items().iter().map(|i| i.id());
             (ids, e.true_support, e.sanitized)
         });
-        put_snapshot(p, head, prev, window.len(), |f| window.for_each_record(f))
+        put_snapshot(p, head, prev, &[])
     });
 }
 
@@ -777,28 +775,31 @@ pub(crate) mod tests {
         assert_eq!(out, bytes);
     }
 
+    /// The payload length of a snapshot of `stream` bound to `kind` that
+    /// names its window by position: its header, a `(ids, true, sanitized)`
+    /// triple per previous-release entry of `widths` ids, and an empty
+    /// window list.
+    pub(crate) fn by_position_len(
+        stream: &str,
+        kind: DefenseKind,
+        widths: impl Iterator<Item = usize>,
+    ) -> usize {
+        let head = 2 + stream.len() + 2 + kind.name().len() + 3 * 8;
+        let prev: usize = widths.map(|w| 2 + 4 * w + 16).sum();
+        head + 4 + prev + 4
+    }
+
     /// The bytes [`crate::wal::WalWriter::append_snapshot`] logs for the
-    /// state `s` describes: its window fed to a pipeline that holds exactly
-    /// those records and ends at `s.stream_len`, its previous release built
-    /// as the publication step holds one.
+    /// state `s` describes, its previous release built as the publication
+    /// step holds one and its window named by position.
     fn appended_snapshot(s: &StreamSnapshot, seq: u64) -> Vec<u8> {
-        use crate::config::{ServeConfig, WalConfig};
+        use crate::config::WalConfig;
         use crate::stats::WalStats;
         use crate::wal::writer::{WalWriter, WriterPosition};
-        use bfly_common::{Item, ItemsetId};
+        use bfly_common::ItemsetId;
         use bfly_core::SanitizedItemset;
         use std::sync::Arc;
 
-        let cfg = ServeConfig {
-            window: s.window.len(),
-            ..ServeConfig::default()
-        };
-        let mut pipe = cfg.pipeline_with(&s.stream, s.kind);
-        pipe.set_stream_base(s.stream_len - s.window.len() as u64);
-        for ids in &s.window {
-            let items: Vec<Item> = ids.iter().map(|&id| Item(id)).collect();
-            pipe.advance_items(&items);
-        }
         let release = SanitizedRelease::new(
             s.prev_release
                 .iter()
@@ -817,13 +818,14 @@ pub(crate) mod tests {
         let stats = Arc::new(WalStats::default());
         let wal = WalConfig::new(store.root());
         let mut w = WalWriter::open_in(store.clone(), 0, wal, 8, stats.clone(), pos).unwrap();
+        let window = s.stream_len.min(2000) as usize;
         w.append_snapshot(
             &s.stream,
             s.kind,
             s.stream_len,
             s.published,
             &release,
-            &pipe.window(),
+            window,
         )
         .unwrap();
         let seg = store.open(SegmentId { shard: 0, idx: 0 }).unwrap();
@@ -838,8 +840,16 @@ pub(crate) mod tests {
 
     #[test]
     fn the_direct_snapshot_encoder_is_the_records_layout() {
-        let WalRecord::Snapshot(w2000) = w2000_snapshot() else {
-            unreachable!("a snapshot fixture")
+        // The live writer's snapshot is the record with an empty window:
+        // its header and previous release, nothing per window record.
+        let head = |stream: &str, kind, stream_len, published| StreamSnapshot {
+            stream: stream.into(),
+            kind,
+            stream_len,
+            published,
+            last_len: stream_len,
+            prev_release: Vec::new(),
+            window: Vec::new(),
         };
         let with_prev = StreamSnapshot {
             prev_release: vec![
@@ -854,24 +864,23 @@ pub(crate) mod tests {
                     sanitized: -1,
                 },
             ],
-            ..w2000.clone()
+            ..head("tenant-w", DefenseKind::Butterfly, 5000, 30)
         };
-        let empty_tx = StreamSnapshot {
-            stream: "tenant-e".into(),
-            kind: DefenseKind::PrivBasis,
-            stream_len: 4,
-            published: 1,
-            last_len: 4,
+        let one_entry = StreamSnapshot {
             prev_release: vec![SnapshotEntry {
                 ids: vec![1],
                 true_support: 3,
                 sanitized: 2,
             }],
-            window: vec![vec![1, 9], vec![], vec![1], vec![]],
+            ..head("tenant-e", DefenseKind::PrivBasis, 4, 1)
         };
-        for (s, seq) in [(w2000, 7), (with_prev, 1 << 40), (empty_tx, 0)] {
+        let empty = head("tenant-0", DefenseKind::Butterfly, 2000, 1);
+        for (s, seq) in [(with_prev, 1 << 40), (one_entry, 0), (empty, 7)] {
             let want = WalRecord::Snapshot(s.clone()).encode(seq);
             assert_eq!(appended_snapshot(&s, seq), want, "{}", s.stream);
+            let widths = s.prev_release.iter().map(|e| e.ids.len());
+            let len = by_position_len(&s.stream, s.kind, widths);
+            assert_eq!(want.len(), HEADER_LEN + len, "{}", s.stream);
             match scan_one(&want, 0, Decode::All) {
                 Scan::Record {
                     rec: WalRecord::Snapshot(back),

@@ -24,25 +24,37 @@
 //! * an `open` record — the stream's birth survived compaction; replay
 //!   builds a fresh pipeline and re-feeds everything;
 //! * a `snapshot` record for an unknown stream — the birth was compacted;
-//!   replay rebuilds from the snapshot alone: restart the stream counter
-//!   at `stream_len - window_count`, re-feed the window contents, and
+//!   replay rebuilds from the snapshot and its window: restart the stream
+//!   counter at `stream_len - W`, re-feed the window's `W` records, and
 //!   restore the stream's one piece of history
 //!   ([`bfly_core::StreamPipeline::restore`]): the previous release's
 //!   `(true_support, sanitized)` pairs, its position and the release
 //!   count, because Butterfly's republication rule pins unchanged supports
 //!   to values a fresh publish could not regenerate.
 //!
+//! The live writer names a snapshot's window by position (an empty window
+//! list: the `W` logged records ending at `stream_len`) and anchors the
+//! snapshot's coverage at the segment holding the window's first record,
+//! so compaction keeps them. Replay stages every `ingest` record it walks,
+//! an unknown stream's included, and a `release` record of an unknown
+//! stream — the compacted prefix, records older than the stream's adopted
+//! snapshot that happen to share a retained segment with it — drops only
+//! the staged records older than the window ending at it. A by-position
+//! snapshot adopts its window from the staged records; one whose window is
+//! not all staged is compacted history, skipped, and a later snapshot of
+//! the stream adopts. A stream that has records in the log but was neither
+//! opened nor adopted when the log ends refuses the start, since compaction
+//! keeps every stream's open or latest window. A snapshot that
+//! carries its window (logs written before snapshots named it, and the
+//! benchmark's trace) is adopted from its own records. Either way, adoption
+//! keeps the staged records past the snapshot, because a chunk logged
+//! before the snapshot can carry records the snapshot does not cover, and
+//! replay rebuilds each stream's ingest segments and anchors into the
+//! writer's position exactly as the writer keeps them.
+//!
 //! A publication the contract audit withheld left no record and no trace in
 //! the pipeline's history, so replay steps over its position like any
 //! other unpublished one and recomputes the later releases exactly.
-//!
-//! `release` records for *unknown* streams are skipped, not errors: they
-//! are the compacted prefix — records older than the stream's adopted
-//! snapshot that happen to share a retained segment with it. `ingest`
-//! records for unknown streams are buffered like any other: adoption drops
-//! the buffered records the snapshot already covers (position `<=` the
-//! snapshot's `stream_len`) and keeps the tail, because a chunk logged
-//! before the snapshot can carry records the snapshot does not cover.
 //!
 //! Recovery walks every segment through one `SegmentReader`
 //! (`wal/segment.rs`) — one block plus the largest record in memory,
@@ -66,12 +78,12 @@ use crate::protocol::binary_entries;
 use crate::stats::WalStats;
 use crate::wal::record::{Decode, Scan, StreamSnapshot, WalRecord};
 use crate::wal::segment::{FsStore, SegmentId, SegmentReader, SegmentStore};
-use crate::wal::writer::{WalWriter, WriterPosition};
+use crate::wal::writer::{segs_of, Basis, IngestSegs, WalWriter, WriterPosition};
 use bfly_common::{BinaryEntry, BinaryFrame, Error, Item, ItemSet, ItemsetId, Result, Transaction};
 use bfly_core::defense::{DefenseKind, PrivacyDefense};
 use bfly_core::{PublicationHistory, SanitizedItemset, StreamPipeline, WindowRelease};
 use std::collections::{HashMap, VecDeque};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -161,15 +173,15 @@ impl RecoveredStream {
             log.append(&record)?;
             if snapshot {
                 // Taken at a publication point, so everything a restart
-                // needs is the window and this release's (true, sanitized)
-                // pairs, encoded from the ring and the release themselves.
+                // needs beside the window, which the log already holds, is
+                // this release's (true, sanitized) pairs.
                 log.append_snapshot(
                     key,
                     self.kind,
                     window.stream_len,
                     published + 1,
                     &window.release,
-                    &self.pipe.window(),
+                    self.pipe.window().len(),
                 )?;
             }
         }
@@ -314,6 +326,30 @@ pub(crate) fn recover_shard_in(
         }
     }
 
+    // A stream with retained records that was neither opened nor adopted
+    // lost the segment its open or its window sat in: compaction keeps
+    // both, so the log is missing history it promised to keep.
+    let mut orphans: Vec<_> = state
+        .unadopted
+        .iter()
+        .filter(|(key, _)| !state.streams.contains_key(*key))
+        .collect();
+    orphans.sort();
+    if let Some((key, (path, snapshot))) = orphans.first() {
+        let reason = match snapshot {
+            Some(stream_len) => format!(
+                "snapshot for {key:?} at {stream_len} names the {} logged records ending there, \
+                 and the log no longer holds them",
+                cfg.window
+            ),
+            None => format!(
+                "stream {key:?} has logged records here, but neither its open nor a snapshot \
+                 of it survives"
+            ),
+        };
+        return Err(corrupt(path, &reason));
+    }
+
     pos.next_seq = expected_seq.unwrap_or(0);
     pos.coverage = state.coverage;
     pos.ingest_segs = state.ingest_segs;
@@ -353,9 +389,6 @@ pub(crate) fn recover_shard_in(
             }
         }
     }
-    // Pending for streams that never opened or adopted can only be the
-    // residue of closed, forgotten streams in the compaction grace tail —
-    // nothing live depends on them.
 
     stats
         .recovered_windows
@@ -394,7 +427,11 @@ struct ReplayState {
     streams: HashMap<String, RecoveredStream>,
     pending: HashMap<String, Pending>,
     coverage: HashMap<String, u64>,
-    ingest_segs: HashMap<String, u64>,
+    ingest_segs: HashMap<String, IngestSegs>,
+    /// Streams with records but not yet opened or adopted: the segment of
+    /// their first record, or of their latest snapshot that could not
+    /// adopt (its window was compacted) and its position.
+    unadopted: HashMap<String, (PathBuf, Option<u64>)>,
     recovered_windows: u64,
 }
 
@@ -410,8 +447,14 @@ fn apply(
         pending,
         coverage,
         ingest_segs,
+        unadopted,
         recovered_windows,
     } = state;
+    if let WalRecord::Ingest { stream, .. } | WalRecord::Release { stream, .. } = &rec {
+        if !streams.contains_key(stream) && !unadopted.contains_key(stream) {
+            unadopted.insert(stream.clone(), (path.to_path_buf(), None));
+        }
+    }
     match rec {
         WalRecord::Open { stream, kind } => {
             if streams.contains_key(&stream) {
@@ -457,7 +500,7 @@ fn apply(
             for (i, items) in batch.into_iter().enumerate() {
                 q.push_back((base + 1 + i as u64, items));
             }
-            ingest_segs.insert(stream, seg_idx);
+            segs_of(ingest_segs, &stream).logged(base + 1, seg_idx);
         }
         WalRecord::Release {
             stream,
@@ -465,11 +508,12 @@ fn apply(
             entries,
         } => {
             let Some(st) = streams.get_mut(&stream) else {
-                // Compacted prefix: the adopting snapshot covers whatever
-                // this release consumed — drop it from the staging buffer
-                // so adoption starts at the snapshot's edge.
+                // Compacted prefix: a snapshot here names the window ending
+                // at this release, so only the staged records older than
+                // that window leave the buffer.
                 if let Some(q) = pending.get_mut(&stream) {
-                    while q.front().is_some_and(|&(p, _)| p <= stream_len) {
+                    let floor = stream_len.saturating_sub(cfg.window as u64);
+                    while q.front().is_some_and(|&(p, _)| p <= floor) {
                         q.pop_front();
                     }
                 }
@@ -513,11 +557,25 @@ fn apply(
                 }
             }
         }
-        WalRecord::Snapshot(s) => {
-            // Same anchor rule as the writer: the snapshot's basis includes
-            // the staged tail of the chunk it landed inside, which may sit
-            // in an earlier segment.
-            let anchor = ingest_segs.get(&s.stream).copied().unwrap_or(seg_idx);
+        WalRecord::Snapshot(mut s) => {
+            // Same anchor rule as the writer.
+            let named = s.window.is_empty();
+            let count = if named { cfg.window } else { s.window.len() };
+            let first = s.stream_len.checked_sub(count as u64).ok_or_else(|| {
+                corrupt(
+                    path,
+                    &format!(
+                        "snapshot for {:?} names {count} window records beyond stream_len {}",
+                        s.stream, s.stream_len
+                    ),
+                )
+            })? + 1;
+            let basis = if named {
+                Basis::Named(first)
+            } else {
+                Basis::Carried(first)
+            };
+            let anchor = segs_of(ingest_segs, &s.stream).anchor(basis, seg_idx);
             coverage.insert(s.stream.clone(), anchor);
             if let Some(st) = streams.get(&s.stream) {
                 // Already live (its open survived): the snapshot is purely a
@@ -540,36 +598,39 @@ fn apply(
                 }
                 return Ok(());
             }
-            // Adoption: records the snapshot already covers leave the
-            // staging buffer; the chunk tail past the snapshot stays and
-            // drains at later releases (or the end-of-log drain).
-            if let Some(q) = pending.get_mut(&s.stream) {
-                while q.front().is_some_and(|&(p, _)| p <= s.stream_len) {
-                    q.pop_front();
-                }
+            // Adoption: records before the window leave the staging buffer,
+            // a named window's records are taken from it, and the chunk
+            // tail past the snapshot stays and drains at later releases (or
+            // the end-of-log drain).
+            let q = pending.entry(s.stream.clone()).or_default();
+            let covered = if named { first - 1 } else { s.stream_len };
+            while q.front().is_some_and(|&(p, _)| p <= covered) {
+                q.pop_front();
             }
+            if named {
+                let staged = q.front().is_some_and(|&(p, _)| p == first) && q.len() >= count;
+                if !staged {
+                    // Compacted history: a later snapshot adopts.
+                    unadopted.insert(s.stream.clone(), (path.to_path_buf(), Some(s.stream_len)));
+                    return Ok(());
+                }
+                let ids = |items: &ItemSet| items.iter().map(|i| i.id()).collect();
+                s.window = q.drain(..count).map(|(_, items)| ids(&items)).collect();
+            }
+            unadopted.remove(&s.stream);
             streams.insert(s.stream.clone(), adopt(cfg, path, s)?);
         }
     }
     Ok(())
 }
 
-/// Rebuild a stream from a snapshot alone (its earlier records were
-/// compacted away). Every itemset the snapshot holds must be strictly
-/// ascending, as every writer logs them: one that is not was never written
-/// by this log, so the start is refused rather than the itemset
+/// Rebuild a stream from a snapshot holding its window (its earlier
+/// records were compacted away). Every itemset the snapshot holds must be
+/// strictly ascending, as every writer logs them: one that is not was never
+/// written by this log, so the start is refused rather than the itemset
 /// canonicalized.
 fn adopt(cfg: &ServeConfig, path: &Path, s: StreamSnapshot) -> Result<RecoveredStream> {
-    let count = s.window.len() as u64;
-    let base = s.stream_len.checked_sub(count).ok_or_else(|| {
-        corrupt(
-            path,
-            &format!(
-                "snapshot for {:?} holds {count} window records beyond stream_len {}",
-                s.stream, s.stream_len
-            ),
-        )
-    })?;
+    let base = s.stream_len - s.window.len() as u64; // `apply` checked the window fits
     let ascending = |ids: &[u32]| ids.windows(2).all(|w| w[0] < w[1]);
     let bad_record = s.window.iter().position(|ids| !ascending(ids));
     let bad_entry = s.prev_release.iter().position(|e| !ascending(&e.ids));
@@ -677,6 +738,7 @@ mod tests {
     use crate::wal::fault::FaultStore;
     use crate::wal::record::tests::{undecodable_open, undecodable_release, w2000_snapshot};
     use crate::wal::record::{scan_one, SnapshotEntry, HEADER_LEN};
+    use crate::wal::segment::FsStore;
     use crate::wal::segment::{shard_dir, BLOCK};
     use bfly_common::SanitizedSupport;
     use std::path::PathBuf;
@@ -724,6 +786,10 @@ mod tests {
     struct Harness {
         st: RecoveredStream,
         releases: Vec<(u64, Vec<BinaryEntry>)>,
+        /// Log snapshots that carry their window, through
+        /// `WalRecord::Snapshot`, as logs written before snapshots named
+        /// it by position do.
+        carried: bool,
     }
 
     impl Harness {
@@ -748,7 +814,50 @@ mod tests {
             Harness {
                 st,
                 releases: Vec::new(),
+                carried: false,
             }
+        }
+
+        /// Publish the full window, logging it the way a log that carries
+        /// its snapshots' windows was written: the release record, then on
+        /// the snapshot cadence the window's records in the snapshot.
+        fn publish_carried(&mut self, cfg: &ServeConfig, key: &str, w: &mut WalWriter) -> Step {
+            let (_, step) = self.st.publish_and_log(cfg, key, None).unwrap();
+            let Step::Published(p) = &step else {
+                return step;
+            };
+            w.append(&WalRecord::Release {
+                stream: key.into(),
+                stream_len: p.window.stream_len,
+                entries: binary_entries(p.window.release.iter()),
+            })
+            .unwrap();
+            if p.snapshot {
+                let ids = |set: &ItemSet| set.iter().map(|i| i.id()).collect();
+                let n = p.window.stream_len;
+                w.append(&WalRecord::Snapshot(StreamSnapshot {
+                    stream: key.into(),
+                    kind: self.st.kind,
+                    stream_len: n,
+                    published: self.st.pipe.history().published(),
+                    last_len: n,
+                    prev_release: p
+                        .window
+                        .release
+                        .iter()
+                        .map(|e| SnapshotEntry {
+                            ids: ids(e.itemset()),
+                            true_support: e.true_support,
+                            sanitized: e.sanitized,
+                        })
+                        .collect(),
+                    window: (n - cfg.window as u64..n)
+                        .map(|i| ids(&record(i)))
+                        .collect(),
+                }))
+                .unwrap();
+            }
+            step
         }
 
         /// Feed records in chunks of `chunk`, logging each whole chunk
@@ -776,8 +885,11 @@ mod tests {
                 for &i in part {
                     self.st.pipe.advance(Transaction::new(0, record(i)));
                     if self.st.pipe.due(cfg.every) {
-                        let step = self.st.publish_and_log(cfg, key, writer.as_deref_mut());
-                        let (_, Step::Published(p)) = step.unwrap() else {
+                        let step = match writer.as_deref_mut() {
+                            Some(w) if self.carried => self.publish_carried(cfg, key, w),
+                            w => self.st.publish_and_log(cfg, key, w).unwrap().1,
+                        };
+                        let Step::Published(p) = step else {
                             panic!("an honest defense withheld a release");
                         };
                         let BinaryFrame::Release { entries, .. } = p.frame else {
@@ -1190,56 +1302,210 @@ mod tests {
         std::fs::remove_dir_all(&root).unwrap();
     }
 
-    #[test]
-    fn snapshot_adoption_survives_compaction_of_the_stream_birth() {
-        let root = tmp_root("adopt");
-        let cfg = tiny_cfg();
-        let mut wal = wal_cfg(&root);
+    /// Log records `0..n` of `"k"` in chunks of `chunk` under hard
+    /// compaction (one segment per `cfg.snapshot_every` snapshots, no
+    /// grace), snapshots carrying their window or naming it, and crash: the
+    /// birth segment is gone.
+    fn crashed_log(
+        root: &Path,
+        cfg: &ServeConfig,
+        carried: bool,
+        n: u64,
+        chunk: usize,
+    ) -> (WalConfig, Harness) {
+        let mut wal = wal_cfg(root);
         wal.segment_min_bytes = 1;
         wal.keep_segments = 0; // compact hard: the open record must die
         let stats = Arc::new(WalStats::default());
+        let pos = WriterPosition::default();
+        let mut w = WalWriter::open(root, 0, wal.clone(), cfg.snapshot_every, stats, pos).unwrap();
+        let mut crashed = Harness::open(cfg, "k", &mut w);
+        crashed.carried = carried;
+        crashed.feed(cfg, "k", Some(&mut w), 0..n, chunk);
+        drop(w);
+        let segs = FsStore::new(root).list(0).unwrap();
+        assert!(segs[0] > 0, "compaction never dropped the birth segment");
+        (wal, crashed)
+    }
+
+    /// Every snapshot in `root`'s log, by segment.
+    fn snapshots(root: &Path) -> Vec<(u64, StreamSnapshot)> {
+        let store = FsStore::new(root);
+        let mut out = Vec::new();
+        let mut reader = SegmentReader::new();
+        for idx in store.list(0).unwrap() {
+            reader.open(&store, SegmentId { shard: 0, idx }).unwrap();
+            while let Scan::Record { rec, .. } = reader.next(Decode::All).unwrap() {
+                if let WalRecord::Snapshot(s) = rec {
+                    out.push((idx, s));
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn snapshot_adoption_survives_compaction_of_the_stream_birth() {
+        // Chunks of 7 with a segment per three snapshots; and one record a
+        // chunk with a segment per snapshot, so a window spans four
+        // segments when compaction runs, before and after the restart.
+        let every_snapshot = ServeConfig {
+            snapshot_every: 1,
+            ..tiny_cfg()
+        };
+        for (cfg, chunk) in [(tiny_cfg(), 7), (every_snapshot, 1)] {
+            let root = tmp_root(&format!("adopt-{chunk}"));
+            let stats = Arc::new(WalStats::default());
+
+            let mut reference = Harness::new(&cfg, "k");
+            reference.feed(&cfg, "k", None, 0..100, chunk);
+
+            let (wal, crashed) = crashed_log(&root, &cfg, false, 60, chunk);
+            // The live writer names every window by position.
+            let logged = snapshots(&root);
+            assert!(!logged.is_empty() && logged.iter().all(|(_, s)| s.window.is_empty()));
+            let mut releases = crashed.releases.clone();
+
+            let mut rec = recover_shard(&cfg, &wal, 0, &stats).unwrap();
+            let st = rec.streams.remove("k").expect("adopted from snapshot");
+            assert_eq!(st.pipe.stream_len(), 60);
+            // The snapshot and the window's logged records restore the
+            // history the logging stream held.
+            assert_eq!(st.pipe.history(), crashed.st.pipe.history());
+            // The pin map and the window must have survived: continuing the
+            // stream publishes exactly what the uncrashed run publishes,
+            // including republication pins chosen windows before the
+            // snapshot. The restarted writer compacts by the anchors replay
+            // rebuilt — its first snapshots name records logged before the
+            // restart — and the log it leaves recovers in turn.
+            let mut resumed = Harness::resume(st);
+            resumed.feed(&cfg, "k", Some(&mut rec.writer), 60..64, chunk);
+            releases.extend(resumed.releases);
+            drop(rec);
+            let mut rec = recover_shard(&cfg, &wal, 0, &stats).unwrap();
+            let st = rec.streams.remove("k").expect("adopted again");
+            assert_eq!(st.pipe.stream_len(), 64);
+            let mut resumed = Harness::resume(st);
+            resumed.feed(&cfg, "k", Some(&mut rec.writer), 64..100, chunk);
+            releases.extend(resumed.releases);
+            assert_eq!(releases, reference.releases, "chunks of {chunk}");
+            std::fs::remove_dir_all(&root).unwrap();
+        }
+    }
+
+    /// A log whose snapshots carry their window, as logs written before
+    /// snapshots named it by position do, adopts from them and continues
+    /// byte-identically; the writer it hands back names its windows by
+    /// position, and that mixed log recovers byte-identically in turn.
+    #[test]
+    fn a_log_whose_snapshots_carry_their_window_recovers_byte_identically() {
+        let root = tmp_root("carried");
+        let cfg = tiny_cfg();
+        let stats = Arc::new(WalStats::default());
 
         let mut reference = Harness::new(&cfg, "k");
-        reference.feed(&cfg, "k", None, 0..80, 7);
+        reference.feed(&cfg, "k", None, 0..140, 7);
 
-        let mut w = WalWriter::open(
-            &root,
-            0,
-            wal.clone(),
-            cfg.snapshot_every,
-            stats.clone(),
-            WriterPosition::default(),
-        )
-        .unwrap();
-        let mut crashed = Harness::open(&cfg, "k", &mut w);
-        crashed.feed(&cfg, "k", Some(&mut w), 0..60, 7);
-        let before = crashed.releases.clone();
-        drop(w);
-
-        let segs = FsStore::new(&root).list(0).unwrap();
-        assert!(segs[0] > 0, "compaction never dropped the birth segment");
+        let (wal, crashed) = crashed_log(&root, &cfg, true, 60, 7);
+        let logged = snapshots(&root);
+        assert!(logged.iter().all(|(_, s)| s.window.len() == cfg.window));
+        let mut releases = crashed.releases.clone();
 
         let mut rec = recover_shard(&cfg, &wal, 0, &stats).unwrap();
         let st = rec.streams.remove("k").expect("adopted from snapshot");
-        assert_eq!(st.pipe.stream_len(), 60);
-        // The snapshot, encoded from the ring and the release, restores the
-        // history and the window the logging stream held.
         assert_eq!(st.pipe.history(), crashed.st.pipe.history());
-        let window = |st: &RecoveredStream| {
-            let mut records = Vec::new();
-            st.pipe
-                .window()
-                .for_each_record(|ids| records.push(ids.to_vec()));
-            records
-        };
-        assert_eq!(window(&st), window(&crashed.st));
-        // The pin map must have survived: continuing the stream publishes
-        // exactly what the uncrashed run publishes, including republication
-        // pins chosen windows before the snapshot.
         let mut resumed = Harness::resume(st);
-        resumed.feed(&cfg, "k", Some(&mut rec.writer), 60..80, 7);
-        let full: Vec<_> = before.into_iter().chain(resumed.releases).collect();
-        assert_eq!(full, reference.releases);
+        resumed.feed(&cfg, "k", Some(&mut rec.writer), 60..100, 7);
+        releases.extend(resumed.releases);
+        drop(rec);
+        // Compaction past the carried snapshots leaves by-position ones.
+        let logged = snapshots(&root);
+        assert!(logged.iter().any(|(_, s)| s.window.is_empty()));
+
+        let mut rec = recover_shard(&cfg, &wal, 0, &stats).unwrap();
+        let st = rec.streams.remove("k").expect("adopted from snapshot");
+        assert_eq!(st.pipe.stream_len(), 100);
+        let mut resumed = Harness::resume(st);
+        resumed.feed(&cfg, "k", Some(&mut rec.writer), 100..140, 7);
+        releases.extend(resumed.releases);
+        assert_eq!(releases, reference.releases);
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// The segment holding the window a by-position snapshot names, deleted
+    /// by hand: the snapshot names records the log no longer holds, so the
+    /// start is refused, naming the snapshot's segment, rather than the
+    /// stream silently left out. So is a log whose every snapshot and open
+    /// of a stream went with the deleted segment.
+    #[test]
+    fn a_snapshot_whose_window_segment_is_gone_refuses_the_start() {
+        let root = tmp_root("window-gone");
+        let cfg = tiny_cfg();
+        let store = FsStore::new(&root);
+        let recover =
+            |wal: &WalConfig| match recover_shard(&cfg, wal, 0, &Arc::new(WalStats::default())) {
+                Err(e) => e.to_string(),
+                Ok(_) => panic!("a stream whose history is gone must refuse the start"),
+            };
+
+        // Chunks of 20 straddle the rotations: the last snapshot, at 44,
+        // sits in segment 2 and names records 37..=44 of the chunk logged
+        // in segment 1.
+        let (wal, _) = crashed_log(&root, &cfg, false, 48, 20);
+        assert_eq!(store.list(0).unwrap(), vec![1, 2]);
+        let (last_seg, last) = snapshots(&root).last().unwrap().clone();
+        assert_eq!((last_seg, last.stream_len), (2, 44));
+        store.remove(SegmentId { shard: 0, idx: 1 }).unwrap();
+        let err = recover(&wal);
+        let seg = store.path(SegmentId { shard: 0, idx: 2 });
+        assert!(err.contains(&seg.display().to_string()), "{err}");
+        assert!(err.contains("corrupt mid-log"), "{err}");
+        let want = format!(
+            "snapshot for \"k\" at 44 names the {} logged records ending there, and the log \
+             no longer holds them",
+            cfg.window
+        );
+        assert!(err.contains(&want), "{err}");
+
+        // Chunks of 7: the last snapshot shares the oldest segment with its
+        // window; deleting it leaves only the stream's later records.
+        std::fs::remove_dir_all(&root).unwrap();
+        let (wal, _) = crashed_log(&root, &cfg, false, 60, 7);
+        let segs = store.list(0).unwrap();
+        let (last_seg, _) = snapshots(&root).last().unwrap().clone();
+        assert_eq!(last_seg, segs[0]);
+        store
+            .remove(SegmentId {
+                shard: 0,
+                idx: segs[0],
+            })
+            .unwrap();
+        let err = recover(&wal);
+        let seg = store.path(SegmentId {
+            shard: 0,
+            idx: segs[1],
+        });
+        assert!(err.contains(&seg.display().to_string()), "{err}");
+        assert!(
+            err.contains("\"k\" has logged records here, but neither its open nor a snapshot"),
+            "{err}"
+        );
+
+        // A lone release of a stream the log never opened.
+        std::fs::remove_dir_all(&root).unwrap();
+        let wal = wal_cfg(&root);
+        let stats = Arc::new(WalStats::default());
+        let pos = WriterPosition::default();
+        let mut w = WalWriter::open(&root, 0, wal.clone(), 3, stats, pos).unwrap();
+        w.append(&WalRecord::Release {
+            stream: "z".into(),
+            stream_len: 9,
+            entries: Vec::new(),
+        })
+        .unwrap();
+        drop(w);
+        let err = recover(&wal);
+        assert!(err.contains("\"z\" has logged records here"), "{err}");
         std::fs::remove_dir_all(&root).unwrap();
     }
 
@@ -1399,6 +1665,52 @@ mod tests {
         let mut logged = Vec::new();
         catchup_in(&*store, 0, "k", 0, |len, e| logged.push((len, e)));
         assert_eq!(logged, h.releases);
+    }
+
+    /// Under `always`, power loss right after a rotation that follows a
+    /// by-position snapshot, with compaction past the stream's birth: the
+    /// retained segments still hold the window the snapshot names, and
+    /// every acknowledged record recovers.
+    #[test]
+    fn a_crash_after_a_rotation_past_a_by_position_snapshot_recovers_everything() {
+        let cfg = tiny_cfg();
+        let store = FaultStore::new(13);
+        let mut wal = wal_cfg(store.root());
+        wal.sync = WalSyncPolicy::Always;
+        wal.segment_min_bytes = 1;
+        wal.keep_segments = 0;
+        let stats = Arc::new(WalStats::default());
+        let pos = WriterPosition::default();
+        let mut w =
+            WalWriter::open_in(store.clone(), 0, wal.clone(), 3, stats.clone(), pos).unwrap();
+        let mut h = Harness::open(&cfg, "k", &mut w);
+        let mut fed = 0;
+        let compacted = || stats.segments_compacted.load(Ordering::Relaxed);
+        while compacted() == 0 {
+            h.feed(&cfg, "k", Some(&mut w), fed..fed + 1, 1);
+            fed += 1;
+        }
+        // Right after that rotation, acknowledge one record in the fresh
+        // segment, then lose power.
+        h.feed(&cfg, "k", Some(&mut w), fed..fed + 1, 1);
+        fed += 1;
+        drop(w);
+        store.crash();
+
+        let rec = recover_shard_in(store.clone(), &cfg, &wal, 0, &stats).unwrap();
+        assert_eq!(rec.streams["k"].pipe.stream_len(), fed);
+        assert_eq!(rec.streams["k"].pipe.history(), h.st.pipe.history());
+        let mut logged = Vec::new();
+        catchup_in(&*store, 0, "k", 0, |len, e| logged.push((len, e)));
+        assert!(!logged.is_empty());
+        assert_eq!(logged, h.releases[h.releases.len() - logged.len()..]);
+        let mut reference = Harness::new(&cfg, "k");
+        reference.feed(&cfg, "k", None, 0..fed + 20, 1);
+        let mut resumed = Harness::resume(rec.streams.into_values().next().unwrap());
+        let mut writer = rec.writer;
+        resumed.feed(&cfg, "k", Some(&mut writer), fed..fed + 20, 3);
+        let full: Vec<_> = h.releases.iter().cloned().chain(resumed.releases).collect();
+        assert_eq!(full, reference.releases);
     }
 
     #[test]

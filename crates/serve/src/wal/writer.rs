@@ -16,25 +16,29 @@
 //! byte floor (tiny segments are all file-system overhead), or
 //! unconditionally at the byte ceiling. Because rotation only happens after
 //! snapshots, every rotated-away segment chain is eventually *covered*: all
-//! state it describes is reconstructible from snapshots in newer segments.
+//! state it describes is reconstructible from newer snapshots and the
+//! ingest records they name.
 //!
 //! **Compaction** exploits that: after each rotation, the writer computes
 //! the coverage floor — for every live stream, the oldest segment still
-//! needed to rebuild it (its latest snapshot's segment, or its `open`
-//! segment if it has never snapshotted) — and deletes segments strictly
-//! below the floor, minus a `keep_segments` grace tail retained as
-//! catch-up horizon for late subscribers.
+//! needed to rebuild it — and deletes segments strictly below the floor,
+//! minus a `keep_segments` grace tail retained as catch-up horizon for late
+//! subscribers. A stream that has never snapshotted is anchored at its
+//! `open` segment. A snapshot names its window by position, so its anchor
+//! is the segment of the ingest chunk holding the window's first record:
+//! every record of the window, and of the chunk tail logged past the
+//! snapshot, sits there or later. A snapshot that carries its window (the
+//! form older logs hold) is anchored at its stream's last ingest chunk,
+//! whose tail past the snapshot may sit in a segment sealed before it.
 
 use crate::config::{WalConfig, WalSyncPolicy};
 use crate::stats::WalStats;
-use crate::wal::record::{self, SnapshotHead, WalRecord, OP_OPEN, OP_SNAPSHOT};
+use crate::wal::record::{self, SnapshotHead, WalRecord};
 use crate::wal::segment::{FsStore, SegmentHandle, SegmentId, SegmentStore};
-use bfly_common::frame::OP_INGEST;
 use bfly_common::{IngestChunk, Result};
 use bfly_core::defense::DefenseKind;
-use bfly_core::pipeline::WindowView;
 use bfly_core::SanitizedRelease;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::path::Path;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -54,11 +58,71 @@ pub struct WriterPosition {
     /// Per-stream coverage: the oldest segment index still needed to
     /// rebuild each live stream.
     pub coverage: HashMap<String, u64>,
-    /// Per-stream segment of the last `ingest` record — the coverage
-    /// anchor for the next snapshot (see [`WalWriter::append`]).
-    pub ingest_segs: HashMap<String, u64>,
+    /// Per-stream segments of the logged ingest chunks — where the next
+    /// snapshot's window sits, its coverage anchor.
+    pub(crate) ingest_segs: HashMap<String, IngestSegs>,
     /// Total segments on disk (feeds the `segments` gauge).
     pub segments_on_disk: u64,
+}
+
+/// Where one stream's logged records sit: for each segment the stream
+/// logged an ingest chunk in, oldest first, the position of the first record
+/// it logged there. A record at position `p` sits in the segment of the
+/// last run starting at or before `p`.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub(crate) struct IngestSegs(VecDeque<(u64, u64)>);
+
+/// How a snapshot holds its window, which decides its coverage anchor.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Basis {
+    /// Named by position: the logged records from this position on.
+    Named(u64),
+    /// Named by position by a record appended without its window's length:
+    /// anchored at the oldest chunk known, which is always safe.
+    Unsized,
+    /// Carried in the record, starting at this position.
+    Carried(u64),
+}
+
+impl IngestSegs {
+    /// A chunk whose first record sits at `first` was logged in `seg`.
+    pub(crate) fn logged(&mut self, first: u64, seg: u64) {
+        if self.0.back().is_none_or(|&(_, at)| at != seg) {
+            self.0.push_back((first, seg));
+        }
+    }
+
+    /// The coverage anchor of a snapshot logged in `seg` whose window has
+    /// `basis`: the oldest segment replay needs for the window and the
+    /// chunk tail past it. Runs the anchor makes unreachable are dropped.
+    pub(crate) fn anchor(&mut self, basis: Basis, seg: u64) -> u64 {
+        match basis {
+            Basis::Named(first) => {
+                while self.0.len() > 1 && self.0[1].0 <= first {
+                    self.0.pop_front();
+                }
+                self.0.front().map_or(seg, |&(_, at)| at)
+            }
+            Basis::Unsized => self.0.front().map_or(seg, |&(_, at)| at),
+            Basis::Carried(first) => {
+                // The record holds the window; only the tail of the last
+                // chunk, past the snapshot, is read from its own segment.
+                let at = self.0.back().map_or(seg, |&(_, at)| at);
+                self.0.clear();
+                self.0.push_back((first, at));
+                at
+            }
+        }
+    }
+}
+
+/// What an appended record changes in the coverage bookkeeping.
+enum Mark {
+    Open,
+    /// An ingest chunk whose first record sits at this position.
+    Ingest(u64),
+    Snapshot(Basis),
+    Release,
 }
 
 /// Append half of one shard's write-ahead log.
@@ -77,7 +141,7 @@ pub struct WalWriter {
     next_seq: u64,
     appends_since_sync: u32,
     coverage: HashMap<String, u64>,
-    ingest_segs: HashMap<String, u64>,
+    ingest_segs: HashMap<String, IngestSegs>,
     /// The record being appended, laid out in place; reused by every append.
     buf: Vec<u8>,
 }
@@ -145,7 +209,16 @@ impl WalWriter {
     /// subscribers, and the `ingest` record before advancing the pipeline.
     pub fn append(&mut self, rec: &WalRecord) -> Result<()> {
         rec.encode_into(&mut self.buf, self.next_seq);
-        self.commit(rec.stream())
+        let mark = match rec {
+            WalRecord::Open { .. } => Mark::Open,
+            WalRecord::Ingest { base, .. } => Mark::Ingest(base + 1),
+            WalRecord::Release { .. } => Mark::Release,
+            WalRecord::Snapshot(s) if s.window.is_empty() => Mark::Snapshot(Basis::Unsized),
+            WalRecord::Snapshot(s) => {
+                Mark::Snapshot(Basis::Carried(s.stream_len + 1 - s.window.len() as u64))
+            }
+        };
+        self.commit(rec.stream(), mark)
     }
 
     /// [`WalWriter::append`] of the ingest record for `chunk` (`base` is
@@ -153,14 +226,15 @@ impl WalWriter {
     /// from the chunk: the bytes of the equivalent [`WalRecord::Ingest`].
     pub fn append_ingest(&mut self, stream: &str, base: u64, chunk: &IngestChunk) -> Result<()> {
         record::encode_ingest(&mut self.buf, self.next_seq, stream, base, chunk);
-        self.commit(stream)
+        self.commit(stream, Mark::Ingest(base + 1))
     }
 
     /// [`WalWriter::append`] of the snapshot record of `stream`, bound to
     /// `kind`, at the publication `release` made at `stream_len` (the
-    /// `published`-th), with `window` read back from Moment's ring: the
-    /// bytes of the equivalent [`WalRecord::Snapshot`], encoded straight
-    /// from the state the shard holds.
+    /// `published`-th), naming its window — the `window` logged records
+    /// ending at `stream_len` — by position: the bytes of the equivalent
+    /// [`WalRecord::Snapshot`] with an empty `window`, encoded straight from
+    /// the release the shard holds.
     pub fn append_snapshot(
         &mut self,
         stream: &str,
@@ -168,7 +242,7 @@ impl WalWriter {
         stream_len: u64,
         published: u64,
         release: &SanitizedRelease,
-        window: &WindowView,
+        window: usize,
     ) -> Result<()> {
         let head = SnapshotHead {
             stream,
@@ -177,46 +251,38 @@ impl WalWriter {
             published,
             last_len: stream_len,
         };
-        record::encode_snapshot(&mut self.buf, self.next_seq, &head, release, window);
-        self.commit(stream)
+        record::encode_snapshot(&mut self.buf, self.next_seq, &head, release);
+        let first = stream_len + 1 - window as u64;
+        self.commit(stream, Mark::Snapshot(Basis::Named(first)))
     }
 
     /// Write the record laid out in `buf` (for `stream`), then the
     /// bookkeeping, the sync policy and (maybe) rotation.
-    fn commit(&mut self, stream: &str) -> Result<()> {
+    fn commit(&mut self, stream: &str, mark: Mark) -> Result<()> {
         self.seg.append(&self.buf)?;
         let len = self.buf.len() as u64;
         self.next_seq += 1;
         self.seg_bytes += len;
         self.stats.bytes_appended.fetch_add(len, Ordering::Relaxed);
         self.stats.records_appended.fetch_add(1, Ordering::Relaxed);
-        match self.buf[1] {
-            OP_OPEN => {
+        match mark {
+            Mark::Open => {
                 // Birth segment is the coverage anchor until a snapshot
                 // supersedes it.
                 self.coverage
                     .entry(stream.to_string())
                     .or_insert(self.seg_idx);
             }
-            OP_INGEST => set(&mut self.ingest_segs, stream, self.seg_idx),
-            OP_SNAPSHOT => {
-                // A snapshot's basis is not just itself: the worker logs a
-                // whole chunk before advancing it, so when the snapshot
-                // lands mid-chunk, the chunk's post-snapshot tail records
-                // live in the *chunk's* segment — which a byte-ceiling
-                // rotation may have sealed before this snapshot. Anchor
-                // coverage there, never past it, or compaction could eat
-                // records replay still needs.
-                let anchor = self
-                    .ingest_segs
-                    .get(stream)
-                    .copied()
-                    .unwrap_or(self.seg_idx);
+            Mark::Ingest(first) => {
+                segs_of(&mut self.ingest_segs, stream).logged(first, self.seg_idx)
+            }
+            Mark::Snapshot(basis) => {
+                let anchor = segs_of(&mut self.ingest_segs, stream).anchor(basis, self.seg_idx);
                 set(&mut self.coverage, stream, anchor);
                 self.seg_snapshots += 1;
                 self.stats.snapshot_bytes.fetch_add(len, Ordering::Relaxed);
             }
-            _ => {}
+            Mark::Release => {}
         }
         match self.cfg.sync {
             WalSyncPolicy::Always => self.fsync()?,
@@ -310,6 +376,17 @@ fn set(map: &mut HashMap<String, u64>, stream: &str, value: u64) {
             map.insert(stream.to_string(), value);
         }
     }
+}
+
+/// `stream`'s ingest segments, allocating the key only the first time.
+pub(crate) fn segs_of<'m>(
+    map: &'m mut HashMap<String, IngestSegs>,
+    stream: &str,
+) -> &'m mut IngestSegs {
+    if !map.contains_key(stream) {
+        map.insert(stream.to_string(), IngestSegs::default());
+    }
+    map.get_mut(stream).expect("just inserted")
 }
 
 #[cfg(test)]
@@ -456,6 +533,51 @@ mod tests {
         assert_eq!(stats.segments_compacted.load(Ordering::Relaxed), 2);
         assert_eq!(stats.segments.load(Ordering::Relaxed), 2);
         std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// A snapshot that names its window keeps the segment holding the
+    /// window's first record; one that carries it keeps only its last
+    /// chunk's.
+    #[test]
+    fn a_named_window_anchors_at_its_first_records_segment() {
+        let release = SanitizedRelease::new(Vec::new());
+        for named in [true, false] {
+            let root = tmp_root(&format!("anchor-{named}"));
+            let stats = Arc::new(WalStats::default());
+            let pos = WriterPosition::default();
+            let mut w = WalWriter::open(&root, 0, tiny_cfg(&root), 1, stats, pos).unwrap();
+            w.append(&WalRecord::Open {
+                stream: "s".into(),
+                kind: DefenseKind::Butterfly,
+            })
+            .unwrap();
+            // One record a chunk; from the fourth on, a snapshot of the
+            // window of four after each, which rotates: record `n > 4`
+            // sits alone in segment `n - 4`.
+            for n in 1u64..=10 {
+                w.append(&WalRecord::Ingest {
+                    stream: "s".into(),
+                    base: n - 1,
+                    batch: vec!["ab".parse().unwrap()],
+                })
+                .unwrap();
+                if n < 4 {
+                    continue;
+                }
+                if named {
+                    w.append_snapshot("s", DefenseKind::Butterfly, n, n, &release, 4)
+                        .unwrap();
+                } else {
+                    w.append(&snap("s", n)).unwrap();
+                }
+            }
+            let segs = FsStore::new(&root).list(0).unwrap();
+            // The window ending at 10 starts at 7, in segment 3; a carried
+            // one needs only its last chunk's segment, 6.
+            let want: Vec<u64> = if named { (3..=7).collect() } else { vec![6, 7] };
+            assert_eq!(segs, want, "named {named}");
+            std::fs::remove_dir_all(&root).unwrap();
+        }
     }
 
     #[test]

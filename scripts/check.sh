@@ -119,15 +119,20 @@ if [[ -n "$STORAGE" ]]; then
   echo "the WAL touches the file system outside wal/segment.rs; add the operation to SegmentStore instead"; exit 1
 fi
 
-echo "==> snapshot-from-the-ring guard (a snapshot is logged from the state the shard holds: outside wal/record.rs, which defines and decodes the record, nothing in crates/serve/src builds a StreamSnapshot or SnapshotEntry or rebuilds the window's itemsets)"
-REBUILDS=$(for f in $(find crates/serve/src -name '*.rs' | sort); do
+echo "==> one-copy-in-the-log guard (each transaction is logged once, in its ingest record: a live snapshot names its window by position; outside wal/record.rs, which defines and decodes the record, nothing in crates/serve/src builds a StreamSnapshot or SnapshotEntry or reads the window's records back, and record.rs's live snapshot encoder writes no window record)"
+LOGGED_TWICE=$(for f in $(find crates/serve/src -name '*.rs' | sort); do
   [[ "$f" == crates/serve/src/wal/record.rs ]] && continue
-  sed -E '/^ *(pub\(crate\) )?mod tests \{/,$d' "$f" | grep -nE 'StreamSnapshot \{|SnapshotEntry \{|\.records\(\)|itemset_of' \
+  sed -E '/^ *(pub\(crate\) )?mod tests \{/,$d' "$f" | grep -nE 'StreamSnapshot \{|SnapshotEntry \{|\.records\(\)|itemset_of|for_each_record|ids_of' \
     | grep -v '^[0-9]*: *//' | sed "s|^|$f:|"
 done || true)
-if [[ -n "$REBUILDS" ]]; then
-  echo "$REBUILDS"
-  echo "the log's write path rebuilds the window or the release; log snapshots with WalWriter::append_snapshot"; exit 1
+LIVE_ENCODER=$(awk '/^ *(pub\(crate\) )?mod tests \{/ { exit }
+  /fn encode_snapshot\(/ { on = 1 } on { print } on && /^}/ { on = 0 }' crates/serve/src/wal/record.rs)
+if [[ -z "$LIVE_ENCODER" ]] || ! grep -qF 'put_snapshot(p, head, prev, &[])' <<< "$LIVE_ENCODER"; then
+  LOGGED_TWICE="${LOGGED_TWICE}crates/serve/src/wal/record.rs: encode_snapshot does not name its window by position (put_snapshot(p, head, prev, &[]))"
+fi
+if [[ -n "$LOGGED_TWICE" ]]; then
+  echo "$LOGGED_TWICE"
+  echo "a second copy of the window reaches the log; log snapshots with WalWriter::append_snapshot, which names the window by position"; exit 1
 fi
 
 echo "==> no-panic-on-log guard (a failed log append or sync turns the shard read-only: nothing in crates/serve/src unwraps or expects a WalWriter, recovery or store result)"

@@ -609,14 +609,27 @@ fn shard_files(dir: &Path) -> Vec<(String, Vec<u8>)> {
 /// Publish `pipe`'s full window and log it the way the shard worker does,
 /// through the `WalRecord` encoders: the `release` record, then on the
 /// snapshot cadence a `snapshot` built as a `StreamSnapshot` from the
-/// release and `window`, the records the pipeline holds.
+/// release, naming its window by position (an empty `window`).
 fn log_publication(
     w: &mut WalWriter,
     pipe: &mut DynPipeline,
-    window: &VecDeque<&ItemSet>,
     stream: &str,
     kind: DefenseKind,
     snapshot_every: usize,
+) {
+    log_publication_with(w, pipe, stream, kind, snapshot_every, &VecDeque::new());
+}
+
+/// [`log_publication`], with a snapshot carrying `window`, the records the
+/// pipeline holds, when it is not empty: the form logs written before
+/// snapshots named their window by position hold.
+fn log_publication_with(
+    w: &mut WalWriter,
+    pipe: &mut DynPipeline,
+    stream: &str,
+    kind: DefenseKind,
+    snapshot_every: usize,
+    window: &VecDeque<&ItemSet>,
 ) {
     let published = pipe.history().published();
     let r = pipe.publish_now().expect("an honest release");
@@ -654,7 +667,7 @@ fn log_publication(
 /// `serve --wal-dir --seed 42` run equal, byte for byte, those of an
 /// in-process writer fed the node's records through `WalRecord::{Open,
 /// Ingest, Release, Snapshot}` in the shard worker's order, snapshots
-/// built as `StreamSnapshot`s, the form the benchmark's trace still logs.
+/// built as `StreamSnapshot`s that name their window by position.
 #[test]
 fn served_log_equals_the_record_encoders_log() {
     let records: Vec<ItemSet> = DatasetProfile::WebView1
@@ -710,7 +723,6 @@ fn served_log_equals_the_record_encoders_log() {
         let mut w = WalWriter::open(&ref_dir, 0, wal, snapshot_every, stats, pos).unwrap();
         let stream = "alpha".to_string();
         let mut pipe = cfg.pipeline_for(&stream);
-        let mut window: VecDeque<&ItemSet> = VecDeque::new();
         let kind = cfg.defense.kind;
         w.append(&WalRecord::Open {
             stream: stream.clone(),
@@ -726,18 +738,14 @@ fn served_log_equals_the_record_encoders_log() {
             .unwrap();
             for items in batch {
                 pipe.advance(butterfly_repro::common::Transaction::new(0, items.clone()));
-                window.push_back(items);
-                if window.len() > cfg.window {
-                    window.pop_front();
-                }
                 if pipe.window().is_full() && pipe.since_publish() >= cfg.every {
-                    log_publication(&mut w, &mut pipe, &window, &stream, kind, snapshot_every);
+                    log_publication(&mut w, &mut pipe, &stream, kind, snapshot_every);
                 }
             }
         }
         // The shutdown drain's flush.
         if pipe.since_publish() > 0 {
-            log_publication(&mut w, &mut pipe, &window, &stream, kind, snapshot_every);
+            log_publication(&mut w, &mut pipe, &stream, kind, snapshot_every);
         }
 
         let (served, encoded) = (shard_files(&wal_dir), shard_files(&ref_dir));
@@ -760,4 +768,113 @@ fn served_log_equals_the_record_encoders_log() {
         let _ = std::fs::remove_file(&port_file);
         let _ = std::fs::remove_file(port_file.with_extension("log"));
     }
+}
+
+/// A log whose snapshots carry their window — written through
+/// `WalRecord::Snapshot`, as logs from before snapshots named their window
+/// by position hold — with the stream's birth compacted away: `serve`
+/// adopts the stream from it, re-verifies every logged release, and the
+/// releases it publishes past the restart equal an uncrashed run's, byte
+/// for byte.
+#[test]
+fn a_log_whose_snapshots_carry_their_window_restarts_byte_identically() {
+    let records: Vec<ItemSet> = DatasetProfile::WebView1
+        .source(31)
+        .take_vec(600)
+        .into_iter()
+        .map(|t| t.into_items())
+        .collect();
+    let tag = format!("bfly-wal-carried-{}", std::process::id());
+    let wal_dir = std::env::temp_dir().join(&tag);
+    let port_file = std::env::temp_dir().join(format!("{tag}.port"));
+    let _ = std::fs::remove_dir_all(&wal_dir);
+    let cfg = ServeConfig {
+        shards: 1,
+        window: 120,
+        c: 15,
+        k: 3,
+        epsilon: 0.016,
+        delta: 0.4,
+        every: 10,
+        snapshot_every: 1,
+        seed: 42,
+        ..ServeConfig::default()
+    };
+
+    // The first 400 records, logged under hard compaction.
+    let mut wal = WalConfig::new(&wal_dir);
+    wal.sync = WalSyncPolicy::Always;
+    wal.segment_min_bytes = 1;
+    wal.keep_segments = 0;
+    let stats = Arc::new(WalStats::default());
+    let pos = WriterPosition::default();
+    let mut w = WalWriter::open(&wal_dir, 0, wal, 1, stats, pos).unwrap();
+    let stream = "alpha".to_string();
+    let mut pipe = cfg.pipeline_for(&stream);
+    let mut window: VecDeque<&ItemSet> = VecDeque::new();
+    let kind = cfg.defense.kind;
+    w.append(&WalRecord::Open {
+        stream: stream.clone(),
+        kind,
+    })
+    .unwrap();
+    for batch in records[..400].chunks(25) {
+        w.append(&WalRecord::Ingest {
+            stream: stream.clone(),
+            base: pipe.stream_len(),
+            batch: batch.to_vec(),
+        })
+        .unwrap();
+        for items in batch {
+            pipe.advance(butterfly_repro::common::Transaction::new(0, items.clone()));
+            window.push_back(items);
+            if window.len() > cfg.window {
+                window.pop_front();
+            }
+            if pipe.due(cfg.every) {
+                log_publication_with(&mut w, &mut pipe, &stream, kind, 1, &window);
+            }
+        }
+    }
+    drop(w);
+    let segments = shard_files(&wal_dir);
+    assert_ne!(
+        segments[0].0, "seg-000000.wal",
+        "the birth was not compacted"
+    );
+
+    // The uncrashed run's releases past 400.
+    let mut reference = cfg.pipeline_for(&stream);
+    let mut want = Vec::new();
+    for items in &records {
+        reference.advance(butterfly_repro::common::Transaction::new(0, items.clone()));
+        if reference.due(cfg.every) {
+            let r = reference.publish_now().expect("an honest release");
+            if r.stream_len > 400 {
+                want.push((r.stream_len, binary_entries(r.release.iter())));
+            }
+        }
+    }
+    assert_eq!(reference.since_publish(), 0, "no drain flush owed");
+
+    let (mut server, addr) = spawn_serve(&wal_dir, &port_file, 1);
+    let mut client = Client::connect(addr).expect("connect");
+    for batch in records[400..].chunks(25) {
+        client
+            .request(&Request::Ingest {
+                stream: stream.clone(),
+                batch: batch.to_vec(),
+            })
+            .expect("ingest");
+    }
+    client.request(&Request::Shutdown).expect("shutdown reply");
+    let status = server.0.wait().expect("serve exit status");
+    assert!(status.success(), "serve exited {status}");
+
+    let logged = butterfly_repro::serve::wal::scan_catchup(&wal_dir, 0, &stream, 401);
+    assert_eq!(logged, want);
+    drop(server);
+    let _ = std::fs::remove_dir_all(&wal_dir);
+    let _ = std::fs::remove_file(&port_file);
+    let _ = std::fs::remove_file(port_file.with_extension("log"));
 }
