@@ -612,7 +612,7 @@ mod tests {
         let mut emitted = Vec::new();
         for t in stream {
             pipe.advance(t.clone());
-            if pipe.window().is_full() && pipe.since_publish() >= 5 {
+            if pipe.due(5) {
                 if let Ok(r) = pipe.publish_now() {
                     assert_eq!(r.release.len(), r.closed.len());
                     emitted.push(r.stream_len);

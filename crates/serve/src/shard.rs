@@ -58,15 +58,13 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// One unit of shard work.
-pub(crate) enum Job {
-    /// A chunk of accepted transactions for one stream key.
-    Ingest {
-        /// Stream key (shared, not cloned per record).
-        key: Arc<str>,
-        /// The chunk's transactions, in arrival order.
-        chunk: IngestChunk,
-    },
+/// One unit of shard work: a chunk of accepted transactions for one
+/// stream key.
+pub(crate) struct Job {
+    /// Stream key (shared, not cloned per record).
+    key: Arc<str>,
+    /// The chunk's transactions, in arrival order.
+    chunk: IngestChunk,
 }
 
 /// Why [`ShardIngress::offer`] turned a chunk away.
@@ -123,7 +121,7 @@ impl ShardIngress {
         // Channel capacity is `queue_cap` jobs and every job carries ≥ 1
         // reserved transaction, so a reserved chunk cannot find the channel
         // full — only disconnected (server draining).
-        match self.tx.try_send(Job::Ingest {
+        match self.tx.try_send(Job {
             key: key.clone(),
             chunk,
         }) {
@@ -405,20 +403,16 @@ fn worker(
         log,
         pipelines,
     };
-    while let Ok(job) = rx.recv() {
-        match job {
-            Job::Ingest { key, chunk } => {
-                let stats = &shard.stats;
-                stats
-                    .queue_depth
-                    .fetch_sub(chunk.len() as u64, Ordering::Relaxed);
-                if stats.read_only.get().is_some() {
-                    continue; // drained, never applied
-                }
-                if let Err(failure) = shard.ingest(&key, &chunk) {
-                    failure.make_read_only(shard.idx, &shard.stats);
-                }
-            }
+    while let Ok(Job { key, chunk }) = rx.recv() {
+        let stats = &shard.stats;
+        stats
+            .queue_depth
+            .fetch_sub(chunk.len() as u64, Ordering::Relaxed);
+        if stats.read_only.get().is_some() {
+            continue; // drained, never applied
+        }
+        if let Err(failure) = shard.ingest(&key, &chunk) {
+            failure.make_read_only(shard.idx, &shard.stats);
         }
     }
     // Every ingress sender is gone and the buffered jobs above are all

@@ -19,38 +19,28 @@
 //! re-executed — and re-logged, before the server accepts a single
 //! connection — rather than silently skipped.
 //!
-//! Two ways a stream comes into being during replay:
-//!
-//! * an `open` record — the stream's birth survived compaction; replay
-//!   builds a fresh pipeline and re-feeds everything;
-//! * a `snapshot` record for an unknown stream — the birth was compacted;
-//!   replay rebuilds from the snapshot and its window: restart the stream
-//!   counter at `stream_len - W`, re-feed the window's `W` records, and
-//!   restore the stream's one piece of history
-//!   ([`bfly_core::StreamPipeline::restore`]): the previous release's
-//!   `(true_support, sanitized)` pairs, its position and the release
-//!   count, because Butterfly's republication rule pins unchanged supports
-//!   to values a fresh publish could not regenerate.
-//!
-//! The live writer names a snapshot's window by position (an empty window
-//! list: the `W` logged records ending at `stream_len`) and anchors the
-//! snapshot's coverage at the segment holding the window's first record,
-//! so compaction keeps them. Replay stages every `ingest` record it walks,
-//! an unknown stream's included, and a `release` record of an unknown
-//! stream — the compacted prefix, records older than the stream's adopted
-//! snapshot that happen to share a retained segment with it — drops only
-//! the staged records older than the window ending at it. A by-position
-//! snapshot adopts its window from the staged records; one whose window is
-//! not all staged is compacted history, skipped, and a later snapshot of
-//! the stream adopts. A stream that has records in the log but was neither
-//! opened nor adopted when the log ends refuses the start, since compaction
-//! keeps every stream's open or latest window. A snapshot that
-//! carries its window (logs written before snapshots named it, and the
-//! benchmark's trace) is adopted from its own records. Either way, adoption
-//! keeps the staged records past the snapshot, because a chunk logged
-//! before the snapshot can carry records the snapshot does not cover, and
-//! replay rebuilds each stream's ingest segments and anchors into the
-//! writer's position exactly as the writer keeps them.
+//! A stream comes into being at its `open` record (its birth survived
+//! compaction: a fresh pipeline re-fed everything) or is adopted from a
+//! `snapshot` record (the birth was compacted): the stream counter restarts
+//! at `stream_len - W`, the window's `W` records are fed, and the stream's
+//! one piece of history is restored
+//! ([`bfly_core::StreamPipeline::restore`]), the previous release's
+//! `(true_support, sanitized)` pairs, its position and the release count,
+//! which Butterfly's republication rule pins. The live writer names a
+//! snapshot's window by position (an empty window list: the `W` logged
+//! records ending at `stream_len`), and replay stages every `ingest` record
+//! it walks, an unknown stream's included, so such a snapshot's window is
+//! fed straight from the staged records; one whose window is not all
+//! staged is compacted history, skipped for a later snapshot of the stream.
+//! A snapshot that carries its window (older logs, the benchmark's trace)
+//! is adopted from its own records. Adoption keeps the staged records past
+//! the snapshot, which a chunk logged before it can carry, and a `release`
+//! of an unknown stream drops only the staged records older than the window
+//! ending at it. A stream with records but neither opened nor adopted when
+//! the log ends refuses the start: compaction keeps every stream's open or
+//! latest window. Every record walked is applied to the writer's coverage
+//! ledger by the method the writer applies it with, so the restarted writer
+//! compacts as the crashed one would have.
 //!
 //! A publication the contract audit withheld left no record and no trace in
 //! the pipeline's history, so replay steps over its position like any
@@ -78,8 +68,8 @@ use crate::protocol::binary_entries;
 use crate::stats::WalStats;
 use crate::wal::record::{Decode, Scan, StreamSnapshot, WalRecord};
 use crate::wal::segment::{FsStore, SegmentId, SegmentReader, SegmentStore};
-use crate::wal::writer::{segs_of, Basis, IngestSegs, WalWriter, WriterPosition};
-use bfly_common::{BinaryEntry, BinaryFrame, Error, Item, ItemSet, ItemsetId, Result, Transaction};
+use crate::wal::writer::{Coverage, Mark, WalWriter, WriterPosition};
+use bfly_common::{BinaryEntry, BinaryFrame, Error, Item, ItemSet, ItemsetId, Result};
 use bfly_core::defense::{DefenseKind, PrivacyDefense};
 use bfly_core::{PublicationHistory, SanitizedItemset, StreamPipeline, WindowRelease};
 use std::collections::{HashMap, VecDeque};
@@ -225,7 +215,7 @@ fn advance_staged(
     st: &mut RecoveredStream,
     stream: &str,
     p: u64,
-    items: ItemSet,
+    items: &ItemSet,
 ) -> std::result::Result<(), String> {
     let at = st.pipe.stream_len();
     if p != at + 1 {
@@ -233,7 +223,7 @@ fn advance_staged(
             "stream {stream:?} has a logged record at position {p} but replay stopped at {at}"
         ));
     }
-    st.pipe.advance(Transaction::new(0, items));
+    st.pipe.advance_items(items.items());
     Ok(())
 }
 
@@ -352,7 +342,6 @@ pub(crate) fn recover_shard_in(
 
     pos.next_seq = expected_seq.unwrap_or(0);
     pos.coverage = state.coverage;
-    pos.ingest_segs = state.ingest_segs;
     let mut writer = WalWriter::open_in(
         store,
         shard,
@@ -377,7 +366,7 @@ pub(crate) fn recover_shard_in(
             continue;
         };
         for (p, items) in q {
-            advance_staged(st, &key, p, items).map_err(|e| {
+            advance_staged(st, &key, p, &items).map_err(|e| {
                 Error::Parse(format!(
                     "wal for shard {shard} is corrupt: {e} (move the wal dir aside to start fresh)"
                 ))
@@ -420,14 +409,13 @@ fn truncate_tail(
 }
 
 /// Everything the scan accumulates: the rebuilt streams, the staging
-/// buffers the log runs ahead with, and the compaction bookkeeping that
-/// seeds the writer's position.
+/// buffers the log runs ahead with, and the coverage ledger that seeds the
+/// writer's position.
 #[derive(Default)]
 struct ReplayState {
     streams: HashMap<String, RecoveredStream>,
     pending: HashMap<String, Pending>,
-    coverage: HashMap<String, u64>,
-    ingest_segs: HashMap<String, IngestSegs>,
+    coverage: Coverage,
     /// Streams with records but not yet opened or adopted: the segment of
     /// their first record, or of their latest snapshot that could not
     /// adopt (its window was compacted) and its position.
@@ -446,10 +434,11 @@ fn apply(
         streams,
         pending,
         coverage,
-        ingest_segs,
         unadopted,
         recovered_windows,
     } = state;
+    let mark = Mark::of(&rec, Some(cfg.window)).map_err(|e| corrupt(path, &e))?;
+    coverage.apply(rec.stream(), mark, seg_idx);
     if let WalRecord::Ingest { stream, .. } | WalRecord::Release { stream, .. } = &rec {
         if !streams.contains_key(stream) && !unadopted.contains_key(stream) {
             unadopted.insert(stream.clone(), (path.to_path_buf(), None));
@@ -463,7 +452,6 @@ fn apply(
                     &format!("duplicate open for stream {stream:?}"),
                 ));
             }
-            coverage.entry(stream.clone()).or_insert(seg_idx);
             streams.insert(
                 stream.clone(),
                 RecoveredStream {
@@ -500,7 +488,6 @@ fn apply(
             for (i, items) in batch.into_iter().enumerate() {
                 q.push_back((base + 1 + i as u64, items));
             }
-            segs_of(ingest_segs, &stream).logged(base + 1, seg_idx);
         }
         WalRecord::Release {
             stream,
@@ -531,7 +518,7 @@ fn apply(
                         ),
                     ));
                 };
-                advance_staged(st, &stream, p, items).map_err(|e| corrupt(path, &e))?;
+                advance_staged(st, &stream, p, &items).map_err(|e| corrupt(path, &e))?;
             }
             let logged = BinaryFrame::Release {
                 stream: stream.clone(),
@@ -557,26 +544,7 @@ fn apply(
                 }
             }
         }
-        WalRecord::Snapshot(mut s) => {
-            // Same anchor rule as the writer.
-            let named = s.window.is_empty();
-            let count = if named { cfg.window } else { s.window.len() };
-            let first = s.stream_len.checked_sub(count as u64).ok_or_else(|| {
-                corrupt(
-                    path,
-                    &format!(
-                        "snapshot for {:?} names {count} window records beyond stream_len {}",
-                        s.stream, s.stream_len
-                    ),
-                )
-            })? + 1;
-            let basis = if named {
-                Basis::Named(first)
-            } else {
-                Basis::Carried(first)
-            };
-            let anchor = segs_of(ingest_segs, &s.stream).anchor(basis, seg_idx);
-            coverage.insert(s.stream.clone(), anchor);
+        WalRecord::Snapshot(s) => {
             if let Some(st) = streams.get(&s.stream) {
                 // Already live (its open survived): the snapshot is purely a
                 // compaction barrier, but it is also a free consistency
@@ -599,38 +567,43 @@ fn apply(
                 return Ok(());
             }
             // Adoption: records before the window leave the staging buffer,
-            // a named window's records are taken from it, and the chunk
-            // tail past the snapshot stays and drains at later releases (or
-            // the end-of-log drain).
+            // a named window's records are fed from it, and the chunk tail
+            // past the snapshot stays and drains at later releases (or the
+            // end-of-log drain). `Mark::of` refused a window reaching past
+            // the stream's start.
             let q = pending.entry(s.stream.clone()).or_default();
-            let covered = if named { first - 1 } else { s.stream_len };
+            let staged = if s.window.is_empty() { cfg.window } else { 0 };
+            let covered = s.stream_len - staged as u64;
             while q.front().is_some_and(|&(p, _)| p <= covered) {
                 q.pop_front();
             }
-            if named {
-                let staged = q.front().is_some_and(|&(p, _)| p == first) && q.len() >= count;
-                if !staged {
-                    // Compacted history: a later snapshot adopts.
-                    unadopted.insert(s.stream.clone(), (path.to_path_buf(), Some(s.stream_len)));
-                    return Ok(());
-                }
-                let ids = |items: &ItemSet| items.iter().map(|i| i.id()).collect();
-                s.window = q.drain(..count).map(|(_, items)| ids(&items)).collect();
+            let whole = q.front().is_some_and(|&(p, _)| p == covered + 1) && q.len() >= staged;
+            if staged > 0 && !whole {
+                // Compacted history: a later snapshot adopts.
+                unadopted.insert(s.stream.clone(), (path.to_path_buf(), Some(s.stream_len)));
+                return Ok(());
             }
+            let st = adopt(cfg, path, &s, q.drain(..staged))?;
             unadopted.remove(&s.stream);
-            streams.insert(s.stream.clone(), adopt(cfg, path, s)?);
+            streams.insert(s.stream, st);
         }
     }
     Ok(())
 }
 
-/// Rebuild a stream from a snapshot holding its window (its earlier
-/// records were compacted away). Every itemset the snapshot holds must be
-/// strictly ascending, as every writer logs them: one that is not was never
-/// written by this log, so the start is refused rather than the itemset
+/// Rebuild a stream from snapshot `s` (its earlier records were compacted
+/// away), its window the `staged` records, or the snapshot's own when it
+/// carries them. Every itemset the snapshot holds must be strictly
+/// ascending, as every writer logs them: one that is not was never written
+/// by this log, so the start is refused rather than the itemset
 /// canonicalized.
-fn adopt(cfg: &ServeConfig, path: &Path, s: StreamSnapshot) -> Result<RecoveredStream> {
-    let base = s.stream_len - s.window.len() as u64; // `apply` checked the window fits
+fn adopt(
+    cfg: &ServeConfig,
+    path: &Path,
+    s: &StreamSnapshot,
+    staged: impl ExactSizeIterator<Item = (u64, ItemSet)>,
+) -> Result<RecoveredStream> {
+    let base = s.stream_len - (staged.len() + s.window.len()) as u64;
     let ascending = |ids: &[u32]| ids.windows(2).all(|w| w[0] < w[1]);
     let bad_record = s.window.iter().position(|ids| !ascending(ids));
     let bad_entry = s.prev_release.iter().position(|e| !ascending(&e.ids));
@@ -648,6 +621,9 @@ fn adopt(cfg: &ServeConfig, path: &Path, s: StreamSnapshot) -> Result<RecoveredS
     }
     let mut pipe = cfg.pipeline_with(&s.stream, s.kind);
     pipe.set_stream_base(base);
+    for (_, items) in staged {
+        pipe.advance_items(items.items());
+    }
     let mut items = Vec::new();
     for ids in &s.window {
         items.clear();
@@ -740,7 +716,7 @@ mod tests {
     use crate::wal::record::{scan_one, SnapshotEntry, HEADER_LEN};
     use crate::wal::segment::FsStore;
     use crate::wal::segment::{shard_dir, BLOCK};
-    use bfly_common::SanitizedSupport;
+    use bfly_common::{IngestChunk, SanitizedSupport, Transaction};
     use std::path::PathBuf;
 
     fn tmp_root(tag: &str) -> PathBuf {
@@ -862,7 +838,9 @@ mod tests {
 
         /// Feed records in chunks of `chunk`, logging each whole chunk
         /// before advancing any of it — exactly the worker's write order,
-        /// so publications land mid-chunk and replay must interleave.
+        /// so publications land mid-chunk and replay must interleave. A
+        /// stream logging carried windows logs its chunks through the
+        /// `WalRecord` encoder, any other through the worker's appender.
         fn feed(
             &mut self,
             cfg: &ServeConfig,
@@ -874,14 +852,18 @@ mod tests {
             let mut writer = writer;
             let idx: Vec<u64> = range.collect();
             for part in idx.chunks(chunk.max(1)) {
-                if let Some(w) = writer.as_deref_mut() {
-                    w.append(&WalRecord::Ingest {
+                let base = self.st.pipe.stream_len();
+                let batch: Vec<ItemSet> = part.iter().map(|&i| record(i)).collect();
+                match writer.as_deref_mut() {
+                    Some(w) if self.carried => w.append(&WalRecord::Ingest {
                         stream: key.into(),
-                        base: self.st.pipe.stream_len(),
-                        batch: part.iter().map(|&i| record(i)).collect(),
-                    })
-                    .unwrap();
+                        base,
+                        batch,
+                    }),
+                    Some(w) => w.append_ingest(key, base, &IngestChunk::from_itemsets(&batch)),
+                    None => Ok(()),
                 }
+                .unwrap();
                 for &i in part {
                     self.st.pipe.advance(Transaction::new(0, record(i)));
                     if self.st.pipe.due(cfg.every) {
@@ -1711,6 +1693,65 @@ mod tests {
         resumed.feed(&cfg, "k", Some(&mut writer), fed..fed + 20, 3);
         let full: Vec<_> = h.releases.iter().cloned().chain(resumed.releases).collect();
         assert_eq!(full, reference.releases);
+    }
+
+    /// The writer recovery hands back holds the coverage ledger the
+    /// crashed writer held: one stream logged through the live appenders,
+    /// its snapshots naming their window, one whose snapshots carry it,
+    /// compaction past both births. The carried stream goes quiet and holds
+    /// the floor, so segments below the named stream's anchor stay and
+    /// replay must anchor it exactly: one record a chunk and a segment per
+    /// snapshot put a segment's first record at the start of a window.
+    /// `append` refuses a snapshot naming its window by position, which it
+    /// cannot size.
+    #[test]
+    fn recovery_rebuilds_the_crashed_writers_coverage_ledger() {
+        let cfg = ServeConfig {
+            snapshot_every: 1,
+            ..tiny_cfg()
+        };
+        let store = FaultStore::new(17);
+        let mut wal = wal_cfg(store.root());
+        wal.sync = WalSyncPolicy::Always;
+        wal.segment_min_bytes = 1;
+        wal.keep_segments = 0;
+        let stats = Arc::new(WalStats::default());
+        let pos = WriterPosition::default();
+        let mut w =
+            WalWriter::open_in(store.clone(), 0, wal.clone(), 1, stats.clone(), pos).unwrap();
+        let mut named = Harness::open(&cfg, "named", &mut w);
+        let mut carried = Harness::open(&cfg, "carried", &mut w);
+        carried.carried = true;
+        for from in (0..60).step_by(5) {
+            named.feed(&cfg, "named", Some(&mut w), from..from + 5, 1);
+            if from < 40 {
+                carried.feed(&cfg, "carried", Some(&mut w), from..from + 5, 2);
+            }
+        }
+        assert!(
+            store.list(0).unwrap()[0] > 0,
+            "the births were never compacted"
+        );
+
+        let by_position = WalRecord::Snapshot(StreamSnapshot {
+            stream: "named".into(),
+            kind: DefenseKind::Butterfly,
+            stream_len: 60,
+            published: named.st.pipe.history().published(),
+            last_len: 60,
+            prev_release: Vec::new(),
+            window: Vec::new(),
+        });
+        let err = w.append(&by_position).unwrap_err().to_string();
+        assert!(err.contains("WalWriter::append_snapshot"), "{err}");
+
+        let crashed = w.coverage().clone();
+        drop(w);
+        store.crash();
+        let rec = recover_shard_in(store, &cfg, &wal, 0, &stats).unwrap();
+        assert_eq!(rec.streams["named"].pipe.stream_len(), 60);
+        assert_eq!(rec.streams["carried"].pipe.stream_len(), 40);
+        assert_eq!(rec.writer.coverage(), &crashed);
     }
 
     #[test]

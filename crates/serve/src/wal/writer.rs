@@ -19,23 +19,18 @@
 //! state it describes is reconstructible from newer snapshots and the
 //! ingest records they name.
 //!
-//! **Compaction** exploits that: after each rotation, the writer computes
-//! the coverage floor — for every live stream, the oldest segment still
-//! needed to rebuild it — and deletes segments strictly below the floor,
-//! minus a `keep_segments` grace tail retained as catch-up horizon for late
-//! subscribers. A stream that has never snapshotted is anchored at its
-//! `open` segment. A snapshot names its window by position, so its anchor
-//! is the segment of the ingest chunk holding the window's first record:
-//! every record of the window, and of the chunk tail logged past the
-//! snapshot, sits there or later. A snapshot that carries its window (the
-//! form older logs hold) is anchored at its stream's last ingest chunk,
-//! whose tail past the snapshot may sit in a segment sealed before it.
+//! **Compaction** exploits that: after each rotation, the writer deletes
+//! the segments below the oldest one some live stream still needs, minus a
+//! `keep_segments` grace tail kept as catch-up horizon. What each stream
+//! needs is one ledger, `Coverage`, which the writer and replay apply
+//! every record to through `Coverage::apply`: a restarted writer
+//! compacts as the crashed one would have.
 
 use crate::config::{WalConfig, WalSyncPolicy};
 use crate::stats::WalStats;
 use crate::wal::record::{self, SnapshotHead, WalRecord};
 use crate::wal::segment::{FsStore, SegmentHandle, SegmentId, SegmentStore};
-use bfly_common::{IngestChunk, Result};
+use bfly_common::{Error, IngestChunk, Result};
 use bfly_core::defense::DefenseKind;
 use bfly_core::SanitizedRelease;
 use std::collections::{HashMap, VecDeque};
@@ -55,74 +50,137 @@ pub struct WriterPosition {
     pub seg_snapshots: u32,
     /// Sequence number the next record must carry.
     pub next_seq: u64,
-    /// Per-stream coverage: the oldest segment index still needed to
-    /// rebuild each live stream.
-    pub coverage: HashMap<String, u64>,
-    /// Per-stream segments of the logged ingest chunks — where the next
-    /// snapshot's window sits, its coverage anchor.
-    pub(crate) ingest_segs: HashMap<String, IngestSegs>,
+    /// What the log must keep, as replay rebuilt it.
+    pub(crate) coverage: Coverage,
     /// Total segments on disk (feeds the `segments` gauge).
     pub segments_on_disk: u64,
 }
 
-/// Where one stream's logged records sit: for each segment the stream
-/// logged an ingest chunk in, oldest first, the position of the first record
-/// it logged there. A record at position `p` sits in the segment of the
-/// last run starting at or before `p`.
+/// The ledger of what one shard's log must keep: for every stream, the
+/// oldest segment still needed to rebuild it (its anchor) and where its
+/// logged ingest chunks sit.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub(crate) struct IngestSegs(VecDeque<(u64, u64)>);
+pub(crate) struct Coverage(HashMap<String, StreamCoverage>);
 
-/// How a snapshot holds its window, which decides its coverage anchor.
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum Basis {
-    /// Named by position: the logged records from this position on.
-    Named(u64),
-    /// Named by position by a record appended without its window's length:
-    /// anchored at the oldest chunk known, which is always safe.
-    Unsized,
-    /// Carried in the record, starting at this position.
-    Carried(u64),
+/// One stream's entry in the [`Coverage`] ledger.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+struct StreamCoverage {
+    /// None until the stream opens or snapshots.
+    anchor: Option<u64>,
+    /// `(base, segment)` of the first chunk logged in each segment the
+    /// stream logged one in, oldest first: the record at position `p` sits
+    /// in the segment of the last run whose base is below `p`.
+    runs: VecDeque<(u64, u64)>,
 }
 
-impl IngestSegs {
-    /// A chunk whose first record sits at `first` was logged in `seg`.
-    pub(crate) fn logged(&mut self, first: u64, seg: u64) {
-        if self.0.back().is_none_or(|&(_, at)| at != seg) {
-            self.0.push_back((first, seg));
-        }
-    }
-
-    /// The coverage anchor of a snapshot logged in `seg` whose window has
-    /// `basis`: the oldest segment replay needs for the window and the
-    /// chunk tail past it. Runs the anchor makes unreachable are dropped.
-    pub(crate) fn anchor(&mut self, basis: Basis, seg: u64) -> u64 {
-        match basis {
-            Basis::Named(first) => {
-                while self.0.len() > 1 && self.0[1].0 <= first {
-                    self.0.pop_front();
-                }
-                self.0.front().map_or(seg, |&(_, at)| at)
-            }
-            Basis::Unsized => self.0.front().map_or(seg, |&(_, at)| at),
-            Basis::Carried(first) => {
-                // The record holds the window; only the tail of the last
-                // chunk, past the snapshot, is read from its own segment.
-                let at = self.0.back().map_or(seg, |&(_, at)| at);
-                self.0.clear();
-                self.0.push_back((first, at));
-                at
-            }
-        }
-    }
-}
-
-/// What an appended record changes in the coverage bookkeeping.
-enum Mark {
+/// What a record changes in its stream's coverage.
+pub(crate) enum Mark {
     Open,
-    /// An ingest chunk whose first record sits at this position.
+    /// An ingest chunk with this `base`.
     Ingest(u64),
     Snapshot(Basis),
     Release,
+}
+
+/// How a snapshot holds its window, which decides its coverage anchor;
+/// each holds the position before the window's first record.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Basis {
+    /// Named by position: the logged records past this position.
+    Named(u64),
+    Carried(u64),
+}
+
+impl Basis {
+    /// The one rule for both callers: a snapshot at `stream_len` carrying
+    /// `carried` window records starts its window that many records back,
+    /// one carrying none `window` back, if the caller knows `W`.
+    fn of(
+        stream: &str,
+        stream_len: u64,
+        carried: usize,
+        window: Option<usize>,
+    ) -> std::result::Result<Basis, String> {
+        let len = match carried {
+            0 => window.ok_or_else(|| {
+                format!(
+                    "snapshot for {stream:?} names its window by position, which only \
+                     WalWriter::append_snapshot can size"
+                )
+            })?,
+            n => n,
+        };
+        let base = stream_len.checked_sub(len as u64).ok_or_else(|| {
+            format!(
+                "snapshot for {stream:?} names {len} window records beyond stream_len {stream_len}"
+            )
+        })?;
+        Ok(match carried {
+            0 => Basis::Named(base),
+            _ => Basis::Carried(base),
+        })
+    }
+}
+
+impl Mark {
+    /// What `rec` changes, in a log whose windows hold `window` records
+    /// (`None` where that is unknown, as in [`WalWriter::append`]).
+    pub(crate) fn of(rec: &WalRecord, window: Option<usize>) -> std::result::Result<Mark, String> {
+        Ok(match rec {
+            WalRecord::Open { .. } => Mark::Open,
+            WalRecord::Ingest { base, .. } => Mark::Ingest(*base),
+            WalRecord::Release { .. } => Mark::Release,
+            WalRecord::Snapshot(s) => {
+                Mark::Snapshot(Basis::of(&s.stream, s.stream_len, s.window.len(), window)?)
+            }
+        })
+    }
+}
+
+impl Coverage {
+    /// Apply `mark`, a record of `stream` logged in `seg`. An `open`
+    /// anchors a stream at its birth segment until it snapshots. A snapshot
+    /// naming its window is anchored at the chunk holding the window's first
+    /// record: the window, and the chunk tail past the snapshot, sit there
+    /// or later. One carrying it needs only the stream's last chunk, whose
+    /// tail may sit in a segment sealed before the snapshot's.
+    pub(crate) fn apply(&mut self, stream: &str, mark: Mark, seg: u64) {
+        if let Mark::Release = mark {
+            return;
+        }
+        if !self.0.contains_key(stream) {
+            self.0.insert(stream.to_string(), StreamCoverage::default());
+        }
+        let s = self.0.get_mut(stream).expect("just inserted");
+        match mark {
+            Mark::Open => {
+                s.anchor.get_or_insert(seg);
+            }
+            Mark::Ingest(base) => {
+                if s.runs.back().is_none_or(|&(_, at)| at != seg) {
+                    s.runs.push_back((base, seg));
+                }
+            }
+            Mark::Snapshot(Basis::Named(base)) => {
+                while s.runs.len() > 1 && s.runs[1].0 <= base {
+                    s.runs.pop_front();
+                }
+                s.anchor = Some(s.runs.front().map_or(seg, |&(_, at)| at));
+            }
+            Mark::Snapshot(Basis::Carried(base)) => {
+                let at = s.runs.back().map_or(seg, |&(_, at)| at);
+                s.runs.clear();
+                s.runs.push_back((base, at));
+                s.anchor = Some(at);
+            }
+            Mark::Release => {}
+        }
+    }
+
+    /// The oldest segment some stream still needs, if any is anchored.
+    fn floor(&self) -> Option<u64> {
+        self.0.values().filter_map(|s| s.anchor).min()
+    }
 }
 
 /// Append half of one shard's write-ahead log.
@@ -140,8 +198,7 @@ pub struct WalWriter {
     seg_snapshots: u32,
     next_seq: u64,
     appends_since_sync: u32,
-    coverage: HashMap<String, u64>,
-    ingest_segs: HashMap<String, IngestSegs>,
+    coverage: Coverage,
     /// The record being appended, laid out in place; reused by every append.
     buf: Vec<u8>,
 }
@@ -198,7 +255,6 @@ impl WalWriter {
             next_seq: pos.next_seq,
             appends_since_sync: 0,
             coverage: pos.coverage,
-            ingest_segs: pos.ingest_segs,
             buf: Vec::new(),
         })
     }
@@ -207,17 +263,11 @@ impl WalWriter {
     /// Durable-before-visible is the caller's contract: the shard worker
     /// appends the `release` record *before* fanning the release out to
     /// subscribers, and the `ingest` record before advancing the pipeline.
+    /// A snapshot whose window reaches past its stream's start, or which
+    /// names it by position, is refused unwritten.
     pub fn append(&mut self, rec: &WalRecord) -> Result<()> {
+        let mark = Mark::of(rec, None).map_err(Error::Parse)?;
         rec.encode_into(&mut self.buf, self.next_seq);
-        let mark = match rec {
-            WalRecord::Open { .. } => Mark::Open,
-            WalRecord::Ingest { base, .. } => Mark::Ingest(base + 1),
-            WalRecord::Release { .. } => Mark::Release,
-            WalRecord::Snapshot(s) if s.window.is_empty() => Mark::Snapshot(Basis::Unsized),
-            WalRecord::Snapshot(s) => {
-                Mark::Snapshot(Basis::Carried(s.stream_len + 1 - s.window.len() as u64))
-            }
-        };
         self.commit(rec.stream(), mark)
     }
 
@@ -226,7 +276,7 @@ impl WalWriter {
     /// from the chunk: the bytes of the equivalent [`WalRecord::Ingest`].
     pub fn append_ingest(&mut self, stream: &str, base: u64, chunk: &IngestChunk) -> Result<()> {
         record::encode_ingest(&mut self.buf, self.next_seq, stream, base, chunk);
-        self.commit(stream, Mark::Ingest(base + 1))
+        self.commit(stream, Mark::Ingest(base))
     }
 
     /// [`WalWriter::append`] of the snapshot record of `stream`, bound to
@@ -251,9 +301,9 @@ impl WalWriter {
             published,
             last_len: stream_len,
         };
+        let basis = Basis::of(stream, stream_len, 0, Some(window)).map_err(Error::Parse)?;
         record::encode_snapshot(&mut self.buf, self.next_seq, &head, release);
-        let first = stream_len + 1 - window as u64;
-        self.commit(stream, Mark::Snapshot(Basis::Named(first)))
+        self.commit(stream, Mark::Snapshot(basis))
     }
 
     /// Write the record laid out in `buf` (for `stream`), then the
@@ -265,25 +315,11 @@ impl WalWriter {
         self.seg_bytes += len;
         self.stats.bytes_appended.fetch_add(len, Ordering::Relaxed);
         self.stats.records_appended.fetch_add(1, Ordering::Relaxed);
-        match mark {
-            Mark::Open => {
-                // Birth segment is the coverage anchor until a snapshot
-                // supersedes it.
-                self.coverage
-                    .entry(stream.to_string())
-                    .or_insert(self.seg_idx);
-            }
-            Mark::Ingest(first) => {
-                segs_of(&mut self.ingest_segs, stream).logged(first, self.seg_idx)
-            }
-            Mark::Snapshot(basis) => {
-                let anchor = segs_of(&mut self.ingest_segs, stream).anchor(basis, self.seg_idx);
-                set(&mut self.coverage, stream, anchor);
-                self.seg_snapshots += 1;
-                self.stats.snapshot_bytes.fetch_add(len, Ordering::Relaxed);
-            }
-            Mark::Release => {}
+        if let Mark::Snapshot(_) = mark {
+            self.seg_snapshots += 1;
+            self.stats.snapshot_bytes.fetch_add(len, Ordering::Relaxed);
         }
+        self.coverage.apply(stream, mark, self.seg_idx);
         match self.cfg.sync {
             WalSyncPolicy::Always => self.fsync()?,
             WalSyncPolicy::Interval(n) => {
@@ -338,7 +374,7 @@ impl WalWriter {
     /// snapshotted pins the floor at its `open` segment, so its full
     /// history survives.
     fn compact(&mut self) -> Result<()> {
-        let Some(&floor) = self.coverage.values().min() else {
+        let Some(floor) = self.coverage.floor() else {
             return Ok(()); // no live streams: nothing is safe to judge
         };
         let delete_below = floor.saturating_sub(self.cfg.keep_segments as u64);
@@ -366,27 +402,12 @@ impl WalWriter {
     pub fn next_seq(&self) -> u64 {
         self.next_seq
     }
-}
 
-/// `map[stream] = value`, allocating the key only the first time.
-fn set(map: &mut HashMap<String, u64>, stream: &str, value: u64) {
-    match map.get_mut(stream) {
-        Some(v) => *v = value,
-        None => {
-            map.insert(stream.to_string(), value);
-        }
+    /// The writer's coverage ledger (test hook).
+    #[cfg(test)]
+    pub(crate) fn coverage(&self) -> &Coverage {
+        &self.coverage
     }
-}
-
-/// `stream`'s ingest segments, allocating the key only the first time.
-pub(crate) fn segs_of<'m>(
-    map: &'m mut HashMap<String, IngestSegs>,
-    stream: &str,
-) -> &'m mut IngestSegs {
-    if !map.contains_key(stream) {
-        map.insert(stream.to_string(), IngestSegs::default());
-    }
-    map.get_mut(stream).expect("just inserted")
 }
 
 #[cfg(test)]
@@ -578,6 +599,36 @@ mod tests {
             assert_eq!(segs, want, "named {named}");
             std::fs::remove_dir_all(&root).unwrap();
         }
+    }
+
+    /// A snapshot `append` cannot anchor is refused before a byte is
+    /// written: one whose carried window reaches past its stream's start,
+    /// and one naming its window by position, whose length `append` does
+    /// not know.
+    #[test]
+    fn a_snapshot_append_cannot_anchor_is_refused() {
+        let root = tmp_root("refuse");
+        let stats = Arc::new(WalStats::default());
+        let pos = WriterPosition::default();
+        let mut w =
+            WalWriter::open(&root, 0, WalConfig::new(&root), 4, stats.clone(), pos).unwrap();
+        let WalRecord::Snapshot(mut by_position) = snap("s", 8) else {
+            unreachable!("snap builds a snapshot")
+        };
+        by_position.window.clear();
+        for (rec, want) in [
+            (snap("s", 2), "names 4 window records beyond stream_len 2"),
+            (
+                WalRecord::Snapshot(by_position),
+                "only WalWriter::append_snapshot can size",
+            ),
+        ] {
+            let err = w.append(&rec).unwrap_err().to_string();
+            assert!(err.contains(want), "{err}");
+        }
+        assert_eq!(w.next_seq(), 0);
+        assert_eq!(stats.bytes_appended.load(Ordering::Relaxed), 0);
+        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]

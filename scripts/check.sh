@@ -135,6 +135,17 @@ if [[ -n "$LOGGED_TWICE" ]]; then
   echo "a second copy of the window reaches the log; log snapshots with WalWriter::append_snapshot, which names the window by position"; exit 1
 fi
 
+echo "==> one-ledger guard (what the log must keep is one ledger in wal/writer.rs: the writer and replay apply every record to it through Coverage::apply; outside writer.rs, no non-test code in crates/serve/src names its ingest runs or snapshot basis, or anchors a snapshot itself)"
+LEDGERS=$(for f in $(find crates/serve/src -name '*.rs' | sort); do
+  [[ "$f" == crates/serve/src/wal/writer.rs ]] && continue
+  sed -E '/^ *(pub\(crate\) )?mod tests \{/,$d' "$f" | grep -nE '\bIngestSegs\b|\bBasis\b|\.anchor\(|\.logged\(' \
+    | grep -v '^[0-9]*: *//' | sed "s|^|$f:|"
+done || true)
+if [[ -n "$LEDGERS" ]]; then
+  echo "$LEDGERS"
+  echo "a second copy of the coverage bookkeeping; apply the record's Mark to wal::writer::Coverage instead"; exit 1
+fi
+
 echo "==> no-panic-on-log guard (a failed log append or sync turns the shard read-only: nothing in crates/serve/src unwraps or expects a WalWriter, recovery or store result)"
 # One awk record per statement (split at ';'), so a call and the .expect
 # that closes it a few lines later are judged together. wal/fault.rs is

@@ -145,7 +145,7 @@ fn expected_events(key: &str, records: &[ItemSet]) -> Vec<String> {
     let mut events = Vec::new();
     for items in records {
         pipe.advance(butterfly_repro::common::Transaction::new(0, items.clone()));
-        if pipe.window().is_full() && pipe.since_publish() >= cfg.every {
+        if pipe.due(cfg.every) {
             let r = pipe.publish_now().expect("full window");
             events.push(release_line(key, r.stream_len, &r.release));
         }

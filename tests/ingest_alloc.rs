@@ -281,7 +281,7 @@ fn live_heap_is_bounded_by_live_state_on_a_drifting_stream() {
         let t = source.next_transaction();
         let items = ItemSet::from_ids(t.items().iter().map(|item| item.id() + shift(i)));
         pipe.advance_items(items.items());
-        if pipe.window().is_full() && pipe.since_publish() >= cfg.every {
+        if pipe.due(cfg.every) {
             pipe.publish_now().expect("the contract holds");
             peaks.push(take_peak());
         }

@@ -191,7 +191,7 @@ fn kill_dash_nine_then_restart_replays_byte_identically() {
     let mut expected: Vec<String> = Vec::new();
     for items in &records {
         pipe.advance(butterfly_repro::common::Transaction::new(0, items.clone()));
-        if pipe.window().is_full() && pipe.since_publish() >= cfg.every {
+        if pipe.due(cfg.every) {
             let r = pipe.publish_now().expect("full window");
             expected.push(release_line("alpha", r.stream_len, &r.release));
         }
@@ -360,7 +360,7 @@ fn clean_restart_straddles_byte_identically() {
     let mut expected: Vec<String> = Vec::new();
     for (i, items) in records.iter().enumerate() {
         pipe.advance(butterfly_repro::common::Transaction::new(0, items.clone()));
-        if pipe.window().is_full() && pipe.since_publish() >= cfg.every {
+        if pipe.due(cfg.every) {
             let r = pipe.publish_now().expect("full window");
             expected.push(release_line("alpha", r.stream_len, &r.release));
         }
@@ -539,7 +539,7 @@ fn a_drawn_secret_survives_a_kill_and_refuses_another_seed() {
     let mut expected: Vec<String> = Vec::new();
     for items in &records {
         pipe.advance(butterfly_repro::common::Transaction::new(0, items.clone()));
-        if pipe.window().is_full() && pipe.since_publish() >= cfg.every {
+        if pipe.due(cfg.every) {
             let r = pipe.publish_now().expect("full window");
             expected.push(release_line("alpha", r.stream_len, &r.release));
         }
@@ -608,8 +608,10 @@ fn shard_files(dir: &Path) -> Vec<(String, Vec<u8>)> {
 
 /// Publish `pipe`'s full window and log it the way the shard worker does,
 /// through the `WalRecord` encoders: the `release` record, then on the
-/// snapshot cadence a `snapshot` built as a `StreamSnapshot` from the
-/// release, naming its window by position (an empty `window`).
+/// snapshot cadence a `snapshot` naming its window by position, through
+/// `WalWriter::append_snapshot`, the one appender that can size that
+/// window (its bytes are a `StreamSnapshot`'s with an empty `window`:
+/// `wal::record::tests::the_direct_snapshot_encoder_is_the_records_layout`).
 fn log_publication(
     w: &mut WalWriter,
     pipe: &mut DynPipeline,
@@ -639,7 +641,12 @@ fn log_publication_with(
         entries: binary_entries(r.release.iter()),
     })
     .unwrap();
-    if snapshot_every == 1 || published.is_multiple_of(snapshot_every as u64) {
+    let due = snapshot_every == 1 || published.is_multiple_of(snapshot_every as u64);
+    if due && window.is_empty() {
+        let len = pipe.window().len();
+        w.append_snapshot(stream, kind, r.stream_len, published + 1, &r.release, len)
+            .unwrap();
+    } else if due {
         let ids = |set: &ItemSet| set.iter().map(|i| i.id()).collect::<Vec<u32>>();
         w.append(&WalRecord::Snapshot(StreamSnapshot {
             stream: stream.into(),
@@ -666,8 +673,7 @@ fn log_publication_with(
 /// same stream: at `--snapshot-every 1` and 8, the segment files of a
 /// `serve --wal-dir --seed 42` run equal, byte for byte, those of an
 /// in-process writer fed the node's records through `WalRecord::{Open,
-/// Ingest, Release, Snapshot}` in the shard worker's order, snapshots
-/// built as `StreamSnapshot`s that name their window by position.
+/// Ingest, Release}` and `append_snapshot` in the shard worker's order.
 #[test]
 fn served_log_equals_the_record_encoders_log() {
     let records: Vec<ItemSet> = DatasetProfile::WebView1
@@ -738,13 +744,13 @@ fn served_log_equals_the_record_encoders_log() {
             .unwrap();
             for items in batch {
                 pipe.advance(butterfly_repro::common::Transaction::new(0, items.clone()));
-                if pipe.window().is_full() && pipe.since_publish() >= cfg.every {
+                if pipe.due(cfg.every) {
                     log_publication(&mut w, &mut pipe, &stream, kind, snapshot_every);
                 }
             }
         }
         // The shutdown drain's flush.
-        if pipe.since_publish() > 0 {
+        if pipe.owes() {
             log_publication(&mut w, &mut pipe, &stream, kind, snapshot_every);
         }
 
