@@ -40,7 +40,7 @@ pub fn publish_from_scratch(
     for (fec, &bias) in fecs.iter().zip(&biases) {
         let fresh =
             fec.support() as i64 + seeded_noise(seed, position, fec.support(), bias, spec.alpha());
-        for id in fec.members() {
+        for id in fec.members(frequent).iter().map(|e| &e.id) {
             let sanitized = match pins.get(id) {
                 Some(&(t, pinned)) if t == fec.support() => pinned,
                 _ => fresh,

@@ -68,8 +68,9 @@ use std::fmt;
 /// JSON line can start with it.
 pub const BINARY_MAGIC: u8 = 0xBF;
 
-/// `magic + op + payload_len` — the fixed prefix of a binary frame.
-const HEADER_LEN: usize = 6;
+/// `magic + op + payload_len` — the fixed prefix of a binary frame (and of
+/// a WAL record, which adds its own fields after it).
+pub const HEADER_LEN: usize = 6;
 
 /// Op of a binary `ingest` frame.
 pub const OP_INGEST: u8 = 0x01;
@@ -648,19 +649,48 @@ pub fn put_ids(buf: &mut Vec<u8>, ids: impl ExactSizeIterator<Item = u32>) {
     }
 }
 
-/// Append a `count:u32` list of `entry`s.
-pub fn put_entries(buf: &mut Vec<u8>, entries: &[BinaryEntry]) {
+/// Append a `count:u32` list of `entry`s, each its ids and its support.
+pub fn put_entries(
+    buf: &mut Vec<u8>,
+    entries: impl ExactSizeIterator<Item = (impl ExactSizeIterator<Item = u32>, i64)>,
+) {
     buf.extend_from_slice(&(entries.len() as u32).to_le_bytes());
-    for e in entries {
-        put_ids(buf, e.ids.iter().copied());
-        buf.extend_from_slice(&e.support.to_le_bytes());
+    for (ids, support) in entries {
+        put_ids(buf, ids);
+        buf.extend_from_slice(&support.to_le_bytes());
     }
+}
+
+/// Wire entries as [`put_entries`] takes them.
+fn wire(
+    entries: &[BinaryEntry],
+) -> impl ExactSizeIterator<Item = (impl ExactSizeIterator<Item = u32> + '_, i64)> + Clone + '_ {
+    entries.iter().map(|e| (e.ids.iter().copied(), e.support))
 }
 
 impl BinaryFrame {
     /// Encode to the full wire form (header + payload).
     pub fn encode(&self) -> Vec<u8> {
         framed(64, |out| self.put_payload(out))
+    }
+
+    /// The whole `release` frame of `entries` (each its ids and its
+    /// support) in one buffer, sized from the entries before any is
+    /// written: the bytes [`BinaryFrame::encode`] gives for the equivalent
+    /// [`BinaryFrame::Release`], with no entry built.
+    pub fn release_bytes<I, J>(stream: &str, stream_len: u64, entries: I) -> Vec<u8>
+    where
+        I: ExactSizeIterator<Item = (J, i64)> + Clone,
+        J: ExactSizeIterator<Item = u32>,
+    {
+        let widths = entries.clone().map(|(ids, _)| 2 + 4 * ids.len() + 8);
+        let len = HEADER_LEN + 2 + stream.len() + 8 + 4 + widths.sum::<usize>();
+        let out = framed(len, |out| {
+            BinaryFrame::put_release_payload(out, stream, stream_len, entries);
+            OP_RELEASE
+        });
+        debug_assert_eq!(out.len(), len, "release frame sized wrong");
+        out
     }
 
     /// Encode just the `(op, payload)` pair, without the wire header.
@@ -685,7 +715,7 @@ impl BinaryFrame {
                 stream_len,
                 entries,
             } => {
-                BinaryFrame::put_release_payload(payload, stream, *stream_len, entries);
+                BinaryFrame::put_release_payload(payload, stream, *stream_len, wire(entries));
                 OP_RELEASE
             }
             BinaryFrame::ReleaseDelta {
@@ -699,8 +729,8 @@ impl BinaryFrame {
                 put_str(payload, stream);
                 payload.extend_from_slice(&stream_len.to_le_bytes());
                 payload.extend_from_slice(&base_len.to_le_bytes());
-                put_entries(payload, added);
-                put_entries(payload, changed);
+                put_entries(payload, wire(added));
+                put_entries(payload, wire(changed));
                 payload.extend_from_slice(&(removed.len() as u32).to_le_bytes());
                 for ids in removed {
                     put_ids(payload, ids.iter().copied());
@@ -716,12 +746,13 @@ impl BinaryFrame {
         put_ingest(buf, stream, batch.iter().map(ItemSet::items));
     }
 
-    /// Append a [`BinaryFrame::Release`] payload built from borrowed parts.
+    /// Append a [`BinaryFrame::Release`] payload built from borrowed parts:
+    /// each entry's ids and support.
     pub fn put_release_payload(
         buf: &mut Vec<u8>,
         stream: &str,
         stream_len: u64,
-        entries: &[BinaryEntry],
+        entries: impl ExactSizeIterator<Item = (impl ExactSizeIterator<Item = u32>, i64)>,
     ) {
         put_str(buf, stream);
         buf.extend_from_slice(&stream_len.to_le_bytes());
@@ -1154,6 +1185,30 @@ mod tests {
         }
         assert_eq!(codec.next_frame().unwrap(), None);
         assert!(codec.is_blank());
+    }
+
+    #[test]
+    fn a_release_laid_out_from_its_entries_is_its_encoding_sized_exactly() {
+        use crate::rng::{Rng, SmallRng};
+        let mut rng = SmallRng::seed_from_u64(3);
+        for n in [0, 1, 7, 300] {
+            let entries: Vec<BinaryEntry> = (0..n)
+                .map(|_| BinaryEntry {
+                    ids: (0..rng.gen_range_usize(5))
+                        .map(|_| rng.gen_below(1 << 20) as u32)
+                        .collect(),
+                    support: rng.gen_below(1 << 40) as i64 - (1 << 39),
+                })
+                .collect();
+            let frame = BinaryFrame::Release {
+                stream: "key".into(),
+                stream_len: 12_345,
+                entries: entries.clone(),
+            };
+            let bytes = BinaryFrame::release_bytes("key", 12_345, wire(&entries));
+            assert_eq!(bytes, frame.encode(), "{n} entries");
+            assert_eq!(bytes.capacity(), bytes.len(), "{n} entries");
+        }
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //! 4. **noise** — each FEC's draw is a pure function of `(seed,
 //!    publication index, support, bias)` ([`seeded_noise`]);
 //! 5. **publish** — applies the republication rule against the stream's
-//!    [`PublicationHistory`] and emits the [`SanitizedRelease`].
+//!    [`PublicationHistory`] and emits the [`SanitizedRelease`], one entry
+//!    per member of each FEC's run of the mining result, sharing its `Arc`.
 //!
 //! The engine keeps nothing between windows: the history it reads is the
 //! caller's ([`crate::StreamPipeline`] owns one per stream), and so is the
@@ -145,7 +146,7 @@ impl Publisher {
             "stage 3 exceeded a stage-2 budget"
         );
         let noises = self.stage_noise(&fecs, &biases, history.published());
-        SanitizedRelease::new(stage_publish(&fecs, &noises, history))
+        SanitizedRelease::new(stage_publish(frequent, &fecs, &noises, history))
     }
 
     // Frozen: `benchmark/src/trace.rs:433` publishes through it, and a PR
@@ -187,19 +188,19 @@ impl Publisher {
 /// the entries in publication order. A pinned member keeps its previous
 /// value, so members of one FEC may differ only where pins hold.
 fn stage_publish(
+    frequent: &FrequentItemsets,
     fecs: &[Fec],
     noises: &[i64],
     history: &PublicationHistory,
 ) -> Vec<SanitizedItemset> {
-    let total: usize = fecs.iter().map(Fec::size).sum();
-    let mut entries = Vec::with_capacity(total);
+    let mut entries = Vec::with_capacity(frequent.len());
     for (fec, &noise) in fecs.iter().zip(noises) {
         let fresh = fec.support() as SanitizedSupport + noise;
-        for member in fec.members() {
+        for member in fec.members(frequent) {
             entries.push(SanitizedItemset {
-                id: member.clone(),
+                id: member.id.clone(),
                 true_support: fec.support(),
-                sanitized: history.pinned(member, fec.support()).unwrap_or(fresh),
+                sanitized: history.pinned(&member.id, fec.support()).unwrap_or(fresh),
             });
         }
     }

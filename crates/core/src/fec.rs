@@ -1,16 +1,21 @@
 //! Frequency equivalence classes (Definition 5).
+//!
+//! A class is a support and a range of the mining result's entries: the
+//! result's canonical order already holds each class as one run, so
+//! partitioning copies no itemset and clones no `Arc`.
 
-use bfly_common::{ItemsetId, Support};
-use bfly_mining::FrequentItemsets;
+use bfly_common::Support;
+use bfly_mining::{FrequentItemset, FrequentItemsets};
+use std::ops::Range;
 
 /// A frequency equivalence class: the frequent itemsets sharing one support
 /// value. The optimized Butterfly schemes perturb per-FEC, preserving the
-/// equality of members' supports exactly. Members share the mining
-/// result's itemsets — partitioning it copies no itemset data.
+/// equality of members' supports exactly. The members are a run of the
+/// mining result's entries, named by position.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Fec {
     support: Support,
-    members: Vec<ItemsetId>,
+    members: Range<usize>,
 }
 
 impl Fec {
@@ -19,9 +24,10 @@ impl Fec {
         self.support
     }
 
-    /// Members, in lexicographic itemset order.
-    pub fn members(&self) -> &[ItemsetId] {
-        &self.members
+    /// Members, in lexicographic itemset order: the entries of `frequent`,
+    /// the result this class was partitioned from, that it spans.
+    pub fn members<'a>(&self, frequent: &'a FrequentItemsets) -> &'a [FrequentItemset] {
+        &frequent.entries()[self.members.clone()]
     }
 
     /// Class size `s_i` — the weight in Algorithm 1's inversion cost.
@@ -37,13 +43,15 @@ impl Fec {
 /// ascending) already holds every class as one run with its members in
 /// order, so the FECs are those runs, last first.
 pub fn partition_into_fecs(frequent: &FrequentItemsets) -> Vec<Fec> {
-    frequent
-        .entries()
-        .chunk_by(|a, b| a.support == b.support)
-        .rev()
-        .map(|run| Fec {
-            support: run[0].support,
-            members: run.iter().map(|e| e.id.clone()).collect(),
+    let mut end = frequent.len();
+    let runs = frequent.entries().chunk_by(|a, b| a.support == b.support);
+    runs.rev()
+        .map(|run| {
+            end -= run.len();
+            Fec {
+                support: run[0].support,
+                members: end..end + run.len(),
+            }
         })
         .collect()
 }
@@ -57,8 +65,9 @@ mod tests {
         s.parse().unwrap()
     }
 
-    fn resolved(fec: &Fec) -> Vec<ItemSet> {
-        fec.members().iter().map(|id| (**id).clone()).collect()
+    fn resolved(fec: &Fec, frequent: &FrequentItemsets) -> Vec<ItemSet> {
+        let members = fec.members(frequent).iter();
+        members.map(|e| e.itemset().clone()).collect()
     }
 
     #[test]
@@ -73,7 +82,7 @@ mod tests {
         let fecs = partition_into_fecs(&f);
         assert_eq!(fecs.len(), 3);
         assert_eq!(fecs[0].support(), 3);
-        assert_eq!(resolved(&fecs[0]), vec![iset("ab"), iset("bc")]);
+        assert_eq!(resolved(&fecs[0], &f), vec![iset("ab"), iset("bc")]);
         assert_eq!(fecs[0].size(), 2);
         assert_eq!(fecs[1].support(), 5);
         assert_eq!(fecs[2].support(), 8);
@@ -93,17 +102,20 @@ mod tests {
 
     /// The partition as it was built before the runs were read off the
     /// canonical order: grouped through a map, each class sorted again.
-    fn partition_through_a_map(frequent: &FrequentItemsets) -> Vec<Fec> {
+    fn partition_through_a_map(frequent: &FrequentItemsets) -> Vec<(Support, Vec<ItemSet>)> {
         use std::collections::BTreeMap;
-        let mut by_support: BTreeMap<Support, Vec<ItemsetId>> = BTreeMap::new();
+        let mut by_support: BTreeMap<Support, Vec<ItemSet>> = BTreeMap::new();
         for e in frequent.entries() {
-            by_support.entry(e.support).or_default().push(e.id.clone());
+            by_support
+                .entry(e.support)
+                .or_default()
+                .push(e.itemset().clone());
         }
         by_support
             .into_iter()
             .map(|(support, mut members)| {
                 members.sort_unstable();
-                Fec { support, members }
+                (support, members)
             })
             .collect()
     }
@@ -126,11 +138,12 @@ mod tests {
                 }
             }
             let f = FrequentItemsets::new(entries);
-            assert_eq!(
-                partition_into_fecs(&f),
-                partition_through_a_map(&f),
-                "seed {seed}"
-            );
+            let fecs = partition_into_fecs(&f);
+            let runs: Vec<_> = fecs
+                .iter()
+                .map(|c| (c.support(), resolved(c, &f)))
+                .collect();
+            assert_eq!(runs, partition_through_a_map(&f), "seed {seed}");
         }
     }
 
@@ -149,7 +162,7 @@ mod tests {
         let filler = [(iset("q"), c + 3), (iset("qr"), c + 1)];
 
         // Every rotation of the arrival order, with filler interleaved.
-        let mut partitions = Vec::new();
+        let mut partitions: Vec<Vec<(Support, Vec<ItemSet>)>> = Vec::new();
         for rot in 0..tied.len() {
             let mut entries: Vec<(ItemSet, u64)> = Vec::new();
             for (k, off) in (0..tied.len()).enumerate() {
@@ -158,16 +171,22 @@ mod tests {
                     entries.push(f.clone());
                 }
             }
-            partitions.push(partition_into_fecs(&FrequentItemsets::new(entries)));
+            let f = FrequentItemsets::new(entries);
+            let fecs = partition_into_fecs(&f);
+            partitions.push(
+                fecs.iter()
+                    .map(|c| (c.support(), resolved(c, &f)))
+                    .collect(),
+            );
         }
         for p in &partitions[1..] {
             assert_eq!(p, &partitions[0]);
         }
         // The boundary class itself is sorted lexicographically.
         let boundary = &partitions[0][0];
-        assert_eq!(boundary.support(), c);
+        assert_eq!(boundary.0, c);
         assert_eq!(
-            resolved(boundary),
+            boundary.1,
             vec![iset("a"), iset("ab"), iset("bcd"), iset("cd"), iset("x")]
         );
     }

@@ -123,7 +123,7 @@ impl<D: PrivacyDefense> StreamPipeline<D> {
             .defense
             .honors_butterfly_contract()
             .then(|| audit_release(self.defense.spec(), &release));
-        let (next, delta) = self.history.follow(&release, stream_len, errors.as_mut());
+        let (delta, followed) = self.history.follow(&release, errors.as_mut());
         let failing: HashSet<&str> = errors.iter().flatten().map(AuditError::itemset).collect();
         if !failing.is_empty() {
             self.audit_violations += failing.len() as u64;
@@ -132,7 +132,7 @@ impl<D: PrivacyDefense> StreamPipeline<D> {
                 violations: failing.len(),
             });
         }
-        self.history = next;
+        self.history.adopt(&release, stream_len, followed);
         Ok(WindowRelease {
             stream_len,
             closed,
@@ -582,7 +582,7 @@ mod tests {
                 .inner
                 .publish(frequent, history)
                 .iter()
-                .map(|e| match history.pinned(e.itemset(), e.true_support) {
+                .map(|e| match history.pinned(&e.id, e.true_support) {
                     Some(_) => e.clone(),
                     None => {
                         let class = crate::noise::content_hash(e.itemset());
@@ -680,5 +680,191 @@ mod tests {
         let mut expect = PublicationHistory::default();
         expect.record(&first.release, 8);
         assert_eq!(third.delta, expect.record(&third.release, 10));
+    }
+
+    /// `release`'s entries, each itemset in a fresh `Arc`.
+    fn fresh_arcs(release: &SanitizedRelease) -> Vec<SanitizedItemset> {
+        let fresh = |e: &SanitizedItemset| SanitizedItemset {
+            id: bfly_common::ItemsetId::new((*e.id).clone()),
+            ..e.clone()
+        };
+        release.iter().map(fresh).collect()
+    }
+
+    /// The entries of `next` whose true support is the one `prev` published
+    /// them with, counted by whether they hold `prev`'s `Arc` (a pin found
+    /// by address) or another one (found by content).
+    fn pins_by_path(prev: &SanitizedRelease, next: &SanitizedRelease) -> (usize, usize) {
+        let prev: std::collections::HashMap<_, _> = prev.iter().map(|e| (e.itemset(), e)).collect();
+        let mut paths = (0, 0);
+        for e in next.iter() {
+            match prev.get(e.itemset()) {
+                Some(p) if p.true_support == e.true_support => {
+                    if std::sync::Arc::ptr_eq(&p.id, &e.id) {
+                        paths.0 += 1;
+                    } else {
+                        paths.1 += 1;
+                    }
+                }
+                _ => {}
+            }
+        }
+        paths
+    }
+
+    /// Feed `stream` to `pipe` and to `twin`, a pipeline of the same
+    /// defense, publishing both every `every` records once full. Before each
+    /// publication, `twin`'s history is restored from its last emitted
+    /// release in fresh `Arc`s (what WAL recovery does from a snapshot), so
+    /// it finds every pin by content, as every lookup did before pins were
+    /// found by address. Both must publish the same releases and deltas and
+    /// withhold the same windows. Returns the unchanged-support entries
+    /// found by address and by content, summed, of `pipe` and of `twin`,
+    /// and the releases withheld.
+    fn matches_its_content_twin<D: PrivacyDefense>(
+        mut pipe: StreamPipeline<D>,
+        mut twin: StreamPipeline<D>,
+        stream: &[Transaction],
+        every: usize,
+    ) -> ((usize, usize), (usize, usize), u64) {
+        let add = |sum: &mut (usize, usize), (a, c)| *sum = (sum.0 + a, sum.1 + c);
+        let (mut ours_paths, mut twin_paths) = ((0, 0), (0, 0));
+        let mut last = None::<(SanitizedRelease, SanitizedRelease)>;
+        for t in stream {
+            pipe.advance(t.clone());
+            twin.advance(t.clone());
+            if !pipe.due(every) {
+                continue;
+            }
+            if let Some((_, fresh)) = &last {
+                let h = twin.history();
+                let entries = fresh.iter().cloned();
+                twin.restore(PublicationHistory::restored(
+                    h.published(),
+                    h.stream_len(),
+                    entries,
+                ));
+            }
+            match (pipe.publish_now(), twin.publish_now()) {
+                (Ok(ours), Ok(theirs)) => {
+                    assert_eq!(ours.release, theirs.release, "at {}", ours.stream_len);
+                    assert_eq!(ours.delta, theirs.delta, "at {}", ours.stream_len);
+                    if let Some((prev, fresh)) = &last {
+                        add(&mut ours_paths, pins_by_path(prev, &ours.release));
+                        add(&mut twin_paths, pins_by_path(fresh, &theirs.release));
+                    }
+                    let fresh = SanitizedRelease::new(fresh_arcs(&ours.release));
+                    last = Some((ours.release, fresh));
+                }
+                (Err(_), Err(_)) => {}
+                (ours, theirs) => panic!("withheld on one side: {ours:?} / {theirs:?}"),
+            }
+        }
+        assert_eq!(pipe.audit_violations(), twin.audit_violations());
+        (ours_paths, twin_paths, pipe.audit_violations())
+    }
+
+    fn hybrid() -> BiasScheme {
+        BiasScheme::Hybrid {
+            lambda: 0.4,
+            gamma: 2,
+        }
+    }
+
+    #[test]
+    fn pins_hold_across_moment_rebuilds_by_the_arc_the_rebuild_kept() {
+        // POS at W 500, published every 250: each settle rebuilds the tree,
+        // and the read-out finds each surviving closed set's `Arc` again.
+        let spec = PrivacySpec::new(20, 5, 0.016, 0.4);
+        let stream = DatasetProfile::Pos.source(4).take_vec(6_000);
+        let pipe = || StreamPipeline::new(500, Publisher::new(spec, hybrid(), 9));
+        let ((by_addr, by_content), _, withheld) =
+            matches_its_content_twin(pipe(), pipe(), &stream, 250);
+        assert_eq!(withheld, 0);
+        assert!(by_addr > 100, "{by_addr} pins found by address");
+        assert_eq!(
+            by_content, 0,
+            "a rebuild kept every surviving closed set's Arc"
+        );
+    }
+
+    #[test]
+    fn pins_hold_under_a_new_arc_after_a_restore() {
+        // The publish_live shape at W 500: walks and a re-rank a turnover.
+        // Between two publications one settle runs, and a closed set that
+        // survives it keeps its node, so nearly every pin is found by
+        // address (a re-rank between two settles drops the `Arc` of a node
+        // it finds unpromising, which the next arrivals may bring back).
+        // The twin, restored before each publication as recovery restores
+        // a snapshot, finds every pin by content and publishes the same.
+        let spec = PrivacySpec::new(25, 5, 0.016, 0.4);
+        let stream = DatasetProfile::WebView1.source(4).take_vec(8_000);
+        let pipe = || StreamPipeline::new(500, Publisher::new(spec, hybrid(), 9));
+        let (ours, twin, _) = matches_its_content_twin(pipe(), pipe(), &stream, 25);
+        assert!(ours.0 > 1_000 && ours.1 * 100 < ours.0, "{ours:?}");
+        assert_eq!(twin, (0, ours.0 + ours.1));
+    }
+
+    #[test]
+    fn pins_hold_against_a_history_older_than_the_last_read_out() {
+        // Every third publication lies and is withheld: the next one is
+        // pinned against the release before it, while Moment read out the
+        // withheld window in between. A closed set that was not closed in
+        // that window has lost its node, and returns under a new `Arc`.
+        #[derive(Clone, Debug)]
+        struct EveryThird(Liar);
+        impl PrivacyDefense for EveryThird {
+            fn kind(&self) -> crate::DefenseKind {
+                self.0.kind()
+            }
+            fn spec(&self) -> &PrivacySpec {
+                self.0.spec()
+            }
+            fn publish(
+                &mut self,
+                frequent: &FrequentItemsets,
+                history: &PublicationHistory,
+            ) -> SanitizedRelease {
+                let release = self.0.publish(frequent, history);
+                if self.0.calls == self.0.lie_on {
+                    self.0.lie_on += 3;
+                }
+                release
+            }
+            fn honors_butterfly_contract(&self) -> bool {
+                true
+            }
+            fn boxed_clone(&self) -> Box<dyn PrivacyDefense> {
+                Box::new(self.clone())
+            }
+        }
+        let spec = PrivacySpec::new(25, 5, 0.016, 0.4);
+        let stream = DatasetProfile::WebView1.source(6).take_vec(6_000);
+        let liar = || {
+            let inner = Publisher::new(spec, hybrid(), 2);
+            let liar = Liar {
+                inner,
+                lie_on: 3,
+                calls: 0,
+            };
+            StreamPipeline::new(500, EveryThird(liar))
+        };
+        let ((by_addr, by_content), _, withheld) =
+            matches_its_content_twin(liar(), liar(), &stream, 25);
+        assert!(withheld >= 60, "{withheld} withheld");
+        assert!(by_addr > 500 && by_content > 0, "{by_addr} / {by_content}");
+    }
+
+    #[test]
+    fn privbasis_and_suppress_releases_follow_the_history_by_address() {
+        use crate::defense::{PrivBasisDefense, SuppressionDefense};
+        let spec = PrivacySpec::new(25, 5, 0.016, 0.4);
+        let stream = DatasetProfile::WebView1.source(8).take_vec(4_000);
+        let privbasis = || StreamPipeline::new(500, PrivBasisDefense::new(spec, 1.0, 40, 7));
+        let (paths, _, withheld) = matches_its_content_twin(privbasis(), privbasis(), &stream, 50);
+        assert!(paths.0 > 100 && withheld == 0, "{paths:?}");
+        let suppress = || StreamPipeline::new(500, SuppressionDefense::new(spec));
+        let (paths, _, withheld) = matches_its_content_twin(suppress(), suppress(), &stream, 50);
+        assert!(paths.0 > 100 && withheld == 0, "{paths:?}");
     }
 }

@@ -59,7 +59,7 @@ impl SanitizedRelease {
     }
 
     /// Entries in publication order.
-    pub fn iter(&self) -> impl ExactSizeIterator<Item = &SanitizedItemset> {
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &SanitizedItemset> + Clone {
         self.entries.iter()
     }
 

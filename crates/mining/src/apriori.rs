@@ -125,7 +125,7 @@ mod tests {
         assert_eq!(f.support(&iset("b")), Some(5));
         assert_eq!(f.support(&iset("d")), Some(4));
         // abc has support 3 < 4: correctly absent.
-        assert!(!f.contains(&iset("abc")));
+        assert!(f.support(&iset("abc")).is_none());
     }
 
     #[test]
@@ -143,7 +143,7 @@ mod tests {
                 expected += 1;
                 assert_eq!(f.support(&cand), Some(support), "wrong support for {cand}");
             } else {
-                assert!(!f.contains(&cand), "{cand} should be infrequent");
+                assert!(f.support(&cand).is_none(), "{cand} should be infrequent");
             }
         }
         assert_eq!(f.len(), expected);

@@ -14,13 +14,14 @@ use bfly_common::WindowDelta;
 /// A miner driven by window deltas and queried for the closed frequent
 /// itemsets of its window.
 ///
-/// `Send + Sync` is part of the contract, so a miner can cross threads and
-/// queries take `&self`.
+/// `Send + Sync` is part of the contract, so a miner can cross threads. A
+/// read takes `&mut self`: Moment keeps the `Arc` of each closed set it
+/// hands out, so the next read shares it.
 pub trait MinerBackend: Send + Sync {
     /// Apply one window movement (arrival + optional eviction).
     fn apply(&mut self, delta: &WindowDelta);
 
     /// The closed frequent itemsets of the current window, with exact
     /// supports — what Butterfly publishes (§III-A).
-    fn closed_frequent(&self) -> FrequentItemsets;
+    fn closed_frequent(&mut self) -> FrequentItemsets;
 }

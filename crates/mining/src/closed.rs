@@ -78,11 +78,11 @@ mod tests {
         let all = Apriori::new(3).mine(&db);
         let closed = closed_subset(&all);
         // abc (3) is closed; ab (3) is not (abc has same support).
-        assert!(closed.contains(&iset("abc")));
-        assert!(!closed.contains(&iset("ab")));
-        assert!(all.contains(&iset("ab")));
+        assert!(closed.support(&iset("abc")).is_some());
+        assert!(closed.support(&iset("ab")).is_none());
+        assert!(all.support(&iset("ab")).is_some());
         // c (8) is closed: no superset reaches 8.
-        assert!(closed.contains(&iset("c")));
+        assert!(closed.support(&iset("c")).is_some());
         for e in closed.entries() {
             assert!(is_closed(&all, e.itemset()));
         }

@@ -35,15 +35,27 @@
 //! of those a client sends;
 //! **no node stores a tidset** (the walk re-derives them, one AND a level);
 //! tables are **indexed by code**, never by a client-chosen item id.
+//!
+//! A closed node's itemset is made once for the node's life: the read-out
+//! ([`MinerBackend::closed_frequent`]) allocates an `Arc<ItemSet>` the
+//! first time it finds a node closed and keeps it beside the node's record,
+//! which a walk never moves, so every later read-out hands out the same
+//! `Arc`. A rebuild frees every record, but first carries each held `Arc`
+//! to the node the new tree builds for its itemset: that node's path is the
+//! old one's codes renumbered and sorted; an `Arc` whose node the rebuild
+//! did not make promising is dropped. Neither reads an itemset back; the
+//! read-out orders and checks what it emits on the paths it walks.
+//! Downstream, the stream's publication history finds a pin by that
+//! `Arc`'s address.
 //! Differential tests against an [`Eclat`](crate::Eclat) re-mine of the
 //! window enforce that none of it is observable.
 
 use crate::backend::MinerBackend;
 use crate::closed::expand_closed;
-use crate::result::FrequentItemsets;
+use crate::result::{assert_distinct, FrequentItemset, FrequentItemsets};
 use bfly_common::tidmap::{iter_slots, kernel};
 use bfly_common::transaction::Tid;
-use bfly_common::{Item, ItemSet, Support, WindowDelta};
+use bfly_common::{Item, ItemSet, ItemsetId, Support, WindowDelta};
 use std::collections::HashMap;
 
 /// Starting ring size; doubled whenever the live tid range outgrows it, so
@@ -142,6 +154,25 @@ struct Slot {
     codes: Vec<u32>,
 }
 
+/// A closed set the read-out found: its support, its items (sorted) in the
+/// read-out's arena, and its `Arc`.
+#[derive(Clone, Debug)]
+struct Closed {
+    support: u32,
+    start: u32,
+    len: u32,
+    id: ItemsetId,
+}
+
+/// A held `Arc` a rebuild carries: its itemset's codes after the rebuild,
+/// sorted, in the rebuild's scratch.
+#[derive(Clone, Debug)]
+struct Carried {
+    start: u32,
+    len: u32,
+    id: ItemsetId,
+}
+
 /// CET node-type census (see [`MomentMiner::node_stats`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CetStats {
@@ -221,6 +252,21 @@ pub struct MomentMiner {
     /// filed by their buffer's capacity so a node gets one it fits in.
     nodes: Vec<Vec<Entry>>,
     free: [Vec<u32>; CLASSES],
+    /// Record → the itemset of the promising entry that owns it, made when
+    /// a read-out first finds that entry closed and dropped with the record.
+    ids: Vec<Option<ItemsetId>>,
+    /// `Arc<ItemSet>`s the read-outs made (see
+    /// [`MomentMiner::itemsets_allocated`]).
+    allocated: u64,
+    /// The read-out's scratch: its path's items, and each closed set found
+    /// with its items sorted into `arena`.
+    items: Vec<Item>,
+    closed: Vec<Closed>,
+    arena: Vec<Item>,
+    /// The rebuild's scratch: the `Arc`s it carries, their codes in
+    /// `carried_codes`.
+    carried: Vec<Carried>,
+    carried_codes: Vec<u32>,
     /// `explore`'s extensions, before they move into the record they fit.
     found: Vec<Entry>,
     /// Where the walk stands: its itemset's codes, and the tidset of each
@@ -261,6 +307,13 @@ impl MomentMiner {
             slots: vec![Slot::default(); INITIAL_RING],
             nodes: vec![Vec::new()],
             free: std::array::from_fn(|_| Vec::new()),
+            ids: vec![None],
+            allocated: 0,
+            items: Vec::new(),
+            closed: Vec::new(),
+            arena: Vec::new(),
+            carried: Vec::new(),
+            carried_codes: Vec::new(),
             found: Vec::new(),
             path: Vec::new(),
             tids: vec![0; INITIAL_RING / 64],
@@ -289,6 +342,14 @@ impl MomentMiner {
     /// stream and the settle points, like [`MomentMiner::node_count`].
     pub fn visits(&self) -> u64 {
         self.visits
+    }
+
+    /// `Arc<ItemSet>`s the read-outs made so far: one per closed set the
+    /// first time it is read, and again only if its node dies and returns
+    /// (or a turnover re-rank found it unpromising). A function of the
+    /// stream, the settle points and the read-outs.
+    pub fn itemsets_allocated(&self) -> u64 {
+        self.allocated
     }
 
     /// Number of live CET nodes (every entry is one; the root is not) —
@@ -325,7 +386,7 @@ impl MomentMiner {
     }
 
     /// All frequent itemsets (closed ones expanded), with exact supports.
-    pub fn all_frequent(&self) -> FrequentItemsets {
+    pub fn all_frequent(&mut self) -> FrequentItemsets {
         expand_closed(&self.closed_frequent())
     }
 
@@ -459,6 +520,7 @@ impl MomentMiner {
             Some(k) => self.free[k].pop().expect("a filed record"),
             None => {
                 self.nodes.push(Vec::new());
+                self.ids.push(None);
                 self.nodes.len() as u32 - 1
             }
         }
@@ -470,13 +532,15 @@ impl MomentMiner {
         self.free[class].push(record);
     }
 
-    /// Return `node`'s record and every record below it to the free list.
+    /// Return `node`'s record and every record below it to the free list,
+    /// with the itemsets of the nodes that owned them.
     fn release(&mut self, node: u32) {
         while let Some(entry) = self.nodes[node as usize].pop() {
             if entry.child != NONE {
                 self.release(entry.child);
             }
         }
+        self.ids[node as usize] = None;
         self.file_free(node);
     }
 
@@ -735,7 +799,9 @@ impl MomentMiner {
             slot.codes.sort_unstable();
         }
         self.reslot();
-        // Every record goes back on the free list, its buffer kept.
+        // Every record goes back on the free list, its buffer kept; the
+        // itemsets they held are carried to the new tree below.
+        self.carry_out(0);
         self.nodes.iter_mut().for_each(Vec::clear);
         self.free.iter_mut().for_each(Vec::clear);
         for record in 1..self.nodes.len() as u32 {
@@ -755,6 +821,7 @@ impl MomentMiner {
             }
         }
         self.classify_frequent(0);
+        self.carry_in();
         self.until_rerank = self.window_len();
         self.rebuilds += 1;
         debug_assert!(self.root_is_the_item_table(), "root entries drifted");
@@ -889,16 +956,102 @@ impl MomentMiner {
         self.enqueue(slot, false);
     }
 
-    /// Append the closed itemsets below `node` (itself `path`) as `ItemSet`s.
-    fn closed_under(&self, node: usize, path: &mut Vec<Item>, out: &mut Vec<(ItemSet, Support)>) {
-        for entry in self.nodes[node].iter().filter(|e| e.child != NONE) {
-            path.push(self.coded[entry.key as u32 as usize].item);
-            if self.is_closed(entry) {
-                out.push((ItemSet::new(path.iter().copied()), entry.support.into()));
+    /// Take the itemsets held below `node` (itself `path`, in the codes
+    /// before the rebuild) off their records into `carried`, each with its
+    /// codes renumbered by `recode` and sorted: the path of its node in the
+    /// rebuilt tree, where every code is ranked. One holding an item that
+    /// left the window is dropped.
+    fn carry_out(&mut self, node: usize) {
+        for idx in 0..self.nodes[node].len() {
+            let Entry { key, child, .. } = self.nodes[node][idx];
+            if child == NONE {
+                continue;
             }
-            self.closed_under(entry.child as usize, path, out);
-            path.pop();
+            self.path.push(self.recode[key as u32 as usize]);
+            if let Some(id) = self.ids[child as usize].take() {
+                if !self.path.contains(&NONE) {
+                    let start = self.carried_codes.len();
+                    self.carried_codes.extend_from_slice(&self.path);
+                    self.carried_codes[start..].sort_unstable();
+                    let (start, len) = (start as u32, self.path.len() as u32);
+                    self.carried.push(Carried { start, len, id });
+                }
+            }
+            self.carry_out(child as usize);
+            self.path.pop();
         }
+    }
+
+    /// Hand each carried itemset to its node in the rebuilt tree, if the
+    /// rebuild made that node promising; drop the rest. (After a turnover
+    /// re-rank, arrivals before the read-out may bring such a node back; it
+    /// gets a new `Arc`, whose pins the history finds by content.)
+    fn carry_in(&mut self) {
+        let mut carried = std::mem::take(&mut self.carried);
+        for Carried { start, len, id } in carried.drain(..) {
+            let codes = &self.carried_codes[start as usize..][..len as usize];
+            if let Some(record) = self.record_of(codes) {
+                self.ids[record] = Some(id);
+            }
+        }
+        self.carried = carried;
+        self.carried_codes.clear();
+    }
+
+    /// The record of the promising node whose path is `codes`, ascending.
+    fn record_of(&self, codes: &[u32]) -> Option<usize> {
+        let mut node = 0;
+        for &code in codes {
+            let entries = &self.nodes[node];
+            let key = self.key(code);
+            let at = entries.binary_search_by_key(&key, |e| e.key).ok()?;
+            node = match entries[at].child {
+                NONE => return None,
+                child => child as usize,
+            };
+        }
+        Some(node)
+    }
+
+    /// Collect the closed itemsets below `node` (itself the read-out's
+    /// path) into `closed`, their items sorted into `arena`. Returns whether
+    /// an entry of `node` has support `support`: whether the node owning
+    /// this record is not closed, read on the pass that visits it anyway.
+    fn closed_under(&mut self, node: usize, support: u32) -> bool {
+        let mut extended = false;
+        for idx in 0..self.nodes[node].len() {
+            let entry = self.nodes[node][idx];
+            extended |= entry.support == support;
+            if entry.child == NONE {
+                continue;
+            }
+            self.items.push(self.coded[entry.key as u32 as usize].item);
+            if !self.closed_under(entry.child as usize, entry.support) {
+                let start = self.arena.len();
+                self.arena.extend_from_slice(&self.items);
+                self.arena[start..].sort_unstable();
+                let id = match &self.ids[entry.child as usize] {
+                    Some(id) => id.clone(),
+                    None => {
+                        self.allocated += 1;
+                        let items = ItemSet::from_sorted(self.arena[start..].to_vec());
+                        let id = ItemsetId::new(items.expect("a path holds each item once"));
+                        self.ids[entry.child as usize] = Some(id.clone());
+                        id
+                    }
+                };
+                let (start, len) = (start as u32, self.items.len() as u32);
+                let support = entry.support;
+                self.closed.push(Closed {
+                    support,
+                    start,
+                    len,
+                    id,
+                });
+            }
+            self.items.pop();
+        }
+        extended
     }
 }
 
@@ -911,11 +1064,26 @@ impl MinerBackend for MomentMiner {
         self.settle();
     }
 
-    fn closed_frequent(&self) -> FrequentItemsets {
+    /// Clones each closed node's `Arc`, making one only for a closed set
+    /// no read-out has seen. The canonical order and the duplicate check
+    /// read the items the walk sorted into its arena, never an `Arc`'s.
+    fn closed_frequent(&mut self) -> FrequentItemsets {
         self.assert_settled();
-        let mut out = Vec::new();
-        self.closed_under(0, &mut Vec::new(), &mut out);
-        FrequentItemsets::new(out)
+        // No entry has a support above the window's length.
+        self.closed_under(0, u32::MAX);
+        let arena = &self.arena;
+        let items = |c: &Closed| &arena[c.start as usize..][..c.len as usize];
+        self.closed.sort_unstable_by(|a, b| {
+            (b.support.cmp(&a.support)).then_with(|| items(a).cmp(items(b)))
+        });
+        assert_distinct(self.closed.iter().map(items));
+        let entries = self.closed.drain(..).map(|f| FrequentItemset {
+            id: f.id,
+            support: f.support.into(),
+        });
+        let entries = FrequentItemsets::canonical(entries.collect());
+        self.arena.clear();
+        entries
     }
 }
 
@@ -985,7 +1153,7 @@ mod tests {
         m.apply(&w.slide(stream[11].clone()));
         let at12 = m.closed_frequent();
         assert!(
-            !at12.contains(&iset("abc")),
+            at12.support(&iset("abc")).is_none(),
             "abc dropped below C in Ds(12,8)"
         );
         assert_eq!(at12.support(&iset("ac")), Some(5));
@@ -1216,7 +1384,7 @@ mod tests {
             m.insert(t.tid(), t.items().items());
         }
         m.remove(stream[0].tid());
-        let reads: [fn(&MomentMiner); 3] = [
+        let reads: [fn(&mut MomentMiner); 3] = [
             |m| {
                 let _ = m.closed_frequent();
             },
@@ -1228,12 +1396,13 @@ mod tests {
             },
         ];
         for read in reads {
-            let err = std::panic::catch_unwind(|| read(&m)).expect_err("a stale read");
+            let stale = std::panic::AssertUnwindSafe(|| read(&mut m));
+            let err = std::panic::catch_unwind(stale).expect_err("a stale read");
             let msg = err.downcast_ref::<&str>().expect("a static message");
             assert!(msg.contains("settle first"), "{msg}");
         }
         m.settle();
-        reads.iter().for_each(|read| read(&m));
+        reads.iter().for_each(|read| read(&mut m));
         // What the window holds is exact throughout, queued or not.
         assert_eq!(m.window_len(), 3);
     }
@@ -1442,6 +1611,70 @@ mod tests {
                 stream.len() - grew_at > moment.slots.len(),
                 "stream too short to wrap the grown ring (grew at {grew_at})"
             );
+        }
+    }
+
+    #[test]
+    fn a_closed_set_keeps_its_arc_while_its_node_lives_and_across_rebuilds() {
+        // Walks keep each node's `Arc`, and a rebuild carries each to the
+        // node it builds for the same itemset. A re-rank once a turnover
+        // (between two settles, at both cadences here) drops the `Arc` of a
+        // closed set whose node it did not make promising, but which the
+        // arrivals before the next settle bring back. Only those, and the
+        // closed sets no read-out held before, cost an allocation, and a
+        // second read-out makes none.
+        let stream = bfly_datagen::DatasetProfile::WebView1
+            .source(2)
+            .take_vec(6_000);
+        for every in [30, 300] {
+            let mut m = MomentMiner::new(8);
+            let mut last: HashMap<ItemSet, ItemsetId> = HashMap::new();
+            let (mut kept, mut moved, mut made) = (0, 0, 0);
+            for (tid, t) in (1..).zip(&stream) {
+                if tid > 300 {
+                    m.remove(tid - 300);
+                }
+                m.insert(tid, t.items().items());
+                if tid % every != 0 {
+                    continue;
+                }
+                m.settle();
+                let before = m.itemsets_allocated();
+                let closed = m.closed_frequent();
+                let allocated = m.itemsets_allocated() - before;
+                let again = m.closed_frequent();
+                assert_eq!(m.itemsets_allocated() - before, allocated, "read twice");
+                let mut new = 0;
+                for (e, twice) in closed.entries().iter().zip(again.entries()) {
+                    assert!(ItemsetId::ptr_eq(&e.id, &twice.id), "read twice");
+                    match last.get(e.itemset()) {
+                        Some(id) if ItemsetId::ptr_eq(id, &e.id) => kept += 1,
+                        Some(_) => moved += 1,
+                        None => new += 1,
+                    }
+                }
+                assert!(
+                    allocated <= new + moved,
+                    "{allocated} allocations, {new} new"
+                );
+                made += new;
+                let ids = closed
+                    .entries()
+                    .iter()
+                    .map(|e| (e.itemset().clone(), e.id.clone()));
+                last = ids.collect();
+            }
+            assert!(
+                m.rebuilds() >= 10,
+                "every {every}: {} rebuilds",
+                m.rebuilds()
+            );
+            assert!(kept > made, "every {every}: {kept} kept, {made} new");
+            assert!(
+                moved * 20 <= kept,
+                "every {every}: {moved} moved, {kept} kept"
+            );
+            assert!(m.itemsets_allocated() <= made + moved);
         }
     }
 }

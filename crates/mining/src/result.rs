@@ -1,14 +1,21 @@
 //! Miner output vocabulary.
 //!
-//! Entries carry shared [`ItemsetId`]s (`Arc<ItemSet>`): a mining pass
-//! wraps each result once, and every downstream layer (FEC partitioning,
-//! the stream's publication history, release deltas, attack views) clones
-//! the `Arc` instead of the itemset. An itemset lives exactly as long as
-//! the last result, release, history or view holding it.
+//! Entries carry shared [`ItemsetId`]s (`Arc<ItemSet>`): the miner hands
+//! out one `Arc` per itemset (Moment keeps one per closed node for the
+//! node's life), and every downstream layer (FEC partitioning, the stream's
+//! publication history, release deltas, attack views) clones the `Arc`
+//! instead of the itemset. An itemset lives exactly as long as the last
+//! miner node, result, release, history or view holding it.
+//!
+//! The support index by itemset is built on the first lookup: the live
+//! publication path reads only [`FrequentItemsets::entries`], and the
+//! offline tools and `suppress` that look itemsets up pay for it once.
 
-use bfly_common::{ItemSet, ItemsetId, Support};
-use std::collections::HashMap;
+use bfly_common::hash::Fnv1a;
+use bfly_common::{Item, ItemSet, ItemsetId, Support};
+use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::sync::OnceLock;
 
 /// One mined itemset with its exact support in the mined window.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -29,11 +36,20 @@ impl FrequentItemset {
 /// The complete output of a mining pass: itemsets with supports, in a
 /// canonical order (descending support, then lexicographic itemset) so that
 /// two miners producing the same logical result compare equal.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Debug, Default)]
 pub struct FrequentItemsets {
     entries: Vec<FrequentItemset>,
-    index: HashMap<ItemsetId, Support>,
+    /// Itemset → support, built on the first lookup.
+    index: OnceLock<HashMap<ItemsetId, Support>>,
 }
+
+impl PartialEq for FrequentItemsets {
+    fn eq(&self, other: &Self) -> bool {
+        self.entries == other.entries
+    }
+}
+
+impl Eq for FrequentItemsets {}
 
 impl FrequentItemsets {
     /// Build from (itemset, support) pairs; shares each itemset (no copy)
@@ -52,7 +68,7 @@ impl FrequentItemsets {
     /// Build from already-shared (id, support) pairs; canonicalizes order.
     ///
     /// # Panics
-    /// If the same id appears twice.
+    /// If the same itemset appears twice, in every build.
     pub fn from_ids<I: IntoIterator<Item = (ItemsetId, Support)>>(pairs: I) -> Self {
         let mut entries: Vec<FrequentItemset> = pairs
             .into_iter()
@@ -63,16 +79,24 @@ impl FrequentItemsets {
                 .cmp(&a.support)
                 .then_with(|| a.itemset().cmp(b.itemset()))
         });
-        let mut index = HashMap::with_capacity(entries.len());
-        for e in &entries {
-            let prev = index.insert(e.id.clone(), e.support);
-            assert!(
-                prev.is_none(),
-                "duplicate itemset {} in miner output",
-                e.itemset()
-            );
+        assert_distinct(entries.iter().map(|e| e.itemset().items()));
+        FrequentItemsets::canonical(entries)
+    }
+
+    /// Wrap entries a miner already put in canonical order and checked for
+    /// duplicates.
+    pub(crate) fn canonical(entries: Vec<FrequentItemset>) -> Self {
+        debug_assert!(
+            entries.windows(2).all(|w| {
+                let (a, b) = (&w[0], &w[1]);
+                (b.support, a.itemset()) < (a.support, b.itemset())
+            }),
+            "entries out of canonical order"
+        );
+        FrequentItemsets {
+            entries,
+            index: OnceLock::new(),
         }
-        FrequentItemsets { entries, index }
     }
 
     /// Number of itemsets.
@@ -98,37 +122,56 @@ impl FrequentItemsets {
 
     /// Support lookup for a specific itemset (by value).
     pub fn support(&self, itemset: &ItemSet) -> Option<Support> {
-        self.index.get(itemset).copied()
+        self.as_map().get(itemset).copied()
     }
 
-    /// Does the output contain this exact itemset?
-    pub fn contains(&self, itemset: &ItemSet) -> bool {
-        self.support(itemset).is_some()
-    }
-
-    /// The support map (itemset → support).
+    /// The support map (itemset → support), built on the first call.
     pub fn as_map(&self) -> &HashMap<ItemsetId, Support> {
-        &self.index
+        self.index.get_or_init(|| {
+            (self.entries.iter())
+                .map(|e| (e.id.clone(), e.support))
+                .collect()
+        })
     }
+}
 
-    /// Keep only entries with `support >= min_support`.
-    pub fn filter_min_support(&self, min_support: Support) -> FrequentItemsets {
-        FrequentItemsets::from_ids(
-            self.entries
-                .iter()
-                .filter(|e| e.support >= min_support)
-                .map(|e| (e.id.clone(), e.support)),
-        )
-    }
+/// Panic if two of `itemsets` are equal: a miner bug worth failing fast on,
+/// in every build. Each itemset is reduced to a 64-bit fingerprint and the
+/// fingerprints are sorted, which costs less than a hash index; only equal
+/// fingerprints (a duplicate, or a collision an adversary may force) fall
+/// back to a set of the itemsets themselves.
+pub(crate) fn assert_distinct<'a>(itemsets: impl ExactSizeIterator<Item = &'a [Item]> + Clone) {
+    distinct_by(itemsets, fingerprint);
+}
 
-    /// The maximum itemset size present.
-    pub fn max_len(&self) -> usize {
-        self.entries
-            .iter()
-            .map(|e| e.itemset().len())
-            .max()
-            .unwrap_or(0)
+fn distinct_by<'a>(
+    itemsets: impl ExactSizeIterator<Item = &'a [Item]> + Clone,
+    print: impl Fn(&[Item]) -> u64,
+) {
+    let mut prints: Vec<u64> = itemsets.clone().map(print).collect();
+    prints.sort_unstable();
+    if prints.windows(2).all(|pair| pair[0] != pair[1]) {
+        return;
     }
+    let mut seen = HashSet::with_capacity(itemsets.len());
+    for items in itemsets {
+        assert!(
+            seen.insert(items),
+            "duplicate itemset {} in miner output",
+            ItemSet::new(items.iter().copied())
+        );
+    }
+}
+
+/// The FNV-1a hash of the item ids (the one PrivBasis seeds its noise
+/// with): cheap, and equal for equal itemsets, which is all
+/// [`assert_distinct`] asks of it.
+fn fingerprint(items: &[Item]) -> u64 {
+    let mut h = Fnv1a::new();
+    for item in items {
+        h.write(&item.id().to_le_bytes());
+    }
+    h.finish()
 }
 
 impl FromIterator<(ItemSet, Support)> for FrequentItemsets {
@@ -162,14 +205,11 @@ mod tests {
     }
 
     #[test]
-    fn lookup_and_filter() {
+    fn lookup() {
         let f = FrequentItemsets::new(vec![(iset("a"), 5), (iset("b"), 2)]);
         assert_eq!(f.support(&iset("a")), Some(5));
         assert_eq!(f.support(&ItemSet::from_ids([7_654_321])), None);
-        assert!(f.contains(&iset("b")));
-        let g = f.filter_min_support(3);
-        assert_eq!(g.len(), 1);
-        assert!(g.contains(&iset("a")));
+        assert_eq!(f.as_map().len(), 2);
     }
 
     #[test]
@@ -186,6 +226,40 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "duplicate itemset ab")]
+    fn duplicates_rejected_across_supports_among_many() {
+        let mut pairs: Vec<(ItemSet, Support)> = (0..200)
+            .map(|i| (ItemSet::from_ids([i, i + 1000]), 30 + u64::from(i % 7)))
+            .collect();
+        pairs.push((iset("ab"), 90));
+        pairs.push((iset("ab"), 31));
+        FrequentItemsets::new(pairs);
+    }
+
+    #[test]
+    fn equal_fingerprints_fall_back_to_the_itemsets() {
+        // Every fingerprint colliding: distinct itemsets pass, and a
+        // duplicate is still named.
+        let f = FrequentItemsets::new(vec![(iset("a"), 5), (iset("b"), 5), (iset("ab"), 3)]);
+        fn items(e: &FrequentItemset) -> &[Item] {
+            e.itemset().items()
+        }
+        distinct_by(f.entries().iter().map(items), |_| 0);
+        let dup = [f.entries()[0].clone(), f.entries()[0].clone()];
+        let caught = std::panic::catch_unwind(|| distinct_by(dup.iter().map(items), |_| 0));
+        assert!(caught.is_err());
+    }
+
+    #[test]
+    fn the_index_is_built_on_first_lookup_and_equality_ignores_it() {
+        let f = FrequentItemsets::new(vec![(iset("a"), 5), (iset("b"), 2)]);
+        let g = f.clone();
+        assert_eq!(f.support(&iset("b")), Some(2));
+        assert!(f.index.get().is_some() && g.index.get().is_none());
+        assert_eq!(f, g);
+    }
+
+    #[test]
     fn equality_ignores_insertion_order() {
         let f = FrequentItemsets::new(vec![(iset("a"), 1), (iset("b"), 2)]);
         let g = FrequentItemsets::new(vec![(iset("b"), 2), (iset("a"), 1)]);
@@ -196,6 +270,5 @@ mod tests {
     fn display_lists_entries() {
         let f = FrequentItemsets::new(vec![(iset("ab"), 4)]);
         assert_eq!(f.to_string(), "ab (4)\n");
-        assert_eq!(f.max_len(), 2);
     }
 }

@@ -41,11 +41,14 @@
 //! and rides O(churn) deltas from there ([`SubscriberState`] implements
 //! that reconstruction, verifying each snapshot it was already synced for).
 //!
-//! **One encoding path.** A publication is converted into binary frame
-//! entries once ([`binary_entries`]). The log's `release` record, binary
-//! subscribers and `from:` catch-up carry those entries; an NDJSON event
-//! line is the frame's transcode ([`binary_event_json`]), live and in
-//! catch-up alike, and `protect` writes its `itemsets` with the same
+//! **One encoding path.** A sanitized entry has one wire form, its item ids
+//! and its sanitized support (`wire_entry`). A live publication's `release`
+//! frame is laid out from the release in one buffer, sized once
+//! (`release_binary`); the log's `release` record is that frame's bytes,
+//! and binary subscribers and `from:` catch-up carry them. Wire entries
+//! ([`binary_entries`]) carry the same form into `release_delta` frames; an
+//! NDJSON event line is the frame's transcode ([`binary_event_json`]), live
+//! and in catch-up alike, and `protect` writes its `itemsets` with the same
 //! [`entries_json`].
 
 use bfly_common::{
@@ -306,19 +309,31 @@ pub fn closed_event(stream: &str) -> Json {
     ])
 }
 
-/// The one conversion of sanitized entries into wire entries: item ids and
-/// the sanitized support, never the true one. Every `release` record,
-/// frame, event line and `protect` line is built from its output.
+/// The one conversion of a sanitized entry into its wire form: item ids and
+/// the sanitized support, never the true one.
+fn wire_entry(e: &SanitizedItemset) -> (impl ExactSizeIterator<Item = u32> + '_, i64) {
+    (e.itemset().items().iter().map(|i| i.id()), e.sanitized)
+}
+
+/// Sanitized entries as wire entries (`wire_entry`): what `release_delta`
+/// frames, NDJSON event lines and `protect` lines are built from.
 pub fn binary_entries<'a>(
     entries: impl IntoIterator<Item = &'a SanitizedItemset>,
 ) -> Vec<BinaryEntry> {
-    entries
-        .into_iter()
-        .map(|e| BinaryEntry {
-            ids: e.itemset().items().iter().map(|i| i.id()).collect(),
-            support: e.sanitized,
-        })
-        .collect()
+    let wire = entries.into_iter().map(wire_entry);
+    wire.map(|(ids, support)| BinaryEntry {
+        ids: ids.collect(),
+        support,
+    })
+    .collect()
+}
+
+/// The binary `release` frame of one publication, laid out from the
+/// release's entries (`wire_entry`) in one buffer sized once: the bytes
+/// of [`release_frame`]'s encoding, without its wire entries. The log's
+/// `release` record is copied from it.
+pub(crate) fn release_binary(stream: &str, stream_len: u64, release: &SanitizedRelease) -> Vec<u8> {
+    BinaryFrame::release_bytes(stream, stream_len, release.iter().map(wire_entry))
 }
 
 /// The `release` frame of one publication.
@@ -375,7 +390,10 @@ pub fn release_frame_bytes(
     stream_len: u64,
     release: &SanitizedRelease,
 ) -> Arc<[u8]> {
-    frame_bytes(mode, &release_frame(stream, stream_len, release))
+    match mode {
+        FrameMode::Binary => Arc::from(release_binary(stream, stream_len, release)),
+        FrameMode::Json => frame_bytes(mode, &release_frame(stream, stream_len, release)),
+    }
 }
 
 /// Serialize one `release_delta` publication as outbound wire bytes in

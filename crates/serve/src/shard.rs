@@ -45,12 +45,12 @@
 
 use crate::binding::DefenseBindings;
 use crate::config::ServeConfig;
-use crate::fanout::{json_line, SubscriberRegistry};
-use crate::protocol::{closed_event, frame_bytes, release_delta_frame};
+use crate::fanout::{json_line, OutBytes, SubscriberRegistry};
+use crate::protocol::{closed_event, frame_bytes, release_delta_frame, release_frame_bytes};
 use crate::stats::ShardStats;
 use crate::wal::replay::{Publication, Step};
 use crate::wal::{RecoveredShard, RecoveredStream, WalRecord, WalWriter};
-use bfly_common::IngestChunk;
+use bfly_common::{FrameMode, IngestChunk};
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
@@ -189,9 +189,15 @@ fn emit_publication(
         });
     }
     if p.snapshot {
-        registry.publish_with(key, stats, |mode| frame_bytes(mode, &p.frame));
+        registry.publish_with(key, stats, |mode| match mode {
+            FrameMode::Binary => OutBytes::from(&p.frame[..]),
+            FrameMode::Json => {
+                release_frame_bytes(mode, key, p.window.stream_len, &p.window.release)
+            }
+        });
     }
     ShardStats::add(&stats.published, 1);
+    ShardStats::add(&stats.released_entries, p.window.release.len() as u64);
 }
 
 /// Publish `state`'s full window through the step replay shares
@@ -359,17 +365,19 @@ impl Shard {
     }
 }
 
-/// Moment's rebuilds and visits so far on `state`'s stream.
-fn moment_work(state: &RecoveredStream) -> [u64; 2] {
+/// Moment's rebuilds, visits and itemsets allocated so far on `state`'s
+/// stream.
+fn moment_work(state: &RecoveredStream) -> [u64; 3] {
     let miner = state.pipe.miner();
-    [miner.rebuilds(), miner.visits()]
+    [miner.rebuilds(), miner.visits(), miner.itemsets_allocated()]
 }
 
 /// Add what Moment did on `state`'s stream since it stood at `before`.
-fn add_moment_work(stats: &ShardStats, state: &RecoveredStream, before: [u64; 2]) {
-    let [rebuilds, visits] = moment_work(state);
+fn add_moment_work(stats: &ShardStats, state: &RecoveredStream, before: [u64; 3]) {
+    let [rebuilds, visits, allocated] = moment_work(state);
     ShardStats::add(&stats.moment_rebuilds, rebuilds - before[0]);
     ShardStats::add(&stats.moment_visits, visits - before[1]);
+    ShardStats::add(&stats.itemsets_allocated, allocated - before[2]);
 }
 
 fn worker(
@@ -439,7 +447,7 @@ mod tests {
     use crate::wal::fault::{Fault, FaultStore, Op};
     use crate::wal::replay::{catchup_in, recover_shard_in};
     use crate::wal::segment::SegmentStore;
-    use bfly_common::{FrameMode, Json};
+    use bfly_common::Json;
     use bfly_core::{DefenseKind, PrivacyDefense, StreamPipeline};
     use std::sync::mpsc::sync_channel;
 
@@ -627,11 +635,12 @@ mod tests {
     }
 
     #[test]
-    fn moment_visits_repeat_exactly_when_a_stream_is_run_again() {
+    fn moment_work_counts_repeat_exactly_when_a_stream_is_run_again() {
         // W 40, C 4, every 5: the settles walk, and the drain owes the last
         // three. One stream through two fresh shards in chunks of 7 reads
-        // the same count both times, the count an in-process pipeline's
-        // miner reads.
+        // the same counts both times — Moment's visits, the itemsets its
+        // read-outs allocated and the entries released — the counts an
+        // in-process pipeline reads.
         let cfg = ServeConfig {
             window: 40,
             c: 4,
@@ -659,19 +668,27 @@ mod tests {
             }
             drop(ingress);
             handle.join().expect("worker paniced");
-            stats.moment_visits.load(Ordering::Relaxed)
+            let counters = [
+                &stats.moment_visits,
+                &stats.itemsets_allocated,
+                &stats.released_entries,
+            ];
+            counters.map(|c| c.load(Ordering::Relaxed))
         };
         let mut pipe = cfg.pipeline_for("k");
+        let mut released = 0;
         for items in &batch {
             pipe.advance_items(items.items());
             if pipe.due(cfg.every) {
-                pipe.publish_now().expect("a full window");
+                released += pipe.publish_now().expect("a full window").release.len() as u64;
             }
         }
-        pipe.flush().expect("the drain owes one");
-        let visits = pipe.miner().visits();
-        assert!(visits > 0);
-        assert_eq!([run(), run()], [visits; 2]);
+        released += pipe.flush().expect("the drain owes one").release.len() as u64;
+        let miner = pipe.miner();
+        let counts = [miner.visits(), miner.itemsets_allocated(), released];
+        assert!(counts.iter().all(|&n| n > 0), "{counts:?}");
+        assert!(counts[1] < counts[2], "{counts:?}: each entry allocated");
+        assert_eq!([run(), run()], [counts; 2]);
     }
 
     /// Claims the Butterfly contract and breaks it on its `lie_on`-th

@@ -16,6 +16,9 @@ pub struct ShardStats {
     pub processed: AtomicU64,
     /// Sanitized windows published (cadence + final flushes).
     pub published: AtomicU64,
+    /// Entries those releases held: `released_entries / published` is the
+    /// mean release size, the unit of the per-entry work.
+    pub released_entries: AtomicU64,
     /// Microseconds the worker spent inside `publish_now` — Moment's settle
     /// over every arrival and departure since the last publication (the
     /// walk, or the rebuild when they number a window), the closed-set
@@ -43,6 +46,12 @@ pub struct ShardStats {
     /// (`MomentMiner::visits`: the codes the settle walks visit plus those
     /// `explore` tallies), summed per chunk like `moment_rebuilds`.
     pub moment_visits: AtomicU64,
+    /// `Arc<ItemSet>`s Moment's read-outs made on this shard's streams
+    /// (`MomentMiner::itemsets_allocated`: one per closed set no read-out
+    /// held before), summed like `moment_visits`. Every other released
+    /// entry reused its closed node's `Arc`, whose pin the stream's history
+    /// finds by address.
+    pub itemsets_allocated: AtomicU64,
     /// Current ingress queue depth (accepted minus dequeued).
     pub queue_depth: AtomicU64,
     /// Release entries that failed the contract audit; every release
@@ -81,6 +90,10 @@ impl ShardStats {
                 Json::from(self.published.load(Ordering::Relaxed)),
             ),
             (
+                "released_entries",
+                Json::from(self.released_entries.load(Ordering::Relaxed)),
+            ),
+            (
                 "publish_us",
                 Json::from(self.publish_us.load(Ordering::Relaxed)),
             ),
@@ -103,6 +116,10 @@ impl ShardStats {
             (
                 "moment_visits",
                 Json::from(self.moment_visits.load(Ordering::Relaxed)),
+            ),
+            (
+                "itemsets_allocated",
+                Json::from(self.itemsets_allocated.load(Ordering::Relaxed)),
             ),
             (
                 "queue_depth",

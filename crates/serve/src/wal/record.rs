@@ -64,6 +64,7 @@
 //! records of its stream.
 
 use bfly_common::crc32::Crc32;
+use bfly_common::frame::HEADER_LEN as WIRE_HEADER_LEN;
 use bfly_common::frame::{put_ids, put_str, Cursor, BINARY_MAGIC, OP_INGEST, OP_RELEASE};
 use bfly_common::{BinaryEntry, BinaryFrame, Error, IngestChunk, ItemSet, Result};
 use bfly_core::defense::DefenseKind;
@@ -237,7 +238,8 @@ impl WalRecord {
                 stream_len,
                 entries,
             } => {
-                BinaryFrame::put_release_payload(p, stream, *stream_len, entries);
+                let wire = entries.iter().map(|e| (e.ids.iter().copied(), e.support));
+                BinaryFrame::put_release_payload(p, stream, *stream_len, wire);
                 OP_RELEASE
             }
             WalRecord::Open { stream, kind } => {
@@ -357,6 +359,18 @@ pub(crate) fn encode_ingest(
         p.extend_from_slice(&base.to_le_bytes());
         chunk.put_payload(p, stream);
         OP_INGEST
+    });
+}
+
+/// Encode the record of a `release` wire frame into `out`, replacing its
+/// contents: the frame's header and payload with the log's fields between
+/// them — the bytes [`WalRecord::Release`] encodes to for the same
+/// publication, copied from the frame the subscribers get.
+pub(crate) fn encode_release(out: &mut Vec<u8>, seq: u64, frame: &[u8]) {
+    debug_assert_eq!(frame[1], OP_RELEASE, "not a release frame");
+    framed(out, seq, |p| {
+        p.extend_from_slice(&frame[WIRE_HEADER_LEN..]);
+        OP_RELEASE
     });
 }
 

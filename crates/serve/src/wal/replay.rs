@@ -64,7 +64,7 @@
 //! record along.
 
 use crate::config::{ServeConfig, WalConfig};
-use crate::protocol::binary_entries;
+use crate::protocol::release_binary;
 use crate::stats::WalStats;
 use crate::wal::record::{Decode, Scan, StreamSnapshot, WalRecord};
 use crate::wal::segment::{FsStore, SegmentId, SegmentReader, SegmentStore};
@@ -115,8 +115,9 @@ pub(crate) enum Step {
 pub(crate) struct Publication {
     /// The defense's release and delta.
     pub(crate) window: WindowRelease,
-    /// The `release` frame, carrying the entries the log recorded.
-    pub(crate) frame: BinaryFrame,
+    /// The binary `release` frame: the bytes binary subscribers get and the
+    /// log's `release` record carries.
+    pub(crate) frame: Vec<u8>,
     /// Stream position of the previous publication: the delta's `base_len`.
     pub(crate) base_len: u64,
     /// On the snapshot cadence: the log took a `snapshot` record and
@@ -154,13 +155,9 @@ impl RecoveredStream {
         };
         let snapshot =
             cfg.snapshot_every <= 1 || published.is_multiple_of(cfg.snapshot_every as u64);
-        let record = WalRecord::Release {
-            stream: key.to_string(),
-            stream_len: window.stream_len,
-            entries: binary_entries(window.release.iter()),
-        };
+        let frame = release_binary(key, window.stream_len, &window.release);
         if let Some(log) = log {
-            log.append(&record)?;
+            log.append_release(key, &frame)?;
             if snapshot {
                 // Taken at a publication point, so everything a restart
                 // needs beside the window, which the log already holds, is
@@ -175,21 +172,9 @@ impl RecoveredStream {
                 )?;
             }
         }
-        let WalRecord::Release {
-            stream,
-            stream_len,
-            entries,
-        } = record
-        else {
-            unreachable!("built as a release record")
-        };
         let publication = Publication {
             window,
-            frame: BinaryFrame::Release {
-                stream,
-                stream_len,
-                entries,
-            },
+            frame,
             base_len,
             snapshot,
         };
@@ -526,7 +511,9 @@ fn apply(
                 entries,
             };
             match st.publish_and_log(cfg, &stream, None) {
-                Ok((_, Step::Published(p))) if p.frame == logged => *recovered_windows += 1,
+                Ok((_, Step::Published(p))) if p.frame == logged.encode() => {
+                    *recovered_windows += 1
+                }
                 Ok(_) => {
                     return Err(corrupt(
                         path,
@@ -711,6 +698,7 @@ pub(crate) fn catchup_in(
 mod tests {
     use super::*;
     use crate::config::{WalConfig, WalSyncPolicy};
+    use crate::protocol::binary_entries;
     use crate::wal::fault::FaultStore;
     use crate::wal::record::tests::{undecodable_open, undecodable_release, w2000_snapshot};
     use crate::wal::record::{scan_one, SnapshotEntry, HEADER_LEN};
@@ -874,7 +862,10 @@ mod tests {
                         let Step::Published(p) = step else {
                             panic!("an honest defense withheld a release");
                         };
-                        let BinaryFrame::Release { entries, .. } = p.frame else {
+                        let payload = &p.frame[bfly_common::frame::HEADER_LEN..];
+                        let Ok(BinaryFrame::Release { entries, .. }) =
+                            BinaryFrame::decode_payload(p.frame[1], payload)
+                        else {
                             panic!("a release step built {:?}", p.frame);
                         };
                         self.releases.push((p.window.stream_len, entries));

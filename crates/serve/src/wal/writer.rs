@@ -279,6 +279,14 @@ impl WalWriter {
         self.commit(stream, Mark::Ingest(base))
     }
 
+    /// [`WalWriter::append`] of the `release` record of `stream` whose wire
+    /// frame is `frame`: the bytes of the equivalent [`WalRecord::Release`],
+    /// copied from the frame laid out for the subscribers.
+    pub(crate) fn append_release(&mut self, stream: &str, frame: &[u8]) -> Result<()> {
+        record::encode_release(&mut self.buf, self.next_seq, frame);
+        self.commit(stream, Mark::Release)
+    }
+
     /// [`WalWriter::append`] of the snapshot record of `stream`, bound to
     /// `kind`, at the publication `release` made at `stream_len` (the
     /// `published`-th), naming its window — the `window` logged records

@@ -162,13 +162,14 @@ if [[ -n "$PANICS" ]]; then
 fi
 
 echo "==> one-history guard (the pipeline owns a stream's past: no engine or defense keeps a previous release or pin map, or restores one)"
-# A field whose type holds a release, a pin map or a PublicationHistory, or
-# any `fn restore`, in non-test code under crates/core/src/{engine,defense}.
+# A field whose type holds a release, a pin map (the history's PinTable or
+# Pin, or the map of pairs by itemset it replaced) or a PublicationHistory,
+# or any `fn restore`, in non-test code under crates/core/src/{engine,defense}.
 # The one exception is the history the frozen Publisher::publish_with_delta
 # keeps for benchmark/src/trace.rs (ROADMAP 1(b)).
 HELD=$(for f in $(find crates/core/src/engine crates/core/src/defense -name '*.rs' | sort); do
   sed -E '/^ *(pub\(crate\) )?mod tests \{/,$d' "$f" \
-    | grep -nE '^ *(pub(\([a-z]+\))? +)?[a-z_][a-z0-9_]*: *[^&=;]*(SanitizedRelease|PublicationHistory|HashMap<ItemsetId, \(Support, SanitizedSupport\)>)[^=;(:]*, *$|\bfn restore\b' \
+    | grep -nE '^ *(pub(\([a-z]+\))? +)?[a-z_][a-z0-9_]*: *[^&=;]*(SanitizedRelease|PublicationHistory|PinTable|\bPin\b|HashMap<ItemsetId, \(Support, SanitizedSupport\)>)[^=;(:]*, *$|\bfn restore\b' \
     | grep -v '^[0-9]*: *//' | sed "s|^|$f:|"
 done | grep -vE '^crates/core/src/engine/mod\.rs:[0-9]+: *history: PublicationHistory,$' || true)
 if [[ -n "$HELD" ]]; then
