@@ -1,9 +1,11 @@
 //! Micro-benchmarks for the mining substrate: the batch miner against its
 //! reference on a fixed window, Moment settled every slide and at the
-//! served cadences, and FP-stream batch ingestion.
+//! served cadences (and at two wide-alphabet shapes), and FP-stream batch
+//! ingestion.
 
 use bfly_bench::bench;
-use bfly_common::{Database, SlidingWindow};
+use bfly_common::rng::{Rng, SmallRng};
+use bfly_common::{Database, ItemSet, SlidingWindow};
 use bfly_datagen::DatasetProfile;
 use bfly_mining::{Apriori, Eclat, FpStream, FpStreamConfig, MinerBackend, MomentMiner};
 
@@ -41,23 +43,67 @@ fn bench_backend_slide() {
     });
 }
 
+/// `n` transactions of `width` distinct items drawn uniformly from
+/// `alphabet`: a window where every item is about as common as every other
+/// and few pairs reach `C`, so most nodes have many later codes.
+fn uniform(width: usize, alphabet: u64, seed: u64, n: usize) -> Vec<ItemSet> {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut draw = || {
+        let mut ids = Vec::with_capacity(width);
+        while ids.len() < width {
+            let id = rng.gen_below(alphabet) as u32;
+            if !ids.contains(&id) {
+                ids.push(id);
+            }
+        }
+        ItemSet::from_ids(ids)
+    };
+    (0..n).map(|_| draw()).collect()
+}
+
 /// Moment at a served cadence: `every` departures and arrivals by tid, then
 /// one settle and the closed-set read-out, as a shard publishes (compare
 /// `backend_slide_1000/moment`, which settles every slide). The stream is
 /// generated up front and replayed in a loop, so only the miner is timed.
+/// The two served shapes, and two wide-alphabet ones (8 uniform items of
+/// 150 or 500) where many nodes tally their extensions rather than count
+/// them vertically.
 fn bench_moment_interval() {
-    for (name, profile, window, c, every) in [
-        ("pos_w500_c20_every250", DatasetProfile::Pos, 500, 20, 250),
+    let profile = |p: DatasetProfile, window: usize| {
+        let txs = p.source(23).take_vec(20 * window);
+        txs.into_iter().map(|t| t.into_items()).collect::<Vec<_>>()
+    };
+    for (name, stream, window, c, every) in [
+        (
+            "pos_w500_c20_every250",
+            profile(DatasetProfile::Pos, 500),
+            500,
+            20,
+            250,
+        ),
         (
             "webview1_w2000_c25_every100",
-            DatasetProfile::WebView1,
+            profile(DatasetProfile::WebView1, 2000),
+            2000,
+            25,
+            100,
+        ),
+        (
+            "uniform8of150_w500_c20_every250",
+            uniform(8, 150, 23, 20 * 500),
+            500,
+            20,
+            250,
+        ),
+        (
+            "uniform8of500_w2000_c25_every100",
+            uniform(8, 500, 23, 20 * 2000),
             2000,
             25,
             100,
         ),
     ] {
-        let stream = profile.source(23).take_vec(20 * window);
-        let items = |tid: u64| stream[tid as usize % stream.len()].items().items();
+        let items = |tid: u64| stream[tid as usize % stream.len()].items();
         let window = window as u64;
         let mut miner = MomentMiner::new(c);
         for tid in 1..=window {

@@ -201,25 +201,28 @@ impl PublicationHistory {
     /// delta: the pipeline's one pass without the audit, for callers that
     /// publish without a [`crate::StreamPipeline`].
     pub fn record(&mut self, release: &SanitizedRelease, stream_len: u64) -> ReleaseDelta {
-        let (delta, followed) = self.follow(release, None);
+        let (delta, followed) = self.follow(release, None, true);
         self.adopt(release, stream_len, followed);
         delta
     }
 
     /// The one pass over `release` against this history: it finds each
-    /// entry's pin, sorts the entries into the delta's `added` and
-    /// `changed`, lists the delta's `removed`, and, given `audit`, holds
-    /// every entry to the pin rules and pushes what fails. It changes no
-    /// pin, only marks the ones it finds: the caller [adopts](Self::adopt)
-    /// the release, or withholds it and leaves no trace.
+    /// entry's pin, given `deltas` sorts the entries into the delta's
+    /// `added` and `changed` and lists its `removed` (else the delta stays
+    /// empty), and, given `audit`, holds every entry to the pin rules and
+    /// pushes what fails. It changes no pin, only marks the ones it finds:
+    /// the caller [adopts](Self::adopt) the release, or withholds it and
+    /// leaves no trace.
     pub(crate) fn follow(
         &mut self,
         release: &SanitizedRelease,
         mut audit: Option<&mut Vec<AuditError>>,
+        deltas: bool,
     ) -> (ReleaseDelta, Followed) {
+        let capacity = if deltas { release.len() } else { 0 };
         let mut delta = ReleaseDelta {
-            added: Vec::with_capacity(release.len()),
-            changed: Vec::with_capacity(release.len()),
+            added: Vec::with_capacity(capacity),
+            changed: Vec::with_capacity(capacity),
             removed: Vec::new(),
         };
         let mut found = Vec::with_capacity(release.len());
@@ -235,6 +238,7 @@ impl PublicationHistory {
                 pin.pair
             });
             match previous {
+                _ if !deltas => {}
                 None => delta.added.push(e.clone()),
                 Some(pair) if pair != (e.true_support, e.sanitized) => {
                     delta.changed.push(e.clone())
@@ -246,7 +250,7 @@ impl PublicationHistory {
             }
             found.push(at);
         }
-        if kept < self.pins.by_addr.len() {
+        if deltas && kept < self.pins.by_addr.len() {
             let gone = self.pins.by_addr.values().filter(|pin| pin.seen != mark);
             delta.removed = gone.map(|pin| pin.id.clone()).collect();
             delta.removed.sort_unstable();

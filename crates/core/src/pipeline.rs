@@ -22,7 +22,8 @@ pub struct WindowRelease {
     /// The sanitized publication.
     pub release: SanitizedRelease,
     /// What changed against the previous emitted release of this stream —
-    /// the serve layer's `release_delta` payload.
+    /// the serve layer's `release_delta` payload. Empty from a pipeline
+    /// that ships no deltas ([`StreamPipeline::with_deltas`]).
     pub delta: ReleaseDelta,
 }
 
@@ -69,6 +70,8 @@ pub struct StreamPipeline<D: PrivacyDefense = Publisher> {
     /// Release entries that failed the contract audit (their releases were
     /// withheld).
     audit_violations: u64,
+    /// Whether each publication's [`WindowRelease::delta`] is made.
+    deltas: bool,
 }
 
 impl<D: PrivacyDefense> StreamPipeline<D> {
@@ -88,7 +91,16 @@ impl<D: PrivacyDefense> StreamPipeline<D> {
             history: PublicationHistory::default(),
             since_publish: 0,
             audit_violations: 0,
+            deltas: true,
         }
+    }
+
+    /// Make each publication's [`WindowRelease::delta`] (the default), or,
+    /// for an owner that ships only full releases, leave it empty: the pass
+    /// over the release then clones no entry.
+    pub fn with_deltas(mut self, deltas: bool) -> Self {
+        self.deltas = deltas;
+        self
     }
 
     /// Records seen so far.
@@ -123,7 +135,7 @@ impl<D: PrivacyDefense> StreamPipeline<D> {
             .defense
             .honors_butterfly_contract()
             .then(|| audit_release(self.defense.spec(), &release));
-        let (delta, followed) = self.history.follow(&release, errors.as_mut());
+        let (delta, followed) = self.history.follow(&release, errors.as_mut(), self.deltas);
         let failing: HashSet<&str> = errors.iter().flatten().map(AuditError::itemset).collect();
         if !failing.is_empty() {
             self.audit_violations += failing.len() as u64;

@@ -23,8 +23,9 @@
 //! node types locally and re-explores subtrees only on net gateway→promising
 //! transitions — the property that makes the miner incremental. Once the
 //! queue holds as many transactions as the window, the walk would deliver
-//! at least the occurrences a rebuild from the root tallies, so such a
-//! settle rebuilds instead, as the turnover re-rank does. The layout
+//! at least the occurrences a rebuild from the root could tally, and the
+//! rebuild's counting costs at most a fixed multiple of that tally, so
+//! such a settle rebuilds instead, as the turnover re-rank does. The layout
 //! (DESIGN.md, "The Moment CET") keeps that walk in cache: items are
 //! enumerated **rarest first** by dense code, re-ranked from the live window
 //! at each rebuild, at least once per turnover; a **gateway is only an
@@ -33,8 +34,11 @@
 //! insert and remove) is at least `C`, so a rebuild reads them off the
 //! counts and a walk passes over an item that stays below `C`, however many
 //! of those a client sends;
-//! **no node stores a tidset** (the walk re-derives them, one AND a level);
-//! tables are **indexed by code**, never by a client-chosen item id.
+//! **no node stores a tidset** (the walk re-derives them, one AND a level),
+//! and a node's extensions are **counted from the item bitmaps**, one
+//! AND-popcount a later code, unless tallying its supporting transactions'
+//! later codes is cheaper; tables are **indexed by code**, never by a
+//! client-chosen item id.
 //!
 //! A closed node's itemset is made once for the node's life: the read-out
 //! ([`MinerBackend::closed_frequent`]) allocates an `Arc<ItemSet>` the
@@ -80,6 +84,23 @@ const CLASSES: usize = usize::BITS as usize + 1;
 /// Class `k > 0` holds capacities in `[2^(k-1), 2^k)`; class 0, capacity 0.
 fn class_of(capacity: usize) -> usize {
     (usize::BITS - capacity.leading_zeros()) as usize
+}
+
+/// How many lane steps of AND-popcount one tallied occurrence is worth:
+/// where [`counts_vertically`] puts the crossover.
+const LANE_STEPS_PER_OCCURRENCE: usize = 8;
+
+/// Whether `explore` counts a node's extensions vertically, one
+/// AND-popcount of `words` words per `later` code ordered after its own,
+/// rather than tallying the later codes of its `support` supporting
+/// transactions. The tally visits each supporting slot at least once and
+/// each later code it holds; the vertical count costs `later` AND-popcounts
+/// of `⌈words / LANES⌉` lane steps each, whatever the node's support. The
+/// factor was swept on the served shapes and two wide ones (DESIGN.md,
+/// "Counting a node's extensions").
+fn counts_vertically(later: u32, words: usize, support: u32) -> bool {
+    let steps = later as usize * words.div_ceil(kernel::LANES);
+    steps <= LANE_STEPS_PER_OCCURRENCE * support as usize
 }
 
 /// One child of a promising node: its itemset extended by item `key as u32`.
@@ -228,7 +249,8 @@ pub struct MomentMiner {
     /// Per-code table; the last rebuild numbered the codes below `ranked`.
     coded: Vec<Coded>,
     ranked: u32,
-    /// `explore`'s and `settle_under`'s scratch per code, zero between calls.
+    /// `settle_under`'s scratch per code, and `explore`'s when it tallies;
+    /// zero between calls.
     tally: Vec<u32>,
     /// The rebuild's scratch: the live codes' entries with their old code,
     /// sorted into the new order, and old code → new code.
@@ -281,6 +303,9 @@ pub struct MomentMiner {
     occs: Vec<Occ>,
     /// The settle walk's touched extensions, one run per level.
     touches: Vec<Touch>,
+    /// `explore`s so far that tallied (0) and that counted vertically (1).
+    #[cfg(test)]
+    explores: [u64; 2],
 }
 
 impl MomentMiner {
@@ -320,6 +345,8 @@ impl MomentMiner {
             queued_codes: Vec::new(),
             occs: Vec::new(),
             touches: Vec::new(),
+            #[cfg(test)]
+            explores: [0; 2],
         }
     }
 
@@ -335,11 +362,13 @@ impl MomentMiner {
     }
 
     /// The tree's work so far, in codes: each queued transaction's code a
-    /// settle walk visits at a node it reaches, plus each code `explore`
-    /// tallies when it builds a node's record (the rebuilds' subtrees and
-    /// those a walk re-explores). The root reads its entries off the item
-    /// counts, so an item below `C` costs it nothing. A function of the
-    /// stream and the settle points, like [`MomentMiner::node_count`].
+    /// settle walk visits at a node it reaches, plus the supports of the
+    /// extensions `explore` counts when it builds a node's record (the
+    /// rebuilds' subtrees and those a walk re-explores): the codes a tally
+    /// of its supporting transactions visits, whichever way it counted
+    /// them. The root reads its entries off the item counts, so an item
+    /// below `C` costs it nothing. A function of the stream and the settle
+    /// points, like [`MomentMiner::node_count`].
     pub fn visits(&self) -> u64 {
         self.visits
     }
@@ -456,20 +485,79 @@ impl MomentMiner {
         let Entry { key, support, .. } = self.nodes[node][idx];
         self.descend(key as u32, support);
         if !self.is_unpromising(support) {
-            let child = self.explore();
+            let child = self.explore(support);
             self.nodes[node][idx].child = child;
         }
         self.path.pop();
     }
 
     /// Build the record of the promising node the walk stands on, below the
-    /// root: tally its supporting transactions' later items into a record
-    /// they fit in, classify the frequent ones, return the record.
-    fn explore(&mut self) -> u32 {
+    /// root, whose tidset counts `support`: count its extensions into a
+    /// record they fit in, classify the frequent ones, return the record.
+    /// Its extensions are counted vertically unless tallying its supporting
+    /// transactions' later items is the cheaper way ([`counts_vertically`]).
+    fn explore(&mut self, support: u32) -> u32 {
         let mut entries = std::mem::take(&mut self.found);
         entries.clear();
+        let last = *self.path.last().expect("below the root");
+        let later = if last < self.ranked {
+            self.ranked - last - 1
+        } else {
+            self.coded.len() as u32 - last - 1 + self.ranked
+        };
+        let vertical = counts_vertically(later, self.words, support);
+        if vertical {
+            self.count_extensions(last, &mut entries);
+        } else {
+            self.tally_extensions(last, &mut entries);
+        }
+        #[cfg(test)]
+        {
+            self.explores[usize::from(vertical)] += 1;
+        }
+        self.visits += entries.iter().map(|e| u64::from(e.support)).sum::<u64>();
+        let node = self.take_record(entries.len());
+        self.nodes[node as usize].extend_from_slice(&entries);
+        self.found = entries;
+        self.classify_frequent(node as usize);
+        node
+    }
+
+    /// Push an entry for each extension of the walk's itemset, whose last
+    /// code is `last`, in key order: one AND-count of its tidset with each
+    /// later code's bitmap. After an unranked `last` come the unranked codes
+    /// numbered after it, then every ranked one; after a ranked one, the
+    /// ranked codes numbered after it.
+    fn count_extensions(&self, last: u32, entries: &mut Vec<Entry>) {
+        let w = self.words;
+        let tids = &self.tids[self.path.len() * w..][..w];
+        let (unranked, ranked) = if last < self.ranked {
+            (0..0, last + 1..self.ranked)
+        } else {
+            (last + 1..self.coded.len() as u32, 0..self.ranked)
+        };
+        for code in unranked.chain(ranked) {
+            if self.coded[code as usize].count == 0 {
+                continue;
+            }
+            let bits = &self.bits[code as usize * w..][..w];
+            let support = kernel::and_count(tids, bits) as u32;
+            if support > 0 {
+                let key = self.key(code);
+                entries.push(Entry {
+                    key,
+                    support,
+                    ..GATEWAY
+                });
+            }
+        }
+    }
+
+    /// [`MomentMiner::count_extensions`] by walking each supporting
+    /// transaction's codes after `last` into `tally`, then sorting.
+    fn tally_extensions(&mut self, last: u32, entries: &mut Vec<Entry>) {
         self.tally.resize(self.coded.len(), 0);
-        let floor = self.key(*self.path.last().expect("below the root")) + 1;
+        let floor = self.key(last) + 1;
         let w = self.words;
         for slot in iter_slots(&self.tids[self.path.len() * w..][..w]) {
             for &code in self.slots[slot].codes.iter().rev() {
@@ -485,17 +573,9 @@ impl MomentMiner {
             }
         }
         entries.sort_unstable_by_key(|e| e.key);
-        let mut tallied = 0;
-        for entry in &mut entries {
+        for entry in entries {
             entry.support = std::mem::take(&mut self.tally[entry.key as u32 as usize]);
-            tallied += u64::from(entry.support);
         }
-        self.visits += tallied;
-        let node = self.take_record(entries.len());
-        self.nodes[node as usize].extend_from_slice(&entries);
-        self.found = entries;
-        self.classify_frequent(node as usize);
-        node
     }
 
     /// Classify every frequent entry of `node`, where the walk stands.
@@ -769,7 +849,7 @@ impl MomentMiner {
     /// Renumber the live items by `(window count, item)` ascending, dropping
     /// the dead codes, and rebuild the tree from the root: a function of the
     /// window's content alone, which covers every queued change. The root's
-    /// entries are read off the item counts, and `explore` tallies only
+    /// entries are read off the item counts, and `explore` counts only
     /// below them. Every table and record is refilled in the buffer it had,
     /// so a warmed miner allocates nothing here.
     fn rebuild(&mut self) {
@@ -840,10 +920,12 @@ impl MomentMiner {
     /// last settle: in one walk from the root, or, once the queue holds at
     /// least as many transactions as the window, by the re-rank's rebuild.
     /// The walk would deliver each queued transaction's occurrences, and
-    /// those of a window's worth are at least the occurrences the rebuild
-    /// tallies, so the rebuild is never the slower path there. Either way
-    /// the closed sets are the window's; the tree's shape is a function of
-    /// the window's content, arrival order and which settles rebuilt.
+    /// those of a window's worth are at least the occurrences a rebuild
+    /// could tally, a fixed multiple of which bounds what its counting
+    /// costs, so there the rebuild is not the slower path (DESIGN.md,
+    /// "Walk or rebuild", measures both). Either way the closed sets are
+    /// the window's; the tree's shape is a function of the window's
+    /// content, arrival order and which settles rebuilt.
     /// Reading it ([`MinerBackend::closed_frequent`],
     /// [`MomentMiner::node_count`], [`MomentMiner::node_stats`]) with
     /// changes queued panics.
@@ -1106,6 +1188,34 @@ mod tests {
         closed_subset(&Eclat::new(c).mine(&window.database()))
     }
 
+    /// Recount every promising record from the ring: for each live slot
+    /// holding the record's whole path, each of its codes ordered after the
+    /// path's last, as `(key, support)` pairs in key order. A record must
+    /// hold exactly those.
+    fn assert_records_exact(m: &MomentMiner) {
+        fn under(m: &MomentMiner, node: usize, path: &mut Vec<u32>) {
+            for e in m.nodes[node].iter().filter(|e| e.child != NONE) {
+                path.push(e.key as u32);
+                let mut recount = BTreeMap::new();
+                for slot in m.slots.iter().filter(|s| s.tid.is_some()) {
+                    if path.iter().all(|c| slot.codes.contains(c)) {
+                        for key in slot.codes.iter().map(|&c| m.key(c)) {
+                            if key > e.key {
+                                *recount.entry(key).or_insert(0u32) += 1;
+                            }
+                        }
+                    }
+                }
+                let record = m.nodes[e.child as usize].iter().map(|x| (x.key, x.support));
+                let recount: Vec<(u64, u32)> = recount.into_iter().collect();
+                assert_eq!(record.collect::<Vec<_>>(), recount, "path {path:?}");
+                under(m, e.child as usize, path);
+                path.pop();
+            }
+        }
+        under(m, 0, &mut Vec::new());
+    }
+
     /// Transaction `tid`'s item ids, ascending, read back from the ring, or
     /// `None` when `tid` is not in the window.
     fn ids_of(m: &MomentMiner, tid: Tid) -> Option<Vec<u32>> {
@@ -1177,6 +1287,7 @@ mod tests {
                 let mut moment = MomentMiner::new(c);
                 for (step, t) in stream.iter().enumerate() {
                     moment.apply(&w.slide(t.clone()));
+                    assert_records_exact(&moment);
                     // Checking every step is the point: transitions are where
                     // the CET maintenance can go wrong.
                     assert_eq!(
@@ -1355,6 +1466,75 @@ mod tests {
         evict(&mut m, &mut live, last_200);
         add(&mut m, &mut live, ItemSet::from_ids([9, 100]));
         assert_eq!(probe(&mut m, &live), (C, Some(true), Some(None)));
+    }
+
+    #[test]
+    fn both_ways_of_counting_extensions_build_exact_records() {
+        // A window of 48 over 40 items at C = 2: the rarest items' nodes
+        // have more later codes than 8 × their support and tally them, the
+        // commonest count vertically. Right after a turnover re-rank, items
+        // 100 and 101, new to the code table, arrive together with ranked
+        // items and become frequent in one walk, which explores the node of
+        // 100: an unranked last item whose extensions are 101, unranked,
+        // and the ranked items. Every record is recounted after every
+        // settle.
+        const W: u64 = 48;
+        let mut rng = bfly_common::rng::SmallRng::seed_from_u64(54);
+        let mut background = move || {
+            use bfly_common::rng::Rng;
+            ItemSet::from_ids((0..4).map(|_| rng.gen_range_usize(40) as u32))
+        };
+        let (mut m, mut tid) = (MomentMiner::new(2), 0);
+        let mut slide = |m: &mut MomentMiner, items: ItemSet| {
+            tid += 1;
+            if tid > W {
+                m.remove(tid - W);
+            }
+            m.insert(tid, items.items());
+        };
+        for step in 1..=3 * W {
+            slide(&mut m, background());
+            if step % 7 == 0 {
+                m.settle();
+                assert_records_exact(&m);
+            }
+        }
+        assert!(m.explores[0] > 0, "no node tallied: {:?}", m.explores);
+        let rebuilds = m.rebuilds();
+        while m.rebuilds() == rebuilds {
+            slide(&mut m, background());
+        }
+        m.settle();
+        assert_records_exact(&m);
+        let (rebuilds, explores) = (m.rebuilds(), m.explores);
+        for _ in 0..6 {
+            slide(&mut m, ItemSet::from_ids([3, 17, 100, 101]));
+        }
+        m.settle();
+        assert_eq!(m.rebuilds(), rebuilds, "the settle rebuilt");
+        assert!(m.explores[1] > explores[1], "the walk counted no node");
+        assert_records_exact(&m);
+        let code = |item: u32| m.code_of[&Item(item)];
+        assert!(code(3) < m.ranked && code(17) < m.ranked);
+        assert!(m.ranked <= code(100) && code(100) < code(101));
+        let root = m.nodes[0].iter().find(|e| e.key as u32 == code(100));
+        let child = root.expect("item 100 is frequent").child;
+        assert_ne!(child, NONE, "item 100's node is not promising");
+        let extensions: Vec<u32> = m.nodes[child as usize]
+            .iter()
+            .map(|e| e.key as u32)
+            .collect();
+        assert_eq!(
+            extensions,
+            [code(101), code(3).min(code(17)), code(3).max(code(17))]
+        );
+        for step in 1..=2 * W {
+            slide(&mut m, background());
+            if step % 5 == 0 {
+                m.settle();
+                assert_records_exact(&m);
+            }
+        }
     }
 
     #[test]

@@ -335,7 +335,8 @@ impl ServeConfig {
 
     /// [`ServeConfig::pipeline_for`] with the defense kind overridden — the
     /// path a per-stream `bind` takes. The non-Butterfly defenses keep the
-    /// config's DP knobs.
+    /// config's DP knobs. The pipeline makes each publication's delta only
+    /// if the config ships deltas (`snapshot_every > 1`).
     pub fn pipeline_with(
         &self,
         key: &str,
@@ -346,7 +347,7 @@ impl ServeConfig {
             ..self.defense
         };
         let defense = dspec.build(self.spec(), self.scheme, stream_seed(self.seed, key));
-        StreamPipeline::new(self.window, defense)
+        StreamPipeline::new(self.window, defense).with_deltas(self.snapshot_every > 1)
     }
 
     /// The ingest submission chunk actually used: 256 transactions, clamped
@@ -479,6 +480,42 @@ mod tests {
         let pipe = cfg.pipeline_with("k", DefenseKind::Suppression);
         assert_eq!(pipe.defense().kind(), DefenseKind::Suppression);
         assert_eq!(pipe.window().capacity(), 16);
+    }
+
+    #[test]
+    fn only_a_config_shipping_deltas_makes_them() {
+        // At `snapshot_every = 1` every publication ships its full release
+        // and no delta, so the pipeline clones no entry into one; at 3 the
+        // first delta adds every entry of the first release.
+        let stream = bfly_datagen::DatasetProfile::WebView1
+            .source(4)
+            .take_vec(320);
+        for snapshot_every in [1, 3] {
+            let cfg = ServeConfig {
+                window: 200,
+                c: 8,
+                k: 3,
+                epsilon: 0.05,
+                every: 40,
+                snapshot_every,
+                ..ServeConfig::default()
+            };
+            let mut pipe = cfg.pipeline_for("k");
+            let (mut published, mut cloned) = (0, 0);
+            for t in &stream {
+                pipe.advance_items(t.items().items());
+                if pipe.due(cfg.every) {
+                    let window = pipe.publish_now().expect("the release passes");
+                    let delta = &window.delta;
+                    assert!(!window.release.is_empty());
+                    published += 1;
+                    cloned += delta.added.capacity() + delta.changed.capacity();
+                    cloned += delta.removed.capacity();
+                }
+            }
+            assert_eq!(published, 4, "snapshot_every {snapshot_every}");
+            assert_eq!(cloned == 0, snapshot_every == 1, "{cloned} entries");
+        }
     }
 
     #[test]

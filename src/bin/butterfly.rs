@@ -368,7 +368,8 @@ fn cmd_protect(flags: &Flags) -> Result<(), String> {
     let dspec = parse_defense(flags)?;
     let spec = PrivacySpec::checked(c, k, epsilon, delta)?;
     let defense = dspec.build(spec, scheme, seed);
-    let mut pipeline = StreamPipeline::new(window, defense);
+    // `protect` writes full releases only: no delta to make.
+    let mut pipeline = StreamPipeline::new(window, defense).with_deltas(false);
 
     let mut out = out_writer(flags)?;
     let mut published = 0usize;
