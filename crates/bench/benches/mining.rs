@@ -65,9 +65,11 @@ fn uniform(width: usize, alphabet: u64, seed: u64, n: usize) -> Vec<ItemSet> {
 /// one settle and the closed-set read-out, as a shard publishes (compare
 /// `backend_slide_1000/moment`, which settles every slide). The stream is
 /// generated up front and replayed in a loop, so only the miner is timed.
-/// The two served shapes, and two wide-alphabet ones (8 uniform items of
-/// 150 or 500) where many nodes tally their extensions rather than count
-/// them vertically.
+/// The served shapes (`mine_pos`, `publish_live` and the ingest
+/// contract's), POS at every = W/4, the least interval that rebuilds at
+/// every settle, and two wide-alphabet ones (8 uniform items of 150 or 500)
+/// where many nodes tally their extensions rather than count them
+/// vertically.
 fn bench_moment_interval() {
     let profile = |p: DatasetProfile, window: usize| {
         let txs = p.source(23).take_vec(20 * window);
@@ -87,6 +89,20 @@ fn bench_moment_interval() {
             2000,
             25,
             100,
+        ),
+        (
+            "pos_w500_c20_every125",
+            profile(DatasetProfile::Pos, 500),
+            500,
+            20,
+            125,
+        ),
+        (
+            "webview1_w2000_c400_every250",
+            profile(DatasetProfile::WebView1, 2000),
+            2000,
+            400,
+            250,
         ),
         (
             "uniform8of150_w500_c20_every250",

@@ -728,9 +728,9 @@ fn tune(opts: &Opts) {
 /// load-bearing correctness claims (exact incremental mining; contract-
 /// compliant perturbation) far beyond unit-test scale. Moment is fed by tid
 /// and settled at each checkpoint, as a shard settles it at a publication,
-/// the checkpoints alternately 97 and 151 slides apart (`--quick`) or 83 and
-/// 211. A settle walks its queue unless the queue holds a whole window
-/// (2 · interval ≥ W), when it rebuilds the tree. Every shape walks at the
+/// the checkpoints alternately 53 and 151 slides apart (`--quick`) or 47 and
+/// 211. A settle walks its queue unless the queue holds half a window
+/// (4 · interval ≥ W), when it rebuilds the tree. Every shape walks at the
 /// short interval; the w=300 shapes (C 8, and C 60 at the ingest contract's
 /// C = W/5) rebuild at the long one (the two sum to less than 300, so the
 /// turnover re-rank cannot empty the queue first) and the w=1200 shapes
@@ -742,9 +742,9 @@ fn soak(opts: &Opts) -> ExitCode {
     // Moment re-derives its item order at least once per window turnover,
     // so even the quick run takes the widest window below through six.
     let (steps, intervals) = if opts.quick {
-        (7_200, [97, 151])
+        (7_200, [53, 151])
     } else {
-        (20_000, [83, 211])
+        (20_000, [47, 211])
     };
     let mut failures = 0usize;
 
@@ -816,7 +816,7 @@ fn soak(opts: &Opts) -> ExitCode {
                 "[soak] {label}: ok ({} checkpoints: {walks} walked, {rebuilds} rebuilt)",
                 walks + rebuilds
             );
-            let rebuilds_due = window_size <= 2 * intervals[1];
+            let rebuilds_due = window_size <= 4 * intervals[1];
             if walks == 0 || (rebuilds > 0) != rebuilds_due {
                 eprintln!(
                     "[soak] FAIL {label}: settles should walk{} rebuild",

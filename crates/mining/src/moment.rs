@@ -16,16 +16,20 @@
 //! * **closed** — frequent, promising, and no equal-support child.
 //!
 //! Insertions and deletions update the window's ring, item bitmaps and
-//! counts at once but only *queue* the tree's change; [`MomentMiner::settle`]
+//! counts at once but only *queue* the tree's change, each transaction's
+//! codes from the root's first entry on: every node is a path of root
+//! items, so a code below that entry can matter only if its item reached
+//! `C`, and the settle finds those among the codes an arrival took to `C`.
+//! [`MomentMiner::settle`]
 //! applies the whole queue in one walk from the root, visiting only the
 //! nodes whose itemset some queued transaction contains, each once, with
 //! every transaction that reaches it (LCM's occurrence deliver). It flips
 //! node types locally and re-explores subtrees only on net gateway→promising
 //! transitions — the property that makes the miner incremental. Once the
-//! queue holds as many transactions as the window, the walk would deliver
-//! at least the occurrences a rebuild from the root could tally, and the
-//! rebuild's counting costs at most a fixed multiple of that tally, so
-//! such a settle rebuilds instead, as the turnover re-rank does. The layout
+//! queue holds half as many transactions as the window, a rebuild from the
+//! root measured faster than the walk, so such a settle rebuilds instead,
+//! as the turnover re-rank does; a re-rank moves each item's bitmap row to
+//! its new code. The layout
 //! (DESIGN.md, "The Moment CET") keeps that walk in cache: items are
 //! enumerated **rarest first** by dense code, re-ranked from the live window
 //! at each rebuild, at least once per turnover; a **gateway is only an
@@ -296,8 +300,13 @@ pub struct MomentMiner {
     path: Vec<u32>,
     tids: Vec<u64>,
     /// The changes not yet in the tree: each queued transaction's codes,
-    /// sorted by key, copied here (its slot may be reused before the settle).
+    /// sorted by key, copied here (its slot may be reused before the
+    /// settle); its occurrence names those from the root's first entry on.
     queued_codes: Vec<u32>,
+    /// Codes an arrival took to a count of `C` since the last settle, some
+    /// maybe more than once: the only items below the root's first entry
+    /// that can have become frequent, none of whose codes is queued.
+    risen: Vec<u32>,
     /// The settle walk's occurrence stack; between settles it is the queue,
     /// one occurrence per queued transaction, the root's.
     occs: Vec<Occ>,
@@ -343,6 +352,7 @@ impl MomentMiner {
             path: Vec::new(),
             tids: vec![0; INITIAL_RING / 64],
             queued_codes: Vec::new(),
+            risen: Vec::new(),
             occs: Vec::new(),
             touches: Vec::new(),
             #[cfg(test)]
@@ -362,8 +372,10 @@ impl MomentMiner {
     }
 
     /// The tree's work so far, in codes: each queued transaction's code a
-    /// settle walk visits at a node it reaches, plus the supports of the
-    /// extensions `explore` counts when it builds a node's record (the
+    /// settle walk visits at a node it reaches, one for each item below the
+    /// root's first entry that a walk finds has reached `C` (no queued
+    /// occurrence holds its codes), plus the supports of the extensions
+    /// `explore` counts when it builds a node's record (the
     /// rebuilds' subtrees and those a walk re-explores): the codes a tally
     /// of its supporting transactions visits, whichever way it counted
     /// them. The root reads its entries off the item counts, so an item
@@ -442,6 +454,12 @@ impl MomentMiner {
     /// rebuild (rare by construction) by arrival, then the ranked, rarest first.
     fn key(&self, code: u32) -> u64 {
         u64::from(code) | u64::from(code < self.ranked) << 32
+    }
+
+    /// The key of the root's first entry (none: above every key). Every
+    /// entry at every depth has a key at or above it.
+    fn floor(&self) -> u64 {
+        self.nodes[0].first().map_or(u64::MAX, |e| e.key)
     }
 
     fn slot_of(&self, tid: Tid) -> usize {
@@ -635,8 +653,10 @@ impl MomentMiner {
     ///
     /// The root (`node` 0) holds an entry for an item exactly when its count
     /// is at least `C`, so there the walk visits a code only if its item has
-    /// an entry or is frequent now; an entry takes its support from the
-    /// count, and one that falls below `C` leaves the root.
+    /// an entry or is frequent now, and an item below the first entry, of
+    /// which no code is queued, only if an arrival took it to `C` and it is
+    /// frequent still; an entry takes its support from the count, and one
+    /// that falls below `C` leaves the root.
     fn settle_under(&mut self, node: usize, lo: usize, hi: usize) {
         let root = node == 0;
         // `tally[code]` is its touch's index + 1 (0: not touched), in the
@@ -662,6 +682,26 @@ impl MomentMiner {
                     touch.departures += 1;
                 }
                 touch.onward += u32::from(at + 1 < to as usize);
+            }
+        }
+        if root {
+            // The floor, the least root key, is the same since the queue
+            // began: each item below it that an arrival took to `C` and that
+            // is frequent still arrives once, and the merge below makes it
+            // a gateway to classify.
+            let floor = self.floor();
+            for &code in &self.risen {
+                let key = self.key(code);
+                let code = code as usize;
+                let frequent = self.is_frequent(self.coded[code].count);
+                if key < floor && frequent && self.tally[code] == 0 {
+                    self.touches.push(Touch {
+                        key,
+                        arrivals: 1,
+                        ..UNTOUCHED
+                    });
+                    self.tally[code] = self.touches.len() as u32;
+                }
             }
         }
         let last = self.touches.len();
@@ -805,7 +845,8 @@ impl MomentMiner {
     }
 
     /// Add (`delta` = 1) or remove (−1) the transaction in `slot` to/from
-    /// the item bitmaps and counts and the live-slot set.
+    /// the item bitmaps and counts and the live-slot set, noting in `risen`
+    /// each code an addition takes to a count of `C`.
     fn index_slot(&mut self, slot: usize, delta: i32) {
         let (word, mask) = (slot / 64, 1u64 << (slot % 64));
         self.tids[word] ^= mask;
@@ -813,11 +854,45 @@ impl MomentMiner {
             self.bits[code as usize * self.words + word] ^= mask;
             let count = &mut self.coded[code as usize].count;
             *count = count.wrapping_add_signed(delta);
+            if delta > 0 && Support::from(*count) == self.min_support {
+                self.risen.push(code);
+            }
         }
     }
 
-    /// Rebuild what `index_slot` maintains, after the ring or the codes
-    /// changed, into the buffers it had.
+    /// Move each live code's bitmap row to the code `recode` gives it, in
+    /// place, and drop the dead codes' rows, which are empty. The counts
+    /// travel in `coded`, and a re-rank changes no slot's liveness, so this
+    /// is all a re-rank changes of what `index_slot` maintains.
+    fn move_rows(&mut self) {
+        let (w, live) = (self.words, self.coded.len());
+        // Each row's destination (the dead ones take the places after the
+        // live ones), in `tally`, which is zero between calls; swapping the
+        // row at `row` to its place puts one row home per swap.
+        let dest = &mut self.tally;
+        dest.clear();
+        let mut dead = live as u32;
+        dest.extend(self.recode.iter().map(|&new| match new {
+            NONE => {
+                dead += 1;
+                dead - 1
+            }
+            new => new,
+        }));
+        for row in 0..dest.len() {
+            while dest[row] as usize != row {
+                let to = dest[row] as usize;
+                let (low, high) = self.bits.split_at_mut(row.max(to) * w);
+                low[row.min(to) * w..][..w].swap_with_slice(&mut high[..w]);
+                dest.swap(row, to);
+            }
+        }
+        dest.clear();
+        self.bits.truncate(live * w);
+    }
+
+    /// Rebuild what `index_slot` maintains from the ring into the buffers
+    /// it had, after the ring doubled.
     fn reslot(&mut self) {
         self.bits.clear();
         self.bits.resize(self.coded.len() * self.words, 0);
@@ -878,7 +953,7 @@ impl MomentMiner {
             slot.codes.iter_mut().for_each(|c| *c = recode[*c as usize]);
             slot.codes.sort_unstable();
         }
-        self.reslot();
+        self.move_rows();
         // Every record goes back on the free list, its buffer kept; the
         // itemsets they held are carried to the new tree below.
         self.carry_out(0);
@@ -889,6 +964,7 @@ impl MomentMiner {
         }
         self.queued_codes.clear();
         self.occs.clear();
+        self.risen.clear();
         for code in 0..self.coded.len() as u32 {
             let Coded { count, rooted, .. } = self.coded[code as usize];
             if rooted {
@@ -908,24 +984,35 @@ impl MomentMiner {
     }
 
     /// Queue the transaction in `slot`, which arrived or departed, for the
-    /// next settle.
+    /// next settle: its occurrence holds its codes from the first whose key
+    /// is at or above the root's first entry. Every entry at every depth
+    /// has such a key, so a code below it could only touch the root, and
+    /// there only if its item reached `C`, which the settle finds among the
+    /// `risen` codes. The occurrence is queued even with no code: the
+    /// queue's length is what `settle` weighs.
     fn enqueue(&mut self, slot: usize, arrival: bool) {
-        let from = self.queued_codes.len() as u32;
-        self.queued_codes.extend_from_slice(&self.slots[slot].codes);
-        let to = self.queued_codes.len() as u32;
+        let floor = self.floor();
+        let codes = &self.slots[slot].codes;
+        let start = self.queued_codes.len();
+        // The codes are sorted by key, so those below the floor are a
+        // prefix; the whole transaction is copied, which need not wait for
+        // their count, and the occurrence starts past them.
+        self.queued_codes.extend_from_slice(codes);
+        let below = codes.iter().filter(|&&c| self.key(c) < floor).count();
+        let (from, to) = ((start + below) as u32, self.queued_codes.len() as u32);
         self.occs.push(Occ { from, to, arrival });
     }
 
     /// Bring the tree up to date with every arrival and departure since the
     /// last settle: in one walk from the root, or, once the queue holds at
-    /// least as many transactions as the window, by the re-rank's rebuild.
-    /// The walk would deliver each queued transaction's occurrences, and
-    /// those of a window's worth are at least the occurrences a rebuild
-    /// could tally, a fixed multiple of which bounds what its counting
-    /// costs, so there the rebuild is not the slower path (DESIGN.md,
-    /// "Walk or rebuild", measures both). Either way the closed sets are
-    /// the window's; the tree's shape is a function of the window's
-    /// content, arrival order and which settles rebuilt.
+    /// least half as many transactions as the window, by the re-rank's
+    /// rebuild, which measured the faster path from there on both served
+    /// datasets (DESIGN.md, "Walk or rebuild"). The walk delivers the
+    /// queued codes, and hands the root each item below its first entry
+    /// that reached `C` since the last settle, which `enqueue` did not
+    /// queue. Either way the closed sets are the window's; the tree's
+    /// shape is a function of the window's content, arrival order and
+    /// which settles rebuilt.
     /// Reading it ([`MinerBackend::closed_frequent`],
     /// [`MomentMiner::node_count`], [`MomentMiner::node_stats`]) with
     /// changes queued panics.
@@ -933,7 +1020,7 @@ impl MomentMiner {
         if self.occs.is_empty() {
             return;
         }
-        if self.occs.len() >= self.window_len() {
+        if 2 * self.occs.len() >= self.window_len() {
             self.rebuild();
             return;
         }
@@ -941,6 +1028,7 @@ impl MomentMiner {
         self.settle_under(0, 0, self.occs.len());
         self.queued_codes.clear();
         self.occs.clear();
+        self.risen.clear();
         debug_assert!(self.root_is_the_item_table(), "root entries drifted");
     }
 
@@ -1216,6 +1304,27 @@ mod tests {
         under(m, 0, &mut Vec::new());
     }
 
+    /// Recompute what `index_slot` maintains from the ring: every item
+    /// bitmap row, every count and the live-slot set must equal the kept
+    /// ones.
+    fn assert_index_exact(m: &MomentMiner) {
+        let w = m.words;
+        let (mut bits, mut tids) = (vec![0u64; m.coded.len() * w], vec![0u64; w]);
+        let mut counts = vec![0u32; m.coded.len()];
+        for (slot, s) in m.slots.iter().enumerate().filter(|(_, s)| s.tid.is_some()) {
+            let (word, mask) = (slot / 64, 1u64 << (slot % 64));
+            tids[word] |= mask;
+            for &code in &s.codes {
+                bits[code as usize * w + word] |= mask;
+                counts[code as usize] += 1;
+            }
+        }
+        assert_eq!(m.tids[..w], tids, "live slots");
+        assert_eq!(m.bits, bits, "item bitmaps");
+        let kept: Vec<u32> = m.coded.iter().map(|c| c.count).collect();
+        assert_eq!(kept, counts, "item counts");
+    }
+
     /// Transaction `tid`'s item ids, ascending, read back from the ring, or
     /// `None` when `tid` is not in the window.
     fn ids_of(m: &MomentMiner, tid: Tid) -> Option<Vec<u32>> {
@@ -1287,6 +1396,7 @@ mod tests {
                 let mut moment = MomentMiner::new(c);
                 for (step, t) in stream.iter().enumerate() {
                     moment.apply(&w.slide(t.clone()));
+                    assert_index_exact(&moment);
                     assert_records_exact(&moment);
                     // Checking every step is the point: transitions are where
                     // the CET maintenance can go wrong.
@@ -1538,6 +1648,115 @@ mod tests {
     }
 
     #[test]
+    fn a_turnover_re_rank_moves_every_bitmap_row() {
+        // Nothing settles, so the re-ranks in `insert` are the only
+        // rebuilds; each renumbers the live items, and the index must be
+        // the ring's right after it, before any settle touches it.
+        const W: u64 = 150;
+        let stream = QuestGenerator::new(QuestConfig::default(), 11).generate(4 * W as usize);
+        let mut m = MomentMiner::new(4);
+        let mut moved = 0;
+        for (tid, t) in (1..).zip(&stream) {
+            if tid > W {
+                m.remove(tid - W);
+            }
+            let before = m.rebuilds();
+            m.insert(tid, t.items().items());
+            if m.rebuilds() > before {
+                assert_index_exact(&m);
+                moved += (0..)
+                    .zip(&m.recode)
+                    .filter(|&(old, &new)| new != old)
+                    .count();
+            }
+        }
+        assert!(m.rebuilds() > 3, "{} re-ranks", m.rebuilds());
+        assert!(moved > 0, "no re-rank renumbered an item");
+        m.settle();
+        let mut w = SlidingWindow::new(W as usize);
+        stream.iter().for_each(|t| _ = w.slide(t.clone()));
+        assert_eq!(m.closed_frequent(), remine(&w, 4));
+    }
+
+    /// A miner settled over the 40 transactions `{i mod 5, 5 + i mod 3}`
+    /// at C = 4, and those transactions: its root holds the eight
+    /// background items, every one ranked.
+    fn background_miner() -> (MomentMiner, Vec<(Tid, ItemSet)>) {
+        let mut m = MomentMiner::new(4);
+        let live: Vec<(Tid, ItemSet)> = (1..=40u64)
+            .map(|tid| (tid, ItemSet::from_ids([tid as u32 % 5, 5 + tid as u32 % 3])))
+            .collect();
+        for (tid, items) in &live {
+            m.insert(*tid, items.items());
+        }
+        m.settle();
+        assert_eq!(m.nodes[0].len(), 8);
+        assert!(m.nodes[0].iter().all(|e| (e.key as u32) < m.ranked));
+        (m, live)
+    }
+
+    #[test]
+    fn a_transaction_below_the_roots_first_entry_queues_no_code() {
+        // Items new since the re-rank sort before every ranked key, so a
+        // transaction holding only those reaches no node; its occurrence
+        // still counts toward the walk-or-rebuild rule.
+        let (mut m, _) = background_miner();
+        m.insert(41, ItemSet::from_ids([100, 101]).items());
+        m.insert(42, ItemSet::from_ids([0, 5, 102]).items());
+        m.remove(41);
+        assert_eq!(m.occs.len(), 3);
+        let queued = |o: &Occ| o.to - o.from;
+        assert_eq!(m.occs.iter().map(queued).collect::<Vec<_>>(), [0, 2, 0]);
+        m.settle();
+        assert_eq!(m.window_len(), 41);
+        assert!(m.root_is_the_item_table());
+    }
+
+    #[test]
+    fn an_item_reaching_c_below_the_roots_first_entry_gets_its_entry() {
+        // Item 100 arrives C times between two settles, always below the
+        // root's first entry, so no queued occurrence holds it: the walk
+        // must find it among the risen codes, root it at its count and
+        // explore it, then drop it again when it falls back below C.
+        let (mut m, mut live) = background_miner();
+        let floor = m.nodes[0][0].key;
+        let rebuilds = m.rebuilds();
+        for (tid, ids) in [
+            (41, [100, 0]),
+            (42, [100, 1]),
+            (43, [100, 0]),
+            (44, [100, 6]),
+        ] {
+            let items = ItemSet::from_ids(ids);
+            m.insert(tid, items.items());
+            live.push((tid, items));
+            assert!(m.key(m.code_of[&Item(100)]) < floor);
+        }
+        let oracle = |live: &[(Tid, ItemSet)]| {
+            let window = (1..)
+                .zip(live)
+                .map(|(tid, (_, t))| Transaction::new(tid, t.clone()));
+            closed_subset(&Eclat::new(4).mine(&Database::from_records(window.collect())))
+        };
+        m.settle();
+        assert_eq!(m.rebuilds(), rebuilds, "the settle rebuilt");
+        let code = m.code_of[&Item(100)];
+        let entry = m.nodes[0].iter().find(|e| e.key as u32 == code);
+        let entry = entry.expect("item 100 has no root entry");
+        assert_eq!(entry.support, 4);
+        assert_ne!(entry.child, NONE, "item 100 was not explored");
+        assert_eq!(m.closed_frequent(), oracle(&live));
+        assert!(m.root_is_the_item_table());
+        assert_records_exact(&m);
+        m.remove(42);
+        live.retain(|(tid, _)| *tid != 42);
+        m.settle();
+        assert!(m.nodes[0].iter().all(|e| e.key as u32 != code));
+        assert_eq!(m.closed_frequent(), oracle(&live));
+        assert!(m.root_is_the_item_table());
+    }
+
+    #[test]
     #[should_panic(expected = "inserted twice")]
     fn duplicate_tid_rejected() {
         let mut m = MomentMiner::new(2);
@@ -1618,17 +1837,18 @@ mod tests {
     }
 
     #[test]
-    fn a_settle_rebuilds_once_the_queue_holds_a_window() {
-        // (window, slides, departures alone, rebuilds?): 20 slides queue 40
-        // changes, a whole window of 40 but one fewer than a window of 41;
-        // removing 20 of 40 leaves 20 behind it, removing 19 leaves 21.
+    fn a_settle_rebuilds_once_the_queue_holds_half_a_window() {
+        // (window, slides, departures alone, rebuilds?): 10 slides queue 20
+        // changes, half a window of 40 but less than half of 41; removing
+        // 14 of 40 queues 14 beside the 26 left, removing 13 queues 13
+        // beside 27.
         let stream = QuestGenerator::new(QuestConfig::default(), 7).generate(200);
         let c = 3;
         for (w, slides, departures, rebuilds) in [
-            (40, 20, 0, true),
-            (41, 20, 0, false),
-            (40, 0, 20, true),
-            (40, 0, 19, false),
+            (40, 10, 0, true),
+            (41, 10, 0, false),
+            (40, 0, 14, true),
+            (40, 0, 13, false),
         ] {
             let case = (w, slides, departures);
             let mut m = MomentMiner::new(c);

@@ -38,8 +38,8 @@ pub struct ShardStats {
     /// The slowest single chunk, in microseconds.
     pub ingest_us_max: AtomicU64,
     /// Moment tree rebuilds on this shard's streams since it started:
-    /// turnover re-ranks (in `ingest_us`) and settles whose queue held a
-    /// whole window (in `publish_us`). At `every ≥ W/2` each publication
+    /// turnover re-ranks (in `ingest_us`) and settles whose queue held
+    /// half a window (in `publish_us`). At `every ≥ W/4` each publication
     /// rebuilds and the re-rank never fires.
     pub moment_rebuilds: AtomicU64,
     /// Moment's work on this shard's streams since it started, in codes

@@ -22,7 +22,7 @@ cargo test -q --workspace
 echo "==> vertical-vs-scan differential tests"
 cargo test -q --release --test vertical_support
 
-echo "==> Moment vs Eclat re-mine soak (soak --quick: six stream shapes through six window turnovers each, Moment fed by tid and settled alternately 97 and 151 slides apart, so the w=300 shapes both walk and rebuild; fails if a shape misses a path it should take; contract audit on every release)"
+echo "==> Moment vs Eclat re-mine soak (soak --quick: six stream shapes through six window turnovers each, Moment fed by tid and settled alternately 53 and 151 slides apart, so the w=300 shapes both walk and rebuild; fails if a shape misses a path it should take; contract audit on every release)"
 cargo run -q --release -p bfly-bench -- soak --quick
 
 echo "==> release engine vs from-scratch reference differential, restore mid-sequence for every defense"

@@ -336,14 +336,15 @@ fn moment_matches_oracle_while_the_item_order_turns_over() {
 fn moment_settled_after_any_interval_matches_per_slide_settles() {
     // The pipeline settles Moment only when it publishes. Settled after any
     // number of arrivals and departures, its closed sets must be the re-mine
-    // oracle's, at intervals of 1, 2, 7, 97, the serve cadence, W/2 − 1,
-    // W/2, W − 1, W and 2W. The first interval is W, across the fill: it
-    // spans the ring's doubling (W > 64 slots) and the re-ranks at 1, 2, 4,
-    // …; each interval of W or more spans a turnover's re-rank. A settle
-    // whose queue holds a window (2 · interval ≥ W on a full one) rebuilds
-    // the tree in a fresh item order; one that walks must leave the tree a
-    // twin settling every slide holds, and the twin restarts from a copy at
-    // each rebuild, so it shares the order being walked.
+    // oracle's, at intervals of 1, 2, 7, 97, W/4 − 1, the serve cadence
+    // W/4, W/2, W − 1, W and 2W. The first interval is W, across
+    // the fill: it spans the ring's doubling (W > 64 slots) and the re-ranks
+    // at 1, 2, 4, …; each interval of W or more spans a turnover's re-rank.
+    // A settle whose queue holds half a window (4 · interval ≥ W on a full
+    // one) rebuilds the tree in a fresh item order; one that walks must
+    // leave the tree a twin settling every slide holds, and the twin
+    // restarts from a copy at each rebuild, so it shares the order being
+    // walked.
     use butterfly_repro::common::Transaction;
     use butterfly_repro::datagen::{
         MarkovConfig, MarkovSessionGenerator, QuestConfig, QuestGenerator,
@@ -351,7 +352,7 @@ fn moment_settled_after_any_interval_matches_per_slide_settles() {
     use butterfly_repro::mining::{MinerBackend, MomentMiner};
     const W: usize = 100;
     const EVERY: usize = 25;
-    let mut intervals = [1, 2, 7, 97, EVERY, W / 2 - 1, W / 2, W - 1, W, 2 * W];
+    let mut intervals = [1, 2, 7, 97, W / 4 - 1, EVERY, W / 2, W - 1, W, 2 * W];
     let (mut walks, mut rebuilds) = (0, 0);
     for case in 0..8u64 {
         let mut rng = case_rng(16, case);
@@ -401,7 +402,7 @@ fn moment_settled_after_any_interval_matches_per_slide_settles() {
                 assert_eq!(moment.node_count(), twin.node_count(), "case/C/N {at:?}");
             } else {
                 rebuilds += 1;
-                assert!(settles == 1 || 2 * interval >= W, "case/C/N {at:?}");
+                assert!(settles == 1 || 4 * interval >= W, "case/C/N {at:?}");
                 let stats = moment.node_stats();
                 assert_eq!(stats.total(), moment.node_count(), "case/C/N {at:?}");
                 assert_eq!(
