@@ -925,6 +925,10 @@ fn decode_payload(op: u8, payload: &[u8]) -> Result<BinaryFrame> {
 // The incremental decoder
 // ---------------------------------------------------------------------------
 
+/// Default frame cap ([`FrameCodec::new`]): far above any release line the
+/// publisher emits, far below anything that could pressure memory.
+pub const MAX_FRAME_BYTES: usize = 1 << 20;
+
 /// Incremental mixed-frame decoder over a growable byte buffer.
 ///
 /// Feed raw socket bytes with [`FrameCodec::extend`], pull frames with
@@ -958,9 +962,9 @@ impl FrameCodec {
         }
     }
 
-    /// A codec with the default [`crate::ndjson::MAX_FRAME_BYTES`] cap.
+    /// A codec with the default [`MAX_FRAME_BYTES`] cap.
     pub fn new() -> FrameCodec {
-        FrameCodec::with_max(crate::ndjson::MAX_FRAME_BYTES)
+        FrameCodec::with_max(MAX_FRAME_BYTES)
     }
 
     /// Feed bytes from the transport.

@@ -22,7 +22,6 @@ pub mod io;
 pub mod item;
 pub mod itemset;
 pub mod json;
-pub mod ndjson;
 pub mod pattern;
 pub mod pool;
 pub mod rng;
@@ -39,7 +38,6 @@ pub use hash::fnv1a;
 pub use item::Item;
 pub use itemset::{ItemSet, ItemsetId};
 pub use json::Json;
-pub use ndjson::FrameReader;
 pub use pattern::Pattern;
 pub use rng::{Rng, SmallRng};
 pub use tidmap::{SupportMemo, TidBitmap, TidScratch, VerticalIndex};

@@ -14,7 +14,7 @@
 //! previous sanitized value (Prior Knowledge 2), and unpinned entries with
 //! one true support (one FEC, a run in publication order) share one value.
 //! [`crate::StreamPipeline`] runs both, in every build, on each release of a
-//! defense claiming the Butterfly contract, and withholds a release that
+//! [`crate::DefenseKind::Butterfly`] defense, and withholds a release that
 //! fails either.
 
 use crate::config::PrivacySpec;

@@ -82,60 +82,10 @@ pub trait PrivacyDefense: Send + fmt::Debug {
         history: &PublicationHistory,
     ) -> SanitizedRelease;
 
-    /// Whether releases honour Butterfly's audit contract. The pipeline
-    /// audits every release of a defense that claims it, in every build,
-    /// and withholds one that fails ([`crate::audit`]): each entry's true
-    /// support is at least `C` and its value inside the α-region of an
-    /// in-budget bias; an unchanged true support keeps its pinned value,
-    /// and unpinned FEC-mates share one value.
-    fn honors_butterfly_contract(&self) -> bool {
-        false
-    }
-
     /// Side-effect ledger for removal-based backends (how much utility the
     /// hiding cost), if this defense keeps one.
     fn suppression_stats(&self) -> Option<SuppressionStats> {
         None
-    }
-
-    /// Clone into a box — what lets `Box<dyn PrivacyDefense>` (and the
-    /// pipelines holding one) be `Clone` like every concrete defense.
-    fn boxed_clone(&self) -> Box<dyn PrivacyDefense>;
-}
-
-impl Clone for Box<dyn PrivacyDefense> {
-    fn clone(&self) -> Self {
-        self.boxed_clone()
-    }
-}
-
-impl PrivacyDefense for Box<dyn PrivacyDefense> {
-    fn kind(&self) -> DefenseKind {
-        (**self).kind()
-    }
-
-    fn spec(&self) -> &PrivacySpec {
-        (**self).spec()
-    }
-
-    fn publish(
-        &mut self,
-        frequent: &FrequentItemsets,
-        history: &PublicationHistory,
-    ) -> SanitizedRelease {
-        (**self).publish(frequent, history)
-    }
-
-    fn honors_butterfly_contract(&self) -> bool {
-        (**self).honors_butterfly_contract()
-    }
-
-    fn suppression_stats(&self) -> Option<SuppressionStats> {
-        (**self).suppression_stats()
-    }
-
-    fn boxed_clone(&self) -> Box<dyn PrivacyDefense> {
-        (**self).boxed_clone()
     }
 }
 
@@ -159,21 +109,18 @@ impl PrivacyDefense for Publisher {
     ) -> SanitizedRelease {
         Publisher::publish(self, frequent, history)
     }
-
-    fn honors_butterfly_contract(&self) -> bool {
-        true
-    }
-
-    fn boxed_clone(&self) -> Box<dyn PrivacyDefense> {
-        Box::new(self.clone())
-    }
 }
 
 /// Registry of every defense the workspace ships, for runtime selection
 /// (CLI `--defense`, the serve config, the wire protocol's `bind` op).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum DefenseKind {
-    /// The paper's FEC + bias + noise-region perturbation (default).
+    /// The paper's FEC + bias + noise-region perturbation (default). The
+    /// pipeline audits every release of a defense of this kind, in every
+    /// build, and withholds one that fails ([`crate::audit`]): each entry's
+    /// true support is at least `C` and its value inside the α-region of an
+    /// in-budget bias; an unchanged true support keeps its pinned value,
+    /// and unpinned FEC-mates share one value.
     Butterfly,
     /// ε-DP top-k release with Laplace-noised selection and counts.
     PrivBasis,
@@ -391,21 +338,7 @@ mod tests {
         let mut direct = Publisher::new(spec(), BiasScheme::RatioPreserving, 7);
         let mut boxed = DefenseSpec::butterfly().build(spec(), BiasScheme::RatioPreserving, 7);
         assert_eq!(boxed.kind(), DefenseKind::Butterfly);
-        assert!(boxed.honors_butterfly_contract());
-        assert_eq!(run(&mut direct, &windows), run(&mut boxed, &windows));
-    }
-
-    #[test]
-    fn a_clone_publishes_what_the_original_would() {
-        let mut boxed = DefenseSpec::butterfly().build(spec(), BiasScheme::Basic, 3);
-        let w = window(&[("a", 40), ("b", 31)]);
-        let mut history = PublicationHistory::default();
-        let first = boxed.publish(&w, &history);
-        history.record(&first, 1);
-        // The pins live in the history, so a clone republishes them too.
-        let mut cloned = boxed.clone();
-        assert_eq!(cloned.publish(&w, &history), first);
-        assert_eq!(boxed.publish(&w, &history), first);
+        assert_eq!(run(&mut direct, &windows), run(boxed.as_mut(), &windows));
     }
 
     #[test]
@@ -414,10 +347,6 @@ mod tests {
             let d = DefenseSpec::new(kind).build(spec(), BiasScheme::Basic, 1);
             assert_eq!(d.kind(), kind);
             assert_eq!(d.spec().c(), 25);
-            assert_eq!(
-                d.honors_butterfly_contract(),
-                kind == DefenseKind::Butterfly
-            );
         }
     }
 
@@ -429,8 +358,8 @@ mod tests {
         ];
         for kind in DefenseKind::ALL {
             let mut d = DefenseSpec::new(kind).build(spec(), BiasScheme::Basic, 5);
-            let first = run(&mut d, &windows);
-            let again = run(&mut d, &windows);
+            let first = run(d.as_mut(), &windows);
+            let again = run(d.as_mut(), &windows);
             assert_eq!(
                 first, again,
                 "{kind}: an empty history did not restart the stream"

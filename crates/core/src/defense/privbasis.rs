@@ -164,10 +164,6 @@ impl PrivacyDefense for PrivBasisDefense {
         });
         SanitizedRelease::new(entries)
     }
-
-    fn boxed_clone(&self) -> Box<dyn PrivacyDefense> {
-        Box::new(self.clone())
-    }
 }
 
 #[cfg(test)]

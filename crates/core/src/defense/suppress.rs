@@ -126,10 +126,6 @@ impl PrivacyDefense for SuppressionDefense {
     fn suppression_stats(&self) -> Option<SuppressionStats> {
         Some(self.stats)
     }
-
-    fn boxed_clone(&self) -> Box<dyn PrivacyDefense> {
-        Box::new(self.clone())
-    }
 }
 
 #[cfg(test)]

@@ -3,8 +3,8 @@
 //! the pipeline is the only owner.
 
 use crate::audit::{audit_release, AuditError};
-use crate::defense::PrivacyDefense;
-use crate::engine::{Publisher, ReleaseDelta};
+use crate::defense::{DefenseKind, PrivacyDefense};
+use crate::engine::ReleaseDelta;
 use crate::history::PublicationHistory;
 use crate::release::SanitizedRelease;
 use bfly_common::{Error, Item, Result, Transaction};
@@ -46,11 +46,11 @@ pub struct WindowRelease {
 /// next delta's base is the last release emitted, and a WAL replay that
 /// steps over the withheld position rebuilds the same history.
 ///
-/// The defense is a type parameter so the Butterfly [`Publisher`] pays no
-/// dynamic dispatch, while deployments picking one at runtime (`--defense`,
-/// the serve layer's per-key `bind`) pass a `Box<dyn PrivacyDefense>`.
-#[derive(Clone, Debug)]
-pub struct StreamPipeline<D: PrivacyDefense = Publisher> {
+/// The defense is a `Box<dyn PrivacyDefense>`: every deployment picks one
+/// at runtime (`--defense`, the serve layer's per-key `bind`), and the one
+/// dispatch per publication is noise beside mining and sanitizing a window.
+#[derive(Debug)]
+pub struct StreamPipeline {
     /// The window size `H`.
     capacity: usize,
     /// Records in the window: `min(N, H)`, counting `N` from the last
@@ -59,7 +59,7 @@ pub struct StreamPipeline<D: PrivacyDefense = Publisher> {
     /// Records seen, `N`: the tid of the newest.
     stream_len: u64,
     miner: MomentMiner,
-    defense: D,
+    defense: Box<dyn PrivacyDefense>,
     /// The previous emitted release, read by the defense and the delta.
     history: PublicationHistory,
     /// Records fed since the last publication — the cadence counter callers
@@ -74,13 +74,13 @@ pub struct StreamPipeline<D: PrivacyDefense = Publisher> {
     deltas: bool,
 }
 
-impl<D: PrivacyDefense> StreamPipeline<D> {
+impl StreamPipeline {
     /// Build a pipeline over a window of `window_size` records. The
     /// defense's spec supplies the miner's minimum support `C`.
     ///
     /// # Panics
     /// If `window_size == 0`.
-    pub fn new(window_size: usize, defense: D) -> Self {
+    pub fn new(window_size: usize, defense: Box<dyn PrivacyDefense>) -> Self {
         assert!(window_size > 0, "window capacity must be positive");
         StreamPipeline {
             capacity: window_size,
@@ -106,51 +106,6 @@ impl<D: PrivacyDefense> StreamPipeline<D> {
     /// Records seen so far.
     pub fn stream_len(&self) -> u64 {
         self.stream_len
-    }
-
-    /// Feed one transaction. Returns a release once the window is full
-    /// (every subsequent step publishes; callers wanting coarser cadence
-    /// subsample). A release that fails the contract audit is withheld —
-    /// `None`, counted in [`StreamPipeline::audit_violations`].
-    pub fn step(&mut self, t: Transaction) -> Option<WindowRelease> {
-        self.advance(t);
-        if !self.window().is_full() {
-            return None;
-        }
-        self.publish_full_window().ok()
-    }
-
-    /// Mine, sanitize and audit the (full) window. The audit runs in every
-    /// build on defenses claiming the Butterfly contract: a release with an
-    /// entry outside its legal region, or one breaking the republication
-    /// pins or a FEC's shared value, never reaches a caller and leaves the
-    /// history as it was.
-    fn publish_full_window(&mut self) -> Result<WindowRelease> {
-        self.since_publish = 0;
-        self.miner.settle();
-        let closed = self.miner.closed_frequent();
-        let release = self.defense.publish(&closed, &self.history);
-        let stream_len = self.stream_len;
-        let mut errors = self
-            .defense
-            .honors_butterfly_contract()
-            .then(|| audit_release(self.defense.spec(), &release));
-        let (delta, followed) = self.history.follow(&release, errors.as_mut(), self.deltas);
-        let failing: HashSet<&str> = errors.iter().flatten().map(AuditError::itemset).collect();
-        if !failing.is_empty() {
-            self.audit_violations += failing.len() as u64;
-            return Err(Error::ContractViolation {
-                stream_len,
-                violations: failing.len(),
-            });
-        }
-        self.history.adopt(&release, stream_len, followed);
-        Ok(WindowRelease {
-            stream_len,
-            closed,
-            release,
-            delta,
-        })
     }
 
     /// Feed one transaction without publishing (cheap advance between
@@ -207,15 +162,21 @@ impl<D: PrivacyDefense> StreamPipeline<D> {
         self.publish_now().ok()
     }
 
-    /// Publish the current window explicitly.
+    /// Publish the current window: mine it, sanitize it, and audit the
+    /// release — the one publication call, behind [`StreamPipeline::flush`]
+    /// and every cadence loop. The audit runs in every build on a
+    /// [`DefenseKind::Butterfly`] defense: a release with an entry outside
+    /// its legal region, or one breaking the republication pins or a FEC's
+    /// shared value ([`crate::audit`]), never reaches a caller and leaves
+    /// the history as it was.
     ///
     /// # Errors
     /// [`Error::PartialWindow`] when the window has not filled yet — a
     /// partial window's supports are not comparable to full-window ones, so
     /// publishing them would both skew utility and leak the warm-up phase.
-    /// [`Error::ContractViolation`] when the defense claims the Butterfly
-    /// contract and its release fails the audit; the release is withheld
-    /// and counted in [`StreamPipeline::audit_violations`].
+    /// [`Error::ContractViolation`] when the defense is Butterfly and its
+    /// release fails the audit; the release is withheld and counted in
+    /// [`StreamPipeline::audit_violations`].
     pub fn publish_now(&mut self) -> Result<WindowRelease> {
         if !self.window().is_full() {
             return Err(Error::PartialWindow {
@@ -223,7 +184,29 @@ impl<D: PrivacyDefense> StreamPipeline<D> {
                 need: self.capacity,
             });
         }
-        self.publish_full_window()
+        self.since_publish = 0;
+        self.miner.settle();
+        let closed = self.miner.closed_frequent();
+        let release = self.defense.publish(&closed, &self.history);
+        let stream_len = self.stream_len;
+        let mut errors = (self.defense.kind() == DefenseKind::Butterfly)
+            .then(|| audit_release(self.defense.spec(), &release));
+        let (delta, followed) = self.history.follow(&release, errors.as_mut(), self.deltas);
+        let failing: HashSet<&str> = errors.iter().flatten().map(AuditError::itemset).collect();
+        if !failing.is_empty() {
+            self.audit_violations += failing.len() as u64;
+            return Err(Error::ContractViolation {
+                stream_len,
+                violations: failing.len(),
+            });
+        }
+        self.history.adopt(&release, stream_len, followed);
+        Ok(WindowRelease {
+            stream_len,
+            closed,
+            release,
+            delta,
+        })
     }
 
     /// Release entries that failed the contract audit so far; every release
@@ -273,8 +256,8 @@ impl<D: PrivacyDefense> StreamPipeline<D> {
 
     /// The defense driving the release path (e.g. to read Butterfly's
     /// engine counters or suppression's side-effect ledger after a run).
-    pub fn defense(&self) -> &D {
-        &self.defense
+    pub fn defense(&self) -> &dyn PrivacyDefense {
+        self.defense.as_ref()
     }
 
     /// The host miner (e.g. to read its rebuild count or tree size; its
@@ -324,19 +307,28 @@ impl WindowView {
 mod tests {
     use super::*;
     use crate::config::PrivacySpec;
+    use crate::defense::PrivBasisDefense;
+    use crate::engine::Publisher;
     use crate::release::SanitizedItemset;
     use crate::scheme::BiasScheme;
     use bfly_common::fixtures::fig2_stream;
     use bfly_datagen::DatasetProfile;
 
+    /// Feed `t`, then publish if the window is full: every full window
+    /// publishes.
+    fn feed(pipe: &mut StreamPipeline, t: Transaction) -> Option<WindowRelease> {
+        pipe.advance(t);
+        pipe.flush()
+    }
+
     #[test]
     fn publishes_only_full_windows() {
         let spec = PrivacySpec::new(4, 1, 0.2, 0.5);
         let publisher = Publisher::new(spec, BiasScheme::Basic, 1);
-        let mut pipe = StreamPipeline::new(8, publisher);
+        let mut pipe = StreamPipeline::new(8, Box::new(publisher));
         let mut published = 0;
         for (i, t) in fig2_stream().into_iter().enumerate() {
-            match pipe.step(t) {
+            match feed(&mut pipe, t) {
                 Some(r) => {
                     published += 1;
                     assert!(i >= 7, "published before window filled");
@@ -360,11 +352,11 @@ mod tests {
             },
             3,
         );
-        let mut pipe = StreamPipeline::new(500, publisher);
+        let mut pipe = StreamPipeline::new(500, Box::new(publisher));
         let mut src = DatasetProfile::WebView1.source(5);
         let mut releases = 0;
         for _ in 0..700 {
-            if let Some(r) = pipe.step(src.next_transaction()) {
+            if let Some(r) = feed(&mut pipe, src.next_transaction()) {
                 releases += 1;
                 for e in r.release.iter() {
                     assert!(e.true_support >= 25, "miner leaked sub-C itemset");
@@ -383,7 +375,8 @@ mod tests {
     #[test]
     fn window_view_matches_the_sliding_window_model() {
         let spec = PrivacySpec::new(25, 5, 0.04, 0.4);
-        let mut pipe = StreamPipeline::new(50, Publisher::new(spec, BiasScheme::Basic, 3));
+        let mut pipe =
+            StreamPipeline::new(50, Box::new(Publisher::new(spec, BiasScheme::Basic, 3)));
         let mut model = bfly_common::SlidingWindow::new(50);
         let mut src = DatasetProfile::WebView1.source(9);
         for _ in 0..180 {
@@ -401,7 +394,7 @@ mod tests {
     #[test]
     fn publish_now_requires_full_window() {
         let spec = PrivacySpec::new(4, 1, 0.2, 0.5);
-        let mut pipe = StreamPipeline::new(8, Publisher::new(spec, BiasScheme::Basic, 1));
+        let mut pipe = StreamPipeline::new(8, Box::new(Publisher::new(spec, BiasScheme::Basic, 1)));
         for t in fig2_stream().into_iter().take(3) {
             pipe.advance(t);
         }
@@ -417,7 +410,7 @@ mod tests {
     fn flush_publishes_only_a_full_window_with_pending_records() {
         let spec = PrivacySpec::new(4, 1, 0.2, 0.5);
         let publisher = Publisher::new(spec, BiasScheme::Basic, 1);
-        let mut pipe = StreamPipeline::new(8, publisher);
+        let mut pipe = StreamPipeline::new(8, Box::new(publisher));
         let stream = fig2_stream();
         // Partial window: nothing to flush.
         for t in stream.iter().take(3).cloned() {
@@ -444,12 +437,12 @@ mod tests {
     }
 
     #[test]
-    fn cadence_counter_resets_on_every_publish_path() {
+    fn cadence_counter_resets_on_every_publication() {
         let spec = PrivacySpec::new(4, 1, 0.2, 0.5);
         let publisher = Publisher::new(spec, BiasScheme::Basic, 1);
-        let mut pipe = StreamPipeline::new(8, publisher);
+        let mut pipe = StreamPipeline::new(8, Box::new(publisher));
         for (i, t) in fig2_stream().into_iter().enumerate() {
-            let released = pipe.step(t).is_some();
+            let released = feed(&mut pipe, t).is_some();
             assert_eq!(released, i >= 7);
             if released {
                 assert_eq!(pipe.since_publish(), 0);
@@ -465,7 +458,7 @@ mod tests {
 
     /// A defense that claims the Butterfly contract and breaks it on its
     /// `lie_on`-th publication: one entry lands far outside any legal region.
-    #[derive(Clone, Debug)]
+    #[derive(Debug)]
     struct Liar {
         inner: Publisher,
         lie_on: u64,
@@ -493,27 +486,21 @@ mod tests {
             entries[0].sanitized += 10_000;
             SanitizedRelease::new(entries)
         }
-        fn honors_butterfly_contract(&self) -> bool {
-            true
-        }
-        fn boxed_clone(&self) -> Box<dyn PrivacyDefense> {
-            Box::new(self.clone())
-        }
     }
 
     #[test]
-    fn a_release_failing_the_audit_is_withheld_and_counted_on_both_paths() {
+    fn a_release_failing_the_audit_is_withheld_and_counted() {
         let spec = PrivacySpec::new(4, 1, 0.2, 0.5);
         let liar = |lie_on| Liar {
             inner: Publisher::new(spec, BiasScheme::Basic, 1),
             lie_on,
             calls: 0,
         };
-        // step(): windows N = 8..12 publish; the second one lies.
-        let mut pipe = StreamPipeline::new(8, liar(2));
+        // Every full window: N = 8..12 publish; the second one lies.
+        let mut pipe = StreamPipeline::new(8, Box::new(liar(2)));
         let published: Vec<u64> = fig2_stream()
             .into_iter()
-            .filter_map(|t| pipe.step(t))
+            .filter_map(|t| feed(&mut pipe, t))
             .map(|r| r.stream_len)
             .collect();
         assert_eq!(published, [8, 10, 11, 12]);
@@ -521,7 +508,7 @@ mod tests {
         assert_eq!(pipe.since_publish(), 0);
 
         // publish_now(): the first publication lies, the next is clean.
-        let mut pipe = StreamPipeline::new(8, liar(1));
+        let mut pipe = StreamPipeline::new(8, Box::new(liar(1)));
         for t in fig2_stream().into_iter().take(8) {
             pipe.advance(t);
         }
@@ -540,7 +527,7 @@ mod tests {
     /// Claims the Butterfly contract but keeps no pins: each window is
     /// published by a fresh [`Publisher`] seeded by its index, over an empty
     /// history, so an unchanged support is redrawn.
-    #[derive(Clone, Debug)]
+    #[derive(Debug)]
     struct Redraws {
         spec: PrivacySpec,
     }
@@ -560,19 +547,13 @@ mod tests {
             let mut fresh = Publisher::new(self.spec, BiasScheme::Basic, history.published());
             fresh.publish(frequent, &PublicationHistory::default())
         }
-        fn honors_butterfly_contract(&self) -> bool {
-            true
-        }
-        fn boxed_clone(&self) -> Box<dyn PrivacyDefense> {
-            Box::new(self.clone())
-        }
     }
 
     /// Claims the Butterfly contract but draws noise per itemset: every
     /// unpinned entry gets its own draw from the region the [`Publisher`]
     /// would have used, from the noise rule with the itemset's content hash
     /// as its class, so each value stays in range but FEC-mates split.
-    #[derive(Clone, Debug)]
+    #[derive(Debug)]
     struct PerItemset {
         inner: Publisher,
     }
@@ -609,18 +590,15 @@ mod tests {
                 .collect();
             SanitizedRelease::new(entries)
         }
-        fn honors_butterfly_contract(&self) -> bool {
-            true
-        }
-        fn boxed_clone(&self) -> Box<dyn PrivacyDefense> {
-            Box::new(self.clone())
-        }
     }
 
     /// Feed `stream` into a window of 500 under `defense`, publishing every
     /// 5 records once full: (stream positions emitted, audit findings).
-    fn run_audited<D: PrivacyDefense>(defense: D, stream: &[Transaction]) -> (Vec<u64>, u64) {
-        let mut pipe = StreamPipeline::new(500, defense);
+    fn run_audited(
+        defense: impl PrivacyDefense + 'static,
+        stream: &[Transaction],
+    ) -> (Vec<u64>, u64) {
+        let mut pipe = StreamPipeline::new(500, Box::new(defense));
         let mut emitted = Vec::new();
         for t in stream {
             pipe.advance(t.clone());
@@ -660,15 +638,37 @@ mod tests {
     }
 
     #[test]
+    fn only_a_butterfly_kind_release_is_audited() {
+        // PrivBasis's Laplace counts promise no α-region, and at a small
+        // budget some land outside every Butterfly region; the pipeline
+        // emits them all the same.
+        let spec = PrivacySpec::new(25, 5, 0.04, 0.4);
+        let stream = DatasetProfile::WebView1.source(5).take_vec(520);
+        let defense = PrivBasisDefense::new(spec, 0.1, 40, 7);
+        let mut pipe = StreamPipeline::new(500, Box::new(defense));
+        let mut failing = Vec::new();
+        for t in stream {
+            pipe.advance(t);
+            if pipe.due(5) {
+                let r = pipe.publish_now().expect("a PrivBasis release is emitted");
+                failing.push(audit_release(&spec, &r.release).len());
+            }
+        }
+        assert_eq!(failing.len(), 5);
+        assert!(failing.iter().any(|&n| n > 0), "{failing:?}");
+        assert_eq!(pipe.audit_violations(), 0);
+    }
+
+    #[test]
     fn a_withheld_release_leaves_the_history_untouched() {
         let spec = PrivacySpec::new(4, 1, 0.2, 0.5);
         let mut pipe = StreamPipeline::new(
             8,
-            Liar {
+            Box::new(Liar {
                 inner: Publisher::new(spec, BiasScheme::Basic, 1),
                 lie_on: 2,
                 calls: 0,
-            },
+            }),
         );
         let stream = fig2_stream();
         for t in stream.iter().take(8).cloned() {
@@ -733,9 +733,9 @@ mod tests {
     /// withhold the same windows. Returns the unchanged-support entries
     /// found by address and by content, summed, of `pipe` and of `twin`,
     /// and the releases withheld.
-    fn matches_its_content_twin<D: PrivacyDefense>(
-        mut pipe: StreamPipeline<D>,
-        mut twin: StreamPipeline<D>,
+    fn matches_its_content_twin(
+        mut pipe: StreamPipeline,
+        mut twin: StreamPipeline,
         stream: &[Transaction],
         every: usize,
     ) -> ((usize, usize), (usize, usize), u64) {
@@ -789,7 +789,7 @@ mod tests {
         // and the read-out finds each surviving closed set's `Arc` again.
         let spec = PrivacySpec::new(20, 5, 0.016, 0.4);
         let stream = DatasetProfile::Pos.source(4).take_vec(6_000);
-        let pipe = || StreamPipeline::new(500, Publisher::new(spec, hybrid(), 9));
+        let pipe = || StreamPipeline::new(500, Box::new(Publisher::new(spec, hybrid(), 9)));
         let ((by_addr, by_content), _, withheld) =
             matches_its_content_twin(pipe(), pipe(), &stream, 250);
         assert_eq!(withheld, 0);
@@ -811,7 +811,7 @@ mod tests {
         // a snapshot, finds every pin by content and publishes the same.
         let spec = PrivacySpec::new(25, 5, 0.016, 0.4);
         let stream = DatasetProfile::WebView1.source(4).take_vec(8_000);
-        let pipe = || StreamPipeline::new(500, Publisher::new(spec, hybrid(), 9));
+        let pipe = || StreamPipeline::new(500, Box::new(Publisher::new(spec, hybrid(), 9)));
         let (ours, twin, _) = matches_its_content_twin(pipe(), pipe(), &stream, 25);
         assert!(ours.0 > 1_000 && ours.1 * 100 < ours.0, "{ours:?}");
         assert_eq!(twin, (0, ours.0 + ours.1));
@@ -823,7 +823,7 @@ mod tests {
         // pinned against the release before it, while Moment read out the
         // withheld window in between. A closed set that was not closed in
         // that window has lost its node, and returns under a new `Arc`.
-        #[derive(Clone, Debug)]
+        #[derive(Debug)]
         struct EveryThird(Liar);
         impl PrivacyDefense for EveryThird {
             fn kind(&self) -> crate::DefenseKind {
@@ -843,12 +843,6 @@ mod tests {
                 }
                 release
             }
-            fn honors_butterfly_contract(&self) -> bool {
-                true
-            }
-            fn boxed_clone(&self) -> Box<dyn PrivacyDefense> {
-                Box::new(self.clone())
-            }
         }
         let spec = PrivacySpec::new(25, 5, 0.016, 0.4);
         let stream = DatasetProfile::WebView1.source(6).take_vec(6_000);
@@ -859,7 +853,7 @@ mod tests {
                 lie_on: 3,
                 calls: 0,
             };
-            StreamPipeline::new(500, EveryThird(liar))
+            StreamPipeline::new(500, Box::new(EveryThird(liar)))
         };
         let ((by_addr, by_content), _, withheld) =
             matches_its_content_twin(liar(), liar(), &stream, 25);
@@ -869,13 +863,14 @@ mod tests {
 
     #[test]
     fn privbasis_and_suppress_releases_follow_the_history_by_address() {
-        use crate::defense::{PrivBasisDefense, SuppressionDefense};
+        use crate::defense::SuppressionDefense;
         let spec = PrivacySpec::new(25, 5, 0.016, 0.4);
         let stream = DatasetProfile::WebView1.source(8).take_vec(4_000);
-        let privbasis = || StreamPipeline::new(500, PrivBasisDefense::new(spec, 1.0, 40, 7));
+        let privbasis =
+            || StreamPipeline::new(500, Box::new(PrivBasisDefense::new(spec, 1.0, 40, 7)));
         let (paths, _, withheld) = matches_its_content_twin(privbasis(), privbasis(), &stream, 50);
         assert!(paths.0 > 100 && withheld == 0, "{paths:?}");
-        let suppress = || StreamPipeline::new(500, SuppressionDefense::new(spec));
+        let suppress = || StreamPipeline::new(500, Box::new(SuppressionDefense::new(spec)));
         let (paths, _, withheld) = matches_its_content_twin(suppress(), suppress(), &stream, 50);
         assert!(paths.0 > 100 && withheld == 0, "{paths:?}");
     }

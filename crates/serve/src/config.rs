@@ -1,9 +1,7 @@
 //! Server configuration: the privacy contract plus the service shape.
 
 use bfly_common::Support;
-use bfly_core::{
-    BiasScheme, DefenseKind, DefenseSpec, PrivacyDefense, PrivacySpec, StreamPipeline,
-};
+use bfly_core::{BiasScheme, DefenseKind, DefenseSpec, PrivacySpec, StreamPipeline};
 
 /// When the write-ahead log forces appended records to stable storage.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -252,7 +250,7 @@ impl Default for ServeConfig {
             every: 100,
             snapshot_every: 1,
             queue_cap: 1024,
-            max_frame_bytes: bfly_common::ndjson::MAX_FRAME_BYTES,
+            max_frame_bytes: bfly_common::frame::MAX_FRAME_BYTES,
             seed: 0,
             wal: None,
             role: ServeRole::Node,
@@ -329,7 +327,7 @@ impl ServeConfig {
     /// defense — the single construction path shared by the shard workers
     /// and the network determinism test, so "same config, same key, same
     /// seed" provably means the same releases in-process and over the wire.
-    pub fn pipeline_for(&self, key: &str) -> StreamPipeline<Box<dyn PrivacyDefense>> {
+    pub fn pipeline_for(&self, key: &str) -> StreamPipeline {
         self.pipeline_with(key, self.defense.kind)
     }
 
@@ -337,11 +335,7 @@ impl ServeConfig {
     /// path a per-stream `bind` takes. The non-Butterfly defenses keep the
     /// config's DP knobs. The pipeline makes each publication's delta only
     /// if the config ships deltas (`snapshot_every > 1`).
-    pub fn pipeline_with(
-        &self,
-        key: &str,
-        kind: DefenseKind,
-    ) -> StreamPipeline<Box<dyn PrivacyDefense>> {
+    pub fn pipeline_with(&self, key: &str, kind: DefenseKind) -> StreamPipeline {
         let dspec = DefenseSpec {
             kind,
             ..self.defense

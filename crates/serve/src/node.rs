@@ -293,7 +293,7 @@ mod tests {
         assert_eq!(logged, sent);
         let wal_cfg = cfg.wal.as_ref().unwrap();
         let rec = wal::recover_shard(&cfg, wal_cfg, 0, &Arc::new(WalStats::default())).unwrap();
-        assert_eq!(rec.streams["k"].pipe.stream_len(), n as u64);
+        assert_eq!(rec.streams["k"].stream_len(), n as u64);
         let _ = std::fs::remove_dir_all(&root);
     }
 
@@ -303,7 +303,7 @@ mod tests {
         // key, a count, then two bytes per empty transaction. Cut into
         // pieces of 16, a split that re-copied the remainder would move
         // ~8.6e9 end offsets; a linear one moves each once.
-        let n = (bfly_common::ndjson::MAX_FRAME_BYTES - 7) / 2;
+        let n = (bfly_common::frame::MAX_FRAME_BYTES - 7) / 2;
         let mut payload = vec![1, 0, b'k'];
         payload.extend_from_slice(&(n as u32).to_le_bytes());
         payload.resize(payload.len() + 2 * n, 0);

@@ -48,9 +48,10 @@ use crate::config::ServeConfig;
 use crate::fanout::{json_line, OutBytes, SubscriberRegistry};
 use crate::protocol::{closed_event, frame_bytes, release_delta_frame, release_frame_bytes};
 use crate::stats::ShardStats;
-use crate::wal::replay::{Publication, Step};
-use crate::wal::{RecoveredShard, RecoveredStream, WalRecord, WalWriter};
+use crate::wal::replay::{publish_and_log, Publication, Step};
+use crate::wal::{RecoveredShard, WalRecord, WalWriter};
 use bfly_common::{FrameMode, IngestChunk};
+use bfly_core::StreamPipeline;
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
@@ -200,8 +201,8 @@ fn emit_publication(
     ShardStats::add(&stats.released_entries, p.window.release.len() as u64);
 }
 
-/// Publish `state`'s full window through the step replay shares
-/// ([`RecoveredStream::publish_and_log`]: Moment settled, the defense run,
+/// Publish `pipe`'s full window through the step replay shares
+/// ([`publish_and_log`]: Moment settled, the defense run,
 /// the release logged before anyone sees it), then fan it out. Returns the
 /// wall time it took, Moment's settle, logging and fan-out included — the
 /// share of a chunk's time its `ingest_us` leaves out. A release that fails
@@ -220,12 +221,11 @@ fn publish(
     registry: &SubscriberRegistry,
     stats: &Arc<ShardStats>,
     key: &Arc<str>,
-    state: &mut RecoveredStream,
+    pipe: &mut StreamPipeline,
 ) -> Result<Duration, LogFailure> {
     let started = Instant::now();
-    let (took, step) = state
-        .publish_and_log(cfg, key, log)
-        .map_err(|e| LogFailure("release append", e))?;
+    let (took, step) =
+        publish_and_log(pipe, cfg, key, log).map_err(|e| LogFailure("release append", e))?;
     let us = took.as_micros() as u64;
     ShardStats::add(&stats.publish_us, us);
     stats.publish_us_max.fetch_max(us, Ordering::Relaxed);
@@ -261,7 +261,7 @@ struct Shard {
     stats: Arc<ShardStats>,
     bindings: Arc<DefenseBindings>,
     log: Option<WalWriter>,
-    pipelines: HashMap<Arc<str>, RecoveredStream>,
+    pipelines: HashMap<Arc<str>, StreamPipeline>,
 }
 
 impl Shard {
@@ -284,22 +284,17 @@ impl Shard {
                 w.append(&open).map_err(|e| LogFailure("open append", e))?;
             }
             ShardStats::add(&self.stats.keys, 1);
-            self.pipelines.insert(
-                key.clone(),
-                RecoveredStream {
-                    kind,
-                    pipe: cfg.pipeline_with(key, kind),
-                },
-            );
+            self.pipelines
+                .insert(key.clone(), cfg.pipeline_with(key, kind));
         }
-        let state = self.pipelines.get_mut(key).expect("key just ensured");
+        let pipe = self.pipelines.get_mut(key).expect("key just ensured");
         let started = Instant::now();
-        let moment = moment_work(state);
+        let moment = moment_work(pipe);
         let mut publishing = Duration::ZERO;
         // Accepted-before-advanced: the chunk is durable (per the sync
         // policy) before any of its records can shape a release.
         if let Some(w) = self.log.as_mut() {
-            w.append_ingest(key, state.pipe.stream_len(), chunk)
+            w.append_ingest(key, pipe.stream_len(), chunk)
                 .map_err(|e| LogFailure("ingest append", e))?;
         }
         // The publish cadence is checked per record, not per chunk:
@@ -309,11 +304,11 @@ impl Shard {
         let mut advanced = 0;
         for items in chunk.iter() {
             // The pipeline assigns the tid from the stream position.
-            state.pipe.advance_items(items);
+            pipe.advance_items(items);
             advanced += 1;
-            if state.pipe.due(cfg.every) {
+            if pipe.due(cfg.every) {
                 let log = self.log.as_mut();
-                match publish(cfg, log, &self.registry, &self.stats, key, state) {
+                match publish(cfg, log, &self.registry, &self.stats, key, pipe) {
                     Ok(took) => publishing += took,
                     Err(failure) => {
                         outcome = Err(failure);
@@ -324,7 +319,7 @@ impl Shard {
         }
         let stats = &self.stats;
         ShardStats::add(&stats.processed, advanced);
-        add_moment_work(stats, state, moment);
+        add_moment_work(stats, pipe, moment);
         let us = started.elapsed().saturating_sub(publishing).as_micros() as u64;
         ShardStats::add(&stats.ingest_us, us);
         stats.ingest_us_max.fetch_max(us, Ordering::Relaxed);
@@ -339,12 +334,12 @@ impl Shard {
         let mut keys: Vec<Arc<str>> = self.pipelines.keys().cloned().collect();
         keys.sort();
         for key in keys {
-            let state = self.pipelines.get_mut(&key).expect("key just listed");
-            if self.stats.read_only.get().is_none() && state.pipe.owes() {
-                let moment = moment_work(state);
+            let pipe = self.pipelines.get_mut(&key).expect("key just listed");
+            if self.stats.read_only.get().is_none() && pipe.owes() {
+                let moment = moment_work(pipe);
                 let log = self.log.as_mut();
-                let published = publish(&self.cfg, log, &self.registry, &self.stats, &key, state);
-                add_moment_work(&self.stats, state, moment);
+                let published = publish(&self.cfg, log, &self.registry, &self.stats, &key, pipe);
+                add_moment_work(&self.stats, pipe, moment);
                 if let Err(failure) = published {
                     failure.make_read_only(self.idx, &self.stats);
                 }
@@ -365,16 +360,16 @@ impl Shard {
     }
 }
 
-/// Moment's rebuilds, visits and itemsets allocated so far on `state`'s
+/// Moment's rebuilds, visits and itemsets allocated so far on `pipe`'s
 /// stream.
-fn moment_work(state: &RecoveredStream) -> [u64; 3] {
-    let miner = state.pipe.miner();
+fn moment_work(pipe: &StreamPipeline) -> [u64; 3] {
+    let miner = pipe.miner();
     [miner.rebuilds(), miner.visits(), miner.itemsets_allocated()]
 }
 
-/// Add what Moment did on `state`'s stream since it stood at `before`.
-fn add_moment_work(stats: &ShardStats, state: &RecoveredStream, before: [u64; 3]) {
-    let [rebuilds, visits, allocated] = moment_work(state);
+/// Add what Moment did on `pipe`'s stream since it stood at `before`.
+fn add_moment_work(stats: &ShardStats, pipe: &StreamPipeline, before: [u64; 3]) {
+    let [rebuilds, visits, allocated] = moment_work(pipe);
     ShardStats::add(&stats.moment_rebuilds, rebuilds - before[0]);
     ShardStats::add(&stats.moment_visits, visits - before[1]);
     ShardStats::add(&stats.itemsets_allocated, allocated - before[2]);
@@ -395,7 +390,7 @@ fn worker(
         Some(r) => (Some(r.writer), r.streams),
         None => (None, HashMap::new()),
     };
-    let pipelines: HashMap<Arc<str>, RecoveredStream> = recovered
+    let pipelines: HashMap<Arc<str>, StreamPipeline> = recovered
         .into_iter()
         .map(|(key, s)| {
             ShardStats::add(&stats.keys, 1);
@@ -448,7 +443,7 @@ mod tests {
     use crate::wal::replay::{catchup_in, recover_shard_in};
     use crate::wal::segment::SegmentStore;
     use bfly_common::Json;
-    use bfly_core::{DefenseKind, PrivacyDefense, StreamPipeline};
+    use bfly_core::{DefenseKind, PrivacyDefense};
     use std::sync::mpsc::sync_channel;
 
     fn tiny_cfg() -> ServeConfig {
@@ -693,7 +688,7 @@ mod tests {
 
     /// Claims the Butterfly contract and breaks it on its `lie_on`-th
     /// publication: one entry lands far outside any legal region.
-    #[derive(Clone, Debug)]
+    #[derive(Debug)]
     struct LiesOn {
         inner: Box<dyn PrivacyDefense>,
         lie_on: u64,
@@ -701,7 +696,7 @@ mod tests {
     }
 
     impl LiesOn {
-        fn pipeline(cfg: &ServeConfig, key: &str, lie_on: u64) -> crate::wal::replay::DynPipeline {
+        fn pipeline(cfg: &ServeConfig, key: &str, lie_on: u64) -> StreamPipeline {
             let inner = cfg
                 .defense
                 .build(cfg.spec(), cfg.scheme, stream_seed(cfg.seed, key));
@@ -735,12 +730,6 @@ mod tests {
             entries[0].sanitized += 10_000;
             bfly_core::SanitizedRelease::new(entries)
         }
-        fn honors_butterfly_contract(&self) -> bool {
-            true
-        }
-        fn boxed_clone(&self) -> Box<dyn PrivacyDefense> {
-            Box::new(self.clone())
-        }
     }
 
     #[test]
@@ -763,29 +752,26 @@ mod tests {
         let (sub_tx, sub_rx) = test_sink(64);
         registry.subscribe("k", 1, FrameMode::Json, sub_tx);
         let key: Arc<str> = Arc::from("k");
-        let mut state = RecoveredStream {
-            kind: DefenseKind::Butterfly,
-            pipe: LiesOn::pipeline(&cfg, "k", 1),
-        };
+        let mut pipe = LiesOn::pipeline(&cfg, "k", 1);
         let mut src = bfly_datagen::DatasetProfile::WebView1.source(3);
         for _ in 0..8 {
-            state.pipe.advance(src.next_transaction());
+            pipe.advance(src.next_transaction());
         }
-        publish(&cfg, Some(&mut log), &registry, &stats, &key, &mut state).unwrap();
+        publish(&cfg, Some(&mut log), &registry, &stats, &key, &mut pipe).unwrap();
         assert_eq!(stats.audit_violations.load(Ordering::Relaxed), 1);
-        assert_eq!(state.pipe.audit_violations(), 1);
+        assert_eq!(pipe.audit_violations(), 1);
         assert_eq!(stats.published.load(Ordering::Relaxed), 0);
         assert_eq!(wal_stats.records_appended.load(Ordering::Relaxed), 0);
         assert!(sub_rx.try_recv().is_err(), "a violating release fanned out");
         // Nothing emitted, so the history still stands at the start.
-        let history = state.pipe.history();
+        let history = pipe.history();
         assert_eq!((history.published(), history.stream_len()), (0, 0));
 
         // The next publication is honest and flows as usual.
         for _ in 0..2 {
-            state.pipe.advance(src.next_transaction());
+            pipe.advance(src.next_transaction());
         }
-        publish(&cfg, Some(&mut log), &registry, &stats, &key, &mut state).unwrap();
+        publish(&cfg, Some(&mut log), &registry, &stats, &key, &mut pipe).unwrap();
         assert_eq!(stats.audit_violations.load(Ordering::Relaxed), 1);
         assert_eq!(stats.published.load(Ordering::Relaxed), 1);
         assert!(wal_stats.records_appended.load(Ordering::Relaxed) > 0);
@@ -808,16 +794,13 @@ mod tests {
         let (sub_tx, sub_rx) = test_sink(64);
         registry.subscribe("k", 1, FrameMode::Json, sub_tx);
         let key: Arc<str> = Arc::from("k");
-        let mut state = RecoveredStream {
-            kind: DefenseKind::Butterfly,
-            pipe: LiesOn::pipeline(&cfg, "k", 2),
-        };
+        let mut pipe = LiesOn::pipeline(&cfg, "k", 2);
         let mut src = bfly_datagen::DatasetProfile::WebView1.source(3);
         for n in [8, 2, 2, 2] {
             for _ in 0..n {
-                state.pipe.advance(src.next_transaction());
+                pipe.advance(src.next_transaction());
             }
-            publish(&cfg, None, &registry, &stats, &key, &mut state).unwrap();
+            publish(&cfg, None, &registry, &stats, &key, &mut pipe).unwrap();
         }
         assert_eq!(stats.audit_violations.load(Ordering::Relaxed), 1);
         assert_eq!(stats.published.load(Ordering::Relaxed), 3);
@@ -917,11 +900,8 @@ mod tests {
                     kind: DefenseKind::Butterfly,
                 })
                 .unwrap();
-            let stream = RecoveredStream {
-                kind: DefenseKind::Butterfly,
-                pipe: LiesOn::pipeline(&cfg, "k", 2),
-            };
-            live.pipelines.insert(key.clone(), stream);
+            let pipe = LiesOn::pipeline(&cfg, "k", 2);
+            live.pipelines.insert(key.clone(), pipe);
             let split = restart_at.unwrap_or(txs.len());
             for part in txs[..split].chunks(3) {
                 live.ingest(&key, &IngestChunk::from_itemsets(part))
@@ -1253,7 +1233,7 @@ mod tests {
             let cfg = tiny_cfg();
             let wal_stats = Arc::new(WalStats::default());
             let rec = recover_shard_in(store.clone(), &cfg, &wal, 0, &wal_stats).unwrap();
-            let durable = rec.streams.get("k").map_or(0, |s| s.pipe.stream_len());
+            let durable = rec.streams.get("k").map_or(0, StreamPipeline::stream_len);
             drop(rec);
             run_on(&store, &wal, &txs[durable as usize..], || {});
             assert_eq!(logged(&store), reference, "{what}: restarted at {durable}");

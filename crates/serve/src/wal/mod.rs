@@ -41,5 +41,5 @@ pub mod replay;
 pub(crate) mod fault;
 
 pub use record::{StreamSnapshot, WalRecord};
-pub use replay::{recover_shard, scan_catchup, RecoveredShard, RecoveredStream};
+pub use replay::{recover_shard, scan_catchup, RecoveredShard};
 pub use writer::{WalWriter, WriterPosition};

@@ -24,7 +24,7 @@
 //! `snapshot` record (the birth was compacted): the stream counter restarts
 //! at `stream_len - W`, the window's `W` records are fed, and the stream's
 //! one piece of history is restored
-//! ([`bfly_core::StreamPipeline::restore`]), the previous release's
+//! ([`StreamPipeline::restore`]), the previous release's
 //! `(true_support, sanitized)` pairs, its position and the release count,
 //! which Butterfly's republication rule pins. The live writer names a
 //! snapshot's window by position (an empty window list: the `W` logged
@@ -70,17 +70,12 @@ use crate::wal::record::{Decode, Scan, StreamSnapshot, WalRecord};
 use crate::wal::segment::{FsStore, SegmentId, SegmentReader, SegmentStore};
 use crate::wal::writer::{Coverage, Mark, WalWriter, WriterPosition};
 use bfly_common::{BinaryEntry, BinaryFrame, Error, Item, ItemSet, ItemsetId, Result};
-use bfly_core::defense::{DefenseKind, PrivacyDefense};
 use bfly_core::{PublicationHistory, SanitizedItemset, StreamPipeline, WindowRelease};
 use std::collections::{HashMap, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// The pipeline type the serve layer runs everywhere: Moment under a
-/// defense bound per key at runtime.
-pub type DynPipeline = StreamPipeline<Box<dyn PrivacyDefense>>;
 
 /// One stream's logged-but-not-yet-applied records, each at its absolute
 /// stream position (record at position `p` brings `stream_len` to `p`).
@@ -89,19 +84,7 @@ pub type DynPipeline = StreamPipeline<Box<dyn PrivacyDefense>>;
 /// them as `release` records (or the end of the log) demand.
 type Pending = VecDeque<(u64, ItemSet)>;
 
-/// One stream's live state: rebuilt by replay, then owned by its shard
-/// worker. Both publish through one step, `publish_and_log`. Releases
-/// emitted and the latest one's position are the pipeline's
-/// ([`StreamPipeline::history`]).
-pub struct RecoveredStream {
-    /// The defense the stream was bound to.
-    pub kind: DefenseKind,
-    /// The pipeline; replay advances it to exactly the pre-crash stream
-    /// position.
-    pub pipe: DynPipeline,
-}
-
-/// What one [`RecoveredStream::publish_and_log`] step did.
+/// What one [`publish_and_log`] step did.
 pub(crate) enum Step {
     /// Published, logged (given a log) and counted.
     Published(Box<Publication>),
@@ -125,68 +108,66 @@ pub(crate) struct Publication {
     pub(crate) snapshot: bool,
 }
 
-impl RecoveredStream {
-    /// Publish the full window and log it: the one publication step of the
-    /// shard worker and of replay, which also re-runs each logged release
-    /// through it (without a log) to verify it. A release failing the
-    /// contract audit is withheld and changes nothing. Otherwise the
-    /// `release` record is appended, plus a `snapshot` when due, before the
-    /// publication is handed back to fan out: durable before visible. Also
-    /// returns the time spent inside `publish_now`.
-    ///
-    /// # Errors
-    /// A window that is not full, or a failed log append.
-    pub(crate) fn publish_and_log(
-        &mut self,
-        cfg: &ServeConfig,
-        key: &str,
-        log: Option<&mut WalWriter>,
-    ) -> Result<(Duration, Step)> {
-        let history = self.pipe.history();
-        let (published, base_len) = (history.published(), history.stream_len());
-        let started = Instant::now();
-        let outcome = self.pipe.publish_now();
-        let took = started.elapsed();
-        let window = match outcome {
-            Err(Error::ContractViolation { violations, .. }) => {
-                return Ok((took, Step::Withheld(violations)));
-            }
-            outcome => outcome?,
-        };
-        let snapshot =
-            cfg.snapshot_every <= 1 || published.is_multiple_of(cfg.snapshot_every as u64);
-        let frame = release_binary(key, window.stream_len, &window.release);
-        if let Some(log) = log {
-            log.append_release(key, &frame)?;
-            if snapshot {
-                // Taken at a publication point, so everything a restart
-                // needs beside the window, which the log already holds, is
-                // this release's (true, sanitized) pairs.
-                log.append_snapshot(
-                    key,
-                    self.kind,
-                    window.stream_len,
-                    published + 1,
-                    &window.release,
-                    self.pipe.window().len(),
-                )?;
-            }
+/// Publish `pipe`'s full window and log it: the one publication step of
+/// the shard worker and of replay, which also re-runs each logged release
+/// through it (without a log) to verify it. A release failing the contract
+/// audit is withheld and changes nothing. Otherwise the `release` record is
+/// appended, plus a `snapshot` when due, before the publication is handed
+/// back to fan out: durable before visible. Also returns the time spent
+/// inside `publish_now`.
+///
+/// # Errors
+/// A window that is not full, or a failed log append.
+pub(crate) fn publish_and_log(
+    pipe: &mut StreamPipeline,
+    cfg: &ServeConfig,
+    key: &str,
+    log: Option<&mut WalWriter>,
+) -> Result<(Duration, Step)> {
+    let history = pipe.history();
+    let (published, base_len) = (history.published(), history.stream_len());
+    let started = Instant::now();
+    let outcome = pipe.publish_now();
+    let took = started.elapsed();
+    let window = match outcome {
+        Err(Error::ContractViolation { violations, .. }) => {
+            return Ok((took, Step::Withheld(violations)));
         }
-        let publication = Publication {
-            window,
-            frame,
-            base_len,
-            snapshot,
-        };
-        Ok((took, Step::Published(Box::new(publication))))
+        outcome => outcome?,
+    };
+    let snapshot = cfg.snapshot_every <= 1 || published.is_multiple_of(cfg.snapshot_every as u64);
+    let frame = release_binary(key, window.stream_len, &window.release);
+    if let Some(log) = log {
+        log.append_release(key, &frame)?;
+        if snapshot {
+            // Taken at a publication point, so everything a restart needs
+            // beside the window, which the log already holds, is this
+            // release's (true, sanitized) pairs.
+            log.append_snapshot(
+                key,
+                pipe.defense().kind(),
+                window.stream_len,
+                published + 1,
+                &window.release,
+                pipe.window().len(),
+            )?;
+        }
     }
+    let publication = Publication {
+        window,
+        frame,
+        base_len,
+        snapshot,
+    };
+    Ok((took, Step::Published(Box::new(publication))))
 }
 
 /// Everything recovery hands the shard: its streams and a writer positioned
 /// to append the next record.
 pub struct RecoveredShard {
-    /// Rebuilt streams by key.
-    pub streams: HashMap<String, RecoveredStream>,
+    /// Rebuilt streams' pipelines by key, each advanced to exactly its
+    /// pre-crash stream position.
+    pub streams: HashMap<String, StreamPipeline>,
     /// The log, open for appending after the last clean record.
     pub writer: WalWriter,
     /// Publications re-verified during replay (also accumulated into
@@ -194,21 +175,21 @@ pub struct RecoveredShard {
     pub recovered_windows: u64,
 }
 
-/// Advance `st` by the staged record at position `p`, which must be the
+/// Advance `pipe` by the staged record at position `p`, which must be the
 /// next one: anything else is a forked history, refused in every build.
 fn advance_staged(
-    st: &mut RecoveredStream,
+    pipe: &mut StreamPipeline,
     stream: &str,
     p: u64,
     items: &ItemSet,
 ) -> std::result::Result<(), String> {
-    let at = st.pipe.stream_len();
+    let at = pipe.stream_len();
     if p != at + 1 {
         return Err(format!(
             "stream {stream:?} has a logged record at position {p} but replay stopped at {at}"
         ));
     }
-    st.pipe.advance_items(items.items());
+    pipe.advance_items(items.items());
     Ok(())
 }
 
@@ -356,8 +337,9 @@ pub(crate) fn recover_shard_in(
                     "wal for shard {shard} is corrupt: {e} (move the wal dir aside to start fresh)"
                 ))
             })?;
-            if st.pipe.due(cfg.every) {
-                if let (_, Step::Published(_)) = st.publish_and_log(cfg, &key, Some(&mut writer))? {
+            if st.due(cfg.every) {
+                if let (_, Step::Published(_)) = publish_and_log(st, cfg, &key, Some(&mut writer))?
+                {
                     state.recovered_windows += 1;
                 }
             }
@@ -398,7 +380,7 @@ fn truncate_tail(
 /// writer's position.
 #[derive(Default)]
 struct ReplayState {
-    streams: HashMap<String, RecoveredStream>,
+    streams: HashMap<String, StreamPipeline>,
     pending: HashMap<String, Pending>,
     coverage: Coverage,
     /// Streams with records but not yet opened or adopted: the segment of
@@ -437,13 +419,8 @@ fn apply(
                     &format!("duplicate open for stream {stream:?}"),
                 ));
             }
-            streams.insert(
-                stream.clone(),
-                RecoveredStream {
-                    kind,
-                    pipe: cfg.pipeline_with(&stream, kind),
-                },
-            );
+            let pipe = cfg.pipeline_with(&stream, kind);
+            streams.insert(stream, pipe);
         }
         WalRecord::Ingest {
             stream,
@@ -458,7 +435,7 @@ fn apply(
             let at = q
                 .back()
                 .map(|&(p, _)| p)
-                .or_else(|| streams.get(&stream).map(|st| st.pipe.stream_len()));
+                .or_else(|| streams.get(&stream).map(StreamPipeline::stream_len));
             if let Some(at) = at {
                 if base != at {
                     return Err(corrupt(
@@ -492,14 +469,14 @@ fn apply(
                 return Ok(());
             };
             let q = pending.entry(stream.clone()).or_default();
-            while st.pipe.stream_len() < stream_len {
+            while st.stream_len() < stream_len {
                 let Some((p, items)) = q.pop_front() else {
                     return Err(corrupt(
                         path,
                         &format!(
                             "logged release for {stream:?} at {stream_len} outruns the logged \
                              ingests (replay stopped at {})",
-                            st.pipe.stream_len()
+                            st.stream_len()
                         ),
                     ));
                 };
@@ -510,7 +487,7 @@ fn apply(
                 stream_len,
                 entries,
             };
-            match st.publish_and_log(cfg, &stream, None) {
+            match publish_and_log(st, cfg, &stream, None) {
                 Ok((_, Step::Published(p))) if p.frame == logged.encode() => {
                     *recovered_windows += 1
                 }
@@ -536,8 +513,8 @@ fn apply(
                 // Already live (its open survived): the snapshot is purely a
                 // compaction barrier, but it is also a free consistency
                 // tripwire.
-                let published = st.pipe.history().published();
-                if st.pipe.stream_len() != s.stream_len || published != s.published {
+                let published = st.history().published();
+                if st.stream_len() != s.stream_len || published != s.published {
                     return Err(corrupt(
                         path,
                         &format!(
@@ -545,7 +522,7 @@ fn apply(
                              (stream_len {} vs {}, published {} vs {})",
                             s.stream,
                             s.stream_len,
-                            st.pipe.stream_len(),
+                            st.stream_len(),
                             s.published,
                             published
                         ),
@@ -589,7 +566,7 @@ fn adopt(
     path: &Path,
     s: &StreamSnapshot,
     staged: impl ExactSizeIterator<Item = (u64, ItemSet)>,
-) -> Result<RecoveredStream> {
+) -> Result<StreamPipeline> {
     let base = s.stream_len - (staged.len() + s.window.len()) as u64;
     let ascending = |ids: &[u32]| ids.windows(2).all(|w| w[0] < w[1]);
     let bad_record = s.window.iter().position(|ids| !ascending(ids));
@@ -627,7 +604,7 @@ fn adopt(
         s.last_len,
         previous,
     ));
-    Ok(RecoveredStream { kind: s.kind, pipe })
+    Ok(pipe)
 }
 
 /// Scan a shard's retained log for `release` records of one stream with
@@ -705,6 +682,7 @@ mod tests {
     use crate::wal::segment::FsStore;
     use crate::wal::segment::{shard_dir, BLOCK};
     use bfly_common::{IngestChunk, SanitizedSupport, Transaction};
+    use bfly_core::DefenseKind;
     use std::path::PathBuf;
 
     fn tmp_root(tag: &str) -> PathBuf {
@@ -748,7 +726,7 @@ mod tests {
     /// Drive one stream exactly the way the shard worker does, logging to
     /// `writer` through the worker's own publication step.
     struct Harness {
-        st: RecoveredStream,
+        pipe: StreamPipeline,
         releases: Vec<(u64, Vec<BinaryEntry>)>,
         /// Log snapshots that carry their window, through
         /// `WalRecord::Snapshot`, as logs written before snapshots named
@@ -758,10 +736,7 @@ mod tests {
 
     impl Harness {
         fn new(cfg: &ServeConfig, key: &str) -> Harness {
-            Harness::resume(RecoveredStream {
-                kind: DefenseKind::Butterfly,
-                pipe: cfg.pipeline_with(key, DefenseKind::Butterfly),
-            })
+            Harness::resume(cfg.pipeline_with(key, DefenseKind::Butterfly))
         }
 
         fn open(cfg: &ServeConfig, key: &str, writer: &mut WalWriter) -> Harness {
@@ -774,9 +749,9 @@ mod tests {
             Harness::new(cfg, key)
         }
 
-        fn resume(st: RecoveredStream) -> Harness {
+        fn resume(pipe: StreamPipeline) -> Harness {
             Harness {
-                st,
+                pipe,
                 releases: Vec::new(),
                 carried: false,
             }
@@ -786,7 +761,7 @@ mod tests {
         /// its snapshots' windows was written: the release record, then on
         /// the snapshot cadence the window's records in the snapshot.
         fn publish_carried(&mut self, cfg: &ServeConfig, key: &str, w: &mut WalWriter) -> Step {
-            let (_, step) = self.st.publish_and_log(cfg, key, None).unwrap();
+            let (_, step) = publish_and_log(&mut self.pipe, cfg, key, None).unwrap();
             let Step::Published(p) = &step else {
                 return step;
             };
@@ -801,9 +776,9 @@ mod tests {
                 let n = p.window.stream_len;
                 w.append(&WalRecord::Snapshot(StreamSnapshot {
                     stream: key.into(),
-                    kind: self.st.kind,
+                    kind: self.pipe.defense().kind(),
                     stream_len: n,
-                    published: self.st.pipe.history().published(),
+                    published: self.pipe.history().published(),
                     last_len: n,
                     prev_release: p
                         .window
@@ -840,7 +815,7 @@ mod tests {
             let mut writer = writer;
             let idx: Vec<u64> = range.collect();
             for part in idx.chunks(chunk.max(1)) {
-                let base = self.st.pipe.stream_len();
+                let base = self.pipe.stream_len();
                 let batch: Vec<ItemSet> = part.iter().map(|&i| record(i)).collect();
                 match writer.as_deref_mut() {
                     Some(w) if self.carried => w.append(&WalRecord::Ingest {
@@ -853,11 +828,11 @@ mod tests {
                 }
                 .unwrap();
                 for &i in part {
-                    self.st.pipe.advance(Transaction::new(0, record(i)));
-                    if self.st.pipe.due(cfg.every) {
+                    self.pipe.advance(Transaction::new(0, record(i)));
+                    if self.pipe.due(cfg.every) {
                         let step = match writer.as_deref_mut() {
                             Some(w) if self.carried => self.publish_carried(cfg, key, w),
-                            w => self.st.publish_and_log(cfg, key, w).unwrap().1,
+                            w => publish_and_log(&mut self.pipe, cfg, key, w).unwrap().1,
                         };
                         let Step::Published(p) = step else {
                             panic!("an honest defense withheld a release");
@@ -910,11 +885,8 @@ mod tests {
         let mut rec = recover_shard(&cfg, &wal, 0, &stats).unwrap();
         assert_eq!(rec.recovered_windows, before_crash.len() as u64);
         let st = rec.streams.remove("k").expect("stream recovered");
-        assert_eq!(st.pipe.stream_len(), 35);
-        assert_eq!(
-            st.pipe.history().stream_len(),
-            before_crash.last().unwrap().0
-        );
+        assert_eq!(st.stream_len(), 35);
+        assert_eq!(st.history().stream_len(), before_crash.last().unwrap().0);
         let mut resumed = Harness::resume(st);
         resumed.feed(&cfg, "k", Some(&mut rec.writer), 35..60, 7);
 
@@ -1206,7 +1178,7 @@ mod tests {
                 stats.truncated_bytes.load(Ordering::Relaxed),
                 tail.len() as u64
             );
-            assert_eq!(rec.streams["k"].pipe.stream_len(), 20);
+            assert_eq!(rec.streams["k"].stream_len(), 20);
             // The truncated file must now replay clean.
             let stats2 = Arc::new(WalStats::default());
             drop(rec);
@@ -1341,10 +1313,10 @@ mod tests {
 
             let mut rec = recover_shard(&cfg, &wal, 0, &stats).unwrap();
             let st = rec.streams.remove("k").expect("adopted from snapshot");
-            assert_eq!(st.pipe.stream_len(), 60);
+            assert_eq!(st.stream_len(), 60);
             // The snapshot and the window's logged records restore the
             // history the logging stream held.
-            assert_eq!(st.pipe.history(), crashed.st.pipe.history());
+            assert_eq!(st.history(), crashed.pipe.history());
             // The pin map and the window must have survived: continuing the
             // stream publishes exactly what the uncrashed run publishes,
             // including republication pins chosen windows before the
@@ -1357,7 +1329,7 @@ mod tests {
             drop(rec);
             let mut rec = recover_shard(&cfg, &wal, 0, &stats).unwrap();
             let st = rec.streams.remove("k").expect("adopted again");
-            assert_eq!(st.pipe.stream_len(), 64);
+            assert_eq!(st.stream_len(), 64);
             let mut resumed = Harness::resume(st);
             resumed.feed(&cfg, "k", Some(&mut rec.writer), 64..100, chunk);
             releases.extend(resumed.releases);
@@ -1386,7 +1358,7 @@ mod tests {
 
         let mut rec = recover_shard(&cfg, &wal, 0, &stats).unwrap();
         let st = rec.streams.remove("k").expect("adopted from snapshot");
-        assert_eq!(st.pipe.history(), crashed.st.pipe.history());
+        assert_eq!(st.history(), crashed.pipe.history());
         let mut resumed = Harness::resume(st);
         resumed.feed(&cfg, "k", Some(&mut rec.writer), 60..100, 7);
         releases.extend(resumed.releases);
@@ -1397,7 +1369,7 @@ mod tests {
 
         let mut rec = recover_shard(&cfg, &wal, 0, &stats).unwrap();
         let st = rec.streams.remove("k").expect("adopted from snapshot");
-        assert_eq!(st.pipe.stream_len(), 100);
+        assert_eq!(st.stream_len(), 100);
         let mut resumed = Harness::resume(st);
         resumed.feed(&cfg, "k", Some(&mut rec.writer), 100..140, 7);
         releases.extend(resumed.releases);
@@ -1539,7 +1511,7 @@ mod tests {
         }
         // The canonical snapshot adopts.
         let (rec, _) = recover(snapshot);
-        assert_eq!(rec.unwrap().streams["k"].pipe.stream_len(), 10);
+        assert_eq!(rec.unwrap().streams["k"].stream_len(), 10);
     }
 
     /// The crash window the lazy drain exists for: a chunk's `ingest`
@@ -1586,9 +1558,9 @@ mod tests {
             "one verified release plus two regenerated ones"
         );
         let st = rec.streams.remove("k").expect("stream recovered");
-        assert_eq!(st.pipe.stream_len(), 12);
-        assert_eq!(st.pipe.history().published(), 3);
-        assert_eq!(st.pipe.history().stream_len(), 12);
+        assert_eq!(st.stream_len(), 12);
+        assert_eq!(st.history().published(), 3);
+        assert_eq!(st.history().stream_len(), 12);
         // The regenerated publications are back in the log: catch-up sees
         // all three, byte-equal to the uncrashed run's first three.
         let logged = scan_catchup(&root, 0, "k", 0);
@@ -1634,7 +1606,7 @@ mod tests {
         store.crash();
 
         let rec = recover_shard_in(store.clone(), &cfg, &wal, 0, &stats).unwrap();
-        assert_eq!(rec.streams["k"].pipe.stream_len(), fed);
+        assert_eq!(rec.streams["k"].stream_len(), fed);
         let mut logged = Vec::new();
         catchup_in(&*store, 0, "k", 0, |len, e| logged.push((len, e)));
         assert_eq!(logged, h.releases);
@@ -1671,8 +1643,8 @@ mod tests {
         store.crash();
 
         let rec = recover_shard_in(store.clone(), &cfg, &wal, 0, &stats).unwrap();
-        assert_eq!(rec.streams["k"].pipe.stream_len(), fed);
-        assert_eq!(rec.streams["k"].pipe.history(), h.st.pipe.history());
+        assert_eq!(rec.streams["k"].stream_len(), fed);
+        assert_eq!(rec.streams["k"].history(), h.pipe.history());
         let mut logged = Vec::new();
         catchup_in(&*store, 0, "k", 0, |len, e| logged.push((len, e)));
         assert!(!logged.is_empty());
@@ -1728,7 +1700,7 @@ mod tests {
             stream: "named".into(),
             kind: DefenseKind::Butterfly,
             stream_len: 60,
-            published: named.st.pipe.history().published(),
+            published: named.pipe.history().published(),
             last_len: 60,
             prev_release: Vec::new(),
             window: Vec::new(),
@@ -1740,8 +1712,8 @@ mod tests {
         drop(w);
         store.crash();
         let rec = recover_shard_in(store, &cfg, &wal, 0, &stats).unwrap();
-        assert_eq!(rec.streams["named"].pipe.stream_len(), 60);
-        assert_eq!(rec.streams["carried"].pipe.stream_len(), 40);
+        assert_eq!(rec.streams["named"].stream_len(), 60);
+        assert_eq!(rec.streams["carried"].stream_len(), 40);
         assert_eq!(rec.writer.coverage(), &crashed);
     }
 

@@ -28,16 +28,13 @@ fn main() {
         gamma: 2,
     };
     let publisher = Publisher::new(spec, scheme, 42);
-    let mut pipeline = StreamPipeline::new(2000, publisher);
+    let mut pipeline = StreamPipeline::new(2000, Box::new(publisher));
 
     let mut stream = DatasetProfile::WebView1.source(7);
-    let mut last = None;
     for _ in 0..2400 {
-        if let Some(release) = pipeline.step(stream.next_transaction()) {
-            last = Some(release);
-        }
+        pipeline.advance(stream.next_transaction());
     }
-    let release = last.expect("window filled");
+    let release = pipeline.publish_now().expect("window filled");
 
     println!(
         "\nwindow Ds({}, 2000): {} closed frequent itemsets published\n",

@@ -36,7 +36,7 @@ fn main() {
 
     for scheme in BiasScheme::paper_variants(2) {
         let publisher = Publisher::new(spec, scheme, 99);
-        let mut pipeline = StreamPipeline::new(window, publisher);
+        let mut pipeline = StreamPipeline::new(window, Box::new(publisher));
         let mut stream = DatasetProfile::Pos.source(17);
 
         // Fill the window.

@@ -67,6 +67,17 @@ if [[ -n "$REFS" ]]; then
   echo "Apriori is the reference miner for tests and examples; shipped code mines with Eclat"; exit 1
 fi
 
+echo "==> one-pipeline guard (StreamPipeline is one type over a Box<dyn PrivacyDefense>, with one publication call, publish_now, and an audit keyed by the defense's kind: no non-test code under crates/*/src, src or examples names a generic pipeline, a boxed-defense impl, a defense clone or a contract flag)"
+PIPES=$(for f in $(find crates/*/src src examples -name '*.rs' | sort); do
+  sed -E '/^ *(pub\(crate\) )?mod tests \{/,$d' "$f" \
+    | grep -nE 'StreamPipeline<|impl PrivacyDefense for Box|boxed_clone|honors_butterfly_contract' \
+    | sed "s|^|$f:|"
+done || true)
+if [[ -n "$PIPES" ]]; then
+  echo "$PIPES"
+  echo "a second pipeline shape crept back; StreamPipeline::new takes a Box<dyn PrivacyDefense> and audits exactly when defense.kind() is Butterfly"; exit 1
+fi
+
 echo "==> one-copy guard (Moment's ring is a stream's one window copy: SlidingWindow is the oracles' model, not the pipeline's, serve's or the CLI's)"
 COPIES=$(for f in $(find crates/core/src crates/serve/src src -name '*.rs' | sort); do
   sed '/^ *mod tests {/,$d' "$f" | grep -n 'SlidingWindow' | sed "s|^|$f:|"

@@ -18,7 +18,7 @@
 //! multi-tenant TCP service (see `bfly_serve`).
 
 use butterfly_repro::butterfly::{
-    BiasScheme, DefenseKind, DefenseSpec, PrivacyDefense, PrivacySpec, StreamPipeline,
+    BiasScheme, DefenseKind, DefenseSpec, PrivacySpec, StreamPipeline,
 };
 use butterfly_repro::common::flags::{parse_flags, Flags};
 use butterfly_repro::common::rng::os_seed;

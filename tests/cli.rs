@@ -543,7 +543,7 @@ fn a_known_seed_decodes_the_seeded_run_and_not_the_default_one() {
     // The true supports: the library's pipeline over the same stream.
     let spec = PrivacySpec::new(25, 5, 0.016, 0.4);
     let alpha = spec.alpha();
-    let mut pipe = StreamPipeline::new(2000, Publisher::new(spec, BiasScheme::Basic, 0));
+    let mut pipe = StreamPipeline::new(2000, Box::new(Publisher::new(spec, BiasScheme::Basic, 0)));
     let mut truth: Vec<HashMap<Vec<u64>, i64>> = Vec::new();
     for record in dat::load_dat(&dat).unwrap().records() {
         pipe.advance(record.clone());

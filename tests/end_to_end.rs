@@ -12,7 +12,7 @@ use butterfly_repro::mining::closed::expand_closed;
 fn run(scheme: BiasScheme, delta: f64, ppr: f64, windows: usize, seed: u64) -> (f64, Option<f64>) {
     let spec = PrivacySpec::from_ppr(25, 5, ppr, delta);
     let publisher = Publisher::new(spec, scheme, seed);
-    let mut pipeline = StreamPipeline::new(1000, publisher);
+    let mut pipeline = StreamPipeline::new(1000, Box::new(publisher));
     let mut stream = DatasetProfile::WebView1.source(seed);
     for _ in 0..999 {
         pipeline.advance(stream.next_transaction());

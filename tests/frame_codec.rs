@@ -768,9 +768,9 @@ fn ndjson_ingest_decoder_matches_the_tree_parse_at_the_edges() {
     assert_eq!(digest.finish(), EDGE_DIGEST, "the replies moved");
 }
 
-/// `next_frame` — what clients, `ndjson::FrameReader` and the serve
-/// benchmark read with — still yields an NDJSON ingest as its JSON
-/// document; only `next_inbound` decodes it into a chunk.
+/// `next_frame` — what `bfly_serve::Client` and the serve benchmark read
+/// with — still yields an NDJSON ingest as its JSON document; only
+/// `next_inbound` decodes it into a chunk.
 #[test]
 fn next_frame_still_yields_an_ndjson_ingest_as_json() {
     let line = "{\"batch\":[[3,1],[2]],\"op\":\"ingest\",\"stream\":\"k\"}\n";

@@ -47,7 +47,8 @@ fn collect_slide_one() -> Vec<FrequentItemsets> {
 /// The closed frequent itemsets at `count` positions of a `window`-record
 /// sliding window over WebView1, `step` records apart.
 fn collect(spec: PrivacySpec, window: usize, step: usize, count: usize) -> Vec<FrequentItemsets> {
-    let mut pipe = StreamPipeline::new(window, Publisher::new(spec, BiasScheme::Basic, 1));
+    let mut pipe =
+        StreamPipeline::new(window, Box::new(Publisher::new(spec, BiasScheme::Basic, 1)));
     let mut src = DatasetProfile::WebView1.source(31);
     for _ in 0..window {
         pipe.advance(src.next_transaction());

@@ -8,12 +8,11 @@
 //! comparison spans the crash, the replay, the log-served catch-up, and
 //! the drain flush in one concatenated byte-equality.
 
-use butterfly_repro::butterfly::{DefenseKind, SanitizedRelease};
+use butterfly_repro::butterfly::{DefenseKind, SanitizedRelease, StreamPipeline};
 use butterfly_repro::common::{ItemSet, Json};
 use butterfly_repro::datagen::DatasetProfile;
 use butterfly_repro::serve::protocol::{binary_entries, release_frame_bytes, CatchUp};
 use butterfly_repro::serve::wal::record::SnapshotEntry;
-use butterfly_repro::serve::wal::replay::DynPipeline;
 use butterfly_repro::serve::wal::{StreamSnapshot, WalRecord, WalWriter, WriterPosition};
 use butterfly_repro::serve::{
     Client, FrameMode, Request, ServeConfig, WalConfig, WalStats, WalSyncPolicy,
@@ -614,7 +613,7 @@ fn shard_files(dir: &Path) -> Vec<(String, Vec<u8>)> {
 /// `wal::record::tests::the_direct_snapshot_encoder_is_the_records_layout`).
 fn log_publication(
     w: &mut WalWriter,
-    pipe: &mut DynPipeline,
+    pipe: &mut StreamPipeline,
     stream: &str,
     kind: DefenseKind,
     snapshot_every: usize,
@@ -627,7 +626,7 @@ fn log_publication(
 /// snapshots named their window by position hold.
 fn log_publication_with(
     w: &mut WalWriter,
-    pipe: &mut DynPipeline,
+    pipe: &mut StreamPipeline,
     stream: &str,
     kind: DefenseKind,
     snapshot_every: usize,
