@@ -9,8 +9,12 @@
 //! noise level) from **scheme evaluation** (publish the same truth under
 //! each scheme/contract and measure), so the expensive attack analysis is
 //! amortized across the whole sweep.
+//!
+//! It also holds what the facade's tests share: the release-engine oracles
+//! ([`mod@reference`]) and the server harness ([`harness`]).
 
 pub mod defense;
+pub mod harness;
 pub mod record;
 pub mod reference;
 pub mod runner;

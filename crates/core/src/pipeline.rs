@@ -62,11 +62,11 @@ pub struct StreamPipeline {
     defense: Box<dyn PrivacyDefense>,
     /// The previous emitted release, read by the defense and the delta.
     history: PublicationHistory,
-    /// Records fed since the last publication — the cadence counter callers
-    /// (CLI `--every`, the serve shards) consult, and what
-    /// [`StreamPipeline::flush`] uses to decide whether a drain still owes
-    /// the subscribers a release.
-    since_publish: usize,
+    /// Stream position of the last publication attempt (or of the stream's
+    /// base, before the first): the cadence callers (CLI `--every`, the
+    /// serve shards) count from it, and [`StreamPipeline::flush`] reads
+    /// from it whether a drain still owes the subscribers a release.
+    published_at: u64,
     /// Release entries that failed the contract audit (their releases were
     /// withheld).
     audit_violations: u64,
@@ -89,7 +89,7 @@ impl StreamPipeline {
             miner: MomentMiner::new(defense.spec().c()),
             defense,
             history: PublicationHistory::default(),
-            since_publish: 0,
+            published_at: 0,
             audit_violations: 0,
             deltas: true,
         }
@@ -128,20 +128,19 @@ impl StreamPipeline {
             self.len += 1;
         }
         self.miner.insert(self.stream_len, items);
-        self.since_publish += 1;
     }
 
     /// Records fed since the last publication (or since the stream began,
     /// before the first one).
     pub fn since_publish(&self) -> usize {
-        self.since_publish
+        self.stream_len.saturating_sub(self.published_at) as usize
     }
 
     /// The publication cadence: the window is full and at least `every`
     /// records arrived since the last publication. Every cadence-driven
     /// caller publishes exactly when this holds, checked after each record.
     pub fn due(&self, every: usize) -> bool {
-        self.window().is_full() && self.since_publish >= every
+        self.window().is_full() && self.since_publish() >= every
     }
 
     /// The drain rule: the window is full and records arrived since the last
@@ -184,7 +183,7 @@ impl StreamPipeline {
                 need: self.capacity,
             });
         }
-        self.since_publish = 0;
+        self.published_at = self.stream_len;
         self.miner.settle();
         let closed = self.miner.closed_frequent();
         let release = self.defense.publish(&closed, &self.history);
@@ -225,7 +224,8 @@ impl StreamPipeline {
     }
 
     /// WAL-recovery hook: restart the stream counter at `base` so the next
-    /// record fed is stream position `base + 1`.
+    /// record fed is stream position `base + 1`; the cadence counts from
+    /// `base`.
     ///
     /// # Panics
     /// If a record was already fed: tids assigned from the old base would
@@ -237,6 +237,7 @@ impl StreamPipeline {
             self.len
         );
         self.stream_len = base;
+        self.published_at = base;
     }
 
     /// The stream's publication history: releases emitted, the position of
@@ -246,12 +247,11 @@ impl StreamPipeline {
     }
 
     /// WAL-recovery hook: reinstate the stream's history once the window has
-    /// been refilled, and zero the cadence counter. A snapshot is taken at a
-    /// publication point (`since_publish == 0`), but the refill goes through
-    /// [`StreamPipeline::advance`], which counts its records as pending.
+    /// been refilled; the cadence counts from the history's last
+    /// publication.
     pub fn restore(&mut self, history: PublicationHistory) {
+        self.published_at = history.stream_len();
         self.history = history;
-        self.since_publish = 0;
     }
 
     /// The defense driving the release path (e.g. to read Butterfly's
@@ -454,6 +454,26 @@ mod tests {
         assert_eq!(pipe.since_publish(), 1);
         pipe.publish_now().unwrap();
         assert_eq!(pipe.since_publish(), 0);
+    }
+
+    /// A restored stream counts its cadence from its history's last
+    /// publication, not from the end of the refill: a history last
+    /// published at 10, over a window refilled to 13, owes 3 records.
+    #[test]
+    fn a_restored_cadence_counts_from_the_last_publication() {
+        let spec = PrivacySpec::new(4, 1, 0.2, 0.5);
+        let publisher = Publisher::new(spec, BiasScheme::Basic, 1);
+        let mut pipe = StreamPipeline::new(8, Box::new(publisher));
+        pipe.set_stream_base(5);
+        assert_eq!(pipe.since_publish(), 0);
+        for t in fig2_stream().into_iter().take(8) {
+            pipe.advance(t);
+        }
+        assert_eq!(pipe.since_publish(), 8);
+        pipe.restore(PublicationHistory::restored(2, 10, Vec::new()));
+        assert_eq!(pipe.stream_len(), 13);
+        assert_eq!(pipe.since_publish(), 13 - 10);
+        assert!(pipe.due(3) && !pipe.due(4));
     }
 
     /// A defense that claims the Butterfly contract and breaks it on its

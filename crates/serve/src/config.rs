@@ -133,10 +133,9 @@ impl std::fmt::Display for ServeRole {
     }
 }
 
-/// Parse a `--nodes` address list (comma-separated `ip:port`). Rejects the
-/// shapes that would silently misroute: an empty list (a router with no
-/// owners), an unparsable address, and duplicates (the same node listed
-/// twice would own two slot ranges and double-count every forward).
+/// Parse a `--nodes` address list (comma-separated `ip:port`). Rejects an
+/// empty list (a router with no owners) and an unparsable address; a
+/// duplicate is [`ServeConfig::validate`]'s to refuse.
 pub fn parse_node_list(s: &str) -> Result<Vec<std::net::SocketAddr>, String> {
     let mut nodes = Vec::new();
     for part in s.split(',') {
@@ -146,12 +145,9 @@ pub fn parse_node_list(s: &str) -> Result<Vec<std::net::SocketAddr>, String> {
                 "empty entry in --nodes {s:?} (want a comma-separated list of ip:port addresses)"
             ));
         }
-        let addr: std::net::SocketAddr = part.parse().map_err(|_| {
+        let addr = part.parse().map_err(|_| {
             format!("bad node address {part:?} in --nodes (want ip:port, e.g. 127.0.0.1:7878)")
         })?;
-        if nodes.contains(&addr) {
-            return Err(format!("duplicate node address {addr} in --nodes"));
-        }
         nodes.push(addr);
     }
     if nodes.is_empty() {
@@ -575,14 +571,14 @@ mod tests {
             "not-an-addr",
             "127.0.0.1",
             "127.0.0.1:notaport",
-            "127.0.0.1:7001,127.0.0.1:7001",
         ] {
             assert!(parse_node_list(bad).is_err(), "{bad:?} accepted");
         }
         let err = parse_node_list("bogus").unwrap_err();
         assert!(err.contains("ip:port"), "error must name the shape: {err}");
-        let err = parse_node_list("127.0.0.1:7001,127.0.0.1:7001").unwrap_err();
-        assert!(err.contains("duplicate"), "{err}");
+        // A duplicate parses; `validate` refuses it (`role_validation_rules`).
+        let nodes = parse_node_list("127.0.0.1:7001,127.0.0.1:7001").unwrap();
+        assert_eq!(nodes.len(), 2);
     }
 
     #[test]

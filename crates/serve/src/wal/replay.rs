@@ -170,9 +170,6 @@ pub struct RecoveredShard {
     pub streams: HashMap<String, StreamPipeline>,
     /// The log, open for appending after the last clean record.
     pub writer: WalWriter,
-    /// Publications re-verified during replay (also accumulated into
-    /// [`WalStats::recovered_windows`]).
-    pub recovered_windows: u64,
 }
 
 /// Advance `pipe` by the staged record at position `p`, which must be the
@@ -352,7 +349,6 @@ pub(crate) fn recover_shard_in(
     Ok(RecoveredShard {
         streams: state.streams,
         writer,
-        recovered_windows: state.recovered_windows,
     })
 }
 
@@ -883,7 +879,8 @@ mod tests {
         drop(crashed);
 
         let mut rec = recover_shard(&cfg, &wal, 0, &stats).unwrap();
-        assert_eq!(rec.recovered_windows, before_crash.len() as u64);
+        let recovered = stats.recovered_windows.load(Ordering::Relaxed);
+        assert_eq!(recovered, before_crash.len() as u64);
         let st = rec.streams.remove("k").expect("stream recovered");
         assert_eq!(st.stream_len(), 35);
         assert_eq!(st.history().stream_len(), before_crash.last().unwrap().0);
@@ -1554,7 +1551,8 @@ mod tests {
 
         let mut rec = recover_shard(&cfg, &wal, 0, &stats).unwrap();
         assert_eq!(
-            rec.recovered_windows, 3,
+            stats.recovered_windows.load(Ordering::Relaxed),
+            3,
             "one verified release plus two regenerated ones"
         );
         let st = rec.streams.remove("k").expect("stream recovered");

@@ -236,6 +236,11 @@ if [[ -e crates/bench/src/bin ]] || (( $(grep -c '^\[\[bin\]\]' crates/bench/Car
   echo "crates/bench declares a second binary; add a bfly-bench subcommand instead"; exit 1
 fi
 
+echo "==> one-harness guard (every test that starts a server, in process or spawned, shares bfly_bench::harness: no file under tests/ defines its own server guard or release line, or speaks the --port-file handshake)"
+if grep -rnE 'struct Reaper|fn release_line|--port-file' tests; then
+  echo "a test copied the server harness; use bfly_bench::harness (Served, serve_command, serve_args, release_line)"; exit 1
+fi
+
 echo "==> defense matrix smoke (scratch output under target/)"
 cargo run -q --release -p bfly-bench -- defbench --quick \
   --out target/BENCH_defense.smoke.json

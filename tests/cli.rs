@@ -1,14 +1,17 @@
 //! Integration tests for the `butterfly` CLI binary.
 
+use bfly_bench::harness::{cadence, serve_command};
 use butterfly_repro::butterfly::{seeded_noise, BiasScheme, PrivacySpec, Publisher};
-use butterfly_repro::butterfly::{NoiseRegion, StreamPipeline};
-use butterfly_repro::common::{io as dat, Json};
+use butterfly_repro::butterfly::{NoiseRegion, SanitizedItemset, StreamPipeline};
+use butterfly_repro::common::{io as dat, ItemSet, Json};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
+const BIN: &str = env!("CARGO_BIN_EXE_butterfly");
+
 fn bin() -> Command {
-    Command::new(env!("CARGO_BIN_EXE_butterfly"))
+    Command::new(BIN)
 }
 
 fn temp_path(name: &str) -> PathBuf {
@@ -309,13 +312,12 @@ fn unknown_flags_rejected_with_valid_set() {
     let port_file = std::env::temp_dir().join(format!("bfly-cli-backend-{}", std::process::id()));
     let _ = std::fs::remove_file(&port_file);
     for cmd in ["protect", "serve"] {
-        let mut run = bin();
-        run.args([cmd, "--backend", "moment"]);
-        if cmd == "serve" {
-            run.args(["--addr", "127.0.0.1:0", "--port-file"])
-                .arg(&port_file);
-        }
-        let out = run.output().expect("run");
+        let backend = ["--backend", "moment"];
+        let out = match cmd {
+            "serve" => serve_command(BIN, &port_file, &backend).output(),
+            _ => bin().arg(cmd).args(backend).output(),
+        };
+        let out = out.expect("run");
         assert_eq!(out.status.code(), Some(1), "{cmd}");
         let err = String::from_utf8(out.stderr).unwrap();
         assert!(err.contains("unknown flag --backend"), "{cmd}: {err}");
@@ -544,22 +546,18 @@ fn a_known_seed_decodes_the_seeded_run_and_not_the_default_one() {
     let spec = PrivacySpec::new(25, 5, 0.016, 0.4);
     let alpha = spec.alpha();
     let mut pipe = StreamPipeline::new(2000, Box::new(Publisher::new(spec, BiasScheme::Basic, 0)));
-    let mut truth: Vec<HashMap<Vec<u64>, i64>> = Vec::new();
-    for record in dat::load_dat(&dat).unwrap().records() {
-        pipe.advance(record.clone());
-        if pipe.due(100) {
-            let r = pipe.publish_now().unwrap();
-            let ids = |e: &butterfly_repro::butterfly::SanitizedItemset| {
-                e.itemset().items().iter().map(|i| i.id() as u64).collect()
-            };
-            truth.push(
-                r.release
-                    .iter()
-                    .map(|e| (ids(e), e.true_support as i64))
-                    .collect(),
-            );
-        }
-    }
+    let db = dat::load_dat(&dat).unwrap();
+    let records: Vec<ItemSet> = db.records().iter().map(|t| t.items().clone()).collect();
+    let ids = |e: &SanitizedItemset| e.itemset().items().iter().map(|i| i.id() as u64).collect();
+    let truth: Vec<HashMap<Vec<u64>, i64>> = cadence(&mut pipe, &records, 100)
+        .iter()
+        .map(|r| {
+            r.release
+                .iter()
+                .map(|e| (ids(e), e.true_support as i64))
+                .collect()
+        })
+        .collect();
     let region = NoiseRegion::centered(0.0, alpha);
     let decoded = |out: &Output| {
         let lines: Vec<_> = String::from_utf8_lossy(&out.stdout)

@@ -5,28 +5,21 @@
 //! rejected up front with the registry's valid-name list (protect and serve
 //! alike).
 
-use butterfly_repro::butterfly::{DefenseKind, DefenseSpec, SanitizedRelease};
-use butterfly_repro::common::{ItemSet, Json, Transaction};
+use bfly_bench::harness::{
+    self, records, serve_args, served_lines, subscribe, until_closed, Served,
+};
+use butterfly_repro::butterfly::{DefenseKind, DefenseSpec};
+use butterfly_repro::common::Json;
 use butterfly_repro::datagen::DatasetProfile;
-use butterfly_repro::serve::protocol::{closed_event, release_frame_bytes};
 use butterfly_repro::serve::{Client, FrameMode, Request, ServeConfig};
-use std::net::SocketAddr;
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
+use std::path::PathBuf;
+use std::process::Command;
 use std::sync::OnceLock;
-use std::time::{Duration, Instant};
 
-/// The NDJSON `release` line a subscriber reads for one publication.
-fn release_line(stream: &str, stream_len: u64, release: &SanitizedRelease) -> String {
-    let line = release_frame_bytes(FrameMode::Json, stream, stream_len, release);
-    String::from_utf8(line.to_vec())
-        .unwrap()
-        .trim_end()
-        .to_string()
-}
+const BIN: &str = env!("CARGO_BIN_EXE_butterfly");
 
 fn bin() -> Command {
-    Command::new(env!("CARGO_BIN_EXE_butterfly"))
+    Command::new(BIN)
 }
 
 fn temp_path(name: &str) -> PathBuf {
@@ -123,69 +116,9 @@ fn every_defense_is_seed_reproducible_and_they_differ_pairwise() {
     }
 }
 
-/// Kills the child on drop so a failing assertion never leaks a server.
-struct Reaper(Child);
-
-impl Drop for Reaper {
-    fn drop(&mut self) {
-        let _ = self.0.kill();
-        let _ = self.0.wait();
-    }
-}
-
-/// Start `butterfly serve --defense <defense>` on an ephemeral port under
-/// the contract and seed of [`serve_contract`], and block until the `--port-file`
-/// handshake delivers the bound address.
-fn spawn_serve(defense: &str, port_file: &Path) -> (Reaper, SocketAddr) {
-    let _ = std::fs::remove_file(port_file);
-    let child = bin()
-        .args([
-            "serve",
-            "--addr",
-            "127.0.0.1:0",
-            "--window",
-            "200",
-            "--min-support",
-            "8",
-            "--vulnerable",
-            "3",
-            "--epsilon",
-            "0.05",
-            "--every",
-            "40",
-            "--seed",
-            "0",
-            "--defense",
-            defense,
-            "--port-file",
-        ])
-        .arg(port_file)
-        .stdout(Stdio::null())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("spawn butterfly serve");
-    let mut child = Reaper(child);
-    let deadline = Instant::now() + Duration::from_secs(20);
-    loop {
-        // The port file is written by rename, so any visible file holds
-        // the complete address line.
-        if let Ok(addr) = std::fs::read_to_string(port_file)
-            .unwrap_or_default()
-            .trim()
-            .parse::<SocketAddr>()
-        {
-            return (child, addr);
-        }
-        assert!(Instant::now() < deadline, "serve never wrote its port file");
-        if let Ok(Some(status)) = child.0.try_wait() {
-            panic!("serve --defense {defense} exited before binding: {status}");
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-}
-
-/// The in-process twin of [`spawn_serve`]'s flags: everything not on its
-/// command line is the CLI's default, which is `ServeConfig::default()`.
+/// The contract `serve --defense <kind>` runs in
+/// [`serve_publishes_each_defense_byte_identically_and_drains`], and its
+/// in-process oracle's: the rest is `ServeConfig::default()`, seed 0.
 fn serve_contract(kind: DefenseKind) -> ServeConfig {
     ServeConfig {
         window: 200,
@@ -207,47 +140,19 @@ fn serve_contract(kind: DefenseKind) -> ServeConfig {
 fn serve_publishes_each_defense_byte_identically_and_drains() {
     // 610 records: full at 200, then every 40 to 600, and the drain
     // flushes the last 10.
-    let records: Vec<ItemSet> = DatasetProfile::WebView1
-        .source(7)
-        .take_vec(610)
-        .into_iter()
-        .map(Transaction::into_items)
-        .collect();
+    let records = records(DatasetProfile::WebView1, 7, 610);
     for kind in DefenseKind::ALL {
         let name = kind.name();
         let cfg = serve_contract(kind);
-        let mut pipe = cfg.pipeline_for("smoke");
-        let mut expected: Vec<String> = Vec::new();
-        for items in &records {
-            pipe.advance(Transaction::new(0, items.clone()));
-            if pipe.due(cfg.every) {
-                let r = pipe.publish_now().expect("full window");
-                expected.push(release_line("smoke", r.stream_len, &r.release));
-            }
-        }
-        if let Some(r) = pipe.flush() {
-            expected.push(release_line("smoke", r.stream_len, &r.release));
-        }
+        let expected = served_lines(&mut cfg.pipeline_for("smoke"), "smoke", &records, cfg.every);
         assert_eq!(expected.len(), 12, "{name}: 11 on cadence plus the drain");
 
-        let (mut server, addr) = spawn_serve(name, &temp_path(&format!("{name}.port")));
-        let mut subscriber = Client::connect(addr).expect("subscriber connect");
-        let ack = subscriber
-            .request(&Request::Subscribe {
-                stream: "smoke".into(),
-                frame: FrameMode::Json,
-                from: None,
-            })
-            .expect("subscribe ack");
-        assert_eq!(ack.get("ok"), Some(&Json::Bool(true)), "{name}: {ack}");
-        let mut ingest = Client::connect(addr).expect("ingest connect");
+        let port_file = temp_path(&format!("{name}.port"));
+        let server = Served::spawn(BIN, &port_file, &serve_args(&cfg));
+        let mut subscriber = subscribe(server.addr, "smoke", FrameMode::Json, None);
+        let mut ingest = Client::connect(server.addr).expect("ingest connect");
         for chunk in records.chunks(61) {
-            let reply = ingest
-                .request(&Request::Ingest {
-                    stream: "smoke".into(),
-                    batch: chunk.to_vec(),
-                })
-                .expect("ingest reply");
+            let reply = harness::ingest(&mut ingest, "smoke", chunk);
             assert_eq!(
                 reply.get("accepted").and_then(Json::as_u64),
                 Some(chunk.len() as u64),
@@ -257,21 +162,9 @@ fn serve_publishes_each_defense_byte_identically_and_drains() {
         let reply = ingest.request(&Request::Shutdown).expect("shutdown reply");
         assert_eq!(reply.get("draining"), Some(&Json::Bool(true)), "{name}");
 
-        let mut received: Vec<String> = Vec::new();
-        loop {
-            let line = subscriber
-                .next_line()
-                .expect("subscriber read")
-                .expect("closed event must arrive before EOF");
-            if line.get("event").and_then(Json::as_str) == Some("closed") {
-                assert_eq!(line.to_string(), closed_event("smoke").to_string());
-                break;
-            }
-            received.push(line.to_string());
-        }
+        let received = until_closed(&mut subscriber, "smoke");
         assert_eq!(received, expected, "serve --defense {name} diverged");
-        let status = server.0.wait().expect("serve exit status");
-        assert!(status.success(), "serve --defense {name} exited {status}");
+        server.join();
     }
 }
 

@@ -9,37 +9,24 @@
 //! incarnation. A hung (stopped, not dead) node and a node sending
 //! oversized frames must cost only their own keys.
 
-use butterfly_repro::butterfly::SanitizedRelease;
+use bfly_bench::harness::{
+    self, records, serve_args, served_lines, subscribe, until_closed, wait_processed, Served,
+    TempDir,
+};
 use butterfly_repro::common::{ItemSet, Json};
 use butterfly_repro::datagen::DatasetProfile;
-use butterfly_repro::serve::protocol::{release_frame_bytes, CatchUp};
+use butterfly_repro::serve::protocol::CatchUp;
 use butterfly_repro::serve::{
-    Client, ClusterMap, FrameMode, Request, ServeConfig, ServeRole, Server,
+    Client, ClusterMap, FrameMode, Request, ServeConfig, ServeRole, Server, WalConfig,
+    WalSyncPolicy,
 };
 use std::io::{Read, Write};
 use std::net::SocketAddr;
 use std::path::Path;
-use std::process::{Child, Command, Stdio};
+use std::process::Command;
 use std::time::{Duration, Instant};
 
-/// The NDJSON `release` line a subscriber reads for one publication.
-fn release_line(stream: &str, stream_len: u64, release: &SanitizedRelease) -> String {
-    let line = release_frame_bytes(FrameMode::Json, stream, stream_len, release);
-    String::from_utf8(line.to_vec())
-        .unwrap()
-        .trim_end()
-        .to_string()
-}
-
-/// Kills the child on drop so a failing assertion never leaks a process.
-struct Reaper(Child);
-
-impl Drop for Reaper {
-    fn drop(&mut self) {
-        let _ = self.0.kill();
-        let _ = self.0.wait();
-    }
-}
+const BIN: &str = env!("CARGO_BIN_EXE_butterfly");
 
 /// The shard count every process in these clusters runs — the router's
 /// slot math (`nodes × shards`) must agree with the nodes'.
@@ -61,161 +48,48 @@ fn cluster_cfg() -> ServeConfig {
     }
 }
 
-/// Spawn one `butterfly serve` process (node or router) on an ephemeral
-/// port and block until the `--port-file` handshake delivers its address.
-fn spawn_serve(extra: &[&str], port_file: &Path) -> (Reaper, SocketAddr) {
-    let _ = std::fs::remove_file(port_file);
-    let shards = SHARDS.to_string();
-    let child = Command::new(env!("CARGO_BIN_EXE_butterfly"))
-        .args([
-            "serve",
-            "--addr",
-            "127.0.0.1:0",
-            "--shards",
-            &shards,
-            "--window",
-            "120",
-            "--min-support",
-            "15",
-            "--vulnerable",
-            "3",
-            "--epsilon",
-            "0.016",
-            "--delta",
-            "0.4",
-            "--every",
-            "10",
-            "--seed",
-            "42",
-        ])
-        .args(extra)
-        .arg("--port-file")
-        .arg(port_file)
-        .stdout(Stdio::null())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("spawn butterfly serve");
-    let mut child = Reaper(child);
-    let deadline = Instant::now() + Duration::from_secs(20);
-    let addr = loop {
-        if let Ok(mut f) = std::fs::File::open(port_file) {
-            let mut text = String::new();
-            if f.read_to_string(&mut text).is_ok() {
-                if let Ok(addr) = text.trim().parse::<SocketAddr>() {
-                    break addr;
-                }
-            }
-        }
-        assert!(Instant::now() < deadline, "serve never wrote its port file");
-        if let Ok(Some(status)) = child.0.try_wait() {
-            panic!("serve exited before binding: {status}");
-        }
-        std::thread::sleep(Duration::from_millis(10));
+/// Spawn a node process, optionally durable on `wal_dir` (every record
+/// synced).
+fn spawn_node(wal_dir: Option<&Path>, port_file: &Path) -> Served {
+    let wal = wal_dir.map(|dir| WalConfig {
+        sync: WalSyncPolicy::Always,
+        ..WalConfig::new(dir)
+    });
+    let cfg = ServeConfig {
+        wal,
+        ..cluster_cfg()
     };
-    (child, addr)
-}
-
-/// Spawn a node process, optionally durable on `wal_dir`.
-fn spawn_node(wal_dir: Option<&Path>, port_file: &Path) -> (Reaper, SocketAddr) {
-    match wal_dir {
-        Some(dir) => {
-            let dir = dir.to_str().expect("utf8 wal dir");
-            spawn_serve(&["--wal-dir", dir, "--wal-sync", "always"], port_file)
-        }
-        None => spawn_serve(&[], port_file),
-    }
+    Served::spawn(BIN, port_file, &serve_args(&cfg))
 }
 
 /// Spawn a router process over `nodes`.
-fn spawn_router(nodes: &[SocketAddr], port_file: &Path) -> (Reaper, SocketAddr) {
-    let list = nodes
-        .iter()
-        .map(|a| a.to_string())
-        .collect::<Vec<_>>()
-        .join(",");
-    spawn_serve(&["--role", "router", "--nodes", &list], port_file)
+fn spawn_router(nodes: &[SocketAddr], port_file: &Path) -> Served {
+    let cfg = ServeConfig {
+        role: ServeRole::Router,
+        nodes: nodes.to_vec(),
+        ..cluster_cfg()
+    };
+    Served::spawn(BIN, port_file, &serve_args(&cfg))
 }
 
-/// The oracle: run `records` through an in-process pipeline for `key` and
-/// return the release events (cadence releases plus the drain flush) the
-/// serve wire must reproduce — through any number of routers.
+/// The oracle: the release events (cadence releases plus the drain flush)
+/// the serve wire must reproduce for `key` — through any number of
+/// routers.
 fn expected_events(key: &str, records: &[ItemSet]) -> Vec<String> {
     let cfg = cluster_cfg();
-    let mut pipe = cfg.pipeline_for(key);
-    let mut events = Vec::new();
-    for items in records {
-        pipe.advance(butterfly_repro::common::Transaction::new(0, items.clone()));
-        if pipe.due(cfg.every) {
-            let r = pipe.publish_now().expect("full window");
-            events.push(release_line(key, r.stream_len, &r.release));
-        }
-    }
-    if let Some(r) = pipe.flush() {
-        events.push(release_line(key, r.stream_len, &r.release));
-    }
-    events
-}
-
-/// Sum `processed` across every *reachable* node in a router `stats` reply.
-fn cluster_processed(stats: &Json) -> u64 {
-    stats
-        .get("nodes")
-        .and_then(Json::as_array)
-        .expect("router stats carry a nodes array")
-        .iter()
-        .filter(|n| n.get("ok") == Some(&Json::Bool(true)))
-        .flat_map(|n| {
-            n.get("stats")
-                .and_then(|s| s.get("per_shard"))
-                .and_then(Json::as_array)
-                .into_iter()
-                .flatten()
-        })
-        .map(|s| s.get("processed").and_then(Json::as_u64).unwrap_or(0))
-        .sum()
-}
-
-/// Block until the cluster behind `control` has processed `want` records.
-fn wait_cluster_processed(control: &mut Client, want: u64) {
-    let deadline = Instant::now() + Duration::from_secs(20);
-    loop {
-        let stats = control.request(&Request::Stats).expect("router stats");
-        let processed = cluster_processed(&stats);
-        if processed >= want {
-            return;
-        }
-        assert!(Instant::now() < deadline, "stuck at {processed}/{want}");
-        std::thread::sleep(Duration::from_millis(5));
-    }
-}
-
-/// Drain a subscriber until its stream's `closed` event, collecting the
-/// release events as canonical JSON strings.
-fn collect_until_closed(sub: &mut Client) -> Vec<String> {
-    let mut received = Vec::new();
-    loop {
-        let event = sub
-            .next_event()
-            .expect("subscriber read")
-            .expect("closed event before EOF");
-        if event.get("event").and_then(Json::as_str) == Some("closed") {
-            break;
-        }
-        received.push(event.to_string());
-    }
-    received
+    served_lines(&mut cfg.pipeline_for(key), key, records, cfg.every)
 }
 
 /// Threads the process currently runs (`/proc/<pid>/task`).
-fn thread_count(proc: &Reaper) -> usize {
-    std::fs::read_dir(format!("/proc/{}/task", proc.0.id()))
+fn thread_count(proc: &Served) -> usize {
+    std::fs::read_dir(format!("/proc/{}/task", proc.pid()))
         .expect("read /proc/<pid>/task")
         .count()
 }
 
 /// CPU the process has used so far, in clock ticks (`utime + stime`).
-fn cpu_ticks(proc: &Reaper) -> u64 {
-    let stat = std::fs::read_to_string(format!("/proc/{}/stat", proc.0.id())).expect("stat");
+fn cpu_ticks(proc: &Served) -> u64 {
+    let stat = std::fs::read_to_string(format!("/proc/{}/stat", proc.pid())).expect("stat");
     // Fields after `(comm)`: state is field 3, utime 14, stime 15.
     let fields: Vec<&str> = stat
         .rsplit(')')
@@ -227,9 +101,9 @@ fn cpu_ticks(proc: &Reaper) -> u64 {
 }
 
 /// Deliver `signal` (e.g. `"-STOP"`) to the process.
-fn signal(proc: &Reaper, signal: &str) {
+fn signal(proc: &Served, signal: &str) {
     let status = Command::new("kill")
-        .args([signal, &proc.0.id().to_string()])
+        .args([signal, &proc.pid().to_string()])
         .status()
         .expect("run kill");
     assert!(status.success(), "kill {signal} failed");
@@ -238,10 +112,10 @@ fn signal(proc: &Reaper, signal: &str) {
 /// SIGSTOP the process and wait until every one of its threads is stopped:
 /// `kill` returns once the signal is queued, and until the thread that
 /// takes it stops the rest, they keep serving.
-fn stop(proc: &Reaper) {
+fn stop(proc: &Served) {
     signal(proc, "-STOP");
     let all_stopped = || {
-        std::fs::read_dir(format!("/proc/{}/task", proc.0.id()))
+        std::fs::read_dir(format!("/proc/{}/task", proc.pid()))
             .expect("read /proc/<pid>/task")
             .all(|task| {
                 let stat = std::fs::read_to_string(task.expect("task").path().join("stat"))
@@ -262,12 +136,7 @@ fn stop(proc: &Reaper) {
 }
 
 fn records_for(seed: u64, n: usize) -> Vec<ItemSet> {
-    DatasetProfile::WebView1
-        .source(seed)
-        .take_vec(n)
-        .into_iter()
-        .map(|t| t.into_items())
-        .collect()
+    records(DatasetProfile::WebView1, seed, n)
 }
 
 /// Two nodes behind a router, four stream keys, live subscribers attached
@@ -276,12 +145,14 @@ fn records_for(seed: u64, n: usize) -> Vec<ItemSet> {
 /// must expose the cluster shape and per-node forwarding ledger.
 #[test]
 fn router_streams_byte_identical_to_in_process() {
-    let tag = format!("bfly-fed-live-{}", std::process::id());
-    let pf = |name: &str| std::env::temp_dir().join(format!("{tag}-{name}.port"));
+    let tmp = TempDir::new("bfly-fed-live");
+    let pf = |name: &str| tmp.join(&format!("{name}.port"));
 
-    let (_node_a, addr_a) = spawn_node(None, &pf("a"));
-    let (_node_b, addr_b) = spawn_node(None, &pf("b"));
-    let (router, router_addr) = spawn_router(&[addr_a, addr_b], &pf("r"));
+    let node_a = spawn_node(None, &pf("a"));
+    let node_b = spawn_node(None, &pf("b"));
+    let (addr_a, addr_b) = (node_a.addr, node_b.addr);
+    let router = spawn_router(&[addr_a, addr_b], &pf("r"));
+    let router_addr = router.addr;
     let idle_threads = thread_count(&router);
 
     // Keys chosen blind — placement decides ownership. Assert up front the
@@ -295,18 +166,7 @@ fn router_streams_byte_identical_to_in_process() {
 
     let mut subs: Vec<Client> = keys
         .iter()
-        .map(|&key| {
-            let mut sub = Client::connect(router_addr).expect("subscriber connect");
-            let ack = sub
-                .request(&Request::Subscribe {
-                    stream: key.into(),
-                    frame: FrameMode::Json,
-                    from: None,
-                })
-                .expect("subscribe ack through router");
-            assert_eq!(ack.get("ok"), Some(&Json::Bool(true)), "got {ack}");
-            sub
-        })
+        .map(|&key| subscribe(router_addr, key, FrameMode::Json, None))
         .collect();
 
     let mut client = Client::connect(router_addr).expect("ingest connect");
@@ -314,12 +174,7 @@ fn router_streams_byte_identical_to_in_process() {
         .map(|i| records_for(13 + i as u64, 205))
         .collect();
     for (key, records) in keys.iter().zip(&per_key) {
-        let reply = client
-            .request(&Request::Ingest {
-                stream: (*key).into(),
-                batch: records.clone(),
-            })
-            .expect("ingest through router");
+        let reply = harness::ingest(&mut client, key, records);
         assert_eq!(
             reply.get("accepted").and_then(Json::as_u64),
             Some(205),
@@ -359,17 +214,14 @@ fn router_streams_byte_identical_to_in_process() {
     // its node's final releases and `closed` through the relay.
     client.request(&Request::Shutdown).expect("shutdown reply");
     for (key, (sub, records)) in keys.iter().zip(subs.iter_mut().zip(&per_key)) {
-        let received = collect_until_closed(sub);
+        let received = until_closed(sub, key);
         assert_eq!(
             received,
             expected_events(key, records),
             "stream {key} through the router diverged from the oracle"
         );
     }
-
-    let mut router = router;
-    let status = router.0.wait().expect("router exit");
-    assert!(status.success(), "router exited {status}");
+    router.join();
 }
 
 /// Kill one node mid-run: ingest for its keys must answer with an explicit
@@ -379,17 +231,15 @@ fn router_streams_byte_identical_to_in_process() {
 /// replay the dead node's WAL and serve its stream byte-identically too.
 #[test]
 fn kill_one_node_survivor_identical_and_wal_rejoin() {
-    let tag = format!("bfly-fed-kill-{}", std::process::id());
-    let tmp = std::env::temp_dir();
-    let wal_a = tmp.join(format!("{tag}-wal-a"));
-    let wal_b = tmp.join(format!("{tag}-wal-b"));
-    let _ = std::fs::remove_dir_all(&wal_a);
-    let _ = std::fs::remove_dir_all(&wal_b);
-    let pf = |name: &str| tmp.join(format!("{tag}-{name}.port"));
+    let tmp = TempDir::new("bfly-fed-kill");
+    let (wal_a, wal_b) = (tmp.join("wal-a"), tmp.join("wal-b"));
+    let pf = |name: &str| tmp.join(&format!("{name}.port"));
 
-    let (node_a, addr_a) = spawn_node(Some(&wal_a), &pf("a"));
-    let (node_b, addr_b) = spawn_node(Some(&wal_b), &pf("b"));
-    let (router, router_addr) = spawn_router(&[addr_a, addr_b], &pf("r"));
+    let node_a = spawn_node(Some(&wal_a), &pf("a"));
+    let node_b = spawn_node(Some(&wal_b), &pf("b"));
+    let (addr_a, addr_b) = (node_a.addr, node_b.addr);
+    let router = spawn_router(&[addr_a, addr_b], &pf("r"));
+    let router_addr = router.addr;
 
     // One tracked key per node: the victim key lives on node B (killed
     // mid-run), the survivor key on node A.
@@ -414,14 +264,9 @@ fn kill_one_node_survivor_identical_and_wal_rejoin() {
         (&victim_key, &victim_records),
         (&survivor_key, &survivor_records),
     ] {
-        client
-            .request(&Request::Ingest {
-                stream: key.clone(),
-                batch: records[..155].to_vec(),
-            })
-            .expect("phase-1 ingest");
+        harness::ingest(&mut client, key, &records[..155]);
     }
-    wait_cluster_processed(&mut client, 310);
+    wait_processed(&mut client, 310);
     // Each node's log counters reach the merged stats whole, the bytes its
     // snapshots took among them, so a cluster total is the nodes' sum.
     let stats = client.request(&Request::Stats).expect("router stats");
@@ -435,28 +280,19 @@ fn kill_one_node_survivor_identical_and_wal_rejoin() {
         let appended = wal(node, "bytes_appended").expect("bytes_appended");
         assert!(0 < snapshots && snapshots < appended, "got {stats}");
     }
-    drop(node_b); // Reaper: SIGKILL, no drain.
+    drop(node_b); // SIGKILL, no drain.
 
     // The survivor's remaining records sail through...
-    let reply = client
-        .request(&Request::Ingest {
-            stream: survivor_key.clone(),
-            batch: survivor_records[155..].to_vec(),
-        })
-        .expect("survivor ingest");
+    let reply = harness::ingest(&mut client, &survivor_key, &survivor_records[155..]);
     assert_eq!(
         reply.get("accepted").and_then(Json::as_u64),
         Some(50),
         "got {reply}"
     );
     // ...while the victim's keys answer with explicit unavailability (the
-    // router's retry + connect both fail, so this takes one round trip).
-    let reply = client
-        .request(&Request::Ingest {
-            stream: victim_key.clone(),
-            batch: victim_records[155..].to_vec(),
-        })
-        .expect("victim ingest gets an error reply, not a hang");
+    // router's retry + connect both fail, so this takes one round trip,
+    // an error reply and not a hang).
+    let reply = harness::ingest(&mut client, &victim_key, &victim_records[155..]);
     let err = reply
         .get("error")
         .and_then(Json::as_str)
@@ -477,33 +313,26 @@ fn kill_one_node_survivor_identical_and_wal_rejoin() {
     // live drain for the flush — must be byte-identical to the oracle, as
     // if the kill never happened. Only node A is reachable now, so the
     // cluster total is its 205.
-    wait_cluster_processed(&mut client, 205);
-    let mut sub = Client::connect(router_addr).expect("subscriber connect");
-    let ack = sub
-        .request(&Request::Subscribe {
-            stream: survivor_key.clone(),
-            frame: FrameMode::Json,
-            from: Some(CatchUp::Earliest),
-        })
-        .expect("subscribe ack through router");
-    assert_eq!(ack.get("ok"), Some(&Json::Bool(true)), "got {ack}");
+    wait_processed(&mut client, 205);
+    let from = Some(CatchUp::Earliest);
+    let mut sub = subscribe(router_addr, &survivor_key, FrameMode::Json, from);
     client.request(&Request::Shutdown).expect("shutdown reply");
     assert_eq!(
-        collect_until_closed(&mut sub),
+        until_closed(&mut sub, &survivor_key),
         expected_events(&survivor_key, &survivor_records),
         "survivor stream diverged after the kill"
     );
-    let mut router = router;
-    let status = router.0.wait().expect("router exit");
-    assert!(status.success(), "router exited {status}");
+    router.join();
     drop(node_a); // drained via the forwarded shutdown; reap.
 
     // Next incarnation: fresh ports, same WAL dirs. Node B must replay the
     // four publications it logged before dying, and its stream — finished
     // through the new router — must match the oracle byte for byte.
-    let (_node_a2, addr_a2) = spawn_node(Some(&wal_a), &pf("a2"));
-    let (_node_b2, addr_b2) = spawn_node(Some(&wal_b), &pf("b2"));
-    let (_router2, router_addr) = spawn_router(&[addr_a2, addr_b2], &pf("r2"));
+    let node_a2 = spawn_node(Some(&wal_a), &pf("a2"));
+    let node_b2 = spawn_node(Some(&wal_b), &pf("b2"));
+    let (addr_a2, addr_b2) = (node_a2.addr, node_b2.addr);
+    let router2 = spawn_router(&[addr_a2, addr_b2], &pf("r2"));
+    let router_addr = router2.addr;
     let map = ClusterMap::federated(1, vec![addr_a2, addr_b2], SHARDS);
     assert_eq!(
         map.owner_of(&victim_key).node,
@@ -523,33 +352,18 @@ fn kill_one_node_survivor_identical_and_wal_rejoin() {
         "node B must replay the publications at 120…150: {stats}"
     );
 
-    client
-        .request(&Request::Ingest {
-            stream: victim_key.clone(),
-            batch: victim_records[155..].to_vec(),
-        })
-        .expect("victim ingest after rejoin");
+    harness::ingest(&mut client, &victim_key, &victim_records[155..]);
     // Fresh processes, fresh counters: the 50 rejoin records are all the
     // new incarnation counts.
-    wait_cluster_processed(&mut client, 50);
-    let mut sub = Client::connect(router_addr).expect("subscriber connect");
-    let ack = sub
-        .request(&Request::Subscribe {
-            stream: victim_key.clone(),
-            frame: FrameMode::Json,
-            from: Some(CatchUp::Earliest),
-        })
-        .expect("subscribe ack through new router");
-    assert_eq!(ack.get("ok"), Some(&Json::Bool(true)), "got {ack}");
+    wait_processed(&mut client, 50);
+    let from = Some(CatchUp::Earliest);
+    let mut sub = subscribe(router_addr, &victim_key, FrameMode::Json, from);
     client.request(&Request::Shutdown).expect("shutdown reply");
     assert_eq!(
-        collect_until_closed(&mut sub),
+        until_closed(&mut sub, &victim_key),
         expected_events(&victim_key, &victim_records),
         "victim stream diverged across the kill + WAL rejoin"
     );
-
-    let _ = std::fs::remove_dir_all(&wal_a);
-    let _ = std::fs::remove_dir_all(&wal_b);
 }
 
 /// Whatever answers at a node's address is input, not trust: a fake node
@@ -589,12 +403,7 @@ fn a_node_sending_oversized_frames_is_unavailable_not_buffered() {
     let mut client = Client::connect(router.local_addr()).expect("connect router");
     for _ in 0..2 {
         let start = Instant::now();
-        let reply = client
-            .request(&Request::Ingest {
-                stream: "k".into(),
-                batch: records_for(3, 4),
-            })
-            .expect("ingest reply");
+        let reply = harness::ingest(&mut client, "k", &records_for(3, 4));
         let err = reply
             .get("error")
             .and_then(Json::as_str)
@@ -622,12 +431,14 @@ fn a_node_sending_oversized_frames_is_unavailable_not_buffered() {
 #[test]
 fn a_hung_node_times_out_its_own_keys_and_stalls_no_one_else() {
     const FORWARD_TIMEOUT: Duration = Duration::from_secs(5);
-    let tag = format!("bfly-fed-hung-{}", std::process::id());
-    let pf = |name: &str| std::env::temp_dir().join(format!("{tag}-{name}.port"));
+    let tmp = TempDir::new("bfly-fed-hung");
+    let pf = |name: &str| tmp.join(&format!("{name}.port"));
 
-    let (_node_a, addr_a) = spawn_node(None, &pf("a"));
-    let (node_b, addr_b) = spawn_node(None, &pf("b"));
-    let (router, router_addr) = spawn_router(&[addr_a, addr_b], &pf("r"));
+    let node_a = spawn_node(None, &pf("a"));
+    let node_b = spawn_node(None, &pf("b"));
+    let (addr_a, addr_b) = (node_a.addr, node_b.addr);
+    let router = spawn_router(&[addr_a, addr_b], &pf("r"));
+    let router_addr = router.addr;
     let map = ClusterMap::federated(1, vec![addr_a, addr_b], SHARDS);
     let key_on = |node: usize| {
         (0..32)
@@ -639,12 +450,7 @@ fn a_hung_node_times_out_its_own_keys_and_stalls_no_one_else() {
     let records = records_for(21, 20);
     let ingest = move |client: &mut Client, key: &str| -> (Json, Duration) {
         let start = Instant::now();
-        let reply = client
-            .request(&Request::Ingest {
-                stream: key.into(),
-                batch: records.clone(),
-            })
-            .expect("ingest reply");
+        let reply = harness::ingest(client, key, &records);
         (reply, start.elapsed())
     };
     let accepted = |reply: &Json| reply.get("accepted").and_then(Json::as_u64) == Some(20);

@@ -2,23 +2,17 @@
 //! determinism (a TCP round trip is bit-identical to an in-process run),
 //! overload shedding, graceful drain, and wire-protocol edge cases.
 
-use butterfly_repro::butterfly::SanitizedRelease;
+use bfly_bench::harness::{
+    self, cadence, records, release_line, served_lines, subscribe, until_closed, wait_processed,
+    TempDir,
+};
 use butterfly_repro::common::{BinaryFrame, ItemSet, Json};
 use butterfly_repro::datagen::DatasetProfile;
-use butterfly_repro::serve::protocol::{closed_event, release_frame_bytes, SubscriberState};
+use butterfly_repro::serve::protocol::{closed_event, SubscriberState};
 use butterfly_repro::serve::{
     Client, ClusterMap, FrameMode, Request, ServeConfig, ServeRole, Server,
 };
 use std::io::{BufRead, BufReader, Write};
-
-/// The NDJSON `release` line a subscriber reads for one publication.
-fn release_line(stream: &str, stream_len: u64, release: &SanitizedRelease) -> String {
-    let line = release_frame_bytes(FrameMode::Json, stream, stream_len, release);
-    String::from_utf8(line.to_vec())
-        .unwrap()
-        .trim_end()
-        .to_string()
-}
 
 fn feasible_cfg() -> ServeConfig {
     ServeConfig {
@@ -43,65 +37,28 @@ fn feasible_cfg() -> ServeConfig {
 #[test]
 fn network_releases_bit_identical_to_in_process() {
     let cfg = feasible_cfg();
-    let records: Vec<ItemSet> = DatasetProfile::WebView1
-        .source(5)
-        .take_vec(130)
-        .into_iter()
-        .map(|t| t.into_items())
-        .collect();
+    let records = records(DatasetProfile::WebView1, 5, 130);
 
     // In-process reference run, through the exact construction path the
     // shard workers use.
-    let mut pipe = cfg.pipeline_for("alpha");
-    let mut expected: Vec<String> = Vec::new();
-    for items in &records {
-        pipe.advance(butterfly_repro::common::Transaction::new(0, items.clone()));
-        if pipe.due(cfg.every) {
-            let r = pipe.publish_now().expect("full window");
-            expected.push(release_line("alpha", r.stream_len, &r.release));
-        }
-    }
-    if let Some(r) = pipe.flush() {
-        expected.push(release_line("alpha", r.stream_len, &r.release));
-    }
+    let expected = served_lines(&mut cfg.pipeline_for("alpha"), "alpha", &records, cfg.every);
     assert_eq!(expected.len(), 2, "cadence at 120 plus drain flush at 130");
 
     // The same records over TCP, with a second tenant interleaved.
     let server = Server::bind("127.0.0.1:0", cfg).expect("bind");
     let addr = server.local_addr();
-    let mut subscriber = Client::connect(addr).expect("subscriber connect");
-    let ack = subscriber
-        .request(&Request::Subscribe {
-            stream: "alpha".into(),
-            frame: FrameMode::Json,
-            from: None,
-        })
-        .expect("subscribe ack");
-    assert_eq!(ack.get("ok"), Some(&Json::Bool(true)));
+    let mut subscriber = subscribe(addr, "alpha", FrameMode::Json, None);
 
     let mut ingest = Client::connect(addr).expect("ingest connect");
-    let mut beta_source = DatasetProfile::Pos.source(9);
-    for chunk in records.chunks(25) {
-        let reply = ingest
-            .request(&Request::Ingest {
-                stream: "alpha".into(),
-                batch: chunk.to_vec(),
-            })
-            .expect("ingest reply");
+    let beta = harness::records(DatasetProfile::Pos, 9, 10 * records.chunks(25).len());
+    for (chunk, beta_batch) in records.chunks(25).zip(beta.chunks(10)) {
+        let reply = harness::ingest(&mut ingest, "alpha", chunk);
         assert_eq!(
             reply.get("accepted").and_then(Json::as_u64),
             Some(chunk.len() as u64),
             "no shedding expected at default queue caps: {reply}"
         );
-        let beta_batch: Vec<ItemSet> = (0..10)
-            .map(|_| beta_source.next_transaction().into_items())
-            .collect();
-        let reply = ingest
-            .request(&Request::Ingest {
-                stream: "beta".into(),
-                batch: beta_batch,
-            })
-            .expect("beta ingest reply");
+        let reply = harness::ingest(&mut ingest, "beta", beta_batch);
         assert_eq!(reply.get("ok"), Some(&Json::Bool(true)));
     }
     let reply = ingest.request(&Request::Shutdown).expect("shutdown reply");
@@ -109,18 +66,7 @@ fn network_releases_bit_identical_to_in_process() {
 
     // Drain the subscriber to the closed event; everything before it must
     // match the reference run byte for byte.
-    let mut received: Vec<String> = Vec::new();
-    loop {
-        let line = subscriber
-            .next_line()
-            .expect("subscriber read")
-            .expect("closed event must arrive before EOF");
-        if line.get("event").and_then(Json::as_str) == Some("closed") {
-            assert_eq!(line.to_string(), closed_event("alpha").to_string());
-            break;
-        }
-        received.push(line.to_string());
-    }
+    let received = until_closed(&mut subscriber, "alpha");
     assert_eq!(received, expected, "network run diverged from in-process");
     server.join();
 }
@@ -138,27 +84,16 @@ fn mid_stream_subscriber_reconstructs_from_snapshot_and_deltas() {
         shards: 1,
         ..feasible_cfg()
     };
-    let records: Vec<ItemSet> = DatasetProfile::WebView1
-        .source(7)
-        .take_vec(200)
-        .into_iter()
-        .map(|t| t.into_items())
-        .collect();
+    let records = records(DatasetProfile::WebView1, 7, 200);
 
     // In-process reference: publications at stream_len 120, 130, …, 200.
     let mut pipe = cfg.pipeline_for("alpha");
-    let mut final_release_line = None;
-    for items in &records {
-        pipe.advance(butterfly_repro::common::Transaction::new(0, items.clone()));
-        if pipe.due(cfg.every) {
-            let r = pipe.publish_now().expect("full window");
-            final_release_line = Some(release_line("alpha", r.stream_len, &r.release));
-        }
-    }
+    let released = cadence(&mut pipe, &records, cfg.every);
     assert!(pipe.flush().is_none(), "200 lands on the cadence exactly");
+    let last = released.last().expect("9 publications");
     let mut oracle = SubscriberState::new();
     oracle
-        .observe(&Json::parse(&final_release_line.expect("9 publications")).unwrap())
+        .observe(&Json::parse(&release_line("alpha", last.stream_len, &last.release)).unwrap())
         .unwrap();
     assert_eq!(oracle.stream_len(), Some(200));
 
@@ -166,56 +101,20 @@ fn mid_stream_subscriber_reconstructs_from_snapshot_and_deltas() {
     let addr = server.local_addr();
 
     // Subscriber A is present from the start and sees every event.
-    let mut early = Client::connect(addr).expect("early connect");
-    early
-        .request(&Request::Subscribe {
-            stream: "alpha".into(),
-            frame: FrameMode::Json,
-            from: None,
-        })
-        .expect("early subscribe");
+    let mut early = subscribe(addr, "alpha", FrameMode::Json, None);
 
     // Ingest 135 records and wait until the shard has fully processed them
     // (publications at 120 and 130 are fanned out before anyone else joins).
     let mut ingest = Client::connect(addr).expect("ingest connect");
-    ingest
-        .request(&Request::Ingest {
-            stream: "alpha".into(),
-            batch: records[..135].to_vec(),
-        })
-        .expect("first ingest");
-    loop {
-        let stats = ingest.request(&Request::Stats).expect("stats");
-        let processed: u64 = stats
-            .get("per_shard")
-            .and_then(Json::as_array)
-            .expect("per_shard")
-            .iter()
-            .map(|s| s.get("processed").and_then(Json::as_u64).unwrap_or(0))
-            .sum();
-        if processed >= 135 {
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(2));
-    }
+    harness::ingest(&mut ingest, "alpha", &records[..135]);
+    wait_processed(&mut ingest, 135);
 
     // Subscriber B joins mid-stream: it has missed the snapshot at 120 and
     // the delta at 130, and will first see the deltas at 140 and 150 —
     // unusable — then the snapshot at 160.
-    let mut late = Client::connect(addr).expect("late connect");
-    late.request(&Request::Subscribe {
-        stream: "alpha".into(),
-        frame: FrameMode::Json,
-        from: None,
-    })
-    .expect("late subscribe");
+    let mut late = subscribe(addr, "alpha", FrameMode::Json, None);
 
-    ingest
-        .request(&Request::Ingest {
-            stream: "alpha".into(),
-            batch: records[135..].to_vec(),
-        })
-        .expect("second ingest");
+    harness::ingest(&mut ingest, "alpha", &records[135..]);
     ingest.request(&Request::Shutdown).expect("shutdown");
 
     let drain = |client: &mut Client| -> SubscriberState {
@@ -257,42 +156,18 @@ fn mid_stream_subscriber_reconstructs_from_snapshot_and_deltas() {
 /// run (noise comes from the config seed, not from process state).
 #[test]
 fn same_seed_reproduces_across_server_instances() {
-    let records: Vec<ItemSet> = DatasetProfile::Pos
-        .source(11)
-        .take_vec(130)
-        .into_iter()
-        .map(|t| t.into_items())
-        .collect();
+    let records = records(DatasetProfile::Pos, 11, 130);
     let run = |seed: u64| -> Vec<String> {
         let cfg = ServeConfig {
             seed,
             ..feasible_cfg()
         };
         let server = Server::bind("127.0.0.1:0", cfg).expect("bind");
-        let mut sub = Client::connect(server.local_addr()).expect("connect");
-        sub.request(&Request::Subscribe {
-            stream: "s".into(),
-            frame: FrameMode::Json,
-            from: None,
-        })
-        .expect("subscribe");
+        let mut sub = subscribe(server.local_addr(), "s", FrameMode::Json, None);
         let mut ingest = Client::connect(server.local_addr()).expect("connect");
-        ingest
-            .request(&Request::Ingest {
-                stream: "s".into(),
-                batch: records.clone(),
-            })
-            .expect("ingest");
+        harness::ingest(&mut ingest, "s", &records);
         ingest.request(&Request::Shutdown).expect("shutdown");
-        let mut lines = Vec::new();
-        loop {
-            let line = sub.next_line().expect("read").expect("closed before EOF");
-            let closed = line.get("event").and_then(Json::as_str) == Some("closed");
-            lines.push(line.to_string());
-            if closed {
-                break;
-            }
-        }
+        let lines = until_closed(&mut sub, "s");
         server.join();
         lines
     };
@@ -308,26 +183,8 @@ fn same_seed_reproduces_across_server_instances() {
 fn subscriber_issuing_shutdown_still_receives_drain_events() {
     let cfg = feasible_cfg();
     let server = Server::bind("127.0.0.1:0", cfg).expect("bind");
-    let mut client = Client::connect(server.local_addr()).expect("connect");
-    client
-        .request(&Request::Subscribe {
-            stream: "s".into(),
-            frame: FrameMode::Json,
-            from: None,
-        })
-        .expect("subscribe ack");
-    let batch: Vec<ItemSet> = DatasetProfile::Pos
-        .source(13)
-        .take_vec(60)
-        .into_iter()
-        .map(|t| t.into_items())
-        .collect();
-    client
-        .request(&Request::Ingest {
-            stream: "s".into(),
-            batch,
-        })
-        .expect("ingest reply");
+    let mut client = subscribe(server.local_addr(), "s", FrameMode::Json, None);
+    harness::ingest(&mut client, "s", &records(DatasetProfile::Pos, 13, 60));
     let reply = client.request(&Request::Shutdown).expect("shutdown reply");
     assert_eq!(reply.get("draining"), Some(&Json::Bool(true)));
     // 60 records never fill the 120-window, so the drain publishes nothing —
@@ -359,21 +216,12 @@ fn overload_sheds_explicitly_with_accurate_accounting() {
     };
     let server = Server::bind("127.0.0.1:0", cfg).expect("bind");
     let mut client = Client::connect(server.local_addr()).expect("connect");
-    let mut source = DatasetProfile::Pos.source(21);
     let mut accepted = 0u64;
     let mut shed = 0u64;
     let mut saw_overloaded = false;
     let sent: u64 = 4 * 256;
-    for _ in 0..4 {
-        let batch: Vec<ItemSet> = (0..256)
-            .map(|_| source.next_transaction().into_items())
-            .collect();
-        let reply = client
-            .request(&Request::Ingest {
-                stream: "hot".into(),
-                batch,
-            })
-            .expect("ingest reply");
+    for batch in records(DatasetProfile::Pos, 21, 4 * 256).chunks(256) {
+        let reply = harness::ingest(&mut client, "hot", batch);
         accepted += reply
             .get("accepted")
             .and_then(Json::as_u64)
@@ -423,29 +271,12 @@ fn overload_sheds_explicitly_with_accurate_accounting() {
 fn bind_overrides_one_streams_defense_before_first_ingest() {
     use butterfly_repro::butterfly::DefenseKind;
     let cfg = feasible_cfg();
-    let records: Vec<ItemSet> = DatasetProfile::WebView1
-        .source(5)
-        .take_vec(130)
-        .into_iter()
-        .map(|t| t.into_items())
-        .collect();
+    let records = records(DatasetProfile::WebView1, 5, 130);
 
     // In-process references: "alpha" under the bound suppression defense,
     // "beta" under the config default (Butterfly).
     let replay = |key: &str, kind: DefenseKind| -> Vec<String> {
-        let mut pipe = cfg.pipeline_with(key, kind);
-        let mut lines = Vec::new();
-        for items in &records {
-            pipe.advance(butterfly_repro::common::Transaction::new(0, items.clone()));
-            if pipe.due(cfg.every) {
-                let r = pipe.publish_now().expect("full window");
-                lines.push(release_line(key, r.stream_len, &r.release));
-            }
-        }
-        if let Some(r) = pipe.flush() {
-            lines.push(release_line(key, r.stream_len, &r.release));
-        }
-        lines
+        served_lines(&mut cfg.pipeline_with(key, kind), key, &records, cfg.every)
     };
     let expected_alpha = replay("alpha", DefenseKind::Suppression);
     let expected_beta = replay("beta", cfg.defense.kind);
@@ -466,44 +297,16 @@ fn bind_overrides_one_streams_defense_before_first_ingest() {
     assert_eq!(ack.get("ok"), Some(&Json::Bool(true)), "got {ack}");
     assert_eq!(ack.get("defense").and_then(Json::as_str), Some("suppress"));
 
-    let subscribe = |key: &str| -> Client {
-        let mut c = Client::connect(addr).expect("subscriber connect");
-        c.request(&Request::Subscribe {
-            stream: key.into(),
-            frame: FrameMode::Json,
-            from: None,
-        })
-        .expect("subscribe ack");
-        c
-    };
-    let mut sub_alpha = subscribe("alpha");
-    let mut sub_beta = subscribe("beta");
+    let mut sub_alpha = subscribe(addr, "alpha", FrameMode::Json, None);
+    let mut sub_beta = subscribe(addr, "beta", FrameMode::Json, None);
 
     for key in ["alpha", "beta"] {
-        let reply = control
-            .request(&Request::Ingest {
-                stream: key.into(),
-                batch: records.clone(),
-            })
-            .expect("ingest reply");
+        let reply = harness::ingest(&mut control, key, &records);
         assert_eq!(reply.get("ok"), Some(&Json::Bool(true)));
     }
 
     // Both streams are active now: re-binding either must be refused.
-    loop {
-        let stats = control.request(&Request::Stats).expect("stats");
-        let processed: u64 = stats
-            .get("per_shard")
-            .and_then(Json::as_array)
-            .expect("per_shard")
-            .iter()
-            .map(|s| s.get("processed").and_then(Json::as_u64).unwrap_or(0))
-            .sum();
-        if processed >= 2 * records.len() as u64 {
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(2));
-    }
+    wait_processed(&mut control, 2 * records.len() as u64);
     let refused = control
         .request(&Request::Bind {
             stream: "alpha".into(),
@@ -520,23 +323,13 @@ fn bind_overrides_one_streams_defense_before_first_ingest() {
     );
 
     control.request(&Request::Shutdown).expect("shutdown");
-    let drain = |client: &mut Client| -> Vec<String> {
-        let mut lines = Vec::new();
-        loop {
-            let line = client.next_line().expect("read").expect("closed first");
-            if line.get("event").and_then(Json::as_str) == Some("closed") {
-                return lines;
-            }
-            lines.push(line.to_string());
-        }
-    };
     assert_eq!(
-        drain(&mut sub_alpha),
+        until_closed(&mut sub_alpha, "alpha"),
         expected_alpha,
         "bound stream diverged from the in-process suppression replay"
     );
     assert_eq!(
-        drain(&mut sub_beta),
+        until_closed(&mut sub_beta, "beta"),
         expected_beta,
         "unbound stream must keep the config default defense"
     );
@@ -552,57 +345,20 @@ fn bind_overrides_one_streams_defense_before_first_ingest() {
 #[test]
 fn binary_and_json_subscribers_see_identical_releases() {
     let cfg = feasible_cfg();
-    let records: Vec<ItemSet> = DatasetProfile::WebView1
-        .source(5)
-        .take_vec(130)
-        .into_iter()
-        .map(|t| t.into_items())
-        .collect();
-
-    let mut pipe = cfg.pipeline_for("alpha");
-    let mut expected: Vec<String> = Vec::new();
-    for items in &records {
-        pipe.advance(butterfly_repro::common::Transaction::new(0, items.clone()));
-        if pipe.due(cfg.every) {
-            let r = pipe.publish_now().expect("full window");
-            expected.push(release_line("alpha", r.stream_len, &r.release));
-        }
-    }
-    if let Some(r) = pipe.flush() {
-        expected.push(release_line("alpha", r.stream_len, &r.release));
-    }
+    let records = records(DatasetProfile::WebView1, 5, 130);
+    let expected = served_lines(&mut cfg.pipeline_for("alpha"), "alpha", &records, cfg.every);
     assert_eq!(expected.len(), 2, "cadence at 120 plus drain flush at 130");
 
     let server = Server::bind("127.0.0.1:0", cfg).expect("bind");
     let addr = server.local_addr();
-    let mut sub_json = Client::connect(addr).expect("json subscriber");
-    sub_json
-        .request(&Request::Subscribe {
-            stream: "alpha".into(),
-            frame: FrameMode::Json,
-            from: None,
-        })
-        .expect("json subscribe ack");
-    let mut sub_bin = Client::connect(addr).expect("binary subscriber");
-    let ack = sub_bin
-        .request(&Request::Subscribe {
-            stream: "alpha".into(),
-            frame: FrameMode::Binary,
-            from: None,
-        })
-        .expect("binary subscribe ack");
-    assert_eq!(ack.get("ok"), Some(&Json::Bool(true)), "got {ack}");
+    let mut sub_json = subscribe(addr, "alpha", FrameMode::Json, None);
+    let mut sub_bin = subscribe(addr, "alpha", FrameMode::Binary, None);
 
     // Ingest over binary frames: same records, length-prefixed encoding.
     let mut ingest = Client::connect(addr).expect("ingest connect");
     ingest.set_frame(FrameMode::Binary);
     for chunk in records.chunks(40) {
-        let reply = ingest
-            .request(&Request::Ingest {
-                stream: "alpha".into(),
-                batch: chunk.to_vec(),
-            })
-            .expect("binary ingest reply");
+        let reply = harness::ingest(&mut ingest, "alpha", chunk);
         assert_eq!(
             reply.get("accepted").and_then(Json::as_u64),
             Some(chunk.len() as u64),
@@ -611,27 +367,13 @@ fn binary_and_json_subscribers_see_identical_releases() {
     }
     ingest.request(&Request::Shutdown).expect("shutdown reply");
 
-    let drain = |client: &mut Client| -> Vec<String> {
-        let mut lines = Vec::new();
-        loop {
-            let ev = client
-                .next_event()
-                .expect("subscriber read")
-                .expect("closed event must arrive before EOF");
-            if ev.get("event").and_then(Json::as_str) == Some("closed") {
-                assert_eq!(ev.to_string(), closed_event("alpha").to_string());
-                return lines;
-            }
-            lines.push(ev.to_string());
-        }
-    };
     assert_eq!(
-        drain(&mut sub_json),
+        until_closed(&mut sub_json, "alpha"),
         expected,
         "JSON subscriber diverged from in-process replay"
     );
     assert_eq!(
-        drain(&mut sub_bin),
+        until_closed(&mut sub_bin, "alpha"),
         expected,
         "binary subscriber diverged from in-process replay"
     );
@@ -687,36 +429,21 @@ fn non_canonical_binary_ingest_publishes_and_logs_the_canonical_bytes() {
     }
 
     // Every ninth record empty; the others as the profile draws them.
-    let records: Vec<ItemSet> = DatasetProfile::WebView1
-        .source(13)
-        .take_vec(130)
+    let records: Vec<ItemSet> = records(DatasetProfile::WebView1, 13, 130)
         .into_iter()
         .enumerate()
-        .map(|(i, t)| {
-            if i % 9 == 4 {
-                ItemSet::empty()
-            } else {
-                t.into_items()
-            }
-        })
+        .map(|(i, set)| if i % 9 == 4 { ItemSet::empty() } else { set })
         .collect();
+    let tmp = TempDir::new("bfly-serve-messy");
     let run = |messy: bool| -> (Vec<String>, Vec<Vec<u8>>) {
-        let wal_dir =
-            std::env::temp_dir().join(format!("bfly-serve-messy-{}-{messy}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&wal_dir);
+        let wal_dir = tmp.join(&format!("wal-{messy}"));
         let cfg = ServeConfig {
             shards: 1,
             wal: Some(WalConfig::new(&wal_dir)),
             ..feasible_cfg()
         };
         let server = Server::bind("127.0.0.1:0", cfg).expect("bind");
-        let mut sub = Client::connect(server.local_addr()).expect("subscriber connect");
-        sub.request(&Request::Subscribe {
-            stream: "alpha".into(),
-            frame: FrameMode::Json,
-            from: None,
-        })
-        .expect("subscribe ack");
+        let mut sub = subscribe(server.local_addr(), "alpha", FrameMode::Json, None);
         let mut conn = std::net::TcpStream::connect(server.local_addr()).expect("connect");
         let mut replies = BufReader::new(conn.try_clone().expect("clone"));
         let mut reply = |bytes: &[u8]| -> Json {
@@ -753,18 +480,9 @@ fn non_canonical_binary_ingest_publishes_and_logs_the_canonical_bytes() {
             );
         }
         reply(b"{\"op\":\"shutdown\"}\n");
-        let mut lines = Vec::new();
-        loop {
-            let line = sub.next_line().expect("read").expect("closed before EOF");
-            if line.get("event").and_then(Json::as_str) == Some("closed") {
-                break;
-            }
-            lines.push(line.to_string());
-        }
+        let lines = until_closed(&mut sub, "alpha");
         server.join();
-        let wal = files(&wal_dir);
-        std::fs::remove_dir_all(&wal_dir).expect("wal dir cleanup");
-        (lines, wal)
+        (lines, files(&wal_dir))
     };
     let canonical = run(false);
     assert_eq!(
@@ -1052,79 +770,44 @@ fn late_subscriber_catches_up_from_the_wal() {
     use butterfly_repro::serve::protocol::CatchUp;
     use butterfly_repro::serve::WalConfig;
 
-    let wal_dir = std::env::temp_dir().join(format!("bfly-serve-catchup-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&wal_dir);
+    let tmp = TempDir::new("bfly-serve-catchup");
     let cfg = ServeConfig {
         every: 10,
         snapshot_every: 4,
         shards: 1,
-        wal: Some(WalConfig::new(&wal_dir)),
+        wal: Some(WalConfig::new(tmp.join("wal"))),
         ..feasible_cfg()
     };
     // 205 records: publications at 120…200 on cadence, then one drain
     // flush at 205. The 5 trailing records also guarantee the stats
     // processed counter only reaches 205 after publication 200 fanned out.
-    let records: Vec<ItemSet> = DatasetProfile::WebView1
-        .source(11)
-        .take_vec(205)
-        .into_iter()
-        .map(|t| t.into_items())
-        .collect();
+    let records = records(DatasetProfile::WebView1, 11, 205);
 
     // In-process reference: the full release at every publication.
     let mut pipe = cfg.pipeline_for("alpha");
-    let mut expected: Vec<String> = Vec::new();
-    for items in &records {
-        pipe.advance(butterfly_repro::common::Transaction::new(0, items.clone()));
-        if pipe.due(cfg.every) {
-            let r = pipe.publish_now().expect("full window");
-            expected.push(release_line("alpha", r.stream_len, &r.release));
-        }
-    }
+    let expected: Vec<String> = cadence(&mut pipe, &records, cfg.every)
+        .iter()
+        .map(|r| release_line("alpha", r.stream_len, &r.release))
+        .collect();
     assert!(pipe.flush().is_some(), "5 pending records flush at drain");
     assert_eq!(expected.len(), 9, "cadence publications at 120…200");
 
     let server = Server::bind("127.0.0.1:0", cfg).expect("bind");
     let addr = server.local_addr();
     let mut ingest = Client::connect(addr).expect("ingest connect");
-    ingest
-        .request(&Request::Ingest {
-            stream: "alpha".into(),
-            batch: records.clone(),
-        })
-        .expect("ingest reply");
-    loop {
-        let stats = ingest.request(&Request::Stats).expect("stats");
-        let processed: u64 = stats
-            .get("per_shard")
-            .and_then(Json::as_array)
-            .expect("per_shard")
-            .iter()
-            .map(|s| s.get("processed").and_then(Json::as_u64).unwrap_or(0))
-            .sum();
-        if processed >= 205 {
-            // The WAL stats block is present and counting.
-            let appended = stats
-                .get("wal")
-                .and_then(|w| w.get("records_appended"))
-                .and_then(Json::as_u64)
-                .expect("stats carries a wal block when the WAL is on");
-            assert!(appended > 0, "got {stats}");
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(2));
-    }
+    harness::ingest(&mut ingest, "alpha", &records);
+    wait_processed(&mut ingest, 205);
+    // The WAL stats block is present and counting.
+    let stats = ingest.request(&Request::Stats).expect("stats");
+    let appended = stats
+        .get("wal")
+        .and_then(|w| w.get("records_appended"))
+        .and_then(Json::as_u64)
+        .expect("stats carries a wal block when the WAL is on");
+    assert!(appended > 0, "got {stats}");
 
     // Everything already happened; these subscribers saw none of it live.
-    let mut late = Client::connect(addr).expect("late connect");
-    let ack = late
-        .request(&Request::Subscribe {
-            stream: "alpha".into(),
-            frame: FrameMode::Json,
-            from: Some(CatchUp::Earliest),
-        })
-        .expect("subscribe ack");
-    assert_eq!(ack.get("ok"), Some(&Json::Bool(true)));
+    let mut late = subscribe(addr, "alpha", FrameMode::Json, Some(CatchUp::Earliest));
     let mut caught_up: Vec<String> = Vec::new();
     for _ in 0..expected.len() {
         let line = late
@@ -1136,13 +819,7 @@ fn late_subscriber_catches_up_from_the_wal() {
     assert_eq!(caught_up, expected, "catch-up diverged from in-process");
 
     // window:200 trims the replay to positions >= 200.
-    let mut tail = Client::connect(addr).expect("tail connect");
-    tail.request(&Request::Subscribe {
-        stream: "alpha".into(),
-        frame: FrameMode::Json,
-        from: Some(CatchUp::Window(200)),
-    })
-    .expect("tail subscribe ack");
+    let mut tail = subscribe(addr, "alpha", FrameMode::Json, Some(CatchUp::Window(200)));
     let line = tail
         .next_line()
         .expect("tail read")
@@ -1150,13 +827,7 @@ fn late_subscriber_catches_up_from_the_wal() {
     assert_eq!(line.to_string(), expected[8]);
 
     // Binary framing: the converted events are string-identical.
-    let mut bin = Client::connect(addr).expect("binary connect");
-    bin.request(&Request::Subscribe {
-        stream: "alpha".into(),
-        frame: FrameMode::Binary,
-        from: Some(CatchUp::Earliest),
-    })
-    .expect("binary subscribe ack");
+    let mut bin = subscribe(addr, "alpha", FrameMode::Binary, Some(CatchUp::Earliest));
     for want in &expected {
         let event = bin
             .next_event()
@@ -1183,7 +854,6 @@ fn late_subscriber_catches_up_from_the_wal() {
         assert_eq!(closed.get("event").and_then(Json::as_str), Some("closed"));
     }
     server.join();
-    std::fs::remove_dir_all(&wal_dir).expect("wal dir cleanup");
 }
 
 /// `from` without `--wal-dir` is refused outright — there is no log to
@@ -1246,11 +916,10 @@ fn stats_reply_carries_exactly_the_golden_keys() {
         }
     }
 
-    let wal_dir = std::env::temp_dir().join(format!("bfly-serve-stats-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&wal_dir);
+    let tmp = TempDir::new("bfly-serve-stats");
     let cfg = ServeConfig {
         shards: 1,
-        wal: Some(WalConfig::new(&wal_dir)),
+        wal: Some(WalConfig::new(tmp.join("wal"))),
         ..feasible_cfg()
     };
     let server = Server::bind("127.0.0.1:0", cfg).expect("bind");
@@ -1265,5 +934,91 @@ fn stats_reply_carries_exactly_the_golden_keys() {
         "stats schema moved: {stats}"
     );
     server.join();
-    std::fs::remove_dir_all(&wal_dir).expect("wal dir cleanup");
+}
+
+/// Slowloris: 32 connections each hold a partial frame — half an NDJSON
+/// line with no newline yet, half a binary header with half its payload —
+/// and the node still serves everyone else: a `ping`, a subscribe and an
+/// ingest on other connections are answered, and the subscriber's releases
+/// equal the in-process oracle's. A held line that grows past the frame cap
+/// is answered `oversized`, and its connection closes.
+#[test]
+fn connections_holding_partial_frames_stall_no_one_else() {
+    const CAP: usize = 4096;
+    let cfg = ServeConfig {
+        max_frame_bytes: CAP,
+        ..feasible_cfg()
+    };
+    let records = records(DatasetProfile::WebView1, 5, 130);
+    let expected = served_lines(&mut cfg.pipeline_for("alpha"), "alpha", &records, cfg.every);
+    let server = Server::bind("127.0.0.1:0", cfg).expect("bind");
+    let addr = server.local_addr();
+
+    let line = ingest_line("loris", 8);
+    let frame = BinaryFrame::Ingest {
+        stream: "loris".into(),
+        batch: records[..8].to_vec(),
+    }
+    .encode();
+    let (line_part, frame_part) = (line.len() / 2, 6 + (frame.len() - 6) / 2);
+    let mut held: Vec<std::net::TcpStream> = (0..32)
+        .map(|i| {
+            let mut conn = std::net::TcpStream::connect(addr).expect("connect");
+            let partial = match i % 2 {
+                0 => &line.as_bytes()[..line_part],
+                _ => &frame[..frame_part],
+            };
+            conn.write_all(partial).expect("partial frame");
+            conn
+        })
+        .collect();
+    let mut control = Client::connect(addr).expect("control connect");
+    let stats = control.request(&Request::Stats).expect("stats");
+    let fds = stats.get("reactor").and_then(|r| r.get("fds"));
+    assert!(
+        fds.and_then(Json::as_u64) >= Some(2 + 32 + 1),
+        "listener, wake pipe, the held connections and this one: {stats}"
+    );
+
+    let mut pinger = Client::connect(addr).expect("ping connect");
+    let pong = pinger.request(&Request::Ping).expect("ping reply");
+    assert_eq!(pong.get("pong"), Some(&Json::Bool(true)), "got {pong}");
+    let mut sub = subscribe(addr, "alpha", FrameMode::Json, None);
+    for chunk in records.chunks(25) {
+        let reply = harness::ingest(&mut control, "alpha", chunk);
+        assert_eq!(
+            reply.get("accepted").and_then(Json::as_u64),
+            Some(chunk.len() as u64),
+            "got {reply}"
+        );
+    }
+
+    // One held line grows one byte past the cap: every byte sent is read
+    // before the close, so the reply is not lost to a reset.
+    let mut loris = held.remove(0);
+    loris
+        .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .expect("timeout");
+    loris
+        .write_all(&vec![b'x'; CAP + 1 - line_part])
+        .expect("grow the held line");
+    let mut reader = BufReader::new(loris);
+    let mut reply = String::new();
+    reader.read_line(&mut reply).expect("oversized reply");
+    assert!(reply.contains("oversized"), "got {reply}");
+    reply.clear();
+    assert_eq!(
+        reader.read_line(&mut reply).expect("close"),
+        0,
+        "the connection closes after the oversized reply: {reply}"
+    );
+
+    control.request(&Request::Shutdown).expect("shutdown");
+    assert_eq!(
+        until_closed(&mut sub, "alpha"),
+        expected,
+        "a subscriber beside the held connections diverged from the oracle"
+    );
+    drop(held);
+    server.join();
 }

@@ -8,145 +8,47 @@
 //! comparison spans the crash, the replay, the log-served catch-up, and
 //! the drain flush in one concatenated byte-equality.
 
-use butterfly_repro::butterfly::{DefenseKind, SanitizedRelease, StreamPipeline};
+use bfly_bench::harness::{
+    self, cadence, records, serve_args, served_lines, subscribe, unseeded_serve_args, until_closed,
+    wait_processed, Served, TempDir,
+};
+use butterfly_repro::butterfly::{DefenseKind, StreamPipeline};
 use butterfly_repro::common::{ItemSet, Json};
 use butterfly_repro::datagen::DatasetProfile;
-use butterfly_repro::serve::protocol::{binary_entries, release_frame_bytes, CatchUp};
+use butterfly_repro::serve::protocol::{binary_entries, CatchUp};
 use butterfly_repro::serve::wal::record::SnapshotEntry;
 use butterfly_repro::serve::wal::{StreamSnapshot, WalRecord, WalWriter, WriterPosition};
 use butterfly_repro::serve::{
     Client, FrameMode, Request, ServeConfig, WalConfig, WalStats, WalSyncPolicy,
 };
 use std::collections::VecDeque;
-use std::io::Read;
-use std::net::SocketAddr;
 use std::path::Path;
-use std::process::{Child, Command, Stdio};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
-/// The NDJSON `release` line a subscriber reads for one publication.
-fn release_line(stream: &str, stream_len: u64, release: &SanitizedRelease) -> String {
-    let line = release_frame_bytes(FrameMode::Json, stream, stream_len, release);
-    String::from_utf8(line.to_vec())
-        .unwrap()
-        .trim_end()
-        .to_string()
-}
+const BIN: &str = env!("CARGO_BIN_EXE_butterfly");
 
-/// Kills the child on drop so a failing assertion never leaks a server.
-struct Reaper(Child);
-
-impl Drop for Reaper {
-    fn drop(&mut self) {
-        let _ = self.0.kill();
-        let _ = self.0.wait();
+/// A WAL at `dir` that syncs every record (`--wal-sync always`).
+fn synced(dir: &Path) -> WalConfig {
+    WalConfig {
+        sync: WalSyncPolicy::Always,
+        ..WalConfig::new(dir)
     }
 }
 
-/// `butterfly serve` on an ephemeral port with the WAL at `wal_dir`,
-/// `shards` shards and `seed` as its `--seed` (`None`: the node's own
-/// secret), its stderr appended to `<port_file>.log`.
-fn serve_command(wal_dir: &Path, port_file: &Path, shards: usize, seed: Option<u64>) -> Command {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_butterfly"));
-    cmd.args([
-        "serve",
-        "--addr",
-        "127.0.0.1:0",
-        "--shards",
-        &shards.to_string(),
-        "--window",
-        "120",
-        "--min-support",
-        "15",
-        "--vulnerable",
-        "3",
-        "--epsilon",
-        "0.016",
-        "--delta",
-        "0.4",
-        "--every",
-        "10",
-        "--wal-sync",
-        "always",
-    ])
-    .arg("--wal-dir")
-    .arg(wal_dir)
-    .arg("--port-file")
-    .arg(port_file);
-    if let Some(seed) = seed {
-        cmd.args(["--seed", &seed.to_string()]);
-    }
-    let log = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(port_file.with_extension("log"))
-        .expect("stderr log");
-    cmd.stdout(Stdio::null()).stderr(log);
-    cmd
-}
-
-/// Start [`serve_command`] with `--seed 42`, and block until the
-/// `--port-file` handshake delivers the bound address.
-fn spawn_serve(wal_dir: &Path, port_file: &Path, shards: usize) -> (Reaper, SocketAddr) {
-    spawn_serve_seeded(wal_dir, port_file, shards, Some(42))
-}
-
-/// [`spawn_serve`] under `seed`.
-fn spawn_serve_seeded(
-    wal_dir: &Path,
-    port_file: &Path,
-    shards: usize,
-    seed: Option<u64>,
-) -> (Reaper, SocketAddr) {
-    spawn(serve_command(wal_dir, port_file, shards, seed), port_file)
-}
-
-/// Spawn `cmd`, a [`serve_command`] writing `port_file`, and block until
-/// the handshake delivers the bound address.
-fn spawn(mut cmd: Command, port_file: &Path) -> (Reaper, SocketAddr) {
-    let _ = std::fs::remove_file(port_file);
-    let child = cmd.spawn().expect("spawn butterfly serve");
-    let mut child = Reaper(child);
-    let deadline = Instant::now() + Duration::from_secs(20);
-    let addr = loop {
-        if let Ok(mut f) = std::fs::File::open(port_file) {
-            let mut text = String::new();
-            // The write is atomic (temp + rename), so any visible file
-            // holds the complete address line.
-            if f.read_to_string(&mut text).is_ok() {
-                if let Ok(addr) = text.trim().parse::<SocketAddr>() {
-                    break addr;
-                }
-            }
-        }
-        assert!(Instant::now() < deadline, "serve never wrote its port file");
-        if let Ok(Some(status)) = child.0.try_wait() {
-            panic!("serve exited before binding: {status}");
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    };
-    (child, addr)
-}
-
-/// Block until the server's per-shard `processed` counters total at least
-/// `want` records.
-fn wait_processed(control: &mut Client, want: u64) {
-    let deadline = Instant::now() + Duration::from_secs(20);
-    loop {
-        let stats = control.request(&Request::Stats).expect("stats reply");
-        let processed: u64 = stats
-            .get("per_shard")
-            .and_then(Json::as_array)
-            .expect("per_shard")
-            .iter()
-            .map(|s| s.get("processed").and_then(Json::as_u64).unwrap_or(0))
-            .sum();
-        if processed >= want {
-            return;
-        }
-        assert!(Instant::now() < deadline, "stuck at {processed}/{want}");
-        std::thread::sleep(Duration::from_millis(5));
+/// The config every node of this suite runs under `--seed 42`, with
+/// `shards` shards and its log at `wal_dir` — and the in-process oracle's.
+fn node_cfg(wal_dir: &Path, shards: usize) -> ServeConfig {
+    ServeConfig {
+        shards,
+        window: 120,
+        c: 15,
+        k: 3,
+        epsilon: 0.016,
+        delta: 0.4,
+        every: 10,
+        seed: 42,
+        wal: Some(synced(wal_dir)),
+        ..ServeConfig::default()
     }
 }
 
@@ -162,62 +64,29 @@ fn wait_processed(control: &mut Client, want: u64) {
 ///    in-process pipeline over the same 205 records.
 #[test]
 fn kill_dash_nine_then_restart_replays_byte_identically() {
-    let tag = format!("bfly-wal-recovery-{}", std::process::id());
-    let wal_dir = std::env::temp_dir().join(&tag);
-    let port_file = std::env::temp_dir().join(format!("{tag}.port"));
-    let _ = std::fs::remove_dir_all(&wal_dir);
+    let tmp = TempDir::new("bfly-wal-recovery");
+    let port_file = tmp.join("serve.port");
+    let records = records(DatasetProfile::WebView1, 13, 205);
 
-    let records: Vec<ItemSet> = DatasetProfile::WebView1
-        .source(13)
-        .take_vec(205)
-        .into_iter()
-        .map(|t| t.into_items())
-        .collect();
-
-    // Uncrashed reference: config mirrors the serve flags above.
-    let cfg = ServeConfig {
-        shards: 2,
-        window: 120,
-        c: 15,
-        k: 3,
-        epsilon: 0.016,
-        delta: 0.4,
-        every: 10,
-        seed: 42,
-        ..ServeConfig::default()
-    };
-    let mut pipe = cfg.pipeline_for("alpha");
-    let mut expected: Vec<String> = Vec::new();
-    for items in &records {
-        pipe.advance(butterfly_repro::common::Transaction::new(0, items.clone()));
-        if pipe.due(cfg.every) {
-            let r = pipe.publish_now().expect("full window");
-            expected.push(release_line("alpha", r.stream_len, &r.release));
-        }
-    }
-    let flush = pipe.flush().expect("5 pending records flush");
-    expected.push(release_line("alpha", flush.stream_len, &flush.release));
+    // The node's config is the uncrashed reference's.
+    let cfg = node_cfg(&tmp.join("wal"), 2);
+    let expected = served_lines(&mut cfg.pipeline_for("alpha"), "alpha", &records, cfg.every);
     assert_eq!(expected.len(), 10, "cadence at 120…200 plus flush at 205");
 
     // Phase 1: ingest 155 records, then SIGKILL. Waiting for 155 processed
     // guarantees the publications at 120…150 completed (each publication
     // finishes before the *next* record's counter tick), while the kill
     // still lands with no drain and the log mid-segment.
-    let (server, addr) = spawn_serve(&wal_dir, &port_file, 2);
-    let mut client = Client::connect(addr).expect("connect");
-    client
-        .request(&Request::Ingest {
-            stream: "alpha".into(),
-            batch: records[..155].to_vec(),
-        })
-        .expect("phase-1 ingest");
+    let server = Served::spawn(BIN, &port_file, &serve_args(&cfg));
+    let mut client = Client::connect(server.addr).expect("connect");
+    harness::ingest(&mut client, "alpha", &records[..155]);
     wait_processed(&mut client, 155);
-    drop(server); // Reaper: SIGKILL, no drain protocol runs.
+    drop(server); // SIGKILL, no drain protocol runs.
     drop(client);
 
     // Phase 2: restart on the same log.
-    let (server, addr) = spawn_serve(&wal_dir, &port_file, 2);
-    let mut client = Client::connect(addr).expect("reconnect");
+    let server = Served::spawn(BIN, &port_file, &serve_args(&cfg));
+    let mut client = Client::connect(server.addr).expect("reconnect");
     let stats = client.request(&Request::Stats).expect("stats reply");
     assert_eq!(
         stats.get("recovered_windows").and_then(Json::as_u64),
@@ -231,45 +100,17 @@ fn kill_dash_nine_then_restart_replays_byte_identically() {
 
     // Phase 3: finish the stream. The counters started from zero, so the
     // remaining 50 records are what the restarted process counts.
-    client
-        .request(&Request::Ingest {
-            stream: "alpha".into(),
-            batch: records[155..].to_vec(),
-        })
-        .expect("phase-2 ingest");
+    harness::ingest(&mut client, "alpha", &records[155..]);
     wait_processed(&mut client, 50);
 
-    let mut sub = Client::connect(addr).expect("subscriber connect");
-    let ack = sub
-        .request(&Request::Subscribe {
-            stream: "alpha".into(),
-            frame: FrameMode::Json,
-            from: Some(CatchUp::Earliest),
-        })
-        .expect("subscribe ack");
-    assert_eq!(ack.get("ok"), Some(&Json::Bool(true)), "got {ack}");
-
+    let from = Some(CatchUp::Earliest);
+    let mut sub = subscribe(server.addr, "alpha", FrameMode::Json, from);
     client.request(&Request::Shutdown).expect("shutdown reply");
-    let mut received: Vec<String> = Vec::new();
-    loop {
-        let event = sub
-            .next_event()
-            .expect("subscriber read")
-            .expect("closed event before EOF");
-        if event.get("event").and_then(Json::as_str) == Some("closed") {
-            break;
-        }
-        received.push(event.to_string());
-    }
     assert_eq!(
-        received, expected,
+        until_closed(&mut sub, "alpha"),
+        expected,
         "stream across the crash diverged from the uncrashed reference"
     );
-
-    drop(server);
-    let _ = std::fs::remove_dir_all(&wal_dir);
-    let _ = std::fs::remove_file(&port_file);
-    let _ = std::fs::remove_file(port_file.with_extension("log"));
 }
 
 /// One oversized stream key used to wrap its `u16` length in the log and
@@ -278,39 +119,24 @@ fn kill_dash_nine_then_restart_replays_byte_identically() {
 /// with nothing truncated.
 #[test]
 fn oversized_key_is_refused_and_costs_co_tenants_nothing() {
-    let tag = format!("bfly-wal-hostile-key-{}", std::process::id());
-    let wal_dir = std::env::temp_dir().join(&tag);
-    let port_file = std::env::temp_dir().join(format!("{tag}.port"));
-    let _ = std::fs::remove_dir_all(&wal_dir);
-    let records: Vec<ItemSet> = DatasetProfile::WebView1
-        .source(13)
-        .take_vec(130)
-        .into_iter()
-        .map(|t| t.into_items())
-        .collect();
+    let tmp = TempDir::new("bfly-wal-hostile-key");
+    let port_file = tmp.join("serve.port");
+    let args = serve_args(&node_cfg(&tmp.join("wal"), 1));
+    let records = records(DatasetProfile::WebView1, 13, 130);
 
-    let (server, addr) = spawn_serve(&wal_dir, &port_file, 1);
-    let mut client = Client::connect(addr).expect("connect");
-    let reply = client
-        .request(&Request::Ingest {
-            stream: "k".repeat(70_000),
-            batch: records[..2].to_vec(),
-        })
-        .expect("the connection survives the refusal");
+    let server = Served::spawn(BIN, &port_file, &args);
+    let mut client = Client::connect(server.addr).expect("connect");
+    // The connection survives the refusal.
+    let reply = harness::ingest(&mut client, &"k".repeat(70_000), &records[..2]);
     assert_eq!(reply.get("ok"), Some(&Json::Bool(false)), "got {reply}");
-    let reply = client
-        .request(&Request::Ingest {
-            stream: "alpha".into(),
-            batch: records.clone(),
-        })
-        .expect("co-tenant ingest");
+    let reply = harness::ingest(&mut client, "alpha", &records);
     assert_eq!(reply.get("accepted").and_then(Json::as_u64), Some(130));
     wait_processed(&mut client, 130);
     drop(server);
     drop(client);
 
-    let (server, addr) = spawn_serve(&wal_dir, &port_file, 1);
-    let mut client = Client::connect(addr).expect("reconnect");
+    let server = Served::spawn(BIN, &port_file, &args);
+    let mut client = Client::connect(server.addr).expect("reconnect");
     let stats = client.request(&Request::Stats).expect("stats reply");
     assert_eq!(
         stats.get("recovered_windows").and_then(Json::as_u64),
@@ -320,11 +146,6 @@ fn oversized_key_is_refused_and_costs_co_tenants_nothing() {
     let wal = stats.get("wal").expect("wal stats");
     assert_eq!(wal.get("truncated_tails").and_then(Json::as_u64), Some(0));
     assert_eq!(wal.get("truncated_bytes").and_then(Json::as_u64), Some(0));
-
-    drop(server);
-    let _ = std::fs::remove_dir_all(&wal_dir);
-    let _ = std::fs::remove_file(&port_file);
-    let _ = std::fs::remove_file(port_file.with_extension("log"));
 }
 
 /// A clean restart (graceful shutdown, then a new process on the same
@@ -333,115 +154,39 @@ fn oversized_key_is_refused_and_costs_co_tenants_nothing() {
 /// pipeline continues the cadence exactly where the stream left off.
 #[test]
 fn clean_restart_straddles_byte_identically() {
-    let tag = format!("bfly-wal-restart-{}", std::process::id());
-    let wal_dir = std::env::temp_dir().join(&tag);
-    let port_file = std::env::temp_dir().join(format!("{tag}.port"));
-    let _ = std::fs::remove_dir_all(&wal_dir);
-
-    let records: Vec<ItemSet> = DatasetProfile::WebView1
-        .source(17)
-        .take_vec(160)
-        .into_iter()
-        .map(|t| t.into_items())
-        .collect();
-    let cfg = ServeConfig {
-        shards: 2,
-        window: 120,
-        c: 15,
-        k: 3,
-        epsilon: 0.016,
-        delta: 0.4,
-        every: 10,
-        seed: 42,
-        ..ServeConfig::default()
-    };
+    let tmp = TempDir::new("bfly-wal-restart");
+    let port_file = tmp.join("serve.port");
+    let records = records(DatasetProfile::WebView1, 17, 160);
+    let cfg = node_cfg(&tmp.join("wal"), 2);
+    // The restart splits the stream at 135: the first process drains with
+    // 15 records pending, which the uncrashed pipeline never flushes
+    // mid-stream — the drain flush at 135 is an *extra* publication the
+    // reference must include to stay comparable.
     let mut pipe = cfg.pipeline_for("alpha");
-    let mut expected: Vec<String> = Vec::new();
-    for (i, items) in records.iter().enumerate() {
-        pipe.advance(butterfly_repro::common::Transaction::new(0, items.clone()));
-        if pipe.due(cfg.every) {
-            let r = pipe.publish_now().expect("full window");
-            expected.push(release_line("alpha", r.stream_len, &r.release));
-        }
-        // The restart splits the stream at 135: the first process drains
-        // with 15 records pending, which the uncrashed pipeline never
-        // flushes mid-stream — the drain flush at 135 is an *extra*
-        // publication the reference must include to stay comparable.
-        if i + 1 == 135 {
-            if let Some(r) = pipe.flush() {
-                expected.push(release_line("alpha", r.stream_len, &r.release));
-            }
-        }
-    }
-    if let Some(r) = pipe.flush() {
-        expected.push(release_line("alpha", r.stream_len, &r.release));
-    }
+    let expected = [
+        served_lines(&mut pipe, "alpha", &records[..135], cfg.every),
+        served_lines(&mut pipe, "alpha", &records[135..], cfg.every),
+    ]
+    .concat();
 
-    let (server, addr) = spawn_serve(&wal_dir, &port_file, 2);
-    let mut client = Client::connect(addr).expect("connect");
-    client
-        .request(&Request::Ingest {
-            stream: "alpha".into(),
-            batch: records[..135].to_vec(),
-        })
-        .expect("first ingest");
+    let server = Served::spawn(BIN, &port_file, &serve_args(&cfg));
+    let mut client = Client::connect(server.addr).expect("connect");
+    harness::ingest(&mut client, "alpha", &records[..135]);
     wait_processed(&mut client, 135);
     client.request(&Request::Shutdown).expect("shutdown reply");
     // Graceful exit: wait for the process itself so the final sync ran.
-    let mut server = server;
-    let status = server.0.wait().expect("serve exit status");
-    assert!(status.success(), "serve exited {status}");
+    server.join();
     drop(client);
 
-    let (server, addr) = spawn_serve(&wal_dir, &port_file, 2);
-    let mut client = Client::connect(addr).expect("reconnect");
-    client
-        .request(&Request::Ingest {
-            stream: "alpha".into(),
-            batch: records[135..].to_vec(),
-        })
-        .expect("second ingest");
+    let server = Served::spawn(BIN, &port_file, &serve_args(&cfg));
+    let mut client = Client::connect(server.addr).expect("reconnect");
+    harness::ingest(&mut client, "alpha", &records[135..]);
     wait_processed(&mut client, 25);
-    let mut sub = Client::connect(addr).expect("subscriber connect");
-    sub.request(&Request::Subscribe {
-        stream: "alpha".into(),
-        frame: FrameMode::Json,
-        from: Some(CatchUp::Earliest),
-    })
-    .expect("subscribe ack");
+    let from = Some(CatchUp::Earliest);
+    let mut sub = subscribe(server.addr, "alpha", FrameMode::Json, from);
     client.request(&Request::Shutdown).expect("shutdown reply");
-    let mut received: Vec<String> = Vec::new();
-    loop {
-        let event = sub
-            .next_event()
-            .expect("subscriber read")
-            .expect("closed event before EOF");
-        if event.get("event").and_then(Json::as_str) == Some("closed") {
-            break;
-        }
-        received.push(event.to_string());
-    }
+    let received = until_closed(&mut sub, "alpha");
     assert_eq!(received, expected, "clean restart diverged");
-
-    drop(server);
-    let _ = std::fs::remove_dir_all(&wal_dir);
-    let _ = std::fs::remove_file(&port_file);
-    let _ = std::fs::remove_file(port_file.with_extension("log"));
-}
-
-/// Read events from `sub` until the stream's `closed` event.
-fn until_closed(sub: &mut Client) -> Vec<String> {
-    let mut received = Vec::new();
-    loop {
-        let event = sub
-            .next_event()
-            .expect("subscriber read")
-            .expect("closed event before EOF");
-        if event.get("event").and_then(Json::as_str) == Some("closed") {
-            return received;
-        }
-        received.push(event.to_string());
-    }
 }
 
 /// A node started without `--seed` draws its secret, stores it beside the
@@ -452,43 +197,20 @@ fn until_closed(sub: &mut Client) -> Vec<String> {
 /// another `--seed` is refused by name.
 #[test]
 fn a_drawn_secret_survives_a_kill_and_refuses_another_seed() {
-    let tag = format!("bfly-wal-secret-{}", std::process::id());
-    let wal_dir = std::env::temp_dir().join(&tag);
-    let port_file = std::env::temp_dir().join(format!("{tag}.port"));
+    let tmp = TempDir::new("bfly-wal-secret");
+    let wal_dir = tmp.join("wal");
+    let port_file = tmp.join("serve.port");
     let log = port_file.with_extension("log");
-    let _ = std::fs::remove_dir_all(&wal_dir);
-    let _ = std::fs::remove_file(&log);
-    let records: Vec<ItemSet> = DatasetProfile::WebView1
-        .source(19)
-        .take_vec(205)
-        .into_iter()
-        .map(|t| t.into_items())
-        .collect();
-    let subscribe = |addr: SocketAddr, from: Option<CatchUp>| {
-        let mut sub = Client::connect(addr).expect("subscriber connect");
-        let ack = sub
-            .request(&Request::Subscribe {
-                stream: "alpha".into(),
-                frame: FrameMode::Json,
-                from,
-            })
-            .expect("subscribe ack");
-        assert_eq!(ack.get("ok"), Some(&Json::Bool(true)), "got {ack}");
-        sub
-    };
+    let records = records(DatasetProfile::WebView1, 19, 205);
+    let cfg = node_cfg(&wal_dir, 2);
     let next = |sub: &mut Client| sub.next_event().unwrap().unwrap().to_string();
 
     // First incarnation: the releases at 120…150 reach a live subscriber,
     // then SIGKILL.
-    let (server, addr) = spawn_serve_seeded(&wal_dir, &port_file, 2, None);
-    let mut live = subscribe(addr, None);
-    let mut client = Client::connect(addr).expect("connect");
-    client
-        .request(&Request::Ingest {
-            stream: "alpha".into(),
-            batch: records[..155].to_vec(),
-        })
-        .expect("phase-1 ingest");
+    let server = Served::spawn(BIN, &port_file, &unseeded_serve_args(&cfg));
+    let mut live = subscribe(server.addr, "alpha", FrameMode::Json, None);
+    let mut client = Client::connect(server.addr).expect("connect");
+    harness::ingest(&mut client, "alpha", &records[..155]);
     wait_processed(&mut client, 155);
     let first: Vec<String> = (0..4).map(|_| next(&mut live)).collect();
     drop(server);
@@ -504,78 +226,50 @@ fn a_drawn_secret_survives_a_kill_and_refuses_another_seed() {
     }
 
     // Second incarnation, again without --seed.
-    let (server, addr) = spawn_serve_seeded(&wal_dir, &port_file, 2, None);
-    let mut sub = subscribe(addr, Some(CatchUp::Earliest));
+    let server = Served::spawn(BIN, &port_file, &unseeded_serve_args(&cfg));
+    let from = Some(CatchUp::Earliest);
+    let mut sub = subscribe(server.addr, "alpha", FrameMode::Json, from);
     let caught_up: Vec<String> = (0..4).map(|_| next(&mut sub)).collect();
     assert_eq!(
         caught_up, first,
         "catch-up diverged from the first incarnation"
     );
-    let mut client = Client::connect(addr).expect("reconnect");
-    client
-        .request(&Request::Ingest {
-            stream: "alpha".into(),
-            batch: records[155..].to_vec(),
-        })
-        .expect("phase-2 ingest");
+    let mut client = Client::connect(server.addr).expect("reconnect");
+    harness::ingest(&mut client, "alpha", &records[155..]);
     wait_processed(&mut client, 50);
     client.request(&Request::Shutdown).expect("shutdown reply");
-    let rest = until_closed(&mut sub);
+    let rest = until_closed(&mut sub, "alpha");
     drop(server);
 
     let cfg = ServeConfig {
-        shards: 2,
-        window: 120,
-        c: 15,
-        k: 3,
-        epsilon: 0.016,
-        delta: 0.4,
-        every: 10,
         seed: secret,
-        ..ServeConfig::default()
+        ..cfg
     };
-    let mut pipe = cfg.pipeline_for("alpha");
-    let mut expected: Vec<String> = Vec::new();
-    for items in &records {
-        pipe.advance(butterfly_repro::common::Transaction::new(0, items.clone()));
-        if pipe.due(cfg.every) {
-            let r = pipe.publish_now().expect("full window");
-            expected.push(release_line("alpha", r.stream_len, &r.release));
-        }
-    }
-    let flush = pipe.flush().expect("5 pending records flush");
-    expected.push(release_line("alpha", flush.stream_len, &flush.release));
+    let expected = served_lines(&mut cfg.pipeline_for("alpha"), "alpha", &records, cfg.every);
     assert_eq!([first, rest].concat(), expected, "the stream diverged");
 
     // Another --seed, or a short secret file: a named refusal, not a panic
     // and not a listener.
-    let refusal = |seed: Option<u64>| {
-        let mut child = serve_command(&wal_dir, &port_file, 2, seed)
-            .spawn()
-            .expect("spawn butterfly serve");
-        let deadline = Instant::now() + Duration::from_secs(20);
-        let status = loop {
-            if let Some(status) = child.try_wait().unwrap() {
-                break status;
-            }
-            if Instant::now() > deadline {
-                let _ = child.kill();
-                panic!("serve started on a log it must refuse");
-            }
-            std::thread::sleep(Duration::from_millis(10));
+    let refusal = |args: Vec<String>| {
+        let Err(status) = Served::start(BIN, &port_file, &args) else {
+            panic!("serve started on a log it must refuse");
         };
         assert_eq!(status.code(), Some(1));
         let stderr = std::fs::read_to_string(&log).unwrap();
         assert!(!stderr.contains("panicked"), "{stderr}");
         stderr.lines().last().unwrap_or_default().to_string()
     };
-    let refused = refusal(Some(secret ^ 1));
+    let another = ServeConfig {
+        seed: secret ^ 1,
+        ..cfg.clone()
+    };
+    let refused = refusal(serve_args(&another));
     assert!(
         refused.starts_with("error: parse error: wal secret") && refused.contains("another seed"),
         "{refused}"
     );
     std::fs::write(wal_dir.join("secret"), &bytes[..5]).unwrap();
-    let refused = refusal(None);
+    let refused = refusal(unseeded_serve_args(&cfg));
     assert!(
         refused.contains("torn or short (5 bytes, not 12)"),
         "{refused}"
@@ -585,10 +279,6 @@ fn a_drawn_secret_survives_a_kill_and_refuses_another_seed() {
         !stderr.contains(&secret.to_string()),
         "serve printed its secret: {stderr}"
     );
-
-    let _ = std::fs::remove_dir_all(&wal_dir);
-    let _ = std::fs::remove_file(&port_file);
-    let _ = std::fs::remove_file(&log);
 }
 
 /// Every segment file of `shard-0` under `dir`, by name.
@@ -675,56 +365,29 @@ fn log_publication_with(
 /// Ingest, Release}` and `append_snapshot` in the shard worker's order.
 #[test]
 fn served_log_equals_the_record_encoders_log() {
-    let records: Vec<ItemSet> = DatasetProfile::WebView1
-        .source(29)
-        .take_vec(400)
-        .into_iter()
-        .map(|t| t.into_items())
-        .collect();
+    let records = records(DatasetProfile::WebView1, 29, 400);
     for snapshot_every in [1, 8] {
-        let tag = format!("bfly-wal-encoders-{snapshot_every}-{}", std::process::id());
-        let wal_dir = std::env::temp_dir().join(&tag);
-        let ref_dir = std::env::temp_dir().join(format!("{tag}-ref"));
-        let port_file = std::env::temp_dir().join(format!("{tag}.port"));
-        for dir in [&wal_dir, &ref_dir] {
-            let _ = std::fs::remove_dir_all(dir);
-        }
+        let tmp = TempDir::new(&format!("bfly-wal-encoders-{snapshot_every}"));
+        let (wal_dir, ref_dir) = (tmp.join("wal"), tmp.join("ref"));
+        let cfg = ServeConfig {
+            snapshot_every,
+            ..node_cfg(&wal_dir, 1)
+        };
 
-        let mut cmd = serve_command(&wal_dir, &port_file, 1, Some(42));
-        cmd.args(["--snapshot-every", &snapshot_every.to_string()]);
-        let (mut server, addr) = spawn(cmd, &port_file);
-        let mut client = Client::connect(addr).expect("connect");
+        let server = Served::spawn(BIN, &tmp.join("serve.port"), &serve_args(&cfg));
+        let mut client = Client::connect(server.addr).expect("connect");
         for batch in records.chunks(25) {
-            client
-                .request(&Request::Ingest {
-                    stream: "alpha".into(),
-                    batch: batch.to_vec(),
-                })
-                .expect("ingest");
+            harness::ingest(&mut client, "alpha", batch);
         }
         wait_processed(&mut client, records.len() as u64);
         client.request(&Request::Shutdown).expect("shutdown reply");
-        let status = server.0.wait().expect("serve exit status");
-        assert!(status.success(), "serve exited {status}");
+        server.join();
 
-        // The same stream through the record encoders: config and log
-        // settings mirror the serve flags.
-        let cfg = ServeConfig {
-            shards: 1,
-            window: 120,
-            c: 15,
-            k: 3,
-            epsilon: 0.016,
-            delta: 0.4,
-            every: 10,
-            snapshot_every,
-            seed: 42,
-            ..ServeConfig::default()
-        };
-        let mut wal = WalConfig::new(&ref_dir);
-        wal.sync = WalSyncPolicy::Always;
+        // The same stream through the record encoders, under the node's
+        // config and log settings.
         let stats = Arc::new(WalStats::default());
         let pos = WriterPosition::default();
+        let wal = synced(&ref_dir);
         let mut w = WalWriter::open(&ref_dir, 0, wal, snapshot_every, stats, pos).unwrap();
         let stream = "alpha".to_string();
         let mut pipe = cfg.pipeline_for(&stream);
@@ -765,13 +428,6 @@ fn served_log_equals_the_record_encoders_log() {
             served == encoded,
             "snapshot-every {snapshot_every}: served segments differ from the encoders' log"
         );
-
-        drop(server);
-        for dir in [&wal_dir, &ref_dir] {
-            let _ = std::fs::remove_dir_all(dir);
-        }
-        let _ = std::fs::remove_file(&port_file);
-        let _ = std::fs::remove_file(port_file.with_extension("log"));
     }
 }
 
@@ -783,32 +439,13 @@ fn served_log_equals_the_record_encoders_log() {
 /// for byte.
 #[test]
 fn a_log_whose_snapshots_carry_their_window_restarts_byte_identically() {
-    let records: Vec<ItemSet> = DatasetProfile::WebView1
-        .source(31)
-        .take_vec(600)
-        .into_iter()
-        .map(|t| t.into_items())
-        .collect();
-    let tag = format!("bfly-wal-carried-{}", std::process::id());
-    let wal_dir = std::env::temp_dir().join(&tag);
-    let port_file = std::env::temp_dir().join(format!("{tag}.port"));
-    let _ = std::fs::remove_dir_all(&wal_dir);
-    let cfg = ServeConfig {
-        shards: 1,
-        window: 120,
-        c: 15,
-        k: 3,
-        epsilon: 0.016,
-        delta: 0.4,
-        every: 10,
-        snapshot_every: 1,
-        seed: 42,
-        ..ServeConfig::default()
-    };
+    let records = records(DatasetProfile::WebView1, 31, 600);
+    let tmp = TempDir::new("bfly-wal-carried");
+    let wal_dir = tmp.join("wal");
+    let cfg = node_cfg(&wal_dir, 1);
 
     // The first 400 records, logged under hard compaction.
-    let mut wal = WalConfig::new(&wal_dir);
-    wal.sync = WalSyncPolicy::Always;
+    let mut wal = synced(&wal_dir);
     wal.segment_min_bytes = 1;
     wal.keep_segments = 0;
     let stats = Arc::new(WalStats::default());
@@ -850,36 +487,21 @@ fn a_log_whose_snapshots_carry_their_window_restarts_byte_identically() {
 
     // The uncrashed run's releases past 400.
     let mut reference = cfg.pipeline_for(&stream);
-    let mut want = Vec::new();
-    for items in &records {
-        reference.advance(butterfly_repro::common::Transaction::new(0, items.clone()));
-        if reference.due(cfg.every) {
-            let r = reference.publish_now().expect("an honest release");
-            if r.stream_len > 400 {
-                want.push((r.stream_len, binary_entries(r.release.iter())));
-            }
-        }
-    }
+    let want: Vec<_> = cadence(&mut reference, &records, cfg.every)
+        .into_iter()
+        .filter(|r| r.stream_len > 400)
+        .map(|r| (r.stream_len, binary_entries(r.release.iter())))
+        .collect();
     assert_eq!(reference.since_publish(), 0, "no drain flush owed");
 
-    let (mut server, addr) = spawn_serve(&wal_dir, &port_file, 1);
-    let mut client = Client::connect(addr).expect("connect");
+    let server = Served::spawn(BIN, &tmp.join("serve.port"), &serve_args(&cfg));
+    let mut client = Client::connect(server.addr).expect("connect");
     for batch in records[400..].chunks(25) {
-        client
-            .request(&Request::Ingest {
-                stream: stream.clone(),
-                batch: batch.to_vec(),
-            })
-            .expect("ingest");
+        harness::ingest(&mut client, &stream, batch);
     }
     client.request(&Request::Shutdown).expect("shutdown reply");
-    let status = server.0.wait().expect("serve exit status");
-    assert!(status.success(), "serve exited {status}");
+    server.join();
 
     let logged = butterfly_repro::serve::wal::scan_catchup(&wal_dir, 0, &stream, 401);
     assert_eq!(logged, want);
-    drop(server);
-    let _ = std::fs::remove_dir_all(&wal_dir);
-    let _ = std::fs::remove_file(&port_file);
-    let _ = std::fs::remove_file(port_file.with_extension("log"));
 }
